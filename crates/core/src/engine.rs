@@ -16,7 +16,8 @@ use vecycle_net::LinkSpec;
 use vecycle_obs::MetricsRegistry;
 use vecycle_types::{PageCount, PageIndex, SimDuration};
 
-use crate::pipeline::rounds::{LiveOutcome, RoundMode, TransferLoop};
+use crate::pipeline::rounds::{LiveOutcome, TransferLoop};
+use crate::pipeline::sink::{CountOnly, CutSink, MsgSink};
 use crate::pipeline::wire_costs::{DeltaCompression, Xbzrle};
 use crate::{LiveTranscript, MigrationReport, Strategy, Transcript};
 
@@ -253,7 +254,13 @@ impl MigrationEngine {
         vm: &M,
         strategy: Strategy,
     ) -> vecycle_types::Result<MigrationReport> {
-        self.migrate_inner(vm, strategy, None)
+        self.static_round(
+            "static",
+            vm,
+            &strategy,
+            &mut DedupIndex::new(),
+            &mut CountOnly,
+        )
     }
 
     /// Like [`MigrationEngine::migrate`], but also records the message
@@ -269,15 +276,25 @@ impl MigrationEngine {
         strategy: Strategy,
     ) -> vecycle_types::Result<(MigrationReport, Transcript)> {
         let mut transcript = Transcript::new();
-        let report = self.migrate_inner(vm, strategy, Some(&mut transcript))?;
+        let report = self.static_round(
+            "static",
+            vm,
+            &strategy,
+            &mut DedupIndex::new(),
+            &mut transcript,
+        )?;
         Ok((report, transcript))
     }
 
-    fn migrate_inner<M: MemoryImage>(
+    /// One static transfer: a first round and an empty stop-and-copy
+    /// flush, against the caller's dedup cache.
+    fn static_round<M: MemoryImage, S: MsgSink>(
         &self,
+        mode: &'static str,
         vm: &M,
-        strategy: Strategy,
-        transcript: Option<&mut Transcript>,
+        strategy: &Strategy,
+        sent: &mut DedupIndex,
+        sink: &mut S,
     ) -> vecycle_types::Result<MigrationReport> {
         if vm.page_count() == PageCount::ZERO {
             return Err(vecycle_types::Error::InvalidConfig {
@@ -285,25 +302,13 @@ impl MigrationEngine {
             });
         }
         let faults = AttemptFaults::none();
-        let mut tl = TransferLoop::start(
-            self,
-            "static",
-            &strategy,
-            vm.ram_size(),
-            vm.page_count(),
-            &faults,
-        );
-        let mut sent = DedupIndex::new();
-        let mode = match transcript {
-            Some(t) => RoundMode::Record(t),
-            None => RoundMode::Count,
-        };
-        tl.first_round(vm, &strategy, &mut sent, mode)
+        let mut tl = TransferLoop::start(self, mode, strategy, vm.ram_size(), &faults, sink);
+        tl.first_round(vm, strategy, sent)
             .expect("a fault-free transfer cannot abort");
         let downtime = tl
-            .stop_copy(vm, &[], None)
+            .stop_copy(vm, &[])
             .expect("a fault-free transfer cannot abort");
-        Ok(tl.complete(&strategy, vm.ram_size(), downtime, true))
+        Ok(tl.complete(strategy, vm.ram_size(), downtime, true))
     }
 
     /// Migrates a *gang* of VMs to the same destination with a shared
@@ -332,31 +337,13 @@ impl MigrationEngine {
                 ),
             });
         }
-        let faults = AttemptFaults::none();
         let mut sent = DedupIndex::new();
-        let mut reports = Vec::with_capacity(vms.len());
-        for (vm, strategy) in vms.iter().zip(strategies) {
-            if vm.page_count() == PageCount::ZERO {
-                return Err(vecycle_types::Error::InvalidConfig {
-                    reason: "cannot migrate an empty memory image".into(),
-                });
-            }
-            let mut tl = TransferLoop::start(
-                self,
-                "gang",
-                strategy,
-                vm.ram_size(),
-                vm.page_count(),
-                &faults,
-            );
-            tl.first_round(*vm, strategy, &mut sent, RoundMode::Count)
-                .expect("a fault-free transfer cannot abort");
-            let downtime = tl
-                .stop_copy(*vm, &[], None)
-                .expect("a fault-free transfer cannot abort");
-            reports.push(tl.complete(strategy, vm.ram_size(), downtime, true));
-        }
-        Ok(reports)
+        vms.iter()
+            .zip(strategies)
+            .map(|(vm, strategy)| {
+                self.static_round("gang", *vm, strategy, &mut sent, &mut CountOnly)
+            })
+            .collect()
     }
 
     /// Migrates a *live* guest: the workload keeps dirtying memory while
@@ -381,10 +368,8 @@ impl MigrationEngine {
         M: MutableMemory,
         W: GuestWorkload<M>,
     {
-        match self.migrate_live_faulted(guest, workload, strategy, &AttemptFaults::none())? {
-            LiveOutcome::Completed(report) => Ok(report),
-            LiveOutcome::Aborted(_) => unreachable!("a fault-free attempt cannot abort"),
-        }
+        self.migrate_live_into(guest, workload, strategy, &mut CountOnly)
+            .map(completed)
     }
 
     /// Like [`MigrationEngine::migrate_live`], but also records the full
@@ -392,9 +377,7 @@ impl MigrationEngine {
     ///
     /// Recording is a pure observer: the report is bit-identical to
     /// [`MigrationEngine::migrate_live`] for the same guest, workload and
-    /// strategy (pinned by a unit test below). Fault injection and
-    /// recording are mutually exclusive — an aborted attempt has no
-    /// complete stream to replay.
+    /// strategy (pinned by a unit test in `transcript.rs`).
     ///
     /// # Errors
     ///
@@ -411,17 +394,38 @@ impl MigrationEngine {
         W: GuestWorkload<M>,
     {
         let mut recorder = LiveTranscript::default();
-        let outcome = self.migrate_live_inner(
-            guest,
-            workload,
-            strategy,
-            &AttemptFaults::none(),
-            Some(&mut recorder),
-        )?;
-        match outcome {
-            LiveOutcome::Completed(report) => Ok((report, recorder)),
-            LiveOutcome::Aborted(_) => unreachable!("a fault-free attempt cannot abort"),
-        }
+        let outcome = self.migrate_live_into(guest, workload, strategy, &mut recorder)?;
+        Ok((completed(outcome), recorder))
+    }
+
+    /// Like [`MigrationEngine::migrate_live`], but every page message
+    /// and round delimiter is pushed into `sink` the moment it exists —
+    /// the entry point for a caller that streams the migration instead
+    /// of recording it.
+    ///
+    /// The sink is a pure observer of a transfer it lets complete: the
+    /// report is bit-identical to [`MigrationEngine::migrate_live`]. A
+    /// sink that reports the link dead ([`MsgSink::page`] returning
+    /// `false`) ends the attempt as [`LiveOutcome::Aborted`], the
+    /// wreckage carrying [`MsgSink::landed`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`vecycle_types::Error::InvalidConfig`] if the guest has
+    /// no pages.
+    pub fn migrate_live_into<M, W, S>(
+        &self,
+        guest: &mut Guest<M>,
+        workload: &mut W,
+        strategy: Strategy,
+        sink: &mut S,
+    ) -> vecycle_types::Result<LiveOutcome>
+    where
+        M: MutableMemory,
+        W: GuestWorkload<M>,
+        S: MsgSink,
+    {
+        self.live_rounds(guest, workload, strategy, &AttemptFaults::none(), sink)
     }
 
     /// Like [`MigrationEngine::migrate_live`], but the attempt runs under
@@ -456,52 +460,41 @@ impl MigrationEngine {
         M: MutableMemory,
         W: GuestWorkload<M>,
     {
-        self.migrate_live_inner(guest, workload, strategy, faults, None)
+        match faults.cut_after {
+            Some(point) => {
+                let mut cut = CutSink::new(point.resolve(guest.ram_size()), guest.page_count());
+                self.live_rounds(guest, workload, strategy, faults, &mut cut)
+            }
+            None => self.live_rounds(guest, workload, strategy, faults, &mut CountOnly),
+        }
     }
 
-    /// The one live-migration driver: optional fault injection, optional
-    /// stream recording. `recorder` requires `AttemptFaults::none()` —
-    /// the two callers keep the combinations disjoint.
-    fn migrate_live_inner<M, W>(
+    /// The one live-migration driver: the policy loop over
+    /// [`TransferLoop`], for any faults and any sink.
+    fn live_rounds<M, W, S>(
         &self,
         guest: &mut Guest<M>,
         workload: &mut W,
         strategy: Strategy,
         faults: &AttemptFaults,
-        mut recorder: Option<&mut LiveTranscript>,
+        sink: &mut S,
     ) -> vecycle_types::Result<LiveOutcome>
     where
         M: MutableMemory,
         W: GuestWorkload<M>,
+        S: MsgSink,
     {
         if guest.page_count() == PageCount::ZERO {
             return Err(vecycle_types::Error::InvalidConfig {
                 reason: "cannot migrate an empty guest".into(),
             });
         }
-        let mut tl = TransferLoop::start(
-            self,
-            "live",
-            &strategy,
-            guest.ram_size(),
-            guest.page_count(),
-            faults,
-        );
+        let mut tl = TransferLoop::start(self, "live", &strategy, guest.ram_size(), faults, sink);
 
         guest.dirty_mut().clear();
         let mut sent = DedupIndex::new();
-        {
-            let mode = match recorder.as_deref_mut() {
-                Some(rec) => {
-                    rec.rounds.push(Transcript::new());
-                    RoundMode::Record(rec.rounds.last_mut().expect("just pushed"))
-                }
-                None if tl.cut_armed() => RoundMode::Walk,
-                None => RoundMode::Count,
-            };
-            if let Err(wreck) = tl.first_round(&*guest, &strategy, &mut sent, mode) {
-                return Ok(LiveOutcome::Aborted(wreck));
-            }
+        if let Err(wreck) = tl.first_round(&*guest, &strategy, &mut sent) {
+            return Ok(LiveOutcome::Aborted(wreck));
         }
         workload.advance(guest, tl.spiked(1, tl.last_round_duration()));
         let mut dirty = guest.dirty_mut().drain();
@@ -517,11 +510,7 @@ impl MigrationEngine {
                 .is_none_or(|budget| tl.elapsed() < budget)
         {
             let round_no = tl.rounds_len() as u32 + 1;
-            let round_rec = recorder.as_deref_mut().map(|rec| {
-                rec.rounds.push(Transcript::new());
-                rec.rounds.last_mut().expect("just pushed")
-            });
-            match tl.resend_round(&*guest, &dirty, &strategy, &mut sent, round_rec) {
+            match tl.resend_round(&*guest, &dirty, &strategy, &mut sent) {
                 Ok(duration) => {
                     workload.advance(guest, tl.spiked(round_no, duration));
                     dirty = guest.dirty_mut().drain();
@@ -535,8 +524,7 @@ impl MigrationEngine {
         // budget, or did a guard (round/time limit) force the handover?
         let converged = dirty.len() as u64 <= self.downtime_budget_pages();
 
-        let stop_rec = recorder.map(|rec| &mut rec.stop_copy);
-        let downtime = match tl.stop_copy(&*guest, &dirty, stop_rec) {
+        let downtime = match tl.stop_copy(&*guest, &dirty) {
             Ok(downtime) => downtime,
             Err(wreck) => return Ok(LiveOutcome::Aborted(wreck)),
         };
@@ -546,5 +534,25 @@ impl MigrationEngine {
             downtime,
             converged,
         )))
+    }
+
+    /// Pages the final round may still carry within the downtime target.
+    ///
+    /// Divides the downtime byte budget by the wire size a resent page
+    /// *actually* occupies: XBZRLE deltas and compressed payloads shrink
+    /// resends, so more residual pages fit the same pause — using the
+    /// uncompressed size here would stop iterating too early and then
+    /// overshoot the downtime target it was meant to respect.
+    pub(crate) fn downtime_budget_pages(&self) -> u64 {
+        let budget = self.link.effective_bandwidth().bytes_in(self.max_downtime);
+        budget.as_u64() / self.wire_costs().resend_page().as_u64()
+    }
+}
+
+/// Unwraps an attempt whose sink lands every message.
+fn completed(outcome: LiveOutcome) -> MigrationReport {
+    match outcome {
+        LiveOutcome::Completed(report) => report,
+        LiveOutcome::Aborted(_) => unreachable!("a fault-free attempt cannot abort"),
     }
 }

@@ -62,6 +62,7 @@ mod transcript;
 
 pub use engine::{ExchangeProtocol, MigrationEngine};
 pub use pipeline::rounds::{AbortedTransfer, LiveOutcome};
+pub use pipeline::sink::MsgSink;
 pub use pipeline::wire_costs::{DeltaCompression, WireCosts, Xbzrle};
 pub use postcopy::PostCopyReport;
 pub use report::{MigrationOutcome, MigrationReport, RoundReport, SetupReport};

@@ -8,9 +8,10 @@
 //! * [`scan`] — the first-round page scan (serial = parallel with one
 //!   shard).
 //! * [`rounds`] — the [`rounds::TransferLoop`] itself: first round,
-//!   resend rounds, abort tracking.
-//! * [`stopcopy`] — the final stop-and-copy flush and the downtime
-//!   budget.
+//!   resend rounds and the stop-and-copy flush, all emitting through
+//!   one per-message step; abort assembly.
+//! * [`sink`] — [`sink::MsgSink`], where that step hands each message:
+//!   count-only, record, link-cut walk (the daemon adds its socket).
 //! * [`obs`] — metrics/span emission, fused with ledger recording.
 //!
 //! Two invariants hold by construction. *Clean is faulted*: the clean
@@ -22,5 +23,5 @@
 pub(crate) mod obs;
 pub(crate) mod rounds;
 pub(crate) mod scan;
-pub(crate) mod stopcopy;
+pub(crate) mod sink;
 pub(crate) mod wire_costs;

@@ -3,12 +3,19 @@
 //!
 //! A transfer is: setup, a first round, zero or more resend rounds, a
 //! stop-and-copy flush, completion. The loop owns the ledgers, the
-//! migration span, the elapsed clock and the (optional) link-cut
-//! tracker; the drivers in `engine.rs` own only the *policy* — when to
-//! stop iterating, what the workload dirties in between. The clean path
-//! is this loop with [`AttemptFaults::none`]: every fault check is a
-//! no-op and the results are bit-identical, a property pinned by the
-//! golden suite and `tests/parallel_props.rs`.
+//! migration span and the elapsed clock; the drivers in `engine.rs` own
+//! only the *policy* — when to stop iterating, what the workload
+//! dirties in between, which [`MsgSink`] the messages go to.
+//!
+//! Every page message of every round kind goes through one step,
+//! [`TransferLoop::emit`]: price the message, hand it to the sink, count
+//! it if it landed. A sink that reports the link dead turns the round
+//! into an [`AbortedTransfer`], assembled in [`TransferLoop::abort`] and
+//! nowhere else. The clean path is this loop with
+//! [`AttemptFaults::none`] and a sink that lands everything: every fault
+//! check is a no-op and the results are bit-identical whichever sink is
+//! attached, a property pinned by the golden suite,
+//! `tests/parallel_props.rs` and `tests/stream_identity.rs`.
 
 use vecycle_checkpoint::{DedupIndex, PageLookup};
 use vecycle_faults::{AttemptFaults, FaultCause};
@@ -17,11 +24,10 @@ use vecycle_net::{wire, LinkSpec, TrafficCategory, TrafficLedger};
 use vecycle_obs::SpanId;
 use vecycle_types::{Bytes, BytesPerSec, PageCount, PageDigest, PageIndex, SimDuration};
 
-use super::scan::ScanOutcome;
+use super::sink::MsgSink;
 use crate::strategy::PageAction;
 use crate::{
-    ExchangeProtocol, MigrationEngine, MigrationReport, PageMsg, RoundReport, SetupReport,
-    Strategy, Transcript,
+    ExchangeProtocol, MigrationEngine, MigrationReport, PageMsg, RoundReport, SetupReport, Strategy,
 };
 
 /// What a (possibly faulted) live migration attempt produced.
@@ -33,7 +39,8 @@ use crate::{
 pub enum LiveOutcome {
     /// The attempt ran to handover.
     Completed(MigrationReport),
-    /// An injected fault killed the transfer mid-flight.
+    /// The sink reported the link dead mid-flight — under
+    /// `migrate_live_faulted`, the injected link cut.
     Aborted(AbortedTransfer),
 }
 
@@ -63,106 +70,65 @@ impl AbortedTransfer {
     }
 }
 
-/// Tracks the forward-path byte cursor of a doomed transfer: messages
-/// land until the cumulative payload crosses the cut point, and each
-/// landed message deposits its page's digest at the destination.
-struct CutTracker {
-    limit: u64,
-    sent: u64,
-    landed: Vec<Option<PageDigest>>,
-}
-
-impl CutTracker {
-    fn new(limit: Bytes, pages: PageCount) -> Self {
-        CutTracker {
-            limit: limit.as_u64(),
-            sent: 0,
-            landed: vec![None; pages.as_u64() as usize],
-        }
-    }
-
-    /// Accounts one message for page `idx` carrying `digest`. Returns
-    /// false (and deposits nothing) if the link dies first.
-    fn land(&mut self, bytes: Bytes, idx: PageIndex, digest: PageDigest) -> bool {
-        let next = self.sent + bytes.as_u64();
-        if next > self.limit {
-            return false;
-        }
-        self.sent = next;
-        self.landed[idx.as_usize()] = Some(digest);
-        true
-    }
-}
-
-/// Per-category landed-message counts of a partially transferred round.
+/// Per-class counts of the page messages one round landed.
 #[derive(Default)]
-struct LandedCounts {
+struct Landed {
     full: u64,
     checksums: u64,
     refs: u64,
     zeros: u64,
 }
 
-/// How a [`TransferLoop`] handles the first round's message stream.
-pub(crate) enum RoundMode<'t> {
-    /// Count pages per class only — no per-message work.
-    Count,
-    /// Record every message into a replayable [`Transcript`].
-    Record(&'t mut Transcript),
-    /// Walk every message against the armed link cut.
-    Walk,
+impl Landed {
+    /// The round's page-message bytes at `full_cost` per full page.
+    fn bytes(&self, full_cost: Bytes) -> Bytes {
+        full_cost * self.full
+            + wire::checksum_msg() * self.checksums
+            + wire::dedup_ref_msg() * self.refs
+            + wire::zero_page_msg() * self.zeros
+    }
 }
 
 /// One in-flight transfer: ledgers, span, rounds, elapsed pre-copy time
-/// and the optional link-cut tracker, advanced by the driver one round
-/// at a time.
-pub(crate) struct TransferLoop<'e> {
+/// and the sink its messages go to, advanced by the driver one round at
+/// a time.
+pub(crate) struct TransferLoop<'e, S: MsgSink> {
     engine: &'e MigrationEngine,
     faults: &'e AttemptFaults,
+    sink: &'e mut S,
     span: SpanId,
     setup: SetupReport,
     forward: TrafficLedger,
     reverse: TrafficLedger,
     rounds: Vec<RoundReport>,
-    cut: Option<CutTracker>,
     elapsed: SimDuration,
 }
 
-impl<'e> TransferLoop<'e> {
-    /// Opens the migration span, runs the setup phase and arms the link
-    /// cut (if the faults carry one).
+impl<'e, S: MsgSink> TransferLoop<'e, S> {
+    /// Opens the migration span and runs the setup phase.
     pub(crate) fn start(
         engine: &'e MigrationEngine,
         mode: &'static str,
         strategy: &Strategy,
         ram: Bytes,
-        pages: PageCount,
         faults: &'e AttemptFaults,
+        sink: &'e mut S,
     ) -> Self {
         let span = engine.obs_migration_start(mode, strategy);
         let forward = TrafficLedger::new();
         let mut reverse = TrafficLedger::new();
         let setup = engine.setup_phase(strategy, ram, &mut reverse);
-        let cut = faults
-            .cut_after
-            .map(|point| CutTracker::new(point.resolve(ram), pages));
         TransferLoop {
             engine,
             faults,
+            sink,
             span,
             setup,
             forward,
             reverse,
             rounds: Vec::new(),
-            cut,
             elapsed: SimDuration::ZERO,
         }
-    }
-
-    /// Whether a link cut is armed (drivers pick [`RoundMode::Walk`]
-    /// when it is).
-    pub(crate) fn cut_armed(&self) -> bool {
-        self.cut.is_some()
     }
 
     /// Rounds completed so far.
@@ -186,166 +152,166 @@ impl<'e> TransferLoop<'e> {
         spiked_duration(self.faults, round, duration)
     }
 
-    /// Runs round 1: scan, handle the message stream per `mode`, record
-    /// the round. An armed cut can kill the round mid-walk; the `Err`
-    /// carries the wreckage (already counted and span-closed).
+    /// The one emission step every page message of every round goes
+    /// through: price it, offer it to the sink, count it if it landed.
+    /// Returns false if the sink reports the link dead.
+    fn emit(
+        &mut self,
+        msg: PageMsg,
+        digest: PageDigest,
+        full_cost: Bytes,
+        landed: &mut Landed,
+    ) -> bool {
+        let (size, class) = match msg {
+            PageMsg::Full { .. } => (full_cost, &mut landed.full),
+            PageMsg::Checksum { .. } => (wire::checksum_msg(), &mut landed.checksums),
+            PageMsg::DedupRef { .. } => (wire::dedup_ref_msg(), &mut landed.refs),
+            PageMsg::Zero { .. } => (wire::zero_page_msg(), &mut landed.zeros),
+        };
+        let ok = self.sink.page(msg, digest, size);
+        *class += u64::from(ok);
+        ok
+    }
+
+    /// Emits a round's messages in order. Returns what landed and
+    /// whether the link survived the walk.
+    fn emit_all(
+        &mut self,
+        full_cost: Bytes,
+        msgs: impl ExactSizeIterator<Item = (PageMsg, PageDigest)>,
+    ) -> (Landed, bool) {
+        self.sink.reserve(msgs.len());
+        let mut landed = Landed::default();
+        for (msg, digest) in msgs {
+            if !self.emit(msg, digest, full_cost, &mut landed) {
+                return (landed, false);
+            }
+        }
+        (landed, true)
+    }
+
+    /// Emits one message per dirty page, in ascending page order (so
+    /// dedup cache updates stay deterministic across runs): a zero
+    /// marker for a suppressed all-zero page, otherwise whatever
+    /// `classify` decides.
+    fn emit_dirty<M: MemoryImage>(
+        &mut self,
+        vm: &M,
+        dirty: &[PageIndex],
+        full_cost: Bytes,
+        mut classify: impl FnMut(PageIndex, PageDigest) -> PageAction,
+    ) -> (Landed, bool) {
+        let zero_suppression = self.engine.zero_suppression;
+        let msgs = dirty.iter().map(|&idx| {
+            let digest = vm.page_digest(idx);
+            let msg = if zero_suppression && digest.is_zero_page() {
+                PageMsg::Zero { idx }
+            } else {
+                match classify(idx, digest) {
+                    PageAction::SendFull => PageMsg::Full {
+                        idx,
+                        digest,
+                        bytes: None,
+                    },
+                    PageAction::SendChecksum => PageMsg::Checksum { idx, digest },
+                    PageAction::SendDedupRef(source) => PageMsg::DedupRef { idx, source },
+                    PageAction::Skip => unreachable!("a dirty page is never skipped"),
+                }
+            };
+            (msg, digest)
+        });
+        self.emit_all(full_cost, msgs)
+    }
+
+    /// Records a round's landed page messages in the forward ledger.
+    fn record_landed(&mut self, landed: &Landed, full_cost: Bytes) {
+        for (category, count, size) in [
+            (TrafficCategory::FullPages, landed.full, full_cost),
+            (
+                TrafficCategory::Checksums,
+                landed.checksums,
+                wire::checksum_msg(),
+            ),
+            (
+                TrafficCategory::DedupRefs,
+                landed.refs,
+                wire::dedup_ref_msg(),
+            ),
+            (
+                TrafficCategory::ZeroMarkers,
+                landed.zeros,
+                wire::zero_page_msg(),
+            ),
+        ] {
+            self.engine
+                .rec_many(&mut self.forward, "forward", category, count, size);
+        }
+    }
+
+    /// Records the round delimiter's control header.
+    fn record_delimiter(&mut self) {
+        self.record_forward(TrafficCategory::Control, Bytes::new(wire::MSG_HEADER));
+    }
+
+    /// Assembles the wreckage of a transfer whose sink reported the
+    /// link dead in `round`, after `round_bytes` of that round landed
+    /// (already in the ledger; the delimiter never made it out), and
+    /// closes the span.
+    fn abort(&mut self, round: u32, link: LinkSpec, round_bytes: Bytes) -> AbortedTransfer {
+        let wreck = AbortedTransfer {
+            cause: self.faults.abort_cause(),
+            landed: self.sink.landed(),
+            traffic: self.forward.total(),
+            elapsed: self.elapsed.saturating_add(link.transfer_time(round_bytes)),
+        };
+        self.engine.obs_abort(self.span, round, &wreck);
+        wreck
+    }
+
+    /// Runs round 1: scan, emit the message stream (unless the sink
+    /// only counts), record the round. The sink can kill the round
+    /// mid-stream; the `Err` carries the wreckage (already counted and
+    /// span-closed). A round that survives is accounted from what
+    /// landed, which is then exactly what the scan classified.
     pub(crate) fn first_round<M: MemoryImage>(
         &mut self,
         vm: &M,
         strategy: &Strategy,
         sent: &mut DedupIndex,
-        mode: RoundMode<'_>,
     ) -> Result<(), AbortedTransfer> {
         let engine = self.engine;
         let link = engine.link_for_round(1, self.faults);
-        let want_msgs = !matches!(mode, RoundMode::Count);
-        let mut scan = engine.scan(vm, strategy, sent, want_msgs);
-        match mode {
-            RoundMode::Count => {}
-            RoundMode::Record(transcript) => {
-                if let Some(msgs) = scan.msgs.take() {
-                    transcript.extend(msgs);
-                }
-            }
-            RoundMode::Walk => {
-                // Walk the message stream against the cut point. If the
-                // round survives it is recorded identically to the
-                // untracked path; if the link dies mid-round, only landed
-                // messages are recorded (the control trailer never made
-                // it out).
-                let page_msg = engine.wire_costs().full_page();
-                let tracker = self.cut.as_mut().expect("walk mode requires an armed cut");
-                let mut landed = LandedCounts::default();
-                let mut aborted = false;
-                for msg in scan.msgs.as_deref().expect("tracked scan records messages") {
-                    let (idx, size) = match msg {
-                        PageMsg::Full { idx, .. } => (*idx, page_msg),
-                        PageMsg::Checksum { idx, .. } => (*idx, wire::checksum_msg()),
-                        PageMsg::DedupRef { idx, .. } => (*idx, wire::dedup_ref_msg()),
-                        PageMsg::Zero { idx } => (*idx, wire::zero_page_msg()),
-                    };
-                    if !tracker.land(size, idx, vm.page_digest(idx)) {
-                        aborted = true;
-                        break;
-                    }
-                    match msg {
-                        PageMsg::Full { .. } => landed.full += 1,
-                        PageMsg::Checksum { .. } => landed.checksums += 1,
-                        PageMsg::DedupRef { .. } => landed.refs += 1,
-                        PageMsg::Zero { .. } => landed.zeros += 1,
-                    }
-                }
-                if aborted {
-                    engine.rec_many(
-                        &mut self.forward,
-                        "forward",
-                        TrafficCategory::FullPages,
-                        landed.full,
-                        page_msg,
-                    );
-                    engine.rec_many(
-                        &mut self.forward,
-                        "forward",
-                        TrafficCategory::Checksums,
-                        landed.checksums,
-                        wire::checksum_msg(),
-                    );
-                    engine.rec_many(
-                        &mut self.forward,
-                        "forward",
-                        TrafficCategory::DedupRefs,
-                        landed.refs,
-                        wire::dedup_ref_msg(),
-                    );
-                    engine.rec_many(
-                        &mut self.forward,
-                        "forward",
-                        TrafficCategory::ZeroMarkers,
-                        landed.zeros,
-                        wire::zero_page_msg(),
-                    );
-                    let wreck = AbortedTransfer {
-                        cause: self.faults.abort_cause(),
-                        landed: std::mem::take(
-                            &mut self.cut.as_mut().expect("cut tracker armed").landed,
-                        ),
-                        traffic: self.forward.total(),
-                        elapsed: link.transfer_time(self.forward.total()),
-                    };
-                    engine.obs_abort(self.span, 1, &wreck);
-                    return Err(wreck);
-                }
-            }
-        }
-        let round = self.finish_first_round(vm.page_count().as_u64(), &scan, strategy, link);
-        engine.obs_round(&round);
-        self.elapsed = self.elapsed.saturating_add(round.duration);
-        self.rounds.push(round);
-        Ok(())
-    }
-
-    /// Records a completed round-1 scan into the ledgers and computes its
-    /// [`RoundReport`] — shared between the clean and cut-tracked paths,
-    /// so a surviving faulted round is accounted bit-identically to a
-    /// fault-free one.
-    fn finish_first_round(
-        &mut self,
-        n: u64,
-        scan: &ScanOutcome,
-        strategy: &Strategy,
-        link: LinkSpec,
-    ) -> RoundReport {
-        let engine = self.engine;
-        let &ScanOutcome {
-            full,
-            checksums,
-            refs,
-            skipped,
-            zeros,
-            ..
-        } = scan;
-
         let page_msg = engine.wire_costs().full_page();
-        engine.rec_many(
-            &mut self.forward,
-            "forward",
-            TrafficCategory::FullPages,
-            full,
-            page_msg,
-        );
-        engine.rec_many(
-            &mut self.forward,
-            "forward",
-            TrafficCategory::Checksums,
-            checksums,
-            wire::checksum_msg(),
-        );
-        engine.rec_many(
-            &mut self.forward,
-            "forward",
-            TrafficCategory::DedupRefs,
-            refs,
-            wire::dedup_ref_msg(),
-        );
-        engine.rec_many(
-            &mut self.forward,
-            "forward",
-            TrafficCategory::ZeroMarkers,
-            zeros,
-            wire::zero_page_msg(),
-        );
-        engine.rec(
-            &mut self.forward,
-            "forward",
-            TrafficCategory::Control,
-            Bytes::new(wire::MSG_HEADER),
-        );
+        let scan = engine.scan(vm, strategy, sent, S::PER_MESSAGE);
+        let (landed, alive) = match scan.msgs {
+            None => (
+                Landed {
+                    full: scan.full,
+                    checksums: scan.checksums,
+                    refs: scan.refs,
+                    zeros: scan.zeros,
+                },
+                true,
+            ),
+            Some(msgs) => self.emit_all(
+                page_msg,
+                msgs.into_iter().map(|msg| {
+                    let digest = vm.page_digest(msg.idx());
+                    (msg, digest)
+                }),
+            ),
+        };
+        self.record_landed(&landed, page_msg);
+        if !alive {
+            return Err(self.abort(1, link, landed.bytes(page_msg)));
+        }
+        self.sink.round_end(1);
+        self.record_delimiter();
+        let n = vm.page_count().as_u64();
         // Miyakodori ships the page-reuse bitmap so the destination knows
         // which checkpoint pages stand (1 bit per page).
-        if skipped > 0 {
-            engine.rec(
-                &mut self.forward,
-                "forward",
+        if scan.skipped > 0 {
+            self.record_forward(
                 TrafficCategory::Control,
                 Bytes::new(n.div_ceil(8) + wire::MSG_HEADER),
             );
@@ -356,13 +322,7 @@ impl<'e> TransferLoop<'e> {
             if let ExchangeProtocol::PerPage { pipeline_depth } = engine.exchange {
                 // Every scanned page costs a query/reply pair; queries
                 // pipeline `pipeline_depth` deep.
-                engine.rec_many(
-                    &mut self.forward,
-                    "forward",
-                    TrafficCategory::Checksums,
-                    n,
-                    wire::page_query(),
-                );
+                self.record_forward_many(TrafficCategory::Checksums, n, wire::page_query());
                 engine.rec_many(
                     &mut self.reverse,
                     "reverse",
@@ -377,13 +337,34 @@ impl<'e> TransferLoop<'e> {
         }
 
         let bytes = self.forward.total();
-        let network = link.transfer_time(bytes);
         // §3.4: with reuse, the checksum rate bounds the round from
         // below; checksums for all n pages are computed during round 1.
+        let duration = link
+            .transfer_time(bytes)
+            .max(self.cpu_floor(strategy, n, landed.full))
+            .saturating_add(query_time);
+        self.push_round(RoundReport {
+            round: 1,
+            full_pages: PageCount::new(landed.full),
+            checksum_pages: PageCount::new(landed.checksums),
+            dedup_refs: PageCount::new(landed.refs),
+            skipped_pages: PageCount::new(scan.skipped),
+            zero_pages: PageCount::new(landed.zeros),
+            bytes_sent: bytes,
+            duration,
+        });
+        Ok(())
+    }
+
+    /// The CPU-side lower bound of a round: hashing `hashed` pages (when
+    /// the strategy computes checksums) and compressing `full` payloads
+    /// (when compression is on) both overlap the wire.
+    fn cpu_floor(&self, strategy: &Strategy, hashed: u64, full: u64) -> SimDuration {
+        let engine = self.engine;
         let checksum_cost = if strategy.computes_checksums() {
             engine
                 .cpu
-                .checksum_time(engine.algorithm, Bytes::from_pages(n))
+                .checksum_time(engine.algorithm, Bytes::from_pages(hashed))
         } else {
             SimDuration::ZERO
         };
@@ -391,21 +372,14 @@ impl<'e> TransferLoop<'e> {
             Some(c) => c.time(Bytes::from_pages(full)),
             None => SimDuration::ZERO,
         };
-        let duration = network
-            .max(checksum_cost)
-            .max(compress_cost)
-            .saturating_add(query_time);
+        checksum_cost.max(compress_cost)
+    }
 
-        RoundReport {
-            round: 1,
-            full_pages: PageCount::new(full),
-            checksum_pages: PageCount::new(checksums),
-            dedup_refs: PageCount::new(refs),
-            skipped_pages: PageCount::new(skipped),
-            zero_pages: PageCount::new(zeros),
-            bytes_sent: bytes,
-            duration,
-        }
+    /// Seals a completed pre-copy round: span, histograms, clock.
+    fn push_round(&mut self, round: RoundReport) {
+        self.engine.obs_round(&round);
+        self.elapsed = self.elapsed.saturating_add(round.duration);
+        self.rounds.push(round);
     }
 
     /// Runs one resend round over the drained dirty set. Every resend
@@ -414,252 +388,90 @@ impl<'e> TransferLoop<'e> {
     /// checksum message, not a full page (§3.1 — the re-dirtied page is
     /// classified exactly like a first-round page, minus the stale
     /// reusable-set check). Returns the round's duration, or the
-    /// wreckage if the armed cut struck mid-round.
-    /// When `transcript` is given, every message of the round is also
-    /// recorded (digest-level; full pages carry no bytes) — recording
-    /// never changes a counter, a ledger entry or the round report.
+    /// wreckage if the sink reported the link dead mid-round.
     pub(crate) fn resend_round<M: MemoryImage>(
         &mut self,
         vm: &M,
         dirty: &[PageIndex],
         strategy: &Strategy,
         sent: &mut DedupIndex,
-        mut transcript: Option<&mut Transcript>,
     ) -> Result<SimDuration, AbortedTransfer> {
         let engine = self.engine;
         let round_no = self.rounds.len() as u32 + 1;
         let link = engine.link_for_round(round_no, self.faults);
         let page_msg = engine.wire_costs().resend_page();
-        let mut full = 0u64;
-        let mut checksums = 0u64;
-        let mut refs = 0u64;
-        let mut zeros = 0u64;
-        let mut aborted = false;
-        // The dirty set arrives in ascending page order, so dedup cache
-        // updates stay deterministic across runs.
-        for &idx in dirty {
-            let digest = vm.page_digest(idx);
-            if engine.zero_suppression && digest.is_zero_page() {
-                if let Some(tracker) = self.cut.as_mut() {
-                    if !tracker.land(wire::zero_page_msg(), idx, digest) {
-                        aborted = true;
-                        break;
-                    }
-                }
-                if let Some(t) = transcript.as_deref_mut() {
-                    t.push(PageMsg::Zero { idx });
-                }
-                zeros += 1;
-                continue;
-            }
+        let (landed, alive) = self.emit_dirty(vm, dirty, page_msg, |idx, digest| {
             let action = strategy.classify_resend(digest, sent);
-            if let Some(tracker) = self.cut.as_mut() {
-                let size = match action {
-                    PageAction::SendFull => page_msg,
-                    PageAction::SendChecksum => wire::checksum_msg(),
-                    PageAction::SendDedupRef(_) => wire::dedup_ref_msg(),
-                    PageAction::Skip => unreachable!("classify_resend never skips"),
-                };
-                if !tracker.land(size, idx, digest) {
-                    aborted = true;
-                    break;
-                }
+            if matches!(action, PageAction::SendFull | PageAction::SendChecksum) {
+                sent.insert_first(digest, idx);
             }
-            if let Some(t) = transcript.as_deref_mut() {
-                t.push(match action {
-                    PageAction::SendFull => PageMsg::Full {
-                        idx,
-                        digest,
-                        bytes: None,
-                    },
-                    PageAction::SendChecksum => PageMsg::Checksum { idx, digest },
-                    PageAction::SendDedupRef(source) => PageMsg::DedupRef { idx, source },
-                    PageAction::Skip => unreachable!("classify_resend never skips"),
-                });
-            }
-            match action {
-                PageAction::SendFull => {
-                    full += 1;
-                    sent.insert_first(digest, idx);
-                }
-                PageAction::SendChecksum => {
-                    checksums += 1;
-                    sent.insert_first(digest, idx);
-                }
-                PageAction::SendDedupRef(_) => refs += 1,
-                PageAction::Skip => unreachable!("classify_resend never skips"),
-            }
-        }
-        let bytes = page_msg * full
-            + wire::checksum_msg() * checksums
-            + wire::dedup_ref_msg() * refs
-            + wire::zero_page_msg() * zeros;
-        engine.rec_many(
-            &mut self.forward,
-            "forward",
-            TrafficCategory::FullPages,
-            full,
-            page_msg,
-        );
-        engine.rec_many(
-            &mut self.forward,
-            "forward",
-            TrafficCategory::Checksums,
-            checksums,
-            wire::checksum_msg(),
-        );
-        engine.rec_many(
-            &mut self.forward,
-            "forward",
-            TrafficCategory::DedupRefs,
-            refs,
-            wire::dedup_ref_msg(),
-        );
-        engine.rec_many(
-            &mut self.forward,
-            "forward",
-            TrafficCategory::ZeroMarkers,
-            zeros,
-            wire::zero_page_msg(),
-        );
+            action
+        });
+        let bytes = landed.bytes(page_msg);
+        self.record_landed(&landed, page_msg);
         engine.obs_pages(
             "engine_resend_pages_total",
             &[
-                ("full", full),
-                ("checksum", checksums),
-                ("dedup_ref", refs),
-                ("zero", zeros),
+                ("full", landed.full),
+                ("checksum", landed.checksums),
+                ("dedup_ref", landed.refs),
+                ("zero", landed.zeros),
             ],
         );
-        if aborted {
-            // Landed messages are accounted above; the control trailer
-            // never made it out.
-            let wreck = AbortedTransfer {
-                cause: self.faults.abort_cause(),
-                landed: std::mem::take(&mut self.cut.as_mut().expect("cut tracker armed").landed),
-                traffic: self.forward.total(),
-                elapsed: self.elapsed.saturating_add(link.transfer_time(bytes)),
-            };
-            engine.obs_abort(self.span, round_no, &wreck);
-            return Err(wreck);
+        if !alive {
+            return Err(self.abort(round_no, link, bytes));
         }
-        engine.rec(
-            &mut self.forward,
-            "forward",
-            TrafficCategory::Control,
-            Bytes::new(wire::MSG_HEADER),
-        );
+        self.sink.round_end(round_no);
+        self.record_delimiter();
         // Re-dirtied pages must be re-hashed before the index lookup.
-        let checksum_cost = if strategy.computes_checksums() {
-            engine
-                .cpu
-                .checksum_time(engine.algorithm, Bytes::from_pages(dirty.len() as u64))
-        } else {
-            SimDuration::ZERO
-        };
-        let compress_cost = match engine.compression {
-            Some(c) => c.time(Bytes::from_pages(full)),
-            None => SimDuration::ZERO,
-        };
-        let duration = link
-            .transfer_time(bytes)
-            .max(checksum_cost)
-            .max(compress_cost);
-        self.rounds.push(RoundReport {
+        let duration = link.transfer_time(bytes).max(self.cpu_floor(
+            strategy,
+            dirty.len() as u64,
+            landed.full,
+        ));
+        self.push_round(RoundReport {
             round: round_no,
-            full_pages: PageCount::new(full),
-            checksum_pages: PageCount::new(checksums),
-            dedup_refs: PageCount::new(refs),
+            full_pages: PageCount::new(landed.full),
+            checksum_pages: PageCount::new(landed.checksums),
+            dedup_refs: PageCount::new(landed.refs),
             skipped_pages: PageCount::ZERO,
-            zero_pages: PageCount::new(zeros),
+            zero_pages: PageCount::new(landed.zeros),
             bytes_sent: bytes,
             duration,
         });
-        engine.obs_round(self.rounds.last().expect("just pushed"));
-        self.elapsed = self.elapsed.saturating_add(duration);
         Ok(duration)
     }
 
-    /// Runs the final stop-and-copy flush over the residual dirty set
-    /// and returns the downtime. The armed cut can strike this flush
-    /// too; the `Err` carries the wreckage. With `transcript`, the flush
-    /// messages are also recorded (digest-level), in ascending dirty
-    /// order — exactly what [`MigrationEngine::split_zero_pages`] prices.
+    /// Pauses the guest, flushes the residual dirty set and hands over
+    /// execution: one transfer plus the resume handshake. Returns the
+    /// downtime, or the wreckage if the link died during the flush.
+    ///
+    /// The flush re-sends pages already transferred once, so XBZRLE
+    /// applies here as well; zero-page suppression does too — a guest
+    /// that zeroes pages during the last round pays 13-byte markers,
+    /// not full pages, exactly as in the copy rounds.
     pub(crate) fn stop_copy<M: MemoryImage>(
         &mut self,
         vm: &M,
         dirty: &[PageIndex],
-        transcript: Option<&mut Transcript>,
     ) -> Result<SimDuration, AbortedTransfer> {
         let engine = self.engine;
-        if let Some(t) = transcript {
-            for &idx in dirty {
-                let digest = vm.page_digest(idx);
-                if engine.zero_suppression && digest.is_zero_page() {
-                    t.push(PageMsg::Zero { idx });
-                } else {
-                    t.push(PageMsg::Full {
-                        idx,
-                        digest,
-                        bytes: None,
-                    });
-                }
-            }
-        }
         let final_round = self.rounds.len() as u32 + 1;
-        let link_final = engine.link_for_round(final_round, self.faults);
-        if let Some(tracker) = self.cut.as_mut() {
-            let page_msg = engine.wire_costs().resend_page();
-            let mut landed_full = 0u64;
-            let mut landed_zeros = 0u64;
-            let mut aborted = false;
-            for &idx in dirty {
-                let digest = vm.page_digest(idx);
-                let (size, zero) = if engine.zero_suppression && digest.is_zero_page() {
-                    (wire::zero_page_msg(), true)
-                } else {
-                    (page_msg, false)
-                };
-                if !tracker.land(size, idx, digest) {
-                    aborted = true;
-                    break;
-                }
-                if zero {
-                    landed_zeros += 1;
-                } else {
-                    landed_full += 1;
-                }
-            }
-            if aborted {
-                engine.rec_many(
-                    &mut self.forward,
-                    "forward",
-                    TrafficCategory::FullPages,
-                    landed_full,
-                    page_msg,
-                );
-                engine.rec_many(
-                    &mut self.forward,
-                    "forward",
-                    TrafficCategory::ZeroMarkers,
-                    landed_zeros,
-                    wire::zero_page_msg(),
-                );
-                let bytes = page_msg * landed_full + wire::zero_page_msg() * landed_zeros;
-                let wreck = AbortedTransfer {
-                    cause: self.faults.abort_cause(),
-                    landed: std::mem::take(
-                        &mut self.cut.as_mut().expect("cut tracker armed").landed,
-                    ),
-                    traffic: self.forward.total(),
-                    elapsed: self.elapsed.saturating_add(link_final.transfer_time(bytes)),
-                };
-                engine.obs_abort(self.span, final_round, &wreck);
-                return Err(wreck);
-            }
+        let link = engine.link_for_round(final_round, self.faults);
+        let page_msg = engine.wire_costs().resend_page();
+        let (landed, alive) = self.emit_dirty(vm, dirty, page_msg, |_, _| PageAction::SendFull);
+        let bytes = landed.bytes(page_msg);
+        self.record_landed(&landed, page_msg);
+        if !alive {
+            return Err(self.abort(final_round, link, bytes));
         }
-        let (residue_full, residue_zeros) = engine.split_zero_pages(vm, dirty);
-        Ok(engine.stop_and_copy(residue_full, residue_zeros, &mut self.forward, link_final))
+        self.sink.stop_end();
+        self.record_delimiter();
+        engine.obs_pages(
+            "engine_stop_copy_pages_total",
+            &[("full", landed.full), ("zero", landed.zeros)],
+        );
+        Ok(link.transfer_time(bytes).saturating_add(link.round_trip()))
     }
 
     /// Seals the transfer into a [`MigrationReport`], exporting the

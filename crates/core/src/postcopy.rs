@@ -20,6 +20,7 @@ use vecycle_net::{wire, TrafficCategory, TrafficLedger};
 use vecycle_types::{Bytes, PageCount, PageIndex, SimDuration};
 
 use crate::pipeline::rounds::TransferLoop;
+use crate::pipeline::sink::CountOnly;
 use crate::{MigrationEngine, Strategy};
 
 /// Outcome of a post-copy migration.
@@ -97,13 +98,14 @@ impl MigrationEngine {
         }
 
         let faults = AttemptFaults::none();
+        let mut sink = CountOnly;
         let mut tl = TransferLoop::start(
             self,
             "postcopy",
             &strategy,
             vm.ram_size(),
-            vm.page_count(),
             &faults,
+            &mut sink,
         );
         // Handover: vCPU + device state, a few MiB in practice.
         let device_state = Bytes::from_mib(4);

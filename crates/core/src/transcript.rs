@@ -2,6 +2,7 @@
 
 use vecycle_checkpoint::{Checkpoint, PageLookup};
 use vecycle_mem::{ByteMemory, MemoryImage, MutableMemory, PageBuf, PageContent};
+use vecycle_net::WireMsg;
 use vecycle_types::{Error, PageDigest, PageIndex};
 
 /// One message of the migration stream, as the destination receives it.
@@ -40,16 +41,47 @@ pub enum PageMsg {
     },
 }
 
+impl PageMsg {
+    /// The guest page this message is about.
+    pub(crate) fn idx(&self) -> PageIndex {
+        match self {
+            PageMsg::Full { idx, .. }
+            | PageMsg::Checksum { idx, .. }
+            | PageMsg::DedupRef { idx, .. }
+            | PageMsg::Zero { idx } => *idx,
+        }
+    }
+
+    /// The message in its on-the-wire form. The wire protocol is
+    /// digest-level: a full page ships the digest filler
+    /// ([`WireMsg::full_filler`]) — full wire size, and content the
+    /// receiver can verify — whether or not the source holds bytes.
+    pub fn to_wire(&self) -> WireMsg {
+        match self {
+            PageMsg::Full { idx, digest, .. } => WireMsg::full_filler(idx.as_u64(), *digest),
+            PageMsg::Checksum { idx, digest } => WireMsg::Checksum {
+                idx: idx.as_u64(),
+                digest: *digest,
+            },
+            PageMsg::DedupRef { idx, source } => WireMsg::DedupRef {
+                idx: idx.as_u64(),
+                source: source.as_u64(),
+            },
+            PageMsg::Zero { idx } => WireMsg::Zero { idx: idx.as_u64() },
+        }
+    }
+}
+
 /// The ordered message stream of one migration.
 pub type Transcript = Vec<PageMsg>;
 
 /// The complete message stream of a *live* migration: one transcript per
 /// pre-copy round plus the final stop-and-copy flush, in send order.
 ///
-/// Produced by [`crate::MigrationEngine::migrate_live_with_transcript`];
-/// a remote destination replays it message by message. Recording is a
-/// pure observer — the report of a recorded run is bit-identical to the
-/// unrecorded one.
+/// Produced by [`crate::MigrationEngine::migrate_live_with_transcript`]
+/// — it is the recording [`crate::MsgSink`]; a destination replays it
+/// message by message. Recording is a pure observer — the report of a
+/// recorded run is bit-identical to the unrecorded one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LiveTranscript {
     /// Round 1..n message streams (round 1 is the full scan).

@@ -8,14 +8,16 @@
 //! 64 hash. It never runs the engine, so agreement with the source is
 //! evidence about the *protocol*, not a shared code path.
 //!
-//! Crash durability: every [`crate::source::STREAM_CHUNK`] applied
-//! messages (and at round boundaries) the state is checkpointed — into
-//! an in-memory partials map keyed by `(job, spec fingerprint)`, and,
-//! when the daemon runs with a journal directory, into a
-//! `partial-*.bin` file. A later session for the same job announces
-//! that landed prefix in the RESUME_STATE handshake; if the source
-//! rejects it (hash mismatch, corrupt file) the state resets to the
-//! fresh base and the transfer self-heals into a full one.
+//! Crash durability has two halves. Our own death: a journal-backed
+//! daemon saves the state to a `partial-*.bin` file every
+//! [`crate::source::STREAM_CHUNK`] applied messages and at round
+//! boundaries. The peer's death: the session is still alive to see the
+//! I/O error, so it keeps the exact current state in the in-memory
+//! partials map, keyed by `(job, spec fingerprint)`, on that exit only.
+//! A later session for the same job announces the landed prefix in the
+//! RESUME_STATE handshake; if the source rejects it (hash mismatch,
+//! corrupt file) the state resets to the fresh base and the transfer
+//! self-heals into a full one.
 
 use std::io::Write;
 
@@ -175,7 +177,7 @@ fn session(
         SessionState::fresh(&spec, &initial)
     };
 
-    let result = receive_stream(
+    let received = receive_stream(
         state,
         s,
         job_id,
@@ -183,13 +185,14 @@ fn session(
         index.as_ref(),
         &mut session_state,
     );
-    match result {
-        Ok(()) => {}
+    let complete = match received {
+        Ok(complete) => complete,
         Err(e @ DaemonError::Io(_)) => {
-            // Peer death mid-stream: the landed prefix is the whole
-            // point — persist it one last time and keep it for the
-            // resume attempt.
-            persist_partial(state, job_id, fingerprint, &session_state);
+            // Peer death before COMPLETE: the landed prefix is the whole
+            // point — save it one last time and keep it in memory for
+            // the resume attempt.
+            save_partial(state, job_id, fingerprint, &session_state);
+            state.partial_put(job_id, fingerprint, session_state);
             return Err(e);
         }
         Err(e) => {
@@ -198,10 +201,9 @@ fn session(
             drop_partial(state, job_id, fingerprint);
             return Err(e);
         }
-    }
+    };
 
     // End-to-end verification: both sides hash the final digests.
-    let complete = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::COMPLETE, "COMPLETE")?;
     if complete.payload.len() as u64 != proto::COMPLETE_LEN {
         drop_partial(state, job_id, fingerprint);
         return Err(DaemonError::Corrupt(format!(
@@ -227,8 +229,9 @@ fn session(
 }
 
 /// Applies the data-plane stream through the shared state machine
-/// until the stop-and-copy delimiter, checkpointing the partial state
-/// at chunk and round boundaries.
+/// until the stop-and-copy delimiter, saving the partial state at
+/// chunk and round boundaries, and returns the COMPLETE frame that
+/// follows it.
 fn receive_stream(
     state: &DaemonState,
     s: &mut CountingStream<Stream>,
@@ -236,7 +239,7 @@ fn receive_stream(
     fingerprint: u64,
     index: Option<&ChecksumIndex>,
     session_state: &mut SessionState,
-) -> Result<(), DaemonError> {
+) -> Result<Frame, DaemonError> {
     let mut since_checkpoint = 0usize;
     while !session_state.finished() {
         let msg = WireMsg::read_from(s).map_err(DaemonError::from)?;
@@ -250,17 +253,16 @@ fn receive_stream(
         if since_checkpoint >= crate::source::STREAM_CHUNK
             || matches!(msg, WireMsg::RoundEnd { .. } | WireMsg::StopEnd)
         {
-            persist_partial(state, job_id, fingerprint, session_state);
+            save_partial(state, job_id, fingerprint, session_state);
             since_checkpoint = 0;
         }
     }
-    Ok(())
+    expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::COMPLETE, "COMPLETE")
 }
 
-/// Checkpoints a partial state into the in-memory map and (when the
-/// daemon is journal-backed) the partial file.
-fn persist_partial(state: &DaemonState, job_id: u64, fingerprint: u64, st: &SessionState) {
-    state.partial_put(job_id, fingerprint, st.clone());
+/// Saves a partial state to its file, when the daemon is
+/// journal-backed — what a restarted daemon resumes from.
+fn save_partial(state: &DaemonState, job_id: u64, fingerprint: u64, st: &SessionState) {
     if let Some(dir) = state.config.journal_dir.as_deref() {
         match session_state::save_partial(dir, job_id, fingerprint, st) {
             Ok(()) => state

@@ -5,11 +5,10 @@
 //! a migration analytically ([`vecycle_core::MigrationEngine`]), the
 //! codec makes bytes match those prices byte-for-byte
 //! ([`vecycle_net::wiremsg`]), and this crate moves them between two
-//! processes. A source daemon runs the engine, records the full message
-//! stream ([`vecycle_core::LiveTranscript`]) and replays it at the
-//! destination over TCP or a Unix socket; the destination rebuilds the
-//! guest digest-by-digest and both sides compare an end-to-end content
-//! hash.
+//! processes. A source daemon runs the engine into a [`SocketSink`],
+//! which encodes and writes each message over TCP or a Unix socket the
+//! moment the engine emits it; the destination rebuilds the guest
+//! digest-by-digest and both sides compare an end-to-end content hash.
 //!
 //! The system's core oracle lives here: after every migration the
 //! source reconciles *measured* socket bytes against the analytic
@@ -60,3 +59,4 @@ pub use endpoint::Endpoint;
 pub use error::DaemonError;
 pub use queue::{JobState, Measured};
 pub use server::{Daemon, DaemonConfig, DaemonHandle};
+pub use source::SocketSink;

@@ -1,13 +1,12 @@
 //! The destination's reconstruction state, shared with the source's
 //! resume verifier, plus its crash-durable partial-file form.
 //!
-//! PR 8's destination applied the stream inline in `dest.rs`; pulling
-//! the apply logic out here lets the *source* simulate the exact same
-//! state machine over its regenerated transcript during the resume
-//! handshake. The two sides then compare [`SessionState::state_hash`]
-//! — equal hashes mean the destination's landed prefix is exactly the
-//! first `applied` messages of the deterministic stream, so the source
-//! can skip them.
+//! The apply logic lives here, not in `dest.rs`, so that the *source*
+//! can run the exact same state machine over the prefix of its
+//! regenerated stream during the resume handshake. The two sides then
+//! compare [`SessionState::state_hash`] — equal hashes mean the
+//! destination's landed prefix is exactly the first `applied` messages
+//! of the deterministic stream, so the source can skip them.
 //!
 //! Between boundary messages the destination persists the state as a
 //! `partial-job<id>-<fingerprint>.bin` file (write-tmp→rename, FNV-1a

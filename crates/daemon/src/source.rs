@@ -1,28 +1,34 @@
-//! The source side of one migration session: run the engine, stream
-//! the recorded transcript, verify the destination, reconcile bytes.
+//! The source side of one migration session: run the engine into the
+//! socket, verify the destination, reconcile bytes.
 //!
-//! All migration timing is simulated (the engine prices every round
-//! analytically), so the source runs the *entire* migration first and
-//! then replays the recorded message stream over the socket. Real
-//! socket latency can therefore never perturb the report — bit-identity
-//! with the in-process engine is structural, and the interesting
-//! cross-process property becomes the byte/ledger reconciliation.
+//! The session hands the engine a [`SocketSink`]: every page message
+//! and round delimiter is converted, encoded and written the moment
+//! [`migrate_live_into`](vecycle_core::MigrationEngine::migrate_live_into)
+//! emits it, [`STREAM_CHUNK`] messages per socket write. All migration
+//! timing is simulated (the engine prices every round analytically) and
+//! the sink is a pure observer, so real socket latency can never
+//! perturb the report — bit-identity with the in-process engine is
+//! structural, and the interesting cross-process property is the
+//! byte/ledger reconciliation.
 //!
 //! Because the stream is a pure function of the spec, an interrupted
-//! transfer resumes by *regenerating* it: the source re-runs the
-//! engine, simulates the destination's landed prefix through the same
-//! [`SessionState`] machine, and — if the state hashes agree — skips
-//! exactly that prefix. The resumed session's ledger then reconciles
-//! as `tx = source_traffic − skipped_bytes + overheads`, which is what
-//! the chaos harness pins.
+//! transfer resumes by *regenerating* it: the sink holds back the
+//! prefix the destination announced while replaying it through the same
+//! [`SessionState`] machine, and the moment the prefix is complete the
+//! state hashes decide — equal, and the held messages are dropped
+//! (skipped); different, and they are sent after all. The resumed
+//! session's ledger then reconciles as
+//! `tx = source_traffic − skipped_bytes + overheads`, which is what the
+//! chaos harness pins.
 
 use std::io::Write;
 
 use vecycle_checkpoint::ChecksumIndex;
-use vecycle_core::{LiveTranscript, PageMsg};
-use vecycle_faults::{KillPoint, KillRole};
+use vecycle_core::{LiveOutcome, MsgSink, PageMsg};
+use vecycle_faults::{KillPoint, KillRole, KillSwitch};
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
+use vecycle_types::{Bytes, PageDigest};
 
 use crate::endpoint::CountingStream;
 use crate::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
@@ -85,8 +91,8 @@ pub(crate) fn run_job_with_recovery(
 }
 
 /// Runs one session of job `job_id` against the peer daemon at `peer`.
-/// `epoch` 0 is the fresh PR 8 wire flow; epoch ≥ 1 adds the
-/// RESUME_STATE / RESUME_OK exchange after the bulk handshake.
+/// `epoch` 0 is the fresh wire flow; epoch ≥ 1 adds the RESUME_STATE /
+/// RESUME_OK exchange after the bulk handshake.
 pub(crate) fn run_job(
     state: &DaemonState,
     job_id: u64,
@@ -165,15 +171,73 @@ pub(crate) fn run_job(
         None
     };
 
-    // Run the whole migration analytically, recording the stream.
-    let strategy = scenario::wire_strategy(spec, index.clone())?;
+    // Resume handshake, first half: the destination reports its landed
+    // prefix. The verdict falls out of the stream itself — the sink
+    // answers RESUME_OK the moment it has regenerated that prefix.
     let initial = scenario::initial_memory(spec)?;
+    let resume = if epoch > 0 {
+        let rs_frame = expect_kind(
+            read_frame(&mut s, MAX_PAYLOAD)?,
+            kind::RESUME_STATE,
+            "RESUME_STATE",
+        )?;
+        state.metrics.inc("daemon_resume_attempts_total", &[], 1);
+        Some(HeldPrefix {
+            announced: ResumeState::decode(&rs_frame.payload)?,
+            sim: SessionState::fresh(spec, &initial),
+            index: index.clone(),
+            held: Vec::new(),
+        })
+    } else {
+        None
+    };
+
+    // Run the migration into the socket. Message sizes are the analytic
+    // prices, and each round's Control header is the RoundEnd/StopEnd
+    // delimiter — the forward ledger total IS the data-plane byte count.
+    let strategy = scenario::wire_strategy(spec, index)?;
     let (mut guest, mut workload) = scenario::live_guest(spec, &initial)?;
-    let (report, transcript) = scenario::engine_for(spec).migrate_live_with_transcript(
+    let mut sink = SocketSink::start(
+        &mut s,
+        &state.kill,
+        |landed| {
+            let mut progress = WalRecord::bare(rec::TRANSFERRING, job_id);
+            progress.pages_landed = landed;
+            state.wal_append(progress);
+        },
+        resume,
+    );
+    let outcome = scenario::engine_for(spec).migrate_live_into(
         &mut guest,
         &mut workload,
         strategy,
+        &mut sink,
     )?;
+    let LiveOutcome::Completed(report) = outcome else {
+        unreachable!("the socket sink parks i/o errors, it never reports the link dead")
+    };
+    let flushed = sink.finish();
+    let (skipped_bytes, total) = (sink.skipped_bytes, sink.position);
+    let skip = sink.verdict.map_or(0, |v| v.skip);
+    if let Some(verdict) = sink.verdict {
+        let result = if verdict.accept {
+            "accepted"
+        } else {
+            "rejected"
+        };
+        state
+            .metrics
+            .inc("daemon_resume_total", &[("result", result)], 1);
+        state.journal_push(format!(
+            "job {job_id} resume epoch {epoch}: {result} (skip {skip} of {total} messages)"
+        ));
+        if skipped_bytes > 0 {
+            state
+                .metrics
+                .inc("daemon_resume_skipped_bytes_total", &[], skipped_bytes);
+        }
+    }
+    flushed?;
     if report.rounds().iter().any(|r| r.skipped_pages.as_u64() > 0) {
         // Only generation-table strategies skip pages; none of the
         // daemon strategies do. The skip bitmap is a priced control
@@ -183,65 +247,6 @@ pub(crate) fn run_job(
             "skip bitmaps are not streamable over the daemon protocol".into(),
         ));
     }
-    let msgs = wire_messages(&transcript);
-
-    // Resume handshake: the destination reports its landed prefix, the
-    // source re-simulates it over the regenerated stream, and equal
-    // state hashes earn a skip.
-    let mut skip = 0usize;
-    if epoch > 0 {
-        let rs_frame = expect_kind(
-            read_frame(&mut s, MAX_PAYLOAD)?,
-            kind::RESUME_STATE,
-            "RESUME_STATE",
-        )?;
-        let rs = ResumeState::decode(&rs_frame.payload)?;
-        state.metrics.inc("daemon_resume_attempts_total", &[], 1);
-        let verified = resume_skip(&rs, spec, &initial, &msgs, index.as_ref());
-        skip = verified.unwrap_or(0);
-        let verdict = ResumeOk {
-            accept: verified.is_some(),
-            skip: skip as u64,
-        };
-        write_frame(&mut s, kind::RESUME_OK, &verdict.encode())?;
-        s.flush()?;
-        state.metrics.inc(
-            "daemon_resume_total",
-            &[(
-                "result",
-                if verdict.accept {
-                    "accepted"
-                } else {
-                    "rejected"
-                },
-            )],
-            1,
-        );
-        state.journal_push(format!(
-            "job {job_id} resume epoch {epoch}: {} (skip {skip} of {} messages)",
-            if verdict.accept {
-                "accepted"
-            } else {
-                "rejected"
-            },
-            msgs.len()
-        ));
-    }
-    let skipped_bytes: u64 = msgs[..skip].iter().map(|m| m.encoded_len().as_u64()).sum();
-    if skipped_bytes > 0 {
-        state
-            .metrics
-            .inc("daemon_resume_skipped_bytes_total", &[], skipped_bytes);
-    }
-
-    // Stream the (rest of the) recorded transcript. Message sizes are
-    // the analytic prices, and each round's Control header is the
-    // RoundEnd/StopEnd delimiter — the forward ledger total IS the
-    // data-plane byte count.
-    let mut landed_rec = WalRecord::bare(rec::TRANSFERRING, job_id);
-    landed_rec.pages_landed = skip as u64;
-    state.wal_append(landed_rec);
-    stream_messages(state, &mut s, job_id, &msgs[skip..], skip as u64)?;
 
     // End-to-end verification.
     let hash = scenario::content_hash(guest.memory().as_slice());
@@ -279,7 +284,7 @@ pub(crate) fn run_job(
         expected_rx: report.reverse_traffic().as_u64() + reverse_overhead() + resume_rx,
         job_json_len: job_json.len() as u64,
         resume_epoch: epoch,
-        skipped_msgs: skip as u64,
+        skipped_msgs: skip,
         skipped_bytes,
     };
     if measured.tx != measured.expected_tx {
@@ -299,101 +304,170 @@ pub(crate) fn run_job(
     Ok(SessionOutcome { report, measured })
 }
 
-/// Flattens the recorded transcript into the exact wire message
-/// sequence: per-round messages + RoundEnd, then the stop-and-copy
-/// flush + StopEnd. Both the live stream and the resume-prefix
-/// simulation walk this one sequence, so "the destination applied N
-/// messages" has a single meaning.
-pub(crate) fn wire_messages(t: &LiveTranscript) -> Vec<WireMsg> {
-    let mut msgs = Vec::with_capacity(t.message_count() + t.rounds.len() + 1);
-    for (i, round) in t.rounds.iter().enumerate() {
-        msgs.extend(round.iter().map(page_msg_to_wire));
-        msgs.push(WireMsg::RoundEnd {
-            round: i as u64 + 1,
-        });
-    }
-    msgs.extend(t.stop_copy.iter().map(page_msg_to_wire));
-    msgs.push(WireMsg::StopEnd);
-    msgs
+/// The prefix a resuming destination announced, while the source is
+/// still regenerating it: the messages held back and the state they
+/// replay into.
+struct HeldPrefix {
+    announced: ResumeState,
+    sim: SessionState,
+    index: Option<ChecksumIndex>,
+    held: Vec<WireMsg>,
 }
 
-/// Re-simulates the destination's reported prefix over the regenerated
-/// stream. Returns the number of messages to skip if the report is
-/// consistent (hash, round cursor and finished flag all agree), `None`
-/// if anything disagrees — the caller then rejects and streams from
-/// scratch.
-fn resume_skip(
-    rs: &ResumeState,
-    spec: &ScenarioSpec,
-    initial: &vecycle_mem::DigestMemory,
-    msgs: &[WireMsg],
-    index: Option<&ChecksumIndex>,
-) -> Option<usize> {
-    if rs.applied as usize > msgs.len() {
-        return None;
+/// The daemon's [`MsgSink`]: converts each engine message to its wire
+/// form, encodes it and writes it, one buffered write per 64
+/// (`STREAM_CHUNK`) messages. `progress` is told the cumulative stream
+/// position when streaming starts and after every round delimiter sent
+/// (the source journals it); the kill switch is ticked once per message
+/// *sent* — the hook the chaos harness arms to die mid-bulk.
+///
+/// A pure observer: it lands every message, so the engine's report is
+/// the in-process one. A socket error is parked — the sink goes quiet
+/// and [`SocketSink::finish`] returns it — rather than reported as a
+/// dead link, which would make the engine account an injected fault.
+pub struct SocketSink<'a, W: Write, P: FnMut(u64)> {
+    w: W,
+    kill: &'a KillSwitch,
+    progress: P,
+    buf: Vec<u8>,
+    in_buf: usize,
+    /// Stream messages disposed of so far: skipped or sent.
+    position: u64,
+    resume: Option<HeldPrefix>,
+    verdict: Option<ResumeOk>,
+    skipped_bytes: u64,
+    error: Option<std::io::Error>,
+}
+
+impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
+    /// A sink streaming a fresh transfer from message 0.
+    pub fn new(w: W, kill: &'a KillSwitch, progress: P) -> Self {
+        Self::start(w, kill, progress, None)
     }
-    let mut sim = SessionState::fresh(spec, initial);
-    for msg in &msgs[..rs.applied as usize] {
-        if sim.apply(msg, index).is_err() {
-            return None;
+
+    /// With `resume`, messages are held back until the announced prefix
+    /// has been regenerated and the RESUME_OK verdict sent.
+    fn start(w: W, kill: &'a KillSwitch, progress: P, resume: Option<HeldPrefix>) -> Self {
+        let mut sink = SocketSink {
+            w,
+            kill,
+            progress,
+            buf: Vec::new(),
+            in_buf: 0,
+            position: 0,
+            resume,
+            verdict: None,
+            skipped_bytes: 0,
+            error: None,
+        };
+        match &sink.resume {
+            // An empty prefix is decided before the first message.
+            Some(r) if r.announced.applied == 0 => sink.settle(),
+            Some(_) => {}
+            None => (sink.progress)(0),
+        }
+        sink
+    }
+
+    /// Settles a pending resume, writes out the buffered tail and
+    /// returns the parked socket error, if any.
+    ///
+    /// # Errors
+    ///
+    /// The first I/O error any write of this sink met.
+    pub fn finish(&mut self) -> std::io::Result<()> {
+        // Still holding: the announced prefix is longer than the stream.
+        self.settle();
+        self.flush_buf();
+        self.error.take().map_or(Ok(()), Err)
+    }
+
+    fn push(&mut self, msg: WireMsg) {
+        let Some(r) = self.resume.as_mut() else {
+            return self.send(msg);
+        };
+        let applies = r.sim.apply(&msg, r.index.as_ref()).is_ok();
+        r.held.push(msg);
+        if !applies || r.sim.applied() == r.announced.applied {
+            self.settle();
         }
     }
-    (sim.state_hash() == rs.hash
-        && sim.expected_round() == rs.round
-        && sim.finished() == rs.finished)
-        .then_some(rs.applied as usize)
-}
 
-/// Encodes and writes `msgs`, one buffered write per [`STREAM_CHUNK`]
-/// messages, journaling cumulative progress at round boundaries. The
-/// per-message kill hook is what the chaos harness arms to die
-/// mid-bulk.
-fn stream_messages<W: Write>(
-    state: &DaemonState,
-    w: &mut W,
-    job_id: u64,
-    msgs: &[WireMsg],
-    already_landed: u64,
-) -> Result<(), DaemonError> {
-    let mut buf = Vec::new();
-    let mut in_buf = 0usize;
-    for (i, msg) in msgs.iter().enumerate() {
-        state.kill.tick(KillRole::Source, KillPoint::MidBulk);
-        msg.encode(&mut buf);
-        in_buf += 1;
-        if in_buf == STREAM_CHUNK {
-            w.write_all(&buf)?;
-            w.flush()?;
-            buf.clear();
-            in_buf = 0;
+    /// Decides the pending resume: the regenerated prefix replayed into
+    /// exactly the state the destination announced (hash, round cursor
+    /// and finished flag all agree) earns a skip; anything else is a
+    /// reject, and the held messages go out after all.
+    fn settle(&mut self) {
+        let Some(r) = self.resume.take() else { return };
+        let a = &r.announced;
+        let accept = r.sim.applied() == a.applied
+            && r.sim.state_hash() == a.hash
+            && r.sim.expected_round() == a.round
+            && r.sim.finished() == a.finished;
+        let verdict = ResumeOk {
+            accept,
+            skip: if accept { a.applied } else { 0 },
+        };
+        self.error = write_frame(&mut self.w, kind::RESUME_OK, &verdict.encode())
+            .and_then(|()| self.w.flush())
+            .err();
+        if self.error.is_some() {
+            return;
+        }
+        self.verdict = Some(verdict);
+        (self.progress)(verdict.skip);
+        if accept {
+            self.position = verdict.skip;
+            self.skipped_bytes = r.held.iter().map(|m| m.encoded_len().as_u64()).sum();
+        } else {
+            for msg in r.held {
+                self.send(msg);
+            }
+        }
+    }
+
+    fn send(&mut self, msg: WireMsg) {
+        if self.error.is_some() {
+            return;
+        }
+        self.kill.tick(KillRole::Source, KillPoint::MidBulk);
+        msg.encode(&mut self.buf);
+        self.in_buf += 1;
+        self.position += 1;
+        if self.in_buf == STREAM_CHUNK {
+            self.flush_buf();
         }
         if matches!(msg, WireMsg::RoundEnd { .. }) {
-            let mut progress = WalRecord::bare(rec::TRANSFERRING, job_id);
-            progress.pages_landed = already_landed + i as u64 + 1;
-            state.wal_append(progress);
+            (self.progress)(self.position);
         }
     }
-    if in_buf > 0 {
-        w.write_all(&buf)?;
-        w.flush()?;
+
+    fn flush_buf(&mut self) {
+        if self.in_buf > 0 && self.error.is_none() {
+            self.error = self
+                .w
+                .write_all(&self.buf)
+                .and_then(|()| self.w.flush())
+                .err();
+        }
+        self.buf.clear();
+        self.in_buf = 0;
     }
-    Ok(())
 }
 
-/// Converts one engine message to its wire form. Digest-level sources
-/// carry no page bytes, so full pages ship the digest filler (verified
-/// by the destination).
-fn page_msg_to_wire(msg: &PageMsg) -> WireMsg {
-    match msg {
-        PageMsg::Full { idx, digest, .. } => WireMsg::full_filler(idx.as_u64(), *digest),
-        PageMsg::Checksum { idx, digest } => WireMsg::Checksum {
-            idx: idx.as_u64(),
-            digest: *digest,
-        },
-        PageMsg::DedupRef { idx, source } => WireMsg::DedupRef {
-            idx: idx.as_u64(),
-            source: source.as_u64(),
-        },
-        PageMsg::Zero { idx } => WireMsg::Zero { idx: idx.as_u64() },
+impl<W: Write, P: FnMut(u64)> MsgSink for SocketSink<'_, W, P> {
+    fn page(&mut self, msg: PageMsg, _digest: PageDigest, _size: Bytes) -> bool {
+        self.push(msg.to_wire());
+        true
+    }
+
+    fn round_end(&mut self, round: u32) {
+        self.push(WireMsg::RoundEnd {
+            round: u64::from(round),
+        });
+    }
+
+    fn stop_end(&mut self) {
+        self.push(WireMsg::StopEnd);
     }
 }

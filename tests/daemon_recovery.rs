@@ -352,23 +352,11 @@ fn recovered_inflight_job_resumes_at_epoch_one() {
     dst.shutdown();
 }
 
-/// Flattens a live transcript into the daemon's wire-message sequence —
-/// the same mapping the source uses, rebuilt here from public APIs so
-/// the test pins the protocol, not the implementation.
+/// Flattens a live transcript into the daemon's wire-message sequence,
+/// rebuilt here from public APIs so the test pins the protocol, not the
+/// implementation.
 fn wire_sequence(spec: &ScenarioSpec) -> Vec<WireMsg> {
     use vecycle_core::PageMsg;
-    let to_wire = |m: &PageMsg| match m {
-        PageMsg::Full { idx, digest, .. } => WireMsg::full_filler(idx.as_u64(), *digest),
-        PageMsg::Checksum { idx, digest } => WireMsg::Checksum {
-            idx: idx.as_u64(),
-            digest: *digest,
-        },
-        PageMsg::DedupRef { idx, source } => WireMsg::DedupRef {
-            idx: idx.as_u64(),
-            source: source.as_u64(),
-        },
-        PageMsg::Zero { idx } => WireMsg::Zero { idx: idx.as_u64() },
-    };
     let strategy = scenario::wire_strategy(spec, None).expect("cold strategy");
     let initial = scenario::initial_memory(spec).expect("initial memory");
     let (mut guest, mut workload) = scenario::live_guest(spec, &initial).expect("guest");
@@ -377,12 +365,12 @@ fn wire_sequence(spec: &ScenarioSpec) -> Vec<WireMsg> {
         .expect("engine run");
     let mut msgs = Vec::new();
     for (i, round) in transcript.rounds.iter().enumerate() {
-        msgs.extend(round.iter().map(to_wire));
+        msgs.extend(round.iter().map(PageMsg::to_wire));
         msgs.push(WireMsg::RoundEnd {
             round: i as u64 + 1,
         });
     }
-    msgs.extend(transcript.stop_copy.iter().map(to_wire));
+    msgs.extend(transcript.stop_copy.iter().map(PageMsg::to_wire));
     msgs.push(WireMsg::StopEnd);
     msgs
 }
@@ -394,11 +382,7 @@ fn wire_sequence(spec: &ScenarioSpec) -> Vec<WireMsg> {
 #[test]
 fn resume_skips_the_persisted_partial_prefix() {
     let _wd = Watchdog::arm("resume_skips_the_persisted_partial_prefix", JOB_TIMEOUT);
-    // Cold full-copy scenario: no checksum index, so the stream can be
-    // regenerated here without rebuilding the destination checkpoint.
-    let mut spec = ScenarioSpec::golden(0x515);
-    spec.strategy = "full".to_string();
-    spec.warm = false;
+    let spec = cold_full_spec(0x515);
 
     let msgs = wire_sequence(&spec);
     let prefix = msgs.len() / 2;
@@ -406,32 +390,12 @@ fn resume_skips_the_persisted_partial_prefix() {
 
     // What the destination would have durably applied before dying.
     let fp = spec_fingerprint(&spec);
-    let initial = scenario::initial_memory(&spec).expect("initial memory");
-    let mut landed = SessionState::fresh(&spec, &initial);
+    let mut landed = cold_state(&spec);
     for msg in &msgs[..prefix] {
         landed.apply(msg, None).expect("prefix applies");
     }
-    let dst_dir = journal_dir("skip-dst");
-    save_partial(&dst_dir, 1, fp, &landed).expect("persist partial");
-
-    // Destination restarts journal-backed over that partial; the source
-    // restarts with the job journaled in flight.
-    let dst = spawn_with_journal(unix_endpoint("sk-dst"), &dst_dir);
-    let src_dir = journal_dir("skip-src");
-    {
-        let (journal, _) = Journal::open(&src_dir).expect("craft wal");
-        let mut submitted = WalRecord::bare(rec::SUBMITTED, 1);
-        submitted.spec = spec.to_kv();
-        submitted.peer = dst.endpoint().to_string();
-        journal.append(&submitted).expect("append submitted");
-        journal
-            .append(&WalRecord::bare(rec::CLAIMED, 1))
-            .expect("append claimed");
-    }
-    let src = spawn_with_journal(unix_endpoint("sk-src"), &src_dir);
-
-    let rec1 = src.wait_job(1, JOB_TIMEOUT).expect("resumed job finishes");
-    assert_done(&rec1);
+    let resumed = resume_over_partial("skip", &spec, &landed);
+    let (rec1, dst_dir) = (&resumed.record, &resumed.dst_dir);
     let report = rec1.report.as_ref().expect("report");
     let m = rec1.measured.as_ref().expect("measured");
     assert_eq!(m.resume_epoch, 1);
@@ -467,11 +431,129 @@ fn resume_skips_the_persisted_partial_prefix() {
 
     // The partial is consumed: finishing the job dropped it.
     assert!(
-        vecycle_daemon::session_state::load_partial(&dst_dir, 1, fp).is_none(),
+        vecycle_daemon::session_state::load_partial(dst_dir, 1, fp).is_none(),
         "partial file must be dropped after DONE"
     );
+}
+
+/// The cold, full-copy scenario the resume tests share: no checksum
+/// index, so the stream can be regenerated here without rebuilding the
+/// destination checkpoint.
+fn cold_full_spec(seed: u64) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::golden(seed);
+    spec.strategy = "full".to_string();
+    spec.warm = false;
+    spec
+}
+
+fn cold_state(spec: &ScenarioSpec) -> SessionState {
+    let initial = scenario::initial_memory(spec).expect("initial memory");
+    SessionState::fresh(spec, &initial)
+}
+
+/// What a job resumed over a hand-persisted destination partial left
+/// behind.
+struct Resumed {
+    record: JobRecord,
+    src_metrics: vecycle_obs::MetricsRegistry,
+    dst_dir: std::path::PathBuf,
+}
+
+/// Persists `partial` as job 1's landed state, restarts a journal-backed
+/// destination over it and a source with the job journaled in flight,
+/// and waits for the resumed job to finish `Done`.
+fn resume_over_partial(tag: &str, spec: &ScenarioSpec, partial: &SessionState) -> Resumed {
+    let dst_dir = journal_dir(&format!("{tag}-dst"));
+    save_partial(&dst_dir, 1, spec_fingerprint(spec), partial).expect("persist partial");
+    let dst = spawn_with_journal(unix_endpoint(&format!("{tag}-dst")), &dst_dir);
+    let src_dir = journal_dir(&format!("{tag}-src"));
+    {
+        let (journal, _) = Journal::open(&src_dir).expect("craft wal");
+        let mut submitted = WalRecord::bare(rec::SUBMITTED, 1);
+        submitted.spec = spec.to_kv();
+        submitted.peer = dst.endpoint().to_string();
+        journal.append(&submitted).expect("append submitted");
+        journal
+            .append(&WalRecord::bare(rec::CLAIMED, 1))
+            .expect("append claimed");
+    }
+    let src = spawn_with_journal(unix_endpoint(&format!("{tag}-src")), &src_dir);
+    let record = src.wait_job(1, JOB_TIMEOUT).expect("resumed job finishes");
+    assert_done(&record);
+    let src_metrics = src.metrics();
     src.shutdown();
     dst.shutdown();
+    Resumed {
+        record,
+        src_metrics,
+        dst_dir,
+    }
+}
+
+/// A resume the source must *reject* self-heals into a full transfer:
+/// the destination drops the bad partial, the whole stream crosses, and
+/// the only trace on the wire is the resume handshake itself. Two
+/// well-formed (trailer-valid) partials the regenerated stream cannot
+/// reproduce: one built from another seed's prefix, one claiming more
+/// applied messages than the stream has.
+#[test]
+fn rejected_resume_self_heals_into_a_full_transfer() {
+    let _wd = Watchdog::arm(
+        "rejected_resume_self_heals_into_a_full_transfer",
+        2 * JOB_TIMEOUT,
+    );
+    let spec = cold_full_spec(0x515);
+    let msgs = wire_sequence(&spec);
+
+    let mut foreign = cold_state(&spec);
+    let other = wire_sequence(&cold_full_spec(0x516));
+    for msg in &other[..other.len() / 2] {
+        foreign.apply(msg, None).expect("foreign prefix applies");
+    }
+
+    let mut overlong = cold_state(&spec);
+    let body = &msgs[..msgs.len() - 1];
+    for msg in body.iter().chain(&body[..8]) {
+        overlong.apply(msg, None).expect("page messages re-apply");
+    }
+    assert!(overlong.applied() > msgs.len() as u64);
+
+    for (tag, partial) in [("rj-foreign", &foreign), ("rj-long", &overlong)] {
+        let resumed = resume_over_partial(tag, &spec, partial);
+        let report = resumed.record.report.as_ref().expect("report");
+        let m = resumed.record.measured.as_ref().expect("measured");
+        assert_eq!(m.resume_epoch, 1, "{tag}");
+        assert_eq!(m.skipped_msgs, 0, "{tag}: a rejected resume skips nothing");
+        assert_eq!(m.skipped_bytes, 0, "{tag}");
+        assert_eq!(
+            m.tx,
+            report.source_traffic().as_u64()
+                + forward_overhead(m.job_json_len)
+                + forward_resume_overhead(),
+            "{tag}: the whole stream plus one RESUME_OK frame"
+        );
+        assert_eq!(
+            report,
+            &scenario::reference_run(&spec).expect("reference").report,
+            "{tag}: a rejected resume must not perturb the report"
+        );
+        let resume_total = |result| {
+            resumed
+                .src_metrics
+                .counter("daemon_resume_total", &[("result", result)])
+        };
+        assert_eq!(resume_total("rejected"), 1, "{tag}");
+        assert_eq!(resume_total("accepted"), 0, "{tag}");
+        assert!(
+            !vecycle_daemon::session_state::partial_path(
+                &resumed.dst_dir,
+                1,
+                spec_fingerprint(&spec)
+            )
+            .exists(),
+            "{tag}: the rejected partial must be gone"
+        );
+    }
 }
 
 /// Acceptance pin: a journal-backed daemon pair with no crash produces
