@@ -131,7 +131,7 @@ impl MigrationEngine {
             .collect();
 
         // Phase A: dedup-independent classification, one shard per thread.
-        let shards: Vec<ShardScan> = run_shards(
+        let mut shards: Vec<ShardScan> = run_shards(
             self.threads,
             ranges
                 .iter()
@@ -179,9 +179,15 @@ impl MigrationEngine {
         );
 
         // Phase B: merge shard maps in page order — the earliest range
-        // holding a digest wins, which is the global minimum index.
-        let mut round_min: DigestTable<PageIndex> = DigestTable::new();
-        for shard in &shards {
+        // holding a digest wins, which is the global minimum index. The
+        // first range's map is the merge's starting point as it stands,
+        // so it is moved, not re-inserted: with one shard there is
+        // nothing left to copy.
+        let mut round_min = shards
+            .first_mut()
+            .map(|first| std::mem::take(&mut first.inserts))
+            .unwrap_or_default();
+        for shard in shards.iter().skip(1) {
             for (digest, &idx) in shard.inserts.iter() {
                 round_min.or_insert(digest, idx);
             }
@@ -199,36 +205,22 @@ impl MigrationEngine {
                 .map(|shard| {
                     move || {
                         let mut out = ScanOutcome::new(want_msgs);
-                        let mut pages = vecycle_obs::CounterShard::default();
                         // Full-page payloads for this shard accumulate in
                         // one arena; messages get refcounted slices of it
                         // after sealing instead of per-page boxes.
                         let mut arena = PageArena::new();
                         let mut fixups: Vec<(usize, vecycle_mem::ArenaSlot)> = Vec::new();
                         out.skipped = shard.skipped;
-                        if shard.skipped > 0 {
-                            pages.inc(
-                                "engine_scan_pages_total",
-                                &[("class", "skipped")],
-                                shard.skipped,
-                            );
-                        }
                         for rec in &shard.records {
                             match *rec {
                                 PreRecord::Zero(idx) => {
                                     out.zeros += 1;
-                                    pages.inc("engine_scan_pages_total", &[("class", "zero")], 1);
                                     if let Some(t) = out.msgs.as_mut() {
                                         t.push(PageMsg::Zero { idx });
                                     }
                                 }
                                 PreRecord::Checksum(idx, digest) => {
                                     out.checksums += 1;
-                                    pages.inc(
-                                        "engine_scan_pages_total",
-                                        &[("class", "checksum")],
-                                        1,
-                                    );
                                     if let Some(t) = out.msgs.as_mut() {
                                         t.push(PageMsg::Checksum { idx, digest });
                                     }
@@ -251,22 +243,12 @@ impl MigrationEngine {
                                     match source {
                                         Some(source) => {
                                             out.refs += 1;
-                                            pages.inc(
-                                                "engine_scan_pages_total",
-                                                &[("class", "dedup_ref")],
-                                                1,
-                                            );
                                             if let Some(t) = out.msgs.as_mut() {
                                                 t.push(PageMsg::DedupRef { idx, source });
                                             }
                                         }
                                         None => {
                                             out.full += 1;
-                                            pages.inc(
-                                                "engine_scan_pages_total",
-                                                &[("class", "full")],
-                                                1,
-                                            );
                                             if let Some(t) = out.msgs.as_mut() {
                                                 if let Some(b) = vm.page_bytes(idx) {
                                                     fixups.push((t.len(), arena.push(b)));
@@ -292,6 +274,21 @@ impl MigrationEngine {
                                 if let PageMsg::Full { bytes, .. } = &mut msgs[pos] {
                                     *bytes = Some(sealed.slice(slot));
                                 }
+                            }
+                        }
+                        // One counter update per class seen, from the
+                        // tallies above: a series exists only for a
+                        // class with pages, as a per-page count made it.
+                        let mut pages = vecycle_obs::CounterShard::default();
+                        for (class, n) in [
+                            ("skipped", out.skipped),
+                            ("zero", out.zeros),
+                            ("checksum", out.checksums),
+                            ("dedup_ref", out.refs),
+                            ("full", out.full),
+                        ] {
+                            if n > 0 {
+                                pages.inc("engine_scan_pages_total", &[("class", class)], n);
                             }
                         }
                         (out, pages)

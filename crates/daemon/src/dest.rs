@@ -8,25 +8,35 @@
 //! 64 hash. It never runs the engine, so agreement with the source is
 //! evidence about the *protocol*, not a shared code path.
 //!
+//! Every byte of the session — HELLO to COMPLETE — is read through the
+//! connection's one [`SessionStream`], so [`receive_stream`] costs a
+//! `read` per 64 KiB of stream, not two per message. Reading ahead is
+//! safe: this handler is the connection's only reader, and the source
+//! sends nothing past COMPLETE until it has our DONE.
+//!
 //! Crash durability has two halves. Our own death: a journal-backed
 //! daemon saves the state to a `partial-*.bin` file every
-//! [`crate::source::STREAM_CHUNK`] applied messages and at round
-//! boundaries. The peer's death: the session is still alive to see the
-//! I/O error, so it keeps the exact current state in the in-memory
-//! partials map, keyed by `(job, spec fingerprint)`, on that exit only.
+//! [`crate::source::STREAM_CHUNK`] *applied* messages and at round
+//! boundaries — bytes still in the read buffer die with the process
+//! exactly as bytes in the kernel's socket buffer always did, so the
+//! landed prefix is what was applied. The peer's death: every message
+//! that arrived whole is applied first; the session is then still
+//! alive to see the I/O error, so it keeps the exact current state in
+//! the in-memory partials map, keyed by `(job, spec fingerprint)`, on
+//! that exit only.
 //! A later session for the same job announces the landed prefix in the
 //! RESUME_STATE handshake; if the source rejects it (hash mismatch,
 //! corrupt file) the state resets to the fresh base and the transfer
 //! self-heals into a full one.
 
-use std::io::Write;
+use std::io::{Read, Write};
 
 use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PageLookup};
-use vecycle_faults::{KillPoint, KillRole};
+use vecycle_faults::{KillPoint, KillRole, KillSwitch};
 use vecycle_net::WireMsg;
 use vecycle_types::{HostId, SimTime, VmId};
 
-use crate::endpoint::{CountingStream, Stream};
+use crate::endpoint::{SessionStream, Stream};
 use crate::frame::{kind, read_frame, send_err, write_frame, Frame, MAX_PAYLOAD};
 use crate::proto::{
     self, expect_kind, JobMsg, Offer, ResumeOk, ResumeState, ROLE_DEST, ROLE_SOURCE,
@@ -42,7 +52,7 @@ use crate::DaemonError;
 /// source's job id (for the journal).
 pub(crate) fn handle_migration(
     state: &DaemonState,
-    s: &mut CountingStream<Stream>,
+    s: &mut SessionStream<Stream>,
     hello: Frame,
 ) -> Result<u64, DaemonError> {
     match session(state, s, hello) {
@@ -56,7 +66,7 @@ pub(crate) fn handle_migration(
 
 fn session(
     state: &DaemonState,
-    s: &mut CountingStream<Stream>,
+    s: &mut SessionStream<Stream>,
     hello: Frame,
 ) -> Result<u64, DaemonError> {
     // Handshake: wrong magic or version is answered before dropping the
@@ -177,14 +187,9 @@ fn session(
         SessionState::fresh(&spec, &initial)
     };
 
-    let received = receive_stream(
-        state,
-        s,
-        job_id,
-        fingerprint,
-        index.as_ref(),
-        &mut session_state,
-    );
+    let received = receive_stream(s, index.as_ref(), &mut session_state, &state.kill, |st| {
+        save_partial(state, job_id, fingerprint, st);
+    });
     let complete = match received {
         Ok(complete) => complete,
         Err(e @ DaemonError::Io(_)) => {
@@ -229,21 +234,31 @@ fn session(
 }
 
 /// Applies the data-plane stream through the shared state machine
-/// until the stop-and-copy delimiter, saving the partial state at
-/// chunk and round boundaries, and returns the COMPLETE frame that
-/// follows it.
-fn receive_stream(
-    state: &DaemonState,
-    s: &mut CountingStream<Stream>,
-    job_id: u64,
-    fingerprint: u64,
+/// until the stop-and-copy delimiter, and returns the COMPLETE frame
+/// that follows it. `persist` sees the state every `STREAM_CHUNK` (64)
+/// applied messages and at each round boundary; the kill switch is
+/// ticked once per message decoded, before it is applied.
+///
+/// `r` is the session's reader: decoding costs a `read` per buffer, and
+/// whatever follows StopEnd in the same buffer (the COMPLETE frame) is
+/// still there for the frame read.
+///
+/// # Errors
+///
+/// [`DaemonError::Io`] when the stream ends or stalls mid-message — the
+/// state then holds exactly the messages that arrived whole — and the
+/// apply errors of [`SessionState::apply`].
+pub fn receive_stream<R: Read>(
+    r: &mut R,
     index: Option<&ChecksumIndex>,
     session_state: &mut SessionState,
+    kill: &KillSwitch,
+    mut persist: impl FnMut(&SessionState),
 ) -> Result<Frame, DaemonError> {
     let mut since_checkpoint = 0usize;
     while !session_state.finished() {
-        let msg = WireMsg::read_from(s).map_err(DaemonError::from)?;
-        state.kill.tick(KillRole::Dest, KillPoint::MidBulk);
+        let msg = WireMsg::read_from(r).map_err(DaemonError::from)?;
+        kill.tick(KillRole::Dest, KillPoint::MidBulk);
         session_state.apply(&msg, index)?;
         since_checkpoint += 1;
         // Checkpoint on the same cadence the source buffers writes, so
@@ -253,11 +268,11 @@ fn receive_stream(
         if since_checkpoint >= crate::source::STREAM_CHUNK
             || matches!(msg, WireMsg::RoundEnd { .. } | WireMsg::StopEnd)
         {
-            save_partial(state, job_id, fingerprint, session_state);
+            persist(session_state);
             since_checkpoint = 0;
         }
     }
-    expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::COMPLETE, "COMPLETE")
+    expect_kind(read_frame(r, MAX_PAYLOAD)?, kind::COMPLETE, "COMPLETE")
 }
 
 /// Saves a partial state to its file, when the daemon is

@@ -1,7 +1,8 @@
-//! TCP / Unix-socket addressing and the byte-counting stream wrapper.
+//! TCP / Unix-socket addressing, the byte-counting stream wrapper and
+//! the session-long buffered reader over it.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -101,24 +102,11 @@ impl Listener {
         }
     }
 
-    /// Switches the listener to non-blocking accepts (the accept loop
-    /// polls so shutdown can interrupt it).
+    /// Blocks until a connection arrives and accepts it.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying `set_nonblocking` error.
-    pub fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            Listener::Unix(l) => l.set_nonblocking(nb),
-        }
-    }
-
-    /// Accepts one connection, if one is pending.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept errors (including `WouldBlock`).
+    /// Propagates accept errors.
     pub fn accept(&self) -> std::io::Result<Stream> {
         match self {
             Listener::Tcp(l) => {
@@ -178,19 +166,6 @@ impl Stream {
     pub fn set_io_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
         self.set_read_timeout(t)?;
         self.set_write_timeout(t)
-    }
-
-    /// Ensures blocking mode (accepted sockets inherit the listener's
-    /// non-blocking flag on some platforms).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying setter's error.
-    pub fn set_blocking(&self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_nonblocking(false),
-            Stream::Unix(s) => s.set_nonblocking(false),
-        }
     }
 }
 
@@ -270,6 +245,72 @@ impl<S: Write> Write for CountingStream<S> {
 
     fn flush(&mut self) -> std::io::Result<()> {
         self.inner.flush()
+    }
+}
+
+/// Read-buffer size of a [`SessionStream`]: 2 340 checksum messages, or
+/// 15 full pages, per `read` on the socket.
+pub const SESSION_BUF: usize = 64 * 1024;
+
+/// One side's view of a connection for the whole session: every frame
+/// and every wire message, first HELLO to DONE, is read through one
+/// [`SESSION_BUF`] buffer, so the data plane costs a `read` per buffer
+/// and not two per message. Writes bypass it and go straight to the
+/// counted stream.
+///
+/// Reading ahead cannot swallow bytes meant for someone else: the
+/// connection has one reader per side for its whole life, and each
+/// side stops sending at its reply points (COMPLETE, DONE) until the
+/// peer answers. The counters sit *under* the buffer, so `rx` is socket
+/// bytes, and at session end — buffer drained — what the ledger oracle
+/// reconciles.
+pub struct SessionStream<S> {
+    r: BufReader<CountingStream<S>>,
+}
+
+impl<S: Read> SessionStream<S> {
+    /// Wraps `inner` with zeroed counters and an empty read buffer.
+    pub fn new(inner: S) -> Self {
+        SessionStream {
+            r: BufReader::with_capacity(SESSION_BUF, CountingStream::new(inner)),
+        }
+    }
+}
+
+impl<S> SessionStream<S> {
+    /// Bytes written to the stream so far.
+    pub fn tx(&self) -> u64 {
+        self.r.get_ref().tx()
+    }
+
+    /// Bytes read from the stream so far (read-ahead included).
+    pub fn rx(&self) -> u64 {
+        self.r.get_ref().rx()
+    }
+
+    /// Bytes read from the stream but not yet consumed by a decoder.
+    pub fn buffered(&self) -> usize {
+        self.r.buffer().len()
+    }
+}
+
+impl<S: Read> Read for SessionStream<S> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.r.read(buf)
+    }
+
+    fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
+        self.r.read_exact(buf)
+    }
+}
+
+impl<S: Write> Write for SessionStream<S> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.r.get_mut().write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.r.get_mut().flush()
     }
 }
 

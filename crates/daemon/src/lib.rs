@@ -55,6 +55,7 @@ pub mod session_state;
 mod source;
 mod sync;
 
+pub use dest::receive_stream;
 pub use endpoint::Endpoint;
 pub use error::DaemonError;
 pub use queue::{JobState, Measured};

@@ -1,9 +1,10 @@
 //! The daemon itself: listener, per-connection dispatch, and the
 //! deterministic job scheduler.
 //!
-//! One accept thread polls the listener (non-blocking, so shutdown can
-//! interrupt it); each connection gets a handler thread that reads the
-//! first frame and routes it — HELLO opens an inbound migration
+//! One accept thread blocks in `accept` (shutdown wakes it with a
+//! throw-away connection to its own endpoint); each connection gets a
+//! handler thread, reaped once it has finished, that reads the first
+//! frame and routes it — HELLO opens an inbound migration
 //! session (`dest`), CTRL opens an operator RPC loop.
 //! A single scheduler thread admits queued jobs in strict id order:
 //! for each job it first takes the per-host claim (source and
@@ -36,7 +37,7 @@ use vecycle_sim::ScenarioSpec;
 use vecycle_types::HostId;
 
 use crate::control::{self, CtrlRequest};
-use crate::endpoint::{CountingStream, Stream};
+use crate::endpoint::{SessionStream, Stream};
 use crate::frame::{kind, read_frame, send_err, write_frame, MAX_PAYLOAD};
 use crate::journal::{rec, Journal, WalRecord};
 use crate::queue::{JobRecord, JobState, Queue, Semaphore};
@@ -186,7 +187,6 @@ impl Daemon {
     pub fn spawn(config: DaemonConfig) -> std::io::Result<DaemonHandle> {
         let listener = config.listen.bind()?;
         let endpoint = listener.local_endpoint()?;
-        listener.set_nonblocking(true)?;
 
         let metrics = MetricsRegistry::new();
         let mut log = Vec::new();
@@ -254,7 +254,8 @@ impl Daemon {
             state,
             endpoint,
             workers,
-            joins: vec![accept, scheduler],
+            accept,
+            scheduler,
         })
     }
 }
@@ -265,7 +266,8 @@ pub struct DaemonHandle {
     state: Arc<DaemonState>,
     endpoint: Endpoint,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    joins: Vec<JoinHandle<()>>,
+    accept: JoinHandle<()>,
+    scheduler: JoinHandle<()>,
 }
 
 impl DaemonHandle {
@@ -356,8 +358,13 @@ impl DaemonHandle {
             inner.shutdown = true;
         }
         self.state.queue.changed.notify_all();
-        for j in self.joins {
-            let _ = j.join();
+        let _ = self.scheduler.join();
+        // The accept thread is blocked in `accept`: one throw-away
+        // connection makes it look at the flag. If our own endpoint is
+        // unreachable (the socket file was unlinked under us) nothing
+        // can wake it, so it is left behind rather than joined forever.
+        if self.endpoint.connect().is_ok() {
+            let _ = self.accept.join();
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *sync::lock(&self.workers));
         for h in handles {
@@ -366,26 +373,38 @@ impl DaemonHandle {
     }
 }
 
-/// Polls the listener, spawning one handler thread per connection.
+/// Blocks in `accept`, spawning one handler thread per connection and
+/// dropping the handles of threads that have finished, so the handle
+/// vector tracks live connections and not uptime.
 fn accept_loop(
     state: &Arc<DaemonState>,
     listener: crate::endpoint::Listener,
     workers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
+    let mut journaled_error = false;
     loop {
+        let accepted = listener.accept();
         if state.queue.lock().shutdown {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok(stream) => {
                 let conn_state = Arc::clone(state);
                 let handle = std::thread::spawn(move || handle_connection(&conn_state, stream));
-                sync::lock(workers).push(handle);
+                let mut live = sync::lock(workers);
+                live.retain(|h| !h.is_finished());
+                live.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) => {
+                state.metrics.inc("daemon_accept_errors_total", &[], 1);
+                if !journaled_error {
+                    journaled_error = true;
+                    state.journal_push(format!("accept failed: {e}"));
+                }
+                // A persistent failure (fd exhaustion) returns at once:
+                // back off instead of spinning on it.
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
@@ -398,14 +417,14 @@ fn handle_connection(state: &Arc<DaemonState>, stream: Stream) {
         &[("transport", state.config.listen.transport())],
         1,
     );
-    if stream.set_blocking().is_err()
-        || stream
-            .set_io_timeout(Some(state.config.io_timeout))
-            .is_err()
+    if stream
+        .set_io_timeout(Some(state.config.io_timeout))
+        .is_err()
     {
         return;
     }
-    let mut s = CountingStream::new(stream);
+    // The connection's one reader, from this first frame to the last.
+    let mut s = SessionStream::new(stream);
     let first = match read_frame(&mut s, MAX_PAYLOAD) {
         Ok(f) => f,
         Err(e) => {
@@ -578,6 +597,54 @@ fn run_admitted_job(
                 .metrics
                 .inc("daemon_jobs_total", &[("state", "failed")], 1);
             state.journal_push(format!("job {id} failed: {e}"));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+
+    fn both_transports(tag: &str) -> [Endpoint; 2] {
+        let path =
+            std::env::temp_dir().join(format!("vecycled-server-{}-{tag}.sock", std::process::id()));
+        [Endpoint::Tcp("127.0.0.1:0".into()), Endpoint::Unix(path)]
+    }
+
+    #[test]
+    fn idle_daemon_shuts_down_promptly_on_both_transports() {
+        for listen in both_transports("idle") {
+            let transport = listen.transport();
+            let daemon = Daemon::spawn(DaemonConfig::new(listen)).expect("binds");
+            let started = Instant::now();
+            daemon.shutdown();
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_millis(100),
+                "{transport}: shutdown of an idle daemon took {took:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn finished_handler_threads_are_reaped_as_connections_arrive() {
+        for listen in both_transports("reap") {
+            let transport = listen.transport();
+            let daemon = Daemon::spawn(DaemonConfig::new(listen)).expect("binds");
+            for _ in 0..200 {
+                client::status(daemon.endpoint()).expect("status round trip");
+            }
+            let live = sync::lock(&daemon.workers).len();
+            assert!(
+                live <= 8,
+                "{transport}: {live} handler handles after 200 sequential connections"
+            );
+            assert_eq!(
+                daemon.metrics().counter_total("daemon_accept_errors_total"),
+                0
+            );
+            daemon.shutdown();
         }
     }
 }

@@ -8,6 +8,15 @@
 //! destination's landed prefix is exactly the first `applied` messages
 //! of the deterministic stream, so the source can skip them.
 //!
+//! Layout: three dense per-page vectors — the current digest, the
+//! landed flag, and the *anchor*, the digest a page carried the first
+//! time it was written (what a `DedupRef` naming it means, even after
+//! a later round rewrote the page). Applying a message is indexed
+//! stores; hashing and encoding walk the vectors in page order, which
+//! is the anchor section's ascending order on disk. The file format
+//! and the state hash are those of the hash-map layout this replaced,
+//! byte for byte.
+//!
 //! Between boundary messages the destination persists the state as a
 //! `partial-job<id>-<fingerprint>.bin` file (write-tmp→rename, FNV-1a
 //! trailer), which is what survives a destination crash: the paper's
@@ -15,7 +24,6 @@
 //! The landed pages double as a [`PartialCheckpoint`], the same
 //! resume substrate PR 2's retry machinery uses.
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -46,7 +54,11 @@ pub struct SessionState {
     pages: u64,
     mem: Vec<PageDigest>,
     landed: Vec<bool>,
-    anchors: HashMap<u64, PageDigest>,
+    /// Per page, the digest it carried the *first* time it was written
+    /// — what a `DedupRef` naming it resolves to. Dense, so applying a
+    /// message is an indexed store and the persisted (ascending) anchor
+    /// section is a plain walk.
+    anchors: Vec<Option<PageDigest>>,
     applied: u64,
     expected_round: u64,
     finished: bool,
@@ -66,7 +78,7 @@ impl SessionState {
             pages,
             mem,
             landed: vec![false; pages as usize],
-            anchors: HashMap::new(),
+            anchors: vec![None; pages as usize],
             applied: 0,
             expected_round: 1,
             finished: false,
@@ -119,7 +131,7 @@ impl SessionState {
         // `DedupIndex::insert_first`: a back-reference means "the
         // content page `source` carried when it was first sent", even
         // if a later round rewrote that page.
-        self.anchors.entry(idx).or_insert(digest);
+        self.anchors[idx as usize].get_or_insert(digest);
         Ok(())
     }
 
@@ -161,7 +173,10 @@ impl SessionState {
                 self.write(*idx, *digest)?;
             }
             WireMsg::DedupRef { idx, source } => {
-                let digest = *self.anchors.get(source).ok_or_else(|| {
+                let anchor = usize::try_from(*source)
+                    .ok()
+                    .and_then(|s| self.anchors.get(s).copied().flatten());
+                let digest = anchor.ok_or_else(|| {
                     DaemonError::Corrupt(format!(
                         "dedup ref for page {idx} names unsent page {source}"
                     ))
@@ -196,8 +211,16 @@ impl SessionState {
         Ok(())
     }
 
+    /// The dedup anchors as `(page, first digest)`, ascending by page.
+    fn anchors(&self) -> impl Iterator<Item = (u64, PageDigest)> + '_ {
+        self.anchors
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, a)| a.map(|digest| (idx as u64, digest)))
+    }
+
     /// FNV-1a 64 over everything that determines future behavior: the
-    /// counters, the memory image, the landed map and the (sorted)
+    /// counters, the memory image, the landed map and the (ascending)
     /// dedup anchors. Two states with equal hashes apply any suffix
     /// identically.
     pub fn state_hash(&self) -> [u8; 8] {
@@ -210,11 +233,8 @@ impl SessionState {
             fnv.update(digest.as_bytes());
             fnv.update(&[u8::from(*landed)]);
         }
-        let mut anchors: Vec<(u64, PageDigest)> =
-            self.anchors.iter().map(|(k, v)| (*k, *v)).collect();
-        anchors.sort_unstable_by_key(|(k, _)| *k);
-        fnv.update(&(anchors.len() as u64).to_be_bytes());
-        for (idx, digest) in anchors {
+        fnv.update(&(self.anchors().count() as u64).to_be_bytes());
+        for (idx, digest) in self.anchors() {
             fnv.update(&idx.to_be_bytes());
             fnv.update(digest.as_bytes());
         }
@@ -222,10 +242,11 @@ impl SessionState {
     }
 
     /// Serializes the state (with its job/spec identity) into the
-    /// partial-file format: magic, header, memory, landed map, sorted
-    /// anchors, FNV-1a 64 trailer over everything before it.
+    /// partial-file format: magic, header, memory, landed map, anchors
+    /// ascending by page, FNV-1a 64 trailer over everything before it.
     pub fn encode(&self, job: u64, fingerprint: u64) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.mem.len() * 17 + self.anchors.len() * 24);
+        let anchor_count = self.anchors().count();
+        let mut buf = Vec::with_capacity(64 + self.mem.len() * 17 + anchor_count * 24);
         buf.extend_from_slice(PARTIAL_MAGIC);
         buf.extend_from_slice(&job.to_be_bytes());
         buf.extend_from_slice(&fingerprint.to_be_bytes());
@@ -237,11 +258,8 @@ impl SessionState {
             buf.extend_from_slice(digest.as_bytes());
             buf.push(u8::from(*landed));
         }
-        let mut anchors: Vec<(u64, PageDigest)> =
-            self.anchors.iter().map(|(k, v)| (*k, *v)).collect();
-        anchors.sort_unstable_by_key(|(k, _)| *k);
-        buf.extend_from_slice(&(anchors.len() as u64).to_be_bytes());
-        for (idx, digest) in anchors {
+        buf.extend_from_slice(&(anchor_count as u64).to_be_bytes());
+        for (idx, digest) in self.anchors() {
             buf.extend_from_slice(&idx.to_be_bytes());
             buf.extend_from_slice(digest.as_bytes());
         }
@@ -316,7 +334,7 @@ impl SessionState {
         if body.len() != anchors_off + anchors_len {
             return Err(fail("anchor section length mismatch"));
         }
-        let mut anchors = HashMap::with_capacity(anchor_count as usize);
+        let mut anchors = vec![None; pages as usize];
         for a in 0..anchor_count as usize {
             let off = anchors_off + a * 24;
             let idx = u64_at(off);
@@ -324,7 +342,7 @@ impl SessionState {
                 return Err(fail(&format!("anchor index {idx} beyond {pages} pages")));
             }
             let digest: [u8; 16] = body[off + 8..off + 24].try_into().expect("16");
-            anchors.insert(idx, PageDigest::new(digest));
+            anchors[idx as usize] = Some(PageDigest::new(digest));
         }
         Ok((
             job,

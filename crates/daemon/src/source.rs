@@ -11,6 +11,12 @@
 //! structural, and the interesting cross-process property is the
 //! byte/ledger reconciliation.
 //!
+//! Buffers: outbound, the sink's current chunk and nothing else;
+//! inbound, the session's one [`SessionStream`], through which every
+//! reply frame and the bulk checksum exchange are read (the exchange in
+//! 16 KiB steps, not one `read` per digest). The guest is built right
+//! after JOB is sent, overlapping the destination's own construction.
+//!
 //! Because the stream is a pure function of the spec, an interrupted
 //! transfer resumes by *regenerating* it: the sink holds back the
 //! prefix the destination announced while replaying it through the same
@@ -30,7 +36,7 @@ use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{Bytes, PageDigest};
 
-use crate::endpoint::CountingStream;
+use crate::endpoint::SessionStream;
 use crate::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use crate::journal::{rec, WalRecord};
 use crate::proto::{
@@ -103,7 +109,9 @@ pub(crate) fn run_job(
     let config = &state.config;
     let stream = peer.connect()?;
     stream.set_io_timeout(Some(config.io_timeout))?;
-    let mut s = CountingStream::new(stream);
+    // The session's one reader: every frame and the bulk exchange come
+    // through its buffer; writes go straight to the counted socket.
+    let mut s = SessionStream::new(stream);
 
     // Handshake.
     write_frame(
@@ -133,6 +141,12 @@ pub(crate) fn run_job(
     .encode();
     write_frame(&mut s, kind::JOB, job_json.as_bytes())?;
     s.flush()?;
+
+    // Build the guest while the destination builds its own state and
+    // index from the JOB it just received: the two constructions
+    // overlap instead of queueing behind the OFFER.
+    let initial = scenario::initial_memory(spec)?;
+    let (mut guest, mut workload) = scenario::live_guest(spec, &initial)?;
 
     // Offer / want / bulk exchange.
     let offer_frame = expect_kind(read_frame(&mut s, MAX_PAYLOAD)?, kind::OFFER, "OFFER")?;
@@ -174,7 +188,6 @@ pub(crate) fn run_job(
     // Resume handshake, first half: the destination reports its landed
     // prefix. The verdict falls out of the stream itself — the sink
     // answers RESUME_OK the moment it has regenerated that prefix.
-    let initial = scenario::initial_memory(spec)?;
     let resume = if epoch > 0 {
         let rs_frame = expect_kind(
             read_frame(&mut s, MAX_PAYLOAD)?,
@@ -196,7 +209,6 @@ pub(crate) fn run_job(
     // prices, and each round's Control header is the RoundEnd/StopEnd
     // delimiter — the forward ledger total IS the data-plane byte count.
     let strategy = scenario::wire_strategy(spec, index)?;
-    let (mut guest, mut workload) = scenario::live_guest(spec, &initial)?;
     let mut sink = SocketSink::start(
         &mut s,
         &state.kill,

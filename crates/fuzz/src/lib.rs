@@ -13,8 +13,9 @@
 //! The moving parts:
 //!
 //! * [`targets`] — one [`targets::Target`] per parser surface
-//!   (checkpoint wire format, trace wire format, chaos/fault/eviction/
-//!   size/link/duration grammars), each with seed inputs, a mutation
+//!   (checkpoint wire format, trace wire format, the daemon's socket
+//!   decoders, chaos/fault/eviction/size/link/duration grammars), each
+//!   with seed inputs, a mutation
 //!   dictionary and an outcome classifier;
 //! * [`mutate`] — the seeded mutator and the trailer-fixing fixup that
 //!   lets mutants of checksummed formats reach the inner field parsers;
@@ -25,7 +26,9 @@
 //!   `fuzz/corpus/`, replayed by tests and CI;
 //! * [`oracle`] — differential replay of clean-parsing corpus entries:
 //!   closed-form estimates vs the real transfer pipeline, and
-//!   single-thread vs multi-thread migrations.
+//!   single-thread vs multi-thread migrations. The socket decoders
+//!   carry their own per-input oracle (reader equivalence) as
+//!   [`targets::Target::differential`].
 
 #![warn(missing_docs)]
 
@@ -149,18 +152,26 @@ struct Exec {
     alloc: AllocStats,
 }
 
+/// Runs `f` with panics caught and the panic hook silenced, returning
+/// the panic message on unwind.
+fn catch_quietly<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    install_quiet_hook();
+    QUIET.with(|q| q.set(true));
+    let caught = panic::catch_unwind(AssertUnwindSafe(f));
+    QUIET.with(|q| q.set(false));
+    caught.map_err(panic_message)
+}
+
 /// Runs one input through a target under the no-panic +
 /// bounded-allocation harness.
 fn execute(target: &Target, input: &[u8]) -> Exec {
-    install_quiet_hook();
-    QUIET.with(|q| q.set(true));
-    AllocMeter::start();
-    let caught = panic::catch_unwind(AssertUnwindSafe(|| (target.run)(input)));
-    let alloc = AllocMeter::stop();
-    QUIET.with(|q| q.set(false));
+    let class = catch_quietly(|| {
+        AllocMeter::start();
+        (target.run)(input)
+    });
     Exec {
-        class: caught.map_err(panic_message),
-        alloc,
+        class,
+        alloc: AllocMeter::stop(),
     }
 }
 
@@ -186,6 +197,24 @@ fn check_contract(target: &Target, input: &[u8], exec: &Exec, findings: &mut Vec
                 exec.alloc.largest,
                 alloc_budget(input.len()),
             ),
+            input: input.to_vec(),
+        });
+    }
+}
+
+/// Runs the target's differential oracle, if it has one, appending a
+/// disagreement (or a panic inside it) to `findings`.
+fn check_differential(target: &Target, input: &[u8], findings: &mut Vec<Finding>) {
+    let Some(differential) = target.differential else {
+        return;
+    };
+    let verdict = catch_quietly(|| differential(input))
+        .unwrap_or_else(|msg| Err(format!("oracle panicked: {msg}")));
+    if let Err(detail) = verdict {
+        findings.push(Finding {
+            target: target.name,
+            kind: FindingKind::Oracle,
+            detail,
             input: input.to_vec(),
         });
     }
@@ -218,6 +247,7 @@ pub fn fuzz_target(target: &Target, seed: u64, iters: u64) -> TargetReport {
         *stream_digest = fnv64_chain(*stream_digest, input);
         let exec = execute(target, input);
         check_contract(target, input, &exec, findings);
+        check_differential(target, input, findings);
         if let Ok(class) = exec.class {
             *classes.entry(class).or_insert(0) += 1;
             if classes[class] == 1 {
@@ -287,6 +317,7 @@ pub fn replay_corpus(target: &Target, root: &Path) -> std::io::Result<ReplayRepo
         report.stream_digest = fnv64_chain(report.stream_digest, &bytes);
         let exec = execute(target, &bytes);
         check_contract(target, &bytes, &exec, &mut report.findings);
+        check_differential(target, &bytes, &mut report.findings);
         if exec.class.is_err() {
             continue;
         }
@@ -389,6 +420,7 @@ mod tests {
             dict: &[],
             post: None,
             run: boom,
+            differential: None,
             max_len: 64,
         };
         let report = fuzz_target(&t, 3, 50);

@@ -10,14 +10,22 @@
 //! deterministic — a poor man's coverage signal that needs no
 //! instrumentation.
 
+use std::io::Read;
 use vecycle_checkpoint::{Checkpoint, CheckpointData, EvictionPolicy};
+
 use vecycle_cli::args::{parse_duration, parse_faults, parse_link, parse_size};
+use vecycle_daemon::endpoint::SessionStream;
+use vecycle_daemon::{frame, DaemonError};
 use vecycle_mem::ByteMemory;
+use vecycle_net::wiremsg::{self, WireMsg};
 use vecycle_sim::chaos::ChaosConfig;
 use vecycle_trace::{Fingerprint, Trace};
 use vecycle_types::{Bytes, Error, PageCount, PageDigest, SimDuration, SimTime, VmId};
 
 use crate::mutate;
+
+/// A per-input differential oracle: `Err` describes the disagreement.
+pub type Differential = fn(&[u8]) -> Result<(), String>;
 
 /// One fuzzable parser surface.
 pub struct Target {
@@ -31,6 +39,9 @@ pub struct Target {
     pub post: Option<fn(&mut [u8])>,
     /// Runs the parser, returning the outcome class.
     pub run: fn(&[u8]) -> &'static str,
+    /// Differential oracle over the same input, run outside the
+    /// allocation meter: `Err` is an oracle finding.
+    pub differential: Option<Differential>,
     /// Mutant length cap (large enough for one full page where the
     /// format carries page payloads).
     pub max_len: usize,
@@ -47,6 +58,7 @@ pub fn all_targets() -> Vec<Target> {
             dict: BINARY_DICT,
             post: None,
             run: run_checkpoint,
+            differential: None,
             max_len: 8192,
         },
         Target {
@@ -55,6 +67,7 @@ pub fn all_targets() -> Vec<Target> {
             dict: BINARY_DICT,
             post: Some(mutate::fix_trailer),
             run: run_checkpoint,
+            differential: None,
             max_len: 8192,
         },
         Target {
@@ -63,6 +76,7 @@ pub fn all_targets() -> Vec<Target> {
             dict: BINARY_DICT,
             post: None,
             run: run_trace,
+            differential: None,
             max_len: 8192,
         },
         Target {
@@ -71,6 +85,7 @@ pub fn all_targets() -> Vec<Target> {
             dict: BINARY_DICT,
             post: Some(mutate::fix_trailer),
             run: run_trace,
+            differential: None,
             max_len: 8192,
         },
         Target {
@@ -79,6 +94,7 @@ pub fn all_targets() -> Vec<Target> {
             dict: CHAOS_DICT,
             post: None,
             run: run_chaos,
+            differential: None,
             max_len: 512,
         },
         Target {
@@ -87,6 +103,7 @@ pub fn all_targets() -> Vec<Target> {
             dict: EVICT_DICT,
             post: None,
             run: run_evict,
+            differential: None,
             max_len: 128,
         },
         Target {
@@ -95,6 +112,7 @@ pub fn all_targets() -> Vec<Target> {
             dict: SIZE_DICT,
             post: None,
             run: run_bytes,
+            differential: None,
             max_len: 128,
         },
         Target {
@@ -103,6 +121,7 @@ pub fn all_targets() -> Vec<Target> {
             dict: SIZE_DICT,
             post: None,
             run: run_cli_size,
+            differential: None,
             max_len: 128,
         },
         Target {
@@ -111,6 +130,7 @@ pub fn all_targets() -> Vec<Target> {
             dict: LINK_DICT,
             post: None,
             run: run_cli_link,
+            differential: None,
             max_len: 128,
         },
         Target {
@@ -119,6 +139,7 @@ pub fn all_targets() -> Vec<Target> {
             dict: DURATION_DICT,
             post: None,
             run: run_cli_duration,
+            differential: None,
             max_len: 128,
         },
         Target {
@@ -127,7 +148,26 @@ pub fn all_targets() -> Vec<Target> {
             dict: FAULT_DICT,
             post: None,
             run: run_cli_faults,
+            differential: None,
             max_len: 512,
+        },
+        Target {
+            name: "wire_msg",
+            seeds: wire_msg_seeds,
+            dict: WIRE_DICT,
+            post: None,
+            run: |input| drain_slice(input, next_wire_msg).class(),
+            differential: Some(|input| readers_agree(input, next_wire_msg)),
+            max_len: 8192,
+        },
+        Target {
+            name: "ctrl_frame",
+            seeds: ctrl_frame_seeds,
+            dict: FRAME_DICT,
+            post: None,
+            run: |input| drain_slice(input, next_ctrl_frame).class(),
+            differential: Some(|input| readers_agree(input, next_ctrl_frame)),
+            max_len: 8192,
         },
     ]
 }
@@ -208,6 +248,67 @@ fn trace_seeds() -> Vec<Vec<u8>> {
     seeds.push(buf);
 
     seeds
+}
+
+/// Every `WireMsg` variant (the net crate's round-trip set), each
+/// alone and all back to back, plus the largest bulk-exchange header
+/// the length field can carry over a body that stops early.
+fn wire_msg_seeds() -> Vec<Vec<u8>> {
+    let digest = PageDigest::from_content_id;
+    let msgs = [
+        WireMsg::full_filler(7, digest(1)),
+        WireMsg::Checksum {
+            idx: 8,
+            digest: digest(2),
+        },
+        WireMsg::DedupRef { idx: 9, source: 3 },
+        WireMsg::Zero { idx: 10 },
+        WireMsg::RoundEnd { round: 4 },
+        WireMsg::StopEnd,
+        WireMsg::BulkExchange {
+            digests: (0..100).map(digest).collect(),
+        },
+    ];
+    let mut seeds = Vec::new();
+    let mut all = Vec::new();
+    for msg in &msgs {
+        let mut one = Vec::new();
+        msg.encode(&mut one);
+        all.extend_from_slice(&one);
+        seeds.push(one);
+    }
+    seeds.push(all);
+    let count = (wiremsg::MAX_PAYLOAD / 16) as u64;
+    let mut short = count.to_be_bytes().to_vec();
+    short.push(wiremsg::kind::BULK_EXCHANGE);
+    short.extend_from_slice(&((count * 16) as u32).to_be_bytes()[1..4]);
+    short.extend_from_slice(&[0xAB; 40]);
+    seeds.push(short);
+    seeds
+}
+
+/// Session-shaped frame sequences: a handshake, a job announcement, the
+/// closing exchange, and an empty-payload frame.
+fn ctrl_frame_seeds() -> Vec<Vec<u8>> {
+    let frames = |list: &[(u8, &[u8])]| {
+        let mut buf = Vec::new();
+        for (kind, payload) in list {
+            frame::write_frame(&mut buf, *kind, payload).expect("vec write cannot fail");
+        }
+        buf
+    };
+    vec![
+        frames(&[(frame::kind::HELLO, b"VECYCLD1\x00\x01\x01")]),
+        frames(&[
+            (frame::kind::JOB, br#"{"job":1,"resume":0,"spec":{}}"#),
+            (frame::kind::WANT, &[1]),
+        ]),
+        frames(&[
+            (frame::kind::COMPLETE, &[7; 8]),
+            (frame::kind::DONE, &[0; 9]),
+        ]),
+        frames(&[(frame::kind::CTRL, b"")]),
+    ]
 }
 
 fn text_seeds(strs: &[&str]) -> Vec<Vec<u8>> {
@@ -298,6 +399,31 @@ const FAULT_DICT: &[&[u8]] = &[
     b"-0.0",
     b"NaN",
     b"1e-300",
+];
+
+const WIRE_DICT: &[&[u8]] = &[
+    // kind byte + 3-byte length, per variant
+    &[1, 0, 0x10, 0x10],
+    &[2, 0, 0, 16],
+    &[3, 0, 0, 8],
+    &[4, 0, 0, 1],
+    &[5, 0, 0, 0],
+    &[6, 0, 0, 0],
+    &[7, 0xff, 0xff, 0xf0],
+    &[0, 0, 0, 0, 0, 0, 0, 0],
+    &[0, 0, 0, 0, 0, 0x0f, 0xff, 0xff],
+    &[0xff; 8],
+];
+
+const FRAME_DICT: &[&[u8]] = &[
+    &[0x01, 0, 0, 0, 11],
+    &[0x06, 0, 0, 0, 8],
+    &[0x07, 0, 0, 0, 9],
+    &[0x10, 0, 0, 0, 0],
+    &[0x0e, 0, 0, 0x40, 0],
+    &[0, 0x10, 0, 1],
+    &[0xff; 4],
+    b"VECYCLD1",
 ];
 
 // ------------------------------------------------------------ classifiers
@@ -452,6 +578,146 @@ fn run_cli_faults(input: &[u8]) -> &'static str {
     }
 }
 
+// ------------------------------------------------- socket-stream decoders
+
+/// One decode step over any reader: the item, or the error's class.
+type Step<T> = fn(&mut dyn Read) -> Result<T, &'static str>;
+
+/// What decoding a byte stream to its first error observed.
+#[derive(Debug, PartialEq)]
+struct Drained<T> {
+    items: Vec<T>,
+    /// The terminal error's class.
+    end: &'static str,
+    /// Input bytes the decoder took, the failed step's included.
+    consumed: usize,
+    /// The failed step took nothing: the stream ended between items.
+    clean: bool,
+}
+
+impl<T> Drained<T> {
+    /// The outcome class: how the stream ended.
+    fn class(&self) -> &'static str {
+        match self.end {
+            "err_io" if !self.clean => "err_truncated",
+            "err_io" if self.items.is_empty() => "eof_empty",
+            "err_io" => "eof_clean",
+            verdict => verdict,
+        }
+    }
+}
+
+/// Decodes items from `r` until the first error; `taken` reports how
+/// many input bytes the decoder has consumed through `r` so far.
+fn drain<R: Read, T>(r: &mut R, taken: impl Fn(&R) -> usize, next: Step<T>) -> Drained<T> {
+    let mut items = Vec::new();
+    loop {
+        let before = taken(r);
+        match next(r) {
+            Ok(item) => items.push(item),
+            Err(end) => {
+                let consumed = taken(r);
+                return Drained {
+                    items,
+                    end,
+                    consumed,
+                    clean: consumed == before,
+                };
+            }
+        }
+    }
+}
+
+fn drain_slice<T>(input: &[u8], next: Step<T>) -> Drained<T> {
+    drain(&mut &*input, |rest| input.len() - rest.len(), next)
+}
+
+/// A reader that returns one byte per `read` — the worst fragmentation
+/// a socket can produce.
+struct OneByte<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl Read for OneByte<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = usize::from(self.pos < self.data.len() && !buf.is_empty());
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// The reader-equivalence oracle: a slice, a one-byte-per-read reader
+/// and the daemon's session reader must decode the same items, stop on
+/// the same error class and have consumed the same bytes.
+fn readers_agree<T: PartialEq + std::fmt::Debug>(
+    input: &[u8],
+    next: Step<T>,
+) -> Result<(), String> {
+    let slice = drain_slice(input, next);
+    let one_byte = drain(
+        &mut OneByte {
+            data: input,
+            pos: 0,
+        },
+        |r| r.pos,
+        next,
+    );
+    let session = drain(
+        &mut SessionStream::new(input),
+        |s| s.rx() as usize - s.buffered(),
+        next,
+    );
+    for (reader, other) in [("one-byte", &one_byte), ("session", &session)] {
+        if *other != slice {
+            return Err(format!(
+                "{reader} reader decoded {} items, ended {} after {} bytes (clean: {}); \
+                 slice reader {} items, {} after {} bytes (clean: {})",
+                other.items.len(),
+                other.end,
+                other.consumed,
+                other.clean,
+                slice.items.len(),
+                slice.end,
+                slice.consumed,
+                slice.clean,
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn next_wire_msg(mut r: &mut dyn Read) -> Result<WireMsg, &'static str> {
+    WireMsg::read_from(&mut r).map_err(|e| match e {
+        Error::Corrupt { detail } => corrupt_class(
+            &detail,
+            &[
+                ("unknown wire message kind", "err_kind"),
+                ("overflows payload size", "err_bulk_overflow"),
+                ("!= 16 x count", "err_bulk_len"),
+                ("pad byte", "err_zero_pad"),
+                ("payload length", "err_payload_len"),
+            ],
+        ),
+        _ => "err_io",
+    })
+}
+
+/// The frame-size limit the `ctrl_frame` target reads under. The
+/// decoder's contract is "never allocate past the limit the caller
+/// passed"; this limit fits the harness's fixed slack the way the
+/// daemon's 1 MiB fits a connection.
+const FUZZ_FRAME_LIMIT: u64 = 16 * 1024;
+
+fn next_ctrl_frame(mut r: &mut dyn Read) -> Result<frame::Frame, &'static str> {
+    frame::read_frame(&mut r, FUZZ_FRAME_LIMIT).map_err(|e| match e {
+        DaemonError::OversizedFrame { .. } => "err_oversized",
+        DaemonError::Io(_) => "err_io",
+        _ => "err_other",
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,6 +739,52 @@ mod tests {
         for seed in FAULT_SEEDS {
             assert_eq!(run_cli_faults(seed.as_bytes()), "ok");
         }
+        let wire = wire_msg_seeds();
+        for seed in &wire[..wire.len() - 1] {
+            assert_eq!(drain_slice(seed, next_wire_msg).class(), "eof_clean");
+            readers_agree(seed, next_wire_msg).expect("readers agree on a seed");
+        }
+        let short_bulk = wire.last().expect("short-body seed");
+        assert_eq!(
+            drain_slice(short_bulk, next_wire_msg).class(),
+            "err_truncated"
+        );
+        for seed in ctrl_frame_seeds() {
+            assert_eq!(drain_slice(&seed, next_ctrl_frame).class(), "eof_clean");
+            readers_agree(&seed, next_ctrl_frame).expect("readers agree on a seed");
+        }
+    }
+
+    #[test]
+    fn stream_classes_name_how_the_stream_ended() {
+        assert_eq!(drain_slice(b"", next_wire_msg).class(), "eof_empty");
+        assert_eq!(drain_slice(b"", next_ctrl_frame).class(), "eof_empty");
+        let all = &wire_msg_seeds()[7];
+        assert_eq!(drain_slice(all, next_wire_msg).items.len(), 7);
+        assert_eq!(
+            drain_slice(&all[..all.len() - 1], next_wire_msg).class(),
+            "err_truncated"
+        );
+        let mut bad_kind = all.clone();
+        bad_kind[8] = 0xEE;
+        assert_eq!(drain_slice(&bad_kind, next_wire_msg).class(), "err_kind");
+        let huge = [frame::kind::CTRL, 0xff, 0xff, 0xff, 0xff];
+        assert_eq!(drain_slice(&huge, next_ctrl_frame).class(), "err_oversized");
+    }
+
+    #[test]
+    fn a_disagreeing_reader_is_an_oracle_error() {
+        // A step that decodes differently once it has seen a short read
+        // — what a decoder mishandling partial `read`s would do.
+        fn fragile(r: &mut dyn Read) -> Result<u8, &'static str> {
+            let mut two = [0u8; 2];
+            match r.read(&mut two) {
+                Ok(2) => Ok(two[0]),
+                Ok(1) => Ok(0xff),
+                _ => Err("err_io"),
+            }
+        }
+        assert!(readers_agree(&[1, 2, 3, 4], fragile).is_err());
     }
 
     #[test]

@@ -172,7 +172,8 @@ impl WireMsg {
     /// [`Error::Corrupt`] on unknown kinds, wrong per-kind payload
     /// lengths, payloads beyond [`MAX_PAYLOAD`], or invalid payload
     /// content. Never panics, never allocates more than the declared
-    /// (validated) payload length.
+    /// (validated) payload length, and for a bulk exchange no more than
+    /// a small multiple of the payload bytes that actually arrived.
     pub fn read_from<R: std::io::Read>(r: &mut R) -> vecycle_types::Result<WireMsg> {
         let mut header = [0u8; HEADER];
         r.read_exact(&mut header)?;
@@ -239,8 +240,8 @@ impl WireMsg {
             }
             kind::BULK_EXCHANGE => {
                 // The declared count is peer-controlled: checked multiply,
-                // and the length-field equality bounds the allocation by
-                // the 16 MiB payload cap before any buffer is sized.
+                // and the length-field equality bounds it by the 16 MiB
+                // payload cap before `read_digests` sizes anything.
                 let need = field.checked_mul(16).ok_or_else(|| Error::Corrupt {
                     detail: format!("bulk-exchange count {field} overflows payload size"),
                 })?;
@@ -249,12 +250,8 @@ impl WireMsg {
                         detail: format!("bulk-exchange payload length {len} != 16 x count {field}"),
                     });
                 }
-                let mut digests = Vec::with_capacity(field as usize);
-                let mut d = [0u8; 16];
-                for _ in 0..field {
-                    r.read_exact(&mut d)?;
-                    digests.push(PageDigest::new(d));
-                }
+                let mut digests = Vec::new();
+                read_digests(r, field as usize, &mut digests)?;
                 Ok(WireMsg::BulkExchange { digests })
             }
             other => Err(Error::Corrupt {
@@ -262,6 +259,38 @@ impl WireMsg {
             }),
         }
     }
+}
+
+/// Digests per bounded read of a bulk-exchange payload (16 KiB).
+const BULK_CHUNK: usize = 1024;
+
+/// Appends `count` digests to the empty `digests`, one bounded read per
+/// [`BULK_CHUNK`]. The vector is sized by what has *arrived*, not by
+/// what the header declared: it starts at one chunk and grows to at
+/// most four times the digests already read, capped at `count`, so a
+/// header declaring 16 MiB over a short body costs one chunk and an
+/// honest payload is never held twice.
+fn read_digests<R: std::io::Read>(
+    r: &mut R,
+    count: usize,
+    digests: &mut Vec<PageDigest>,
+) -> std::io::Result<()> {
+    digests.reserve_exact(count.min(BULK_CHUNK));
+    let mut chunk = [0u8; BULK_CHUNK * PageDigest::LEN];
+    while digests.len() < count {
+        let n = (count - digests.len()).min(BULK_CHUNK);
+        let bytes = &mut chunk[..n * PageDigest::LEN];
+        r.read_exact(bytes)?;
+        if digests.len() == digests.capacity() {
+            digests.reserve_exact((digests.len() * 3).min(count - digests.len()));
+        }
+        digests.extend(
+            bytes
+                .chunks_exact(PageDigest::LEN)
+                .map(|d| PageDigest::new(d.try_into().expect("16-byte chunk"))),
+        );
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -286,9 +315,8 @@ mod tests {
         back
     }
 
-    #[test]
-    fn every_variant_round_trips_at_its_priced_size() {
-        let msgs = [
+    fn every_variant() -> [WireMsg; 7] {
+        [
             WireMsg::full_filler(7, digest(1)),
             WireMsg::Checksum {
                 idx: 8,
@@ -301,8 +329,12 @@ mod tests {
             WireMsg::BulkExchange {
                 digests: (0..100).map(digest).collect(),
             },
-        ];
-        for msg in &msgs {
+        ]
+    }
+
+    #[test]
+    fn every_variant_round_trips_at_its_priced_size() {
+        for msg in &every_variant() {
             assert_eq!(&round_trip(msg), msg);
         }
     }
@@ -392,6 +424,88 @@ mod tests {
             WireMsg::read_from(&mut &buf[..]),
             Err(Error::Corrupt { .. })
         ));
+    }
+
+    /// A reader that hands out one byte per `read` call — the worst
+    /// fragmentation a socket can produce.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl std::io::Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn every_variant_decodes_identically_one_byte_at_a_time() {
+        let mut buf = Vec::new();
+        let msgs = every_variant();
+        for msg in &msgs {
+            msg.encode(&mut buf);
+        }
+        let mut r = OneByte(&buf);
+        for msg in &msgs {
+            assert_eq!(&WireMsg::read_from(&mut r).unwrap(), msg);
+        }
+        assert!(r.0.is_empty(), "decoder must consume exactly the stream");
+    }
+
+    #[test]
+    fn bulk_payloads_round_trip_across_chunk_boundaries() {
+        for count in [
+            0,
+            1,
+            BULK_CHUNK - 1,
+            BULK_CHUNK,
+            BULK_CHUNK + 1,
+            5 * BULK_CHUNK + 7,
+        ] {
+            let msg = WireMsg::BulkExchange {
+                digests: (0..count as u64).map(digest).collect(),
+            };
+            let back = round_trip(&msg);
+            assert_eq!(back, msg, "{count} digests");
+            let WireMsg::BulkExchange { digests } = back else {
+                unreachable!()
+            };
+            assert!(
+                digests.capacity() <= count.max(1),
+                "{count} digests held in capacity {}",
+                digests.capacity()
+            );
+        }
+    }
+
+    #[test]
+    fn bulk_short_body_is_io_error_sized_by_what_arrived() {
+        // The largest header the length field can carry, then a body
+        // that stops early: an I/O error, and the digests vector never
+        // grew past what the bytes present justify.
+        let count = (MAX_PAYLOAD / 16) as u64;
+        for body_digests in [0usize, 1, BULK_CHUNK, 3 * BULK_CHUNK + 5] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&count.to_be_bytes());
+            buf.push(kind::BULK_EXCHANGE);
+            buf.extend_from_slice(&((count * 16) as u32).to_be_bytes()[1..4]);
+            buf.resize(HEADER + body_digests * 16 + 9, 0xAB);
+            let err = WireMsg::read_from(&mut &buf[..]).unwrap_err();
+            assert!(matches!(err, Error::Io { .. }), "{body_digests}: {err}");
+
+            // The growth rule: capacity stays within one chunk or 4x
+            // the digests already read, whatever the header says.
+            let mut digests = Vec::new();
+            let body = &buf[HEADER..];
+            assert!(read_digests(&mut &body[..], count as usize, &mut digests).is_err());
+            assert_eq!(digests.len(), body.len() / 16 / BULK_CHUNK * BULK_CHUNK);
+            assert!(
+                digests.capacity() <= (4 * digests.len()).max(BULK_CHUNK),
+                "{body_digests}: capacity {}",
+                digests.capacity()
+            );
+        }
     }
 
     #[test]

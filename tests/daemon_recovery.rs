@@ -621,3 +621,66 @@ fn clean_journal_backed_run_matches_the_in_memory_daemon() {
         "exactly one done record"
     );
 }
+
+/// The partial-file format outlives the in-memory anchor layout: a file
+/// written by the previous release's daemon (a committed fixture — its
+/// anchors were a hash map, sorted on encode) decodes, re-encodes byte
+/// for byte and announces the hash that release computed, so a
+/// destination upgraded between two epochs of one job still resumes.
+/// The traffic behind it is the anchor corner: page 3 is rewritten in
+/// round 2 and references to it, before and after, resolve through its
+/// *first* content.
+#[test]
+fn previous_release_partial_file_round_trips_bit_for_bit() {
+    const FIXTURE: &[u8] = include_bytes!("fixtures/partial-job7-pr13.bin");
+    const PR13_STATE_HASH: [u8; 8] = [0xcf, 0x8c, 0x8a, 0xbe, 0x35, 0x8a, 0x51, 0x75];
+
+    let mut spec = ScenarioSpec::golden(0x14);
+    spec.ram_mib = 1;
+    spec.strategy = "dedup".into();
+    spec.warm = false;
+    let fp = spec_fingerprint(&spec);
+
+    let (job, fingerprint, decoded) = SessionState::decode(FIXTURE).expect("fixture decodes");
+    assert_eq!((job, fingerprint), (7, fp));
+    assert_eq!(decoded.encode(7, fp), FIXTURE, "re-encode differs");
+    assert_eq!(decoded.state_hash(), PR13_STATE_HASH);
+
+    // The same traffic applied today lands in the same bytes.
+    let d = vecycle_types::PageDigest::from_content_id;
+    let mut st = cold_state(&spec);
+    let mut apply = |msg: WireMsg| st.apply(&msg, None).expect("fixture traffic applies");
+    for i in (0..48u64).rev() {
+        apply(WireMsg::full_filler(i, d(100 + i)));
+    }
+    apply(WireMsg::Zero { idx: 200 });
+    apply(WireMsg::DedupRef { idx: 60, source: 3 });
+    apply(WireMsg::RoundEnd { round: 1 });
+    apply(WireMsg::full_filler(3, d(9_003)));
+    apply(WireMsg::full_filler(255, d(9_255)));
+    apply(WireMsg::DedupRef { idx: 61, source: 3 });
+    apply(WireMsg::DedupRef {
+        idx: 62,
+        source: 60,
+    });
+    apply(WireMsg::RoundEnd { round: 2 });
+    apply(WireMsg::full_filler(7, d(9_007)));
+    assert_eq!(st, decoded);
+    assert_eq!(st.encode(7, fp), FIXTURE);
+    assert_eq!(
+        st.mem()[61],
+        d(103),
+        "a reference resolves to the first content"
+    );
+    assert_eq!(st.mem()[3], d(9_003));
+
+    // And the decoded state keeps applying as the live one does.
+    let mut resumed = decoded;
+    for state in [&mut st, &mut resumed] {
+        state
+            .apply(&WireMsg::DedupRef { idx: 63, source: 3 }, None)
+            .expect("anchor survives the file");
+    }
+    assert_eq!(resumed.state_hash(), st.state_hash());
+    assert_eq!(resumed.mem()[63], d(103));
+}

@@ -209,3 +209,77 @@ fn faulted_runs_diverge_by_exactly_the_wasted_traffic() {
         );
     }
 }
+
+/// `engine_scan_pages_total{class}` is tallied per shard and recorded
+/// once per class, not once per page: it must still equal round 1 of
+/// the report class for class, be the same series set at every thread
+/// count, and carry no series for a class the scan never saw.
+#[test]
+fn scan_page_counters_equal_round_one_at_every_thread_count() {
+    use vecycle::mem::PageContent;
+    use vecycle::types::PageIndex;
+
+    // Zero pages and repeated content on top of the aged guest, so the
+    // zero and dedup_ref classes exist where a strategy can see them.
+    let (mut guest, cp) = aged_guest(384, 43);
+    for i in 0..8 {
+        guest.write_page(PageIndex::new(100 + i), PageContent::Zero);
+        guest.write_page(PageIndex::new(300 + i), PageContent::ContentId(77));
+    }
+    let gen_snapshot = {
+        let fresh = Guest::new(ByteMemory::with_distinct_content(PageCount::new(384), 43));
+        fresh.generations().snapshot()
+    };
+    let strategy = |name: &str| match name {
+        "full" => Strategy::full(),
+        "dedup" => Strategy::dedup(),
+        "dirty" => Strategy::miyakodori(guest.generations(), &gen_snapshot),
+        _ => Strategy::vecycle_from_checkpoint(&cp).with_dedup(),
+    };
+
+    for name in ["full", "dedup", "dirty", "vecycle+dedup"] {
+        let mut per_thread_count = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let metrics = MetricsRegistry::new();
+            let engine = MigrationEngine::new(LinkSpec::lan_gigabit())
+                .with_threads(threads)
+                .with_metrics(metrics.clone());
+            let report = engine.migrate(guest.memory(), strategy(name)).unwrap();
+            let first = &report.rounds()[0];
+            let expected: BTreeMap<Vec<(String, String)>, u64> = [
+                ("full", first.full_pages),
+                ("checksum", first.checksum_pages),
+                ("dedup_ref", first.dedup_refs),
+                ("skipped", first.skipped_pages),
+                ("zero", first.zero_pages),
+            ]
+            .into_iter()
+            .filter(|(_, n)| n.as_u64() > 0)
+            .map(|(class, n)| (vec![("class".to_string(), class.to_string())], n.as_u64()))
+            .collect();
+            let scanned = family(&metrics.snapshot(), "engine_scan_pages_total");
+            assert_eq!(scanned, expected, "{name} at {threads} threads");
+            assert_eq!(
+                scanned.values().sum::<u64>(),
+                384,
+                "{name}: every page is in exactly one class"
+            );
+            per_thread_count.push(scanned);
+        }
+        assert!(
+            per_thread_count.windows(2).all(|w| w[0] == w[1]),
+            "{name}: scan counters moved with the thread count"
+        );
+        let classes: Vec<&str> = per_thread_count[0]
+            .keys()
+            .map(|labels| labels[0].1.as_str())
+            .collect();
+        let want: &[&str] = match name {
+            "full" => &["full", "zero"],
+            "dedup" => &["dedup_ref", "full", "zero"],
+            "dirty" => &["full", "skipped", "zero"],
+            _ => &["checksum", "dedup_ref", "full", "zero"],
+        };
+        assert_eq!(classes, want, "{name}: series set");
+    }
+}

@@ -1,0 +1,273 @@
+//! The destination's data path costs a `read` per buffer, not per
+//! message.
+//!
+//! A warm 128 MiB migration is 32 768 checksum messages of 28 bytes;
+//! decoding each straight off the socket is two `read` syscalls per
+//! message. [`receive_stream`] over the session's [`SessionStream`]
+//! must instead cost one `read` per [`SESSION_BUF`] of stream — pinned
+//! here by counting calls — without the read-ahead changing what the
+//! state machine sees: the COMPLETE frame that shares a buffer with
+//! StopEnd is still returned, and a stream cut mid-message leaves
+//! exactly the whole messages applied.
+
+use std::cell::Cell;
+use std::io::{Read, Write};
+use std::rc::Rc;
+
+use vecycle_checkpoint::ChecksumIndex;
+use vecycle_daemon::endpoint::{SessionStream, SESSION_BUF};
+use vecycle_daemon::frame::{kind, write_frame, Frame};
+use vecycle_daemon::session_state::SessionState;
+use vecycle_daemon::{receive_stream, scenario, DaemonError, Endpoint};
+use vecycle_faults::KillSwitch;
+use vecycle_net::WireMsg;
+use vecycle_sim::ScenarioSpec;
+
+/// Counts `read` calls on the way to the wrapped reader.
+struct CountReads<R> {
+    inner: R,
+    calls: Rc<Cell<u64>>,
+}
+
+impl<R: Read> Read for CountReads<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.read(buf)
+    }
+}
+
+/// One data-plane stream and what a destination needs to apply it.
+struct Stream {
+    spec: ScenarioSpec,
+    index: Option<ChecksumIndex>,
+    msgs: Vec<WireMsg>,
+    /// The encoded messages followed by a COMPLETE frame.
+    bytes: Vec<u8>,
+    /// Byte offset at which each message ends.
+    ends: Vec<usize>,
+}
+
+const COMPLETE_PAYLOAD: [u8; 8] = *b"complete";
+
+impl Stream {
+    fn new(spec: ScenarioSpec, index: Option<ChecksumIndex>, mut msgs: Vec<WireMsg>) -> Stream {
+        msgs.push(WireMsg::RoundEnd { round: 1 });
+        msgs.push(WireMsg::StopEnd);
+        let mut bytes = Vec::new();
+        let mut ends = Vec::new();
+        for msg in &msgs {
+            msg.encode(&mut bytes);
+            ends.push(bytes.len());
+        }
+        write_frame(&mut bytes, kind::COMPLETE, &COMPLETE_PAYLOAD).expect("vec write");
+        Stream {
+            spec,
+            index,
+            msgs,
+            bytes,
+            ends,
+        }
+    }
+
+    /// The warm 128 MiB shape: every page crosses as a checksum.
+    fn checksums() -> Stream {
+        let mut spec = ScenarioSpec::golden(0xba7c);
+        spec.ram_mib = 128;
+        let initial = scenario::initial_memory(&spec).expect("initial memory");
+        let digests = initial.snapshot().into_digests();
+        let msgs = digests
+            .iter()
+            .enumerate()
+            .map(|(idx, &digest)| WireMsg::Checksum {
+                idx: idx as u64,
+                digest,
+            })
+            .collect();
+        Stream::new(spec, Some(ChecksumIndex::build(digests)), msgs)
+    }
+
+    /// A cold 16 MiB shape: every page crosses in full.
+    fn full_pages() -> Stream {
+        let mut spec = ScenarioSpec::golden(0xba7d);
+        spec.ram_mib = 16;
+        spec.strategy = "full".into();
+        spec.warm = false;
+        let initial = scenario::initial_memory(&spec).expect("initial memory");
+        let msgs = initial
+            .snapshot()
+            .into_digests()
+            .into_iter()
+            .enumerate()
+            .map(|(idx, digest)| WireMsg::full_filler(idx as u64, digest))
+            .collect();
+        Stream::new(spec, None, msgs)
+    }
+
+    fn fresh_state(&self) -> SessionState {
+        let initial = scenario::initial_memory(&self.spec).expect("initial memory");
+        SessionState::fresh(&self.spec, &initial)
+    }
+
+    /// The state after the first `n` messages, applied one by one.
+    fn state_after(&self, n: usize) -> SessionState {
+        let mut st = self.fresh_state();
+        for msg in &self.msgs[..n] {
+            st.apply(msg, self.index.as_ref()).expect("stream applies");
+        }
+        st
+    }
+}
+
+/// What one receive over a fresh session reader and a fresh state left.
+struct Received {
+    outcome: Result<Frame, DaemonError>,
+    state: SessionState,
+    persists: u64,
+    rx: u64,
+    buffered: usize,
+}
+
+impl Received {
+    /// Asserts the stream arrived whole, COMPLETE frame included, and
+    /// nothing was read past it.
+    fn assert_whole(&self, stream: &Stream) {
+        let complete = self.outcome.as_ref().expect("stream is well-formed");
+        assert_eq!(complete.kind, kind::COMPLETE);
+        assert_eq!(
+            complete.payload, COMPLETE_PAYLOAD,
+            "the frame behind StopEnd in the same buffer"
+        );
+        assert_eq!(self.rx, stream.bytes.len() as u64, "rx counts socket bytes");
+        assert_eq!(self.buffered, 0, "nothing read ahead past COMPLETE");
+        assert_eq!(self.state, stream.state_after(stream.msgs.len()));
+    }
+}
+
+impl Stream {
+    fn receive<R: Read>(&self, source: R) -> Received {
+        let mut s = SessionStream::new(source);
+        let mut state = self.fresh_state();
+        let mut persists = 0u64;
+        let outcome = receive_stream(
+            &mut s,
+            self.index.as_ref(),
+            &mut state,
+            &KillSwitch::inert(),
+            |_| persists += 1,
+        );
+        Received {
+            outcome,
+            state,
+            persists,
+            rx: s.rx(),
+            buffered: s.buffered(),
+        }
+    }
+
+    /// Receives from an in-memory reader that always fills the buffer
+    /// it is given, returning `(read calls, persist calls)`.
+    fn receive_counting(&self) -> (u64, u64) {
+        let calls = Rc::new(Cell::new(0));
+        let got = self.receive(CountReads {
+            inner: self.bytes.as_slice(),
+            calls: Rc::clone(&calls),
+        });
+        got.assert_whole(self);
+        (calls.get(), got.persists)
+    }
+}
+
+#[test]
+fn a_checksum_stream_costs_a_read_per_buffer() {
+    let stream = Stream::checksums();
+    assert_eq!(stream.msgs.len(), 32_768 + 2);
+    let (reads, persists) = stream.receive_counting();
+    let bound = stream.bytes.len().div_ceil(SESSION_BUF) as u64 + 8;
+    assert!(
+        reads <= bound,
+        "{reads} reads for {} messages ({} bytes), want <= {bound}",
+        stream.msgs.len(),
+        stream.bytes.len()
+    );
+    // The persistence cadence is untouched by the buffering: every 64
+    // applied messages, plus the two delimiters.
+    assert_eq!(persists, 32_768 / 64 + 2);
+}
+
+#[test]
+fn a_full_page_stream_costs_a_read_per_buffer() {
+    let stream = Stream::full_pages();
+    assert_eq!(stream.msgs.len(), 4096 + 2);
+    let (reads, persists) = stream.receive_counting();
+    let bound = stream.bytes.len().div_ceil(SESSION_BUF) as u64 + 8;
+    assert!(reads <= bound, "{reads} reads, want <= {bound}");
+    assert_eq!(persists, 4096 / 64 + 2);
+}
+
+/// The peer dies mid-message: the error is I/O (the resumable class)
+/// and the state holds exactly the messages that arrived whole — what
+/// the destination then keeps as the landed prefix.
+#[test]
+fn eof_mid_message_leaves_exactly_the_whole_messages_applied() {
+    let stream = Stream::checksums();
+    for whole in [0usize, 1, 63, 64, 2_340, 2_341, 20_000, 32_768] {
+        let start = if whole == 0 {
+            0
+        } else {
+            stream.ends[whole - 1]
+        };
+        // Every cut that leaves message `whole` incomplete.
+        for extra in [0usize, 1, 11, 12, 27] {
+            let cut = start + extra;
+            if cut >= stream.ends[whole] {
+                continue;
+            }
+            let got = stream.receive(&stream.bytes[..cut]);
+            let err = got.outcome.expect_err("a cut stream cannot complete");
+            assert!(matches!(err, DaemonError::Io(_)), "{whole}+{extra}: {err}");
+            assert_eq!(got.state.applied(), whole as u64, "{whole}+{extra}");
+            assert_eq!(got.state, stream.state_after(whole), "{whole}+{extra}");
+        }
+    }
+    // Cut inside the COMPLETE frame: the stream itself is whole.
+    let got = stream.receive(&stream.bytes[..stream.bytes.len() - 3]);
+    let err = got.outcome.expect_err("COMPLETE is cut");
+    assert!(matches!(err, DaemonError::Io(_)), "{err}");
+    assert!(got.state.finished());
+}
+
+/// Over real sockets a `read` returns what has arrived, so the count
+/// depends on the kernel; what must hold on both transports is that it
+/// is far below one per message, and that `rx` is the bytes sent.
+#[test]
+fn real_sockets_batch_reads_on_both_transports() {
+    let stream = Stream::checksums();
+    let unix = std::env::temp_dir().join(format!("vecycle-readbatch-{}.sock", std::process::id()));
+    for listen in [
+        Endpoint::Tcp("127.0.0.1:0".into()),
+        Endpoint::Unix(unix.clone()),
+    ] {
+        let listener = listen.bind().expect("bind");
+        let at = listener.local_endpoint().expect("bound endpoint");
+        let reads = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut peer = at.connect().expect("connect");
+                peer.write_all(&stream.bytes).expect("send stream");
+            });
+            let calls = Rc::new(Cell::new(0));
+            let got = stream.receive(CountReads {
+                inner: listener.accept().expect("accept"),
+                calls: Rc::clone(&calls),
+            });
+            got.assert_whole(&stream);
+            calls.get()
+        });
+        let transport = at.transport();
+        assert!(
+            reads <= stream.msgs.len() as u64 / 8,
+            "{transport}: {reads} reads for {} messages",
+            stream.msgs.len()
+        );
+    }
+    let _ = std::fs::remove_file(unix);
+}

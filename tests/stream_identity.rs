@@ -146,3 +146,61 @@ fn streamed_bytes_equal_the_replay_across_resend_rounds() {
     assert!(transcript.rounds.len() > 1, "want resend rounds");
     assert!(!transcript.stop_copy.is_empty(), "want a non-empty flush");
 }
+
+/// The session reader buffers *above* the byte counters, so reading
+/// ahead changes neither side's socket totals: at session end the
+/// destination has read exactly what the source wrote, and written
+/// exactly what the source read, on both transports.
+#[test]
+fn destination_socket_totals_mirror_the_sources_on_both_transports() {
+    use vecycle_daemon::{Daemon, DaemonConfig, Endpoint, JobState};
+
+    let unix = |tag: &str| {
+        let path =
+            std::env::temp_dir().join(format!("vecycled-sid-{}-{tag}.sock", std::process::id()));
+        Endpoint::Unix(path)
+    };
+    for (transport, src_ep, dst_ep) in [
+        (
+            "tcp",
+            Endpoint::parse("127.0.0.1:0"),
+            Endpoint::parse("127.0.0.1:0"),
+        ),
+        ("unix", unix("src"), unix("dst")),
+    ] {
+        let src = Daemon::spawn(DaemonConfig::new(src_ep)).expect("source daemon binds");
+        let dst = Daemon::spawn(DaemonConfig::new(dst_ep)).expect("dest daemon binds");
+        let id = src
+            .submit(ScenarioSpec::golden(0x57e5), dst.endpoint().clone())
+            .expect("submit");
+        let rec = src
+            .wait_job(id, std::time::Duration::from_secs(60))
+            .expect("job reaches a terminal state");
+        assert_eq!(rec.state, JobState::Done, "{transport}: {}", rec.detail);
+        let m = rec.measured.expect("done job has byte accounting");
+
+        // The destination journals its totals once its handler returns,
+        // which may trail the source seeing DONE.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let line = loop {
+            let found = dst
+                .journal()
+                .into_iter()
+                .find(|l| l.starts_with(&format!("session job={id} ok")));
+            match found {
+                Some(line) => break line,
+                None if std::time::Instant::now() < deadline => {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                None => panic!("{transport}: destination never journaled the session"),
+            }
+        };
+        assert_eq!(
+            line,
+            format!("session job={id} ok rx={} tx={}", m.tx, m.rx),
+            "{transport}: destination totals"
+        );
+        src.shutdown();
+        dst.shutdown();
+    }
+}
