@@ -1,6 +1,8 @@
 //! The [`Checkpoint`] capture type.
 
-use vecycle_mem::{ByteMemory, DigestMemory, MemoryImage, MutableMemory, PageContent};
+use std::sync::OnceLock;
+
+use vecycle_mem::{ByteMemory, DigestMemory, MemoryImage};
 use vecycle_types::{Bytes, PageCount, PageDigest, PageIndex, SimTime, VmId, PAGE_SIZE};
 
 use crate::ChecksumIndex;
@@ -17,6 +19,12 @@ pub enum CheckpointData {
 
 /// An immutable capture of a VM's memory, stored at a host.
 ///
+/// A full-byte checkpoint also knows the digest of each of its pages:
+/// the table is adopted from whoever already derived it (the captured
+/// memory, the verifying load pass) or computed once, in a four-lane
+/// batch, the first time a digest is asked for. It is a cache of the
+/// bytes — equality and [`Checkpoint::storage_size`] ignore it.
+///
 /// # Examples
 ///
 /// ```
@@ -30,12 +38,22 @@ pub enum CheckpointData {
 /// let index = cp.build_index();
 /// assert!(index.contains(cp.digest(vecycle_types::PageIndex::new(3))));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
     vm: VmId,
     taken_at: SimTime,
     data: CheckpointData,
+    /// Per-page digests of a `Pages` payload; never set for `Digests`.
+    page_digests: OnceLock<Vec<PageDigest>>,
 }
+
+impl PartialEq for Checkpoint {
+    fn eq(&self, other: &Self) -> bool {
+        self.vm == other.vm && self.taken_at == other.taken_at && self.data == other.data
+    }
+}
+
+impl Eq for Checkpoint {}
 
 impl Checkpoint {
     /// Captures a digest-level checkpoint of any memory image.
@@ -44,20 +62,30 @@ impl Checkpoint {
             vm,
             taken_at,
             data: CheckpointData::Digests(memory.digests()),
+            page_digests: OnceLock::new(),
         }
     }
 
-    /// Captures a full-byte checkpoint of a [`ByteMemory`].
+    /// Captures a full-byte checkpoint of a [`ByteMemory`], adopting the
+    /// memory's page digests.
     pub fn capture_bytes(vm: VmId, taken_at: SimTime, memory: &ByteMemory) -> Self {
-        let n = memory.page_count().as_u64();
-        let mut bytes = Vec::with_capacity((n * PAGE_SIZE) as usize);
-        for i in 0..n {
-            bytes.extend_from_slice(memory.read_page(PageIndex::new(i)));
-        }
+        Self::from_pages_with_digests(vm, taken_at, memory.as_bytes().to_vec(), memory.digests())
+    }
+
+    /// A full-byte checkpoint whose digest table the caller has already
+    /// derived from exactly these bytes (the verifying load pass).
+    pub(crate) fn from_pages_with_digests(
+        vm: VmId,
+        taken_at: SimTime,
+        bytes: Vec<u8>,
+        digests: Vec<PageDigest>,
+    ) -> Self {
+        debug_assert_eq!(bytes.len(), digests.len() * PAGE_SIZE as usize);
         Checkpoint {
             vm,
             taken_at,
             data: CheckpointData::Pages(bytes),
+            page_digests: OnceLock::from(digests),
         }
     }
 
@@ -79,7 +107,12 @@ impl Checkpoint {
                 });
             }
         }
-        Ok(Checkpoint { vm, taken_at, data })
+        Ok(Checkpoint {
+            vm,
+            taken_at,
+            data,
+            page_digests: OnceLock::new(),
+        })
     }
 
     /// The VM this checkpoint belongs to.
@@ -112,11 +145,24 @@ impl Checkpoint {
 
     /// On-disk footprint of the payload — what storing this checkpoint
     /// costs the host (§1 argues local storage is cheap; the store still
-    /// accounts for it).
+    /// accounts for it). The digest table a page-checkpoint file also
+    /// carries (16 bytes per 4 KiB page) is not counted.
     pub fn storage_size(&self) -> Bytes {
         match &self.data {
             CheckpointData::Digests(d) => Bytes::new(d.len() as u64 * 16),
             CheckpointData::Pages(b) => Bytes::new(b.len() as u64),
+        }
+    }
+
+    /// The per-page digests, borrowed: the payload itself for a digest
+    /// checkpoint, the (lazily filled) table for a full-byte one.
+    pub(crate) fn digest_table(&self) -> &[PageDigest] {
+        match &self.data {
+            CheckpointData::Digests(d) => d,
+            CheckpointData::Pages(b) => self.page_digests.get_or_init(|| {
+                let views: Vec<&[u8]> = b.chunks_exact(PAGE_SIZE as usize).collect();
+                vecycle_hash::digest_pages(&views)
+            }),
         }
     }
 
@@ -126,25 +172,12 @@ impl Checkpoint {
     ///
     /// Panics if `idx` is out of bounds.
     pub fn digest(&self, idx: PageIndex) -> PageDigest {
-        match &self.data {
-            CheckpointData::Digests(d) => d[idx.as_usize()],
-            CheckpointData::Pages(_) => {
-                vecycle_hash::page_digest(self.read_page(idx).expect("Pages variant has bytes"))
-            }
-        }
+        self.digest_table()[idx.as_usize()]
     }
 
     /// All page digests in page order.
     pub fn digests(&self) -> Vec<PageDigest> {
-        match &self.data {
-            CheckpointData::Digests(d) => d.clone(),
-            CheckpointData::Pages(b) => {
-                // Batch through the multi-lane hash front-end: this runs
-                // once per index build over the whole checkpoint.
-                let views: Vec<&[u8]> = b.chunks_exact(PAGE_SIZE as usize).collect();
-                vecycle_hash::digest_pages(&views)
-            }
-        }
+        self.digest_table().to_vec()
     }
 
     /// Reads one page's bytes, if this is a full-byte checkpoint.
@@ -170,21 +203,18 @@ impl Checkpoint {
         DigestMemory::from_digests(self.digests())
     }
 
-    /// Restores a full-byte checkpoint into a fresh [`ByteMemory`].
+    /// Restores a full-byte checkpoint into a fresh [`ByteMemory`],
+    /// handing over the digest table so no page is hashed again.
     ///
     /// Returns `None` for digest-only checkpoints, which cannot supply
     /// page bytes.
     pub fn restore_byte_memory(&self) -> Option<ByteMemory> {
         match &self.data {
             CheckpointData::Digests(_) => None,
-            CheckpointData::Pages(b) => {
-                let pages = self.page_count();
-                let mut mem = ByteMemory::zeroed(pages);
-                for (i, page) in b.chunks_exact(PAGE_SIZE as usize).enumerate() {
-                    mem.write_page(PageIndex::new(i as u64), PageContent::Bytes(page));
-                }
-                Some(mem)
-            }
+            CheckpointData::Pages(b) => Some(ByteMemory::from_pages_with_digests(
+                b.clone(),
+                self.digests(),
+            )),
         }
     }
 }
@@ -217,6 +247,22 @@ mod tests {
             let idx = PageIndex::new(i);
             assert_eq!(cp.digest(idx), mem.page_digest(idx));
         }
+    }
+
+    /// The digest table is a cache of the bytes: a checkpoint that was
+    /// handed its table and one that has yet to compute it are equal,
+    /// cost the same to store, and report the same digests.
+    #[test]
+    fn equality_and_storage_size_ignore_the_digest_table() {
+        let mem = ByteMemory::with_distinct_content(PageCount::new(6), 2);
+        let tabled = Checkpoint::capture_bytes(VmId::new(3), SimTime::EPOCH, &mem);
+        let lazy =
+            Checkpoint::from_parts(tabled.vm(), tabled.taken_at(), tabled.data().clone()).unwrap();
+        assert!(tabled.page_digests.get().is_some() && lazy.page_digests.get().is_none());
+        assert_eq!(tabled, lazy);
+        assert_eq!(tabled.storage_size(), lazy.storage_size());
+        assert_eq!(lazy.digests(), tabled.digests());
+        assert_eq!(lazy.clone(), tabled);
     }
 
     #[test]

@@ -21,8 +21,9 @@ pub struct ScrubOutcome {
     pub clean: Vec<Checkpoint>,
     /// VMs whose files failed validation and were deleted.
     pub quarantined: Vec<VmId>,
-    /// Estimated pages across quarantined files (from file length — the
-    /// corrupt payload itself is untrustworthy).
+    /// Estimated pages across quarantined files (from each file's length
+    /// and the layout its header declares — the corrupt payload itself
+    /// is untrustworthy).
     pub corrupt_pages: u64,
 }
 
@@ -135,7 +136,7 @@ impl DiskStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let cp = Checkpoint::read_from(std::io::BufReader::new(file))?;
+        let cp = Checkpoint::read_from(file)?;
         if cp.vm() != vm {
             return Err(Error::Corrupt {
                 detail: format!("checkpoint file for {vm} contains {}", cp.vm()),
@@ -169,9 +170,9 @@ impl DiskStore {
         self.list()
     }
 
-    /// Re-verifies every checkpoint file against its wire trailer
-    /// checksum — what a host runs after restarting from a crash, when
-    /// it can no longer trust that disk matches memory.
+    /// Re-verifies every checkpoint file (trailer, and each page of a
+    /// page file against its digest) — what a host runs after restarting
+    /// from a crash, when it can no longer trust that disk matches memory.
     ///
     /// Files that fail validation are *quarantined*: deleted from disk
     /// (never restored from) and reported in
@@ -189,13 +190,7 @@ impl DiskStore {
                 Ok(Some(cp)) => outcome.clean.push(cp),
                 Ok(None) => {} // raced away; nothing to verify
                 Err(Error::Corrupt { .. }) => {
-                    // Estimate the page count from the file size (header
-                    // + 16-byte digests) before deleting — the payload
-                    // itself is untrustworthy.
-                    let len = std::fs::metadata(self.path_for(vm))
-                        .map(|m| m.len())
-                        .unwrap_or(0);
-                    outcome.corrupt_pages += len.saturating_sub(wire::HEADER_AND_TRAILER) / 16;
+                    outcome.corrupt_pages += self.estimated_pages(vm);
                     self.remove(vm)?;
                     outcome.quarantined.push(vm);
                 }
@@ -203,6 +198,22 @@ impl DiskStore {
             }
         }
         Ok(outcome)
+    }
+
+    /// Estimates the pages of a file that failed validation from its
+    /// length and the layout its header declares — the payload itself is
+    /// untrustworthy. Unreadable files count as empty.
+    fn estimated_pages(&self, vm: VmId) -> u64 {
+        use std::io::Read;
+        let mut head = Vec::with_capacity(wire::LAYOUT_PREFIX);
+        let Ok(file) = std::fs::File::open(self.path_for(vm)) else {
+            return 0;
+        };
+        let len = file.metadata().map_or(0, |m| m.len());
+        // A short or failed read leaves a short prefix, which estimates
+        // by the fallback rule.
+        let _ = file.take(wire::LAYOUT_PREFIX as u64).read_to_end(&mut head);
+        wire::estimated_pages(&head, len)
     }
 
     /// Lists the VMs with a stored checkpoint file.
@@ -337,6 +348,43 @@ mod tests {
         // A second scrub finds nothing to quarantine.
         let again = store.scrub().unwrap();
         assert!(again.quarantined.is_empty());
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A quarantined file is counted by the layout its header declares:
+    /// a page file is not mistaken for 257 digests a page.
+    #[test]
+    fn scrub_counts_corrupt_page_files_by_their_layout() {
+        use vecycle_mem::ByteMemory;
+        let dir = tmpdir("scrub-pages");
+        let store = DiskStore::open(&dir).unwrap();
+        let mem = ByteMemory::with_distinct_content(PageCount::new(4), 9);
+        store
+            .save(&Checkpoint::capture_bytes(
+                VmId::new(1),
+                SimTime::EPOCH,
+                &mem,
+            ))
+            .unwrap();
+        store.save(&cp(2, 20)).unwrap();
+        // The 8-page file a previous release wrote for vm 7.
+        let v1 = include_bytes!("../../../tests/fixtures/vm-pages-v1.ckpt");
+        std::fs::write(dir.join("vm-7.ckpt"), v1).unwrap();
+        assert_eq!(store.scrub().unwrap().clean_pages(), 4 + 16 + 8);
+
+        for vm in [1, 2, 7] {
+            let path = dir.join(format!("vm-{vm}.ckpt"));
+            let mut bytes = std::fs::read(&path).unwrap();
+            let last_payload_byte = bytes.len() - 9;
+            bytes[last_payload_byte] ^= 0x01;
+            std::fs::write(&path, bytes).unwrap();
+        }
+        let outcome = store.scrub().unwrap();
+        assert_eq!(
+            outcome.quarantined,
+            vec![VmId::new(1), VmId::new(2), VmId::new(7)]
+        );
+        assert_eq!(outcome.corrupt_pages, 4 + 16 + 8);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

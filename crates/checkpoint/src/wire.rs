@@ -1,4 +1,21 @@
 //! On-disk serialization of checkpoints, with corruption detection.
+//!
+//! Every file is a 32-byte header (magic, version, kind, reserved, VM
+//! id, timestamp, page count), a payload, and an 8-byte FNV-1a 64
+//! trailer. Three layouts exist:
+//!
+//! | kind | version | payload | trailer covers |
+//! |---|---|---|---|
+//! | digests | 1 | 16-byte digest per page | header + payload |
+//! | pages | 2 | digest table (16 bytes per page) ‖ page bytes | header + table |
+//! | pages | 1 (read only) | page bytes | header + payload |
+//!
+//! In a version-2 page file the digest table *is* the page check: the
+//! trailer guards header and table, and the load pass — which has to
+//! derive every page's MD5 anyway, because that is what a checkpoint is
+//! recycled by — rejects any page whose digest differs from its table
+//! entry. Digests are never trusted from disk; the table a loaded
+//! checkpoint carries is the one computed from the bytes read.
 
 use bytes::{Buf, BufMut};
 
@@ -8,79 +25,77 @@ use vecycle_types::{Error, PageDigest, SimTime, VmId, PAGE_SIZE};
 use crate::{Checkpoint, CheckpointData};
 
 const MAGIC: &[u8; 8] = b"VECYCHK1";
-/// Fixed framing bytes around the payload: 32-byte header (magic,
-/// version, kind, reserved, vm, timestamp, page count) + 8-byte FNV
-/// trailer. Used to estimate page counts of corrupt files from their
-/// length alone.
-pub(crate) const HEADER_AND_TRAILER: u64 = 40;
+const HEADER: usize = 32;
+const TRAILER: usize = 8;
+const DIGEST: usize = 16;
+/// Digest files, and the page files written before the digest table.
 const VERSION: u16 = 1;
+/// Page files carrying a digest table.
+const VERSION_TABLED: u16 = 2;
 const KIND_DIGESTS: u8 = 0;
 const KIND_PAGES: u8 = 1;
 
-impl Checkpoint {
-    /// Serializes the checkpoint to `w`.
-    ///
-    /// Layout: magic, version, kind, VM id, timestamp, page count,
-    /// payload, then an FNV-1a 64 trailer over everything before it.
-    /// The trailer catches truncation and bit rot on load — cheap
-    /// insurance for data that may sit on a host's disk for days.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_to<W: std::io::Write>(&self, mut w: W) -> vecycle_types::Result<()> {
-        let mut buf = Vec::with_capacity(64 + self.storage_size().as_u64() as usize);
-        buf.put_slice(MAGIC);
-        buf.put_u16(VERSION);
-        match self.data() {
-            CheckpointData::Digests(_) => buf.put_u8(KIND_DIGESTS),
-            CheckpointData::Pages(_) => buf.put_u8(KIND_PAGES),
+/// How the bytes between header and trailer are laid out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    Digests,
+    /// Version-1 page file: page bytes only. Read, never written.
+    Pages,
+    TabledPages,
+}
+
+impl Layout {
+    fn of(version: u16, kind: u8) -> vecycle_types::Result<Layout> {
+        match (version, kind) {
+            (VERSION, KIND_DIGESTS) => Ok(Layout::Digests),
+            (VERSION, KIND_PAGES) => Ok(Layout::Pages),
+            (VERSION_TABLED, KIND_PAGES) => Ok(Layout::TabledPages),
+            (VERSION | VERSION_TABLED, kind) if kind != KIND_DIGESTS => Err(Error::Corrupt {
+                detail: format!("unknown checkpoint kind {kind}"),
+            }),
+            _ => Err(Error::Corrupt {
+                detail: format!("unsupported checkpoint version {version} (kind {kind})"),
+            }),
         }
-        buf.put_u8(0); // reserved
-        buf.put_u32(self.vm().as_u32());
-        buf.put_u64(self.taken_at().since_epoch().as_nanos());
-        buf.put_u64(self.page_count().as_u64());
-        match self.data() {
-            CheckpointData::Digests(digests) => {
-                for d in digests {
-                    buf.put_slice(d.as_bytes());
-                }
-            }
-            CheckpointData::Pages(bytes) => buf.put_slice(bytes),
-        }
-        let mut fnv = Fnv1a64::new();
-        fnv.update(&buf);
-        let trailer = fnv.finalize();
-        w.write_all(&buf)?;
-        w.write_all(&trailer)?;
-        Ok(())
     }
 
-    /// Deserializes a checkpoint previously written by
-    /// [`Checkpoint::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corrupt`] on bad magic, version, kind, truncated
-    /// payload or trailer mismatch, and [`Error::Io`] on read failures.
-    pub fn read_from<R: std::io::Read>(mut r: R) -> vecycle_types::Result<Checkpoint> {
-        let mut raw = Vec::new();
-        r.read_to_end(&mut raw)?;
-        if raw.len() < 8 + 2 + 1 + 1 + 4 + 8 + 8 + 8 {
-            return Err(Error::Corrupt {
-                detail: format!("checkpoint file too short: {} bytes", raw.len()),
-            });
+    /// Payload bytes one page occupies in a file of this layout.
+    fn bytes_per_page(self) -> u64 {
+        match self {
+            Layout::Digests => DIGEST as u64,
+            Layout::Pages => PAGE_SIZE,
+            Layout::TabledPages => DIGEST as u64 + PAGE_SIZE,
         }
-        let (body, trailer) = raw.split_at(raw.len() - 8);
-        let mut fnv = Fnv1a64::new();
-        fnv.update(body);
-        if fnv.finalize() != <[u8; 8]>::try_from(trailer).expect("8 bytes") {
-            return Err(Error::Corrupt {
-                detail: "checkpoint trailer checksum mismatch".into(),
-            });
-        }
+    }
+}
 
-        let mut buf = body;
+/// A header whose declared page count has been checked against the
+/// file's length.
+struct Header {
+    layout: Layout,
+    vm: VmId,
+    taken_at: SimTime,
+    /// Length of the prefix of the file its trailer covers: header and
+    /// digest table of a tabled page file, everything before the
+    /// trailer otherwise.
+    covered: usize,
+}
+
+impl Header {
+    /// Parses and validates the header of a whole checkpoint file.
+    ///
+    /// The declared page count is attacker-controlled (a refixed trailer
+    /// gets a forged header this far): it is multiplied with checked
+    /// arithmetic and must account for exactly the bytes present
+    /// *before* anything is sized from it, so a hostile header can never
+    /// request more memory than the input's own length.
+    fn parse(file: &[u8]) -> vecycle_types::Result<Header> {
+        if file.len() < HEADER + TRAILER {
+            return Err(Error::Corrupt {
+                detail: format!("checkpoint file too short: {} bytes", file.len()),
+            });
+        }
+        let mut buf = &file[..HEADER];
         let mut magic = [0u8; 8];
         buf.copy_to_slice(&mut magic);
         if &magic != MAGIC {
@@ -89,60 +104,175 @@ impl Checkpoint {
             });
         }
         let version = buf.get_u16();
-        if version != VERSION {
-            return Err(Error::Corrupt {
-                detail: format!("unsupported checkpoint version {version}"),
-            });
-        }
         let kind = buf.get_u8();
+        let layout = Layout::of(version, kind)?;
         let _reserved = buf.get_u8();
         let vm = VmId::new(buf.get_u32());
         let taken_at = SimTime::from_epoch(vecycle_types::SimDuration::from_nanos(buf.get_u64()));
         let pages = buf.get_u64();
 
-        // The declared page count is attacker-controlled (a forged
-        // trailer reaches this point): multiply with checked arithmetic
-        // and validate against the bytes actually present *before*
-        // sizing any allocation, so a hostile header can never request
-        // more memory than the input's own length.
-        let remaining = buf.remaining() as u64;
-        let data = match kind {
-            KIND_DIGESTS => {
-                let need = pages.checked_mul(16).ok_or_else(|| Error::Corrupt {
-                    detail: format!("declared page count {pages} overflows digest payload size"),
-                })?;
-                if remaining != need {
-                    return Err(Error::Corrupt {
-                        detail: format!("digest payload length {remaining} != expected {need}"),
-                    });
-                }
-                // `pages <= remaining / 16 <= input length`: bounded.
-                let mut digests = Vec::with_capacity(pages as usize);
-                for _ in 0..pages {
-                    let mut d = [0u8; 16];
-                    buf.copy_to_slice(&mut d);
-                    digests.push(PageDigest::new(d));
-                }
-                CheckpointData::Digests(digests)
-            }
-            KIND_PAGES => {
-                let need = pages.checked_mul(PAGE_SIZE).ok_or_else(|| Error::Corrupt {
-                    detail: format!("declared page count {pages} overflows page payload size"),
-                })?;
-                if remaining != need {
-                    return Err(Error::Corrupt {
-                        detail: format!("page payload length {remaining} != expected {need}"),
-                    });
-                }
-                CheckpointData::Pages(buf.copy_to_bytes(need as usize).to_vec())
-            }
-            other => {
-                return Err(Error::Corrupt {
-                    detail: format!("unknown checkpoint kind {other}"),
-                })
-            }
+        let payload = (file.len() - HEADER - TRAILER) as u64;
+        let need = pages
+            .checked_mul(layout.bytes_per_page())
+            .ok_or_else(|| Error::Corrupt {
+                detail: format!("declared page count {pages} overflows the payload size"),
+            })?;
+        if payload != need {
+            return Err(Error::Corrupt {
+                detail: format!(
+                    "payload length {payload} != {need} expected for {pages} declared pages"
+                ),
+            });
+        }
+        // `pages <= payload <= file.len()`: fits a usize, and bounds every
+        // allocation sized from it.
+        let covered = match layout {
+            Layout::TabledPages => HEADER + pages as usize * DIGEST,
+            Layout::Digests | Layout::Pages => file.len() - TRAILER,
         };
-        Checkpoint::from_parts(vm, taken_at, data)
+        Ok(Header {
+            layout,
+            vm,
+            taken_at,
+            covered,
+        })
+    }
+}
+
+/// Estimates how many pages a file of `file_len` bytes held, from the
+/// layout its first bytes (`head`) declare — for files that failed
+/// validation, whose payload is untrustworthy. An unreadable header
+/// falls back to the densest layout (one 16-byte digest per page).
+pub(crate) fn estimated_pages(head: &[u8], file_len: u64) -> u64 {
+    let per_page = match head.get(..LAYOUT_PREFIX) {
+        Some([magic @ .., v0, v1, kind]) if magic == MAGIC => {
+            Layout::of(u16::from_be_bytes([*v0, *v1]), *kind)
+                .map_or(DIGEST as u64, Layout::bytes_per_page)
+        }
+        _ => DIGEST as u64,
+    };
+    file_len.saturating_sub((HEADER + TRAILER) as u64) / per_page
+}
+
+/// Bytes [`estimated_pages`] wants from the start of a file: magic,
+/// version, kind.
+pub(crate) const LAYOUT_PREFIX: usize = 11;
+
+fn fnv(bytes: &[u8]) -> [u8; 8] {
+    let mut fnv = Fnv1a64::new();
+    fnv.update(bytes);
+    fnv.finalize()
+}
+
+impl Checkpoint {
+    /// Serializes the checkpoint to `w` (layouts in the module docs).
+    ///
+    /// A digest checkpoint is header ‖ digests ‖ trailer. A full-byte
+    /// checkpoint is header ‖ digest table ‖ page bytes ‖ trailer, the
+    /// trailer covering header and table: the page bytes are written
+    /// straight from the checkpoint and guarded by their table entries,
+    /// so saving hashes nothing the checkpoint does not already know.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from `w`.
+    pub fn write_to<W: std::io::Write>(&self, mut w: W) -> vecycle_types::Result<()> {
+        let (version, kind, pages): (u16, u8, &[u8]) = match self.data() {
+            CheckpointData::Digests(_) => (VERSION, KIND_DIGESTS, &[]),
+            CheckpointData::Pages(bytes) => (VERSION_TABLED, KIND_PAGES, bytes),
+        };
+        let table = self.digest_table();
+        let mut head = Vec::with_capacity(HEADER + table.len() * DIGEST);
+        head.put_slice(MAGIC);
+        head.put_u16(version);
+        head.put_u8(kind);
+        head.put_u8(0); // reserved
+        head.put_u32(self.vm().as_u32());
+        head.put_u64(self.taken_at().since_epoch().as_nanos());
+        head.put_u64(self.page_count().as_u64());
+        for digest in table {
+            head.put_slice(digest.as_bytes());
+        }
+        w.write_all(&head)?;
+        w.write_all(pages)?;
+        w.write_all(&fnv(&head))?;
+        Ok(())
+    }
+
+    /// Length of the prefix of a checkpoint `file` that its FNV trailer
+    /// covers: header and digest table for a well-formed version-2 page
+    /// file, everything before the trailer otherwise (including any
+    /// file the decoder rejects before it looks at the trailer). For
+    /// tools that re-seal a modified file — the fuzzer's trailer-fixing
+    /// mutator.
+    pub fn trailer_coverage(file: &[u8]) -> usize {
+        Header::parse(file).map_or(file.len().saturating_sub(TRAILER), |header| header.covered)
+    }
+
+    /// Deserializes a checkpoint previously written by
+    /// [`Checkpoint::write_to`], or a version-1 page file.
+    ///
+    /// Reads the input once. A page payload is digested in one four-lane
+    /// pass; the resulting table is checked against the stored one
+    /// (version 2) and kept by the returned checkpoint, and the read
+    /// buffer itself becomes the payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corrupt`] on bad magic, version, kind, a payload
+    /// length that disagrees with the declared page count, trailer
+    /// mismatch, or a page whose digest differs from its table entry
+    /// (naming the page), and [`Error::Io`] on read failures.
+    pub fn read_from<R: std::io::Read>(mut r: R) -> vecycle_types::Result<Checkpoint> {
+        let mut raw = Vec::new();
+        r.read_to_end(&mut raw)?;
+        let header = Header::parse(&raw)?;
+        let (covered, rest) = raw.split_at(header.covered);
+        if fnv(covered)[..] != rest[rest.len() - TRAILER..] {
+            return Err(Error::Corrupt {
+                detail: "checkpoint trailer checksum mismatch".into(),
+            });
+        }
+
+        let payload_start = match header.layout {
+            Layout::Digests => {
+                let digests = covered[HEADER..]
+                    .chunks_exact(DIGEST)
+                    .map(|d| PageDigest::new(d.try_into().expect("16-byte chunks")))
+                    .collect();
+                return Checkpoint::from_parts(
+                    header.vm,
+                    header.taken_at,
+                    CheckpointData::Digests(digests),
+                );
+            }
+            Layout::Pages => HEADER,
+            Layout::TabledPages => covered.len(),
+        };
+        let payload_end = raw.len() - TRAILER;
+        let views: Vec<&[u8]> = raw[payload_start..payload_end]
+            .chunks_exact(PAGE_SIZE as usize)
+            .collect();
+        let digests = vecycle_hash::digest_pages(&views);
+        // Empty for a version-1 file, which has no table to disagree with.
+        let table = raw[HEADER..payload_start].chunks_exact(DIGEST);
+        if let Some(page) = digests
+            .iter()
+            .zip(table)
+            .position(|(computed, stored)| computed.as_bytes()[..] != *stored)
+        {
+            return Err(Error::Corrupt {
+                detail: format!("checkpoint page {page} does not match its stored digest"),
+            });
+        }
+        raw.truncate(payload_end);
+        raw.drain(..payload_start);
+        Ok(Checkpoint::from_pages_with_digests(
+            header.vm,
+            header.taken_at,
+            raw,
+            digests,
+        ))
     }
 }
 
@@ -150,7 +280,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use vecycle_mem::{ByteMemory, DigestMemory};
-    use vecycle_types::{PageCount, SimDuration};
+    use vecycle_types::{PageCount, PageIndex, SimDuration};
 
     fn sample() -> Checkpoint {
         let mem = DigestMemory::with_distinct_content(PageCount::new(32), 3);
@@ -234,14 +364,12 @@ mod tests {
         assert!(err.to_string().contains("version"));
     }
 
-    /// Recomputes the FNV trailer over `file` so a forged header passes
-    /// the outer integrity check and reaches the field parser.
+    /// Recomputes the FNV trailer of `file` so a forged header or table
+    /// passes the integrity check and reaches the checks behind it.
     fn refix_trailer(file: &mut [u8]) {
-        let body_len = file.len() - 8;
-        let mut fnv = Fnv1a64::new();
-        fnv.update(&file[..body_len]);
-        let t = fnv.finalize();
-        file[body_len..].copy_from_slice(&t);
+        let trailer = fnv(&file[..Checkpoint::trailer_coverage(file)]);
+        let body_len = file.len() - TRAILER;
+        file[body_len..].copy_from_slice(&trailer);
     }
 
     #[test]
@@ -288,5 +416,207 @@ mod tests {
             Checkpoint::read_from(&[][..]),
             Err(Error::Corrupt { .. })
         ));
+    }
+
+    /// The page-kind file a previous release wrote (8 pages; page 3 zero,
+    /// page 1 a copy of page 6).
+    const V1_PAGES: &[u8] = include_bytes!("../../../tests/fixtures/vm-pages-v1.ckpt");
+
+    fn v1_original() -> Checkpoint {
+        use vecycle_mem::{MutableMemory, PageContent};
+        let mut mem = ByteMemory::with_distinct_content(PageCount::new(8), 0x17);
+        mem.write_page(PageIndex::new(3), PageContent::Zero);
+        mem.relocate_page(PageIndex::new(6), PageIndex::new(1));
+        let at = SimTime::EPOCH + SimDuration::from_hours(3);
+        Checkpoint::capture_bytes(VmId::new(7), at, &mem)
+    }
+
+    fn page_sample(pages: u64) -> (Checkpoint, Vec<u8>) {
+        let mem = ByteMemory::with_distinct_content(PageCount::new(pages), 11);
+        let cp = Checkpoint::capture_bytes(VmId::new(1), SimTime::EPOCH, &mem);
+        let mut file = Vec::new();
+        cp.write_to(&mut file).unwrap();
+        (cp, file)
+    }
+
+    fn corrupt_detail(file: &[u8]) -> String {
+        match Checkpoint::read_from(file) {
+            Err(Error::Corrupt { detail }) => detail,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn page_file_is_header_table_pages_trailer() {
+        let (cp, file) = page_sample(3);
+        let page = PAGE_SIZE as usize;
+        assert_eq!(file.len(), HEADER + 3 * (DIGEST + page) + TRAILER);
+        assert_eq!(file[8..11], [0, 2, KIND_PAGES]);
+        let table: Vec<u8> = cp.digests().iter().flat_map(|d| *d.as_bytes()).collect();
+        assert_eq!(file[HEADER..HEADER + 3 * DIGEST], table[..]);
+        let CheckpointData::Pages(bytes) = cp.data() else {
+            panic!("page checkpoint")
+        };
+        assert_eq!(file[HEADER + 3 * DIGEST..file.len() - TRAILER], bytes[..]);
+        // The trailer covers header and table, not the pages.
+        assert_eq!(
+            file[file.len() - TRAILER..],
+            fnv(&file[..HEADER + 3 * DIGEST])
+        );
+        assert_eq!(Checkpoint::trailer_coverage(&file), HEADER + 3 * DIGEST);
+    }
+
+    #[test]
+    fn lazily_and_eagerly_tabled_checkpoints_write_the_same_file() {
+        let (cp, file) = page_sample(3);
+        let lazy = Checkpoint::from_parts(cp.vm(), cp.taken_at(), cp.data().clone()).unwrap();
+        let mut again = Vec::new();
+        lazy.write_to(&mut again).unwrap();
+        assert_eq!(again, file);
+    }
+
+    #[test]
+    fn loaded_page_checkpoint_carries_the_digests_of_its_bytes() {
+        let (cp, file) = page_sample(5);
+        let back = Checkpoint::read_from(&file[..]).unwrap();
+        assert_eq!(back, cp);
+        for i in 0..5 {
+            let idx = PageIndex::new(i);
+            assert_eq!(
+                back.digest(idx),
+                vecycle_hash::page_digest(back.read_page(idx).unwrap())
+            );
+        }
+    }
+
+    #[test]
+    fn one_flipped_bit_anywhere_in_a_page_file_is_corrupt() {
+        let (_, file) = page_sample(3);
+        let page = PAGE_SIZE as usize;
+        let pages_at = HEADER + 3 * DIGEST;
+        // Header, table, trailer: one probe per field or entry.
+        for at in [
+            0,
+            9,
+            10,
+            11,
+            15,
+            20,
+            31,
+            HEADER,
+            HEADER + DIGEST + 3,
+            pages_at - 1,
+        ] {
+            let mut f = file.clone();
+            f[at] ^= 0x04;
+            corrupt_detail(&f);
+        }
+        let mut f = file.clone();
+        *f.last_mut().unwrap() ^= 0x80;
+        assert!(corrupt_detail(&f).contains("trailer"));
+        // A page: the error names it.
+        for (k, offset) in [(0, 0), (1, 17), (2, page - 1)] {
+            let mut f = file.clone();
+            f[pages_at + k * page + offset] ^= 0x01;
+            assert!(
+                corrupt_detail(&f).contains(&format!("page {k} ")),
+                "page {k} offset {offset}"
+            );
+        }
+    }
+
+    #[test]
+    fn forged_table_entry_with_refixed_trailer_fails_the_page_check() {
+        let (_, mut file) = page_sample(3);
+        file[HEADER + DIGEST] ^= 0xff; // entry of page 1
+        refix_trailer(&mut file);
+        assert!(corrupt_detail(&file).contains("page 1 "));
+    }
+
+    #[test]
+    fn every_truncation_of_a_page_file_is_corrupt() {
+        let (_, file) = page_sample(2);
+        for cut in 0..file.len() {
+            corrupt_detail(&file[..cut]);
+        }
+    }
+
+    #[test]
+    fn table_and_page_region_must_match_the_declared_count_exactly() {
+        let (cp, file) = page_sample(2);
+        let pages_at = HEADER + 2 * DIGEST;
+        // A short table, a ragged page region, trailing bytes: each with
+        // the trailer re-sealed so only the length disagrees.
+        let mut short_table = file.clone();
+        short_table.drain(HEADER..HEADER + DIGEST);
+        let mut ragged = file.clone();
+        ragged.remove(pages_at + 5);
+        let mut trailing = file.clone();
+        trailing.extend_from_slice(&[0u8; 16]);
+        for mut f in [short_table, ragged, trailing] {
+            refix_trailer(&mut f);
+            assert!(corrupt_detail(&f).contains("payload length"));
+        }
+        // Forged counts: plainly huge, overflowing `pages * 4112`, and
+        // off by one — none sizes a table or view vector.
+        for forged in [
+            u64::MAX,
+            u64::MAX / (DIGEST as u64 + PAGE_SIZE) + 1,
+            1 << 32,
+            cp.page_count().as_u64() + 1,
+            cp.page_count().as_u64() - 1,
+            0,
+        ] {
+            let mut f = file.clone();
+            f[24..32].copy_from_slice(&forged.to_be_bytes());
+            refix_trailer(&mut f);
+            let detail = corrupt_detail(&f);
+            assert!(
+                detail.contains("payload length") || detail.contains("overflows"),
+                "pages={forged}: {detail}"
+            );
+        }
+        // A digest file relabelled as version 2 is not a layout.
+        let mut f = Vec::new();
+        sample().write_to(&mut f).unwrap();
+        f[9] = 2;
+        refix_trailer(&mut f);
+        assert!(corrupt_detail(&f).contains("version"));
+    }
+
+    #[test]
+    fn version_1_page_file_still_loads_and_resaves_tabled() {
+        let original = v1_original();
+        assert_eq!(V1_PAGES[8..11], [0, 1, KIND_PAGES]);
+        assert_eq!(
+            Checkpoint::trailer_coverage(V1_PAGES),
+            V1_PAGES.len() - TRAILER
+        );
+        let back = Checkpoint::read_from(V1_PAGES).unwrap();
+        assert_eq!(back, original);
+        assert_eq!(back.digests(), original.digests());
+        let mut resaved = Vec::new();
+        back.write_to(&mut resaved).unwrap();
+        assert_eq!(resaved[8..11], [0, 2, KIND_PAGES]);
+        assert_eq!(resaved.len(), V1_PAGES.len() + 8 * DIGEST);
+        assert_eq!(Checkpoint::read_from(&resaved[..]).unwrap(), original);
+        // Its whole-file trailer still guards every byte.
+        let mut rotten = V1_PAGES.to_vec();
+        rotten[HEADER + 5 * PAGE_SIZE as usize] ^= 0x20;
+        assert!(corrupt_detail(&rotten).contains("trailer"));
+    }
+
+    #[test]
+    fn page_estimate_follows_the_declared_layout() {
+        let (_, tabled) = page_sample(3);
+        let mut digests = Vec::new();
+        sample().write_to(&mut digests).unwrap();
+        for (file, pages) in [(&tabled[..], 3), (V1_PAGES, 8), (&digests[..], 32)] {
+            let head = &file[..LAYOUT_PREFIX];
+            assert_eq!(estimated_pages(head, file.len() as u64), pages);
+        }
+        // Unreadable header: the densest layout.
+        assert_eq!(estimated_pages(b"garbage", 40 + 160), 10);
+        assert_eq!(estimated_pages(&[], 7), 0);
     }
 }

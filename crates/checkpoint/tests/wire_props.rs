@@ -7,7 +7,8 @@
 //!    edges and digests produced by every [`ChecksumAlgorithm`];
 //! 2. flipping any *single bit* of a valid file yields
 //!    [`Error::Corrupt`] — never a panic, never a silently different
-//!    checkpoint (the FNV trailer has no blind spots);
+//!    checkpoint (length check, FNV trailer and — for page files — the
+//!    per-page digest table leave no blind spots);
 //! 3. the decoder's error is equally clean when whole bytes are
 //!    corrupted at random positions.
 

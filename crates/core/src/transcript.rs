@@ -3,7 +3,7 @@
 use vecycle_checkpoint::{Checkpoint, PageLookup};
 use vecycle_mem::{ByteMemory, MemoryImage, MutableMemory, PageBuf, PageContent};
 use vecycle_net::WireMsg;
-use vecycle_types::{Error, PageDigest, PageIndex};
+use vecycle_types::{Error, PageDigest, PageIndex, PAGE_SIZE};
 
 /// One message of the migration stream, as the destination receives it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,23 +97,66 @@ impl LiveTranscript {
     }
 }
 
+/// Checks every `Full` payload of `transcript` against its attached
+/// checksum, all pages in one four-lane batch — the one time the
+/// destination digests a received page.
+fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
+    let mut attached = Vec::new();
+    let mut payloads: Vec<&[u8]> = Vec::new();
+    for msg in transcript {
+        if let PageMsg::Full { idx, digest, bytes } = msg {
+            let bytes = bytes.as_deref().ok_or(Error::Corrupt {
+                detail: format!("full-page message for {idx} carries no bytes"),
+            })?;
+            if bytes.len() as u64 != PAGE_SIZE {
+                return Err(Error::Corrupt {
+                    detail: format!(
+                        "full-page message for {idx} carries {} bytes, not one page",
+                        bytes.len()
+                    ),
+                });
+            }
+            attached.push((idx, digest));
+            payloads.push(bytes);
+        }
+    }
+    let computed = vecycle_hash::digest_pages(&payloads);
+    match attached.iter().zip(&computed).find(|((_, d), c)| d != c) {
+        Some(((idx, _), _)) => Err(Error::Corrupt {
+            detail: format!("{idx} bytes do not match attached checksum"),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Applies a transcript at the destination, reconstructing guest memory.
 ///
 /// This is Listing 1 of the paper: memory starts initialized from the
-/// local `checkpoint`; each checksum message is verified against the
+/// local `checkpoint`; each checksum message is compared with the
 /// already-resident page and, on mismatch, resolved through the
 /// checkpoint's checksum index (`lookup` + read at the found offset).
 ///
+/// Every byte is digested once. The checkpoint hands its digest table to
+/// the index and to the restored memory; each `Full` payload is verified
+/// against its attached checksum ("sending the checksum along with the
+/// full page saves the receiver from re-computing" it later, §3.2)
+/// before memory is touched, and written with that digest; a checksum
+/// hit copies the checkpoint page the index found, under the digest
+/// that found it — the index was built from digests derived from those
+/// very bytes.
+///
 /// # Errors
 ///
-/// Returns [`Error::Corrupt`] if a checksum message references content
-/// that neither the resident page nor the checkpoint can supply, or if a
-/// dedup reference points at a page not yet received — both indicate a
-/// protocol violation or checkpoint corruption.
+/// Returns [`Error::Corrupt`] if a full page does not match its attached
+/// checksum, if a checksum message references content that neither the
+/// resident page nor the checkpoint can supply, or if a dedup reference
+/// points outside the guest — all indicate a protocol violation or
+/// corruption.
 pub fn apply_transcript(
     checkpoint: &Checkpoint,
     transcript: &Transcript,
 ) -> vecycle_types::Result<ByteMemory> {
+    verify_full_payloads(transcript)?;
     let index = checkpoint.build_index();
     let mut mem = checkpoint
         .restore_byte_memory()
@@ -124,17 +167,8 @@ pub fn apply_transcript(
     for msg in transcript {
         match msg {
             PageMsg::Full { idx, digest, bytes } => {
-                let bytes = bytes.as_deref().ok_or(Error::Corrupt {
-                    detail: format!("full-page message for {idx} carries no bytes"),
-                })?;
-                mem.write_page(*idx, PageContent::Bytes(bytes));
-                // The attached checksum lets the receiver verify without
-                // re-hashing later; verify here to model that.
-                if mem.page_digest(*idx) != *digest {
-                    return Err(Error::Corrupt {
-                        detail: format!("page {idx} bytes do not match attached checksum"),
-                    });
-                }
+                let bytes = bytes.as_deref().expect("verified above");
+                mem.write_page_with_digest(*idx, bytes, *digest);
             }
             PageMsg::Checksum { idx, digest } => {
                 // Listing 1: if the resident page (from the checkpoint
@@ -149,14 +183,7 @@ pub fn apply_transcript(
                 let page = checkpoint.read_page(offset).ok_or(Error::Corrupt {
                     detail: format!("checkpoint page {offset} unreadable"),
                 })?;
-                mem.write_page(*idx, PageContent::Bytes(page));
-                if mem.page_digest(*idx) != *digest {
-                    return Err(Error::Corrupt {
-                        detail: format!(
-                            "checkpoint content at {offset} does not match checksum for {idx}"
-                        ),
-                    });
-                }
+                mem.write_page_with_digest(*idx, page, *digest);
             }
             PageMsg::DedupRef { idx, source } => {
                 if source.as_u64() >= mem.page_count().as_u64() {
@@ -308,6 +335,98 @@ mod tests {
         assert_eq!(
             rebuilt.read_page(PageIndex::new(0)),
             mem.read_page(PageIndex::new(0))
+        );
+    }
+
+    fn full(mem: &ByteMemory, i: u64) -> PageMsg {
+        let idx = PageIndex::new(i);
+        PageMsg::Full {
+            idx,
+            digest: mem.page_digest(idx),
+            bytes: Some(PageBuf::copy_from(mem.read_page(idx))),
+        }
+    }
+
+    /// A `Full` payload that differs from its attached checksum is
+    /// rejected wherever it sits — first, last, or already copied on by
+    /// a `DedupRef` — and no memory comes back.
+    #[test]
+    fn corrupted_full_payload_anywhere_is_corrupt() {
+        let now = byte_mem(2);
+        let cp = cp_of(&byte_mem(1));
+        let clean: Transcript = vec![
+            full(&now, 0),
+            PageMsg::DedupRef {
+                idx: PageIndex::new(5),
+                source: PageIndex::new(0),
+            },
+            full(&now, 1),
+            PageMsg::Zero {
+                idx: PageIndex::new(6),
+            },
+            full(&now, 2),
+        ];
+        assert!(apply_transcript(&cp, &clean).is_ok());
+        for (at, page) in [(0, 0), (2, 1), (4, 2)] {
+            let mut transcript = clean.clone();
+            let PageMsg::Full { bytes, .. } = &mut transcript[at] else {
+                panic!("message {at} is a full page")
+            };
+            let mut rotten = bytes.as_deref().unwrap().to_vec();
+            rotten[100] ^= 0x01;
+            *bytes = Some(rotten.into());
+            match apply_transcript(&cp, &transcript) {
+                Err(Error::Corrupt { detail }) => {
+                    assert!(detail.contains(&format!("page-{page} ")), "{detail}")
+                }
+                other => panic!("message {at}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // A payload that is not one whole page is as corrupt as a wrong one.
+        let mut transcript = clean.clone();
+        transcript[0] = PageMsg::Full {
+            idx: PageIndex::new(0),
+            digest: now.page_digest(PageIndex::new(0)),
+            bytes: Some(PageBuf::copy_from(&now.read_page(PageIndex::new(0))[..100])),
+        };
+        assert!(matches!(
+            apply_transcript(&cp, &transcript),
+            Err(Error::Corrupt { .. })
+        ));
+    }
+
+    /// A checksum hit on relocated content restores the bytes and the
+    /// digest: the rebuilt memory answers digest reads from what the
+    /// merge handed it, and that equals what the source hashed.
+    #[test]
+    fn rebuilt_memory_digests_match_its_bytes() {
+        let mut now = byte_mem(1);
+        let cp = cp_of(&now);
+        now.relocate_page(PageIndex::new(2), PageIndex::new(5));
+        now.write_page(PageIndex::new(3), PageContent::Bytes(b"fresh data"));
+        now.write_page(PageIndex::new(7), PageContent::Zero);
+        let transcript: Transcript = (0..8)
+            .map(|i| match i {
+                3 => full(&now, 3),
+                7 => PageMsg::Zero {
+                    idx: PageIndex::new(7),
+                },
+                _ => PageMsg::Checksum {
+                    idx: PageIndex::new(i),
+                    digest: now.page_digest(PageIndex::new(i)),
+                },
+            })
+            .collect();
+        let rebuilt = apply_transcript(&cp, &transcript).unwrap();
+        assert!(rebuilt.content_equals(&now));
+        for i in 0..8 {
+            let idx = PageIndex::new(i);
+            assert_eq!(rebuilt.read_page(idx), now.read_page(idx), "page {i}");
+            assert_eq!(rebuilt.page_digest(idx), now.page_digest(idx), "page {i}");
+        }
+        assert_eq!(
+            rebuilt.page_digest(PageIndex::new(5)),
+            cp.digest(PageIndex::new(2))
         );
     }
 

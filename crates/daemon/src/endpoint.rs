@@ -43,14 +43,19 @@ impl Endpoint {
         }
     }
 
-    /// Connects to this endpoint.
+    /// Connects to this endpoint. A TCP stream gets `TCP_NODELAY`, see
+    /// [`Listener::accept`].
     ///
     /// # Errors
     ///
     /// Propagates connect errors.
     pub fn connect(&self) -> std::io::Result<Stream> {
         match self {
-            Endpoint::Tcp(addr) => Ok(Stream::Tcp(TcpStream::connect(addr.as_str())?)),
+            Endpoint::Tcp(addr) => {
+                let s = TcpStream::connect(addr.as_str())?;
+                s.set_nodelay(true)?;
+                Ok(Stream::Tcp(s))
+            }
             Endpoint::Unix(path) => Ok(Stream::Unix(UnixStream::connect(path)?)),
         }
     }
@@ -104,6 +109,14 @@ impl Listener {
 
     /// Blocks until a connection arrives and accepts it.
     ///
+    /// Both ends of a TCP session set `TCP_NODELAY`. Every side of the
+    /// protocol batches its own writes (whole frames, `STREAM_CHUNK`
+    /// messages per write) and then waits for a reply, so Nagle's
+    /// algorithm has nothing left to coalesce; what it did do was hold
+    /// the small frame that follows a stream chunk (chunk tail, then
+    /// `COMPLETE`, then read `DONE`) until the peer's delayed-ACK timer
+    /// fired — a 40 ms stall per job that came and went with scheduling.
+    ///
     /// # Errors
     ///
     /// Propagates accept errors.
@@ -111,6 +124,7 @@ impl Listener {
         match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
+                s.set_nodelay(true)?;
                 Ok(Stream::Tcp(s))
             }
             Listener::Unix(l) => {
@@ -325,6 +339,21 @@ mod tests {
         }
         assert!(matches!(Endpoint::parse("unix:/x"), Endpoint::Unix(_)));
         assert!(matches!(Endpoint::parse("h:1"), Endpoint::Tcp(_)));
+    }
+
+    /// Neither end of a TCP session leaves a small frame waiting on the
+    /// peer's delayed ACK.
+    #[test]
+    fn tcp_sessions_disable_nagle_on_both_ends() {
+        let listener = Endpoint::parse("127.0.0.1:0").bind().unwrap();
+        let client = listener.local_endpoint().unwrap().connect().unwrap();
+        let server = listener.accept().unwrap();
+        for end in [client, server] {
+            let Stream::Tcp(s) = end else {
+                panic!("a TCP endpoint yields TCP streams")
+            };
+            assert!(s.nodelay().unwrap());
+        }
     }
 
     #[test]

@@ -404,6 +404,15 @@ mod tests {
             "no inner classes reached; classes = {:?}",
             report.classes
         );
+        // Tabled page files are re-sealed over header + table, so
+        // mutants reach the length check and the table-vs-pages check.
+        for class in ["err_payload_len", "err_page_digest"] {
+            assert!(
+                report.classes.contains_key(class),
+                "{class} not reached; classes = {:?}",
+                report.classes
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use vecycle_checkpoint::Checkpoint;
 use vecycle_hash::{Fnv1a64, Hasher};
 
 /// Values worth splicing into length/count fields: powers of two around
@@ -170,19 +171,23 @@ impl Mutator {
     }
 }
 
-/// Recomputes the FNV-1a 64 trailer over `buf[..len-8]` and patches it
-/// into the last 8 bytes — the trailer-fixing mutator. Without it,
-/// virtually every mutant dies at the outer integrity check and the
-/// inner field parsers (the actual attack surface once a forged file
-/// carries a valid trailer) never see hostile values.
+/// Recomputes the FNV-1a 64 trailer and patches it into the last 8
+/// bytes — the trailer-fixing mutator. The trailer covers what the
+/// format says it covers: header and digest table for a well-formed
+/// tabled page checkpoint ([`Checkpoint::trailer_coverage`]),
+/// `buf[..len-8]` for every other input. Without it, virtually every
+/// mutant dies at the integrity check and the checks behind it (the
+/// actual attack surface once a forged file carries a valid trailer:
+/// field parsers, the table-vs-pages comparison) never see hostile
+/// values.
 pub fn fix_trailer(buf: &mut [u8]) {
     if buf.len() < 8 {
         return;
     }
-    let body_len = buf.len() - 8;
     let mut fnv = Fnv1a64::new();
-    fnv.update(&buf[..body_len]);
+    fnv.update(&buf[..Checkpoint::trailer_coverage(buf)]);
     let t = fnv.finalize();
+    let body_len = buf.len() - 8;
     buf[body_len..].copy_from_slice(&t);
 }
 
@@ -249,6 +254,32 @@ mod tests {
         let mut tiny = vec![1u8, 2, 3];
         fix_trailer(&mut tiny);
         assert_eq!(tiny, vec![1, 2, 3]);
+    }
+
+    /// A tabled page checkpoint is re-sealed over header + table, so a
+    /// forged table entry gets past the trailer and fails the page check.
+    #[test]
+    fn fix_trailer_reseals_a_tabled_checkpoint() {
+        use vecycle_mem::ByteMemory;
+        use vecycle_types::{PageCount, SimTime, VmId};
+        let mem = ByteMemory::with_distinct_content(PageCount::new(2), 3);
+        let mut file = Vec::new();
+        Checkpoint::capture_bytes(VmId::new(1), SimTime::EPOCH, &mem)
+            .write_to(&mut file)
+            .unwrap();
+        let sealed = file.clone();
+        fix_trailer(&mut file);
+        assert_eq!(file, sealed, "re-sealing a valid file is the identity");
+        file[32 + 16] ^= 0xff; // table entry of page 1
+        assert!(Checkpoint::read_from(&file[..])
+            .unwrap_err()
+            .to_string()
+            .contains("trailer"));
+        fix_trailer(&mut file);
+        assert!(Checkpoint::read_from(&file[..])
+            .unwrap_err()
+            .to_string()
+            .contains("page 1 "));
     }
 
     #[test]

@@ -209,12 +209,21 @@ fn checkpoint_seeds() -> Vec<Vec<u8>> {
     empty.write_to(&mut buf).expect("vec write cannot fail");
     seeds.push(buf);
 
-    // Single-page full-byte checkpoint.
+    // Single-page full-byte checkpoint: header, one table entry, the
+    // page, trailer over header + table.
     let mem = ByteMemory::with_distinct_content(PageCount::new(1), 11);
     let pages = Checkpoint::capture_bytes(VmId::new(9), SimTime::EPOCH, &mem);
-    let mut buf = Vec::new();
-    pages.write_to(&mut buf).expect("vec write cannot fail");
-    seeds.push(buf);
+    let mut tabled = Vec::new();
+    pages.write_to(&mut tabled).expect("vec write cannot fail");
+
+    // The same checkpoint as the release before the table wrote it:
+    // version 1, no table, whole-file trailer.
+    let mut v1 = tabled.clone();
+    v1[9] = 1;
+    v1.drain(32..32 + 16);
+    mutate::fix_trailer(&mut v1);
+    seeds.push(tabled);
+    seeds.push(v1);
 
     seeds
 }
@@ -453,6 +462,7 @@ fn run_checkpoint(input: &[u8]) -> &'static str {
                 ("kind", "err_kind"),
                 ("overflows", "err_overflow"),
                 ("payload length", "err_payload_len"),
+                ("stored digest", "err_page_digest"),
                 ("page-aligned", "err_align"),
             ],
         ),

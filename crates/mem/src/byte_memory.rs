@@ -1,16 +1,29 @@
 //! [`ByteMemory`]: a guest memory image backed by real page bytes.
 
+use std::sync::{Mutex, OnceLock};
+
 use vecycle_types::{PageCount, PageDigest, PageIndex, PAGE_SIZE};
 
 use crate::{MemoryImage, MutableMemory, PageContent};
 
 /// A guest memory image holding actual 4 KiB page contents.
 ///
-/// Digests are computed with real MD5 (via [`vecycle_hash::page_digest`])
-/// and cached per page; writes invalidate the cache lazily. This image is
-/// meant for modest sizes — integration tests use tens of MiB to prove the
-/// destination merge logic (Listing 1 of the paper) reconstructs memory
-/// byte-for-byte.
+/// Digests are real MD5, computed once per content and *settled on
+/// read*: [`MutableMemory::write_page`] only writes bytes and queues the
+/// page; the first [`MemoryImage::page_digest`] or
+/// [`MemoryImage::digests`] after a burst of writes hashes every queued
+/// page in one four-lane batch ([`vecycle_hash::digest_pages`]) and
+/// caches the results, so a page overwritten before anyone asks for its
+/// digest is never hashed. Strictly interleaved write/read degenerates
+/// to one MD5 per write — the eager cost, never more. Concurrent readers
+/// (the engine's scan shards) settle behind one mutex, so an unsettled
+/// guest is hashed once, not once per shard.
+///
+/// Callers that already hold a page's digest — a checkpoint restoring
+/// itself, the destination merge after verifying a payload — hand it
+/// over with [`ByteMemory::from_pages_with_digests`] /
+/// [`ByteMemory::write_page_with_digest`] and the page is not hashed
+/// again.
 ///
 /// # Examples
 ///
@@ -23,20 +36,41 @@ use crate::{MemoryImage, MutableMemory, PageContent};
 /// assert_eq!(&vm.read_page(PageIndex::new(3))[..10], b"guest data");
 /// assert!(!vm.page_digest(PageIndex::new(3)).is_zero_page());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ByteMemory {
     bytes: Vec<u8>,
-    digest_cache: Vec<Option<PageDigest>>,
+    /// One set-once cell per page; an empty cell means the page is
+    /// queued in `pending`.
+    digests: Vec<OnceLock<PageDigest>>,
+    pending: Mutex<Pending>,
+}
+
+/// Pages written since the last settle. `queued[i]` ⇔ `i` is in `list`,
+/// which keeps the list duplicate-free and no longer than the memory.
+#[derive(Debug, Clone)]
+struct Pending {
+    list: Vec<usize>,
+    queued: Vec<bool>,
+}
+
+impl Clone for ByteMemory {
+    fn clone(&self) -> Self {
+        ByteMemory {
+            bytes: self.bytes.clone(),
+            digests: self.digests.clone(),
+            pending: Mutex::new(self.lock_pending().clone()),
+        }
+    }
 }
 
 impl ByteMemory {
     /// Creates an all-zero memory of `pages` pages.
     pub fn zeroed(pages: PageCount) -> Self {
         let n = pages.as_usize();
-        ByteMemory {
-            bytes: vec![0u8; n * PAGE_SIZE as usize],
-            digest_cache: vec![Some(PageDigest::ZERO_PAGE); n],
-        }
+        Self::from_pages_with_digests(
+            vec![0u8; n * PAGE_SIZE as usize],
+            vec![PageDigest::ZERO_PAGE; n],
+        )
     }
 
     /// Creates a memory where every page holds distinct deterministic
@@ -52,14 +86,42 @@ impl ByteMemory {
         mem
     }
 
+    /// Creates a memory from page bytes and the digests the caller has
+    /// already derived from exactly those bytes (one per page, in page
+    /// order); nothing is hashed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is not `digests.len()` whole pages.
+    pub fn from_pages_with_digests(bytes: Vec<u8>, digests: Vec<PageDigest>) -> Self {
+        let n = digests.len();
+        assert_eq!(
+            bytes.len(),
+            n * PAGE_SIZE as usize,
+            "{n} digests need {n} whole pages of bytes"
+        );
+        ByteMemory {
+            bytes,
+            digests: digests.into_iter().map(OnceLock::from).collect(),
+            pending: Mutex::new(Pending {
+                list: Vec::new(),
+                queued: vec![false; n],
+            }),
+        }
+    }
+
     /// Reads one page.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds.
     pub fn read_page(&self, idx: PageIndex) -> &[u8] {
-        let start = idx.as_usize() * PAGE_SIZE as usize;
-        &self.bytes[start..start + PAGE_SIZE as usize]
+        &self.bytes[self.page_range(idx)]
+    }
+
+    /// All pages as one contiguous slice, in page order.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
     /// An immutable deep copy of the current state.
@@ -72,22 +134,83 @@ impl ByteMemory {
         self.bytes == other.bytes
     }
 
+    /// Overwrites one page with `page` and adopts `digest` as its
+    /// digest without hashing: the caller vouches that it derived or
+    /// verified `digest` from exactly these bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of bounds or `page` is not one whole page.
+    pub fn write_page_with_digest(&mut self, idx: PageIndex, page: &[u8], digest: PageDigest) {
+        let range = self.page_range(idx);
+        self.bytes[range].copy_from_slice(page);
+        self.digests[idx.as_usize()] = OnceLock::from(digest);
+    }
+
     fn page_range(&self, idx: PageIndex) -> std::ops::Range<usize> {
         let start = idx.as_usize() * PAGE_SIZE as usize;
         start..start + PAGE_SIZE as usize
+    }
+
+    fn lock_pending(&self) -> std::sync::MutexGuard<'_, Pending> {
+        self.pending
+            .lock()
+            .expect("no reader panics while settling")
+    }
+
+    /// Forgets page `i`'s digest and queues it for the next settle.
+    fn mark_pending(&mut self, i: usize) {
+        self.digests[i] = OnceLock::new();
+        let pending = self
+            .pending
+            .get_mut()
+            .expect("no reader panics while settling");
+        if !std::mem::replace(&mut pending.queued[i], true) {
+            pending.list.push(i);
+        }
+    }
+
+    /// Hashes every queued page that still lacks a digest, in one batch.
+    /// Readers racing here serialize on the mutex; the losers find the
+    /// list empty and their cells set.
+    fn settle(&self) {
+        let mut guard = self.lock_pending();
+        let pending = &mut *guard;
+        // A queued page may have been given a digest since (a zero or
+        // digest-carrying write): those cells are set, skip them.
+        let todo: Vec<usize> = pending
+            .list
+            .iter()
+            .copied()
+            .filter(|&i| self.digests[i].get().is_none())
+            .collect();
+        let views: Vec<&[u8]> = todo
+            .iter()
+            .map(|&i| self.read_page(PageIndex::new(i as u64)))
+            .collect();
+        for (&i, digest) in todo.iter().zip(vecycle_hash::digest_pages(&views)) {
+            self.digests[i]
+                .set(digest)
+                .expect("only settle fills an empty cell, and it holds the lock");
+        }
+        for i in pending.list.drain(..) {
+            pending.queued[i] = false;
+        }
     }
 }
 
 impl MemoryImage for ByteMemory {
     fn page_count(&self) -> PageCount {
-        PageCount::new(self.digest_cache.len() as u64)
+        PageCount::new(self.digests.len() as u64)
     }
 
     fn page_digest(&self, idx: PageIndex) -> PageDigest {
-        if let Some(d) = self.digest_cache[idx.as_usize()] {
-            return d;
+        let cell = &self.digests[idx.as_usize()];
+        if let Some(d) = cell.get() {
+            return *d;
         }
-        vecycle_hash::page_digest(self.read_page(idx))
+        self.settle();
+        *cell.get().expect("settle fills every empty cell")
     }
 
     fn page_bytes(&self, idx: PageIndex) -> Option<&[u8]> {
@@ -95,46 +218,26 @@ impl MemoryImage for ByteMemory {
     }
 
     fn digests(&self) -> Vec<PageDigest> {
-        // Serve cached digests directly; batch-hash the rest through the
-        // multi-lane front-end instead of one scalar MD5 per page.
-        let mut out: Vec<PageDigest> = Vec::with_capacity(self.digest_cache.len());
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, cached) in self.digest_cache.iter().enumerate() {
-            match cached {
-                Some(d) => out.push(*d),
-                None => {
-                    out.push(PageDigest::ZERO_PAGE);
-                    missing.push(i);
-                }
-            }
-        }
-        if !missing.is_empty() {
-            let views: Vec<&[u8]> = missing
-                .iter()
-                .map(|&i| self.read_page(PageIndex::new(i as u64)))
-                .collect();
-            for (k, d) in vecycle_hash::digest_pages(&views).into_iter().enumerate() {
-                out[missing[k]] = d;
-            }
-        }
-        out
+        self.settle();
+        self.digests
+            .iter()
+            .map(|cell| *cell.get().expect("settle fills every empty cell"))
+            .collect()
     }
 }
 
 impl MutableMemory for ByteMemory {
     fn write_page(&mut self, idx: PageIndex, content: PageContent<'_>) {
         let range = self.page_range(idx);
+        let i = idx.as_usize();
         match content {
             PageContent::Zero => {
                 self.bytes[range].fill(0);
-                self.digest_cache[idx.as_usize()] = Some(PageDigest::ZERO_PAGE);
+                self.digests[i] = OnceLock::from(PageDigest::ZERO_PAGE);
             }
             other => {
-                other.write_into(&mut self.bytes[range.clone()]);
-                // Recompute eagerly: callers interleave reads and writes
-                // and the hash cost is what ByteMemory exists to pay.
-                self.digest_cache[idx.as_usize()] =
-                    Some(vecycle_hash::page_digest(&self.bytes[range]));
+                other.write_into(&mut self.bytes[range]);
+                self.mark_pending(i);
             }
         }
     }
@@ -143,7 +246,10 @@ impl MutableMemory for ByteMemory {
         let src_range = self.page_range(src);
         let dst_start = self.page_range(dst).start;
         self.bytes.copy_within(src_range, dst_start);
-        self.digest_cache[dst.as_usize()] = self.digest_cache[src.as_usize()];
+        match self.digests[src.as_usize()].get().copied() {
+            Some(d) => self.digests[dst.as_usize()] = OnceLock::from(d),
+            None => self.mark_pending(dst.as_usize()),
+        }
     }
 }
 
@@ -196,19 +302,87 @@ mod tests {
         }
     }
 
-    /// The batched `digests()` override agrees with the per-page walk,
-    /// including pages whose cache entry has been invalidated (those go
-    /// through the multi-lane batch hash).
+    /// `digests()` agrees with the per-page walk when some pages are
+    /// settled, some pending, and some were given a digest while queued.
     #[test]
-    fn digests_override_matches_per_page_walk() {
+    fn digests_match_per_page_walk_with_pending_pages() {
         let mut m = ByteMemory::with_distinct_content(PageCount::new(12), 3);
-        m.write_page(PageIndex::new(4), PageContent::Zero);
-        for i in [1usize, 4, 7] {
-            m.digest_cache[i] = None;
+        assert!(!m.page_digest(PageIndex::new(0)).is_zero_page()); // settles all 12
+        for i in [1u64, 4, 7] {
+            m.write_page(PageIndex::new(i), PageContent::ContentId(900 + i));
         }
+        m.write_page(PageIndex::new(4), PageContent::Zero);
         let batched = MemoryImage::digests(&m);
         let per_page: Vec<_> = (0..12).map(|i| m.page_digest(PageIndex::new(i))).collect();
         assert_eq!(batched, per_page);
+        for (i, d) in batched.iter().enumerate() {
+            let page = m.read_page(PageIndex::new(i as u64));
+            assert_eq!(*d, vecycle_hash::page_digest(page), "page {i}");
+        }
+    }
+
+    /// The pending list never outgrows the memory, however writes that
+    /// queue a page and writes that hand it a digest alternate.
+    #[test]
+    fn pending_list_is_bounded_by_the_page_count() {
+        let mut m = ByteMemory::zeroed(PageCount::new(2));
+        for round in 0..100u64 {
+            m.write_page(PageIndex::new(0), PageContent::ContentId(round + 1));
+            m.write_page(PageIndex::new(0), PageContent::Zero);
+        }
+        assert_eq!(m.lock_pending().list, [0]);
+        assert!(MemoryImage::digests(&m)[0].is_zero_page());
+        assert!(m.lock_pending().list.is_empty());
+    }
+
+    #[test]
+    fn handed_over_digests_are_adopted_and_survive_a_clone() {
+        let src = ByteMemory::with_distinct_content(PageCount::new(4), 8);
+        let mut m = ByteMemory::from_pages_with_digests(
+            src.as_bytes().to_vec(),
+            MemoryImage::digests(&src),
+        );
+        assert_eq!(MemoryImage::digests(&m), MemoryImage::digests(&src));
+        let idx = PageIndex::new(2);
+        m.write_page(idx, PageContent::ContentId(77)); // pending
+        m.write_page_with_digest(
+            idx,
+            src.read_page(PageIndex::new(0)),
+            src.page_digest(PageIndex::new(0)),
+        );
+        m.write_page(PageIndex::new(3), PageContent::ContentId(78)); // still pending when cloned
+        let copy = m.clone();
+        assert_eq!(copy.page_digest(idx), src.page_digest(PageIndex::new(0)));
+        assert_eq!(
+            copy.page_digest(PageIndex::new(3)),
+            vecycle_hash::page_digest(m.read_page(PageIndex::new(3)))
+        );
+        assert_eq!(MemoryImage::digests(&copy), MemoryImage::digests(&m));
+    }
+
+    /// Readers racing to settle the same unsettled memory all see the
+    /// digests of the bytes.
+    #[test]
+    fn concurrent_readers_settle_consistently() {
+        let m = ByteMemory::with_distinct_content(PageCount::new(64), 4);
+        let barrier = std::sync::Barrier::new(4);
+        let walks: Vec<Vec<PageDigest>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        (0..64).map(|i| m.page_digest(PageIndex::new(i))).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let expect: Vec<_> = (0..64)
+            .map(|i| vecycle_hash::page_digest(m.read_page(PageIndex::new(i))))
+            .collect();
+        for walk in walks {
+            assert_eq!(walk, expect);
+        }
     }
 
     #[test]
@@ -219,6 +393,14 @@ mod tests {
         m.relocate_page(src, dst);
         assert_eq!(m.read_page(src), m.read_page(dst));
         assert_eq!(m.page_digest(src), m.page_digest(dst));
+        // A source that is still pending makes the copy pending too.
+        m.write_page(src, PageContent::ContentId(41));
+        m.relocate_page(src, PageIndex::new(0));
+        assert_eq!(m.page_digest(PageIndex::new(0)), m.page_digest(src));
+        assert_eq!(
+            m.page_digest(src),
+            vecycle_hash::page_digest(m.read_page(src))
+        );
     }
 
     #[test]

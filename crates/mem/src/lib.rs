@@ -11,8 +11,9 @@
 //!   paper's 1–8 GiB guests (a 6 GiB guest needs ~24 MiB of digests) and
 //!   is what the figure-level benchmarks use.
 //! * [`ByteMemory`] stores real 4 KiB page bytes and hashes them with the
-//!   real MD5. It is used by the end-to-end tests that check the
-//!   destination reconstructs memory *byte-for-byte*.
+//!   real MD5, once per content, in a batch on the first digest read
+//!   after a burst of writes. It is used by the end-to-end tests that
+//!   check the destination reconstructs memory *byte-for-byte*.
 //!
 //! [`Guest`] composes a memory with a [`DirtyTracker`] and a
 //! [`GenerationTable`] so every write is observed by both trackers, the

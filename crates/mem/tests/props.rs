@@ -6,7 +6,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use vecycle_mem::{
-    DigestMemory, DirtyTracker, GenerationTable, Guest, MemoryImage, MutableMemory, PageContent,
+    ByteMemory, DigestMemory, DirtyTracker, GenerationTable, Guest, MemoryImage, MutableMemory,
+    PageContent,
 };
 use vecycle_types::{PageCount, PageIndex};
 
@@ -79,5 +80,45 @@ proptest! {
         for d in mem.digests() {
             prop_assert!(before.contains(&d));
         }
+    }
+
+    /// `ByteMemory` settles digests lazily and adopts digests it is
+    /// handed; whatever the interleaving of writes, relocations,
+    /// hand-overs, copies and reads, every digest it reports is the MD5
+    /// of the bytes it holds.
+    #[test]
+    fn byte_memory_digests_always_match_its_bytes(
+        ops in vec((0u8..9, 0u64..24, 0u64..24, 0u64..6), 0..120),
+    ) {
+        let pages = 24u64;
+        let mut mem = ByteMemory::with_distinct_content(PageCount::new(pages), 5);
+        for (op, a, b, id) in ops {
+            let (a, b) = (PageIndex::new(a), PageIndex::new(b));
+            match op {
+                0 => mem.write_page(a, PageContent::Bytes(&id.to_le_bytes()[..(id as usize)])),
+                1 => mem.write_page(a, PageContent::ContentId(id)), // id 0: the zero page
+                2 => mem.write_page(a, PageContent::Zero),
+                3 | 4 => mem.relocate_page(a, b),
+                5 => {
+                    let page = PageContent::ContentId(id).materialize();
+                    mem.write_page_with_digest(a, &page, vecycle_hash::page_digest(&page));
+                }
+                6 => prop_assert_eq!(
+                    mem.page_digest(a),
+                    vecycle_hash::page_digest(mem.read_page(a))
+                ),
+                7 => prop_assert_eq!(mem.digests().len() as u64, pages),
+                _ => mem = mem.snapshot(),
+            }
+        }
+        // Settle a copy through the batch path and the original through
+        // the per-page path.
+        let batched = mem.snapshot().digests();
+        let walk: Vec<_> = (0..pages).map(|i| mem.page_digest(PageIndex::new(i))).collect();
+        for (i, d) in walk.iter().enumerate() {
+            let page = mem.read_page(PageIndex::new(i as u64));
+            prop_assert_eq!(*d, vecycle_hash::page_digest(page), "page {}", i);
+        }
+        prop_assert_eq!(batched, walk);
     }
 }

@@ -3,7 +3,8 @@
 //! Uses real page bytes and real MD5 end to end: the source classifies
 //! pages against the destination's checkpoint, the transcript crosses
 //! the "wire", and the destination merge (the paper's Listing 1)
-//! rebuilds guest memory — verified byte for byte. Run:
+//! rebuilds guest memory — each full page checked once against its
+//! attached checksum, the result verified byte for byte. Run:
 //!
 //! ```sh
 //! cargo run --release --example ping_pong
@@ -17,7 +18,10 @@ use vecycle::net::LinkSpec;
 use vecycle::types::{PageCount, SimDuration, SimTime, VmId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A small byte-backed guest (16 MiB) so every page is really hashed.
+    // A small byte-backed guest (16 MiB): every page is really hashed —
+    // once per content, in a batch when its digest is first asked for
+    // (here: by the checkpoint capture, then by the scan for the pages
+    // the hour of writes touched).
     let mut guest = Guest::new(ByteMemory::with_distinct_content(
         PageCount::new(4096),
         1234,

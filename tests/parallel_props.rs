@@ -312,6 +312,48 @@ fn golden_scenarios_are_thread_invariant_and_repeatable() {
     }
 }
 
+/// A byte-backed guest whose pages were written *after* construction
+/// still owes their digests when the scan starts: the shards race to
+/// settle them. Whoever wins, the report and the transcript are the ones
+/// a fully settled guest produces, at every thread count.
+#[test]
+fn byte_guest_with_pending_digests_scans_identically_across_thread_counts() {
+    use vecycle::checkpoint::Checkpoint;
+    use vecycle::core::apply_transcript;
+    use vecycle::mem::ByteMemory;
+    use vecycle::types::{SimTime, VmId};
+
+    let pages = 160u64;
+    let base = ByteMemory::with_distinct_content(PageCount::new(pages), 3);
+    let checkpoint = Checkpoint::capture_bytes(VmId::new(0), SimTime::EPOCH, &base);
+    let mut guest = base.snapshot();
+    for i in (0..pages).step_by(3) {
+        guest.write_page(PageIndex::new(i), PageContent::ContentId(7_000 + i % 11));
+    }
+    guest.write_page(PageIndex::new(9), PageContent::Zero);
+    guest.relocate_page(PageIndex::new(3), PageIndex::new(100)); // pending source
+    guest.relocate_page(PageIndex::new(4), PageIndex::new(101)); // settled source
+
+    let strategy = Strategy::vecycle_from_checkpoint(&checkpoint).with_dedup();
+    let scan = |vm: &ByteMemory, threads: usize| {
+        MigrationEngine::new(LinkSpec::lan_gigabit())
+            .with_threads(threads)
+            .migrate_with_transcript(vm, strategy.clone())
+            .unwrap()
+    };
+    let settled = guest.snapshot();
+    assert_eq!(settled.digests().len() as u64, pages); // settles the copy
+    let (ref_report, ref_transcript) = scan(&settled, 1);
+    for threads in [1usize, 2, 4] {
+        let pending = guest.snapshot(); // every copy starts unsettled
+        let (report, transcript) = scan(&pending, threads);
+        assert_eq!(report, ref_report, "threads {threads}");
+        assert_eq!(transcript, ref_transcript, "threads {threads}");
+        let rebuilt = apply_transcript(&checkpoint, &transcript).unwrap();
+        assert!(rebuilt.content_equals(&guest), "threads {threads}");
+    }
+}
+
 /// Fleet-scale determinism: a full event-driven fleet run — placement
 /// scoring, admission control, queue retries, the works — over ≥1k
 /// hosts and ≥10k VMs yields a bit-identical placement journal, report

@@ -38,22 +38,88 @@ fn corrupt_checkpoint_falls_back_to_dedup() {
     let store = DiskStore::open(&dir).unwrap();
     let vm_id = VmId::new(0);
     let mem = ByteMemory::with_distinct_content(PageCount::new(128), 4);
-    store
-        .save(&Checkpoint::capture_bytes(vm_id, SimTime::EPOCH, &mem))
-        .unwrap();
-
-    // Bit rot strikes the stored file.
     let path = dir.join("vm-0.ckpt");
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() / 3;
-    bytes[mid] ^= 0x01;
-    std::fs::write(&path, bytes).unwrap();
 
+    // Bit rot strikes the stored file: once in the digest table, once
+    // in the bytes of page 42 (32-byte header, 128 16-byte digests).
+    let page_42 = 32 + 128 * 16 + 42 * 4096 + 7;
+    for (at, names) in [(32 + 5, "trailer"), (page_42, "page 42 ")] {
+        store
+            .save(&Checkpoint::capture_bytes(vm_id, SimTime::EPOCH, &mem))
+            .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[at] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        let err = store.load(vm_id).unwrap_err().to_string();
+        assert!(err.contains(names), "byte {at}: {err}");
+
+        let (strategy, cp) = choose_strategy(&store, vm_id);
+        assert!(cp.is_none(), "corrupt checkpoint must not be used");
+        assert_eq!(strategy.name().to_string(), "dedup");
+        // The corrupt file was cleared; the next save starts fresh.
+        assert!(store.load(vm_id).unwrap().is_none());
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// What `tests/fixtures/vm-pages-v1.ckpt` and `vm-digests-v1.ckpt` hold:
+/// the files the release before the digest table wrote for this guest
+/// (8 pages; page 3 zero, page 1 a copy of page 6), three hours in.
+fn fixture_guest() -> (ByteMemory, SimTime) {
+    let mut mem = ByteMemory::with_distinct_content(PageCount::new(8), 0x17);
+    mem.write_page(PageIndex::new(3), PageContent::Zero);
+    mem.relocate_page(PageIndex::new(6), PageIndex::new(1));
+    (mem, SimTime::EPOCH + SimDuration::from_hours(3))
+}
+
+#[test]
+fn previous_release_page_file_loads_recycles_and_resaves_with_a_table() {
+    let dir = tmpdir("v1-pages");
+    let store = DiskStore::open(&dir).unwrap();
+    let vm_id = VmId::new(7);
+    let path = dir.join("vm-7.ckpt");
+    let v1 = include_bytes!("fixtures/vm-pages-v1.ckpt");
+    std::fs::write(&path, v1).unwrap();
+
+    let (mut mem, at) = fixture_guest();
+    let original = Checkpoint::capture_bytes(vm_id, at, &mem);
+    let loaded = store.load(vm_id).unwrap().expect("v1 page file loads");
+    assert_eq!(loaded, original);
+    assert_eq!(loaded.digests(), original.digests());
+
+    // It recycles like any other checkpoint.
+    mem.write_page(PageIndex::new(0), PageContent::Bytes(b"moved on"));
     let (strategy, cp) = choose_strategy(&store, vm_id);
-    assert!(cp.is_none(), "corrupt checkpoint must not be used");
-    assert_eq!(strategy.name().to_string(), "dedup");
-    // The corrupt file was cleared; the next save starts fresh.
-    assert!(store.load(vm_id).unwrap().is_none());
+    let (report, transcript) = MigrationEngine::new(LinkSpec::lan_gigabit())
+        .migrate_with_transcript(&mem, strategy)
+        .unwrap();
+    assert_eq!(report.pages_reused(), PageCount::new(6));
+    let rebuilt = apply_transcript(&cp.unwrap(), &transcript).unwrap();
+    assert!(rebuilt.content_equals(&mem));
+
+    // Saving it again writes the tabled layout: version 2, 16 bytes a
+    // page larger, and equal on read-back.
+    store.save(&loaded).unwrap();
+    let v2 = std::fs::read(&path).unwrap();
+    assert_eq!((v1[9], v2[9]), (1, 2));
+    assert_eq!(v2.len(), v1.len() + 8 * 16);
+    assert_eq!(store.load(vm_id).unwrap().unwrap(), original);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn digest_files_are_byte_identical_to_the_previous_release() {
+    let dir = tmpdir("v1-digests");
+    let store = DiskStore::open(&dir).unwrap();
+    let (_, at) = fixture_guest();
+    let mem = DigestMemory::with_distinct_content(PageCount::new(8), 0x17);
+    store
+        .save(&Checkpoint::capture(VmId::new(8), at, &mem))
+        .unwrap();
+    assert_eq!(
+        std::fs::read(dir.join("vm-8.ckpt")).unwrap(),
+        include_bytes!("fixtures/vm-digests-v1.ckpt")
+    );
     std::fs::remove_dir_all(dir).unwrap();
 }
 
