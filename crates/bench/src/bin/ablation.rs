@@ -148,8 +148,7 @@ fn main() {
     print!("{}", t.render());
     println!(
         "Identical reports at every thread count (property-tested); only\n\
-         the simulator's own scan time changes. See `cargo bench\n\
-         parallel_scan` for the 1 GiB criterion run.\n"
+         the simulator's own scan time changes.\n"
     );
 
     // --- 2. Bulk vs per-page exchange ------------------------------------

@@ -52,7 +52,7 @@ pub struct ChecksumIndex {
     // Sorted by digest; for duplicate digests only the smallest offset
     // is kept (any copy of the content serves a restore equally well).
     // The sorted order is load-bearing: `digests()` feeds the bulk
-    // checksum pre-exchange and the parallel build merges by it.
+    // checksum pre-exchange.
     entries: Vec<(PageDigest, PageIndex)>,
     // Swiss-table accelerator over the same entries: per-message
     // `lookup`/`contains` queries hit this in O(1) instead of a binary
@@ -73,12 +73,6 @@ impl ChecksumIndex {
         // Sort by digest, then offset, so dedup keeps the first offset.
         entries.sort_unstable();
         entries.dedup_by_key(|(d, _)| *d);
-        ChecksumIndex::from_entries(entries, total_pages)
-    }
-
-    /// Finishes construction from deduplicated sorted entries, building
-    /// the lookup accelerator over them.
-    fn from_entries(entries: Vec<(PageDigest, PageIndex)>, total_pages: u64) -> Self {
         let mut table = DigestTable::with_capacity(entries.len());
         for &(d, i) in &entries {
             table.insert(d, i);
@@ -88,50 +82,6 @@ impl ChecksumIndex {
             table,
             total_pages,
         }
-    }
-
-    /// Builds the index on `threads` scoped worker threads.
-    ///
-    /// Bit-identical to [`ChecksumIndex::build`] for any thread count:
-    /// each worker sorts one contiguous chunk of `(digest, offset)` pairs,
-    /// the sorted runs are k-way merged by full tuple order, and the
-    /// dedup pass then sees digests grouped with ascending offsets — so
-    /// it keeps the first (smallest) offset, exactly as the sequential
-    /// sort-then-dedup does.
-    pub fn build_parallel(digests: Vec<PageDigest>, threads: usize) -> Self {
-        let total_pages = digests.len() as u64;
-        // Below this size the merge overhead beats the parallel sort.
-        const MIN_PARALLEL: usize = 1 << 14;
-        if threads <= 1 || digests.len() < MIN_PARALLEL {
-            return ChecksumIndex::build(digests);
-        }
-        let chunk = digests.len().div_ceil(threads);
-        let runs: Vec<Vec<(PageDigest, PageIndex)>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = digests
-                .chunks(chunk)
-                .enumerate()
-                .map(|(k, part)| {
-                    let base = (k * chunk) as u64;
-                    scope.spawn(move |_| {
-                        let mut run: Vec<(PageDigest, PageIndex)> = part
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &d)| (d, PageIndex::new(base + i as u64)))
-                            .collect();
-                        run.sort_unstable();
-                        run
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sort worker panicked"))
-                .collect()
-        })
-        .expect("scoped sort threads");
-        let mut entries = merge_sorted_runs(runs);
-        entries.dedup_by_key(|(d, _)| *d);
-        ChecksumIndex::from_entries(entries, total_pages)
     }
 
     /// Number of pages the underlying checkpoint holds (with duplicates).
@@ -164,74 +114,6 @@ impl PageLookup for ChecksumIndex {
 
     fn distinct(&self) -> usize {
         self.entries.len()
-    }
-}
-
-/// K-way merges per-chunk sorted runs into one globally sorted vector.
-///
-/// Runs are compared by full `(digest, offset)` tuples, so equal digests
-/// emerge in ascending offset order regardless of which run they came
-/// from. The linear scan over run heads is O(total × runs); with runs
-/// bounded by the thread count this is cheaper than a heap for the
-/// handful of threads a page scan uses.
-fn merge_sorted_runs(runs: Vec<Vec<(PageDigest, PageIndex)>>) -> Vec<(PageDigest, PageIndex)> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut cursors = vec![0usize; runs.len()];
-    loop {
-        let mut best: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            if cursors[r] < run.len() && best.is_none_or(|b| run[cursors[r]] < runs[b][cursors[b]])
-            {
-                best = Some(r);
-            }
-        }
-        match best {
-            Some(r) => {
-                out.push(runs[r][cursors[r]]);
-                cursors[r] += 1;
-            }
-            None => break,
-        }
-    }
-    out
-}
-
-/// A hash-map index — the ablation alternative to the sorted array.
-///
-/// Same semantics as [`ChecksumIndex`]; O(1) expected lookups at the
-/// cost of a larger build-time allocation. The `index_lookup` bench
-/// compares the two. Backed by the crate's [`DigestTable`], which keys
-/// buckets directly off the digest's own entropy instead of re-hashing
-/// through SipHash.
-#[derive(Debug, Clone)]
-pub struct HashChecksumIndex {
-    map: DigestTable<PageIndex>,
-}
-
-impl HashChecksumIndex {
-    /// Builds the index from per-page digests in page order.
-    pub fn build(digests: Vec<PageDigest>) -> Self {
-        let mut map = DigestTable::with_capacity(digests.len());
-        for (i, d) in digests.into_iter().enumerate() {
-            // Keep the first offset for duplicate contents.
-            map.or_insert(d, PageIndex::new(i as u64));
-        }
-        HashChecksumIndex { map }
-    }
-}
-
-impl PageLookup for HashChecksumIndex {
-    fn contains(&self, digest: PageDigest) -> bool {
-        self.map.contains(digest)
-    }
-
-    fn lookup(&self, digest: PageDigest) -> Option<PageIndex> {
-        self.map.get(digest).copied()
-    }
-
-    fn distinct(&self) -> usize {
-        self.map.len()
     }
 }
 
@@ -277,61 +159,29 @@ mod tests {
     }
 
     #[test]
-    fn hash_index_agrees_with_sorted_index() {
-        let digests: Vec<_> = [5u64, 3, 5, 1, 8, 3].iter().map(|&i| d(i)).collect();
-        let sorted = ChecksumIndex::build(digests.clone());
-        let hashed = HashChecksumIndex::build(digests.clone());
-        assert_eq!(sorted.distinct(), hashed.distinct());
-        for probe in [1u64, 2, 3, 4, 5, 8, 9] {
-            assert_eq!(sorted.contains(d(probe)), hashed.contains(d(probe)));
-            assert_eq!(sorted.lookup(d(probe)), hashed.lookup(d(probe)));
-        }
-    }
-
-    #[test]
     fn empty_index_is_empty() {
         let index = ChecksumIndex::build(Vec::new());
         assert_eq!(index.distinct(), 0);
         assert!(!index.contains(d(1)));
     }
 
-    /// A digest mix with heavy duplication and zero pages, large enough
-    /// to clear `build_parallel`'s sequential-fallback threshold.
-    fn parallel_workload() -> Vec<PageDigest> {
+    /// A digest mix with heavy duplication and zero pages.
+    fn duplicate_heavy_workload() -> Vec<PageDigest> {
         (0..40_000u64)
             .map(|i| {
-                // ~25% zero pages, heavy duplication among the rest, and
-                // an order that scatters duplicates across chunks.
+                // ~25% zero pages, heavy duplication among the rest, in
+                // an order that scatters the duplicates.
                 let content = (i.wrapping_mul(2_654_435_761)) % 4_096;
                 d(if content < 1_024 { 0 } else { content })
             })
             .collect()
     }
 
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        let digests = parallel_workload();
-        let seq = ChecksumIndex::build(digests.clone());
-        for threads in [1, 2, 3, 4, 8] {
-            let par = ChecksumIndex::build_parallel(digests.clone(), threads);
-            assert_eq!(par.total_pages(), seq.total_pages());
-            assert_eq!(par.entries, seq.entries, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_build_small_input_falls_back() {
-        let digests = vec![d(5), d(3), d(5), d(1)];
-        let par = ChecksumIndex::build_parallel(digests.clone(), 8);
-        let seq = ChecksumIndex::build(digests);
-        assert_eq!(par.entries, seq.entries);
-    }
-
     /// The swiss-table accelerator answers exactly what a binary search
     /// over the sorted entries would, for hits and misses alike.
     #[test]
     fn table_lookup_agrees_with_binary_search() {
-        let index = ChecksumIndex::build(parallel_workload());
+        let index = ChecksumIndex::build(duplicate_heavy_workload());
         for probe in 0..8_192u64 {
             let digest = d(probe);
             let by_search = index
@@ -342,21 +192,5 @@ mod tests {
             assert_eq!(index.lookup(digest), by_search, "probe {probe}");
             assert_eq!(index.contains(digest), by_search.is_some(), "probe {probe}");
         }
-    }
-
-    #[test]
-    fn merge_sorted_runs_orders_duplicates_by_offset() {
-        let runs = vec![
-            vec![(d(1), PageIndex::new(4)), (d(2), PageIndex::new(5))],
-            vec![(d(1), PageIndex::new(0)), (d(3), PageIndex::new(1))],
-            vec![],
-        ];
-        let merged = merge_sorted_runs(runs);
-        assert!(merged.windows(2).all(|w| w[0] <= w[1]));
-        let mut deduped = merged;
-        deduped.dedup_by_key(|(dg, _)| *dg);
-        // d(1) appears at offsets 0 and 4; dedup must keep 0.
-        let kept = deduped.iter().find(|(dg, _)| *dg == d(1)).unwrap();
-        assert_eq!(kept.1, PageIndex::new(0));
     }
 }

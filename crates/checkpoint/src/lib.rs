@@ -14,8 +14,7 @@
 //!   ([`Checkpoint::write_to`] / [`Checkpoint::read_from`]);
 //! * [`ChecksumIndex`] — the sorted checksum → offset index of §3.3
 //!   ("we currently keep the checksums and their offsets in a sorted
-//!   list, such that we can use binary search"), plus a hash-map variant
-//!   for the index ablation;
+//!   list, such that we can use binary search");
 //! * [`CheckpointStore`] — the per-host store that keeps the most recent
 //!   checkpoint per VM.
 
@@ -36,7 +35,7 @@ mod wire;
 pub use checkpoint::{Checkpoint, CheckpointData};
 pub use dedup::DedupIndex;
 pub use disk_store::{DiskStore, ScrubOutcome};
-pub use index::{ChecksumIndex, HashChecksumIndex, PageLookup};
+pub use index::{ChecksumIndex, PageLookup};
 pub use lifecycle::{EvictionPolicy, EvictionReason, EvictionRecord, GoneReason, SaveOutcome};
 pub use obs::{observe_index, observe_partial};
 pub use partial::PartialCheckpoint;

@@ -242,11 +242,6 @@ impl<V: Copy + Default> DigestTable<V> {
         self.find(digest).map(|slot| &self.slots[slot].1)
     }
 
-    /// Mutable access to the value stored for `digest`, if any.
-    pub fn get_mut(&mut self, digest: PageDigest) -> Option<&mut V> {
-        self.find(digest).map(|slot| &mut self.slots[slot].1)
-    }
-
     /// Inserts or replaces, returning the previous value if present —
     /// `HashMap::insert` semantics.
     pub fn insert(&mut self, digest: PageDigest, value: V) -> Option<V> {

@@ -45,65 +45,6 @@ mod lifecycle;
 
 pub use events::{FaultedScheduleRun, ScheduleSummary, SessionEvent};
 
-/// The narrow seam between *what* migrations run and *who decides* they
-/// run: one faulted leg, executed now.
-///
-/// [`VeCycleSession`]'s own schedule runners and the fleet orchestrator
-/// (`vecycle-fleet`) both drive migrations exclusively through this
-/// trait, so every scheduling layer — a precomputed leg list, an
-/// event-driven placement engine, a test double — exercises the *same*
-/// retry/recycle/persist discipline. The clean path is the faulted path
-/// with [`FaultPlan::none`]: there is deliberately no separate
-/// "execute_clean_leg".
-///
-/// Contract (what [`VeCycleSession`] guarantees and substitutes must
-/// preserve):
-///
-/// * the VM migrates from its **actual** location (`vm.location()`),
-///   not any location a stale plan assumed;
-/// * on success `vm.location()` becomes `to` and a checkpoint of the
-///   departed state lands at the vacated host;
-/// * fault-induced failures are **data** ([`MigrationOutcome::Failed`]
-///   in the report, VM still at the source), never `Err`;
-/// * `Err` is reserved for real problems (unknown hosts, filesystem
-///   failures, engine invariant violations).
-pub trait LegExecutor<M: MutableMemory> {
-    /// Executes one migration leg of `vm` to `to` at simulated instant
-    /// `now`, under whatever faults `plan` assigns to leg index `leg`,
-    /// appending incidents to `events`.
-    ///
-    /// # Errors
-    ///
-    /// Only non-fault errors (unknown hosts, filesystem failures); see
-    /// the trait contract.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_leg<W: GuestWorkload<M>>(
-        &self,
-        vm: &mut VmInstance<M>,
-        to: HostId,
-        now: SimTime,
-        workload: &mut W,
-        plan: &FaultPlan,
-        leg: usize,
-        events: &mut Vec<SessionEvent>,
-    ) -> vecycle_types::Result<MigrationReport>;
-}
-
-impl<M: MutableMemory> LegExecutor<M> for VeCycleSession {
-    fn execute_leg<W: GuestWorkload<M>>(
-        &self,
-        vm: &mut VmInstance<M>,
-        to: HostId,
-        now: SimTime,
-        workload: &mut W,
-        plan: &FaultPlan,
-        leg: usize,
-        events: &mut Vec<SessionEvent>,
-    ) -> vecycle_types::Result<MigrationReport> {
-        self.migrate_with_faults(vm, to, now, workload, plan, leg, events)
-    }
-}
-
 /// A placed VM: guest state plus its current host.
 #[derive(Debug)]
 pub struct VmInstance<M> {
@@ -253,17 +194,29 @@ impl VeCycleSession {
         )
     }
 
-    /// Migrates `vm` to `to` under the faults `plan` assigns to leg
-    /// `leg`, retrying per the session's [`RetryPolicy`]. Incidents are
-    /// appended to `events` in occurrence order.
+    /// Migrates `vm` to `to` at simulated instant `now` under the faults
+    /// `plan` assigns to leg `leg`, retrying per the session's
+    /// [`RetryPolicy`]. Incidents are appended to `events` in occurrence
+    /// order.
     ///
-    /// Fault-induced failures are *data*, not errors: an attempt killed
-    /// by an injected link drop is retried (recycling the aborted
-    /// attempt's landed pages as a [`PartialCheckpoint`] when the policy
-    /// allows), and a migration that exhausts every attempt returns a
-    /// report with [`MigrationOutcome::Failed`] and the VM still at the
-    /// source. `Err` is reserved for real problems: unknown hosts,
-    /// filesystem failures, engine invariant violations.
+    /// This is the one entry point every scheduling layer drives — the
+    /// schedule runners below and the fleet orchestrator
+    /// (`vecycle-fleet`) — so all of them exercise the same
+    /// retry/recycle/persist discipline. The clean path is this path with
+    /// [`FaultPlan::none`]. Contract:
+    ///
+    /// * the VM migrates from its **actual** location (`vm.location()`),
+    ///   not any location a stale plan assumed;
+    /// * on success `vm.location()` becomes `to` and a checkpoint of the
+    ///   departed state lands at the vacated host;
+    /// * fault-induced failures are **data**, not errors: an attempt
+    ///   killed by an injected link drop is retried (recycling the
+    ///   aborted attempt's landed pages as a [`PartialCheckpoint`] when
+    ///   the policy allows), and a migration that exhausts every attempt
+    ///   returns a report with [`MigrationOutcome::Failed`] and the VM
+    ///   still at the source;
+    /// * `Err` is reserved for real problems: unknown hosts, filesystem
+    ///   failures, engine invariant violations.
     ///
     /// # Errors
     ///
@@ -465,9 +418,8 @@ impl VeCycleSession {
     /// gaps between migrations so the guest keeps aging between moves.
     ///
     /// Returns one report per leg, in schedule order. Each leg executes
-    /// through the [`LegExecutor`] seam — the same entry point the fleet
-    /// orchestrator uses — with an empty fault plan (the clean path *is*
-    /// the faulted path).
+    /// through [`VeCycleSession::migrate`] — the faulted path with an
+    /// empty fault plan.
     ///
     /// # Errors
     ///
@@ -498,16 +450,7 @@ impl VeCycleSession {
             let gap = leg.at.duration_since(clock);
             workload.advance(&mut vm.guest, gap);
             clock = leg.at;
-            reports.push(LegExecutor::execute_leg(
-                self,
-                vm,
-                leg.to,
-                clock,
-                workload,
-                &FaultPlan::none(),
-                0,
-                &mut Vec::new(),
-            )?);
+            reports.push(self.migrate(vm, leg.to, clock, workload)?);
         }
         Ok(reports)
     }
@@ -547,8 +490,7 @@ impl VeCycleSession {
             if leg.to == vm.location {
                 continue;
             }
-            reports.push(LegExecutor::execute_leg(
-                self,
+            reports.push(self.migrate_with_faults(
                 vm,
                 leg.to,
                 clock,

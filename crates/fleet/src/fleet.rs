@@ -1,13 +1,13 @@
-//! The fleet driver: an event-driven orchestrator over the leg executor.
+//! The fleet driver: an event-driven orchestrator over [`VeCycleSession`].
 //!
 //! Where `run_schedule` walks a precomputed leg list, [`Fleet`] pops
 //! [`MigrationRequest`]s off a [`Simulator`] and *decides* each leg at
 //! its simulated instant: the timing policy picks when, the placement
 //! engine picks where, admission control picks whether now or queued.
-//! The migration itself goes through the same [`LegExecutor`] seam the
-//! schedule runners use, so fleet runs inherit the full
-//! retry/recycle/persist discipline — and the clean path stays the
-//! faulted path with [`FaultPlan::none`].
+//! The migration itself goes through the same
+//! [`VeCycleSession::migrate_with_faults`] the schedule runners use, so
+//! fleet runs inherit the full retry/recycle/persist discipline — and
+//! the clean path stays the faulted path with [`FaultPlan::none`].
 //!
 //! # Determinism
 //!
@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use vecycle_checkpoint::Checkpoint;
-use vecycle_core::session::{LegExecutor, SessionEvent, VeCycleSession, VmInstance};
+use vecycle_core::session::{SessionEvent, VeCycleSession, VmInstance};
 use vecycle_core::MigrationEngine;
 use vecycle_faults::FaultPlan;
 use vecycle_host::{Cluster, MigrationRequest};
@@ -124,23 +124,18 @@ impl RunState {
 }
 
 /// A fleet of VMs orchestrated over a cluster by placement, timing and
-/// admission policies, executing legs through any [`LegExecutor`].
-///
-/// The production executor is [`VeCycleSession`] (see [`Fleet::new`]);
-/// tests substitute doubles to probe the orchestration logic without
-/// the engine.
+/// admission policies, executing legs through a [`VeCycleSession`].
 #[derive(Debug)]
-pub struct Fleet<X: LegExecutor<DigestMemory>> {
+pub struct Fleet {
     spec: FleetSpec,
     cluster: Cluster,
-    exec: X,
-    metrics: MetricsRegistry,
+    session: VeCycleSession,
     vms: Vec<FleetVm>,
     requests: Vec<MigrationRequest>,
     rng: Xorshift,
 }
 
-impl Fleet<VeCycleSession> {
+impl Fleet {
     /// Builds a fleet per `spec`: a homogeneous cluster, per-VM guests,
     /// affinity sets and request streams (all derived from the spec
     /// seed), executed by a [`VeCycleSession`] whose engine runs
@@ -153,41 +148,12 @@ impl Fleet<VeCycleSession> {
     pub fn new(spec: FleetSpec) -> vecycle_types::Result<Self> {
         spec.validate()?;
         let cluster = Cluster::homogeneous(spec.hosts, spec.link);
-        let metrics = MetricsRegistry::new();
         let engine = MigrationEngine::new(spec.link).with_threads(spec.threads);
         // Hosts share their checkpoint stores by Arc, so the session's
         // cluster clone and the fleet's placement view stay coherent.
         let session = VeCycleSession::new(cluster.clone())
             .with_engine(engine)
-            .with_metrics(metrics.clone());
-        Fleet::assemble(spec, cluster, session, metrics)
-    }
-}
-
-impl<X: LegExecutor<DigestMemory>> Fleet<X> {
-    /// Builds a fleet over an explicit cluster and executor — the
-    /// test seam. The cluster must contain hosts `0..spec.hosts`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`vecycle_types::Error::InvalidConfig`] if the spec does
-    /// not validate.
-    pub fn with_executor(
-        spec: FleetSpec,
-        cluster: Cluster,
-        exec: X,
-        metrics: MetricsRegistry,
-    ) -> vecycle_types::Result<Self> {
-        spec.validate()?;
-        Fleet::assemble(spec, cluster, exec, metrics)
-    }
-
-    fn assemble(
-        spec: FleetSpec,
-        cluster: Cluster,
-        exec: X,
-        metrics: MetricsRegistry,
-    ) -> vecycle_types::Result<Self> {
+            .with_metrics(MetricsRegistry::new());
         let mut vms = Vec::with_capacity(spec.vms as usize);
         let mut streams = Vec::with_capacity(spec.vms as usize);
         for i in 0..spec.vms {
@@ -261,8 +227,7 @@ impl<X: LegExecutor<DigestMemory>> Fleet<X> {
         Ok(Fleet {
             spec,
             cluster,
-            exec,
-            metrics,
+            session,
             vms,
             requests,
             rng,
@@ -291,10 +256,10 @@ impl<X: LegExecutor<DigestMemory>> Fleet<X> {
         &self.spec
     }
 
-    /// The shared metrics registry (`fleet_*` plus whatever the
-    /// executor records).
+    /// The session's metrics registry, which the fleet's `fleet_*`
+    /// series share.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        self.session.metrics()
     }
 
     /// The merged request stream, in `(at, vm)` order.
@@ -306,7 +271,7 @@ impl<X: LegExecutor<DigestMemory>> Fleet<X> {
     ///
     /// # Errors
     ///
-    /// Propagates executor errors (unknown hosts, engine invariant
+    /// Propagates session errors (unknown hosts, engine invariant
     /// violations) — fault-induced migration failures are data in the
     /// report, not errors.
     pub fn run(&mut self) -> vecycle_types::Result<FleetReport> {
@@ -349,7 +314,7 @@ impl<X: LegExecutor<DigestMemory>> Fleet<X> {
         let vm = &mut self.vms[r.vm.as_usize()];
         if vm.busy {
             st.skipped += 1;
-            self.metrics
+            self.metrics()
                 .inc("fleet_requests_total", &[("disposition", "skipped")], 1);
             return Ok(());
         }
@@ -360,7 +325,7 @@ impl<X: LegExecutor<DigestMemory>> Fleet<X> {
             .start_time(now, vm.workload.cycle(), r.deadline);
         if start > now {
             st.deferred += 1;
-            self.metrics
+            self.metrics()
                 .inc("fleet_requests_total", &[("disposition", "deferred")], 1);
             sim.schedule_at(start, Ev::Start(i));
             Ok(())
@@ -385,7 +350,7 @@ impl<X: LegExecutor<DigestMemory>> Fleet<X> {
                 // Pinned to where the VM already runs: nothing to do.
                 self.vms[idx].busy = false;
                 st.skipped += 1;
-                self.metrics
+                self.metrics()
                     .inc("fleet_requests_total", &[("disposition", "skipped")], 1);
                 return Ok(());
             }
@@ -409,8 +374,8 @@ impl<X: LegExecutor<DigestMemory>> Fleet<X> {
             st.pending.push_back(i);
             st.queued += 1;
             st.peak_queue = st.peak_queue.max(st.pending.len() as u64);
-            self.metrics.inc("fleet_admission_queued_total", &[], 1);
-            self.metrics
+            self.metrics().inc("fleet_admission_queued_total", &[], 1);
+            self.metrics()
                 .set_gauge("fleet_admission_queue_depth", &[], st.pending.len() as f64);
             Ok(())
         }
@@ -444,7 +409,7 @@ impl<X: LegExecutor<DigestMemory>> Fleet<X> {
 
         let leg = st.exec_seq as usize;
         st.exec_seq += 1;
-        let report = self.exec.execute_leg(
+        let report = self.session.migrate_with_faults(
             &mut vm.instance,
             choice.to,
             now,
@@ -499,7 +464,7 @@ impl<X: LegExecutor<DigestMemory>> Fleet<X> {
         st.peak_inflight = st.peak_inflight.max(u64::from(st.admission.inflight()));
         st.req[i as usize].admitted = Some((from, choice.to));
 
-        let m = &self.metrics;
+        let m = self.session.metrics();
         m.inc("fleet_requests_total", &[("disposition", "executed")], 1);
         m.inc(
             "fleet_migrations_total",
@@ -557,9 +522,9 @@ impl<X: LegExecutor<DigestMemory>> Fleet<X> {
         // The engine already played the workload through the migration
         // window; external catch-up resumes from the completion instant.
         vm.advanced_to = now;
-        self.metrics
+        self.metrics()
             .set_gauge("fleet_inflight", &[], f64::from(st.admission.inflight()));
-        self.metrics
+        self.metrics()
             .set_gauge("fleet_busy_links", &[], st.admission.busy_links() as f64);
 
         // Retry the queue in FIFO order, once per completion. Entries
@@ -578,7 +543,7 @@ impl<X: LegExecutor<DigestMemory>> Fleet<X> {
                 st.pending.push_back(j);
             }
         }
-        self.metrics
+        self.metrics()
             .set_gauge("fleet_admission_queue_depth", &[], st.pending.len() as f64);
         Ok(())
     }

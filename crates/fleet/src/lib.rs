@@ -18,8 +18,8 @@
 //!   [`vecycle_sim::Simulator`], pass timing, placement and admission
 //!   control (host locks + rack-pair link caps + a fleet-wide cap),
 //!   and execute through the same
-//!   [`LegExecutor`](vecycle_core::session::LegExecutor) seam as the static
-//!   schedule runners;
+//!   [`VeCycleSession::migrate_with_faults`](vecycle_core::session::VeCycleSession::migrate_with_faults)
+//!   as the static schedule runners;
 //! * [`FleetReport`] / [`PlacementDecision`] — deterministic results:
 //!   a journal of every decision plus aggregate traffic/downtime
 //!   accounting, byte-identical across `VECYCLE_THREADS` values and

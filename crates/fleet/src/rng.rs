@@ -18,7 +18,7 @@ pub(crate) fn split(seed: u64, lane: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// xorshift64 with unbiased helpers (the `DrawVersion::V2` discipline).
+/// xorshift64 with an unbiased (rejection-sampled) range draw.
 #[derive(Debug, Clone)]
 pub(crate) struct Xorshift {
     state: u64,

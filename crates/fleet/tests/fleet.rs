@@ -1,6 +1,6 @@
 //! Fleet orchestration behavior: accounting, placement quality,
-//! determinism, faults, timing and pinned requests — all through the
-//! real `VeCycleSession` executor.
+//! determinism, faults, timing and pinned requests — all through a
+//! real `VeCycleSession`.
 
 use vecycle_faults::{FaultKind, FaultPlan};
 use vecycle_fleet::{Fleet, FleetSpec, PlacementMode, TimingPolicy};

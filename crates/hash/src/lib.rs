@@ -37,7 +37,7 @@ mod sha256;
 
 pub use fnv::Fnv1a64;
 pub use md5::Md5;
-pub use multilane::{fnv1a64_x4, md5_x4, sha1_x4, sha256_x4};
+pub use multilane::{fnv1a64_x4, md5_x4, sha1_x4};
 pub use sha1::Sha1;
 pub use sha256::Sha256;
 

@@ -1,13 +1,14 @@
 //! SHA-256 message digest, per FIPS 180-4.
 //!
 //! The strongest checksum option §3.4 mentions. Slowest of the set; the
-//! digest-rate bench shows where it would bottleneck a >GbE migration.
+//! benchmark's `hash.sha256_pages_s` row shows where it would bottleneck
+//! a >GbE migration.
 
 use crate::Hasher;
 
 /// Round constants: first 32 bits of the fractional parts of the cube
-/// roots of the first 64 primes. Shared with the multi-lane kernel.
-pub(crate) const K: [u32; 64] = [
+/// roots of the first 64 primes.
+const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,

@@ -22,4 +22,4 @@ pub use cpu::CpuSpec;
 pub use disk::DiskSpec;
 pub use locks::{HostClaim, HostLocks};
 pub use obs::{observe_restart, observe_save, observe_store};
-pub use schedule::{DrawVersion, MigrationLeg, MigrationRequest, MigrationSchedule};
+pub use schedule::{MigrationLeg, MigrationRequest, MigrationSchedule};

@@ -7,9 +7,8 @@
 //! (plus an optional deadline and an optional pinned destination) and
 //! leaves the source implicit (the VM's actual location) and the
 //! destination, when unpinned, to a placement engine. Many per-VM
-//! streams of either shape compose through a deterministic merge whose
-//! tie-break is documented on [`MigrationSchedule::merge`] and
-//! [`MigrationRequest::merge`].
+//! request streams compose through a deterministic merge whose tie-break
+//! is documented on [`MigrationRequest::merge`].
 
 use vecycle_types::{HostId, SimDuration, SimTime, VmId};
 
@@ -90,8 +89,8 @@ impl MigrationRequest {
     /// destination is left open for the placement engine; each request's
     /// deadline is `at + deadline_slack` when given.
     ///
-    /// Uses the unbiased [`DrawVersion::V2`] jitter (this API is new —
-    /// there is no pinned history to preserve).
+    /// The jitter is uniform in `[0.5, 1.5)` × `mean_interval`, drawn
+    /// without modulo bias.
     ///
     /// # Panics
     ///
@@ -121,29 +120,7 @@ impl MigrationRequest {
     }
 }
 
-/// Which pseudo-random draw [`MigrationSchedule::small_host_set_versioned`]
-/// uses for jitter and destination picks.
-///
-/// `V1` is the original draw, kept bit-for-bit so every schedule pinned
-/// by existing tests and goldens replays unchanged. It has two known
-/// blemishes: the jitter reduces the raw 64-bit state with `% 1000`
-/// (modulo bias — negligible at 64 bits but real) and the destination
-/// pick reduces with `% hosts.len()` (same bias, plus it burns one draw
-/// per rejection). `V2` fixes both: jitter takes the top 53 bits as a
-/// uniform `[0, 1)` mantissa (no reduction at all), and destination
-/// picks use rejection sampling over the largest multiple of the range,
-/// which is exactly uniform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DrawVersion {
-    /// The original biased draw — frozen for replay compatibility.
-    #[default]
-    V1,
-    /// Unbiased jitter (53-bit mantissa) and rejection-sampled picks.
-    V2,
-}
-
-/// The xorshift64 generator both draw versions share, plus the unbiased
-/// reduction helpers V2 uses.
+/// A tiny xorshift64 generator: dependency-free and deterministic.
 struct Xorshift {
     state: u64,
 }
@@ -164,20 +141,6 @@ impl Xorshift {
     /// an `f64`, so no modulo reduction and no bias.
     fn unit_f64(&mut self) -> f64 {
         (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `[0, bound)` by rejection sampling: draws are accepted
-    /// only below the largest multiple of `bound`, so every residue is
-    /// exactly equally likely.
-    fn below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        let zone = u64::MAX - (u64::MAX % bound);
-        loop {
-            let v = self.next();
-            if v < zone {
-                return v % bound;
-            }
-        }
     }
 }
 
@@ -250,130 +213,6 @@ impl MigrationSchedule {
             })
             .collect();
         MigrationSchedule { legs }
-    }
-
-    /// The IBM-study pattern (Birke et al. \[7\]): a VM visits a *small*
-    /// set of hosts — "in 68% of the cases a VM visits just two servers"
-    /// — moving at random moments with a mean gap of `mean_interval`.
-    ///
-    /// Deterministic in `seed`; successive destinations are drawn from
-    /// `hosts` (excluding the current one), so `hosts.len() == 2` yields
-    /// exactly the ping-pong special case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two hosts are given, `count` is zero, or the
-    /// VM's starting host is not in `hosts`.
-    pub fn small_host_set(
-        vm: VmId,
-        hosts: &[HostId],
-        start_host: HostId,
-        mean_interval: SimDuration,
-        count: u64,
-        seed: u64,
-    ) -> Self {
-        // V1 keeps every pre-existing pinned schedule bit-identical.
-        Self::small_host_set_versioned(
-            vm,
-            hosts,
-            start_host,
-            mean_interval,
-            count,
-            seed,
-            DrawVersion::V1,
-        )
-    }
-
-    /// [`MigrationSchedule::small_host_set`] with an explicit
-    /// [`DrawVersion`]: `V1` replays the original (modulo-biased) draw,
-    /// `V2` draws without bias. Same seed, same version ⇒ same schedule,
-    /// forever.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two hosts are given, `count` is zero, or the
-    /// VM's starting host is not in `hosts`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn small_host_set_versioned(
-        vm: VmId,
-        hosts: &[HostId],
-        start_host: HostId,
-        mean_interval: SimDuration,
-        count: u64,
-        seed: u64,
-        version: DrawVersion,
-    ) -> Self {
-        assert!(hosts.len() >= 2, "need at least two hosts");
-        assert!(count > 0, "need at least one migration");
-        assert!(
-            hosts.contains(&start_host),
-            "start host must be in the host set"
-        );
-        // A tiny xorshift keeps this dependency-free and deterministic.
-        let mut draw = Xorshift::new(seed);
-        let mut at = SimTime::EPOCH;
-        let mut from = start_host;
-        let mut legs = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            // Exponential-ish gaps: uniform in [0.5, 1.5) × mean.
-            let jitter = 0.5
-                + match version {
-                    DrawVersion::V1 => (draw.next() % 1000) as f64 / 1000.0,
-                    DrawVersion::V2 => draw.unit_f64(),
-                };
-            at += SimDuration::from_secs_f64(mean_interval.as_secs_f64() * jitter);
-            let to = loop {
-                let candidate = match version {
-                    DrawVersion::V1 => hosts[(draw.next() % hosts.len() as u64) as usize],
-                    DrawVersion::V2 => hosts[draw.below(hosts.len() as u64) as usize],
-                };
-                if candidate != from {
-                    break candidate;
-                }
-            };
-            legs.push(MigrationLeg { at, vm, from, to });
-            from = to;
-        }
-        MigrationSchedule { legs }
-    }
-
-    /// Builds a schedule from explicit legs, preserving their order. The
-    /// caller owns the ordering discipline — [`MigrationSchedule::merge`]
-    /// is the checked way to compose multi-VM schedules.
-    pub fn from_legs(legs: Vec<MigrationLeg>) -> Self {
-        MigrationSchedule { legs }
-    }
-
-    /// Merges many (typically per-VM) schedules into one, sorted by the
-    /// documented fleet tie-break **`(at, VmId)`**: legs fire in time
-    /// order, and two legs stamped at the same instant fire in ascending
-    /// `VmId` order. Legs of the *same* VM at the same instant keep
-    /// their input order (stable sort) — an ill-formed single-VM
-    /// schedule stays deterministic rather than becoming ambiguous.
-    ///
-    /// This is the composition rule the fleet's event queue relies on:
-    /// feeding the merged legs to a FIFO-tie-break simulator reproduces
-    /// exactly this order.
-    pub fn merge(schedules: impl IntoIterator<Item = MigrationSchedule>) -> MigrationSchedule {
-        let mut legs: Vec<MigrationLeg> = schedules.into_iter().flat_map(|s| s.legs).collect();
-        legs.sort_by_key(|l| (l.at, l.vm));
-        MigrationSchedule { legs }
-    }
-
-    /// Lowers the schedule into fleet [`MigrationRequest`]s: each leg
-    /// becomes a request pinned to the leg's destination (the legacy
-    /// leg-list is exactly the "operator pinned everything" special
-    /// case of the request stream).
-    pub fn requests(&self) -> Vec<MigrationRequest> {
-        self.legs
-            .iter()
-            .map(|l| MigrationRequest {
-                at: l.at,
-                vm: l.vm,
-                deadline: None,
-                pinned_to: Some(l.to),
-            })
-            .collect()
     }
 
     /// The migrations, in time order.
@@ -454,242 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn small_host_set_is_consistent() {
-        let hosts: Vec<HostId> = (0..3).map(HostId::new).collect();
-        let s = MigrationSchedule::small_host_set(
-            VmId::new(0),
-            &hosts,
-            HostId::new(0),
-            SimDuration::from_hours(7 * 24), // the study's 7-day mean
-            50,
-            42,
-        );
-        assert_eq!(s.len(), 50);
-        // Chained: each leg departs where the previous one arrived.
-        let mut at = HostId::new(0);
-        for leg in &s {
-            assert_eq!(leg.from, at);
-            assert_ne!(leg.from, leg.to);
-            assert!(hosts.contains(&leg.to));
-            at = leg.to;
-        }
-        // Strictly increasing times.
-        assert!(s.legs().windows(2).all(|w| w[0].at < w[1].at));
-        // Deterministic.
-        let s2 = MigrationSchedule::small_host_set(
-            VmId::new(0),
-            &hosts,
-            HostId::new(0),
-            SimDuration::from_hours(7 * 24),
-            50,
-            42,
-        );
-        assert_eq!(s.legs(), s2.legs());
-    }
-
-    #[test]
-    fn two_host_set_is_ping_pong() {
-        let hosts = [HostId::new(0), HostId::new(1)];
-        let s = MigrationSchedule::small_host_set(
-            VmId::new(1),
-            &hosts,
-            HostId::new(0),
-            SimDuration::from_hours(2),
-            6,
-            7,
-        );
-        for (i, leg) in s.legs().iter().enumerate() {
-            let expect_from = HostId::new((i % 2) as u32);
-            assert_eq!(leg.from, expect_from);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two hosts")]
-    fn small_host_set_needs_two_hosts() {
-        let _ = MigrationSchedule::small_host_set(
-            VmId::new(0),
-            &[HostId::new(0)],
-            HostId::new(0),
-            SimDuration::from_hours(1),
-            1,
-            1,
-        );
-    }
-
-    #[test]
     fn empty_schedule() {
         let s = MigrationSchedule::default();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-    }
-
-    /// The V1 draw is pinned: `small_host_set` must replay the exact
-    /// pre-versioning schedule for a known seed, forever. These legs
-    /// were recorded from the original implementation.
-    #[test]
-    fn v1_draw_is_frozen() {
-        let hosts: Vec<HostId> = (0..3).map(HostId::new).collect();
-        let s = MigrationSchedule::small_host_set(
-            VmId::new(0),
-            &hosts,
-            HostId::new(0),
-            SimDuration::from_hours(1),
-            4,
-            42,
-        );
-        let v1 = MigrationSchedule::small_host_set_versioned(
-            VmId::new(0),
-            &hosts,
-            HostId::new(0),
-            SimDuration::from_hours(1),
-            4,
-            42,
-            DrawVersion::V1,
-        );
-        assert_eq!(s.legs(), v1.legs());
-        // Pin the concrete draw so any accidental change to the V1
-        // stream (reordered draws, a "fix" leaking in) fails loudly.
-        let summary: Vec<(u64, u32)> = s
-            .legs()
-            .iter()
-            .map(|l| (l.at.since_epoch().as_nanos(), l.to.as_u32()))
-            .collect();
-        assert_eq!(
-            summary,
-            vec![
-                (3_366_000_000_000, 1),
-                (7_106_400_000_000, 0),
-                (9_594_000_000_000, 2),
-                (13_032_000_000_000, 1),
-            ]
-        );
-    }
-
-    #[test]
-    fn v2_draw_differs_but_is_deterministic_and_consistent() {
-        let hosts: Vec<HostId> = (0..5).map(HostId::new).collect();
-        let make = |version| {
-            MigrationSchedule::small_host_set_versioned(
-                VmId::new(3),
-                &hosts,
-                HostId::new(2),
-                SimDuration::from_hours(6),
-                40,
-                7,
-                version,
-            )
-        };
-        let v2 = make(DrawVersion::V2);
-        assert_eq!(v2.legs(), make(DrawVersion::V2).legs(), "V2 not replayable");
-        assert_ne!(v2.legs(), make(DrawVersion::V1).legs(), "V2 should re-draw");
-        // Same structural invariants as V1: chained hops, no self-moves,
-        // strictly increasing times, jitter within [0.5, 1.5) × mean.
-        let mut prev_at = SimTime::EPOCH;
-        let mut loc = HostId::new(2);
-        for leg in &v2 {
-            assert_eq!(leg.from, loc);
-            assert_ne!(leg.from, leg.to);
-            assert!(hosts.contains(&leg.to));
-            let gap = leg.at.duration_since(prev_at).as_secs_f64();
-            assert!((0.5 * 6.0 * 3600.0..1.5 * 6.0 * 3600.0).contains(&gap));
-            prev_at = leg.at;
-            loc = leg.to;
-        }
-    }
-
-    /// V2's destination pick is unbiased: over many draws from a 3-host
-    /// set the two non-current candidates split close to 50/50. (V1's
-    /// bias at 64 bits is too small to show here — this guards the
-    /// rejection sampler's *correctness*, e.g. an off-by-one zone.)
-    #[test]
-    fn v2_destination_pick_is_uniform() {
-        let hosts: Vec<HostId> = (0..3).map(HostId::new).collect();
-        let s = MigrationSchedule::small_host_set_versioned(
-            VmId::new(0),
-            &hosts,
-            HostId::new(0),
-            SimDuration::from_hours(1),
-            6000,
-            0xfeed,
-            DrawVersion::V2,
-        );
-        let mut counts = [0u64; 3];
-        for leg in &s {
-            counts[leg.to.as_usize()] += 1;
-        }
-        // Each host is the destination of roughly 1/3 of 6000 hops
-        // (every hop excludes exactly one candidate, symmetrically).
-        for (host, &n) in counts.iter().enumerate() {
-            assert!(
-                (1800..2200).contains(&n),
-                "host {host} won {n} of 6000 draws"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_orders_by_at_then_vm() {
-        let a = MigrationSchedule::ping_pong(
-            VmId::new(2),
-            HostId::new(0),
-            HostId::new(1),
-            SimTime::EPOCH,
-            SimDuration::from_hours(2),
-            3,
-        );
-        let b = MigrationSchedule::ping_pong(
-            VmId::new(1),
-            HostId::new(2),
-            HostId::new(3),
-            SimTime::EPOCH,
-            SimDuration::from_hours(2),
-            3,
-        );
-        // Feed the higher VmId first: the (at, VmId) tie-break must
-        // still put vm 1 ahead of vm 2 at every shared instant.
-        let merged = MigrationSchedule::merge([a, b]);
-        assert_eq!(merged.len(), 6);
-        for pair in merged.legs().chunks(2) {
-            assert_eq!(pair[0].at, pair[1].at);
-            assert_eq!(pair[0].vm, VmId::new(1));
-            assert_eq!(pair[1].vm, VmId::new(2));
-        }
-        assert!(merged.legs().windows(2).all(|w| w[0].at <= w[1].at));
-    }
-
-    #[test]
-    fn merge_is_stable_for_same_vm_ties() {
-        let t = SimTime::EPOCH + SimDuration::from_hours(1);
-        let leg = |to: u32| MigrationLeg {
-            at: t,
-            vm: VmId::new(9),
-            from: HostId::new(0),
-            to: HostId::new(to),
-        };
-        let merged = MigrationSchedule::merge([
-            MigrationSchedule::from_legs(vec![leg(1), leg(2)]),
-            MigrationSchedule::from_legs(vec![leg(3)]),
-        ]);
-        let tos: Vec<u32> = merged.legs().iter().map(|l| l.to.as_u32()).collect();
-        assert_eq!(tos, vec![1, 2, 3], "stable sort must keep input order");
-    }
-
-    #[test]
-    fn requests_lower_pinned_from_legs() {
-        let s = MigrationSchedule::ping_pong(
-            VmId::new(4),
-            HostId::new(0),
-            HostId::new(1),
-            SimTime::EPOCH,
-            SimDuration::from_hours(2),
-            2,
-        );
-        let reqs = s.requests();
-        assert_eq!(reqs.len(), 2);
-        assert_eq!(reqs[0].pinned_to, Some(HostId::new(1)));
-        assert_eq!(reqs[1].pinned_to, Some(HostId::new(0)));
-        assert!(reqs.iter().all(|r| r.deadline.is_none()));
     }
 
     #[test]

@@ -401,6 +401,39 @@ fn fleet_run_is_thread_invariant_and_repeatable_at_scale() {
     }
 }
 
+/// Absolute pin for the fleet: the test above proves a run is the same
+/// at every thread count, this one proves it is still the run it was.
+/// The literals are a 16-host × 160-VM aware fleet's totals and the
+/// FNV-1a of its placement journal; a fleet refactor that moves any of
+/// them changed behaviour, not structure.
+#[test]
+fn small_aware_fleet_matches_pinned_totals() {
+    use vecycle::fleet::{Fleet, FleetSpec};
+    use vecycle::hash::{Fnv1a64, Hasher};
+
+    for threads in [1usize, 4] {
+        let spec = FleetSpec::new(16, 160)
+            .with_seed(0xf1ee7)
+            .with_threads(threads);
+        let report = Fleet::new(spec)
+            .expect("spec validates")
+            .run()
+            .expect("clean fleet run");
+        assert_eq!(report.migrations, 480, "threads {threads}");
+        assert_eq!(report.placement_hits, 320, "threads {threads}");
+        assert_eq!(
+            report.total_traffic.as_u64(),
+            27_880_704,
+            "threads {threads}"
+        );
+        assert_eq!(
+            u64::from_be_bytes(Fnv1a64::digest(report.journal_jsonl().as_bytes())),
+            0x02e7_9d1f_0775_ff1d,
+            "placement journal diverged at {threads} threads"
+        );
+    }
+}
+
 /// Checkpoint-lifecycle determinism: with a byte quota squeezing every
 /// host's store, the eviction order — read off the incident transcript —
 /// and the full metrics snapshot are identical across 1/2/4/8 scan

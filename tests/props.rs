@@ -1,9 +1,11 @@
 //! Property-based tests over the core invariants.
 
+use std::collections::BTreeMap;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use vecycle::checkpoint::{Checkpoint, ChecksumIndex, HashChecksumIndex, PageLookup};
+use vecycle::checkpoint::{Checkpoint, ChecksumIndex, PageLookup};
 use vecycle::core::{apply_transcript, MigrationEngine, Strategy as MigStrategy};
 use vecycle::mem::{ByteMemory, DigestMemory, MemoryImage, MutableMemory, PageContent};
 use vecycle::net::LinkSpec;
@@ -48,18 +50,26 @@ proptest! {
         }
     }
 
-    /// The sorted-array and hash-map checkpoint indexes agree exactly.
+    /// The checkpoint index agrees with a first-occurrence `BTreeMap`
+    /// model built here, sharing no code with the index's own table.
     #[test]
     fn indexes_agree(ids in vec(0u64..64, 1..128), probes in vec(0u64..96, 0..64)) {
         let ds: Vec<PageDigest> = ids.iter().map(|&i| PageDigest::from_content_id(i)).collect();
-        let sorted = ChecksumIndex::build(ds.clone());
-        let hashed = HashChecksumIndex::build(ds);
-        prop_assert_eq!(sorted.distinct(), hashed.distinct());
+        let mut model: BTreeMap<PageDigest, PageIndex> = BTreeMap::new();
+        for (i, &d) in ds.iter().enumerate() {
+            model.entry(d).or_insert(PageIndex::new(i as u64));
+        }
+        let index = ChecksumIndex::build(ds);
+        prop_assert_eq!(index.distinct(), model.len());
         for p in probes {
             let d = PageDigest::from_content_id(p);
-            prop_assert_eq!(sorted.contains(d), hashed.contains(d));
-            prop_assert_eq!(sorted.lookup(d), hashed.lookup(d));
+            prop_assert_eq!(index.contains(d), model.contains_key(&d));
+            prop_assert_eq!(index.lookup(d), model.get(&d).copied());
         }
+        prop_assert_eq!(
+            index.digests().collect::<Vec<_>>(),
+            model.keys().copied().collect::<Vec<_>>()
+        );
     }
 
     /// A checkpoint survives serialization byte-for-byte.
