@@ -46,9 +46,7 @@ fn main() {
     ]);
     for (link_name, link) in links {
         for algo in ChecksumAlgorithm::ALL {
-            let engine = MigrationEngine::new(link)
-                .with_threads(opts.threads)
-                .with_algorithm(algo);
+            let engine = MigrationEngine::new(link).with_algorithm(algo);
             let r = engine
                 .migrate(&vm, Strategy::vecycle(&cp))
                 .expect("non-empty");
@@ -104,53 +102,6 @@ fn main() {
          (§3.4): 4 threads re-balance a 10 GbE link.\n"
     );
 
-    // --- 1c. Parallel page scan (wall clock, not simulated) ---------------
-    // Unlike 1b's *modeled* checksum threads, this measures the real CPU
-    // time the simulator itself spends classifying pages: the sharded
-    // first-round scan behind `--threads` / VECYCLE_THREADS.
-    println!("Ablation 1c — page-scan worker threads (2 GiB VM, wall clock)\n");
-    let mut t = Table::new(vec!["scan threads", "scan wall [ms]", "speedup"]);
-    let mut base_ms = 0.0f64;
-    for threads in [1usize, 2, 4, 8] {
-        let engine = MigrationEngine::new(LinkSpec::lan_gigabit()).with_threads(threads);
-        // Warm-up pass, then the median of three timed scans.
-        let _ = engine
-            .migrate(&vm, Strategy::vecycle(&cp))
-            .expect("non-empty");
-        let mut samples: Vec<f64> = (0..3)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                let r = engine
-                    .migrate(&vm, Strategy::vecycle(&cp))
-                    .expect("non-empty");
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                std::hint::black_box(r);
-                ms
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        let ms = samples[1];
-        if threads == 1 {
-            base_ms = ms;
-        }
-        t.row(vec![
-            format!("{threads}"),
-            format!("{ms:.1}"),
-            format!("{:.2}x", base_ms / ms),
-        ]);
-        log.record(
-            "ablation1c",
-            format!("threads-{threads}"),
-            "scan_wall_ms",
-            ms,
-        );
-    }
-    print!("{}", t.render());
-    println!(
-        "Identical reports at every thread count (property-tested); only\n\
-         the simulator's own scan time changes.\n"
-    );
-
     // --- 2. Bulk vs per-page exchange ------------------------------------
     println!("Ablation 2 — checksum exchange protocol (2 GiB idle VM)\n");
     let mut t = Table::new(vec!["link", "protocol", "time [s]", "reverse traffic"]);
@@ -165,9 +116,7 @@ fn main() {
                 ExchangeProtocol::PerPage { pipeline_depth: 64 },
             ),
         ] {
-            let engine = MigrationEngine::new(link)
-                .with_threads(opts.threads)
-                .with_exchange(proto);
+            let engine = MigrationEngine::new(link).with_exchange(proto);
             let r = engine
                 .migrate(&vm, Strategy::vecycle(&cp))
                 .expect("non-empty");
@@ -198,9 +147,7 @@ fn main() {
         ("hdd", DiskSpec::hdd_samsung_hd204ui()),
         ("ssd", DiskSpec::ssd_intel_330()),
     ] {
-        let engine = MigrationEngine::new(LinkSpec::lan_gigabit())
-            .with_threads(opts.threads)
-            .with_dest_disk(disk);
+        let engine = MigrationEngine::new(LinkSpec::lan_gigabit()).with_dest_disk(disk);
         let r = engine
             .migrate(&vm, Strategy::vecycle(&cp))
             .expect("non-empty");
@@ -237,7 +184,7 @@ fn main() {
     let mut t = Table::new(vec!["loss", "effective bw", "full [s]", "vecycle [s]"]);
     for loss in [0.0, 0.0005, 0.002, 0.01] {
         let link = Netem::new().loss(loss).apply(LinkSpec::wan_cloudnet());
-        let engine = MigrationEngine::new(link).with_threads(opts.threads);
+        let engine = MigrationEngine::new(link);
         let full = engine.migrate(&small, Strategy::full()).expect("non-empty");
         let re = engine
             .migrate(&small, Strategy::vecycle(&cp_wan))
@@ -272,7 +219,7 @@ fn main() {
     let mut reloc = RelocationWorkload::new(opts.seed ^ 10, 2000.0);
     reloc.advance(&mut guest, SimDuration::from_secs(1));
 
-    let engine = MigrationEngine::new(LinkSpec::lan_gigabit()).with_threads(opts.threads);
+    let engine = MigrationEngine::new(LinkSpec::lan_gigabit());
     let dirty_strategy = Strategy::miyakodori(guest.generations(), &gen_snapshot);
     let r_dirty = engine
         .migrate(guest.memory(), dirty_strategy)

@@ -12,10 +12,7 @@
 //! * `--chaos <spec>` — comma-separated `key=value` chaos spec (see
 //!   [`ChaosConfig::parse`]); omitted keys keep hostile defaults;
 //! * `--quota <bytes>` — per-host checkpoint byte quota;
-//! * `--policy <name>` — eviction policy (`oldest|lru|largest|staleness`);
-//! * `--threads <n>` — engine page-scan threads (default
-//!   `VECYCLE_THREADS`, else 1; the report is bit-identical at any
-//!   setting).
+//! * `--policy <name>` — eviction policy (`oldest|lru|largest|staleness`).
 //!
 //! Exit status is non-zero when any invariant is violated. When
 //! `results/` exists, the incident log and the canonical metrics
@@ -34,11 +31,6 @@ fn main() {
     let mut spec = DEFAULT_SPEC.to_string();
     let mut quota: Option<Bytes> = None;
     let mut policy: Option<EvictionPolicy> = None;
-    let mut threads = std::env::var("VECYCLE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1);
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -55,14 +47,12 @@ fn main() {
                     panic!("--policy: unknown policy {name} (oldest|lru|largest|staleness)")
                 }));
             }
-            "--threads" => threads = grab("--threads").parse().expect("--threads: integer"),
-            other => panic!("unknown argument {other}; known: --chaos --quota --policy --threads"),
+            other => panic!("unknown argument {other}; known: --chaos --quota --policy"),
         }
     }
 
     let config = ChaosConfig::parse(&spec).expect("valid --chaos spec");
     let mut opts = SoakOptions::new(config);
-    opts.threads = threads;
     if let Some(quota) = quota {
         opts.quota = quota;
     }
@@ -71,8 +61,8 @@ fn main() {
     }
 
     println!(
-        "Chaos soak — seed {}, {} legs across {} hosts, quota {} ({} eviction), {} thread(s)",
-        config.seed, config.legs, config.hosts, opts.quota, opts.policy, opts.threads
+        "Chaos soak — seed {}, {} legs across {} hosts, quota {} ({} eviction)",
+        config.seed, config.legs, config.hosts, opts.quota, opts.policy
     );
     println!(
         "rates: crash={} pressure={} corrupt={} drop={} loss={}\n",

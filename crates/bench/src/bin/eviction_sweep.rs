@@ -65,7 +65,6 @@ fn main() {
             };
             let soak = SoakOptions {
                 config,
-                threads: opts.threads,
                 ram,
                 quota,
                 policy,

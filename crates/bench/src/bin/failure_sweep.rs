@@ -21,7 +21,6 @@
 use vecycle_analysis::{ExperimentLog, Table};
 use vecycle_bench::Options;
 use vecycle_core::session::{ScheduleSummary, VeCycleSession, VmInstance};
-use vecycle_core::MigrationEngine;
 use vecycle_faults::{FaultPlan, FaultRates, RetryPolicy};
 use vecycle_host::{Cluster, MigrationSchedule};
 use vecycle_mem::{workload::IdleWorkload, DigestMemory, Guest};
@@ -62,9 +61,7 @@ fn main() {
             ("scratch", RetryPolicy::from_scratch()),
         ] {
             let cluster = Cluster::homogeneous(2, LinkSpec::lan_gigabit());
-            let engine = MigrationEngine::new(cluster.link()).with_threads(opts.threads);
             let session = VeCycleSession::new(cluster)
-                .with_engine(engine)
                 .with_retry_policy(retry)
                 .with_metrics(metrics.clone());
             let mem = DigestMemory::with_uniform_content(ram, opts.seed).expect("page-aligned");

@@ -22,7 +22,7 @@ fn main() {
     ];
 
     for (link_name, link) in links {
-        let engine = MigrationEngine::new(link).with_threads(opts.threads);
+        let engine = MigrationEngine::new(link);
         println!("\nFigure 6 ({link_name}) — idle VM, QEMU 2.0 vs VeCycle");
         let mut t = Table::new(vec![
             "RAM [MiB]",

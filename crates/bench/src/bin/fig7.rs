@@ -22,7 +22,7 @@ fn main() {
     ];
 
     for (link_name, link) in links {
-        let engine = MigrationEngine::new(link).with_threads(opts.threads);
+        let engine = MigrationEngine::new(link);
         println!("\nFigure 7 ({link_name}) — 4 GiB VM, ramdisk update sweep");
         let mut t = Table::new(vec![
             "updates [%]",

@@ -12,8 +12,7 @@
 //! blind depending on how often it stumbles onto a warm host.
 //!
 //! The run asserts the headline (aware < blind on traffic) and that
-//! every mode's report is bit-identical across repeat runs; CI runs
-//! the same binary at threads 1 and 4 and diffs the journals.
+//! every mode's report is bit-identical across repeat runs.
 //!
 //! Writes `results/fleet_sweep.csv` when `results/` exists, and the
 //! aware journal to `target/fleet-artifacts/fleet_sweep_journal.jsonl`
@@ -29,7 +28,6 @@ const VMS: u32 = 10_240;
 fn run_mode(opts: &Options, mode: PlacementMode) -> FleetReport {
     let spec = FleetSpec::new(HOSTS, VMS)
         .with_seed(opts.seed)
-        .with_threads(opts.threads)
         .with_placement(mode);
     Fleet::new(spec)
         .expect("sweep spec validates")
@@ -41,8 +39,8 @@ fn main() {
     let opts = Options::from_args();
     let mut log = ExperimentLog::new();
     println!(
-        "Fleet sweep — {HOSTS} hosts, {VMS} VMs, seed {:#x}, {} scan thread(s)\n",
-        opts.seed, opts.threads
+        "Fleet sweep — {HOSTS} hosts, {VMS} VMs, seed {:#x}\n",
+        opts.seed
     );
 
     let mut t = Table::new(vec![

@@ -3,15 +3,11 @@
 //!
 //! Every binary accepts:
 //!
-//! * `--scale <pages-per-GiB>` — trace resolution (default 2048, i.e.
-//!   1/512 of real page density; all reported metrics are fractions, so
+//! * `--scale <pages-per-GiB>` — trace resolution (default 1024, i.e.
+//!   1/256 of real page density; all reported metrics are fractions, so
 //!   scale changes noise, not shape);
 //! * `--seed <u64>` — generator seed (default 0x7ec);
-//! * `--json <path>` — also write an [`ExperimentLog`] JSON file;
-//! * `--threads <n>` — worker threads for the migration engine's page
-//!   scan (default: `VECYCLE_THREADS` env var, else 1). Thread count is
-//!   a pure wall-clock knob: every reported figure is bit-identical at
-//!   any setting.
+//! * `--json <path>` — also write an [`ExperimentLog`] JSON file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,8 +29,6 @@ pub struct Options {
     pub seed: u64,
     /// Optional JSON output path.
     pub json: Option<std::path::PathBuf>,
-    /// Page-scan worker threads for the migration engine.
-    pub threads: usize,
 }
 
 impl Default for Options {
@@ -43,24 +37,12 @@ impl Default for Options {
             pages_per_gib: 1024,
             seed: 0x7ec,
             json: None,
-            threads: threads_from_env(),
         }
     }
 }
 
-/// The `VECYCLE_THREADS` default, falling back to 1 (sequential) when
-/// unset or unparsable.
-fn threads_from_env() -> usize {
-    std::env::var("VECYCLE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
 impl Options {
-    /// Parses `--scale`, `--seed`, `--json` and `--threads` from
-    /// `std::env::args`.
+    /// Parses `--scale`, `--seed` and `--json` from `std::env::args`.
     ///
     /// # Panics
     ///
@@ -80,16 +62,10 @@ impl Options {
                 }
                 "--seed" => opts.seed = grab("--seed").parse().expect("--seed: integer"),
                 "--json" => opts.json = Some(grab("--json").into()),
-                "--threads" => {
-                    opts.threads = grab("--threads").parse().expect("--threads: integer")
-                }
-                other => {
-                    panic!("unknown argument {other}; known: --scale --seed --json --threads")
-                }
+                other => panic!("unknown argument {other}; known: --scale --seed --json"),
             }
         }
         assert!(opts.pages_per_gib > 0, "--scale must be positive");
-        assert!(opts.threads > 0, "--threads must be positive");
         opts
     }
 
@@ -151,13 +127,6 @@ mod tests {
             ..Options::default()
         };
         assert_eq!(small.scaled_pages(Bytes::from_gib(1)), 64);
-    }
-
-    #[test]
-    fn default_threads_is_sequential_without_env() {
-        if std::env::var_os("VECYCLE_THREADS").is_none() {
-            assert_eq!(Options::default().threads, 1);
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::path::PathBuf;
 
 use vecycle_checkpoint::{Checkpoint, EvictionPolicy};
 use vecycle_core::session::{SessionEvent, VeCycleSession, VmInstance};
-use vecycle_core::{MigrationEngine, MigrationOutcome, MigrationReport};
+use vecycle_core::{MigrationOutcome, MigrationReport};
 use vecycle_faults::{DropPoint, FaultKind, FaultPlan};
 use vecycle_host::{Cluster, Host};
 use vecycle_mem::{workload::GuestWorkload, workload::IdleWorkload, DigestMemory, Guest};
@@ -38,9 +38,6 @@ use vecycle_types::{Bytes, HostId, SimTime, VmId, PAGE_SIZE};
 pub struct SoakOptions {
     /// The chaos configuration (seed, legs, hosts, rates).
     pub config: ChaosConfig,
-    /// Worker threads for the engine's page scan. A pure wall-clock
-    /// knob: the report is bit-identical at any setting.
-    pub threads: usize,
     /// Main VM RAM size.
     pub ram: Bytes,
     /// Per-host checkpoint byte quota.
@@ -54,15 +51,14 @@ pub struct SoakOptions {
 
 impl SoakOptions {
     /// Sensible soak defaults for `config`: 64 MiB VM, a quota holding
-    /// ~2.5 checkpoints (so pressure bites), oldest-first eviction, one
-    /// thread, stores under a process-scoped temp dir.
+    /// ~2.5 checkpoints (so pressure bites), oldest-first eviction,
+    /// stores under a process-scoped temp dir.
     pub fn new(config: ChaosConfig) -> SoakOptions {
         let ram = Bytes::from_mib(64);
         // A digest checkpoint stores 16 bytes per page.
         let checkpoint = Bytes::new(ram.pages_ceil().as_u64() * 16);
         SoakOptions {
             config,
-            threads: 1,
             ram,
             quota: Bytes::new(checkpoint.as_u64() * 5 / 2),
             policy: EvictionPolicy::OldestFirst,
@@ -104,7 +100,7 @@ pub struct SoakReport {
     pub restarts: u64,
     /// Checkpoints quarantined by scrub passes.
     pub quarantined: u64,
-    /// The incident transcript, rendered (for thread-invariance diffs).
+    /// The incident transcript, rendered (for repeat-run diffs).
     pub events: Vec<String>,
     /// Canonical metrics JSON — byte-comparable across runs.
     pub metrics_json: String,
@@ -252,10 +248,7 @@ pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
     let cluster = Cluster::homogeneous(opts.config.hosts as u32, LinkSpec::lan_gigabit())
         .attach_disk_stores(&opts.disk_root)?
         .with_checkpoint_quotas(opts.quota, opts.policy);
-    let engine = MigrationEngine::new(cluster.link()).with_threads(opts.threads);
-    let session = VeCycleSession::new(cluster)
-        .with_engine(engine)
-        .with_metrics(metrics.clone());
+    let session = VeCycleSession::new(cluster).with_metrics(metrics.clone());
 
     let mem = DigestMemory::with_uniform_content(opts.ram, opts.config.seed)?;
     let mut vm = VmInstance::new(VmId::new(0), Guest::new(mem), HostId::new(0));

@@ -4,13 +4,9 @@
 //! placed on the wire (or announced as a checksum), the first guest page
 //! that carried that content. Later pages with the same digest become
 //! [`DedupRef`] back-references instead of full pages (§3.4's
-//! deduplication extension).
-//!
-//! The map is sharded by a digest-prefix so the parallel page scan can
-//! hand disjoint shard groups to worker threads without locking; the
-//! *semantics* stay those of a single `HashMap::entry(..).or_insert(..)`:
-//! the first inserter of a digest wins, and every later query sees that
-//! winner.
+//! deduplication extension). The semantics are those of a single
+//! `HashMap::entry(..).or_insert(..)`: the first inserter of a digest
+//! wins, and every later query sees that winner.
 //!
 //! [`DedupRef`]: https://example.invalid/vecycle
 
@@ -18,16 +14,8 @@ use vecycle_types::{PageDigest, PageIndex};
 
 use crate::swiss::DigestTable;
 
-/// Number of shards; a power of two so the prefix maps by mask.
-const SHARD_COUNT: usize = 16;
-
-/// Digest → first-sender map, sharded by digest prefix.
-///
-/// Equivalent to `HashMap<PageDigest, PageIndex>` with first-insert-wins
-/// semantics, but split into `SHARD_COUNT` independent sub-maps keyed
-/// by the digest's leading byte. Shards are what make a deterministic
-/// parallel merge possible: workers produce per-shard candidate sets and
-/// the merge resolves each digest exactly once, in scan order.
+/// Digest → first-sender map: `HashMap<PageDigest, PageIndex>` with
+/// first-insert-wins semantics over one [`DigestTable`].
 ///
 /// # Examples
 ///
@@ -45,42 +33,18 @@ const SHARD_COUNT: usize = 16;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DedupIndex {
-    shards: Vec<DigestTable<PageIndex>>,
+    table: DigestTable<PageIndex>,
 }
 
 impl DedupIndex {
     /// An empty index.
     pub fn new() -> Self {
-        DedupIndex {
-            shards: (0..SHARD_COUNT).map(|_| DigestTable::new()).collect(),
-        }
-    }
-
-    /// The shard a digest belongs to (stable across runs and threads).
-    ///
-    /// Folds all eight leading digest bytes down to the shard mask
-    /// rather than masking the low bits of byte 0 alone: digests from
-    /// truncated SHA variants are uniform in every byte, but synthetic
-    /// workloads (and any future digest source with structure in its
-    /// first byte) would pile into a few shards under a one-byte mask,
-    /// serialising the parallel scan. Determinism is what the merge
-    /// needs, and this stays a pure function of the digest.
-    pub fn shard_of(digest: PageDigest) -> usize {
-        let k = digest.short_key();
-        let folded = k ^ (k >> 32);
-        let folded = folded ^ (folded >> 16);
-        let folded = folded ^ (folded >> 8);
-        folded as usize & (SHARD_COUNT - 1)
-    }
-
-    /// Number of shards an index is split into.
-    pub const fn shard_count() -> usize {
-        SHARD_COUNT
+        DedupIndex::default()
     }
 
     /// The page that first carried this content, if any was recorded.
     pub fn get(&self, digest: PageDigest) -> Option<PageIndex> {
-        self.shards[Self::shard_of(digest)].get(digest).copied()
+        self.table.get(digest).copied()
     }
 
     /// True if the digest has been recorded.
@@ -92,45 +56,31 @@ impl DedupIndex {
     /// recorded; returns the winning (earliest-recorded) page.
     ///
     /// This mirrors `HashMap::entry(digest).or_insert(idx)` — the exact
-    /// operation the sequential scan performs per page.
+    /// operation the scan performs per page.
     pub fn insert_first(&mut self, digest: PageDigest, idx: PageIndex) -> PageIndex {
-        *self.shards[Self::shard_of(digest)].or_insert(digest, idx)
-    }
-
-    /// Records `idx` for `digest`, keeping the smaller page number if the
-    /// digest is already present.
-    ///
-    /// Used when merging per-shard candidate sets produced out of scan
-    /// order: the minimum page index is exactly the page the sequential
-    /// scan would have inserted first.
-    pub fn insert_min(&mut self, digest: PageDigest, idx: PageIndex) {
-        let cur = self.shards[Self::shard_of(digest)].or_insert(digest, idx);
-        if idx < *cur {
-            *cur = idx;
-        }
+        *self.table.or_insert(digest, idx)
     }
 
     /// Number of distinct digests recorded.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(DigestTable::len).sum()
+        self.table.len()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(DigestTable::is_empty)
+        self.table.is_empty()
     }
 
     /// All recorded (digest, first sender) pairs, in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (PageDigest, PageIndex)> + '_ {
-        self.shards
-            .iter()
-            .flat_map(|s| s.iter().map(|(d, i)| (d, *i)))
+        self.table.iter().map(|(d, i)| (d, *i))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn d(id: u64) -> PageDigest {
         PageDigest::from_content_id(id)
@@ -143,40 +93,12 @@ mod tests {
     #[test]
     fn first_insert_wins() {
         let mut idx = DedupIndex::new();
+        assert!(idx.is_empty());
         assert_eq!(idx.insert_first(d(1), p(5)), p(5));
         assert_eq!(idx.insert_first(d(1), p(2)), p(5));
         assert_eq!(idx.get(d(1)), Some(p(5)));
-    }
-
-    #[test]
-    fn insert_min_keeps_smallest() {
-        let mut idx = DedupIndex::new();
-        idx.insert_min(d(1), p(9));
-        idx.insert_min(d(1), p(4));
-        idx.insert_min(d(1), p(7));
-        assert_eq!(idx.get(d(1)), Some(p(4)));
-    }
-
-    #[test]
-    fn len_spans_shards() {
-        let mut idx = DedupIndex::new();
-        assert!(idx.is_empty());
-        // Content IDs diffuse into digest prefixes, so these land in
-        // several shards; len must sum across all of them.
-        for i in 1..=100 {
-            idx.insert_first(d(i), p(i));
-        }
-        assert_eq!(idx.len(), 100);
-        assert!(!idx.is_empty());
-    }
-
-    #[test]
-    fn shard_of_is_stable_and_in_range() {
-        for i in 0..1000 {
-            let s = DedupIndex::shard_of(d(i));
-            assert!(s < DedupIndex::shard_count());
-            assert_eq!(s, DedupIndex::shard_of(d(i)));
-        }
+        assert!(idx.contains(d(1)) && !idx.contains(d(2)));
+        assert_eq!(idx.len(), 1);
     }
 
     #[test]
@@ -185,139 +107,32 @@ mod tests {
         for i in 1..=10 {
             idx.insert_first(d(i), p(i * 10));
         }
-        let mut pairs: Vec<_> = idx.iter().collect();
-        pairs.sort();
+        let pairs: Vec<_> = idx.iter().collect();
         assert_eq!(pairs.len(), 10);
-        for (k, (digest, page)) in pairs.iter().enumerate() {
-            let _ = k;
-            assert_eq!(idx.get(*digest), Some(*page));
+        for (digest, page) in pairs {
+            assert_eq!(idx.get(digest), Some(page));
         }
     }
 
-    #[test]
-    fn matches_plain_hashmap_semantics() {
-        use std::collections::HashMap;
-        let inserts: Vec<(u64, u64)> = vec![(3, 0), (1, 1), (3, 2), (2, 3), (1, 4), (3, 5), (4, 6)];
-        let mut sharded = DedupIndex::new();
-        let mut plain: HashMap<PageDigest, PageIndex> = HashMap::new();
-        for &(content, page) in &inserts {
-            let winner = sharded.insert_first(d(content), p(page));
-            let expect = *plain.entry(d(content)).or_insert(p(page));
-            assert_eq!(winner, expect);
-        }
-        assert_eq!(sharded.len(), plain.len());
-        for (&digest, &page) in &plain {
-            assert_eq!(sharded.get(digest), Some(page));
-        }
-    }
-
-    /// Same differential model at a scale that drives the swiss-table
-    /// shards through several resizes, interleaving `insert_first` and
-    /// `insert_min` the way the scan's sequential and merge paths do.
+    /// Differential model against `HashMap::entry().or_insert()` at a
+    /// scale that drives the table through several resizes.
     #[test]
     fn matches_plain_hashmap_semantics_at_scale() {
-        use std::collections::HashMap;
-        let mut sharded = DedupIndex::new();
+        let mut index = DedupIndex::new();
         let mut plain: HashMap<PageDigest, PageIndex> = HashMap::new();
         let mut state = 0x9e37_79b9u64;
         for page in 0..30_000u64 {
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
-            let content = state % 2_048; // heavy duplication incl. zero
-            if state & 1 == 0 {
-                let winner = sharded.insert_first(d(content), p(page));
-                let expect = *plain.entry(d(content)).or_insert(p(page));
-                assert_eq!(winner, expect, "page {page}");
-            } else {
-                sharded.insert_min(d(content), p(page));
-                plain
-                    .entry(d(content))
-                    .and_modify(|cur| *cur = (*cur).min(p(page)))
-                    .or_insert(p(page));
-            }
+            let content = (state >> 33) % 2_048; // heavy duplication incl. zero
+            let winner = index.insert_first(d(content), p(page));
+            let expect = *plain.entry(d(content)).or_insert(p(page));
+            assert_eq!(winner, expect, "page {page}");
         }
-        assert_eq!(sharded.len(), plain.len());
+        assert_eq!(index.len(), plain.len());
         for (&digest, &page) in &plain {
-            assert_eq!(sharded.get(digest), Some(page));
+            assert_eq!(index.get(digest), Some(page));
         }
-    }
-
-    /// The deterministic parallel merge — per-chunk `insert_min`
-    /// candidates folded into a global index in arbitrary chunk order —
-    /// produces exactly the sequential `insert_first` result, for real
-    /// digests from every configured checksum algorithm. Pins the
-    /// shard-routing change: shard choice must never affect outcomes.
-    #[test]
-    fn parallel_merge_matches_sequential_for_all_algorithms() {
-        use vecycle_hash::ChecksumAlgorithm;
-        // Synthetic guest pages with heavy duplication and zero pages.
-        let pages: Vec<Vec<u8>> = (0..600u64)
-            .map(|i| {
-                let content = (i.wrapping_mul(2_654_435_761)) % 97;
-                if content < 13 {
-                    vec![0u8; 4096]
-                } else {
-                    (0..4096)
-                        .map(|j| (content as u8).wrapping_mul(j as u8))
-                        .collect()
-                }
-            })
-            .collect();
-        for algo in ChecksumAlgorithm::ALL {
-            let digests: Vec<PageDigest> = pages.iter().map(|pg| algo.page_digest(pg)).collect();
-
-            let mut sequential = DedupIndex::new();
-            for (i, &digest) in digests.iter().enumerate() {
-                sequential.insert_first(digest, p(i as u64));
-            }
-
-            for chunk_size in [1usize, 7, 100, 600] {
-                // Workers each reduce one chunk; the merge folds chunks
-                // in reversed order to prove order-independence.
-                let candidates: Vec<DedupIndex> = digests
-                    .chunks(chunk_size)
-                    .enumerate()
-                    .map(|(k, part)| {
-                        let base = (k * chunk_size) as u64;
-                        let mut local = DedupIndex::new();
-                        for (i, &digest) in part.iter().enumerate() {
-                            local.insert_min(digest, p(base + i as u64));
-                        }
-                        local
-                    })
-                    .collect();
-                let mut merged = DedupIndex::new();
-                for local in candidates.iter().rev() {
-                    for (digest, idx) in local.iter() {
-                        merged.insert_min(digest, idx);
-                    }
-                }
-
-                assert_eq!(merged.len(), sequential.len(), "{algo} chunk {chunk_size}");
-                let mut seq_pairs: Vec<_> = sequential.iter().collect();
-                let mut par_pairs: Vec<_> = merged.iter().collect();
-                seq_pairs.sort();
-                par_pairs.sort();
-                assert_eq!(seq_pairs, par_pairs, "{algo} chunk {chunk_size}");
-            }
-        }
-    }
-
-    /// The new shard routing spreads uniformly-distributed digests
-    /// across every shard instead of collapsing onto a few.
-    #[test]
-    fn shard_routing_uses_more_than_one_byte() {
-        // Digests identical in byte 0 but different elsewhere must not
-        // all land in one shard.
-        let shards: std::collections::HashSet<usize> = (0..64u8)
-            .map(|i| {
-                let mut bytes = [0u8; 16];
-                bytes[0] = 0x42;
-                bytes[5] = i;
-                DedupIndex::shard_of(PageDigest::new(bytes))
-            })
-            .collect();
-        assert!(shards.len() > 4, "only {} shards hit", shards.len());
     }
 }

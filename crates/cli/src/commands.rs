@@ -54,8 +54,8 @@ checkpoint lifecycle pressure:
 
 `simulate chaos` runs the seeded chaos soak (crashes, disk pressure,
 corruption, link drops, netem loss) and checks the survivability
-invariants after every leg; it also accepts --disk-quota, --evict-policy
-and --threads.
+invariants after every leg; it also accepts --disk-quota and
+--evict-policy.
 
 Sizes look like 4GiB / 512MiB; machines are Table-1 names (try
 `vecycle trace list`).";
@@ -451,10 +451,6 @@ fn simulate_cmd(argv: &[String]) -> Result<(), String> {
             if let Some((quota, evict)) = lifecycle_flags(&args)? {
                 opts.quota = quota;
                 opts.policy = evict;
-            }
-            opts.threads = args.get_parsed("threads", opts.threads)?;
-            if opts.threads == 0 {
-                return Err("--threads must be positive".into());
             }
             println!(
                 "chaos soak — seed {}, {} legs across {} hosts, quota {} ({} eviction)",

@@ -12,7 +12,7 @@ vecycle fleet — event-driven checkpoint-aware fleet orchestration
 USAGE:
   vecycle fleet run [--hosts N] [--vms N] [--placement aware|blind|random]
                     [--timing immediate|window] [--max-wait 30m]
-                    [--legs N] [--interval 10m] [--seed N] [--threads N]
+                    [--legs N] [--interval 10m] [--seed N]
                     [--preseed true] [--journal <file.jsonl>]
 
 Runs an event-driven fleet: each VM issues --legs migration requests at
@@ -23,8 +23,8 @@ control caps concurrent migrations per host pair, per rack link and
 fleet-wide. With --timing window, starts defer into the guest's next
 low-dirty phase (at most --max-wait, never past the request deadline).
 
-Results are bit-identical for any --threads value and across repeat
-runs. --journal writes the placement-decision journal as JSON Lines.";
+Results are bit-identical across repeat runs. --journal writes the
+placement-decision journal as JSON Lines.";
 
 /// Runs `vecycle fleet ...`.
 ///
@@ -70,8 +70,7 @@ fn run_fleet(argv: &[String]) -> Result<(), String> {
     let mut spec = FleetSpec::new(hosts, vms)
         .with_placement(placement)
         .with_timing(timing)
-        .with_seed(args.get_parsed("seed", 1)?)
-        .with_threads(args.get_parsed("threads", 1)?);
+        .with_seed(args.get_parsed("seed", 1)?);
     spec.requests_per_vm = args.get_parsed("legs", spec.requests_per_vm)?;
     if let Some(interval) = args.get("interval") {
         spec.mean_interval = parse_duration(interval)?;

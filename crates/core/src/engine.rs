@@ -54,7 +54,6 @@ pub struct MigrationEngine {
     pub(crate) zero_suppression: bool,
     pub(crate) compression: Option<DeltaCompression>,
     pub(crate) xbzrle: Option<Xbzrle>,
-    pub(crate) threads: usize,
     pub(crate) precopy_time_budget: Option<SimDuration>,
     pub(crate) metrics: MetricsRegistry,
 }
@@ -77,7 +76,6 @@ impl MigrationEngine {
             zero_suppression: true,
             compression: None,
             xbzrle: None,
-            threads: 1,
             precopy_time_budget: None,
             metrics: MetricsRegistry::new(),
         }
@@ -151,26 +149,12 @@ impl MigrationEngine {
         self
     }
 
-    /// Sets the number of worker threads for the first-round page scan
-    /// (default 1: fully sequential).
-    ///
-    /// Results are bit-identical for every thread count — the parallel
-    /// scan splits the image into contiguous shards and merges them
-    /// deterministically; only wall-clock time changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
+    // Inert: the frozen `benchmark/` crate still calls it; goes with the
+    // next `benchmark` PR (ROADMAP item 1e).
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one scan thread");
-        self.threads = threads;
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// The configured scan-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Caps the cumulative pre-copy time (default: unlimited).

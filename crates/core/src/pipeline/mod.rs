@@ -5,23 +5,19 @@
 //! handling, wire accounting and observability exist exactly once:
 //!
 //! * [`wire_costs`] — per-message byte costs, shared with `estimate.rs`.
-//! * [`scan`] — the first-round page scan (serial = parallel with one
-//!   shard).
-//! * [`rounds`] — the [`rounds::TransferLoop`] itself: first round,
-//!   resend rounds and the stop-and-copy flush, all emitting through
-//!   one per-message step; abort assembly.
+//! * [`rounds`] — the [`rounds::TransferLoop`] itself: the first-round
+//!   scan (one walk in page order), resend rounds and the stop-and-copy
+//!   flush, all emitting through one per-message step; abort assembly.
 //! * [`sink`] — [`sink::MsgSink`], where that step hands each message:
 //!   count-only, record, link-cut walk (the daemon adds its socket).
 //! * [`obs`] — metrics/span emission, fused with ledger recording.
 //!
-//! Two invariants hold by construction. *Clean is faulted*: the clean
+//! One invariant holds by construction. *Clean is faulted*: the clean
 //! path is the faulted path with [`vecycle_faults::AttemptFaults::none`],
-//! every fault check a no-op. *Serial is parallel*: one thread is the
-//! parallel scan with a single shard run inline. Both are pinned by the
-//! golden suite and `tests/parallel_props.rs`.
+//! every fault check a no-op — pinned by the golden suite and
+//! `tests/parallel_props.rs`.
 
 pub(crate) mod obs;
 pub(crate) mod rounds;
-pub(crate) mod scan;
 pub(crate) mod sink;
 pub(crate) mod wire_costs;

@@ -16,10 +16,16 @@
 //! check is a no-op and the results are bit-identical whichever sink is
 //! attached, a property pinned by the golden suite,
 //! `tests/parallel_props.rs` and `tests/stream_identity.rs`.
+//!
+//! Round 1 is one ascending walk over the image
+//! ([`TransferLoop::scan`]): each page is classified against the dedup
+//! cache as the walk finds it and its message goes straight into the
+//! emission step, so no round is ever materialised before its first
+//! byte reaches the sink.
 
 use vecycle_checkpoint::{DedupIndex, PageLookup};
 use vecycle_faults::{AttemptFaults, FaultCause};
-use vecycle_mem::MemoryImage;
+use vecycle_mem::{MemoryImage, PageBuf};
 use vecycle_net::{wire, LinkSpec, TrafficCategory, TrafficLedger};
 use vecycle_obs::SpanId;
 use vecycle_types::{Bytes, BytesPerSec, PageCount, PageDigest, PageIndex, SimDuration};
@@ -70,23 +76,43 @@ impl AbortedTransfer {
     }
 }
 
-/// Per-class counts of the page messages one round landed.
+/// Per-class page-message counts: what a round landed, or what the
+/// first-round scan classified.
 #[derive(Default)]
-struct Landed {
+struct PageCounts {
     full: u64,
     checksums: u64,
     refs: u64,
     zeros: u64,
 }
 
-impl Landed {
-    /// The round's page-message bytes at `full_cost` per full page.
+impl PageCounts {
+    /// The counter of the class `msg` belongs to.
+    fn class_mut(&mut self, msg: &PageMsg) -> &mut u64 {
+        match msg {
+            PageMsg::Full { .. } => &mut self.full,
+            PageMsg::Checksum { .. } => &mut self.checksums,
+            PageMsg::DedupRef { .. } => &mut self.refs,
+            PageMsg::Zero { .. } => &mut self.zeros,
+        }
+    }
+
+    /// The page-message bytes at `full_cost` per full page.
     fn bytes(&self, full_cost: Bytes) -> Bytes {
         full_cost * self.full
             + wire::checksum_msg() * self.checksums
             + wire::dedup_ref_msg() * self.refs
             + wire::zero_page_msg() * self.zeros
     }
+}
+
+/// What the first-round scan hands back to its round.
+struct Scan {
+    /// Dirty-tracking skips (count only; they emit nothing).
+    skipped: u64,
+    landed: PageCounts,
+    /// False once the sink reported the link dead.
+    alive: bool,
 }
 
 /// One in-flight transfer: ledgers, span, rounds, elapsed pre-copy time
@@ -160,49 +186,108 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         msg: PageMsg,
         digest: PageDigest,
         full_cost: Bytes,
-        landed: &mut Landed,
+        landed: &mut PageCounts,
     ) -> bool {
-        let (size, class) = match msg {
-            PageMsg::Full { .. } => (full_cost, &mut landed.full),
-            PageMsg::Checksum { .. } => (wire::checksum_msg(), &mut landed.checksums),
-            PageMsg::DedupRef { .. } => (wire::dedup_ref_msg(), &mut landed.refs),
-            PageMsg::Zero { .. } => (wire::zero_page_msg(), &mut landed.zeros),
+        let size = match msg {
+            PageMsg::Full { .. } => full_cost,
+            PageMsg::Checksum { .. } => wire::checksum_msg(),
+            PageMsg::DedupRef { .. } => wire::dedup_ref_msg(),
+            PageMsg::Zero { .. } => wire::zero_page_msg(),
         };
+        let class = landed.class_mut(&msg);
         let ok = self.sink.page(msg, digest, size);
         *class += u64::from(ok);
         ok
     }
 
-    /// Emits a round's messages in order. Returns what landed and
-    /// whether the link survived the walk.
-    fn emit_all(
+    /// The first-round scan: one ascending walk over the image, each
+    /// page classified against the dedup cache as the walk finds it and
+    /// its message emitted on the spot. Page order alone fixes every
+    /// dedup winner: a content's first sender is the lowest page that
+    /// announces it, after whatever an earlier gang VM left in `sent`.
+    ///
+    /// A dead link stops the offering, not the classification: the scan
+    /// counters and `sent` cover the whole image either way.
+    fn scan<M: MemoryImage>(
         &mut self,
+        vm: &M,
+        strategy: &Strategy,
+        sent: &mut DedupIndex,
         full_cost: Bytes,
-        msgs: impl ExactSizeIterator<Item = (PageMsg, PageDigest)>,
-    ) -> (Landed, bool) {
-        self.sink.reserve(msgs.len());
-        let mut landed = Landed::default();
-        for (msg, digest) in msgs {
-            if !self.emit(msg, digest, full_cost, &mut landed) {
-                return (landed, false);
+    ) -> Scan {
+        let zero_suppression = self.engine.zero_suppression;
+        let n = vm.page_count().as_u64();
+        self.sink.reserve(n as usize);
+        // Every non-skipped page by class, whether or not the link lived
+        // to carry its message.
+        let mut classified = PageCounts::default();
+        let mut scan = Scan {
+            skipped: 0,
+            landed: PageCounts::default(),
+            alive: true,
+        };
+        for idx in (0..n).map(PageIndex::new) {
+            let digest = vm.page_digest(idx);
+            let msg = match strategy.classify(idx, digest, sent) {
+                PageAction::Skip => {
+                    scan.skipped += 1;
+                    continue;
+                }
+                // Zero suppression applies whenever a payload would be
+                // sent: a 13-byte marker beats both the full page and
+                // the 28-byte checksum message, and announces nothing.
+                _ if zero_suppression && digest.is_zero_page() => PageMsg::Zero { idx },
+                PageAction::SendFull => {
+                    sent.insert_first(digest, idx);
+                    // Only a sink that reads the message is worth a
+                    // page copy.
+                    let bytes = if S::PER_MESSAGE && scan.alive {
+                        vm.page_bytes(idx).map(PageBuf::copy_from)
+                    } else {
+                        None
+                    };
+                    PageMsg::Full { idx, digest, bytes }
+                }
+                PageAction::SendChecksum => {
+                    sent.insert_first(digest, idx);
+                    PageMsg::Checksum { idx, digest }
+                }
+                PageAction::SendDedupRef(source) => PageMsg::DedupRef { idx, source },
+            };
+            *classified.class_mut(&msg) += 1;
+            if scan.alive {
+                scan.alive = self.emit(msg, digest, full_cost, &mut scan.landed);
             }
         }
-        (landed, true)
+        self.engine.obs_pages(
+            "engine_scan_pages_total",
+            &[
+                ("skipped", scan.skipped),
+                ("zero", classified.zeros),
+                ("checksum", classified.checksums),
+                ("dedup_ref", classified.refs),
+                ("full", classified.full),
+            ],
+        );
+        scan
     }
 
     /// Emits one message per dirty page, in ascending page order (so
     /// dedup cache updates stay deterministic across runs): a zero
     /// marker for a suppressed all-zero page, otherwise whatever
-    /// `classify` decides.
+    /// `classify` decides. Returns what landed and whether the link
+    /// survived the walk.
     fn emit_dirty<M: MemoryImage>(
         &mut self,
         vm: &M,
         dirty: &[PageIndex],
         full_cost: Bytes,
         mut classify: impl FnMut(PageIndex, PageDigest) -> PageAction,
-    ) -> (Landed, bool) {
+    ) -> (PageCounts, bool) {
         let zero_suppression = self.engine.zero_suppression;
-        let msgs = dirty.iter().map(|&idx| {
+        self.sink.reserve(dirty.len());
+        let mut landed = PageCounts::default();
+        for &idx in dirty {
             let digest = vm.page_digest(idx);
             let msg = if zero_suppression && digest.is_zero_page() {
                 PageMsg::Zero { idx }
@@ -218,13 +303,15 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                     PageAction::Skip => unreachable!("a dirty page is never skipped"),
                 }
             };
-            (msg, digest)
-        });
-        self.emit_all(full_cost, msgs)
+            if !self.emit(msg, digest, full_cost, &mut landed) {
+                return (landed, false);
+            }
+        }
+        (landed, true)
     }
 
     /// Records a round's landed page messages in the forward ledger.
-    fn record_landed(&mut self, landed: &Landed, full_cost: Bytes) {
+    fn record_landed(&mut self, landed: &PageCounts, full_cost: Bytes) {
         for (category, count, size) in [
             (TrafficCategory::FullPages, landed.full, full_cost),
             (
@@ -268,11 +355,11 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         wreck
     }
 
-    /// Runs round 1: scan, emit the message stream (unless the sink
-    /// only counts), record the round. The sink can kill the round
-    /// mid-stream; the `Err` carries the wreckage (already counted and
-    /// span-closed). A round that survives is accounted from what
-    /// landed, which is then exactly what the scan classified.
+    /// Runs round 1: the scan streams its messages into the sink, then
+    /// the round is recorded. The sink can kill the round mid-stream;
+    /// the `Err` carries the wreckage (already counted and span-closed).
+    /// A round that survives is accounted from what landed, which is
+    /// then exactly what the scan classified.
     pub(crate) fn first_round<M: MemoryImage>(
         &mut self,
         vm: &M,
@@ -282,25 +369,11 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         let engine = self.engine;
         let link = engine.link_for_round(1, self.faults);
         let page_msg = engine.wire_costs().full_page();
-        let scan = engine.scan(vm, strategy, sent, S::PER_MESSAGE);
-        let (landed, alive) = match scan.msgs {
-            None => (
-                Landed {
-                    full: scan.full,
-                    checksums: scan.checksums,
-                    refs: scan.refs,
-                    zeros: scan.zeros,
-                },
-                true,
-            ),
-            Some(msgs) => self.emit_all(
-                page_msg,
-                msgs.into_iter().map(|msg| {
-                    let digest = vm.page_digest(msg.idx());
-                    (msg, digest)
-                }),
-            ),
-        };
+        let Scan {
+            skipped,
+            landed,
+            alive,
+        } = self.scan(vm, strategy, sent, page_msg);
         self.record_landed(&landed, page_msg);
         if !alive {
             return Err(self.abort(1, link, landed.bytes(page_msg)));
@@ -310,7 +383,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         let n = vm.page_count().as_u64();
         // Miyakodori ships the page-reuse bitmap so the destination knows
         // which checkpoint pages stand (1 bit per page).
-        if scan.skipped > 0 {
+        if skipped > 0 {
             self.record_forward(
                 TrafficCategory::Control,
                 Bytes::new(n.div_ceil(8) + wire::MSG_HEADER),
@@ -348,7 +421,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
             full_pages: PageCount::new(landed.full),
             checksum_pages: PageCount::new(landed.checksums),
             dedup_refs: PageCount::new(landed.refs),
-            skipped_pages: PageCount::new(scan.skipped),
+            skipped_pages: PageCount::new(skipped),
             zero_pages: PageCount::new(landed.zeros),
             bytes_sent: bytes,
             duration,
@@ -596,3 +669,7 @@ fn spiked_duration(faults: &AttemptFaults, round: u32, duration: SimDuration) ->
         _ => duration,
     }
 }
+
+#[cfg(test)]
+#[path = "scan_tests.rs"]
+mod scan_tests;

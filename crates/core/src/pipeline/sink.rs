@@ -8,7 +8,7 @@
 //!
 //! | sink | per message | used by |
 //! |------|-------------|---------|
-//! | [`CountOnly`] | nothing (round 1 is never materialised) | `migrate`, `migrate_gang`, `migrate_live`, post-copy |
+//! | [`CountOnly`] | nothing (no page bytes are copied for it) | `migrate`, `migrate_gang`, `migrate_live`, post-copy |
 //! | [`Transcript`] / [`LiveTranscript`] | keeps it for replay | `migrate_with_transcript`, `migrate_live_with_transcript` |
 //! | [`CutSink`] | lands it until the armed byte limit is crossed | `migrate_live_faulted` |
 //! | the daemon's `SocketSink` | encodes and writes it | `vecycled` source sessions |
@@ -24,10 +24,10 @@ use crate::{LiveTranscript, PageMsg, Transcript};
 /// A sink is a pure observer of a transfer that completes: reports,
 /// ledgers and metrics are bit-identical whichever sink is attached.
 pub trait MsgSink {
-    /// Whether the sink consumes round 1 message by message. A sink
-    /// that only needs totals sets this to `false`, and the first-round
-    /// scan then never builds its message vector; later rounds still
-    /// call [`MsgSink::page`], which costs such a sink nothing.
+    /// Whether the sink reads the messages it is handed. A sink that
+    /// only needs totals sets this to `false`; every message still goes
+    /// through [`MsgSink::page`], which costs such a sink nothing, but
+    /// round 1 then copies no page bytes into its full-page messages.
     const PER_MESSAGE: bool = true;
 
     /// Hint: up to `n` page messages follow before the next delimiter.
@@ -52,7 +52,7 @@ pub trait MsgSink {
 }
 
 /// Counts only: the transfer's own per-class totals are all anyone
-/// wants, so no message is ever materialised for round 1.
+/// wants, so every message is dropped unread.
 pub(crate) struct CountOnly;
 
 impl MsgSink for CountOnly {

@@ -1,7 +1,7 @@
 //! Migration reports: what happened, how long it took, what it cost.
 
 use vecycle_faults::FaultCause;
-use vecycle_net::{TrafficCategory, TrafficLedger};
+use vecycle_net::TrafficLedger;
 use vecycle_types::{Bytes, PageCount, Ratio, SimDuration};
 
 use crate::StrategyName;
@@ -277,11 +277,6 @@ impl MigrationReport {
     pub fn traffic_fraction_of_ram(&self) -> Ratio {
         self.source_traffic().fraction_of(self.ram)
     }
-
-    /// Full-page bytes as recorded in the ledger (cross-check value).
-    pub fn full_page_bytes(&self) -> Bytes {
-        self.forward.bytes_in(TrafficCategory::FullPages)
-    }
 }
 
 impl std::fmt::Display for MigrationReport {
@@ -302,6 +297,7 @@ impl std::fmt::Display for MigrationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vecycle_net::TrafficCategory;
 
     fn sample() -> MigrationReport {
         let rounds = vec![

@@ -128,11 +128,6 @@ impl VeCycleSession {
         self
     }
 
-    /// The retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Shares a metrics registry with this session (and its engine).
     #[must_use]
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {

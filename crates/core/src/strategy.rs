@@ -173,44 +173,22 @@ impl Strategy {
     /// that carried this content. The caller inserts into it when this
     /// returns [`PageAction::SendFull`] or [`PageAction::SendChecksum`].
     pub fn classify(&self, idx: PageIndex, digest: PageDigest, sent: &DedupIndex) -> PageAction {
-        match self.preclassify(idx, digest) {
-            PageAction::SendFull if self.dedup => match sent.get(digest) {
-                Some(first) => PageAction::SendDedupRef(first),
-                None => PageAction::SendFull,
-            },
-            action => action,
-        }
-    }
-
-    /// The dedup-independent part of [`Strategy::classify`].
-    ///
-    /// Depends only on `(idx, digest)` — never on what was sent earlier —
-    /// so the parallel scan can run it on every page concurrently and
-    /// resolve [`PageAction::SendFull`] candidates against the dedup
-    /// cache afterwards. `classify(idx, d, sent)` ≡ `preclassify(idx, d)`
-    /// with the `SendFull` outcome refined through `sent`.
-    pub fn preclassify(&self, idx: PageIndex, digest: PageDigest) -> PageAction {
         if let Some(reusable) = &self.reusable {
             if reusable.contains(&idx) {
                 return PageAction::Skip;
             }
         }
-        if let Some(index) = &self.index {
-            if index.contains(digest) {
-                return PageAction::SendChecksum;
-            }
-        }
-        PageAction::SendFull
+        self.classify_resend(digest, sent)
     }
 
     /// Decides the action for a page re-dirtied after the first round.
     ///
-    /// Same precedence as [`Strategy::classify`] minus the reusable-set
-    /// check: that set proves a page unchanged *since the checkpoint*,
-    /// which a dirty page in round ≥ 2 by definition no longer is. A
-    /// checkpoint-index hit still collapses the resend to a checksum
-    /// message — the guest may have rewritten the page with content the
-    /// destination's checkpoint already holds.
+    /// [`Strategy::classify`] minus the reusable-set check: that set
+    /// proves a page unchanged *since the checkpoint*, which a dirty page
+    /// in round ≥ 2 by definition no longer is. A checkpoint-index hit
+    /// still collapses the resend to a checksum message — the guest may
+    /// have rewritten the page with content the destination's checkpoint
+    /// already holds.
     pub fn classify_resend(&self, digest: PageDigest, sent: &DedupIndex) -> PageAction {
         if let Some(index) = &self.index {
             if index.contains(digest) {
@@ -316,33 +294,6 @@ mod tests {
             PageAction::SendFull
         );
         assert!(!s.computes_checksums());
-    }
-
-    #[test]
-    fn preclassify_refined_by_sent_matches_classify() {
-        let cp = DigestMemory::with_distinct_content(PageCount::new(4), 1);
-        let strategies = [
-            Strategy::full(),
-            Strategy::dedup(),
-            Strategy::vecycle(&cp),
-            Strategy::vecycle(&cp).with_dedup(),
-        ];
-        let mut sent = DedupIndex::new();
-        sent.insert_first(d(42), PageIndex::new(1));
-        for s in &strategies {
-            for (i, content) in [(0u64, 42u64), (1, 42), (2, 7), (3, 1)] {
-                let idx = PageIndex::new(i);
-                let digest = d(content);
-                let refined = match s.preclassify(idx, digest) {
-                    PageAction::SendFull if s.dedup_enabled() => match sent.get(digest) {
-                        Some(first) => PageAction::SendDedupRef(first),
-                        None => PageAction::SendFull,
-                    },
-                    action => action,
-                };
-                assert_eq!(refined, s.classify(idx, digest, &sent), "{}", s.name());
-            }
-        }
     }
 
     #[test]

@@ -510,97 +510,6 @@ fn downtime_budget_uses_actual_resend_size() {
     assert!(xb.downtime() <= SimDuration::from_millis(1));
 }
 
-#[test]
-fn parallel_scan_is_bit_identical_to_sequential() {
-    // A workload mixing every message class: checkpoint hits
-    // (checksums), fresh content (full pages), duplicated fresh
-    // content (dedup refs), and zero pages.
-    let base = mem(8, 63);
-    let mut vm = base.snapshot();
-    let n = vm.page_count().as_u64();
-    for i in 0..n / 4 {
-        vm.write_page(
-            PageIndex::new(i * 2),
-            PageContent::ContentId((1 << 48) | (i % 64)),
-        );
-    }
-    for i in 0..n / 16 {
-        vm.write_page(PageIndex::new(i * 16 + 1), PageContent::ContentId(0));
-    }
-    let strategies: Vec<Strategy> = vec![
-        Strategy::full(),
-        Strategy::dedup(),
-        Strategy::vecycle(&base),
-        Strategy::vecycle(&base).with_dedup(),
-    ];
-    for strategy in &strategies {
-        let seq_engine = MigrationEngine::new(LinkSpec::lan_gigabit());
-        let (seq_report, seq_transcript) = seq_engine
-            .migrate_with_transcript(&vm, strategy.clone())
-            .unwrap();
-        for threads in [2, 3, 4, 8] {
-            let par_engine = MigrationEngine::new(LinkSpec::lan_gigabit()).with_threads(threads);
-            let (par_report, par_transcript) = par_engine
-                .migrate_with_transcript(&vm, strategy.clone())
-                .unwrap();
-            assert_eq!(
-                par_report,
-                seq_report,
-                "strategy {} threads {threads}",
-                strategy.name()
-            );
-            assert_eq!(
-                par_transcript,
-                seq_transcript,
-                "strategy {} threads {threads}",
-                strategy.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_gang_migration_matches_sequential() {
-    // Gang migrations share the dedup cache across VMs; the parallel
-    // scan must hand identical cross-VM back-references out.
-    let a = mem(4, 64);
-    let mut b = a.snapshot();
-    let n = b.page_count().as_u64();
-    for i in 0..n / 8 {
-        b.write_page(PageIndex::new(i), PageContent::ContentId((1 << 52) | i));
-    }
-    let strategies = [Strategy::dedup(), Strategy::dedup()];
-    let seq = MigrationEngine::new(LinkSpec::lan_gigabit())
-        .migrate_gang(&[&a, &b], &strategies)
-        .unwrap();
-    for threads in [2, 4] {
-        let par = MigrationEngine::new(LinkSpec::lan_gigabit())
-            .with_threads(threads)
-            .migrate_gang(&[&a, &b], &strategies)
-            .unwrap();
-        assert_eq!(par, seq, "threads {threads}");
-    }
-}
-
-#[test]
-fn parallel_scan_handles_images_smaller_than_thread_count() {
-    let vm = DigestMemory::with_distinct_content(PageCount::new(3), 9);
-    let seq = MigrationEngine::new(LinkSpec::lan_gigabit())
-        .migrate(&vm, Strategy::full())
-        .unwrap();
-    let par = MigrationEngine::new(LinkSpec::lan_gigabit())
-        .with_threads(16)
-        .migrate(&vm, Strategy::full())
-        .unwrap();
-    assert_eq!(par, seq);
-}
-
-#[test]
-#[should_panic(expected = "at least one scan thread")]
-fn zero_threads_panics() {
-    let _ = MigrationEngine::new(LinkSpec::lan_gigabit()).with_threads(0);
-}
-
 // ---- fault injection ----
 
 #[test]

@@ -244,9 +244,9 @@ impl Journal {
             f.sync_all()?;
         }
         std::fs::rename(&tmp, &self.path)?;
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        // Persist the rename, as `DiskStore::save` does.
+        #[cfg(unix)]
+        File::open(&self.dir)?.sync_all()?;
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)

@@ -42,11 +42,9 @@ pub fn link_for(spec: &ScenarioSpec) -> LinkSpec {
     }
 }
 
-/// The engine both sides use. Scan threads are pinned to 1: daemon
-/// parallelism lives in the work queue (`VECYCLE_THREADS` workers),
-/// and the engine's thread count must not vary with it.
+/// The engine both sides use.
 pub fn engine_for(spec: &ScenarioSpec) -> MigrationEngine {
-    MigrationEngine::new(link_for(spec)).with_threads(1)
+    MigrationEngine::new(link_for(spec))
 }
 
 /// The guest as it stands when migration starts: initial memory plus

@@ -29,7 +29,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use vecycle_core::MigrationReport;
 use vecycle_faults::{KillPoint, KillRole, KillSpec, KillSwitch};
 use vecycle_host::HostLocks;
 use vecycle_obs::MetricsRegistry;
@@ -303,11 +302,6 @@ impl DaemonHandle {
     /// A snapshot of one job's record.
     pub fn job_record(&self, id: u64) -> Option<JobRecord> {
         self.state.queue.lock().jobs.get(&id).cloned()
-    }
-
-    /// One job's migration report, once done.
-    pub fn job_report(&self, id: u64) -> Option<MigrationReport> {
-        self.job_record(id).and_then(|r| r.report)
     }
 
     /// Job ids in the order the scheduler admitted them.

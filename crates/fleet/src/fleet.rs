@@ -11,19 +11,16 @@
 //!
 //! # Determinism
 //!
-//! The event loop is single-threaded in simulated time; parallelism
-//! lives only inside the engine's page scan, which is bit-identical
-//! for every `VECYCLE_THREADS` value. Same-timestamp events pop FIFO
-//! (pinned by `vecycle-sim`'s regression tests), every tie-break in
-//! placement is a total order, and all randomness flows from splitmix
-//! lanes of the spec seed — so the journal, the report and the metrics
-//! snapshot are byte-identical across thread counts and repeat runs.
+//! The event loop is single-threaded in simulated time. Same-timestamp
+//! events pop FIFO (pinned by `vecycle-sim`'s regression tests), every
+//! tie-break in placement is a total order, and all randomness flows
+//! from splitmix lanes of the spec seed — so the journal, the report
+//! and the metrics snapshot are byte-identical across repeat runs.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use vecycle_checkpoint::Checkpoint;
 use vecycle_core::session::{SessionEvent, VeCycleSession, VmInstance};
-use vecycle_core::MigrationEngine;
 use vecycle_faults::FaultPlan;
 use vecycle_host::{Cluster, MigrationRequest};
 use vecycle_mem::workload::GuestWorkload;
@@ -138,8 +135,7 @@ pub struct Fleet {
 impl Fleet {
     /// Builds a fleet per `spec`: a homogeneous cluster, per-VM guests,
     /// affinity sets and request streams (all derived from the spec
-    /// seed), executed by a [`VeCycleSession`] whose engine runs
-    /// `spec.threads` scan threads.
+    /// seed), executed by a [`VeCycleSession`].
     ///
     /// # Errors
     ///
@@ -148,12 +144,9 @@ impl Fleet {
     pub fn new(spec: FleetSpec) -> vecycle_types::Result<Self> {
         spec.validate()?;
         let cluster = Cluster::homogeneous(spec.hosts, spec.link);
-        let engine = MigrationEngine::new(spec.link).with_threads(spec.threads);
         // Hosts share their checkpoint stores by Arc, so the session's
         // cluster clone and the fleet's placement view stay coherent.
-        let session = VeCycleSession::new(cluster.clone())
-            .with_engine(engine)
-            .with_metrics(MetricsRegistry::new());
+        let session = VeCycleSession::new(cluster.clone()).with_metrics(MetricsRegistry::new());
         let mut vms = Vec::with_capacity(spec.vms as usize);
         let mut streams = Vec::with_capacity(spec.vms as usize);
         for i in 0..spec.vms {

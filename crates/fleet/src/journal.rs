@@ -2,7 +2,7 @@
 //!
 //! The journal is the fleet's determinism witness — CI uploads it as
 //! an artifact on failure and the parallel-props suite compares it
-//! byte-for-byte across thread counts. Every field is integral or a
+//! byte-for-byte across repeat runs. Every field is integral or a
 //! stable label; nothing wall-clock-dependent may enter.
 
 use serde::{Deserialize, Serialize};

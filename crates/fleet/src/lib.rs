@@ -22,8 +22,7 @@
 //!   as the static schedule runners;
 //! * [`FleetReport`] / [`PlacementDecision`] — deterministic results:
 //!   a journal of every decision plus aggregate traffic/downtime
-//!   accounting, byte-identical across `VECYCLE_THREADS` values and
-//!   repeat runs.
+//!   accounting, byte-identical across repeat runs.
 //!
 //! ```
 //! use vecycle_fleet::{Fleet, FleetSpec, PlacementMode};

@@ -8,8 +8,8 @@ use vecycle_types::{Bytes, SimDuration};
 use crate::journal::{self, PlacementDecision};
 
 /// Everything a fleet run produced. All fields are deterministic:
-/// byte-for-byte identical across `VECYCLE_THREADS` values and repeat
-/// runs of the same [`FleetSpec`](crate::FleetSpec).
+/// byte-for-byte identical across repeat runs of the same
+/// [`FleetSpec`](crate::FleetSpec).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// One record per executed migration, in execution order.
@@ -61,16 +61,6 @@ impl FleetReport {
         } else {
             self.placement_hits as f64 / self.migrations as f64
         }
-    }
-
-    /// Mean source traffic per migration.
-    pub fn mean_traffic(&self) -> Bytes {
-        let mean = self
-            .total_traffic
-            .as_u64()
-            .checked_div(self.migrations)
-            .unwrap_or(0);
-        Bytes::new(mean)
     }
 }
 

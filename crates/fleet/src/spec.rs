@@ -45,9 +45,6 @@ pub struct FleetSpec {
     pub link_capacity: u32,
     /// Max concurrent migrations fleet-wide.
     pub max_inflight: u32,
-    /// Engine scan threads (the `VECYCLE_THREADS` knob). Results are
-    /// bit-identical for every value; only wall-clock time changes.
-    pub threads: usize,
     /// Pre-seed each VM's affinity hosts with a checkpoint of its
     /// initial state, modelling a fleet with migration history. With
     /// this off, warm placements only appear after a VM's first leg.
@@ -76,7 +73,6 @@ impl FleetSpec {
             hosts_per_rack: 16,
             link_capacity: 8,
             max_inflight: 64,
-            threads: 1,
             preseed_checkpoints: false,
         }
     }
@@ -102,10 +98,11 @@ impl FleetSpec {
         self
     }
 
-    /// Overrides the engine scan-thread count.
+    // Inert: the frozen `benchmark/` crate still calls it; goes with the
+    // next `benchmark` PR (ROADMAP item 1e).
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -136,8 +133,6 @@ impl FleetSpec {
             Some("racks need at least one host".to_string())
         } else if self.link_capacity == 0 || self.max_inflight == 0 {
             Some("admission caps must be positive or nothing ever starts".to_string())
-        } else if self.threads == 0 {
-            Some("need at least one scan thread".to_string())
         } else {
             None
         };

@@ -46,35 +46,16 @@ fn clean_run_equals_faulted_run_with_empty_plan() {
 
 #[test]
 fn repeat_runs_are_bit_identical() {
-    let a = Fleet::new(small_spec()).unwrap().run().unwrap();
-    let b = Fleet::new(small_spec()).unwrap().run().unwrap();
+    let run = || {
+        let mut fleet = Fleet::new(small_spec()).unwrap();
+        let report = fleet.run().unwrap();
+        (report, fleet.metrics().snapshot().to_canonical_json())
+    };
+    let (a, a_metrics) = run();
+    let (b, b_metrics) = run();
     assert_eq!(a, b);
     assert_eq!(a.journal_jsonl(), b.journal_jsonl());
-}
-
-#[test]
-fn thread_count_does_not_change_results() {
-    let base = Fleet::new(small_spec().with_threads(1))
-        .unwrap()
-        .run()
-        .unwrap();
-    for threads in [2, 4, 8] {
-        let other = Fleet::new(small_spec().with_threads(threads))
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(base, other, "threads={threads} diverged");
-    }
-}
-
-#[test]
-fn metrics_snapshot_is_thread_invariant() {
-    let canonical = |threads: usize| {
-        let mut fleet = Fleet::new(small_spec().with_threads(threads)).unwrap();
-        fleet.run().unwrap();
-        fleet.metrics().snapshot().to_canonical_json()
-    };
-    assert_eq!(canonical(1), canonical(4));
+    assert_eq!(a_metrics, b_metrics);
 }
 
 #[test]

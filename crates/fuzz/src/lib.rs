@@ -7,8 +7,8 @@
 //! buys a property coverage-guided fuzzers give up: the whole run is a
 //! pure function of `(seed, iters)`. The same seed produces the same
 //! mutant stream, the same outcome-class discoveries, the same corpus
-//! files and the same stats block, on any machine, at any thread
-//! count. A finding is reproducible from two integers.
+//! files and the same stats block, on any machine. A finding is
+//! reproducible from two integers.
 //!
 //! The moving parts:
 //!
@@ -25,9 +25,8 @@
 //! * [`corpus`] — the permanent, content-addressed corpus under
 //!   `fuzz/corpus/`, replayed by tests and CI;
 //! * [`oracle`] — differential replay of clean-parsing corpus entries:
-//!   closed-form estimates vs the real transfer pipeline, and
-//!   single-thread vs multi-thread migrations. The socket decoders
-//!   carry their own per-input oracle (reader equivalence) as
+//!   closed-form estimates vs the real transfer pipeline. The socket
+//!   decoders carry their own per-input oracle (reader equivalence) as
 //!   [`targets::Target::differential`].
 
 #![warn(missing_docs)]

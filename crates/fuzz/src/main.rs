@@ -5,9 +5,9 @@
 //! ```
 //!
 //! Everything printed is a pure function of the flags and the on-disk
-//! corpus: no wall-clock, no thread count, no iteration order
-//! dependence. Two runs with the same seed produce byte-identical
-//! stdout and a byte-identical corpus, which is what lets CI diff them.
+//! corpus: no wall-clock, no iteration order dependence. Two runs with
+//! the same seed produce byte-identical stdout and a byte-identical
+//! corpus, which is what lets CI diff them.
 //!
 //! Exit status: 0 when every target completes with no panics, no
 //! allocation-guard trips and no oracle disagreements; 1 when there are

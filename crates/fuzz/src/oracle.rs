@@ -1,20 +1,14 @@
-//! Differential oracles: every corpus entry that parses cleanly is
+//! The differential oracle: every corpus entry that parses cleanly is
 //! replayed through two independent implementations of the same
 //! question, and any disagreement is a bug in one of them.
 //!
-//! Oracle 1 — **estimate ≡ pipeline**: `estimate.rs` prices a
-//! migration in closed form from exact page-class counts; the real
-//! `TransferLoop` pipeline prices the same migration message by
-//! message. Both draw prices from the shared `WireCosts` table, so
-//! for an idle guest their *traffic* must agree exactly, and their
-//! *time* within the estimator's documented small-term slack (it
-//! ignores the checksum pre-exchange, which the engine accounts).
-//!
-//! Oracle 2 — **threads 1 ≡ N**: the parallel scan contract says any
-//! thread count yields bit-identical results. Each replay runs the
-//! same migration at 1, 4 and (when set) `VECYCLE_THREADS` threads
-//! and requires identical [`MigrationReport`]s *and* identical
-//! canonical metrics snapshots.
+//! **estimate ≡ pipeline**: `estimate.rs` prices a migration in closed
+//! form from exact page-class counts; the real `TransferLoop` pipeline
+//! prices the same migration message by message. Both draw prices from
+//! the shared `WireCosts` table, so for an idle guest their *traffic*
+//! must agree exactly, and their *time* within the estimator's
+//! documented small-term slack (it ignores the checksum pre-exchange,
+//! which the engine accounts).
 //!
 //! Fuzz-found checkpoints and traces make unusually good oracle
 //! inputs: they carry digest patterns (duplicate runs, zero floods,
@@ -25,7 +19,6 @@ use vecycle_core::{estimate, MigrationEngine, MigrationReport, Strategy};
 use vecycle_host::CpuSpec;
 use vecycle_mem::{DigestMemory, MemoryImage};
 use vecycle_net::LinkSpec;
-use vecycle_obs::MetricsRegistry;
 use vecycle_trace::Trace;
 use vecycle_types::{PageDigest, Ratio};
 
@@ -47,43 +40,10 @@ const TIME_ATOL_SECS: f64 = 0.005;
 /// What a replay did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleOutcome {
-    /// Both oracles ran and agreed.
+    /// The oracle ran and agreed.
     Checked,
     /// Input was empty or over the size cap; nothing to migrate.
     Skipped,
-}
-
-/// The thread counts under test: always 1 vs 4, plus `VECYCLE_THREADS`
-/// when set — so a CI matrix leg genuinely varies the comparison.
-fn threads_under_test() -> Vec<usize> {
-    let mut t = vec![1, 4];
-    if let Ok(v) = std::env::var("VECYCLE_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                t.push(n);
-            }
-        }
-    }
-    t.sort_unstable();
-    t.dedup();
-    t
-}
-
-/// Runs one migration at the given thread count, returning the report
-/// and the canonical metrics snapshot.
-fn run_once(
-    vm: &DigestMemory,
-    strategy: &Strategy,
-    threads: usize,
-) -> Result<(MigrationReport, String), String> {
-    let metrics = MetricsRegistry::new();
-    let engine = MigrationEngine::new(LinkSpec::lan_gigabit())
-        .with_threads(threads)
-        .with_metrics(metrics.clone());
-    let report = engine
-        .migrate(vm, strategy.clone())
-        .map_err(|e| format!("migrate failed: {e}"))?;
-    Ok((report, metrics.snapshot().to_canonical_json()))
 }
 
 /// Exact page-class counts for the estimator, derived by replaying the
@@ -132,7 +92,7 @@ fn check_estimate(
 
 /// Core replay shared by the checkpoint and trace oracles: migrate
 /// `vm` against `index` under VeCycle and under the full baseline,
-/// checking thread-count identity and estimator agreement for both.
+/// checking estimator agreement for both.
 fn replay(vm: &DigestMemory, index: Arc<ChecksumIndex>) -> Result<OracleOutcome, String> {
     let pages = vm.page_count().as_usize();
     if pages == 0 || pages > MAX_ORACLE_PAGES {
@@ -141,47 +101,28 @@ fn replay(vm: &DigestMemory, index: Arc<ChecksumIndex>) -> Result<OracleOutcome,
     let (similarity, zero_fraction) = exact_fractions(vm, &index);
     let cpu = CpuSpec::phenom_ii();
     let link = LinkSpec::lan_gigabit();
+    let engine = MigrationEngine::new(link);
+    let migrate = |strategy: Strategy| {
+        engine
+            .migrate(vm, strategy)
+            .map_err(|e| format!("migrate failed: {e}"))
+    };
 
-    for (label, strategy) in [
-        ("vecycle", Strategy::vecycle_with_index(index.clone())),
-        ("full", Strategy::full()),
-    ] {
-        let mut baseline: Option<(MigrationReport, String)> = None;
-        for threads in threads_under_test() {
-            let (report, snap) = run_once(vm, &strategy, threads)?;
-            match &baseline {
-                None => {
-                    // Oracle 1 on the single-thread run (the others are
-                    // bit-identical or the run fails below anyway).
-                    let predicted = match label {
-                        "vecycle" => estimate::estimate_vecycle(
-                            vm.ram_size(),
-                            similarity,
-                            zero_fraction,
-                            link,
-                            &cpu,
-                            vecycle_hash::ChecksumAlgorithm::Md5,
-                        ),
-                        _ => estimate::estimate_full(vm.ram_size(), zero_fraction, link),
-                    };
-                    check_estimate(label, predicted, &report)?;
-                    baseline = Some((report, snap));
-                }
-                Some((r0, s0)) => {
-                    if report != *r0 {
-                        return Err(format!(
-                            "{label}: report at {threads} threads differs from 1 thread"
-                        ));
-                    }
-                    if snap != *s0 {
-                        return Err(format!(
-                            "{label}: metrics at {threads} threads differ from 1 thread"
-                        ));
-                    }
-                }
-            }
-        }
-    }
+    let predicted = estimate::estimate_vecycle(
+        vm.ram_size(),
+        similarity,
+        zero_fraction,
+        link,
+        &cpu,
+        vecycle_hash::ChecksumAlgorithm::Md5,
+    );
+    check_estimate(
+        "vecycle",
+        predicted,
+        &migrate(Strategy::vecycle_with_index(index))?,
+    )?;
+    let predicted = estimate::estimate_full(vm.ram_size(), zero_fraction, link);
+    check_estimate("full", predicted, &migrate(Strategy::full())?)?;
     Ok(OracleOutcome::Checked)
 }
 

@@ -238,16 +238,6 @@ impl Cluster {
         }
     }
 
-    /// Creates a cluster from explicit hosts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hosts` is empty.
-    pub fn from_hosts(hosts: Vec<Host>, link: LinkSpec) -> Self {
-        assert!(!hosts.is_empty(), "a cluster needs at least one host");
-        Cluster { hosts, link }
-    }
-
     /// The hosts.
     pub fn hosts(&self) -> &[Host] {
         &self.hosts

@@ -63,13 +63,6 @@ impl MigrationRequest {
         self
     }
 
-    /// Sets the deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: SimTime) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Merges many per-VM request streams into one, sorted by the
     /// documented fleet tie-break **`(at, VmId)`**: earlier requests
     /// first, and among requests stamped at the same instant the lower

@@ -99,11 +99,6 @@ impl<M: MutableMemory> Guest<M> {
         self.dirty.mark(dst);
         self.generations.bump(dst);
     }
-
-    /// Consumes the guest, returning the memory image.
-    pub fn into_memory(self) -> M {
-        self.memory
-    }
 }
 
 impl<M: MemoryImage> MemoryImage for Guest<M> {

@@ -23,33 +23,29 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod byte_memory;
 mod content;
 mod digest_memory;
 mod dirty;
 mod generation;
 mod guest;
+mod page_buf;
 pub mod workload;
 
-pub use arena::{ArenaSlot, PageArena, PageBuf, SealedArena};
 pub use byte_memory::ByteMemory;
 pub use content::PageContent;
 pub use digest_memory::DigestMemory;
 pub use dirty::DirtyTracker;
 pub use generation::{Generation, GenerationSnapshot, GenerationTable};
 pub use guest::Guest;
+pub use page_buf::PageBuf;
 
 use vecycle_types::{Bytes, PageCount, PageDigest, PageIndex};
 
 /// Read access to a guest memory image.
 ///
 /// Implementations must be *dense*: pages `0..page_count()` all exist.
-///
-/// `Sync` is a supertrait: an image is an immutable snapshot while it is
-/// being read, and the migration engine's parallel page scan shares one
-/// image across scoped worker threads.
-pub trait MemoryImage: Sync {
+pub trait MemoryImage {
     /// Number of pages in the image.
     fn page_count(&self) -> PageCount;
 

@@ -4,8 +4,8 @@
 //! must be as reproducible as its results: this crate provides a
 //! metrics registry (counters, gauges, fixed-bucket histograms) and
 //! hierarchical span tracing (`migration > round > page-class`) that
-//! are **bit-identical across runs and thread counts**. The rules that
-//! make that possible:
+//! are **bit-identical across runs**. The rules that make that
+//! possible:
 //!
 //! * **No wall-clock reads.** "Time" is simulated: bytes, rounds and
 //!   [`SimDuration`](vecycle_types::SimDuration) values computed by the
@@ -13,12 +13,9 @@
 //! * **Deterministic ordering.** Metric series live in `BTreeMap`s
 //!   keyed by `(name, sorted labels)`; snapshots, Prometheus text and
 //!   JSONL streams iterate those maps, never a hash map.
-//! * **Single-writer timeline.** Spans and events are recorded on the
-//!   single-threaded control path only. Parallel scan shards use
-//!   [`CounterShard`] — a lock-free local accumulator merged into the
-//!   registry afterwards; counter addition commutes, so the merged
-//!   totals are independent of shard scheduling (the same trick as
-//!   `DedupIndex` in `vecycle-checkpoint`).
+//! * **Per-thread span stacks.** Spans and events nest on the control
+//!   path that drives them; concurrent sessions sharing one registry
+//!   keep independent stacks, and their counters commute.
 //!
 //! Three export surfaces hang off [`MetricsSnapshot`]:
 //! [`MetricsSnapshot::to_canonical_json`] (byte-stable, golden-test
@@ -33,7 +30,7 @@ mod json;
 mod registry;
 mod snapshot;
 
-pub use registry::{BucketLayout, CounterShard, FieldValue, MetricsRegistry, SpanId};
+pub use registry::{BucketLayout, FieldValue, MetricsRegistry, SpanId};
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, TimelineEntry};
 
 /// Fixed bucket layouts, shared by every instrumented crate so series

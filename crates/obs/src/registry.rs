@@ -248,21 +248,6 @@ impl MetricsRegistry {
         });
     }
 
-    /// Creates a thread-local counter accumulator for a parallel scan
-    /// shard. Merge it back with [`MetricsRegistry::absorb`]; counter
-    /// addition commutes, so the result is independent of merge order.
-    pub fn shard(&self) -> CounterShard {
-        CounterShard::default()
-    }
-
-    /// Merges a shard's counters into the registry.
-    pub fn absorb(&self, shard: CounterShard) {
-        let mut inner = self.inner.lock();
-        for (key, value) in shard.counters {
-            *inner.counters.entry(key).or_insert(0) += value;
-        }
-    }
-
     /// Reads one counter series (0 if never incremented).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         let key = SeriesKey::new(name, labels);
@@ -320,23 +305,6 @@ impl MetricsRegistry {
     }
 }
 
-/// A lock-free per-shard counter accumulator for parallel phases.
-///
-/// Shards never touch spans or events (those stay on the control
-/// path); they only accumulate counters, whose merge is commutative.
-#[derive(Debug, Default)]
-pub struct CounterShard {
-    counters: BTreeMap<SeriesKey, u64>,
-}
-
-impl CounterShard {
-    /// Adds `by` to the shard-local counter `name{labels}`.
-    pub fn inc(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
-        let key = SeriesKey::new(name, labels);
-        *self.counters.entry(key).or_insert(0) += by;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,28 +340,6 @@ mod tests {
         assert_eq!(h.sum, 2_005_021);
         // buckets: ≤16, ≤256, ≤4096, ≤65536, ≤1048576, +Inf
         assert_eq!(h.counts, vec![1, 1, 0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn shards_merge_commutatively() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        let mut s1 = a.shard();
-        let mut s2 = a.shard();
-        s1.inc("n", &[], 3);
-        s2.inc("n", &[], 4);
-        let mut s3 = b.shard();
-        let mut s4 = b.shard();
-        s3.inc("n", &[], 4);
-        s4.inc("n", &[], 3);
-        a.absorb(s1);
-        a.absorb(s2);
-        b.absorb(s4);
-        b.absorb(s3);
-        assert_eq!(
-            a.snapshot().to_canonical_json(),
-            b.snapshot().to_canonical_json()
-        );
     }
 
     #[test]

@@ -127,8 +127,7 @@ impl MetricsSnapshot {
 
     /// Serializes to canonical JSON: 2-space pretty, series in
     /// `BTreeMap` order, timeline in record order, floats via Rust's
-    /// shortest round-trip `Display`. Byte-stable across runs and
-    /// thread counts.
+    /// shortest round-trip `Display`. Byte-stable across runs.
     pub fn to_canonical_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n  \"counters\": [");

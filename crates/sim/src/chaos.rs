@@ -299,11 +299,6 @@ impl ChaosScenario {
     pub fn armed_legs(&self) -> usize {
         self.legs.iter().filter(|l| !l.actions.is_empty()).count()
     }
-
-    /// Total actions across all legs.
-    pub fn total_actions(&self) -> usize {
-        self.legs.iter().map(|l| l.actions.len()).sum()
-    }
 }
 
 /// Self-contained deterministic generator: splitmix64 seeding feeding

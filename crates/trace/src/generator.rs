@@ -29,11 +29,6 @@ impl Trace {
         &self.fingerprints
     }
 
-    /// Consumes the trace, returning its fingerprints.
-    pub fn into_fingerprints(self) -> Vec<Fingerprint> {
-        self.fingerprints
-    }
-
     /// Reassembles a trace from its parts (used by the trace-file
     /// loader).
     pub fn from_parts(ram: Bytes, fingerprints: Vec<Fingerprint>) -> Trace {

@@ -69,11 +69,6 @@ impl PageDigest {
         &self.0
     }
 
-    /// Consumes the digest, returning the raw bytes.
-    pub const fn into_bytes(self) -> [u8; 16] {
-        self.0
-    }
-
     /// True if this is the zero-page sentinel digest.
     pub fn is_zero_page(self) -> bool {
         self == PageDigest::ZERO_PAGE

@@ -6,17 +6,12 @@
 //! ```text
 //! cargo run --bin regen_golden
 //! ```
-//!
-//! The scenarios are thread-count invariant (see `vecycle::golden`), so
-//! regenerating under any `VECYCLE_THREADS` produces identical bytes —
-//! CI runs the golden suite at 1 and 4 threads against the same files.
 
 use vecycle::golden;
 
-type Scenario = fn(usize) -> vecycle::obs::MetricsSnapshot;
+type Scenario = fn() -> vecycle::obs::MetricsSnapshot;
 
 fn main() {
-    let threads = golden::scan_threads();
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden");
@@ -30,17 +25,16 @@ fn main() {
     ];
     for (name, run) in scenarios {
         let path = dir.join(format!("{name}.json"));
-        let json = run(threads).to_canonical_json();
+        let json = run().to_canonical_json();
         let changed = std::fs::read_to_string(&path)
             .map(|old| old != json)
             .unwrap_or(true);
         std::fs::write(&path, &json).expect("writing golden file");
         println!(
-            "{} {} ({} bytes, {} threads)",
+            "{} {} ({} bytes)",
             if changed { "rewrote " } else { "unchanged" },
             path.display(),
             json.len(),
-            threads,
         );
     }
 }

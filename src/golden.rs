@@ -7,14 +7,12 @@
 //! `cargo run --bin regen_golden` after an *intentional* metrics change.
 //!
 //! Determinism contract: a scenario's snapshot depends only on its seed
-//! constants — never on the scan-thread count (`threads` is a pure
-//! wall-clock knob), the host wall clock, or iteration order of any
-//! unordered container. `tests/parallel_props.rs` enforces the thread
-//! half of that contract.
+//! constants — never on the host wall clock or the iteration order of
+//! any unordered container. `tests/parallel_props.rs` pins repeat-run
+//! identity.
 
 use vecycle_checkpoint::{Checkpoint, EvictionPolicy};
 use vecycle_core::session::{RecyclePolicy, SessionEvent, VeCycleSession, VmInstance};
-use vecycle_core::MigrationEngine;
 use vecycle_faults::{DropPoint, FaultKind, FaultPlan, FaultRates, RetryPolicy};
 use vecycle_host::{Cluster, MigrationSchedule};
 use vecycle_mem::{workload::IdleWorkload, DigestMemory, Guest};
@@ -29,21 +27,10 @@ const RAM: Bytes = Bytes::from_mib(4);
 /// Generator seed shared by the scenarios.
 const SEED: u64 = 0x7ec;
 
-/// Scan threads from `VECYCLE_THREADS`, defaulting to 1 (sequential).
-pub fn scan_threads() -> usize {
-    std::env::var("VECYCLE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-/// A 2-host LAN session sharing `metrics`, scanning with `threads`.
-fn session(metrics: &MetricsRegistry, threads: usize, retry: RetryPolicy) -> VeCycleSession {
+/// A 2-host LAN session sharing `metrics`.
+fn session(metrics: &MetricsRegistry, retry: RetryPolicy) -> VeCycleSession {
     let cluster = Cluster::homogeneous(2, LinkSpec::lan_gigabit());
-    let engine = MigrationEngine::new(cluster.link()).with_threads(threads);
     VeCycleSession::new(cluster)
-        .with_engine(engine)
         .with_policy(RecyclePolicy::VeCycle)
         .with_retry_policy(retry)
         .with_metrics(metrics.clone())
@@ -70,9 +57,9 @@ fn ping_pong(legs: u64) -> MigrationSchedule {
 /// An idle VM hopping back and forth: the paper's best case. Four legs,
 /// a trickle of background dirtying, no faults — the snapshot captures
 /// the clean path through engine, session, checkpoint and net counters.
-pub fn idle_vm(threads: usize) -> MetricsSnapshot {
+pub fn idle_vm() -> MetricsSnapshot {
     let metrics = MetricsRegistry::new();
-    let s = session(&metrics, threads, RetryPolicy::default());
+    let s = session(&metrics, RetryPolicy::default());
     let mut vm = instance();
     // ~2% of pages touched per hour-long gap.
     let rate = RAM.pages_ceil().as_u64() as f64 * 0.02 / 3600.0;
@@ -85,10 +72,10 @@ pub fn idle_vm(threads: usize) -> MetricsSnapshot {
 /// Three sessions at increasing guest update rates (1%, 5%, 25% of
 /// pages per gap) accumulating into one registry — the observability
 /// view of the paper's update-rate sensitivity experiment.
-pub fn update_rate_sweep(threads: usize) -> MetricsSnapshot {
+pub fn update_rate_sweep() -> MetricsSnapshot {
     let metrics = MetricsRegistry::new();
     for (i, frac) in [0.01, 0.05, 0.25].into_iter().enumerate() {
-        let s = session(&metrics, threads, RetryPolicy::default());
+        let s = session(&metrics, RetryPolicy::default());
         let mut vm = instance();
         let rate = RAM.pages_ceil().as_u64() as f64 * frac / 3600.0;
         let mut workload = IdleWorkload::new(SEED.wrapping_add(i as u64), rate);
@@ -102,17 +89,17 @@ pub fn update_rate_sweep(threads: usize) -> MetricsSnapshot {
 /// from partial checkpoints and once retrying from scratch. Returns the
 /// snapshot; [`failure_sweep_with_events`] also returns the transcript
 /// so tests can reconcile prose events against the typed counters.
-pub fn failure_sweep(threads: usize) -> MetricsSnapshot {
-    failure_sweep_with_events(threads).0
+pub fn failure_sweep() -> MetricsSnapshot {
+    failure_sweep_with_events().0
 }
 
 /// [`failure_sweep`] plus the concatenated [`SessionEvent`] transcript.
-pub fn failure_sweep_with_events(threads: usize) -> (MetricsSnapshot, Vec<SessionEvent>) {
+pub fn failure_sweep_with_events() -> (MetricsSnapshot, Vec<SessionEvent>) {
     let metrics = MetricsRegistry::new();
     let mut events = Vec::new();
     for p in [0.25, 0.5] {
         for retry in [RetryPolicy::default(), RetryPolicy::from_scratch()] {
-            let s = session(&metrics, threads, retry);
+            let s = session(&metrics, retry);
             let mut vm = instance();
             let rate = RAM.pages_ceil().as_u64() as f64 * 0.05 / 3600.0;
             let mut workload = IdleWorkload::new(SEED ^ 2, rate);
@@ -161,7 +148,7 @@ fn rot_file(path: &std::path::Path) {
 /// degrades a leg to a full transfer, and a follow-up run under a
 /// starvation quota whose departure saves are all refused. The
 /// `store_bytes` gauge tracks admission and eviction throughout.
-pub fn lifecycle(threads: usize) -> MetricsSnapshot {
+pub fn lifecycle() -> MetricsSnapshot {
     let metrics = MetricsRegistry::new();
     let dir = fresh_lifecycle_dir();
     // Quota: 2.5 checkpoints' worth (a 4 MiB digest VM checkpoints into
@@ -171,9 +158,7 @@ pub fn lifecycle(threads: usize) -> MetricsSnapshot {
         .attach_disk_stores(&dir)
         .expect("scratch disk stores")
         .with_checkpoint_quotas(quota, EvictionPolicy::LruByRecycle);
-    let engine = MigrationEngine::new(cluster.link()).with_threads(threads);
     let s = VeCycleSession::new(cluster)
-        .with_engine(engine)
         .with_policy(RecyclePolicy::VeCycle)
         .with_retry_policy(RetryPolicy::default())
         .with_metrics(metrics.clone());
@@ -217,9 +202,7 @@ pub fn lifecycle(threads: usize) -> MetricsSnapshot {
     // engages and the refusal path shows up in the transcript.
     let starved = Cluster::homogeneous(2, LinkSpec::lan_gigabit())
         .with_checkpoint_quotas(Bytes::from_kib(8), EvictionPolicy::OldestFirst);
-    let engine = MigrationEngine::new(starved.link()).with_threads(threads);
     let s = VeCycleSession::new(starved)
-        .with_engine(engine)
         .with_policy(RecyclePolicy::VeCycle)
         .with_retry_policy(RetryPolicy::default())
         .with_metrics(metrics.clone());
@@ -239,15 +222,12 @@ mod tests {
 
     #[test]
     fn scenarios_are_repeatable() {
-        assert_eq!(
-            idle_vm(1).to_canonical_json(),
-            idle_vm(1).to_canonical_json()
-        );
+        assert_eq!(idle_vm().to_canonical_json(), idle_vm().to_canonical_json());
     }
 
     #[test]
     fn failure_sweep_observes_faults() {
-        let (snap, events) = failure_sweep_with_events(1);
+        let (snap, events) = failure_sweep_with_events();
         assert!(!events.is_empty(), "50% fault rate must produce incidents");
         assert!(snap.counter_total("faults_injected_total") > 0);
         assert!(snap.counter_total("session_events_total") > 0);
@@ -255,7 +235,7 @@ mod tests {
 
     #[test]
     fn lifecycle_observes_every_lifecycle_metric() {
-        let snap = lifecycle(1);
+        let snap = lifecycle();
         assert!(snap.counter_total("ckpt_evictions_total") > 0, "evictions");
         assert!(snap.counter_total("host_restarts_total") > 0, "restarts");
         assert!(snap.counter_total("scrub_pages_total") > 0, "scrub");
@@ -274,6 +254,6 @@ mod tests {
             "the oversized filler must be refused"
         );
         // Repeatable within one process (fresh scratch dirs per call).
-        assert_eq!(snap.to_canonical_json(), lifecycle(1).to_canonical_json());
+        assert_eq!(snap.to_canonical_json(), lifecycle().to_canonical_json());
     }
 }

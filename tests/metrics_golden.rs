@@ -6,9 +6,7 @@
 //! renamed, or determinism broke. If the change is intentional, run
 //! `cargo run --bin regen_golden` and commit the updated files; if not,
 //! the diff artifact under `target/golden-actual/` shows exactly which
-//! series drifted. The suite honors `VECYCLE_THREADS`, and the stored
-//! bytes must match at *any* thread count — that is the determinism
-//! contract, not a test convenience.
+//! series drifted.
 
 use std::collections::BTreeMap;
 
@@ -34,10 +32,9 @@ fn assert_golden(name: &str, expected: &str, snap: &MetricsSnapshot) {
             .map(|(i, (e, a))| format!("first diff at line {}:\n  -{e}\n  +{a}", i + 1))
             .unwrap_or_else(|| "files differ in length only".to_string());
         panic!(
-            "{name} metrics transcript drifted from tests/golden/{name}.json \
-             ({} threads).\n{first_diff}\nactual written to {}.\n\
+            "{name} metrics transcript drifted from tests/golden/{name}.json.\n\
+             {first_diff}\nactual written to {}.\n\
              If the change is intentional: cargo run --bin regen_golden",
-            golden::scan_threads(),
             path.display(),
         );
     }
@@ -45,13 +42,13 @@ fn assert_golden(name: &str, expected: &str, snap: &MetricsSnapshot) {
 
 #[test]
 fn idle_vm_matches_golden() {
-    let snap = golden::idle_vm(golden::scan_threads());
+    let snap = golden::idle_vm();
     assert_golden("idle_vm", include_str!("golden/idle_vm.json"), &snap);
 }
 
 #[test]
 fn update_rate_sweep_matches_golden() {
-    let snap = golden::update_rate_sweep(golden::scan_threads());
+    let snap = golden::update_rate_sweep();
     assert_golden(
         "update_rate_sweep",
         include_str!("golden/update_rate_sweep.json"),
@@ -61,7 +58,7 @@ fn update_rate_sweep_matches_golden() {
 
 #[test]
 fn failure_sweep_matches_golden() {
-    let snap = golden::failure_sweep(golden::scan_threads());
+    let snap = golden::failure_sweep();
     assert_golden(
         "failure_sweep",
         include_str!("golden/failure_sweep.json"),
@@ -71,7 +68,7 @@ fn failure_sweep_matches_golden() {
 
 #[test]
 fn lifecycle_matches_golden() {
-    let snap = golden::lifecycle(golden::scan_threads());
+    let snap = golden::lifecycle();
     assert_golden("lifecycle", include_str!("golden/lifecycle.json"), &snap);
 }
 
@@ -81,7 +78,7 @@ fn lifecycle_matches_golden() {
 /// in both directions, so neither view can drop or invent incidents.
 #[test]
 fn session_events_reconcile_with_counters() {
-    let (snap, events) = golden::failure_sweep_with_events(golden::scan_threads());
+    let (snap, events) = golden::failure_sweep_with_events();
     assert!(!events.is_empty(), "failure sweep produced no incidents");
 
     let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
@@ -117,7 +114,7 @@ fn session_events_reconcile_with_counters() {
 /// must reconcile with total attempts recorded by the metrics layer.
 #[test]
 fn retry_attempt_counts_derive_from_metrics() {
-    let (snap, _) = golden::failure_sweep_with_events(golden::scan_threads());
+    let (snap, _) = golden::failure_sweep_with_events();
     let attempts = snap.counter_total("session_attempts_total");
     let retries = snap.counter_total("session_retries_total");
     let outcomes = snap.counter_total("session_outcomes_total");

@@ -114,7 +114,7 @@ fn wire_counters_reconcile_for_every_strategy() {
 
 #[test]
 fn clean_session_run_keeps_engine_and_net_in_lockstep() {
-    let snap = vecycle::golden::idle_vm(1);
+    let snap = vecycle::golden::idle_vm();
     assert_eq!(
         family(&snap, "engine_wire_bytes_total"),
         family(&snap, "net_wire_bytes_total"),
@@ -193,7 +193,7 @@ fn clean_and_null_plan_session_runs_are_indistinguishable() {
 
 #[test]
 fn faulted_runs_diverge_by_exactly_the_wasted_traffic() {
-    let snap = vecycle::golden::failure_sweep(1);
+    let snap = vecycle::golden::failure_sweep();
     let engine_bytes = snap.counter_total("engine_wire_bytes_total");
     let net_bytes = snap.counter_total("net_wire_bytes_total");
     assert!(
@@ -210,12 +210,12 @@ fn faulted_runs_diverge_by_exactly_the_wasted_traffic() {
     }
 }
 
-/// `engine_scan_pages_total{class}` is tallied per shard and recorded
-/// once per class, not once per page: it must still equal round 1 of
-/// the report class for class, be the same series set at every thread
-/// count, and carry no series for a class the scan never saw.
+/// `engine_scan_pages_total{class}` is tallied during the scan and
+/// recorded once per class, not once per page: it must still equal
+/// round 1 of the report class for class, and carry no series for a
+/// class the scan never saw.
 #[test]
-fn scan_page_counters_equal_round_one_at_every_thread_count() {
+fn scan_page_counters_equal_round_one() {
     use vecycle::mem::PageContent;
     use vecycle::types::PageIndex;
 
@@ -238,42 +238,29 @@ fn scan_page_counters_equal_round_one_at_every_thread_count() {
     };
 
     for name in ["full", "dedup", "dirty", "vecycle+dedup"] {
-        let mut per_thread_count = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let metrics = MetricsRegistry::new();
-            let engine = MigrationEngine::new(LinkSpec::lan_gigabit())
-                .with_threads(threads)
-                .with_metrics(metrics.clone());
-            let report = engine.migrate(guest.memory(), strategy(name)).unwrap();
-            let first = &report.rounds()[0];
-            let expected: BTreeMap<Vec<(String, String)>, u64> = [
-                ("full", first.full_pages),
-                ("checksum", first.checksum_pages),
-                ("dedup_ref", first.dedup_refs),
-                ("skipped", first.skipped_pages),
-                ("zero", first.zero_pages),
-            ]
-            .into_iter()
-            .filter(|(_, n)| n.as_u64() > 0)
-            .map(|(class, n)| (vec![("class".to_string(), class.to_string())], n.as_u64()))
-            .collect();
-            let scanned = family(&metrics.snapshot(), "engine_scan_pages_total");
-            assert_eq!(scanned, expected, "{name} at {threads} threads");
-            assert_eq!(
-                scanned.values().sum::<u64>(),
-                384,
-                "{name}: every page is in exactly one class"
-            );
-            per_thread_count.push(scanned);
-        }
-        assert!(
-            per_thread_count.windows(2).all(|w| w[0] == w[1]),
-            "{name}: scan counters moved with the thread count"
+        let metrics = MetricsRegistry::new();
+        let engine = MigrationEngine::new(LinkSpec::lan_gigabit()).with_metrics(metrics.clone());
+        let report = engine.migrate(guest.memory(), strategy(name)).unwrap();
+        let first = &report.rounds()[0];
+        let expected: BTreeMap<Vec<(String, String)>, u64> = [
+            ("full", first.full_pages),
+            ("checksum", first.checksum_pages),
+            ("dedup_ref", first.dedup_refs),
+            ("skipped", first.skipped_pages),
+            ("zero", first.zero_pages),
+        ]
+        .into_iter()
+        .filter(|(_, n)| n.as_u64() > 0)
+        .map(|(class, n)| (vec![("class".to_string(), class.to_string())], n.as_u64()))
+        .collect();
+        let scanned = family(&metrics.snapshot(), "engine_scan_pages_total");
+        assert_eq!(scanned, expected, "{name}");
+        assert_eq!(
+            scanned.values().sum::<u64>(),
+            384,
+            "{name}: every page is in exactly one class"
         );
-        let classes: Vec<&str> = per_thread_count[0]
-            .keys()
-            .map(|labels| labels[0].1.as_str())
-            .collect();
+        let classes: Vec<&str> = scanned.keys().map(|labels| labels[0].1.as_str()).collect();
         let want: &[&str] = match name {
             "full" => &["full", "zero"],
             "dedup" => &["dedup_ref", "full", "zero"],

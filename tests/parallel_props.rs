@@ -1,8 +1,15 @@
-//! Parallel page-scan determinism: the thread count is a pure
-//! performance knob, never an observable one. Any divergence between the
-//! sequential reference scan and the sharded scan — in per-round counts,
-//! traffic ledgers, downtime, or the exact message transcript — fails
-//! these properties.
+//! Determinism properties of the transfer pipeline: a run depends only
+//! on its inputs. Repeat runs are bit-identical — per-round counts,
+//! traffic ledgers, downtime, the exact message transcript, the
+//! canonical metrics snapshot — the clean path is the faulted path with
+//! an empty plan, and a byte guest that still owes digests scans like a
+//! settled one.
+//!
+//! The file name and the `*_across_thread_counts` / `*_thread_invariant`
+//! test names are ids the tier-1 floor list pins. Each once also compared
+//! scan-thread counts, an option that no longer exists (the first-round
+//! scan is one walk in page order); its doc comment says what it checks
+//! now.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -28,10 +35,10 @@ fn image(ids: &[u64]) -> DigestMemory {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Reports and transcripts are bit-identical for 1/2/4/8 scan
-    /// threads across the strategy families. Content ids are drawn from
-    /// a small range so the images are dense with duplicates and zero
-    /// pages — the cases where dedup resolution order could diverge.
+    /// Reports and transcripts are bit-identical across repeat runs for
+    /// every strategy family. Content ids are drawn from a small range so
+    /// the images are dense with duplicates and zero pages — the cases
+    /// where dedup resolution could depend on anything but page order.
     #[test]
     fn scan_is_deterministic_across_thread_counts(
         vm_ids in vec(0u64..24, 1..200),
@@ -48,26 +55,19 @@ proptest! {
             Strategy::full()
         };
         let strategy = if use_dedup { base.with_dedup() } else { base };
-        let engine = |threads: usize| {
+        let run = || {
             MigrationEngine::new(LinkSpec::lan_gigabit())
                 .with_zero_page_suppression(suppress_zeros)
-                .with_threads(threads)
-        };
-        let (seq_report, seq_transcript) = engine(1)
-            .migrate_with_transcript(&vm, strategy.clone())
-            .unwrap();
-        for threads in [2usize, 4, 8] {
-            let (par_report, par_transcript) = engine(threads)
                 .migrate_with_transcript(&vm, strategy.clone())
-                .unwrap();
-            prop_assert_eq!(&par_report, &seq_report, "threads {}", threads);
-            prop_assert_eq!(&par_transcript, &seq_transcript, "threads {}", threads);
-        }
+                .unwrap()
+        };
+        prop_assert_eq!(run(), run());
     }
 
-    /// Gang migrations share one dedup cache across VMs; the sharded
-    /// scan must produce the same cross-VM back-references in the same
-    /// places for every thread count.
+    /// Gang migrations share one dedup cache across VMs; the scan must
+    /// produce the same cross-VM back-references on every run. (Which
+    /// references those are is pinned against a reference model in
+    /// `vecycle-core`'s `scan_tests`.)
     #[test]
     fn gang_scan_is_deterministic_across_thread_counts(
         a_ids in vec(0u64..16, 1..120),
@@ -76,22 +76,18 @@ proptest! {
         let a = image(&a_ids);
         let b = image(&b_ids);
         let strategies = [Strategy::dedup(), Strategy::dedup()];
-        let seq = MigrationEngine::new(LinkSpec::lan_gigabit())
-            .migrate_gang(&[&a, &b], &strategies)
-            .unwrap();
-        for threads in [2usize, 4, 8] {
-            let par = MigrationEngine::new(LinkSpec::lan_gigabit())
-                .with_threads(threads)
+        let run = || {
+            MigrationEngine::new(LinkSpec::lan_gigabit())
                 .migrate_gang(&[&a, &b], &strategies)
-                .unwrap();
-            prop_assert_eq!(&par, &seq, "threads {}", threads);
-        }
+                .unwrap()
+        };
+        prop_assert_eq!(run(), run());
     }
 
     /// A migration attempt running under an injected link cut is just as
     /// deterministic as a clean one: completed reports, abort causes,
     /// wasted traffic/time and the per-page landed digests are all
-    /// bit-identical for every thread count. Additionally, every landed
+    /// bit-identical across repeat runs. Additionally, every landed
     /// digest must equal the guest's actual page content — the resumed
     /// retry recycles exactly what a fault-free transfer would have sent.
     #[test]
@@ -111,10 +107,9 @@ proptest! {
             cut_after: Some(DropPoint::RamFraction(cut_frac)),
             ..AttemptFaults::none()
         };
-        let run = |threads: usize| {
+        let run = || {
             let mut guest = Guest::new(image(&vm_ids));
             MigrationEngine::new(LinkSpec::lan_gigabit())
-                .with_threads(threads)
                 .migrate_live_faulted(
                     &mut guest,
                     &mut SilentWorkload,
@@ -123,8 +118,8 @@ proptest! {
                 )
                 .unwrap()
         };
-        let seq = run(1);
-        if let LiveOutcome::Aborted(a) = &seq {
+        let first = run();
+        if let LiveOutcome::Aborted(a) = &first {
             let vm = image(&vm_ids);
             for (i, landed) in a.landed.iter().enumerate() {
                 if let Some(d) = landed {
@@ -136,20 +131,15 @@ proptest! {
                 }
             }
         }
-        for threads in [2usize, 4, 8] {
-            let par = run(threads);
-            match (&seq, &par) {
-                (LiveOutcome::Completed(a), LiveOutcome::Completed(b)) => {
-                    prop_assert_eq!(a, b, "threads {}", threads);
-                }
-                (LiveOutcome::Aborted(a), LiveOutcome::Aborted(b)) => {
-                    prop_assert_eq!(a.cause, b.cause, "threads {}", threads);
-                    prop_assert_eq!(&a.landed, &b.landed, "threads {}", threads);
-                    prop_assert_eq!(a.traffic, b.traffic, "threads {}", threads);
-                    prop_assert_eq!(a.elapsed, b.elapsed, "threads {}", threads);
-                }
-                _ => prop_assert!(false, "outcome kind diverged at threads {}", threads),
+        match (&first, &run()) {
+            (LiveOutcome::Completed(a), LiveOutcome::Completed(b)) => prop_assert_eq!(a, b),
+            (LiveOutcome::Aborted(a), LiveOutcome::Aborted(b)) => {
+                prop_assert_eq!(a.cause, b.cause);
+                prop_assert_eq!(&a.landed, &b.landed);
+                prop_assert_eq!(a.traffic, b.traffic);
+                prop_assert_eq!(a.elapsed, b.elapsed);
             }
+            _ => prop_assert!(false, "outcome kind diverged on the rerun"),
         }
     }
 
@@ -157,8 +147,8 @@ proptest! {
     /// migrate_live`] is exactly `migrate_live_faulted` with an empty
     /// fault plan. Both entry points must produce an identical report
     /// *and* an identical canonical metrics snapshot — same counters,
-    /// same spans, same outcome tags — across strategies, workload
-    /// seeds, and every thread count. Any fork between the two paths
+    /// same spans, same outcome tags — across strategies and workload
+    /// seeds. Any fork between the two paths
     /// (a clean-only shortcut, a faulted-only counter) fails here.
     #[test]
     fn clean_path_equals_faulted_path_with_empty_plan(
@@ -176,45 +166,37 @@ proptest! {
             Strategy::full()
         };
         let strategy = if use_dedup { base.with_dedup() } else { base };
-        for threads in [1usize, 2, 4, 8] {
-            let run = |faulted: bool| {
-                let metrics = MetricsRegistry::new();
-                let mut guest = Guest::new(image(&vm_ids));
-                let mut workload = IdleWorkload::new(seed, rate);
-                let engine = MigrationEngine::new(LinkSpec::lan_gigabit())
-                    .with_threads(threads)
-                    .with_metrics(metrics.clone());
-                let report = if faulted {
-                    match engine
-                        .migrate_live_faulted(
-                            &mut guest,
-                            &mut workload,
-                            strategy.clone(),
-                            &AttemptFaults::none(),
-                        )
-                        .unwrap()
-                    {
-                        LiveOutcome::Completed(report) => report,
-                        LiveOutcome::Aborted(_) => unreachable!("no faults injected"),
-                    }
-                } else {
-                    engine
-                        .migrate_live(&mut guest, &mut workload, strategy.clone())
-                        .unwrap()
-                };
-                (report, metrics.snapshot().to_canonical_json())
+        let run = |faulted: bool| {
+            let metrics = MetricsRegistry::new();
+            let mut guest = Guest::new(image(&vm_ids));
+            let mut workload = IdleWorkload::new(seed, rate);
+            let engine = MigrationEngine::new(LinkSpec::lan_gigabit()).with_metrics(metrics.clone());
+            let report = if faulted {
+                match engine
+                    .migrate_live_faulted(
+                        &mut guest,
+                        &mut workload,
+                        strategy.clone(),
+                        &AttemptFaults::none(),
+                    )
+                    .unwrap()
+                {
+                    LiveOutcome::Completed(report) => report,
+                    LiveOutcome::Aborted(_) => unreachable!("no faults injected"),
+                }
+            } else {
+                engine
+                    .migrate_live(&mut guest, &mut workload, strategy.clone())
+                    .unwrap()
             };
-            let (clean_report, clean_snap) = run(false);
-            let (faulted_report, faulted_snap) = run(true);
-            prop_assert_eq!(&clean_report, &faulted_report, "threads {}", threads);
-            prop_assert_eq!(&clean_snap, &faulted_snap, "threads {}", threads);
-        }
+            (report, metrics.snapshot().to_canonical_json())
+        };
+        prop_assert_eq!(run(false), run(true));
     }
 
-    /// Attaching a metrics registry adds a sharded counter path to the
-    /// parallel scan; the resulting snapshot — counters, histograms and
-    /// the span timeline, serialized canonically — must still be
-    /// byte-identical for every thread count.
+    /// With a metrics registry attached, the snapshot — counters,
+    /// histograms and the span timeline, serialized canonically — is
+    /// byte-identical across repeat runs.
     #[test]
     fn metrics_snapshot_is_identical_across_thread_counts(
         vm_ids in vec(0u64..24, 1..200),
@@ -230,24 +212,20 @@ proptest! {
             Strategy::full()
         };
         let strategy = if use_dedup { base.with_dedup() } else { base };
-        let snap = |threads: usize| {
+        let snap = || {
             let metrics = MetricsRegistry::new();
             MigrationEngine::new(LinkSpec::lan_gigabit())
-                .with_threads(threads)
                 .with_metrics(metrics.clone())
                 .migrate(&vm, strategy.clone())
                 .unwrap();
             metrics.snapshot().to_canonical_json()
         };
-        let seq = snap(1);
-        for threads in [2usize, 4, 8] {
-            prop_assert_eq!(snap(threads), seq.clone(), "threads {}", threads);
-        }
+        prop_assert_eq!(snap(), snap());
     }
 
     /// Same property under an injected link cut: the abort path ends
     /// spans early and records the wreck, and all of it must still be
-    /// thread-count invariant.
+    /// the same on every run.
     #[test]
     fn faulted_metrics_snapshot_is_identical_across_thread_counts(
         vm_ids in vec(0u64..24, 1..200),
@@ -260,11 +238,10 @@ proptest! {
             cut_after: Some(DropPoint::RamFraction(cut_frac)),
             ..AttemptFaults::none()
         };
-        let snap = |threads: usize| {
+        let snap = || {
             let metrics = MetricsRegistry::new();
             let mut guest = Guest::new(image(&vm_ids));
             MigrationEngine::new(LinkSpec::lan_gigabit())
-                .with_threads(threads)
                 .with_metrics(metrics.clone())
                 .migrate_live_faulted(
                     &mut guest,
@@ -275,20 +252,16 @@ proptest! {
                 .unwrap();
             metrics.snapshot().to_canonical_json()
         };
-        let seq = snap(1);
-        for threads in [2usize, 4, 8] {
-            prop_assert_eq!(snap(threads), seq.clone(), "threads {}", threads);
-        }
+        prop_assert_eq!(snap(), snap());
     }
 }
 
 /// The golden scenarios — including the faulted failure sweep and the
 /// disk-pressure lifecycle run — produce byte-identical snapshots when
-/// re-run with the same seed and when scanned with 2, 4 or 8 threads
-/// instead of 1.
+/// re-run with the same seed.
 #[test]
 fn golden_scenarios_are_thread_invariant_and_repeatable() {
-    type Scenario = fn(usize) -> MetricsSnapshot;
+    type Scenario = fn() -> MetricsSnapshot;
     let scenarios: [(&str, Scenario); 4] = [
         ("idle_vm", vecycle::golden::idle_vm),
         ("update_rate_sweep", vecycle::golden::update_rate_sweep),
@@ -296,26 +269,18 @@ fn golden_scenarios_are_thread_invariant_and_repeatable() {
         ("lifecycle", vecycle::golden::lifecycle),
     ];
     for (name, run) in scenarios {
-        let base = run(1).to_canonical_json();
         assert_eq!(
-            run(1).to_canonical_json(),
-            base,
+            run().to_canonical_json(),
+            run().to_canonical_json(),
             "{name}: same-seed rerun diverged"
         );
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                run(threads).to_canonical_json(),
-                base,
-                "{name}: snapshot diverged at {threads} threads"
-            );
-        }
     }
 }
 
 /// A byte-backed guest whose pages were written *after* construction
-/// still owes their digests when the scan starts: the shards race to
-/// settle them. Whoever wins, the report and the transcript are the ones
-/// a fully settled guest produces, at every thread count.
+/// still owes their digests when the scan starts: the first digest read
+/// settles them. The report and the transcript are the ones a fully
+/// settled guest produces.
 #[test]
 fn byte_guest_with_pending_digests_scans_identically_across_thread_counts() {
     use vecycle::checkpoint::Checkpoint;
@@ -335,74 +300,56 @@ fn byte_guest_with_pending_digests_scans_identically_across_thread_counts() {
     guest.relocate_page(PageIndex::new(4), PageIndex::new(101)); // settled source
 
     let strategy = Strategy::vecycle_from_checkpoint(&checkpoint).with_dedup();
-    let scan = |vm: &ByteMemory, threads: usize| {
+    let scan = |vm: &ByteMemory| {
         MigrationEngine::new(LinkSpec::lan_gigabit())
-            .with_threads(threads)
             .migrate_with_transcript(vm, strategy.clone())
             .unwrap()
     };
     let settled = guest.snapshot();
     assert_eq!(settled.digests().len() as u64, pages); // settles the copy
-    let (ref_report, ref_transcript) = scan(&settled, 1);
-    for threads in [1usize, 2, 4] {
-        let pending = guest.snapshot(); // every copy starts unsettled
-        let (report, transcript) = scan(&pending, threads);
-        assert_eq!(report, ref_report, "threads {threads}");
-        assert_eq!(transcript, ref_transcript, "threads {threads}");
-        let rebuilt = apply_transcript(&checkpoint, &transcript).unwrap();
-        assert!(rebuilt.content_equals(&guest), "threads {threads}");
-    }
+    let pending = guest.snapshot(); // every copy starts unsettled
+    let (report, transcript) = scan(&pending);
+    assert_eq!((report, transcript.clone()), scan(&settled));
+    let rebuilt = apply_transcript(&checkpoint, &transcript).unwrap();
+    assert!(rebuilt.content_equals(&guest));
 }
 
 /// Fleet-scale determinism: a full event-driven fleet run — placement
 /// scoring, admission control, queue retries, the works — over ≥1k
 /// hosts and ≥10k VMs yields a bit-identical placement journal, report
-/// and canonical metrics snapshot across 1/2/4/8 scan threads and
-/// across repeat runs. The thread knob only parallelizes the page scan
-/// inside each migration; nothing about *where* or *when* a VM moves
-/// may depend on it.
+/// and canonical metrics snapshot across repeat runs.
 #[test]
 fn fleet_run_is_thread_invariant_and_repeatable_at_scale() {
     use vecycle::fleet::{Fleet, FleetSpec};
 
-    let spec = |threads: usize| {
-        let mut s = FleetSpec::new(1024, 10_240)
-            .with_seed(0xf1ee7)
-            .with_threads(threads);
+    let run = || {
+        let mut spec = FleetSpec::new(1024, 10_240).with_seed(0xf1ee7);
         // One leg per VM keeps the debug-build runtime bounded while
         // still pushing >10k placement decisions through admission.
-        s.requests_per_vm = 1;
-        s
-    };
-    let run = |threads: usize| {
-        let mut fleet = Fleet::new(spec(threads)).expect("spec validates");
+        spec.requests_per_vm = 1;
+        let mut fleet = Fleet::new(spec).expect("spec validates");
         let report = fleet.run().expect("clean fleet run");
         let snap = fleet.metrics().snapshot().to_canonical_json();
         (report, snap)
     };
-    let (base_report, base_snap) = run(1);
+    let (base_report, base_snap) = run();
     assert!(
         base_report.migrations >= 10_000,
         "the scale floor must actually be exercised ({} migrations)",
         base_report.migrations
     );
-    let (again_report, again_snap) = run(1);
+    let (again_report, again_snap) = run();
+    assert_eq!(
+        base_report.journal_jsonl(),
+        again_report.journal_jsonl(),
+        "placement journal diverged on the rerun"
+    );
     assert_eq!(base_report, again_report, "same-seed rerun diverged");
     assert_eq!(base_snap, again_snap, "same-seed metrics diverged");
-    for threads in [2usize, 4, 8] {
-        let (report, snap) = run(threads);
-        assert_eq!(
-            base_report.journal_jsonl(),
-            report.journal_jsonl(),
-            "placement journal diverged at {threads} threads"
-        );
-        assert_eq!(base_report, report, "report diverged at {threads} threads");
-        assert_eq!(base_snap, snap, "metrics diverged at {threads} threads");
-    }
 }
 
 /// Absolute pin for the fleet: the test above proves a run is the same
-/// at every thread count, this one proves it is still the run it was.
+/// every time, this one proves it is still the run it was.
 /// The literals are a 16-host × 160-VM aware fleet's totals and the
 /// FNV-1a of its placement journal; a fleet refactor that moves any of
 /// them changed behaviour, not structure.
@@ -411,34 +358,25 @@ fn small_aware_fleet_matches_pinned_totals() {
     use vecycle::fleet::{Fleet, FleetSpec};
     use vecycle::hash::{Fnv1a64, Hasher};
 
-    for threads in [1usize, 4] {
-        let spec = FleetSpec::new(16, 160)
-            .with_seed(0xf1ee7)
-            .with_threads(threads);
-        let report = Fleet::new(spec)
-            .expect("spec validates")
-            .run()
-            .expect("clean fleet run");
-        assert_eq!(report.migrations, 480, "threads {threads}");
-        assert_eq!(report.placement_hits, 320, "threads {threads}");
-        assert_eq!(
-            report.total_traffic.as_u64(),
-            27_880_704,
-            "threads {threads}"
-        );
-        assert_eq!(
-            u64::from_be_bytes(Fnv1a64::digest(report.journal_jsonl().as_bytes())),
-            0x02e7_9d1f_0775_ff1d,
-            "placement journal diverged at {threads} threads"
-        );
-    }
+    let report = Fleet::new(FleetSpec::new(16, 160).with_seed(0xf1ee7))
+        .expect("spec validates")
+        .run()
+        .expect("clean fleet run");
+    assert_eq!(report.migrations, 480);
+    assert_eq!(report.placement_hits, 320);
+    assert_eq!(report.total_traffic.as_u64(), 27_880_704);
+    assert_eq!(
+        u64::from_be_bytes(Fnv1a64::digest(report.journal_jsonl().as_bytes())),
+        0x02e7_9d1f_0775_ff1d,
+        "placement journal diverged"
+    );
 }
 
 /// Checkpoint-lifecycle determinism: with a byte quota squeezing every
 /// host's store, the eviction order — read off the incident transcript —
-/// and the full metrics snapshot are identical across 1/2/4/8 scan
-/// threads for every eviction policy. The choice of victim must depend
-/// only on catalog state, never on scan scheduling.
+/// and the full metrics snapshot are identical across repeat runs for
+/// every eviction policy. The choice of victim must depend only on
+/// catalog state.
 #[test]
 fn eviction_order_is_deterministic_across_thread_counts() {
     use vecycle::checkpoint::{Checkpoint, EvictionPolicy};
@@ -453,17 +391,14 @@ fn eviction_order_is_deterministic_across_thread_counts() {
         EvictionPolicy::LargestFirst,
         EvictionPolicy::StalenessScore,
     ] {
-        let run = |threads: usize| {
+        let run = || {
             let metrics = MetricsRegistry::new();
             // A 4 MiB digest VM checkpoints into 16 KiB; the 40 KiB
             // quota holds two and a half, so fillers + the VM's own
             // checkpoint force evictions on every departure.
             let cluster = Cluster::homogeneous(2, LinkSpec::lan_gigabit())
                 .with_checkpoint_quotas(Bytes::from_kib(40), policy);
-            let engine = MigrationEngine::new(cluster.link()).with_threads(threads);
-            let session = VeCycleSession::new(cluster)
-                .with_engine(engine)
-                .with_metrics(metrics.clone());
+            let session = VeCycleSession::new(cluster).with_metrics(metrics.clone());
             for host in session.cluster().hosts() {
                 for i in 0..2u32 {
                     let ram = Bytes::from_mib(4 * u64::from(i + 1));
@@ -495,18 +430,15 @@ fn eviction_order_is_deterministic_across_thread_counts() {
             let transcript: Vec<String> = run.events.iter().map(|e| e.to_string()).collect();
             (transcript, metrics.snapshot().to_canonical_json())
         };
-        let base = run(1);
+        let base = run();
         assert!(
             base.0.iter().any(|e| e.contains("evicted")),
             "{policy}: the squeeze must actually evict"
         );
-        assert_eq!(run(1), base, "{policy}: same-seed rerun diverged");
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                run(threads),
-                base,
-                "{policy}: eviction order or metrics diverged at {threads} threads"
-            );
-        }
+        assert_eq!(
+            run(),
+            base,
+            "{policy}: eviction order or metrics diverged on the rerun"
+        );
     }
 }
