@@ -15,15 +15,19 @@
 //! sends nothing past COMPLETE until it has our DONE.
 //!
 //! Crash durability has two halves. Our own death: a journal-backed
-//! daemon saves the state to a `partial-*.bin` file every
+//! daemon appends the messages it validated to the session's
+//! `partial-*.bin` log ([`PartialLog`]), one chunk record every
 //! [`crate::source::STREAM_CHUNK`] *applied* messages and at round
 //! boundaries — bytes still in the read buffer die with the process
 //! exactly as bytes in the kernel's socket buffer always did, so the
 //! landed prefix is what was applied. The peer's death: every message
 //! that arrived whole is applied first; the session is then still
-//! alive to see the I/O error, so it keeps the exact current state in
-//! the in-memory partials map, keyed by `(job, spec fingerprint)`, on
-//! that exit only.
+//! alive to see the I/O error, so it logs the unfinished chunk and
+//! keeps the exact current state in the in-memory partials map, keyed
+//! by `(job, spec fingerprint)`, on that exit only. The log always
+//! holds exactly the state's messages or does not exist: a failed
+//! append deletes it, is reported once, and the session receives on
+//! unlogged.
 //! A later session for the same job announces the landed prefix in the
 //! RESUME_STATE handshake; if the source rejects it (hash mismatch,
 //! corrupt file) the state resets to the fresh base and the transfer
@@ -34,10 +38,12 @@ use std::io::{Read, Write};
 use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PageLookup};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
 use vecycle_net::WireMsg;
+use vecycle_sim::ScenarioSpec;
 use vecycle_types::{HostId, SimTime, VmId};
 
 use crate::endpoint::{SessionStream, Stream};
 use crate::frame::{kind, read_frame, send_err, write_frame, Frame, MAX_PAYLOAD};
+use crate::partial_log::PartialLog;
 use crate::proto::{
     self, expect_kind, JobMsg, Offer, ResumeOk, ResumeState, ROLE_DEST, ROLE_SOURCE,
 };
@@ -137,66 +143,74 @@ fn session(
     }
 
     // Resume handshake (epoch ≥ 1): announce whatever landed state
-    // survived — freshest of the in-memory map (peer died, we didn't)
-    // and the partial file (we died and restarted) — and let the
-    // source verify it against its regenerated stream.
-    let mut session_state = if job.resume > 0 {
-        let remembered = state.partial_take(job_id, fingerprint).or_else(|| {
-            let loaded = state
-                .config
-                .journal_dir
-                .as_deref()
-                .and_then(|dir| session_state::load_partial(dir, job_id, fingerprint));
-            if loaded.is_some() {
+    // survived — the partial log (it outlives both deaths; when the
+    // in-memory map also holds a state, the two are equal), else the
+    // map alone (no journal, or a log that failed) — and let the source
+    // verify it against its regenerated stream.
+    let journal_dir = state.config.journal_dir.as_deref();
+    let fresh_log = || {
+        let dir = journal_dir?;
+        PartialLog::create(dir, job_id, fingerprint)
+            .map_err(|e| log_failed(state, job_id, &e))
+            .ok()
+    };
+    let (mut session_state, log) = if job.resume > 0 {
+        let fresh = SessionState::fresh(&spec, &initial);
+        let remembered = state.partial_take(job_id, fingerprint);
+        let loaded = journal_dir
+            .and_then(|dir| PartialLog::load(dir, job_id, fingerprint, &fresh, index.as_ref()));
+        let (st, log) = match (loaded, remembered) {
+            (Some((st, log)), _) => {
                 state
                     .metrics
                     .inc("daemon_resume_partials_total", &[("op", "load")], 1);
+                (st, Some(log))
             }
-            loaded
-        });
-        let st = remembered.unwrap_or_else(|| SessionState::fresh(&spec, &initial));
-        let announce = ResumeState {
-            applied: st.applied(),
-            round: st.expected_round(),
-            finished: st.finished(),
-            landed: st.partial_checkpoint(&spec).landed_pages().as_u64(),
-            hash: st.state_hash(),
+            (None, Some(st)) => (st, None),
+            (None, None) => (fresh, fresh_log()),
         };
-        write_frame(s, kind::RESUME_STATE, &announce.encode())?;
-        s.flush()?;
-        let ok_frame = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::RESUME_OK, "RESUME_OK")?;
-        let verdict = ResumeOk::decode(&ok_frame.payload)?;
-        if verdict.accept {
-            if verdict.skip != st.applied() {
-                return Err(DaemonError::Protocol(format!(
-                    "source accepted the resume but skips {} messages, we applied {}",
-                    verdict.skip,
-                    st.applied()
-                )));
+        match resume_verdict(s, &spec, &st) {
+            Ok(true) => (st, log),
+            Ok(false) => {
+                // Rejected: drop the bad partial and start from the base.
+                drop(log);
+                drop_partial(state, job_id, fingerprint);
+                (SessionState::fresh(&spec, &initial), fresh_log())
             }
-            st
-        } else {
-            // Rejected: drop the bad partial and start from the base.
-            drop_partial(state, job_id, fingerprint);
-            SessionState::fresh(&spec, &initial)
+            Err(e) => {
+                // The handshake died, the landed state did not: keep it
+                // for the next epoch (its log, if any, is untouched).
+                state.partial_put(job_id, fingerprint, st);
+                return Err(e);
+            }
         }
     } else {
         // Fresh epoch: any stale partial for this (job, spec) is from a
         // superseded attempt — never let it leak into a later resume.
         drop_partial(state, job_id, fingerprint);
-        SessionState::fresh(&spec, &initial)
+        (SessionState::fresh(&spec, &initial), fresh_log())
     };
 
-    let received = receive_stream(s, index.as_ref(), &mut session_state, &state.kill, |st| {
-        save_partial(state, job_id, fingerprint, st);
+    // An in-memory daemon takes the unit hook: no per-message work.
+    let mut logged = log.map(|log| SessionLog {
+        state,
+        job_id,
+        fingerprint,
+        log: Some(log),
     });
+    let received = match &mut logged {
+        Some(l) => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, l),
+        None => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, &mut ()),
+    };
     let complete = match received {
         Ok(complete) => complete,
         Err(e @ DaemonError::Io(_)) => {
             // Peer death before COMPLETE: the landed prefix is the whole
-            // point — save it one last time and keep it in memory for
-            // the resume attempt.
-            save_partial(state, job_id, fingerprint, &session_state);
+            // point — log what landed since the last boundary and keep
+            // the state in memory for the resume attempt.
+            if let Some(l) = &mut logged {
+                l.boundary();
+            }
             state.partial_put(job_id, fingerprint, session_state);
             return Err(e);
         }
@@ -233,11 +247,55 @@ fn session(
     Ok(job_id)
 }
 
+/// The RESUME_STATE → RESUME_OK exchange: announces `st` and returns
+/// whether the source accepted it (and will skip exactly its messages).
+fn resume_verdict(
+    s: &mut SessionStream<Stream>,
+    spec: &ScenarioSpec,
+    st: &SessionState,
+) -> Result<bool, DaemonError> {
+    let announce = ResumeState {
+        applied: st.applied(),
+        round: st.expected_round(),
+        finished: st.finished(),
+        landed: st.partial_checkpoint(spec).landed_pages().as_u64(),
+        hash: st.state_hash(),
+    };
+    write_frame(s, kind::RESUME_STATE, &announce.encode())?;
+    s.flush()?;
+    let ok_frame = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::RESUME_OK, "RESUME_OK")?;
+    let verdict = ResumeOk::decode(&ok_frame.payload)?;
+    if verdict.accept && verdict.skip != st.applied() {
+        return Err(DaemonError::Protocol(format!(
+            "source accepted the resume but skips {} messages, we applied {}",
+            verdict.skip,
+            st.applied()
+        )));
+    }
+    Ok(verdict.accept)
+}
+
+/// What [`receive_stream`] tells whoever persists the landed prefix.
+/// `()` persists nothing.
+pub trait Persist {
+    /// `msg` was validated and applied.
+    fn landed(&mut self, msg: &WireMsg);
+    /// A persistence boundary: `STREAM_CHUNK` (64) messages, or a round
+    /// or stop delimiter, landed since the last one.
+    fn boundary(&mut self);
+}
+
+impl Persist for () {
+    fn landed(&mut self, _msg: &WireMsg) {}
+    fn boundary(&mut self) {}
+}
+
 /// Applies the data-plane stream through the shared state machine
 /// until the stop-and-copy delimiter, and returns the COMPLETE frame
-/// that follows it. `persist` sees the state every `STREAM_CHUNK` (64)
-/// applied messages and at each round boundary; the kill switch is
-/// ticked once per message decoded, before it is applied.
+/// that follows it. `persist` is told each applied message, and of a
+/// boundary every `STREAM_CHUNK` (64) applied messages and at each
+/// round boundary; the kill switch is ticked once per message decoded,
+/// before it is applied.
 ///
 /// `r` is the session's reader: decoding costs a `read` per buffer, and
 /// whatever follows StopEnd in the same buffer (the COMPLETE frame) is
@@ -248,18 +306,19 @@ fn session(
 /// [`DaemonError::Io`] when the stream ends or stalls mid-message — the
 /// state then holds exactly the messages that arrived whole — and the
 /// apply errors of [`SessionState::apply`].
-pub fn receive_stream<R: Read>(
+pub fn receive_stream<R: Read, P: Persist>(
     r: &mut R,
     index: Option<&ChecksumIndex>,
     session_state: &mut SessionState,
     kill: &KillSwitch,
-    mut persist: impl FnMut(&SessionState),
+    persist: &mut P,
 ) -> Result<Frame, DaemonError> {
     let mut since_checkpoint = 0usize;
     while !session_state.finished() {
         let msg = WireMsg::read_from(r).map_err(DaemonError::from)?;
         kill.tick(KillRole::Dest, KillPoint::MidBulk);
         session_state.apply(&msg, index)?;
+        persist.landed(&msg);
         since_checkpoint += 1;
         // Checkpoint on the same cadence the source buffers writes, so
         // a crash leaves a prefix the source's simulation can replay
@@ -268,24 +327,58 @@ pub fn receive_stream<R: Read>(
         if since_checkpoint >= crate::source::STREAM_CHUNK
             || matches!(msg, WireMsg::RoundEnd { .. } | WireMsg::StopEnd)
         {
-            persist(session_state);
+            persist.boundary();
             since_checkpoint = 0;
         }
     }
     expect_kind(read_frame(r, MAX_PAYLOAD)?, kind::COMPLETE, "COMPLETE")
 }
 
-/// Saves a partial state to its file, when the daemon is
-/// journal-backed — what a restarted daemon resumes from.
-fn save_partial(state: &DaemonState, job_id: u64, fingerprint: u64, st: &SessionState) {
-    if let Some(dir) = state.config.journal_dir.as_deref() {
-        match session_state::save_partial(dir, job_id, fingerprint, st) {
-            Ok(()) => state
-                .metrics
-                .inc("daemon_resume_partials_total", &[("op", "save")], 1),
-            Err(e) => state.journal_push(format!("partial save failed for job {job_id}: {e}")),
+/// A journal-backed session's [`Persist`]: the partial log, until an
+/// append fails.
+struct SessionLog<'a> {
+    state: &'a DaemonState,
+    job_id: u64,
+    fingerprint: u64,
+    log: Option<PartialLog>,
+}
+
+impl Persist for SessionLog<'_> {
+    fn landed(&mut self, msg: &WireMsg) {
+        if let Some(log) = &mut self.log {
+            log.push(msg);
         }
     }
+
+    fn boundary(&mut self) {
+        let Some(log) = &mut self.log else { return };
+        match log.commit() {
+            Ok(true) => {
+                self.state
+                    .metrics
+                    .inc("daemon_resume_partials_total", &[("op", "save")], 1)
+            }
+            Ok(false) => {}
+            Err(e) => {
+                // The file now ends mid-record and will fall behind the
+                // state: a stale shorter prefix must not be announced
+                // later, so it goes, and the session receives on.
+                self.log = None;
+                if let Some(dir) = self.state.config.journal_dir.as_deref() {
+                    session_state::drop_partial(dir, self.job_id, self.fingerprint);
+                }
+                log_failed(self.state, self.job_id, &e);
+            }
+        }
+    }
+}
+
+/// The one line a session's partial log failing leaves in the daemon
+/// log — once per session, however many chunks follow.
+fn log_failed(state: &DaemonState, job_id: u64, e: &std::io::Error) {
+    state.journal_push(format!(
+        "partial log failed for job {job_id}, receiving unlogged: {e}"
+    ));
 }
 
 /// Removes every trace of a partial state (job finished, or the state
@@ -299,5 +392,64 @@ fn drop_partial(state: &DaemonState, job_id: u64, fingerprint: u64) {
         state
             .metrics
             .inc("daemon_resume_partials_total", &[("op", "drop")], 1);
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use crate::queue::Queue;
+    use crate::server::DaemonConfig;
+
+    /// A disk that fills mid-session (`/dev/full` behind the append
+    /// handle): the first failed append stops the logging, removes the
+    /// file — it would otherwise be announced later as a shorter, stale
+    /// prefix — and leaves one line, however many chunks follow.
+    #[test]
+    fn a_failed_append_ends_the_log_and_is_reported_once() {
+        let dir = std::env::temp_dir().join(format!("vecycle-dest-full-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let state = DaemonState {
+            queue: Queue::new(),
+            locks: Default::default(),
+            metrics: Default::default(),
+            log: Default::default(),
+            wal: None,
+            partials: Default::default(),
+            kill: KillSwitch::inert(),
+            config: DaemonConfig::new(crate::Endpoint::parse("127.0.0.1:0"))
+                .with_journal_dir(dir.clone()),
+        };
+        let (job_id, fingerprint) = (3, 0xf00d);
+        drop(PartialLog::create(&dir, job_id, fingerprint).unwrap());
+        let path = session_state::partial_path(&dir, job_id, fingerprint);
+        assert!(path.exists());
+
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let mut hook = SessionLog {
+            state: &state,
+            job_id,
+            fingerprint,
+            log: Some(PartialLog::at(full, 0)),
+        };
+        for idx in 0..5 * 64 {
+            hook.landed(&WireMsg::Zero { idx });
+            if idx % 64 == 63 {
+                hook.boundary();
+            }
+        }
+        assert!(hook.log.is_none());
+        assert!(!path.exists(), "the stale prefix is gone");
+        let lines = state.log.lock().unwrap().clone();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].contains("job 3") && lines[0].contains("unlogged"));
+        let saves = state
+            .metrics
+            .counter("daemon_resume_partials_total", &[("op", "save")]);
+        assert_eq!(saves, 0);
     }
 }

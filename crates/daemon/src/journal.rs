@@ -1,13 +1,23 @@
 //! The write-ahead job journal: every job transition survives a crash.
 //!
 //! One file, `vecycled.wal`, under the daemon's `--journal-dir`. Each
-//! record is length-prefixed and checksummed —
-//! `[u32 BE payload len][JSON payload][8-byte FNV-1a 64 of payload]` —
-//! and appended with an fsync, so a record either replays intact or is
-//! detected as a torn tail and discarded. Replay tolerates exactly one
-//! torn suffix (the crash mid-append case): decoding stops at the
-//! first short or checksum-failing record, the valid prefix is kept,
-//! and the file is truncated back to it.
+//! record is a JSON payload in the crate's one [`record`] frame, so a
+//! record either replays intact or is detected as a torn tail and
+//! discarded. Replay tolerates exactly one torn suffix (the crash
+//! mid-append case): decoding stops at the first short or
+//! checksum-failing record, the valid prefix is kept, and the file is
+//! truncated back to it.
+//!
+//! Each record kind has one durability. A record a recovery decision
+//! rests on — `submitted`, `claimed`, the retry transition and every
+//! terminal — is appended with an `fdatasync` ([`Journal::append`]).
+//! The source's data-plane progress records decide nothing
+//! ([`crate::recovery`] treats a last record of `claimed` and of
+//! `transferring` alike), so they are *hints*: written, not synced
+//! ([`Journal::append_hint`]), and carried to disk by the next synced
+//! append to the same file. A process kill loses neither kind — a
+//! completed `write` lives in the page cache — and a power cut can only
+//! cost hints behind the last synced record, as a torn tail.
 //!
 //! [`Journal::compact`] rewrites the whole file through the
 //! write-tmp→fsync→rename→fsync-dir discipline (the same one
@@ -20,9 +30,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
-use vecycle_hash::{Fnv1a64, Hasher};
 
-use crate::sync;
+use crate::{record, sync};
 
 /// The WAL file name under the journal directory.
 pub const WAL_FILE: &str = "vecycled.wal";
@@ -91,60 +100,32 @@ pub struct Replay {
     pub torn_bytes: u64,
 }
 
-fn checksum(payload: &[u8]) -> [u8; 8] {
-    let mut fnv = Fnv1a64::new();
-    fnv.update(payload);
-    fnv.finalize()
-}
-
-/// Encodes one record into its on-disk frame.
-fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let payload = serde_json::to_string(record).expect("wal record serializes");
-    let payload = payload.as_bytes();
-    let mut buf = Vec::with_capacity(4 + payload.len() + 8);
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&checksum(payload));
-    buf
+/// Appends one record's on-disk frame to `buf`.
+fn encode_record(entry: &WalRecord, buf: &mut Vec<u8>) {
+    let payload = serde_json::to_string(entry).expect("wal record serializes");
+    record::push(buf, payload.as_bytes());
 }
 
 /// Largest record payload replay will accept. A WAL payload is one
 /// JSON job record; 1 MiB is far beyond any legitimate spec.
-const MAX_RECORD: u32 = 1 << 20;
+const MAX_RECORD: usize = 1 << 20;
 
-/// Decodes records from raw file bytes, stopping at the first torn or
-/// corrupt frame. Returns the records and the byte offset of the valid
-/// prefix.
+/// Decodes records from raw file bytes, stopping at the first torn,
+/// corrupt or unparsable record. Returns the records and the byte
+/// offset of the valid prefix.
 pub fn decode_records(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
     let mut records = Vec::new();
-    let mut off = 0usize;
-    loop {
-        let rest = &bytes[off..];
-        if rest.len() < 4 {
-            break;
-        }
-        let len = u32::from_be_bytes(rest[0..4].try_into().expect("4 bytes"));
-        if len > MAX_RECORD {
-            break;
-        }
-        let len = len as usize;
-        let Some(frame) = rest.get(4..4 + len + 8) else {
-            break;
-        };
-        let (payload, trailer) = frame.split_at(len);
-        if trailer != checksum(payload) {
-            break;
-        }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            break;
-        };
-        let Ok(record) = serde_json::from_str::<WalRecord>(text) else {
-            break;
-        };
-        records.push(record);
-        off += 4 + len + 8;
+    let mut scan = record::scan(bytes, MAX_RECORD);
+    let mut valid = 0;
+    while let Some(payload) = scan.next() {
+        let parsed = std::str::from_utf8(payload)
+            .ok()
+            .and_then(|text| serde_json::from_str::<WalRecord>(text).ok());
+        let Some(entry) = parsed else { break };
+        records.push(entry);
+        valid = scan.offset();
     }
-    (records, off as u64)
+    (records, valid as u64)
 }
 
 /// The append handle to one daemon's WAL.
@@ -205,20 +186,38 @@ impl Journal {
         &self.path
     }
 
-    /// Appends one record durably (write + fsync), assigning its
+    /// Appends one record durably (write + `fdatasync`), assigning its
     /// sequence number. Returns the assigned `seq`.
     ///
     /// # Errors
     ///
     /// Propagates write and sync errors.
     pub fn append(&self, record: &WalRecord) -> std::io::Result<u64> {
+        self.write(record, true)
+    }
+
+    /// Appends one record as a *hint*: written in order like any other,
+    /// but not synced — the next [`Journal::append`] carries it to disk.
+    /// For records no recovery decision reads (module docs).
+    ///
+    /// # Errors
+    ///
+    /// Propagates write errors.
+    pub fn append_hint(&self, record: &WalRecord) -> std::io::Result<u64> {
+        self.write(record, false)
+    }
+
+    fn write(&self, record: &WalRecord, sync: bool) -> std::io::Result<u64> {
         let mut inner = sync::lock(&self.inner);
         let mut stamped = record.clone();
         stamped.seq = inner.next_seq;
         inner.next_seq += 1;
-        let frame = encode_record(&stamped);
+        let mut frame = Vec::new();
+        encode_record(&stamped, &mut frame);
         inner.file.write_all(&frame)?;
-        inner.file.sync_data()?;
+        if sync {
+            inner.file.sync_data()?;
+        }
         Ok(stamped.seq)
     }
 
@@ -236,7 +235,7 @@ impl Journal {
         for (i, record) in records.iter().enumerate() {
             let mut stamped = record.clone();
             stamped.seq = i as u64 + 1;
-            buf.extend_from_slice(&encode_record(&stamped));
+            encode_record(&stamped, &mut buf);
         }
         {
             let mut f = File::create(&tmp)?;

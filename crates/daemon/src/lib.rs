@@ -22,7 +22,7 @@
 //! write-ahead journaled ([`journal`]), boot replays the WAL
 //! ([`recovery`]) so a killed daemon restarts with no job lost and
 //! none completed twice, and an interrupted transfer resumes from the
-//! destination's persisted partial state ([`session_state`]) via the
+//! destination's logged landed prefix ([`partial_log`]) via the
 //! RESUME_STATE/RESUME_OK handshake instead of restreaming from
 //! scratch.
 //!
@@ -30,8 +30,10 @@
 //! fixed control payloads), [`endpoint`] (TCP/Unix addressing),
 //! [`queue`] (per-host-locked work queue), [`journal`] (write-ahead
 //! job journal), [`recovery`] (boot-time WAL replay),
-//! [`session_state`] (shared stream-apply state machine + partial
-//! files), [`server`] (listener + dispatch), `source`/`dest` (the two
+//! [`session_state`] (shared stream-apply state machine + its snapshot
+//! codec), [`partial_log`] (the destination's append-only log of landed
+//! messages), [`record`] (the checksummed record frame the journal and
+//! the log share), [`server`] (listener + dispatch), `source`/`dest` (the two
 //! ends of a migration session), [`client`] (operator RPCs),
 //! [`scenario`] (deterministic guest construction shared by both
 //! processes).
@@ -46,8 +48,10 @@ pub mod endpoint;
 mod error;
 pub mod frame;
 pub mod journal;
+pub mod partial_log;
 pub mod proto;
 pub mod queue;
+pub mod record;
 pub mod recovery;
 pub mod scenario;
 pub mod server;
@@ -55,7 +59,7 @@ pub mod session_state;
 mod source;
 mod sync;
 
-pub use dest::receive_stream;
+pub use dest::{receive_stream, Persist};
 pub use endpoint::Endpoint;
 pub use error::DaemonError;
 pub use queue::{JobState, Measured};

@@ -150,12 +150,26 @@ impl DaemonState {
         sync::lock(&self.log).push(line);
     }
 
-    /// Appends a WAL record, if the daemon is journal-backed. Append
-    /// failures are logged, not fatal: a full disk should not take
-    /// down in-flight migrations, it just degrades crash recovery.
+    /// Appends a WAL record durably, if the daemon is journal-backed.
+    /// Append failures are logged, not fatal: a full disk should not
+    /// take down in-flight migrations, it just degrades crash recovery.
     pub(crate) fn wal_append(&self, record: WalRecord) {
+        self.wal_write(&record, Journal::append);
+    }
+
+    /// Appends a WAL record no recovery decision reads: written, not
+    /// synced (`Journal::append_hint`).
+    pub(crate) fn wal_hint(&self, record: WalRecord) {
+        self.wal_write(&record, Journal::append_hint);
+    }
+
+    fn wal_write(
+        &self,
+        record: &WalRecord,
+        write: fn(&Journal, &WalRecord) -> std::io::Result<u64>,
+    ) {
         if let Some(wal) = &self.wal {
-            if let Err(e) = wal.append(&record) {
+            if let Err(e) = write(wal, record) {
                 self.journal_push(format!(
                     "wal append failed ({} job {}): {e}",
                     record.kind, record.job

@@ -1,5 +1,5 @@
 //! The destination's reconstruction state, shared with the source's
-//! resume verifier, plus its crash-durable partial-file form.
+//! resume verifier, plus its snapshot (upgrade-format) codec.
 //!
 //! The apply logic lives here, not in `dest.rs`, so that the *source*
 //! can run the exact same state machine over the prefix of its
@@ -17,12 +17,16 @@
 //! and the state hash are those of the hash-map layout this replaced,
 //! byte for byte.
 //!
-//! Between boundary messages the destination persists the state as a
-//! `partial-job<id>-<fingerprint>.bin` file (write-tmp→rename, FNV-1a
-//! trailer), which is what survives a destination crash: the paper's
-//! checkpoint-as-recovery-unit idea applied to an in-flight transfer.
-//! The landed pages double as a [`PartialCheckpoint`], the same
-//! resume substrate PR 2's retry machinery uses.
+//! [`SessionState::encode`] / [`SessionState::decode`] are the
+//! *snapshot* form of a state (`VECYPAR1`: the whole state, FNV-1a
+//! trailer) — what the previous release's daemon rewrote at every
+//! persistence boundary. The running daemon no longer writes it: the
+//! `partial-job<id>-<fingerprint>.bin` file is now an append-only log
+//! of the validated messages ([`crate::partial_log`]), and a snapshot
+//! is read only as the *base* of such a log, so a file a previous
+//! release (or a test, through [`save_partial`]) left behind still
+//! resumes. The landed pages double as a [`PartialCheckpoint`], the
+//! same resume substrate PR 2's retry machinery uses.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -36,7 +40,7 @@ use vecycle_types::{PageDigest, VmId};
 
 use crate::DaemonError;
 
-/// Magic prefix of a partial-state file: vecycled partial, format 1.
+/// Magic prefix of a state snapshot: vecycled partial, format 1.
 pub const PARTIAL_MAGIC: &[u8; 8] = b"VECYPAR1";
 
 /// A stable fingerprint of a scenario (FNV-1a 64 over its key-value
@@ -46,6 +50,18 @@ pub fn spec_fingerprint(spec: &ScenarioSpec) -> u64 {
     let mut fnv = Fnv1a64::new();
     fnv.update(spec.to_kv().as_bytes());
     u64::from_be_bytes(fnv.finalize())
+}
+
+/// Whether `page` is `digest` repeated end to end — the digest-level
+/// stand-in for page bytes. Two block compares (the head is the digest,
+/// and the page equals itself shifted by one digest) rather than one
+/// per 16 bytes: a resume replays every logged full page through it.
+fn is_filler(page: &[u8], digest: &PageDigest) -> bool {
+    let d = digest.as_bytes();
+    page.is_empty()
+        || (page.len().is_multiple_of(d.len())
+            && page.starts_with(d)
+            && page[d.len()..] == page[..page.len() - d.len()])
 }
 
 /// The deterministic apply-state of one migration stream.
@@ -154,7 +170,7 @@ impl SessionState {
         }
         match msg {
             WireMsg::Full { idx, digest, page } => {
-                if page.chunks(16).any(|c| c != digest.as_bytes()) {
+                if !is_filler(page, digest) {
                     return Err(DaemonError::Corrupt(format!(
                         "full page {idx} bytes do not match the digest filler"
                     )));
@@ -270,78 +286,98 @@ impl SessionState {
         buf
     }
 
-    /// Decodes a partial file, returning `(job, fingerprint, state)`.
+    /// Decodes a snapshot, returning `(job, fingerprint, state)`.
     /// Hardened in the PR 7 style: every length is validated before
     /// use, and the trailer checksum must match — a torn or tampered
     /// file is a typed error, never a panic or over-allocation.
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Corrupt`] on any structural or checksum failure.
+    /// [`DaemonError::Corrupt`] on any structural or checksum failure,
+    /// bytes after the trailer included.
     pub fn decode(bytes: &[u8]) -> Result<(u64, u64, SessionState), DaemonError> {
+        let (job, fingerprint, state, used) = SessionState::decode_prefix(bytes)?;
+        if used != bytes.len() {
+            return Err(DaemonError::Corrupt(
+                "partial state: bytes after the trailer".into(),
+            ));
+        }
+        Ok((job, fingerprint, state))
+    }
+
+    /// Decodes the snapshot `bytes` *starts with*, returning its length
+    /// as well — the snapshot declares its own size (page and anchor
+    /// counts), which is what lets a partial log continue behind it.
+    /// The declared size is checked against `bytes` and the trailer
+    /// verified before anything is allocated.
+    ///
+    /// # Errors
+    ///
+    /// As [`SessionState::decode`], except that trailing bytes are the
+    /// caller's.
+    pub fn decode_prefix(bytes: &[u8]) -> Result<(u64, u64, SessionState, usize), DaemonError> {
         let fail = |what: &str| DaemonError::Corrupt(format!("partial state: {what}"));
-        if bytes.len() < 8 + 8 + 8 + 8 + 8 + 1 + 8 + 8 + 8 {
+        const MEM_OFF: usize = 8 + 8 + 8 + 8 + 8 + 1 + 8;
+        if bytes.len() < MEM_OFF + 8 + 8 {
             return Err(fail("file too short"));
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let mut fnv = Fnv1a64::new();
-        fnv.update(body);
-        if fnv.finalize() != trailer {
-            return Err(fail("trailer checksum mismatch"));
-        }
-        if &body[0..8] != PARTIAL_MAGIC {
+        if &bytes[0..8] != PARTIAL_MAGIC {
             return Err(fail("bad magic"));
         }
-        let u64_at = |off: usize| u64::from_be_bytes(body[off..off + 8].try_into().expect("8"));
+        let u64_at = |off: usize| u64::from_be_bytes(bytes[off..off + 8].try_into().expect("8"));
+        let section = |count: u64, each: usize, what: &str| {
+            usize::try_from(count)
+                .ok()
+                .and_then(|n| n.checked_mul(each))
+                .ok_or_else(|| fail(&format!("{what} count overflows")))
+        };
+        let pages = u64_at(41);
+        let per_page = PageDigest::LEN + 1;
+        let anchors_count_off = section(pages, per_page, "page")?
+            .checked_add(MEM_OFF)
+            .ok_or_else(|| fail("memory section overflows"))?;
+        if bytes.len() - 8 < anchors_count_off {
+            return Err(fail("memory section truncated"));
+        }
+        let anchor_count = u64_at(anchors_count_off);
+        let anchors_off = anchors_count_off + 8;
+        let body_len = section(anchor_count, 24, "anchor")?
+            .checked_add(anchors_off)
+            .ok_or_else(|| fail("anchor section overflows"))?;
+        let Some(trailer) = bytes.get(body_len..).and_then(|t| t.first_chunk::<8>()) else {
+            return Err(fail("anchor section truncated"));
+        };
+        let body = &bytes[..body_len];
+        let mut fnv = Fnv1a64::new();
+        fnv.update(body);
+        if fnv.finalize() != *trailer {
+            return Err(fail("trailer checksum mismatch"));
+        }
+
+        let flag = |byte: u8, what: &str| match byte {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(fail(&format!("{what} flag {b}"))),
+        };
         let job = u64_at(8);
         let fingerprint = u64_at(16);
         let applied = u64_at(24);
         let expected_round = u64_at(32);
-        let finished = match body[40] {
-            0 => false,
-            1 => true,
-            b => return Err(fail(&format!("finished flag {b}"))),
-        };
-        let pages = u64_at(41);
-        let per_page = PageDigest::LEN + 1;
-        let mem_len = (pages as usize)
-            .checked_mul(per_page)
-            .ok_or_else(|| fail("page count overflows"))?;
-        let mem_off = 49usize;
-        let anchors_count_off = mem_off
-            .checked_add(mem_len)
-            .ok_or_else(|| fail("memory section overflows"))?;
-        if body.len() < anchors_count_off + 8 {
-            return Err(fail("memory section truncated"));
-        }
+        let finished = flag(body[40], "finished")?;
         let mut mem = Vec::with_capacity(pages as usize);
         let mut landed = Vec::with_capacity(pages as usize);
-        for p in 0..pages as usize {
-            let off = mem_off + p * per_page;
-            let digest: [u8; 16] = body[off..off + 16].try_into().expect("16");
+        for page in body[MEM_OFF..anchors_count_off].chunks_exact(per_page) {
+            let digest: [u8; 16] = page[..16].try_into().expect("16");
             mem.push(PageDigest::new(digest));
-            landed.push(match body[off + 16] {
-                0 => false,
-                1 => true,
-                b => return Err(fail(&format!("landed flag {b}"))),
-            });
-        }
-        let anchor_count = u64_at(anchors_count_off);
-        let anchors_off = anchors_count_off + 8;
-        let anchors_len = (anchor_count as usize)
-            .checked_mul(24)
-            .ok_or_else(|| fail("anchor count overflows"))?;
-        if body.len() != anchors_off + anchors_len {
-            return Err(fail("anchor section length mismatch"));
+            landed.push(flag(page[16], "landed")?);
         }
         let mut anchors = vec![None; pages as usize];
-        for a in 0..anchor_count as usize {
-            let off = anchors_off + a * 24;
-            let idx = u64_at(off);
+        for anchor in body[anchors_off..].chunks_exact(24) {
+            let idx = u64::from_be_bytes(anchor[..8].try_into().expect("8"));
             if idx >= pages {
                 return Err(fail(&format!("anchor index {idx} beyond {pages} pages")));
             }
-            let digest: [u8; 16] = body[off + 8..off + 24].try_into().expect("16");
+            let digest: [u8; 16] = anchor[8..].try_into().expect("16");
             anchors[idx as usize] = Some(PageDigest::new(digest));
         }
         Ok((
@@ -356,6 +392,7 @@ impl SessionState {
                 expected_round,
                 finished,
             },
+            body_len + 8,
         ))
     }
 }
@@ -365,11 +402,12 @@ pub fn partial_path(dir: &Path, job: u64, fingerprint: u64) -> PathBuf {
     dir.join(format!("partial-job{job}-{fingerprint:016x}.bin"))
 }
 
-/// Persists a partial state via write-tmp→rename. No fsync: a torn
-/// file is detected by the trailer on load and simply falls back to a
-/// fresh transfer, so durability-under-power-loss is not worth a sync
-/// per boundary here (the WAL, which must not lose records, does
-/// sync).
+/// Writes `state` as a snapshot file via write-tmp→rename — the
+/// previous release's persistence step, kept as the upgrade format's
+/// writer: tests and the benchmark's staged replay hand-persist
+/// partials with it, the running daemon appends to a
+/// [`crate::partial_log`] instead. No fsync: a torn file is detected by
+/// the trailer on load and simply falls back to a fresh transfer.
 ///
 /// # Errors
 ///
@@ -388,17 +426,6 @@ pub fn save_partial(
         f.write_all(&state.encode(job, fingerprint))?;
     }
     std::fs::rename(&tmp, &path)
-}
-
-/// Loads a partial state, if an intact one exists for this exact
-/// `(job, fingerprint)`. Corrupt or mismatched files yield `None` —
-/// the resume machinery falls back to a fresh transfer.
-pub fn load_partial(dir: &Path, job: u64, fingerprint: u64) -> Option<SessionState> {
-    let bytes = std::fs::read(partial_path(dir, job, fingerprint)).ok()?;
-    match SessionState::decode(&bytes) {
-        Ok((j, f, state)) if j == job && f == fingerprint => Some(state),
-        _ => None,
-    }
 }
 
 /// Removes a partial file (job finished or state invalidated).
@@ -459,18 +486,42 @@ mod tests {
 
     #[test]
     fn save_load_drop_partial_lifecycle() {
+        use crate::partial_log::PartialLog;
         let dir = std::env::temp_dir().join(format!("vecycle-partial-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (spec, st) = state_with_traffic();
         let fp = spec_fingerprint(&spec);
-        assert!(load_partial(&dir, 5, fp).is_none());
+        let fresh = SessionState::fresh(&spec, &scenario::initial_memory(&spec).unwrap());
+        let load = |job, fp| PartialLog::load(&dir, job, fp, &fresh, None).map(|(st, _)| st);
+        assert!(load(5, fp).is_none());
         save_partial(&dir, 5, fp, &st).unwrap();
-        assert_eq!(load_partial(&dir, 5, fp).unwrap(), st);
+        assert_eq!(load(5, fp).unwrap(), st);
         // Wrong identity never matches.
-        assert!(load_partial(&dir, 6, fp).is_none());
-        assert!(load_partial(&dir, 5, fp ^ 1).is_none());
+        assert!(load(6, fp).is_none());
+        assert!(load(5, fp ^ 1).is_none());
         drop_partial(&dir, 5, fp);
-        assert!(load_partial(&dir, 5, fp).is_none());
+        assert!(load(5, fp).is_none());
+    }
+
+    #[test]
+    fn decode_prefix_reports_the_snapshot_length_and_ignores_what_follows() {
+        let (spec, st) = state_with_traffic();
+        let mut bytes = st.encode(3, spec_fingerprint(&spec));
+        let len = bytes.len();
+        bytes.extend_from_slice(b"a log continues here");
+        let (job, _, back, used) = SessionState::decode_prefix(&bytes).unwrap();
+        assert_eq!((job, used), (3, len));
+        assert_eq!(back, st);
+        assert!(SessionState::decode(&bytes).is_err(), "decode wants it all");
+        // A forged count is checked against the bytes, not trusted.
+        for off in [41, len - 8 - 42 * 24 - 8] {
+            let mut forged = bytes.clone();
+            forged[off..off + 8].copy_from_slice(&(u64::MAX / 2).to_be_bytes());
+            assert!(
+                SessionState::decode_prefix(&forged).is_err(),
+                "count at {off}"
+            );
+        }
     }
 
     #[test]

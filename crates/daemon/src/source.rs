@@ -213,9 +213,10 @@ pub(crate) fn run_job(
         &mut s,
         &state.kill,
         |landed| {
+            // Progress decides nothing on replay: a hint, not a sync.
             let mut progress = WalRecord::bare(rec::TRANSFERRING, job_id);
             progress.pages_landed = landed;
-            state.wal_append(progress);
+            state.wal_hint(progress);
         },
         resume,
     );

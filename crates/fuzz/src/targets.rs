@@ -11,14 +11,17 @@
 //! instrumentation.
 
 use std::io::Read;
-use vecycle_checkpoint::{Checkpoint, CheckpointData, EvictionPolicy};
+use std::sync::OnceLock;
+use vecycle_checkpoint::{Checkpoint, CheckpointData, ChecksumIndex, EvictionPolicy};
 
 use vecycle_cli::args::{parse_duration, parse_faults, parse_link, parse_size};
 use vecycle_daemon::endpoint::SessionStream;
-use vecycle_daemon::{frame, DaemonError};
+use vecycle_daemon::session_state::{spec_fingerprint, SessionState};
+use vecycle_daemon::{frame, partial_log, record, scenario, DaemonError};
 use vecycle_mem::ByteMemory;
 use vecycle_net::wiremsg::{self, WireMsg};
 use vecycle_sim::chaos::ChaosConfig;
+use vecycle_sim::ScenarioSpec;
 use vecycle_trace::{Fingerprint, Trace};
 use vecycle_types::{Bytes, Error, PageCount, PageDigest, SimDuration, SimTime, VmId};
 
@@ -167,6 +170,24 @@ pub fn all_targets() -> Vec<Target> {
             post: None,
             run: |input| drain_slice(input, next_ctrl_frame).class(),
             differential: Some(|input| readers_agree(input, next_ctrl_frame)),
+            max_len: 8192,
+        },
+        Target {
+            name: "partial_log",
+            seeds: partial_log_seeds,
+            dict: PARTIAL_LOG_DICT,
+            post: None,
+            run: run_partial_log,
+            differential: Some(partial_log_grows_as_it_loads),
+            max_len: 8192,
+        },
+        Target {
+            name: "partial_log_fix",
+            seeds: partial_log_seeds,
+            dict: PARTIAL_LOG_DICT,
+            post: Some(reseal_records),
+            run: run_partial_log,
+            differential: Some(partial_log_grows_as_it_loads),
             max_len: 8192,
         },
     ]
@@ -320,6 +341,85 @@ fn ctrl_frame_seeds() -> Vec<Vec<u8>> {
     ]
 }
 
+/// The session the `partial_log` target loads files for: a warm 1 MiB
+/// guest, so a log may carry checksum messages as well as full pages.
+struct LogFixture {
+    fingerprint: u64,
+    fresh: SessionState,
+    index: ChecksumIndex,
+    /// A short stream every message of which applies, delimiters last.
+    msgs: Vec<WireMsg>,
+}
+
+const LOG_JOB: u64 = 7;
+
+/// Built once, by the first call — [`partial_log_seeds`], before any
+/// metered execution.
+fn log_fixture() -> &'static LogFixture {
+    static FIXTURE: OnceLock<LogFixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let mut spec = ScenarioSpec::golden(0x106);
+        spec.ram_mib = 1;
+        let initial = scenario::initial_memory(&spec).expect("1 MiB is a valid guest");
+        let held = initial.snapshot().into_digests();
+        let digest = PageDigest::from_content_id;
+        let mut msgs: Vec<WireMsg> = (0..6u64)
+            .map(|idx| WireMsg::Checksum {
+                idx,
+                digest: held[idx as usize + 10],
+            })
+            .collect();
+        msgs.extend((6..10).map(|idx| WireMsg::full_filler(idx, digest(idx))));
+        msgs.push(WireMsg::DedupRef { idx: 10, source: 7 });
+        msgs.push(WireMsg::Zero { idx: 11 });
+        msgs.push(WireMsg::RoundEnd { round: 1 });
+        msgs.push(WireMsg::full_filler(7, digest(70)));
+        msgs.push(WireMsg::StopEnd);
+        LogFixture {
+            fingerprint: spec_fingerprint(&spec),
+            fresh: SessionState::fresh(&spec, &initial),
+            index: Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial).build_index(),
+            msgs,
+        }
+    })
+}
+
+/// A fresh log, a log continued behind a snapshot, and the two ways a
+/// crash damages either: a torn tail and a flipped trailer byte.
+fn partial_log_seeds() -> Vec<Vec<u8>> {
+    let fx = log_fixture();
+    // Chunk records as the destination appends them, four messages each.
+    let chunks = |mut first: u64, msgs: &[WireMsg], out: &mut Vec<u8>| {
+        for chunk in msgs.chunks(4) {
+            let mark = record::begin(out);
+            out.extend_from_slice(&first.to_be_bytes());
+            chunk
+                .iter()
+                .for_each(|msg| partial_log::encode_landed(msg, out));
+            record::seal(out, mark);
+            first += chunk.len() as u64;
+        }
+    };
+    let mut fresh = Vec::new();
+    let mut header = partial_log::LOG_MAGIC.to_vec();
+    header.extend_from_slice(&LOG_JOB.to_be_bytes());
+    header.extend_from_slice(&fx.fingerprint.to_be_bytes());
+    record::push(&mut fresh, &header);
+    chunks(0, &fx.msgs, &mut fresh);
+
+    let mut base = fx.fresh.clone();
+    for msg in &fx.msgs[..5] {
+        base.apply(msg, Some(&fx.index)).expect("fixture applies");
+    }
+    let mut behind_snapshot = base.encode(LOG_JOB, fx.fingerprint);
+    chunks(5, &fx.msgs[5..], &mut behind_snapshot);
+
+    let torn = fresh[..fresh.len() - 11].to_vec();
+    let mut flipped = behind_snapshot.clone();
+    *flipped.last_mut().expect("non-empty") ^= 0x10;
+    vec![fresh, behind_snapshot, torn, flipped]
+}
+
 fn text_seeds(strs: &[&str]) -> Vec<Vec<u8>> {
     strs.iter().map(|s| s.as_bytes().to_vec()).collect()
 }
@@ -433,6 +533,22 @@ const FRAME_DICT: &[&[u8]] = &[
     &[0, 0x10, 0, 1],
     &[0xff; 4],
     b"VECYCLD1",
+];
+
+const PARTIAL_LOG_DICT: &[&[u8]] = &[
+    b"VECYPLG1",
+    b"VECYPAR1",
+    // a logged full page's kind + length, and the wire's
+    &[1, 0, 0, 16],
+    &[1, 0, 0x10, 0x10],
+    &[2, 0, 0, 16],
+    &[5, 0, 0, 0],
+    &[6, 0, 0, 0],
+    // record length prefixes: a header record, an empty chunk
+    &[0, 0, 0, 24],
+    &[0, 0, 0, 8],
+    &[0, 0, 0, 0, 0, 0, 0, LOG_JOB as u8],
+    &[0xff; 8],
 ];
 
 // ------------------------------------------------------------ classifiers
@@ -586,6 +702,115 @@ fn run_cli_faults(input: &[u8]) -> &'static str {
         Err(e) if e.contains("unknown fault") => "err_unknown",
         Err(_) => "err_other",
     }
+}
+
+/// The record-level [`mutate::fix_trailer`]: recomputes the checksum of
+/// every record frame a mutant still delimits (behind its snapshot
+/// base, when that survived), so mutated chunk payloads reach the
+/// message decoder and the state machine instead of dying as torn
+/// tails.
+fn reseal_records(input: &mut [u8]) {
+    let mut off = match SessionState::decode_prefix(input) {
+        Ok((.., used)) => used,
+        Err(_) if input.starts_with(b"VECYPAR1") => return,
+        Err(_) => 0,
+    };
+    while let Some(len) = input.get(off..).and_then(|rest| rest.first_chunk::<4>()) {
+        let payload_end = off + 4 + u32::from_be_bytes(*len) as usize;
+        if input.len() < payload_end + 8 {
+            return;
+        }
+        let sum = mutate::fnv64(&input[off + 4..payload_end]).to_be_bytes();
+        input[payload_end..payload_end + 8].copy_from_slice(&sum);
+        off = payload_end + 8;
+    }
+}
+
+fn load_log(input: &[u8]) -> Option<(SessionState, usize)> {
+    let fx = log_fixture();
+    partial_log::replay(input, LOG_JOB, fx.fingerprint, &fx.fresh, Some(&fx.index))
+}
+
+fn run_partial_log(input: &[u8]) -> &'static str {
+    let fx = log_fixture();
+    let snapshot = input.starts_with(b"VECYPAR1");
+    let Some((state, valid)) = load_log(input) else {
+        let based = partial_log::replay_base(input, LOG_JOB, fx.fingerprint, &fx.fresh);
+        return match (based, snapshot) {
+            // The base was fine: an intact record did not continue it.
+            (Some(_), _) => "rej_condemned",
+            (None, true) => "rej_snapshot",
+            (None, false) => "rej_log",
+        };
+    };
+    match (snapshot, state.finished(), valid == input.len()) {
+        (true, true, _) => "ok_snapshot_finished",
+        (true, false, true) => "ok_snapshot_whole",
+        (true, false, false) => "ok_snapshot_torn",
+        (false, true, _) => "ok_log_finished",
+        (false, false, true) => "ok_log_whole",
+        (false, false, false) => "ok_log_torn",
+    }
+}
+
+/// The growing-file oracle: a reader that is handed the file one more
+/// byte at a time — finding the base once enough of it has arrived,
+/// then applying each chunk record as it completes — must end where one
+/// load of the whole file ends, and whatever loaded must load again
+/// from exactly its intact prefix (what truncating a torn tail relies
+/// on).
+fn partial_log_grows_as_it_loads(input: &[u8]) -> Result<(), String> {
+    let fx = log_fixture();
+    let whole = load_log(input);
+    let base = |bytes| partial_log::replay_base(bytes, LOG_JOB, fx.fingerprint, &fx.fresh);
+    let grown = match base(input) {
+        // A base is self-delimiting: it appears when its last byte does.
+        Some((_, len)) if base(&input[..len - 1]).is_some() => {
+            return Err(format!("a {len}-byte base loads from {} bytes", len - 1));
+        }
+        Some((mut state, base_len)) => {
+            let mut valid = base_len;
+            let mut condemned = false;
+            for end in base_len..=input.len() {
+                let arrived = &input[valid..end];
+                match partial_log::replay_chunks(&mut state, arrived, Some(&fx.index)) {
+                    None => {
+                        condemned = true;
+                        break;
+                    }
+                    Some(0) => {
+                        // A record that has wholly arrived and does not
+                        // load never will: the file ends here.
+                        let declared = arrived
+                            .first_chunk::<4>()
+                            .map(|len| u32::from_be_bytes(*len) as usize + record::OVERHEAD);
+                        if declared.is_some_and(|frame| frame <= arrived.len()) {
+                            break;
+                        }
+                    }
+                    Some(used) => valid += used,
+                }
+            }
+            (!condemned).then_some((state, valid))
+        }
+        None => None,
+    };
+    if grown != whole {
+        let show = |r: &Option<(SessionState, usize)>| {
+            r.as_ref().map(|(st, valid)| (st.applied(), *valid))
+        };
+        return Err(format!(
+            "grown byte by byte: {:?} (applied, valid); loaded whole: {:?}",
+            show(&grown),
+            show(&whole)
+        ));
+    }
+    if let Some((_, valid)) = &whole {
+        if load_log(&input[..*valid]) != whole {
+            return Err(format!("the intact {valid}-byte prefix loads differently"));
+        }
+    }
+    Ok(())
 }
 
 // ------------------------------------------------- socket-stream decoders
@@ -763,6 +988,43 @@ mod tests {
             assert_eq!(drain_slice(&seed, next_ctrl_frame).class(), "eof_clean");
             readers_agree(&seed, next_ctrl_frame).expect("readers agree on a seed");
         }
+    }
+
+    #[test]
+    fn partial_log_seeds_load_as_labelled() {
+        let seeds = partial_log_seeds();
+        let classes: Vec<_> = seeds.iter().map(|s| run_partial_log(s)).collect();
+        assert_eq!(
+            classes,
+            [
+                "ok_log_finished",
+                "ok_snapshot_finished",
+                "ok_log_torn",
+                "ok_snapshot_torn"
+            ]
+        );
+        let whole = load_log(&seeds[0]).expect("fresh log loads");
+        assert_eq!(whole.0.applied(), log_fixture().msgs.len() as u64);
+        assert_eq!(load_log(&seeds[1]).expect("snapshot log loads").0, whole.0);
+        for seed in &seeds {
+            partial_log_grows_as_it_loads(seed).expect("oracle holds on a seed");
+        }
+        assert_eq!(run_partial_log(b""), "rej_log");
+        assert_eq!(run_partial_log(b"VECYPAR1"), "rej_snapshot");
+        // A record that is intact but out of position condemns the file,
+        // grown or whole.
+        let mut gap = seeds[0].clone();
+        let first_chunk = 24 + record::OVERHEAD;
+        gap.truncate(first_chunk);
+        record::push(&mut gap, &9u64.to_be_bytes());
+        assert_eq!(run_partial_log(&gap), "rej_condemned");
+        partial_log_grows_as_it_loads(&gap).expect("both readers condemn it");
+        // Resealing lets a mutated payload past its checksum.
+        let mut mutant = seeds[0].clone();
+        mutant[first_chunk + 4 + 7] ^= 1; // the first chunk's position
+        assert_eq!(run_partial_log(&mutant), "ok_log_torn");
+        reseal_records(&mut mutant);
+        assert_eq!(run_partial_log(&mutant), "rej_condemned");
     }
 
     #[test]

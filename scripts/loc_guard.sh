@@ -11,7 +11,7 @@
 #     split the module instead of raising the cap.
 set -euo pipefail
 
-BUDGET=41620
+BUDGET=42965
 CAP=800
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"

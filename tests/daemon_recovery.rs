@@ -11,19 +11,23 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
+use vecycle_daemon::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use vecycle_daemon::journal::{rec, Journal, WalRecord};
+use vecycle_daemon::partial_log::{self, PartialLog};
 use vecycle_daemon::proto::{
-    forward_overhead, forward_resume_overhead, reverse_overhead, reverse_resume_overhead,
+    self, forward_overhead, forward_resume_overhead, reverse_overhead, reverse_resume_overhead,
+    JobMsg, ResumeState,
 };
 use vecycle_daemon::queue::JobRecord;
-use vecycle_daemon::session_state::{save_partial, spec_fingerprint, SessionState};
+use vecycle_daemon::session_state::{partial_path, save_partial, spec_fingerprint, SessionState};
 use vecycle_daemon::{
     client, scenario, Daemon, DaemonConfig, DaemonError, DaemonHandle, Endpoint, JobState,
 };
 use vecycle_host::HostLocks;
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
-use vecycle_types::HostId;
+use vecycle_types::{HostId, SimTime, VmId};
 
 const JOB_TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -352,12 +356,20 @@ fn recovered_inflight_job_resumes_at_epoch_one() {
     dst.shutdown();
 }
 
+/// The index a destination builds for `spec`: its warm checkpoint's,
+/// or none for a cold start.
+fn dest_index(spec: &ScenarioSpec) -> Option<ChecksumIndex> {
+    let initial = scenario::initial_memory(spec).expect("initial memory");
+    spec.warm
+        .then(|| Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial).build_index())
+}
+
 /// Flattens a live transcript into the daemon's wire-message sequence,
 /// rebuilt here from public APIs so the test pins the protocol, not the
 /// implementation.
 fn wire_sequence(spec: &ScenarioSpec) -> Vec<WireMsg> {
     use vecycle_core::PageMsg;
-    let strategy = scenario::wire_strategy(spec, None).expect("cold strategy");
+    let strategy = scenario::wire_strategy(spec, dest_index(spec)).expect("strategy");
     let initial = scenario::initial_memory(spec).expect("initial memory");
     let (mut guest, mut workload) = scenario::live_guest(spec, &initial).expect("guest");
     let (_, transcript) = scenario::engine_for(spec)
@@ -375,13 +387,45 @@ fn wire_sequence(spec: &ScenarioSpec) -> Vec<WireMsg> {
     msgs
 }
 
+/// The stream positions after which the destination persists: every
+/// 64 messages since the last boundary, and each delimiter.
+fn boundaries(msgs: &[WireMsg]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut since = 0;
+    for (i, msg) in msgs.iter().enumerate() {
+        since += 1;
+        if since == 64 || matches!(msg, WireMsg::RoundEnd { .. } | WireMsg::StopEnd) {
+            ends.push(i + 1);
+            since = 0;
+        }
+    }
+    ends
+}
+
+/// Logs `msgs` behind whatever `log` already holds as the destination
+/// would: one chunk record per boundary, and the unfinished chunk a
+/// peer's death leaves.
+fn log_on_cadence(log: &mut PartialLog, msgs: &[WireMsg]) {
+    let mut start = 0;
+    for end in boundaries(msgs) {
+        msgs[start..end].iter().for_each(|m| log.push(m));
+        assert!(log.commit().expect("chunk appends"));
+        start = end;
+    }
+    msgs[start..].iter().for_each(|m| log.push(m));
+    log.commit().expect("tail appends");
+}
+
 /// The headline resume property: a destination restarting with a
 /// persisted partial state makes the source skip exactly that prefix —
 /// strictly fewer bytes cross the wire than a from-scratch run, and the
 /// extended ledger (tx = source_traffic − skipped + overheads) holds.
+/// The same prefix resumes alike from each form the partial file can
+/// have: the previous release's snapshot, the log a session writes
+/// today, and a log continued behind a snapshot.
 #[test]
 fn resume_skips_the_persisted_partial_prefix() {
-    let _wd = Watchdog::arm("resume_skips_the_persisted_partial_prefix", JOB_TIMEOUT);
+    let _wd = Watchdog::arm("resume_skips_the_persisted_partial_prefix", 2 * JOB_TIMEOUT);
     let spec = cold_full_spec(0x515);
 
     let msgs = wire_sequence(&spec);
@@ -390,50 +434,80 @@ fn resume_skips_the_persisted_partial_prefix() {
 
     // What the destination would have durably applied before dying.
     let fp = spec_fingerprint(&spec);
-    let mut landed = cold_state(&spec);
-    for msg in &msgs[..prefix] {
-        landed.apply(msg, None).expect("prefix applies");
+    let fresh = cold_state(&spec);
+    let state_after = |n: usize| {
+        let mut st = fresh.clone();
+        for msg in &msgs[..n] {
+            st.apply(msg, None).expect("prefix applies");
+        }
+        st
+    };
+    type Layout<'a> = Box<dyn Fn(&std::path::Path) + 'a>;
+    let layouts: [(&str, Layout); 3] = [
+        (
+            "skip-snap",
+            Box::new(|dir| save_partial(dir, 1, fp, &state_after(prefix)).expect("snapshot")),
+        ),
+        (
+            "skip-log",
+            Box::new(|dir| {
+                std::fs::create_dir_all(dir).expect("journal dir");
+                let mut log = PartialLog::create(dir, 1, fp).expect("fresh log");
+                log_on_cadence(&mut log, &msgs[..prefix]);
+            }),
+        ),
+        (
+            "skip-both",
+            Box::new(|dir| {
+                save_partial(dir, 1, fp, &state_after(prefix / 3)).expect("snapshot");
+                let (_, mut log) = PartialLog::load(dir, 1, fp, &fresh, None).expect("base loads");
+                log_on_cadence(&mut log, &msgs[prefix / 3..prefix]);
+            }),
+        ),
+    ];
+    for (tag, persist) in layouts {
+        let resumed = resume_over_partial(tag, &spec, persist);
+        let (rec1, dst_dir) = (&resumed.record, &resumed.dst_dir);
+        let report = rec1.report.as_ref().expect("report");
+        let m = rec1.measured.as_ref().expect("measured");
+        assert_eq!(m.resume_epoch, 1, "{tag}");
+        assert_eq!(
+            m.skipped_msgs as usize, prefix,
+            "{tag}: source skipped the landed prefix"
+        );
+        let expected_skip: u64 = msgs[..prefix]
+            .iter()
+            .map(|m| m.encoded_len().as_u64())
+            .sum();
+        assert_eq!(m.skipped_bytes, expected_skip, "{tag}");
+        assert!(m.skipped_bytes > 0, "{tag}");
+
+        // Strictly less traffic than from scratch (the resume frames cost
+        // far less than the skipped prefix), and the extended ledger holds.
+        let from_scratch_tx = report.source_traffic().as_u64() + forward_overhead(m.job_json_len);
+        assert!(
+            m.tx < from_scratch_tx,
+            "{tag}: resumed tx {} must undercut from-scratch tx {}",
+            m.tx,
+            from_scratch_tx
+        );
+        assert_eq!(
+            m.tx,
+            from_scratch_tx - m.skipped_bytes + forward_resume_overhead(),
+            "{tag}"
+        );
+        assert_eq!(
+            report,
+            &scenario::reference_run(&spec).expect("reference").report,
+            "{tag}: a resumed transfer still reproduces the reference report"
+        );
+
+        // The partial is consumed: finishing the job dropped it.
+        assert!(
+            !partial_path(dst_dir, 1, fp).exists(),
+            "{tag}: partial file must be dropped after DONE"
+        );
     }
-    let resumed = resume_over_partial("skip", &spec, &landed);
-    let (rec1, dst_dir) = (&resumed.record, &resumed.dst_dir);
-    let report = rec1.report.as_ref().expect("report");
-    let m = rec1.measured.as_ref().expect("measured");
-    assert_eq!(m.resume_epoch, 1);
-    assert_eq!(
-        m.skipped_msgs as usize, prefix,
-        "source skipped the landed prefix"
-    );
-    let expected_skip: u64 = msgs[..prefix]
-        .iter()
-        .map(|m| m.encoded_len().as_u64())
-        .sum();
-    assert_eq!(m.skipped_bytes, expected_skip);
-    assert!(m.skipped_bytes > 0);
-
-    // Strictly less traffic than from scratch (the resume frames cost
-    // far less than the skipped prefix), and the extended ledger holds.
-    let from_scratch_tx = report.source_traffic().as_u64() + forward_overhead(m.job_json_len);
-    assert!(
-        m.tx < from_scratch_tx,
-        "resumed tx {} must undercut from-scratch tx {}",
-        m.tx,
-        from_scratch_tx
-    );
-    assert_eq!(
-        m.tx,
-        from_scratch_tx - m.skipped_bytes + forward_resume_overhead()
-    );
-    assert_eq!(
-        report,
-        &scenario::reference_run(&spec).expect("reference").report,
-        "a resumed transfer still reproduces the reference report"
-    );
-
-    // The partial is consumed: finishing the job dropped it.
-    assert!(
-        vecycle_daemon::session_state::load_partial(dst_dir, 1, fp).is_none(),
-        "partial file must be dropped after DONE"
-    );
 }
 
 /// The cold, full-copy scenario the resume tests share: no checksum
@@ -459,12 +533,17 @@ struct Resumed {
     dst_dir: std::path::PathBuf,
 }
 
-/// Persists `partial` as job 1's landed state, restarts a journal-backed
-/// destination over it and a source with the job journaled in flight,
-/// and waits for the resumed job to finish `Done`.
-fn resume_over_partial(tag: &str, spec: &ScenarioSpec, partial: &SessionState) -> Resumed {
+/// Has `persist` leave job 1's partial file in a journal directory,
+/// restarts a journal-backed destination over it and a source with the
+/// job journaled in flight, and waits for the resumed job to finish
+/// `Done`.
+fn resume_over_partial(
+    tag: &str,
+    spec: &ScenarioSpec,
+    persist: impl FnOnce(&std::path::Path),
+) -> Resumed {
     let dst_dir = journal_dir(&format!("{tag}-dst"));
-    save_partial(&dst_dir, 1, spec_fingerprint(spec), partial).expect("persist partial");
+    persist(&dst_dir);
     let dst = spawn_with_journal(unix_endpoint(&format!("{tag}-dst")), &dst_dir);
     let src_dir = journal_dir(&format!("{tag}-src"));
     {
@@ -519,7 +598,9 @@ fn rejected_resume_self_heals_into_a_full_transfer() {
     assert!(overlong.applied() > msgs.len() as u64);
 
     for (tag, partial) in [("rj-foreign", &foreign), ("rj-long", &overlong)] {
-        let resumed = resume_over_partial(tag, &spec, partial);
+        let resumed = resume_over_partial(tag, &spec, |dir| {
+            save_partial(dir, 1, spec_fingerprint(&spec), partial).expect("persist partial");
+        });
         let report = resumed.record.report.as_ref().expect("report");
         let m = resumed.record.measured.as_ref().expect("measured");
         assert_eq!(m.resume_epoch, 1, "{tag}");
@@ -545,12 +626,7 @@ fn rejected_resume_self_heals_into_a_full_transfer() {
         assert_eq!(resume_total("rejected"), 1, "{tag}");
         assert_eq!(resume_total("accepted"), 0, "{tag}");
         assert!(
-            !vecycle_daemon::session_state::partial_path(
-                &resumed.dst_dir,
-                1,
-                spec_fingerprint(&spec)
-            )
-            .exists(),
+            !partial_path(&resumed.dst_dir, 1, spec_fingerprint(&spec)).exists(),
             "{tag}: the rejected partial must be gone"
         );
     }
@@ -572,17 +648,18 @@ fn clean_journal_backed_run_matches_the_in_memory_daemon() {
             .submit(spec.clone(), dst.endpoint().clone())
             .expect("submit");
         let rec = src.wait_job(id, JOB_TIMEOUT).expect("job finishes");
+        let dst_metrics = dst.metrics();
         src.shutdown();
         dst.shutdown();
-        rec
+        (rec, dst_metrics)
     };
     let src_dir = journal_dir("clean-src");
     let dst_dir = journal_dir("clean-dst");
-    let durable = run(
+    let (durable, dst_metrics) = run(
         spawn_with_journal(unix_endpoint("cl-src"), &src_dir),
         spawn_with_journal(unix_endpoint("cl-dst"), &dst_dir),
     );
-    let in_memory = run(
+    let (in_memory, _) = run(
         Daemon::spawn(DaemonConfig::new(unix_endpoint("cl-src2"))).expect("src binds"),
         Daemon::spawn(DaemonConfig::new(unix_endpoint("cl-dst2"))).expect("dst binds"),
     );
@@ -620,6 +697,28 @@ fn clean_journal_backed_run_matches_the_in_memory_daemon() {
         1,
         "exactly one done record"
     );
+    // The progress hints are written in order between the synced
+    // records, unsynced or not: stream start, then one per round.
+    let hints: Vec<&WalRecord> = records
+        .iter()
+        .filter(|r| r.kind == rec::TRANSFERRING)
+        .collect();
+    let rounds = durable.report.as_ref().expect("report").rounds().len();
+    assert_eq!(hints.len(), 1 + rounds);
+    assert_eq!(hints[0].pages_landed, 0);
+    assert!(hints
+        .windows(2)
+        .all(|w| w[0].pages_landed < w[1].pages_landed));
+    assert!(
+        records.iter().map(|r| r.seq).eq(1..=records.len() as u64),
+        "no record was lost or reordered around a hint"
+    );
+
+    // One chunk record per persistence boundary went to the log, and
+    // finishing the job removed it.
+    let saves = dst_metrics.counter("daemon_resume_partials_total", &[("op", "save")]);
+    assert_eq!(saves, boundaries(&wire_sequence(&spec)).len() as u64);
+    assert!(!partial_path(&dst_dir, 1, spec_fingerprint(&spec)).exists());
 }
 
 /// The partial-file format outlives the in-memory anchor layout: a file
@@ -683,4 +782,189 @@ fn previous_release_partial_file_round_trips_bit_for_bit() {
     }
     assert_eq!(resumed.state_hash(), st.state_hash());
     assert_eq!(resumed.mem()[63], d(103));
+}
+
+/// The partial log under every possible crash: a recorded stream logged
+/// on the destination's cadence, then the file cut at each byte offset.
+/// Every cut loads — to exactly the state after the last whole chunk
+/// record, which is a prefix of the stream and therefore a state the
+/// source's held-prefix simulation reproduces and accepts (it compares
+/// applied count, hash, round cursor and finished flag, all of which
+/// `SessionState` equality covers). Only a cut inside the header
+/// record leaves nothing to load, which the daemon treats as no file.
+fn every_truncation_loads_the_whole_record_prefix(spec: &ScenarioSpec) {
+    let fp = spec_fingerprint(spec);
+    let index = dest_index(spec);
+    let initial = scenario::initial_memory(spec).expect("initial memory");
+    let fresh = SessionState::fresh(spec, &initial);
+    let msgs = wire_sequence(spec);
+
+    let dir = journal_dir("cuts");
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    let path = partial_path(&dir, 1, fp);
+    let mut log = PartialLog::create(&dir, 1, fp).expect("fresh log");
+    let header_len = std::fs::metadata(&path).expect("log exists").len() as usize;
+    // (file length, state) after the header and after each chunk record.
+    let mut whole = vec![(header_len, fresh.clone())];
+    let mut state = fresh.clone();
+    let mut start = 0;
+    for end in boundaries(&msgs) {
+        for msg in &msgs[start..end] {
+            log.push(msg);
+            state.apply(msg, index.as_ref()).expect("stream applies");
+        }
+        assert!(log.commit().expect("chunk appends"));
+        let len = std::fs::metadata(&path).expect("log exists").len() as usize;
+        whole.push((len, state.clone()));
+        start = end;
+    }
+    assert!(state.finished(), "the recorded stream is complete");
+    assert!(whole.len() > 4, "several records to cut between");
+
+    let bytes = std::fs::read(&path).expect("log readable");
+    assert_eq!(bytes.len(), whole.last().expect("records").0);
+    assert!(
+        bytes.len() < 40 * msgs.len(),
+        "{} messages logged in {} bytes: no payload, no state rewrite",
+        msgs.len(),
+        bytes.len()
+    );
+    let mut k = 0;
+    for cut in 0..=bytes.len() {
+        let loaded = partial_log::replay(&bytes[..cut], 1, fp, &fresh, index.as_ref());
+        if cut < header_len {
+            assert!(loaded.is_none(), "cut {cut}: no base yet");
+            continue;
+        }
+        if whole.get(k + 1).is_some_and(|(len, _)| *len <= cut) {
+            k += 1;
+        }
+        let (state, valid) = loaded.unwrap_or_else(|| panic!("cut {cut} must load"));
+        assert_eq!(valid, whole[k].0, "cut {cut}: the intact prefix");
+        assert!(state == whole[k].1, "cut {cut}: state after record {k}");
+    }
+    assert_eq!(k, whole.len() - 1, "the uncut file loads the whole stream");
+}
+
+#[test]
+fn a_cold_partial_log_cut_at_every_byte_loads_its_whole_records() {
+    let mut spec = cold_full_spec(0x10c);
+    spec.ram_mib = 1;
+    every_truncation_loads_the_whole_record_prefix(&spec);
+}
+
+#[test]
+fn a_warm_partial_log_cut_at_every_byte_loads_its_whole_records() {
+    let mut spec = ScenarioSpec::golden(0x10d);
+    spec.ram_mib = 1;
+    every_truncation_loads_the_whole_record_prefix(&spec);
+}
+
+/// A hand-driven source: opens a session for job 9 at `epoch` against
+/// `dest` and walks the handshake up to where the data plane (epoch 0)
+/// or the RESUME_STATE frame (later epochs) comes next.
+fn open_session(
+    dest: &Endpoint,
+    spec: &ScenarioSpec,
+    epoch: u64,
+) -> vecycle_daemon::endpoint::Stream {
+    let mut s = dest.connect().expect("connect");
+    s.set_io_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let hello = proto::hello_payload(proto::VERSION, proto::ROLE_SOURCE);
+    write_frame(&mut s, kind::HELLO, &hello).expect("hello");
+    read_frame(&mut s, MAX_PAYLOAD).expect("hello ack");
+    let job = JobMsg {
+        job: 9,
+        resume: epoch,
+        spec: spec.clone(),
+    };
+    write_frame(&mut s, kind::JOB, job.encode().as_bytes()).expect("job");
+    let offer = read_frame(&mut s, MAX_PAYLOAD).expect("offer");
+    assert_eq!(offer.kind, kind::OFFER);
+    write_frame(&mut s, kind::WANT, &[0]).expect("want");
+    s
+}
+
+/// Satellite: a resume handshake that dies between RESUME_STATE and
+/// RESUME_OK must not cost the landed state. The destination is
+/// in-memory, so the partials map is all it has: the source dies
+/// mid-stream (state remembered), reconnects and dies again right after
+/// reading RESUME_STATE, and the third session must still be offered the
+/// same prefix, not a fresh transfer.
+#[test]
+fn a_resume_handshake_that_dies_keeps_the_remembered_state() {
+    use std::io::Write;
+    let _wd = Watchdog::arm(
+        "a_resume_handshake_that_dies_keeps_the_remembered_state",
+        JOB_TIMEOUT,
+    );
+    let spec = cold_full_spec(0x9e5);
+    let msgs = wire_sequence(&spec);
+    let landed = 100;
+    let dst = Daemon::spawn(DaemonConfig::new(unix_endpoint("hs-dst"))).expect("dest binds");
+
+    // Epoch 0: a prefix lands, then the source dies mid-message.
+    let mut s = open_session(dst.endpoint(), &spec, 0);
+    let mut stream = Vec::new();
+    for msg in &msgs[..=landed] {
+        msg.encode(&mut stream);
+    }
+    s.write_all(&stream[..stream.len() - 5])
+        .expect("prefix sends");
+    drop(s);
+
+    // Epochs 1 and 2: each reads the announcement; the first then dies.
+    // A session holds its host claim until it has put the state back,
+    // so the next one cannot overtake it.
+    let announced = |epoch| {
+        let mut s = open_session(dst.endpoint(), &spec, epoch);
+        let frame = read_frame(&mut s, MAX_PAYLOAD).expect("resume state");
+        assert_eq!(frame.kind, kind::RESUME_STATE);
+        ResumeState::decode(&frame.payload).expect("announcement decodes")
+    };
+    let first = announced(1);
+    assert_eq!(first.applied, landed as u64, "whole messages landed");
+    let mut expect = cold_state(&spec);
+    for msg in &msgs[..landed] {
+        expect.apply(msg, None).expect("prefix applies");
+    }
+    assert_eq!(first.hash, expect.state_hash());
+    assert_eq!(
+        announced(2),
+        first,
+        "the second resume is offered the same prefix"
+    );
+    dst.shutdown();
+}
+
+/// Satellite: a partial log that cannot be written is reported once per
+/// session, not once per chunk, and costs the transfer nothing but its
+/// crash durability. A non-empty directory squatting on the partial
+/// path makes every way of writing the file fail.
+#[test]
+fn an_unwritable_partial_is_reported_once_and_the_job_completes() {
+    let _wd = Watchdog::arm(
+        "an_unwritable_partial_is_reported_once_and_the_job_completes",
+        JOB_TIMEOUT,
+    );
+    let spec = cold_full_spec(0xf011);
+    let dst_dir = journal_dir("full-dst");
+    let squatter = partial_path(&dst_dir, 1, spec_fingerprint(&spec));
+    std::fs::create_dir_all(squatter.join("occupied")).expect("squatter");
+    let dst = spawn_with_journal(unix_endpoint("full-dst"), &dst_dir);
+    let src = Daemon::spawn(DaemonConfig::new(unix_endpoint("full-src"))).expect("src binds");
+    let id = src
+        .submit(spec.clone(), dst.endpoint().clone())
+        .expect("submit");
+    assert_eq!(id, 1);
+    let rec1 = src.wait_job(id, JOB_TIMEOUT).expect("job finishes");
+    assert_done(&rec1);
+    assert!(boundaries(&wire_sequence(&spec)).len() > 10, "many chunks");
+    let lines = dst.journal();
+    let failures: Vec<&String> = lines.iter().filter(|l| l.contains("partial")).collect();
+    assert_eq!(failures.len(), 1, "one line per session: {failures:?}");
+    assert!(failures[0].contains("job 1"), "{failures:?}");
+    src.shutdown();
+    dst.shutdown();
 }

@@ -18,7 +18,7 @@ use vecycle_checkpoint::ChecksumIndex;
 use vecycle_daemon::endpoint::{SessionStream, SESSION_BUF};
 use vecycle_daemon::frame::{kind, write_frame, Frame};
 use vecycle_daemon::session_state::SessionState;
-use vecycle_daemon::{receive_stream, scenario, DaemonError, Endpoint};
+use vecycle_daemon::{receive_stream, scenario, DaemonError, Endpoint, Persist};
 use vecycle_faults::KillSwitch;
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
@@ -118,6 +118,23 @@ impl Stream {
     }
 }
 
+/// Counts what [`receive_stream`] reports to its persistence hook.
+#[derive(Default)]
+struct CountPersists {
+    landed: u64,
+    boundaries: u64,
+}
+
+impl Persist for CountPersists {
+    fn landed(&mut self, _msg: &WireMsg) {
+        self.landed += 1;
+    }
+
+    fn boundary(&mut self) {
+        self.boundaries += 1;
+    }
+}
+
 /// What one receive over a fresh session reader and a fresh state left.
 struct Received {
     outcome: Result<Frame, DaemonError>,
@@ -147,18 +164,23 @@ impl Stream {
     fn receive<R: Read>(&self, source: R) -> Received {
         let mut s = SessionStream::new(source);
         let mut state = self.fresh_state();
-        let mut persists = 0u64;
+        let mut hook = CountPersists::default();
         let outcome = receive_stream(
             &mut s,
             self.index.as_ref(),
             &mut state,
             &KillSwitch::inert(),
-            |_| persists += 1,
+            &mut hook,
+        );
+        assert_eq!(
+            hook.landed,
+            state.applied(),
+            "the hook sees each applied message, and only those"
         );
         Received {
             outcome,
             state,
-            persists,
+            persists: hook.boundaries,
             rx: s.rx(),
             buffered: s.buffered(),
         }
