@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use vecycle_mem::{ByteMemory, DigestMemory, MemoryImage};
+use vecycle_mem::{ByteMemory, DigestMemory, MemoryImage, PageBuf};
 use vecycle_types::{Bytes, PageCount, PageDigest, PageIndex, SimTime, VmId, PAGE_SIZE};
 
 use crate::ChecksumIndex;
@@ -12,16 +12,17 @@ use crate::ChecksumIndex;
 pub enum CheckpointData {
     /// One digest per page — sufficient for every traffic computation.
     Digests(Vec<PageDigest>),
-    /// Full page bytes (length is a multiple of the page size) — needed
-    /// for byte-exact restores in the end-to-end tests.
-    Pages(Vec<u8>),
+    /// Full page bytes, one buffer per page — needed for byte-exact
+    /// restores. The buffers are shared with the memory the checkpoint
+    /// was captured from and with every memory restored from it.
+    Pages(Vec<PageBuf>),
 }
 
 /// An immutable capture of a VM's memory, stored at a host.
 ///
 /// A full-byte checkpoint also knows the digest of each of its pages:
 /// the table is adopted from whoever already derived it (the captured
-/// memory, the verifying load pass) or computed once, in a four-lane
+/// memory, the verifying load pass) or computed once, in a multi-lane
 /// batch, the first time a digest is asked for. It is a cache of the
 /// bytes — equality and [`Checkpoint::storage_size`] ignore it.
 ///
@@ -66,10 +67,10 @@ impl Checkpoint {
         }
     }
 
-    /// Captures a full-byte checkpoint of a [`ByteMemory`], adopting the
-    /// memory's page digests.
+    /// Captures a full-byte checkpoint of a [`ByteMemory`], sharing the
+    /// memory's page buffers and adopting its page digests.
     pub fn capture_bytes(vm: VmId, taken_at: SimTime, memory: &ByteMemory) -> Self {
-        Self::from_pages_with_digests(vm, taken_at, memory.as_bytes().to_vec(), memory.digests())
+        Self::from_pages_with_digests(vm, taken_at, memory.pages().to_vec(), memory.digests())
     }
 
     /// A full-byte checkpoint whose digest table the caller has already
@@ -77,14 +78,14 @@ impl Checkpoint {
     pub(crate) fn from_pages_with_digests(
         vm: VmId,
         taken_at: SimTime,
-        bytes: Vec<u8>,
+        pages: Vec<PageBuf>,
         digests: Vec<PageDigest>,
     ) -> Self {
-        debug_assert_eq!(bytes.len(), digests.len() * PAGE_SIZE as usize);
+        debug_assert_eq!(pages.len(), digests.len());
         Checkpoint {
             vm,
             taken_at,
-            data: CheckpointData::Pages(bytes),
+            data: CheckpointData::Pages(pages),
             page_digests: OnceLock::from(digests),
         }
     }
@@ -93,17 +94,17 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`vecycle_types::Error::Corrupt`] if a `Pages` payload is
-    /// not a whole number of pages.
+    /// Returns [`vecycle_types::Error::Corrupt`] if a buffer of a `Pages`
+    /// payload is not one whole page.
     pub fn from_parts(
         vm: VmId,
         taken_at: SimTime,
         data: CheckpointData,
     ) -> vecycle_types::Result<Self> {
-        if let CheckpointData::Pages(b) = &data {
-            if !(b.len() as u64).is_multiple_of(PAGE_SIZE) {
+        if let CheckpointData::Pages(pages) = &data {
+            if let Some(ragged) = pages.iter().find(|p| p.len() as u64 != PAGE_SIZE) {
                 return Err(vecycle_types::Error::Corrupt {
-                    detail: format!("page payload of {} bytes is not page-aligned", b.len()),
+                    detail: format!("page buffer of {} bytes is not page-aligned", ragged.len()),
                 });
             }
         }
@@ -134,7 +135,7 @@ impl Checkpoint {
     pub fn page_count(&self) -> PageCount {
         match &self.data {
             CheckpointData::Digests(d) => PageCount::new(d.len() as u64),
-            CheckpointData::Pages(b) => PageCount::new(b.len() as u64 / PAGE_SIZE),
+            CheckpointData::Pages(pages) => PageCount::new(pages.len() as u64),
         }
     }
 
@@ -150,7 +151,7 @@ impl Checkpoint {
     pub fn storage_size(&self) -> Bytes {
         match &self.data {
             CheckpointData::Digests(d) => Bytes::new(d.len() as u64 * 16),
-            CheckpointData::Pages(b) => Bytes::new(b.len() as u64),
+            CheckpointData::Pages(pages) => Bytes::from_pages(pages.len() as u64),
         }
     }
 
@@ -159,8 +160,8 @@ impl Checkpoint {
     pub(crate) fn digest_table(&self) -> &[PageDigest] {
         match &self.data {
             CheckpointData::Digests(d) => d,
-            CheckpointData::Pages(b) => self.page_digests.get_or_init(|| {
-                let views: Vec<&[u8]> = b.chunks_exact(PAGE_SIZE as usize).collect();
+            CheckpointData::Pages(pages) => self.page_digests.get_or_init(|| {
+                let views: Vec<&[u8]> = pages.iter().map(|p| &p[..]).collect();
                 vecycle_hash::digest_pages(&views)
             }),
         }
@@ -180,14 +181,11 @@ impl Checkpoint {
         self.digest_table().to_vec()
     }
 
-    /// Reads one page's bytes, if this is a full-byte checkpoint.
-    pub fn read_page(&self, idx: PageIndex) -> Option<&[u8]> {
+    /// One page's buffer, if this is a full-byte checkpoint.
+    pub fn read_page(&self, idx: PageIndex) -> Option<&PageBuf> {
         match &self.data {
             CheckpointData::Digests(_) => None,
-            CheckpointData::Pages(b) => {
-                let start = idx.as_usize() * PAGE_SIZE as usize;
-                b.get(start..start + PAGE_SIZE as usize)
-            }
+            CheckpointData::Pages(pages) => pages.get(idx.as_usize()),
         }
     }
 
@@ -203,16 +201,18 @@ impl Checkpoint {
         DigestMemory::from_digests(self.digests())
     }
 
-    /// Restores a full-byte checkpoint into a fresh [`ByteMemory`],
-    /// handing over the digest table so no page is hashed again.
+    /// Restores a full-byte checkpoint into a [`ByteMemory`] that shares
+    /// every page buffer with it — a guest write replaces only the page
+    /// it touches — handing over the digest table so no page is hashed
+    /// again.
     ///
     /// Returns `None` for digest-only checkpoints, which cannot supply
     /// page bytes.
     pub fn restore_byte_memory(&self) -> Option<ByteMemory> {
         match &self.data {
             CheckpointData::Digests(_) => None,
-            CheckpointData::Pages(b) => Some(ByteMemory::from_pages_with_digests(
-                b.clone(),
+            CheckpointData::Pages(pages) => Some(ByteMemory::from_pages_with_digests(
+                pages.clone(),
                 self.digests(),
             )),
         }
@@ -240,8 +240,13 @@ mod tests {
     fn capture_bytes_round_trips() {
         let mem = ByteMemory::with_distinct_content(PageCount::new(8), 9);
         let cp = Checkpoint::capture_bytes(VmId::new(2), SimTime::EPOCH, &mem);
+        let before = PageBuf::allocated();
         let restored = cp.restore_byte_memory().unwrap();
         assert!(mem.content_equals(&restored));
+        // Capture and restore share the guest's buffers.
+        assert_eq!(PageBuf::allocated(), before);
+        let first = PageIndex::new(0);
+        assert!(restored.read_page(first).shares_with(mem.read_page(first)));
         // Digests agree with the live memory's.
         for i in 0..8 {
             let idx = PageIndex::new(i);
@@ -293,7 +298,7 @@ mod tests {
         let res = Checkpoint::from_parts(
             VmId::new(0),
             SimTime::EPOCH,
-            CheckpointData::Pages(vec![0u8; 100]),
+            CheckpointData::Pages(vec![PageBuf::new_page(), PageBuf::copy_from(&[0u8; 100])]),
         );
         assert!(res.is_err());
     }

@@ -64,7 +64,9 @@ pub struct DiskStore {
 }
 
 impl DiskStore {
-    /// Opens (creating if needed) a checkpoint directory.
+    /// Opens (creating if needed) a checkpoint directory, deleting the
+    /// `.vm-<id>.tmp` files a crash mid-[`DiskStore::save`] left behind:
+    /// a temp file is never a checkpoint, and nothing else reclaims it.
     ///
     /// # Errors
     ///
@@ -72,6 +74,18 @@ impl DiskStore {
     pub fn open(root: impl AsRef<Path>) -> vecycle_types::Result<Self> {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
+        for entry in std::fs::read_dir(&root)? {
+            let entry = entry?;
+            let stale = entry.file_name().to_str().is_some_and(|name| {
+                let id = name
+                    .strip_prefix(".vm-")
+                    .and_then(|s| s.strip_suffix(".tmp"));
+                id.is_some_and(|id| id.parse::<u32>().is_ok())
+            });
+            if stale {
+                std::fs::remove_file(entry.path())?;
+            }
+        }
         Ok(DiskStore { root })
     }
 
@@ -100,25 +114,36 @@ impl DiskStore {
     /// # Errors
     ///
     /// Propagates filesystem errors; a failed save leaves any previous
-    /// checkpoint intact.
+    /// checkpoint intact and no temp file behind.
     pub fn save(&self, checkpoint: &Checkpoint) -> vecycle_types::Result<()> {
         let tmp = self
             .root
             .join(format!(".vm-{}.tmp", checkpoint.vm().as_u32()));
-        {
-            let file = std::fs::File::create(&tmp)?;
-            let mut writer = std::io::BufWriter::new(file);
-            checkpoint.write_to(&mut writer)?;
-            use std::io::Write;
-            writer.flush()?;
-            writer.get_ref().sync_all()?;
+        let promoted = Self::write_tmp(&tmp, checkpoint).and_then(|()| {
+            std::fs::rename(&tmp, self.path_for(checkpoint.vm())).map_err(Error::from)
+        });
+        if promoted.is_err() {
+            // Best effort: the save's own error is the one to report.
+            let _ = std::fs::remove_file(&tmp);
         }
-        std::fs::rename(&tmp, self.path_for(checkpoint.vm()))?;
+        promoted?;
         // Persist the rename: fsync the directory entry. Directories can
         // be opened and fsynced on unix; elsewhere the rename alone is
         // the best the platform offers.
         #[cfg(unix)]
         std::fs::File::open(&self.root)?.sync_all()?;
+        Ok(())
+    }
+
+    /// Writes `checkpoint` to `tmp` and makes it durable there. The
+    /// page bytes reach the file through `write_to`'s vectored writes,
+    /// which a `BufWriter` passes through unbuffered.
+    fn write_tmp(tmp: &Path, checkpoint: &Checkpoint) -> vecycle_types::Result<()> {
+        use std::io::Write;
+        let mut writer = std::io::BufWriter::new(std::fs::File::create(tmp)?);
+        checkpoint.write_to(&mut writer)?;
+        writer.flush()?;
+        writer.get_ref().sync_all()?;
         Ok(())
     }
 
@@ -278,6 +303,39 @@ mod tests {
         store.save(&cp(2, 10)).unwrap();
         store.save(&cp(2, 11)).unwrap();
         assert_eq!(store.load(VmId::new(2)).unwrap().unwrap(), cp(2, 11));
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    fn temp_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// A save that dies at the rename reports the error, leaves what
+    /// was stored before as it was, and strands no temp file; temp files
+    /// a crash did strand are swept when the store is next opened.
+    #[test]
+    fn failed_save_and_reopen_leave_no_temp_file() {
+        let dir = tmpdir("tmp-sweep");
+        let store = DiskStore::open(&dir).unwrap();
+        store.save(&cp(2, 10)).unwrap();
+        // A directory squatting on vm-3's path makes the rename fail.
+        std::fs::create_dir(dir.join("vm-3.ckpt")).unwrap();
+        assert!(matches!(store.save(&cp(3, 11)), Err(Error::Io(_))));
+        assert_eq!(temp_files(&dir), Vec::<String>::new());
+        assert!(dir.join("vm-3.ckpt").is_dir());
+        assert_eq!(store.load(VmId::new(2)).unwrap().unwrap(), cp(2, 10));
+
+        std::fs::write(dir.join(".vm-9.tmp"), b"torn").unwrap();
+        std::fs::write(dir.join(".vm-x.tmp"), b"not ours").unwrap();
+        let reopened = DiskStore::open(&dir).unwrap();
+        assert_eq!(temp_files(&dir), [".vm-x.tmp"]);
+        assert_eq!(reopened.load(VmId::new(2)).unwrap().unwrap(), cp(2, 10));
         std::fs::remove_dir_all(dir).unwrap();
     }
 

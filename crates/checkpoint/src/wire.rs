@@ -16,10 +16,18 @@
 //! recycled by — rejects any page whose digest differs from its table
 //! entry. Digests are never trusted from disk; the table a loaded
 //! checkpoint carries is the one computed from the bytes read.
+//!
+//! Both directions stream. [`Checkpoint::read_from`] reads header, table
+//! and then every page straight into the buffer that page will live in;
+//! [`Checkpoint::write_to`] hands the pages' buffers to the writer a
+//! megabyte of slices at a time. Neither stages a guest-sized copy.
+
+use std::io::{self, IoSlice, IoSliceMut, Read};
 
 use bytes::{Buf, BufMut};
 
 use vecycle_hash::{Fnv1a64, Hasher};
+use vecycle_mem::PageBuf;
 use vecycle_types::{Error, PageDigest, SimTime, VmId, PAGE_SIZE};
 
 use crate::{Checkpoint, CheckpointData};
@@ -34,6 +42,8 @@ const VERSION: u16 = 1;
 const VERSION_TABLED: u16 = 2;
 const KIND_DIGESTS: u8 = 0;
 const KIND_PAGES: u8 = 1;
+/// Page buffers handed to one vectored read or write: 1 MiB.
+const IO_BATCH: usize = 256;
 
 /// How the bytes between header and trailer are laid out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,33 +79,22 @@ impl Layout {
     }
 }
 
-/// A header whose declared page count has been checked against the
-/// file's length.
+/// The fixed 32 bytes every checkpoint file starts with.
 struct Header {
     layout: Layout,
     vm: VmId,
     taken_at: SimTime,
-    /// Length of the prefix of the file its trailer covers: header and
-    /// digest table of a tabled page file, everything before the
-    /// trailer otherwise.
-    covered: usize,
+    /// Declared page count. Attacker-controlled (a refixed trailer gets
+    /// a forged header this far): nothing is ever sized from it — every
+    /// reader grows with the bytes it actually receives.
+    pages: u64,
+    /// Payload bytes `pages` implies for this layout.
+    payload: u64,
 }
 
 impl Header {
-    /// Parses and validates the header of a whole checkpoint file.
-    ///
-    /// The declared page count is attacker-controlled (a refixed trailer
-    /// gets a forged header this far): it is multiplied with checked
-    /// arithmetic and must account for exactly the bytes present
-    /// *before* anything is sized from it, so a hostile header can never
-    /// request more memory than the input's own length.
-    fn parse(file: &[u8]) -> vecycle_types::Result<Header> {
-        if file.len() < HEADER + TRAILER {
-            return Err(Error::Corrupt {
-                detail: format!("checkpoint file too short: {} bytes", file.len()),
-            });
-        }
-        let mut buf = &file[..HEADER];
+    fn parse(head: &[u8]) -> vecycle_types::Result<Header> {
+        let mut buf = &head[..HEADER];
         let mut magic = [0u8; 8];
         buf.copy_to_slice(&mut magic);
         if &magic != MAGIC {
@@ -110,31 +109,39 @@ impl Header {
         let vm = VmId::new(buf.get_u32());
         let taken_at = SimTime::from_epoch(vecycle_types::SimDuration::from_nanos(buf.get_u64()));
         let pages = buf.get_u64();
-
-        let payload = (file.len() - HEADER - TRAILER) as u64;
-        let need = pages
+        let payload = pages
             .checked_mul(layout.bytes_per_page())
             .ok_or_else(|| Error::Corrupt {
                 detail: format!("declared page count {pages} overflows the payload size"),
             })?;
-        if payload != need {
-            return Err(Error::Corrupt {
-                detail: format!(
-                    "payload length {payload} != {need} expected for {pages} declared pages"
-                ),
-            });
-        }
-        // `pages <= payload <= file.len()`: fits a usize, and bounds every
-        // allocation sized from it.
-        let covered = match layout {
-            Layout::TabledPages => HEADER + pages as usize * DIGEST,
-            Layout::Digests | Layout::Pages => file.len() - TRAILER,
-        };
         Ok(Header {
             layout,
             vm,
             taken_at,
-            covered,
+            pages,
+            payload,
+        })
+    }
+
+    /// Bytes of digest table (or digest payload) after the header.
+    fn table_len(&self) -> u64 {
+        match self.layout {
+            Layout::Pages => 0,
+            Layout::Digests | Layout::TabledPages => self.pages * DIGEST as u64,
+        }
+    }
+
+    /// The declared count must account for exactly the payload bytes
+    /// present.
+    fn check_payload(&self, present: u64) -> vecycle_types::Result<()> {
+        if present == self.payload {
+            return Ok(());
+        }
+        Err(Error::Corrupt {
+            detail: format!(
+                "payload length {present} != {} expected for {} declared pages",
+                self.payload, self.pages
+            ),
         })
     }
 }
@@ -158,10 +165,65 @@ pub(crate) fn estimated_pages(head: &[u8], file_len: u64) -> u64 {
 /// version, kind.
 pub(crate) const LAYOUT_PREFIX: usize = 11;
 
-fn fnv(bytes: &[u8]) -> [u8; 8] {
-    let mut fnv = Fnv1a64::new();
-    fnv.update(bytes);
-    fnv.finalize()
+/// Fills `bufs` from `r` in as few reads as `r` needs, stopping early
+/// only where the input ends. Returns the bytes read.
+fn read_full<R: Read>(r: &mut R, mut bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+    let mut got = 0;
+    while !bufs.is_empty() {
+        match r.read_vectored(bufs) {
+            Ok(0) => break,
+            Ok(n) => {
+                got += n;
+                IoSliceMut::advance_slices(&mut bufs, n);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
+/// Reads up to `count` pages, each into a fresh buffer of its own pushed
+/// onto `pages`, and returns the bytes read — fewer than `count` pages'
+/// worth where the input ends. Batches double up to [`IO_BATCH`], so the
+/// buffers allocated ahead of a read never exceed what earlier reads
+/// delivered plus one page, whatever `count` claims.
+fn read_pages<R: Read>(r: &mut R, count: u64, pages: &mut Vec<PageBuf>) -> io::Result<u64> {
+    let (mut got, mut left, mut batch) = (0u64, count, 1usize);
+    while left > 0 {
+        let n = left.min(batch as u64) as usize;
+        let start = pages.len();
+        pages.extend(std::iter::repeat_with(PageBuf::new_page).take(n));
+        let mut slices: Vec<IoSliceMut<'_>> = pages[start..]
+            .iter_mut()
+            .map(|page| IoSliceMut::new(page.get_mut().expect("fresh buffers are unshared")))
+            .collect();
+        let read = read_full(r, &mut slices)?;
+        got += read as u64;
+        if read < n * PAGE_SIZE as usize {
+            break;
+        }
+        left -= n as u64;
+        batch = (batch * 2).min(IO_BATCH);
+    }
+    Ok(got)
+}
+
+/// Writes every page, [`IO_BATCH`] buffers per vectored call.
+fn write_pages<W: io::Write>(w: &mut W, pages: &[PageBuf]) -> io::Result<()> {
+    for batch in pages.chunks(IO_BATCH) {
+        let mut slices: Vec<IoSlice<'_>> = batch.iter().map(|page| IoSlice::new(page)).collect();
+        let mut left = &mut slices[..];
+        while !left.is_empty() {
+            match w.write_vectored(left) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+    Ok(())
 }
 
 impl Checkpoint {
@@ -170,16 +232,17 @@ impl Checkpoint {
     /// A digest checkpoint is header ‖ digests ‖ trailer. A full-byte
     /// checkpoint is header ‖ digest table ‖ page bytes ‖ trailer, the
     /// trailer covering header and table: the page bytes are written
-    /// straight from the checkpoint and guarded by their table entries,
-    /// so saving hashes nothing the checkpoint does not already know.
+    /// straight from the pages' own buffers and guarded by their table
+    /// entries, so saving hashes nothing the checkpoint does not already
+    /// know and copies nothing on its way to `w`.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `w`.
-    pub fn write_to<W: std::io::Write>(&self, mut w: W) -> vecycle_types::Result<()> {
-        let (version, kind, pages): (u16, u8, &[u8]) = match self.data() {
+    pub fn write_to<W: io::Write>(&self, mut w: W) -> vecycle_types::Result<()> {
+        let (version, kind, pages): (u16, u8, &[PageBuf]) = match self.data() {
             CheckpointData::Digests(_) => (VERSION, KIND_DIGESTS, &[]),
-            CheckpointData::Pages(bytes) => (VERSION_TABLED, KIND_PAGES, bytes),
+            CheckpointData::Pages(pages) => (VERSION_TABLED, KIND_PAGES, pages),
         };
         let table = self.digest_table();
         let mut head = Vec::with_capacity(HEADER + table.len() * DIGEST);
@@ -194,8 +257,8 @@ impl Checkpoint {
             head.put_slice(digest.as_bytes());
         }
         w.write_all(&head)?;
-        w.write_all(pages)?;
-        w.write_all(&fnv(&head))?;
+        write_pages(&mut w, pages)?;
+        w.write_all(&Fnv1a64::digest(&head))?;
         Ok(())
     }
 
@@ -206,16 +269,24 @@ impl Checkpoint {
     /// tools that re-seal a modified file — the fuzzer's trailer-fixing
     /// mutator.
     pub fn trailer_coverage(file: &[u8]) -> usize {
-        Header::parse(file).map_or(file.len().saturating_sub(TRAILER), |header| header.covered)
+        let body = file.len().saturating_sub(TRAILER);
+        let table_end = body.checked_sub(HEADER).and_then(|payload| {
+            let header = Header::parse(file).ok()?;
+            let tabled = header.layout == Layout::TabledPages
+                && header.check_payload(payload as u64).is_ok();
+            tabled.then(|| HEADER + header.table_len() as usize)
+        });
+        table_end.unwrap_or(body)
     }
 
     /// Deserializes a checkpoint previously written by
     /// [`Checkpoint::write_to`], or a version-1 page file.
     ///
-    /// Reads the input once. A page payload is digested in one four-lane
+    /// Reads the input once, front to back: the header, the digest table
+    /// as far as the input supplies it, then each page into the buffer
+    /// it will live in. A page payload is digested in one multi-lane
     /// pass; the resulting table is checked against the stored one
-    /// (version 2) and kept by the returned checkpoint, and the read
-    /// buffer itself becomes the payload.
+    /// (version 2) and kept by the returned checkpoint.
     ///
     /// # Errors
     ///
@@ -223,54 +294,77 @@ impl Checkpoint {
     /// length that disagrees with the declared page count, trailer
     /// mismatch, or a page whose digest differs from its table entry
     /// (naming the page), and [`Error::Io`] on read failures.
-    pub fn read_from<R: std::io::Read>(mut r: R) -> vecycle_types::Result<Checkpoint> {
-        let mut raw = Vec::new();
-        r.read_to_end(&mut raw)?;
-        let header = Header::parse(&raw)?;
-        let (covered, rest) = raw.split_at(header.covered);
-        if fnv(covered)[..] != rest[rest.len() - TRAILER..] {
+    pub fn read_from<R: Read>(mut r: R) -> vecycle_types::Result<Checkpoint> {
+        // The shortest file is a header and a trailer.
+        let mut head = [0u8; HEADER + TRAILER];
+        let got = read_full(&mut r, &mut [IoSliceMut::new(&mut head)])?;
+        if got < head.len() {
+            return Err(Error::Corrupt {
+                detail: format!("checkpoint file too short: {got} bytes"),
+            });
+        }
+        let (head, peeked) = head.split_at(HEADER);
+        let header = Header::parse(head)?;
+        // What followed the header is payload, or already the trailer.
+        let mut r = peeked.chain(r);
+        let mut covered = Fnv1a64::new();
+        covered.update(head);
+
+        // `got` counts the bytes after the header; a stage runs only if
+        // the ones before it found all their bytes.
+        let mut table = Vec::new();
+        let mut got = (&mut r).take(header.table_len()).read_to_end(&mut table)? as u64;
+        covered.update(&table);
+        let mut pages = Vec::new();
+        if got == header.table_len() && header.layout != Layout::Digests {
+            got += read_pages(&mut r, header.pages, &mut pages)?;
+        }
+        let mut trailer = [0u8; TRAILER];
+        if got == header.payload {
+            got += read_full(&mut r, &mut [IoSliceMut::new(&mut trailer)])? as u64;
+        }
+        if got.checked_sub(TRAILER as u64) == Some(header.payload) {
+            got += io::copy(&mut r, &mut io::sink())?; // must be nothing
+        }
+        // At least the eight peeked bytes were counted.
+        header.check_payload(got - TRAILER as u64)?;
+        if header.layout == Layout::Pages {
+            pages.iter().for_each(|page| covered.update(page));
+        }
+        if covered.finalize() != trailer {
             return Err(Error::Corrupt {
                 detail: "checkpoint trailer checksum mismatch".into(),
             });
         }
 
-        let payload_start = match header.layout {
-            Layout::Digests => {
-                let digests = covered[HEADER..]
-                    .chunks_exact(DIGEST)
-                    .map(|d| PageDigest::new(d.try_into().expect("16-byte chunks")))
-                    .collect();
-                return Checkpoint::from_parts(
-                    header.vm,
-                    header.taken_at,
-                    CheckpointData::Digests(digests),
-                );
-            }
-            Layout::Pages => HEADER,
-            Layout::TabledPages => covered.len(),
-        };
-        let payload_end = raw.len() - TRAILER;
-        let views: Vec<&[u8]> = raw[payload_start..payload_end]
-            .chunks_exact(PAGE_SIZE as usize)
-            .collect();
+        let stored = table.chunks_exact(DIGEST);
+        if header.layout == Layout::Digests {
+            let digests = stored
+                .map(|d| PageDigest::new(d.try_into().expect("16-byte chunks")))
+                .collect();
+            return Checkpoint::from_parts(
+                header.vm,
+                header.taken_at,
+                CheckpointData::Digests(digests),
+            );
+        }
+        let views: Vec<&[u8]> = pages.iter().map(|page| &page[..]).collect();
         let digests = vecycle_hash::digest_pages(&views);
-        // Empty for a version-1 file, which has no table to disagree with.
-        let table = raw[HEADER..payload_start].chunks_exact(DIGEST);
+        // `stored` is empty for a version-1 file, which has no table to
+        // disagree with.
         if let Some(page) = digests
             .iter()
-            .zip(table)
+            .zip(stored)
             .position(|(computed, stored)| computed.as_bytes()[..] != *stored)
         {
             return Err(Error::Corrupt {
                 detail: format!("checkpoint page {page} does not match its stored digest"),
             });
         }
-        raw.truncate(payload_end);
-        raw.drain(..payload_start);
         Ok(Checkpoint::from_pages_with_digests(
             header.vm,
             header.taken_at,
-            raw,
+            pages,
             digests,
         ))
     }
@@ -367,7 +461,7 @@ mod tests {
     /// Recomputes the FNV trailer of `file` so a forged header or table
     /// passes the integrity check and reaches the checks behind it.
     fn refix_trailer(file: &mut [u8]) {
-        let trailer = fnv(&file[..Checkpoint::trailer_coverage(file)]);
+        let trailer = Fnv1a64::digest(&file[..Checkpoint::trailer_coverage(file)]);
         let body_len = file.len() - TRAILER;
         file[body_len..].copy_from_slice(&trailer);
     }
@@ -454,14 +548,15 @@ mod tests {
         assert_eq!(file[8..11], [0, 2, KIND_PAGES]);
         let table: Vec<u8> = cp.digests().iter().flat_map(|d| *d.as_bytes()).collect();
         assert_eq!(file[HEADER..HEADER + 3 * DIGEST], table[..]);
-        let CheckpointData::Pages(bytes) = cp.data() else {
+        let CheckpointData::Pages(pages) = cp.data() else {
             panic!("page checkpoint")
         };
+        let bytes: Vec<u8> = pages.iter().flat_map(|p| p.iter().copied()).collect();
         assert_eq!(file[HEADER + 3 * DIGEST..file.len() - TRAILER], bytes[..]);
         // The trailer covers header and table, not the pages.
         assert_eq!(
             file[file.len() - TRAILER..],
-            fnv(&file[..HEADER + 3 * DIGEST])
+            Fnv1a64::digest(&file[..HEADER + 3 * DIGEST])
         );
         assert_eq!(Checkpoint::trailer_coverage(&file), HEADER + 3 * DIGEST);
     }
@@ -539,6 +634,90 @@ mod tests {
         for cut in 0..file.len() {
             corrupt_detail(&file[..cut]);
         }
+    }
+
+    /// Hands out (or accepts) at most `step` bytes a call and counts
+    /// the bytes that crossed: a reader or writer that splits every
+    /// vectored batch mid-slice.
+    struct Trickle<T> {
+        inner: T,
+        step: usize,
+        moved: usize,
+    }
+
+    impl<R: Read> Read for Trickle<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len());
+            let got = self.inner.read(&mut buf[..n])?;
+            self.moved += got;
+            Ok(got)
+        }
+    }
+
+    impl io::Write for Trickle<Vec<u8>> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len());
+            self.moved += n;
+            self.inner.write(&buf[..n])
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_reads_and_short_writes_move_the_same_file() {
+        let (cp, file) = page_sample(19); // batches of 1, 2, 4, 8 and a tail
+        for step in [1, 4095, 4097, 3 * 4096 + 5] {
+            let mut sink = Trickle {
+                inner: Vec::new(),
+                step,
+                moved: 0,
+            };
+            cp.write_to(&mut sink).unwrap();
+            assert_eq!(sink.inner, file, "step {step}");
+            let mut source = Trickle {
+                inner: &file[..],
+                step,
+                moved: 0,
+            };
+            let back = Checkpoint::read_from(&mut source).unwrap();
+            assert_eq!((back.digests(), back), (cp.digests(), cp.clone()));
+            assert_eq!(source.moved, file.len());
+        }
+    }
+
+    /// A header that claims 2⁴⁰ pages in front of 68 bytes: the reader
+    /// takes what the input has, reports the length that disagrees, and
+    /// allocates one page buffer at most
+    /// (`crates/fuzz/tests/alloc_bounds.rs` holds it to the byte budget).
+    #[test]
+    fn a_forged_count_on_a_short_input_sizes_nothing() {
+        let (_, file) = page_sample(1);
+        let mut digests = Vec::new();
+        sample().write_to(&mut digests).unwrap();
+        let mut v1 = V1_PAGES.to_vec();
+        for (layout, input) in [&file[..], &digests[..], &v1.clone()[..]]
+            .iter()
+            .enumerate()
+        {
+            let mut forged = input[..100].to_vec();
+            forged[24..32].copy_from_slice(&(1u64 << 40).to_be_bytes());
+            let before = PageBuf::allocated();
+            let detail = corrupt_detail(&forged);
+            assert!(
+                detail.contains("payload length 60 !="),
+                "layout {layout}: {detail}"
+            );
+            assert!(PageBuf::allocated() - before <= 1, "layout {layout}");
+        }
+        // An honest count on an input cut short: same error, and the
+        // buffers stay within twice the pages that arrived, plus one.
+        v1.truncate(HEADER + 5 * PAGE_SIZE as usize + 77);
+        let before = PageBuf::allocated();
+        assert!(corrupt_detail(&v1).contains("payload length"));
+        assert!(PageBuf::allocated() - before <= 2 * 5 + 1);
     }
 
     #[test]

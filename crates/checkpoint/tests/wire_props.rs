@@ -40,8 +40,8 @@ fn digest_checkpoint(ids: &[u64], vm: u32, at_hours: u64) -> Checkpoint {
 
 fn page_checkpoint(pages: &[u8], vm: u32) -> Checkpoint {
     // Each input byte inflates to one 4 KiB page filled with it.
-    let bytes: Vec<u8> = pages.iter().flat_map(|&b| [b; 4096]).collect();
-    Checkpoint::from_parts(VmId::new(vm), SimTime::EPOCH, CheckpointData::Pages(bytes))
+    let pages = pages.iter().map(|&b| vec![b; 4096].into()).collect();
+    Checkpoint::from_parts(VmId::new(vm), SimTime::EPOCH, CheckpointData::Pages(pages))
         .expect("whole pages are always valid")
 }
 

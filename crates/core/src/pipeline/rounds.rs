@@ -25,7 +25,7 @@
 
 use vecycle_checkpoint::{DedupIndex, PageLookup};
 use vecycle_faults::{AttemptFaults, FaultCause};
-use vecycle_mem::{MemoryImage, PageBuf};
+use vecycle_mem::MemoryImage;
 use vecycle_net::{wire, LinkSpec, TrafficCategory, TrafficLedger};
 use vecycle_obs::SpanId;
 use vecycle_types::{Bytes, BytesPerSec, PageCount, PageDigest, PageIndex, SimDuration};
@@ -239,10 +239,10 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                 _ if zero_suppression && digest.is_zero_page() => PageMsg::Zero { idx },
                 PageAction::SendFull => {
                     sent.insert_first(digest, idx);
-                    // Only a sink that reads the message is worth a
-                    // page copy.
+                    // The message shares the guest's buffer; only a sink
+                    // that reads the message is worth even the handle.
                     let bytes = if S::PER_MESSAGE && scan.alive {
-                        vm.page_bytes(idx).map(PageBuf::copy_from)
+                        vm.page_bytes(idx).cloned()
                     } else {
                         None
                     };

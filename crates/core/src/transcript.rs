@@ -16,8 +16,10 @@ pub enum PageMsg {
         idx: PageIndex,
         /// Content checksum.
         digest: PageDigest,
-        /// Page bytes; `None` when the source is digest-level. Backed by
-        /// a scan arena, so cloning a message never copies page bytes.
+        /// Page bytes; `None` when the source is digest-level. The
+        /// buffer is the source guest's own (until the guest next writes
+        /// that page), so neither sending nor cloning a message copies
+        /// page bytes.
         bytes: Option<PageBuf>,
     },
     /// Only the checksum: the destination already holds this content.
@@ -98,7 +100,7 @@ impl LiveTranscript {
 }
 
 /// Checks every `Full` payload of `transcript` against its attached
-/// checksum, all pages in one four-lane batch — the one time the
+/// checksum, all pages in one multi-lane batch — the one time the
 /// destination digests a received page.
 fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
     let mut attached = Vec::new();
@@ -136,14 +138,16 @@ fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
 /// already-resident page and, on mismatch, resolved through the
 /// checkpoint's checksum index (`lookup` + read at the found offset).
 ///
-/// Every byte is digested once. The checkpoint hands its digest table to
-/// the index and to the restored memory; each `Full` payload is verified
-/// against its attached checksum ("sending the checksum along with the
-/// full page saves the receiver from re-computing" it later, §3.2)
-/// before memory is touched, and written with that digest; a checksum
-/// hit copies the checkpoint page the index found, under the digest
-/// that found it — the index was built from digests derived from those
-/// very bytes.
+/// Every byte is digested once and no page is copied. The checkpoint
+/// hands its digest table to the index and, with its page buffers, to
+/// the restored memory; each `Full` payload is verified against its
+/// attached checksum ("sending the checksum along with the full page
+/// saves the receiver from re-computing" it later, §3.2) before memory
+/// is touched, and its buffer adopted under that digest; a checksum hit
+/// adopts the buffer of the checkpoint page the index found, under the
+/// digest that found it — the index was built from digests derived from
+/// those very bytes. The returned memory shares pages with `checkpoint`
+/// and `transcript`; a later write to it replaces only the page written.
 ///
 /// # Errors
 ///
@@ -167,7 +171,7 @@ pub fn apply_transcript(
     for msg in transcript {
         match msg {
             PageMsg::Full { idx, digest, bytes } => {
-                let bytes = bytes.as_deref().expect("verified above");
+                let bytes = bytes.clone().expect("verified above");
                 mem.write_page_with_digest(*idx, bytes, *digest);
             }
             PageMsg::Checksum { idx, digest } => {
@@ -183,7 +187,7 @@ pub fn apply_transcript(
                 let page = checkpoint.read_page(offset).ok_or(Error::Corrupt {
                     detail: format!("checkpoint page {offset} unreadable"),
                 })?;
-                mem.write_page_with_digest(*idx, page, *digest);
+                mem.write_page_with_digest(*idx, page.clone(), *digest);
             }
             PageMsg::DedupRef { idx, source } => {
                 if source.as_u64() >= mem.page_count().as_u64() {
@@ -256,7 +260,7 @@ mod tests {
                 transcript.push(PageMsg::Full {
                     idx,
                     digest: now.page_digest(idx),
-                    bytes: Some(PageBuf::copy_from(now.read_page(idx))),
+                    bytes: Some(now.read_page(idx).clone()),
                 });
             } else {
                 transcript.push(PageMsg::Checksum {
@@ -279,7 +283,7 @@ mod tests {
             PageMsg::Full {
                 idx: PageIndex::new(0),
                 digest: now.page_digest(PageIndex::new(0)),
-                bytes: Some(PageBuf::copy_from(now.read_page(PageIndex::new(0)))),
+                bytes: Some(now.read_page(PageIndex::new(0)).clone()),
             },
             PageMsg::DedupRef {
                 idx: PageIndex::new(2),
@@ -343,7 +347,7 @@ mod tests {
         PageMsg::Full {
             idx,
             digest: mem.page_digest(idx),
-            bytes: Some(PageBuf::copy_from(mem.read_page(idx))),
+            bytes: Some(mem.read_page(idx).clone()),
         }
     }
 
@@ -417,13 +421,21 @@ mod tests {
                 },
             })
             .collect();
+        let before = PageBuf::allocated();
         let rebuilt = apply_transcript(&cp, &transcript).unwrap();
+        // The merge adopts buffers — the checkpoint's, the payload's, the
+        // zero page — and allocates none.
+        assert_eq!(PageBuf::allocated(), before);
         assert!(rebuilt.content_equals(&now));
         for i in 0..8 {
             let idx = PageIndex::new(i);
             assert_eq!(rebuilt.read_page(idx), now.read_page(idx), "page {i}");
             assert_eq!(rebuilt.page_digest(idx), now.page_digest(idx), "page {i}");
         }
+        let shared = |i, with: &PageBuf| rebuilt.read_page(PageIndex::new(i)).shares_with(with);
+        assert!(shared(3, now.read_page(PageIndex::new(3))));
+        assert!(shared(5, cp.read_page(PageIndex::new(2)).unwrap()));
+        assert!(shared(0, cp.read_page(PageIndex::new(0)).unwrap()));
         assert_eq!(
             rebuilt.page_digest(PageIndex::new(5)),
             cp.digest(PageIndex::new(2))

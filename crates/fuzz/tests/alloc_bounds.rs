@@ -1,0 +1,111 @@
+//! Allocation bounds of the byte path, measured with the fuzzer's
+//! counting allocator: what the hash batcher, the streaming checkpoint
+//! reader and a whole ping-pong leg ask the allocator for.
+
+use vecycle_checkpoint::{Checkpoint, DiskStore};
+use vecycle_core::{apply_transcript, MigrationEngine, Strategy};
+use vecycle_fuzz::{alloc_budget, AllocMeter, AllocStats, CountingAlloc};
+use vecycle_hash::ChecksumAlgorithm;
+use vecycle_mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload};
+use vecycle_mem::{ByteMemory, Guest};
+use vecycle_net::LinkSpec;
+use vecycle_types::{PageCount, SimDuration, SimTime, VmId, PAGE_SIZE};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
+
+fn metered<T>(f: impl FnOnce() -> T) -> (T, AllocStats) {
+    AllocMeter::start();
+    let out = f();
+    (out, AllocMeter::stop())
+}
+
+/// `digest_pages` gathers lane groups into a fixed array: whatever the
+/// batch shape, the one thing it allocates is the vector it returns.
+#[test]
+fn digest_pages_allocates_only_its_output() {
+    let pages: Vec<Vec<u8>> = (0..41usize)
+        .map(|i| vec![(i % 7) as u8; if i % 9 == 8 { 100 } else { 4096 }])
+        .collect();
+    let views: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
+    for algo in ChecksumAlgorithm::ALL {
+        for n in [0, 1, 5, 16, 21, 41] {
+            let (digests, stats) = metered(|| algo.digest_pages(&views[..n]));
+            assert_eq!(digests.len(), n);
+            assert_eq!(
+                (stats.requested, stats.largest),
+                (16 * n as u64, 16 * n as u64)
+            );
+        }
+    }
+}
+
+/// The streaming reader under the fuzz targets' own budget: a header
+/// claiming 2⁴⁰ pages on a 100-byte input asks for no more memory than
+/// an honest 100-byte input may.
+#[test]
+fn a_forged_page_count_stays_inside_the_input_budget() {
+    let mem = ByteMemory::with_distinct_content(PageCount::new(1), 3);
+    let mut file = Vec::new();
+    Checkpoint::capture_bytes(VmId::new(1), SimTime::EPOCH, &mem)
+        .write_to(&mut file)
+        .unwrap();
+    for kind_version in [[2u8, 1], [1, 1], [1, 0]] {
+        let mut forged = file[..100].to_vec();
+        forged[9..11].copy_from_slice(&kind_version);
+        forged[24..32].copy_from_slice(&(1u64 << 40).to_be_bytes());
+        let (result, stats) = metered(|| Checkpoint::read_from(&forged[..]));
+        assert!(result.is_err());
+        assert!(
+            stats.requested <= alloc_budget(forged.len()),
+            "{kind_version:?}: {stats:?}"
+        );
+    }
+}
+
+/// One leg of `examples/ping_pong.rs` over a disk store — age the guest,
+/// load the checkpoint, migrate against it, merge, capture, save — makes
+/// no allocation anywhere near the size of the guest: pages are read
+/// into, shared from and written out of their own 4 KiB buffers.
+#[test]
+fn a_ping_pong_leg_allocates_nothing_guest_sized() {
+    const PAGES: u64 = 512;
+    let dir = std::env::temp_dir().join(format!("vecycle-alloc-leg-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = DiskStore::open(&dir).unwrap();
+    let vm = VmId::new(0);
+    let mut guest = Guest::new(ByteMemory::with_distinct_content(PageCount::new(PAGES), 9));
+    store
+        .save(&Checkpoint::capture_bytes(
+            vm,
+            SimTime::EPOCH,
+            guest.memory(),
+        ))
+        .unwrap();
+    let (mut idle, mut reloc) = (IdleWorkload::new(1, 0.02), RelocationWorkload::new(2, 0.01));
+    let engine = MigrationEngine::new(LinkSpec::lan_gigabit());
+
+    let ((), stats) = metered(|| {
+        idle.advance(&mut guest, SimDuration::from_hours(1));
+        reloc.advance(&mut guest, SimDuration::from_hours(1));
+        let checkpoint = store.load(vm).unwrap().expect("seeded above");
+        let strategy = Strategy::vecycle_from_checkpoint(&checkpoint);
+        let (report, transcript) = engine
+            .migrate_with_transcript(guest.memory(), strategy)
+            .unwrap();
+        assert!(report.pages_sent_full().as_u64() > 0 && report.pages_reused().as_u64() > 0);
+        let rebuilt = apply_transcript(&checkpoint, &transcript).unwrap();
+        assert!(rebuilt.content_equals(guest.memory()));
+        let left_behind = Checkpoint::capture_bytes(vm, SimTime::EPOCH, guest.memory());
+        store.save(&left_behind).unwrap();
+    });
+    let guest_bytes = PAGES * PAGE_SIZE;
+    // The largest requests are per-page tables (16 bytes a page and
+    // their growth steps), nowhere near 4096 bytes a page ...
+    assert!(stats.largest < guest_bytes / 16, "{stats:?}");
+    // ... and the sum is the one copy of the guest the load reads in,
+    // plus the pages written, plus tables: well under two guests (the
+    // staging copies this replaced made it nearly four).
+    assert!(stats.requested < 2 * guest_bytes, "{stats:?}");
+    std::fs::remove_dir_all(dir).unwrap();
+}

@@ -37,7 +37,7 @@ mod sha256;
 
 pub use fnv::Fnv1a64;
 pub use md5::Md5;
-pub use multilane::{fnv1a64_x4, md5_x4, sha1_x4};
+pub use multilane::{fnv1a64_lanes, md5_lanes, sha1_lanes};
 pub use sha1::Sha1;
 pub use sha256::Sha256;
 
@@ -171,12 +171,13 @@ impl ChecksumAlgorithm {
         }
     }
 
-    /// Digests a batch of pages, four lanes per dispatch.
+    /// Digests a batch of pages, several lanes per dispatch.
     ///
     /// Bit-equal to calling [`ChecksumAlgorithm::page_digest`] on each
-    /// page, but processes quads of equal-length pages through the
-    /// multi-lane kernels in [`multilane`] — the fast path for the
-    /// engine's scan and for checkpoint index builds.
+    /// page, but processes runs of equal-length pages through the
+    /// multi-lane kernels in [`multilane`] (sixteen at a time for MD5,
+    /// four for SHA-1 and FNV-1a) and allocates only the vector it
+    /// returns — the fast path wherever page bytes are hashed in bulk.
     ///
     /// # Examples
     ///
@@ -248,10 +249,10 @@ pub fn page_digest(page: &[u8]) -> PageDigest {
     PageDigest::new(Md5::digest(page))
 }
 
-/// Digests a batch of pages with MD5, four lanes per dispatch.
+/// Digests a batch of pages with MD5, sixteen lanes per dispatch.
 ///
 /// The batched counterpart of [`page_digest`]: bit-equal results, but
-/// equal-length quads of non-zero pages run through [`md5_x4`].
+/// equal-length runs of non-zero pages go through [`md5_lanes`].
 pub fn digest_pages(pages: &[&[u8]]) -> Vec<PageDigest> {
     multilane::digest_pages(ChecksumAlgorithm::Md5, pages)
 }

@@ -25,8 +25,11 @@ pub struct Md5 {
     length_bytes: u64,
 }
 
+/// Initial chaining state (RFC 1321 §3.3).
+pub(crate) const INIT: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+
 /// Per-round shift amounts (RFC 1321 §3.4). Shared with the multi-lane
-/// kernel, which runs the same rounds over four messages at once.
+/// kernel, which runs the same rounds over several messages at once.
 pub(crate) const S: [u32; 64] = [
     7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
     5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
@@ -50,7 +53,7 @@ impl Md5 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
         Md5 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
+            state: INIT,
             buffer: [0u8; 64],
             buffered: 0,
             length_bytes: 0,

@@ -1,14 +1,19 @@
-//! Multi-lane digest kernels: four independent messages per dispatch.
+//! Multi-lane digest kernels: `N` independent messages per dispatch.
 //!
 //! MD5 and SHA-1 have a long serial dependency chain *within* one
 //! message, so a single page can never saturate a superscalar core.
-//! Hashing four pages at once sidesteps that: the compression state
-//! becomes a `U32x4` (one 32-bit word per lane) and every round mixes
-//! all four messages in lockstep — block-parallel message scheduling that
-//! the compiler lowers to SSE/NEON vectors or, failing that, to four
+//! Hashing several pages at once sidesteps that: the compression state
+//! becomes a `Lanes<N>` (one 32-bit word per lane) and every round mixes
+//! all `N` messages in lockstep — block-parallel message scheduling that
+//! the compiler lowers to SSE/NEON vectors or, failing that, to `N`
 //! interleaved scalar chains that fill the pipeline. FNV-1a has no block
-//! structure; its four lanes are interleaved per byte-column to hide the
+//! structure; its lanes are interleaved per byte-column to hide the
 //! multiply latency.
+//!
+//! There is one portable implementation, generic over the lane count
+//! and instantiated at the widths [`crate::digest_pages`] dispatches:
+//! MD5 runs [`WIDE`] lanes with [`QUAD`]-lane and scalar tails; SHA-1
+//! and FNV-1a run [`QUAD`] lanes (DESIGN.md §13.1 has the measurements).
 //!
 //! The kernels require equal-length messages within one dispatch (pages
 //! are uniformly 4 KiB on the hot path); [`crate::digest_pages`] batches
@@ -20,108 +25,97 @@
 use crate::{fnv, md5, sha1, ChecksumAlgorithm};
 use vecycle_types::PageDigest;
 
-/// Messages hashed per multi-lane dispatch.
-pub const LANES: usize = 4;
+/// Messages per wide dispatch: what an MD5 batch is gathered into.
+pub const WIDE: usize = 16;
+/// Messages per narrow dispatch: the tail of an MD5 batch, and every
+/// SHA-1 and FNV-1a dispatch.
+pub const QUAD: usize = 4;
 
-/// Four 32-bit lanes advancing in lockstep.
+/// `N` 32-bit lanes advancing in lockstep.
 ///
 /// Aligned to the 16-byte vector width so the compiler can keep lane
 /// words in SIMD registers (SSE/NEON) instead of splitting loads.
 #[derive(Debug, Clone, Copy)]
 #[repr(align(16))]
-struct U32x4([u32; 4]);
+struct Lanes<const N: usize>([u32; N]);
 
-impl U32x4 {
+impl<const N: usize> Lanes<N> {
     #[inline(always)]
     fn splat(v: u32) -> Self {
-        U32x4([v; 4])
+        Lanes([v; N])
+    }
+
+    /// Lane-wise `f`; the unary operations below pass `self` twice.
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(u32, u32) -> u32) -> Self {
+        let mut out = [0u32; N];
+        for ((out, a), b) in out.iter_mut().zip(self.0).zip(o.0) {
+            *out = f(a, b);
+        }
+        Lanes(out)
     }
 
     #[inline(always)]
     fn add(self, o: Self) -> Self {
-        U32x4([
-            self.0[0].wrapping_add(o.0[0]),
-            self.0[1].wrapping_add(o.0[1]),
-            self.0[2].wrapping_add(o.0[2]),
-            self.0[3].wrapping_add(o.0[3]),
-        ])
+        self.zip(o, u32::wrapping_add)
     }
 
     #[inline(always)]
     fn xor(self, o: Self) -> Self {
-        U32x4([
-            self.0[0] ^ o.0[0],
-            self.0[1] ^ o.0[1],
-            self.0[2] ^ o.0[2],
-            self.0[3] ^ o.0[3],
-        ])
+        self.zip(o, |a, b| a ^ b)
     }
 
     #[inline(always)]
     fn and(self, o: Self) -> Self {
-        U32x4([
-            self.0[0] & o.0[0],
-            self.0[1] & o.0[1],
-            self.0[2] & o.0[2],
-            self.0[3] & o.0[3],
-        ])
+        self.zip(o, |a, b| a & b)
     }
 
     #[inline(always)]
     fn or(self, o: Self) -> Self {
-        U32x4([
-            self.0[0] | o.0[0],
-            self.0[1] | o.0[1],
-            self.0[2] | o.0[2],
-            self.0[3] | o.0[3],
-        ])
+        self.zip(o, |a, b| a | b)
     }
 
     #[inline(always)]
     fn not(self) -> Self {
-        U32x4([!self.0[0], !self.0[1], !self.0[2], !self.0[3]])
+        self.zip(self, |a, _| !a)
     }
 
+    /// Rotates every lane left by `r` (`0..32`), spelled as two plain
+    /// shifts the compiler does not fuse back into a rotate: the
+    /// baseline vector ISAs shift all lanes by one run-time count in an
+    /// instruction but have no rotate, and a fused rotate by a run-time
+    /// count lowers to a shuffle sequence twice as long.
     #[inline(always)]
     fn rotl(self, r: u32) -> Self {
-        U32x4([
-            self.0[0].rotate_left(r),
-            self.0[1].rotate_left(r),
-            self.0[2].rotate_left(r),
-            self.0[3].rotate_left(r),
-        ])
+        self.zip(self, |a, _| (a << r) | (a >> 1 >> (31 - r)))
     }
 }
 
-/// Loads message words `0..16` of one 64-byte block from each lane,
-/// little-endian (MD5's byte order).
-#[inline(always)]
-fn load_block_le(lanes: &[&[u8]; LANES], off: usize) -> [U32x4; 16] {
-    let mut m = [U32x4::splat(0); 16];
-    for (w, word) in m.iter_mut().enumerate() {
-        let o = off + w * 4;
-        *word = U32x4([
-            u32::from_le_bytes(lanes[0][o..o + 4].try_into().expect("4 bytes")),
-            u32::from_le_bytes(lanes[1][o..o + 4].try_into().expect("4 bytes")),
-            u32::from_le_bytes(lanes[2][o..o + 4].try_into().expect("4 bytes")),
-            u32::from_le_bytes(lanes[3][o..o + 4].try_into().expect("4 bytes")),
-        ]);
-    }
-    m
+/// A Merkle–Damgård compression function over `N` lanes of `W` state
+/// words each.
+trait LaneHash<const N: usize, const W: usize> {
+    /// Byte order of message words, the length field and the digest.
+    const LITTLE_ENDIAN: bool;
+    const INIT: [u32; W];
+
+    /// One compression over `N` lane blocks.
+    fn rounds(state: &mut [Lanes<N>; W], m: &[Lanes<N>; 16]);
 }
 
-/// Loads message words big-endian (the SHA byte order).
+/// Loads message words `0..16` of one 64-byte block from each lane.
 #[inline(always)]
-fn load_block_be(lanes: &[&[u8]; LANES], off: usize) -> [U32x4; 16] {
-    let mut m = [U32x4::splat(0); 16];
-    for (w, word) in m.iter_mut().enumerate() {
+fn load_block<const N: usize>(lanes: &[&[u8]; N], off: usize, le: bool) -> [Lanes<N>; 16] {
+    let mut m = [Lanes::splat(0); 16];
+    for (w, out) in m.iter_mut().enumerate() {
         let o = off + w * 4;
-        *word = U32x4([
-            u32::from_be_bytes(lanes[0][o..o + 4].try_into().expect("4 bytes")),
-            u32::from_be_bytes(lanes[1][o..o + 4].try_into().expect("4 bytes")),
-            u32::from_be_bytes(lanes[2][o..o + 4].try_into().expect("4 bytes")),
-            u32::from_be_bytes(lanes[3][o..o + 4].try_into().expect("4 bytes")),
-        ]);
+        for (lane, msg) in out.0.iter_mut().zip(lanes) {
+            let word = msg[o..o + 4].try_into().expect("4 bytes");
+            *lane = if le {
+                u32::from_le_bytes(word)
+            } else {
+                u32::from_be_bytes(word)
+            };
+        }
     }
     m
 }
@@ -146,231 +140,237 @@ fn build_tail(msg: &[u8], little_endian_length: bool) -> ([u8; 128], usize) {
     (buf, blocks)
 }
 
-/// One MD5 compression over four lane blocks.
+/// `H` of `N` equal-length messages: every whole block, then the padded
+/// tail, then the lane state transposed into one `D`-byte digest each.
 #[inline(always)]
-fn md5_rounds(state: &mut [U32x4; 4], m: &[U32x4; 16]) {
-    let [mut a, mut b, mut c, mut d] = *state;
-    for i in 0..64 {
-        let (f, g) = match i / 16 {
-            0 => (b.and(c).or(b.not().and(d)), i),
-            1 => (d.and(b).or(d.not().and(c)), (5 * i + 1) % 16),
-            2 => (b.xor(c).xor(d), (3 * i + 5) % 16),
-            _ => (c.xor(b.or(d.not())), (7 * i) % 16),
-        };
-        let tmp = d;
-        d = c;
-        c = b;
-        b = b.add(
-            a.add(f)
-                .add(U32x4::splat(md5::K[i]))
-                .add(m[g])
-                .rotl(md5::S[i]),
-        );
-        a = tmp;
-    }
-    state[0] = state[0].add(a);
-    state[1] = state[1].add(b);
-    state[2] = state[2].add(c);
-    state[3] = state[3].add(d);
-}
-
-/// MD5 of four equal-length messages.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if the messages differ in length.
-pub fn md5_x4(msgs: [&[u8]; LANES]) -> [[u8; 16]; LANES] {
-    let len = msgs[0].len();
+fn digest_lanes<H: LaneHash<N, W>, const N: usize, const W: usize, const D: usize>(
+    msgs: [&[u8]; N],
+) -> [[u8; D]; N] {
+    let (len, le) = (msgs[0].len(), H::LITTLE_ENDIAN);
     debug_assert!(msgs.iter().all(|m| m.len() == len), "equal-length lanes");
-    let mut state = [
-        U32x4::splat(0x67452301),
-        U32x4::splat(0xefcdab89),
-        U32x4::splat(0x98badcfe),
-        U32x4::splat(0x10325476),
-    ];
+    let mut state = H::INIT.map(Lanes::splat);
     for block in 0..len / 64 {
-        let m = load_block_le(&msgs, block * 64);
-        md5_rounds(&mut state, &m);
+        H::rounds(&mut state, &load_block(&msgs, block * 64, le));
     }
-    let tails = msgs.map(|m| build_tail(m, true));
+    let tails = msgs.map(|m| build_tail(m, le));
+    let views: [&[u8]; N] = std::array::from_fn(|lane| &tails[lane].0[..]);
     for block in 0..tails[0].1 {
-        let views: [&[u8]; LANES] = [&tails[0].0, &tails[1].0, &tails[2].0, &tails[3].0];
-        let m = load_block_le(&views, block * 64);
-        md5_rounds(&mut state, &m);
+        H::rounds(&mut state, &load_block(&views, block * 64, le));
     }
-    let mut out = [[0u8; 16]; LANES];
+    let mut out = [[0u8; D]; N];
     for (lane, digest) in out.iter_mut().enumerate() {
-        for (w, word) in state.iter().enumerate() {
-            digest[w * 4..w * 4 + 4].copy_from_slice(&word.0[lane].to_le_bytes());
+        for (w, words) in state.iter().enumerate() {
+            digest[w * 4..w * 4 + 4].copy_from_slice(&if le {
+                words.0[lane].to_le_bytes()
+            } else {
+                words.0[lane].to_be_bytes()
+            });
         }
     }
     out
 }
 
-/// One SHA-1 compression over four lane blocks.
-#[inline(always)]
-fn sha1_rounds(state: &mut [U32x4; 5], m: &[U32x4; 16]) {
-    let mut w = [U32x4::splat(0); 80];
-    w[..16].copy_from_slice(m);
-    for i in 16..80 {
-        w[i] = w[i - 3].xor(w[i - 8]).xor(w[i - 14]).xor(w[i - 16]).rotl(1);
-    }
-    let [mut a, mut b, mut c, mut d, mut e] = *state;
-    for (i, &wi) in w.iter().enumerate() {
-        let (f, k) = match i / 20 {
-            0 => (b.and(c).or(b.not().and(d)), sha1::K[0]),
-            1 => (b.xor(c).xor(d), sha1::K[1]),
-            2 => (b.and(c).or(b.and(d)).or(c.and(d)), sha1::K[2]),
-            _ => (b.xor(c).xor(d), sha1::K[3]),
-        };
-        let tmp = a.rotl(5).add(f).add(e).add(U32x4::splat(k)).add(wi);
-        e = d;
-        d = c;
-        c = b.rotl(30);
-        b = a;
-        a = tmp;
-    }
-    state[0] = state[0].add(a);
-    state[1] = state[1].add(b);
-    state[2] = state[2].add(c);
-    state[3] = state[3].add(d);
-    state[4] = state[4].add(e);
-}
+struct Md5Lanes;
 
-/// SHA-1 of four equal-length messages.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if the messages differ in length.
-pub fn sha1_x4(msgs: [&[u8]; LANES]) -> [[u8; 20]; LANES] {
-    let len = msgs[0].len();
-    debug_assert!(msgs.iter().all(|m| m.len() == len), "equal-length lanes");
-    let mut state = [
-        U32x4::splat(0x67452301),
-        U32x4::splat(0xefcdab89),
-        U32x4::splat(0x98badcfe),
-        U32x4::splat(0x10325476),
-        U32x4::splat(0xc3d2e1f0),
-    ];
-    for block in 0..len / 64 {
-        let m = load_block_be(&msgs, block * 64);
-        sha1_rounds(&mut state, &m);
-    }
-    let tails = msgs.map(|m| build_tail(m, false));
-    for block in 0..tails[0].1 {
-        let views: [&[u8]; LANES] = [&tails[0].0, &tails[1].0, &tails[2].0, &tails[3].0];
-        let m = load_block_be(&views, block * 64);
-        sha1_rounds(&mut state, &m);
-    }
-    let mut out = [[0u8; 20]; LANES];
-    for (lane, digest) in out.iter_mut().enumerate() {
-        for (w, word) in state.iter().enumerate() {
-            digest[w * 4..w * 4 + 4].copy_from_slice(&word.0[lane].to_be_bytes());
+impl<const N: usize> LaneHash<N, 4> for Md5Lanes {
+    const LITTLE_ENDIAN: bool = true;
+    const INIT: [u32; 4] = md5::INIT;
+
+    #[inline(always)]
+    fn rounds(state: &mut [Lanes<N>; 4], m: &[Lanes<N>; 16]) {
+        /// Step `i` of RFC 1321 §3.4: `a = b + ((a + f(b, c, d) + m[g] + K[i]) <<< S[i])`.
+        #[inline(always)]
+        fn step<const N: usize>(
+            a: &mut Lanes<N>,
+            [b, c, d]: [Lanes<N>; 3],
+            m: &[Lanes<N>; 16],
+            i: usize,
+        ) {
+            let (f, g) = match i / 16 {
+                0 => (b.and(c).or(b.not().and(d)), i),
+                1 => (d.and(b).or(d.not().and(c)), (5 * i + 1) % 16),
+                2 => (b.xor(c).xor(d), (3 * i + 5) % 16),
+                _ => (c.xor(b.or(d.not())), (7 * i) % 16),
+            };
+            let sum = a.add(f).add(Lanes::splat(md5::K[i])).add(m[g]);
+            *a = b.add(sum.rotl(md5::S[i]));
+        }
+        let [mut a, mut b, mut c, mut d] = *state;
+        // Four steps a turn, the roles of a, b, c, d rotating through
+        // the argument order instead of through register moves.
+        for i in (0..64).step_by(4) {
+            step(&mut a, [b, c, d], m, i);
+            step(&mut d, [a, b, c], m, i + 1);
+            step(&mut c, [d, a, b], m, i + 2);
+            step(&mut b, [c, d, a], m, i + 3);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+            *s = s.add(v);
         }
     }
-    out
 }
 
-/// FNV-1a 64 of four equal-length messages, lanes interleaved per
-/// byte-column so the four multiply chains overlap in the pipeline.
+/// MD5 of `N` equal-length messages.
+///
+/// Never inlined, like [`sha1_lanes`]: how well the lanes vectorise
+/// depends on what surrounds them, and a kernel compiled on its own
+/// compiles the same for every caller.
 ///
 /// # Panics
 ///
 /// Panics (in debug builds) if the messages differ in length.
-pub fn fnv1a64_x4(msgs: [&[u8]; LANES]) -> [[u8; 8]; LANES] {
-    let len = msgs[0].len();
-    debug_assert!(msgs.iter().all(|m| m.len() == len), "equal-length lanes");
-    let mut s = [fnv::OFFSET_BASIS; LANES];
-    for (((&b0, &b1), &b2), &b3) in msgs[0]
-        .iter()
-        .zip(msgs[1].iter())
-        .zip(msgs[2].iter())
-        .zip(msgs[3].iter())
-    {
-        s[0] = (s[0] ^ u64::from(b0)).wrapping_mul(fnv::PRIME);
-        s[1] = (s[1] ^ u64::from(b1)).wrapping_mul(fnv::PRIME);
-        s[2] = (s[2] ^ u64::from(b2)).wrapping_mul(fnv::PRIME);
-        s[3] = (s[3] ^ u64::from(b3)).wrapping_mul(fnv::PRIME);
-    }
-    [
-        s[0].to_be_bytes(),
-        s[1].to_be_bytes(),
-        s[2].to_be_bytes(),
-        s[3].to_be_bytes(),
-    ]
+#[inline(never)]
+pub fn md5_lanes<const N: usize>(msgs: [&[u8]; N]) -> [[u8; 16]; N] {
+    digest_lanes::<Md5Lanes, N, 4, 16>(msgs)
 }
 
-/// Dispatches one gathered quad through the lane kernel for `algo`,
-/// writing each lane's [`PageDigest`] to its page's output slot.
-fn dispatch_quad(
+struct Sha1Lanes;
+
+impl<const N: usize> LaneHash<N, 5> for Sha1Lanes {
+    const LITTLE_ENDIAN: bool = false;
+    const INIT: [u32; 5] = sha1::INIT;
+
+    #[inline(always)]
+    fn rounds(state: &mut [Lanes<N>; 5], m: &[Lanes<N>; 16]) {
+        let mut w = [Lanes::splat(0); 80];
+        w[..16].copy_from_slice(m);
+        for i in 16..80 {
+            w[i] = w[i - 3].xor(w[i - 8]).xor(w[i - 14]).xor(w[i - 16]).rotl(1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
+        for (i, &wi) in w.iter().enumerate() {
+            let (f, k) = match i / 20 {
+                0 => (b.and(c).or(b.not().and(d)), sha1::K[0]),
+                1 => (b.xor(c).xor(d), sha1::K[1]),
+                2 => (b.and(c).or(b.and(d)).or(c.and(d)), sha1::K[2]),
+                _ => (b.xor(c).xor(d), sha1::K[3]),
+            };
+            let tmp = a.rotl(5).add(f).add(e).add(Lanes::splat(k)).add(wi);
+            e = d;
+            d = c;
+            c = b.rotl(30);
+            b = a;
+            a = tmp;
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.add(v);
+        }
+    }
+}
+
+/// SHA-1 of `N` equal-length messages.
+///
+/// # Panics
+///
+/// Panics (in debug builds) if the messages differ in length.
+#[inline(never)]
+pub fn sha1_lanes<const N: usize>(msgs: [&[u8]; N]) -> [[u8; 20]; N] {
+    digest_lanes::<Sha1Lanes, N, 5, 20>(msgs)
+}
+
+/// FNV-1a 64 of `N` equal-length messages, lanes interleaved per
+/// byte-column so the multiply chains overlap in the pipeline.
+///
+/// # Panics
+///
+/// Panics (in debug builds) if the messages differ in length.
+pub fn fnv1a64_lanes<const N: usize>(msgs: [&[u8]; N]) -> [[u8; 8]; N] {
+    let len = msgs[0].len();
+    debug_assert!(msgs.iter().all(|m| m.len() == len), "equal-length lanes");
+    // Re-slicing every lane to one known length drops the bounds checks
+    // from the column walk.
+    let msgs = msgs.map(|m| &m[..len]);
+    let mut s = [fnv::OFFSET_BASIS; N];
+    for col in 0..len {
+        for (h, msg) in s.iter_mut().zip(&msgs) {
+            *h = (*h ^ u64::from(msg[col])).wrapping_mul(fnv::PRIME);
+        }
+    }
+    s.map(u64::to_be_bytes)
+}
+
+/// Hashes one group of `N` equal-length pages through `algo`'s lane
+/// kernel, writing each lane's [`PageDigest`] to its page's output slot.
+fn dispatch<const N: usize>(
     algo: ChecksumAlgorithm,
     pages: &[&[u8]],
-    quad: &[usize; LANES],
+    group: &[usize; N],
     out: &mut [PageDigest],
 ) {
-    let lanes: [&[u8]; LANES] = [
-        pages[quad[0]],
-        pages[quad[1]],
-        pages[quad[2]],
-        pages[quad[3]],
-    ];
+    let lanes = group.map(|i| pages[i]);
     match algo {
         ChecksumAlgorithm::Md5 => {
-            for (lane, d) in md5_x4(lanes).into_iter().enumerate() {
-                out[quad[lane]] = PageDigest::new(d);
+            for (&i, d) in group.iter().zip(md5_lanes(lanes)) {
+                out[i] = PageDigest::new(d);
             }
         }
         ChecksumAlgorithm::Sha1 => {
-            for (lane, d) in sha1_x4(lanes).into_iter().enumerate() {
-                out[quad[lane]] = crate::truncate_to_digest(&d);
+            for (&i, d) in group.iter().zip(sha1_lanes(lanes)) {
+                out[i] = crate::truncate_to_digest(&d);
             }
         }
         // No SHA-256 lane kernel: without wider vectors than the SSE2
         // baseline it measured slower than the scalar loop (0.87×).
         ChecksumAlgorithm::Sha256 => {
-            for &i in quad {
+            for &i in group {
                 out[i] = algo.page_digest(pages[i]);
             }
         }
         ChecksumAlgorithm::Fnv1a => {
-            for (lane, d) in fnv1a64_x4(lanes).into_iter().enumerate() {
-                out[quad[lane]] = crate::fnv_widen(d, lanes[lane]);
+            for ((&i, d), page) in group.iter().zip(fnv1a64_lanes(lanes)).zip(lanes) {
+                out[i] = crate::fnv_widen(d, page);
             }
         }
     }
 }
 
-/// Digests a batch of pages with `algo`, four lanes per dispatch.
+/// Hashes a gathered run of equal-length non-zero pages: one [`WIDE`]
+/// group if it is MD5 and the run fills it, then [`QUAD`]s, then the
+/// scalar path for what is left.
+fn flush(algo: ChecksumAlgorithm, pages: &[&[u8]], mut run: &[usize], out: &mut [PageDigest]) {
+    if algo == ChecksumAlgorithm::Md5 {
+        if let Some((wide, rest)) = run.split_first_chunk::<WIDE>() {
+            dispatch(algo, pages, wide, out);
+            run = rest;
+        }
+    }
+    while let Some((quad, rest)) = run.split_first_chunk::<QUAD>() {
+        dispatch(algo, pages, quad, out);
+        run = rest;
+    }
+    for &straggler in run {
+        out[straggler] = algo.page_digest(pages[straggler]);
+    }
+}
+
+/// Digests a batch of pages with `algo`.
 ///
 /// Bit-equal to calling [`ChecksumAlgorithm::page_digest`] per page:
 /// all-zero pages map to [`PageDigest::ZERO_PAGE`] via the SWAR
-/// prefilter, full quads of equal-length non-zero pages go through the
-/// multi-lane kernels, and stragglers (a trailing partial quad, or pages
-/// whose length breaks a run) fall back to the scalar path.
+/// prefilter; the others are gathered, up to [`WIDE`] at a time and for
+/// as long as their lengths agree, into a fixed array of indices — the
+/// output vector is the only allocation — and each run goes through the
+/// lane kernels, its last few pages through the scalar path.
 pub(crate) fn digest_pages(algo: ChecksumAlgorithm, pages: &[&[u8]]) -> Vec<PageDigest> {
     let mut out = vec![PageDigest::ZERO_PAGE; pages.len()];
-    let mut quad = [0usize; LANES];
+    let mut run = [0usize; WIDE];
     let mut gathered = 0usize;
     for (i, page) in pages.iter().enumerate() {
         if crate::is_all_zero(page) {
             continue; // slot already holds the sentinel
         }
-        if gathered > 0 && pages[quad[0]].len() != page.len() {
-            for &straggler in &quad[..gathered] {
-                out[straggler] = algo.page_digest(pages[straggler]);
-            }
+        if gathered > 0 && pages[run[0]].len() != page.len() {
+            flush(algo, pages, &run[..gathered], &mut out);
             gathered = 0;
         }
-        quad[gathered] = i;
+        run[gathered] = i;
         gathered += 1;
-        if gathered == LANES {
-            dispatch_quad(algo, pages, &quad, &mut out);
+        if gathered == WIDE {
+            flush(algo, pages, &run, &mut out);
             gathered = 0;
         }
     }
-    for &straggler in &quad[..gathered] {
-        out[straggler] = algo.page_digest(pages[straggler]);
-    }
+    flush(algo, pages, &run[..gathered], &mut out);
     out
 }
 
@@ -379,41 +379,35 @@ mod tests {
     use super::*;
     use crate::{Hasher, Md5, Sha1};
 
-    #[test]
-    fn md5_lanes_match_scalar() {
-        let msgs: Vec<Vec<u8>> = (0..4u8).map(|k| vec![k; 4096]).collect();
-        let lanes = md5_x4([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-        for (lane, msg) in lanes.iter().zip(&msgs) {
-            assert_eq!(*lane, Md5::digest(msg));
-        }
+    fn filled<const N: usize>(len: usize) -> [Vec<u8>; N] {
+        std::array::from_fn(|k| vec![(k as u8 + 1).wrapping_mul(37); len])
     }
 
-    #[test]
-    fn sha_lanes_match_scalar_at_padding_boundaries() {
-        for len in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 128, 4096] {
-            let msgs: Vec<Vec<u8>> = (1..=4u8).map(|k| vec![k.wrapping_mul(37); len]).collect();
-            let views = [
-                msgs[0].as_slice(),
-                msgs[1].as_slice(),
-                msgs[2].as_slice(),
-                msgs[3].as_slice(),
-            ];
-            for (lane, msg) in sha1_x4(views).iter().zip(&msgs) {
-                assert_eq!(*lane, Sha1::digest(msg), "sha1 len {len}");
+    fn views<const N: usize>(msgs: &[Vec<u8>; N]) -> [&[u8]; N] {
+        std::array::from_fn(|k| &msgs[k][..])
+    }
+
+    fn lanes_match_scalar_at<const N: usize>() {
+        for len in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 128, 777, 4096] {
+            let msgs = filled::<N>(len);
+            let views = views(&msgs);
+            for (lane, msg) in md5_lanes(views).iter().zip(&msgs) {
+                assert_eq!(*lane, Md5::digest(msg), "md5 x{N} len {len}");
             }
-            for (lane, msg) in md5_x4(views).iter().zip(&msgs) {
-                assert_eq!(*lane, Md5::digest(msg), "md5 len {len}");
+            for (lane, msg) in sha1_lanes(views).iter().zip(&msgs) {
+                assert_eq!(*lane, Sha1::digest(msg), "sha1 x{N} len {len}");
+            }
+            for (lane, msg) in fnv1a64_lanes(views).iter().zip(&msgs) {
+                assert_eq!(*lane, crate::Fnv1a64::digest(msg), "fnv x{N} len {len}");
             }
         }
     }
 
     #[test]
-    fn fnv_lanes_match_scalar() {
-        let msgs: Vec<Vec<u8>> = (0..4u8).map(|k| vec![k.wrapping_add(9); 777]).collect();
-        let lanes = fnv1a64_x4([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-        for (lane, msg) in lanes.iter().zip(&msgs) {
-            assert_eq!(*lane, crate::Fnv1a64::digest(msg));
-        }
+    fn lanes_match_scalar_at_padding_boundaries() {
+        lanes_match_scalar_at::<1>();
+        lanes_match_scalar_at::<QUAD>();
+        lanes_match_scalar_at::<WIDE>();
     }
 
     #[test]

@@ -8,6 +8,9 @@
 
 use crate::Hasher;
 
+/// Initial chaining state. Shared with the multi-lane kernel.
+pub(crate) const INIT: [u32; 5] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0];
+
 /// Stage constants for rounds 0–19, 20–39, 40–59 and 60–79. Shared with
 /// the multi-lane kernel.
 pub(crate) const K: [u32; 4] = [0x5a827999, 0x6ed9eba1, 0x8f1bbcdc, 0xca62c1d6];
@@ -37,7 +40,7 @@ impl Sha1 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
         Sha1 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0],
+            state: INIT,
             buffer: [0u8; 64],
             buffered: 0,
             length_bytes: 0,

@@ -114,23 +114,108 @@ proptest! {
         }
     }
 
-    /// The raw lane kernels match the streaming `Hasher` outputs for
-    /// arbitrary equal-length messages (including padding boundaries).
+    /// Every batch length from nothing to two-and-a-half wide groups,
+    /// with zero pages and odd-length pages wherever the masks put them:
+    /// runs of every length form, so the 16-lane dispatch, the 4-lane
+    /// tail and the scalar tail are all reached, for every algorithm.
     #[test]
-    fn lane_kernels_match_streaming_hashers(len in 0usize..200, seeds in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>())) {
-        let seeds = [seeds.0, seeds.1, seeds.2, seeds.3];
+    fn every_batch_shape_matches_scalar(zeros in any::<u64>(), ragged in any::<u64>(), salt in any::<u8>()) {
+        // Three-block pages keep the sweep cheap; the kernels are
+        // length-generic and 4 KiB is covered above.
+        let page = |i: usize| -> Vec<u8> {
+            let len = if ragged >> i & 1 == 1 { 100 + i } else { 192 };
+            let fill = if zeros >> i & 1 == 1 { 0 } else { salt | 1 };
+            (0..len).map(|j| fill.wrapping_mul((i + j % 251 + 1) as u8)).collect()
+        };
+        let pages: Vec<Vec<u8>> = (0..40).map(page).collect();
+        let views: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
+        for algo in ChecksumAlgorithm::ALL {
+            let scalar: Vec<_> = views.iter().map(|p| algo.page_digest(p)).collect();
+            for n in 0..=views.len() {
+                prop_assert_eq!(&algo.digest_pages(&views[..n])[..], &scalar[..n], "{} x{}", algo, n);
+                // ... and with the run starting anywhere.
+                prop_assert_eq!(&algo.digest_pages(&views[40 - n..])[..], &scalar[40 - n..], "{} tail x{}", algo, n);
+            }
+        }
+    }
+
+    /// The raw lane kernels match the streaming `Hasher` outputs for
+    /// arbitrary equal-length messages (including padding boundaries),
+    /// at both dispatch widths.
+    #[test]
+    fn lane_kernels_match_streaming_hashers(len in 0usize..200, seeds in vec(any::<u8>(), 16..=16)) {
         let msgs: Vec<Vec<u8>> = seeds
             .iter()
             .map(|&s| (0..len).map(|j| s.wrapping_add(j as u8)).collect())
             .collect();
-        let views = [msgs[0].as_slice(), msgs[1].as_slice(), msgs[2].as_slice(), msgs[3].as_slice()];
-        let md5 = vecycle_hash::md5_x4(views);
-        let sha1 = vecycle_hash::sha1_x4(views);
-        let fnv = vecycle_hash::fnv1a64_x4(views);
+        let wide: [&[u8]; 16] = std::array::from_fn(|lane| &msgs[lane][..]);
+        let quad: [&[u8]; 4] = std::array::from_fn(|lane| wide[lane]);
+        let md5 = vecycle_hash::md5_lanes(wide);
+        for lane in 0..16 {
+            prop_assert_eq!(md5[lane], Md5::digest(&msgs[lane]));
+        }
+        let (md5, sha1, fnv) = (
+            vecycle_hash::md5_lanes(quad),
+            vecycle_hash::sha1_lanes(quad),
+            vecycle_hash::fnv1a64_lanes(quad),
+        );
         for lane in 0..4 {
             prop_assert_eq!(md5[lane], Md5::digest(&msgs[lane]));
             prop_assert_eq!(sha1[lane], Sha1::digest(&msgs[lane]));
             prop_assert_eq!(fnv[lane], Fnv1a64::digest(&msgs[lane]));
+        }
+    }
+}
+
+/// The RFC 1321 §A.5 test suite through each of the sixteen lane
+/// positions, the other fifteen lanes hashing same-length filler.
+#[test]
+fn rfc_1321_vectors_hold_in_every_lane_position() {
+    let suite: [(&[u8], &str); 7] = [
+        (b"", "d41d8cd98f00b204e9800998ecf8427e"),
+        (b"a", "0cc175b9c0f1b6a831c399e269772661"),
+        (b"abc", "900150983cd24fb0d6963f7d28e17f72"),
+        (b"message digest", "f96b697d7cb7938d525a2f31aaf161d0"),
+        (
+            b"abcdefghijklmnopqrstuvwxyz",
+            "c3fcd3d76192e4007dfb496cca67e13b",
+        ),
+        (
+            b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+            "d174ab98d277d9f5a5611c2c9f419d9f",
+        ),
+        (
+            b"12345678901234567890123456789012345678901234567890123456789012345678901234567890",
+            "57edf4a22be3c955ac49da2e2107b67a",
+        ),
+    ];
+    for (message, hex) in suite {
+        let filler = vec![0x5au8; message.len()];
+        for position in 0..16 {
+            let mut lanes = [&filler[..]; 16];
+            lanes[position] = message;
+            for (lane, digest) in vecycle_hash::md5_lanes(lanes).iter().enumerate() {
+                if lane == position {
+                    assert_eq!(vecycle_hash::to_hex(digest), hex, "lane {lane}");
+                } else {
+                    assert_eq!(*digest, Md5::digest(&filler), "filler lane {lane}");
+                }
+            }
+        }
+    }
+}
+
+/// The padding edges — the last length whose padding fits one block,
+/// the first that needs two, a full block less one byte, a full block —
+/// sixteen lanes wide with every lane's content distinct.
+#[test]
+fn sixteen_lanes_agree_with_scalar_at_the_padding_edges() {
+    for len in [55usize, 56, 63, 64, 119, 120] {
+        let msgs: [Vec<u8>; 16] =
+            std::array::from_fn(|lane| (0..len).map(|j| (lane * 31 + j) as u8).collect());
+        let lanes: [&[u8]; 16] = std::array::from_fn(|lane| &msgs[lane][..]);
+        for (lane, digest) in vecycle_hash::md5_lanes(lanes).iter().enumerate() {
+            assert_eq!(*digest, Md5::digest(&msgs[lane]), "len {len} lane {lane}");
         }
     }
 }

@@ -4,20 +4,29 @@ use std::sync::{Mutex, OnceLock};
 
 use vecycle_types::{PageCount, PageDigest, PageIndex, PAGE_SIZE};
 
-use crate::{MemoryImage, MutableMemory, PageContent};
+use crate::{MemoryImage, MutableMemory, PageBuf, PageContent};
 
 /// A guest memory image holding actual 4 KiB page contents.
+///
+/// Each page is its own [`PageBuf`], shared by reference count with
+/// whoever else holds that page: a [`ByteMemory::snapshot`], a
+/// checkpoint captured from or restored into this memory, a transcript
+/// message, another page it was relocated to. All-zero pages share one
+/// static buffer. A write never shows through another handle: it goes in
+/// place when the page is unshared and otherwise puts a fresh buffer in
+/// the page's slot — one page allocated, nothing copied, because every
+/// [`PageContent`] covers the whole page.
 ///
 /// Digests are real MD5, computed once per content and *settled on
 /// read*: [`MutableMemory::write_page`] only writes bytes and queues the
 /// page; the first [`MemoryImage::page_digest`] or
 /// [`MemoryImage::digests`] after a burst of writes hashes every queued
-/// page in one four-lane batch ([`vecycle_hash::digest_pages`]) and
+/// page in one multi-lane batch ([`vecycle_hash::digest_pages`]) and
 /// caches the results, so a page overwritten before anyone asks for its
 /// digest is never hashed. Strictly interleaved write/read degenerates
 /// to one MD5 per write — the eager cost, never more. Concurrent readers
-/// (the engine's scan shards) settle behind one mutex, so an unsettled
-/// guest is hashed once, not once per shard.
+/// settle behind one mutex, so an unsettled guest is hashed once, not
+/// once per reader.
 ///
 /// Callers that already hold a page's digest — a checkpoint restoring
 /// itself, the destination merge after verifying a payload — hand it
@@ -38,7 +47,7 @@ use crate::{MemoryImage, MutableMemory, PageContent};
 /// ```
 #[derive(Debug)]
 pub struct ByteMemory {
-    bytes: Vec<u8>,
+    pages: Vec<PageBuf>,
     /// One set-once cell per page; an empty cell means the page is
     /// queued in `pending`.
     digests: Vec<OnceLock<PageDigest>>,
@@ -56,7 +65,7 @@ struct Pending {
 impl Clone for ByteMemory {
     fn clone(&self) -> Self {
         ByteMemory {
-            bytes: self.bytes.clone(),
+            pages: self.pages.clone(),
             digests: self.digests.clone(),
             pending: Mutex::new(self.lock_pending().clone()),
         }
@@ -68,7 +77,7 @@ impl ByteMemory {
     pub fn zeroed(pages: PageCount) -> Self {
         let n = pages.as_usize();
         Self::from_pages_with_digests(
-            vec![0u8; n * PAGE_SIZE as usize],
+            vec![PageBuf::zero_page(); n],
             vec![PageDigest::ZERO_PAGE; n],
         )
     }
@@ -86,22 +95,22 @@ impl ByteMemory {
         mem
     }
 
-    /// Creates a memory from page bytes and the digests the caller has
-    /// already derived from exactly those bytes (one per page, in page
-    /// order); nothing is hashed.
+    /// Creates a memory sharing `pages`, with the digests the caller
+    /// has already derived from exactly those bytes (one per page, in
+    /// page order); nothing is hashed or copied.
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is not `digests.len()` whole pages.
-    pub fn from_pages_with_digests(bytes: Vec<u8>, digests: Vec<PageDigest>) -> Self {
+    /// Panics if the lengths differ or a buffer is not one whole page.
+    pub fn from_pages_with_digests(pages: Vec<PageBuf>, digests: Vec<PageDigest>) -> Self {
         let n = digests.len();
-        assert_eq!(
-            bytes.len(),
-            n * PAGE_SIZE as usize,
-            "{n} digests need {n} whole pages of bytes"
+        assert_eq!(pages.len(), n, "{n} digests need {n} pages");
+        assert!(
+            pages.iter().all(|p| p.len() as u64 == PAGE_SIZE),
+            "every buffer is one whole page"
         );
         ByteMemory {
-            bytes,
+            pages,
             digests: digests.into_iter().map(OnceLock::from).collect(),
             pending: Mutex::new(Pending {
                 list: Vec::new(),
@@ -115,41 +124,37 @@ impl ByteMemory {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds.
-    pub fn read_page(&self, idx: PageIndex) -> &[u8] {
-        &self.bytes[self.page_range(idx)]
+    pub fn read_page(&self, idx: PageIndex) -> &PageBuf {
+        &self.pages[idx.as_usize()]
     }
 
-    /// All pages as one contiguous slice, in page order.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+    /// Every page's buffer, in page order.
+    pub fn pages(&self) -> &[PageBuf] {
+        &self.pages
     }
 
-    /// An immutable deep copy of the current state.
+    /// The current state as a memory of its own: it shares every page
+    /// with `self` until either side writes it.
     pub fn snapshot(&self) -> ByteMemory {
         self.clone()
     }
 
     /// True if every page of `self` and `other` is byte-identical.
     pub fn content_equals(&self, other: &ByteMemory) -> bool {
-        self.bytes == other.bytes
+        self.pages == other.pages
     }
 
-    /// Overwrites one page with `page` and adopts `digest` as its
-    /// digest without hashing: the caller vouches that it derived or
-    /// verified `digest` from exactly these bytes.
+    /// Puts `page` in slot `idx`, sharing the buffer, and adopts
+    /// `digest` as its digest without hashing: the caller vouches that
+    /// it derived or verified `digest` from exactly these bytes.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds or `page` is not one whole page.
-    pub fn write_page_with_digest(&mut self, idx: PageIndex, page: &[u8], digest: PageDigest) {
-        let range = self.page_range(idx);
-        self.bytes[range].copy_from_slice(page);
+    pub fn write_page_with_digest(&mut self, idx: PageIndex, page: PageBuf, digest: PageDigest) {
+        assert_eq!(page.len() as u64, PAGE_SIZE, "one whole page");
+        self.pages[idx.as_usize()] = page;
         self.digests[idx.as_usize()] = OnceLock::from(digest);
-    }
-
-    fn page_range(&self, idx: PageIndex) -> std::ops::Range<usize> {
-        let start = idx.as_usize() * PAGE_SIZE as usize;
-        start..start + PAGE_SIZE as usize
     }
 
     fn lock_pending(&self) -> std::sync::MutexGuard<'_, Pending> {
@@ -184,10 +189,7 @@ impl ByteMemory {
             .copied()
             .filter(|&i| self.digests[i].get().is_none())
             .collect();
-        let views: Vec<&[u8]> = todo
-            .iter()
-            .map(|&i| self.read_page(PageIndex::new(i as u64)))
-            .collect();
+        let views: Vec<&[u8]> = todo.iter().map(|&i| &self.pages[i][..]).collect();
         for (&i, digest) in todo.iter().zip(vecycle_hash::digest_pages(&views)) {
             self.digests[i]
                 .set(digest)
@@ -213,7 +215,7 @@ impl MemoryImage for ByteMemory {
         *cell.get().expect("settle fills every empty cell")
     }
 
-    fn page_bytes(&self, idx: PageIndex) -> Option<&[u8]> {
+    fn page_bytes(&self, idx: PageIndex) -> Option<&PageBuf> {
         Some(self.read_page(idx))
     }
 
@@ -228,24 +230,26 @@ impl MemoryImage for ByteMemory {
 
 impl MutableMemory for ByteMemory {
     fn write_page(&mut self, idx: PageIndex, content: PageContent<'_>) {
-        let range = self.page_range(idx);
         let i = idx.as_usize();
         match content {
             PageContent::Zero => {
-                self.bytes[range].fill(0);
+                self.pages[i] = PageBuf::zero_page();
                 self.digests[i] = OnceLock::from(PageDigest::ZERO_PAGE);
             }
             other => {
-                other.write_into(&mut self.bytes[range]);
+                let page = &mut self.pages[i];
+                if page.get_mut().is_none() {
+                    // Shared: leave the other holders their bytes.
+                    *page = PageBuf::new_page();
+                }
+                other.write_into(page.get_mut().expect("unshared or just allocated"));
                 self.mark_pending(i);
             }
         }
     }
 
     fn relocate_page(&mut self, src: PageIndex, dst: PageIndex) {
-        let src_range = self.page_range(src);
-        let dst_start = self.page_range(dst).start;
-        self.bytes.copy_within(src_range, dst_start);
+        self.pages[dst.as_usize()] = self.pages[src.as_usize()].clone();
         match self.digests[src.as_usize()].get().copied() {
             Some(d) => self.digests[dst.as_usize()] = OnceLock::from(d),
             None => self.mark_pending(dst.as_usize()),
@@ -338,16 +342,14 @@ mod tests {
     #[test]
     fn handed_over_digests_are_adopted_and_survive_a_clone() {
         let src = ByteMemory::with_distinct_content(PageCount::new(4), 8);
-        let mut m = ByteMemory::from_pages_with_digests(
-            src.as_bytes().to_vec(),
-            MemoryImage::digests(&src),
-        );
+        let mut m =
+            ByteMemory::from_pages_with_digests(src.pages().to_vec(), MemoryImage::digests(&src));
         assert_eq!(MemoryImage::digests(&m), MemoryImage::digests(&src));
         let idx = PageIndex::new(2);
         m.write_page(idx, PageContent::ContentId(77)); // pending
         m.write_page_with_digest(
             idx,
-            src.read_page(PageIndex::new(0)),
+            src.read_page(PageIndex::new(0)).clone(),
             src.page_digest(PageIndex::new(0)),
         );
         m.write_page(PageIndex::new(3), PageContent::ContentId(78)); // still pending when cloned
@@ -400,6 +402,37 @@ mod tests {
         assert_eq!(
             m.page_digest(src),
             vecycle_hash::page_digest(m.read_page(src))
+        );
+    }
+
+    /// Copies share buffers; a write lands in place only where nobody
+    /// else is looking, and never allocates more than the page it hits.
+    #[test]
+    fn pages_are_shared_until_written_and_written_in_place_when_unshared() {
+        let p = PageIndex::new;
+        let mut m = ByteMemory::with_distinct_content(PageCount::new(4), 6);
+        let before = PageBuf::allocated();
+        let snap = m.snapshot();
+        m.relocate_page(p(0), p(1));
+        assert!((0..4).all(|i| i == 1 || m.read_page(p(i)).shares_with(snap.read_page(p(i)))));
+        assert!(m.read_page(p(1)).shares_with(m.read_page(p(0))));
+        assert_eq!(PageBuf::allocated(), before);
+
+        let old = snap.read_page(p(2)).to_vec();
+        m.write_page(p(2), PageContent::ContentId(50));
+        assert_eq!(PageBuf::allocated(), before + 1);
+        assert_eq!(snap.read_page(p(2))[..], old[..]);
+        m.write_page(p(2), PageContent::ContentId(51)); // unshared now
+        m.write_page(p(3), PageContent::Zero);
+        assert_eq!(PageBuf::allocated(), before + 1);
+        assert!(m.read_page(p(3)).shares_with(&PageBuf::zero_page()));
+        assert_eq!(
+            m.page_digest(p(2)),
+            vecycle_hash::page_digest(&PageContent::ContentId(51).materialize())
+        );
+        assert_eq!(
+            snap.page_digest(p(3)),
+            vecycle_hash::page_digest(snap.read_page(p(3)))
         );
     }
 

@@ -2,7 +2,7 @@
 
 use vecycle_types::{Bytes, PageCount, PageDigest, PageIndex};
 
-use crate::{DirtyTracker, GenerationTable, MemoryImage, MutableMemory, PageContent};
+use crate::{DirtyTracker, GenerationTable, MemoryImage, MutableMemory, PageBuf, PageContent};
 
 /// A running guest: memory plus the trackers a hypervisor maintains.
 ///
@@ -114,7 +114,7 @@ impl<M: MemoryImage> MemoryImage for Guest<M> {
         self.memory.digests()
     }
 
-    fn page_bytes(&self, idx: PageIndex) -> Option<&[u8]> {
+    fn page_bytes(&self, idx: PageIndex) -> Option<&PageBuf> {
         self.memory.page_bytes(idx)
     }
 }

@@ -10,10 +10,11 @@
 //! * [`DigestMemory`] stores one 16-byte digest per page. It scales to the
 //!   paper's 1–8 GiB guests (a 6 GiB guest needs ~24 MiB of digests) and
 //!   is what the figure-level benchmarks use.
-//! * [`ByteMemory`] stores real 4 KiB page bytes and hashes them with the
-//!   real MD5, once per content, in a batch on the first digest read
-//!   after a burst of writes. It is used by the end-to-end tests that
-//!   check the destination reconstructs memory *byte-for-byte*.
+//! * [`ByteMemory`] stores real 4 KiB page bytes, one shared [`PageBuf`]
+//!   per page, and hashes them with the real MD5, once per content, in a
+//!   batch on the first digest read after a burst of writes. It is used
+//!   by the end-to-end tests that check the destination reconstructs
+//!   memory *byte-for-byte*.
 //!
 //! [`Guest`] composes a memory with a [`DirtyTracker`] and a
 //! [`GenerationTable`] so every write is observed by both trackers, the
@@ -71,11 +72,12 @@ pub trait MemoryImage {
             .collect()
     }
 
-    /// The raw bytes of one page, for byte-backed images.
+    /// The buffer holding one page's bytes, for byte-backed images; a
+    /// transcript message clones the handle, not the bytes.
     ///
     /// Digest-level images return `None`; the migration transcript then
     /// carries digests only.
-    fn page_bytes(&self, idx: PageIndex) -> Option<&[u8]> {
+    fn page_bytes(&self, idx: PageIndex) -> Option<&PageBuf> {
         let _ = idx;
         None
     }

@@ -101,7 +101,8 @@ proptest! {
                 3 | 4 => mem.relocate_page(a, b),
                 5 => {
                     let page = PageContent::ContentId(id).materialize();
-                    mem.write_page_with_digest(a, &page, vecycle_hash::page_digest(&page));
+                    let digest = vecycle_hash::page_digest(&page);
+                    mem.write_page_with_digest(a, page.into(), digest);
                 }
                 6 => prop_assert_eq!(
                     mem.page_digest(a),

@@ -8,8 +8,9 @@ use std::sync::Arc;
 
 use vecycle::checkpoint::{Checkpoint, DiskStore, EvictionPolicy, GoneReason};
 use vecycle::core::{apply_transcript, MigrationEngine, Strategy};
+use vecycle::hash::{Fnv1a64, Hasher};
 use vecycle::host::Host;
-use vecycle::mem::{ByteMemory, DigestMemory, MutableMemory, PageContent};
+use vecycle::mem::{ByteMemory, DigestMemory, MemoryImage, MutableMemory, PageBuf, PageContent};
 use vecycle::net::LinkSpec;
 use vecycle::types::{Bytes, HostId, PageCount, PageIndex, SimDuration, SimTime, VmId};
 
@@ -104,6 +105,22 @@ fn previous_release_page_file_loads_recycles_and_resaves_with_a_table() {
     assert_eq!((v1[9], v2[9]), (1, 2));
     assert_eq!(v2.len(), v1.len() + 8 * 16);
     assert_eq!(store.load(vm_id).unwrap().unwrap(), original);
+    // Byte for byte the file the release that introduced version 2
+    // wrote for this guest: header ‖ table ‖ the v1 file's pages ‖ FNV
+    // of header and table (its FNV-1a taken at commit 40814c7).
+    let mut expect = v1[..32].to_vec();
+    expect[9] = 2;
+    for digest in original.digests() {
+        expect.extend_from_slice(digest.as_bytes());
+    }
+    let trailer = Fnv1a64::digest(&expect);
+    expect.extend_from_slice(&v1[32..v1.len() - 8]);
+    expect.extend_from_slice(&trailer);
+    assert!(v2 == expect, "version-2 layout moved");
+    assert_eq!(
+        u64::from_be_bytes(Fnv1a64::digest(&v2)),
+        0x8b80_a87c_18bd_1056
+    );
     std::fs::remove_dir_all(dir).unwrap();
 }
 
@@ -321,4 +338,189 @@ fn store_handles_many_vms() {
         assert!(!cp.digests().is_empty());
     }
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// One leg of `examples/ping_pong.rs` over a disk store, counted at the
+/// page-buffer constructor: the load allocates one buffer per page it
+/// reads, a guest write at most one per page it changes, and the scan,
+/// the merge, the capture and the save none — nothing on the leg holds
+/// a second copy of the guest.
+#[test]
+fn a_ping_pong_leg_allocates_page_buffers_only_to_read_and_to_write() {
+    use vecycle::mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload};
+    use vecycle::mem::Guest;
+    const PAGES: u64 = 256;
+    let dir = tmpdir("leg-buffers");
+    let store = DiskStore::open(&dir).unwrap();
+    let vm_id = VmId::new(4);
+    let mut guest = Guest::new(ByteMemory::with_distinct_content(PageCount::new(PAGES), 12));
+    // The checkpoint the guest left on this host shares every page with
+    // it, so the hour of writes below cannot go in place.
+    let left_here = Checkpoint::capture_bytes(vm_id, SimTime::EPOCH, guest.memory());
+    store.save(&left_here).unwrap();
+
+    let at_start = PageBuf::allocated();
+    IdleWorkload::new(1, 0.03).advance(&mut guest, SimDuration::from_hours(1));
+    RelocationWorkload::new(2, 0.02).advance(&mut guest, SimDuration::from_hours(1));
+    let changed = (0..PAGES)
+        .map(PageIndex::new)
+        .filter(|&i| {
+            !guest
+                .memory()
+                .read_page(i)
+                .shares_with(left_here.read_page(i).unwrap())
+        })
+        .count() as u64;
+    let written = PageBuf::allocated() - at_start;
+    assert!(
+        0 < written && written <= changed && changed < PAGES,
+        "{written} {changed}"
+    );
+
+    let checkpoint = store.load(vm_id).unwrap().expect("saved above");
+    assert_eq!(PageBuf::allocated() - at_start, written + PAGES);
+    let (report, transcript) = MigrationEngine::new(LinkSpec::lan_gigabit())
+        .migrate_with_transcript(
+            guest.memory(),
+            Strategy::vecycle_from_checkpoint(&checkpoint),
+        )
+        .unwrap();
+    assert!(report.pages_sent_full().as_u64() > 0);
+    let rebuilt = apply_transcript(&checkpoint, &transcript).unwrap();
+    assert!(rebuilt.content_equals(guest.memory()));
+    store
+        .save(&Checkpoint::capture_bytes(
+            vm_id,
+            SimTime::EPOCH,
+            guest.memory(),
+        ))
+        .unwrap();
+    assert_eq!(PageBuf::allocated() - at_start, written + PAGES);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A naive image: one owned `Vec<u8>` per page, nothing shared.
+type Model = Vec<Vec<u8>>;
+
+const MODEL_PAGES: u64 = 12;
+
+fn model_of(mem: &ByteMemory) -> Model {
+    mem.pages().iter().map(|p| p.to_vec()).collect()
+}
+
+/// Every handle still reads what its model says — so no write through
+/// one handle showed through another.
+fn check_bytes(mems: &[(ByteMemory, Model)], cps: &[(Checkpoint, Model)]) -> Result<(), String> {
+    let pages = |i| PageIndex::new(i as u64);
+    for (k, (mem, model)) in mems.iter().enumerate() {
+        if let Some(i) = (0..model.len()).find(|&i| mem.read_page(pages(i))[..] != model[i][..]) {
+            return Err(format!("memory {k} page {i} differs from its model"));
+        }
+    }
+    for (k, (cp, model)) in cps.iter().enumerate() {
+        let differs =
+            |&i: &usize| cp.read_page(pages(i)).expect("page checkpoint")[..] != model[i][..];
+        if let Some(i) = (0..model.len()).find(differs) {
+            return Err(format!("checkpoint {k} page {i} differs from its model"));
+        }
+    }
+    Ok(())
+}
+
+/// The digests an image reports are the MD5 of the bytes it holds.
+fn check_digests(image: &impl MemoryImage, model: &Model) -> Result<(), String> {
+    match (0..model.len()).find(|&i| {
+        image.page_digest(PageIndex::new(i as u64)) != vecycle::hash::page_digest(&model[i])
+    }) {
+        Some(i) => Err(format!("page {i} reports a stale digest")),
+        None => Ok(()),
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+    /// Memories, snapshots, checkpoints and merged destinations share
+    /// page buffers freely; against a model in which every image owns
+    /// its bytes, no interleaving of writes, relocations, hand-overs,
+    /// snapshots, captures, restores and transcript merges lets a write
+    /// leak from one image into another or leaves a digest behind its
+    /// bytes.
+    #[test]
+    fn shared_pages_behave_like_private_copies(
+        ops in proptest::collection::vec(
+            ((0u8..9, 0usize..4, 0usize..4), (0..MODEL_PAGES, 0..MODEL_PAGES, 0u64..5)),
+            1..60,
+        ),
+    ) {
+        let first = ByteMemory::with_distinct_content(PageCount::new(MODEL_PAGES), 21);
+        let engine = MigrationEngine::new(LinkSpec::lan_gigabit());
+        let mut mems = vec![(first.snapshot(), model_of(&first))];
+        let mut cps = vec![(Checkpoint::capture_bytes(VmId::new(0), SimTime::EPOCH, &first), model_of(&first))];
+        // A new image takes slot `at` if four already exist.
+        fn put<T>(slots: &mut Vec<T>, at: usize, item: T) {
+            if slots.len() < 4 { slots.push(item) } else { slots[at] = item }
+        }
+        for ((op, i, j), (a, b, id)) in ops {
+            let (m, c) = (i % mems.len(), j % cps.len());
+            let (pa, pb) = (PageIndex::new(a), PageIndex::new(b));
+            match op {
+                0 => {
+                    let content = PageContent::ContentId(id); // id 0: the zero page
+                    mems[m].0.write_page(pa, content);
+                    mems[m].1[a as usize] = content.materialize();
+                }
+                1 => {
+                    let text = [id as u8 + 1; 9];
+                    mems[m].0.write_page(pa, PageContent::Bytes(&text));
+                    mems[m].1[a as usize] = PageContent::Bytes(&text).materialize();
+                }
+                2 => {
+                    mems[m].0.relocate_page(pa, pb);
+                    mems[m].1[b as usize] = mems[m].1[a as usize].clone();
+                }
+                3 => {
+                    // Hand a checkpoint's buffer over, digest and all.
+                    let page: PageBuf = cps[c].0.read_page(pb).expect("page checkpoint").clone();
+                    mems[m].0.write_page_with_digest(pa, page, cps[c].0.digest(pb));
+                    mems[m].1[a as usize] = cps[c].1[b as usize].clone();
+                }
+                4 => {
+                    let copy = (mems[m].0.snapshot(), mems[m].1.clone());
+                    put(&mut mems, j, copy);
+                }
+                5 => {
+                    let cp = Checkpoint::capture_bytes(VmId::new(0), SimTime::EPOCH, &mems[m].0);
+                    let model = mems[m].1.clone();
+                    put(&mut cps, j, (cp, model));
+                }
+                6 => {
+                    let restored = cps[c].0.restore_byte_memory().expect("page checkpoint");
+                    let model = cps[c].1.clone();
+                    put(&mut mems, i, (restored, model));
+                }
+                _ => {
+                    // Migrate memory `m` onto checkpoint `c`'s host.
+                    let strategy = Strategy::vecycle_from_checkpoint(&cps[c].0);
+                    let (_, transcript) = engine.migrate_with_transcript(&mems[m].0, strategy).unwrap();
+                    let rebuilt = apply_transcript(&cps[c].0, &transcript).unwrap();
+                    let model = mems[m].1.clone();
+                    put(&mut mems, a as usize % 4, (rebuilt, model));
+                }
+            }
+            // Bytes of every image after every step, digests of the
+            // memory the step addressed; every image's once more below.
+            let checked = check_bytes(&mems, &cps).and_then(|()| check_digests(&mems[m].0, &mems[m].1));
+            if let Err(why) = checked {
+                proptest::prop_assert!(false, "after op {}: {}", op, why);
+            }
+        }
+        for (mem, model) in &mems {
+            proptest::prop_assert_eq!(check_digests(mem, model), Ok(()));
+        }
+        for (cp, model) in &cps {
+            let restored = cp.restore_byte_memory().expect("page checkpoint");
+            proptest::prop_assert_eq!(check_digests(&restored, model), Ok(()));
+        }
+    }
 }
