@@ -157,7 +157,7 @@ impl Checkpoint {
 
     /// The per-page digests, borrowed: the payload itself for a digest
     /// checkpoint, the (lazily filled) table for a full-byte one.
-    pub(crate) fn digest_table(&self) -> &[PageDigest] {
+    pub fn digest_table(&self) -> &[PageDigest] {
         match &self.data {
             CheckpointData::Digests(d) => d,
             CheckpointData::Pages(pages) => self.page_digests.get_or_init(|| {

@@ -1,8 +1,6 @@
 //! Checksum → page-offset indexes over a checkpoint (§3.3).
 
-use vecycle_types::{PageDigest, PageIndex};
-
-use crate::swiss::DigestTable;
+use vecycle_types::{DigestMap, PageDigest, PageIndex};
 
 /// Common interface of the checkpoint indexes.
 ///
@@ -21,11 +19,15 @@ pub trait PageLookup {
     fn distinct(&self) -> usize;
 }
 
-/// The paper's index: a sorted array searched with binary search.
+/// The paper's index: the checkpoint's distinct checksums as a sorted
+/// array, each with the offset of its first page.
 ///
 /// §3.3: "We currently keep the checksums and their offsets in a sorted
 /// list, such that we can use binary search to quickly find the offset
-/// for a given checksum."
+/// for a given checksum … more efficient data structures may be
+/// used." The sorted array is what the bulk pre-exchange sends; the
+/// per-message probe goes through a [`DigestMap`] instead of a binary
+/// search.
 ///
 /// # Examples
 ///
@@ -49,15 +51,12 @@ pub trait PageLookup {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChecksumIndex {
-    // Sorted by digest; for duplicate digests only the smallest offset
-    // is kept (any copy of the content serves a restore equally well).
-    // The sorted order is load-bearing: `digests()` feeds the bulk
+    // Distinct digests, sorted: the serialized order of the bulk
     // checksum pre-exchange.
-    entries: Vec<(PageDigest, PageIndex)>,
-    // Swiss-table accelerator over the same entries: per-message
-    // `lookup`/`contains` queries hit this in O(1) instead of a binary
-    // search over a cache-cold sorted array.
-    table: DigestTable<PageIndex>,
+    sorted: Vec<PageDigest>,
+    // Digest → first (smallest) offset carrying it; any copy of the
+    // content serves a restore equally well.
+    first: DigestMap<PageIndex>,
     total_pages: u64,
 }
 
@@ -65,21 +64,16 @@ impl ChecksumIndex {
     /// Builds the index from per-page digests in page order.
     pub fn build(digests: Vec<PageDigest>) -> Self {
         let total_pages = digests.len() as u64;
-        let mut entries: Vec<(PageDigest, PageIndex)> = digests
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| (d, PageIndex::new(i as u64)))
-            .collect();
-        // Sort by digest, then offset, so dedup keeps the first offset.
-        entries.sort_unstable();
-        entries.dedup_by_key(|(d, _)| *d);
-        let mut table = DigestTable::with_capacity(entries.len());
-        for &(d, i) in &entries {
-            table.insert(d, i);
+        let mut sorted = digests.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut first = DigestMap::with_capacity_and_hasher(sorted.len(), Default::default());
+        for (i, d) in digests.into_iter().enumerate() {
+            first.entry(d).or_insert(PageIndex::new(i as u64));
         }
         ChecksumIndex {
-            entries,
-            table,
+            sorted,
+            first,
             total_pages,
         }
     }
@@ -92,28 +86,28 @@ impl ChecksumIndex {
     /// All indexed digests in sorted order — what the destination sends
     /// to the source in the bulk checksum pre-exchange (§3.2).
     pub fn digests(&self) -> impl Iterator<Item = PageDigest> + '_ {
-        self.entries.iter().map(|(d, _)| *d)
+        self.sorted.iter().copied()
     }
 
     /// Wire size of the bulk checksum exchange: 16 bytes per distinct
     /// digest (the paper estimates 16 MiB for a 4 GiB VM with unique
     /// pages).
     pub fn wire_size(&self) -> vecycle_types::Bytes {
-        vecycle_types::Bytes::new(self.entries.len() as u64 * 16)
+        vecycle_types::Bytes::new(self.sorted.len() as u64 * 16)
     }
 }
 
 impl PageLookup for ChecksumIndex {
     fn contains(&self, digest: PageDigest) -> bool {
-        self.table.contains(digest)
+        self.first.contains_key(&digest)
     }
 
     fn lookup(&self, digest: PageDigest) -> Option<PageIndex> {
-        self.table.get(digest).copied()
+        self.first.get(&digest).copied()
     }
 
     fn distinct(&self) -> usize {
-        self.entries.len()
+        self.sorted.len()
     }
 }
 
@@ -177,20 +171,26 @@ mod tests {
             .collect()
     }
 
-    /// The swiss-table accelerator answers exactly what a binary search
-    /// over the sorted entries would, for hits and misses alike.
+    /// `lookup` answers the first occurrence a naive scan of the input
+    /// finds, for hits and misses alike.
     #[test]
-    fn table_lookup_agrees_with_binary_search() {
-        let index = ChecksumIndex::build(duplicate_heavy_workload());
-        for probe in 0..8_192u64 {
+    fn lookup_is_the_first_occurrence_a_naive_scan_finds() {
+        let pages = duplicate_heavy_workload();
+        let index = ChecksumIndex::build(pages.clone());
+        assert_eq!(index.total_pages(), pages.len() as u64);
+        for probe in (0..8_192u64).step_by(5) {
             let digest = d(probe);
-            let by_search = index
-                .entries
-                .binary_search_by_key(&digest, |(dg, _)| *dg)
-                .ok()
-                .map(|i| index.entries[i].1);
-            assert_eq!(index.lookup(digest), by_search, "probe {probe}");
-            assert_eq!(index.contains(digest), by_search.is_some(), "probe {probe}");
+            let by_scan = pages
+                .iter()
+                .position(|&dg| dg == digest)
+                .map(|i| PageIndex::new(i as u64));
+            assert_eq!(index.lookup(digest), by_scan, "probe {probe}");
+            assert_eq!(index.contains(digest), by_scan.is_some(), "probe {probe}");
         }
+        let mut distinct = pages;
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(index.distinct(), distinct.len());
+        assert_eq!(index.digests().collect::<Vec<_>>(), distinct);
     }
 }

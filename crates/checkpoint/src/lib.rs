@@ -22,22 +22,18 @@
 #![warn(missing_docs)]
 
 mod checkpoint;
-mod dedup;
 mod disk_store;
 mod index;
 mod lifecycle;
 mod obs;
 mod partial;
 mod store;
-mod swiss;
 mod wire;
 
 pub use checkpoint::{Checkpoint, CheckpointData};
-pub use dedup::DedupIndex;
 pub use disk_store::{DiskStore, ScrubOutcome};
 pub use index::{ChecksumIndex, PageLookup};
 pub use lifecycle::{EvictionPolicy, EvictionReason, EvictionRecord, GoneReason, SaveOutcome};
 pub use obs::{observe_index, observe_partial};
 pub use partial::PartialCheckpoint;
 pub use store::CheckpointStore;
-pub use swiss::DigestTable;

@@ -8,13 +8,13 @@
 //! what the observability layer sees. See [`crate::pipeline`] for the
 //! module map and the invariants.
 
-use vecycle_checkpoint::{DedupIndex, PageLookup};
+use vecycle_checkpoint::PageLookup;
 use vecycle_faults::AttemptFaults;
 use vecycle_host::{CpuSpec, DiskSpec};
 use vecycle_mem::{workload::GuestWorkload, Guest, MemoryImage, MutableMemory};
 use vecycle_net::LinkSpec;
 use vecycle_obs::MetricsRegistry;
-use vecycle_types::{PageCount, PageIndex, SimDuration};
+use vecycle_types::{DigestMap, PageCount, PageIndex, SimDuration};
 
 use crate::pipeline::rounds::{LiveOutcome, TransferLoop};
 use crate::pipeline::sink::{CountOnly, CutSink, MsgSink};
@@ -238,13 +238,7 @@ impl MigrationEngine {
         vm: &M,
         strategy: Strategy,
     ) -> vecycle_types::Result<MigrationReport> {
-        self.static_round(
-            "static",
-            vm,
-            &strategy,
-            &mut DedupIndex::new(),
-            &mut CountOnly,
-        )
+        self.static_round("static", vm, &strategy, &mut new_sent(), &mut CountOnly)
     }
 
     /// Like [`MigrationEngine::migrate`], but also records the message
@@ -260,13 +254,8 @@ impl MigrationEngine {
         strategy: Strategy,
     ) -> vecycle_types::Result<(MigrationReport, Transcript)> {
         let mut transcript = Transcript::new();
-        let report = self.static_round(
-            "static",
-            vm,
-            &strategy,
-            &mut DedupIndex::new(),
-            &mut transcript,
-        )?;
+        let report =
+            self.static_round("static", vm, &strategy, &mut new_sent(), &mut transcript)?;
         Ok((report, transcript))
     }
 
@@ -277,7 +266,7 @@ impl MigrationEngine {
         mode: &'static str,
         vm: &M,
         strategy: &Strategy,
-        sent: &mut DedupIndex,
+        sent: &mut DigestMap<PageIndex>,
         sink: &mut S,
     ) -> vecycle_types::Result<MigrationReport> {
         if vm.page_count() == PageCount::ZERO {
@@ -321,7 +310,7 @@ impl MigrationEngine {
                 ),
             });
         }
-        let mut sent = DedupIndex::new();
+        let mut sent = new_sent();
         vms.iter()
             .zip(strategies)
             .map(|(vm, strategy)| {
@@ -476,7 +465,7 @@ impl MigrationEngine {
         let mut tl = TransferLoop::start(self, "live", &strategy, guest.ram_size(), faults, sink);
 
         guest.dirty_mut().clear();
-        let mut sent = DedupIndex::new();
+        let mut sent = new_sent();
         if let Err(wreck) = tl.first_round(&*guest, &strategy, &mut sent) {
             return Ok(LiveOutcome::Aborted(wreck));
         }
@@ -539,4 +528,11 @@ fn completed(outcome: LiveOutcome) -> MigrationReport {
         LiveOutcome::Completed(report) => report,
         LiveOutcome::Aborted(_) => unreachable!("a fault-free attempt cannot abort"),
     }
+}
+
+/// An empty dedup cache: digest → first page that carried the content.
+/// Capacity 14 is `std`'s 16-bucket table, so a 32-page fleet guest
+/// grows it twice rather than five times from empty (DESIGN §13.2).
+fn new_sent() -> DigestMap<PageIndex> {
+    DigestMap::with_capacity_and_hasher(14, Default::default())
 }

@@ -23,12 +23,12 @@
 //! emission step, so no round is ever materialised before its first
 //! byte reaches the sink.
 
-use vecycle_checkpoint::{DedupIndex, PageLookup};
+use vecycle_checkpoint::PageLookup;
 use vecycle_faults::{AttemptFaults, FaultCause};
 use vecycle_mem::MemoryImage;
 use vecycle_net::{wire, LinkSpec, TrafficCategory, TrafficLedger};
 use vecycle_obs::SpanId;
-use vecycle_types::{Bytes, BytesPerSec, PageCount, PageDigest, PageIndex, SimDuration};
+use vecycle_types::{Bytes, BytesPerSec, DigestMap, PageCount, PageDigest, PageIndex, SimDuration};
 
 use super::sink::MsgSink;
 use crate::strategy::PageAction;
@@ -212,7 +212,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         &mut self,
         vm: &M,
         strategy: &Strategy,
-        sent: &mut DedupIndex,
+        sent: &mut DigestMap<PageIndex>,
         full_cost: Bytes,
     ) -> Scan {
         let zero_suppression = self.engine.zero_suppression;
@@ -238,7 +238,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                 // the 28-byte checksum message, and announces nothing.
                 _ if zero_suppression && digest.is_zero_page() => PageMsg::Zero { idx },
                 PageAction::SendFull => {
-                    sent.insert_first(digest, idx);
+                    sent.entry(digest).or_insert(idx);
                     // The message shares the guest's buffer; only a sink
                     // that reads the message is worth even the handle.
                     let bytes = if S::PER_MESSAGE && scan.alive {
@@ -249,7 +249,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                     PageMsg::Full { idx, digest, bytes }
                 }
                 PageAction::SendChecksum => {
-                    sent.insert_first(digest, idx);
+                    sent.entry(digest).or_insert(idx);
                     PageMsg::Checksum { idx, digest }
                 }
                 PageAction::SendDedupRef(source) => PageMsg::DedupRef { idx, source },
@@ -364,7 +364,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         &mut self,
         vm: &M,
         strategy: &Strategy,
-        sent: &mut DedupIndex,
+        sent: &mut DigestMap<PageIndex>,
     ) -> Result<(), AbortedTransfer> {
         let engine = self.engine;
         let link = engine.link_for_round(1, self.faults);
@@ -467,7 +467,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         vm: &M,
         dirty: &[PageIndex],
         strategy: &Strategy,
-        sent: &mut DedupIndex,
+        sent: &mut DigestMap<PageIndex>,
     ) -> Result<SimDuration, AbortedTransfer> {
         let engine = self.engine;
         let round_no = self.rounds.len() as u32 + 1;
@@ -476,7 +476,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         let (landed, alive) = self.emit_dirty(vm, dirty, page_msg, |idx, digest| {
             let action = strategy.classify_resend(digest, sent);
             if matches!(action, PageAction::SendFull | PageAction::SendChecksum) {
-                sent.insert_first(digest, idx);
+                sent.entry(digest).or_insert(idx);
             }
             action
         });

@@ -7,11 +7,10 @@ use std::collections::{HashMap, HashSet};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use vecycle_checkpoint::DedupIndex;
 use vecycle_faults::AttemptFaults;
 use vecycle_mem::{DigestMemory, GenerationTable, MemoryImage, MutableMemory, PageContent};
 use vecycle_net::LinkSpec;
-use vecycle_types::{Bytes, PageCount, PageDigest, PageIndex};
+use vecycle_types::{Bytes, DigestMap, PageCount, PageDigest, PageIndex};
 
 use super::{AbortedTransfer, TransferLoop};
 use crate::pipeline::sink::{CutSink, MsgSink};
@@ -34,7 +33,7 @@ fn first_round<M: MemoryImage, S: MsgSink>(
     engine: &MigrationEngine,
     vm: &M,
     strategy: &Strategy,
-    sent: &mut DedupIndex,
+    sent: &mut DigestMap<PageIndex>,
     sink: &mut S,
 ) -> Result<RoundReport, AbortedTransfer> {
     let faults = AttemptFaults::none();
@@ -89,10 +88,10 @@ proptest! {
         let strategy = if use_dedup { base.with_dedup() } else { base };
 
         // What an earlier gang VM left behind.
-        let mut sent = DedupIndex::new();
+        let mut sent = DigestMap::default();
         let mut model_sent: HashMap<PageDigest, PageIndex> = HashMap::new();
         for (i, &id) in prior_ids.iter().enumerate() {
-            sent.insert_first(digest(id), PageIndex::new(i as u64));
+            sent.entry(digest(id)).or_insert(PageIndex::new(i as u64));
             model_sent.entry(digest(id)).or_insert(PageIndex::new(i as u64));
         }
 
@@ -133,8 +132,8 @@ proptest! {
         prop_assert_eq!(round.zero_pages.as_u64(), count(|m| matches!(m, PageMsg::Zero { .. })));
         prop_assert_eq!(round.skipped_pages.as_u64(), skipped);
         prop_assert_eq!(sent.len(), model_sent.len());
-        for (digest, first) in sent.iter() {
-            prop_assert_eq!(model_sent.get(&digest), Some(&first));
+        for (digest, first) in &sent {
+            prop_assert_eq!(model_sent.get(digest), Some(first));
         }
     }
 }
@@ -145,8 +144,8 @@ proptest! {
 #[test]
 fn a_prior_sender_at_the_same_page_index_yields_a_dedup_ref() {
     let vm = image(&[7, 8]);
-    let mut sent = DedupIndex::new();
-    sent.insert_first(PageDigest::from_content_id(7), PageIndex::new(0));
+    let mut sent = DigestMap::default();
+    sent.insert(PageDigest::from_content_id(7), PageIndex::new(0));
     let mut transcript = Transcript::new();
     first_round(
         &MigrationEngine::new(LinkSpec::lan_gigabit()),
@@ -232,7 +231,7 @@ fn round_one_streams_and_reads_each_digest_once() {
         &engine,
         &vm,
         &Strategy::dedup(),
-        &mut DedupIndex::new(),
+        &mut DigestMap::default(),
         &mut probe,
     )
     .expect("the probe lands everything");
@@ -253,7 +252,7 @@ fn a_link_cut_stops_the_offering_but_not_the_classification() {
         &engine,
         &vm,
         &Strategy::full(),
-        &mut DedupIndex::new(),
+        &mut DigestMap::default(),
         &mut cut,
     )
     .expect_err("the cut must abort round 1");

@@ -3,9 +3,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use vecycle_checkpoint::{Checkpoint, ChecksumIndex, DedupIndex, PageLookup};
+use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PageLookup};
 use vecycle_mem::{GenerationSnapshot, GenerationTable, MemoryImage};
-use vecycle_types::{PageDigest, PageIndex};
+use vecycle_types::{DigestMap, PageDigest, PageIndex};
 
 /// Which technique a strategy implements, for reports and figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,7 +172,12 @@ impl Strategy {
     /// `sent` is the per-migration dedup cache: digest → first page index
     /// that carried this content. The caller inserts into it when this
     /// returns [`PageAction::SendFull`] or [`PageAction::SendChecksum`].
-    pub fn classify(&self, idx: PageIndex, digest: PageDigest, sent: &DedupIndex) -> PageAction {
+    pub fn classify(
+        &self,
+        idx: PageIndex,
+        digest: PageDigest,
+        sent: &DigestMap<PageIndex>,
+    ) -> PageAction {
         if let Some(reusable) = &self.reusable {
             if reusable.contains(&idx) {
                 return PageAction::Skip;
@@ -189,14 +194,14 @@ impl Strategy {
     /// still collapses the resend to a checksum message — the guest may
     /// have rewritten the page with content the destination's checkpoint
     /// already holds.
-    pub fn classify_resend(&self, digest: PageDigest, sent: &DedupIndex) -> PageAction {
+    pub fn classify_resend(&self, digest: PageDigest, sent: &DigestMap<PageIndex>) -> PageAction {
         if let Some(index) = &self.index {
             if index.contains(digest) {
                 return PageAction::SendChecksum;
             }
         }
         if self.dedup {
-            if let Some(first) = sent.get(digest) {
+            if let Some(&first) = sent.get(&digest) {
                 return PageAction::SendDedupRef(first);
             }
         }
@@ -217,7 +222,7 @@ mod tests {
     #[test]
     fn full_sends_everything() {
         let s = Strategy::full();
-        let sent = DedupIndex::new();
+        let sent = DigestMap::default();
         assert_eq!(
             s.classify(PageIndex::new(0), d(1), &sent),
             PageAction::SendFull
@@ -229,12 +234,12 @@ mod tests {
     #[test]
     fn dedup_references_repeats() {
         let s = Strategy::dedup();
-        let mut sent = DedupIndex::new();
+        let mut sent = DigestMap::default();
         assert_eq!(
             s.classify(PageIndex::new(0), d(1), &sent),
             PageAction::SendFull
         );
-        sent.insert_first(d(1), PageIndex::new(0));
+        sent.insert(d(1), PageIndex::new(0));
         assert_eq!(
             s.classify(PageIndex::new(5), d(1), &sent),
             PageAction::SendDedupRef(PageIndex::new(0))
@@ -245,7 +250,7 @@ mod tests {
     fn vecycle_sends_checksums_for_known_content() {
         let cp = DigestMemory::with_distinct_content(PageCount::new(4), 1);
         let s = Strategy::vecycle(&cp);
-        let sent = DedupIndex::new();
+        let sent = DigestMap::default();
         let known = cp.page_digest(PageIndex::new(2));
         assert_eq!(
             s.classify(PageIndex::new(9), known, &sent),
@@ -264,9 +269,9 @@ mod tests {
         let cp = DigestMemory::with_distinct_content(PageCount::new(4), 1);
         let s = Strategy::vecycle(&cp).with_dedup();
         assert_eq!(s.name(), StrategyName::VeCycleDedup);
-        let mut sent = DedupIndex::new();
+        let mut sent = DigestMap::default();
         let known = cp.page_digest(PageIndex::new(0));
-        sent.insert_first(known, PageIndex::new(3));
+        sent.insert(known, PageIndex::new(3));
         // Checkpoint hit wins: a checksum message is the cheapest option
         // and the destination's copy is already in place.
         assert_eq!(
@@ -274,7 +279,7 @@ mod tests {
             PageAction::SendChecksum
         );
         // Novel-but-repeated content becomes a dedup ref.
-        sent.insert_first(d(42), PageIndex::new(1));
+        sent.insert(d(42), PageIndex::new(1));
         assert_eq!(
             s.classify(PageIndex::new(8), d(42), &sent),
             PageAction::SendDedupRef(PageIndex::new(1))
@@ -287,7 +292,7 @@ mod tests {
         let snap = table.snapshot();
         table.bump(PageIndex::new(1));
         let s = Strategy::miyakodori(&table, &snap);
-        let sent = DedupIndex::new();
+        let sent = DigestMap::default();
         assert_eq!(s.classify(PageIndex::new(0), d(1), &sent), PageAction::Skip);
         assert_eq!(
             s.classify(PageIndex::new(1), d(2), &sent),
@@ -302,7 +307,7 @@ mod tests {
         let snap = table.snapshot();
         table.bump(PageIndex::new(1));
         let s = Strategy::miyakodori(&table, &snap);
-        let mut sent = DedupIndex::new();
+        let mut sent = DigestMap::default();
         // Page 0 is in the reusable set, but a *resend* of it must not be
         // skipped — it was dirtied after the first round.
         assert_eq!(s.classify_resend(d(9), &sent), PageAction::SendFull);
@@ -311,7 +316,7 @@ mod tests {
         let v = Strategy::vecycle(&cp).with_dedup();
         let known = cp.page_digest(PageIndex::new(2));
         assert_eq!(v.classify_resend(known, &sent), PageAction::SendChecksum);
-        sent.insert_first(d(5), PageIndex::new(0));
+        sent.insert(d(5), PageIndex::new(0));
         assert_eq!(
             v.classify_resend(d(5), &sent),
             PageAction::SendDedupRef(PageIndex::new(0))

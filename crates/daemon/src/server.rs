@@ -22,7 +22,7 @@
 //! jobs stay terminal. Kill a `vecycled` at any instant and restart it
 //! on the same journal — no job is lost and none completes twice.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -124,6 +124,10 @@ impl DaemonConfig {
     }
 }
 
+/// Lines the in-memory prose journal keeps; older ones fall off, so a
+/// long-lived daemon's log does not grow with its session count.
+const JOURNAL_LINES: usize = 1024;
+
 /// Shared daemon state: the queue, the per-host lock table, metrics,
 /// the in-memory log, the WAL and the partial-state map.
 pub(crate) struct DaemonState {
@@ -131,8 +135,8 @@ pub(crate) struct DaemonState {
     pub locks: HostLocks,
     pub metrics: MetricsRegistry,
     /// Human-readable session/job log (the `journal()` API); distinct
-    /// from the durable WAL.
-    pub log: Mutex<Vec<String>>,
+    /// from the durable WAL. A ring: the newest `JOURNAL_LINES` stay.
+    pub log: Mutex<VecDeque<String>>,
     /// The write-ahead job journal, when `journal_dir` is configured.
     pub wal: Option<Journal>,
     /// Destination-side partial states by `(job, spec fingerprint)` —
@@ -147,7 +151,11 @@ pub(crate) struct DaemonState {
 
 impl DaemonState {
     pub(crate) fn journal_push(&self, line: String) {
-        sync::lock(&self.log).push(line);
+        let mut log = sync::lock(&self.log);
+        if log.len() == JOURNAL_LINES {
+            log.pop_front();
+        }
+        log.push_back(line);
     }
 
     /// Appends a WAL record durably, if the daemon is journal-backed.
@@ -202,7 +210,7 @@ impl Daemon {
         let endpoint = listener.local_endpoint()?;
 
         let metrics = MetricsRegistry::new();
-        let mut log = Vec::new();
+        let mut log = VecDeque::new();
         let (wal, queue) = match &config.journal_dir {
             Some(dir) => {
                 let (journal, replay) = Journal::open(dir)?;
@@ -219,7 +227,7 @@ impl Daemon {
                 );
                 metrics.inc("daemon_recovery_torn_bytes_total", &[], stats.torn_bytes);
                 if stats.replayed > 0 || stats.torn_bytes > 0 {
-                    log.push(format!(
+                    log.push_back(format!(
                         "recovery: replayed {} records ({} requeued, {} resumed, \
                          {} terminal, {} unrecoverable, {} torn bytes)",
                         stats.replayed,
@@ -344,9 +352,10 @@ impl DaemonHandle {
     }
 
     /// The daemon's in-memory log: one line per session and job
-    /// transition (distinct from the durable WAL).
+    /// transition, the newest `JOURNAL_LINES` of them, oldest first
+    /// (distinct from the durable WAL).
     pub fn journal(&self) -> Vec<String> {
-        sync::lock(&self.state.log).clone()
+        sync::lock(&self.state.log).iter().cloned().collect()
     }
 
     /// The on-disk WAL path, when the daemon is journal-backed.
@@ -633,6 +642,20 @@ mod tests {
                 "{transport}: shutdown of an idle daemon took {took:?}"
             );
         }
+    }
+
+    #[test]
+    fn the_journal_keeps_only_its_newest_lines_in_order() {
+        let daemon =
+            Daemon::spawn(DaemonConfig::new(Endpoint::Tcp("127.0.0.1:0".into()))).expect("binds");
+        for i in 0..2 * JOURNAL_LINES {
+            daemon.state.journal_push(format!("line {i}"));
+        }
+        let newest: Vec<String> = (JOURNAL_LINES..2 * JOURNAL_LINES)
+            .map(|i| format!("line {i}"))
+            .collect();
+        assert_eq!(daemon.journal(), newest);
+        daemon.shutdown();
     }
 
     #[test]

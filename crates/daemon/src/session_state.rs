@@ -144,9 +144,9 @@ impl SessionState {
         self.mem[idx as usize] = digest;
         self.landed[idx as usize] = true;
         // First-wins per page index — mirrors the engine's
-        // `DedupIndex::insert_first`: a back-reference means "the
-        // content page `source` carried when it was first sent", even
-        // if a later round rewrote that page.
+        // `sent.entry(digest).or_insert(idx)`: a back-reference means
+        // "the content page `source` carried when it was first sent",
+        // even if a later round rewrote that page.
         self.anchors[idx as usize].get_or_insert(digest);
         Ok(())
     }

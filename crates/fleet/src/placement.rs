@@ -9,11 +9,9 @@
 //! 4 KiB payloads ("Simple Destination-Swap Strategies" in PAPERS.md
 //! is the where-to-migrate axis this implements).
 
-use std::collections::HashSet;
-
 use vecycle_host::Cluster;
 use vecycle_mem::MemoryImage;
-use vecycle_types::{HostId, SimTime};
+use vecycle_types::{DigestSet, HostId, SimTime};
 
 use crate::rng::Xorshift;
 use crate::vms::FleetVm;
@@ -122,7 +120,7 @@ pub(crate) fn choose(
                 if cp.page_count() != guest.page_count() {
                     continue;
                 }
-                let stored: HashSet<_> = cp.digests().into_iter().collect();
+                let stored: DigestSet = cp.digest_table().iter().copied().collect();
                 let overlap = guest
                     .as_slice()
                     .iter()

@@ -1,6 +1,5 @@
 //! [`Fingerprint`]: one timestamped digest-per-page observation.
 
-use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use vecycle_types::{PageCount, PageDigest, Ratio, SimTime};
@@ -108,8 +107,8 @@ impl Fingerprint {
     /// The set of digests present in `other` but absent from `self` —
     /// what a checkpoint of `self` cannot supply.
     pub fn novel_unique_in(&self, other: &Fingerprint) -> PageCount {
-        let ua: HashSet<&PageDigest> = self.unique().iter().collect();
-        let novel = other.unique().iter().filter(|d| !ua.contains(d)).count();
+        let ub = other.unique();
+        let novel = ub.len() - sorted_intersection_len(self.unique(), ub);
         PageCount::new(novel as u64)
     }
 

@@ -1,6 +1,8 @@
 //! The [`PageDigest`] content fingerprint type.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -21,10 +23,61 @@ use serde::{Deserialize, Serialize};
 /// assert!(!d.is_zero_page());
 /// assert!(PageDigest::ZERO_PAGE.is_zero_page());
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PageDigest([u8; 16]);
+
+/// A digest is already a hash: it feeds a hasher its [`short_key`] as
+/// one `u64` and nothing else. Equality stays the full 16 bytes.
+///
+/// [`short_key`]: PageDigest::short_key
+impl Hash for PageDigest {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.short_key());
+    }
+}
+
+/// The pass-through hasher behind [`DigestMap`] and [`DigestSet`]: the
+/// `u64` a [`PageDigest`] writes *is* the hash. It has no per-process
+/// seed, so a map's iteration order is a function of its contents.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    // No digest takes this path; it is total so that any key type does.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `std`'s hash map keyed by digest, with the hash function switched
+/// off. Start one with `DigestMap::default()` or
+/// `DigestMap::with_capacity_and_hasher(n, Default::default())`.
+///
+/// # Examples
+///
+/// ```
+/// use vecycle_types::{DigestMap, PageDigest, PageIndex};
+///
+/// let mut sent: DigestMap<PageIndex> = DigestMap::default();
+/// let d = PageDigest::from_content_id(7);
+/// // First sender wins.
+/// assert_eq!(*sent.entry(d).or_insert(PageIndex::new(3)), PageIndex::new(3));
+/// assert_eq!(*sent.entry(d).or_insert(PageIndex::new(9)), PageIndex::new(3));
+/// ```
+pub type DigestMap<V> = HashMap<PageDigest, V, BuildHasherDefault<DigestHasher>>;
+
+/// The set form of [`DigestMap`].
+pub type DigestSet = HashSet<PageDigest, BuildHasherDefault<DigestHasher>>;
 
 impl PageDigest {
     /// Number of bytes in a digest (MD5-sized).
@@ -151,6 +204,7 @@ impl AsRef<[u8]> for PageDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn hex_round_trip() {
@@ -202,5 +256,106 @@ mod tests {
     fn short_key_is_stable() {
         let d = PageDigest::from_content_id(99);
         assert_eq!(d.short_key(), d.short_key());
+    }
+
+    /// Records every call a `Hash` impl makes.
+    #[derive(Default)]
+    struct Recorder(Vec<String>);
+
+    impl Hasher for Recorder {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.push(format!("write({} bytes)", bytes.len()));
+        }
+        fn write_u64(&mut self, key: u64) {
+            self.0.push(format!("write_u64({key:#x})"));
+        }
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn hash_issues_one_write_u64_and_nothing_else() {
+        for d in [PageDigest::ZERO_PAGE, PageDigest::from_content_id(99)] {
+            let mut rec = Recorder::default();
+            d.hash(&mut rec);
+            assert_eq!(rec.0, [format!("write_u64({:#x})", d.short_key())]);
+        }
+    }
+
+    #[test]
+    fn digest_hasher_passes_a_u64_through_and_folds_bytes() {
+        let mut h = DigestHasher::default();
+        PageDigest::from_content_id(5).hash(&mut h);
+        assert_eq!(h.finish(), PageDigest::from_content_id(5).short_key());
+        // The byte-wise path is total and order-sensitive.
+        let fold = |bytes: &[u8]| {
+            let mut h = DigestHasher::default();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_eq!(fold(&[]), 0);
+        assert_ne!(fold(b"ab"), fold(b"ba"));
+        assert_eq!(fold(&[1; 9]), 0x0101_0101_0101_0100);
+    }
+
+    fn d(id: u64) -> PageDigest {
+        PageDigest::from_content_id(id)
+    }
+
+    /// Differential model: a scripted mix of insert / first-insert-wins
+    /// / get tracks an ordered map exactly, from an empty map through
+    /// several resizes, with the zero-page sentinel among the keys.
+    #[test]
+    fn digest_map_matches_btreemap_model() {
+        let mut map: DigestMap<u64> = DigestMap::default();
+        let mut model: BTreeMap<PageDigest, u64> = BTreeMap::new();
+        let mut state = 0x243f_6a88_85a3_08d3u64;
+        for step in 0..30_000u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let key = d((state >> 20) % 4_096); // heavy duplication, includes 0
+            match state >> 62 {
+                0 => assert_eq!(
+                    map.insert(key, step),
+                    model.insert(key, step),
+                    "step {step}"
+                ),
+                1 => {
+                    let got = *map.entry(key).or_insert(step);
+                    assert_eq!(got, *model.entry(key).or_insert(step), "step {step}");
+                }
+                _ => assert_eq!(map.get(&key), model.get(&key), "step {step}"),
+            }
+            assert_eq!(map.len(), model.len(), "step {step}");
+        }
+        assert!(model.contains_key(&PageDigest::ZERO_PAGE) && model.len() > 3_000);
+        let mut entries: Vec<_> = map.into_iter().collect();
+        entries.sort_unstable();
+        assert_eq!(entries, model.into_iter().collect::<Vec<_>>());
+    }
+
+    /// Keys with identical leading 8 bytes hash alike and stay distinct.
+    #[test]
+    fn colliding_short_keys_disambiguate_by_full_compare() {
+        let keys: Vec<PageDigest> = (0..40u8)
+            .map(|i| {
+                let mut bytes = [0xabu8; 16];
+                bytes[15] = i;
+                PageDigest::new(bytes)
+            })
+            .collect();
+        assert!(keys.iter().all(|k| k.short_key() == keys[0].short_key()));
+        let mut map: DigestMap<usize> = DigestMap::default();
+        let mut set = DigestSet::default();
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(map.insert(k, i), None);
+            assert!(set.insert(k));
+        }
+        assert_eq!((map.len(), set.len()), (keys.len(), keys.len()));
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(map.get(k), Some(&i), "collider {i}");
+        }
     }
 }

@@ -28,7 +28,7 @@ mod ids;
 mod time;
 mod units;
 
-pub use digest::PageDigest;
+pub use digest::{DigestHasher, DigestMap, DigestSet, PageDigest};
 pub use error::{Error, Result};
 pub use ids::{HostId, MachineId, PageIndex, VmId};
 pub use time::{SimDuration, SimTime};

@@ -16,7 +16,7 @@
 #     unsafe in the hash kernel" is a gate, not a comment.
 set -euo pipefail
 
-BUDGET=43537
+BUDGET=43112
 CAP=800
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
