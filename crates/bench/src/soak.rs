@@ -154,7 +154,7 @@ fn direction_total(snap: &MetricsSnapshot, name: &str, direction: &str) -> u64 {
 /// one — real on-disk rot for the restart scrub to find. Returns whether
 /// a file was rotted.
 fn rot_checkpoint_file(host: &Host, vm: VmId) -> vecycle_types::Result<bool> {
-    let Some(ds) = host.disk_store() else {
+    let Some(ds) = host.store().disk() else {
         return Ok(false);
     };
     let path = ds.root().join(format!("vm-{}.ckpt", vm.as_u32()));
@@ -471,12 +471,10 @@ fn check_cluster_invariants(
                 opts.quota
             ));
         }
-        let mut catalog = store.vm_ids();
-        catalog.sort();
-        if let Some(ds) = host.disk_store() {
-            match ds.vm_ids() {
-                Ok(mut on_disk) => {
-                    on_disk.sort();
+        let catalog = store.vm_ids();
+        if let Some(ds) = store.disk() {
+            match ds.list() {
+                Ok(on_disk) => {
                     if on_disk != catalog {
                         violations.push(format!(
                             "leg {leg}: {} disk files {:?} != catalog {:?}",

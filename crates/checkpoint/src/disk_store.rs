@@ -1,38 +1,16 @@
 //! [`DiskStore`]: checkpoints persisted as real files.
 //!
-//! The in-memory [`crate::CheckpointStore`] models a host inside the
-//! simulator; this store actually writes the §3 checkpoint files to a
-//! directory — what a deployment would do — using the corruption-checked
-//! wire format. Loads that fail validation report [`Error::Corrupt`] so
-//! callers can fall back to a full migration instead of restoring
-//! garbage.
+//! A directory of §3 checkpoint files in the corruption-checked wire
+//! format, and nothing more: which files should exist is decided by the
+//! [`CheckpointStore`](crate::CheckpointStore) this store mirrors. Loads
+//! that fail validation report [`Error::Corrupt`] so callers can fall
+//! back to a full migration instead of restoring garbage.
 
 use std::path::{Path, PathBuf};
 
 use vecycle_types::{Error, VmId};
 
 use crate::{wire, Checkpoint};
-
-/// What a [`DiskStore::scrub`] pass found: the checkpoints that passed
-/// re-verification and the VMs whose files were quarantined.
-#[derive(Debug, Default)]
-pub struct ScrubOutcome {
-    /// Checkpoints that re-verified clean, in VM-id order.
-    pub clean: Vec<Checkpoint>,
-    /// VMs whose files failed validation and were deleted.
-    pub quarantined: Vec<VmId>,
-    /// Estimated pages across quarantined files (from each file's length
-    /// and the layout its header declares — the corrupt payload itself
-    /// is untrustworthy).
-    pub corrupt_pages: u64,
-}
-
-impl ScrubOutcome {
-    /// Pages across the checkpoints that re-verified clean.
-    pub fn clean_pages(&self) -> u64 {
-        self.clean.iter().map(|c| c.page_count().as_u64()).sum()
-    }
-}
 
 /// A directory of checkpoint files, one per VM.
 ///
@@ -170,65 +148,24 @@ impl DiskStore {
         Ok(Some(cp))
     }
 
-    /// Removes the checkpoint for `vm`. Removing a missing checkpoint is
-    /// not an error.
+    /// Removes the checkpoint for `vm`, returning whether there was a
+    /// file to remove. Removing a missing checkpoint is not an error.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors other than "not found".
-    pub fn remove(&self, vm: VmId) -> vecycle_types::Result<()> {
+    pub fn remove(&self, vm: VmId) -> vecycle_types::Result<bool> {
         match std::fs::remove_file(self.path_for(vm)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Ok(()) => Ok(true),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e.into()),
         }
-    }
-
-    /// The VMs with a stored checkpoint file, in id order — the on-disk
-    /// catalog, for comparison against
-    /// [`CheckpointStore::vm_ids`](crate::CheckpointStore::vm_ids).
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-read errors.
-    pub fn vm_ids(&self) -> vecycle_types::Result<Vec<VmId>> {
-        self.list()
-    }
-
-    /// Re-verifies every checkpoint file (trailer, and each page of a
-    /// page file against its digest) — what a host runs after restarting
-    /// from a crash, when it can no longer trust that disk matches memory.
-    ///
-    /// Files that fail validation are *quarantined*: deleted from disk
-    /// (never restored from) and reported in
-    /// [`ScrubOutcome::quarantined`]. Clean checkpoints are returned in
-    /// VM-id order so the caller can re-warm an in-memory catalog.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors other than validation failures
-    /// (those are quarantines, not errors).
-    pub fn scrub(&self) -> vecycle_types::Result<ScrubOutcome> {
-        let mut outcome = ScrubOutcome::default();
-        for vm in self.list()? {
-            match self.load(vm) {
-                Ok(Some(cp)) => outcome.clean.push(cp),
-                Ok(None) => {} // raced away; nothing to verify
-                Err(Error::Corrupt { .. }) => {
-                    outcome.corrupt_pages += self.estimated_pages(vm);
-                    self.remove(vm)?;
-                    outcome.quarantined.push(vm);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(outcome)
     }
 
     /// Estimates the pages of a file that failed validation from its
     /// length and the layout its header declares — the payload itself is
     /// untrustworthy. Unreadable files count as empty.
-    fn estimated_pages(&self, vm: VmId) -> u64 {
+    pub(crate) fn estimated_pages(&self, vm: VmId) -> u64 {
         use std::io::Read;
         let mut head = Vec::with_capacity(wire::LAYOUT_PREFIX);
         let Ok(file) = std::fs::File::open(self.path_for(vm)) else {
@@ -241,7 +178,9 @@ impl DiskStore {
         wire::estimated_pages(&head, len)
     }
 
-    /// Lists the VMs with a stored checkpoint file.
+    /// The VMs with a stored checkpoint file, in id order — the on-disk
+    /// catalog, for comparison against
+    /// [`CheckpointStore::vm_ids`](crate::CheckpointStore::vm_ids).
     ///
     /// # Errors
     ///
@@ -290,9 +229,9 @@ mod tests {
         store.save(&cp(1, 10)).unwrap();
         let loaded = store.load(VmId::new(1)).unwrap().unwrap();
         assert_eq!(loaded, cp(1, 10));
-        store.remove(VmId::new(1)).unwrap();
+        assert!(store.remove(VmId::new(1)).unwrap());
         assert!(store.load(VmId::new(1)).unwrap().is_none());
-        store.remove(VmId::new(1)).unwrap(); // idempotent
+        assert!(!store.remove(VmId::new(1)).unwrap()); // idempotent
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -378,71 +317,6 @@ mod tests {
             store.list().unwrap(),
             vec![VmId::new(2), VmId::new(7), VmId::new(9)]
         );
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn scrub_quarantines_corrupt_keeps_clean() {
-        let dir = tmpdir("scrub");
-        let store = DiskStore::open(&dir).unwrap();
-        store.save(&cp(1, 10)).unwrap();
-        store.save(&cp(2, 20)).unwrap();
-        store.save(&cp(3, 30)).unwrap();
-        // Rot vm-2's file.
-        let path = dir.join("vm-2.ckpt");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, bytes).unwrap();
-
-        let outcome = store.scrub().unwrap();
-        assert_eq!(outcome.quarantined, vec![VmId::new(2)]);
-        assert_eq!(outcome.clean.len(), 2);
-        assert_eq!(outcome.clean_pages(), 32);
-        // corrupt_pages is estimated from the file length.
-        assert_eq!(outcome.corrupt_pages, 16);
-        // The quarantined file is gone; clean ones survive.
-        assert_eq!(store.vm_ids().unwrap(), vec![VmId::new(1), VmId::new(3)]);
-        // A second scrub finds nothing to quarantine.
-        let again = store.scrub().unwrap();
-        assert!(again.quarantined.is_empty());
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    /// A quarantined file is counted by the layout its header declares:
-    /// a page file is not mistaken for 257 digests a page.
-    #[test]
-    fn scrub_counts_corrupt_page_files_by_their_layout() {
-        use vecycle_mem::ByteMemory;
-        let dir = tmpdir("scrub-pages");
-        let store = DiskStore::open(&dir).unwrap();
-        let mem = ByteMemory::with_distinct_content(PageCount::new(4), 9);
-        store
-            .save(&Checkpoint::capture_bytes(
-                VmId::new(1),
-                SimTime::EPOCH,
-                &mem,
-            ))
-            .unwrap();
-        store.save(&cp(2, 20)).unwrap();
-        // The 8-page file a previous release wrote for vm 7.
-        let v1 = include_bytes!("../../../tests/fixtures/vm-pages-v1.ckpt");
-        std::fs::write(dir.join("vm-7.ckpt"), v1).unwrap();
-        assert_eq!(store.scrub().unwrap().clean_pages(), 4 + 16 + 8);
-
-        for vm in [1, 2, 7] {
-            let path = dir.join(format!("vm-{vm}.ckpt"));
-            let mut bytes = std::fs::read(&path).unwrap();
-            let last_payload_byte = bytes.len() - 9;
-            bytes[last_payload_byte] ^= 0x01;
-            std::fs::write(&path, bytes).unwrap();
-        }
-        let outcome = store.scrub().unwrap();
-        assert_eq!(
-            outcome.quarantined,
-            vec![VmId::new(1), VmId::new(2), VmId::new(7)]
-        );
-        assert_eq!(outcome.corrupt_pages, 4 + 16 + 8);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

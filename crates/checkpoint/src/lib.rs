@@ -16,7 +16,8 @@
 //!   ("we currently keep the checksums and their offsets in a sorted
 //!   list, such that we can use binary search");
 //! * [`CheckpointStore`] — the per-host store that keeps the most recent
-//!   checkpoint per VM.
+//!   checkpoint per VM, in memory and (through a [`DiskStore`] mirror) as
+//!   files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,9 +32,12 @@ mod store;
 mod wire;
 
 pub use checkpoint::{Checkpoint, CheckpointData};
-pub use disk_store::{DiskStore, ScrubOutcome};
+pub use disk_store::DiskStore;
 pub use index::{ChecksumIndex, PageLookup};
-pub use lifecycle::{EvictionPolicy, EvictionReason, EvictionRecord, GoneReason, SaveOutcome};
+pub use lifecycle::{
+    CheckpointFetch, EvictionPolicy, EvictionReason, EvictionRecord, GoneReason, SaveOutcome,
+    ScrubReport,
+};
 pub use obs::{observe_index, observe_partial};
 pub use partial::PartialCheckpoint;
 pub use store::CheckpointStore;

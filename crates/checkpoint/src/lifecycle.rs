@@ -1,5 +1,5 @@
 //! Checkpoint lifecycle vocabulary: eviction policies, eviction
-//! records, and tombstones.
+//! records, tombstones, and what a fetch or a restart found.
 //!
 //! "Local storage is cheap" (§2) but not infinite: once a host carries
 //! a byte budget, every save becomes an admission decision and *which*
@@ -14,7 +14,11 @@
 //! store contents and simulated time, never on wall clock or map
 //! iteration order.
 
-use vecycle_types::{Bytes, SimDuration, SimTime, VmId};
+use std::sync::Arc;
+
+use vecycle_types::{SimDuration, SimTime, VmId};
+
+use crate::Checkpoint;
 
 /// How a [`CheckpointStore`](crate::CheckpointStore) picks eviction
 /// victims when a save pushes it over its byte quota.
@@ -78,7 +82,7 @@ impl std::fmt::Display for EvictionPolicy {
 /// Why a checkpoint left the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvictionReason {
-    /// Pushed out of the per-VM version history by a newer save.
+    /// Replaced by a newer save of the same VM.
     Version,
     /// Evicted to bring the store back under its byte quota.
     Quota,
@@ -95,22 +99,19 @@ impl EvictionReason {
     }
 }
 
-/// One checkpoint evicted during a save — enough for the host layer to
-/// mirror the eviction to disk and for the session to narrate it.
+/// One checkpoint evicted during a save — enough for the session to
+/// narrate it. A [`Quota`](EvictionReason::Quota) record means the VM
+/// has no checkpoint left (file deleted, tombstone set); a
+/// [`Version`](EvictionReason::Version) record means a newer one took
+/// its place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvictionRecord {
     /// The VM whose checkpoint was evicted.
     pub vm: VmId,
     /// When the evicted checkpoint was captured.
     pub taken_at: SimTime,
-    /// Bytes freed.
-    pub size: Bytes,
     /// Why it was evicted.
     pub reason: EvictionReason,
-    /// True when this was the VM's last stored version — the host must
-    /// delete the VM's disk file, and the store leaves an
-    /// [`Evicted`](GoneReason::Evicted) tombstone.
-    pub last_version: bool,
 }
 
 /// Why a VM has *no* checkpoint where one used to be. Distinguishes "we
@@ -140,24 +141,59 @@ impl GoneReason {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SaveOutcome {
     /// False when the checkpoint alone exceeds the quota and admission
-    /// refused it outright (nothing was evicted for a refused save).
+    /// refused it outright. A refused save evicts nothing (the
+    /// `Default`); a refused *re-admission* from the mirror evicts the
+    /// file it came from.
     pub stored: bool,
     /// Checkpoints evicted by this save, in eviction order.
     pub evicted: Vec<EvictionRecord>,
 }
 
-impl SaveOutcome {
-    /// A refused admission: nothing stored, nothing evicted.
-    pub fn refused() -> SaveOutcome {
-        SaveOutcome {
-            stored: false,
-            evicted: Vec::new(),
+/// What [`CheckpointStore::fetch`](crate::CheckpointStore::fetch) found
+/// when a migration went looking for a recyclable checkpoint.
+#[derive(Debug, Clone)]
+pub enum CheckpointFetch {
+    /// A validated checkpoint, from the warm catalog or read back from
+    /// the mirror.
+    Usable(Arc<Checkpoint>),
+    /// No checkpoint anywhere: first visit (or it was discarded).
+    Missing,
+    /// The file existed but failed validation and was deleted.
+    Corrupt,
+    /// The checkpoint this VM left behind is gone and its tombstone says
+    /// why: evicted under disk pressure (recycling *would* have
+    /// applied), or rotted on disk and quarantined by a restart's scrub.
+    Gone(GoneReason),
+}
+
+impl CheckpointFetch {
+    /// Stable label for `session_checkpoint_fetch_total{result=…}`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            CheckpointFetch::Usable(_) => "hit",
+            CheckpointFetch::Missing => "miss",
+            CheckpointFetch::Corrupt => "corrupt",
+            CheckpointFetch::Gone(why) => why.label(),
         }
     }
+}
 
-    /// VMs whose *last* version this save evicted — the set whose disk
-    /// files must be removed to keep disk ≡ catalog.
-    pub fn fully_evicted_vms(&self) -> impl Iterator<Item = VmId> + '_ {
-        self.evicted.iter().filter(|r| r.last_version).map(|r| r.vm)
-    }
+/// What [`CheckpointStore::restart`](crate::CheckpointStore::restart)
+/// found while scrubbing the mirror and re-warming the catalog from it.
+#[derive(Debug, Default)]
+pub struct ScrubReport {
+    /// Checkpoints that re-verified clean.
+    pub verified: u64,
+    /// Pages across the clean checkpoints.
+    pub clean_pages: u64,
+    /// VMs whose files failed validation and were quarantined (file
+    /// deleted, tombstone left), in id order.
+    pub quarantined: Vec<VmId>,
+    /// Estimated pages across the quarantined files (from each file's
+    /// length and the layout its header declares — the corrupt payload
+    /// itself is untrustworthy).
+    pub corrupt_pages: u64,
+    /// Checkpoints the re-warm evicted: the quota also applies when
+    /// reloading from disk.
+    pub evicted: Vec<EvictionRecord>,
 }

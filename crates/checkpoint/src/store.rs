@@ -1,32 +1,38 @@
-//! [`CheckpointStore`]: the per-host checkpoint collection.
+//! [`CheckpointStore`]: the checkpoints one host keeps, and the one
+//! place that keeps their files and their catalog in step.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use vecycle_types::{Bytes, SimTime, VmId};
+use vecycle_types::{Bytes, Error, SimTime, VmId};
 
-use crate::lifecycle::{EvictionPolicy, EvictionReason, EvictionRecord, GoneReason, SaveOutcome};
-use crate::Checkpoint;
+use crate::lifecycle::{
+    CheckpointFetch, EvictionPolicy, EvictionReason, EvictionRecord, GoneReason, SaveOutcome,
+    ScrubReport,
+};
+use crate::{Checkpoint, DiskStore};
 
-/// The checkpoints a host keeps on its local disk.
+/// The checkpoints a host keeps on its local disk: one per VM, replaced
+/// on every outgoing migration of that VM (§3 of the paper).
 ///
-/// The paper's scheme stores one checkpoint per VM per visited host and
-/// replaces it on every outgoing migration; we additionally keep a small
-/// version history (newest first) with byte-budget eviction, since "local
-/// storage is cheap" but not infinite. An optional byte quota turns every
-/// save into an admission decision: victims are chosen by a deterministic
-/// [`EvictionPolicy`] and reported back so the host layer can mirror the
-/// eviction to its [`DiskStore`](crate::DiskStore).
+/// "Local storage is cheap" but not infinite: an optional byte quota
+/// turns every save into an admission decision, with victims chosen by a
+/// deterministic [`EvictionPolicy`]. A VM whose checkpoint was evicted
+/// (or quarantined by a restart's scrub) leaves a [`GoneReason`]
+/// tombstone, so a later migration can tell "never had one" from "had
+/// one and lost it" and degrade with the right cause.
 ///
-/// A VM whose last checkpoint was evicted (or quarantined by a scrub
-/// pass) leaves a [`GoneReason`] tombstone, so a later migration can tell
-/// "never had one" from "had one and lost it" and degrade with the right
-/// cause.
+/// The catalog lives in memory; an optional [`DiskStore`] mirror
+/// ([`CheckpointStore::with_disk`]) holds the files. Every path that
+/// changes one changes the other here — [`save`](CheckpointStore::save),
+/// [`fetch`](CheckpointStore::fetch), [`discard`](CheckpointStore::discard)
+/// and [`restart`](CheckpointStore::restart) — so after each of them the
+/// set of `vm-<id>.ckpt` files equals [`vm_ids`](CheckpointStore::vm_ids).
 ///
-/// The store is internally synchronized — hosts are shared between the
-/// scenario driver and the migration engine.
+/// The catalog is internally synchronized — hosts are shared between
+/// the scenario driver and the migration engine.
 ///
 /// # Examples
 ///
@@ -35,16 +41,20 @@ use crate::Checkpoint;
 /// use vecycle_mem::DigestMemory;
 /// use vecycle_types::{PageCount, SimTime, VmId};
 ///
+/// # fn main() -> vecycle_types::Result<()> {
 /// let store = CheckpointStore::new();
 /// let vm = VmId::new(3);
 /// let mem = DigestMemory::with_distinct_content(PageCount::new(8), 1);
-/// store.save(Checkpoint::capture(vm, SimTime::EPOCH, &mem));
+/// store.save(Checkpoint::capture(vm, SimTime::EPOCH, &mem))?;
 /// assert!(store.latest(vm).is_some());
 /// assert!(store.latest(VmId::new(9)).is_none());
+/// # Ok(())
+/// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CheckpointStore {
     inner: RwLock<Inner>,
+    disk: Option<Arc<DiskStore>>,
 }
 
 /// One stored checkpoint plus the bookkeeping eviction policies need.
@@ -70,12 +80,11 @@ struct ReturnPeriod {
     gaps: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
     // BTreeMaps keep every iteration (victim scans, catalog listings)
     // in VmId order — eviction must be deterministic.
-    by_vm: BTreeMap<VmId, Vec<Entry>>,
-    versions_per_vm: usize,
+    by_vm: BTreeMap<VmId, Entry>,
     used: Bytes,
     quota: Option<Bytes>,
     policy: EvictionPolicy,
@@ -86,27 +95,18 @@ struct Inner {
 }
 
 impl Inner {
-    /// Picks the next eviction victim under `policy`, excluding the
-    /// just-saved checkpoint (`protect_vm`'s newest entry). Returns the
-    /// owning VM and version index.
+    /// Picks the next eviction victim under `policy`, never the
+    /// just-saved `protect`.
     ///
     /// Scores are built so that the *maximum* wins and ties break
     /// deterministically: every comparison ends in the unique insertion
     /// `seq`.
-    fn pick_victim(&self, protect_vm: VmId, now: SimTime) -> Option<(VmId, usize)> {
-        let mut best: Option<((u64, u64, u64), VmId, usize)> = None;
-        for (&vm, versions) in &self.by_vm {
-            for (idx, entry) in versions.iter().enumerate() {
-                if vm == protect_vm && idx == 0 {
-                    continue; // never evict what admission just let in
-                }
-                let key = self.victim_score(vm, entry, now);
-                if best.as_ref().is_none_or(|(b, _, _)| key > *b) {
-                    best = Some((key, vm, idx));
-                }
-            }
-        }
-        best.map(|(_, vm, idx)| (vm, idx))
+    fn pick_victim(&self, protect: VmId, now: SimTime) -> Option<VmId> {
+        self.by_vm
+            .iter()
+            .filter(|(&vm, _)| vm != protect)
+            .max_by_key(|(&vm, entry)| self.victim_score(vm, entry, now))
+            .map(|(&vm, _)| vm)
     }
 
     /// Lexicographic score: higher evicts first. The last component is
@@ -140,25 +140,57 @@ impl Inner {
         }
     }
 
-    /// Removes version `idx` of `vm`, updating byte accounting and
-    /// leaving a tombstone when it was the last version.
-    fn evict_at(&mut self, vm: VmId, idx: usize, reason: EvictionReason) -> EvictionRecord {
-        let versions = self.by_vm.get_mut(&vm).expect("victim exists");
-        let entry = versions.remove(idx);
-        let size = entry.checkpoint.storage_size();
-        self.used = self.used.saturating_sub(size);
-        let last_version = versions.is_empty();
-        if last_version {
-            self.by_vm.remove(&vm);
-            self.gone.insert(vm, GoneReason::Evicted);
+    /// Drops `vm`'s entry, if any, and gives its bytes back.
+    fn take(&mut self, vm: VmId) -> Option<Entry> {
+        let entry = self.by_vm.remove(&vm)?;
+        self.used = self.used.saturating_sub(entry.checkpoint.storage_size());
+        Some(entry)
+    }
+
+    /// Drops whatever `vm` has and leaves a tombstone saying why.
+    fn bury(&mut self, vm: VmId, why: GoneReason) {
+        self.take(vm);
+        self.gone.insert(vm, why);
+    }
+
+    /// Returns `vm`'s checkpoint and marks it as just recycled by a
+    /// migration, feeding [`EvictionPolicy::LruByRecycle`].
+    fn recycle(&mut self, vm: VmId) -> Option<Arc<Checkpoint>> {
+        let entry = self.by_vm.get_mut(&vm)?;
+        self.next_touch += 1;
+        entry.recycled = self.next_touch;
+        Some(Arc::clone(&entry.checkpoint))
+    }
+
+    /// Inserts an admitted checkpoint: replaces the VM's previous one
+    /// ([`EvictionReason::Version`]), then evicts victims under the
+    /// policy until the catalog fits its quota
+    /// ([`EvictionReason::Quota`]) — never the checkpoint just inserted.
+    fn insert(&mut self, checkpoint: Checkpoint) -> Vec<EvictionRecord> {
+        let (vm, now) = (checkpoint.vm(), checkpoint.taken_at());
+        self.note_save_time(vm, now);
+        self.gone.remove(&vm);
+        let mut evicted = Vec::new();
+        if let Some(old) = self.take(vm) {
+            evicted.push(record(&old.checkpoint, EvictionReason::Version));
         }
-        EvictionRecord {
-            vm,
-            taken_at: entry.checkpoint.taken_at(),
-            size,
-            reason,
-            last_version,
+        self.used += checkpoint.storage_size();
+        let entry = Entry {
+            checkpoint: Arc::new(checkpoint),
+            seq: self.next_seq,
+            recycled: 0,
+        };
+        self.next_seq += 1;
+        self.by_vm.insert(vm, entry);
+        while self.quota.is_some_and(|q| self.used > q) {
+            let victim = self
+                .pick_victim(vm, now)
+                .expect("admission guaranteed the new checkpoint fits alone");
+            let gone = self.take(victim).expect("victim exists");
+            self.gone.insert(victim, GoneReason::Evicted);
+            evicted.push(record(&gone.checkpoint, EvictionReason::Quota));
         }
+        evicted
     }
 
     fn note_save_time(&mut self, vm: VmId, at: SimTime) {
@@ -185,44 +217,37 @@ impl Inner {
     }
 }
 
-impl CheckpointStore {
-    /// Creates a store keeping one checkpoint version per VM (the
-    /// paper's behaviour), with no byte quota.
-    pub fn new() -> Self {
-        CheckpointStore::with_versions(1)
+fn record(checkpoint: &Checkpoint, reason: EvictionReason) -> EvictionRecord {
+    EvictionRecord {
+        vm: checkpoint.vm(),
+        taken_at: checkpoint.taken_at(),
+        reason,
     }
+}
 
-    /// Creates a store keeping up to `versions_per_vm` checkpoints per
-    /// VM, newest first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `versions_per_vm` is zero.
-    pub fn with_versions(versions_per_vm: usize) -> Self {
-        assert!(versions_per_vm > 0, "must keep at least one version");
-        CheckpointStore {
-            inner: RwLock::new(Inner {
-                by_vm: BTreeMap::new(),
-                versions_per_vm,
-                used: Bytes::ZERO,
-                quota: None,
-                policy: EvictionPolicy::default(),
-                gone: BTreeMap::new(),
-                periods: BTreeMap::new(),
-                next_seq: 0,
-                next_touch: 0,
-            }),
-        }
+impl CheckpointStore {
+    /// Creates a store with no byte quota and no mirror.
+    pub fn new() -> Self {
+        CheckpointStore::default()
     }
 
     /// Caps the store at `quota` bytes, evicting under `policy` when a
     /// save would exceed it.
+    #[must_use]
     pub fn with_quota(self, quota: Bytes, policy: EvictionPolicy) -> Self {
         {
             let mut inner = self.inner.write();
             inner.quota = Some(quota);
             inner.policy = policy;
         }
+        self
+    }
+
+    /// Mirrors the store to `disk`: saves write through to it, and a cold
+    /// catalog (a fresh process, a host restart) is re-warmed from it.
+    #[must_use]
+    pub fn with_disk(mut self, disk: Arc<DiskStore>) -> Self {
+        self.disk = Some(disk);
         self
     }
 
@@ -236,122 +261,179 @@ impl CheckpointStore {
         self.inner.read().policy
     }
 
-    /// Saves a checkpoint, evicting the oldest version beyond the limit.
-    /// Convenience wrapper over [`CheckpointStore::save_with_outcome`]
-    /// for callers that don't track evictions.
-    pub fn save(&self, checkpoint: Checkpoint) {
-        self.save_with_outcome(checkpoint);
+    /// The mirror, if one is attached.
+    pub fn disk(&self) -> Option<&Arc<DiskStore>> {
+        self.disk.as_ref()
     }
 
     /// Saves a checkpoint through admission + eviction.
     ///
     /// A checkpoint larger than the whole quota is refused outright
-    /// (`stored == false`, nothing evicted). Otherwise it is stored,
-    /// versions beyond the per-VM limit are dropped
-    /// ([`EvictionReason::Version`]), and then victims are evicted under
-    /// the configured [`EvictionPolicy`] until the store fits its quota
-    /// ([`EvictionReason::Quota`]) — never the checkpoint just saved.
-    /// Saving clears any tombstone for the VM.
-    pub fn save_with_outcome(&self, checkpoint: Checkpoint) -> SaveOutcome {
-        let mut inner = self.inner.write();
-        let size = checkpoint.storage_size();
-        let now = checkpoint.taken_at();
-        if inner.quota.is_some_and(|q| size > q) {
-            return SaveOutcome::refused();
-        }
+    /// (`stored == false`, nothing written, nothing evicted). Otherwise
+    /// it replaces the VM's previous checkpoint and victims are evicted
+    /// until the store fits its quota; see [`EvictionReason`]. Saving
+    /// clears any tombstone for the VM.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors from the mirror; the catalog is
+    /// untouched when the file write fails.
+    pub fn save(&self, checkpoint: Checkpoint) -> vecycle_types::Result<SaveOutcome> {
+        self.admit(checkpoint, false)
+    }
+
+    /// The one admission path. `on_disk` says the checkpoint was just
+    /// read back from the mirror (a re-warm), so its file already exists.
+    ///
+    /// Mirror protocol: the file is written *before* the catalog insert,
+    /// and the file of every VM the insert evicted is deleted after it.
+    /// A re-warmed checkpoint the quota no longer admits loses its file
+    /// and leaves an [`Evicted`](GoneReason::Evicted) tombstone, reported
+    /// as one quota eviction.
+    fn admit(&self, checkpoint: Checkpoint, on_disk: bool) -> vecycle_types::Result<SaveOutcome> {
         let vm = checkpoint.vm();
-        inner.note_save_time(vm, now);
-        inner.gone.remove(&vm);
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let cap = inner.versions_per_vm;
-        let versions = inner.by_vm.entry(vm).or_default();
-        versions.insert(
-            0,
-            Entry {
-                checkpoint: Arc::new(checkpoint),
-                seq,
-                recycled: 0,
-            },
-        );
-        let mut evicted = Vec::new();
-        let mut freed = Bytes::ZERO;
-        while versions.len() > cap {
-            let entry = versions.pop().expect("len > cap >= 1");
-            let dropped = entry.checkpoint.storage_size();
-            evicted.push(EvictionRecord {
-                vm,
-                taken_at: entry.checkpoint.taken_at(),
-                size: dropped,
-                reason: EvictionReason::Version,
-                // A newer version was just inserted above, so this can
-                // never be the last one.
-                last_version: false,
+        if self.quota().is_some_and(|q| checkpoint.storage_size() > q) {
+            if !on_disk {
+                return Ok(SaveOutcome::default());
+            }
+            if let Some(disk) = &self.disk {
+                disk.remove(vm)?;
+            }
+            self.inner.write().bury(vm, GoneReason::Evicted);
+            return Ok(SaveOutcome {
+                stored: false,
+                evicted: vec![record(&checkpoint, EvictionReason::Quota)],
             });
-            freed += dropped;
         }
-        inner.used = (inner.used + size).saturating_sub(freed);
-        while inner.quota.is_some_and(|q| inner.used > q) {
-            let (victim_vm, idx) = inner
-                .pick_victim(vm, now)
-                .expect("admission guaranteed the new checkpoint fits alone");
-            evicted.push(inner.evict_at(victim_vm, idx, EvictionReason::Quota));
+        if let (Some(disk), false) = (&self.disk, on_disk) {
+            disk.save(&checkpoint)?;
         }
-        SaveOutcome {
+        let evicted = self.inner.write().insert(checkpoint);
+        if let Some(disk) = &self.disk {
+            for gone in evicted.iter().filter(|r| r.reason == EvictionReason::Quota) {
+                disk.remove(gone.vm)?;
+            }
+        }
+        Ok(SaveOutcome {
             stored: true,
             evicted,
+        })
+    }
+
+    /// Finds a recyclable checkpoint of `vm` for an incoming migration.
+    ///
+    /// A warm catalog entry is a hit (and is marked recycled for
+    /// [`EvictionPolicy::LruByRecycle`]). A tombstone beats the mirror:
+    /// eviction and quarantine already deleted the file, and the
+    /// tombstone remembers *why* there is nothing to recycle. Otherwise
+    /// a cold catalog falls back to the mirror's file: a clean one is
+    /// re-admitted through the quota like any save — the second value is
+    /// that warm-up's outcome, `None` on every other path — and a file
+    /// that fails validation is deleted and reported as
+    /// [`CheckpointFetch::Corrupt`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors from the mirror other than
+    /// validation failures.
+    pub fn fetch(&self, vm: VmId) -> vecycle_types::Result<(CheckpointFetch, Option<SaveOutcome>)> {
+        if let Some(cp) = self.inner.write().recycle(vm) {
+            return Ok((CheckpointFetch::Usable(cp), None));
+        }
+        if let Some(why) = self.gone(vm) {
+            return Ok((CheckpointFetch::Gone(why), None));
+        }
+        let Some(disk) = &self.disk else {
+            return Ok((CheckpointFetch::Missing, None));
+        };
+        match disk.load(vm) {
+            Ok(Some(cp)) => {
+                let warmed = self.admit(cp, true)?;
+                let fetch = match self.inner.write().recycle(vm) {
+                    Some(cp) => CheckpointFetch::Usable(cp),
+                    None => CheckpointFetch::Gone(GoneReason::Evicted),
+                };
+                Ok((fetch, Some(warmed)))
+            }
+            Ok(None) => Ok((CheckpointFetch::Missing, None)),
+            Err(Error::Corrupt { .. }) => {
+                disk.remove(vm)?;
+                Ok((CheckpointFetch::Corrupt, None))
+            }
+            Err(e) => Err(e),
         }
     }
 
-    /// The most recent checkpoint for `vm`, if any.
+    /// Throws away whatever checkpoint of `vm` the host holds, in the
+    /// catalog and in the mirror, without reading it — a caller that
+    /// knows the stored bytes are bad. Returns whether there was
+    /// anything to throw away. Leaves no tombstone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors from the mirror.
+    pub fn discard(&self, vm: VmId) -> vecycle_types::Result<bool> {
+        let in_catalog = self.remove(vm);
+        let on_disk = match &self.disk {
+            Some(disk) => disk.remove(vm)?,
+            None => false,
+        };
+        Ok(in_catalog || on_disk)
+    }
+
+    /// What a host does when it comes back after a crash: forgets the
+    /// catalog (tombstones and return periods were in RAM too), then
+    /// re-verifies every file in the mirror. Clean checkpoints re-warm
+    /// the catalog through normal quota admission, in VM-id order;
+    /// files that fail validation are *quarantined* — deleted, never
+    /// restored from, tombstoned.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors other than validation failures
+    /// (those are quarantines, not errors).
+    pub fn restart(&self) -> vecycle_types::Result<ScrubReport> {
+        self.clear();
+        let mut report = ScrubReport::default();
+        let Some(disk) = &self.disk else {
+            return Ok(report);
+        };
+        for vm in disk.list()? {
+            match disk.load(vm) {
+                Ok(Some(cp)) => {
+                    report.verified += 1;
+                    report.clean_pages += cp.page_count().as_u64();
+                    report.evicted.extend(self.admit(cp, true)?.evicted);
+                }
+                Ok(None) => {} // raced away; nothing to verify
+                Err(Error::Corrupt { .. }) => {
+                    report.corrupt_pages += disk.estimated_pages(vm);
+                    disk.remove(vm)?;
+                    self.inner.write().bury(vm, GoneReason::Quarantined);
+                    report.quarantined.push(vm);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(report)
+    }
+
+    /// The checkpoint stored for `vm`, if any.
     pub fn latest(&self, vm: VmId) -> Option<Arc<Checkpoint>> {
         let inner = self.inner.read();
-        Some(inner.by_vm.get(&vm)?.first()?.checkpoint.clone())
+        Some(Arc::clone(&inner.by_vm.get(&vm)?.checkpoint))
     }
 
-    /// The most recent checkpoint for `vm` taken at or before `at`.
-    ///
-    /// Scenario drivers use this to ask "what would the host have had on
-    /// disk at that point of the schedule?".
-    pub fn latest_before(&self, vm: VmId, at: SimTime) -> Option<Arc<Checkpoint>> {
-        self.inner
-            .read()
-            .by_vm
-            .get(&vm)?
-            .iter()
-            .find(|e| e.checkpoint.taken_at() <= at)
-            .map(|e| e.checkpoint.clone())
-    }
-
-    /// Marks `vm`'s newest checkpoint as just recycled by a migration,
-    /// feeding [`EvictionPolicy::LruByRecycle`]. A no-op for unknown VMs.
-    pub fn mark_recycled(&self, vm: VmId) {
-        let mut inner = self.inner.write();
-        inner.next_touch += 1;
-        let touch = inner.next_touch;
-        if let Some(entry) = inner.by_vm.get_mut(&vm).and_then(|v| v.first_mut()) {
-            entry.recycled = touch;
-        }
-    }
-
-    /// Removes all checkpoints for `vm`, returning how many were dropped.
-    /// Leaves no tombstone — this is administrative removal, not
-    /// pressure eviction.
-    pub fn remove(&self, vm: VmId) -> usize {
-        let mut inner = self.inner.write();
-        match inner.by_vm.remove(&vm) {
-            Some(versions) => {
-                let freed: Bytes = versions.iter().map(|e| e.checkpoint.storage_size()).sum();
-                inner.used = inner.used.saturating_sub(freed);
-                versions.len()
-            }
-            None => 0,
-        }
+    /// Drops `vm`'s catalog entry, returning whether it had one. Leaves
+    /// no tombstone and does not touch the mirror — see
+    /// [`CheckpointStore::discard`] for that.
+    pub fn remove(&self, vm: VmId) -> bool {
+        self.inner.write().take(vm).is_some()
     }
 
     /// Drops the entire in-memory catalog — what a host crash does to
     /// RAM-resident state. Tombstones and return-period estimates die
-    /// with it; only the [`DiskStore`](crate::DiskStore) survives.
+    /// with it; only the mirror survives.
     pub fn clear(&self) {
         let mut inner = self.inner.write();
         inner.by_vm.clear();
@@ -360,27 +442,10 @@ impl CheckpointStore {
         inner.used = Bytes::ZERO;
     }
 
-    /// The tombstone for `vm`, if its last checkpoint was evicted or
+    /// The tombstone for `vm`, if its checkpoint was evicted or
     /// quarantined since the last successful save.
     pub fn gone(&self, vm: VmId) -> Option<GoneReason> {
         self.inner.read().gone.get(&vm).copied()
-    }
-
-    /// Records that `vm`'s checkpoint was dropped under disk pressure
-    /// without ever being admitted (e.g. a re-warm after restart found
-    /// it no longer fits the quota): any in-memory versions are dropped
-    /// and a [`GoneReason::Evicted`] tombstone is left.
-    pub fn note_evicted(&self, vm: VmId) {
-        self.remove(vm);
-        self.inner.write().gone.insert(vm, GoneReason::Evicted);
-    }
-
-    /// Records that `vm`'s checkpoint was quarantined by a scrub pass
-    /// (corrupt on disk): any in-memory versions are dropped and a
-    /// [`GoneReason::Quarantined`] tombstone is left.
-    pub fn note_quarantined(&self, vm: VmId) {
-        self.remove(vm);
-        self.inner.write().gone.insert(vm, GoneReason::Quarantined);
     }
 
     /// Total bytes of checkpoint data currently stored.
@@ -388,22 +453,15 @@ impl CheckpointStore {
         self.inner.read().used
     }
 
-    /// Number of VMs with at least one checkpoint.
+    /// Number of VMs with a checkpoint.
     pub fn vm_count(&self) -> usize {
         self.inner.read().by_vm.len()
     }
 
-    /// The VMs with at least one checkpoint, in id order — the
-    /// in-memory catalog, for comparison against
-    /// [`DiskStore::vm_ids`](crate::DiskStore::vm_ids).
+    /// The VMs with a checkpoint, in id order — the catalog, for
+    /// comparison against [`DiskStore::list`].
     pub fn vm_ids(&self) -> Vec<VmId> {
         self.inner.read().by_vm.keys().copied().collect()
-    }
-}
-
-impl Default for CheckpointStore {
-    fn default() -> Self {
-        CheckpointStore::new()
     }
 }
 
@@ -427,28 +485,17 @@ mod tests {
     }
 
     #[test]
-    fn latest_returns_newest() {
-        let store = CheckpointStore::with_versions(2);
-        store.save(cp(1, 0, 10));
-        store.save(cp(1, 5, 11));
-        let latest = store.latest(VmId::new(1)).unwrap();
-        assert_eq!(
-            latest.taken_at(),
-            SimTime::EPOCH + SimDuration::from_hours(5)
-        );
-    }
-
-    #[test]
-    fn version_limit_evicts_oldest() {
-        let store = CheckpointStore::new(); // 1 version
-        store.save(cp(1, 0, 10));
+    fn resave_replaces_the_previous_checkpoint() {
+        let store = CheckpointStore::new();
+        store.save(cp(1, 0, 10)).unwrap();
         let used_one = store.used();
-        let outcome = store.save_with_outcome(cp(1, 5, 11));
+        let outcome = store.save(cp(1, 5, 11)).unwrap();
         assert_eq!(store.used(), used_one); // replaced, not accumulated
         assert!(outcome.stored);
         assert_eq!(outcome.evicted.len(), 1);
         assert_eq!(outcome.evicted[0].reason, EvictionReason::Version);
-        assert!(!outcome.evicted[0].last_version);
+        assert_eq!(outcome.evicted[0].taken_at, SimTime::EPOCH);
+        assert_eq!(store.gone(VmId::new(1)), None);
         let latest = store.latest(VmId::new(1)).unwrap();
         assert_eq!(
             latest.taken_at(),
@@ -457,24 +504,13 @@ mod tests {
     }
 
     #[test]
-    fn latest_before_respects_time() {
-        let store = CheckpointStore::with_versions(3);
-        store.save(cp(1, 0, 10));
-        store.save(cp(1, 10, 11));
-        let at5 = store
-            .latest_before(VmId::new(1), SimTime::EPOCH + SimDuration::from_hours(5))
-            .unwrap();
-        assert_eq!(at5.taken_at(), SimTime::EPOCH);
-        assert!(store.latest_before(VmId::new(2), SimTime::EPOCH).is_none());
-    }
-
-    #[test]
     fn remove_frees_bytes() {
-        let store = CheckpointStore::with_versions(2);
-        store.save(cp(1, 0, 10));
-        store.save(cp(2, 0, 20));
+        let store = CheckpointStore::new();
+        store.save(cp(1, 0, 10)).unwrap();
+        store.save(cp(2, 0, 20)).unwrap();
         assert_eq!(store.vm_count(), 2);
-        assert_eq!(store.remove(VmId::new(1)), 1);
+        assert!(store.remove(VmId::new(1)));
+        assert!(!store.remove(VmId::new(1)));
         assert_eq!(store.vm_count(), 1);
         store.remove(VmId::new(2));
         assert_eq!(store.used(), Bytes::ZERO);
@@ -483,16 +519,10 @@ mod tests {
     #[test]
     fn vms_are_isolated() {
         let store = CheckpointStore::new();
-        store.save(cp(1, 0, 10));
-        store.save(cp(2, 3, 20));
+        store.save(cp(1, 0, 10)).unwrap();
+        store.save(cp(2, 3, 20)).unwrap();
         assert_eq!(store.latest(VmId::new(1)).unwrap().vm(), VmId::new(1));
         assert_eq!(store.latest(VmId::new(2)).unwrap().vm(), VmId::new(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one version")]
-    fn zero_versions_panics() {
-        let _ = CheckpointStore::with_versions(0);
     }
 
     /// Quota for exactly `n` eight-page digest checkpoints.
@@ -503,29 +533,27 @@ mod tests {
 
     #[test]
     fn quota_evicts_oldest_first() {
-        let store =
-            CheckpointStore::with_versions(4).with_quota(quota_for(2), EvictionPolicy::OldestFirst);
-        store.save(cp(1, 0, 10));
-        store.save(cp(2, 1, 20));
-        let outcome = store.save_with_outcome(cp(3, 2, 30));
+        let store = CheckpointStore::new().with_quota(quota_for(2), EvictionPolicy::OldestFirst);
+        store.save(cp(1, 0, 10)).unwrap();
+        store.save(cp(2, 1, 20)).unwrap();
+        let outcome = store.save(cp(3, 2, 30)).unwrap();
         assert!(outcome.stored);
         assert_eq!(outcome.evicted.len(), 1);
         let record = &outcome.evicted[0];
         assert_eq!(record.vm, VmId::new(1));
         assert_eq!(record.reason, EvictionReason::Quota);
-        assert!(record.last_version);
         assert_eq!(store.gone(VmId::new(1)), Some(GoneReason::Evicted));
         assert!(store.used() <= quota_for(2));
         // A later save for vm 1 clears the tombstone.
-        store.save(cp(1, 3, 11));
+        store.save(cp(1, 3, 11)).unwrap();
         assert_eq!(store.gone(VmId::new(1)), None);
     }
 
     #[test]
     fn oversized_checkpoint_is_refused() {
         let store = CheckpointStore::new().with_quota(Bytes::new(16), EvictionPolicy::OldestFirst);
-        store.save(cp(7, 0, 1)); // 8 pages * 16 bytes = 128 > 16
-        let outcome = store.save_with_outcome(cp(7, 1, 2));
+        // 8 pages * 16 bytes = 128 > 16
+        let outcome = store.save(cp(7, 1, 2)).unwrap();
         assert!(!outcome.stored);
         assert!(outcome.evicted.is_empty());
         assert_eq!(store.vm_count(), 0);
@@ -534,12 +562,13 @@ mod tests {
 
     #[test]
     fn lru_by_recycle_protects_the_hot_checkpoint() {
-        let store = CheckpointStore::with_versions(4)
-            .with_quota(quota_for(2), EvictionPolicy::LruByRecycle);
-        store.save(cp(1, 0, 10));
-        store.save(cp(2, 1, 20));
-        store.mark_recycled(VmId::new(1)); // vm 1 is hot, vm 2 is cold
-        let outcome = store.save_with_outcome(cp(3, 2, 30));
+        let store = CheckpointStore::new().with_quota(quota_for(2), EvictionPolicy::LruByRecycle);
+        store.save(cp(1, 0, 10)).unwrap();
+        store.save(cp(2, 1, 20)).unwrap();
+        // A fetch is a recycle hit: vm 1 is hot, vm 2 is cold.
+        let (fetch, _) = store.fetch(VmId::new(1)).unwrap();
+        assert_eq!(fetch.label(), "hit");
+        let outcome = store.save(cp(3, 2, 30)).unwrap();
         assert_eq!(outcome.evicted[0].vm, VmId::new(2));
         assert!(store.latest(VmId::new(1)).is_some());
     }
@@ -548,59 +577,126 @@ mod tests {
     fn largest_first_evicts_the_big_one() {
         let big = cp_pages(1, 5, 10, 64);
         let quota = Bytes::new(big.storage_size().as_u64() + 2 * quota_for(1).as_u64());
-        let store =
-            CheckpointStore::with_versions(4).with_quota(quota, EvictionPolicy::LargestFirst);
-        store.save(big);
-        store.save(cp(2, 6, 20));
-        store.save(cp(3, 7, 30));
-        // One more small save overflows; the big (and newest!) vm-1
+        let store = CheckpointStore::new().with_quota(quota, EvictionPolicy::LargestFirst);
+        store.save(big).unwrap();
+        store.save(cp(2, 6, 20)).unwrap();
+        store.save(cp(3, 7, 30)).unwrap();
+        // One more small save overflows; the big (and oldest) vm-1
         // checkpoint goes first under LargestFirst.
-        let outcome = store.save_with_outcome(cp(4, 8, 40));
+        let outcome = store.save(cp(4, 8, 40)).unwrap();
         assert_eq!(outcome.evicted[0].vm, VmId::new(1));
     }
 
     #[test]
     fn staleness_score_weighs_age_against_return_period() {
-        let store = CheckpointStore::with_versions(4)
-            .with_quota(quota_for(2), EvictionPolicy::StalenessScore);
+        let store = CheckpointStore::new().with_quota(quota_for(2), EvictionPolicy::StalenessScore);
         // vm 1 returns hourly (period ~1h); vm 2 has no observed period
-        // (assumed 24h). At hour 30, vm 1's newest checkpoint is 2h ≈
-        // 2 periods stale; vm 2's is 25h ≈ 1.04 periods stale. The
-        // cycle-aware policy evicts vm 1 even though vm 2 is older.
+        // (assumed 24h). At hour 30, vm 1's checkpoint is 2h ≈ 2 periods
+        // stale; vm 2's is 25h ≈ 1.04 periods stale. The cycle-aware
+        // policy evicts vm 1 even though vm 2 is older.
         for h in 0..=28 {
-            store.save(cp(1, h, h));
+            store.save(cp(1, h, h)).unwrap();
         }
-        store.save(cp(2, 5, 99));
-        let outcome = store.save_with_outcome(cp(3, 30, 42));
+        store.save(cp(2, 5, 99)).unwrap();
+        let outcome = store.save(cp(3, 30, 42)).unwrap();
         assert_eq!(outcome.evicted[0].vm, VmId::new(1));
         // OldestFirst would have picked vm 2's hour-5 checkpoint.
     }
 
     #[test]
-    fn quarantine_leaves_tombstone_and_frees_bytes() {
-        let store = CheckpointStore::new();
-        store.save(cp(4, 0, 1));
-        store.note_quarantined(VmId::new(4));
-        assert!(store.latest(VmId::new(4)).is_none());
-        assert_eq!(store.gone(VmId::new(4)), Some(GoneReason::Quarantined));
-        assert_eq!(store.used(), Bytes::ZERO);
-        // clear() wipes tombstones too — a crash loses that knowledge.
-        store.clear();
-        assert_eq!(store.gone(VmId::new(4)), None);
-    }
-
-    #[test]
     fn eviction_order_is_deterministic() {
         let run = || {
-            let store = CheckpointStore::with_versions(4)
-                .with_quota(quota_for(3), EvictionPolicy::OldestFirst);
+            let store =
+                CheckpointStore::new().with_quota(quota_for(3), EvictionPolicy::OldestFirst);
             let mut order = Vec::new();
             for i in 0..12u32 {
-                let outcome = store.save_with_outcome(cp(i % 5, i as u64, i as u64));
+                let outcome = store.save(cp(i % 5, i as u64, i as u64)).unwrap();
                 order.extend(outcome.evicted.iter().map(|r| (r.vm, r.taken_at)));
             }
             order
         };
         assert_eq!(run(), run());
+    }
+
+    fn tmpdir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("vecycle-store-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn mirrored(dir: &std::path::Path) -> CheckpointStore {
+        CheckpointStore::new().with_disk(Arc::new(DiskStore::open(dir).unwrap()))
+    }
+
+    /// XORs `mask` into the byte `from_end` before the end of `vm`'s file.
+    fn rot(dir: &std::path::Path, vm: u32, from_end: Option<usize>, mask: u8) {
+        let path = dir.join(format!("vm-{vm}.ckpt"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = from_end.map_or(bytes.len() / 2, |n| bytes.len() - n);
+        bytes[at] ^= mask;
+        std::fs::write(&path, bytes).unwrap();
+    }
+
+    #[test]
+    fn restart_quarantines_corrupt_keeps_clean() {
+        let dir = tmpdir("scrub");
+        let store = mirrored(&dir);
+        store.save(cp(1, 0, 10)).unwrap();
+        store.save(cp(2, 0, 20)).unwrap();
+        store.save(cp(3, 0, 30)).unwrap();
+        rot(&dir, 2, None, 0x40);
+
+        let report = store.restart().unwrap();
+        assert_eq!(report.quarantined, vec![VmId::new(2)]);
+        assert_eq!(report.verified, 2);
+        assert_eq!(report.clean_pages, 16);
+        // corrupt_pages is estimated from the file length.
+        assert_eq!(report.corrupt_pages, 8);
+        // The quarantined file is gone with its entry; clean ones survive.
+        let survivors = vec![VmId::new(1), VmId::new(3)];
+        assert_eq!(store.disk().unwrap().list().unwrap(), survivors);
+        assert_eq!(store.vm_ids(), survivors);
+        assert_eq!(store.used(), quota_for(2));
+        assert_eq!(store.gone(VmId::new(2)), Some(GoneReason::Quarantined));
+        assert_eq!(store.fetch(VmId::new(2)).unwrap().0.label(), "quarantined");
+        // A second restart finds nothing to quarantine — and, the
+        // tombstone having been in RAM, no longer knows why vm 2 is gone.
+        let again = store.restart().unwrap();
+        assert!(again.quarantined.is_empty());
+        assert_eq!(store.gone(VmId::new(2)), None);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A quarantined file is counted by the layout its header declares:
+    /// a page file is not mistaken for 257 digests a page.
+    #[test]
+    fn restart_counts_corrupt_page_files_by_their_layout() {
+        use vecycle_mem::ByteMemory;
+        let dir = tmpdir("scrub-pages");
+        let store = mirrored(&dir);
+        let mem = ByteMemory::with_distinct_content(PageCount::new(4), 9);
+        store
+            .save(Checkpoint::capture_bytes(
+                VmId::new(1),
+                SimTime::EPOCH,
+                &mem,
+            ))
+            .unwrap();
+        store.save(cp_pages(2, 0, 20, 16)).unwrap();
+        // The 8-page file a previous release wrote for vm 7.
+        let v1 = include_bytes!("../../../tests/fixtures/vm-pages-v1.ckpt");
+        std::fs::write(dir.join("vm-7.ckpt"), v1).unwrap();
+        assert_eq!(store.restart().unwrap().clean_pages, 4 + 16 + 8);
+
+        for vm in [1, 2, 7] {
+            rot(&dir, vm, Some(9), 0x01); // the last payload byte
+        }
+        let report = store.restart().unwrap();
+        assert_eq!(
+            report.quarantined,
+            vec![VmId::new(1), VmId::new(2), VmId::new(7)]
+        );
+        assert_eq!(report.corrupt_pages, 4 + 16 + 8);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -250,9 +250,8 @@ fn lifecycle_summary(events: &[SessionEvent]) -> Option<String> {
 }
 
 /// Runs `schedule` through `session`, injecting faults when `--faults`
-/// was given, and prints the incident log. A `--disk-quota` run without
-/// faults still goes through the event-collecting path so evictions and
-/// refused saves reach the incident log. With `--metrics-out <file>`
+/// was given, and prints the incident log (evictions and refused saves
+/// of a `--disk-quota` run included). With `--metrics-out <file>`
 /// the run is instrumented and its timeline written as JSONL (one span
 /// or event per line). Returns the reports and the incident events.
 fn run_with_optional_faults<M, W>(
@@ -272,25 +271,17 @@ where
     if let Some(m) = &metrics {
         session = session.with_metrics(m.clone());
     }
-    let fault_spec = args.get("faults");
-    let (reports, events) = if fault_spec.is_some() || args.get("disk-quota").is_some() {
-        let plan = match fault_spec {
-            Some(spec) => {
-                let (fault_seed, rates) = parse_faults(spec)?;
-                FaultPlan::seeded(fault_seed, &rates, schedule.len())
-            }
-            None => FaultPlan::none(),
-        };
-        let run = session
-            .run_schedule_with_faults(vm, schedule, workload, &plan)
-            .map_err(|e| e.to_string())?;
-        (run.reports, run.events)
-    } else {
-        let reports = session
-            .run_schedule(vm, schedule, workload)
-            .map_err(|e| e.to_string())?;
-        (reports, Vec::new())
+    let plan = match args.get("faults") {
+        Some(spec) => {
+            let (fault_seed, rates) = parse_faults(spec)?;
+            FaultPlan::seeded(fault_seed, &rates, schedule.len())
+        }
+        None => FaultPlan::none(),
     };
+    let run = session
+        .run_schedule_with_faults(vm, schedule, workload, &plan)
+        .map_err(|e| e.to_string())?;
+    let (reports, events) = (run.reports, run.events);
     if !events.is_empty() {
         println!("incidents:");
         for e in &events {

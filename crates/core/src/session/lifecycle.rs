@@ -10,70 +10,40 @@
 use std::sync::Arc;
 
 use vecycle_checkpoint::{
-    Checkpoint, ChecksumIndex, EvictionReason, GoneReason, PartialCheckpoint, SaveOutcome,
+    Checkpoint, CheckpointFetch, ChecksumIndex, EvictionReason, EvictionRecord, GoneReason,
+    PartialCheckpoint,
 };
 use vecycle_faults::FaultCause;
 use vecycle_host::Host;
 use vecycle_mem::MutableMemory;
-use vecycle_types::{Error, SimTime, VmId};
+use vecycle_types::{SimTime, VmId};
 
 use crate::{MigrationEngine, MigrationReport, Strategy};
 
 use super::{RecyclePolicy, SessionEvent, VeCycleSession, VmInstance};
 
-/// What the session found when it went looking for a recyclable
-/// checkpoint at the destination.
-#[derive(Debug, Clone)]
-pub(super) enum CheckpointFetch {
-    /// A validated checkpoint, from the warm in-memory store or loaded
-    /// off the durable one.
-    Usable(Arc<Checkpoint>),
-    /// No checkpoint anywhere: first visit (or it was discarded).
-    Missing,
-    /// A checkpoint existed but failed validation and was discarded.
-    Corrupt,
-    /// The checkpoint this VM left behind was evicted under disk
-    /// pressure — the tombstone tells us recycling *would* have applied.
-    Evicted,
-    /// The checkpoint rotted on disk and a scrub pass quarantined it.
-    Quarantined,
-}
-
-impl CheckpointFetch {
-    /// Stable label for `session_checkpoint_fetch_total{result=…}`.
-    pub(super) fn label(&self) -> &'static str {
-        match self {
-            CheckpointFetch::Usable(_) => "hit",
-            CheckpointFetch::Missing => "miss",
-            CheckpointFetch::Corrupt => "corrupt",
-            CheckpointFetch::Evicted => "evicted",
-            CheckpointFetch::Quarantined => "quarantined",
+/// The fault-shaped reason recycling is impossible, if any — what a
+/// completed migration reports as its `FellBackToFull` cause.
+fn fallback_cause(fetch: &CheckpointFetch) -> Option<FaultCause> {
+    match fetch {
+        CheckpointFetch::Usable(_) | CheckpointFetch::Missing => None,
+        // A quarantined checkpoint *is* a corrupt checkpoint — the
+        // scrub just found it before the load did.
+        CheckpointFetch::Corrupt | CheckpointFetch::Gone(GoneReason::Quarantined) => {
+            Some(FaultCause::CorruptCheckpoint)
         }
-    }
-
-    /// The fault-shaped reason recycling is impossible, if any — what a
-    /// completed migration reports as its `FellBackToFull` cause.
-    pub(super) fn fallback_cause(&self) -> Option<FaultCause> {
-        match self {
-            CheckpointFetch::Usable(_) | CheckpointFetch::Missing => None,
-            // A quarantined checkpoint *is* a corrupt checkpoint — the
-            // scrub just found it before the load did.
-            CheckpointFetch::Corrupt | CheckpointFetch::Quarantined => {
-                Some(FaultCause::CorruptCheckpoint)
-            }
-            CheckpointFetch::Evicted => Some(FaultCause::CheckpointEvicted),
-        }
+        CheckpointFetch::Gone(GoneReason::Evicted) => Some(FaultCause::CheckpointEvicted),
     }
 }
 
 impl VeCycleSession {
-    /// Finds a recyclable checkpoint of `vm` at `dest`, handling the
-    /// failure shapes: an injected validation failure (the fault plan
-    /// says the stored bytes are bad), a genuinely corrupt file in the
-    /// durable store, and a tombstone left by eviction or quarantine.
-    /// Corrupt checkpoints are discarded — worst case VeCycle behaves
-    /// like plain dedup, never worse (§3's invariant that recycling is
-    /// an optimisation, not a dependency).
+    /// Finds a recyclable checkpoint of `vm` at `dest`, narrates what the
+    /// store did to answer and counts the answer in
+    /// `session_checkpoint_fetch_total{result}`. With `inject_corrupt` the fault plan says
+    /// the stored bytes are bad, so whatever is there is discarded
+    /// unread. Corrupt checkpoints are discarded — worst case VeCycle
+    /// behaves like plain dedup, never worse (§3's invariant that
+    /// recycling is an optimisation, not a dependency).
     pub(super) fn fetch_checkpoint(
         &self,
         vm: VmId,
@@ -81,75 +51,64 @@ impl VeCycleSession {
         inject_corrupt: bool,
         events: &mut Vec<SessionEvent>,
     ) -> vecycle_types::Result<CheckpointFetch> {
-        if inject_corrupt {
-            let had_mem = dest.store().remove(vm) > 0;
-            let mut had_disk = false;
-            if let Some(ds) = dest.disk_store() {
-                had_disk = matches!(ds.load(vm), Ok(Some(_)) | Err(Error::Corrupt { .. }));
-                ds.remove(vm)?;
+        let fetch = if inject_corrupt {
+            match dest.store().discard(vm)? {
+                true => CheckpointFetch::Corrupt,
+                false => CheckpointFetch::Missing,
             }
-            if had_mem || had_disk {
-                self.record_event(
-                    events,
-                    SessionEvent::CorruptCheckpointDiscarded {
-                        vm,
-                        host: dest.id(),
-                    },
-                );
-                return Ok(CheckpointFetch::Corrupt);
+        } else {
+            let (fetch, warmed) = dest.store().fetch(vm)?;
+            if let Some(outcome) = warmed {
+                // Warming a cold catalog goes through quota admission
+                // like any save; under pressure it can itself evict.
+                vecycle_host::observe_save(self.metrics(), dest, &outcome);
+                self.record_evictions(dest, &outcome.evicted, events);
             }
-            return Ok(CheckpointFetch::Missing);
+            fetch
+        };
+        if matches!(fetch, CheckpointFetch::Corrupt) {
+            self.record_event(
+                events,
+                SessionEvent::CorruptCheckpointDiscarded {
+                    vm,
+                    host: dest.id(),
+                },
+            );
         }
-        if let Some(cp) = dest.store().latest(vm) {
-            // Feed the LRU eviction policy: this checkpoint just proved
-            // its worth.
-            dest.store().mark_recycled(vm);
-            return Ok(CheckpointFetch::Usable(cp));
-        }
-        // A tombstone beats the disk fallback: eviction and quarantine
-        // both already deleted the file, and the tombstone remembers
-        // *why* there is nothing to recycle.
-        match dest.store().gone(vm) {
-            Some(GoneReason::Evicted) => return Ok(CheckpointFetch::Evicted),
-            Some(GoneReason::Quarantined) => return Ok(CheckpointFetch::Quarantined),
-            None => {}
-        }
-        // Cold in-memory store: fall back to the durable one (the
-        // host-restart scenario) and warm the memory store on success.
-        if let Some(ds) = dest.disk_store() {
-            match ds.load(vm) {
-                Ok(Some(cp)) => {
-                    // Warming goes through quota admission like any
-                    // save; under pressure it can itself evict.
-                    let outcome = dest.store().save_with_outcome(cp);
-                    self.note_save_outcome(dest, &outcome, events)?;
-                    if let Some(warm) = dest.store().latest(vm) {
-                        dest.store().mark_recycled(vm);
-                        return Ok(CheckpointFetch::Usable(warm));
-                    }
-                }
-                Ok(None) => {}
-                Err(Error::Corrupt { .. }) => {
-                    ds.remove(vm)?;
-                    self.record_event(
-                        events,
-                        SessionEvent::CorruptCheckpointDiscarded {
-                            vm,
-                            host: dest.id(),
-                        },
-                    );
-                    return Ok(CheckpointFetch::Corrupt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(CheckpointFetch::Missing)
+        self.metrics().inc(
+            "session_checkpoint_fetch_total",
+            &[("result", fetch.label())],
+            1,
+        );
+        Ok(fetch)
     }
 
-    /// Picks the first-round strategy from what the destination holds: a
-    /// full checkpoint, a [`PartialCheckpoint`] from an aborted attempt,
-    /// both (their digests union into one index), or neither. Also
-    /// reports why recycling was skipped, if it was skipped for a
+    /// Observes a freshly built recycling index, passing it through.
+    fn observed(&self, source: &str, index: ChecksumIndex) -> Arc<ChecksumIndex> {
+        let index = Arc::new(index);
+        vecycle_checkpoint::observe_index(self.metrics(), source, &index);
+        index
+    }
+
+    /// The index a first round can recycle from: a full checkpoint, a
+    /// [`PartialCheckpoint`] from an aborted attempt, or both (their
+    /// digests union into one index). `None` when the destination holds
+    /// neither, which leaves sender-side dedup.
+    fn recycle_index(
+        &self,
+        checkpoint: Option<&Checkpoint>,
+        partial: Option<&PartialCheckpoint>,
+    ) -> Option<Arc<ChecksumIndex>> {
+        Some(match (checkpoint, partial) {
+            (Some(cp), Some(p)) => self.observed("merged", p.build_index_with(&cp.digests())),
+            (Some(cp), None) => self.observed("checkpoint", cp.build_index()),
+            (None, Some(p)) => self.observed("partial", p.build_index()),
+            (None, None) => return None,
+        })
+    }
+
+    /// Picks the first-round strategy from what the destination holds.
+    /// Also reports why recycling was skipped, if it was skipped for a
     /// fault-shaped reason.
     pub(super) fn strategy_for<M: MutableMemory>(
         &self,
@@ -159,112 +118,57 @@ impl VeCycleSession {
     ) -> (Strategy, Option<FaultCause>) {
         let partial = partial
             .filter(|p| p.page_count() == vm.guest().page_count() && p.landed_pages().as_u64() > 0);
-        let cause = fetch.fallback_cause();
+        let cause = fallback_cause(fetch);
         let cp = match fetch {
             CheckpointFetch::Usable(cp) if cp.page_count() == vm.guest().page_count() => {
-                Some(Arc::clone(cp))
+                Some(cp.as_ref())
             }
             _ => None,
         };
-        match self.policy {
-            RecyclePolicy::Baseline => (Strategy::full(), None),
-            RecyclePolicy::DedupOnly => match partial {
-                Some(p) => (
-                    Strategy::vecycle_with_index(
-                        self.obs_index("partial", Arc::new(p.build_index())),
-                    )
-                    .with_dedup(),
-                    None,
-                ),
-                None => (Strategy::dedup(), None),
-            },
-            RecyclePolicy::VeCycle => {
-                let strategy = match (&cp, partial) {
-                    (Some(cp), Some(p)) => Strategy::vecycle_with_index(
-                        self.obs_index("merged", Arc::new(p.build_index_with(&cp.digests()))),
-                    )
-                    .with_dedup(),
-                    (Some(cp), None) => Strategy::vecycle_with_index(
-                        self.obs_index("checkpoint", Arc::new(cp.build_index())),
-                    )
-                    .with_dedup(),
-                    (None, Some(p)) => Strategy::vecycle_with_index(
-                        self.obs_index("partial", Arc::new(p.build_index())),
-                    )
-                    .with_dedup(),
-                    (None, None) => Strategy::dedup(),
-                };
-                (strategy, cause)
+        let recycling = |index: Option<Arc<ChecksumIndex>>| match index {
+            Some(index) => Strategy::vecycle_with_index(index).with_dedup(),
+            None => Strategy::dedup(),
+        };
+        match (self.policy, cp) {
+            (RecyclePolicy::Baseline, _) => (Strategy::full(), None),
+            (RecyclePolicy::DedupOnly, _) => (recycling(self.recycle_index(None, partial)), None),
+            (RecyclePolicy::VeCycle, _) | (RecyclePolicy::Adaptive { .. }, None) => {
+                (recycling(self.recycle_index(cp, partial)), cause)
             }
-            RecyclePolicy::Adaptive { min_similarity } => match cp {
-                Some(cp) => {
-                    let index = self.obs_index("checkpoint", Arc::new(cp.build_index()));
-                    let estimate =
-                        MigrationEngine::estimate_similarity(vm.guest().memory(), &index, 256);
-                    let recycle = estimate.as_f64() >= min_similarity;
-                    self.metrics()
-                        .set_gauge("session_similarity_estimate", &[], estimate.as_f64());
-                    self.metrics().inc(
-                        "session_similarity_probe_total",
-                        &[("verdict", if recycle { "recycle" } else { "fallback" })],
-                        1,
-                    );
-                    if recycle {
-                        let strategy =
-                            match partial {
-                                Some(p) => Strategy::vecycle_with_index(self.obs_index(
-                                    "merged",
-                                    Arc::new(p.build_index_with(&cp.digests())),
-                                ))
-                                .with_dedup(),
-                                None => Strategy::vecycle_with_index(index).with_dedup(),
-                            };
-                        (strategy, None)
-                    } else {
-                        let strategy = match partial {
-                            Some(p) => Strategy::vecycle_with_index(
-                                self.obs_index("partial", Arc::new(p.build_index())),
-                            )
-                            .with_dedup(),
-                            None => Strategy::dedup(),
-                        };
-                        (strategy, Some(FaultCause::LowSimilarity))
-                    }
-                }
-                None => match partial {
-                    Some(p) => (
-                        Strategy::vecycle_with_index(
-                            self.obs_index("partial", Arc::new(p.build_index())),
-                        )
-                        .with_dedup(),
-                        cause,
+            (RecyclePolicy::Adaptive { min_similarity }, Some(cp)) => {
+                let probe = self.observed("checkpoint", cp.build_index());
+                let estimate =
+                    MigrationEngine::estimate_similarity(vm.guest().memory(), &probe, 256);
+                let recycle = estimate.as_f64() >= min_similarity;
+                self.metrics()
+                    .set_gauge("session_similarity_estimate", &[], estimate.as_f64());
+                self.metrics().inc(
+                    "session_similarity_probe_total",
+                    &[("verdict", if recycle { "recycle" } else { "fallback" })],
+                    1,
+                );
+                match (recycle, partial) {
+                    (true, None) => (recycling(Some(probe)), None),
+                    (true, Some(_)) => (recycling(self.recycle_index(Some(cp), partial)), None),
+                    (false, _) => (
+                        recycling(self.recycle_index(None, partial)),
+                        Some(FaultCause::LowSimilarity),
                     ),
-                    None => (Strategy::dedup(), cause),
-                },
-            },
+                }
+            }
         }
     }
 
-    /// Records a [`SaveOutcome`]'s metrics and transcript events:
-    /// `ckpt_evictions_total` + the `store_bytes` gauge always, plus a
-    /// `CheckpointEvicted` event per *quota* eviction (routine version
-    /// replacement is not an incident). Removes disk files for VMs the
-    /// in-memory store fully evicted, keeping disk ≡ catalog even when
-    /// the save bypassed [`Host::save_checkpoint`].
-    pub(super) fn note_save_outcome(
+    /// Appends one `CheckpointEvicted` event per *quota* eviction —
+    /// routine replacement by a newer save is not an incident.
+    fn record_evictions(
         &self,
         host: &Host,
-        outcome: &SaveOutcome,
+        evicted: &[EvictionRecord],
         events: &mut Vec<SessionEvent>,
-    ) -> vecycle_types::Result<()> {
-        if let Some(ds) = host.disk_store() {
-            for vm in outcome.fully_evicted_vms() {
-                ds.remove(vm)?;
-            }
-        }
-        vecycle_host::observe_save(self.metrics(), host, outcome);
+    ) {
         let policy = host.store().policy();
-        for record in &outcome.evicted {
+        for record in evicted {
             if record.reason == EvictionReason::Quota {
                 self.record_event(
                     events,
@@ -277,7 +181,6 @@ impl VeCycleSession {
                 );
             }
         }
-        Ok(())
     }
 
     /// "After the migration, the source writes a checkpoint of the VM to
@@ -328,7 +231,8 @@ impl VeCycleSession {
         }
         self.metrics()
             .inc("session_checkpoint_saves_total", &[("result", "saved")], 1);
-        self.note_save_outcome(source, &outcome, events)?;
+        vecycle_host::observe_save(self.metrics(), source, &outcome);
+        self.record_evictions(source, &outcome.evicted, events);
         report.setup_mut().checkpoint_write = source.disk().sequential_time(vm.guest().ram_size());
         Ok(())
     }
@@ -354,20 +258,7 @@ impl VeCycleSession {
                 },
             );
         }
-        let policy = dest.store().policy();
-        for record in &scrub.evicted {
-            if record.reason == EvictionReason::Quota {
-                self.record_event(
-                    events,
-                    SessionEvent::CheckpointEvicted {
-                        vm: record.vm,
-                        host: dest.id(),
-                        policy,
-                        reason: record.reason,
-                    },
-                );
-            }
-        }
+        self.record_evictions(dest, &scrub.evicted, events);
         self.record_event(
             events,
             SessionEvent::HostRestarted {
@@ -378,11 +269,5 @@ impl VeCycleSession {
         );
         vecycle_host::observe_restart(self.metrics(), dest, &scrub);
         Ok(())
-    }
-
-    /// Observes a freshly built recycling index, passing it through.
-    pub(super) fn obs_index(&self, source: &str, index: Arc<ChecksumIndex>) -> Arc<ChecksumIndex> {
-        vecycle_checkpoint::observe_index(self.metrics(), source, &index);
-        index
     }
 }

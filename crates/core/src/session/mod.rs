@@ -251,11 +251,6 @@ impl VeCycleSession {
         let inject_corrupt = plan.has(leg, |f| matches!(f, FaultKind::CheckpointCorrupt));
         let crash_on_save = plan.has(leg, |f| matches!(f, FaultKind::CrashDuringSave));
         let mut fetch = self.fetch_checkpoint(vm.id, &dest, inject_corrupt, events)?;
-        self.metrics().inc(
-            "session_checkpoint_fetch_total",
-            &[("result", fetch.label())],
-            1,
-        );
         // The attempts this migration makes are *derived from the metrics
         // layer*: the counter delta across the retry loop is the one
         // source of truth the outcome reports (the transcript's
@@ -382,11 +377,6 @@ impl VeCycleSession {
                         // the next attempt can recycle.
                         partial = None;
                         fetch = self.fetch_checkpoint(vm.id, &dest, false, events)?;
-                        self.metrics().inc(
-                            "session_checkpoint_fetch_total",
-                            &[("result", fetch.label())],
-                            1,
-                        );
                     } else if self.retry.resume_from_partial
                         && !matches!(self.policy, RecyclePolicy::Baseline)
                         && aborted.landed_pages().as_u64() > 0
@@ -412,15 +402,16 @@ impl VeCycleSession {
     /// Runs a [`MigrationSchedule`], advancing `workload` through the
     /// gaps between migrations so the guest keeps aging between moves.
     ///
-    /// Returns one report per leg, in schedule order. Each leg executes
-    /// through [`VeCycleSession::migrate`] — the faulted path with an
-    /// empty fault plan.
+    /// Returns one report per leg, in schedule order: this is
+    /// [`VeCycleSession::run_schedule_with_faults`] with an empty fault
+    /// plan, for a schedule checked up front to chain from the VM's
+    /// current location.
     ///
     /// # Errors
     ///
-    /// Fails on the first leg whose source host does not match the VM's
-    /// current location (an inconsistent schedule) or whose migration
-    /// fails.
+    /// Fails before moving anything when a leg's source host is not
+    /// where the legs before it leave the VM (an inconsistent schedule),
+    /// or on the first leg whose migration fails.
     pub fn run_schedule<M, W>(
         &self,
         vm: &mut VmInstance<M>,
@@ -431,33 +422,29 @@ impl VeCycleSession {
         M: MutableMemory,
         W: GuestWorkload<M>,
     {
-        let mut reports = Vec::with_capacity(schedule.len());
-        let mut clock = SimTime::EPOCH;
+        let mut at = vm.location;
         for leg in schedule {
-            if leg.from != vm.location {
+            if leg.from != at {
                 return Err(Error::InvalidConfig {
                     reason: format!(
-                        "schedule expects {} at {} but it is at {}",
-                        vm.id, leg.from, vm.location
+                        "schedule expects {} at {} but it is at {at}",
+                        vm.id, leg.from
                     ),
                 });
             }
-            let gap = leg.at.duration_since(clock);
-            workload.advance(&mut vm.guest, gap);
-            clock = leg.at;
-            reports.push(self.migrate(vm, leg.to, clock, workload)?);
+            at = leg.to;
         }
-        Ok(reports)
+        let run = self.run_schedule_with_faults(vm, schedule, workload, &FaultPlan::none())?;
+        Ok(run.reports)
     }
 
     /// Runs a [`MigrationSchedule`] under fault injection.
     ///
-    /// Unlike [`VeCycleSession::run_schedule`], a failed migration does
-    /// not poison the run: the VM simply stays where it is, and later
-    /// legs adapt — a leg whose destination is the VM's current host is
-    /// skipped (the failure already "achieved" it), any other leg
-    /// migrates from the VM's *actual* location rather than the
-    /// scheduled one.
+    /// A failed migration does not poison the run: the VM simply stays
+    /// where it is, and later legs adapt — a leg whose destination is
+    /// the VM's current host is skipped (the failure already "achieved"
+    /// it), any other leg migrates from the VM's *actual* location
+    /// rather than the scheduled one.
     ///
     /// # Errors
     ///

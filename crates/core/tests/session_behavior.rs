@@ -474,7 +474,7 @@ fn disk_store_write_through_survives_memory_store_loss() {
         .unwrap();
     // Simulate a host restart: the in-memory store evaporates, the
     // durable one does not.
-    assert_eq!(s.cluster().hosts()[0].store().remove(vm.id()), 1);
+    assert!(s.cluster().hosts()[0].store().remove(vm.id()));
     let r = s
         .migrate(
             &mut vm,

@@ -210,36 +210,10 @@ impl Write for Stream {
 
 /// Counts every byte that crosses the wrapped stream — the "measured"
 /// side of the ledger-reconciliation oracle.
-pub struct CountingStream<S> {
+struct CountingStream<S> {
     inner: S,
     tx: u64,
     rx: u64,
-}
-
-impl<S> CountingStream<S> {
-    /// Wraps `inner` with zeroed counters.
-    pub fn new(inner: S) -> Self {
-        CountingStream {
-            inner,
-            tx: 0,
-            rx: 0,
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn tx(&self) -> u64 {
-        self.tx
-    }
-
-    /// Bytes read so far.
-    pub fn rx(&self) -> u64 {
-        self.rx
-    }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: Read> Read for CountingStream<S> {
@@ -286,7 +260,14 @@ impl<S: Read> SessionStream<S> {
     /// Wraps `inner` with zeroed counters and an empty read buffer.
     pub fn new(inner: S) -> Self {
         SessionStream {
-            r: BufReader::with_capacity(SESSION_BUF, CountingStream::new(inner)),
+            r: BufReader::with_capacity(
+                SESSION_BUF,
+                CountingStream {
+                    inner,
+                    tx: 0,
+                    rx: 0,
+                },
+            ),
         }
     }
 }
@@ -294,12 +275,12 @@ impl<S: Read> SessionStream<S> {
 impl<S> SessionStream<S> {
     /// Bytes written to the stream so far.
     pub fn tx(&self) -> u64 {
-        self.r.get_ref().tx()
+        self.r.get_ref().tx
     }
 
     /// Bytes read from the stream so far (read-ahead included).
     pub fn rx(&self) -> u64 {
-        self.r.get_ref().rx()
+        self.r.get_ref().rx
     }
 
     /// Bytes read from the stream but not yet consumed by a decoder.
@@ -358,11 +339,15 @@ mod tests {
 
     #[test]
     fn counting_stream_counts_both_directions() {
-        let mut cs = CountingStream::new(std::io::Cursor::new(vec![0u8; 16]));
+        let mut cs = CountingStream {
+            inner: std::io::Cursor::new(vec![0u8; 16]),
+            tx: 0,
+            rx: 0,
+        };
         let mut buf = [0u8; 10];
         cs.read_exact(&mut buf).unwrap();
-        assert_eq!(cs.rx(), 10);
+        assert_eq!(cs.rx, 10);
         cs.write_all(&[1, 2, 3]).unwrap();
-        assert_eq!(cs.tx(), 3);
+        assert_eq!(cs.tx, 3);
     }
 }

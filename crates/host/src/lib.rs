@@ -17,7 +17,7 @@ mod locks;
 mod obs;
 mod schedule;
 
-pub use cluster::{Cluster, Host, ScrubReport};
+pub use cluster::{Cluster, Host};
 pub use cpu::CpuSpec;
 pub use disk::DiskSpec;
 pub use locks::{HostClaim, HostLocks};

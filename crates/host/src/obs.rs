@@ -8,9 +8,9 @@
 //! driven by simulated state only, so transcripts stay bit-identical
 //! across thread counts.
 
+use vecycle_checkpoint::{EvictionRecord, SaveOutcome, ScrubReport};
 use vecycle_obs::MetricsRegistry;
 
-use crate::cluster::ScrubReport;
 use crate::Host;
 
 /// Refreshes the `store_bytes{host=…}` gauge from the host's current
@@ -24,17 +24,11 @@ pub fn observe_store(metrics: &MetricsRegistry, host: &Host) {
     );
 }
 
-/// Records the evictions a quota-governed save performed
-/// (`ckpt_evictions_total{policy,reason}`) and refreshes the host's
-/// `store_bytes` gauge. A save that evicted nothing only moves the
-/// gauge.
-pub fn observe_save(
-    metrics: &MetricsRegistry,
-    host: &Host,
-    outcome: &vecycle_checkpoint::SaveOutcome,
-) {
+/// Counts `evicted` into `ckpt_evictions_total{policy,reason}` and
+/// refreshes the host's `store_bytes` gauge.
+fn observe_evictions(metrics: &MetricsRegistry, host: &Host, evicted: &[EvictionRecord]) {
     let policy = host.store().policy().label();
-    for record in &outcome.evicted {
+    for record in evicted {
         metrics.inc(
             "ckpt_evictions_total",
             &[("policy", policy), ("reason", record.reason.label())],
@@ -44,34 +38,28 @@ pub fn observe_save(
     observe_store(metrics, host);
 }
 
+/// Records the evictions a quota-governed save performed
+/// (`ckpt_evictions_total{policy,reason}`) and refreshes the host's
+/// `store_bytes` gauge. A save that evicted nothing only moves the
+/// gauge.
+pub fn observe_save(metrics: &MetricsRegistry, host: &Host, outcome: &SaveOutcome) {
+    observe_evictions(metrics, host, &outcome.evicted);
+}
+
 /// Records a host restart and its scrub findings:
 /// `host_restarts_total`, `scrub_pages_total{verdict=clean|corrupt}`,
 /// plus any evictions the re-warm pass performed.
 pub fn observe_restart(metrics: &MetricsRegistry, host: &Host, report: &ScrubReport) {
     metrics.inc("host_restarts_total", &[], 1);
-    if report.clean_pages > 0 {
-        metrics.inc(
-            "scrub_pages_total",
-            &[("verdict", "clean")],
-            report.clean_pages,
-        );
+    for (verdict, pages) in [
+        ("clean", report.clean_pages),
+        ("corrupt", report.corrupt_pages),
+    ] {
+        if pages > 0 {
+            metrics.inc("scrub_pages_total", &[("verdict", verdict)], pages);
+        }
     }
-    if report.corrupt_pages > 0 {
-        metrics.inc(
-            "scrub_pages_total",
-            &[("verdict", "corrupt")],
-            report.corrupt_pages,
-        );
-    }
-    let policy = host.store().policy().label();
-    for record in &report.evicted {
-        metrics.inc(
-            "ckpt_evictions_total",
-            &[("policy", policy), ("reason", record.reason.label())],
-            1,
-        );
-    }
-    observe_store(metrics, host);
+    observe_evictions(metrics, host, &report.evicted);
 }
 
 #[cfg(test)]

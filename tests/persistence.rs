@@ -206,58 +206,150 @@ fn quota_host(tag: &str, quota: u64) -> (Host, std::path::PathBuf) {
     (host, dir)
 }
 
-/// Sorted views of the durable directory and the in-memory catalog —
+/// The durable directory and the in-memory catalog, both in id order —
 /// these must agree after every lifecycle operation.
 fn disk_vs_catalog(host: &Host) -> (Vec<VmId>, Vec<VmId>) {
-    let mut on_disk = host.disk_store().unwrap().vm_ids().unwrap();
-    on_disk.sort();
-    let mut catalog = host.store().vm_ids();
-    catalog.sort();
-    (on_disk, catalog)
+    let on_disk = host.store().disk().unwrap().list().unwrap();
+    (on_disk, host.store().vm_ids())
 }
 
-/// Regression for the eviction file leak: a churn of saves mixing quota
-/// evictions with version supersessions (the same VM re-saving a newer
-/// checkpoint) must keep the durable directory identical to the
-/// in-memory catalog after *every* save — a version-evicted checkpoint's
-/// file is overwritten in place, a quota-evicted VM's file is deleted.
+/// One input to the churn below: the store's four entry points, and the
+/// two things the world does to a store between them.
+#[derive(Clone, Copy)]
+enum Step {
+    /// `save` of (vm, taken_at); must be admitted.
+    Save(u32, u64),
+    /// `fetch`, and the label it must answer with.
+    Fetch(u32, &'static str),
+    /// `discard`, and whether there must have been anything to discard.
+    Discard(u32, bool),
+    /// `crash` + `restart`, and how many files the scrub must quarantine.
+    CrashRestart(usize),
+    /// The catalog loses one VM (a crash loses all): its file stays, and
+    /// the VM is cold until a fetch re-admits it.
+    Forget(u32),
+    /// One byte of the VM's file flips.
+    Rot(u32),
+}
+
+/// Regression for the eviction file leak, since grown to every entry
+/// point of the one store: through saves mixing quota evictions with
+/// version supersessions (the same VM re-saving a newer checkpoint),
+/// fetches of a cold catalog under quota pressure, discards, rotted
+/// files and crash + restart, the durable directory stays identical to
+/// the in-memory catalog (plus the VMs the catalog was made to forget)
+/// after *every* step — a superseded checkpoint's file is overwritten in
+/// place, an evicted, discarded, corrupt or quarantined VM's file is
+/// deleted. Both builder orders in use yield the same host.
 #[test]
 fn eviction_churn_keeps_disk_directory_equal_to_catalog() {
+    use Step::*;
     // The 256-byte quota holds exactly two 128-byte checkpoints.
-    let (host, dir) = quota_host("churn", 256);
+    const QUOTA: u64 = 256;
     let churn = [
-        (1u32, 10u64),
-        (2, 20),
-        (1, 30), // version supersession: vm-1's file is rewritten
-        (3, 40), // quota eviction: the oldest resident's file must go
-        (2, 50), // vm-2 re-saves (possibly after its own eviction)
-        (4, 60),
-        (3, 70),
-        (1, 80),
+        Save(1, 10),
+        Save(2, 20),
+        Save(1, 30), // version supersession: vm-1's file is rewritten
+        Save(3, 40), // quota eviction: vm-2, the oldest resident, goes
+        Fetch(2, "evicted"),
+        Save(2, 50), // vm-2 returns; vm-1 is now the oldest
+        Fetch(1, "evicted"),
+        Forget(3),
+        Save(4, 60),     // fits beside vm-2 only because vm-3 is cold
+        Fetch(3, "hit"), // the re-admission has to push one of them out
+        Fetch(2, "evicted"),
+        Discard(4, true),
+        Discard(4, false),
+        Fetch(4, "miss"),
+        Save(1, 80),
+        Rot(1),
+        CrashRestart(1),
+        Fetch(1, "quarantined"),
+        Save(5, 90),
+        Rot(5),
+        Forget(5),
+        Fetch(5, "corrupt"), // the load finds the rot; the file goes
+        Fetch(5, "miss"),
+        CrashRestart(0),
+        Fetch(3, "hit"),
     ];
-    for (step, &(vm, at)) in churn.iter().enumerate() {
-        let outcome = host
-            .save_checkpoint(small_cp(vm, u64::from(vm) * 100 + at, at))
-            .unwrap();
-        assert!(outcome.stored, "step {step}: save under quota must land");
-        let (on_disk, catalog) = disk_vs_catalog(&host);
-        assert_eq!(
-            on_disk, catalog,
-            "step {step}: durable directory diverged from the catalog"
+    let quota_then_disk = quota_host("churn-qd", QUOTA);
+    let dir = tmpdir("churn-dq");
+    let disk_then_quota = vecycle::host::Cluster::homogeneous(1, LinkSpec::lan_gigabit())
+        .attach_disk_stores(&dir)
+        .unwrap()
+        .with_checkpoint_quotas(Bytes::new(QUOTA), EvictionPolicy::OldestFirst)
+        .hosts()[0]
+        .clone();
+    for (host, dir) in [quota_then_disk, (disk_then_quota, dir)] {
+        assert_eq!(host.store().quota(), Some(Bytes::new(QUOTA)));
+        let files = Arc::clone(
+            host.store()
+                .disk()
+                .expect("both builder orders keep the mirror"),
         );
-        assert!(
-            host.store().used().as_u64() <= 256,
-            "step {step}: quota overrun"
-        );
+        let mut cold = std::collections::BTreeSet::new();
+        for (step, &input) in churn.iter().enumerate() {
+            match input {
+                Save(vm, at) => {
+                    let cp = small_cp(vm, u64::from(vm) * 100 + at, at);
+                    assert!(host.save_checkpoint(cp).unwrap().stored, "step {step}");
+                }
+                Fetch(vm, label) => {
+                    let (fetch, _) = host.store().fetch(VmId::new(vm)).unwrap();
+                    assert_eq!(fetch.label(), label, "step {step}");
+                    cold.remove(&VmId::new(vm));
+                }
+                Discard(vm, had) => {
+                    assert_eq!(host.store().discard(VmId::new(vm)).unwrap(), had);
+                }
+                CrashRestart(quarantined) => {
+                    host.crash();
+                    let report = host.restart().unwrap();
+                    assert_eq!(report.quarantined.len(), quarantined, "step {step}");
+                    cold.clear();
+                }
+                Forget(vm) => {
+                    assert!(host.store().remove(VmId::new(vm)), "step {step}");
+                    cold.insert(VmId::new(vm));
+                }
+                Rot(vm) => {
+                    let path = files.root().join(format!("vm-{vm}.ckpt"));
+                    let mut bytes = std::fs::read(&path).unwrap();
+                    let mid = bytes.len() / 2;
+                    bytes[mid] ^= 0x20;
+                    std::fs::write(&path, bytes).unwrap();
+                }
+            }
+            // What `bench/soak.rs::check_cluster_invariants` asserts.
+            let (on_disk, catalog) = disk_vs_catalog(&host);
+            let mut expected = catalog.clone();
+            expected.extend(cold.iter().copied());
+            expected.sort();
+            assert_eq!(
+                on_disk, expected,
+                "step {step}: durable directory diverged from the catalog"
+            );
+            assert!(
+                host.store().used().as_u64() <= QUOTA,
+                "step {step}: quota overrun"
+            );
+            for vm in (1..=5).map(VmId::new) {
+                assert!(
+                    host.store().gone(vm).is_none() || host.store().latest(vm).is_none(),
+                    "step {step}: {vm} is served despite its tombstone"
+                );
+            }
+        }
+        // The last save wins for every VM still resident: each surviving
+        // file must load as the version the catalog serves.
+        for vm in host.store().vm_ids() {
+            let on_disk = files.load(vm).unwrap().unwrap();
+            let in_mem = host.store().latest(vm).unwrap();
+            assert_eq!(on_disk.taken_at(), in_mem.taken_at(), "{vm} version skew");
+        }
+        std::fs::remove_dir_all(dir).unwrap();
     }
-    // The last save wins for every VM still resident: each surviving
-    // file must load as the newest version the catalog serves.
-    for vm in host.store().vm_ids() {
-        let on_disk = host.disk_store().unwrap().load(vm).unwrap().unwrap();
-        let in_mem = host.store().latest(vm).unwrap();
-        assert_eq!(on_disk.taken_at(), in_mem.taken_at(), "{vm} version skew");
-    }
-    std::fs::remove_dir_all(dir).unwrap();
 }
 
 /// A crash in the middle of a quota-pressured save must be invisible:
@@ -286,7 +378,8 @@ fn crash_during_save_under_quota_pressure_preserves_victim_and_agreement() {
         "the would-be victim must not be tombstoned by a save that never landed"
     );
     assert!(
-        host.disk_store()
+        host.store()
+            .disk()
             .unwrap()
             .load(VmId::new(1))
             .unwrap()
