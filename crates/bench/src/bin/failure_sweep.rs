@@ -22,7 +22,7 @@ use vecycle_analysis::{ExperimentLog, Table};
 use vecycle_bench::Options;
 use vecycle_core::session::{ScheduleSummary, VeCycleSession, VmInstance};
 use vecycle_faults::{FaultPlan, FaultRates, RetryPolicy};
-use vecycle_host::{Cluster, MigrationSchedule};
+use vecycle_host::{Cluster, MigrationRequest};
 use vecycle_mem::{workload::IdleWorkload, DigestMemory, Guest};
 use vecycle_net::LinkSpec;
 use vecycle_obs::MetricsRegistry;
@@ -66,7 +66,7 @@ fn main() {
                 .with_metrics(metrics.clone());
             let mem = DigestMemory::with_uniform_content(ram, opts.seed).expect("page-aligned");
             let mut vm = VmInstance::new(VmId::new(0), Guest::new(mem), HostId::new(0));
-            let schedule = MigrationSchedule::ping_pong(
+            let schedule = MigrationRequest::ping_pong(
                 vm.id(),
                 HostId::new(0),
                 HostId::new(1),

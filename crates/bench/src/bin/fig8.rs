@@ -8,7 +8,7 @@
 
 use vecycle_analysis::{ExperimentLog, Table};
 use vecycle_bench::{machine, Options};
-use vecycle_host::MigrationSchedule;
+use vecycle_host::MigrationRequest;
 use vecycle_trace::PairStats;
 use vecycle_types::{Bytes, HostId, SimTime, VmId};
 
@@ -22,7 +22,7 @@ fn main() {
 
     let workstation = HostId::new(0);
     let server = HostId::new(1);
-    let schedule = MigrationSchedule::vdi(VmId::new(0), workstation, server, 19);
+    let schedule = MigrationRequest::vdi(VmId::new(0), workstation, server, 19);
     assert_eq!(schedule.len(), 26, "schedule must match the paper");
 
     // The fingerprint nearest to a schedule instant.
@@ -47,15 +47,17 @@ fn main() {
 
     println!("Figure 8 — VDI scenario, per-migration traffic [% of RAM]\n");
     let mut t = Table::new(vec!["#", "when", "direction", "dedup [%]", "vecycle [%]"]);
-    for (i, leg) in schedule.legs().iter().enumerate() {
-        let now = fp_at(leg.at);
+    let mut location = server;
+    for (i, request) in schedule.iter().enumerate() {
+        let to = request.pinned_to.expect("a VDI schedule is pinned");
+        let now = fp_at(request.at);
         let n = now.page_count().as_u64();
         let page_frac = |pages: u64| pages as f64 / n as f64;
 
         // Sender-side dedup always applies; VeCycle additionally uses the
         // destination's checkpoint when one exists.
         let dedup_pages = now.unique_count().as_u64();
-        let dest_slot = leg.to.as_usize();
+        let dest_slot = to.as_usize();
         let (vecycle_pages, dirty_dedup_pages) = match checkpoint_at[dest_slot] {
             Some(cp) => {
                 let stats = PairStats::compute(cp, now);
@@ -73,8 +75,8 @@ fn main() {
         total_dirty_dedup_pages += dirty_dedup_pages;
         total_vecycle_pages += vecycle_pages;
 
-        let hours = leg.at.since_epoch().as_hours_f64();
-        let dir = if leg.to == workstation {
+        let hours = request.at.since_epoch().as_hours_f64();
+        let dir = if to == workstation {
             "→ desk"
         } else {
             "→ server"
@@ -100,7 +102,8 @@ fn main() {
         );
 
         // The source host keeps a checkpoint of the departing state.
-        checkpoint_at[leg.from.as_usize()] = Some(now);
+        checkpoint_at[location.as_usize()] = Some(now);
+        location = to;
     }
     print!("{}", t.render());
 

@@ -8,7 +8,7 @@ use vecycle_core::session::{
 };
 use vecycle_core::{estimate, MigrationEngine, MigrationReport, Strategy};
 use vecycle_faults::{FaultPlan, RetryPolicy};
-use vecycle_host::{Cluster, CpuSpec, MigrationSchedule};
+use vecycle_host::{Cluster, CpuSpec, MigrationRequest};
 use vecycle_mem::workload::{GuestWorkload, IdleWorkload};
 use vecycle_mem::{DigestMemory, Guest, MemoryImage, MutableMemory, PageContent};
 use vecycle_net::LinkSpec;
@@ -258,7 +258,7 @@ fn run_with_optional_faults<M, W>(
     args: &Args,
     session: VeCycleSession,
     vm: &mut VmInstance<M>,
-    schedule: &MigrationSchedule,
+    schedule: &[MigrationRequest],
     workload: &mut W,
 ) -> Result<(Vec<MigrationReport>, Vec<SessionEvent>), String>
 where
@@ -359,7 +359,7 @@ fn simulate_cmd(argv: &[String]) -> Result<(), String> {
             let session = VeCycleSession::new(cluster).with_policy(policy);
             let mem = DigestMemory::with_uniform_content(ram, seed).map_err(|e| e.to_string())?;
             let mut vm = VmInstance::new(VmId::new(0), Guest::new(mem), HostId::new(1));
-            let schedule = MigrationSchedule::vdi(VmId::new(0), HostId::new(0), HostId::new(1), 19);
+            let schedule = MigrationRequest::vdi(VmId::new(0), HostId::new(0), HostId::new(1), 19);
             // ~20% of pages touched per 8h working stretch.
             let rate = ram.pages_ceil().as_u64() as f64 * 0.2 / (8.0 * 3600.0);
             let mut workload = IdleWorkload::new(seed ^ 1, rate);
@@ -405,7 +405,7 @@ fn simulate_cmd(argv: &[String]) -> Result<(), String> {
             let session = VeCycleSession::new(cluster);
             let mem = DigestMemory::with_uniform_content(ram, seed).map_err(|e| e.to_string())?;
             let mut vm = VmInstance::new(VmId::new(0), Guest::new(mem), HostId::new(0));
-            let schedule = MigrationSchedule::ping_pong(
+            let schedule = MigrationRequest::ping_pong(
                 VmId::new(0),
                 HostId::new(0),
                 HostId::new(1),

@@ -54,7 +54,6 @@ pub struct MigrationEngine {
     pub(crate) zero_suppression: bool,
     pub(crate) compression: Option<DeltaCompression>,
     pub(crate) xbzrle: Option<Xbzrle>,
-    pub(crate) precopy_time_budget: Option<SimDuration>,
     pub(crate) metrics: MetricsRegistry,
 }
 
@@ -76,7 +75,6 @@ impl MigrationEngine {
             zero_suppression: true,
             compression: None,
             xbzrle: None,
-            precopy_time_budget: None,
             metrics: MetricsRegistry::new(),
         }
     }
@@ -155,26 +153,6 @@ impl MigrationEngine {
     #[must_use]
     pub fn with_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// Caps the cumulative pre-copy time (default: unlimited).
-    ///
-    /// This is the time half of the convergence guard: once the copy
-    /// rounds have spent this budget, the engine stops iterating and
-    /// forces the final stop-and-copy regardless of the residual dirty
-    /// set — a hot guest cannot pin the migration in pre-copy forever.
-    /// The round limit ([`MigrationEngine::with_max_rounds`]) is the
-    /// other half. A guarded exit reports
-    /// [`MigrationReport::converged`]` == false`.
-    #[must_use]
-    pub fn with_precopy_time_budget(mut self, budget: SimDuration) -> Self {
-        self.precopy_time_budget = Some(budget);
-        self
-    }
-
-    /// The configured pre-copy time budget, if any.
-    pub fn precopy_time_budget(&self) -> Option<SimDuration> {
-        self.precopy_time_budget
     }
 
     /// Shares a metrics registry with this engine (default: a fresh
@@ -474,13 +452,10 @@ impl MigrationEngine {
         self.obs_dirty(&dirty);
 
         // Iterative pre-copy: re-send dirty pages until the residual set
-        // fits the downtime budget, the round limit is hit, or the
-        // pre-copy time budget runs out (convergence guard).
+        // fits the downtime budget or the round limit is hit (the
+        // convergence guard).
         while tl.rounds_len() < self.max_rounds as usize
             && dirty.len() as u64 > self.downtime_budget_pages()
-            && self
-                .precopy_time_budget
-                .is_none_or(|budget| tl.elapsed() < budget)
         {
             let round_no = tl.rounds_len() as u32 + 1;
             match tl.resend_round(&*guest, &dirty, &strategy, &mut sent) {
@@ -494,7 +469,7 @@ impl MigrationEngine {
         }
 
         // Convergence verdict: did the residue genuinely fit the downtime
-        // budget, or did a guard (round/time limit) force the handover?
+        // budget, or did the round limit force the handover?
         let converged = dirty.len() as u64 <= self.downtime_budget_pages();
 
         let downtime = match tl.stop_copy(&*guest, &dirty) {

@@ -162,11 +162,6 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         self.rounds.len()
     }
 
-    /// Cumulative pre-copy time.
-    pub(crate) fn elapsed(&self) -> SimDuration {
-        self.elapsed
-    }
-
     /// Duration of the most recent round.
     pub(crate) fn last_round_duration(&self) -> SimDuration {
         self.rounds.last().map_or(SimDuration::ZERO, |r| r.duration)

@@ -167,8 +167,8 @@ impl MigrationReport {
         self.outcome
     }
 
-    /// False if the convergence guard (round or pre-copy time budget)
-    /// cut pre-copy short and forced the final stop-and-copy.
+    /// False if the round limit cut pre-copy short and forced the final
+    /// stop-and-copy.
     pub fn converged(&self) -> bool {
         self.converged
     }

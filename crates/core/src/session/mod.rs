@@ -9,7 +9,7 @@
 
 use vecycle_checkpoint::PartialCheckpoint;
 use vecycle_faults::{FaultCause, FaultKind, FaultPlan, RetryPolicy};
-use vecycle_host::{Cluster, MigrationSchedule};
+use vecycle_host::{Cluster, MigrationRequest};
 use vecycle_mem::{workload::GuestWorkload, Guest, MutableMemory};
 use vecycle_net::TrafficLedger;
 use vecycle_obs::{layouts, MetricsRegistry};
@@ -399,61 +399,49 @@ impl VeCycleSession {
         }
     }
 
-    /// Runs a [`MigrationSchedule`], advancing `workload` through the
-    /// gaps between migrations so the guest keeps aging between moves.
-    ///
-    /// Returns one report per leg, in schedule order: this is
     /// [`VeCycleSession::run_schedule_with_faults`] with an empty fault
-    /// plan, for a schedule checked up front to chain from the VM's
-    /// current location.
+    /// plan: one report per migration, in schedule order.
     ///
     /// # Errors
     ///
-    /// Fails before moving anything when a leg's source host is not
-    /// where the legs before it leave the VM (an inconsistent schedule),
-    /// or on the first leg whose migration fails.
+    /// As there; with no faults to absorb, also on the first request
+    /// whose migration fails.
     pub fn run_schedule<M, W>(
         &self,
         vm: &mut VmInstance<M>,
-        schedule: &MigrationSchedule,
+        schedule: &[MigrationRequest],
         workload: &mut W,
     ) -> vecycle_types::Result<Vec<MigrationReport>>
     where
         M: MutableMemory,
         W: GuestWorkload<M>,
     {
-        let mut at = vm.location;
-        for leg in schedule {
-            if leg.from != at {
-                return Err(Error::InvalidConfig {
-                    reason: format!(
-                        "schedule expects {} at {} but it is at {at}",
-                        vm.id, leg.from
-                    ),
-                });
-            }
-            at = leg.to;
-        }
         let run = self.run_schedule_with_faults(vm, schedule, workload, &FaultPlan::none())?;
         Ok(run.reports)
     }
 
-    /// Runs a [`MigrationSchedule`] under fault injection.
+    /// Runs a schedule — a time-ordered stream of requests for this VM,
+    /// each pinned to its destination, such as [`MigrationRequest::vdi`]
+    /// returns — under fault injection (`plan` addresses a request by its
+    /// index in `schedule`), advancing `workload` through the gaps so the
+    /// guest keeps aging between moves.
     ///
-    /// A failed migration does not poison the run: the VM simply stays
-    /// where it is, and later legs adapt — a leg whose destination is
-    /// the VM's current host is skipped (the failure already "achieved"
-    /// it), any other leg migrates from the VM's *actual* location
-    /// rather than the scheduled one.
+    /// Each request migrates from the VM's *actual* location, and one
+    /// whose destination is where the VM already is is skipped. So a
+    /// failed migration does not poison the run: the VM simply stays
+    /// where it is, and later requests adapt. A request's `deadline` is
+    /// not consulted — the session starts every move at `at`.
     ///
     /// # Errors
     ///
-    /// Propagates only non-fault errors (unknown hosts, filesystem
-    /// failures); injected faults never produce an `Err`.
+    /// [`Error::InvalidConfig`], before anything moves, unless every
+    /// request names this VM, is pinned, and `at` never decreases.
+    /// Otherwise propagates only non-fault errors (unknown hosts,
+    /// filesystem failures); injected faults never produce an `Err`.
     pub fn run_schedule_with_faults<M, W>(
         &self,
         vm: &mut VmInstance<M>,
-        schedule: &MigrationSchedule,
+        schedule: &[MigrationRequest],
         workload: &mut W,
         plan: &FaultPlan,
     ) -> vecycle_types::Result<FaultedScheduleRun>
@@ -461,20 +449,30 @@ impl VeCycleSession {
         M: MutableMemory,
         W: GuestWorkload<M>,
     {
+        let mut moves = Vec::with_capacity(schedule.len());
+        let mut clock = SimTime::EPOCH;
+        for r in schedule {
+            let Some(to) = r.pinned_to.filter(|_| r.vm == vm.id && r.at >= clock) else {
+                return Err(Error::InvalidConfig {
+                    reason: format!("{r:?} is not a pinned request for {} in time order", vm.id),
+                });
+            };
+            moves.push((r.at, to));
+            clock = r.at;
+        }
         vecycle_faults::observe_plan(self.metrics(), plan);
-        let mut reports = Vec::with_capacity(schedule.len());
+        let mut reports = Vec::with_capacity(moves.len());
         let mut events = Vec::new();
         let mut clock = SimTime::EPOCH;
-        for (leg_idx, leg) in schedule.legs().iter().enumerate() {
-            let gap = leg.at.duration_since(clock);
-            workload.advance(&mut vm.guest, gap);
-            clock = leg.at;
-            if leg.to == vm.location {
+        for (leg_idx, (at, to)) in moves.into_iter().enumerate() {
+            workload.advance(&mut vm.guest, at.duration_since(clock));
+            clock = at;
+            if to == vm.location {
                 continue;
             }
             reports.push(self.migrate_with_faults(
                 vm,
-                leg.to,
+                to,
                 clock,
                 workload,
                 plan,

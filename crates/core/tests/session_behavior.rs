@@ -6,7 +6,7 @@ use vecycle_core::session::{
 };
 use vecycle_core::MigrationOutcome;
 use vecycle_faults::{DropPoint, FaultKind, FaultPlan, FaultRates, RetryPolicy};
-use vecycle_host::{Cluster, MigrationSchedule};
+use vecycle_host::{Cluster, MigrationRequest};
 use vecycle_mem::{workload::SilentWorkload, DigestMemory, Guest};
 use vecycle_net::LinkSpec;
 use vecycle_types::{Bytes, Error, HostId, PageCount, SimDuration, SimTime, VmId};
@@ -84,7 +84,7 @@ fn unknown_destination_is_an_error() {
 fn ping_pong_schedule_runs_end_to_end() {
     let s = session();
     let mut vm = instance();
-    let schedule = MigrationSchedule::ping_pong(
+    let schedule = MigrationRequest::ping_pong(
         vm.id(),
         HostId::new(0),
         HostId::new(1),
@@ -109,17 +109,29 @@ fn ping_pong_schedule_runs_end_to_end() {
 fn inconsistent_schedule_is_rejected() {
     let s = session();
     let mut vm = instance();
-    let schedule = MigrationSchedule::ping_pong(
-        vm.id(),
-        HostId::new(1), // VM is actually at host 0
-        HostId::new(0),
-        SimTime::EPOCH,
-        SimDuration::from_hours(1),
-        1,
-    );
-    assert!(s
-        .run_schedule(&mut vm, &schedule, &mut SilentWorkload)
-        .is_err());
+    let hour = |h| SimTime::EPOCH + SimDuration::from_hours(h);
+    let to = |h, host| MigrationRequest::open(hour(h), vm.id()).pinned(HostId::new(host));
+    let malformed = [
+        ("unsorted", vec![to(2, 1), to(1, 0)]),
+        (
+            "unpinned",
+            vec![to(1, 1), MigrationRequest::open(hour(2), vm.id())],
+        ),
+        (
+            "another VM's",
+            vec![
+                to(1, 1),
+                MigrationRequest::open(hour(2), VmId::new(9)).pinned(HostId::new(0)),
+            ],
+        ),
+    ];
+    for (what, schedule) in malformed {
+        let err = s
+            .run_schedule(&mut vm, &schedule, &mut SilentWorkload)
+            .expect_err(what);
+        assert!(matches!(err, Error::InvalidConfig { .. }), "{what}: {err}");
+        assert_eq!(vm.location(), HostId::new(0), "{what}: nothing moved");
+    }
 }
 
 #[test]
@@ -146,7 +158,7 @@ fn resized_vm_does_not_recycle_stale_checkpoint() {
 fn schedule_summary_aggregates() {
     let s = session();
     let mut vm = instance();
-    let schedule = MigrationSchedule::ping_pong(
+    let schedule = MigrationRequest::ping_pong(
         vm.id(),
         HostId::new(0),
         HostId::new(1),
@@ -495,7 +507,7 @@ fn disk_store_write_through_survives_memory_store_loss() {
 fn faulted_schedule_survives_a_permanent_failure() {
     let s = session().with_retry_policy(RetryPolicy::default().with_max_attempts(2));
     let mut vm = instance();
-    let schedule = MigrationSchedule::ping_pong(
+    let schedule = MigrationRequest::ping_pong(
         vm.id(),
         HostId::new(0),
         HostId::new(1),
@@ -530,7 +542,7 @@ fn faulted_schedule_survives_a_permanent_failure() {
 fn seeded_fault_schedule_completes_without_errors() {
     let s = session();
     let mut vm = instance();
-    let schedule = MigrationSchedule::ping_pong(
+    let schedule = MigrationRequest::ping_pong(
         vm.id(),
         HostId::new(0),
         HostId::new(1),
@@ -556,7 +568,7 @@ fn seeded_fault_schedule_completes_without_errors() {
 #[test]
 fn clean_faulted_schedule_matches_plain_schedule() {
     let make_schedule = |vm: VmId| {
-        MigrationSchedule::ping_pong(
+        MigrationRequest::ping_pong(
             vm,
             HostId::new(0),
             HostId::new(1),

@@ -35,7 +35,7 @@ pub enum DaemonError {
     /// The peer reported an error and closed.
     Remote(String),
     /// A payload failed validation (bad lengths, bad content, hash
-    /// mismatch) — the PR 7 decoders surface here.
+    /// mismatch) — every hardened decoder surfaces here.
     Corrupt(String),
     /// A session rule was violated (wrong role, impossible offer,
     /// out-of-order data message).

@@ -4,8 +4,7 @@
 //! operator RPCs; the migration data plane inside a session uses the
 //! byte-exact [`wiremsg`](vecycle_net::wiremsg) codec instead (its
 //! sizes are the analytic prices). Readers validate the declared
-//! length against a per-connection limit *before* allocating, in the
-//! PR 7 style.
+//! length against a per-connection limit *before* allocating.
 
 use std::io::{Read, Write};
 

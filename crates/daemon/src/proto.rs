@@ -43,8 +43,8 @@ pub struct JobMsg {
     /// Source-daemon job id — correlates logs, keys the destination's
     /// partial state, and anchors exactly-once completion.
     pub job: u64,
-    /// Resume epoch: 0 is a fresh transfer (PR 8 wire flow, no resume
-    /// frames); N ≥ 1 adds the RESUME_STATE/RESUME_OK exchange.
+    /// Resume epoch: 0 is a fresh transfer (no resume frames); N ≥ 1
+    /// adds the RESUME_STATE/RESUME_OK exchange.
     pub resume: u64,
     /// The scenario both sides rebuild deterministically.
     pub spec: ScenarioSpec,

@@ -55,12 +55,12 @@ pub struct DaemonConfig {
     /// of a stuck session.
     pub io_timeout: Duration,
     /// Directory for the write-ahead job journal and partial-state
-    /// files. `None` (the default) keeps PR 8's purely in-memory
-    /// behavior: nothing survives the process.
+    /// files. `None` (the default) keeps everything in memory: nothing
+    /// survives the process.
     pub journal_dir: Option<PathBuf>,
     /// Source-side session retries on I/O failure (peer death). 0 (the
-    /// default) fails the job on the first broken session, exactly the
-    /// PR 8 semantics; the chaos harness runs with a generous budget.
+    /// default) fails the job on the first broken session; the chaos
+    /// harness runs with a generous budget.
     pub retries: u32,
     /// Sleep between session retries — long enough for a killed peer
     /// to be restarted.

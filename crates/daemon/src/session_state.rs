@@ -26,7 +26,7 @@
 //! is read only as the *base* of such a log, so a file a previous
 //! release (or a test, through [`save_partial`]) left behind still
 //! resumes. The landed pages double as a [`PartialCheckpoint`], the
-//! same resume substrate PR 2's retry machinery uses.
+//! same resume substrate the session's retry machinery uses.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -156,8 +156,8 @@ impl SessionState {
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Corrupt`] / [`DaemonError::Protocol`] on the same
-    /// violations PR 8's inline receive loop rejected.
+    /// [`DaemonError::Corrupt`] on a payload that fails validation,
+    /// [`DaemonError::Protocol`] on a message out of order.
     pub fn apply(
         &mut self,
         msg: &WireMsg,
@@ -287,9 +287,9 @@ impl SessionState {
     }
 
     /// Decodes a snapshot, returning `(job, fingerprint, state)`.
-    /// Hardened in the PR 7 style: every length is validated before
-    /// use, and the trailer checksum must match — a torn or tampered
-    /// file is a typed error, never a panic or over-allocation.
+    /// Every length is validated before use, and the trailer checksum
+    /// must match — a torn or tampered file is a typed error, never a
+    /// panic or over-allocation.
     ///
     /// # Errors
     ///

@@ -7,8 +7,8 @@
 //! precise points of a migration schedule, and the [`RetryPolicy`] the
 //! session layer uses to recover from them.
 //!
-//! Everything here is pure data plus a tiny splitmix/xorshift generator —
-//! no clocks, no OS randomness — so a `(seed, FaultPlan)` pair always
+//! Everything here is pure data drawn from `vecycle_types::rng` — no
+//! clocks, no OS randomness — so a `(seed, FaultPlan)` pair always
 //! produces the same failure trace, bit for bit, at any thread count.
 //!
 //! # Fault taxonomy
@@ -66,7 +66,7 @@ pub enum FaultCause {
     CorruptCheckpoint,
     /// The similarity probe found the checkpoint too stale to recycle.
     LowSimilarity,
-    /// Pre-copy hit its round/time budget without converging.
+    /// Pre-copy hit its round limit without converging.
     NonConvergence,
     /// The destination host crashed mid-transfer and restarted from its
     /// disk store.

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 
+use vecycle_types::rng::{split, Xorshift};
 use vecycle_types::Bytes;
 
 /// Where on the wire a [`FaultKind::LinkDrop`] cuts the transfer.
@@ -142,23 +143,22 @@ impl FaultPlan {
 
     /// Generates a plan for `legs` migration legs from a seed and
     /// per-fault rates. Same `(seed, rates, legs)` → same plan, always:
-    /// the generator is a self-contained xorshift with a fixed draw order
-    /// (one draw per fault type per leg, plus parameter draws), so adding
-    /// legs never perturbs earlier ones.
+    /// the draw order is fixed (one draw per fault type per leg, plus
+    /// parameter draws), so adding legs never perturbs earlier ones.
     pub fn seeded(seed: u64, rates: &FaultRates, legs: usize) -> Self {
-        let mut rng = SplitXorshift::new(seed);
+        let mut rng = Xorshift::new(split(seed, 0));
         let mut plan = FaultPlan::none();
         for leg in 0..legs {
             // Draw parameters unconditionally so each leg consumes a fixed
             // number of draws regardless of which faults fire.
-            let drop_p = rng.next_f64();
-            let drop_frac = 0.1 + 0.8 * rng.next_f64();
-            let degrade_p = rng.next_f64();
-            let degrade_factor = 0.2 + 0.3 * rng.next_f64();
-            let corrupt_p = rng.next_f64();
-            let spike_p = rng.next_f64();
-            let spike_factor = 4.0 + 8.0 * rng.next_f64();
-            let crash_p = rng.next_f64();
+            let drop_p = rng.unit_f64();
+            let drop_frac = 0.1 + 0.8 * rng.unit_f64();
+            let degrade_p = rng.unit_f64();
+            let degrade_factor = 0.2 + 0.3 * rng.unit_f64();
+            let corrupt_p = rng.unit_f64();
+            let spike_p = rng.unit_f64();
+            let spike_factor = 4.0 + 8.0 * rng.unit_f64();
+            let crash_p = rng.unit_f64();
 
             if drop_p < rates.link_drop {
                 plan = plan.inject(
@@ -211,11 +211,11 @@ impl FaultPlan {
     /// already in the plan are untouched.
     #[must_use]
     pub fn with_host_crashes(mut self, seed: u64, rate: f64, legs: usize) -> Self {
-        let mut rng = SplitXorshift::new(seed ^ 0x48c5_0000_c3a5_0001);
+        let mut rng = Xorshift::new(split(seed ^ 0x48c5_0000_c3a5_0001, 0));
         for leg in 0..legs {
             // Fixed two draws per leg, fired or not.
-            let crash_p = rng.next_f64();
-            let crash_frac = 0.15 + 0.7 * rng.next_f64();
+            let crash_p = rng.unit_f64();
+            let crash_frac = 0.15 + 0.7 * rng.unit_f64();
             if crash_p < rate {
                 self = self.inject(
                     leg,
@@ -302,38 +302,6 @@ impl AttemptFaults {
     /// The cause to report when the armed cut fires.
     pub fn abort_cause(&self) -> crate::FaultCause {
         self.cut_cause.unwrap_or(crate::FaultCause::LinkFailure)
-    }
-}
-
-/// Self-contained deterministic generator: splitmix64 seeding (so seed 0
-/// works) feeding the same xorshift64 the schedule generator uses.
-struct SplitXorshift {
-    state: u64,
-}
-
-impl SplitXorshift {
-    fn new(seed: u64) -> Self {
-        // splitmix64 finalizer — decorrelates adjacent seeds and never
-        // yields the all-zero xorshift fixpoint.
-        let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        SplitXorshift { state: z | 1 }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

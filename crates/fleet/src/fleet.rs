@@ -1,9 +1,10 @@
 //! The fleet driver: an event-driven orchestrator over [`VeCycleSession`].
 //!
-//! Where `run_schedule` walks a precomputed leg list, [`Fleet`] pops
-//! [`MigrationRequest`]s off a [`Simulator`] and *decides* each leg at
-//! its simulated instant: the timing policy picks when, the placement
-//! engine picks where, admission control picks whether now or queued.
+//! Where `run_schedule` walks one VM's pinned [`MigrationRequest`]s in
+//! order, [`Fleet`] pops the requests of many VMs off a [`Simulator`]
+//! and *decides* each leg at its simulated instant: the timing policy
+//! picks when, the placement engine picks where (unless the request is
+//! pinned), admission control picks whether now or queued.
 //! The migration itself goes through the same
 //! [`VeCycleSession::migrate_with_faults`] the schedule runners use, so
 //! fleet runs inherit the full retry/recycle/persist discipline — and
@@ -33,9 +34,9 @@ use crate::admission::Admission;
 use crate::journal::PlacementDecision;
 use crate::placement::{self, Choice, ChoiceKind};
 use crate::report::FleetReport;
-use crate::rng::{split, Xorshift};
 use crate::spec::FleetSpec;
 use crate::vms::{CyclicWorkload, DirtyCycle, FleetVm};
+use vecycle_types::rng::{split, Xorshift};
 
 /// Fraction of a guest's pages dirtied per minute in the high phase.
 const HIGH_DIRTY_PER_MIN: f64 = 0.02;
@@ -228,8 +229,9 @@ impl Fleet {
     }
 
     /// Replaces the generated request stream with an explicit one —
-    /// e.g. an operator-supplied trace with pinned destinations. The
-    /// stream is re-merged into canonical `(at, vm)` order.
+    /// e.g. [`MigrationRequest::ping_pong`] or [`MigrationRequest::vdi`]
+    /// schedules, one per VM. The stream is re-merged into canonical
+    /// `(at, vm)` order.
     ///
     /// # Panics
     ///

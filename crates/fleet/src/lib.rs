@@ -2,11 +2,11 @@
 //!
 //! The paper's core observation (§2.2) is that VMs ping-pong among a
 //! *small* set of hosts, so a checkpoint left behind at departure is
-//! very likely useful again soon. The rest of this workspace exploits
-//! that passively: `MigrationSchedule` is a precomputed leg list and
-//! `run_schedule` executes it blindly. This crate exploits it
-//! *actively* — destinations are chosen, per migration, to land on the
-//! warmest checkpoint available:
+//! very likely useful again soon. A session's `run_schedule` exploits
+//! that for requests whose destinations are all pinned up front. This
+//! crate runs the same [`vecycle_host::MigrationRequest`] streams and
+//! exploits it *actively* — an unpinned request's destination is
+//! chosen, per migration, to land on the warmest checkpoint available:
 //!
 //! * [`FleetSpec`] — topology (hosts, VMs, affinity sets) and the two
 //!   policy axes;
@@ -19,7 +19,7 @@
 //!   control (host locks + rack-pair link caps + a fleet-wide cap),
 //!   and execute through the same
 //!   [`VeCycleSession::migrate_with_faults`](vecycle_core::session::VeCycleSession::migrate_with_faults)
-//!   as the static schedule runners;
+//!   as the session's schedule runners;
 //! * [`FleetReport`] / [`PlacementDecision`] — deterministic results:
 //!   a journal of every decision plus aggregate traffic/downtime
 //!   accounting, byte-identical across repeat runs.
@@ -43,7 +43,6 @@ mod fleet;
 mod journal;
 mod placement;
 mod report;
-mod rng;
 mod spec;
 mod timing;
 mod vms;

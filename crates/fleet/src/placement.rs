@@ -13,8 +13,8 @@ use vecycle_host::Cluster;
 use vecycle_mem::MemoryImage;
 use vecycle_types::{DigestSet, HostId, SimTime};
 
-use crate::rng::Xorshift;
 use crate::vms::FleetVm;
+use vecycle_types::rng::Xorshift;
 
 /// How the fleet picks destinations for unpinned requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -12,7 +12,7 @@ use vecycle_mem::workload::GuestWorkload;
 use vecycle_mem::{DigestMemory, Guest, MutableMemory, PageContent};
 use vecycle_types::{HostId, PageIndex, SimDuration, SimTime};
 
-use crate::rng::Xorshift;
+use vecycle_types::rng::Xorshift;
 
 /// A two-phase dirty-rate clock: each `period` contains one low-rate
 /// window of `low_len` starting at `low_offset` into the period; the

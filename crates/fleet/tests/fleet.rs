@@ -184,6 +184,25 @@ fn pinned_requests_are_honored_and_noop_pins_are_skipped() {
     assert_eq!(report.skipped, 1);
     assert_eq!(report.decisions[0].to, to.as_u32());
     assert_eq!(report.decisions[0].reason, "pinned");
+
+    // The paper's ping-pong schedule is the same vocabulary: VM 0
+    // commutes between its home and `to`, recycling what it left behind.
+    let home = HostId::new(report.decisions[0].from);
+    let schedule =
+        MigrationRequest::ping_pong(VmId::new(0), home, to, t0, SimDuration::from_mins(20), 6);
+    let mut fleet = Fleet::new(small_spec())
+        .unwrap()
+        .with_request_stream(schedule);
+    let legs = fleet.run().unwrap().decisions;
+    assert_eq!(legs.len(), 6);
+    for (i, leg) in legs.iter().enumerate() {
+        let (from, to) = if i % 2 == 0 { (home, to) } else { (to, home) };
+        assert_eq!((leg.from, leg.to), (from.as_u32(), to.as_u32()));
+        assert_eq!(leg.reason, "pinned");
+    }
+    for later in &legs[2..] {
+        assert!(later.traffic_bytes < legs[0].traffic_bytes);
+    }
 }
 
 #[test]

@@ -201,11 +201,9 @@ mod tests {
         for t in 0..8u64 {
             let locks = locks.clone();
             handles.push(thread::spawn(move || {
-                let mut x = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                let mut draw = vecycle_types::rng::Xorshift::new(t);
                 for _ in 0..100 {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
+                    let x = draw.next();
                     let a = (x % 4) as u32;
                     let b = ((x >> 8) % 4) as u32;
                     let _claim = locks.claim(&[h(a), h(b)]);

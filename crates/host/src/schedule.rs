@@ -1,36 +1,25 @@
-//! Migration schedules: who moves where, when.
+//! Migration requests: who moves where, when.
 //!
-//! Two shapes live here. [`MigrationLeg`] is the classic fully-specified
-//! form — source, destination and instant all fixed up front — consumed
-//! leg-by-leg by `VeCycleSession::run_schedule`. [`MigrationRequest`] is
-//! the fleet-scale generalization: it names *when* a VM wants to move
-//! (plus an optional deadline and an optional pinned destination) and
-//! leaves the source implicit (the VM's actual location) and the
-//! destination, when unpinned, to a placement engine. Many per-VM
-//! request streams compose through a deterministic merge whose tie-break
-//! is documented on [`MigrationRequest::merge`].
+//! One vocabulary serves the single-VM session and the fleet. A
+//! [`MigrationRequest`] names *when* a VM wants to move, plus an
+//! optional deadline and an optional pinned destination; the source is
+//! always implicit (the VM's actual location). A *schedule* is a
+//! time-ordered `Vec<MigrationRequest>` whose every request is pinned —
+//! what [`MigrationRequest::vdi`] and [`MigrationRequest::ping_pong`]
+//! return, and what `VeCycleSession::run_schedule` and
+//! `Fleet::with_request_stream` both consume. Unpinned requests leave
+//! the destination to a placement engine. Many per-VM streams compose
+//! through a deterministic merge whose tie-break is documented on
+//! [`MigrationRequest::merge`].
 
+use vecycle_types::rng::Xorshift;
 use vecycle_types::{HostId, SimDuration, SimTime, VmId};
 
-/// One scheduled migration: move `vm` from `from` to `to` at `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationLeg {
-    /// When the migration is initiated.
-    pub at: SimTime,
-    /// The VM being moved.
-    pub vm: VmId,
-    /// Source host.
-    pub from: HostId,
-    /// Destination host.
-    pub to: HostId,
-}
-
-/// A fleet-scale migration *request*: the VM wants to move at `at`, and
-/// (unlike a [`MigrationLeg`]) the destination is usually an open
-/// question for the placement engine. The source is always implicit —
-/// wherever the VM actually is when the request is admitted, which may
-/// differ from any precomputed plan once earlier migrations fail or
-/// queue.
+/// A migration request: the VM wants to move at `at`, to `pinned_to`
+/// when the operator fixed the destination, else wherever the placement
+/// engine decides. The source is always implicit — wherever the VM
+/// actually is when the request is admitted, which may differ from any
+/// precomputed plan once earlier migrations fail or queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationRequest {
     /// When the VM asks to move.
@@ -61,6 +50,54 @@ impl MigrationRequest {
     pub fn pinned(mut self, to: HostId) -> Self {
         self.pinned_to = Some(to);
         self
+    }
+
+    /// The §4.6 VDI schedule: the desktop VM moves from the consolidation
+    /// server to the workstation at 9 am and back at 5 pm, every weekday,
+    /// for `days` days starting from a Monday-00:00 epoch. "There are no
+    /// migrations over the weekend."
+    ///
+    /// With `days = 19` (the paper's trace span, Wed 5 Nov – Sun 23 Nov
+    /// 2014 mapped onto our Monday-based calendar) this yields 13
+    /// weekdays and 26 migrations, matching §4.6.
+    pub fn vdi(
+        vm: VmId,
+        workstation: HostId,
+        consolidation_server: HostId,
+        days: u64,
+    ) -> Vec<MigrationRequest> {
+        // 19 calendar days starting Monday contain 15 weekdays; the
+        // paper's window has 13. Keep the first 13 for fidelity.
+        (0..days)
+            .filter(|day| day % 7 < 5)
+            .take(13)
+            .flat_map(|day| {
+                let day_start = SimTime::EPOCH + SimDuration::from_days(day);
+                [(9, workstation), (17, consolidation_server)].map(|(hour, to)| {
+                    MigrationRequest::open(day_start + SimDuration::from_hours(hour), vm).pinned(to)
+                })
+            })
+            .collect()
+    }
+
+    /// A ping-pong pattern: `vm`, starting on `a`, alternates between
+    /// hosts `a` and `b` every `interval`, starting at `start`, for
+    /// `count` migrations — the dominant pattern in the IBM study
+    /// ("often just two hosts").
+    pub fn ping_pong(
+        vm: VmId,
+        a: HostId,
+        b: HostId,
+        start: SimTime,
+        interval: SimDuration,
+        count: u64,
+    ) -> Vec<MigrationRequest> {
+        (0..count)
+            .map(|i| {
+                let to = if i % 2 == 0 { b } else { a };
+                MigrationRequest::open(start + interval * i, vm).pinned(to)
+            })
+            .collect()
     }
 
     /// Merges many per-VM request streams into one, sorted by the
@@ -103,133 +140,11 @@ impl MigrationRequest {
                 let jitter = 0.5 + draw.unit_f64();
                 at += SimDuration::from_secs_f64(mean_interval.as_secs_f64() * jitter);
                 MigrationRequest {
-                    at,
-                    vm,
                     deadline: deadline_slack.map(|s| at + s),
-                    pinned_to: None,
+                    ..MigrationRequest::open(at, vm)
                 }
             })
             .collect()
-    }
-}
-
-/// A tiny xorshift64 generator: dependency-free and deterministic.
-struct Xorshift {
-    state: u64,
-}
-
-impl Xorshift {
-    fn new(seed: u64) -> Self {
-        Xorshift { state: seed | 1 }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state ^= self.state << 13;
-        self.state ^= self.state >> 7;
-        self.state ^= self.state << 17;
-        self.state
-    }
-
-    /// Uniform in `[0, 1)` from the top 53 bits — the full mantissa of
-    /// an `f64`, so no modulo reduction and no bias.
-    fn unit_f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// A time-ordered list of migrations.
-#[derive(Debug, Clone, Default)]
-pub struct MigrationSchedule {
-    legs: Vec<MigrationLeg>,
-}
-
-impl MigrationSchedule {
-    /// The §4.6 VDI schedule: the desktop VM moves from the consolidation
-    /// server to the workstation at 9 am and back at 5 pm, every weekday,
-    /// for `days` days starting from a Monday-00:00 epoch. "There are no
-    /// migrations over the weekend."
-    ///
-    /// With `days = 19` (the paper's trace span, Wed 5 Nov – Sun 23 Nov
-    /// 2014 mapped onto our Monday-based calendar) this yields 13
-    /// weekdays and 26 migrations, matching §4.6.
-    pub fn vdi(vm: VmId, workstation: HostId, consolidation_server: HostId, days: u64) -> Self {
-        let mut legs = Vec::new();
-        let mut weekdays = 0u64;
-        for day in 0..days {
-            let day_start = SimDuration::from_days(day);
-            let dow = day % 7;
-            if dow >= 5 {
-                continue; // weekend
-            }
-            weekdays += 1;
-            // 19 calendar days starting Monday contain 15 weekdays; the
-            // paper's window has 13. Keep the first 13 for fidelity.
-            if weekdays > 13 {
-                break;
-            }
-            legs.push(MigrationLeg {
-                at: SimTime::EPOCH + day_start + SimDuration::from_hours(9),
-                vm,
-                from: consolidation_server,
-                to: workstation,
-            });
-            legs.push(MigrationLeg {
-                at: SimTime::EPOCH + day_start + SimDuration::from_hours(17),
-                vm,
-                from: workstation,
-                to: consolidation_server,
-            });
-        }
-        MigrationSchedule { legs }
-    }
-
-    /// A ping-pong pattern: `vm` alternates between hosts `a` and `b`
-    /// every `interval`, starting at `start`, for `count` migrations —
-    /// the dominant pattern in the IBM study ("often just two hosts").
-    pub fn ping_pong(
-        vm: VmId,
-        a: HostId,
-        b: HostId,
-        start: SimTime,
-        interval: SimDuration,
-        count: u64,
-    ) -> Self {
-        let legs = (0..count)
-            .map(|i| {
-                let (from, to) = if i % 2 == 0 { (a, b) } else { (b, a) };
-                MigrationLeg {
-                    at: start + interval * i,
-                    vm,
-                    from,
-                    to,
-                }
-            })
-            .collect();
-        MigrationSchedule { legs }
-    }
-
-    /// The migrations, in time order.
-    pub fn legs(&self) -> &[MigrationLeg] {
-        &self.legs
-    }
-
-    /// Number of migrations.
-    pub fn len(&self) -> usize {
-        self.legs.len()
-    }
-
-    /// True if the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.legs.is_empty()
-    }
-}
-
-impl<'a> IntoIterator for &'a MigrationSchedule {
-    type Item = &'a MigrationLeg;
-    type IntoIter = std::slice::Iter<'a, MigrationLeg>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.legs.iter()
     }
 }
 
@@ -239,19 +154,17 @@ mod tests {
 
     #[test]
     fn vdi_schedule_has_26_migrations() {
-        let s = MigrationSchedule::vdi(VmId::new(0), HostId::new(0), HostId::new(1), 19);
+        let s = MigrationRequest::vdi(VmId::new(0), HostId::new(0), HostId::new(1), 19);
         assert_eq!(s.len(), 26);
     }
 
     #[test]
     fn vdi_alternates_directions_and_skips_weekends() {
-        let s = MigrationSchedule::vdi(VmId::new(0), HostId::new(0), HostId::new(1), 19);
-        for pair in s.legs().chunks(2) {
+        let s = MigrationRequest::vdi(VmId::new(0), HostId::new(0), HostId::new(1), 19);
+        for pair in s.chunks(2) {
             // Morning: server -> workstation. Evening: back.
-            assert_eq!(pair[0].from, HostId::new(1));
-            assert_eq!(pair[0].to, HostId::new(0));
-            assert_eq!(pair[1].from, HostId::new(0));
-            assert_eq!(pair[1].to, HostId::new(1));
+            assert_eq!(pair[0].pinned_to, Some(HostId::new(0)));
+            assert_eq!(pair[1].pinned_to, Some(HostId::new(1)));
         }
         for leg in &s {
             let hours = leg.at.since_epoch().as_hours_f64();
@@ -264,13 +177,13 @@ mod tests {
 
     #[test]
     fn vdi_legs_are_time_ordered() {
-        let s = MigrationSchedule::vdi(VmId::new(0), HostId::new(0), HostId::new(1), 19);
-        assert!(s.legs().windows(2).all(|w| w[0].at < w[1].at));
+        let s = MigrationRequest::vdi(VmId::new(0), HostId::new(0), HostId::new(1), 19);
+        assert!(s.windows(2).all(|w| w[0].at < w[1].at));
     }
 
     #[test]
     fn ping_pong_alternates() {
-        let s = MigrationSchedule::ping_pong(
+        let s = MigrationRequest::ping_pong(
             VmId::new(1),
             HostId::new(0),
             HostId::new(1),
@@ -279,17 +192,10 @@ mod tests {
             4,
         );
         assert_eq!(s.len(), 4);
-        assert_eq!(s.legs()[0].from, HostId::new(0));
-        assert_eq!(s.legs()[1].from, HostId::new(1));
-        assert_eq!(s.legs()[2].from, HostId::new(0));
-        assert_eq!(s.legs()[3].at.since_epoch(), SimDuration::from_hours(6));
-    }
-
-    #[test]
-    fn empty_schedule() {
-        let s = MigrationSchedule::default();
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
+        assert_eq!(s[0].pinned_to, Some(HostId::new(1)));
+        assert_eq!(s[1].pinned_to, Some(HostId::new(0)));
+        assert_eq!(s[2].pinned_to, Some(HostId::new(1)));
+        assert_eq!(s[3].at.since_epoch(), SimDuration::from_hours(6));
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! Layout (mirrors the priced `MSG_HEADER = 12`): an 8-byte big-endian
 //! *field* (page number, round number or entry count, per kind), a
 //! 1-byte kind, a 3-byte big-endian payload length, then the payload.
-//! Decoding is hardened in the PR 7 style: lengths are validated
-//! against per-kind expectations *before* any allocation, arithmetic is
-//! checked, and all malformed input surfaces as
-//! [`Error::Corrupt`] — never a panic or an unbounded read.
+//! Decoding is hardened: lengths are validated against per-kind
+//! expectations *before* any allocation, arithmetic is checked, and all
+//! malformed input surfaces as [`Error::Corrupt`] — never a panic or an
+//! unbounded read.
 
 use vecycle_types::{Bytes, Error, PageDigest, PAGE_SIZE};
 
@@ -522,14 +522,8 @@ mod tests {
     #[test]
     fn junk_bytes_never_panic() {
         // Deterministic junk: an xorshift stream sliced at many offsets.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut junk = Vec::with_capacity(4096);
-        for _ in 0..4096 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            junk.push(x as u8);
-        }
+        let mut draw = vecycle_types::rng::Xorshift::new(0x9E37_79B9_7F4A_7C15);
+        let junk: Vec<u8> = (0..4096).map(|_| draw.next() as u8).collect();
         for start in (0..junk.len()).step_by(61) {
             let _ = WireMsg::read_from(&mut &junk[start..]);
         }

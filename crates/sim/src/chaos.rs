@@ -27,6 +27,7 @@
 //! assert_eq!(a.legs.len(), 50);
 //! ```
 
+use vecycle_types::rng::{split, Xorshift};
 use vecycle_types::{Error, SimDuration};
 
 /// Per-action probabilities, each in `[0, 1]`, applied independently per
@@ -234,27 +235,27 @@ impl ChaosScenario {
     /// (long enough for guests to age, short enough that 200-leg soaks
     /// span simulated days, not years).
     pub fn generate(config: &ChaosConfig) -> ChaosScenario {
-        let mut rng = SplitXorshift::new(config.seed ^ 0xc4a0_5eed_0dd5_ee17);
+        let mut rng = Xorshift::new(split(config.seed ^ 0xc4a0_5eed_0dd5_ee17, 0));
         let mut legs = Vec::with_capacity(config.legs);
         let mut at = 0usize;
         for _ in 0..config.legs {
             // Fixed 12 draws per leg, fired or not (see module docs).
-            let dest_draw = rng.next_f64();
-            let gap_draw = rng.next_f64();
+            let dest_draw = rng.unit_f64();
+            let gap_draw = rng.unit_f64();
             // Cut fractions are deliberately small: recycled transfers
             // move only dirtied pages, a tiny slice of RAM, and a cut
             // point the transfer never reaches is a fault that never
             // strikes.
-            let crash_p = rng.next_f64();
-            let crash_frac = 0.005 + 0.1 * rng.next_f64();
-            let pressure_p = rng.next_f64();
-            let pressure_frac = 0.3 + 0.6 * rng.next_f64();
-            let corrupt_p = rng.next_f64();
-            let drop_p = rng.next_f64();
-            let drop_frac = 0.005 + 0.15 * rng.next_f64();
-            let loss_p = rng.next_f64();
-            let loss_prob = 0.001 + 0.019 * rng.next_f64();
-            let _reserved = rng.next_f64();
+            let crash_p = rng.unit_f64();
+            let crash_frac = 0.005 + 0.1 * rng.unit_f64();
+            let pressure_p = rng.unit_f64();
+            let pressure_frac = 0.3 + 0.6 * rng.unit_f64();
+            let corrupt_p = rng.unit_f64();
+            let drop_p = rng.unit_f64();
+            let drop_frac = 0.005 + 0.15 * rng.unit_f64();
+            let loss_p = rng.unit_f64();
+            let loss_prob = 0.001 + 0.019 * rng.unit_f64();
+            let _reserved = rng.unit_f64();
 
             // Walk to one of the other hosts: index into the list with
             // the current host removed.
@@ -298,38 +299,6 @@ impl ChaosScenario {
     /// Number of legs with at least one action armed.
     pub fn armed_legs(&self) -> usize {
         self.legs.iter().filter(|l| !l.actions.is_empty()).count()
-    }
-}
-
-/// Self-contained deterministic generator: splitmix64 seeding feeding
-/// xorshift64 — the same construction the fault-plan and schedule
-/// generators use, re-implemented here because this crate sits beneath
-/// them in the dependency graph.
-struct SplitXorshift {
-    state: u64,
-}
-
-impl SplitXorshift {
-    fn new(seed: u64) -> Self {
-        let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        SplitXorshift { state: z | 1 }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

@@ -107,12 +107,8 @@ impl PageDigest {
         }
         // SplitMix64-style diffusion for the high half; the low half keeps
         // the raw ID so the mapping stays injective by construction.
-        let mut z = id.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
         let mut out = [0u8; 16];
-        out[..8].copy_from_slice(&z.to_le_bytes());
+        out[..8].copy_from_slice(&crate::rng::split(id, 0).to_le_bytes());
         out[8..].copy_from_slice(&id.to_le_bytes());
         PageDigest(out)
     }

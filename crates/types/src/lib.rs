@@ -25,6 +25,7 @@
 mod digest;
 mod error;
 mod ids;
+pub mod rng;
 mod time;
 mod units;
 

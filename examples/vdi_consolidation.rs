@@ -10,7 +10,7 @@
 //! ```
 
 use vecycle::core::session::{RecyclePolicy, VeCycleSession, VmInstance};
-use vecycle::host::{Cluster, MigrationSchedule};
+use vecycle::host::{Cluster, MigrationRequest};
 use vecycle::mem::workload::IdleWorkload;
 use vecycle::mem::{DigestMemory, Guest};
 use vecycle::net::LinkSpec;
@@ -19,7 +19,7 @@ use vecycle::types::{Bytes, HostId, VmId};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workstation = HostId::new(0);
     let server = HostId::new(1);
-    let schedule = MigrationSchedule::vdi(VmId::new(0), workstation, server, 19);
+    let schedule = MigrationRequest::vdi(VmId::new(0), workstation, server, 19);
     println!(
         "VDI schedule: {} migrations over 13 weekdays\n",
         schedule.len()

@@ -18,11 +18,17 @@
 #     like BUDGET: to the count of the last PR that moved it). The column
 #     counts lines that open a `pub` item — fn, struct, enum, trait,
 #     type, const, static, mod, use; fields and `pub(crate)` excluded —
-#     so a PR that grows the public surface has to say so.
+#     so a PR that grows the public surface has to say so, or
+#   * the `deps` column summed over crates/* exceeds DEPS_CEILING (same
+#     rule). The column counts the entries of a crate's `[dependencies]`
+#     table — edges of the workspace's dependency graph, path crates
+#     and vendored shims alike; `[dev-dependencies]` excluded — so a PR
+#     that adds an edge has to say why.
 set -euo pipefail
 
-BUDGET=42911
+BUDGET=42656
 PUB_CEILING=1097
+DEPS_CEILING=114
 CAP=800
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
@@ -43,25 +49,35 @@ pub_in() {
         grep -cE '^\s*pub (const |async |unsafe )*(fn|struct|enum|trait|type|const|static|mod|use) ' || true
 }
 
+# Entries of the `[dependencies]` table of the given manifest.
+deps_in() {
+    awk '/^\[/ { on = ($0 == "[dependencies]") } on && /^[A-Za-z0-9_-]+ *[.=]/ { n++ } END { print n + 0 }' "$1"
+}
+
 total=0
 pub_total=0
-printf '%-28s %7s %7s %7s\n' directory lines unsafe pub
+deps_total=0
+printf '%-28s %7s %7s %7s %7s\n' directory lines unsafe pub deps
 for dir in crates/*/src vendor/*/src tests; do
     n=$(lines_in "$dir")
     total=$((total + n))
     u=$(unsafe_in "$dir" "${dir%/src}/tests")
     p=-
+    d=-
     if [[ $dir == crates/* ]]; then
         p=$(pub_in "$dir")
         pub_total=$((pub_total + p))
+        d=$(deps_in "${dir%/src}/Cargo.toml")
+        deps_total=$((deps_total + d))
     fi
-    printf '%-28s %7d %7d %7s\n' "$dir" "$n" "$u" "$p"
+    printf '%-28s %7d %7d %7s %7s\n' "$dir" "$n" "$u" "$p" "$d"
     if ((u > 0)) && [[ $dir != crates/fuzz/src ]]; then
         echo "FAIL: $dir (or its tests/) uses \`unsafe\` on $u lines" >&2
         FAILED=1
     fi
 done
-printf '%-28s %7d  (budget %d) %15d  (ceiling %d)\n' total "$total" "$BUDGET" "$pub_total" "$PUB_CEILING"
+printf '%-28s %7d %15d %7d\n' total "$total" "$pub_total" "$deps_total"
+printf '%-28s %7d %15d %7d\n' 'budget / ceilings' "$BUDGET" "$PUB_CEILING" "$DEPS_CEILING"
 
 if ((total > BUDGET)); then
     echo "FAIL: workspace is $total lines, budget is $BUDGET" >&2
@@ -69,6 +85,11 @@ if ((total > BUDGET)); then
 fi
 if ((pub_total > PUB_CEILING)); then
     echo "FAIL: crates/*/src open $pub_total \`pub\` items, ceiling is $PUB_CEILING" >&2
+    FAILED=1
+fi
+
+if ((deps_total > DEPS_CEILING)); then
+    echo "FAIL: crates/* declare $deps_total [dependencies] edges, ceiling is $DEPS_CEILING" >&2
     FAILED=1
 fi
 

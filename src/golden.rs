@@ -14,7 +14,7 @@
 use vecycle_checkpoint::{Checkpoint, EvictionPolicy};
 use vecycle_core::session::{RecyclePolicy, SessionEvent, VeCycleSession, VmInstance};
 use vecycle_faults::{DropPoint, FaultKind, FaultPlan, FaultRates, RetryPolicy};
-use vecycle_host::{Cluster, MigrationSchedule};
+use vecycle_host::{Cluster, MigrationRequest};
 use vecycle_mem::{workload::IdleWorkload, DigestMemory, Guest};
 use vecycle_net::LinkSpec;
 use vecycle_obs::{MetricsRegistry, MetricsSnapshot};
@@ -43,8 +43,8 @@ fn instance() -> VmInstance<DigestMemory> {
 }
 
 /// A ping-pong schedule between the two hosts, hourly legs.
-fn ping_pong(legs: u64) -> MigrationSchedule {
-    MigrationSchedule::ping_pong(
+fn ping_pong(legs: u64) -> Vec<MigrationRequest> {
+    MigrationRequest::ping_pong(
         VmId::new(0),
         HostId::new(0),
         HostId::new(1),

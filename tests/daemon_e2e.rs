@@ -14,10 +14,11 @@
 //! Each test writes its daemons' journals to `target/daemon-artifacts/`
 //! so CI can attach them on failure.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+mod common;
+
 use std::time::Duration;
 
+use common::{tcp_endpoint, unix_endpoint, Watchdog};
 use vecycle_daemon::proto::{forward_overhead, reverse_overhead};
 use vecycle_daemon::{client, scenario, Daemon, DaemonConfig, DaemonHandle, Endpoint, JobState};
 use vecycle_sim::ScenarioSpec;
@@ -26,52 +27,6 @@ const JOB_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Aborts the process if a test wedges — a hung socket must fail CI,
 /// not stall it.
-struct Watchdog {
-    done: Arc<AtomicBool>,
-}
-
-impl Watchdog {
-    fn arm(name: &'static str, limit: Duration) -> Watchdog {
-        let done = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&done);
-        std::thread::spawn(move || {
-            let step = Duration::from_millis(100);
-            let mut waited = Duration::ZERO;
-            while waited < limit {
-                if flag.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(step);
-                waited += step;
-            }
-            eprintln!("watchdog: {name} exceeded {limit:?}, aborting");
-            std::process::abort();
-        });
-        Watchdog { done }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::SeqCst);
-    }
-}
-
-static UNIX_SEQ: AtomicU32 = AtomicU32::new(0);
-
-fn tcp_endpoint() -> Endpoint {
-    Endpoint::parse("127.0.0.1:0")
-}
-
-fn unix_endpoint(tag: &str) -> Endpoint {
-    let seq = UNIX_SEQ.fetch_add(1, Ordering::SeqCst);
-    let path = std::env::temp_dir().join(format!(
-        "vecycled-e2e-{}-{tag}-{seq}.sock",
-        std::process::id()
-    ));
-    Endpoint::Unix(path)
-}
-
 fn spawn_pair(src: Endpoint, dst: Endpoint) -> (DaemonHandle, DaemonHandle) {
     let src = Daemon::spawn(DaemonConfig::new(src)).expect("source daemon binds");
     let dst = Daemon::spawn(DaemonConfig::new(dst)).expect("dest daemon binds");

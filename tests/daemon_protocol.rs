@@ -9,58 +9,23 @@
 //! A watchdog aborts the process if anything wedges.
 
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+mod common;
+
 use std::time::Duration;
 
+use common::{tcp_endpoint, unix_endpoint, Watchdog};
 use vecycle_daemon::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use vecycle_daemon::proto::{self, ROLE_SOURCE};
-use vecycle_daemon::{client, Daemon, DaemonConfig, DaemonError, DaemonHandle, Endpoint};
+use vecycle_daemon::{client, Daemon, DaemonConfig, DaemonError, DaemonHandle};
 use vecycle_sim::ScenarioSpec;
 
 const TEST_LIMIT: Duration = Duration::from_secs(60);
 
-struct Watchdog {
-    done: Arc<AtomicBool>,
-}
-
-impl Watchdog {
-    fn arm(name: &'static str) -> Watchdog {
-        let done = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&done);
-        std::thread::spawn(move || {
-            let step = Duration::from_millis(100);
-            let mut waited = Duration::ZERO;
-            while waited < TEST_LIMIT {
-                if flag.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(step);
-                waited += step;
-            }
-            eprintln!("watchdog: {name} exceeded {TEST_LIMIT:?}, aborting");
-            std::process::abort();
-        });
-        Watchdog { done }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::SeqCst);
-    }
-}
-
-static UNIX_SEQ: AtomicU32 = AtomicU32::new(0);
-
 fn spawn_daemon(unix: bool) -> DaemonHandle {
     let ep = if unix {
-        let seq = UNIX_SEQ.fetch_add(1, Ordering::SeqCst);
-        Endpoint::Unix(
-            std::env::temp_dir().join(format!("vecycled-proto-{}-{seq}.sock", std::process::id())),
-        )
+        unix_endpoint("proto")
     } else {
-        Endpoint::parse("127.0.0.1:0")
+        tcp_endpoint()
     };
     Daemon::spawn(DaemonConfig::new(ep).with_io_timeout(Duration::from_secs(5)))
         .expect("daemon binds")
@@ -143,7 +108,10 @@ fn assert_alive(daemon: &DaemonHandle) {
 
 #[test]
 fn malformed_openings_get_typed_errors_and_never_kill_the_daemon() {
-    let _wd = Watchdog::arm("malformed_openings_get_typed_errors_and_never_kill_the_daemon");
+    let _wd = Watchdog::arm(
+        "malformed_openings_get_typed_errors_and_never_kill_the_daemon",
+        TEST_LIMIT,
+    );
     // One daemon takes all the abuse; it must answer a ping after each
     // row. Covers TCP; the unix variant below replays the same table.
     for unix in [false, true] {
@@ -292,11 +260,14 @@ fn poke_past_session_close(daemon: &DaemonHandle, bytes: &[u8]) -> Reaction {
 
 #[test]
 fn version_mismatch_surfaces_as_a_typed_client_error() {
-    let _wd = Watchdog::arm("version_mismatch_surfaces_as_a_typed_client_error");
+    let _wd = Watchdog::arm(
+        "version_mismatch_surfaces_as_a_typed_client_error",
+        TEST_LIMIT,
+    );
     // The same property from the client's side: a source daemon
     // talking to a peer that answers with a different version gets a
     // VersionMismatch, not a hang. Simulate the old peer by hand.
-    let listener = Endpoint::parse("127.0.0.1:0").bind().unwrap();
+    let listener = tcp_endpoint().bind().unwrap();
     let peer = listener.local_endpoint().unwrap();
     let server = std::thread::spawn(move || {
         let mut s = listener.accept().unwrap();
@@ -334,11 +305,14 @@ fn version_mismatch_surfaces_as_a_typed_client_error() {
 
 #[test]
 fn oversized_wire_message_inside_a_session_is_rejected() {
-    let _wd = Watchdog::arm("oversized_wire_message_inside_a_session_is_rejected");
+    let _wd = Watchdog::arm(
+        "oversized_wire_message_inside_a_session_is_rejected",
+        TEST_LIMIT,
+    );
     // A destination answering the handshake and then streaming a bulk
     // exchange with a forged huge count must produce a typed Corrupt
     // error on the source, not an allocation or a hang.
-    let listener = Endpoint::parse("127.0.0.1:0").bind().unwrap();
+    let listener = tcp_endpoint().bind().unwrap();
     let peer = listener.local_endpoint().unwrap();
     let server = std::thread::spawn(move || {
         let mut s = listener.accept().unwrap();

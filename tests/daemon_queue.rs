@@ -9,54 +9,22 @@
 //! jobs sharing a host serialize without deadlock (claims are
 //! all-or-nothing under one table mutex).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+mod common;
+
 use std::time::Duration;
 
-use vecycle_daemon::{scenario, Daemon, DaemonConfig, DaemonHandle, Endpoint, JobState};
+use common::{tcp_endpoint, Watchdog};
+use vecycle_daemon::{scenario, Daemon, DaemonConfig, DaemonHandle, JobState};
 use vecycle_sim::ScenarioSpec;
 
 const SUITE_LIMIT: Duration = Duration::from_secs(120);
 const JOB_TIMEOUT: Duration = Duration::from_secs(60);
 
-struct Watchdog {
-    done: Arc<AtomicBool>,
-}
-
-impl Watchdog {
-    fn arm(name: &'static str) -> Watchdog {
-        let done = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&done);
-        std::thread::spawn(move || {
-            let step = Duration::from_millis(100);
-            let mut waited = Duration::ZERO;
-            while waited < SUITE_LIMIT {
-                if flag.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(step);
-                waited += step;
-            }
-            eprintln!("watchdog: {name} exceeded {SUITE_LIMIT:?}, aborting");
-            std::process::abort();
-        });
-        Watchdog { done }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::SeqCst);
-    }
-}
-
 fn spawn_pair(workers: usize) -> (DaemonHandle, DaemonHandle) {
-    let src =
-        Daemon::spawn(DaemonConfig::new(Endpoint::parse("127.0.0.1:0")).with_workers(workers))
-            .expect("source daemon binds");
-    let dst =
-        Daemon::spawn(DaemonConfig::new(Endpoint::parse("127.0.0.1:0")).with_workers(workers))
-            .expect("dest daemon binds");
+    let src = Daemon::spawn(DaemonConfig::new(tcp_endpoint()).with_workers(workers))
+        .expect("source daemon binds");
+    let dst = Daemon::spawn(DaemonConfig::new(tcp_endpoint()).with_workers(workers))
+        .expect("dest daemon binds");
     (src, dst)
 }
 
@@ -102,7 +70,7 @@ fn run_batch(
 
 #[test]
 fn drain_order_is_submit_order_at_one_worker() {
-    let _wd = Watchdog::arm("drain_order_is_submit_order_at_one_worker");
+    let _wd = Watchdog::arm("drain_order_is_submit_order_at_one_worker", SUITE_LIMIT);
     let specs = overlapping_specs();
     let (drained, _) = run_batch(1, &specs);
     assert_eq!(drained, (1..=specs.len() as u64).collect::<Vec<_>>());
@@ -110,7 +78,7 @@ fn drain_order_is_submit_order_at_one_worker() {
 
 #[test]
 fn drain_order_is_submit_order_at_four_workers() {
-    let _wd = Watchdog::arm("drain_order_is_submit_order_at_four_workers");
+    let _wd = Watchdog::arm("drain_order_is_submit_order_at_four_workers", SUITE_LIMIT);
     let specs = overlapping_specs();
     let (drained, _) = run_batch(4, &specs);
     assert_eq!(drained, (1..=specs.len() as u64).collect::<Vec<_>>());
@@ -118,7 +86,10 @@ fn drain_order_is_submit_order_at_four_workers() {
 
 #[test]
 fn outcomes_are_deterministic_across_runs_and_worker_counts() {
-    let _wd = Watchdog::arm("outcomes_are_deterministic_across_runs_and_worker_counts");
+    let _wd = Watchdog::arm(
+        "outcomes_are_deterministic_across_runs_and_worker_counts",
+        SUITE_LIMIT,
+    );
     let specs = overlapping_specs();
     let (_, run_a) = run_batch(4, &specs);
     let (_, run_b) = run_batch(4, &specs);
@@ -137,7 +108,10 @@ fn outcomes_are_deterministic_across_runs_and_worker_counts() {
 
 #[test]
 fn same_host_pair_jobs_serialize_without_deadlock() {
-    let _wd = Watchdog::arm("same_host_pair_jobs_serialize_without_deadlock");
+    let _wd = Watchdog::arm(
+        "same_host_pair_jobs_serialize_without_deadlock",
+        SUITE_LIMIT,
+    );
     // Six jobs all over hosts (0, 1), four workers: every admission
     // contends on both hosts. They must drain in order, one at a time,
     // with no deadlock.
@@ -156,7 +130,7 @@ fn same_host_pair_jobs_serialize_without_deadlock() {
 
 #[test]
 fn pause_holds_admission_and_resume_releases_it() {
-    let _wd = Watchdog::arm("pause_holds_admission_and_resume_releases_it");
+    let _wd = Watchdog::arm("pause_holds_admission_and_resume_releases_it", SUITE_LIMIT);
     let (src, dst) = spawn_pair(2);
     src.set_paused(true);
     let mut spec = ScenarioSpec::golden(0xB001);
@@ -179,7 +153,10 @@ fn pause_holds_admission_and_resume_releases_it() {
 
 #[test]
 fn cancel_removes_a_queued_job_from_the_drain_order() {
-    let _wd = Watchdog::arm("cancel_removes_a_queued_job_from_the_drain_order");
+    let _wd = Watchdog::arm(
+        "cancel_removes_a_queued_job_from_the_drain_order",
+        SUITE_LIMIT,
+    );
     let (src, dst) = spawn_pair(1);
     src.set_paused(true);
     let peer = dst.endpoint().clone();
@@ -216,16 +193,14 @@ fn worker_count_defaults_follow_vecycle_threads() {
     // DaemonConfig::new reads VECYCLE_THREADS; explicit overrides win.
     // (Other tests in this binary always call with_workers, so this
     // short-lived env mutation cannot change their behavior.)
-    static ENV_SEQ: AtomicU32 = AtomicU32::new(0);
-    let _ = ENV_SEQ.fetch_add(1, Ordering::SeqCst);
     std::env::set_var("VECYCLE_THREADS", "4");
-    let cfg = DaemonConfig::new(Endpoint::parse("127.0.0.1:0"));
+    let cfg = DaemonConfig::new(tcp_endpoint());
     assert_eq!(cfg.workers, 4);
     std::env::set_var("VECYCLE_THREADS", "not-a-number");
-    let cfg = DaemonConfig::new(Endpoint::parse("127.0.0.1:0"));
+    let cfg = DaemonConfig::new(tcp_endpoint());
     assert_eq!(cfg.workers, 1);
     std::env::remove_var("VECYCLE_THREADS");
-    let cfg = DaemonConfig::new(Endpoint::parse("127.0.0.1:0"));
+    let cfg = DaemonConfig::new(tcp_endpoint());
     assert_eq!(cfg.workers, 1);
     assert_eq!(cfg.with_workers(0).workers, 1, "workers clamp to >= 1");
 }

@@ -7,10 +7,11 @@
 //! the same machinery in-process, where it can hand-craft WAL files
 //! and partial-state files to pin each recovery path individually.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+mod common;
+
 use std::time::Duration;
 
+use common::{journal_dir, unix_endpoint, Watchdog};
 use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
 use vecycle_daemon::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use vecycle_daemon::journal::{rec, Journal, WalRecord};
@@ -30,62 +31,6 @@ use vecycle_sim::ScenarioSpec;
 use vecycle_types::{HostId, SimTime, VmId};
 
 const JOB_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Aborts the process if a test wedges — a hung socket must fail CI,
-/// not stall it.
-struct Watchdog {
-    done: Arc<AtomicBool>,
-}
-
-impl Watchdog {
-    fn arm(name: &'static str, limit: Duration) -> Watchdog {
-        let done = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&done);
-        std::thread::spawn(move || {
-            let step = Duration::from_millis(100);
-            let mut waited = Duration::ZERO;
-            while waited < limit {
-                if flag.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(step);
-                waited += step;
-            }
-            eprintln!("watchdog: {name} exceeded {limit:?}, aborting");
-            std::process::abort();
-        });
-        Watchdog { done }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::SeqCst);
-    }
-}
-
-static SEQ: AtomicU32 = AtomicU32::new(0);
-
-fn unix_endpoint(tag: &str) -> Endpoint {
-    let seq = SEQ.fetch_add(1, Ordering::SeqCst);
-    let path = std::env::temp_dir().join(format!(
-        "vecycled-rec-{}-{tag}-{seq}.sock",
-        std::process::id()
-    ));
-    Endpoint::Unix(path)
-}
-
-/// A fresh journal directory under the system temp dir (short paths:
-/// Unix socket names derived from them must stay under `sun_path`).
-fn journal_dir(tag: &str) -> std::path::PathBuf {
-    let seq = SEQ.fetch_add(1, Ordering::SeqCst);
-    let d = std::env::temp_dir().join(format!(
-        "vecycled-rec-wal-{}-{tag}-{seq}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
 
 fn spawn_with_journal(ep: Endpoint, dir: &std::path::Path) -> DaemonHandle {
     Daemon::spawn(DaemonConfig::new(ep).with_journal_dir(dir.to_path_buf()))

@@ -8,7 +8,7 @@ use vecycle::core::session::{
 };
 use vecycle::core::MigrationOutcome;
 use vecycle::faults::{DropPoint, FaultKind, FaultPlan, FaultRates, RetryPolicy};
-use vecycle::host::{Cluster, MigrationSchedule};
+use vecycle::host::{Cluster, MigrationRequest};
 use vecycle::mem::workload::{IdleWorkload, SilentWorkload};
 use vecycle::mem::{DigestMemory, Guest};
 use vecycle::net::LinkSpec;
@@ -198,7 +198,7 @@ fn heavily_faulted_schedule_finishes_with_outcomes_not_errors() {
             .with_policy(policy)
             .with_retry_policy(RetryPolicy::default().with_max_attempts(2));
         let mut vm = instance();
-        let schedule = MigrationSchedule::ping_pong(
+        let schedule = MigrationRequest::ping_pong(
             vm.id(),
             HostId::new(0),
             HostId::new(1),
@@ -233,7 +233,7 @@ fn faulted_runs_are_deterministic_across_repeats() {
             let s = VeCycleSession::new(Cluster::homogeneous(2, LinkSpec::lan_gigabit()))
                 .with_retry_policy(RetryPolicy::default().with_max_attempts(3));
             let mut vm = instance();
-            let schedule = MigrationSchedule::ping_pong(
+            let schedule = MigrationRequest::ping_pong(
                 vm.id(),
                 HostId::new(0),
                 HostId::new(1),

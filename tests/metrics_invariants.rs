@@ -12,7 +12,7 @@ use vecycle::checkpoint::Checkpoint;
 use vecycle::core::session::{RecyclePolicy, VeCycleSession, VmInstance};
 use vecycle::core::{MigrationEngine, Strategy};
 use vecycle::faults::FaultPlan;
-use vecycle::host::{Cluster, MigrationSchedule};
+use vecycle::host::{Cluster, MigrationRequest};
 use vecycle::mem::workload::{GuestWorkload, IdleWorkload};
 use vecycle::mem::{ByteMemory, Guest};
 use vecycle::net::LinkSpec;
@@ -143,7 +143,7 @@ fn clean_and_null_plan_session_runs_are_indistinguishable() {
             .with_metrics(metrics.clone());
         let mem = ByteMemory::with_distinct_content(PageCount::new(256), 99);
         let mut vm = VmInstance::new(VmId::new(7), Guest::new(mem), HostId::new(0));
-        let schedule = MigrationSchedule::ping_pong(
+        let schedule = MigrationRequest::ping_pong(
             VmId::new(7),
             HostId::new(0),
             HostId::new(1),

@@ -40,7 +40,7 @@ proptest! {
     /// the images are dense with duplicates and zero pages — the cases
     /// where dedup resolution could depend on anything but page order.
     #[test]
-    fn scan_is_deterministic_across_thread_counts(
+    fn scan_is_deterministic_across_repeat_runs(
         vm_ids in vec(0u64..24, 1..200),
         cp_ids in vec(0u64..24, 1..200),
         use_index in any::<bool>(),
@@ -69,7 +69,7 @@ proptest! {
     /// references those are is pinned against a reference model in
     /// `vecycle-core`'s `scan_tests`.)
     #[test]
-    fn gang_scan_is_deterministic_across_thread_counts(
+    fn gang_scan_is_deterministic_across_repeat_runs(
         a_ids in vec(0u64..16, 1..120),
         b_ids in vec(0u64..16, 1..120),
     ) {
@@ -91,7 +91,7 @@ proptest! {
     /// digest must equal the guest's actual page content — the resumed
     /// retry recycles exactly what a fault-free transfer would have sent.
     #[test]
-    fn faulted_migration_is_deterministic_across_thread_counts(
+    fn faulted_migration_is_deterministic_across_repeat_runs(
         vm_ids in vec(0u64..24, 1..200),
         cp_ids in vec(0u64..24, 1..200),
         cut_frac in 0.0f64..0.9,
@@ -382,7 +382,7 @@ fn eviction_order_is_deterministic_across_thread_counts() {
     use vecycle::checkpoint::{Checkpoint, EvictionPolicy};
     use vecycle::core::session::{VeCycleSession, VmInstance};
     use vecycle::faults::FaultPlan;
-    use vecycle::host::{Cluster, MigrationSchedule};
+    use vecycle::host::{Cluster, MigrationRequest};
     use vecycle::types::{Bytes, HostId, SimDuration, SimTime, VmId};
 
     for policy in [
@@ -415,7 +415,7 @@ fn eviction_order_is_deterministic_across_thread_counts() {
             let mem = DigestMemory::with_uniform_content(Bytes::from_mib(4), 0x7ec)
                 .expect("page-aligned VM");
             let mut vm = VmInstance::new(VmId::new(0), Guest::new(mem), HostId::new(0));
-            let schedule = MigrationSchedule::ping_pong(
+            let schedule = MigrationRequest::ping_pong(
                 VmId::new(0),
                 HostId::new(0),
                 HostId::new(1),

@@ -2,7 +2,7 @@
 
 use vecycle::core::session::{RecyclePolicy, VeCycleSession, VmInstance};
 use vecycle::core::{MigrationEngine, Strategy};
-use vecycle::host::{Cluster, MigrationSchedule};
+use vecycle::host::{Cluster, MigrationRequest};
 use vecycle::mem::workload::IdleWorkload;
 use vecycle::mem::{DigestMemory, Guest};
 use vecycle::net::LinkSpec;
@@ -14,7 +14,7 @@ fn vdi_session(policy: RecyclePolicy) -> Vec<vecycle::core::MigrationReport> {
     let session = VeCycleSession::new(cluster).with_policy(policy);
     let mem = DigestMemory::with_uniform_content(Bytes::from_mib(64), 5).unwrap();
     let mut vm = VmInstance::new(VmId::new(0), Guest::new(mem), HostId::new(1));
-    let schedule = MigrationSchedule::vdi(VmId::new(0), HostId::new(0), HostId::new(1), 19);
+    let schedule = MigrationRequest::vdi(VmId::new(0), HostId::new(0), HostId::new(1), 19);
     // 0.03 pages/s ≈ 1.7k writes over a 16 h night on a 16k-page guest.
     let mut workload = IdleWorkload::new(3, 0.03);
     session
@@ -61,7 +61,7 @@ fn first_vdi_migration_is_the_most_expensive() {
 #[test]
 fn simulator_drives_scheduled_migrations() {
     // Use the DES to fire migrations at schedule instants.
-    let schedule = MigrationSchedule::ping_pong(
+    let schedule = MigrationRequest::ping_pong(
         VmId::new(0),
         HostId::new(0),
         HostId::new(1),
@@ -86,7 +86,12 @@ fn simulator_drives_scheduled_migrations() {
         // internally; with the DES we do it per event).
         workload.advance(vm.guest_mut(), SimDuration::from_hours(2));
         let report = session
-            .migrate(&mut vm, ev.payload.to, sim.now(), &mut workload)
+            .migrate(
+                &mut vm,
+                ev.payload.pinned_to.unwrap(),
+                sim.now(),
+                &mut workload,
+            )
             .unwrap();
         reports.push(report);
     });
@@ -107,7 +112,7 @@ fn shorter_gaps_mean_less_traffic() {
         let session = VeCycleSession::new(cluster);
         let mem = DigestMemory::with_uniform_content(Bytes::from_mib(32), 7).unwrap();
         let mut vm = VmInstance::new(VmId::new(0), Guest::new(mem), HostId::new(0));
-        let schedule = MigrationSchedule::ping_pong(
+        let schedule = MigrationRequest::ping_pong(
             VmId::new(0),
             HostId::new(0),
             HostId::new(1),

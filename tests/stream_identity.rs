@@ -9,6 +9,8 @@
 //! which also keeps a replay of the transcript (the benchmark's staged
 //! trace) an honest mirror of what a daemon puts on the socket.
 
+mod common;
+
 use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
 use vecycle_core::{LiveOutcome, LiveTranscript};
 use vecycle_daemon::session_state::SessionState;
@@ -153,20 +155,12 @@ fn streamed_bytes_equal_the_replay_across_resend_rounds() {
 /// exactly what the source read, on both transports.
 #[test]
 fn destination_socket_totals_mirror_the_sources_on_both_transports() {
-    use vecycle_daemon::{Daemon, DaemonConfig, Endpoint, JobState};
+    use common::{tcp_endpoint, unix_endpoint};
+    use vecycle_daemon::{Daemon, DaemonConfig, JobState};
 
-    let unix = |tag: &str| {
-        let path =
-            std::env::temp_dir().join(format!("vecycled-sid-{}-{tag}.sock", std::process::id()));
-        Endpoint::Unix(path)
-    };
     for (transport, src_ep, dst_ep) in [
-        (
-            "tcp",
-            Endpoint::parse("127.0.0.1:0"),
-            Endpoint::parse("127.0.0.1:0"),
-        ),
-        ("unix", unix("src"), unix("dst")),
+        ("tcp", tcp_endpoint(), tcp_endpoint()),
+        ("unix", unix_endpoint("src"), unix_endpoint("dst")),
     ] {
         let src = Daemon::spawn(DaemonConfig::new(src_ep)).expect("source daemon binds");
         let dst = Daemon::spawn(DaemonConfig::new(dst_ep)).expect("dest daemon binds");
