@@ -72,8 +72,7 @@ impl MigrationEngine {
 
     /// Opens the `migration` root span and counts the attempt.
     pub(crate) fn obs_migration_start(&self, mode: &'static str, strategy: &Strategy) -> SpanId {
-        let name = strategy.name().to_string();
-        let labels = [("mode", mode), ("strategy", name.as_str())];
+        let labels = [("mode", mode), ("strategy", strategy.name().label())];
         self.metrics.inc("engine_migrations_total", &labels, 1);
         self.metrics.span_start("migration", &labels)
     }

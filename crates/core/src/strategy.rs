@@ -24,16 +24,23 @@ pub enum StrategyName {
     VeCycleDedup,
 }
 
-impl std::fmt::Display for StrategyName {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+impl StrategyName {
+    /// Stable label for reports and metrics.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
             StrategyName::Full => "full",
             StrategyName::Dedup => "dedup",
             StrategyName::Dirty => "dirty",
             StrategyName::DirtyDedup => "dirty+dedup",
             StrategyName::VeCycle => "vecycle",
             StrategyName::VeCycleDedup => "vecycle+dedup",
-        })
+        }
+    }
+}
+
+impl std::fmt::Display for StrategyName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 

@@ -28,7 +28,7 @@ use vecycle_mem::workload::GuestWorkload;
 use vecycle_mem::{DigestMemory, Guest};
 use vecycle_obs::{layouts, MetricsRegistry};
 use vecycle_sim::Simulator;
-use vecycle_types::{Bytes, HostId, PageCount, SimDuration, SimTime, VmId};
+use vecycle_types::{Bytes, DigestSet, HostId, PageCount, SimDuration, SimTime, VmId};
 
 use crate::admission::Admission;
 use crate::journal::PlacementDecision;
@@ -131,6 +131,8 @@ pub struct Fleet {
     vms: Vec<FleetVm>,
     requests: Vec<MigrationRequest>,
     rng: Xorshift,
+    /// Placement scoring's reusable digest set.
+    scratch: DigestSet,
 }
 
 impl Fleet {
@@ -225,6 +227,7 @@ impl Fleet {
             vms,
             requests,
             rng,
+            scratch: DigestSet::default(),
         })
     }
 
@@ -358,6 +361,7 @@ impl Fleet {
                 &mut self.vms[idx],
                 &self.cluster,
                 &mut self.rng,
+                &mut self.scratch,
             ),
         };
         st.req[i as usize].started = Some(now);
@@ -424,6 +428,7 @@ impl Fleet {
         let queued_nanos = queued_at
             .map(|q| now.duration_since(q).as_nanos())
             .unwrap_or(0);
+        let outcome = report.outcome().label();
         let decision = PlacementDecision {
             seq: leg as u64,
             at_nanos: now.since_epoch().as_nanos(),
@@ -438,7 +443,7 @@ impl Fleet {
             wasted_bytes: report.wasted_traffic().as_u64(),
             downtime_nanos: report.downtime().as_nanos(),
             duration_nanos: duration.as_nanos(),
-            outcome: report.outcome().label().to_string(),
+            outcome: outcome.to_string(),
             deadline_missed,
         };
 
@@ -453,19 +458,18 @@ impl Fleet {
         st.downtime += report.downtime();
         st.duration_total += duration;
         st.makespan = st.makespan.max(completion.since_epoch());
-        *st.outcomes
-            .entry(report.outcome().label().to_string())
-            .or_insert(0) += 1;
+        match st.outcomes.get_mut(outcome) {
+            Some(n) => *n += 1,
+            None => {
+                st.outcomes.insert(outcome.to_string(), 1);
+            }
+        }
         st.peak_inflight = st.peak_inflight.max(u64::from(st.admission.inflight()));
         st.req[i as usize].admitted = Some((from, choice.to));
 
         let m = self.session.metrics();
         m.inc("fleet_requests_total", &[("disposition", "executed")], 1);
-        m.inc(
-            "fleet_migrations_total",
-            &[("outcome", report.outcome().label())],
-            1,
-        );
+        m.inc("fleet_migrations_total", &[("outcome", outcome)], 1);
         m.inc("fleet_placement_total", &[("result", reason)], 1);
         m.inc(
             "fleet_traffic_bytes_total",

@@ -94,12 +94,15 @@ impl ChoiceKind {
 /// checksums). Best candidate = max by `(overlap, taken_at)`, ties to
 /// the lowest `HostId` — total order, no map-iteration nondeterminism.
 /// Zero overlap everywhere degrades to the blind round-robin so cold
-/// starts still spread load.
+/// starts still spread load. `stored` is scratch space the fleet
+/// reuses across calls, so scoring allocates once per fleet, not once
+/// per candidate.
 pub(crate) fn choose(
     mode: PlacementMode,
     vm: &mut FleetVm,
     cluster: &Cluster,
     rng: &mut Xorshift,
+    stored: &mut DigestSet,
 ) -> Choice {
     let from = vm.instance.location();
     let candidates: Vec<HostId> = vm.affinity.iter().copied().filter(|&h| h != from).collect();
@@ -120,7 +123,8 @@ pub(crate) fn choose(
                 if cp.page_count() != guest.page_count() {
                     continue;
                 }
-                let stored: DigestSet = cp.digest_table().iter().copied().collect();
+                stored.clear();
+                stored.extend(cp.digest_table().iter().copied());
                 let overlap = guest
                     .as_slice()
                     .iter()

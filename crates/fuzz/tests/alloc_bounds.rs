@@ -1,6 +1,7 @@
 //! Allocation bounds of the byte path, measured with the fuzzer's
 //! counting allocator: what the hash batcher, the streaming checkpoint
-//! reader and a whole ping-pong leg ask the allocator for.
+//! reader, a whole ping-pong leg and the metrics registry ask the
+//! allocator for.
 
 use vecycle_checkpoint::{Checkpoint, DiskStore};
 use vecycle_core::{apply_transcript, MigrationEngine, Strategy};
@@ -9,6 +10,7 @@ use vecycle_hash::ChecksumAlgorithm;
 use vecycle_mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload};
 use vecycle_mem::{ByteMemory, Guest};
 use vecycle_net::LinkSpec;
+use vecycle_obs::{layouts, MetricsRegistry};
 use vecycle_types::{PageCount, SimDuration, SimTime, VmId, PAGE_SIZE};
 
 #[global_allocator]
@@ -108,4 +110,50 @@ fn a_ping_pong_leg_allocates_nothing_guest_sized() {
     // staging copies this replaced made it nearly four).
     assert!(stats.requested < 2 * guest_bytes, "{stats:?}");
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A metric call on a series that already exists asks the allocator for
+/// nothing: the registry probes its maps with a borrowed key sorted on
+/// the stack, and builds an owned key only on first touch.
+#[test]
+fn metric_calls_on_existing_series_allocate_nothing() {
+    let m = MetricsRegistry::new();
+    // Unsorted on purpose: the sort happens in a stack buffer.
+    let wire = [("kind", "full_pages"), ("direction", "forward")];
+    let four_calls = || {
+        m.inc("engine_wire_bytes_total", &wire, 4096);
+        m.set_gauge("store_bytes", &[("host", "host-7")], 1.5);
+        m.observe("engine_round_bytes", &[], layouts::BYTES, 4096);
+        m.counter("engine_wire_bytes_total", &wire)
+    };
+    four_calls();
+    let ((), stats) = metered(|| {
+        for _ in 0..2_500 {
+            four_calls();
+        }
+    });
+    assert_eq!(stats.requested, 0, "{stats:?}");
+    assert_eq!(four_calls(), 2_502 * 4096);
+}
+
+/// Spans over strings the registry has already seen store interned ids,
+/// so 1 000 start/end pairs request only the amortised growth of the
+/// timeline's arenas — never a string or a per-span label list.
+#[test]
+fn spans_over_seen_strings_request_only_arena_growth() {
+    let m = MetricsRegistry::new();
+    let pair = || {
+        let span = m.span_start("round", &[("round", "1")]);
+        m.span_end(span, &[("bytes", 131_072), ("sim_ns", 1_000)]);
+    };
+    pair();
+    let ((), stats) = metered(|| (0..1_000).for_each(|_| pair()));
+    // The bound is arena growth and nothing else. A pair appends two
+    // 48-byte timeline entries, one 8-byte label pair and two 16-byte
+    // attrs. A `Vec` that has doubled its way to capacity C has requested
+    // under 2·C elements in all, and after 1 001 pairs the three arenas
+    // sit at capacities 2 048, 1 024 and 2 048. (The owned-string
+    // timeline this replaced requested 428 336 bytes here.)
+    let growth = 2 * (2_048 * 48 + 1_024 * 8 + 2_048 * 16);
+    assert!(stats.requested < growth, "{stats:?}");
 }

@@ -1,6 +1,15 @@
 //! The metrics registry: counters, gauges, histograms, spans, events.
+//!
+//! A call on an existing series allocates nothing: lookups probe the
+//! series maps with a borrowed, stack-sorted key, and the timeline
+//! stores interned string ids instead of owned strings. Owned
+//! [`SeriesKey`]s and [`TimelineEntry`] values are built only when a
+//! series is first created and in [`MetricsRegistry::snapshot`].
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 use std::thread::ThreadId;
 
@@ -78,6 +87,25 @@ impl From<bool> for FieldValue {
     }
 }
 
+/// Label pairs a caller passes, sorted — as given when they already
+/// are, else in a stack buffer (the heap only past four pairs) — the
+/// order every series key and span label list is stored in.
+fn with_sorted<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
+    if labels.is_sorted() {
+        f(labels)
+    } else if labels.len() <= 4 {
+        let mut buf = [("", ""); 4];
+        let buf = &mut buf[..labels.len()];
+        buf.copy_from_slice(labels);
+        buf.sort_unstable();
+        f(buf)
+    } else {
+        let mut buf = labels.to_vec();
+        buf.sort_unstable();
+        f(&buf)
+    }
+}
+
 /// `(metric name, sorted label pairs)` — the series key.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct SeriesKey {
@@ -85,16 +113,108 @@ pub(crate) struct SeriesKey {
     pub(crate) labels: Vec<(String, String)>,
 }
 
-impl SeriesKey {
-    fn new(name: &str, labels: &[(&str, &str)]) -> Self {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
+/// A series key as a map lookup sees it, owned ([`SeriesKey`]) or
+/// borrowed ([`Probe`]), so the maps can be probed without building a
+/// `SeriesKey`.
+trait KeyView {
+    fn name(&self) -> &str;
+    fn label_count(&self) -> usize;
+    fn label(&self, i: usize) -> (&str, &str);
+}
+
+impl KeyView for SeriesKey {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn label_count(&self) -> usize {
+        self.labels.len()
+    }
+    fn label(&self, i: usize) -> (&str, &str) {
+        let (k, v) = &self.labels[i];
+        (k, v)
+    }
+}
+
+/// A borrowed `(name, sorted labels)` series key.
+struct Probe<'a> {
+    name: &'a str,
+    labels: &'a [(&'a str, &'a str)],
+}
+
+impl Probe<'_> {
+    fn to_key(&self) -> SeriesKey {
         SeriesKey {
-            name: name.to_string(),
-            labels,
+            name: self.name.to_string(),
+            labels: self
+                .labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        }
+    }
+}
+
+impl KeyView for Probe<'_> {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn label_count(&self) -> usize {
+        self.labels.len()
+    }
+    fn label(&self, i: usize) -> (&str, &str) {
+        self.labels[i]
+    }
+}
+
+/// Orders exactly like `SeriesKey`'s derived `Ord` — name, then label
+/// pairs lexicographically, a shared prefix putting the shorter list
+/// first — which is what lets the maps be probed through `Borrow`.
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.name().cmp(other.name()).then_with(|| {
+            let (a, b) = (self.label_count(), other.label_count());
+            (0..a.min(b))
+                .map(|i| self.label(i).cmp(&other.label(i)))
+                .find(|o| o.is_ne())
+                .unwrap_or_else(|| a.cmp(&b))
+        })
+    }
+}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl<'a> Borrow<dyn KeyView + 'a> for SeriesKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+/// Applies `f` to the series `probe` names, creating it with `init` on
+/// first touch — the one time a `SeriesKey` is allocated.
+fn update<V>(
+    map: &mut BTreeMap<SeriesKey, V>,
+    probe: &Probe<'_>,
+    init: impl FnOnce() -> V,
+    f: impl FnOnce(&mut V),
+) {
+    match map.get_mut(probe as &dyn KeyView) {
+        Some(v) => f(v),
+        None => {
+            let mut v = init();
+            f(&mut v);
+            map.insert(probe.to_key(), v);
         }
     }
 }
@@ -130,12 +250,116 @@ impl Histogram {
     }
 }
 
+/// One timeline record; spans hold interned string ids and ranges into
+/// [`Timeline`]'s arenas.
+#[derive(Debug)]
+enum Entry {
+    Start {
+        id: SpanId,
+        parent: Option<SpanId>,
+        name: u32,
+        labels: Range<usize>,
+    },
+    End {
+        id: SpanId,
+        attrs: Range<usize>,
+    },
+    /// Events (aborts only) are rare enough to keep as they export.
+    Event(Box<TimelineEntry>),
+}
+
+/// The span/event timeline in interned form: every span name, label
+/// key, label value and attr key is stored once per registry.
+#[derive(Debug, Default)]
+struct Timeline {
+    /// Each distinct string and its id (ids count up from 0).
+    strings: HashMap<Box<str>, u32>,
+    /// Sorted `(key, value)` label ids of every span start.
+    labels: Vec<(u32, u32)>,
+    /// `(key id, value)` attrs of every span end.
+    attrs: Vec<(u32, u64)>,
+    entries: Vec<Entry>,
+}
+
+impl Timeline {
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.strings.get(s) {
+            return id;
+        }
+        let id = u32::try_from(self.strings.len()).expect("under 2^32 distinct span strings");
+        self.strings.insert(s.into(), id);
+        id
+    }
+
+    fn start(&mut self, id: SpanId, parent: Option<SpanId>, name: &str, labels: &[(&str, &str)]) {
+        let name = self.intern(name);
+        let from = self.labels.len();
+        for &(k, v) in labels {
+            let pair = (self.intern(k), self.intern(v));
+            self.labels.push(pair);
+        }
+        let labels = from..self.labels.len();
+        self.entries.push(Entry::Start {
+            id,
+            parent,
+            name,
+            labels,
+        });
+    }
+
+    fn end(&mut self, id: SpanId, attrs: &[(&str, u64)]) {
+        let from = self.attrs.len();
+        for &(k, v) in attrs {
+            let k = self.intern(k);
+            self.attrs.push((k, v));
+        }
+        let attrs = from..self.attrs.len();
+        self.entries.push(Entry::End { id, attrs });
+    }
+
+    /// The timeline as it exports: owned strings, record order.
+    fn materialise(&self) -> Vec<TimelineEntry> {
+        let mut by_id = vec![""; self.strings.len()];
+        for (s, &id) in &self.strings {
+            by_id[id as usize] = s;
+        }
+        let s = |id: u32| by_id[id as usize].to_string();
+        self.entries
+            .iter()
+            .map(|e| match e {
+                Entry::Start {
+                    id,
+                    parent,
+                    name,
+                    labels,
+                } => TimelineEntry::SpanStart {
+                    id: *id,
+                    parent: *parent,
+                    name: s(*name),
+                    labels: self.labels[labels.clone()]
+                        .iter()
+                        .map(|&(k, v)| (s(k), s(v)))
+                        .collect(),
+                },
+                Entry::End { id, attrs } => TimelineEntry::SpanEnd {
+                    id: *id,
+                    attrs: self.attrs[attrs.clone()]
+                        .iter()
+                        .map(|&(k, v)| (s(k), v))
+                        .collect(),
+                },
+                Entry::Event(event) => (**event).clone(),
+            })
+            .collect()
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<SeriesKey, u64>,
     gauges: BTreeMap<SeriesKey, f64>,
     histograms: BTreeMap<SeriesKey, Histogram>,
-    timeline: Vec<TimelineEntry>,
+    timeline: Timeline,
     /// Open-span stacks, one per driving thread. Span nesting is a
     /// property of a single control flow; concurrent sessions sharing
     /// one registry must not see each other's stacks (their counters
@@ -149,6 +373,43 @@ impl Inner {
         self.open_spans
             .entry(std::thread::current().id())
             .or_default()
+    }
+
+    fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self
+                .counters
+                .iter()
+                .map(|(k, &v)| CounterSample {
+                    name: k.name.clone(),
+                    labels: k.labels.clone(),
+                    value: v,
+                })
+                .collect(),
+            gauges: self
+                .gauges
+                .iter()
+                .map(|(k, &v)| GaugeSample {
+                    name: k.name.clone(),
+                    labels: k.labels.clone(),
+                    value: v,
+                })
+                .collect(),
+            histograms: self
+                .histograms
+                .iter()
+                .map(|(k, h)| HistogramSample {
+                    name: k.name.clone(),
+                    labels: k.labels.clone(),
+                    unit: h.layout.unit.to_string(),
+                    bounds: h.layout.bounds.to_vec(),
+                    counts: h.counts.clone(),
+                    sum: h.sum,
+                    count: h.total,
+                })
+                .collect(),
+            timeline: self.timeline.materialise(),
+        }
     }
 }
 
@@ -170,54 +431,61 @@ impl MetricsRegistry {
 
     /// Adds `by` to the counter `name{labels}`.
     pub fn inc(&self, name: &str, labels: &[(&str, &str)], by: u64) {
-        let key = SeriesKey::new(name, labels);
-        *self.inner.lock().counters.entry(key).or_insert(0) += by;
+        with_sorted(labels, |labels| {
+            let probe = Probe { name, labels };
+            update(&mut self.inner.lock().counters, &probe, || 0, |c| *c += by);
+        });
     }
 
     /// Sets the gauge `name{labels}` to `value` (must be finite).
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         debug_assert!(value.is_finite(), "gauge {name} set to non-finite {value}");
-        let key = SeriesKey::new(name, labels);
-        self.inner.lock().gauges.insert(key, value);
+        with_sorted(labels, |labels| {
+            let probe = Probe { name, labels };
+            update(
+                &mut self.inner.lock().gauges,
+                &probe,
+                || value,
+                |g| *g = value,
+            );
+        });
     }
 
     /// Records `value` into the histogram `name{labels}` with the given
     /// fixed bucket `layout`. Every observation of a series must use
     /// the same layout.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], layout: BucketLayout, value: u64) {
-        let key = SeriesKey::new(name, labels);
-        let mut inner = self.inner.lock();
-        let histogram = inner
-            .histograms
-            .entry(key)
-            .or_insert_with(|| Histogram::new(layout));
-        debug_assert_eq!(
-            histogram.layout, layout,
-            "histogram {name} observed with two different layouts"
-        );
-        histogram.observe(value);
+        with_sorted(labels, |labels| {
+            let probe = Probe { name, labels };
+            let mut inner = self.inner.lock();
+            update(
+                &mut inner.histograms,
+                &probe,
+                || Histogram::new(layout),
+                |h| {
+                    debug_assert_eq!(
+                        h.layout, layout,
+                        "histogram {name} observed with two different layouts"
+                    );
+                    h.observe(value);
+                },
+            );
+        });
     }
 
     /// Opens a span as a child of the innermost open span. Returns the
     /// id to pass to [`MetricsRegistry::span_end`].
     pub fn span_start(&self, name: &str, labels: &[(&str, &str)]) -> SpanId {
-        let mut inner = self.inner.lock();
-        inner.next_span += 1;
-        let id = SpanId(inner.next_span);
-        let parent = inner.stack().last().copied();
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        inner.timeline.push(TimelineEntry::SpanStart {
-            id,
-            parent,
-            name: name.to_string(),
-            labels,
-        });
-        inner.stack().push(id);
-        id
+        with_sorted(labels, |labels| {
+            let mut inner = self.inner.lock();
+            inner.next_span += 1;
+            let id = SpanId(inner.next_span);
+            let stack = inner.stack();
+            let parent = stack.last().copied();
+            stack.push(id);
+            inner.timeline.start(id, parent, name, labels);
+            id
+        })
     }
 
     /// Closes span `id`, attaching final attributes (simulated
@@ -227,10 +495,7 @@ impl MetricsRegistry {
         let mut inner = self.inner.lock();
         let top = inner.stack().pop();
         debug_assert_eq!(top, Some(id), "span_end out of order");
-        inner.timeline.push(TimelineEntry::SpanEnd {
-            id,
-            attrs: attrs.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        });
+        inner.timeline.end(id, attrs);
     }
 
     /// Records a point event inside the innermost open span of the
@@ -238,20 +503,30 @@ impl MetricsRegistry {
     pub fn event(&self, name: &str, fields: &[(&str, FieldValue)]) {
         let mut inner = self.inner.lock();
         let span = inner.stack().last().copied();
-        inner.timeline.push(TimelineEntry::Event {
-            span,
-            name: name.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        });
+        inner
+            .timeline
+            .entries
+            .push(Entry::Event(Box::new(TimelineEntry::Event {
+                span,
+                name: name.to_string(),
+                fields: fields
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect(),
+            })));
     }
 
     /// Reads one counter series (0 if never incremented).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let key = SeriesKey::new(name, labels);
-        self.inner.lock().counters.get(&key).copied().unwrap_or(0)
+        with_sorted(labels, |labels| {
+            let probe = Probe { name, labels };
+            let inner = self.inner.lock();
+            inner
+                .counters
+                .get(&probe as &dyn KeyView)
+                .copied()
+                .unwrap_or(0)
+        })
     }
 
     /// Sums a counter across all label sets of `name`.
@@ -267,41 +542,7 @@ impl MetricsRegistry {
 
     /// Takes a deterministic point-in-time snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
-        MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, &v)| CounterSample {
-                    name: k.name.clone(),
-                    labels: k.labels.clone(),
-                    value: v,
-                })
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, &v)| GaugeSample {
-                    name: k.name.clone(),
-                    labels: k.labels.clone(),
-                    value: v,
-                })
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, h)| HistogramSample {
-                    name: k.name.clone(),
-                    labels: k.labels.clone(),
-                    unit: h.layout.unit.to_string(),
-                    bounds: h.layout.bounds.to_vec(),
-                    counts: h.counts.clone(),
-                    sum: h.sum,
-                    count: h.total,
-                })
-                .collect(),
-            timeline: inner.timeline.clone(),
-        }
+        self.inner.lock().snapshot()
     }
 }
 
@@ -309,6 +550,7 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
     use crate::layouts;
+    use vecycle_types::rng::{split, Xorshift};
 
     #[test]
     fn counters_accumulate_and_read_back() {
@@ -401,6 +643,162 @@ mod tests {
                     assert_eq!(parents[&p].1, "migration");
                 }
                 other => panic!("unexpected span {other}"),
+            }
+        }
+    }
+
+    /// The registry as it was before borrowed keys and interning: an
+    /// owned `SeriesKey` built on every call, an owned-string timeline.
+    /// Only the unchanged series-to-sample step is shared, via `Inner`.
+    #[derive(Default)]
+    struct Model {
+        counters: BTreeMap<SeriesKey, u64>,
+        gauges: BTreeMap<SeriesKey, f64>,
+        histograms: BTreeMap<SeriesKey, Histogram>,
+        timeline: Vec<TimelineEntry>,
+        stack: Vec<SpanId>,
+        next_span: u64,
+    }
+
+    fn key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
+        let mut labels: Vec<_> = (labels.iter())
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        labels.sort();
+        let name = name.to_string();
+        SeriesKey { name, labels }
+    }
+
+    impl Model {
+        fn span_start(&mut self, name: &str, labels: &[(&str, &str)]) {
+            self.next_span += 1;
+            let (id, parent) = (SpanId(self.next_span), self.stack.last().copied());
+            let SeriesKey { name, labels } = key(name, labels);
+            let start = TimelineEntry::SpanStart {
+                id,
+                parent,
+                name,
+                labels,
+            };
+            self.timeline.push(start);
+            self.stack.push(id);
+        }
+
+        fn span_end(&mut self, attrs: &[(&str, u64)]) {
+            let id = self.stack.pop().expect("driver ends open spans only");
+            let attrs = attrs.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+            self.timeline.push(TimelineEntry::SpanEnd { id, attrs });
+        }
+
+        fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+            self.counters.get(&key(name, labels)).copied().unwrap_or(0)
+        }
+
+        fn counter_total(&self, name: &str) -> u64 {
+            let named = self.counters.iter().filter(|(k, _)| k.name == name);
+            named.map(|(_, v)| v).sum()
+        }
+
+        fn snapshot(&self) -> MetricsSnapshot {
+            let series = Inner {
+                counters: self.counters.clone(),
+                gauges: self.gauges.clone(),
+                histograms: self.histograms.clone(),
+                ..Inner::default()
+            };
+            let timeline = self.timeline.clone();
+            MetricsSnapshot {
+                timeline,
+                ..series.snapshot()
+            }
+        }
+    }
+
+    fn pick(rng: &mut Xorshift, pool: &[&'static str]) -> &'static str {
+        pool[rng.below(pool.len() as u64) as usize]
+    }
+
+    #[test]
+    fn registry_matches_a_string_keyed_reference_model() {
+        const NAMES: [&str; 4] = ["", "a", "ab", "b"];
+        const STRS: [&str; 5] = ["", "k", "k2", "kk", "v"];
+        for seed in 0..24 {
+            let mut rng = Xorshift::new(split(0x0b5e, seed));
+            let (m, mut model) = (MetricsRegistry::new(), Model::default());
+            // Six unsorted pairs whose prefixes are label lists that
+            // prefix one another; small pools repeat keys and reuse "".
+            let base: Vec<(&str, &str)> = (0..6)
+                .map(|_| (pick(&mut rng, &STRS), pick(&mut rng, &STRS)))
+                .collect();
+            for _ in 0..400 {
+                let name = pick(&mut rng, &NAMES);
+                // 0 to 6 pairs: the stack path and the heap path past 4.
+                let n = rng.below(7) as usize;
+                let labels: Vec<(&str, &str)> = if rng.below(2) == 0 {
+                    base[..n].to_vec()
+                } else {
+                    (0..n)
+                        .map(|_| (pick(&mut rng, &STRS), pick(&mut rng, &STRS)))
+                        .collect()
+                };
+                let value = rng.below(1 << 21);
+                match rng.below(8) {
+                    0 | 1 => {
+                        m.inc(name, &labels, value);
+                        *model.counters.entry(key(name, &labels)).or_insert(0) += value;
+                    }
+                    2 => {
+                        let g = rng.unit_f64();
+                        m.set_gauge(name, &labels, g);
+                        model.gauges.insert(key(name, &labels), g);
+                    }
+                    3 => {
+                        let layout = [layouts::PAGES, layouts::BYTES][name.len() % 2];
+                        m.observe(name, &labels, layout, value);
+                        (model.histograms.entry(key(name, &labels)))
+                            .or_insert_with(|| Histogram::new(layout))
+                            .observe(value);
+                    }
+                    4 => {
+                        m.span_start(name, &labels);
+                        model.span_start(name, &labels);
+                    }
+                    5 if !model.stack.is_empty() => {
+                        let attrs = [("rounds", value), ("", value / 3), (name, 1)];
+                        let attrs = &attrs[..rng.below(4) as usize];
+                        m.span_end(*model.stack.last().unwrap(), attrs);
+                        model.span_end(attrs);
+                    }
+                    6 => {
+                        let fields = [(name, FieldValue::U64(value))];
+                        m.event("engine_abort", &fields);
+                        let (span, name) = (model.stack.last().copied(), "engine_abort".into());
+                        let fields = vec![(fields[0].0.to_string(), fields[0].1.clone())];
+                        model
+                            .timeline
+                            .push(TimelineEntry::Event { span, name, fields });
+                    }
+                    _ => {
+                        assert_eq!(m.counter(name, &labels), model.counter(name, &labels));
+                        assert_eq!(m.counter_total(name), model.counter_total(name));
+                    }
+                }
+            }
+            let (got, want) = (m.snapshot(), model.snapshot());
+            assert_eq!(
+                got.to_canonical_json(),
+                want.to_canonical_json(),
+                "seed {seed}"
+            );
+            assert_eq!(got, want, "seed {seed}");
+            for c in &want.counters {
+                let labels: Vec<(&str, &str)> = c
+                    .labels
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.as_str()))
+                    .collect();
+                assert_eq!(m.counter(&c.name, &labels), c.value);
+                assert_eq!(m.counter_total(&c.name), model.counter_total(&c.name));
             }
         }
     }

@@ -358,17 +358,30 @@ fn small_aware_fleet_matches_pinned_totals() {
     use vecycle::fleet::{Fleet, FleetSpec};
     use vecycle::hash::{Fnv1a64, Hasher};
 
-    let report = Fleet::new(FleetSpec::new(16, 160).with_seed(0xf1ee7))
-        .expect("spec validates")
-        .run()
-        .expect("clean fleet run");
+    let fnv = |s: &str| u64::from_be_bytes(Fnv1a64::digest(s.as_bytes()));
+    let mut fleet = Fleet::new(FleetSpec::new(16, 160).with_seed(0xf1ee7)).expect("spec validates");
+    let report = fleet.run().expect("clean fleet run");
     assert_eq!(report.migrations, 480);
     assert_eq!(report.placement_hits, 320);
     assert_eq!(report.total_traffic.as_u64(), 27_880_704);
     assert_eq!(
-        u64::from_be_bytes(Fnv1a64::digest(report.journal_jsonl().as_bytes())),
+        fnv(&report.journal_jsonl()),
         0x02e7_9d1f_0775_ff1d,
         "placement journal diverged"
+    );
+    // The metrics exports, byte for byte: series order, label order,
+    // span names and attrs all feed these two hashes.
+    let snap = fleet.metrics().snapshot();
+    assert_eq!(snap.timeline.len(), 3_520);
+    assert_eq!(
+        fnv(&snap.to_canonical_json()),
+        0xabcd_74b1_ca29_5270,
+        "canonical metrics JSON diverged"
+    );
+    assert_eq!(
+        fnv(&snap.events_jsonl()),
+        0x42aa_b3e6_68a5_9f62,
+        "metrics timeline diverged"
     );
 }
 
