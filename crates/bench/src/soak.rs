@@ -26,7 +26,7 @@ use vecycle_checkpoint::{Checkpoint, EvictionPolicy};
 use vecycle_core::session::{SessionEvent, VeCycleSession, VmInstance};
 use vecycle_core::{MigrationOutcome, MigrationReport};
 use vecycle_faults::{DropPoint, FaultKind, FaultPlan};
-use vecycle_host::{Cluster, Host};
+use vecycle_host::{Cluster, Host, StoreSeries};
 use vecycle_mem::{workload::GuestWorkload, workload::IdleWorkload, DigestMemory, Guest};
 use vecycle_net::{LinkSpec, Netem};
 use vecycle_obs::{MetricsRegistry, MetricsSnapshot};
@@ -277,6 +277,7 @@ pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
         .collect();
     let plan = fault_plan(&scenario, &rot);
     vecycle_faults::observe_plan(&metrics, &plan);
+    let store_series = StoreSeries::new(&metrics, session.cluster());
 
     let mut report = SoakReport {
         legs_run: 0,
@@ -332,7 +333,7 @@ pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
                 )?;
                 let cp = Checkpoint::capture(filler_id, clock, &filler_mem);
                 let outcome = dest.save_checkpoint(cp)?;
-                vecycle_host::observe_save(&metrics, &dest, &outcome);
+                store_series.record_save(&dest, &outcome);
             }
         }
         if rot.contains(&idx) {

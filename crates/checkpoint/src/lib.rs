@@ -38,6 +38,6 @@ pub use lifecycle::{
     CheckpointFetch, EvictionPolicy, EvictionReason, EvictionRecord, GoneReason, SaveOutcome,
     ScrubReport,
 };
-pub use obs::{observe_index, observe_partial};
+pub use obs::{observe_partial, IndexSeries};
 pub use partial::PartialCheckpoint;
 pub use store::CheckpointStore;

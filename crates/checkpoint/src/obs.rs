@@ -2,28 +2,53 @@
 //!
 //! The checkpoint store itself is passive — indexes are built and
 //! partial checkpoints assembled on behalf of a session — so the
-//! observability hooks here are free functions a caller invokes at the
-//! moment the corresponding artifact exists. Keeping them here (rather
-//! than in the session) pins the metric names and label schema next to
-//! the data structures they describe.
+//! observability hooks here are invoked by a caller at the moment the
+//! corresponding artifact exists: [`IndexSeries`] per migration,
+//! [`observe_partial`] after an aborted attempt. Keeping them here
+//! (rather than in the session) pins the metric names and label schema
+//! next to the data structures they describe.
 
-use vecycle_obs::MetricsRegistry;
+use std::sync::OnceLock;
+
+use vecycle_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::{ChecksumIndex, PartialCheckpoint};
 
-/// Records a freshly built [`ChecksumIndex`]: bumps
-/// `checkpoint_index_builds_total{source}` and sets
-/// `checkpoint_index_entries{source}` to the number of indexed pages.
-/// `source` distinguishes where the digests came from (`"checkpoint"`
-/// for a stored image, `"partial"` for a resumed transfer).
-pub fn observe_index(metrics: &MetricsRegistry, source: &str, index: &ChecksumIndex) {
-    let labels = [("source", source)];
-    metrics.inc("checkpoint_index_builds_total", &labels, 1);
-    metrics.set_gauge(
-        "checkpoint_index_entries",
-        &labels,
-        index.total_pages() as f64,
-    );
+/// The index series of one `source` — where the digests came from:
+/// `"checkpoint"` for a stored image, `"partial"` for a resumed
+/// transfer, `"merged"` for both — each resolved on its first record.
+#[derive(Debug)]
+pub struct IndexSeries {
+    metrics: MetricsRegistry,
+    source: &'static str,
+    builds: OnceLock<Counter>,
+    entries: OnceLock<Gauge>,
+}
+
+impl IndexSeries {
+    /// The series of `source`; resolves nothing yet.
+    pub fn new(metrics: &MetricsRegistry, source: &'static str) -> Self {
+        IndexSeries {
+            metrics: metrics.clone(),
+            source,
+            builds: OnceLock::new(),
+            entries: OnceLock::new(),
+        }
+    }
+
+    /// Records a freshly built [`ChecksumIndex`]: bumps
+    /// `checkpoint_index_builds_total{source}` and sets
+    /// `checkpoint_index_entries{source}` to the number of indexed pages.
+    pub fn record(&self, index: &ChecksumIndex) {
+        let labels = [("source", self.source)];
+        let m = &self.metrics;
+        let builds = (self.builds)
+            .get_or_init(|| m.resolve_counter("checkpoint_index_builds_total", &labels));
+        builds.inc(1);
+        let entries =
+            (self.entries).get_or_init(|| m.resolve_gauge("checkpoint_index_entries", &labels));
+        entries.set(index.total_pages() as f64);
+    }
 }
 
 /// Records a [`PartialCheckpoint`] left behind by an interrupted
@@ -57,8 +82,9 @@ mod tests {
     fn index_export_sets_entries_gauge() {
         let index = ChecksumIndex::build(vec![digest(1), digest(2), digest(3)]);
         let m = MetricsRegistry::new();
-        observe_index(&m, "checkpoint", &index);
-        observe_index(&m, "checkpoint", &index);
+        let series = IndexSeries::new(&m, "checkpoint");
+        series.record(&index);
+        series.record(&index);
         assert_eq!(
             m.counter("checkpoint_index_builds_total", &[("source", "checkpoint")]),
             2

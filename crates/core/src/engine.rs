@@ -8,6 +8,8 @@
 //! what the observability layer sees. See [`crate::pipeline`] for the
 //! module map and the invariants.
 
+use std::sync::Arc;
+
 use vecycle_checkpoint::PageLookup;
 use vecycle_faults::AttemptFaults;
 use vecycle_host::{CpuSpec, DiskSpec};
@@ -16,6 +18,7 @@ use vecycle_net::LinkSpec;
 use vecycle_obs::MetricsRegistry;
 use vecycle_types::{DigestMap, PageCount, PageIndex, SimDuration};
 
+use crate::pipeline::obs::EngineSeries;
 use crate::pipeline::rounds::{LiveOutcome, TransferLoop};
 use crate::pipeline::sink::{CountOnly, CutSink, MsgSink};
 use crate::pipeline::wire_costs::{DeltaCompression, Xbzrle};
@@ -55,6 +58,7 @@ pub struct MigrationEngine {
     pub(crate) compression: Option<DeltaCompression>,
     pub(crate) xbzrle: Option<Xbzrle>,
     pub(crate) metrics: MetricsRegistry,
+    pub(crate) series: Arc<EngineSeries>,
 }
 
 impl MigrationEngine {
@@ -62,6 +66,7 @@ impl MigrationEngine {
     /// checksum rates, MD5, checkpoint on HDD, bulk exchange, QEMU-like
     /// round limit and 300 ms downtime target.
     pub fn new(link: LinkSpec) -> Self {
+        let metrics = MetricsRegistry::new();
         MigrationEngine {
             link,
             cpu: CpuSpec::phenom_ii(),
@@ -75,7 +80,8 @@ impl MigrationEngine {
             zero_suppression: true,
             compression: None,
             xbzrle: None,
-            metrics: MetricsRegistry::new(),
+            series: Arc::new(EngineSeries::new(&metrics)),
+            metrics,
         }
     }
 
@@ -161,6 +167,7 @@ impl MigrationEngine {
     /// never changes a single byte of any migration result.
     #[must_use]
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
+        self.series = Arc::new(EngineSeries::new(&metrics));
         self.metrics = metrics;
         self
     }

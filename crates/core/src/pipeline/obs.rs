@@ -4,28 +4,119 @@
 //! [`rec_many`] update a [`TrafficLedger`] *and* the `engine_wire_*`
 //! counters in one step, so the two accountings cannot drift apart at a
 //! call site. This module is the only place the pipeline touches the
-//! metrics registry.
+//! metrics registry, and [`EngineSeries`] names every series a
+//! migration records into.
 //!
 //! [`rec`]: MigrationEngine::rec
 //! [`rec_many`]: MigrationEngine::rec_many
 
-use vecycle_net::{TrafficCategory, TrafficLedger};
-use vecycle_obs::{layouts, FieldValue, SpanId};
+use std::sync::OnceLock;
+
+use vecycle_net::{LedgerSeries, TrafficCategory, TrafficLedger};
+use vecycle_obs::{
+    layouts, BucketLayout, Counter, CounterFamily, FieldValue, Histogram, MetricsRegistry, SpanId,
+};
 use vecycle_types::{Bytes, PageCount, PageIndex};
 
 use super::rounds::AbortedTransfer;
-use crate::{MigrationEngine, MigrationReport, RoundReport, Strategy};
+use crate::{MigrationEngine, MigrationReport, RoundReport, Strategy, StrategyName};
+
+/// Which way traffic flows: the `direction` label of the wire counters.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Direction {
+    /// Source to destination.
+    Forward,
+    /// Destination to source.
+    Reverse,
+}
+
+const DIRECTIONS: [&str; 2] = ["forward", "reverse"];
+
+/// The `mode` label of `engine_migrations_total`, one per driver.
+const MODES: [&str; 4] = ["static", "gang", "live", "postcopy"];
+
+/// The series a migration records into, each resolved on its first
+/// record, so an engine that never migrates resolves nothing.
+/// [`MigrationEngine::with_metrics`] builds a fresh table for the new
+/// registry; clones of an engine share one.
+#[derive(Debug)]
+pub(crate) struct EngineSeries {
+    /// `engine_wire_{bytes,messages}_total` by direction, then category.
+    wire: [(CounterFamily, CounterFamily); 2],
+    /// `engine_migrations_total` by mode, then strategy.
+    migrations: [CounterFamily; MODES.len()],
+    pub(crate) scan: CounterFamily,
+    pub(crate) resend: CounterFamily,
+    pub(crate) stop_copy: CounterFamily,
+    dirty: OnceLock<Counter>,
+    rounds: OnceLock<Histogram>,
+    downtime: OnceLock<Histogram>,
+    round_bytes: OnceLock<Histogram>,
+    round_sim_millis: OnceLock<Histogram>,
+    /// The net layer's `net_wire_*` series, by direction.
+    ledgers: [LedgerSeries; 2],
+}
+
+impl EngineSeries {
+    pub(crate) fn new(metrics: &MetricsRegistry) -> Self {
+        let wire = |name, direction| {
+            CounterFamily::new(metrics, name, "kind", &TrafficCategory::LABELS)
+                .with_label("direction", direction)
+        };
+        let pages = |name, classes| CounterFamily::new(metrics, name, "class", classes);
+        EngineSeries {
+            wire: DIRECTIONS.map(|d| {
+                let bytes = wire("engine_wire_bytes_total", d);
+                (bytes, wire("engine_wire_messages_total", d))
+            }),
+            migrations: MODES.map(|mode| {
+                CounterFamily::new(
+                    metrics,
+                    "engine_migrations_total",
+                    "strategy",
+                    &StrategyName::LABELS,
+                )
+                .with_label("mode", mode)
+            }),
+            scan: pages(
+                "engine_scan_pages_total",
+                &["skipped", "zero", "checksum", "dedup_ref", "full"],
+            ),
+            resend: pages(
+                "engine_resend_pages_total",
+                &["full", "checksum", "dedup_ref", "zero"],
+            ),
+            stop_copy: pages("engine_stop_copy_pages_total", &["full", "zero"]),
+            dirty: OnceLock::new(),
+            rounds: OnceLock::new(),
+            downtime: OnceLock::new(),
+            round_bytes: OnceLock::new(),
+            round_sim_millis: OnceLock::new(),
+            ledgers: DIRECTIONS.map(|d| LedgerSeries::new(metrics, d)),
+        }
+    }
+}
+
+/// Bumps one counter of `family` per nonzero count, `counts` in the
+/// family's value order.
+pub(crate) fn obs_pages(family: &CounterFamily, counts: &[u64]) {
+    for (i, &n) in counts.iter().enumerate() {
+        if n > 0 {
+            family.at(i).inc(n);
+        }
+    }
+}
 
 impl MigrationEngine {
     /// Records traffic in a ledger *and* in the engine-side
     /// `engine_wire_*` counters in one step, so the two accountings
-    /// cannot drift apart at a call site. [`vecycle_net::observe_ledger`]
+    /// cannot drift apart at a call site. [`LedgerSeries::record`]
     /// later exports the finished ledger into the independent `net_wire_*`
     /// family; the invariant suite reconciles the two.
     pub(crate) fn rec(
         &self,
         ledger: &mut TrafficLedger,
-        direction: &'static str,
+        direction: Direction,
         category: TrafficCategory,
         bytes: Bytes,
     ) {
@@ -38,7 +129,7 @@ impl MigrationEngine {
     pub(crate) fn rec_many(
         &self,
         ledger: &mut TrafficLedger,
-        direction: &'static str,
+        direction: Direction,
         category: TrafficCategory,
         count: u64,
         size: Bytes,
@@ -49,31 +140,39 @@ impl MigrationEngine {
 
     /// Bumps the engine-side wire counters; zero-message records are
     /// skipped so the series set stays minimal (and matches the skip rule
-    /// of [`vecycle_net::observe_ledger`]).
-    fn obs_wire(&self, direction: &str, category: TrafficCategory, messages: u64, bytes: Bytes) {
+    /// of [`LedgerSeries::record`]).
+    fn obs_wire(
+        &self,
+        direction: Direction,
+        category: TrafficCategory,
+        messages: u64,
+        bytes: Bytes,
+    ) {
         if messages == 0 && bytes == Bytes::ZERO {
             return;
         }
-        let labels = [("direction", direction), ("kind", category.label())];
-        self.metrics
-            .inc("engine_wire_bytes_total", &labels, bytes.as_u64());
-        self.metrics
-            .inc("engine_wire_messages_total", &labels, messages);
+        let (b, m) = &self.series.wire[direction as usize];
+        b.at(category as usize).inc(bytes.as_u64());
+        m.at(category as usize).inc(messages);
     }
 
-    /// Bumps one `{class}`-labelled page counter per nonzero class.
-    pub(crate) fn obs_pages(&self, name: &str, classes: &[(&str, u64)]) {
-        for &(class, count) in classes {
-            if count > 0 {
-                self.metrics.inc(name, &[("class", class)], count);
-            }
-        }
+    /// The histogram `name` (no labels) in `slot`.
+    fn histogram<'s>(
+        &self,
+        slot: &'s OnceLock<Histogram>,
+        name: &str,
+        layout: BucketLayout,
+    ) -> &'s Histogram {
+        slot.get_or_init(|| self.metrics.resolve_histogram(name, &[], layout))
     }
 
     /// Opens the `migration` root span and counts the attempt.
     pub(crate) fn obs_migration_start(&self, mode: &'static str, strategy: &Strategy) -> SpanId {
+        let m = MODES.iter().position(|&m| m == mode).expect("a known mode");
+        self.series.migrations[m]
+            .at(strategy.name() as usize)
+            .inc(1);
         let labels = [("mode", mode), ("strategy", strategy.name().label())];
-        self.metrics.inc("engine_migrations_total", &labels, 1);
         self.metrics.span_start("migration", &labels)
     }
 
@@ -82,20 +181,16 @@ impl MigrationEngine {
     /// `net_wire_*` counter families — the second, independent accounting
     /// of the same traffic.
     pub(crate) fn obs_migration_end(&self, span: SpanId, report: &MigrationReport) {
-        vecycle_net::observe_ledger(&self.metrics, "forward", report.forward_ledger());
-        vecycle_net::observe_ledger(&self.metrics, "reverse", report.reverse_ledger());
-        self.metrics.observe(
-            "engine_migration_rounds",
-            &[],
-            layouts::ROUNDS,
-            report.rounds().len() as u64,
-        );
-        self.metrics.observe(
+        self.obs_ledgers(report.forward_ledger(), report.reverse_ledger());
+        let s = &self.series;
+        self.histogram(&s.rounds, "engine_migration_rounds", layouts::ROUNDS)
+            .observe(report.rounds().len() as u64);
+        self.histogram(
+            &s.downtime,
             "engine_downtime_sim_millis",
-            &[],
             layouts::SIM_MILLIS,
-            report.downtime().as_nanos() / 1_000_000,
-        );
+        )
+        .observe(report.downtime().as_nanos() / 1_000_000);
         self.metrics.span_end(
             span,
             &[
@@ -104,6 +199,14 @@ impl MigrationEngine {
                 ("downtime_ns", report.downtime().as_nanos()),
             ],
         );
+    }
+
+    /// Exports a completed migration's ledgers to the `net_wire_*`
+    /// counter families.
+    pub(crate) fn obs_ledgers(&self, forward: &TrafficLedger, reverse: &TrafficLedger) {
+        let [f, r] = &self.series.ledgers;
+        f.record(forward);
+        r.record(reverse);
     }
 
     /// Closes the migration span for an attempt a fault killed, leaving
@@ -130,18 +233,19 @@ impl MigrationEngine {
     /// Counts a freshly drained dirty set.
     pub(crate) fn obs_dirty(&self, dirty: &[PageIndex]) {
         if !dirty.is_empty() {
-            self.metrics
-                .inc("engine_dirty_pages_total", &[], dirty.len() as u64);
+            let m = &self.metrics;
+            (self.series.dirty)
+                .get_or_init(|| m.resolve_counter("engine_dirty_pages_total", &[]))
+                .inc(dirty.len() as u64);
         }
     }
 
     /// Emits one completed round: a `round` span with one `page_class`
     /// child span per nonzero class, plus the per-round histograms.
     pub(crate) fn obs_round(&self, report: &RoundReport) {
-        let round = report.round.to_string();
-        let span = self
-            .metrics
-            .span_start("round", &[("round", round.as_str())]);
+        let mut digits = [0; 10];
+        let round = decimal(report.round, &mut digits);
+        let span = self.metrics.span_start("round", &[("round", round)]);
         for (class, pages) in [
             ("full", report.full_pages),
             ("checksum", report.checksum_pages),
@@ -162,17 +266,41 @@ impl MigrationEngine {
                 ("sim_ns", report.duration.as_nanos()),
             ],
         );
-        self.metrics.observe(
-            "engine_round_bytes",
-            &[],
-            layouts::BYTES,
-            report.bytes_sent.as_u64(),
-        );
-        self.metrics.observe(
+        let s = &self.series;
+        self.histogram(&s.round_bytes, "engine_round_bytes", layouts::BYTES)
+            .observe(report.bytes_sent.as_u64());
+        self.histogram(
+            &s.round_sim_millis,
             "engine_round_sim_millis",
-            &[],
             layouts::SIM_MILLIS,
-            report.duration.as_nanos() / 1_000_000,
-        );
+        )
+        .observe(report.duration.as_nanos() / 1_000_000);
+    }
+}
+
+/// `n` in decimal, written into the end of `buf`: a span label without
+/// a `String`.
+fn decimal(mut n: u32, buf: &mut [u8; 10]) -> &str {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[start..]).expect("ASCII digits")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::decimal;
+
+    #[test]
+    fn decimal_matches_to_string() {
+        for n in [0, 1, 9, 10, 99, 100, 4_096, 1_000_000_007, u32::MAX] {
+            assert_eq!(decimal(n, &mut [0; 10]), n.to_string());
+        }
     }
 }

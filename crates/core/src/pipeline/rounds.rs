@@ -30,6 +30,7 @@ use vecycle_net::{wire, LinkSpec, TrafficCategory, TrafficLedger};
 use vecycle_obs::SpanId;
 use vecycle_types::{Bytes, BytesPerSec, DigestMap, PageCount, PageDigest, PageIndex, SimDuration};
 
+use super::obs::{obs_pages, Direction};
 use super::sink::MsgSink;
 use crate::strategy::PageAction;
 use crate::{
@@ -254,14 +255,14 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                 scan.alive = self.emit(msg, digest, full_cost, &mut scan.landed);
             }
         }
-        self.engine.obs_pages(
-            "engine_scan_pages_total",
+        obs_pages(
+            &self.engine.series.scan,
             &[
-                ("skipped", scan.skipped),
-                ("zero", classified.zeros),
-                ("checksum", classified.checksums),
-                ("dedup_ref", classified.refs),
-                ("full", classified.full),
+                scan.skipped,
+                classified.zeros,
+                classified.checksums,
+                classified.refs,
+                classified.full,
             ],
         );
         scan
@@ -326,7 +327,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
             ),
         ] {
             self.engine
-                .rec_many(&mut self.forward, "forward", category, count, size);
+                .rec_many(&mut self.forward, Direction::Forward, category, count, size);
         }
     }
 
@@ -393,7 +394,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                 self.record_forward_many(TrafficCategory::Checksums, n, wire::page_query());
                 engine.rec_many(
                     &mut self.reverse,
-                    "reverse",
+                    Direction::Reverse,
                     TrafficCategory::Control,
                     n,
                     wire::page_query_reply(),
@@ -477,14 +478,9 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         });
         let bytes = landed.bytes(page_msg);
         self.record_landed(&landed, page_msg);
-        engine.obs_pages(
-            "engine_resend_pages_total",
-            &[
-                ("full", landed.full),
-                ("checksum", landed.checksums),
-                ("dedup_ref", landed.refs),
-                ("zero", landed.zeros),
-            ],
+        obs_pages(
+            &engine.series.resend,
+            &[landed.full, landed.checksums, landed.refs, landed.zeros],
         );
         if !alive {
             return Err(self.abort(round_no, link, bytes));
@@ -535,10 +531,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         }
         self.sink.stop_end();
         self.record_delimiter();
-        engine.obs_pages(
-            "engine_stop_copy_pages_total",
-            &[("full", landed.full), ("zero", landed.zeros)],
-        );
+        obs_pages(&engine.series.stop_copy, &[landed.full, landed.zeros]);
         Ok(link.transfer_time(bytes).saturating_add(link.round_trip()))
     }
 
@@ -569,7 +562,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
     /// (post-copy streams its traffic directly).
     pub(crate) fn record_forward(&mut self, category: TrafficCategory, bytes: Bytes) {
         self.engine
-            .rec(&mut self.forward, "forward", category, bytes);
+            .rec(&mut self.forward, Direction::Forward, category, bytes);
     }
 
     /// Bulk form of [`TransferLoop::record_forward`].
@@ -580,7 +573,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         size: Bytes,
     ) {
         self.engine
-            .rec_many(&mut self.forward, "forward", category, count, size);
+            .rec_many(&mut self.forward, Direction::Forward, category, count, size);
     }
 
     /// Forward-path bytes recorded so far.
@@ -592,8 +585,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
     /// `net_wire_*`, closes the migration span with `attrs`, and hands
     /// the forward ledger back for the caller's report.
     pub(crate) fn finish_observed(self, attrs: &[(&str, u64)]) -> TrafficLedger {
-        vecycle_net::observe_ledger(&self.engine.metrics, "forward", &self.forward);
-        vecycle_net::observe_ledger(&self.engine.metrics, "reverse", &self.reverse);
+        self.engine.obs_ledgers(&self.forward, &self.reverse);
         self.engine.metrics.span_end(self.span, attrs);
         self.forward
     }
@@ -632,7 +624,12 @@ impl MigrationEngine {
         };
         if matches!(self.exchange, ExchangeProtocol::Bulk) {
             let bytes = wire::bulk_exchange(entries);
-            self.rec(reverse, "reverse", TrafficCategory::BulkExchange, bytes);
+            self.rec(
+                reverse,
+                Direction::Reverse,
+                TrafficCategory::BulkExchange,
+                bytes,
+            );
             setup.exchange_bytes = bytes;
             setup.exchange_time = self.link.transfer_time(bytes);
         }

@@ -30,6 +30,14 @@ pub enum MigrationOutcome {
 }
 
 impl MigrationOutcome {
+    /// Every [`MigrationOutcome::label`], in declaration order.
+    pub const LABELS: [&'static str; 4] = [
+        "completed",
+        "completed_after_retries",
+        "fell_back_to_full",
+        "failed",
+    ];
+
     /// True if the VM ended up running at the destination.
     pub fn is_success(&self) -> bool {
         !matches!(self, MigrationOutcome::Failed { .. })

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use vecycle_checkpoint::{
     Checkpoint, CheckpointFetch, ChecksumIndex, EvictionReason, EvictionRecord, GoneReason,
-    PartialCheckpoint,
+    IndexSeries, PartialCheckpoint,
 };
 use vecycle_faults::FaultCause;
 use vecycle_host::Host;
@@ -61,7 +61,7 @@ impl VeCycleSession {
             if let Some(outcome) = warmed {
                 // Warming a cold catalog goes through quota admission
                 // like any save; under pressure it can itself evict.
-                vecycle_host::observe_save(self.metrics(), dest, &outcome);
+                self.series.store.record_save(dest, &outcome);
                 self.record_evictions(dest, &outcome.evicted, events);
             }
             fetch
@@ -75,18 +75,14 @@ impl VeCycleSession {
                 },
             );
         }
-        self.metrics().inc(
-            "session_checkpoint_fetch_total",
-            &[("result", fetch.label())],
-            1,
-        );
+        self.series.fetch.of(fetch.label()).inc(1);
         Ok(fetch)
     }
 
     /// Observes a freshly built recycling index, passing it through.
-    fn observed(&self, source: &str, index: ChecksumIndex) -> Arc<ChecksumIndex> {
+    fn observed(&self, series: &IndexSeries, index: ChecksumIndex) -> Arc<ChecksumIndex> {
         let index = Arc::new(index);
-        vecycle_checkpoint::observe_index(self.metrics(), source, &index);
+        series.record(&index);
         index
     }
 
@@ -99,10 +95,11 @@ impl VeCycleSession {
         checkpoint: Option<&Checkpoint>,
         partial: Option<&PartialCheckpoint>,
     ) -> Option<Arc<ChecksumIndex>> {
+        let [checkpoint_index, partial_index, merged_index] = &self.series.index;
         Some(match (checkpoint, partial) {
-            (Some(cp), Some(p)) => self.observed("merged", p.build_index_with(&cp.digests())),
-            (Some(cp), None) => self.observed("checkpoint", cp.build_index()),
-            (None, Some(p)) => self.observed("partial", p.build_index()),
+            (Some(cp), Some(p)) => self.observed(merged_index, p.build_index_with(&cp.digests())),
+            (Some(cp), None) => self.observed(checkpoint_index, cp.build_index()),
+            (None, Some(p)) => self.observed(partial_index, p.build_index()),
             (None, None) => return None,
         })
     }
@@ -136,7 +133,8 @@ impl VeCycleSession {
                 (recycling(self.recycle_index(cp, partial)), cause)
             }
             (RecyclePolicy::Adaptive { min_similarity }, Some(cp)) => {
-                let probe = self.observed("checkpoint", cp.build_index());
+                let [checkpoint_index, ..] = &self.series.index;
+                let probe = self.observed(checkpoint_index, cp.build_index());
                 let estimate =
                     MigrationEngine::estimate_similarity(vm.guest().memory(), &probe, 256);
                 let recycle = estimate.as_f64() >= min_similarity;
@@ -200,8 +198,7 @@ impl VeCycleSession {
             // The host dies mid-write: the fsync + rename protocol
             // guarantees the *previous* checkpoint survives intact, so
             // only the fresh capture is lost.
-            self.metrics()
-                .inc("session_checkpoint_saves_total", &[("result", "lost")], 1);
+            self.series.saves.of("lost").inc(1);
             self.record_event(
                 events,
                 SessionEvent::CheckpointSaveLost {
@@ -214,11 +211,7 @@ impl VeCycleSession {
         let checkpoint = Checkpoint::capture(vm.id(), now, vm.guest().memory());
         let outcome = source.save_checkpoint(checkpoint)?;
         if !outcome.stored {
-            self.metrics().inc(
-                "session_checkpoint_saves_total",
-                &[("result", "refused")],
-                1,
-            );
+            self.series.saves.of("refused").inc(1);
             self.record_event(
                 events,
                 SessionEvent::CheckpointSaveRefused {
@@ -226,12 +219,11 @@ impl VeCycleSession {
                     host: source.id(),
                 },
             );
-            vecycle_host::observe_store(self.metrics(), source);
+            self.series.store.record(source);
             return Ok(());
         }
-        self.metrics()
-            .inc("session_checkpoint_saves_total", &[("result", "saved")], 1);
-        vecycle_host::observe_save(self.metrics(), source, &outcome);
+        self.series.saves.of("saved").inc(1);
+        self.series.store.record_save(source, &outcome);
         self.record_evictions(source, &outcome.evicted, events);
         report.setup_mut().checkpoint_write = source.disk().sequential_time(vm.guest().ram_size());
         Ok(())
@@ -267,7 +259,7 @@ impl VeCycleSession {
                 quarantined: scrub.quarantined.len() as u64,
             },
         );
-        vecycle_host::observe_restart(self.metrics(), dest, &scrub);
+        self.series.store.record_restart(dest, &scrub);
         Ok(())
     }
 }

@@ -7,12 +7,12 @@
 //! bootstrap the VM."* This module owns that cycle so callers only say
 //! "move this VM there now".
 
-use vecycle_checkpoint::PartialCheckpoint;
+use vecycle_checkpoint::{IndexSeries, PartialCheckpoint};
 use vecycle_faults::{FaultCause, FaultKind, FaultPlan, RetryPolicy};
-use vecycle_host::{Cluster, MigrationRequest};
+use vecycle_host::{Cluster, MigrationRequest, StoreSeries};
 use vecycle_mem::{workload::GuestWorkload, Guest, MutableMemory};
 use vecycle_net::TrafficLedger;
-use vecycle_obs::{layouts, MetricsRegistry};
+use vecycle_obs::{layouts, Counter, CounterFamily, MetricsRegistry};
 use vecycle_types::{Bytes, Error, HostId, SimDuration, SimTime, VmId};
 
 use crate::{LiveOutcome, MigrationEngine, MigrationOutcome, MigrationReport, SetupReport};
@@ -91,6 +91,51 @@ pub struct VeCycleSession {
     engine: MigrationEngine,
     policy: RecyclePolicy,
     retry: RetryPolicy,
+    series: SessionSeries,
+}
+
+/// The series every migration records into, resolved once per session
+/// registry; rarer incidents (aborts, retries, crashes, evictions) take
+/// the string-keyed path.
+#[derive(Debug)]
+struct SessionSeries {
+    /// `session_attempts_total`, also read back: a migration's attempts
+    /// are its delta.
+    attempts: Counter,
+    outcomes: CounterFamily,
+    fetch: CounterFamily,
+    saves: CounterFamily,
+    /// `checkpoint_index_*{source}` for a checkpoint, a partial, both.
+    index: [IndexSeries; 3],
+    store: StoreSeries,
+}
+
+impl SessionSeries {
+    fn new(metrics: &MetricsRegistry, cluster: &Cluster) -> Self {
+        SessionSeries {
+            attempts: metrics.resolve_counter("session_attempts_total", &[]),
+            outcomes: CounterFamily::new(
+                metrics,
+                "session_outcomes_total",
+                "outcome",
+                &MigrationOutcome::LABELS,
+            ),
+            fetch: CounterFamily::new(
+                metrics,
+                "session_checkpoint_fetch_total",
+                "result",
+                &["hit", "miss", "corrupt", "evicted", "quarantined"],
+            ),
+            saves: CounterFamily::new(
+                metrics,
+                "session_checkpoint_saves_total",
+                "result",
+                &["lost", "refused", "saved"],
+            ),
+            index: ["checkpoint", "partial", "merged"].map(|s| IndexSeries::new(metrics, s)),
+            store: StoreSeries::new(metrics, cluster),
+        }
+    }
 }
 
 impl VeCycleSession {
@@ -100,6 +145,7 @@ impl VeCycleSession {
     pub fn new(cluster: Cluster) -> Self {
         let engine = MigrationEngine::new(cluster.link());
         VeCycleSession {
+            series: SessionSeries::new(engine.metrics(), &cluster),
             cluster,
             engine,
             policy: RecyclePolicy::VeCycle,
@@ -117,6 +163,7 @@ impl VeCycleSession {
     /// Overrides the engine.
     #[must_use]
     pub fn with_engine(mut self, engine: MigrationEngine) -> Self {
+        self.series = SessionSeries::new(engine.metrics(), &self.cluster);
         self.engine = engine;
         self
     }
@@ -131,6 +178,7 @@ impl VeCycleSession {
     /// Shares a metrics registry with this session (and its engine).
     #[must_use]
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
+        self.series = SessionSeries::new(&metrics, &self.cluster);
         self.engine = self.engine.with_metrics(metrics);
         self
     }
@@ -256,14 +304,14 @@ impl VeCycleSession {
         // source of truth the outcome reports (the transcript's
         // `AttemptAborted`/`RetryScheduled` counts must reconcile with it
         // — tested in `tests/metrics_golden.rs`).
-        let attempts_before = self.metrics().counter("session_attempts_total", &[]);
+        let attempts_before = self.series.attempts.get();
 
         let mut partial: Option<PartialCheckpoint> = None;
         let mut wasted_traffic = Bytes::ZERO;
         let mut wasted_time = SimDuration::ZERO;
         let mut attempt = 1u32;
         loop {
-            self.metrics().inc("session_attempts_total", &[], 1);
+            self.series.attempts.inc(1);
             let attempt_faults = plan.for_attempt(leg, attempt);
             let (strategy, cause) = self.strategy_for(vm, &fetch, partial.as_ref());
             let strategy_name = strategy.name();
@@ -274,8 +322,7 @@ impl VeCycleSession {
                 &attempt_faults,
             )? {
                 LiveOutcome::Completed(mut report) => {
-                    let attempts = (self.metrics().counter("session_attempts_total", &[])
-                        - attempts_before) as u32;
+                    let attempts = (self.series.attempts.get() - attempts_before) as u32;
                     let outcome = if attempts > 1 {
                         MigrationOutcome::CompletedAfterRetries { attempts }
                     } else if let Some(cause) = cause {
@@ -283,11 +330,7 @@ impl VeCycleSession {
                     } else {
                         MigrationOutcome::Completed
                     };
-                    self.metrics().inc(
-                        "session_outcomes_total",
-                        &[("outcome", outcome.label())],
-                        1,
-                    );
+                    self.series.outcomes.of(outcome.label()).inc(1);
                     report.set_outcome(outcome);
                     report.add_waste(wasted_traffic, wasted_time);
 
@@ -322,8 +365,7 @@ impl VeCycleSession {
                         self.crash_and_restart(&dest, events)?;
                     }
                     if attempt >= self.retry.max_attempts {
-                        self.metrics()
-                            .inc("session_outcomes_total", &[("outcome", "failed")], 1);
+                        self.series.outcomes.of("failed").inc(1);
                         self.record_event(
                             events,
                             SessionEvent::MigrationFailed {

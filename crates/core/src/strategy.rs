@@ -25,16 +25,19 @@ pub enum StrategyName {
 }
 
 impl StrategyName {
+    /// Every name's label, in declaration order.
+    pub(crate) const LABELS: [&'static str; 6] = [
+        "full",
+        "dedup",
+        "dirty",
+        "dirty+dedup",
+        "vecycle",
+        "vecycle+dedup",
+    ];
+
     /// Stable label for reports and metrics.
     pub(crate) fn label(self) -> &'static str {
-        match self {
-            StrategyName::Full => "full",
-            StrategyName::Dedup => "dedup",
-            StrategyName::Dirty => "dirty",
-            StrategyName::DirtyDedup => "dirty+dedup",
-            StrategyName::VeCycle => "vecycle",
-            StrategyName::VeCycleDedup => "vecycle+dedup",
-        }
+        Self::LABELS[self as usize]
     }
 }
 

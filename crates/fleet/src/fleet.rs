@@ -22,11 +22,12 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use vecycle_checkpoint::Checkpoint;
 use vecycle_core::session::{SessionEvent, VeCycleSession, VmInstance};
+use vecycle_core::MigrationOutcome;
 use vecycle_faults::FaultPlan;
 use vecycle_host::{Cluster, MigrationRequest};
 use vecycle_mem::workload::GuestWorkload;
 use vecycle_mem::{DigestMemory, Guest};
-use vecycle_obs::{layouts, MetricsRegistry};
+use vecycle_obs::{layouts, Counter, CounterFamily, Gauge, Histogram, MetricsRegistry};
 use vecycle_sim::Simulator;
 use vecycle_types::{Bytes, DigestSet, HostId, PageCount, SimDuration, SimTime, VmId};
 
@@ -121,6 +122,71 @@ impl RunState {
     }
 }
 
+/// The `fleet_*` series, resolved once per fleet in the session's
+/// registry.
+#[derive(Debug)]
+struct FleetSeries {
+    requests: CounterFamily,
+    migrations: CounterFamily,
+    placement: CounterFamily,
+    queued: Counter,
+    queue_depth: Gauge,
+    traffic: Counter,
+    wasted: Counter,
+    deadline_misses: Counter,
+    overlap: Histogram,
+    queue_wait: Histogram,
+    duration: Histogram,
+    inflight: Gauge,
+    busy_links: Gauge,
+}
+
+impl FleetSeries {
+    fn new(m: &MetricsRegistry) -> Self {
+        FleetSeries {
+            requests: CounterFamily::new(
+                m,
+                "fleet_requests_total",
+                "disposition",
+                &["skipped", "deferred", "executed"],
+            ),
+            migrations: CounterFamily::new(
+                m,
+                "fleet_migrations_total",
+                "outcome",
+                &MigrationOutcome::LABELS,
+            ),
+            placement: CounterFamily::new(
+                m,
+                "fleet_placement_total",
+                "result",
+                &["warm", "cold", "blind", "random", "pinned"],
+            ),
+            queued: m.resolve_counter("fleet_admission_queued_total", &[]),
+            queue_depth: m.resolve_gauge("fleet_admission_queue_depth", &[]),
+            traffic: m.resolve_counter("fleet_traffic_bytes_total", &[]),
+            wasted: m.resolve_counter("fleet_wasted_bytes_total", &[]),
+            deadline_misses: m.resolve_counter("fleet_deadline_misses_total", &[]),
+            overlap: m.resolve_histogram("fleet_recycled_overlap_pages", &[], layouts::PAGES),
+            queue_wait: m.resolve_histogram(
+                "fleet_queue_wait_sim_millis",
+                &[],
+                layouts::SIM_MILLIS,
+            ),
+            duration: m.resolve_histogram("fleet_migration_sim_millis", &[], layouts::SIM_MILLIS),
+            inflight: m.resolve_gauge("fleet_inflight", &[]),
+            busy_links: m.resolve_gauge("fleet_busy_links", &[]),
+        }
+    }
+
+    /// Publishes the admission controller's in-flight and busy-link
+    /// counts.
+    fn admission(&self, admission: &Admission) {
+        self.inflight.set(f64::from(admission.inflight()));
+        self.busy_links.set(admission.busy_links() as f64);
+    }
+}
+
 /// A fleet of VMs orchestrated over a cluster by placement, timing and
 /// admission policies, executing legs through a [`VeCycleSession`].
 #[derive(Debug)]
@@ -128,6 +194,7 @@ pub struct Fleet {
     spec: FleetSpec,
     cluster: Cluster,
     session: VeCycleSession,
+    series: FleetSeries,
     vms: Vec<FleetVm>,
     requests: Vec<MigrationRequest>,
     rng: Xorshift,
@@ -149,7 +216,9 @@ impl Fleet {
         let cluster = Cluster::homogeneous(spec.hosts, spec.link);
         // Hosts share their checkpoint stores by Arc, so the session's
         // cluster clone and the fleet's placement view stay coherent.
-        let session = VeCycleSession::new(cluster.clone()).with_metrics(MetricsRegistry::new());
+        let metrics = MetricsRegistry::new();
+        let series = FleetSeries::new(&metrics);
+        let session = VeCycleSession::new(cluster.clone()).with_metrics(metrics);
         let mut vms = Vec::with_capacity(spec.vms as usize);
         let mut streams = Vec::with_capacity(spec.vms as usize);
         for i in 0..spec.vms {
@@ -224,6 +293,7 @@ impl Fleet {
             spec,
             cluster,
             session,
+            series,
             vms,
             requests,
             rng,
@@ -312,8 +382,7 @@ impl Fleet {
         let vm = &mut self.vms[r.vm.as_usize()];
         if vm.busy {
             st.skipped += 1;
-            self.metrics()
-                .inc("fleet_requests_total", &[("disposition", "skipped")], 1);
+            self.series.requests.of("skipped").inc(1);
             return Ok(());
         }
         vm.busy = true;
@@ -323,8 +392,7 @@ impl Fleet {
             .start_time(now, vm.workload.cycle(), r.deadline);
         if start > now {
             st.deferred += 1;
-            self.metrics()
-                .inc("fleet_requests_total", &[("disposition", "deferred")], 1);
+            self.series.requests.of("deferred").inc(1);
             sim.schedule_at(start, Ev::Start(i));
             Ok(())
         } else {
@@ -348,8 +416,7 @@ impl Fleet {
                 // Pinned to where the VM already runs: nothing to do.
                 self.vms[idx].busy = false;
                 st.skipped += 1;
-                self.metrics()
-                    .inc("fleet_requests_total", &[("disposition", "skipped")], 1);
+                self.series.requests.of("skipped").inc(1);
                 return Ok(());
             }
             Some(p) => Choice {
@@ -373,9 +440,8 @@ impl Fleet {
             st.pending.push_back(i);
             st.queued += 1;
             st.peak_queue = st.peak_queue.max(st.pending.len() as u64);
-            self.metrics().inc("fleet_admission_queued_total", &[], 1);
-            self.metrics()
-                .set_gauge("fleet_admission_queue_depth", &[], st.pending.len() as f64);
+            self.series.queued.inc(1);
+            self.series.queue_depth.set(st.pending.len() as f64);
             Ok(())
         }
     }
@@ -467,38 +533,19 @@ impl Fleet {
         st.peak_inflight = st.peak_inflight.max(u64::from(st.admission.inflight()));
         st.req[i as usize].admitted = Some((from, choice.to));
 
-        let m = self.session.metrics();
-        m.inc("fleet_requests_total", &[("disposition", "executed")], 1);
-        m.inc("fleet_migrations_total", &[("outcome", outcome)], 1);
-        m.inc("fleet_placement_total", &[("result", reason)], 1);
-        m.inc(
-            "fleet_traffic_bytes_total",
-            &[],
-            report.source_traffic().as_u64(),
-        );
-        m.inc(
-            "fleet_wasted_bytes_total",
-            &[],
-            report.wasted_traffic().as_u64(),
-        );
+        let series = &self.series;
+        series.requests.of("executed").inc(1);
+        series.migrations.of(outcome).inc(1);
+        series.placement.of(reason).inc(1);
+        series.traffic.inc(report.source_traffic().as_u64());
+        series.wasted.inc(report.wasted_traffic().as_u64());
         if deadline_missed {
-            m.inc("fleet_deadline_misses_total", &[], 1);
+            series.deadline_misses.inc(1);
         }
-        m.observe("fleet_recycled_overlap_pages", &[], layouts::PAGES, overlap);
-        m.observe(
-            "fleet_queue_wait_sim_millis",
-            &[],
-            layouts::SIM_MILLIS,
-            queued_nanos / 1_000_000,
-        );
-        m.observe(
-            "fleet_migration_sim_millis",
-            &[],
-            layouts::SIM_MILLIS,
-            duration.as_nanos() / 1_000_000,
-        );
-        m.set_gauge("fleet_inflight", &[], f64::from(st.admission.inflight()));
-        m.set_gauge("fleet_busy_links", &[], st.admission.busy_links() as f64);
+        series.overlap.observe(overlap);
+        series.queue_wait.observe(queued_nanos / 1_000_000);
+        series.duration.observe(duration.as_nanos() / 1_000_000);
+        series.admission(&st.admission);
 
         st.journal.push(decision);
         sim.schedule_at(completion, Ev::Complete(i));
@@ -521,10 +568,7 @@ impl Fleet {
         // The engine already played the workload through the migration
         // window; external catch-up resumes from the completion instant.
         vm.advanced_to = now;
-        self.metrics()
-            .set_gauge("fleet_inflight", &[], f64::from(st.admission.inflight()));
-        self.metrics()
-            .set_gauge("fleet_busy_links", &[], st.admission.busy_links() as f64);
+        self.series.admission(&st.admission);
 
         // Retry the queue in FIFO order, once per completion. Entries
         // whose resources are still busy go back in the same relative
@@ -542,8 +586,7 @@ impl Fleet {
                 st.pending.push_back(j);
             }
         }
-        self.metrics()
-            .set_gauge("fleet_admission_queue_depth", &[], st.pending.len() as f64);
+        self.series.queue_depth.set(st.pending.len() as f64);
         Ok(())
     }
 

@@ -136,6 +136,27 @@ fn metric_calls_on_existing_series_allocate_nothing() {
     assert_eq!(four_calls(), 2_502 * 4096);
 }
 
+/// Recording through resolved handles asks the allocator for nothing:
+/// a handle is an `Arc` to its series' cell, and a record is a few
+/// atomics on it.
+#[test]
+fn records_through_resolved_handles_allocate_nothing() {
+    let m = MetricsRegistry::new();
+    let wire = [("kind", "full_pages"), ("direction", "forward")];
+    let counter = m.resolve_counter("engine_wire_bytes_total", &wire);
+    let gauge = m.resolve_gauge("store_bytes", &[("host", "host-7")]);
+    let histogram = m.resolve_histogram("engine_round_bytes", &[], layouts::BYTES);
+    let ((), stats) = metered(|| {
+        for i in 0..10_000 {
+            counter.inc(4096);
+            gauge.set(f64::from(i));
+            histogram.observe(4096);
+        }
+    });
+    assert_eq!(stats.requested, 0, "{stats:?}");
+    assert_eq!(m.counter("engine_wire_bytes_total", &wire), 10_000 * 4096);
+}
+
 /// Spans over strings the registry has already seen store interned ids,
 /// so 1 000 start/end pairs request only the amortised growth of the
 /// timeline's arenas — never a string or a per-span label list.
@@ -149,11 +170,11 @@ fn spans_over_seen_strings_request_only_arena_growth() {
     pair();
     let ((), stats) = metered(|| (0..1_000).for_each(|_| pair()));
     // The bound is arena growth and nothing else. A pair appends two
-    // 48-byte timeline entries, one 8-byte label pair and two 16-byte
+    // 32-byte timeline entries, one 8-byte label pair and two 16-byte
     // attrs. A `Vec` that has doubled its way to capacity C has requested
     // under 2·C elements in all, and after 1 001 pairs the three arenas
     // sit at capacities 2 048, 1 024 and 2 048. (The owned-string
     // timeline this replaced requested 428 336 bytes here.)
-    let growth = 2 * (2_048 * 48 + 1_024 * 8 + 2_048 * 16);
+    let growth = 2 * (2_048 * 32 + 1_024 * 8 + 2_048 * 16);
     assert!(stats.requested < growth, "{stats:?}");
 }

@@ -22,5 +22,5 @@ pub use cluster::{Cluster, Host};
 pub use cpu::CpuSpec;
 pub use disk::DiskSpec;
 pub use locks::{HostClaim, HostLocks};
-pub use obs::{observe_restart, observe_save, observe_store};
+pub use obs::StoreSeries;
 pub use schedule::MigrationRequest;

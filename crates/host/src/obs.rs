@@ -8,58 +8,87 @@
 //! driven by simulated state only, so transcripts stay bit-identical
 //! across thread counts.
 
+use std::sync::OnceLock;
+
 use vecycle_checkpoint::{EvictionRecord, SaveOutcome, ScrubReport};
-use vecycle_obs::MetricsRegistry;
+use vecycle_obs::{Gauge, MetricsRegistry};
 
-use crate::Host;
+use crate::{Cluster, Host};
 
-/// Refreshes the `store_bytes{host=…}` gauge from the host's current
-/// in-memory catalog.
-pub fn observe_store(metrics: &MetricsRegistry, host: &Host) {
-    let label = format!("host-{}", host.id().as_u32());
-    metrics.set_gauge(
-        "store_bytes",
-        &[("host", &label)],
-        host.store().used().as_u64() as f64,
-    );
+/// The store metrics of a cluster's hosts. `store_bytes{host=…}` is
+/// resolved once per host, on its first record; evictions and restarts
+/// are rare and take the string-keyed path.
+#[derive(Debug)]
+pub struct StoreSeries {
+    metrics: MetricsRegistry,
+    /// `store_bytes` by host id.
+    bytes: Box<[OnceLock<Gauge>]>,
 }
 
-/// Counts `evicted` into `ckpt_evictions_total{policy,reason}` and
-/// refreshes the host's `store_bytes` gauge.
-fn observe_evictions(metrics: &MetricsRegistry, host: &Host, evicted: &[EvictionRecord]) {
-    let policy = host.store().policy().label();
-    for record in evicted {
-        metrics.inc(
-            "ckpt_evictions_total",
-            &[("policy", policy), ("reason", record.reason.label())],
-            1,
-        );
-    }
-    observe_store(metrics, host);
-}
-
-/// Records the evictions a quota-governed save performed
-/// (`ckpt_evictions_total{policy,reason}`) and refreshes the host's
-/// `store_bytes` gauge. A save that evicted nothing only moves the
-/// gauge.
-pub fn observe_save(metrics: &MetricsRegistry, host: &Host, outcome: &SaveOutcome) {
-    observe_evictions(metrics, host, &outcome.evicted);
-}
-
-/// Records a host restart and its scrub findings:
-/// `host_restarts_total`, `scrub_pages_total{verdict=clean|corrupt}`,
-/// plus any evictions the re-warm pass performed.
-pub fn observe_restart(metrics: &MetricsRegistry, host: &Host, report: &ScrubReport) {
-    metrics.inc("host_restarts_total", &[], 1);
-    for (verdict, pages) in [
-        ("clean", report.clean_pages),
-        ("corrupt", report.corrupt_pages),
-    ] {
-        if pages > 0 {
-            metrics.inc("scrub_pages_total", &[("verdict", verdict)], pages);
+impl StoreSeries {
+    /// The series of `cluster`'s hosts; resolves nothing yet.
+    pub fn new(metrics: &MetricsRegistry, cluster: &Cluster) -> Self {
+        StoreSeries {
+            metrics: metrics.clone(),
+            bytes: cluster.hosts().iter().map(|_| OnceLock::new()).collect(),
         }
     }
-    observe_evictions(metrics, host, &report.evicted);
+
+    /// Refreshes the `store_bytes{host=…}` gauge from the host's current
+    /// in-memory catalog. A host outside the cluster resolves its gauge
+    /// on every record.
+    pub fn record(&self, host: &Host) {
+        let used = host.store().used().as_u64() as f64;
+        let id = host.id().as_u32();
+        let resolve = || {
+            let label = format!("host-{id}");
+            self.metrics
+                .resolve_gauge("store_bytes", &[("host", &label)])
+        };
+        match self.bytes.get(id as usize) {
+            Some(slot) => slot.get_or_init(resolve).set(used),
+            None => resolve().set(used),
+        }
+    }
+
+    /// Records the evictions a quota-governed save performed
+    /// (`ckpt_evictions_total{policy,reason}`) and refreshes the host's
+    /// `store_bytes` gauge. A save that evicted nothing only moves the
+    /// gauge.
+    pub fn record_save(&self, host: &Host, outcome: &SaveOutcome) {
+        self.record_evictions(host, &outcome.evicted);
+    }
+
+    /// Records a host restart and its scrub findings:
+    /// `host_restarts_total`, `scrub_pages_total{verdict=clean|corrupt}`,
+    /// plus any evictions the re-warm pass performed.
+    pub fn record_restart(&self, host: &Host, report: &ScrubReport) {
+        self.metrics.inc("host_restarts_total", &[], 1);
+        for (verdict, pages) in [
+            ("clean", report.clean_pages),
+            ("corrupt", report.corrupt_pages),
+        ] {
+            if pages > 0 {
+                self.metrics
+                    .inc("scrub_pages_total", &[("verdict", verdict)], pages);
+            }
+        }
+        self.record_evictions(host, &report.evicted);
+    }
+
+    /// Counts `evicted` into `ckpt_evictions_total{policy,reason}` and
+    /// refreshes the host's `store_bytes` gauge.
+    fn record_evictions(&self, host: &Host, evicted: &[EvictionRecord]) {
+        let policy = host.store().policy().label();
+        for record in evicted {
+            self.metrics.inc(
+                "ckpt_evictions_total",
+                &[("policy", policy), ("reason", record.reason.label())],
+                1,
+            );
+        }
+        self.record(host);
+    }
 }
 
 #[cfg(test)]
@@ -67,6 +96,7 @@ mod tests {
     use super::*;
     use vecycle_checkpoint::{Checkpoint, EvictionPolicy};
     use vecycle_mem::DigestMemory;
+    use vecycle_net::LinkSpec;
     use vecycle_types::{Bytes, HostId, PageCount, SimTime, VmId};
 
     fn cp(vm: u32, seed: u64) -> Checkpoint {
@@ -81,11 +111,14 @@ mod tests {
         let host = Host::benchmark_default(HostId::new(3))
             .with_checkpoint_quota(Bytes::new(200), EvictionPolicy::OldestFirst);
         let m = MetricsRegistry::new();
+        // A one-host cluster: host 3 is outside it, so its gauge takes
+        // the string-keyed path and lands in the same series.
+        let series = StoreSeries::new(&m, &Cluster::homogeneous(1, LinkSpec::lan_gigabit()));
         let o1 = host.save_checkpoint(cp(1, 10)).unwrap();
-        observe_save(&m, &host, &o1);
+        series.record_save(&host, &o1);
         assert_eq!(m.counter_total("ckpt_evictions_total"), 0);
         let o2 = host.save_checkpoint(cp(2, 20)).unwrap();
-        observe_save(&m, &host, &o2);
+        series.record_save(&host, &o2);
         assert_eq!(
             m.counter(
                 "ckpt_evictions_total",
@@ -107,8 +140,11 @@ mod tests {
     fn restart_without_disk_store_still_counts() {
         let host = Host::benchmark_default(HostId::new(0));
         let m = MetricsRegistry::new();
+        let series = StoreSeries::new(&m, &Cluster::homogeneous(1, LinkSpec::lan_gigabit()));
         let report = host.restart().unwrap();
-        observe_restart(&m, &host, &report);
+        series.record_restart(&host, &report);
+        let snap = m.snapshot();
+        assert_eq!(snap.gauges[0].labels, [("host".into(), "host-0".into())]);
         assert_eq!(m.counter("host_restarts_total", &[]), 1);
         assert_eq!(m.counter_total("scrub_pages_total"), 0);
     }

@@ -22,7 +22,8 @@ pub enum TrafficCategory {
 }
 
 impl TrafficCategory {
-    /// All categories, in display order.
+    /// All categories, in display order — which is declaration order,
+    /// so `category as usize` is its slot.
     pub const ALL: [TrafficCategory; 6] = [
         TrafficCategory::FullPages,
         TrafficCategory::Checksums,
@@ -102,16 +103,20 @@ impl TrafficLedger {
     }
 
     fn slot(category: TrafficCategory) -> usize {
-        TrafficCategory::ALL
-            .iter()
-            .position(|c| *c == category)
-            .expect("category is in ALL")
+        category as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_is_declaration_order() {
+        for (i, c) in TrafficCategory::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i);
+        }
+    }
 
     #[test]
     fn empty_ledger_is_zero() {

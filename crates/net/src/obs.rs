@@ -1,6 +1,6 @@
 //! Metrics export for the network layer.
 //!
-//! [`observe_ledger`] copies a finished [`TrafficLedger`] into the
+//! [`LedgerSeries::record`] copies a finished [`TrafficLedger`] into the
 //! `net_wire_bytes_total` / `net_wire_messages_total` counter families.
 //! The engine keeps its own incremental `engine_wire_*` counters at
 //! every record site; the two families are **independent accountings of
@@ -10,38 +10,62 @@
 //! aborted, the net side only completed migrations' ledgers — the
 //! difference is exactly the wasted wire traffic.
 
-use vecycle_obs::MetricsRegistry;
+use vecycle_obs::{CounterFamily, MetricsRegistry};
 
 use crate::{Netem, TrafficCategory, TrafficLedger};
 
 impl TrafficCategory {
+    /// Every category's metric label, in [`TrafficCategory::ALL`] order.
+    pub const LABELS: [&'static str; 6] = [
+        "full_pages",
+        "checksums",
+        "bulk_exchange",
+        "dedup_refs",
+        "zero_markers",
+        "control",
+    ];
+
     /// Stable snake_case label for metrics (`…{kind=…}`).
     pub fn label(self) -> &'static str {
-        match self {
-            TrafficCategory::FullPages => "full_pages",
-            TrafficCategory::Checksums => "checksums",
-            TrafficCategory::BulkExchange => "bulk_exchange",
-            TrafficCategory::DedupRefs => "dedup_refs",
-            TrafficCategory::ZeroMarkers => "zero_markers",
-            TrafficCategory::Control => "control",
-        }
+        Self::LABELS[self as usize]
     }
 }
 
-/// Adds a completed migration's ledger to the per-category wire
-/// counters, labelled with the traffic `direction` (`"forward"` or
-/// `"reverse"`). Empty categories are skipped so the series set stays
-/// minimal and deterministic.
-pub fn observe_ledger(metrics: &MetricsRegistry, direction: &str, ledger: &TrafficLedger) {
-    for category in TrafficCategory::ALL {
-        let bytes = ledger.bytes_in(category).as_u64();
-        let messages = ledger.messages_in(category);
-        if messages == 0 && bytes == 0 {
-            continue;
+/// The `net_wire_*` series of one traffic direction, by
+/// [`TrafficCategory`], each resolved on its first record.
+#[derive(Debug)]
+pub struct LedgerSeries {
+    bytes: CounterFamily,
+    messages: CounterFamily,
+}
+
+impl LedgerSeries {
+    /// The series of `direction` (`"forward"` or `"reverse"`); resolves
+    /// nothing yet.
+    pub fn new(metrics: &MetricsRegistry, direction: &'static str) -> Self {
+        let family = |name| {
+            CounterFamily::new(metrics, name, "kind", &TrafficCategory::LABELS)
+                .with_label("direction", direction)
+        };
+        LedgerSeries {
+            bytes: family("net_wire_bytes_total"),
+            messages: family("net_wire_messages_total"),
         }
-        let labels = [("direction", direction), ("kind", category.label())];
-        metrics.inc("net_wire_bytes_total", &labels, bytes);
-        metrics.inc("net_wire_messages_total", &labels, messages);
+    }
+
+    /// Adds a completed migration's ledger to the per-category wire
+    /// counters. Empty categories are skipped so the series set stays
+    /// minimal and deterministic.
+    pub fn record(&self, ledger: &TrafficLedger) {
+        for category in TrafficCategory::ALL {
+            let bytes = ledger.bytes_in(category).as_u64();
+            let messages = ledger.messages_in(category);
+            if messages == 0 && bytes == 0 {
+                continue;
+            }
+            self.bytes.at(category as usize).inc(bytes);
+            self.messages.at(category as usize).inc(messages);
+        }
     }
 }
 
@@ -80,7 +104,7 @@ mod tests {
         ledger.record_many(TrafficCategory::FullPages, 3, Bytes::from_kib(4));
         ledger.record(TrafficCategory::Control, Bytes::new(24));
         let m = MetricsRegistry::new();
-        observe_ledger(&m, "forward", &ledger);
+        LedgerSeries::new(&m, "forward").record(&ledger);
         assert_eq!(
             m.counter(
                 "net_wire_bytes_total",

@@ -17,6 +17,12 @@
 //!   path that drives them; concurrent sessions sharing one registry
 //!   keep independent stacks, and their counters commute.
 //!
+//! A hot call site resolves its series once into a handle ([`Counter`],
+//! [`Gauge`], [`Histogram`], or a [`CounterFamily`] over a label's
+//! known values) and records without the registry's lock; one-off sites
+//! use the string-keyed [`MetricsRegistry::inc`] and friends. Both feed
+//! the same series.
+//!
 //! Three export surfaces hang off [`MetricsSnapshot`]:
 //! [`MetricsSnapshot::to_canonical_json`] (byte-stable, golden-test
 //! friendly), [`MetricsSnapshot::to_prometheus`] (text exposition
@@ -26,10 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod handle;
 mod json;
 mod registry;
 mod snapshot;
 
+pub use handle::{Counter, CounterFamily, Gauge, Histogram};
 pub use registry::{BucketLayout, FieldValue, MetricsRegistry, SpanId};
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, TimelineEntry};
 

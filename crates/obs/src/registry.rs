@@ -1,20 +1,26 @@
 //! The metrics registry: counters, gauges, histograms, spans, events.
 //!
-//! A call on an existing series allocates nothing: lookups probe the
-//! series maps with a borrowed, stack-sorted key, and the timeline
-//! stores interned string ids instead of owned strings. Owned
-//! [`SeriesKey`]s and [`TimelineEntry`] values are built only when a
-//! series is first created and in [`MetricsRegistry::snapshot`].
+//! Each series is a cell (see [`crate::handle`]) in a map keyed by
+//! `(name, sorted labels)`. A hot call site resolves a handle to its
+//! cell once and records without the lock; a string-keyed call finds
+//! the cell under the lock on every call. Either allocates nothing on
+//! an existing series: lookups probe the maps with a borrowed,
+//! stack-sorted key, and the timeline stores interned string ids
+//! instead of owned strings. Owned [`SeriesKey`]s and [`TimelineEntry`]
+//! values are built only when a series is first created and in
+//! [`MetricsRegistry::snapshot`].
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
+use std::num::NonZeroU64;
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread::ThreadId;
 
 use parking_lot::Mutex;
 
+use crate::handle::{Counter, CounterCell, Gauge, GaugeCell, Histogram, HistogramCell};
 use crate::snapshot::{
     CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, TimelineEntry,
 };
@@ -201,68 +207,19 @@ impl<'a> Borrow<dyn KeyView + 'a> for SeriesKey {
     }
 }
 
-/// Applies `f` to the series `probe` names, creating it with `init` on
-/// first touch — the one time a `SeriesKey` is allocated.
-fn update<V>(
-    map: &mut BTreeMap<SeriesKey, V>,
-    probe: &Probe<'_>,
-    init: impl FnOnce() -> V,
-    f: impl FnOnce(&mut V),
-) {
-    match map.get_mut(probe as &dyn KeyView) {
-        Some(v) => f(v),
-        None => {
-            let mut v = init();
-            f(&mut v);
-            map.insert(probe.to_key(), v);
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Histogram {
-    layout: BucketLayout,
-    counts: Vec<u64>,
-    sum: u64,
-    total: u64,
-}
-
-impl Histogram {
-    fn new(layout: BucketLayout) -> Self {
-        Histogram {
-            layout,
-            counts: vec![0; layout.bounds.len() + 1],
-            sum: 0,
-            total: 0,
-        }
-    }
-
-    fn observe(&mut self, value: u64) {
-        let slot = self
-            .layout
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.layout.bounds.len());
-        self.counts[slot] += 1;
-        self.sum += value;
-        self.total += 1;
-    }
-}
-
 /// One timeline record; spans hold interned string ids and ranges into
-/// [`Timeline`]'s arenas.
+/// [`Timeline`]'s arenas. 32 bytes: a `fleet_aware` op records ≈ 28 k.
 #[derive(Debug)]
 enum Entry {
     Start {
         id: SpanId,
-        parent: Option<SpanId>,
+        parent: Option<NonZeroU64>,
         name: u32,
-        labels: Range<usize>,
+        labels: Range<u32>,
     },
     End {
         id: SpanId,
-        attrs: Range<usize>,
+        attrs: Range<u32>,
     },
     /// Events (aborts only) are rare enough to keep as they export.
     Event(Box<TimelineEntry>),
@@ -279,6 +236,12 @@ struct Timeline {
     /// `(key id, value)` attrs of every span end.
     attrs: Vec<(u32, u64)>,
     entries: Vec<Entry>,
+}
+
+/// `from..to` as stored in an [`Entry`].
+fn arena_range(from: usize, to: usize) -> Range<u32> {
+    let narrow = |i| u32::try_from(i).expect("under 2^32 arena slots");
+    narrow(from)..narrow(to)
 }
 
 impl Timeline {
@@ -298,7 +261,8 @@ impl Timeline {
             let pair = (self.intern(k), self.intern(v));
             self.labels.push(pair);
         }
-        let labels = from..self.labels.len();
+        let labels = arena_range(from, self.labels.len());
+        let parent = parent.map(|p| NonZeroU64::new(p.0).expect("span ids start at 1"));
         self.entries.push(Entry::Start {
             id,
             parent,
@@ -313,7 +277,7 @@ impl Timeline {
             let k = self.intern(k);
             self.attrs.push((k, v));
         }
-        let attrs = from..self.attrs.len();
+        let attrs = arena_range(from, self.attrs.len());
         self.entries.push(Entry::End { id, attrs });
     }
 
@@ -334,16 +298,16 @@ impl Timeline {
                     labels,
                 } => TimelineEntry::SpanStart {
                     id: *id,
-                    parent: *parent,
+                    parent: parent.map(|p| SpanId(p.get())),
                     name: s(*name),
-                    labels: self.labels[labels.clone()]
+                    labels: self.labels[labels.start as usize..labels.end as usize]
                         .iter()
                         .map(|&(k, v)| (s(k), s(v)))
                         .collect(),
                 },
                 Entry::End { id, attrs } => TimelineEntry::SpanEnd {
                     id: *id,
-                    attrs: self.attrs[attrs.clone()]
+                    attrs: self.attrs[attrs.start as usize..attrs.end as usize]
                         .iter()
                         .map(|&(k, v)| (s(k), v))
                         .collect(),
@@ -354,11 +318,13 @@ impl Timeline {
     }
 }
 
+/// Series maps hold the cells handles share; a cell nothing has
+/// recorded into yet (only resolved) is skipped by every reader.
 #[derive(Debug, Default)]
 struct Inner {
-    counters: BTreeMap<SeriesKey, u64>,
-    gauges: BTreeMap<SeriesKey, f64>,
-    histograms: BTreeMap<SeriesKey, Histogram>,
+    counters: BTreeMap<SeriesKey, Arc<CounterCell>>,
+    gauges: BTreeMap<SeriesKey, Arc<GaugeCell>>,
+    histograms: BTreeMap<SeriesKey, Arc<HistogramCell>>,
     timeline: Timeline,
     /// Open-span stacks, one per driving thread. Span nesting is a
     /// property of a single control flow; concurrent sessions sharing
@@ -366,6 +332,29 @@ struct Inner {
     /// commute, but their spans interleave).
     open_spans: HashMap<ThreadId, Vec<SpanId>>,
     next_span: u64,
+}
+
+/// A series cell, and the map of [`Inner`] that holds its kind.
+trait Cell: Sized {
+    fn map(inner: &mut Inner) -> &mut BTreeMap<SeriesKey, Arc<Self>>;
+}
+
+impl Cell for CounterCell {
+    fn map(inner: &mut Inner) -> &mut BTreeMap<SeriesKey, Arc<Self>> {
+        &mut inner.counters
+    }
+}
+
+impl Cell for GaugeCell {
+    fn map(inner: &mut Inner) -> &mut BTreeMap<SeriesKey, Arc<Self>> {
+        &mut inner.gauges
+    }
+}
+
+impl Cell for HistogramCell {
+    fn map(inner: &mut Inner) -> &mut BTreeMap<SeriesKey, Arc<Self>> {
+        &mut inner.histograms
+    }
 }
 
 impl Inner {
@@ -377,35 +366,35 @@ impl Inner {
 
     fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, &v)| CounterSample {
+            counters: (self.counters.iter())
+                .filter(|(_, c)| c.touched())
+                .map(|(k, c)| CounterSample {
                     name: k.name.clone(),
                     labels: k.labels.clone(),
-                    value: v,
+                    value: c.value(),
                 })
                 .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(k, &v)| GaugeSample {
+            gauges: (self.gauges.iter())
+                .filter(|(_, g)| g.touched())
+                .map(|(k, g)| GaugeSample {
                     name: k.name.clone(),
                     labels: k.labels.clone(),
-                    value: v,
+                    value: g.value(),
                 })
                 .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| HistogramSample {
-                    name: k.name.clone(),
-                    labels: k.labels.clone(),
-                    unit: h.layout.unit.to_string(),
-                    bounds: h.layout.bounds.to_vec(),
-                    counts: h.counts.clone(),
-                    sum: h.sum,
-                    count: h.total,
+            histograms: (self.histograms.iter())
+                .filter(|(_, h)| h.touched())
+                .map(|(k, h)| {
+                    let (counts, sum, count) = h.read();
+                    HistogramSample {
+                        name: k.name.clone(),
+                        labels: k.labels.clone(),
+                        unit: h.layout.unit.to_string(),
+                        bounds: h.layout.bounds.to_vec(),
+                        counts,
+                        sum,
+                        count,
+                    }
                 })
                 .collect(),
             timeline: self.timeline.materialise(),
@@ -429,48 +418,82 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `by` to the counter `name{labels}`.
-    pub fn inc(&self, name: &str, labels: &[(&str, &str)], by: u64) {
+    /// Applies `f` to the cell of the series `name{labels}`, creating
+    /// the cell with `init` if the series has none yet — the one time a
+    /// `SeriesKey` is allocated.
+    fn with_cell<C: Cell, R>(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        init: impl FnOnce() -> C,
+        f: impl FnOnce(&Arc<C>) -> R,
+    ) -> R {
         with_sorted(labels, |labels| {
             let probe = Probe { name, labels };
-            update(&mut self.inner.lock().counters, &probe, || 0, |c| *c += by);
-        });
+            let mut inner = self.inner.lock();
+            let map = C::map(&mut inner);
+            if let Some(cell) = map.get(&probe as &dyn KeyView) {
+                return f(cell);
+            }
+            let cell = Arc::new(init());
+            let out = f(&cell);
+            map.insert(probe.to_key(), cell);
+            out
+        })
+    }
+
+    fn with_histogram<R>(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        layout: BucketLayout,
+        f: impl FnOnce(&Arc<HistogramCell>) -> R,
+    ) -> R {
+        let init = || HistogramCell::new(layout);
+        self.with_cell(name, labels, init, |h| {
+            debug_assert_eq!(h.layout, layout, "histogram {name} with two layouts");
+            f(h)
+        })
+    }
+
+    /// The counter `name{labels}` as a handle. The series becomes
+    /// visible on the first record, through the handle or [`Self::inc`].
+    pub fn resolve_counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        Counter(self.with_cell(name, labels, CounterCell::default, Arc::clone))
+    }
+
+    /// The gauge `name{labels}` as a handle; visible once set.
+    pub fn resolve_gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+        Gauge(self.with_cell(name, labels, GaugeCell::default, Arc::clone))
+    }
+
+    /// The histogram `name{labels}` with bucket `layout` as a handle;
+    /// visible once observed.
+    pub fn resolve_histogram(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        layout: BucketLayout,
+    ) -> Histogram {
+        Histogram(self.with_histogram(name, labels, layout, Arc::clone))
+    }
+
+    /// Adds `by` to the counter `name{labels}`.
+    pub fn inc(&self, name: &str, labels: &[(&str, &str)], by: u64) {
+        self.with_cell(name, labels, CounterCell::default, |c| c.add_locked(by));
     }
 
     /// Sets the gauge `name{labels}` to `value` (must be finite).
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         debug_assert!(value.is_finite(), "gauge {name} set to non-finite {value}");
-        with_sorted(labels, |labels| {
-            let probe = Probe { name, labels };
-            update(
-                &mut self.inner.lock().gauges,
-                &probe,
-                || value,
-                |g| *g = value,
-            );
-        });
+        self.with_cell(name, labels, GaugeCell::default, |g| g.set(value));
     }
 
     /// Records `value` into the histogram `name{labels}` with the given
     /// fixed bucket `layout`. Every observation of a series must use
     /// the same layout.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], layout: BucketLayout, value: u64) {
-        with_sorted(labels, |labels| {
-            let probe = Probe { name, labels };
-            let mut inner = self.inner.lock();
-            update(
-                &mut inner.histograms,
-                &probe,
-                || Histogram::new(layout),
-                |h| {
-                    debug_assert_eq!(
-                        h.layout, layout,
-                        "histogram {name} observed with two different layouts"
-                    );
-                    h.observe(value);
-                },
-            );
-        });
+        self.with_histogram(name, labels, layout, |h| h.observe_locked(value));
     }
 
     /// Opens a span as a child of the innermost open span. Returns the
@@ -521,11 +544,8 @@ impl MetricsRegistry {
         with_sorted(labels, |labels| {
             let probe = Probe { name, labels };
             let inner = self.inner.lock();
-            inner
-                .counters
-                .get(&probe as &dyn KeyView)
-                .copied()
-                .unwrap_or(0)
+            let counter = inner.counters.get(&probe as &dyn KeyView);
+            counter.map_or(0, |c| c.value())
         })
     }
 
@@ -535,8 +555,8 @@ impl MetricsRegistry {
             .lock()
             .counters
             .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(_, v)| *v)
+            .filter(|(k, c)| k.name == name && c.touched())
+            .map(|(_, c)| c.value())
             .sum()
     }
 
@@ -647,14 +667,14 @@ mod tests {
         }
     }
 
-    /// The registry as it was before borrowed keys and interning: an
-    /// owned `SeriesKey` built on every call, an owned-string timeline.
-    /// Only the unchanged series-to-sample step is shared, via `Inner`.
+    /// The registry as it was before borrowed keys, interning and
+    /// handles: an owned `SeriesKey` built on every call, plain values,
+    /// an owned-string timeline. It shares no code with the registry.
     #[derive(Default)]
     struct Model {
         counters: BTreeMap<SeriesKey, u64>,
         gauges: BTreeMap<SeriesKey, f64>,
-        histograms: BTreeMap<SeriesKey, Histogram>,
+        histograms: BTreeMap<SeriesKey, HistogramSample>,
         timeline: Vec<TimelineEntry>,
         stack: Vec<SpanId>,
         next_span: u64,
@@ -670,6 +690,27 @@ mod tests {
     }
 
     impl Model {
+        fn inc(&mut self, key: SeriesKey, by: u64) {
+            *self.counters.entry(key).or_insert(0) += by;
+        }
+
+        fn observe(&mut self, key: SeriesKey, layout: BucketLayout, value: u64) {
+            let SeriesKey { name, labels } = key.clone();
+            let h = self.histograms.entry(key).or_insert(HistogramSample {
+                name,
+                labels,
+                unit: layout.unit.to_string(),
+                bounds: layout.bounds.to_vec(),
+                counts: vec![0; layout.bounds.len() + 1],
+                sum: 0,
+                count: 0,
+            });
+            let slot = layout.bounds.iter().take_while(|&&b| value > b).count();
+            h.counts[slot] += 1;
+            h.sum += value;
+            h.count += 1;
+        }
+
         fn span_start(&mut self, name: &str, labels: &[(&str, &str)]) {
             self.next_span += 1;
             let (id, parent) = (SpanId(self.next_span), self.stack.last().copied());
@@ -700,22 +741,36 @@ mod tests {
         }
 
         fn snapshot(&self) -> MetricsSnapshot {
-            let series = Inner {
-                counters: self.counters.clone(),
-                gauges: self.gauges.clone(),
-                histograms: self.histograms.clone(),
-                ..Inner::default()
-            };
-            let timeline = self.timeline.clone();
             MetricsSnapshot {
-                timeline,
-                ..series.snapshot()
+                counters: (self.counters.iter())
+                    .map(|(k, &value)| CounterSample {
+                        name: k.name.clone(),
+                        labels: k.labels.clone(),
+                        value,
+                    })
+                    .collect(),
+                gauges: (self.gauges.iter())
+                    .map(|(k, &value)| GaugeSample {
+                        name: k.name.clone(),
+                        labels: k.labels.clone(),
+                        value,
+                    })
+                    .collect(),
+                histograms: self.histograms.values().cloned().collect(),
+                timeline: self.timeline.clone(),
             }
         }
     }
 
     fn pick(rng: &mut Xorshift, pool: &[&'static str]) -> &'static str {
         pool[rng.below(pool.len() as u64) as usize]
+    }
+
+    /// A handle the oracle resolved, and the series it names.
+    enum Resolved {
+        Counter(Counter),
+        Gauge(Gauge),
+        Histogram(Histogram, BucketLayout),
     }
 
     #[test]
@@ -725,6 +780,7 @@ mod tests {
         for seed in 0..24 {
             let mut rng = Xorshift::new(split(0x0b5e, seed));
             let (m, mut model) = (MetricsRegistry::new(), Model::default());
+            let mut handles: Vec<(Resolved, SeriesKey)> = Vec::new();
             // Six unsorted pairs whose prefixes are label lists that
             // prefix one another; small pools repeat keys and reuse "".
             let base: Vec<(&str, &str)> = (0..6)
@@ -742,10 +798,11 @@ mod tests {
                         .collect()
                 };
                 let value = rng.below(1 << 21);
-                match rng.below(8) {
+                let layout = [layouts::PAGES, layouts::BYTES][name.len() % 2];
+                match rng.below(11) {
                     0 | 1 => {
                         m.inc(name, &labels, value);
-                        *model.counters.entry(key(name, &labels)).or_insert(0) += value;
+                        model.inc(key(name, &labels), value);
                     }
                     2 => {
                         let g = rng.unit_f64();
@@ -753,11 +810,8 @@ mod tests {
                         model.gauges.insert(key(name, &labels), g);
                     }
                     3 => {
-                        let layout = [layouts::PAGES, layouts::BYTES][name.len() % 2];
                         m.observe(name, &labels, layout, value);
-                        (model.histograms.entry(key(name, &labels)))
-                            .or_insert_with(|| Histogram::new(layout))
-                            .observe(value);
+                        model.observe(key(name, &labels), layout, value);
                     }
                     4 => {
                         m.span_start(name, &labels);
@@ -778,6 +832,37 @@ mod tests {
                             .timeline
                             .push(TimelineEntry::Event { span, name, fields });
                     }
+                    // Resolving records nothing: the model does not move.
+                    7 => {
+                        let handle = match rng.below(3) {
+                            0 => Resolved::Counter(m.resolve_counter(name, &labels)),
+                            1 => Resolved::Gauge(m.resolve_gauge(name, &labels)),
+                            _ => Resolved::Histogram(
+                                m.resolve_histogram(name, &labels, layout),
+                                layout,
+                            ),
+                        };
+                        handles.push((handle, key(name, &labels)));
+                    }
+                    8 | 9 if !handles.is_empty() => {
+                        let (handle, key) = &handles[rng.below(handles.len() as u64) as usize];
+                        match handle {
+                            Resolved::Counter(c) => {
+                                c.inc(value);
+                                model.inc(key.clone(), value);
+                                assert_eq!(c.get(), model.counters[key]);
+                            }
+                            Resolved::Gauge(g) => {
+                                let x = rng.unit_f64();
+                                g.set(x);
+                                model.gauges.insert(key.clone(), x);
+                            }
+                            Resolved::Histogram(h, layout) => {
+                                h.observe(value);
+                                model.observe(key.clone(), *layout, value);
+                            }
+                        }
+                    }
                     _ => {
                         assert_eq!(m.counter(name, &labels), model.counter(name, &labels));
                         assert_eq!(m.counter_total(name), model.counter_total(name));
@@ -790,7 +875,11 @@ mod tests {
                 want.to_canonical_json(),
                 "seed {seed}"
             );
+            assert_eq!(got.to_prometheus(), want.to_prometheus(), "seed {seed}");
             assert_eq!(got, want, "seed {seed}");
+            for name in NAMES {
+                assert_eq!(m.counter_total(name), model.counter_total(name));
+            }
             for c in &want.counters {
                 let labels: Vec<(&str, &str)> = c
                     .labels
@@ -798,8 +887,34 @@ mod tests {
                     .map(|(k, v)| (k.as_str(), v.as_str()))
                     .collect();
                 assert_eq!(m.counter(&c.name, &labels), c.value);
-                assert_eq!(m.counter_total(&c.name), model.counter_total(&c.name));
             }
         }
+    }
+
+    #[test]
+    fn a_timeline_entry_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
+    }
+
+    #[test]
+    fn resolving_alone_makes_no_series() {
+        let m = MetricsRegistry::new();
+        let c = m.resolve_counter("c", &[("k", "v")]);
+        let g = m.resolve_gauge("g", &[]);
+        let h = m.resolve_histogram("h", &[], layouts::PAGES);
+        let empty = MetricsRegistry::new().snapshot();
+        assert_eq!(m.snapshot(), empty);
+        assert_eq!(m.snapshot().to_prometheus(), "");
+        assert_eq!((m.counter_total("c"), c.get()), (0, 0));
+        // The first record through either path makes the series visible,
+        // and both paths feed the one series.
+        c.inc(0);
+        m.inc("c", &[("k", "v")], 2);
+        g.set(0.0);
+        h.observe(3);
+        m.observe("h", &[], layouts::PAGES, 300);
+        let snap = m.snapshot();
+        assert_eq!((snap.counter("c", &[("k", "v")]), c.get()), (2, 2));
+        assert_eq!((snap.gauges.len(), snap.histograms[0].count), (1, 2));
     }
 }

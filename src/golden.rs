@@ -14,7 +14,7 @@
 use vecycle_checkpoint::{Checkpoint, EvictionPolicy};
 use vecycle_core::session::{RecyclePolicy, SessionEvent, VeCycleSession, VmInstance};
 use vecycle_faults::{DropPoint, FaultKind, FaultPlan, FaultRates, RetryPolicy};
-use vecycle_host::{Cluster, MigrationRequest};
+use vecycle_host::{Cluster, MigrationRequest, StoreSeries};
 use vecycle_mem::{workload::IdleWorkload, DigestMemory, Guest};
 use vecycle_net::LinkSpec;
 use vecycle_obs::{MetricsRegistry, MetricsSnapshot};
@@ -166,12 +166,13 @@ pub fn lifecycle() -> MetricsSnapshot {
     // Two fillers pre-seed host 1's store, squeezing the quota before
     // the VM's own checkpoint arrives.
     let host1 = s.cluster().host(HostId::new(1)).expect("host 1").clone();
+    let store_series = StoreSeries::new(&metrics, s.cluster());
     for (i, ram_mib) in [(0u64, 4u64), (1, 4)] {
         let mem = DigestMemory::with_uniform_content(Bytes::from_mib(ram_mib), SEED ^ (0x100 + i))
             .expect("page-aligned filler");
         let cp = Checkpoint::capture(VmId::new(100 + i as u32), SimTime::EPOCH, &mem);
         let outcome = host1.save_checkpoint(cp).expect("filler save");
-        vecycle_host::observe_save(&metrics, &host1, &outcome);
+        store_series.record_save(&host1, &outcome);
     }
     // Rot the *second* filler on disk: the first is the LRU victim when
     // the VM's own checkpoint lands, so only the second survives to be

@@ -118,3 +118,44 @@ fn parallel_trace_analysis_on_scoped_threads() {
     });
     assert_eq!(serial, parallel);
 }
+
+#[test]
+fn handles_and_string_calls_share_series_across_threads() {
+    // Four threads record into the same series at once: two through
+    // shared handles (no lock), two through the string-keyed calls
+    // (under the registry's lock). No add may be lost, and a
+    // histogram's count must equal the sum of its buckets.
+    use vecycle::obs::{layouts, MetricsRegistry};
+
+    const THREADS: u64 = 4;
+    const ROUNDS: u64 = 100_000;
+    let m = MetricsRegistry::new();
+    let counter = m.resolve_counter("ops_total", &[("path", "shared")]);
+    let histogram = m.resolve_histogram("op_bytes", &[], layouts::BYTES);
+    let start = std::sync::Barrier::new(THREADS as usize);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (m, start) = (&m, &start);
+            let (counter, histogram) = (counter.clone(), histogram.clone());
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..ROUNDS {
+                    if t % 2 == 0 {
+                        counter.inc(t + 1);
+                        histogram.observe(i * 1_000);
+                    } else {
+                        m.inc("ops_total", &[("path", "shared")], t + 1);
+                        m.observe("op_bytes", &[], layouts::BYTES, i * 1_000);
+                    }
+                }
+            });
+        }
+    });
+    let adds: u64 = (1..=THREADS).sum::<u64>() * ROUNDS;
+    assert_eq!((counter.get(), m.counter_total("ops_total")), (adds, adds));
+    let snap = m.snapshot();
+    let h = &snap.histograms[0];
+    assert_eq!(h.count, THREADS * ROUNDS);
+    assert_eq!(h.counts.iter().sum::<u64>(), h.count);
+    assert_eq!(h.sum, THREADS * (0..ROUNDS).sum::<u64>() * 1_000);
+}
