@@ -80,49 +80,28 @@ impl DiskStore {
     ///
     /// Crash-durability invariant: at every instant there is either the
     /// old complete checkpoint or the new complete checkpoint at the
-    /// final path, never a torn one and never neither. This needs all
-    /// three steps below — `fsync(tmp)` so the rename cannot promote a
-    /// file whose data blocks are still in the page cache, an atomic
-    /// `rename(2)`, and `fsync(parent dir)` so the rename itself is on
-    /// stable storage. Skipping the directory fsync would let a host
-    /// crash roll the directory entry back to the temp name, losing the
-    /// new checkpoint *and* (because the temp write already replaced
-    /// nothing) leaving a stray `.tmp` — but never corrupting the old one.
+    /// final path, never a torn one and never neither
+    /// ([`vecycle_types::atomic_replace`] through `.vm-<id>.tmp`). A
+    /// crash that loses the directory `fsync` rolls the entry back to
+    /// the temp name: the new checkpoint is lost and a stray `.tmp`
+    /// stays (swept by [`DiskStore::open`]), but the old one is intact.
+    /// The page bytes reach the file through `write_to`'s vectored
+    /// writes, which a `BufWriter` passes through unbuffered.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; a failed save leaves any previous
     /// checkpoint intact and no temp file behind.
     pub fn save(&self, checkpoint: &Checkpoint) -> vecycle_types::Result<()> {
+        use std::io::Write;
         let tmp = self
             .root
             .join(format!(".vm-{}.tmp", checkpoint.vm().as_u32()));
-        let promoted = Self::write_tmp(&tmp, checkpoint).and_then(|()| {
-            std::fs::rename(&tmp, self.path_for(checkpoint.vm())).map_err(Error::from)
-        });
-        if promoted.is_err() {
-            // Best effort: the save's own error is the one to report.
-            let _ = std::fs::remove_file(&tmp);
-        }
-        promoted?;
-        // Persist the rename: fsync the directory entry. Directories can
-        // be opened and fsynced on unix; elsewhere the rename alone is
-        // the best the platform offers.
-        #[cfg(unix)]
-        std::fs::File::open(&self.root)?.sync_all()?;
-        Ok(())
-    }
-
-    /// Writes `checkpoint` to `tmp` and makes it durable there. The
-    /// page bytes reach the file through `write_to`'s vectored writes,
-    /// which a `BufWriter` passes through unbuffered.
-    fn write_tmp(tmp: &Path, checkpoint: &Checkpoint) -> vecycle_types::Result<()> {
-        use std::io::Write;
-        let mut writer = std::io::BufWriter::new(std::fs::File::create(tmp)?);
-        checkpoint.write_to(&mut writer)?;
-        writer.flush()?;
-        writer.get_ref().sync_all()?;
-        Ok(())
+        vecycle_types::atomic_replace(&self.path_for(checkpoint.vm()), &tmp, |file| {
+            let mut writer = std::io::BufWriter::new(file);
+            checkpoint.write_to(&mut writer)?;
+            writer.flush().map_err(Error::from)
+        })
     }
 
     /// Loads the checkpoint for `vm`, if one exists.

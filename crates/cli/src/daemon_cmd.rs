@@ -37,9 +37,8 @@ link (lan|wan), warm (true|false), rate (dirty fraction/hour), pre
 write-ahead journaled there and replayed on restart (no job lost, none
 completed twice); interrupted transfers resume from partial state.
 --retries / --backoff-ms let a source ride out a dying peer.
---poll-ms (or VECYCLED_WAIT_POLL_MS) sets the --wait-secs polling
-interval; --timeout-secs on client subcommands bounds each control
-round trip (read and write).";
+--poll-ms sets the --wait-secs polling interval; --timeout-secs on
+client subcommands bounds each control round trip (read and write).";
 
 /// Runs a `vecycled`-style command line (also mounted as
 /// `vecycle daemon ...`).
@@ -168,23 +167,12 @@ fn submit(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `--wait-secs` polling interval: `--poll-ms` flag, else the
-/// `VECYCLED_WAIT_POLL_MS` environment variable, else the client
+/// The `--wait-secs` polling interval: `--poll-ms`, else the client
 /// default.
 fn wait_poll(args: &Args) -> Result<Duration, String> {
-    if let Some(ms) = args.get("poll-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("--poll-ms: cannot parse {ms:?}"))?;
-        return Ok(Duration::from_millis(ms.max(1)));
-    }
-    if let Ok(ms) = std::env::var("VECYCLED_WAIT_POLL_MS") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("VECYCLED_WAIT_POLL_MS: cannot parse {ms:?}"))?;
-        return Ok(Duration::from_millis(ms.max(1)));
-    }
-    Ok(client::DEFAULT_WAIT_POLL)
+    let default = client::DEFAULT_WAIT_POLL.as_millis() as u64;
+    let ms: u64 = args.get_parsed("poll-ms", default)?;
+    Ok(Duration::from_millis(ms.max(1)))
 }
 
 /// The control-socket I/O timeout for client subcommands.

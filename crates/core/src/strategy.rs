@@ -172,11 +172,6 @@ impl Strategy {
         self.index.as_deref()
     }
 
-    /// True if sender-side deduplication is enabled.
-    pub fn dedup_enabled(&self) -> bool {
-        self.dedup
-    }
-
     /// Decides the first-round action for one page.
     ///
     /// `sent` is the per-migration dedup cache: digest → first page index

@@ -38,6 +38,7 @@ use std::io::{Read, Write};
 use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PageLookup};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
 use vecycle_net::WireMsg;
+use vecycle_obs::Counter;
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{HostId, SimTime, VmId};
 
@@ -192,12 +193,7 @@ fn session(
     };
 
     // An in-memory daemon takes the unit hook: no per-message work.
-    let mut logged = log.map(|log| SessionLog {
-        state,
-        job_id,
-        fingerprint,
-        log: Some(log),
-    });
+    let mut logged = log.map(|log| SessionLog::new(state, job_id, fingerprint, log));
     let received = match &mut logged {
         Some(l) => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, l),
         None => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, &mut ()),
@@ -341,6 +337,22 @@ struct SessionLog<'a> {
     job_id: u64,
     fingerprint: u64,
     log: Option<PartialLog>,
+    /// `daemon_resume_partials_total{op="save"}`, one per chunk record.
+    saves: Counter,
+}
+
+impl<'a> SessionLog<'a> {
+    fn new(state: &'a DaemonState, job_id: u64, fingerprint: u64, log: PartialLog) -> Self {
+        let saves =
+            (state.metrics).resolve_counter("daemon_resume_partials_total", &[("op", "save")]);
+        SessionLog {
+            state,
+            job_id,
+            fingerprint,
+            log: Some(log),
+            saves,
+        }
+    }
 }
 
 impl Persist for SessionLog<'_> {
@@ -353,11 +365,7 @@ impl Persist for SessionLog<'_> {
     fn boundary(&mut self) {
         let Some(log) = &mut self.log else { return };
         match log.commit() {
-            Ok(true) => {
-                self.state
-                    .metrics
-                    .inc("daemon_resume_partials_total", &[("op", "save")], 1)
-            }
+            Ok(true) => self.saves.inc(1),
             Ok(false) => {}
             Err(e) => {
                 // The file now ends mid-record and will fall behind the
@@ -430,12 +438,7 @@ mod tests {
             .write(true)
             .open("/dev/full")
             .unwrap();
-        let mut hook = SessionLog {
-            state: &state,
-            job_id,
-            fingerprint,
-            log: Some(PartialLog::at(full, 0)),
-        };
+        let mut hook = SessionLog::new(&state, job_id, fingerprint, PartialLog::at(full, 0));
         for idx in 0..5 * 64 {
             hook.landed(&WireMsg::Zero { idx });
             if idx % 64 == 63 {

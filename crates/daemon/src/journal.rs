@@ -19,9 +19,9 @@
 //! completed `write` lives in the page cache — and a power cut can only
 //! cost hints behind the last synced record, as a torn tail.
 //!
-//! [`Journal::compact`] rewrites the whole file through the
-//! write-tmp→fsync→rename→fsync-dir discipline (the same one
-//! `DiskStore::save` uses for checkpoints), which boot-time recovery
+//! [`Journal::compact`] rewrites the whole file through
+//! [`vecycle_types::atomic_replace`] (write-tmp→fsync→rename→fsync-dir,
+//! as `DiskStore::save` writes checkpoints), which boot-time recovery
 //! uses to snapshot the replayed state and drop dead history.
 
 use std::fs::{File, OpenOptions};
@@ -221,31 +221,25 @@ impl Journal {
         Ok(stamped.seq)
     }
 
-    /// Rewrites the WAL to exactly `records` (re-sequenced from 1) via
-    /// write-tmp→fsync→rename→fsync-dir — the `DiskStore::save`
-    /// discipline. Used by boot recovery to snapshot replayed state.
+    /// Rewrites the WAL to exactly `records` (re-sequenced from 1)
+    /// through [`vecycle_types::atomic_replace`], as `DiskStore::save`
+    /// writes checkpoints. Used by boot recovery to snapshot replayed
+    /// state.
     ///
     /// # Errors
     ///
-    /// Propagates write, sync and rename errors.
+    /// Propagates write, sync and rename errors; a failed compaction
+    /// leaves the WAL as it was and no temp file behind.
     pub fn compact(&self, records: &[WalRecord]) -> std::io::Result<()> {
         let mut inner = sync::lock(&self.inner);
-        let tmp = self.dir.join(format!("{WAL_FILE}.tmp"));
         let mut buf = Vec::new();
         for (i, record) in records.iter().enumerate() {
             let mut stamped = record.clone();
             stamped.seq = i as u64 + 1;
             encode_record(&stamped, &mut buf);
         }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        // Persist the rename, as `DiskStore::save` does.
-        #[cfg(unix)]
-        File::open(&self.dir)?.sync_all()?;
+        let tmp = self.dir.join(format!("{WAL_FILE}.tmp"));
+        vecycle_types::atomic_replace(&self.path, &tmp, |f| f.write_all(&buf))?;
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)
@@ -353,6 +347,22 @@ mod tests {
         let kinds: Vec<&str> = replay.records.iter().map(|r| r.kind.as_str()).collect();
         assert_eq!(kinds, ["submitted", "done", "claimed"]);
         assert_eq!(replay.records[1].detail, "recovered");
+    }
+
+    /// A compaction that dies at the rename reports the error, leaves
+    /// the WAL's entry as it was, and strands no `vecycled.wal.tmp`.
+    #[test]
+    fn failed_compaction_leaves_no_temp_file() {
+        let d = dir("compact-fail");
+        let (j, _) = Journal::open(&d).unwrap();
+        j.append(&submitted(1)).unwrap();
+        // A directory squatting on the WAL's path makes the rename fail.
+        std::fs::remove_file(j.path()).unwrap();
+        std::fs::create_dir(j.path()).unwrap();
+        assert!(j.compact(&[submitted(1)]).is_err());
+        assert!(j.path().is_dir());
+        assert!(!d.join(format!("{WAL_FILE}.tmp")).exists());
+        std::fs::remove_dir_all(d).unwrap();
     }
 
     #[test]

@@ -70,7 +70,8 @@ struct ReqState {
 }
 
 /// Mutable run-scoped state, kept apart from `Fleet` so handlers can
-/// borrow fleet fields and run state independently.
+/// borrow fleet fields and run state independently. What a report sums
+/// over executed migrations is a fold of `journal` in [`Fleet::finish`].
 #[derive(Debug)]
 struct RunState {
     admission: Admission,
@@ -82,17 +83,8 @@ struct RunState {
     skipped: u64,
     deferred: u64,
     queued: u64,
-    hits: u64,
-    misses: u64,
-    deadline_misses: u64,
     peak_queue: u64,
     peak_inflight: u64,
-    traffic: Bytes,
-    wasted: Bytes,
-    downtime: SimDuration,
-    duration_total: SimDuration,
-    makespan: SimDuration,
-    outcomes: BTreeMap<String, u64>,
 }
 
 impl RunState {
@@ -107,17 +99,8 @@ impl RunState {
             skipped: 0,
             deferred: 0,
             queued: 0,
-            hits: 0,
-            misses: 0,
-            deadline_misses: 0,
             peak_queue: 0,
             peak_inflight: 0,
-            traffic: Bytes::ZERO,
-            wasted: Bytes::ZERO,
-            downtime: SimDuration::ZERO,
-            duration_total: SimDuration::ZERO,
-            makespan: SimDuration::ZERO,
-            outcomes: BTreeMap::new(),
         }
     }
 }
@@ -216,9 +199,9 @@ impl Fleet {
         let cluster = Cluster::homogeneous(spec.hosts, spec.link);
         // Hosts share their checkpoint stores by Arc, so the session's
         // cluster clone and the fleet's placement view stay coherent.
-        let metrics = MetricsRegistry::new();
-        let series = FleetSeries::new(&metrics);
-        let session = VeCycleSession::new(cluster.clone()).with_metrics(metrics);
+        // The session's fresh registry carries the `fleet_*` series too.
+        let session = VeCycleSession::new(cluster.clone());
+        let series = FleetSeries::new(session.metrics());
         let mut vms = Vec::with_capacity(spec.vms as usize);
         let mut streams = Vec::with_capacity(spec.vms as usize);
         for i in 0..spec.vms {
@@ -513,23 +496,6 @@ impl Fleet {
             deadline_missed,
         };
 
-        if matches!(choice.kind, ChoiceKind::Warm { .. }) {
-            st.hits += 1;
-        } else {
-            st.misses += 1;
-        }
-        st.deadline_misses += u64::from(deadline_missed);
-        st.traffic += report.source_traffic();
-        st.wasted += report.wasted_traffic();
-        st.downtime += report.downtime();
-        st.duration_total += duration;
-        st.makespan = st.makespan.max(completion.since_epoch());
-        match st.outcomes.get_mut(outcome) {
-            Some(n) => *n += 1,
-            None => {
-                st.outcomes.insert(outcome.to_string(), 1);
-            }
-        }
         st.peak_inflight = st.peak_inflight.max(u64::from(st.admission.inflight()));
         st.req[i as usize].admitted = Some((from, choice.to));
 
@@ -591,24 +557,38 @@ impl Fleet {
     }
 
     fn finish(&self, st: RunState) -> FleetReport {
+        let journal = &st.journal;
+        let count = |f: fn(&PlacementDecision) -> bool| journal.iter().filter(|d| f(d)).count();
+        let sum = |f: fn(&PlacementDecision) -> u64| journal.iter().map(f).sum::<u64>();
+        let hits = count(|d| d.reason == "warm") as u64;
+        let makespan = journal.iter().map(|d| d.at_nanos + d.duration_nanos);
+        let mut outcomes = BTreeMap::new();
+        for d in journal {
+            match outcomes.get_mut(&d.outcome) {
+                Some(n) => *n += 1,
+                None => {
+                    outcomes.insert(d.outcome.clone(), 1);
+                }
+            }
+        }
         FleetReport {
-            migrations: st.journal.len() as u64,
-            decisions: st.journal,
+            migrations: journal.len() as u64,
             skipped: st.skipped,
             deferred: st.deferred,
             queued: st.queued,
-            placement_hits: st.hits,
-            placement_misses: st.misses,
-            deadline_misses: st.deadline_misses,
+            placement_hits: hits,
+            placement_misses: journal.len() as u64 - hits,
+            deadline_misses: count(|d| d.deadline_missed) as u64,
             peak_queue_depth: st.peak_queue,
             peak_inflight: st.peak_inflight,
-            total_traffic: st.traffic,
-            total_wasted: st.wasted,
-            total_downtime: st.downtime,
-            total_duration: st.duration_total,
-            makespan: st.makespan,
-            outcomes: st.outcomes,
+            total_traffic: Bytes::new(sum(|d| d.traffic_bytes)),
+            total_wasted: Bytes::new(sum(|d| d.wasted_bytes)),
+            total_downtime: SimDuration::from_nanos(sum(|d| d.downtime_nanos)),
+            total_duration: SimDuration::from_nanos(sum(|d| d.duration_nanos)),
+            makespan: SimDuration::from_nanos(makespan.max().unwrap_or(0)),
+            outcomes,
             incidents: st.events.iter().map(|e| e.to_string()).collect(),
+            decisions: st.journal,
         }
     }
 }

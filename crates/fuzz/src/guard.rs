@@ -28,6 +28,7 @@ use std::cell::Cell;
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
     static REQUESTED: Cell<u64> = const { Cell::new(0) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -54,6 +55,7 @@ impl CountingAlloc {
         let _ = ENABLED.try_with(|e| {
             if e.get() {
                 let _ = REQUESTED.try_with(|r| r.set(r.get().saturating_add(size as u64)));
+                let _ = CALLS.try_with(|c| c.set(c.get() + 1));
                 let _ = LARGEST.try_with(|l| l.set(l.get().max(size as u64)));
             }
         });
@@ -96,6 +98,8 @@ pub struct AllocStats {
     pub requested: u64,
     /// Largest single request.
     pub largest: u64,
+    /// Requests made: allocations and reallocations.
+    pub calls: u64,
 }
 
 /// Scoped arming of the counting allocator on the current thread.
@@ -106,6 +110,7 @@ impl AllocMeter {
     pub fn start() {
         REQUESTED.with(|r| r.set(0));
         LARGEST.with(|l| l.set(0));
+        CALLS.with(|c| c.set(0));
         ENABLED.with(|e| e.set(true));
     }
 
@@ -116,6 +121,7 @@ impl AllocMeter {
         AllocStats {
             requested: REQUESTED.with(Cell::get),
             largest: LARGEST.with(Cell::get),
+            calls: CALLS.with(Cell::get),
         }
     }
 

@@ -1,10 +1,11 @@
 //! Allocation bounds of the byte path, measured with the fuzzer's
 //! counting allocator: what the hash batcher, the streaming checkpoint
-//! reader, a whole ping-pong leg and the metrics registry ask the
-//! allocator for.
+//! reader, a whole ping-pong leg, a fleet run and the metrics registry
+//! ask the allocator for.
 
 use vecycle_checkpoint::{Checkpoint, DiskStore};
 use vecycle_core::{apply_transcript, MigrationEngine, Strategy};
+use vecycle_fleet::{Fleet, FleetSpec, PlacementMode};
 use vecycle_fuzz::{alloc_budget, AllocMeter, AllocStats, CountingAlloc};
 use vecycle_hash::ChecksumAlgorithm;
 use vecycle_mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload};
@@ -112,28 +113,19 @@ fn a_ping_pong_leg_allocates_nothing_guest_sized() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-/// A metric call on a series that already exists asks the allocator for
-/// nothing: the registry probes its maps with a borrowed key sorted on
-/// the stack, and builds an owned key only on first touch.
+/// A `fleet_aware` benchmark op — `Fleet::new` + `run` of 128 hosts ×
+/// 1 280 VMs, checkpoint-aware placement, seed 7 — makes at most 16
+/// allocations a placement. Every per-migration metric records through a
+/// resolved handle; one series put back on the string-keyed path (an
+/// owned key a call) costs about two more a placement and fails this.
 #[test]
-fn metric_calls_on_existing_series_allocate_nothing() {
-    let m = MetricsRegistry::new();
-    // Unsorted on purpose: the sort happens in a stack buffer.
-    let wire = [("kind", "full_pages"), ("direction", "forward")];
-    let four_calls = || {
-        m.inc("engine_wire_bytes_total", &wire, 4096);
-        m.set_gauge("store_bytes", &[("host", "host-7")], 1.5);
-        m.observe("engine_round_bytes", &[], layouts::BYTES, 4096);
-        m.counter("engine_wire_bytes_total", &wire)
-    };
-    four_calls();
-    let ((), stats) = metered(|| {
-        for _ in 0..2_500 {
-            four_calls();
-        }
-    });
-    assert_eq!(stats.requested, 0, "{stats:?}");
-    assert_eq!(four_calls(), 2_502 * 4096);
+fn a_fleet_aware_op_stays_within_16_allocations_a_placement() {
+    let spec = FleetSpec::new(128, 1280)
+        .with_placement(PlacementMode::CheckpointAware)
+        .with_seed(7);
+    let (report, stats) = metered(|| Fleet::new(spec).unwrap().run().unwrap());
+    assert_eq!(report.migrations, 3_840);
+    assert!(stats.calls <= 16 * report.migrations, "{stats:?}");
 }
 
 /// Recording through resolved handles asks the allocator for nothing:

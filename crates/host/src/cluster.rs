@@ -166,9 +166,10 @@ impl Cluster {
         &self.hosts
     }
 
-    /// Looks up a host by ID.
+    /// Looks up a host by ID: an index, since host `i` is `hosts()[i]`
+    /// ([`Cluster::homogeneous`] is the only constructor).
     pub fn host(&self, id: HostId) -> Option<&Host> {
-        self.hosts.iter().find(|h| h.id() == id)
+        self.hosts.get(id.as_usize())
     }
 
     /// The link between any pair of hosts.

@@ -11,18 +11,23 @@
 use std::sync::OnceLock;
 
 use vecycle_checkpoint::{EvictionRecord, SaveOutcome, ScrubReport};
-use vecycle_obs::{Gauge, MetricsRegistry};
+use vecycle_obs::{CounterFamily, Gauge, MetricsRegistry};
 
 use crate::{Cluster, Host};
 
 /// The store metrics of a cluster's hosts. `store_bytes{host=…}` is
-/// resolved once per host, on its first record; evictions and restarts
-/// are rare and take the string-keyed path.
+/// resolved once per host and `ckpt_evictions_total{policy,reason}`
+/// once per policy, each on its first record (every save that replaces
+/// a VM's checkpoint is an eviction); restarts are rare and take the
+/// string-keyed path.
 #[derive(Debug)]
 pub struct StoreSeries {
     metrics: MetricsRegistry,
     /// `store_bytes` by host id.
     bytes: Box<[OnceLock<Gauge>]>,
+    /// `ckpt_evictions_total` by policy, in
+    /// [`EvictionPolicy`](vecycle_checkpoint::EvictionPolicy) order.
+    evictions: [OnceLock<CounterFamily>; 4],
 }
 
 impl StoreSeries {
@@ -31,6 +36,7 @@ impl StoreSeries {
         StoreSeries {
             metrics: metrics.clone(),
             bytes: cluster.hosts().iter().map(|_| OnceLock::new()).collect(),
+            evictions: Default::default(),
         }
     }
 
@@ -79,13 +85,19 @@ impl StoreSeries {
     /// Counts `evicted` into `ckpt_evictions_total{policy,reason}` and
     /// refreshes the host's `store_bytes` gauge.
     fn record_evictions(&self, host: &Host, evicted: &[EvictionRecord]) {
-        let policy = host.store().policy().label();
-        for record in evicted {
-            self.metrics.inc(
+        let policy = host.store().policy();
+        let family = || {
+            CounterFamily::new(
+                &self.metrics,
                 "ckpt_evictions_total",
-                &[("policy", policy), ("reason", record.reason.label())],
-                1,
-            );
+                "reason",
+                &["version", "quota"],
+            )
+            .with_label("policy", policy.label())
+        };
+        for record in evicted {
+            let reasons = self.evictions[policy as usize].get_or_init(family);
+            reasons.of(record.reason.label()).inc(1);
         }
         self.record(host);
     }

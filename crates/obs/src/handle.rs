@@ -5,10 +5,10 @@
 //! (and its gauge and histogram twins) looks a series up once and hands
 //! back an `Arc` to the cell the registry's map holds for it. Recording
 //! through the handle is one relaxed atomic per field; the string-keyed
-//! calls find the same cell under the lock, so both paths feed one
-//! series. A cell is *visible* — in snapshots, exports and
-//! `counter_total` — only once something recorded into it: resolving
-//! alone never creates a series.
+//! calls find the same cell under the lock and record into it the same
+//! way, so both paths feed one series. A cell is *visible* — in
+//! snapshots, exports and `counter_total` — only once something
+//! recorded into it: resolving alone never creates a series.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::*};
 use std::sync::{Arc, OnceLock};
@@ -34,51 +34,20 @@ impl Touched {
     }
 }
 
-/// A `u64` both paths add into. A handle adds with a relaxed
-/// `fetch_add`. A string-keyed call holds the registry's lock, so no
-/// other such call races it: a load and a store do, half the cost of a
-/// read-modify-write on that path.
-#[derive(Debug, Default)]
-struct Sum {
-    shared: AtomicU64,
-    locked: AtomicU64,
-}
-
-impl Sum {
-    fn add(&self, by: u64) {
-        self.shared.fetch_add(by, Relaxed);
-    }
-
-    /// Only under the registry's lock.
-    fn add_locked(&self, by: u64) {
-        self.locked.store(self.locked.load(Relaxed) + by, Relaxed);
-    }
-
-    fn get(&self) -> u64 {
-        self.shared.load(Relaxed) + self.locked.load(Relaxed)
-    }
-}
-
 #[derive(Debug, Default)]
 pub(crate) struct CounterCell {
-    value: Sum,
+    value: AtomicU64,
     touched: Touched,
 }
 
 impl CounterCell {
-    fn add(&self, by: u64) {
-        self.value.add(by);
-        self.touched.mark();
-    }
-
-    /// Only under the registry's lock (the string-keyed path).
-    pub(crate) fn add_locked(&self, by: u64) {
-        self.value.add_locked(by);
+    pub(crate) fn add(&self, by: u64) {
+        self.value.fetch_add(by, Relaxed);
         self.touched.mark();
     }
 
     pub(crate) fn value(&self) -> u64 {
-        self.value.get()
+        self.value.load(Relaxed)
     }
 
     pub(crate) fn touched(&self) -> bool {
@@ -112,9 +81,9 @@ impl GaugeCell {
 pub(crate) struct HistogramCell {
     pub(crate) layout: BucketLayout,
     /// One per finite bound, then `+Inf`.
-    counts: Box<[Sum]>,
-    sum: Sum,
-    total: Sum,
+    counts: Box<[AtomicU64]>,
+    sum: AtomicU64,
+    total: AtomicU64,
     touched: Touched,
 }
 
@@ -122,33 +91,30 @@ impl HistogramCell {
     pub(crate) fn new(layout: BucketLayout) -> Self {
         HistogramCell {
             layout,
-            counts: (0..=layout.bounds.len()).map(|_| Sum::default()).collect(),
-            sum: Sum::default(),
-            total: Sum::default(),
+            counts: (0..=layout.bounds.len())
+                .map(|_| AtomicU64::default())
+                .collect(),
+            sum: AtomicU64::default(),
+            total: AtomicU64::default(),
             touched: Touched::default(),
         }
     }
 
-    fn observe_with(&self, value: u64, add: fn(&Sum, u64)) {
+    pub(crate) fn observe(&self, value: u64) {
         let bounds = self.layout.bounds;
         let slot = bounds.iter().position(|&b| value <= b);
-        add(&self.counts[slot.unwrap_or(bounds.len())], 1);
-        add(&self.sum, value);
-        add(&self.total, 1);
+        self.counts[slot.unwrap_or(bounds.len())].fetch_add(1, Relaxed);
+        self.sum.fetch_add(value, Relaxed);
+        self.total.fetch_add(1, Relaxed);
         self.touched.mark();
-    }
-
-    /// Only under the registry's lock (the string-keyed path).
-    pub(crate) fn observe_locked(&self, value: u64) {
-        self.observe_with(value, Sum::add_locked);
     }
 
     /// `(counts, sum, count)`. Taken while writers run, the three may
     /// come from different instants; once they stop, `count` is the sum
     /// of `counts`.
     pub(crate) fn read(&self) -> (Vec<u64>, u64, u64) {
-        let counts = self.counts.iter().map(Sum::get).collect();
-        (counts, self.sum.get(), self.total.get())
+        let counts = self.counts.iter().map(|c| c.load(Relaxed)).collect();
+        (counts, self.sum.load(Relaxed), self.total.load(Relaxed))
     }
 
     pub(crate) fn touched(&self) -> bool {
@@ -193,7 +159,7 @@ pub struct Histogram(pub(crate) Arc<HistogramCell>);
 impl Histogram {
     /// Records `value`.
     pub fn observe(&self, value: u64) {
-        self.0.observe_with(value, Sum::add);
+        self.0.observe(value);
     }
 }
 

@@ -20,8 +20,8 @@
 //! A hot call site resolves its series once into a handle ([`Counter`],
 //! [`Gauge`], [`Histogram`], or a [`CounterFamily`] over a label's
 //! known values) and records without the registry's lock; one-off sites
-//! use the string-keyed [`MetricsRegistry::inc`] and friends. Both feed
-//! the same series.
+//! use the string-keyed [`MetricsRegistry::inc`] and friends (a lookup
+//! by an owned key on every call). Both feed the same series.
 //!
 //! Three export surfaces hang off [`MetricsSnapshot`]:
 //! [`MetricsSnapshot::to_canonical_json`] (byte-stable, golden-test

@@ -2,16 +2,13 @@
 //!
 //! Each series is a cell (see [`crate::handle`]) in a map keyed by
 //! `(name, sorted labels)`. A hot call site resolves a handle to its
-//! cell once and records without the lock; a string-keyed call finds
-//! the cell under the lock on every call. Either allocates nothing on
-//! an existing series: lookups probe the maps with a borrowed,
-//! stack-sorted key, and the timeline stores interned string ids
-//! instead of owned strings. Owned [`SeriesKey`]s and [`TimelineEntry`]
-//! values are built only when a series is first created and in
+//! cell once and records without the lock, allocating nothing; a
+//! string-keyed call is a plain lookup: it builds an owned
+//! [`SeriesKey`], finds the cell under the lock and records into it as
+//! a handle would. The timeline stores interned string ids instead of
+//! owned strings; [`TimelineEntry`] values are built only in
 //! [`MetricsRegistry::snapshot`].
 
-use std::borrow::Borrow;
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU64;
 use std::ops::Range;
@@ -95,7 +92,7 @@ impl From<bool> for FieldValue {
 
 /// Label pairs a caller passes, sorted — as given when they already
 /// are, else in a stack buffer (the heap only past four pairs) — the
-/// order every series key and span label list is stored in.
+/// order a span's label list is stored in, as a series key's is.
 fn with_sorted<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
     if labels.is_sorted() {
         f(labels)
@@ -119,91 +116,14 @@ pub(crate) struct SeriesKey {
     pub(crate) labels: Vec<(String, String)>,
 }
 
-/// A series key as a map lookup sees it, owned ([`SeriesKey`]) or
-/// borrowed ([`Probe`]), so the maps can be probed without building a
-/// `SeriesKey`.
-trait KeyView {
-    fn name(&self) -> &str;
-    fn label_count(&self) -> usize;
-    fn label(&self, i: usize) -> (&str, &str);
-}
-
-impl KeyView for SeriesKey {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-    fn label(&self, i: usize) -> (&str, &str) {
-        let (k, v) = &self.labels[i];
-        (k, v)
-    }
-}
-
-/// A borrowed `(name, sorted labels)` series key.
-struct Probe<'a> {
-    name: &'a str,
-    labels: &'a [(&'a str, &'a str)],
-}
-
-impl Probe<'_> {
-    fn to_key(&self) -> SeriesKey {
-        SeriesKey {
-            name: self.name.to_string(),
-            labels: self
-                .labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-        }
-    }
-}
-
-impl KeyView for Probe<'_> {
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-    fn label(&self, i: usize) -> (&str, &str) {
-        self.labels[i]
-    }
-}
-
-/// Orders exactly like `SeriesKey`'s derived `Ord` — name, then label
-/// pairs lexicographically, a shared prefix putting the shorter list
-/// first — which is what lets the maps be probed through `Borrow`.
-impl Ord for dyn KeyView + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.name().cmp(other.name()).then_with(|| {
-            let (a, b) = (self.label_count(), other.label_count());
-            (0..a.min(b))
-                .map(|i| self.label(i).cmp(&other.label(i)))
-                .find(|o| o.is_ne())
-                .unwrap_or_else(|| a.cmp(&b))
-        })
-    }
-}
-
-impl PartialOrd for dyn KeyView + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-impl<'a> Borrow<dyn KeyView + 'a> for SeriesKey {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
+impl SeriesKey {
+    fn new(name: &str, labels: &[(&str, &str)]) -> Self {
+        let mut labels: Vec<_> = (labels.iter())
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        labels.sort_unstable();
+        let name = name.to_string();
+        SeriesKey { name, labels }
     }
 }
 
@@ -419,8 +339,7 @@ impl MetricsRegistry {
     }
 
     /// Applies `f` to the cell of the series `name{labels}`, creating
-    /// the cell with `init` if the series has none yet — the one time a
-    /// `SeriesKey` is allocated.
+    /// the cell with `init` if the series has none yet.
     fn with_cell<C: Cell, R>(
         &self,
         name: &str,
@@ -428,18 +347,11 @@ impl MetricsRegistry {
         init: impl FnOnce() -> C,
         f: impl FnOnce(&Arc<C>) -> R,
     ) -> R {
-        with_sorted(labels, |labels| {
-            let probe = Probe { name, labels };
-            let mut inner = self.inner.lock();
-            let map = C::map(&mut inner);
-            if let Some(cell) = map.get(&probe as &dyn KeyView) {
-                return f(cell);
-            }
-            let cell = Arc::new(init());
-            let out = f(&cell);
-            map.insert(probe.to_key(), cell);
-            out
-        })
+        let key = SeriesKey::new(name, labels);
+        let mut inner = self.inner.lock();
+        f(C::map(&mut inner)
+            .entry(key)
+            .or_insert_with(|| Arc::new(init())))
     }
 
     fn with_histogram<R>(
@@ -480,7 +392,7 @@ impl MetricsRegistry {
 
     /// Adds `by` to the counter `name{labels}`.
     pub fn inc(&self, name: &str, labels: &[(&str, &str)], by: u64) {
-        self.with_cell(name, labels, CounterCell::default, |c| c.add_locked(by));
+        self.with_cell(name, labels, CounterCell::default, |c| c.add(by));
     }
 
     /// Sets the gauge `name{labels}` to `value` (must be finite).
@@ -493,7 +405,7 @@ impl MetricsRegistry {
     /// fixed bucket `layout`. Every observation of a series must use
     /// the same layout.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], layout: BucketLayout, value: u64) {
-        self.with_histogram(name, labels, layout, |h| h.observe_locked(value));
+        self.with_histogram(name, labels, layout, |h| h.observe(value));
     }
 
     /// Opens a span as a child of the innermost open span. Returns the
@@ -541,12 +453,9 @@ impl MetricsRegistry {
 
     /// Reads one counter series (0 if never incremented).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        with_sorted(labels, |labels| {
-            let probe = Probe { name, labels };
-            let inner = self.inner.lock();
-            let counter = inner.counters.get(&probe as &dyn KeyView);
-            counter.map_or(0, |c| c.value())
-        })
+        let key = SeriesKey::new(name, labels);
+        let inner = self.inner.lock();
+        inner.counters.get(&key).map_or(0, |c| c.value())
     }
 
     /// Sums a counter across all label sets of `name`.

@@ -119,11 +119,6 @@ impl<T> Simulator<T> {
         self.processed
     }
 
-    /// True if no events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Schedules `payload` at an absolute instant.
     ///
     /// # Panics
@@ -283,7 +278,7 @@ mod tests {
         let mut sim: Simulator<()> = Simulator::new();
         sim.run_until(at(7), |_, _| {});
         assert_eq!(sim.now(), at(7));
-        assert!(sim.is_idle());
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]

@@ -156,15 +156,22 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] on unknown keys, malformed
-    /// values or out-of-range fields.
+    /// Returns [`Error::InvalidConfig`] on unknown or repeated keys,
+    /// malformed values or out-of-range fields.
     pub fn parse(s: &str) -> vecycle_types::Result<ScenarioSpec> {
         let mut spec = ScenarioSpec::golden(0);
+        let mut seen: Vec<&str> = Vec::new();
         for pair in s.split(',').filter(|p| !p.trim().is_empty()) {
             let (key, value) = pair.split_once('=').ok_or_else(|| Error::InvalidConfig {
                 reason: format!("expected key=value, got {pair:?}"),
             })?;
             let (key, value) = (key.trim(), value.trim());
+            if seen.contains(&key) {
+                return Err(Error::InvalidConfig {
+                    reason: format!("scenario key {key:?} given twice"),
+                });
+            }
+            seen.push(key);
             let bad = |what: &str| Error::InvalidConfig {
                 reason: format!("bad {what} value {value:?}"),
             };
@@ -247,9 +254,14 @@ mod tests {
             "pre=-5",
             "warm=maybe",
             "seed",
+            "seed=1,seed=2",
+            "strategy=full,strategy=dedup",
         ] {
             assert!(ScenarioSpec::parse(kv).is_err(), "{kv:?} must fail");
         }
+        // The last of a repeated key used to win silently.
+        let repeated = ScenarioSpec::parse("strategy=full,strategy=vecycle").unwrap_err();
+        assert!(repeated.to_string().contains("\"strategy\""), "{repeated}");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! This crate holds the vocabulary every other crate speaks: byte and page
 //! quantities, simulated time, rates, identifiers for hosts/VMs/machines,
-//! and the [`PageDigest`] content fingerprint type.
+//! and the [`PageDigest`] content fingerprint type — plus
+//! [`atomic_replace`], the one crash-safe file replace every store uses.
 //!
 //! Everything here is a small, cheap value type. The newtypes exist so the
 //! compiler keeps bytes, pages, seconds and rates from being mixed up — a
@@ -22,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod atomic_file;
 mod digest;
 mod error;
 mod ids;
@@ -29,6 +31,7 @@ pub mod rng;
 mod time;
 mod units;
 
+pub use atomic_file::atomic_replace;
 pub use digest::{DigestHasher, DigestMap, DigestSet, PageDigest};
 pub use error::{Error, Result};
 pub use ids::{HostId, MachineId, PageIndex, VmId};

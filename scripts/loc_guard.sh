@@ -26,7 +26,7 @@
 #     that adds an edge has to say why.
 set -euo pipefail
 
-BUDGET=43818
+BUDGET=43714
 PUB_CEILING=1121
 DEPS_CEILING=114
 CAP=800
