@@ -10,7 +10,10 @@
 //! Flags:
 //!
 //! * `--chaos <spec>` — comma-separated `key=value` chaos spec (see
-//!   [`ChaosConfig::parse`]); omitted keys keep hostile defaults;
+//!   [`ChaosConfig::parse`]); omitted keys keep hostile defaults. Its
+//!   `crash` rate crashes the *destination host* mid-transfer
+//!   (`FaultKind::HostCrash`), unlike the `vecycle` CLI's `--faults crash=`,
+//!   which crashes during the checkpoint save (`CrashDuringSave`);
 //! * `--quota <bytes>` — per-host checkpoint byte quota;
 //! * `--policy <name>` — eviction policy (`oldest|lru|largest|staleness`).
 //!
@@ -94,5 +97,8 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("\nall invariants held across {} legs", report.legs_run);
+    println!(
+        "\nall invariants held across {} legs",
+        report.outcomes.migrations
+    );
 }

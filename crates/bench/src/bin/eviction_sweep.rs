@@ -79,8 +79,8 @@ fn main() {
             t.row(vec![
                 format!("{quota_factor:.1}x"),
                 policy.label().into(),
-                format!("{}", report.total_traffic),
-                format!("{}", report.fell_back),
+                format!("{}", report.outcomes.total_traffic),
+                format!("{}", report.outcomes.fell_back),
                 format!("{}", report.evictions),
                 format!("{}", report.violations.len()),
             ]);
@@ -88,8 +88,8 @@ fn main() {
                 "{},{quota_factor:.1},{},{},{},{},{}\n",
                 quota.as_u64(),
                 policy.label(),
-                report.total_traffic.as_u64(),
-                report.fell_back,
+                report.outcomes.total_traffic.as_u64(),
+                report.outcomes.fell_back,
                 report.evictions,
                 report.violations.len(),
             ));
@@ -98,13 +98,13 @@ fn main() {
                 "eviction_sweep",
                 &cell,
                 "traffic_bytes",
-                report.total_traffic.as_u64() as f64,
+                report.outcomes.total_traffic.as_u64() as f64,
             );
             log.record(
                 "eviction_sweep",
                 &cell,
                 "fell_back",
-                report.fell_back as f64,
+                report.outcomes.fell_back as f64,
             );
             log.record(
                 "eviction_sweep",

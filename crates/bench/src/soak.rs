@@ -1,16 +1,18 @@
-//! The chaos soak harness: drives a [`ChaosScenario`] against a real
+//! The chaos soak harness: drives a seeded hostile run against a real
 //! cluster and checks cluster-wide invariants after every leg.
 //!
-//! The scenario (from `vecycle-sim`) is abstract; this module is the
-//! translation layer. Each [`ChaosAction`] becomes concrete machinery:
+//! A chaos run is what the session already understands — a pinned
+//! [`MigrationRequest`] schedule (the VM's random walk) and a
+//! [`FaultPlan`] addressing it by leg — plus the two misfortunes the
+//! session cannot inject, which stay private to this harness:
 //!
-//! | action | realisation |
+//! | misfortune | realisation |
 //! |---|---|
-//! | `HostCrash` | [`FaultKind::HostCrash`] — destination dies mid-transfer, restarts from its scrubbed disk store |
-//! | `DiskPressure` | filler checkpoints saved at the destination, squeezing the quota so the eviction policy must choose victims |
-//! | `CorruptCheckpoint` | [`FaultKind::CheckpointCorrupt`], or — when the leg also crashes — real on-disk byte rot the restart scrub must quarantine |
-//! | `LinkDrop` | [`FaultKind::LinkDrop`] |
-//! | `LinkLoss` | [`FaultKind::LinkDegrade`] with the factor the netem TCP loss model assigns to that loss probability |
+//! | host crash | [`FaultKind::HostCrash`] — destination dies mid-transfer, restarts from its scrubbed disk store |
+//! | disk pressure | filler checkpoints saved at the destination, squeezing the quota so the eviction policy must choose victims |
+//! | corruption | [`FaultKind::CheckpointCorrupt`], or — when the leg also crashes — real on-disk byte rot the restart scrub must quarantine |
+//! | link drop | [`FaultKind::LinkDrop`] |
+//! | link loss | [`FaultKind::LinkDegrade`] with the factor the netem TCP loss model assigns to that loss probability |
 //!
 //! After every leg the harness asserts the survivability invariants (no
 //! quota overrun, disk ≡ catalog, tombstones stay dead, injected faults
@@ -19,21 +21,23 @@
 //! Violations are *collected*, not panicked, so a soak reports every
 //! broken invariant of a bad run at once.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use vecycle_checkpoint::{Checkpoint, EvictionPolicy};
-use vecycle_core::session::{SessionEvent, VeCycleSession, VmInstance};
+use vecycle_core::session::{ScheduleSummary, SessionEvent, VeCycleSession, VmInstance};
 use vecycle_core::{MigrationOutcome, MigrationReport};
 use vecycle_faults::{DropPoint, FaultKind, FaultPlan};
-use vecycle_host::{Cluster, Host, StoreSeries};
+use vecycle_host::{Cluster, Host, MigrationRequest, StoreSeries};
 use vecycle_mem::{workload::GuestWorkload, workload::IdleWorkload, DigestMemory, Guest};
 use vecycle_net::{LinkSpec, Netem};
 use vecycle_obs::{MetricsRegistry, MetricsSnapshot};
-use vecycle_sim::chaos::{ChaosAction, ChaosConfig, ChaosScenario};
-use vecycle_types::{Bytes, HostId, SimTime, VmId, PAGE_SIZE};
+use vecycle_sim::chaos::ChaosConfig;
+use vecycle_types::rng::{split, Xorshift};
+use vecycle_types::{Bytes, HostId, SimDuration, SimTime, VmId, PAGE_SIZE};
 
-/// Everything a soak run needs beyond the scenario itself.
+/// Everything a soak run needs: the chaos configuration and the cluster
+/// it strikes.
 #[derive(Debug, Clone)]
 pub struct SoakOptions {
     /// The chaos configuration (seed, legs, hosts, rates).
@@ -75,23 +79,17 @@ pub fn fresh_soak_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// What a soak run produced: outcome counts, the incident transcript,
-/// lifecycle totals, the canonical metrics snapshot — and every
-/// invariant violation found (an empty list is the pass criterion).
+/// What a soak run produced: the legs' outcomes and traffic, the
+/// incident transcript, lifecycle totals, the canonical metrics snapshot
+/// — and every invariant violation found (an empty list is the pass
+/// criterion).
 #[derive(Debug)]
 pub struct SoakReport {
-    /// Migration legs actually run (excludes skipped no-op legs).
-    pub legs_run: usize,
+    /// Outcomes and traffic of the legs actually run (`failed` must be
+    /// 0: injected faults are always survivable).
+    pub outcomes: ScheduleSummary,
     /// Legs skipped because the VM was already at the destination.
     pub skipped: usize,
-    /// Legs that completed first try.
-    pub completed: usize,
-    /// Legs that completed after at least one retry.
-    pub retried: usize,
-    /// Legs that degraded to a full transfer.
-    pub fell_back: usize,
-    /// Legs that exhausted every attempt (must be 0 for injected faults).
-    pub failed: usize,
     /// Invariant violations, in detection order. Empty = the soak passed.
     pub violations: Vec<String>,
     /// Quota evictions across all hosts (`ckpt_evictions_total`).
@@ -104,38 +102,27 @@ pub struct SoakReport {
     pub events: Vec<String>,
     /// Canonical metrics JSON — byte-comparable across runs.
     pub metrics_json: String,
-    /// Useful source→destination traffic summed over all legs.
-    pub total_traffic: Bytes,
-    /// Traffic burned on aborted attempts.
-    pub wasted_traffic: Bytes,
 }
 
 impl SoakReport {
     /// One-line summary for logs and CI output.
     pub fn summary(&self) -> String {
+        let o = &self.outcomes;
         format!(
             "{} legs ({} skipped): {} ok, {} retried, {} fell back, {} failed; \
              {} evictions, {} restarts, {} quarantined; {} violations",
-            self.legs_run,
+            o.migrations,
             self.skipped,
-            self.completed,
-            self.retried,
-            self.fell_back,
-            self.failed,
+            o.migrations - o.retried - o.fell_back - o.failed,
+            o.retried,
+            o.fell_back,
+            o.failed,
             self.evictions,
             self.restarts,
             self.quarantined,
             self.violations.len(),
         )
     }
-}
-
-/// Folds one counter family into a `labels -> value` map so two
-/// families can be compared series-by-series.
-fn family(snap: &MetricsSnapshot, name: &str) -> BTreeMap<Vec<(String, String)>, u64> {
-    snap.counters_named(name)
-        .map(|c| (c.labels.clone(), c.value))
-        .collect()
 }
 
 /// Sums one counter family filtered to a single direction label.
@@ -181,58 +168,120 @@ fn loss_factor(probability: f64) -> f64 {
     (degraded / clean).clamp(0.01, 1.0)
 }
 
-/// Builds the [`FaultPlan`] for `scenario`. Legs in `rot` (both corrupt
-/// *and* crash armed) skip the `CheckpointCorrupt` injection — their
-/// corruption is real file rot applied just before the leg, so the
-/// restart's scrub pass is what discovers it.
-fn fault_plan(scenario: &ChaosScenario, rot: &BTreeSet<usize>) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    for (idx, leg) in scenario.legs.iter().enumerate() {
-        for action in &leg.actions {
-            plan = match *action {
-                // On rot legs the crash must actually strike — the whole
-                // point is the restart scrub finding the rotted file —
-                // so cut almost immediately instead of at a RAM fraction
-                // the (possibly tiny, recycled) transfer may never reach.
-                ChaosAction::HostCrash { .. } if rot.contains(&idx) => plan.inject(
-                    idx,
-                    FaultKind::HostCrash {
-                        after: DropPoint::Bytes(Bytes::new(4096)),
-                        attempts: 1,
-                    },
-                ),
-                ChaosAction::HostCrash { ram_fraction } => plan.inject(
-                    idx,
-                    FaultKind::HostCrash {
-                        after: DropPoint::RamFraction(ram_fraction),
-                        attempts: 1,
-                    },
-                ),
-                ChaosAction::LinkDrop { ram_fraction } => plan.inject(
-                    idx,
-                    FaultKind::LinkDrop {
-                        after: DropPoint::RamFraction(ram_fraction),
-                        attempts: 1,
-                    },
-                ),
-                ChaosAction::CorruptCheckpoint if rot.contains(&idx) => plan,
-                ChaosAction::CorruptCheckpoint => plan.inject(idx, FaultKind::CheckpointCorrupt),
-                ChaosAction::LinkLoss { probability } => plan.inject(
-                    idx,
-                    FaultKind::LinkDegrade {
-                        factor: loss_factor(probability),
-                        from_round: 1,
-                    },
-                ),
-                ChaosAction::DiskPressure { .. } => plan,
-            };
-        }
-    }
-    plan
+/// The soak's one VM.
+const VM: VmId = VmId::new(0);
+
+/// A generated chaos run: the walk and the injected faults in the
+/// session's vocabulary, plus the per-leg misfortunes only the harness
+/// can stage.
+#[derive(Debug, Clone, PartialEq)]
+struct ChaosRun {
+    /// The VM's walk, one request per leg, each pinned to its destination.
+    schedule: Vec<MigrationRequest>,
+    /// Faults the session injects, addressed by leg.
+    plan: FaultPlan,
+    /// Per leg: the fraction of the destination's quota that filler
+    /// checkpoints occupy before the leg, if a pressure spike strikes.
+    pressure: Vec<Option<f64>>,
+    /// Per leg: whether the VM's checkpoint file at the destination rots
+    /// on disk before the leg (legs that both crash and corrupt).
+    rot: Vec<bool>,
 }
 
-/// Runs the full soak: build the cluster, translate the scenario, drive
-/// every leg, check invariants after each, reconcile the wire
+impl ChaosRun {
+    /// Generates the run for `config`, deterministically.
+    ///
+    /// The VM starts at host 0; each leg walks to a uniformly chosen
+    /// *different* host after a gap uniform in 10 minutes … 2 hours.
+    /// Generation draws a fixed twelve values per leg, whichever
+    /// misfortunes fire, so runs with the same seed share a per-leg
+    /// prefix even when their lengths differ, and a zero rate never
+    /// perturbs the others.
+    fn generate(config: &ChaosConfig) -> ChaosRun {
+        let mut rng = Xorshift::new(split(config.seed ^ 0xc4a0_5eed_0dd5_ee17, 0));
+        let rates = config.rates;
+        let mut run = ChaosRun {
+            schedule: Vec::with_capacity(config.legs),
+            plan: FaultPlan::none(),
+            pressure: Vec::with_capacity(config.legs),
+            rot: Vec::with_capacity(config.legs),
+        };
+        let (mut at, mut clock) = (0usize, SimTime::EPOCH);
+        for leg in 0..config.legs {
+            let dest_draw = rng.unit_f64();
+            let gap_draw = rng.unit_f64();
+            // Cut fractions are deliberately small: recycled transfers
+            // move only dirtied pages, a tiny slice of RAM, and a cut
+            // point the transfer never reaches is a fault that never
+            // strikes.
+            let crash_p = rng.unit_f64();
+            let crash_frac = 0.005 + 0.1 * rng.unit_f64();
+            let pressure_p = rng.unit_f64();
+            let pressure_frac = 0.3 + 0.6 * rng.unit_f64();
+            let corrupt_p = rng.unit_f64();
+            let drop_p = rng.unit_f64();
+            let drop_frac = 0.005 + 0.15 * rng.unit_f64();
+            let loss_p = rng.unit_f64();
+            let loss_prob = 0.001 + 0.019 * rng.unit_f64();
+            let _reserved = rng.unit_f64();
+
+            // Walk to one of the other hosts: index into the list with
+            // the current host removed.
+            let step = 1 + (dest_draw * (config.hosts - 1) as f64) as usize;
+            at = (at + step.min(config.hosts - 1)) % config.hosts;
+            clock += SimDuration::from_secs(600 + (gap_draw * 6600.0) as u64);
+            run.schedule
+                .push(MigrationRequest::open(clock, VM).pinned(HostId::new(at as u32)));
+
+            let crash = crash_p < rates.crash;
+            let corrupt = corrupt_p < rates.corrupt;
+            // A leg that both crashes and corrupts realises the
+            // corruption as on-disk rot for the restart scrub to find, so
+            // its crash must actually strike: cut almost immediately
+            // instead of at a RAM fraction the (possibly tiny, recycled)
+            // transfer may never reach.
+            let rot = crash && corrupt;
+            if crash {
+                let after = if rot {
+                    DropPoint::Bytes(Bytes::new(4096))
+                } else {
+                    DropPoint::RamFraction(crash_frac)
+                };
+                run.plan = run
+                    .plan
+                    .inject(leg, FaultKind::HostCrash { after, attempts: 1 });
+            }
+            if corrupt && !rot {
+                run.plan = run.plan.inject(leg, FaultKind::CheckpointCorrupt);
+            }
+            if drop_p < rates.drop {
+                run.plan = run.plan.inject(
+                    leg,
+                    FaultKind::LinkDrop {
+                        after: DropPoint::RamFraction(drop_frac),
+                        attempts: 1,
+                    },
+                );
+            }
+            if loss_p < rates.loss {
+                run.plan = run.plan.inject(
+                    leg,
+                    FaultKind::LinkDegrade {
+                        factor: loss_factor(loss_prob),
+                        from_round: 1,
+                    },
+                );
+            }
+            run.pressure
+                .push((pressure_p < rates.pressure).then_some(pressure_frac));
+            run.rot.push(rot);
+        }
+        run
+    }
+}
+
+/// Runs the full soak: build the cluster, generate the run, drive every
+/// leg, check invariants after each, reconcile the wire
 /// accountings at the end.
 ///
 /// Injected faults are expected and recovered from; only infrastructure
@@ -242,7 +291,7 @@ fn fault_plan(scenario: &ChaosScenario, rot: &BTreeSet<usize>) -> FaultPlan {
 ///
 /// Propagates disk-store I/O errors and session-level non-fault errors.
 pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
-    let scenario = ChaosScenario::generate(&opts.config);
+    let run = ChaosRun::generate(&opts.config);
     let metrics = MetricsRegistry::new();
 
     let cluster = Cluster::homogeneous(opts.config.hosts as u32, LinkSpec::lan_gigabit())
@@ -251,50 +300,16 @@ pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
     let session = VeCycleSession::new(cluster).with_metrics(metrics.clone());
 
     let mem = DigestMemory::with_uniform_content(opts.ram, opts.config.seed)?;
-    let mut vm = VmInstance::new(VmId::new(0), Guest::new(mem), HostId::new(0));
+    let mut vm = VmInstance::new(VM, Guest::new(mem), HostId::new(0));
     let pages = opts.ram.pages_ceil().as_u64();
     // ~5% of pages touched per hour of gap, like the failure sweep.
     let mut workload = IdleWorkload::new(opts.config.seed ^ 1, pages as f64 * 0.05 / 3600.0);
 
-    // Legs where corruption is realised as on-disk rot (scrub coverage)
-    // rather than an injected load failure: those that also crash.
-    let rot: BTreeSet<usize> = scenario
-        .legs
-        .iter()
-        .enumerate()
-        .filter(|(_, leg)| {
-            let crash = leg
-                .actions
-                .iter()
-                .any(|a| matches!(a, ChaosAction::HostCrash { .. }));
-            crash
-                && leg
-                    .actions
-                    .iter()
-                    .any(|a| matches!(a, ChaosAction::CorruptCheckpoint))
-        })
-        .map(|(idx, _)| idx)
-        .collect();
-    let plan = fault_plan(&scenario, &rot);
-    vecycle_faults::observe_plan(&metrics, &plan);
+    vecycle_faults::observe_plan(&metrics, &run.plan);
     let store_series = StoreSeries::new(&metrics, session.cluster());
 
-    let mut report = SoakReport {
-        legs_run: 0,
-        skipped: 0,
-        completed: 0,
-        retried: 0,
-        fell_back: 0,
-        failed: 0,
-        violations: Vec::new(),
-        evictions: 0,
-        restarts: 0,
-        quarantined: 0,
-        events: Vec::new(),
-        metrics_json: String::new(),
-        total_traffic: Bytes::ZERO,
-        wasted_traffic: Bytes::ZERO,
-    };
+    let mut skipped = 0;
+    let mut violations = Vec::new();
     let mut events: Vec<SessionEvent> = Vec::new();
     let mut reports: Vec<MigrationReport> = Vec::new();
     let mut known_vms: BTreeSet<VmId> = BTreeSet::new();
@@ -302,41 +317,39 @@ pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
     let mut filler_seq = 0u32;
     let mut clock = SimTime::EPOCH;
 
-    for (idx, leg) in scenario.legs.iter().enumerate() {
-        clock += leg.gap;
-        workload.advance(vm.guest_mut(), leg.gap);
-        let to = HostId::new(leg.dest as u32);
+    for (idx, request) in run.schedule.iter().enumerate() {
+        workload.advance(vm.guest_mut(), request.at.duration_since(clock));
+        clock = request.at;
+        let to = request.pinned_to.expect("chaos requests are pinned");
         if to == vm.location() {
-            report.skipped += 1;
+            skipped += 1;
             continue;
         }
         let dest = session
             .cluster()
             .host(to)
-            .expect("scenario destinations are cluster hosts")
+            .expect("chaos destinations are cluster hosts")
             .clone();
 
-        // Pre-leg chaos: disk pressure and (on rot legs) real file rot.
-        for action in &leg.actions {
-            if let ChaosAction::DiskPressure { quota_fraction } = *action {
-                // Filler checkpoints worth `quota_fraction` of the
-                // budget: each filler VM's digest checkpoint stores 16
-                // bytes per page.
-                let filler_bytes = (opts.quota.as_u64() as f64 * quota_fraction) as u64;
-                let filler_ram = Bytes::new((filler_bytes / 16).max(1) * PAGE_SIZE);
-                let filler_id = VmId::new(100 + filler_seq);
-                filler_seq += 1;
-                known_vms.insert(filler_id);
-                let filler_mem = DigestMemory::with_uniform_content(
-                    filler_ram,
-                    opts.config.seed ^ u64::from(filler_seq),
-                )?;
-                let cp = Checkpoint::capture(filler_id, clock, &filler_mem);
-                let outcome = dest.save_checkpoint(cp)?;
-                store_series.record_save(&dest, &outcome);
-            }
+        // Pre-leg misfortunes the session cannot inject: disk pressure
+        // and (on rot legs) real file rot.
+        if let Some(quota_fraction) = run.pressure[idx] {
+            // Filler checkpoints worth `quota_fraction` of the budget:
+            // each filler VM's digest checkpoint stores 16 bytes per page.
+            let filler_bytes = (opts.quota.as_u64() as f64 * quota_fraction) as u64;
+            let filler_ram = Bytes::new((filler_bytes / 16).max(1) * PAGE_SIZE);
+            let filler_id = VmId::new(100 + filler_seq);
+            filler_seq += 1;
+            known_vms.insert(filler_id);
+            let filler_mem = DigestMemory::with_uniform_content(
+                filler_ram,
+                opts.config.seed ^ u64::from(filler_seq),
+            )?;
+            let cp = Checkpoint::capture(filler_id, clock, &filler_mem);
+            let outcome = dest.save_checkpoint(cp)?;
+            store_series.record_save(&dest, &outcome);
         }
-        if rot.contains(&idx) {
+        if run.rot[idx] {
             rot_checkpoint_file(&dest, vm.id())?;
         }
 
@@ -351,7 +364,7 @@ pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
             to,
             clock,
             &mut workload,
-            &plan,
+            &run.plan,
             idx,
             &mut events,
         )?;
@@ -361,30 +374,22 @@ pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
                 "session_checkpoint_fetch_total",
                 &[("result", "quarantined")],
             );
-        report.legs_run += 1;
-
-        match leg_report.outcome() {
-            MigrationOutcome::Completed => report.completed += 1,
-            MigrationOutcome::CompletedAfterRetries { .. } => report.retried += 1,
-            MigrationOutcome::FellBackToFull { .. } => report.fell_back += 1,
-            MigrationOutcome::Failed { .. } => report.failed += 1,
-        }
         if matches!(leg_report.outcome(), MigrationOutcome::Failed { .. }) {
-            report.violations.push(format!(
+            violations.push(format!(
                 "leg {idx}: outcome Failed — injected faults must always be survivable"
             ));
         }
         if fetch_gone_after > fetch_gone_before
             && matches!(leg_report.outcome(), MigrationOutcome::Completed)
         {
-            report.violations.push(format!(
+            violations.push(format!(
                 "leg {idx}: fetched an evicted/quarantined tombstone yet reported a clean \
                  Completed outcome"
             ));
         }
         reports.push(leg_report);
 
-        check_cluster_invariants(&session, opts, &known_vms, idx, &mut report.violations);
+        check_cluster_invariants(&session, opts, &known_vms, idx, &mut violations);
 
         // Engine counters may only ever lead net counters (by wasted
         // attempts), never trail them.
@@ -392,7 +397,7 @@ pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
         let engine_bytes = snap.counter_total("engine_wire_bytes_total");
         let net_bytes = snap.counter_total("net_wire_bytes_total");
         if engine_bytes < net_bytes {
-            report.violations.push(format!(
+            violations.push(format!(
                 "leg {idx}: net accounting ({net_bytes}) exceeds engine accounting \
                  ({engine_bytes})"
             ));
@@ -401,7 +406,8 @@ pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
 
     // End-of-run reconciliation: the three wire accountings.
     let snap = metrics.snapshot();
-    let wasted: u64 = reports.iter().map(|r| r.wasted_traffic().as_u64()).sum();
+    let outcomes = ScheduleSummary::of(&reports);
+    let wasted = outcomes.wasted_traffic.as_u64();
     // Wasted traffic is forward-path bytes of aborted attempts, so the
     // exact reconciliation is per direction: forward, the engine leads
     // the net side by exactly the waste; reverse, it may lead by the
@@ -409,7 +415,7 @@ pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
     let engine_fwd = direction_total(&snap, "engine_wire_bytes_total", "forward");
     let net_fwd = direction_total(&snap, "net_wire_bytes_total", "forward");
     if engine_fwd != net_fwd + wasted {
-        report.violations.push(format!(
+        violations.push(format!(
             "wire accounting: engine forward {engine_fwd} != net forward {net_fwd} + wasted \
              {wasted}"
         ));
@@ -417,39 +423,44 @@ pub fn run_soak(opts: &SoakOptions) -> vecycle_types::Result<SoakReport> {
     let engine_rev = direction_total(&snap, "engine_wire_bytes_total", "reverse");
     let net_rev = direction_total(&snap, "net_wire_bytes_total", "reverse");
     if engine_rev < net_rev {
-        report.violations.push(format!(
+        violations.push(format!(
             "wire accounting: engine reverse {engine_rev} trails net reverse {net_rev}"
         ));
     }
-    let source: u64 = reports.iter().map(|r| r.source_traffic().as_u64()).sum();
+    let source = outcomes.total_traffic.as_u64();
     let reverse: u64 = reports.iter().map(|r| r.reverse_traffic().as_u64()).sum();
-    if direction_total(&snap, "net_wire_bytes_total", "forward") != source {
-        report.violations.push(format!(
+    if net_fwd != source {
+        violations.push(format!(
             "wire accounting: net forward bytes != report source traffic {source}"
         ));
     }
-    if direction_total(&snap, "net_wire_bytes_total", "reverse") != reverse {
-        report.violations.push(format!(
+    if net_rev != reverse {
+        violations.push(format!(
             "wire accounting: net reverse bytes != report reverse traffic {reverse}"
         ));
     }
-    if family(&snap, "engine_wire_messages_total").is_empty() && report.legs_run > 0 {
-        report
-            .violations
-            .push("wire accounting: no engine messages recorded at all".into());
+    if snap
+        .counters_named("engine_wire_messages_total")
+        .next()
+        .is_none()
+        && !reports.is_empty()
+    {
+        violations.push("wire accounting: no engine messages recorded at all".into());
     }
 
-    report.evictions = snap.counter_total("ckpt_evictions_total");
-    report.restarts = snap.counter_total("host_restarts_total");
-    report.quarantined = snap.counter(
-        "session_events_total",
-        &[("event", "checkpoint_quarantined")],
-    );
-    report.events = events.iter().map(|e| e.to_string()).collect();
-    report.metrics_json = snap.to_canonical_json();
-    report.total_traffic = reports.iter().map(|r| r.source_traffic()).sum();
-    report.wasted_traffic = Bytes::new(wasted);
-    Ok(report)
+    Ok(SoakReport {
+        outcomes,
+        skipped,
+        violations,
+        evictions: snap.counter_total("ckpt_evictions_total"),
+        restarts: snap.counter_total("host_restarts_total"),
+        quarantined: snap.counter(
+            "session_events_total",
+            &[("event", "checkpoint_quarantined")],
+        ),
+        events: events.iter().map(|e| e.to_string()).collect(),
+        metrics_json: snap.to_canonical_json(),
+    })
 }
 
 /// The per-leg survivability invariants, checked across every host:
@@ -499,5 +510,143 @@ fn check_cluster_invariants(
                 ));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn hostile(legs: usize) -> ChaosConfig {
+        ChaosConfig::parse(&format!(
+            "seed=42,legs={legs},hosts=4,crash=0.2,pressure=0.3,corrupt=0.1,drop=0.2,loss=0.1"
+        ))
+        .expect("spec is well-formed")
+    }
+
+    type Leg = (u32, u64, Vec<FaultKind>, Option<f64>, bool);
+
+    /// Each leg as `(dest, at in seconds, faults, pressure, rot)`.
+    fn legs(run: &ChaosRun) -> Vec<Leg> {
+        let at =
+            |r: &MigrationRequest| r.at.duration_since(SimTime::EPOCH).as_nanos() / 1_000_000_000;
+        run.schedule
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let dest = r.pinned_to.expect("pinned").as_u32();
+                (
+                    dest,
+                    at(r),
+                    run.plan.faults(i).to_vec(),
+                    run.pressure[i],
+                    run.rot[i],
+                )
+            })
+            .collect()
+    }
+
+    /// The draw stream every checked-in soak result depends on.
+    #[test]
+    fn the_draw_stream_is_pinned() {
+        let crash = |f| FaultKind::HostCrash {
+            after: DropPoint::RamFraction(f),
+            attempts: 1,
+        };
+        let drop = |f| FaultKind::LinkDrop {
+            after: DropPoint::RamFraction(f),
+            attempts: 1,
+        };
+        let expected: Vec<Leg> = vec![
+            (1, 1398, vec![drop(0.14577125733818447)], None, false),
+            (3, 2578, vec![drop(0.12706073516274902)], None, false),
+            (
+                0,
+                7240,
+                vec![FaultKind::LinkDegrade {
+                    factor: 0.05408935546875,
+                    from_round: 1,
+                }],
+                Some(0.489672971068216),
+                false,
+            ),
+            (2, 11399, vec![], None, false),
+            (3, 13984, vec![], Some(0.5607323208991964), false),
+            (0, 14871, vec![drop(0.05710973038768618)], None, false),
+            (2, 18905, vec![], Some(0.8982068978712561), false),
+            (0, 20827, vec![crash(0.03628620940774858)], None, false),
+        ];
+        assert_eq!(legs(&ChaosRun::generate(&hostile(100)))[..8], expected[..]);
+    }
+
+    /// A leg that both crashes and corrupts rots on disk instead: its
+    /// crash cuts at 4 KiB and no `CheckpointCorrupt` is injected.
+    #[test]
+    fn crash_plus_corrupt_is_a_rot_leg() {
+        let run = ChaosRun::generate(
+            &ChaosConfig::parse(
+                "seed=2022,legs=250,hosts=3,crash=0.12,pressure=0.25,corrupt=0.08,drop=0.15,loss=0.1",
+            )
+            .expect("spec is well-formed"),
+        );
+        let rot: Vec<usize> = (0..250).filter(|&i| run.rot[i]).collect();
+        assert_eq!(rot, [94, 203]);
+        for i in rot {
+            assert_eq!(
+                run.plan.faults(i),
+                [FaultKind::HostCrash {
+                    after: DropPoint::Bytes(Bytes::new(4096)),
+                    attempts: 1
+                }]
+            );
+        }
+        assert_eq!(run.plan.faulted_legs(), 106);
+        assert_eq!(run.pressure.iter().flatten().count(), 66);
+    }
+
+    #[test]
+    fn generation_is_repeatable_and_prefix_stable() {
+        let short = ChaosRun::generate(&hostile(100));
+        assert_eq!(short, ChaosRun::generate(&hostile(100)));
+        assert_eq!(
+            legs(&ChaosRun::generate(&hostile(250)))[..100],
+            legs(&short)[..]
+        );
+    }
+
+    #[test]
+    fn zero_rates_strike_nothing_but_keep_the_walk() {
+        let calm = ChaosRun::generate(&ChaosConfig {
+            rates: vecycle_sim::chaos::ChaosRates::default(),
+            ..hostile(100)
+        });
+        assert!(calm.plan.is_empty());
+        assert!(calm.pressure.iter().all(Option::is_none) && !calm.rot.contains(&true));
+        let wild = ChaosRun::generate(&hostile(100));
+        assert_eq!(calm.schedule, wild.schedule);
+        assert!(!wild.plan.is_empty());
+    }
+
+    #[test]
+    fn the_walk_always_moves() {
+        let mut at = HostId::new(0);
+        for r in &ChaosRun::generate(&hostile(100)).schedule {
+            let dest = r.pinned_to.expect("pinned");
+            assert_ne!(dest, at, "leg destination equals current host");
+            assert!(dest.as_u32() < 4);
+            at = dest;
+        }
+    }
+
+    #[test]
+    fn crash_rate_is_roughly_honoured() {
+        let run = ChaosRun::generate(&hostile(1000));
+        let crashes = run
+            .plan
+            .iter()
+            .filter(|(_, f)| matches!(f, FaultKind::HostCrash { .. }))
+            .count();
+        // 20% rate over 1000 legs: expect ~200, allow wide slack.
+        assert!((100..=300).contains(&crashes), "crashes = {crashes}");
     }
 }

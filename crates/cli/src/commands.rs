@@ -1,7 +1,6 @@
 //! Subcommand dispatch and implementations.
 
 use vecycle_analysis::Table;
-use vecycle_bench::soak::{fresh_soak_dir, run_soak, SoakOptions};
 use vecycle_checkpoint::{Checkpoint, EvictionPolicy};
 use vecycle_core::session::{
     RecyclePolicy, ScheduleSummary, SessionEvent, VeCycleSession, VmInstance,
@@ -13,7 +12,6 @@ use vecycle_mem::workload::{GuestWorkload, IdleWorkload};
 use vecycle_mem::{DigestMemory, Guest, MemoryImage, MutableMemory, PageContent};
 use vecycle_net::LinkSpec;
 use vecycle_obs::MetricsRegistry;
-use vecycle_sim::chaos::ChaosConfig;
 use vecycle_trace::{catalog, Trace, TraceGenerator, TraceStats};
 use vecycle_types::{Bytes, HostId, PageIndex, Ratio, VmId};
 
@@ -31,7 +29,6 @@ USAGE:
   vecycle simulate migrate --ram <size> --similarity <0..1> [--link ...] [--seed N]
   vecycle simulate vdi [--policy vecycle|dedup|baseline|adaptive] [--ram <size>]
   vecycle simulate pingpong [--ram <size>] [--gap 2h] [--count 10]
-  vecycle simulate chaos [--chaos seed=42,legs=100,crash=0.1,pressure=0.3]
   vecycle daemon serve|submit|status|pause|resume|cancel ...
   vecycle fleet run [--hosts N] [--vms N] [--placement aware|blind|random]
                     [--timing immediate|window] [--legs N] [--seed N] ...
@@ -51,11 +48,6 @@ checkpoint lifecycle pressure:
   --evict-policy <name>  oldest | lru | largest | staleness (needs --disk-quota)
   --metrics-out <file>   write the run's metrics timeline as JSONL
                          (spans + events; see DESIGN.md §10)
-
-`simulate chaos` runs the seeded chaos soak (crashes, disk pressure,
-corruption, link drops, netem loss) and checks the survivability
-invariants after every leg; it also accepts --disk-quota and
---evict-policy.
 
 Sizes look like 4GiB / 512MiB; machines are Table-1 names (try
 `vecycle trace list`).";
@@ -434,35 +426,6 @@ fn simulate_cmd(argv: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        "chaos" => {
-            let config =
-                ChaosConfig::parse(args.get("chaos").unwrap_or("")).map_err(|e| e.to_string())?;
-            let mut opts = SoakOptions::new(config);
-            opts.disk_root = fresh_soak_dir(&format!("cli-{}", config.seed));
-            if let Some((quota, evict)) = lifecycle_flags(&args)? {
-                opts.quota = quota;
-                opts.policy = evict;
-            }
-            println!(
-                "chaos soak — seed {}, {} legs across {} hosts, quota {} ({} eviction)",
-                config.seed, config.legs, config.hosts, opts.quota, opts.policy
-            );
-            let report = run_soak(&opts).map_err(|e| e.to_string())?;
-            if !report.events.is_empty() {
-                println!("incidents:");
-                for e in &report.events {
-                    println!("  {e}");
-                }
-            }
-            println!("{}", report.summary());
-            if !report.violations.is_empty() {
-                return Err(format!(
-                    "invariants violated:\n  {}",
-                    report.violations.join("\n  ")
-                ));
-            }
-            Ok(())
-        }
         other => Err(format!("unknown simulate subcommand {other:?}")),
     }
 }
@@ -718,23 +681,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("unknown eviction policy"), "{err}");
-    }
-
-    #[test]
-    fn simulate_chaos_runs_and_rejects_bad_specs() {
-        run(&argv(&[
-            "simulate",
-            "chaos",
-            "--chaos",
-            "seed=9,legs=25,hosts=2,crash=0.2,pressure=0.5,corrupt=0.1,drop=0.2",
-            "--disk-quota",
-            "640KiB",
-            "--evict-policy",
-            "staleness",
-        ]))
-        .unwrap();
-        assert!(run(&argv(&["simulate", "chaos", "--chaos", "meteor=1"])).is_err());
-        assert!(run(&argv(&["simulate", "chaos", "--chaos", "crash=2.0"])).is_err());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! rebuild the guest digest-by-digest, verify the content hash.
 //!
 //! The destination is deliberately dumb: it derives its initial state
-//! from the [`ScenarioSpec`] alone (same deterministic construction as
-//! the source), applies each wire message through
-//! [`SessionState`], and proves the result with an end-to-end FNV-1a
+//! from the [`ScenarioSpec`](vecycle_sim::ScenarioSpec) alone (same
+//! deterministic construction as the source), applies each wire message
+//! through [`SessionState`], and proves the result with an end-to-end FNV-1a
 //! 64 hash. It never runs the engine, so agreement with the source is
 //! evidence about the *protocol*, not a shared code path.
 //!
@@ -39,7 +39,6 @@ use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PageLookup};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
 use vecycle_net::WireMsg;
 use vecycle_obs::Counter;
-use vecycle_sim::ScenarioSpec;
 use vecycle_types::{HostId, SimTime, VmId};
 
 use crate::endpoint::{SessionStream, Stream};
@@ -170,7 +169,7 @@ fn session(
             (None, Some(st)) => (st, None),
             (None, None) => (fresh, fresh_log()),
         };
-        match resume_verdict(s, &spec, &st) {
+        match resume_verdict(s, &st) {
             Ok(true) => (st, log),
             Ok(false) => {
                 // Rejected: drop the bad partial and start from the base.
@@ -245,16 +244,12 @@ fn session(
 
 /// The RESUME_STATE → RESUME_OK exchange: announces `st` and returns
 /// whether the source accepted it (and will skip exactly its messages).
-fn resume_verdict(
-    s: &mut SessionStream<Stream>,
-    spec: &ScenarioSpec,
-    st: &SessionState,
-) -> Result<bool, DaemonError> {
+fn resume_verdict(s: &mut SessionStream<Stream>, st: &SessionState) -> Result<bool, DaemonError> {
     let announce = ResumeState {
         applied: st.applied(),
         round: st.expected_round(),
         finished: st.finished(),
-        landed: st.partial_checkpoint(spec).landed_pages().as_u64(),
+        landed: st.landed_pages(),
         hash: st.state_hash(),
     };
     write_frame(s, kind::RESUME_STATE, &announce.encode())?;

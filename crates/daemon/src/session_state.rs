@@ -25,18 +25,17 @@
 //! of the validated messages ([`crate::partial_log`]), and a snapshot
 //! is read only as the *base* of such a log, so a file a previous
 //! release (or a test, through [`save_partial`]) left behind still
-//! resumes. The landed pages double as a [`PartialCheckpoint`], the
-//! same resume substrate the session's retry machinery uses.
+//! resumes.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use vecycle_checkpoint::{ChecksumIndex, PageLookup, PartialCheckpoint};
+use vecycle_checkpoint::{ChecksumIndex, PageLookup};
 use vecycle_hash::{Fnv1a64, Hasher};
 use vecycle_mem::DigestMemory;
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
-use vecycle_types::{PageDigest, VmId};
+use vecycle_types::PageDigest;
 
 use crate::DaemonError;
 
@@ -122,16 +121,9 @@ impl SessionState {
         &self.mem
     }
 
-    /// The landed pages as a partial checkpoint — the recovery unit a
-    /// resumed transfer continues from.
-    pub fn partial_checkpoint(&self, spec: &ScenarioSpec) -> PartialCheckpoint {
-        let landed = self
-            .mem
-            .iter()
-            .zip(&self.landed)
-            .map(|(d, l)| l.then_some(*d))
-            .collect();
-        PartialCheckpoint::new(VmId::new(spec.vm), landed)
+    /// Distinct pages written so far — what a resume announces as landed.
+    pub fn landed_pages(&self) -> u64 {
+        self.landed.iter().filter(|&&l| l).count() as u64
     }
 
     fn write(&mut self, idx: u64, digest: PageDigest) -> Result<(), DaemonError> {
@@ -545,11 +537,9 @@ mod tests {
 
     #[test]
     fn partial_checkpoint_counts_only_landed_pages() {
-        let (spec, st) = state_with_traffic();
-        let pc = st.partial_checkpoint(&spec);
+        let (_, st) = state_with_traffic();
         // 40 full + 1 dedup + 1 zero distinct page writes.
-        assert_eq!(pc.landed_pages().as_u64(), 42);
-        assert_eq!(pc.page_count().as_u64(), spec.pages());
+        assert_eq!(st.landed_pages(), 42);
     }
 
     #[test]

@@ -31,14 +31,17 @@ fn soak_survives_200_hostile_legs_and_is_repeatable() {
             report.violations
         );
         assert_eq!(
-            report.failed, 0,
+            report.outcomes.failed, 0,
             "run {run}: injected faults must always be survivable"
         );
-        assert!(report.legs_run >= 100, "the walk must actually migrate");
+        assert!(
+            report.outcomes.migrations >= 100,
+            "the walk must actually migrate"
+        );
         assert!(report.restarts > 0, "crashes were armed but never struck");
         assert!(report.evictions > 0, "pressure was armed but never evicted");
         assert!(
-            report.retried + report.fell_back > 0,
+            report.outcomes.retried + report.outcomes.fell_back > 0,
             "faults were armed but every leg completed first try"
         );
 
@@ -74,6 +77,9 @@ fn soak_holds_under_every_eviction_policy() {
             "{policy}: invariants violated: {:#?}",
             report.violations
         );
-        assert_eq!(report.failed, 0, "{policy}: unsurvivable injected fault");
+        assert_eq!(
+            report.outcomes.failed, 0,
+            "{policy}: unsurvivable injected fault"
+        );
     }
 }

@@ -5,11 +5,11 @@
 //! an empty plan, and a byte guest that still owes digests scans like a
 //! settled one.
 //!
-//! The file name and the `*_across_thread_counts` / `*_thread_invariant`
-//! test names are ids the tier-1 floor list pins. Each once also compared
-//! scan-thread counts, an option that no longer exists (the first-round
-//! scan is one walk in page order); its doc comment says what it checks
-//! now.
+//! The file name and the remaining `*_across_thread_counts` /
+//! `*_thread_invariant` test names are kept as stable ids. Each once
+//! also compared scan-thread counts, an option that no longer exists
+//! (the first-round scan is one walk in page order); its doc comment
+//! says what it checks now.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -198,7 +198,7 @@ proptest! {
     /// histograms and the span timeline, serialized canonically — is
     /// byte-identical across repeat runs.
     #[test]
-    fn metrics_snapshot_is_identical_across_thread_counts(
+    fn metrics_snapshot_is_identical_across_repeat_runs(
         vm_ids in vec(0u64..24, 1..200),
         cp_ids in vec(0u64..24, 1..200),
         use_index in any::<bool>(),
@@ -227,7 +227,7 @@ proptest! {
     /// spans early and records the wreck, and all of it must still be
     /// the same on every run.
     #[test]
-    fn faulted_metrics_snapshot_is_identical_across_thread_counts(
+    fn faulted_metrics_snapshot_is_identical_across_repeat_runs(
         vm_ids in vec(0u64..24, 1..200),
         cp_ids in vec(0u64..24, 1..200),
         cut_frac in 0.0f64..0.9,
