@@ -98,6 +98,7 @@ impl ChecksumIndex {
 }
 
 impl PageLookup for ChecksumIndex {
+    #[inline]
     fn contains(&self, digest: PageDigest) -> bool {
         self.first.contains_key(&digest)
     }

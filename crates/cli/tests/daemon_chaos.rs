@@ -25,10 +25,14 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
+use vecycle_checkpoint::Checkpoint;
 use vecycle_daemon::control::JobView;
 use vecycle_daemon::journal::{decode_records, rec, WAL_FILE};
-use vecycle_daemon::{client, scenario, Endpoint};
+use vecycle_daemon::{client, scenario, Endpoint, SocketSink};
+use vecycle_faults::KillSwitch;
+use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
+use vecycle_types::{SimTime, VmId};
 
 const READY_TIMEOUT: Duration = Duration::from_secs(20);
 const DEATH_TIMEOUT: Duration = Duration::from_secs(30);
@@ -168,6 +172,51 @@ fn chaos_spec() -> ScenarioSpec {
     ScenarioSpec::golden(0xC4A05)
 }
 
+/// Keeps the bytes of each `write` a sink makes.
+#[derive(Default)]
+struct Writes(Vec<Vec<u8>>);
+
+impl std::io::Write for Writes {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The source's mid-bulk kill spec: one message past its first socket
+/// write of `chaos_spec`'s stream (586 messages, ≈ 64 KiB). The
+/// source writes ≥ 64 KiB at a time, so a fixed count could die before
+/// anything left, and the destination would have nothing to announce.
+fn source_mid_bulk_kill() -> String {
+    let spec = chaos_spec();
+    let initial = scenario::initial_memory(&spec).expect("initial memory");
+    let checkpoint = Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial);
+    let strategy = scenario::local_strategy(&spec, &checkpoint).expect("strategy");
+    let (mut guest, mut workload) = scenario::live_guest(&spec, &initial).expect("guest");
+    let kill = KillSwitch::inert();
+    let mut writes = Writes::default();
+    let mut sink = SocketSink::new(&mut writes, &kill, |_| {});
+    scenario::engine_for(&spec)
+        .migrate_live_into(&mut guest, &mut workload, strategy, &mut sink)
+        .expect("streamed run");
+    sink.finish().expect("the recorder never fails a write");
+    drop(sink);
+    let [first, _, ..] = writes.0.as_slice() else {
+        panic!("the kill needs a stream of more than one write");
+    };
+    let mut rest = first.as_slice();
+    let mut sent = 0u64;
+    while !rest.is_empty() {
+        WireMsg::read_from(&mut rest).expect("a write holds whole messages");
+        sent += 1;
+    }
+    format!("source:mid-bulk:{}", sent + 1)
+}
+
 /// Runs one chaos case: submit, kill the doomed role at its point,
 /// restart it, and wait the job out. `kill: None` is the clean control
 /// run. Returns the terminal job view and the source's WAL.
@@ -296,7 +345,8 @@ fn source_killed_pre_claim_requeues_and_completes() {
 #[test]
 fn source_killed_mid_bulk_resumes_with_strictly_less_traffic() {
     let baseline = clean_baseline_tx();
-    let (view, records) = run_case("src-mid-bulk", Some(("source", "source:mid-bulk:256")), 1);
+    let kill = source_mid_bulk_kill();
+    let (view, records) = run_case("src-mid-bulk", Some(("source", &kill)), 1);
     assert!(view.resumed >= 1, "mid-bulk kill must resume, not restart");
     assert!(
         view.skipped_bytes > 0,
@@ -377,13 +427,10 @@ fn mid_bulk_recovery_is_deterministic_across_threads_and_repeats() {
             view.skipped_bytes,
         )
     };
-    let (t1, _) = run_case("matrix-t1", Some(("source", "source:mid-bulk:256")), 1);
-    let (t4, _) = run_case("matrix-t4", Some(("source", "source:mid-bulk:256")), 4);
-    let (t1b, _) = run_case(
-        "matrix-t1-repeat",
-        Some(("source", "source:mid-bulk:256")),
-        1,
-    );
+    let kill = source_mid_bulk_kill();
+    let (t1, _) = run_case("matrix-t1", Some(("source", &kill)), 1);
+    let (t4, _) = run_case("matrix-t4", Some(("source", &kill)), 4);
+    let (t1b, _) = run_case("matrix-t1-repeat", Some(("source", &kill)), 1);
     assert_eq!(
         fingerprint(&t1),
         fingerprint(&t4),

@@ -223,7 +223,8 @@ impl MigrationEngine {
         vm: &M,
         strategy: Strategy,
     ) -> vecycle_types::Result<MigrationReport> {
-        self.static_round("static", vm, &strategy, &mut new_sent(), &mut CountOnly)
+        let mut sent = dedup_cache(&strategy, vm.page_count());
+        self.static_round("static", vm, &strategy, sent.as_mut(), &mut CountOnly)
     }
 
     /// Like [`MigrationEngine::migrate`], but also records the message
@@ -239,19 +240,19 @@ impl MigrationEngine {
         strategy: Strategy,
     ) -> vecycle_types::Result<(MigrationReport, Transcript)> {
         let mut transcript = Transcript::new();
-        let report =
-            self.static_round("static", vm, &strategy, &mut new_sent(), &mut transcript)?;
+        let mut sent = dedup_cache(&strategy, vm.page_count());
+        let report = self.static_round("static", vm, &strategy, sent.as_mut(), &mut transcript)?;
         Ok((report, transcript))
     }
 
     /// One static transfer: a first round and an empty stop-and-copy
-    /// flush, against the caller's dedup cache.
+    /// flush, against the caller's dedup cache (if it keeps one).
     fn static_round<M: MemoryImage, S: MsgSink>(
         &self,
         mode: &'static str,
         vm: &M,
         strategy: &Strategy,
-        sent: &mut DigestMap<PageIndex>,
+        sent: Option<&mut DigestMap<PageIndex>>,
         sink: &mut S,
     ) -> vecycle_types::Result<MigrationReport> {
         if vm.page_count() == PageCount::ZERO {
@@ -295,11 +296,13 @@ impl MigrationEngine {
                 ),
             });
         }
+        // Shared and maintained by every member, dedup or not: a later
+        // member that dedups references what any earlier one sent.
         let mut sent = new_sent();
         vms.iter()
             .zip(strategies)
             .map(|(vm, strategy)| {
-                self.static_round("gang", *vm, strategy, &mut sent, &mut CountOnly)
+                self.static_round("gang", *vm, strategy, Some(&mut sent), &mut CountOnly)
             })
             .collect()
     }
@@ -450,8 +453,8 @@ impl MigrationEngine {
         let mut tl = TransferLoop::start(self, "live", &strategy, guest.ram_size(), faults, sink);
 
         guest.dirty_mut().clear();
-        let mut sent = new_sent();
-        if let Err(wreck) = tl.first_round(&*guest, &strategy, &mut sent) {
+        let mut sent = dedup_cache(&strategy, guest.page_count());
+        if let Err(wreck) = tl.first_round(&*guest, &strategy, sent.as_mut()) {
             return Ok(LiveOutcome::Aborted(wreck));
         }
         workload.advance(guest, tl.spiked(1, tl.last_round_duration()));
@@ -465,7 +468,7 @@ impl MigrationEngine {
             && dirty.len() as u64 > self.downtime_budget_pages()
         {
             let round_no = tl.rounds_len() as u32 + 1;
-            match tl.resend_round(&*guest, &dirty, &strategy, &mut sent) {
+            match tl.resend_round(&*guest, &dirty, &strategy, sent.as_mut()) {
                 Ok(duration) => {
                     workload.advance(guest, tl.spiked(round_no, duration));
                     dirty = guest.dirty_mut().drain();
@@ -512,9 +515,17 @@ fn completed(outcome: LiveOutcome) -> MigrationReport {
     }
 }
 
-/// An empty dedup cache: digest → first page that carried the content.
-/// Capacity 14 is `std`'s 16-bucket table, so a 32-page fleet guest
-/// grows it twice rather than five times from empty (DESIGN §13.2).
+/// A gang's shared dedup cache: digest → first page that carried the
+/// content. Capacity 14 is `std`'s 16-bucket table (DESIGN §13.2).
 fn new_sent() -> DigestMap<PageIndex> {
     DigestMap::with_capacity_and_hasher(14, Default::default())
+}
+
+/// A single-VM migration's dedup cache: none unless the strategy reads
+/// one, else sized once to hold every page of the guest, so the scan
+/// never rehashes it (DESIGN §13.2).
+fn dedup_cache(strategy: &Strategy, pages: PageCount) -> Option<DigestMap<PageIndex>> {
+    strategy
+        .dedups()
+        .then(|| DigestMap::with_capacity_and_hasher(pages.as_usize(), Default::default()))
 }

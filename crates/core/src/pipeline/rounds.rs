@@ -203,14 +203,18 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
     /// announces it, after whatever an earlier gang VM left in `sent`.
     ///
     /// A dead link stops the offering, not the classification: the scan
-    /// counters and `sent` cover the whole image either way.
+    /// counters and `sent` cover the whole image either way. Without a
+    /// cache (a strategy that never dedups never reads one) the pages
+    /// classify against an empty map.
     fn scan<M: MemoryImage>(
         &mut self,
         vm: &M,
         strategy: &Strategy,
-        sent: &mut DigestMap<PageIndex>,
+        mut sent: Option<&mut DigestMap<PageIndex>>,
         full_cost: Bytes,
     ) -> Scan {
+        debug_assert!(sent.is_some() || !strategy.dedups());
+        let no_cache = DigestMap::default();
         let zero_suppression = self.engine.zero_suppression;
         let n = vm.page_count().as_u64();
         self.sink.reserve(n as usize);
@@ -224,7 +228,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         };
         for idx in (0..n).map(PageIndex::new) {
             let digest = vm.page_digest(idx);
-            let msg = match strategy.classify(idx, digest, sent) {
+            let msg = match strategy.classify(idx, digest, sent.as_deref().unwrap_or(&no_cache)) {
                 PageAction::Skip => {
                     scan.skipped += 1;
                     continue;
@@ -234,7 +238,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                 // the 28-byte checksum message, and announces nothing.
                 _ if zero_suppression && digest.is_zero_page() => PageMsg::Zero { idx },
                 PageAction::SendFull => {
-                    sent.entry(digest).or_insert(idx);
+                    remember(&mut sent, digest, idx);
                     // The message shares the guest's buffer; only a sink
                     // that reads the message is worth even the handle.
                     let bytes = if S::PER_MESSAGE && scan.alive {
@@ -245,7 +249,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                     PageMsg::Full { idx, digest, bytes }
                 }
                 PageAction::SendChecksum => {
-                    sent.entry(digest).or_insert(idx);
+                    remember(&mut sent, digest, idx);
                     PageMsg::Checksum { idx, digest }
                 }
                 PageAction::SendDedupRef(source) => PageMsg::DedupRef { idx, source },
@@ -360,7 +364,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         &mut self,
         vm: &M,
         strategy: &Strategy,
-        sent: &mut DigestMap<PageIndex>,
+        sent: Option<&mut DigestMap<PageIndex>>,
     ) -> Result<(), AbortedTransfer> {
         let engine = self.engine;
         let link = engine.link_for_round(1, self.faults);
@@ -463,16 +467,17 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         vm: &M,
         dirty: &[PageIndex],
         strategy: &Strategy,
-        sent: &mut DigestMap<PageIndex>,
+        mut sent: Option<&mut DigestMap<PageIndex>>,
     ) -> Result<SimDuration, AbortedTransfer> {
         let engine = self.engine;
         let round_no = self.rounds.len() as u32 + 1;
         let link = engine.link_for_round(round_no, self.faults);
         let page_msg = engine.wire_costs().resend_page();
+        let no_cache = DigestMap::default();
         let (landed, alive) = self.emit_dirty(vm, dirty, page_msg, |idx, digest| {
-            let action = strategy.classify_resend(digest, sent);
+            let action = strategy.classify_resend(digest, sent.as_deref().unwrap_or(&no_cache));
             if matches!(action, PageAction::SendFull | PageAction::SendChecksum) {
-                sent.entry(digest).or_insert(idx);
+                remember(&mut sent, digest, idx);
             }
             action
         });
@@ -646,6 +651,14 @@ impl MigrationEngine {
                 .with_bandwidth(BytesPerSec::new(self.link.bandwidth().as_f64() * factor)),
             _ => self.link,
         }
+    }
+}
+
+/// Records `idx` as the first sender of `digest`, if there is a cache.
+#[inline]
+fn remember(sent: &mut Option<&mut DigestMap<PageIndex>>, digest: PageDigest, idx: PageIndex) {
+    if let Some(sent) = sent {
+        sent.entry(digest).or_insert(idx);
     }
 }
 

@@ -27,13 +27,13 @@ fn image(ids: &[u64]) -> DigestMemory {
 }
 
 /// Runs round 1 of a static transfer into `sink` against the caller's
-/// dedup cache; returns the round's report, or the wreckage if the sink
-/// killed it.
+/// dedup cache, if any; returns the round's report, or the wreckage if
+/// the sink killed it.
 fn first_round<M: MemoryImage, S: MsgSink>(
     engine: &MigrationEngine,
     vm: &M,
     strategy: &Strategy,
-    sent: &mut DigestMap<PageIndex>,
+    sent: Option<&mut DigestMap<PageIndex>>,
     sink: &mut S,
 ) -> Result<RoundReport, AbortedTransfer> {
     let faults = AttemptFaults::none();
@@ -50,7 +50,8 @@ proptest! {
     /// for every strategy family, zero suppression on and off, and a
     /// `sent` pre-seeded by an earlier gang VM (whose pages share this
     /// image's index range, so a prior sender can sit at the *same*
-    /// page index and must still yield a back-reference).
+    /// page index and must still yield a back-reference). A strategy
+    /// that does not dedup scans the same without any cache.
     #[test]
     fn scan_matches_a_naive_walk_in_page_order(
         vm_ids in vec(0u64..24, 1..200),
@@ -118,8 +119,15 @@ proptest! {
         let engine = MigrationEngine::new(LinkSpec::lan_gigabit())
             .with_zero_page_suppression(suppress_zeros);
         let mut transcript = Transcript::new();
-        let round = first_round(&engine, &vm, &strategy, &mut sent, &mut transcript)
+        let round = first_round(&engine, &vm, &strategy, Some(&mut sent), &mut transcript)
             .expect("a recording sink lands everything");
+        if !use_dedup {
+            let mut uncached = Transcript::new();
+            let uncached_round = first_round(&engine, &vm, &strategy, None, &mut uncached)
+                .expect("a recording sink lands everything");
+            prop_assert_eq!(&uncached, &transcript);
+            prop_assert_eq!(&uncached_round, &round);
+        }
 
         prop_assert_eq!(&transcript, &model);
         let count = |class: fn(&PageMsg) -> bool| model.iter().filter(|m| class(m)).count() as u64;
@@ -151,7 +159,7 @@ fn a_prior_sender_at_the_same_page_index_yields_a_dedup_ref() {
         &MigrationEngine::new(LinkSpec::lan_gigabit()),
         &vm,
         &Strategy::dedup(),
-        &mut sent,
+        Some(&mut sent),
         &mut transcript,
     )
     .expect("a recording sink lands everything");
@@ -231,7 +239,7 @@ fn round_one_streams_and_reads_each_digest_once() {
         &engine,
         &vm,
         &Strategy::dedup(),
-        &mut DigestMap::default(),
+        Some(&mut DigestMap::default()),
         &mut probe,
     )
     .expect("the probe lands everything");
@@ -252,7 +260,7 @@ fn a_link_cut_stops_the_offering_but_not_the_classification() {
         &engine,
         &vm,
         &Strategy::full(),
-        &mut DigestMap::default(),
+        Some(&mut DigestMap::default()),
         &mut cut,
     )
     .expect_err("the cut must abort round 1");

@@ -167,6 +167,11 @@ impl Strategy {
         self.index.is_some()
     }
 
+    /// True if this strategy reads the dedup cache (sends back-references).
+    pub(crate) fn dedups(&self) -> bool {
+        self.dedup
+    }
+
     /// The checkpoint index, if this is a VeCycle strategy.
     pub fn index(&self) -> Option<&ChecksumIndex> {
         self.index.as_deref()
@@ -177,6 +182,8 @@ impl Strategy {
     /// `sent` is the per-migration dedup cache: digest → first page index
     /// that carried this content. The caller inserts into it when this
     /// returns [`PageAction::SendFull`] or [`PageAction::SendChecksum`].
+    // Inlined into every sink's scan, with the index probe (DESIGN §13.2).
+    #[inline]
     pub fn classify(
         &self,
         idx: PageIndex,
@@ -199,6 +206,7 @@ impl Strategy {
     /// still collapses the resend to a checksum message — the guest may
     /// have rewritten the page with content the destination's checkpoint
     /// already holds.
+    #[inline]
     pub fn classify_resend(&self, digest: PageDigest, sent: &DigestMap<PageIndex>) -> PageAction {
         if let Some(index) = &self.index {
             if index.contains(digest) {

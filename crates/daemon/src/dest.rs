@@ -12,15 +12,18 @@
 //! connection's one [`SessionStream`], so [`receive_stream`] costs a
 //! `read` per 64 KiB of stream, not two per message. Reading ahead is
 //! safe: this handler is the connection's only reader, and the source
-//! sends nothing past COMPLETE until it has our DONE.
+//! sends nothing past COMPLETE until it has our DONE. The destination
+//! hashes its state as soon as StopEnd is applied and only then reads
+//! COMPLETE, so its hash and the source's run at the same time.
 //!
 //! Crash durability has two halves. Our own death: a journal-backed
 //! daemon appends the messages it validated to the session's
 //! `partial-*.bin` log ([`PartialLog`]), one chunk record every
 //! [`crate::source::STREAM_CHUNK`] *applied* messages and at round
-//! boundaries — bytes still in the read buffer die with the process
-//! exactly as bytes in the kernel's socket buffer always did, so the
-//! landed prefix is what was applied. The peer's death: every message
+//! boundaries, however the source sized its writes — bytes still in
+//! the read buffer die with the process exactly as bytes in the
+//! kernel's socket buffer always did, so the landed prefix is what was
+//! applied. The peer's death: every message
 //! that arrived whole is applied first; the session is then still
 //! alive to see the I/O error, so it logs the unfinished chunk and
 //! keeps the exact current state in the in-memory partials map, keyed
@@ -197,8 +200,15 @@ fn session(
         Some(l) => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, l),
         None => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, &mut ()),
     };
-    let complete = match received {
-        Ok(complete) => complete,
+    // End-to-end verification: both sides hash the final digests. Ours
+    // runs while the source hashes its guest, before COMPLETE arrives.
+    let verified = received.and_then(|()| {
+        let local = scenario::content_hash(session_state.mem());
+        let complete = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::COMPLETE, "COMPLETE")?;
+        Ok((local, complete))
+    });
+    let (local, complete) = match verified {
+        Ok(verified) => verified,
         Err(e @ DaemonError::Io(_)) => {
             // Peer death before COMPLETE: the landed prefix is the whole
             // point — log what landed since the last boundary and keep
@@ -217,7 +227,6 @@ fn session(
         }
     };
 
-    // End-to-end verification: both sides hash the final digests.
     if complete.payload.len() as u64 != proto::COMPLETE_LEN {
         drop_partial(state, job_id, fingerprint);
         return Err(DaemonError::Corrupt(format!(
@@ -225,7 +234,6 @@ fn session(
             complete.payload.len()
         )));
     }
-    let local = scenario::content_hash(session_state.mem());
     let ok = complete.payload[..] == local[..];
     state.kill.hit(KillRole::Dest, KillPoint::PreCommit);
     let mut done = [0u8; proto::DONE_LEN as usize];
@@ -282,15 +290,14 @@ impl Persist for () {
 }
 
 /// Applies the data-plane stream through the shared state machine
-/// until the stop-and-copy delimiter, and returns the COMPLETE frame
-/// that follows it. `persist` is told each applied message, and of a
-/// boundary every `STREAM_CHUNK` (64) applied messages and at each
-/// round boundary; the kill switch is ticked once per message decoded,
-/// before it is applied.
+/// up to and including the stop-and-copy delimiter. `persist` is told
+/// each applied message, and of a boundary every `STREAM_CHUNK` (64)
+/// applied messages and at each round boundary; the kill switch is
+/// ticked once per message decoded, before it is applied.
 ///
 /// `r` is the session's reader: decoding costs a `read` per buffer, and
 /// whatever follows StopEnd in the same buffer (the COMPLETE frame) is
-/// still there for the frame read.
+/// still there for the caller's next frame read.
 ///
 /// # Errors
 ///
@@ -303,7 +310,7 @@ pub fn receive_stream<R: Read, P: Persist>(
     session_state: &mut SessionState,
     kill: &KillSwitch,
     persist: &mut P,
-) -> Result<Frame, DaemonError> {
+) -> Result<(), DaemonError> {
     let mut since_checkpoint = 0usize;
     while !session_state.finished() {
         let msg = WireMsg::read_from(r).map_err(DaemonError::from)?;
@@ -311,10 +318,10 @@ pub fn receive_stream<R: Read, P: Persist>(
         session_state.apply(&msg, index)?;
         persist.landed(&msg);
         since_checkpoint += 1;
-        // Checkpoint on the same cadence the source buffers writes, so
-        // a crash leaves a prefix the source's simulation can replay
-        // exactly (any prefix verifies, but whole chunks keep the
-        // persisted state close to what actually landed).
+        // Checkpoint every STREAM_CHUNK applied messages, whatever the
+        // source's write size: any prefix verifies (the source replays
+        // it before skipping), and whole chunks keep the persisted state
+        // close to what actually landed.
         if since_checkpoint >= crate::source::STREAM_CHUNK
             || matches!(msg, WireMsg::RoundEnd { .. } | WireMsg::StopEnd)
         {
@@ -322,7 +329,7 @@ pub fn receive_stream<R: Read, P: Persist>(
             since_checkpoint = 0;
         }
     }
-    expect_kind(read_frame(r, MAX_PAYLOAD)?, kind::COMPLETE, "COMPLETE")
+    Ok(())
 }
 
 /// A journal-backed session's [`Persist`]: the partial log, until an

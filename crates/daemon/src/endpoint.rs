@@ -110,8 +110,8 @@ impl Listener {
     /// Blocks until a connection arrives and accepts it.
     ///
     /// Both ends of a TCP session set `TCP_NODELAY`. Every side of the
-    /// protocol batches its own writes (whole frames, `STREAM_CHUNK`
-    /// messages per write) and then waits for a reply, so Nagle's
+    /// protocol batches its own writes (whole frames, stream chunks of
+    /// ≥ 64 KiB) and then waits for a reply, so Nagle's
     /// algorithm has nothing left to coalesce; what it did do was hold
     /// the small frame that follows a stream chunk (chunk tail, then
     /// `COMPLETE`, then read `DONE`) until the peer's delayed-ACK timer

@@ -6,9 +6,10 @@
 //! codec makes bytes match those prices byte-for-byte
 //! ([`vecycle_net::wiremsg`]), and this crate moves them between two
 //! processes. A source daemon runs the engine into a [`SocketSink`],
-//! which encodes and writes each message over TCP or a Unix socket the
-//! moment the engine emits it; the destination rebuilds the guest
-//! digest-by-digest and both sides compare an end-to-end content hash.
+//! which encodes each message the moment the engine emits it and
+//! writes them over TCP or a Unix socket 64 KiB at a time; the
+//! destination rebuilds the guest digest-by-digest and both sides
+//! compare an end-to-end content hash.
 //!
 //! The system's core oracle lives here: after every migration the
 //! source reconciles *measured* socket bytes against the analytic

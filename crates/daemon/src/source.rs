@@ -2,20 +2,22 @@
 //! socket, verify the destination, reconcile bytes.
 //!
 //! The session hands the engine a [`SocketSink`]: every page message
-//! and round delimiter is converted, encoded and written the moment
+//! and round delimiter is converted and encoded the moment
 //! [`migrate_live_into`](vecycle_core::MigrationEngine::migrate_live_into)
-//! emits it, [`STREAM_CHUNK`] messages per socket write. All migration
+//! emits it, and written once the chunk holds at least [`SESSION_BUF`]
+//! (64 KiB) and [`STREAM_CHUNK`] messages. All migration
 //! timing is simulated (the engine prices every round analytically) and
 //! the sink is a pure observer, so real socket latency can never
 //! perturb the report — bit-identity with the in-process engine is
 //! structural, and the interesting cross-process property is the
 //! byte/ledger reconciliation.
 //!
-//! Buffers: outbound, the sink's current chunk and nothing else;
-//! inbound, the session's one [`SessionStream`], through which every
-//! reply frame and the bulk checksum exchange are read (the exchange in
-//! 16 KiB steps, not one `read` per digest). The guest is built right
-//! after JOB is sent, overlapping the destination's own construction.
+//! Buffers: outbound, the sink's current chunk (allocated once) and
+//! nothing else; inbound, the session's one [`SessionStream`], through
+//! which every reply frame and the bulk checksum exchange are read (the
+//! exchange in 16 KiB steps, not one `read` per digest). The guest is
+//! built right after JOB is sent, overlapping the destination's own
+//! construction.
 //!
 //! Because the stream is a pure function of the spec, an interrupted
 //! transfer resumes by *regenerating* it: the sink holds back the
@@ -32,11 +34,11 @@ use std::io::Write;
 use vecycle_checkpoint::ChecksumIndex;
 use vecycle_core::{LiveOutcome, MsgSink, PageMsg};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
-use vecycle_net::WireMsg;
+use vecycle_net::{wire, WireMsg};
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{Bytes, PageDigest};
 
-use crate::endpoint::SessionStream;
+use crate::endpoint::{SessionStream, SESSION_BUF};
 use crate::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use crate::journal::{rec, WalRecord};
 use crate::proto::{
@@ -49,9 +51,10 @@ use crate::server::DaemonState;
 use crate::session_state::SessionState;
 use crate::{DaemonError, Endpoint};
 
-/// Messages per buffered socket write (and per destination persistence
-/// boundary — the two sides must agree so a crash always lands on a
-/// whole-chunk prefix the source can re-simulate).
+/// Applied messages per destination persistence boundary, and the
+/// fewest messages the source puts in one socket write. The two need not
+/// agree: any applied prefix resumes, because the source re-simulates
+/// it before skipping a byte.
 pub(crate) const STREAM_CHUNK: usize = 64;
 
 /// What a completed source-side session hands back to the queue.
@@ -178,6 +181,13 @@ pub(crate) fn run_job(
                 "bulk exchange carried {} digests, offer said {}",
                 digests.len(),
                 offer.distinct
+            )));
+        }
+        // The wire form is the sorted, distinct digest list.
+        if let Some(at) = digests.windows(2).position(|w| w[0] >= w[1]) {
+            return Err(DaemonError::Corrupt(format!(
+                "bulk exchange digests {at} and {} are not strictly ascending",
+                at + 1
             )));
         }
         Some(ChecksumIndex::build(digests))
@@ -328,8 +338,10 @@ struct HeldPrefix {
 }
 
 /// The daemon's [`MsgSink`]: converts each engine message to its wire
-/// form, encodes it and writes it, one buffered write per 64
-/// (`STREAM_CHUNK`) messages. `progress` is told the cumulative stream
+/// form, encodes it and writes it, one buffered write once the chunk
+/// holds at least [`SESSION_BUF`] bytes and 64 (`STREAM_CHUNK`)
+/// messages (a checksum stream writes ≈ 2 341 messages at a time, a
+/// full-page stream 64 pages). `progress` is told the cumulative stream
 /// position when streaming starts and after every round delimiter sent
 /// (the source journals it); the kill switch is ticked once per message
 /// *sent* — the hook the chaos harness arms to die mid-bulk.
@@ -365,7 +377,9 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
             w,
             kill,
             progress,
-            buf: Vec::new(),
+            // A chunk of small messages flushes within one message of
+            // SESSION_BUF; only a full-page chunk outgrows this.
+            buf: Vec::with_capacity(SESSION_BUF + wire::full_page_msg().as_u64() as usize),
             in_buf: 0,
             position: 0,
             resume,
@@ -447,7 +461,7 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
         msg.encode(&mut self.buf);
         self.in_buf += 1;
         self.position += 1;
-        if self.in_buf == STREAM_CHUNK {
+        if self.in_buf >= STREAM_CHUNK && self.buf.len() >= SESSION_BUF {
             self.flush_buf();
         }
         if matches!(msg, WireMsg::RoundEnd { .. }) {

@@ -9,7 +9,7 @@ use vecycle_fleet::{Fleet, FleetSpec, PlacementMode};
 use vecycle_fuzz::{alloc_budget, AllocMeter, AllocStats, CountingAlloc};
 use vecycle_hash::ChecksumAlgorithm;
 use vecycle_mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload};
-use vecycle_mem::{ByteMemory, Guest};
+use vecycle_mem::{ByteMemory, DigestMemory, Guest};
 use vecycle_net::LinkSpec;
 use vecycle_obs::{layouts, MetricsRegistry};
 use vecycle_types::{PageCount, SimDuration, SimTime, VmId, PAGE_SIZE};
@@ -126,6 +126,46 @@ fn a_fleet_aware_op_stays_within_16_allocations_a_placement() {
     let (report, stats) = metered(|| Fleet::new(spec).unwrap().run().unwrap());
     assert_eq!(report.migrations, 3_840);
     assert!(stats.calls <= 16 * report.migrations, "{stats:?}");
+}
+
+/// A single-VM migration keeps a dedup cache only if its strategy reads
+/// one, and allocates it once, sized to the guest. The same live
+/// migration of a 4 096-page guest under `dedup` and under `full` (which
+/// never reads the cache) differs by exactly that one request, the run's
+/// largest: room for every page, no growth steps.
+#[test]
+fn a_dedup_live_migration_allocates_its_cache_once() {
+    const PAGES: u64 = 4096;
+    let run = |strategy: Strategy| {
+        let mut guest = Guest::new(DigestMemory::with_distinct_content(
+            PageCount::new(PAGES),
+            5,
+        ));
+        let mut workload = IdleWorkload::new(3, 2.0);
+        let engine = MigrationEngine::new(LinkSpec::lan_gigabit());
+        // A one-page migration first interns the strategy's name in the
+        // engine's registry, so the metered runs differ by the cache alone.
+        let page = DigestMemory::with_distinct_content(PageCount::new(1), 5);
+        engine.migrate(&page, strategy.clone()).unwrap();
+        let (report, stats) = metered(|| {
+            engine
+                .migrate_live(&mut guest, &mut workload, strategy)
+                .unwrap()
+        });
+        assert_eq!(report.pages_sent_full().as_u64(), PAGES);
+        stats
+    };
+    let (full, dedup) = (run(Strategy::full()), run(Strategy::dedup()));
+    assert_eq!(
+        dedup.calls,
+        full.calls + 1,
+        "dedup {dedup:?}, full {full:?}"
+    );
+    // 24 bytes a page is a `(PageDigest, PageIndex)` slot.
+    assert!(
+        dedup.largest >= PAGES * 24 && dedup.largest > full.largest,
+        "dedup {dedup:?}, full {full:?}"
+    );
 }
 
 /// Recording through resolved handles asks the allocator for nothing:

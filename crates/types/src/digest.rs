@@ -43,6 +43,7 @@ impl Hash for PageDigest {
 pub struct DigestHasher(u64);
 
 impl Hasher for DigestHasher {
+    #[inline]
     fn write_u64(&mut self, key: u64) {
         self.0 = key;
     }
@@ -54,6 +55,7 @@ impl Hasher for DigestHasher {
         }
     }
 
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
@@ -101,6 +103,7 @@ impl PageDigest {
     /// ID; this expansion is injective, so distinct IDs never collide —
     /// mirroring the paper's assumption that true MD5 collisions are rare
     /// enough to ignore.
+    #[inline]
     pub fn from_content_id(id: u64) -> Self {
         if id == 0 {
             return PageDigest::ZERO_PAGE;
@@ -119,6 +122,7 @@ impl PageDigest {
     }
 
     /// True if this is the zero-page sentinel digest.
+    #[inline]
     pub fn is_zero_page(self) -> bool {
         self == PageDigest::ZERO_PAGE
     }
@@ -156,6 +160,9 @@ impl PageDigest {
     }
 
     /// A stable 64-bit key derived from the digest, for hash-map indexes.
+    // Inlined, like the whole per-page probe path: a scan compiled in
+    // another crate must not spill the digest for a call (DESIGN §13.2).
+    #[inline]
     pub fn short_key(self) -> u64 {
         u64::from_le_bytes(self.0[..8].try_into().expect("slice is 8 bytes"))
     }

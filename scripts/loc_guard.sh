@@ -26,7 +26,7 @@
 #     that adds an edge has to say why.
 set -euo pipefail
 
-BUDGET=43556
+BUDGET=43751
 PUB_CEILING=1115
 DEPS_CEILING=113
 CAP=800

@@ -17,7 +17,9 @@ use common::{tcp_endpoint, unix_endpoint, Watchdog};
 use vecycle_daemon::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use vecycle_daemon::proto::{self, ROLE_SOURCE};
 use vecycle_daemon::{client, Daemon, DaemonConfig, DaemonError, DaemonHandle};
+use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
+use vecycle_types::PageDigest;
 
 const TEST_LIMIT: Duration = Duration::from_secs(60);
 
@@ -303,15 +305,11 @@ fn version_mismatch_surfaces_as_a_typed_client_error() {
     daemon.shutdown();
 }
 
-#[test]
-fn oversized_wire_message_inside_a_session_is_rejected() {
-    let _wd = Watchdog::arm(
-        "oversized_wire_message_inside_a_session_is_rejected",
-        TEST_LIMIT,
-    );
-    // A destination answering the handshake and then streaming a bulk
-    // exchange with a forged huge count must produce a typed Corrupt
-    // error on the source, not an allocation or a hang.
+/// Submits the golden (warm vecycle) job against a fake destination that
+/// answers the handshake, offers a checkpoint of `distinct` digests and
+/// sends `exchange` where the bulk checksum exchange belongs. The job
+/// must fail; returns its failure detail.
+fn job_against_exchange(distinct: u64, exchange: Vec<u8>) -> String {
     let listener = tcp_endpoint().bind().unwrap();
     let peer = listener.local_endpoint().unwrap();
     let server = std::thread::spawn(move || {
@@ -333,7 +331,7 @@ fn oversized_wire_message_inside_a_session_is_rejected() {
             &vecycle_daemon::proto::Offer {
                 has_checkpoint: true,
                 page_count: ScenarioSpec::golden(1).pages(),
-                distinct: 10,
+                distinct,
             }
             .encode(),
         )
@@ -341,11 +339,7 @@ fn oversized_wire_message_inside_a_session_is_rejected() {
         s.flush().unwrap();
         let want = read_frame(&mut s, MAX_PAYLOAD).unwrap();
         assert_eq!(want.kind, kind::WANT);
-        // Forged bulk exchange: count u64::MAX, zero payload bytes.
-        let mut forged = u64::MAX.to_be_bytes().to_vec();
-        forged.push(7); // BULK_EXCHANGE wire kind
-        forged.extend_from_slice(&[0xFF, 0xFF, 0xFF]); // max 24-bit length
-        let _ = s.write_all(&forged);
+        let _ = s.write_all(&exchange);
         let _ = s.flush();
         let mut rest = Vec::new();
         let _ = s.read_to_end(&mut rest);
@@ -359,13 +353,55 @@ fn oversized_wire_message_inside_a_session_is_rejected() {
         .wait_job(id, Duration::from_secs(30))
         .expect("job terminates");
     assert_eq!(rec.state, vecycle_daemon::JobState::Failed);
-    assert!(
-        rec.detail.contains("bulk-exchange") || rec.detail.contains("corrupt"),
-        "failure detail: {}",
-        rec.detail
-    );
     server.join().unwrap();
     daemon.shutdown();
+    rec.detail
+}
+
+#[test]
+fn oversized_wire_message_inside_a_session_is_rejected() {
+    let _wd = Watchdog::arm(
+        "oversized_wire_message_inside_a_session_is_rejected",
+        TEST_LIMIT,
+    );
+    // A destination answering the handshake and then streaming a bulk
+    // exchange with a forged huge count must produce a typed Corrupt
+    // error on the source, not an allocation or a hang.
+    // Forged bulk exchange: count u64::MAX, zero payload bytes.
+    let mut forged = u64::MAX.to_be_bytes().to_vec();
+    forged.push(7); // BULK_EXCHANGE wire kind
+    forged.extend_from_slice(&[0xFF, 0xFF, 0xFF]); // max 24-bit length
+    let detail = job_against_exchange(10, forged);
+    assert!(
+        detail.contains("bulk-exchange") || detail.contains("corrupt"),
+        "failure detail: {detail}"
+    );
+}
+
+/// The bulk exchange is the sorted, distinct digest list: a duplicate or
+/// an out-of-order pair is corrupt, even when the count matches the
+/// OFFER, and is refused before any index is built from it.
+#[test]
+fn a_bulk_exchange_that_is_not_strictly_ascending_is_corrupt() {
+    let _wd = Watchdog::arm(
+        "a_bulk_exchange_that_is_not_strictly_ascending_is_corrupt",
+        TEST_LIMIT,
+    );
+    let mut d: Vec<PageDigest> = (1..=3).map(PageDigest::from_content_id).collect();
+    d.sort();
+    for (case, digests) in [
+        ("duplicate", vec![d[0], d[1], d[1]]),
+        ("descending pair", vec![d[0], d[2], d[1]]),
+    ] {
+        let mut exchange = Vec::new();
+        WireMsg::BulkExchange { digests }.encode(&mut exchange);
+        let detail = job_against_exchange(3, exchange);
+        assert!(
+            detail.contains("corrupt")
+                && detail.contains("digests 1 and 2 are not strictly ascending"),
+            "{case}: {detail}"
+        );
+    }
 }
 
 #[test]

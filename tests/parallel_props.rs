@@ -260,7 +260,7 @@ proptest! {
 /// disk-pressure lifecycle run — produce byte-identical snapshots when
 /// re-run with the same seed.
 #[test]
-fn golden_scenarios_are_thread_invariant_and_repeatable() {
+fn golden_scenarios_are_repeatable() {
     type Scenario = fn() -> MetricsSnapshot;
     let scenarios: [(&str, Scenario); 4] = [
         ("idle_vm", vecycle::golden::idle_vm),
@@ -391,7 +391,7 @@ fn small_aware_fleet_matches_pinned_totals() {
 /// every eviction policy. The choice of victim must depend only on
 /// catalog state.
 #[test]
-fn eviction_order_is_deterministic_across_thread_counts() {
+fn eviction_order_is_deterministic_across_repeat_runs() {
     use vecycle::checkpoint::{Checkpoint, EvictionPolicy};
     use vecycle::core::session::{VeCycleSession, VmInstance};
     use vecycle::faults::FaultPlan;

@@ -1,5 +1,5 @@
-//! The destination's data path costs a `read` per buffer, not per
-//! message.
+//! The data path costs a syscall per 64 KiB buffer, not per message,
+//! on both sides.
 //!
 //! A warm 128 MiB migration is 32 768 checksum messages of 28 bytes;
 //! decoding each straight off the socket is two `read` syscalls per
@@ -7,21 +7,24 @@
 //! must instead cost one `read` per [`SESSION_BUF`] of stream — pinned
 //! here by counting calls — without the read-ahead changing what the
 //! state machine sees: the COMPLETE frame that shares a buffer with
-//! StopEnd is still returned, and a stream cut mid-message leaves
-//! exactly the whole messages applied.
+//! StopEnd is still there for the next frame read, and a stream cut
+//! mid-message leaves exactly the whole messages applied. The source's
+//! [`SocketSink`] likewise writes a buffer of at least [`SESSION_BUF`]
+//! bytes and 64 messages at a time — pinned by counting writes.
 
 use std::cell::Cell;
 use std::io::{Read, Write};
 use std::rc::Rc;
 
-use vecycle_checkpoint::ChecksumIndex;
+use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
 use vecycle_daemon::endpoint::{SessionStream, SESSION_BUF};
-use vecycle_daemon::frame::{kind, write_frame, Frame};
+use vecycle_daemon::frame::{kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
 use vecycle_daemon::session_state::SessionState;
-use vecycle_daemon::{receive_stream, scenario, DaemonError, Endpoint, Persist};
+use vecycle_daemon::{receive_stream, scenario, DaemonError, Endpoint, Persist, SocketSink};
 use vecycle_faults::KillSwitch;
-use vecycle_net::WireMsg;
+use vecycle_net::{wire, WireMsg};
 use vecycle_sim::ScenarioSpec;
+use vecycle_types::{SimTime, VmId};
 
 /// Counts `read` calls on the way to the wrapped reader.
 struct CountReads<R> {
@@ -171,7 +174,8 @@ impl Stream {
             &mut state,
             &KillSwitch::inert(),
             &mut hook,
-        );
+        )
+        .and_then(|()| read_frame(&mut s, MAX_PAYLOAD));
         assert_eq!(
             hook.landed,
             state.applied(),
@@ -292,4 +296,89 @@ fn real_sockets_batch_reads_on_both_transports() {
         );
     }
     let _ = std::fs::remove_file(unix);
+}
+
+/// Keeps the bytes of each `write` call.
+#[derive(Default)]
+struct CountWrites(Vec<Vec<u8>>);
+
+impl Write for CountWrites {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Streams `spec` through a [`SocketSink`] as a source session does and
+/// returns `(bytes, messages)` of each write — decoding each write on
+/// its own also proves a write never splits a message.
+fn streamed_writes(spec: &ScenarioSpec) -> Vec<(usize, usize)> {
+    let initial = scenario::initial_memory(spec).expect("initial memory");
+    let checkpoint = Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial);
+    let strategy = scenario::local_strategy(spec, &checkpoint).expect("strategy");
+    let (mut guest, mut workload) = scenario::live_guest(spec, &initial).expect("guest");
+    let kill = KillSwitch::inert();
+    let mut writes = CountWrites::default();
+    let mut sink = SocketSink::new(&mut writes, &kill, |_| {});
+    scenario::engine_for(spec)
+        .migrate_live_into(&mut guest, &mut workload, strategy, &mut sink)
+        .expect("streamed run");
+    sink.finish().expect("the counter never fails a write");
+    drop(sink);
+    writes
+        .0
+        .iter()
+        .map(|bytes| {
+            let mut rest = bytes.as_slice();
+            let mut msgs = 0;
+            while !rest.is_empty() {
+                WireMsg::read_from(&mut rest).expect("a write holds whole messages");
+                msgs += 1;
+            }
+            (bytes.len(), msgs)
+        })
+        .collect()
+}
+
+/// The warm 128 MiB job — ≈ 98 % checksum messages — leaves the source
+/// in 64 KiB writes, not 64-message (1.8 KiB) ones.
+#[test]
+fn a_warm_stream_costs_a_write_per_buffer() {
+    let mut spec = ScenarioSpec::golden(0xba7c);
+    spec.ram_mib = 128;
+    let writes = streamed_writes(&spec);
+    let bytes: usize = writes.iter().map(|w| w.0).sum();
+    let bound = bytes.div_ceil(SESSION_BUF) + 1;
+    assert!(
+        writes.len() <= bound,
+        "{} writes for {bytes} bytes, want <= {bound}",
+        writes.len()
+    );
+    for (i, &(len, msgs)) in writes[..writes.len() - 1].iter().enumerate() {
+        assert!(
+            len >= SESSION_BUF && msgs >= 64,
+            "write {i}: {len} bytes, {msgs} messages"
+        );
+    }
+}
+
+/// A cold full-page stream passes 64 KiB long before 64 messages, so the
+/// message floor sets its writes: exactly 64 per write (≈ 264 KiB).
+#[test]
+fn a_full_page_stream_still_writes_64_pages_at_a_time() {
+    let mut spec = ScenarioSpec::golden(0xba7d);
+    spec.ram_mib = 16;
+    spec.strategy = "full".into();
+    spec.warm = false;
+    let writes = streamed_writes(&spec);
+    let (last, whole) = writes.split_last().expect("the stream is written");
+    assert!(whole.len() >= 4096 / 64, "{} writes", whole.len());
+    assert!(whole.iter().all(|&(_, msgs)| msgs == 64), "{writes:?}");
+    let full_page = wire::full_page_msg().as_u64() as usize;
+    assert_eq!(whole[0].0, 64 * full_page, "round 1 opens with full pages");
+    assert!(last.1 <= 64, "{last:?}");
 }
