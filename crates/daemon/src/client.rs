@@ -97,24 +97,6 @@ pub fn status(ep: &Endpoint) -> Result<CtrlResponse, DaemonError> {
     expect_ok(request(ep, &CtrlRequest::bare("status"))?)
 }
 
-/// Pauses admission: queued jobs stay queued.
-///
-/// # Errors
-///
-/// As [`request`].
-pub fn pause(ep: &Endpoint) -> Result<(), DaemonError> {
-    expect_ok(request(ep, &CtrlRequest::bare("pause"))?).map(|_| ())
-}
-
-/// Resumes admission.
-///
-/// # Errors
-///
-/// As [`request`].
-pub fn resume(ep: &Endpoint) -> Result<(), DaemonError> {
-    expect_ok(request(ep, &CtrlRequest::bare("resume"))?).map(|_| ())
-}
-
 /// Cancels a queued job.
 ///
 /// # Errors

@@ -3,20 +3,19 @@
 //!
 //! Requests and responses are flat structs with concrete fields (the
 //! vendored serde derive has no enum or attribute support); unused
-//! fields ride along empty. `handle_ctrl` is the daemon-side
+//! fields ride along empty. `dispatch` is the daemon-side
 //! dispatcher; [`client`](crate::client) wraps the socket round trip.
 
 use serde::{Deserialize, Serialize};
 use vecycle_sim::ScenarioSpec;
 
-use crate::journal::{rec, WalRecord};
 use crate::queue::JobRecord;
 use crate::server::DaemonState;
 use crate::{DaemonError, Endpoint};
 
 /// One operator request. `cmd` selects the action; the other fields
 /// are that action's arguments (empty/zero when unused).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CtrlRequest {
     /// `submit`, `status`, `pause`, `resume`, `cancel` or `ping`.
     pub cmd: String,
@@ -33,15 +32,13 @@ impl CtrlRequest {
     pub fn bare(cmd: &str) -> CtrlRequest {
         CtrlRequest {
             cmd: cmd.to_string(),
-            spec: String::new(),
-            peer: String::new(),
-            job: 0,
+            ..CtrlRequest::default()
         }
     }
 }
 
 /// One job as the operator sees it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct JobView {
     /// Job id.
     pub id: u64,
@@ -88,18 +85,9 @@ impl JobView {
             detail: rec.detail.clone(),
             strategy: rec.spec.strategy.clone(),
             peer: rec.peer.to_string(),
-            rounds: 0,
-            downtime_ns: 0,
-            forward_bytes: 0,
-            reverse_bytes: 0,
-            measured_tx: 0,
-            measured_rx: 0,
-            expected_tx: 0,
-            expected_rx: 0,
-            converged: false,
             resumed: rec.resume_epoch,
-            skipped_bytes: 0,
             recovered: rec.recovered,
+            ..JobView::default()
         };
         if let Some(report) = &rec.report {
             view.rounds = report.rounds().len() as u64;
@@ -120,33 +108,8 @@ impl JobView {
     }
 }
 
-/// Submits a job, write-ahead journaling the `submitted` record with
-/// its spec and peer (what boot recovery re-queues from). The shared
-/// path under both the control socket and the in-process handle.
-pub(crate) fn submit_job(
-    state: &DaemonState,
-    spec: ScenarioSpec,
-    peer: Endpoint,
-) -> Result<u64, DaemonError> {
-    let spec_kv = spec.to_kv();
-    let peer_str = peer.to_string();
-    state.queue.submit(spec.clone(), peer.clone(), |id| {
-        let mut record = WalRecord::bare(rec::SUBMITTED, id);
-        record.spec = spec_kv;
-        record.peer = peer_str;
-        state.wal_append(record);
-    })
-}
-
-/// Cancels a queued job, journaling the terminal `cancelled` record.
-pub(crate) fn cancel_job(state: &DaemonState, id: u64) -> Result<(), DaemonError> {
-    state.queue.cancel(id, || {
-        state.wal_append(WalRecord::bare(rec::CANCELLED, id));
-    })
-}
-
 /// One operator response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CtrlResponse {
     /// Whether the request succeeded.
     pub ok: bool,
@@ -166,72 +129,47 @@ impl CtrlResponse {
     fn ok() -> CtrlResponse {
         CtrlResponse {
             ok: true,
-            error: String::new(),
-            job: 0,
-            paused: false,
-            jobs: Vec::new(),
-            drained: Vec::new(),
+            ..CtrlResponse::default()
         }
     }
 
-    fn err(e: &DaemonError) -> CtrlResponse {
-        let mut r = CtrlResponse::ok();
-        r.ok = false;
-        r.error = e.to_string();
-        r
+    pub(crate) fn err(e: &DaemonError) -> CtrlResponse {
+        CtrlResponse {
+            error: e.to_string(),
+            ..CtrlResponse::default()
+        }
     }
 }
 
 /// Dispatches one operator request against the daemon state.
-pub(crate) fn handle_ctrl(state: &DaemonState, req: &CtrlRequest) -> CtrlResponse {
-    match dispatch(state, req) {
-        Ok(resp) => resp,
-        Err(e) => CtrlResponse::err(&e),
-    }
-}
-
-fn dispatch(state: &DaemonState, req: &CtrlRequest) -> Result<CtrlResponse, DaemonError> {
+pub(crate) fn dispatch(
+    state: &DaemonState,
+    req: &CtrlRequest,
+) -> Result<CtrlResponse, DaemonError> {
+    let mut resp = CtrlResponse::ok();
     match req.cmd.as_str() {
-        "ping" => Ok(CtrlResponse::ok()),
+        "ping" => {}
         "submit" => {
             let spec = ScenarioSpec::parse(&req.spec).map_err(DaemonError::from)?;
             if req.peer.is_empty() {
                 return Err(DaemonError::BadSpec("submit needs a peer address".into()));
             }
-            let peer = Endpoint::parse(&req.peer);
-            let id = submit_job(state, spec, peer)?;
-            let mut resp = CtrlResponse::ok();
-            resp.job = id;
-            Ok(resp)
+            resp.job = state.queue.submit(spec, Endpoint::parse(&req.peer))?;
         }
         "status" => {
             let inner = state.queue.lock();
-            let mut resp = CtrlResponse::ok();
-            resp.paused = inner.paused;
-            resp.drained = inner.drained.clone();
-            resp.jobs = inner
-                .jobs
-                .iter()
-                .map(|(id, rec)| JobView::from_record(*id, rec))
-                .collect();
-            Ok(resp)
+            (resp.paused, resp.drained) = (inner.paused, inner.drained.clone());
+            let view = |(id, job): (&u64, &JobRecord)| JobView::from_record(*id, job);
+            resp.jobs = inner.jobs.iter().map(view).collect();
         }
-        "pause" => {
-            state.queue.set_paused(true);
-            Ok(CtrlResponse::ok())
+        "pause" | "resume" => state.queue.set_paused(req.cmd == "pause"),
+        "cancel" => state.queue.cancel(req.job)?,
+        other => {
+            let unknown = format!("unknown control command {other:?}");
+            return Err(DaemonError::Protocol(unknown));
         }
-        "resume" => {
-            state.queue.set_paused(false);
-            Ok(CtrlResponse::ok())
-        }
-        "cancel" => {
-            cancel_job(state, req.job)?;
-            Ok(CtrlResponse::ok())
-        }
-        other => Err(DaemonError::Protocol(format!(
-            "unknown control command {other:?}"
-        ))),
     }
+    Ok(resp)
 }
 
 #[cfg(test)]

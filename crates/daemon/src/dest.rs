@@ -16,25 +16,18 @@
 //! hashes its state as soon as StopEnd is applied and only then reads
 //! COMPLETE, so its hash and the source's run at the same time.
 //!
-//! Crash durability has two halves. Our own death: a journal-backed
-//! daemon appends the messages it validated to the session's
-//! `partial-*.bin` log ([`PartialLog`]), one chunk record every
-//! [`crate::source::STREAM_CHUNK`] *applied* messages and at round
-//! boundaries, however the source sized its writes — bytes still in
-//! the read buffer die with the process exactly as bytes in the
-//! kernel's socket buffer always did, so the landed prefix is what was
-//! applied. The peer's death: every message
-//! that arrived whole is applied first; the session is then still
-//! alive to see the I/O error, so it logs the unfinished chunk and
-//! keeps the exact current state in the in-memory partials map, keyed
-//! by `(job, spec fingerprint)`, on that exit only. The log always
-//! holds exactly the state's messages or does not exist: a failed
-//! append deletes it, is reported once, and the session receives on
-//! unlogged.
-//! A later session for the same job announces the landed prefix in the
-//! RESUME_STATE handshake; if the source rejects it (hash mismatch,
-//! corrupt file) the state resets to the fresh base and the transfer
-//! self-heals into a full one.
+//! Crash durability (DESIGN §17.3): against our own death, a
+//! journal-backed daemon logs the *applied* messages to the session's
+//! `partial-*.bin` ([`PartialLog`]) every [`crate::source::STREAM_CHUNK`]
+//! of them and at round boundaries — bytes still in the read buffer die
+//! with the process exactly as bytes in the kernel's socket buffer
+//! always did, so the landed prefix is what was applied. Against the
+//! peer's, the session applies what arrived whole, logs the unfinished
+//! chunk and keeps its exact state in the in-memory partials map, on
+//! that exit only. The log holds exactly the state's messages or does
+//! not exist: a failed append deletes it and is noted once. A later
+//! session announces the landed prefix in RESUME_STATE; a rejected one
+//! resets to the fresh base and the transfer self-heals into a full one.
 
 use std::io::{Read, Write};
 
@@ -45,7 +38,7 @@ use vecycle_obs::Counter;
 use vecycle_types::{HostId, SimTime, VmId};
 
 use crate::endpoint::{SessionStream, Stream};
-use crate::frame::{kind, read_frame, send_err, write_frame, Frame, MAX_PAYLOAD};
+use crate::frame::{kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
 use crate::partial_log::PartialLog;
 use crate::proto::{
     self, expect_kind, JobMsg, Offer, ResumeOk, ResumeState, ROLE_DEST, ROLE_SOURCE,
@@ -53,27 +46,12 @@ use crate::proto::{
 use crate::scenario;
 use crate::server::DaemonState;
 use crate::session_state::{self, spec_fingerprint, SessionState};
-use crate::DaemonError;
+use crate::{sync, DaemonError};
 
 /// Runs one inbound migration session whose HELLO frame has already
-/// been read. On any error after the handshake the peer gets a
-/// best-effort ERR frame before the connection drops. Returns the
-/// source's job id (for the journal).
-pub(crate) fn handle_migration(
-    state: &DaemonState,
-    s: &mut SessionStream<Stream>,
-    hello: Frame,
-) -> Result<u64, DaemonError> {
-    match session(state, s, hello) {
-        Ok(job) => Ok(job),
-        Err(e) => {
-            send_err(s, &e.to_string());
-            Err(e)
-        }
-    }
-}
-
-fn session(
+/// been read, returning the source's job id. On an error the caller owes
+/// the peer a best-effort ERR frame before the connection drops.
+pub(crate) fn session(
     state: &DaemonState,
     s: &mut SessionStream<Stream>,
     hello: Frame,
@@ -159,7 +137,7 @@ fn session(
     };
     let (mut session_state, log) = if job.resume > 0 {
         let fresh = SessionState::fresh(&spec, &initial);
-        let remembered = state.partial_take(job_id, fingerprint);
+        let remembered = sync::lock(&state.partials).remove(&(job_id, fingerprint));
         let loaded = journal_dir
             .and_then(|dir| PartialLog::load(dir, job_id, fingerprint, &fresh, index.as_ref()));
         let (st, log) = match (loaded, remembered) {
@@ -183,7 +161,7 @@ fn session(
             Err(e) => {
                 // The handshake died, the landed state did not: keep it
                 // for the next epoch (its log, if any, is untouched).
-                state.partial_put(job_id, fingerprint, st);
+                sync::lock(&state.partials).insert((job_id, fingerprint), st);
                 return Err(e);
             }
         }
@@ -216,7 +194,7 @@ fn session(
             if let Some(l) = &mut logged {
                 l.boundary();
             }
-            state.partial_put(job_id, fingerprint, session_state);
+            sync::lock(&state.partials).insert((job_id, fingerprint), session_state);
             return Err(e);
         }
         Err(e) => {
@@ -386,7 +364,7 @@ impl Persist for SessionLog<'_> {
 /// The one line a session's partial log failing leaves in the daemon
 /// log — once per session, however many chunks follow.
 fn log_failed(state: &DaemonState, job_id: u64, e: &std::io::Error) {
-    state.journal_push(format!(
+    state.queue.note(format!(
         "partial log failed for job {job_id}, receiving unlogged: {e}"
     ));
 }
@@ -394,7 +372,9 @@ fn log_failed(state: &DaemonState, job_id: u64, e: &std::io::Error) {
 /// Removes every trace of a partial state (job finished, or the state
 /// was rejected/poisoned).
 fn drop_partial(state: &DaemonState, job_id: u64, fingerprint: u64) {
-    let had = state.partial_take(job_id, fingerprint).is_some();
+    let had = sync::lock(&state.partials)
+        .remove(&(job_id, fingerprint))
+        .is_some();
     if let Some(dir) = state.config.journal_dir.as_deref() {
         session_state::drop_partial(dir, job_id, fingerprint);
     }
@@ -421,11 +401,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let state = DaemonState {
-            queue: Queue::new(),
+            queue: Queue::open(None, Default::default()).unwrap(),
             locks: Default::default(),
             metrics: Default::default(),
-            log: Default::default(),
-            wal: None,
             partials: Default::default(),
             kill: KillSwitch::inert(),
             config: DaemonConfig::new(crate::Endpoint::parse("127.0.0.1:0"))
@@ -449,7 +427,7 @@ mod tests {
         }
         assert!(hook.log.is_none());
         assert!(!path.exists(), "the stale prefix is gone");
-        let lines = state.log.lock().unwrap().clone();
+        let lines = state.queue.journal();
         assert_eq!(lines.len(), 1, "{lines:?}");
         assert!(lines[0].contains("job 3") && lines[0].contains("unlogged"));
         let saves = state

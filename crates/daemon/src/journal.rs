@@ -8,21 +8,14 @@
 //! checksum-failing record, the valid prefix is kept, and the file is
 //! truncated back to it.
 //!
-//! Each record kind has one durability. A record a recovery decision
-//! rests on — `submitted`, `claimed`, the retry transition and every
-//! terminal — is appended with an `fdatasync` ([`Journal::append`]).
-//! The source's data-plane progress records decide nothing
-//! ([`crate::recovery`] treats a last record of `claimed` and of
-//! `transferring` alike), so they are *hints*: written, not synced
-//! ([`Journal::append_hint`]), and carried to disk by the next synced
-//! append to the same file. A process kill loses neither kind — a
-//! completed `write` lives in the page cache — and a power cut can only
-//! cost hints behind the last synced record, as a torn tail.
-//!
+//! [`Journal::append`] syncs (`fdatasync`); [`Journal::append_hint`]
+//! only writes, and the next synced append carries the hint to disk —
+//! which transition gets which is [`crate::queue::Queue`]'s call
+//! (DESIGN §17.1). An append that fails is cut back off the file, so the
+//! WAL stays a sequence of whole records and the caller may refuse what
+//! it was recording; if even the cut fails, every later append fails.
 //! [`Journal::compact`] rewrites the whole file through
-//! [`vecycle_types::atomic_replace`] (write-tmp→fsync→rename→fsync-dir,
-//! as `DiskStore::save` writes checkpoints), which boot-time recovery
-//! uses to snapshot the replayed state and drop dead history.
+//! [`vecycle_types::atomic_replace`], as boot replay's snapshot.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -36,13 +29,15 @@ use crate::{record, sync};
 /// The WAL file name under the journal directory.
 pub const WAL_FILE: &str = "vecycled.wal";
 
-/// Record kinds, in lifecycle order. `note` records are free-form
-/// session log lines; replay ignores them.
+/// Record kinds, in lifecycle order. `admitted` and `note` records
+/// live only in the daemon's in-memory tail; replay ignores notes.
 pub mod rec {
     /// Job accepted into the queue (spec + peer recorded).
     pub const SUBMITTED: &str = "submitted";
-    /// Scheduler took the per-host claim; the session is starting.
+    /// Scheduler picked the job; the host claim comes next.
     pub const CLAIMED: &str = "claimed";
+    /// Hosts and a worker slot taken; the session starts (tail only).
+    pub const ADMITTED: &str = "admitted";
     /// Data-plane progress: `pages_landed` messages durably applied or
     /// skipped at the destination so far.
     pub const TRANSFERRING: &str = "transferring";
@@ -138,6 +133,9 @@ pub struct Journal {
 struct JournalInner {
     file: File,
     next_seq: u64,
+    /// The file's length, every record whole; `None` once a failed
+    /// append could not be cut back off.
+    len: Option<u64>,
 }
 
 impl Journal {
@@ -166,12 +164,8 @@ impl Journal {
             file.sync_all()?;
         }
         file.seek(SeekFrom::End(0))?;
-        let next_seq = records.last().map(|r| r.seq + 1).unwrap_or(1);
-        let journal = Journal {
-            dir: dir.to_path_buf(),
-            path,
-            inner: Mutex::new(JournalInner { file, next_seq }),
-        };
+        let next_seq = records.last().map_or(1, |r| r.seq.saturating_add(1));
+        let journal = Journal::at(file, dir, next_seq, valid);
         Ok((
             journal,
             Replay {
@@ -179,6 +173,20 @@ impl Journal {
                 torn_bytes,
             },
         ))
+    }
+
+    /// The WAL under `dir`, appending to `file` (`len` bytes of whole
+    /// records).
+    pub(crate) fn at(file: File, dir: &Path, next_seq: u64, len: u64) -> Journal {
+        Journal {
+            dir: dir.to_path_buf(),
+            path: dir.join(WAL_FILE),
+            inner: Mutex::new(JournalInner {
+                file,
+                next_seq,
+                len: Some(len),
+            }),
+        }
     }
 
     /// The WAL file path (tests and artifact upload).
@@ -207,17 +215,26 @@ impl Journal {
         self.write(record, false)
     }
 
+    /// Appends one record; on any error, what reached the file is cut
+    /// back off (module docs).
     fn write(&self, record: &WalRecord, sync: bool) -> std::io::Result<u64> {
         let mut inner = sync::lock(&self.inner);
+        let broken = || std::io::Error::other("a failed append could not be cut off the wal");
+        let len = inner.len.ok_or_else(broken)?;
         let mut stamped = record.clone();
         stamped.seq = inner.next_seq;
-        inner.next_seq += 1;
         let mut frame = Vec::new();
         encode_record(&stamped, &mut frame);
-        inner.file.write_all(&frame)?;
-        if sync {
-            inner.file.sync_data()?;
+        let file = &mut inner.file;
+        let written = file
+            .write_all(&frame)
+            .and_then(|()| if sync { file.sync_data() } else { Ok(()) });
+        if let Err(e) = written {
+            inner.len = inner.file.set_len(len).ok().map(|()| len);
+            return Err(e);
         }
+        inner.len = Some(len + frame.len() as u64);
+        inner.next_seq += 1;
         Ok(stamped.seq)
     }
 
@@ -247,6 +264,7 @@ impl Journal {
         file.seek(SeekFrom::End(0))?;
         inner.file = file;
         inner.next_seq = records.len() as u64 + 1;
+        inner.len = Some(buf.len() as u64);
         Ok(())
     }
 }

@@ -20,22 +20,22 @@
 //! [`DaemonError::LedgerMismatch`].
 //!
 //! Crash durability (journal-backed daemons): every job transition is
-//! write-ahead journaled ([`journal`]), boot replays the WAL
-//! ([`recovery`]) so a killed daemon restarts with no job lost and
-//! none completed twice, and an interrupted transfer resumes from the
-//! destination's logged landed prefix ([`partial_log`]) via the
-//! RESUME_STATE/RESUME_OK handshake instead of restreaming from
-//! scratch.
+//! write-ahead journaled ([`journal`]), boot replays the WAL into the
+//! same job table ([`queue::Queue::replay`]) so a killed daemon
+//! restarts with no job lost and none completed twice, and an
+//! interrupted transfer resumes from the destination's logged landed
+//! prefix ([`partial_log`]) via the RESUME_STATE/RESUME_OK handshake
+//! instead of restreaming from scratch.
 //!
 //! Module map: [`frame`] (control framing), [`proto`] (handshake and
 //! fixed control payloads), [`endpoint`] (TCP/Unix addressing),
-//! [`queue`] (per-host-locked work queue), [`journal`] (write-ahead
-//! job journal), [`recovery`] (boot-time WAL replay),
-//! [`session_state`] (shared stream-apply state machine + its snapshot
-//! codec), [`partial_log`] (the destination's append-only log of landed
+//! [`queue`] (the job lifecycle: table, admission, WAL writes, boot
+//! replay, event tail), [`journal`] (the WAL file), [`session_state`]
+//! (shared stream-apply state machine + its snapshot codec),
+//! [`partial_log`] (the destination's append-only log of landed
 //! messages), [`record`] (the checksummed record frame the journal and
-//! the log share), [`server`] (listener + dispatch), `source`/`dest` (the two
-//! ends of a migration session), [`client`] (operator RPCs),
+//! the log share), [`server`] (listener + dispatch), `source`/`dest`
+//! (the two ends of a migration session), [`client`] (operator RPCs),
 //! [`scenario`] (deterministic guest construction shared by both
 //! processes).
 
@@ -53,7 +53,6 @@ pub mod partial_log;
 pub mod proto;
 pub mod queue;
 pub mod record;
-pub mod recovery;
 pub mod scenario;
 pub mod server;
 pub mod session_state;

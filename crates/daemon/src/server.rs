@@ -6,42 +6,33 @@
 //! handler thread, reaped once it has finished, that reads the first
 //! frame and routes it — HELLO opens an inbound migration
 //! session (`dest`), CTRL opens an operator RPC loop.
-//! A single scheduler thread admits queued jobs in strict id order:
-//! for each job it first takes the per-host claim (source and
-//! destination host, atomically), then a worker slot, then hands the
-//! session to a worker thread. Blocking admission on the *scheduler*
-//! is what makes the drain order deterministic at any worker count —
-//! jobs with disjoint hosts still run in parallel because their claims
-//! don't contend.
-//!
-//! With a journal directory configured, every job transition is also
-//! appended to the write-ahead [`Journal`]
-//! before it takes effect, and boot replays the WAL through
-//! [`crate::recovery`]: never-started jobs re-queue, interrupted
-//! transfers resume from the destination's partial state, terminal
-//! jobs stay terminal. Kill a `vecycled` at any instant and restart it
-//! on the same journal — no job is lost and none completes twice.
+//! A single scheduler thread admits queued jobs in strict id order —
+//! the per-host claim (source and destination host, atomically), then a
+//! worker slot — and hands each session to a worker thread. Blocking
+//! admission on the *scheduler* makes the drain order deterministic at
+//! any worker count; jobs with disjoint hosts still run in parallel.
+//! Every job transition goes through the [`Queue`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use vecycle_faults::{KillPoint, KillRole, KillSpec, KillSwitch};
+use vecycle_faults::{KillSpec, KillSwitch};
 use vecycle_host::HostLocks;
 use vecycle_obs::MetricsRegistry;
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::HostId;
 
-use crate::control::{self, CtrlRequest};
-use crate::endpoint::{SessionStream, Stream};
+use crate::control::{self, CtrlRequest, CtrlResponse};
+use crate::endpoint::{Listener, SessionStream, Stream};
 use crate::frame::{kind, read_frame, send_err, write_frame, MAX_PAYLOAD};
-use crate::journal::{rec, Journal, WalRecord};
-use crate::queue::{JobRecord, JobState, Queue, Semaphore};
+use crate::queue::{JobRecord, Queue};
 use crate::session_state::SessionState;
-use crate::{dest, recovery, source, sync, DaemonError, Endpoint};
+use crate::{dest, source, sync, DaemonError, Endpoint};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -124,21 +115,12 @@ impl DaemonConfig {
     }
 }
 
-/// Lines the in-memory prose journal keeps; older ones fall off, so a
-/// long-lived daemon's log does not grow with its session count.
-const JOURNAL_LINES: usize = 1024;
-
-/// Shared daemon state: the queue, the per-host lock table, metrics,
-/// the in-memory log, the WAL and the partial-state map.
+/// Shared daemon state: the job lifecycle, the per-host lock table,
+/// metrics and the partial-state map.
 pub(crate) struct DaemonState {
-    pub queue: Arc<Queue>,
+    pub queue: Queue,
     pub locks: HostLocks,
     pub metrics: MetricsRegistry,
-    /// Human-readable session/job log (the `journal()` API); distinct
-    /// from the durable WAL. A ring: the newest `JOURNAL_LINES` stay.
-    pub log: Mutex<VecDeque<String>>,
-    /// The write-ahead job journal, when `journal_dir` is configured.
-    pub wal: Option<Journal>,
     /// Destination-side partial states by `(job, spec fingerprint)` —
     /// what survives a *peer* death (the file under `journal_dir` is
     /// what survives our own).
@@ -147,52 +129,6 @@ pub(crate) struct DaemonState {
     /// (inert in normal operation).
     pub kill: KillSwitch,
     pub config: DaemonConfig,
-}
-
-impl DaemonState {
-    pub(crate) fn journal_push(&self, line: String) {
-        let mut log = sync::lock(&self.log);
-        if log.len() == JOURNAL_LINES {
-            log.pop_front();
-        }
-        log.push_back(line);
-    }
-
-    /// Appends a WAL record durably, if the daemon is journal-backed.
-    /// Append failures are logged, not fatal: a full disk should not
-    /// take down in-flight migrations, it just degrades crash recovery.
-    pub(crate) fn wal_append(&self, record: WalRecord) {
-        self.wal_write(&record, Journal::append);
-    }
-
-    /// Appends a WAL record no recovery decision reads: written, not
-    /// synced (`Journal::append_hint`).
-    pub(crate) fn wal_hint(&self, record: WalRecord) {
-        self.wal_write(&record, Journal::append_hint);
-    }
-
-    fn wal_write(
-        &self,
-        record: &WalRecord,
-        write: fn(&Journal, &WalRecord) -> std::io::Result<u64>,
-    ) {
-        if let Some(wal) = &self.wal {
-            if let Err(e) = write(wal, record) {
-                self.journal_push(format!(
-                    "wal append failed ({} job {}): {e}",
-                    record.kind, record.job
-                ));
-            }
-        }
-    }
-
-    pub(crate) fn partial_put(&self, job: u64, fingerprint: u64, st: SessionState) {
-        sync::lock(&self.partials).insert((job, fingerprint), st);
-    }
-
-    pub(crate) fn partial_take(&self, job: u64, fingerprint: u64) -> Option<SessionState> {
-        sync::lock(&self.partials).remove(&(job, fingerprint))
-    }
 }
 
 /// The daemon entry point.
@@ -206,56 +142,18 @@ impl Daemon {
     ///
     /// Propagates bind errors and journal open/replay errors.
     pub fn spawn(config: DaemonConfig) -> std::io::Result<DaemonHandle> {
+        let queue = Queue::open(config.journal_dir.as_deref(), MetricsRegistry::new())?;
+        Daemon::start(config, queue)
+    }
+
+    /// Serves `config.listen` over `queue`, whatever its journal.
+    pub(crate) fn start(config: DaemonConfig, queue: Queue) -> std::io::Result<DaemonHandle> {
         let listener = config.listen.bind()?;
         let endpoint = listener.local_endpoint()?;
-
-        let metrics = MetricsRegistry::new();
-        let mut log = VecDeque::new();
-        let (wal, queue) = match &config.journal_dir {
-            Some(dir) => {
-                let (journal, replay) = Journal::open(dir)?;
-                let recovered = recovery::recover(&replay);
-                let stats = recovered.stats;
-                metrics.inc("daemon_recovery_replayed_total", &[], stats.replayed);
-                metrics.inc("daemon_recovery_requeued_total", &[], stats.requeued);
-                metrics.inc("daemon_recovery_resumed_total", &[], stats.resumed);
-                metrics.inc("daemon_recovery_terminal_total", &[], stats.terminal);
-                metrics.inc(
-                    "daemon_recovery_unrecoverable_total",
-                    &[],
-                    stats.unrecoverable,
-                );
-                metrics.inc("daemon_recovery_torn_bytes_total", &[], stats.torn_bytes);
-                if stats.replayed > 0 || stats.torn_bytes > 0 {
-                    log.push_back(format!(
-                        "recovery: replayed {} records ({} requeued, {} resumed, \
-                         {} terminal, {} unrecoverable, {} torn bytes)",
-                        stats.replayed,
-                        stats.requeued,
-                        stats.resumed,
-                        stats.terminal,
-                        stats.unrecoverable,
-                        stats.torn_bytes
-                    ));
-                }
-                // Compact: the recovered truth becomes the new WAL, so
-                // journal growth is bounded by live history, not
-                // uptime.
-                journal.compact(&recovered.compacted)?;
-                (
-                    Some(journal),
-                    Queue::with_recovered(recovered.jobs, recovered.next_id),
-                )
-            }
-            None => (None, Queue::new()),
-        };
-
         let state = Arc::new(DaemonState {
+            metrics: queue.metrics.clone(),
             queue,
             locks: HostLocks::default(),
-            metrics,
-            log: Mutex::new(log),
-            wal,
             partials: Mutex::new(HashMap::new()),
             kill: KillSwitch::new(KillSpec::from_env()),
             config,
@@ -303,7 +201,7 @@ impl DaemonHandle {
     ///
     /// [`DaemonError::BadSpec`] on an invalid scenario.
     pub fn submit(&self, spec: ScenarioSpec, peer: Endpoint) -> Result<u64, DaemonError> {
-        control::submit_job(&self.state, spec, peer)
+        self.state.queue.submit(spec, peer)
     }
 
     /// Pauses or resumes admission.
@@ -318,7 +216,7 @@ impl DaemonHandle {
     /// [`DaemonError::BadJob`] if the job is unknown or already
     /// started.
     pub fn cancel(&self, id: u64) -> Result<(), DaemonError> {
-        control::cancel_job(&self.state, id)
+        self.state.queue.cancel(id)
     }
 
     /// A snapshot of one job's record.
@@ -342,25 +240,24 @@ impl DaemonHandle {
                 _ => {}
             }
             let left = deadline.checked_duration_since(Instant::now())?;
-            let (guard, res) = sync::wait_timeout(&self.state.queue.changed, inner, left);
-            inner = guard;
-            if res.timed_out() {
-                let done = inner.jobs.get(&id).is_some_and(|rec| rec.state.terminal());
-                return done.then(|| inner.jobs.get(&id).cloned()).flatten();
-            }
+            let woken = self.state.queue.changed.wait_timeout(inner, left);
+            inner = woken.unwrap_or_else(PoisonError::into_inner).0;
         }
     }
 
-    /// The daemon's in-memory log: one line per session and job
-    /// transition, the newest `JOURNAL_LINES` of them, oldest first
-    /// (distinct from the durable WAL).
+    /// The daemon's log: its newest 1 024 job transitions and notes,
+    /// oldest first, one line each.
     pub fn journal(&self) -> Vec<String> {
-        sync::lock(&self.state.log).iter().cloned().collect()
+        self.state.queue.journal()
     }
 
     /// The on-disk WAL path, when the daemon is journal-backed.
     pub fn wal_path(&self) -> Option<PathBuf> {
-        self.state.wal.as_ref().map(|w| w.path().to_path_buf())
+        self.state
+            .queue
+            .wal
+            .as_ref()
+            .map(|w| w.path().to_path_buf())
     }
 
     /// The daemon's metrics registry.
@@ -370,10 +267,7 @@ impl DaemonHandle {
 
     /// Stops accepting, lets running jobs finish, joins all threads.
     pub fn shutdown(self) {
-        {
-            let mut inner = self.state.queue.lock();
-            inner.shutdown = true;
-        }
+        self.state.queue.lock().shutdown = true;
         self.state.queue.changed.notify_all();
         let _ = self.scheduler.join();
         // The accept thread is blocked in `accept`: one throw-away
@@ -395,10 +289,10 @@ impl DaemonHandle {
 /// vector tracks live connections and not uptime.
 fn accept_loop(
     state: &Arc<DaemonState>,
-    listener: crate::endpoint::Listener,
+    listener: Listener,
     workers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    let mut journaled_error = false;
+    let mut noted_error = false;
     loop {
         let accepted = listener.accept();
         if state.queue.lock().shutdown {
@@ -414,9 +308,9 @@ fn accept_loop(
             }
             Err(e) => {
                 state.metrics.inc("daemon_accept_errors_total", &[], 1);
-                if !journaled_error {
-                    journaled_error = true;
-                    state.journal_push(format!("accept failed: {e}"));
+                if !noted_error {
+                    noted_error = true;
+                    state.queue.note(format!("accept failed: {e}"));
                 }
                 // A persistent failure (fd exhaustion) returns at once:
                 // back off instead of spinning on it.
@@ -451,28 +345,29 @@ fn handle_connection(state: &Arc<DaemonState>, stream: Stream) {
         }
     };
     match first.kind {
-        kind::HELLO => match dest::handle_migration(state, &mut s, first) {
-            Ok(job) => {
-                state
-                    .metrics
-                    .inc("daemon_sessions_total", &[("result", "ok")], 1);
-                state.journal_push(format!("session job={job} ok rx={} tx={}", s.rx(), s.tx()));
-            }
-            Err(e) => {
-                state
-                    .metrics
-                    .inc("daemon_sessions_total", &[("result", "err")], 1);
-                state.metrics.inc("daemon_protocol_errors_total", &[], 1);
-                state.journal_push(format!("session err: {e}"));
-            }
-        },
+        kind::HELLO => {
+            let session = dest::session(state, &mut s, first);
+            let result = if session.is_ok() { "ok" } else { "err" };
+            (state.metrics).inc("daemon_sessions_total", &[("result", result)], 1);
+            let line = match session {
+                Ok(job) => format!("session job={job} ok rx={} tx={}", s.rx(), s.tx()),
+                Err(e) => {
+                    send_err(&mut s, &e.to_string());
+                    state.metrics.inc("daemon_protocol_errors_total", &[], 1);
+                    format!("session err: {e}")
+                }
+            };
+            state.queue.note(line);
+        }
         kind::CTRL => {
             let mut frame = first;
             loop {
                 let resp = match serde_json::from_str::<CtrlRequest>(&String::from_utf8_lossy(
                     &frame.payload,
                 )) {
-                    Ok(req) => control::handle_ctrl(state, &req),
+                    Ok(req) => {
+                        control::dispatch(state, &req).unwrap_or_else(|e| CtrlResponse::err(&e))
+                    }
                     Err(e) => {
                         send_err(&mut s, &format!("control request JSON: {e}"));
                         return;
@@ -502,119 +397,31 @@ fn handle_connection(state: &Arc<DaemonState>, stream: Stream) {
 /// Admits queued jobs in strict id order; each admission blocks on the
 /// host claim and a worker slot before the job is marked running.
 fn scheduler_loop(state: &Arc<DaemonState>, workers: &Arc<Mutex<Vec<JoinHandle<()>>>>) {
-    let sem = Semaphore::new(state.config.workers);
-    loop {
-        // Wait for the lowest-id queued job under an unpaused queue.
-        let (id, spec, peer, epoch) = {
-            let mut inner = state.queue.lock();
-            loop {
-                if inner.shutdown {
-                    return;
-                }
-                if !inner.paused {
-                    if let Some((id, rec)) =
-                        inner.jobs.iter().find(|(_, r)| r.state == JobState::Queued)
-                    {
-                        break (*id, rec.spec.clone(), rec.peer.clone(), rec.resume_epoch);
-                    }
-                }
-                inner = sync::wait(&state.queue.changed, inner);
-            }
-        };
-
-        // The pre-claim kill point sits between picking the job and
-        // journaling `claimed`: a crash here leaves only `submitted`
-        // in the WAL, so the restart takes the clean re-queue path.
-        state.kill.hit(KillRole::Source, KillPoint::PreClaim);
-        state.wal_append(WalRecord::bare(rec::CLAIMED, id));
-
+    while let Some((id, job)) = state.queue.claim(&state.kill) {
         // Blocking admission: hosts first (atomic, all-or-nothing),
         // then a worker slot. Held claims belong to running workers,
         // so these waits always resolve.
-        let claim = state
+        let spec = &job.spec;
+        let hosts = state
             .locks
             .claim(&[HostId::new(spec.source_host), HostId::new(spec.dest_host)]);
-        let permit = sem.acquire();
-
-        // Re-check: the job may have been cancelled (or the daemon shut
-        // down) while admission blocked.
-        {
-            let mut inner = state.queue.lock();
-            if inner.shutdown {
-                return;
-            }
-            match inner.jobs.get_mut(&id) {
-                Some(rec) if rec.state == JobState::Queued => {
-                    rec.state = JobState::Running;
-                    inner.drained.push(id);
-                }
-                _ => continue,
-            }
+        // The job may have been cancelled (or the daemon shut down)
+        // while admission blocked.
+        if !state.queue.admit(id, state.config.workers) {
+            continue;
         }
-        state.queue.changed.notify_all();
-        state.journal_push(format!(
-            "job {id} admitted ({} -> {})",
-            spec.source_host, spec.dest_host
-        ));
-
         let job_state = Arc::clone(state);
         let handle = std::thread::spawn(move || {
-            let _claim = claim;
-            let _permit = permit;
-            run_admitted_job(&job_state, id, &spec, &peer, epoch);
+            let _hosts = hosts;
+            let state = &job_state;
+            // A panicking session fails its job, which frees its slot.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                source::run_job_with_recovery(state, id, &job.spec, &job.peer, job.resume_epoch)
+            }))
+            .unwrap_or_else(|_| Err(DaemonError::Protocol("the session panicked".into())));
+            state.queue.finish(id, outcome, &state.kill);
         });
         sync::lock(workers).push(handle);
-    }
-}
-
-/// Runs one admitted job end to end and records the outcome.
-fn run_admitted_job(
-    state: &Arc<DaemonState>,
-    id: u64,
-    spec: &ScenarioSpec,
-    peer: &Endpoint,
-    epoch: u64,
-) {
-    match source::run_job_with_recovery(state, id, spec, peer, epoch) {
-        Ok(outcome) => {
-            state
-                .metrics
-                .inc("daemon_bytes_total", &[("dir", "tx")], outcome.measured.tx);
-            state
-                .metrics
-                .inc("daemon_bytes_total", &[("dir", "rx")], outcome.measured.rx);
-            {
-                let mut inner = state.queue.lock();
-                if let Some(rec) = inner.jobs.get_mut(&id) {
-                    rec.report = Some(outcome.report);
-                    rec.measured = Some(outcome.measured);
-                }
-            }
-            // The pre-commit kill point sits between the session
-            // succeeding and the durable `done` record: a crash here
-            // re-runs the transfer (safe — idempotent) rather than
-            // ever double-marking completion.
-            state.kill.hit(KillRole::Source, KillPoint::PreCommit);
-            state.wal_append(WalRecord::bare(rec::DONE, id));
-            state.queue.finish(id, JobState::Done, String::new());
-            state
-                .metrics
-                .inc("daemon_jobs_total", &[("state", "done")], 1);
-            state.journal_push(format!(
-                "job {id} done tx={} rx={}",
-                outcome.measured.tx, outcome.measured.rx
-            ));
-        }
-        Err(e) => {
-            let mut failed = WalRecord::bare(rec::FAILED, id);
-            failed.detail = e.to_string();
-            state.wal_append(failed);
-            state.queue.finish(id, JobState::Failed, e.to_string());
-            state
-                .metrics
-                .inc("daemon_jobs_total", &[("state", "failed")], 1);
-            state.journal_push(format!("job {id} failed: {e}"));
-        }
     }
 }
 
@@ -644,17 +451,32 @@ mod tests {
         }
     }
 
+    /// A WAL on a full disk (`/dev/full` behind the append handle): the
+    /// submission and the cancellation it cannot record are refused,
+    /// never acknowledged and then lost, and the daemon keeps answering.
+    #[cfg(target_os = "linux")]
     #[test]
-    fn the_journal_keeps_only_its_newest_lines_in_order() {
-        let daemon =
-            Daemon::spawn(DaemonConfig::new(Endpoint::Tcp("127.0.0.1:0".into()))).expect("binds");
-        for i in 0..2 * JOURNAL_LINES {
-            daemon.state.journal_push(format!("line {i}"));
-        }
-        let newest: Vec<String> = (JOURNAL_LINES..2 * JOURNAL_LINES)
-            .map(|i| format!("line {i}"))
-            .collect();
-        assert_eq!(daemon.journal(), newest);
+    fn a_wal_that_cannot_append_refuses_submit_and_cancel() {
+        let spec = ScenarioSpec::golden(1);
+        let mut queue = Queue::open(None, MetricsRegistry::new()).unwrap();
+        queue
+            .submit(spec.clone(), Endpoint::parse("127.0.0.1:9"))
+            .unwrap();
+        let full = std::fs::File::create("/dev/full").unwrap();
+        let dir = std::env::temp_dir();
+        queue.wal = Some(crate::journal::Journal::at(full, &dir, 1, 0));
+        queue.set_paused(true);
+        let config = DaemonConfig::new(Endpoint::parse("127.0.0.1:0"));
+        let daemon = Daemon::start(config, queue).unwrap();
+        let ep = daemon.endpoint().clone();
+
+        let refused = client::submit(&ep, &spec.to_kv(), "127.0.0.1:9").unwrap_err();
+        assert!(refused.to_string().contains("i/o"), "{refused}");
+        assert!(client::cancel(&ep, 1).is_err());
+        assert!(client::ping(&ep));
+        let jobs = client::status(&ep).unwrap().jobs;
+        let listed: Vec<(u64, &str)> = jobs.iter().map(|j| (j.id, &*j.state)).collect();
+        assert_eq!(listed, [(1, "queued")], "no refused job is listed");
         daemon.shutdown();
     }
 

@@ -40,7 +40,6 @@ use vecycle_types::{Bytes, PageDigest};
 
 use crate::endpoint::{SessionStream, SESSION_BUF};
 use crate::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
-use crate::journal::{rec, WalRecord};
 use crate::proto::{
     self, expect_kind, forward_overhead, forward_resume_overhead, reverse_overhead,
     reverse_resume_overhead, JobMsg, Offer, ResumeOk, ResumeState, ROLE_DEST, ROLE_SOURCE,
@@ -58,10 +57,7 @@ use crate::{DaemonError, Endpoint};
 pub(crate) const STREAM_CHUNK: usize = 64;
 
 /// What a completed source-side session hands back to the queue.
-pub(crate) struct SessionOutcome {
-    pub report: vecycle_core::MigrationReport,
-    pub measured: Measured,
-}
+pub(crate) type SessionOutcome = (vecycle_core::MigrationReport, Measured);
 
 /// Runs job `job_id` against `peer`, retrying I/O failures (peer died,
 /// connection refused while it restarts, socket timeout) up to
@@ -85,13 +81,7 @@ pub(crate) fn run_job_with_recovery(
             Err(DaemonError::Io(e)) if attempt < state.config.retries => {
                 attempt += 1;
                 epoch += 1;
-                state.metrics.inc("daemon_job_retries_total", &[], 1);
-                state.journal_push(format!(
-                    "job {job_id} retrying (attempt {attempt}, epoch {epoch}) after i/o error: {e}"
-                ));
-                let mut transition = WalRecord::bare(rec::TRANSFERRING, job_id);
-                transition.detail = format!("retrying at epoch {epoch} after i/o error: {e}");
-                state.wal_append(transition);
+                state.queue.retry(job_id, epoch, &e);
                 std::thread::sleep(state.config.backoff);
             }
             Err(e) => return Err(e),
@@ -222,12 +212,7 @@ pub(crate) fn run_job(
     let mut sink = SocketSink::start(
         &mut s,
         &state.kill,
-        |landed| {
-            // Progress decides nothing on replay: a hint, not a sync.
-            let mut progress = WalRecord::bare(rec::TRANSFERRING, job_id);
-            progress.pages_landed = landed;
-            state.wal_hint(progress);
-        },
+        |landed| state.queue.progress(job_id, landed),
         resume,
     );
     let outcome = scenario::engine_for(spec).migrate_live_into(
@@ -251,7 +236,7 @@ pub(crate) fn run_job(
         state
             .metrics
             .inc("daemon_resume_total", &[("result", result)], 1);
-        state.journal_push(format!(
+        state.queue.note(format!(
             "job {job_id} resume epoch {epoch}: {result} (skip {skip} of {total} messages)"
         ));
         if skipped_bytes > 0 {
@@ -324,7 +309,7 @@ pub(crate) fn run_job(
             expected: measured.expected_rx,
         });
     }
-    Ok(SessionOutcome { report, measured })
+    Ok((report, measured))
 }
 
 /// The prefix a resuming destination announced, while the source is

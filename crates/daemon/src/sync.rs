@@ -8,8 +8,7 @@
 //! inserts), so recovering the guard is safe — these helpers do that
 //! uniformly.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, recovering the guard if a previous holder panicked.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -19,16 +18,6 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Condvar wait that recovers a poisoned guard.
 pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Condvar timed wait that recovers a poisoned guard.
-pub(crate) fn wait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-    cv.wait_timeout(guard, dur)
-        .unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

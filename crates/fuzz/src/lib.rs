@@ -14,7 +14,8 @@
 //!
 //! * [`targets`] — one [`targets::Target`] per parser surface
 //!   (checkpoint wire format, trace wire format, the daemon's socket
-//!   decoders, chaos/fault/eviction/size/link/duration grammars), each
+//!   decoders, partial log and WAL, chaos/fault/eviction/size/link/
+//!   duration grammars), each
 //!   with seed inputs, a mutation
 //!   dictionary and an outcome classifier;
 //! * [`mutate`] — the seeded mutator and the trailer-fixing fixup that
@@ -25,8 +26,9 @@
 //! * [`corpus`] — the permanent, content-addressed corpus under
 //!   `fuzz/corpus/`, replayed by tests and CI;
 //! * [`oracle`] — differential replay of clean-parsing corpus entries:
-//!   closed-form estimates vs the real transfer pipeline. The socket
-//!   decoders carry their own per-input oracle (reader equivalence) as
+//!   closed-form estimates vs the real transfer pipeline. The daemon's
+//!   decoders carry their own per-input oracles (reader equivalence,
+//!   growing-file loads, compaction as a fixed point) as
 //!   [`targets::Target::differential`].
 
 #![warn(missing_docs)]

@@ -16,8 +16,10 @@ use vecycle_checkpoint::{Checkpoint, CheckpointData, ChecksumIndex, EvictionPoli
 
 use vecycle_cli::args::{parse_duration, parse_faults, parse_link, parse_size};
 use vecycle_daemon::endpoint::SessionStream;
+use vecycle_daemon::journal::{self, Replay, WalRecord};
+use vecycle_daemon::queue::{JobRecord, Queue};
 use vecycle_daemon::session_state::{spec_fingerprint, SessionState};
-use vecycle_daemon::{frame, partial_log, record, scenario, DaemonError};
+use vecycle_daemon::{frame, partial_log, record, scenario, DaemonError, JobState};
 use vecycle_mem::ByteMemory;
 use vecycle_net::wiremsg::{self, WireMsg};
 use vecycle_sim::chaos::ChaosConfig;
@@ -188,6 +190,24 @@ pub fn all_targets() -> Vec<Target> {
             post: Some(reseal_records),
             run: run_partial_log,
             differential: Some(partial_log_grows_as_it_loads),
+            max_len: 8192,
+        },
+        Target {
+            name: "wal",
+            seeds: wal_seeds,
+            dict: WAL_DICT,
+            post: None,
+            run: run_wal,
+            differential: Some(compaction_is_a_fixed_point),
+            max_len: 8192,
+        },
+        Target {
+            name: "wal_fix",
+            seeds: wal_seeds,
+            dict: WAL_DICT,
+            post: Some(reseal_records),
+            run: run_wal,
+            differential: Some(compaction_is_a_fixed_point),
             max_len: 8192,
         },
     ]
@@ -420,6 +440,43 @@ fn partial_log_seeds() -> Vec<Vec<u8>> {
     vec![fresh, behind_snapshot, torn, flipped]
 }
 
+/// WAL files: a live daemon's (one job done, one cancelled, one failed,
+/// one interrupted when the daemon died), and one with what boot
+/// compaction writes and what replay cannot rebuild.
+fn wal_seeds() -> Vec<Vec<u8>> {
+    let kv = ScenarioSpec::golden(7).to_kv();
+    let wal = |records: &[(u64, &str, &str, u64, &str)]| {
+        let mut buf = Vec::new();
+        for (seq, &(job, kind, spec, landed, detail)) in (1..).zip(records) {
+            let json = format!(
+                r#"{{"seq":{seq},"job":{job},"kind":"{kind}","spec":"{spec}","peer":"unix:/p","pages_landed":{landed},"detail":"{detail}"}}"#
+            );
+            record::push(&mut buf, json.as_bytes());
+        }
+        buf
+    };
+    let live = wal(&[
+        (1, "submitted", &kv, 0, ""),
+        (1, "claimed", "", 0, ""),
+        (1, "transferring", "", 1025, ""),
+        (1, "done", "", 0, ""),
+        (2, "submitted", &kv, 0, ""),
+        (2, "cancelled", "", 0, ""),
+        (3, "submitted", &kv, 0, ""),
+        (3, "failed", "", 0, "i/o: Connection refused (os error 111)"),
+        (4, "submitted", &kv, 0, ""),
+        (4, "transferring", "", 0, "retrying at epoch 1"),
+    ]);
+    let odd = wal(&[
+        (5, "submitted", &kv, 300, "recovered: resuming"),
+        (6, "claimed", "", 0, ""),
+        (7, "submitted", "strategy=??,ram=-3", 0, ""),
+        (8, "submitted", &kv, 0, ""),
+        (8, "admitted", "", 0, ""),
+    ]);
+    vec![live, odd]
+}
+
 fn text_seeds(strs: &[&str]) -> Vec<Vec<u8>> {
     strs.iter().map(|s| s.as_bytes().to_vec()).collect()
 }
@@ -549,6 +606,17 @@ const PARTIAL_LOG_DICT: &[&[u8]] = &[
     &[0, 0, 0, 8],
     &[0, 0, 0, 0, 0, 0, 0, LOG_JOB as u8],
     &[0xff; 8],
+];
+
+const WAL_DICT: &[&[u8]] = &[
+    br#","kind":""#,
+    br#","detail":""#,
+    b"submitted",
+    b"claimed",
+    b"done",
+    b"ram=",
+    b"18446744073709551615",
+    &[0, 0, 0, 0x60], // a record length prefix
 ];
 
 // ------------------------------------------------------------ classifiers
@@ -813,6 +881,63 @@ fn partial_log_grows_as_it_loads(input: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
+/// What booting over WAL records leaves: each job's id, state, detail
+/// and resume epoch, and the compacted records.
+type Booted = (Vec<(u64, JobState, String, u64)>, Vec<WalRecord>);
+
+fn boot(records: Vec<WalRecord>, torn_bytes: u64) -> Booted {
+    let queue = Queue::open(None, Default::default()).expect("no journal to open");
+    let compacted = queue.replay(&Replay {
+        records,
+        torn_bytes,
+    });
+    let view = |(id, j): (u64, JobRecord)| (id, j.state, j.detail, j.resume_epoch);
+    (queue.jobs().into_iter().map(view).collect(), compacted)
+}
+
+/// Decodes the WAL file `input` and boots over it; `true` when a torn
+/// tail was dropped.
+fn boot_file(input: &[u8]) -> (Booted, bool) {
+    let (records, valid) = journal::decode_records(input);
+    let torn = input.len() as u64 - valid;
+    (boot(records, torn), torn > 0)
+}
+
+/// Classes by the deepest recovery path any job took, whole file or
+/// torn tail.
+fn run_wal(input: &[u8]) -> &'static str {
+    const CLASSES: [[&str; 2]; 6] = [
+        ["ok_empty", "torn_empty"],
+        ["ok_terminal", "torn_terminal"],
+        ["ok_requeued", "torn_requeued"],
+        ["ok_resumed", "torn_resumed"],
+        ["ok_orphan", "torn_orphan"],
+        ["ok_bad_spec", "torn_bad_spec"],
+    ];
+    let ((jobs, _), torn) = boot_file(input);
+    let path = |(_, state, detail, epoch): &(u64, JobState, String, u64)| match (state, epoch) {
+        (JobState::Queued, 0) => 2,
+        (JobState::Queued, _) => 3,
+        _ if detail.contains("no intact submitted") => 4,
+        _ if detail.contains("spec unparsable") => 5,
+        _ => 1,
+    };
+    CLASSES[jobs.iter().map(path).max().unwrap_or(0)][usize::from(torn)]
+}
+
+/// The compaction oracle: booting again over the compacted records must
+/// rebuild the same jobs and compact to the same records.
+fn compaction_is_a_fixed_point(input: &[u8]) -> Result<(), String> {
+    let ((jobs, compacted), _) = boot_file(input);
+    let (again, recompacted) = boot(compacted.clone(), 0);
+    if (&again, &recompacted) == (&jobs, &compacted) {
+        return Ok(());
+    }
+    Err(format!(
+        "booted {jobs:?} compacting to {compacted:?}; rebooted {again:?} compacting to {recompacted:?}"
+    ))
+}
+
 // ------------------------------------------------- socket-stream decoders
 
 /// One decode step over any reader: the item, or the error's class.
@@ -1025,6 +1150,18 @@ mod tests {
         assert_eq!(run_partial_log(&mutant), "ok_log_torn");
         reseal_records(&mut mutant);
         assert_eq!(run_partial_log(&mutant), "rej_condemned");
+    }
+
+    #[test]
+    fn wal_seeds_boot_as_labelled_and_compact_to_a_fixed_point() {
+        let seeds = wal_seeds();
+        let classes: Vec<_> = seeds.iter().map(|s| run_wal(s)).collect();
+        assert_eq!(classes, ["ok_resumed", "ok_bad_spec"]);
+        for seed in &seeds {
+            compaction_is_a_fixed_point(seed).expect("oracle holds on a seed");
+        }
+        assert_eq!(run_wal(b""), "ok_empty");
+        assert_eq!(run_wal(&seeds[0][..5]), "torn_empty");
     }
 
     #[test]

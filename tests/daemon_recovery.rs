@@ -45,8 +45,84 @@ fn wal_records(dir: &std::path::Path) -> Vec<WalRecord> {
     records
 }
 
+/// Leaves job 1 of `spec` journaled `submitted` and `claimed` under
+/// `dir`, as a daemon killed mid-session would.
+fn craft_claimed_wal(dir: &std::path::Path, spec: &ScenarioSpec, peer: &Endpoint) {
+    let (journal, _) = Journal::open(dir).expect("craft wal");
+    let mut submitted = WalRecord::bare(rec::SUBMITTED, 1);
+    (submitted.spec, submitted.peer) = (spec.to_kv(), peer.to_string());
+    for record in [submitted, WalRecord::bare(rec::CLAIMED, 1)] {
+        journal.append(&record).expect("append");
+    }
+}
+
 fn assert_done(rec: &JobRecord) {
     assert_eq!(rec.state, JobState::Done, "job failed: {}", rec.detail);
+}
+
+/// The WAL of one scripted run, one `seq job kind pages_landed [detail]`
+/// line per record, before and after boot compaction: job 1 completes,
+/// job 2 is cancelled while admission is paused, and job 3 fails because
+/// its peer does not answer (no retries). Which records a transition
+/// writes, in what order and with what detail, is the durable contract
+/// a restarted daemon reads.
+#[test]
+fn a_scripted_run_leaves_the_pinned_wal() {
+    let _wd = Watchdog::arm("a_scripted_run_leaves_the_pinned_wal", 2 * JOB_TIMEOUT);
+    let (dir, src_ep) = (journal_dir("pin"), unix_endpoint("pin-src"));
+    let dst = Daemon::spawn(DaemonConfig::new(unix_endpoint("pin-dst"))).expect("dest binds");
+    let mut spec = cold_full_spec(0x917);
+    spec.ram_mib = 1;
+    let src = spawn_with_journal(src_ep.clone(), &dir);
+    let submit = |peer: &Endpoint| src.submit(spec.clone(), peer.clone()).expect("submit");
+    let one = src.wait_job(submit(dst.endpoint()), JOB_TIMEOUT);
+    assert_done(&one.expect("job 1 finishes"));
+    src.set_paused(true);
+    src.cancel(submit(dst.endpoint())).expect("cancel job 2");
+    src.set_paused(false);
+    let three = src.wait_job(submit(&unix_endpoint("pin-nobody")), JOB_TIMEOUT);
+    assert_eq!(three.expect("job 3 ends").state, JobState::Failed);
+    src.shutdown();
+    dst.shutdown();
+
+    let projection = || -> String {
+        let line = |r: WalRecord| {
+            let line = format!(
+                "{} {} {} {} {}",
+                r.seq, r.job, r.kind, r.pages_landed, r.detail
+            );
+            line.trim_end().to_string() + "\n"
+        };
+        wal_records(&dir).into_iter().map(line).collect()
+    };
+    assert_eq!(
+        projection(),
+        "\
+1 1 submitted 0
+2 1 claimed 0
+3 1 transferring 0
+4 1 transferring 257
+5 1 done 0
+6 2 submitted 0
+7 2 cancelled 0
+8 3 submitted 0
+9 3 claimed 0
+10 3 failed 0 i/o: No such file or directory (os error 2)
+"
+    );
+    let src = spawn_with_journal(src_ep, &dir);
+    assert_eq!(
+        projection(),
+        "\
+1 1 submitted 0
+2 1 done 0 recovered: completed before restart (report not retained)
+3 2 submitted 0
+4 2 cancelled 0 cancelled by operator
+5 3 submitted 0
+6 3 failed 0 i/o: No such file or directory (os error 2)
+"
+    );
+    src.shutdown();
 }
 
 /// Jobs journaled as `submitted` but never started must be re-queued on
@@ -248,16 +324,7 @@ fn recovered_inflight_job_resumes_at_epoch_one() {
 
     // Craft the pre-crash WAL: the job was accepted and claimed, then
     // the daemon died before any progress landed.
-    {
-        let (journal, _) = Journal::open(&dir).expect("craft wal");
-        let mut submitted = WalRecord::bare(rec::SUBMITTED, 1);
-        submitted.spec = spec.to_kv();
-        submitted.peer = dst.endpoint().to_string();
-        journal.append(&submitted).expect("append submitted");
-        journal
-            .append(&WalRecord::bare(rec::CLAIMED, 1))
-            .expect("append claimed");
-    }
+    craft_claimed_wal(&dir, &spec, dst.endpoint());
 
     let src = spawn_with_journal(unix_endpoint("e1-src"), &dir);
     let rec1 = src
@@ -491,16 +558,7 @@ fn resume_over_partial(
     persist(&dst_dir);
     let dst = spawn_with_journal(unix_endpoint(&format!("{tag}-dst")), &dst_dir);
     let src_dir = journal_dir(&format!("{tag}-src"));
-    {
-        let (journal, _) = Journal::open(&src_dir).expect("craft wal");
-        let mut submitted = WalRecord::bare(rec::SUBMITTED, 1);
-        submitted.spec = spec.to_kv();
-        submitted.peer = dst.endpoint().to_string();
-        journal.append(&submitted).expect("append submitted");
-        journal
-            .append(&WalRecord::bare(rec::CLAIMED, 1))
-            .expect("append claimed");
-    }
+    craft_claimed_wal(&src_dir, spec, dst.endpoint());
     let src = spawn_with_journal(unix_endpoint(&format!("{tag}-src")), &src_dir);
     let record = src.wait_job(1, JOB_TIMEOUT).expect("resumed job finishes");
     assert_done(&record);

@@ -282,7 +282,7 @@ fn golden_scenarios_are_repeatable() {
 /// settles them. The report and the transcript are the ones a fully
 /// settled guest produces.
 #[test]
-fn byte_guest_with_pending_digests_scans_identically_across_thread_counts() {
+fn byte_guest_with_pending_digests_scans_identically_across_repeat_runs() {
     use vecycle::checkpoint::Checkpoint;
     use vecycle::core::apply_transcript;
     use vecycle::mem::ByteMemory;
@@ -319,7 +319,7 @@ fn byte_guest_with_pending_digests_scans_identically_across_thread_counts() {
 /// hosts and ≥10k VMs yields a bit-identical placement journal, report
 /// and canonical metrics snapshot across repeat runs.
 #[test]
-fn fleet_run_is_thread_invariant_and_repeatable_at_scale() {
+fn fleet_run_is_repeatable_at_scale() {
     use vecycle::fleet::{Fleet, FleetSpec};
 
     let run = || {
