@@ -21,7 +21,7 @@ USAGE:
   vecycled serve  --listen <addr> [--workers N] [--timeout-secs N]
                   [--journal-dir <dir>] [--retries N] [--backoff-ms N]
   vecycled submit --addr <addr> --peer <addr> [--spec k=v,...]
-                  [--wait-secs N] [--poll-ms N] [--timeout-secs N]
+                  [--wait-secs N] [--timeout-secs N]
   vecycled status --addr <addr> [--timeout-secs N]
   vecycled pause  --addr <addr> [--timeout-secs N]
   vecycled resume --addr <addr> [--timeout-secs N]
@@ -37,7 +37,7 @@ link (lan|wan), warm (true|false), rate (dirty fraction/hour), pre
 write-ahead journaled there and replayed on restart (no job lost, none
 completed twice); interrupted transfers resume from partial state.
 --retries / --backoff-ms let a source ride out a dying peer.
---poll-ms sets the --wait-secs polling interval; --timeout-secs on
+--wait-secs polls the job's status every 25 ms; --timeout-secs on
 client subcommands bounds each control round trip (read and write).";
 
 /// Runs a `vecycled`-style command line (also mounted as
@@ -151,28 +151,14 @@ fn submit(args: &Args) -> Result<(), String> {
     println!("submitted job {job}");
     let wait: u64 = args.get_parsed("wait-secs", 0)?;
     if wait > 0 {
-        let view = client::wait_job_with(
-            &ep,
-            job,
-            Duration::from_secs(wait),
-            wait_poll(args)?,
-            io_timeout(args)?,
-        )
-        .map_err(|e| e.to_string())?;
+        let view = client::wait_job_with(&ep, job, Duration::from_secs(wait), io_timeout(args)?)
+            .map_err(|e| e.to_string())?;
         print_job(&view);
         if view.state != "done" {
             return Err(format!("job {job} ended {}: {}", view.state, view.detail));
         }
     }
     Ok(())
-}
-
-/// The `--wait-secs` polling interval: `--poll-ms`, else the client
-/// default.
-fn wait_poll(args: &Args) -> Result<Duration, String> {
-    let default = client::DEFAULT_WAIT_POLL.as_millis() as u64;
-    let ms: u64 = args.get_parsed("poll-ms", default)?;
-    Ok(Duration::from_millis(ms.max(1)))
 }
 
 /// The control-socket I/O timeout for client subcommands.

@@ -256,7 +256,7 @@ fn run_case(
         victim.start(None);
     }
 
-    let view = client::wait_job_with(&src.ep, job, JOB_TIMEOUT, POLL, CTRL_TIMEOUT)
+    let view = client::wait_job_with(&src.ep, job, JOB_TIMEOUT, CTRL_TIMEOUT)
         .expect("job reaches a terminal state");
     assert_eq!(
         view.state, "done",

@@ -12,8 +12,8 @@ use crate::{DaemonError, Endpoint};
 /// The control-socket I/O timeout when the caller does not pick one.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The `wait_job` polling interval when the caller does not pick one.
-pub const DEFAULT_WAIT_POLL: Duration = Duration::from_millis(25);
+/// How often `wait_job` asks for the job's status.
+const WAIT_POLL: Duration = Duration::from_millis(25);
 
 /// Sends one control request and reads the response, with
 /// [`DEFAULT_IO_TIMEOUT`] on the socket.
@@ -42,8 +42,7 @@ pub fn request_timeout(
 ) -> Result<CtrlResponse, DaemonError> {
     let mut stream = ep.connect()?;
     stream.set_io_timeout(Some(io_timeout))?;
-    let json = serde_json::to_string(req).expect("control request serializes");
-    write_frame(&mut stream, kind::CTRL, json.as_bytes())?;
+    write_frame(&mut stream, kind::CTRL, req.encode().as_bytes())?;
     stream.flush()?;
     let frame = read_frame(&mut stream, MAX_PAYLOAD)?;
     if frame.kind == kind::ERR {
@@ -114,18 +113,18 @@ pub fn ping(ep: &Endpoint) -> bool {
 }
 
 /// Polls `status` until job `id` reaches a terminal state, with the
-/// default polling interval and control-socket timeout.
+/// default control-socket timeout.
 ///
 /// # Errors
 ///
 /// As [`wait_job_with`].
 pub fn wait_job(ep: &Endpoint, id: u64, timeout: Duration) -> Result<JobView, DaemonError> {
-    wait_job_with(ep, id, timeout, DEFAULT_WAIT_POLL, DEFAULT_IO_TIMEOUT)
+    wait_job_with(ep, id, timeout, DEFAULT_IO_TIMEOUT)
 }
 
-/// Polls `status` every `poll` until job `id` reaches a terminal
-/// state or `timeout` expires; each status round trip uses
-/// `io_timeout` on the socket.
+/// Polls `status` every 25 ms until job `id` reaches a terminal state
+/// or `timeout` expires; each status round trip uses `io_timeout` on
+/// the socket.
 ///
 /// # Errors
 ///
@@ -137,7 +136,6 @@ pub fn wait_job_with(
     ep: &Endpoint,
     id: u64,
     timeout: Duration,
-    poll: Duration,
     io_timeout: Duration,
 ) -> Result<JobView, DaemonError> {
     let start = Instant::now();
@@ -163,6 +161,6 @@ pub fn wait_job_with(
                 last: last.map(Box::new),
             });
         }
-        std::thread::sleep(poll.min(deadline.saturating_duration_since(Instant::now())));
+        std::thread::sleep(WAIT_POLL.min(deadline.saturating_duration_since(Instant::now())));
     }
 }

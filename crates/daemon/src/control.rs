@@ -35,6 +35,21 @@ impl CtrlRequest {
             ..CtrlRequest::default()
         }
     }
+
+    /// The JSON encoding sent in a CTRL frame.
+    pub fn encode(&self) -> String {
+        serde_json::to_string(self).expect("control request serializes")
+    }
+
+    /// Parses a CTRL frame payload the way the daemon reads one: lossy
+    /// UTF-8, then JSON.
+    ///
+    /// # Errors
+    ///
+    /// The JSON error on a payload that is not a request.
+    pub fn decode(payload: &[u8]) -> Result<CtrlRequest, serde_json::Error> {
+        serde_json::from_str(&String::from_utf8_lossy(payload))
+    }
 }
 
 /// One job as the operator sees it.
@@ -184,8 +199,7 @@ mod tests {
             peer: "127.0.0.1:7310".into(),
             job: 0,
         };
-        let json = serde_json::to_string(&req).unwrap();
-        assert_eq!(serde_json::from_str::<CtrlRequest>(&json).unwrap(), req);
+        assert_eq!(CtrlRequest::decode(req.encode().as_bytes()).unwrap(), req);
 
         let mut resp = CtrlResponse::ok();
         resp.job = 7;

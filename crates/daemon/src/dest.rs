@@ -40,9 +40,7 @@ use vecycle_types::{HostId, SimTime, VmId};
 use crate::endpoint::{SessionStream, Stream};
 use crate::frame::{kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
 use crate::partial_log::PartialLog;
-use crate::proto::{
-    self, expect_kind, JobMsg, Offer, ResumeOk, ResumeState, ROLE_DEST, ROLE_SOURCE,
-};
+use crate::proto::{self, expect_kind, JobMsg, Offer, ResumeState, ROLE_DEST, ROLE_SOURCE};
 use crate::scenario;
 use crate::server::DaemonState;
 use crate::session_state::{self, spec_fingerprint, SessionState};
@@ -82,7 +80,6 @@ pub(crate) fn session(
     // Deterministic destination state. The checkpoint (when warm) is
     // recaptured from the spec — in a deployment it would come from the
     // checkpoint store; the wire protocol is identical either way.
-    let pages = spec.pages();
     let initial = scenario::initial_memory(&spec)?;
     let index = spec
         .warm
@@ -99,7 +96,7 @@ pub(crate) fn session(
         kind::OFFER,
         &Offer {
             has_checkpoint: index.is_some(),
-            page_count: pages,
+            page_count: spec.pages(),
             distinct,
         }
         .encode(),
@@ -107,10 +104,7 @@ pub(crate) fn session(
     s.flush()?;
 
     let want_frame = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::WANT, "WANT")?;
-    if want_frame.payload.len() as u64 != proto::WANT_LEN || want_frame.payload[0] > 1 {
-        return Err(DaemonError::Corrupt("malformed WANT payload".into()));
-    }
-    if want_frame.payload[0] == 1 {
+    if proto::parse_flag(&want_frame.payload, "want")? {
         let ix = index.as_ref().ok_or_else(|| {
             DaemonError::Protocol("source wants an index this side does not hold".into())
         })?;
@@ -183,6 +177,8 @@ pub(crate) fn session(
     let verified = received.and_then(|()| {
         let local = scenario::content_hash(session_state.mem());
         let complete = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::COMPLETE, "COMPLETE")?;
+        let complete: [u8; proto::COMPLETE_LEN as usize] =
+            proto::fixed(&complete.payload, "complete")?;
         Ok((local, complete))
     });
     let (local, complete) = match verified {
@@ -205,14 +201,7 @@ pub(crate) fn session(
         }
     };
 
-    if complete.payload.len() as u64 != proto::COMPLETE_LEN {
-        drop_partial(state, job_id, fingerprint);
-        return Err(DaemonError::Corrupt(format!(
-            "complete payload length {}",
-            complete.payload.len()
-        )));
-    }
-    let ok = complete.payload[..] == local[..];
+    let ok = complete == local;
     state.kill.hit(KillRole::Dest, KillPoint::PreCommit);
     let mut done = [0u8; proto::DONE_LEN as usize];
     done[0] = u8::from(!ok);
@@ -229,27 +218,18 @@ pub(crate) fn session(
 }
 
 /// The RESUME_STATE → RESUME_OK exchange: announces `st` and returns
-/// whether the source accepted it (and will skip exactly its messages).
+/// whether the source accepted it. Accepting means skipping exactly the
+/// announced messages; a source that skipped anything else fails the
+/// end-to-end content hash at COMPLETE/DONE.
 fn resume_verdict(s: &mut SessionStream<Stream>, st: &SessionState) -> Result<bool, DaemonError> {
     let announce = ResumeState {
         applied: st.applied(),
-        round: st.expected_round(),
-        finished: st.finished(),
-        landed: st.landed_pages(),
         hash: st.state_hash(),
     };
     write_frame(s, kind::RESUME_STATE, &announce.encode())?;
     s.flush()?;
     let ok_frame = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::RESUME_OK, "RESUME_OK")?;
-    let verdict = ResumeOk::decode(&ok_frame.payload)?;
-    if verdict.accept && verdict.skip != st.applied() {
-        return Err(DaemonError::Protocol(format!(
-            "source accepted the resume but skips {} messages, we applied {}",
-            verdict.skip,
-            st.applied()
-        )));
-    }
-    Ok(verdict.accept)
+    proto::parse_flag(&ok_frame.payload, "resume-ok")
 }
 
 /// What [`receive_stream`] tells whoever persists the landed prefix.

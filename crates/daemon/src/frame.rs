@@ -33,9 +33,9 @@ pub mod kind {
     pub const COMPLETE: u8 = 0x06;
     /// Final verdict + destination content hash, destination → source.
     pub const DONE: u8 = 0x07;
-    /// Landed-state summary for a resumed job, destination → source.
+    /// Applied count + state hash for a resumed job, destination → source.
     pub const RESUME_STATE: u8 = 0x08;
-    /// Resume verdict (accept + skip count), source → destination.
+    /// Resume verdict (one accept byte), source → destination.
     pub const RESUME_OK: u8 = 0x09;
     /// Typed error message; sender closes after.
     pub const ERR: u8 = 0x0E;

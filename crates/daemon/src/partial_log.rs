@@ -17,7 +17,11 @@
 //! `idx ‖ digest` (same header, payload length 16): its 4 KiB filler
 //! was verified by [`SessionState::apply`] when it arrived and is a
 //! function of the digest, so the log costs tens of bytes per message
-//! whatever the message carried.
+//! whatever the message carried. Replay applies a logged `Full` as a
+//! `Full` with no page bytes, which `apply` accepts as the filler; no
+//! page is rebuilt or copied. (A `Full` read off the wire still carries
+//! exactly 4 096 bytes: `WireMsg::read_from` enforces the length and
+//! `apply` checks the filler.)
 //!
 //! The destination appends one chunk per persistence boundary — what
 //! landed since the last one, never the whole state again — with a
@@ -176,7 +180,7 @@ impl PartialLog {
 /// length of the prefix it came from, or `None` when the base is
 /// missing, damaged or someone else's, or an intact record does not
 /// continue the state (module docs). Allocation is bounded by the
-/// input: one state, one reused filler page.
+/// input: one state.
 pub fn replay(
     bytes: &[u8],
     job: u64,
@@ -218,7 +222,6 @@ pub fn replay_chunks(
     bytes: &[u8],
     index: Option<&ChecksumIndex>,
 ) -> Option<usize> {
-    let mut filler = None;
     let mut scan = record::scan(bytes, MAX_CHUNK);
     for chunk in scan.by_ref() {
         let (first, mut msgs) = chunk.split_first_chunk::<8>()?;
@@ -226,42 +229,22 @@ pub fn replay_chunks(
             return None;
         }
         while !msgs.is_empty() {
-            apply_landed(state, &mut msgs, index, &mut filler)?;
+            // A logged `Full` applies as a `Full` with no page bytes.
+            let msg = match msgs.split_at_checked(HEADER + PageDigest::LEN) {
+                Some((logged, rest)) if logged[8..HEADER] == LANDED_FULL => {
+                    msgs = rest;
+                    WireMsg::Full {
+                        idx: u64::from_be_bytes(logged[..8].try_into().expect("8")),
+                        digest: PageDigest::new(logged[HEADER..].try_into().expect("16")),
+                        page: Vec::new(),
+                    }
+                }
+                _ => WireMsg::read_from(&mut msgs).ok()?,
+            };
+            state.apply(&msg, index).ok()?;
         }
     }
     Some(scan.offset())
-}
-
-/// Decodes one landed message off the front of `msgs` and applies it;
-/// a logged `Full` is rebuilt into the reused `filler` first, so
-/// `apply` sees (and verifies) the message the wire carried.
-fn apply_landed(
-    state: &mut SessionState,
-    msgs: &mut &[u8],
-    index: Option<&ChecksumIndex>,
-    filler: &mut Option<WireMsg>,
-) -> Option<()> {
-    const LANDED_FULL_LEN: usize = HEADER + PageDigest::LEN;
-    if msgs.len() < LANDED_FULL_LEN || msgs[8..HEADER] != LANDED_FULL {
-        let msg = WireMsg::read_from(msgs).ok()?;
-        return state.apply(&msg, index).ok();
-    }
-    let (logged, rest) = msgs.split_at(LANDED_FULL_LEN);
-    *msgs = rest;
-    let filler = filler.get_or_insert_with(|| WireMsg::full_filler(0, PageDigest::ZERO_PAGE));
-    if let WireMsg::Full { idx, digest, page } = filler {
-        *idx = u64::from_be_bytes(logged[..8].try_into().expect("8"));
-        *digest = PageDigest::new(logged[HEADER..].try_into().expect("16"));
-        // Doubling copies: a handful of block moves per page.
-        page[..PageDigest::LEN].copy_from_slice(digest.as_bytes());
-        let mut filled = PageDigest::LEN;
-        while filled < page.len() {
-            let n = filled.min(page.len() - filled);
-            page.copy_within(..n, filled);
-            filled += n;
-        }
-    }
-    state.apply(filler, index).ok()
 }
 
 #[cfg(test)]

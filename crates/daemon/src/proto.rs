@@ -5,6 +5,10 @@
 //! [`reverse_overhead`] are *derived from those constants*, so any
 //! protocol change moves the overhead formula and the reconciliation
 //! tests in the same commit — drift fails loudly.
+//!
+//! A resume says only what the state hash does not prove: RESUME_STATE
+//! is `applied u64 ‖ state hash [8]`, RESUME_OK one accept byte parsed
+//! like WANT's by [`parse_flag`] (protocol version 2).
 
 use serde::{Deserialize, Serialize};
 use vecycle_sim::ScenarioSpec;
@@ -12,10 +16,11 @@ use vecycle_sim::ScenarioSpec;
 use crate::frame::{frame_cost, kind, Frame};
 use crate::DaemonError;
 
-/// Protocol magic: a vecycled peer, wire format 1.
+/// Protocol magic: a vecycled peer.
 pub const MAGIC: &[u8; 8] = b"VECYCLD1";
-/// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
+/// Protocol version spoken by this build; a peer at any other version
+/// is refused at HELLO.
+pub const VERSION: u16 = 2;
 /// Handshake role: the migration source (connects).
 pub const ROLE_SOURCE: u8 = 0;
 /// Handshake role: the migration destination (accepts).
@@ -31,11 +36,10 @@ pub const WANT_LEN: u64 = 1;
 pub const COMPLETE_LEN: u64 = 8;
 /// DONE payload length: status byte + the destination's content hash.
 pub const DONE_LEN: u64 = 1 + 8;
-/// RESUME_STATE payload length: applied count + expected round +
-/// finished flag + landed-page count + state hash.
-pub const RESUME_STATE_LEN: u64 = 8 + 8 + 1 + 8 + 8;
-/// RESUME_OK payload length: accept flag + messages to skip.
-pub const RESUME_OK_LEN: u64 = 1 + 8;
+/// RESUME_STATE payload length: applied count + state hash.
+pub const RESUME_STATE_LEN: u64 = 8 + 8;
+/// RESUME_OK payload length: one accept flag byte.
+pub const RESUME_OK_LEN: u64 = 1;
 
 /// The job announcement a source sends after the handshake.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -124,37 +128,25 @@ impl Offer {
     ///
     /// [`DaemonError::Corrupt`] on wrong length or flag byte.
     pub fn decode(payload: &[u8]) -> Result<Offer, DaemonError> {
-        if payload.len() as u64 != OFFER_LEN {
-            return Err(DaemonError::Corrupt(format!(
-                "offer payload length {}",
-                payload.len()
-            )));
-        }
-        if payload[0] > 1 {
-            return Err(DaemonError::Corrupt(format!("offer flag {}", payload[0])));
-        }
+        let p: [u8; OFFER_LEN as usize] = fixed(payload, "offer")?;
         Ok(Offer {
-            has_checkpoint: payload[0] == 1,
-            page_count: u64::from_be_bytes(payload[1..9].try_into().expect("8 bytes")),
-            distinct: u64::from_be_bytes(payload[9..17].try_into().expect("8 bytes")),
+            has_checkpoint: flag(p[0], "offer")?,
+            page_count: u64::from_be_bytes(p[1..9].try_into().expect("8 bytes")),
+            distinct: u64::from_be_bytes(p[9..17].try_into().expect("8 bytes")),
         })
     }
 }
 
 /// The destination's landed-state summary, sent (resume epochs only)
-/// right after the OFFER/WANT/bulk exchange. `applied == 0` with the
-/// fresh-base hash means "nothing survived, stream from scratch".
+/// right after the OFFER/WANT/bulk exchange: how many messages it
+/// applied and the hash of the state they built. The hash covers the
+/// applied count, the round cursor and the finished flag, so nothing
+/// else needs saying. `applied == 0` with the fresh-base hash means
+/// "nothing survived, stream from scratch".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResumeState {
     /// Data-plane messages durably applied before the crash.
     pub applied: u64,
-    /// The next round delimiter the destination expects.
-    pub round: u64,
-    /// Whether the stop-and-copy delimiter was already applied — the
-    /// stream itself can be skipped entirely.
-    pub finished: bool,
-    /// Pages whose content landed (operator/metrics signal only).
-    pub landed: u64,
     /// [`SessionState::state_hash`](crate::session_state::SessionState::state_hash)
     /// of the destination's current state.
     pub hash: [u8; 8],
@@ -165,10 +157,7 @@ impl ResumeState {
     pub fn encode(&self) -> [u8; RESUME_STATE_LEN as usize] {
         let mut p = [0u8; RESUME_STATE_LEN as usize];
         p[0..8].copy_from_slice(&self.applied.to_be_bytes());
-        p[8..16].copy_from_slice(&self.round.to_be_bytes());
-        p[16] = self.finished as u8;
-        p[17..25].copy_from_slice(&self.landed.to_be_bytes());
-        p[25..33].copy_from_slice(&self.hash);
+        p[8..16].copy_from_slice(&self.hash);
         p
     }
 
@@ -176,72 +165,40 @@ impl ResumeState {
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Corrupt`] on wrong length or flag byte.
+    /// [`DaemonError::Corrupt`] on wrong length.
     pub fn decode(payload: &[u8]) -> Result<ResumeState, DaemonError> {
-        if payload.len() as u64 != RESUME_STATE_LEN {
-            return Err(DaemonError::Corrupt(format!(
-                "resume-state payload length {}",
-                payload.len()
-            )));
-        }
-        if payload[16] > 1 {
-            return Err(DaemonError::Corrupt(format!(
-                "resume-state finished flag {}",
-                payload[16]
-            )));
-        }
+        let p: [u8; RESUME_STATE_LEN as usize] = fixed(payload, "resume-state")?;
         Ok(ResumeState {
-            applied: u64::from_be_bytes(payload[0..8].try_into().expect("8 bytes")),
-            round: u64::from_be_bytes(payload[8..16].try_into().expect("8 bytes")),
-            finished: payload[16] == 1,
-            landed: u64::from_be_bytes(payload[17..25].try_into().expect("8 bytes")),
-            hash: payload[25..33].try_into().expect("8 bytes"),
+            applied: u64::from_be_bytes(p[0..8].try_into().expect("8 bytes")),
+            hash: p[8..16].try_into().expect("8 bytes"),
         })
     }
 }
 
-/// The source's resume verdict. Rejecting (`accept == false`) tells
-/// the destination to reset to the fresh base; the stream then starts
-/// from message 0 — a corrupt partial self-heals into a full transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResumeOk {
-    /// Whether the destination's state matched the source's simulation.
-    pub accept: bool,
-    /// Messages the source will skip (0 when rejected).
-    pub skip: u64,
+/// Parses a one-flag payload: WANT (does the source want the bulk
+/// exchange?) or RESUME_OK (does it accept the announced prefix?).
+///
+/// # Errors
+///
+/// [`DaemonError::Corrupt`] naming `what` on a wrong length or a flag
+/// byte other than 0 or 1.
+pub fn parse_flag(payload: &[u8], what: &str) -> Result<bool, DaemonError> {
+    let [byte] = fixed(payload, what)?;
+    flag(byte, what)
 }
 
-impl ResumeOk {
-    /// Encodes the RESUME_OK payload.
-    pub fn encode(&self) -> [u8; RESUME_OK_LEN as usize] {
-        let mut p = [0u8; RESUME_OK_LEN as usize];
-        p[0] = self.accept as u8;
-        p[1..9].copy_from_slice(&self.skip.to_be_bytes());
-        p
-    }
+/// `payload` as exactly `N` bytes.
+pub(crate) fn fixed<const N: usize>(payload: &[u8], what: &str) -> Result<[u8; N], DaemonError> {
+    payload
+        .try_into()
+        .map_err(|_| DaemonError::Corrupt(format!("{what} payload length {}", payload.len())))
+}
 
-    /// Parses a RESUME_OK payload.
-    ///
-    /// # Errors
-    ///
-    /// [`DaemonError::Corrupt`] on wrong length or flag byte.
-    pub fn decode(payload: &[u8]) -> Result<ResumeOk, DaemonError> {
-        if payload.len() as u64 != RESUME_OK_LEN {
-            return Err(DaemonError::Corrupt(format!(
-                "resume-ok payload length {}",
-                payload.len()
-            )));
-        }
-        if payload[0] > 1 {
-            return Err(DaemonError::Corrupt(format!(
-                "resume-ok accept flag {}",
-                payload[0]
-            )));
-        }
-        Ok(ResumeOk {
-            accept: payload[0] == 1,
-            skip: u64::from_be_bytes(payload[1..9].try_into().expect("8 bytes")),
-        })
+/// A flag byte: 0 or 1.
+pub(crate) fn flag(byte: u8, what: &str) -> Result<bool, DaemonError> {
+    match byte {
+        0 | 1 => Ok(byte == 1),
+        b => Err(DaemonError::Corrupt(format!("{what} flag {b}"))),
     }
 }
 
@@ -302,14 +259,11 @@ mod tests {
     fn hello_round_trips_and_rejects_drift() {
         let p = hello_payload(VERSION, ROLE_SOURCE);
         assert_eq!(parse_hello(&p).unwrap(), (VERSION, ROLE_SOURCE));
-        let other = hello_payload(99, ROLE_SOURCE);
-        assert!(matches!(
-            parse_hello(&other),
-            Err(DaemonError::VersionMismatch {
-                ours: 1,
-                theirs: 99
-            })
-        ));
+        let drift = parse_hello(&hello_payload(99, ROLE_SOURCE)).unwrap_err();
+        assert_eq!(
+            drift.to_string(),
+            "unsupported protocol version 99 (ours 2)"
+        );
         let mut bad = p;
         bad[0] = b'X';
         assert!(matches!(parse_hello(&bad), Err(DaemonError::BadMagic)));
@@ -336,9 +290,10 @@ mod tests {
             (11 + 5) + (100 + 5) + (1 + 5) + (8 + 5)
         );
         assert_eq!(reverse_overhead(), (11 + 5) + (17 + 5) + (9 + 5));
-        // Resume adds one fixed frame each way.
-        assert_eq!(forward_resume_overhead(), 9 + 5);
-        assert_eq!(reverse_resume_overhead(), 33 + 5);
+        // Resume adds one fixed frame each way: an accept byte and a
+        // count plus a hash.
+        assert_eq!(forward_resume_overhead(), 6);
+        assert_eq!(reverse_resume_overhead(), 21);
     }
 
     #[test]
@@ -355,28 +310,20 @@ mod tests {
     }
 
     #[test]
-    fn resume_payloads_round_trip_and_reject_malformed() {
+    fn resume_payloads_are_a_count_and_a_hash_and_one_flag_byte() {
         let rs = ResumeState {
             applied: 300,
-            round: 2,
-            finished: false,
-            landed: 280,
             hash: *b"12345678",
         };
+        assert_eq!(rs.encode(), *b"\0\0\0\0\0\0\x01\x2c12345678");
         assert_eq!(ResumeState::decode(&rs.encode()).unwrap(), rs);
-        let mut bad = rs.encode();
-        bad[16] = 9;
-        assert!(ResumeState::decode(&bad).is_err());
-        assert!(ResumeState::decode(&bad[..32]).is_err());
-
-        let ok = ResumeOk {
-            accept: true,
-            skip: 300,
-        };
-        assert_eq!(ResumeOk::decode(&ok.encode()).unwrap(), ok);
-        let mut bad = ok.encode();
-        bad[0] = 2;
-        assert!(ResumeOk::decode(&bad).is_err());
-        assert!(ResumeOk::decode(&bad[..8]).is_err());
+        // Version 1's 33-byte announcement and 9-byte verdict are corrupt.
+        assert!(ResumeState::decode(&[0; 33]).is_err());
+        assert!(ResumeState::decode(&rs.encode()[..15]).is_err());
+        assert_eq!(RESUME_OK_LEN, 1);
+        assert!(parse_flag(&[1], "resume-ok").unwrap() && !parse_flag(&[0], "want").unwrap());
+        for bad in [&[2u8][..], &[], &[1, 0, 0, 0, 0, 0, 0, 1, 44]] {
+            assert!(parse_flag(bad, "resume-ok").is_err());
+        }
     }
 }

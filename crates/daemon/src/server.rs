@@ -362,9 +362,7 @@ fn handle_connection(state: &Arc<DaemonState>, stream: Stream) {
         kind::CTRL => {
             let mut frame = first;
             loop {
-                let resp = match serde_json::from_str::<CtrlRequest>(&String::from_utf8_lossy(
-                    &frame.payload,
-                )) {
+                let resp = match CtrlRequest::decode(&frame.payload) {
                     Ok(req) => {
                         control::dispatch(state, &req).unwrap_or_else(|e| CtrlResponse::err(&e))
                     }

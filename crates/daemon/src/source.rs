@@ -42,7 +42,7 @@ use crate::endpoint::{SessionStream, SESSION_BUF};
 use crate::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use crate::proto::{
     self, expect_kind, forward_overhead, forward_resume_overhead, reverse_overhead,
-    reverse_resume_overhead, JobMsg, Offer, ResumeOk, ResumeState, ROLE_DEST, ROLE_SOURCE,
+    reverse_resume_overhead, JobMsg, Offer, ResumeState, ROLE_DEST, ROLE_SOURCE,
 };
 use crate::queue::Measured;
 use crate::scenario;
@@ -189,14 +189,11 @@ pub(crate) fn run_job(
     // prefix. The verdict falls out of the stream itself — the sink
     // answers RESUME_OK the moment it has regenerated that prefix.
     let resume = if epoch > 0 {
-        let rs_frame = expect_kind(
-            read_frame(&mut s, MAX_PAYLOAD)?,
-            kind::RESUME_STATE,
-            "RESUME_STATE",
-        )?;
+        let announced = read_frame(&mut s, MAX_PAYLOAD)?;
+        let announced = expect_kind(announced, kind::RESUME_STATE, "RESUME_STATE")?;
         state.metrics.inc("daemon_resume_attempts_total", &[], 1);
         Some(HeldPrefix {
-            announced: ResumeState::decode(&rs_frame.payload)?,
+            announced: ResumeState::decode(&announced.payload)?,
             sim: SessionState::fresh(spec, &initial),
             index: index.clone(),
             held: Vec::new(),
@@ -225,14 +222,9 @@ pub(crate) fn run_job(
         unreachable!("the socket sink parks i/o errors, it never reports the link dead")
     };
     let flushed = sink.finish();
-    let (skipped_bytes, total) = (sink.skipped_bytes, sink.position);
-    let skip = sink.verdict.map_or(0, |v| v.skip);
-    if let Some(verdict) = sink.verdict {
-        let result = if verdict.accept {
-            "accepted"
-        } else {
-            "rejected"
-        };
+    let (skip, skipped_bytes, total) = (sink.skipped_msgs, sink.skipped_bytes, sink.position);
+    if let Some(accept) = sink.verdict {
+        let result = if accept { "accepted" } else { "rejected" };
         state
             .metrics
             .inc("daemon_resume_total", &[("result", result)], 1);
@@ -261,13 +253,8 @@ pub(crate) fn run_job(
     write_frame(&mut s, kind::COMPLETE, &hash)?;
     s.flush()?;
     let done = expect_kind(read_frame(&mut s, MAX_PAYLOAD)?, kind::DONE, "DONE")?;
-    if done.payload.len() as u64 != proto::DONE_LEN {
-        return Err(DaemonError::Corrupt(format!(
-            "done payload length {}",
-            done.payload.len()
-        )));
-    }
-    if done.payload[0] != 0 || done.payload[1..9] != hash {
+    let done: [u8; proto::DONE_LEN as usize] = proto::fixed(&done.payload, "done")?;
+    if done[0] != 0 || done[1..] != hash {
         return Err(DaemonError::Corrupt(
             "destination content hash mismatch".into(),
         ));
@@ -278,18 +265,16 @@ pub(crate) fn run_job(
     // resumed session the forward side subtracts exactly the skipped
     // prefix and adds the one extra RESUME_OK frame; the reverse side
     // adds the RESUME_STATE frame.
-    let (resume_tx, resume_rx) = if epoch > 0 {
-        (forward_resume_overhead(), reverse_resume_overhead())
-    } else {
-        (0, 0)
-    };
+    let resumed = u64::from(epoch > 0);
     let measured = Measured {
         tx: s.tx(),
         rx: s.rx(),
         expected_tx: report.source_traffic().as_u64() - skipped_bytes
             + forward_overhead(job_json.len() as u64)
-            + resume_tx,
-        expected_rx: report.reverse_traffic().as_u64() + reverse_overhead() + resume_rx,
+            + resumed * forward_resume_overhead(),
+        expected_rx: report.reverse_traffic().as_u64()
+            + reverse_overhead()
+            + resumed * reverse_resume_overhead(),
         job_json_len: job_json.len() as u64,
         resume_epoch: epoch,
         skipped_msgs: skip,
@@ -344,7 +329,9 @@ pub struct SocketSink<'a, W: Write, P: FnMut(u64)> {
     /// Stream messages disposed of so far: skipped or sent.
     position: u64,
     resume: Option<HeldPrefix>,
-    verdict: Option<ResumeOk>,
+    /// Whether the pending resume was accepted, once RESUME_OK is sent.
+    verdict: Option<bool>,
+    skipped_msgs: u64,
     skipped_bytes: u64,
     error: Option<std::io::Error>,
 }
@@ -369,6 +356,7 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
             position: 0,
             resume,
             verdict: None,
+            skipped_msgs: 0,
             skipped_bytes: 0,
             error: None,
         };
@@ -406,30 +394,24 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
     }
 
     /// Decides the pending resume: the regenerated prefix replayed into
-    /// exactly the state the destination announced (hash, round cursor
-    /// and finished flag all agree) earns a skip; anything else is a
-    /// reject, and the held messages go out after all.
+    /// the announced applied count and state hash (which covers the
+    /// round cursor and the finished flag) earns a skip; anything else
+    /// is a reject, and the held messages go out after all.
     fn settle(&mut self) {
         let Some(r) = self.resume.take() else { return };
-        let a = &r.announced;
-        let accept = r.sim.applied() == a.applied
-            && r.sim.state_hash() == a.hash
-            && r.sim.expected_round() == a.round
-            && r.sim.finished() == a.finished;
-        let verdict = ResumeOk {
-            accept,
-            skip: if accept { a.applied } else { 0 },
-        };
-        self.error = write_frame(&mut self.w, kind::RESUME_OK, &verdict.encode())
+        let accept =
+            r.sim.applied() == r.announced.applied && r.sim.state_hash() == r.announced.hash;
+        self.error = write_frame(&mut self.w, kind::RESUME_OK, &[u8::from(accept)])
             .and_then(|()| self.w.flush())
             .err();
         if self.error.is_some() {
             return;
         }
-        self.verdict = Some(verdict);
-        (self.progress)(verdict.skip);
+        self.verdict = Some(accept);
+        let skip = if accept { r.announced.applied } else { 0 };
+        (self.progress)(skip);
         if accept {
-            self.position = verdict.skip;
+            (self.position, self.skipped_msgs) = (skip, skip);
             self.skipped_bytes = r.held.iter().map(|m| m.encoded_len().as_u64()).sum();
         } else {
             for msg in r.held {

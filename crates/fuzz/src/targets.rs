@@ -15,8 +15,10 @@ use std::sync::OnceLock;
 use vecycle_checkpoint::{Checkpoint, CheckpointData, ChecksumIndex, EvictionPolicy};
 
 use vecycle_cli::args::{parse_duration, parse_faults, parse_link, parse_size};
+use vecycle_daemon::control::CtrlRequest;
 use vecycle_daemon::endpoint::SessionStream;
 use vecycle_daemon::journal::{self, Replay, WalRecord};
+use vecycle_daemon::proto::{self, JobMsg, Offer, ResumeState};
 use vecycle_daemon::queue::{JobRecord, Queue};
 use vecycle_daemon::session_state::{spec_fingerprint, SessionState};
 use vecycle_daemon::{frame, partial_log, record, scenario, DaemonError, JobState};
@@ -209,6 +211,15 @@ pub fn all_targets() -> Vec<Target> {
             run: run_wal,
             differential: Some(compaction_is_a_fixed_point),
             max_len: 8192,
+        },
+        Target {
+            name: "handshake",
+            seeds: handshake_seeds,
+            dict: HANDSHAKE_DICT,
+            post: None,
+            run: |input| handshake(input).0,
+            differential: Some(|input| handshake(input).1),
+            max_len: 1024,
         },
     ]
 }
@@ -477,6 +488,33 @@ fn wal_seeds() -> Vec<Vec<u8>> {
     vec![live, odd]
 }
 
+/// One valid payload per handshake decoder, behind its selector byte.
+fn handshake_seeds() -> Vec<Vec<u8>> {
+    let with = |selector: u8, payload: &[u8]| [&[selector][..], payload].concat();
+    let offer = Offer {
+        has_checkpoint: true,
+        page_count: 256,
+        distinct: 200,
+    };
+    let resume = ResumeState {
+        applied: 300,
+        hash: *b"\xcf\x8c\x8a\xbe\x35\x8a\x51\x75",
+    };
+    let job = JobMsg {
+        job: 1,
+        resume: 1,
+        spec: ScenarioSpec::golden(7),
+    };
+    vec![
+        with(0, &proto::hello_payload(proto::VERSION, proto::ROLE_SOURCE)),
+        with(1, &offer.encode()),
+        with(2, &resume.encode()),
+        with(3, &[1]),
+        with(4, job.encode().as_bytes()),
+        with(5, CtrlRequest::bare("status").encode().as_bytes()),
+    ]
+}
+
 fn text_seeds(strs: &[&str]) -> Vec<Vec<u8>> {
     strs.iter().map(|s| s.as_bytes().to_vec()).collect()
 }
@@ -606,6 +644,15 @@ const PARTIAL_LOG_DICT: &[&[u8]] = &[
     &[0, 0, 0, 8],
     &[0, 0, 0, 0, 0, 0, 0, LOG_JOB as u8],
     &[0xff; 8],
+];
+
+const HANDSHAKE_DICT: &[&[u8]] = &[
+    b"VECYCLD1",
+    &[0, 1],
+    &[0xff; 8],
+    br#""spec":{"#,
+    b"18446744073709551616",
+    b"\\u0000",
 ];
 
 const WAL_DICT: &[&[u8]] = &[
@@ -938,6 +985,70 @@ fn compaction_is_a_fixed_point(input: &[u8]) -> Result<(), String> {
     ))
 }
 
+// ----------------------------------------------------- handshake payloads
+
+/// Decodes the payload behind the selector byte with the decoder the
+/// byte (mod 6) selects — HELLO (an empty input's too), OFFER,
+/// RESUME_STATE, the WANT / RESUME_OK flag, JOB, or a CTRL request as
+/// the daemon reads it — and returns the verdict's class and the
+/// re-encoding oracle's: an accepted fixed-length payload re-encodes to
+/// its own bytes, an accepted JSON payload re-decodes equal.
+fn handshake(input: &[u8]) -> (&'static str, Result<(), String>) {
+    let (&selector, payload) = input.split_first().unwrap_or((&0, &[]));
+    let same = |again: &[u8]| match again == payload {
+        true => Ok(()),
+        false => Err(format!("{payload:02x?} re-encodes as {again:02x?}")),
+    };
+    let length = |e: &DaemonError| matches!(e, DaemonError::Corrupt(d) if d.contains("length"));
+    let rejected = |class| (class, Ok(()));
+    match selector % 6 {
+        0 => match proto::parse_hello(payload) {
+            Ok((version, role)) => ("hello_ok", same(&proto::hello_payload(version, role))),
+            Err(DaemonError::VersionMismatch { .. }) => rejected("hello_version"),
+            Err(_) => rejected("hello_magic"),
+        },
+        1 => match Offer::decode(payload) {
+            Ok(offer) => ("offer_ok", same(&offer.encode())),
+            Err(e) if length(&e) => rejected("offer_len"),
+            Err(_) => rejected("offer_flag"),
+        },
+        2 => match ResumeState::decode(payload) {
+            Ok(announced) => ("resume_state_ok", same(&announced.encode())),
+            Err(_) => rejected("resume_state_len"),
+        },
+        3 => match proto::parse_flag(payload, "flag") {
+            Ok(flag) => ("flag_ok", same(&[u8::from(flag)])),
+            Err(e) if length(&e) => rejected("flag_len"),
+            Err(_) => rejected("flag_value"),
+        },
+        4 => match JobMsg::decode(payload) {
+            Ok(job) => (
+                "job_ok",
+                decodes_equal(&job, JobMsg::decode(job.encode().as_bytes())),
+            ),
+            Err(DaemonError::Corrupt(d)) if d.contains("UTF-8") => rejected("job_utf8"),
+            Err(_) => rejected("job_json"),
+        },
+        _ => match CtrlRequest::decode(payload) {
+            Ok(req) => (
+                "ctrl_ok",
+                decodes_equal(&req, CtrlRequest::decode(req.encode().as_bytes())),
+            ),
+            Err(_) => rejected("ctrl_json"),
+        },
+    }
+}
+
+fn decodes_equal<T: PartialEq + std::fmt::Debug, E>(
+    decoded: &T,
+    again: Result<T, E>,
+) -> Result<(), String> {
+    match again.ok() {
+        Some(again) if again == *decoded => Ok(()),
+        other => Err(format!("{decoded:?} re-decodes as {other:?}")),
+    }
+}
+
 // ------------------------------------------------- socket-stream decoders
 
 /// One decode step over any reader: the item, or the error's class.
@@ -1112,6 +1223,11 @@ mod tests {
         for seed in ctrl_frame_seeds() {
             assert_eq!(drain_slice(&seed, next_ctrl_frame).class(), "eof_clean");
             readers_agree(&seed, next_ctrl_frame).expect("readers agree on a seed");
+        }
+        let decoders = ["hello", "offer", "resume_state", "flag", "job", "ctrl"];
+        for (seed, decoder) in handshake_seeds().iter().zip(decoders) {
+            let (class, oracle) = handshake(seed);
+            assert_eq!((class.strip_suffix("_ok"), oracle), (Some(decoder), Ok(())));
         }
     }
 

@@ -28,8 +28,8 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=43742
-PUB_CEILING=1114
+BUDGET=43736
+PUB_CEILING=1111
 DEPS_CEILING=113
 DESIGN_CEILING=1601
 CAP=800

@@ -124,10 +124,15 @@ fn malformed_openings_get_typed_errors_and_never_kill_the_daemon() {
 }
 
 fn run_table(daemon: &DaemonHandle) {
-    // -- version mismatch: typed refusal naming both versions.
-    let got = poke(daemon, &hello_frame(99, ROLE_SOURCE), false);
-    expect_err(&got, "version");
-    assert_alive(daemon);
+    // -- version mismatch: typed refusal naming both versions; a
+    //    version-1 peer is refused before a resume could misread its
+    //    longer payloads.
+    for theirs in [99, 1] {
+        let refusal = DaemonError::VersionMismatch { ours: 2, theirs };
+        let got = poke(daemon, &hello_frame(theirs, ROLE_SOURCE), false);
+        expect_err(&got, &refusal.to_string());
+        assert_alive(daemon);
+    }
 
     // -- bad magic: typed refusal.
     let mut bad_magic = Vec::new();

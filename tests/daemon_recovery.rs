@@ -270,7 +270,6 @@ fn wait_timeout_carries_the_last_observed_view() {
         src.endpoint(),
         id,
         Duration::from_millis(300),
-        Duration::from_millis(20),
         Duration::from_secs(5),
     )
     .expect_err("paused queue cannot finish the job");
@@ -792,9 +791,9 @@ fn previous_release_partial_file_round_trips_bit_for_bit() {
 /// Every cut loads — to exactly the state after the last whole chunk
 /// record, which is a prefix of the stream and therefore a state the
 /// source's held-prefix simulation reproduces and accepts (it compares
-/// applied count, hash, round cursor and finished flag, all of which
-/// `SessionState` equality covers). Only a cut inside the header
-/// record leaves nothing to load, which the daemon treats as no file.
+/// the applied count and the state hash, both of which `SessionState`
+/// equality covers). Only a cut inside the header record leaves nothing
+/// to load, which the daemon treats as no file.
 fn every_truncation_loads_the_whole_record_prefix(spec: &ScenarioSpec) {
     let fp = spec_fingerprint(spec);
     let index = dest_index(spec);
@@ -893,8 +892,10 @@ fn open_session(
 /// RESUME_OK must not cost the landed state. The destination is
 /// in-memory, so the partials map is all it has: the source dies
 /// mid-stream (state remembered), reconnects and dies again right after
-/// reading RESUME_STATE, and the third session must still be offered the
-/// same prefix, not a fresh transfer.
+/// reading RESUME_STATE, then answers one in the version-1 shape (an
+/// accept flag plus a skip count), which the destination fails as
+/// corrupt — and the next session must still be offered the same
+/// prefix, not a fresh transfer.
 #[test]
 fn a_resume_handshake_that_dies_keeps_the_remembered_state() {
     use std::io::Write;
@@ -917,27 +918,32 @@ fn a_resume_handshake_that_dies_keeps_the_remembered_state() {
         .expect("prefix sends");
     drop(s);
 
-    // Epochs 1 and 2: each reads the announcement; the first then dies.
+    // Epochs 1 to 3: each reads the announcement; the first then dies.
     // A session holds its host claim until it has put the state back,
     // so the next one cannot overtake it.
     let announced = |epoch| {
         let mut s = open_session(dst.endpoint(), &spec, epoch);
         let frame = read_frame(&mut s, MAX_PAYLOAD).expect("resume state");
         assert_eq!(frame.kind, kind::RESUME_STATE);
-        ResumeState::decode(&frame.payload).expect("announcement decodes")
+        (s, ResumeState::decode(&frame.payload).expect("decodes"))
     };
-    let first = announced(1);
+    let (_, first) = announced(1);
     assert_eq!(first.applied, landed as u64, "whole messages landed");
     let mut expect = cold_state(&spec);
     for msg in &msgs[..landed] {
         expect.apply(msg, None).expect("prefix applies");
     }
     assert_eq!(first.hash, expect.state_hash());
-    assert_eq!(
-        announced(2),
-        first,
-        "the second resume is offered the same prefix"
-    );
+    let (mut s, second) = announced(2);
+    assert_eq!(second, first, "offered the same prefix");
+    let v1_ok = [&[1][..], &(landed as u64).to_be_bytes()].concat();
+    write_frame(&mut s, kind::RESUME_OK, &v1_ok).expect("resume ok");
+    let refusal = read_frame(&mut s, MAX_PAYLOAD).expect("the session fails");
+    let text = String::from_utf8_lossy(&refusal.payload);
+    let corrupt = "corrupt payload: resume-ok payload length 9";
+    assert_eq!((refusal.kind, &*text), (kind::ERR, corrupt));
+    drop(s);
+    assert_eq!(announced(3).1, first, "and after a corrupt verdict");
     dst.shutdown();
 }
 
