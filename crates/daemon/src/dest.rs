@@ -8,6 +8,15 @@
 //! 64 hash. It never runs the engine, so agreement with the source is
 //! evidence about the *protocol*, not a shared code path.
 //!
+//! The session opens in one flight each way. HELLO‖JOB arrive
+//! together; a wrong magic, version or role is refused with ERR before
+//! the JOB is read. HELLO_ACK means "accepted": it goes out once the job
+//! validated, our state is built and the host is claimed, in one write
+//! with the bulk exchange (vecycle jobs only — no other stream carries
+//! checksum messages, so no other job builds an index) and RESUME_STATE
+//! (resume epochs). DONE is our content hash; a mismatch with COMPLETE's
+//! fails our session after DONE is sent, and the source's on receipt.
+//!
 //! Every byte of the session — HELLO to COMPLETE — is read through the
 //! connection's one [`SessionStream`], so [`receive_stream`] costs a
 //! `read` per 64 KiB of stream, not two per message. Reading ahead is
@@ -31,7 +40,7 @@
 
 use std::io::{Read, Write};
 
-use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PageLookup};
+use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
 use vecycle_net::WireMsg;
 use vecycle_obs::Counter;
@@ -40,7 +49,7 @@ use vecycle_types::{HostId, SimTime, VmId};
 use crate::endpoint::{SessionStream, Stream};
 use crate::frame::{kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
 use crate::partial_log::PartialLog;
-use crate::proto::{self, expect_kind, JobMsg, Offer, ResumeState, ROLE_DEST, ROLE_SOURCE};
+use crate::proto::{self, expect_kind, JobMsg, ResumeState, ROLE_DEST, ROLE_SOURCE};
 use crate::scenario;
 use crate::server::DaemonState;
 use crate::session_state::{self, spec_fingerprint, SessionState};
@@ -54,22 +63,16 @@ pub(crate) fn session(
     s: &mut SessionStream<Stream>,
     hello: Frame,
 ) -> Result<u64, DaemonError> {
-    // Handshake: wrong magic or version is answered before dropping the
-    // connection, so an old peer sees a typed refusal, not a hangup.
+    // A wrong magic, version or role is refused before the JOB is read,
+    // so an old peer sees a typed refusal, not a hangup.
     let (_, role) = proto::parse_hello(&hello.payload)?;
     if role != ROLE_SOURCE {
         return Err(DaemonError::Protocol(format!(
             "inbound session opened with role {role}, want source"
         )));
     }
-    write_frame(
-        s,
-        kind::HELLO_ACK,
-        &proto::hello_payload(proto::VERSION, ROLE_DEST),
-    )?;
-    s.flush()?;
 
-    // Job announcement.
+    // The job announcement follows HELLO unasked.
     let job_frame = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::JOB, "JOB")?;
     let job = JobMsg::decode(&job_frame.payload)?;
     job.spec.validate().map_err(DaemonError::from)?;
@@ -77,51 +80,24 @@ pub(crate) fn session(
     let job_id = job.job;
     let fingerprint = spec_fingerprint(&spec);
 
-    // Deterministic destination state. The checkpoint (when warm) is
-    // recaptured from the spec — in a deployment it would come from the
-    // checkpoint store; the wire protocol is identical either way.
+    // Deterministic destination state. The checkpoint is recaptured from
+    // the spec — in a deployment it would come from the checkpoint store;
+    // the wire protocol is identical either way. Only a vecycle stream
+    // carries checksum messages, so only a vecycle job needs the index.
     let initial = scenario::initial_memory(&spec)?;
-    let index = spec
-        .warm
+    let index = (spec.strategy == "vecycle")
         .then(|| Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial).build_index());
-    let distinct = index.as_ref().map(|ix| ix.distinct() as u64).unwrap_or(0);
 
     // Admission: this host participates in at most one migration at a
     // time, same invariant the source's queue enforces on its side.
     state.kill.hit(KillRole::Dest, KillPoint::PreClaim);
     let _claim = state.locks.claim(&[HostId::new(spec.dest_host)]);
 
-    write_frame(
-        s,
-        kind::OFFER,
-        &Offer {
-            has_checkpoint: index.is_some(),
-            page_count: spec.pages(),
-            distinct,
-        }
-        .encode(),
-    )?;
-    s.flush()?;
-
-    let want_frame = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::WANT, "WANT")?;
-    if proto::parse_flag(&want_frame.payload, "want")? {
-        let ix = index.as_ref().ok_or_else(|| {
-            DaemonError::Protocol("source wants an index this side does not hold".into())
-        })?;
-        let mut buf = Vec::new();
-        WireMsg::BulkExchange {
-            digests: ix.digests().collect(),
-        }
-        .encode(&mut buf);
-        s.write_all(&buf)?;
-        s.flush()?;
-    }
-
-    // Resume handshake (epoch ≥ 1): announce whatever landed state
-    // survived — the partial log (it outlives both deaths; when the
-    // in-memory map also holds a state, the two are equal), else the
-    // map alone (no journal, or a log that failed) — and let the source
-    // verify it against its regenerated stream.
+    // A resume epoch announces whatever landed state survived — the
+    // partial log (it outlives both deaths; when the in-memory map also
+    // holds a state, the two are equal), else the map alone (no journal,
+    // or a log that failed) — and lets the source verify it against its
+    // regenerated stream.
     let journal_dir = state.config.journal_dir.as_deref();
     let fresh_log = || {
         let dir = journal_dir?;
@@ -129,12 +105,12 @@ pub(crate) fn session(
             .map_err(|e| log_failed(state, job_id, &e))
             .ok()
     };
-    let (mut session_state, log) = if job.resume > 0 {
+    let resumed = (job.resume > 0).then(|| {
         let fresh = SessionState::fresh(&spec, &initial);
         let remembered = sync::lock(&state.partials).remove(&(job_id, fingerprint));
         let loaded = journal_dir
             .and_then(|dir| PartialLog::load(dir, job_id, fingerprint, &fresh, index.as_ref()));
-        let (st, log) = match (loaded, remembered) {
+        match (loaded, remembered) {
             (Some((st, log)), _) => {
                 state
                     .metrics
@@ -143,8 +119,44 @@ pub(crate) fn session(
             }
             (None, Some(st)) => (st, None),
             (None, None) => (fresh, fresh_log()),
+        }
+    });
+
+    // One flight back: HELLO_ACK (the job is accepted), the bulk exchange
+    // for a vecycle job, RESUME_STATE for a resume epoch.
+    let mut reply = Vec::new();
+    let ack = proto::hello_payload(proto::VERSION, ROLE_DEST);
+    write_frame(&mut reply, kind::HELLO_ACK, &ack)?;
+    if let Some(ix) = &index {
+        WireMsg::BulkExchange {
+            digests: ix.digests().collect(),
+        }
+        .encode(&mut reply);
+    }
+    if let Some((st, _)) = &resumed {
+        let announce = ResumeState {
+            applied: st.applied(),
+            hash: st.state_hash(),
         };
-        match resume_verdict(s, &st) {
+        write_frame(&mut reply, kind::RESUME_STATE, &announce.encode())?;
+    }
+    let sent = s.write_all(&reply).and_then(|()| s.flush());
+
+    let (mut session_state, log) = match resumed {
+        None => {
+            sent?;
+            // Fresh epoch: any stale partial for this (job, spec) is from
+            // a superseded attempt — never let it leak into a later resume.
+            drop_partial(state, job_id, fingerprint);
+            (SessionState::fresh(&spec, &initial), fresh_log())
+        }
+        // Accepting means skipping exactly the announced messages; a
+        // source that skipped anything else fails the end-to-end content
+        // hash at COMPLETE/DONE.
+        Some((st, log)) => match sent.map_err(DaemonError::from).and_then(|()| {
+            let ok = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::RESUME_OK, "RESUME_OK")?;
+            proto::parse_flag(&ok.payload, "resume-ok")
+        }) {
             Ok(true) => (st, log),
             Ok(false) => {
                 // Rejected: drop the bad partial and start from the base.
@@ -158,12 +170,7 @@ pub(crate) fn session(
                 sync::lock(&state.partials).insert((job_id, fingerprint), st);
                 return Err(e);
             }
-        }
-    } else {
-        // Fresh epoch: any stale partial for this (job, spec) is from a
-        // superseded attempt — never let it leak into a later resume.
-        drop_partial(state, job_id, fingerprint);
-        (SessionState::fresh(&spec, &initial), fresh_log())
+        },
     };
 
     // An in-memory daemon takes the unit hook: no per-message work.
@@ -201,35 +208,16 @@ pub(crate) fn session(
         }
     };
 
-    let ok = complete == local;
     state.kill.hit(KillRole::Dest, KillPoint::PreCommit);
-    let mut done = [0u8; proto::DONE_LEN as usize];
-    done[0] = u8::from(!ok);
-    done[1..9].copy_from_slice(&local);
-    write_frame(s, kind::DONE, &done)?;
+    write_frame(s, kind::DONE, &local)?;
     s.flush()?;
     drop_partial(state, job_id, fingerprint);
-    if !ok {
+    if complete != local {
         return Err(DaemonError::Corrupt(
             "reconstructed content hash differs from the source's".into(),
         ));
     }
     Ok(job_id)
-}
-
-/// The RESUME_STATE → RESUME_OK exchange: announces `st` and returns
-/// whether the source accepted it. Accepting means skipping exactly the
-/// announced messages; a source that skipped anything else fails the
-/// end-to-end content hash at COMPLETE/DONE.
-fn resume_verdict(s: &mut SessionStream<Stream>, st: &SessionState) -> Result<bool, DaemonError> {
-    let announce = ResumeState {
-        applied: st.applied(),
-        hash: st.state_hash(),
-    };
-    write_frame(s, kind::RESUME_STATE, &announce.encode())?;
-    s.flush()?;
-    let ok_frame = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::RESUME_OK, "RESUME_OK")?;
-    proto::parse_flag(&ok_frame.payload, "resume-ok")
 }
 
 /// What [`receive_stream`] tells whoever persists the landed prefix.

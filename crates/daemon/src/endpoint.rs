@@ -27,16 +27,24 @@ impl Endpoint {
         }
     }
 
-    /// Opens a listener on this endpoint. A stale Unix socket file from
-    /// a dead daemon is removed first.
+    /// Opens a listener on this endpoint. A Unix socket file nothing
+    /// answers on (a dead daemon's) is removed first; one a live daemon
+    /// still accepts on is left alone.
     ///
     /// # Errors
     ///
-    /// Propagates bind errors.
+    /// [`std::io::ErrorKind::AddrInUse`] when a live listener holds the
+    /// Unix path; otherwise propagates bind errors.
     pub fn bind(&self) -> std::io::Result<Listener> {
         match self {
             Endpoint::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr)?)),
             Endpoint::Unix(path) => {
+                if UnixStream::connect(path).is_ok() {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::AddrInUse,
+                        format!("a live daemon listens on {}", path.display()),
+                    ));
+                }
                 let _ = std::fs::remove_file(path);
                 Ok(Listener::Unix(UnixListener::bind(path)?))
             }
@@ -335,6 +343,27 @@ mod tests {
             };
             assert!(s.nodelay().unwrap());
         }
+    }
+
+    /// A second bind on a live daemon's path is refused and leaves the
+    /// first listener reachable; a dead daemon's leftover file is not.
+    #[test]
+    fn unix_bind_refuses_a_live_path_and_reclaims_a_stale_one() {
+        let path = std::env::temp_dir().join(format!("vecycled-bind-{}.sock", std::process::id()));
+        let ep = Endpoint::Unix(path.clone());
+        let first = ep.bind().unwrap();
+        let err = ep.bind().err().expect("a live path is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+        // The refused bind's probe connection is still queued; a fresh
+        // one after it must reach the first listener too.
+        let _probe = first.accept().unwrap();
+        let _client = ep.connect().unwrap();
+        first.accept().unwrap();
+        drop(first);
+        assert!(path.exists(), "dropping a listener leaves its file");
+        let again = ep.bind().unwrap();
+        drop(again);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

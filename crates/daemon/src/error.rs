@@ -37,7 +37,7 @@ pub enum DaemonError {
     /// A payload failed validation (bad lengths, bad content, hash
     /// mismatch) — every hardened decoder surfaces here.
     Corrupt(String),
-    /// A session rule was violated (wrong role, impossible offer,
+    /// A session rule was violated (wrong role, missing bulk exchange,
     /// out-of-order data message).
     Protocol(String),
     /// A submitted scenario failed validation.

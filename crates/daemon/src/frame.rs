@@ -17,21 +17,19 @@ pub const HEADER: u64 = 5;
 /// (the largest is a job spec in JSON); 1 MiB is generous headroom.
 pub const MAX_PAYLOAD: u64 = 1 << 20;
 
-/// Control frame kinds.
+/// Control frame kinds. 0x04 and 0x05 are unassigned (protocol
+/// version 2's OFFER and WANT).
 pub mod kind {
-    /// Session opener, source → destination.
+    /// Session opener, source → destination; JOB follows unasked.
     pub const HELLO: u8 = 0x01;
-    /// Session accept, destination → source.
+    /// Job accepted (sent once the destination holds its host claim),
+    /// destination → source.
     pub const HELLO_ACK: u8 = 0x02;
     /// Job announcement (JSON scenario), source → destination.
     pub const JOB: u8 = 0x03;
-    /// Checkpoint offer, destination → source.
-    pub const OFFER: u8 = 0x04;
-    /// Bulk-exchange decision, source → destination.
-    pub const WANT: u8 = 0x05;
     /// End of stream + source content hash, source → destination.
     pub const COMPLETE: u8 = 0x06;
-    /// Final verdict + destination content hash, destination → source.
+    /// Destination content hash, destination → source.
     pub const DONE: u8 = 0x07;
     /// Applied count + state hash for a resumed job, destination → source.
     pub const RESUME_STATE: u8 = 0x08;
@@ -135,7 +133,7 @@ mod tests {
     #[test]
     fn truncated_frame_is_io_error() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, kind::DONE, &[0u8; 9]).unwrap();
+        write_frame(&mut buf, kind::DONE, &[0u8; 8]).unwrap();
         for cut in [0, 3, HEADER as usize, buf.len() - 1] {
             let err = read_frame(&mut &buf[..cut], MAX_PAYLOAD).unwrap_err();
             assert!(matches!(err, DaemonError::Io(_)), "cut {cut}: {err}");

@@ -6,9 +6,13 @@
 //! protocol change moves the overhead formula and the reconciliation
 //! tests in the same commit — drift fails loudly.
 //!
-//! A resume says only what the state hash does not prove: RESUME_STATE
-//! is `applied u64 ‖ state hash [8]`, RESUME_OK one accept byte parsed
-//! like WANT's by [`parse_flag`] (protocol version 2).
+//! A session says only what the [`ScenarioSpec`] in JOB and the content
+//! hashes do not already prove (protocol version 3). The source sends
+//! HELLO‖JOB in one flight; the destination answers HELLO_ACK — "job
+//! accepted" — then the bulk exchange when the spec's strategy is
+//! vecycle. COMPLETE and DONE each carry one side's 8-byte content hash.
+//! A resume adds RESUME_STATE, `applied u64 ‖ state hash [8]`, and
+//! RESUME_OK, one accept byte ([`parse_flag`]).
 
 use serde::{Deserialize, Serialize};
 use vecycle_sim::ScenarioSpec;
@@ -20,7 +24,7 @@ use crate::DaemonError;
 pub const MAGIC: &[u8; 8] = b"VECYCLD1";
 /// Protocol version spoken by this build; a peer at any other version
 /// is refused at HELLO.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 /// Handshake role: the migration source (connects).
 pub const ROLE_SOURCE: u8 = 0;
 /// Handshake role: the migration destination (accepts).
@@ -28,20 +32,16 @@ pub const ROLE_DEST: u8 = 1;
 
 /// HELLO / HELLO_ACK payload length: magic + version + role.
 pub const HELLO_LEN: u64 = 8 + 2 + 1;
-/// OFFER payload length: has-checkpoint flag + page count + distinct.
-pub const OFFER_LEN: u64 = 1 + 8 + 8;
-/// WANT payload length: one flag byte.
-pub const WANT_LEN: u64 = 1;
 /// COMPLETE payload length: the source's FNV-1a 64 content hash.
 pub const COMPLETE_LEN: u64 = 8;
-/// DONE payload length: status byte + the destination's content hash.
-pub const DONE_LEN: u64 = 1 + 8;
+/// DONE payload length: the destination's FNV-1a 64 content hash.
+pub const DONE_LEN: u64 = 8;
 /// RESUME_STATE payload length: applied count + state hash.
 pub const RESUME_STATE_LEN: u64 = 8 + 8;
 /// RESUME_OK payload length: one accept flag byte.
 pub const RESUME_OK_LEN: u64 = 1;
 
-/// The job announcement a source sends after the handshake.
+/// The job announcement a source sends right behind its HELLO.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobMsg {
     /// Source-daemon job id — correlates logs, keys the destination's
@@ -101,44 +101,8 @@ pub fn parse_hello(payload: &[u8]) -> Result<(u16, u8), DaemonError> {
     Ok((version, payload[10]))
 }
 
-/// The destination's checkpoint offer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Offer {
-    /// Whether the destination holds a checkpoint for this scenario.
-    pub has_checkpoint: bool,
-    /// Destination-side guest page count.
-    pub page_count: u64,
-    /// Distinct digests in the destination's checksum index.
-    pub distinct: u64,
-}
-
-impl Offer {
-    /// Encodes the OFFER payload.
-    pub fn encode(&self) -> [u8; OFFER_LEN as usize] {
-        let mut p = [0u8; OFFER_LEN as usize];
-        p[0] = self.has_checkpoint as u8;
-        p[1..9].copy_from_slice(&self.page_count.to_be_bytes());
-        p[9..17].copy_from_slice(&self.distinct.to_be_bytes());
-        p
-    }
-
-    /// Parses an OFFER payload.
-    ///
-    /// # Errors
-    ///
-    /// [`DaemonError::Corrupt`] on wrong length or flag byte.
-    pub fn decode(payload: &[u8]) -> Result<Offer, DaemonError> {
-        let p: [u8; OFFER_LEN as usize] = fixed(payload, "offer")?;
-        Ok(Offer {
-            has_checkpoint: flag(p[0], "offer")?,
-            page_count: u64::from_be_bytes(p[1..9].try_into().expect("8 bytes")),
-            distinct: u64::from_be_bytes(p[9..17].try_into().expect("8 bytes")),
-        })
-    }
-}
-
 /// The destination's landed-state summary, sent (resume epochs only)
-/// right after the OFFER/WANT/bulk exchange: how many messages it
+/// right after HELLO_ACK and the bulk exchange: how many messages it
 /// applied and the hash of the state they built. The hash covers the
 /// applied count, the round cursor and the finished flag, so nothing
 /// else needs saying. `applied == 0` with the fresh-base hash means
@@ -175,8 +139,8 @@ impl ResumeState {
     }
 }
 
-/// Parses a one-flag payload: WANT (does the source want the bulk
-/// exchange?) or RESUME_OK (does it accept the announced prefix?).
+/// Parses a one-flag payload: RESUME_OK (does the source accept the
+/// announced prefix?).
 ///
 /// # Errors
 ///
@@ -187,8 +151,12 @@ pub fn parse_flag(payload: &[u8], what: &str) -> Result<bool, DaemonError> {
     flag(byte, what)
 }
 
-/// `payload` as exactly `N` bytes.
-pub(crate) fn fixed<const N: usize>(payload: &[u8], what: &str) -> Result<[u8; N], DaemonError> {
+/// `payload` as exactly `N` bytes — COMPLETE's and DONE's 8-byte hash.
+///
+/// # Errors
+///
+/// [`DaemonError::Corrupt`] naming `what` on any other length.
+pub fn fixed<const N: usize>(payload: &[u8], what: &str) -> Result<[u8; N], DaemonError> {
     payload
         .try_into()
         .map_err(|_| DaemonError::Corrupt(format!("{what} payload length {}", payload.len())))
@@ -225,20 +193,17 @@ pub fn expect_kind(frame: Frame, want: u8, what: &'static str) -> Result<Frame, 
 }
 
 /// Source→destination framing overhead of one successful migration:
-/// HELLO + JOB(json) + WANT + COMPLETE. Everything else the source
-/// sends is priced data-plane traffic.
+/// HELLO + JOB(json) + COMPLETE. Everything else the source sends is
+/// priced data-plane traffic.
 pub fn forward_overhead(job_json_len: u64) -> u64 {
-    frame_cost(HELLO_LEN)
-        + frame_cost(job_json_len)
-        + frame_cost(WANT_LEN)
-        + frame_cost(COMPLETE_LEN)
+    frame_cost(HELLO_LEN) + frame_cost(job_json_len) + frame_cost(COMPLETE_LEN)
 }
 
 /// Destination→source framing overhead of one successful migration:
-/// HELLO_ACK + OFFER + DONE. The bulk checksum exchange is *not* here —
-/// it is priced traffic in the reverse ledger.
+/// HELLO_ACK + DONE. The bulk checksum exchange is *not* here — it is
+/// priced traffic in the reverse ledger.
 pub fn reverse_overhead() -> u64 {
-    frame_cost(HELLO_LEN) + frame_cost(OFFER_LEN) + frame_cost(DONE_LEN)
+    frame_cost(HELLO_LEN) + frame_cost(DONE_LEN)
 }
 
 /// Extra source→destination framing a resume epoch adds: RESUME_OK.
@@ -262,7 +227,7 @@ mod tests {
         let drift = parse_hello(&hello_payload(99, ROLE_SOURCE)).unwrap_err();
         assert_eq!(
             drift.to_string(),
-            "unsupported protocol version 99 (ours 2)"
+            "unsupported protocol version 99 (ours 3)"
         );
         let mut bad = p;
         bad[0] = b'X';
@@ -271,25 +236,19 @@ mod tests {
     }
 
     #[test]
-    fn offer_round_trips() {
-        let o = Offer {
-            has_checkpoint: true,
-            page_count: 1024,
-            distinct: 700,
-        };
-        assert_eq!(Offer::decode(&o.encode()).unwrap(), o);
-        assert!(Offer::decode(&[2u8; 17]).is_err());
-        assert!(Offer::decode(&[0u8; 16]).is_err());
+    fn complete_and_done_are_one_hash() {
+        assert_eq!((COMPLETE_LEN, DONE_LEN), (8, 8));
+        assert_eq!(fixed::<8>(b"12345678", "done").unwrap(), *b"12345678");
+        // Version 2's status byte ahead of the hash is corrupt.
+        let err = fixed::<8>(&[0; 9], "done").unwrap_err();
+        assert_eq!(err.to_string(), "corrupt payload: done payload length 9");
     }
 
     #[test]
     fn overhead_formula_is_pinned() {
-        // 4 frames forward, 3 reverse, 5 bytes of framing each.
-        assert_eq!(
-            forward_overhead(100),
-            (11 + 5) + (100 + 5) + (1 + 5) + (8 + 5)
-        );
-        assert_eq!(reverse_overhead(), (11 + 5) + (17 + 5) + (9 + 5));
+        // 3 frames forward, 2 reverse, 5 bytes of framing each.
+        assert_eq!(forward_overhead(100), (11 + 5) + (100 + 5) + (8 + 5));
+        assert_eq!(reverse_overhead(), (11 + 5) + (8 + 5));
         // Resume adds one fixed frame each way: an accept byte and a
         // count plus a hash.
         assert_eq!(forward_resume_overhead(), 6);
@@ -321,7 +280,7 @@ mod tests {
         assert!(ResumeState::decode(&[0; 33]).is_err());
         assert!(ResumeState::decode(&rs.encode()[..15]).is_err());
         assert_eq!(RESUME_OK_LEN, 1);
-        assert!(parse_flag(&[1], "resume-ok").unwrap() && !parse_flag(&[0], "want").unwrap());
+        assert!(parse_flag(&[1], "resume-ok").unwrap() && !parse_flag(&[0], "resume-ok").unwrap());
         for bad in [&[2u8][..], &[], &[1, 0, 0, 0, 0, 0, 0, 1, 44]] {
             assert!(parse_flag(bad, "resume-ok").is_err());
         }

@@ -15,9 +15,14 @@
 //! Buffers: outbound, the sink's current chunk (allocated once) and
 //! nothing else; inbound, the session's one [`SessionStream`], through
 //! which every reply frame and the bulk checksum exchange are read (the
-//! exchange in 16 KiB steps, not one `read` per digest). The guest is
-//! built right after JOB is sent, overlapping the destination's own
-//! construction.
+//! exchange in 16 KiB steps, not one `read` per digest).
+//!
+//! The session opens in one flight each way: HELLO‖JOB out, then the
+//! guest is built while the destination builds its own state; back
+//! come HELLO_ACK, the bulk exchange for a vecycle job and RESUME_STATE
+//! for a resume epoch. The spec in JOB already says what the
+//! destination holds, so nothing is negotiated. DONE carries the
+//! destination's content hash, which the source compares with its own.
 //!
 //! Because the stream is a pure function of the spec, an interrupted
 //! transfer resumes by *regenerating* it: the sink holds back the
@@ -42,7 +47,7 @@ use crate::endpoint::{SessionStream, SESSION_BUF};
 use crate::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use crate::proto::{
     self, expect_kind, forward_overhead, forward_resume_overhead, reverse_overhead,
-    reverse_resume_overhead, JobMsg, Offer, ResumeState, ROLE_DEST, ROLE_SOURCE,
+    reverse_resume_overhead, JobMsg, ResumeState, ROLE_DEST, ROLE_SOURCE,
 };
 use crate::queue::Measured;
 use crate::scenario;
@@ -91,7 +96,7 @@ pub(crate) fn run_job_with_recovery(
 
 /// Runs one session of job `job_id` against the peer daemon at `peer`.
 /// `epoch` 0 is the fresh wire flow; epoch ≥ 1 adds the RESUME_STATE /
-/// RESUME_OK exchange after the bulk handshake.
+/// RESUME_OK exchange after the bulk exchange.
 pub(crate) fn run_job(
     state: &DaemonState,
     job_id: u64,
@@ -106,13 +111,25 @@ pub(crate) fn run_job(
     // through its buffer; writes go straight to the counted socket.
     let mut s = SessionStream::new(stream);
 
-    // Handshake.
-    write_frame(
-        &mut s,
-        kind::HELLO,
-        &proto::hello_payload(proto::VERSION, ROLE_SOURCE),
-    )?;
+    // One flight: HELLO‖JOB in one write. The destination answers only
+    // once it has validated the job, built its state and claimed its
+    // host, so build the guest meanwhile — the two constructions overlap.
+    let job_json = JobMsg {
+        job: job_id,
+        resume: epoch,
+        spec: spec.clone(),
+    }
+    .encode();
+    let mut opening = Vec::new();
+    let hello = proto::hello_payload(proto::VERSION, ROLE_SOURCE);
+    write_frame(&mut opening, kind::HELLO, &hello)?;
+    write_frame(&mut opening, kind::JOB, job_json.as_bytes())?;
+    s.write_all(&opening)?;
     s.flush()?;
+    let initial = scenario::initial_memory(spec)?;
+    let (mut guest, mut workload) = scenario::live_guest(spec, &initial)?;
+
+    // HELLO_ACK: the job is accepted.
     let ack = expect_kind(
         read_frame(&mut s, MAX_PAYLOAD)?,
         kind::HELLO_ACK,
@@ -125,55 +142,22 @@ pub(crate) fn run_job(
         )));
     }
 
-    // Job announcement.
-    let job_json = JobMsg {
-        job: job_id,
-        resume: epoch,
-        spec: spec.clone(),
-    }
-    .encode();
-    write_frame(&mut s, kind::JOB, job_json.as_bytes())?;
-    s.flush()?;
-
-    // Build the guest while the destination builds its own state and
-    // index from the JOB it just received: the two constructions
-    // overlap instead of queueing behind the OFFER.
-    let initial = scenario::initial_memory(spec)?;
-    let (mut guest, mut workload) = scenario::live_guest(spec, &initial)?;
-
-    // Offer / want / bulk exchange.
-    let offer_frame = expect_kind(read_frame(&mut s, MAX_PAYLOAD)?, kind::OFFER, "OFFER")?;
-    let offer = Offer::decode(&offer_frame.payload)?;
-    if offer.page_count != spec.pages() {
-        return Err(DaemonError::Protocol(format!(
-            "destination built {} pages, spec says {}",
-            offer.page_count,
-            spec.pages()
-        )));
-    }
-    let want = spec.strategy == "vecycle";
-    if want && !offer.has_checkpoint {
-        return Err(DaemonError::Protocol(
-            "vecycle strategy but the destination offers no checkpoint".into(),
-        ));
-    }
-    write_frame(&mut s, kind::WANT, &[want as u8])?;
-    s.flush()?;
-    let index = if want {
-        let msg = WireMsg::read_from(&mut s)?;
-        let WireMsg::BulkExchange { digests } = msg else {
+    // The bulk exchange follows for a vecycle job, and only for one.
+    let index = if spec.strategy == "vecycle" {
+        let WireMsg::BulkExchange { digests } = WireMsg::read_from(&mut s)? else {
             return Err(DaemonError::Protocol(
                 "expected the bulk checksum exchange".into(),
             ));
         };
-        if digests.len() as u64 != offer.distinct {
+        // The wire form is the sorted, distinct digest list: at most one
+        // digest per page.
+        if digests.len() as u64 > spec.pages() {
             return Err(DaemonError::Corrupt(format!(
-                "bulk exchange carried {} digests, offer said {}",
+                "bulk exchange carried {} digests for {} pages",
                 digests.len(),
-                offer.distinct
+                spec.pages()
             )));
         }
-        // The wire form is the sorted, distinct digest list.
         if let Some(at) = digests.windows(2).position(|w| w[0] >= w[1]) {
             return Err(DaemonError::Corrupt(format!(
                 "bulk exchange digests {at} and {} are not strictly ascending",
@@ -253,8 +237,8 @@ pub(crate) fn run_job(
     write_frame(&mut s, kind::COMPLETE, &hash)?;
     s.flush()?;
     let done = expect_kind(read_frame(&mut s, MAX_PAYLOAD)?, kind::DONE, "DONE")?;
-    let done: [u8; proto::DONE_LEN as usize] = proto::fixed(&done.payload, "done")?;
-    if done[0] != 0 || done[1..] != hash {
+    let theirs: [u8; proto::DONE_LEN as usize] = proto::fixed(&done.payload, "done")?;
+    if theirs != hash {
         return Err(DaemonError::Corrupt(
             "destination content hash mismatch".into(),
         ));

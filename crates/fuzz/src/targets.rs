@@ -18,7 +18,7 @@ use vecycle_cli::args::{parse_duration, parse_faults, parse_link, parse_size};
 use vecycle_daemon::control::CtrlRequest;
 use vecycle_daemon::endpoint::SessionStream;
 use vecycle_daemon::journal::{self, Replay, WalRecord};
-use vecycle_daemon::proto::{self, JobMsg, Offer, ResumeState};
+use vecycle_daemon::proto::{self, JobMsg, ResumeState};
 use vecycle_daemon::queue::{JobRecord, Queue};
 use vecycle_daemon::session_state::{spec_fingerprint, SessionState};
 use vecycle_daemon::{frame, partial_log, record, scenario, DaemonError, JobState};
@@ -362,7 +362,7 @@ fn ctrl_frame_seeds() -> Vec<Vec<u8>> {
         frames(&[(frame::kind::HELLO, b"VECYCLD1\x00\x01\x01")]),
         frames(&[
             (frame::kind::JOB, br#"{"job":1,"resume":0,"spec":{}}"#),
-            (frame::kind::WANT, &[1]),
+            (0x05, &[1]), // protocol version 2's WANT
         ]),
         frames(&[
             (frame::kind::COMPLETE, &[7; 8]),
@@ -491,11 +491,6 @@ fn wal_seeds() -> Vec<Vec<u8>> {
 /// One valid payload per handshake decoder, behind its selector byte.
 fn handshake_seeds() -> Vec<Vec<u8>> {
     let with = |selector: u8, payload: &[u8]| [&[selector][..], payload].concat();
-    let offer = Offer {
-        has_checkpoint: true,
-        page_count: 256,
-        distinct: 200,
-    };
     let resume = ResumeState {
         applied: 300,
         hash: *b"\xcf\x8c\x8a\xbe\x35\x8a\x51\x75",
@@ -507,7 +502,10 @@ fn handshake_seeds() -> Vec<Vec<u8>> {
     };
     vec![
         with(0, &proto::hello_payload(proto::VERSION, proto::ROLE_SOURCE)),
-        with(1, &offer.encode()),
+        with(
+            1,
+            &scenario::content_hash(&[PageDigest::from_content_id(1)]),
+        ),
         with(2, &resume.encode()),
         with(3, &[1]),
         with(4, job.encode().as_bytes()),
@@ -988,11 +986,12 @@ fn compaction_is_a_fixed_point(input: &[u8]) -> Result<(), String> {
 // ----------------------------------------------------- handshake payloads
 
 /// Decodes the payload behind the selector byte with the decoder the
-/// byte (mod 6) selects — HELLO (an empty input's too), OFFER,
-/// RESUME_STATE, the WANT / RESUME_OK flag, JOB, or a CTRL request as
-/// the daemon reads it — and returns the verdict's class and the
-/// re-encoding oracle's: an accepted fixed-length payload re-encodes to
-/// its own bytes, an accepted JSON payload re-decodes equal.
+/// byte (mod 6) selects — HELLO (an empty input's too), the 8-byte
+/// content hash COMPLETE and DONE carry, RESUME_STATE, the RESUME_OK
+/// flag, JOB, or a CTRL request as the daemon reads it — and returns
+/// the verdict's class and the re-encoding oracle's: an accepted
+/// fixed-length payload re-encodes to its own bytes, an accepted JSON
+/// payload re-decodes equal.
 fn handshake(input: &[u8]) -> (&'static str, Result<(), String>) {
     let (&selector, payload) = input.split_first().unwrap_or((&0, &[]));
     let same = |again: &[u8]| match again == payload {
@@ -1007,10 +1006,9 @@ fn handshake(input: &[u8]) -> (&'static str, Result<(), String>) {
             Err(DaemonError::VersionMismatch { .. }) => rejected("hello_version"),
             Err(_) => rejected("hello_magic"),
         },
-        1 => match Offer::decode(payload) {
-            Ok(offer) => ("offer_ok", same(&offer.encode())),
-            Err(e) if length(&e) => rejected("offer_len"),
-            Err(_) => rejected("offer_flag"),
+        1 => match proto::fixed::<{ proto::DONE_LEN as usize }>(payload, "hash") {
+            Ok(hash) => ("hash_ok", same(&hash)),
+            Err(_) => rejected("hash_len"),
         },
         2 => match ResumeState::decode(payload) {
             Ok(announced) => ("resume_state_ok", same(&announced.encode())),
@@ -1224,7 +1222,7 @@ mod tests {
             assert_eq!(drain_slice(&seed, next_ctrl_frame).class(), "eof_clean");
             readers_agree(&seed, next_ctrl_frame).expect("readers agree on a seed");
         }
-        let decoders = ["hello", "offer", "resume_state", "flag", "job", "ctrl"];
+        let decoders = ["hello", "hash", "resume_state", "flag", "job", "ctrl"];
         for (seed, decoder) in handshake_seeds().iter().zip(decoders) {
             let (class, oracle) = handshake(seed);
             assert_eq!((class.strip_suffix("_ok"), oracle), (Some(decoder), Ok(())));

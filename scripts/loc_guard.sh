@@ -28,10 +28,10 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=43736
-PUB_CEILING=1111
+BUDGET=43685
+PUB_CEILING=1105
 DEPS_CEILING=113
-DESIGN_CEILING=1601
+DESIGN_CEILING=1600
 CAP=800
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"

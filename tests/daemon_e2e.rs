@@ -92,6 +92,15 @@ fn assert_reconciled(rec: &vecycle_daemon::queue::JobRecord) {
     assert_eq!(m.rx, m.expected_rx);
 }
 
+/// Pins a fresh job's socket totals against what protocol version 2
+/// measured for the same job. Version 3 drops the WANT frame (6 B)
+/// forward, and the OFFER frame (22 B) and DONE's status byte reverse:
+/// only the framing moved, not one data-plane byte.
+fn assert_socket_bytes(rec: &vecycle_daemon::queue::JobRecord, v2_tx: u64, v2_rx: u64) {
+    let m = rec.measured.as_ref().expect("done job has byte accounting");
+    assert_eq!((m.tx, m.rx), (v2_tx - 6, v2_rx - 23));
+}
+
 #[test]
 fn golden_tcp_migration_matches_the_in_process_engine() {
     let _wd = Watchdog::arm(
@@ -102,6 +111,7 @@ fn golden_tcp_migration_matches_the_in_process_engine() {
     let reference = scenario::reference_run(&spec).expect("reference run");
     let rec = run_one("golden_tcp", tcp_endpoint(), tcp_endpoint(), &spec);
     assert_eq!(rec.state, JobState::Done, "job failed: {}", rec.detail);
+    assert_socket_bytes(&rec, 110_843, 16_448);
     assert_eq!(
         rec.report.as_ref(),
         Some(&reference.report),
@@ -208,6 +218,7 @@ fn cold_full_migration_over_unix_socket_reconciles() {
         &spec,
     );
     assert_reconciled(&rec);
+    assert_socket_bytes(&rec, 4_223_223, 52);
     let reference = scenario::reference_run(&spec).expect("reference run");
     assert_eq!(rec.report.as_ref(), Some(&reference.report));
 }

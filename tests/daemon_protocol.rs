@@ -11,12 +11,13 @@
 use std::io::{Read, Write};
 mod common;
 
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use common::{tcp_endpoint, unix_endpoint, Watchdog};
 use vecycle_daemon::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
-use vecycle_daemon::proto::{self, ROLE_SOURCE};
-use vecycle_daemon::{client, Daemon, DaemonConfig, DaemonError, DaemonHandle};
+use vecycle_daemon::proto::{self, JobMsg, ROLE_SOURCE};
+use vecycle_daemon::{client, Daemon, DaemonConfig, DaemonError, DaemonHandle, Endpoint};
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::PageDigest;
@@ -69,9 +70,13 @@ fn poke(daemon: &DaemonHandle, bytes: &[u8], shutdown_write: bool) -> Reaction {
 // Map an observed ERR text back onto the expectation table by keeping
 // the raw string around for the assert message.
 fn classify_err(text: String) -> Reaction {
-    // Leak the string so the enum can stay Copy-ish with &'static str;
-    // tests only.
-    Reaction::ErrContaining(Box::leak(text.into_boxed_str()))
+    Reaction::ErrContaining(leak(text))
+}
+
+// Leak the string so the enum can stay Copy-ish with &'static str;
+// tests only.
+fn leak(text: String) -> &'static str {
+    Box::leak(text.into_boxed_str())
 }
 
 fn expect_err(got: &Reaction, needle: &str) {
@@ -101,6 +106,18 @@ fn hello_frame(version: u16, role: u8) -> Vec<u8> {
     buf
 }
 
+/// A source's opening flight: HELLO at `version`, then JOB for `spec`.
+fn hello_job(version: u16, spec: &ScenarioSpec) -> Vec<u8> {
+    let mut buf = hello_frame(version, ROLE_SOURCE);
+    let job = JobMsg {
+        job: 1,
+        resume: 0,
+        spec: spec.clone(),
+    };
+    write_frame(&mut buf, kind::JOB, job.encode().as_bytes()).unwrap();
+    buf
+}
+
 fn assert_alive(daemon: &DaemonHandle) {
     assert!(
         client::ping(daemon.endpoint()),
@@ -124,13 +141,15 @@ fn malformed_openings_get_typed_errors_and_never_kill_the_daemon() {
 }
 
 fn run_table(daemon: &DaemonHandle) {
-    // -- version mismatch: typed refusal naming both versions; a
-    //    version-1 peer is refused before a resume could misread its
-    //    longer payloads.
-    for theirs in [99, 1] {
-        let refusal = DaemonError::VersionMismatch { ours: 2, theirs };
-        let got = poke(daemon, &hello_frame(theirs, ROLE_SOURCE), false);
-        expect_err(&got, &refusal.to_string());
+    // -- version mismatch: the exact typed refusal naming both versions,
+    //    sent before the JOB behind the HELLO is read. A version-2 peer
+    //    is refused before it could wait for an OFFER. The unread JOB
+    //    bytes must not cost the refusal (on TCP, closing a socket with
+    //    unread data sends a reset).
+    for theirs in [99, 2] {
+        let refusal = DaemonError::VersionMismatch { ours: 3, theirs };
+        let got = poke(daemon, &hello_job(theirs, &ScenarioSpec::golden(1)), false);
+        assert_eq!(got, Reaction::ErrContaining(leak(refusal.to_string())));
         assert_alive(daemon);
     }
 
@@ -159,11 +178,12 @@ fn run_table(daemon: &DaemonHandle) {
     expect_err(&got, "unexpected opening frame");
     assert_alive(daemon);
 
-    // -- out-of-order inside a session: HELLO then WANT (expects JOB).
+    // -- out-of-order inside a session: HELLO then COMPLETE where the
+    //    JOB belongs, refused before anything is acknowledged.
     let mut mid = hello_frame(proto::VERSION, ROLE_SOURCE);
-    write_frame(&mut mid, kind::WANT, &[1]).unwrap();
-    let got = poke_past_ack(daemon, &mid);
-    expect_err(&got, "JOB");
+    write_frame(&mut mid, kind::COMPLETE, &[0u8; 8]).unwrap();
+    let got = poke(daemon, &mid, false);
+    expect_err(&got, "unexpected frame kind 0x06, expected JOB");
     assert_alive(daemon);
 
     // -- oversized frame: declared length beyond the connection limit,
@@ -185,15 +205,12 @@ fn run_table(daemon: &DaemonHandle) {
     );
     assert_alive(daemon);
 
-    // -- half-close mid-session: valid handshake + JOB, then EOF while
-    //    the daemon expects the WANT exchange and data rounds.
-    let mut mid_session = hello_frame(proto::VERSION, ROLE_SOURCE);
-    let job = format!(
-        "{{\"job\":1,\"spec\":{}}}",
-        serde_json::to_string(&ScenarioSpec::golden(1)).unwrap()
-    );
-    write_frame(&mut mid_session, kind::JOB, job.as_bytes()).unwrap();
-    let got = poke_past_session_close(daemon, &mid_session);
+    // -- half-close mid-session: a valid HELLO‖JOB for a cold full job,
+    //    then EOF while the daemon expects the data rounds.
+    let mut cold = ScenarioSpec::golden(1);
+    cold.strategy = "full".into();
+    cold.warm = false;
+    let got = poke_past_session_close(daemon, &hello_job(proto::VERSION, &cold));
     assert!(
         matches!(got, Reaction::Hangup | Reaction::ErrContaining(_)),
         "half-close must end in EOF or a typed error, got {got:?}"
@@ -224,28 +241,8 @@ fn run_table(daemon: &DaemonHandle) {
     assert_alive(daemon);
 }
 
-/// Like `poke`, but skips the HELLO_ACK the daemon sends after a valid
-/// handshake before classifying the next frame.
-fn poke_past_ack(daemon: &DaemonHandle, bytes: &[u8]) -> Reaction {
-    let mut s = daemon.endpoint().connect().expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    if s.write_all(bytes).is_err() {
-        return Reaction::Hangup;
-    }
-    let _ = s.flush();
-    let ack = read_frame(&mut s, MAX_PAYLOAD).expect("HELLO_ACK");
-    assert_eq!(ack.kind, kind::HELLO_ACK);
-    match read_frame(&mut s, MAX_PAYLOAD) {
-        Ok(f) if f.kind == kind::ERR => {
-            classify_err(String::from_utf8_lossy(&f.payload).into_owned())
-        }
-        Ok(f) => panic!("expected ERR, got frame kind {:#04x}", f.kind),
-        Err(_) => Reaction::Hangup,
-    }
-}
-
-/// Valid handshake + JOB, then write-half close: drain whatever the
-/// daemon sends (ACK, OFFER, then ERR or EOF once it notices).
+/// Valid HELLO‖JOB, then write-half close: drain whatever the daemon
+/// sends (HELLO_ACK, then ERR or EOF once it notices).
 fn poke_past_session_close(daemon: &DaemonHandle, bytes: &[u8]) -> Reaction {
     let mut s = daemon.endpoint().connect().expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -265,91 +262,35 @@ fn poke_past_session_close(daemon: &DaemonHandle, bytes: &[u8]) -> Reaction {
     }
 }
 
-#[test]
-fn version_mismatch_surfaces_as_a_typed_client_error() {
-    let _wd = Watchdog::arm(
-        "version_mismatch_surfaces_as_a_typed_client_error",
-        TEST_LIMIT,
-    );
-    // The same property from the client's side: a source daemon
-    // talking to a peer that answers with a different version gets a
-    // VersionMismatch, not a hang. Simulate the old peer by hand.
+/// A hand-driven destination on a fresh TCP port. It reads HELLO and
+/// JOB before it writes a byte — under a read timeout, so a source that
+/// waits for an answer before sending its JOB fails the test instead of
+/// hanging it — then writes `reply` and holds the socket open until the
+/// source hangs up, so the source's error is driven by the reply, not a
+/// race with close.
+fn fake_destination(reply: Vec<u8>) -> (Endpoint, JoinHandle<()>) {
     let listener = tcp_endpoint().bind().unwrap();
     let peer = listener.local_endpoint().unwrap();
     let server = std::thread::spawn(move || {
         let mut s = listener.accept().unwrap();
-        let f = read_frame(&mut s, MAX_PAYLOAD).unwrap();
-        assert_eq!(f.kind, kind::HELLO);
-        write_frame(
-            &mut s,
-            kind::HELLO_ACK,
-            &proto::hello_payload(7, proto::ROLE_DEST),
-        )
-        .unwrap();
-        s.flush().unwrap();
-        // Hold the socket open so the client's error is driven by the
-        // payload, not a race with close.
-        let mut rest = Vec::new();
-        let _ = s.read_to_end(&mut rest);
-    });
-
-    let daemon = spawn_daemon(false);
-    let id = daemon
-        .submit(ScenarioSpec::golden(1), peer)
-        .expect("submit");
-    let rec = daemon
-        .wait_job(id, Duration::from_secs(30))
-        .expect("job terminates");
-    assert_eq!(rec.state, vecycle_daemon::JobState::Failed);
-    assert!(
-        rec.detail.contains("version"),
-        "failure detail must name the version mismatch: {}",
-        rec.detail
-    );
-    server.join().unwrap();
-    daemon.shutdown();
-}
-
-/// Submits the golden (warm vecycle) job against a fake destination that
-/// answers the handshake, offers a checkpoint of `distinct` digests and
-/// sends `exchange` where the bulk checksum exchange belongs. The job
-/// must fail; returns its failure detail.
-fn job_against_exchange(distinct: u64, exchange: Vec<u8>) -> String {
-    let listener = tcp_endpoint().bind().unwrap();
-    let peer = listener.local_endpoint().unwrap();
-    let server = std::thread::spawn(move || {
-        let mut s = listener.accept().unwrap();
-        let f = read_frame(&mut s, MAX_PAYLOAD).unwrap();
-        assert_eq!(f.kind, kind::HELLO);
-        write_frame(
-            &mut s,
-            kind::HELLO_ACK,
-            &proto::hello_payload(proto::VERSION, proto::ROLE_DEST),
-        )
-        .unwrap();
-        let job = read_frame(&mut s, MAX_PAYLOAD).unwrap();
-        assert_eq!(job.kind, kind::JOB);
-        // Offer a checkpoint so the source asks for the bulk exchange.
-        write_frame(
-            &mut s,
-            kind::OFFER,
-            &vecycle_daemon::proto::Offer {
-                has_checkpoint: true,
-                page_count: ScenarioSpec::golden(1).pages(),
-                distinct,
-            }
-            .encode(),
-        )
-        .unwrap();
-        s.flush().unwrap();
-        let want = read_frame(&mut s, MAX_PAYLOAD).unwrap();
-        assert_eq!(want.kind, kind::WANT);
-        let _ = s.write_all(&exchange);
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        for want in [kind::HELLO, kind::JOB] {
+            let f = read_frame(&mut s, MAX_PAYLOAD).expect("HELLO and JOB arrive unanswered");
+            assert_eq!(f.kind, want);
+        }
+        let _ = s.write_all(&reply);
         let _ = s.flush();
         let mut rest = Vec::new();
         let _ = s.read_to_end(&mut rest);
     });
+    (peer, server)
+}
 
+/// Submits the golden (warm vecycle) job against a fake destination
+/// answering with `reply`. The job must fail; returns its failure
+/// detail.
+fn job_against(reply: Vec<u8>) -> String {
+    let (peer, server) = fake_destination(reply);
     let daemon = spawn_daemon(false);
     let id = daemon
         .submit(ScenarioSpec::golden(1), peer)
@@ -363,29 +304,71 @@ fn job_against_exchange(distinct: u64, exchange: Vec<u8>) -> String {
     rec.detail
 }
 
+/// [`job_against`] a destination that accepts the job and sends
+/// `exchange` where the bulk checksum exchange belongs.
+fn job_against_exchange(exchange: Vec<u8>) -> String {
+    let mut reply = Vec::new();
+    let ack = proto::hello_payload(proto::VERSION, proto::ROLE_DEST);
+    write_frame(&mut reply, kind::HELLO_ACK, &ack).unwrap();
+    reply.extend_from_slice(&exchange);
+    job_against(reply)
+}
+
+#[test]
+fn version_mismatch_surfaces_as_a_typed_client_error() {
+    let _wd = Watchdog::arm(
+        "version_mismatch_surfaces_as_a_typed_client_error",
+        TEST_LIMIT,
+    );
+    // The same property from the client's side: a source daemon whose
+    // peer answers with a different version gets a VersionMismatch, not
+    // a hang — and it sent its JOB before any answer arrived.
+    let mut reply = Vec::new();
+    let ack = proto::hello_payload(7, proto::ROLE_DEST);
+    write_frame(&mut reply, kind::HELLO_ACK, &ack).unwrap();
+    let detail = job_against(reply);
+    let refusal = DaemonError::VersionMismatch { ours: 3, theirs: 7 };
+    assert!(
+        detail.contains(&refusal.to_string()),
+        "failure detail must name the version mismatch: {detail}"
+    );
+}
+
 #[test]
 fn oversized_wire_message_inside_a_session_is_rejected() {
     let _wd = Watchdog::arm(
         "oversized_wire_message_inside_a_session_is_rejected",
         TEST_LIMIT,
     );
-    // A destination answering the handshake and then streaming a bulk
-    // exchange with a forged huge count must produce a typed Corrupt
-    // error on the source, not an allocation or a hang.
-    // Forged bulk exchange: count u64::MAX, zero payload bytes.
+    // A destination accepting the job and then streaming a bulk exchange
+    // with a forged huge count must produce a typed Corrupt error on the
+    // source, not an allocation or a hang. Forged bulk exchange: count
+    // u64::MAX, zero payload bytes.
     let mut forged = u64::MAX.to_be_bytes().to_vec();
     forged.push(7); // BULK_EXCHANGE wire kind
     forged.extend_from_slice(&[0xFF, 0xFF, 0xFF]); // max 24-bit length
-    let detail = job_against_exchange(10, forged);
+    let detail = job_against_exchange(forged);
     assert!(
         detail.contains("bulk-exchange") || detail.contains("corrupt"),
         "failure detail: {detail}"
     );
+    // A well-formed exchange holds at most one digest per guest page.
+    let pages = ScenarioSpec::golden(1).pages();
+    let mut digests: Vec<PageDigest> = (0..=pages).map(PageDigest::from_content_id).collect();
+    digests.sort();
+    let mut exchange = Vec::new();
+    WireMsg::BulkExchange { digests }.encode(&mut exchange);
+    let detail = job_against_exchange(exchange);
+    let bound = format!(
+        "corrupt payload: bulk exchange carried {} digests for {pages} pages",
+        pages + 1
+    );
+    assert!(detail.contains(&bound), "failure detail: {detail}");
 }
 
 /// The bulk exchange is the sorted, distinct digest list: a duplicate or
-/// an out-of-order pair is corrupt, even when the count matches the
-/// OFFER, and is refused before any index is built from it.
+/// an out-of-order pair is corrupt, and is refused before any index is
+/// built from it.
 #[test]
 fn a_bulk_exchange_that_is_not_strictly_ascending_is_corrupt() {
     let _wd = Watchdog::arm(
@@ -400,7 +383,7 @@ fn a_bulk_exchange_that_is_not_strictly_ascending_is_corrupt() {
     ] {
         let mut exchange = Vec::new();
         WireMsg::BulkExchange { digests }.encode(&mut exchange);
-        let detail = job_against_exchange(3, exchange);
+        let detail = job_against_exchange(exchange);
         assert!(
             detail.contains("corrupt")
                 && detail.contains("digests 1 and 2 are not strictly ascending"),
@@ -425,10 +408,10 @@ fn error_types_format_distinctly() {
         ),
         (
             DaemonError::UnexpectedFrame {
-                expected: "OFFER",
+                expected: "JOB",
                 got: 0x42,
             },
-            "OFFER",
+            "expected JOB",
         ),
         (
             DaemonError::LedgerMismatch {

@@ -862,9 +862,10 @@ fn a_warm_partial_log_cut_at_every_byte_loads_its_whole_records() {
     every_truncation_loads_the_whole_record_prefix(&spec);
 }
 
-/// A hand-driven source: opens a session for job 9 at `epoch` against
-/// `dest` and walks the handshake up to where the data plane (epoch 0)
-/// or the RESUME_STATE frame (later epochs) comes next.
+/// A hand-driven source: opens a session for job 9 of a cold `spec` at
+/// `epoch` against `dest` — HELLO‖JOB out, HELLO_ACK back — up to where
+/// the data plane (epoch 0) or the RESUME_STATE frame (later epochs)
+/// comes next.
 fn open_session(
     dest: &Endpoint,
     spec: &ScenarioSpec,
@@ -875,16 +876,14 @@ fn open_session(
         .expect("timeout");
     let hello = proto::hello_payload(proto::VERSION, proto::ROLE_SOURCE);
     write_frame(&mut s, kind::HELLO, &hello).expect("hello");
-    read_frame(&mut s, MAX_PAYLOAD).expect("hello ack");
     let job = JobMsg {
         job: 9,
         resume: epoch,
         spec: spec.clone(),
     };
     write_frame(&mut s, kind::JOB, job.encode().as_bytes()).expect("job");
-    let offer = read_frame(&mut s, MAX_PAYLOAD).expect("offer");
-    assert_eq!(offer.kind, kind::OFFER);
-    write_frame(&mut s, kind::WANT, &[0]).expect("want");
+    let ack = read_frame(&mut s, MAX_PAYLOAD).expect("hello ack");
+    assert_eq!(ack.kind, kind::HELLO_ACK);
     s
 }
 
