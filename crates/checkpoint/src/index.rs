@@ -63,19 +63,46 @@ pub struct ChecksumIndex {
 impl ChecksumIndex {
     /// Builds the index from per-page digests in page order.
     pub fn build(digests: Vec<PageDigest>) -> Self {
-        let total_pages = digests.len() as u64;
-        let mut sorted = digests.clone();
+        Self::from_pages(&digests)
+    }
+
+    /// Builds the index from borrowed per-page digests in page order:
+    /// one copy of the list (the sorted array) and the map.
+    pub fn from_pages(pages: &[PageDigest]) -> Self {
+        let mut sorted = pages.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
         let mut first = DigestMap::with_capacity_and_hasher(sorted.len(), Default::default());
-        for (i, d) in digests.into_iter().enumerate() {
+        for (i, &d) in pages.iter().enumerate() {
             first.entry(d).or_insert(PageIndex::new(i as u64));
         }
         ChecksumIndex {
             sorted,
             first,
-            total_pages,
+            total_pages: pages.len() as u64,
         }
+    }
+
+    /// Builds the index from a list that must already be strictly
+    /// ascending — a bulk exchange as its receiver got it. The list
+    /// becomes the sorted array as it is, with no copy and no sort; the
+    /// result is what [`ChecksumIndex::build`] makes of the same list.
+    ///
+    /// # Errors
+    ///
+    /// `Err(at)` when digests `at` and `at + 1` are not strictly
+    /// ascending.
+    pub fn from_sorted(sorted: Vec<PageDigest>) -> Result<Self, usize> {
+        if let Some(at) = sorted.windows(2).position(|w| w[0] >= w[1]) {
+            return Err(at);
+        }
+        let mut first = DigestMap::with_capacity_and_hasher(sorted.len(), Default::default());
+        first.extend((sorted.iter().enumerate()).map(|(i, &d)| (d, PageIndex::new(i as u64))));
+        Ok(ChecksumIndex {
+            total_pages: sorted.len() as u64,
+            sorted,
+            first,
+        })
     }
 
     /// Number of pages the underlying checkpoint holds (with duplicates).
@@ -87,6 +114,11 @@ impl ChecksumIndex {
     /// to the source in the bulk checksum pre-exchange (§3.2).
     pub fn digests(&self) -> impl Iterator<Item = PageDigest> + '_ {
         self.sorted.iter().copied()
+    }
+
+    /// The same digests as one borrowed slice.
+    pub fn sorted(&self) -> &[PageDigest] {
+        &self.sorted
     }
 
     /// Wire size of the bulk checksum exchange: 16 bytes per distinct
@@ -135,6 +167,33 @@ mod tests {
         let index = ChecksumIndex::build(vec![d(9), d(2), d(7)]);
         let v: Vec<_> = index.digests().collect();
         assert!(v.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Sorted input makes the same index either way: the same sorted
+    /// array, offsets, distinct count and page total.
+    #[test]
+    fn from_sorted_builds_what_build_builds() {
+        let mut digests: Vec<_> = (0..1_000).map(|i| d(i * 7 + 1)).collect();
+        digests.sort_unstable();
+        let (built, adopted) = (
+            ChecksumIndex::build(digests.clone()),
+            ChecksumIndex::from_sorted(digests.clone()).expect("sorted and distinct"),
+        );
+        assert_eq!(adopted.sorted(), built.sorted());
+        assert_eq!(adopted.total_pages(), built.total_pages());
+        for &digest in &digests {
+            assert_eq!(adopted.lookup(digest), built.lookup(digest));
+        }
+        assert!(!adopted.contains(d(0)));
+        digests.swap(3, 4);
+        assert_eq!(ChecksumIndex::from_sorted(digests.clone()).err(), Some(3));
+        digests.swap(3, 4);
+        digests[5] = digests[4];
+        assert_eq!(
+            ChecksumIndex::from_sorted(digests).err(),
+            Some(4),
+            "a duplicate"
+        );
     }
 
     #[test]

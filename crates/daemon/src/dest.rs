@@ -19,7 +19,11 @@
 //!
 //! Every byte of the session — HELLO to COMPLETE — is read through the
 //! connection's one [`SessionStream`], so [`receive_stream`] costs a
-//! `read` per 64 KiB of stream, not two per message. Reading ahead is
+//! `read` per 64 KiB of stream, not two per message, and no message
+//! allocates: a full page's bytes are read into one page buffer the
+//! stream reuses, checked against the digest filler there — at decode,
+//! before the page lands — and the message applied and logged is
+//! `idx ‖ digest`. Reading ahead is
 //! safe: this handler is the connection's only reader, and the source
 //! sends nothing past COMPLETE until it has our DONE. The destination
 //! hashes its state as soon as StopEnd is applied and only then reads
@@ -40,14 +44,14 @@
 
 use std::io::{Read, Write};
 
-use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
+use vecycle_checkpoint::{ChecksumIndex, PageLookup};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
-use vecycle_net::WireMsg;
+use vecycle_net::{wire, wiremsg, WireMsg};
 use vecycle_obs::Counter;
-use vecycle_types::{HostId, SimTime, VmId};
+use vecycle_types::{HostId, PAGE_SIZE};
 
 use crate::endpoint::{SessionStream, Stream};
-use crate::frame::{kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
+use crate::frame::{frame_cost, kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
 use crate::partial_log::PartialLog;
 use crate::proto::{self, expect_kind, JobMsg, ResumeState, ROLE_DEST, ROLE_SOURCE};
 use crate::scenario;
@@ -85,8 +89,7 @@ pub(crate) fn session(
     // the wire protocol is identical either way. Only a vecycle stream
     // carries checksum messages, so only a vecycle job needs the index.
     let initial = scenario::initial_memory(&spec)?;
-    let index = (spec.strategy == "vecycle")
-        .then(|| Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial).build_index());
+    let index = (spec.strategy == "vecycle").then(|| ChecksumIndex::from_pages(initial.as_slice()));
 
     // Admission: this host participates in at most one migration at a
     // time, same invariant the source's queue enforces on its side.
@@ -123,15 +126,21 @@ pub(crate) fn session(
     });
 
     // One flight back: HELLO_ACK (the job is accepted), the bulk exchange
-    // for a vecycle job, RESUME_STATE for a resume epoch.
-    let mut reply = Vec::new();
+    // for a vecycle job, encoded straight from the index, RESUME_STATE for
+    // a resume epoch — into a buffer sized for exactly that.
+    let bulk = index
+        .as_ref()
+        .map_or(0, |ix| wire::bulk_exchange(ix.distinct() as u64).as_u64());
+    let announce = if resumed.is_some() {
+        frame_cost(proto::RESUME_STATE_LEN)
+    } else {
+        0
+    };
+    let mut reply = Vec::with_capacity((frame_cost(proto::HELLO_LEN) + bulk + announce) as usize);
     let ack = proto::hello_payload(proto::VERSION, ROLE_DEST);
     write_frame(&mut reply, kind::HELLO_ACK, &ack)?;
     if let Some(ix) = &index {
-        WireMsg::BulkExchange {
-            digests: ix.digests().collect(),
-        }
-        .encode(&mut reply);
+        wiremsg::encode_bulk_exchange(ix.sorted(), &mut reply);
     }
     if let Some((st, _)) = &resumed {
         let announce = ResumeState {
@@ -223,7 +232,8 @@ pub(crate) fn session(
 /// What [`receive_stream`] tells whoever persists the landed prefix.
 /// `()` persists nothing.
 pub trait Persist {
-    /// `msg` was validated and applied.
+    /// `msg` was validated and applied; a `Full` comes in its landed
+    /// `idx ‖ digest` form.
     fn landed(&mut self, msg: &WireMsg);
     /// A persistence boundary: `STREAM_CHUNK` (64) messages, or a round
     /// or stop delimiter, landed since the last one.
@@ -243,13 +253,17 @@ impl Persist for () {
 ///
 /// `r` is the session's reader: decoding costs a `read` per buffer, and
 /// whatever follows StopEnd in the same buffer (the COMPLETE frame) is
-/// still there for the caller's next frame read.
+/// still there for the caller's next frame read. A full page's bytes are
+/// read into one page buffer that serves the whole stream and checked
+/// against the digest filler there; what lands is `idx ‖ digest`. No
+/// message allocates.
 ///
 /// # Errors
 ///
 /// [`DaemonError::Io`] when the stream ends or stalls mid-message — the
-/// state then holds exactly the messages that arrived whole — and the
-/// apply errors of [`SessionState::apply`].
+/// state then holds exactly the messages that arrived whole — a
+/// [`DaemonError::Corrupt`] full page that is not its digest's filler,
+/// and the apply errors of [`SessionState::apply`].
 pub fn receive_stream<R: Read, P: Persist>(
     r: &mut R,
     index: Option<&ChecksumIndex>,
@@ -257,10 +271,16 @@ pub fn receive_stream<R: Read, P: Persist>(
     kill: &KillSwitch,
     persist: &mut P,
 ) -> Result<(), DaemonError> {
+    // On the heap: a 4 KiB array in this frame slowed every message's
+    // decode and apply, full page or not.
+    let mut page = Box::new([0u8; PAGE_SIZE as usize]);
     let mut since_checkpoint = 0usize;
     while !session_state.finished() {
-        let msg = WireMsg::read_from(r).map_err(DaemonError::from)?;
+        let msg = WireMsg::read_landed(r, &mut page).map_err(DaemonError::from)?;
         kill.tick(KillRole::Dest, KillPoint::MidBulk);
+        if let WireMsg::Full { idx, digest, .. } = &msg {
+            session_state::check_filler(*idx, &page[..], digest)?;
+        }
         session_state.apply(&msg, index)?;
         persist.landed(&msg);
         since_checkpoint += 1;

@@ -15,13 +15,14 @@
 //! chunk only ever continues the state it was written behind. A landed
 //! message is its wire encoding, except that a `Full` keeps only
 //! `idx ‖ digest` (same header, payload length 16): its 4 KiB filler
-//! was verified by [`SessionState::apply`] when it arrived and is a
-//! function of the digest, so the log costs tens of bytes per message
-//! whatever the message carried. Replay applies a logged `Full` as a
-//! `Full` with no page bytes, which `apply` accepts as the filler; no
-//! page is rebuilt or copied. (A `Full` read off the wire still carries
-//! exactly 4 096 bytes: `WireMsg::read_from` enforces the length and
-//! `apply` checks the filler.)
+//! was checked when it was decoded, in the session's page buffer, and
+//! is a function of the digest, so the log costs tens of bytes per
+//! message whatever the message carried. The session lands a `Full` in
+//! exactly that form, a `Full` with no page bytes, and replay applies a
+//! logged one the same way; [`SessionState::apply`] accepts it as the
+//! filler, and no page is rebuilt or copied. (A `Full` read off the
+//! wire still carries exactly 4 096 bytes: the decoder enforces the
+//! length before the filler check.)
 //!
 //! The destination appends one chunk per persistence boundary — what
 //! landed since the last one, never the whole state again — with a

@@ -29,6 +29,7 @@ use std::path::{Path, PathBuf};
 use vecycle_checkpoint::{ChecksumIndex, PageLookup};
 use vecycle_hash::{Fnv1a64, Hasher};
 use vecycle_mem::DigestMemory;
+use vecycle_net::wiremsg::is_filler;
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::PageDigest;
@@ -47,16 +48,16 @@ pub fn spec_fingerprint(spec: &ScenarioSpec) -> u64 {
     u64::from_be_bytes(fnv.finalize())
 }
 
-/// Whether `page` is `digest` repeated end to end — the digest-level
-/// stand-in for page bytes. Two block compares (the head is the digest,
-/// and the page equals itself shifted by one digest) rather than one
-/// per 16 bytes: a resume replays every logged full page through it.
-fn is_filler(page: &[u8], digest: &PageDigest) -> bool {
-    let d = digest.as_bytes();
-    page.is_empty()
-        || (page.len().is_multiple_of(d.len())
-            && page.starts_with(d)
-            && page[d.len()..] == page[..page.len() - d.len()])
+/// Refuses a `Full` whose page bytes are not its digest's filler
+/// ([`is_filler`]): the check every full page gets before it lands,
+/// whether its bytes sit in the message or in the receiver's page buffer.
+pub(crate) fn check_filler(idx: u64, page: &[u8], digest: &PageDigest) -> Result<(), DaemonError> {
+    if is_filler(page, digest) {
+        return Ok(());
+    }
+    Err(DaemonError::Corrupt(format!(
+        "full page {idx} bytes do not match the digest filler"
+    )))
 }
 
 /// The deterministic apply-state of one migration stream.
@@ -142,11 +143,7 @@ impl SessionState {
         }
         match msg {
             WireMsg::Full { idx, digest, page } => {
-                if !is_filler(page, digest) {
-                    return Err(DaemonError::Corrupt(format!(
-                        "full page {idx} bytes do not match the digest filler"
-                    )));
-                }
+                check_filler(*idx, page, digest)?;
                 self.write(*idx, *digest)?;
             }
             WireMsg::Checksum { idx, digest } => {

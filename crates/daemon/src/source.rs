@@ -2,7 +2,7 @@
 //! socket, verify the destination, reconcile bytes.
 //!
 //! The session hands the engine a [`SocketSink`]: every page message
-//! and round delimiter is converted and encoded the moment
+//! and round delimiter is encoded into the sink's chunk the moment
 //! [`migrate_live_into`](vecycle_core::MigrationEngine::migrate_live_into)
 //! emits it, and written once the chunk holds at least [`SESSION_BUF`]
 //! (64 KiB) and [`STREAM_CHUNK`] messages. All migration
@@ -12,10 +12,15 @@
 //! structural, and the interesting cross-process property is the
 //! byte/ledger reconciliation.
 //!
-//! Buffers: outbound, the sink's current chunk (allocated once) and
-//! nothing else; inbound, the session's one [`SessionStream`], through
-//! which every reply frame and the bulk checksum exchange are read (the
-//! exchange in 16 KiB steps, not one `read` per digest).
+//! Buffers: outbound, one chunk per session, allocated at the most a
+//! chunk can hold (64 full pages) and reused for every write; a message
+//! is encoded straight into it — a full page's filler from its digest —
+//! so no page message allocates. (The opening flight and the control
+//! frames are small buffers of their own.) Inbound, the session's one
+//! [`SessionStream`], through which every reply frame and the bulk
+//! checksum exchange are read (the exchange in 16 KiB steps, not one
+//! `read` per digest). The validated exchange becomes the index as it
+//! is: no copy, no sort.
 //!
 //! The session opens in one flight each way: HELLO‖JOB out, then the
 //! guest is built while the destination builds its own state; back
@@ -39,7 +44,7 @@ use std::io::Write;
 use vecycle_checkpoint::ChecksumIndex;
 use vecycle_core::{LiveOutcome, MsgSink, PageMsg};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
-use vecycle_net::{wire, WireMsg};
+use vecycle_net::{wire, wiremsg, WireMsg};
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{Bytes, PageDigest};
 
@@ -150,7 +155,7 @@ pub(crate) fn run_job(
             ));
         };
         // The wire form is the sorted, distinct digest list: at most one
-        // digest per page.
+        // digest per page, and it becomes the index as it is.
         if digests.len() as u64 > spec.pages() {
             return Err(DaemonError::Corrupt(format!(
                 "bulk exchange carried {} digests for {} pages",
@@ -158,13 +163,13 @@ pub(crate) fn run_job(
                 spec.pages()
             )));
         }
-        if let Some(at) = digests.windows(2).position(|w| w[0] >= w[1]) {
-            return Err(DaemonError::Corrupt(format!(
+        let index = ChecksumIndex::from_sorted(digests).map_err(|at| {
+            DaemonError::Corrupt(format!(
                 "bulk exchange digests {at} and {} are not strictly ascending",
                 at + 1
-            )));
-        }
-        Some(ChecksumIndex::build(digests))
+            ))
+        })?;
+        Some(index)
     } else {
         None
     };
@@ -185,6 +190,9 @@ pub(crate) fn run_job(
     } else {
         None
     };
+    // The guest and the resume simulator hold their own copies: the
+    // stream runs without a spare guest-sized table.
+    drop(initial);
 
     // Run the migration into the socket. Message sizes are the analytic
     // prices, and each round's Control header is the RoundEnd/StopEnd
@@ -283,7 +291,8 @@ pub(crate) fn run_job(
 
 /// The prefix a resuming destination announced, while the source is
 /// still regenerating it: the messages held back and the state they
-/// replay into.
+/// replay into. A held full page is `idx ‖ digest`; its filler is
+/// written only if the prefix is rejected and the page sent after all.
 struct HeldPrefix {
     announced: ResumeState,
     sim: SessionState,
@@ -291,11 +300,10 @@ struct HeldPrefix {
     held: Vec<WireMsg>,
 }
 
-/// The daemon's [`MsgSink`]: converts each engine message to its wire
-/// form, encodes it and writes it, one buffered write once the chunk
-/// holds at least [`SESSION_BUF`] bytes and 64 (`STREAM_CHUNK`)
-/// messages (a checksum stream writes ≈ 2 341 messages at a time, a
-/// full-page stream 64 pages). `progress` is told the cumulative stream
+/// The daemon's [`MsgSink`]: encodes each engine message into its
+/// chunk and writes the chunk once it holds at least [`SESSION_BUF`]
+/// bytes and 64 (`STREAM_CHUNK`) messages (a checksum stream writes
+/// ≈ 2 341 messages at a time, a full-page stream 64 pages). `progress` is told the cumulative stream
 /// position when streaming starts and after every round delimiter sent
 /// (the source journals it); the kill switch is ticked once per message
 /// *sent* — the hook the chaos harness arms to die mid-bulk.
@@ -333,9 +341,11 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
             w,
             kill,
             progress,
-            // A chunk of small messages flushes within one message of
-            // SESSION_BUF; only a full-page chunk outgrows this.
-            buf: Vec::with_capacity(SESSION_BUF + wire::full_page_msg().as_u64() as usize),
+            // The most a chunk holds: it is written once it has
+            // STREAM_CHUNK messages and SESSION_BUF bytes, so at most
+            // STREAM_CHUNK full pages — or, past that many messages,
+            // under one full page more than SESSION_BUF, which is less.
+            buf: Vec::with_capacity(STREAM_CHUNK * wire::full_page_msg().as_u64() as usize),
             in_buf: 0,
             position: 0,
             resume,
@@ -409,7 +419,12 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
             return;
         }
         self.kill.tick(KillRole::Source, KillPoint::MidBulk);
-        msg.encode(&mut self.buf);
+        match msg {
+            WireMsg::Full { idx, digest, .. } => {
+                wiremsg::encode_full_filler(idx, digest, &mut self.buf);
+            }
+            ref other => other.encode(&mut self.buf),
+        }
         self.in_buf += 1;
         self.position += 1;
         if self.in_buf >= STREAM_CHUNK && self.buf.len() >= SESSION_BUF {
@@ -434,8 +449,17 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
 }
 
 impl<W: Write, P: FnMut(u64)> MsgSink for SocketSink<'_, W, P> {
-    fn page(&mut self, msg: PageMsg, _digest: PageDigest, _size: Bytes) -> bool {
-        self.push(msg.to_wire());
+    fn page(&mut self, msg: PageMsg, digest: PageDigest, _size: Bytes) -> bool {
+        // A full page is held as `idx ‖ digest`, the digest the scan
+        // already has in hand; its filler is written at encode.
+        self.push(match msg {
+            PageMsg::Full { idx, .. } => WireMsg::Full {
+                idx: idx.as_u64(),
+                digest,
+                page: Vec::new(),
+            },
+            other => other.to_wire(),
+        });
         true
     }
 

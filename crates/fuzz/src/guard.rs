@@ -25,11 +25,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use vecycle_types::PAGE_SIZE;
+
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
     static REQUESTED: Cell<u64> = const { Cell::new(0) };
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<u64> = const { Cell::new(0) };
+    static PAGE_SIZED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A [`System`]-backed allocator that counts bytes requested while a
@@ -57,6 +60,9 @@ impl CountingAlloc {
                 let _ = REQUESTED.try_with(|r| r.set(r.get().saturating_add(size as u64)));
                 let _ = CALLS.try_with(|c| c.set(c.get() + 1));
                 let _ = LARGEST.try_with(|l| l.set(l.get().max(size as u64)));
+                if size as u64 >= PAGE_SIZE {
+                    let _ = PAGE_SIZED.try_with(|p| p.set(p.get() + 1));
+                }
             }
         });
     }
@@ -100,6 +106,8 @@ pub struct AllocStats {
     pub largest: u64,
     /// Requests made: allocations and reallocations.
     pub calls: u64,
+    /// Requests of one page (`PAGE_SIZE` bytes) or more.
+    pub page_sized: u64,
 }
 
 /// Scoped arming of the counting allocator on the current thread.
@@ -111,6 +119,7 @@ impl AllocMeter {
         REQUESTED.with(|r| r.set(0));
         LARGEST.with(|l| l.set(0));
         CALLS.with(|c| c.set(0));
+        PAGE_SIZED.with(|p| p.set(0));
         ENABLED.with(|e| e.set(true));
     }
 
@@ -122,6 +131,7 @@ impl AllocMeter {
             requested: REQUESTED.with(Cell::get),
             largest: LARGEST.with(Cell::get),
             calls: CALLS.with(Cell::get),
+            page_sized: PAGE_SIZED.with(Cell::get),
         }
     }
 

@@ -163,8 +163,8 @@ pub fn all_targets() -> Vec<Target> {
             seeds: wire_msg_seeds,
             dict: WIRE_DICT,
             post: None,
-            run: |input| drain_slice(input, next_wire_msg).class(),
-            differential: Some(|input| readers_agree(input, next_wire_msg)),
+            run: run_wire_msg,
+            differential: Some(wire_decoders_agree),
             max_len: 8192,
         },
         Target {
@@ -1078,7 +1078,11 @@ impl<T> Drained<T> {
 
 /// Decodes items from `r` until the first error; `taken` reports how
 /// many input bytes the decoder has consumed through `r` so far.
-fn drain<R: Read, T>(r: &mut R, taken: impl Fn(&R) -> usize, next: Step<T>) -> Drained<T> {
+fn drain<R: Read, T>(
+    r: &mut R,
+    taken: impl Fn(&R) -> usize,
+    mut next: impl FnMut(&mut dyn Read) -> Result<T, &'static str>,
+) -> Drained<T> {
     let mut items = Vec::new();
     loop {
         let before = taken(r);
@@ -1097,7 +1101,10 @@ fn drain<R: Read, T>(r: &mut R, taken: impl Fn(&R) -> usize, next: Step<T>) -> D
     }
 }
 
-fn drain_slice<T>(input: &[u8], next: Step<T>) -> Drained<T> {
+fn drain_slice<T>(
+    input: &[u8],
+    next: impl FnMut(&mut dyn Read) -> Result<T, &'static str>,
+) -> Drained<T> {
     drain(&mut &*input, |rest| input.len() - rest.len(), next)
 }
 
@@ -1158,7 +1165,11 @@ fn readers_agree<T: PartialEq + std::fmt::Debug>(
 }
 
 fn next_wire_msg(mut r: &mut dyn Read) -> Result<WireMsg, &'static str> {
-    WireMsg::read_from(&mut r).map_err(|e| match e {
+    WireMsg::read_from(&mut r).map_err(wire_class)
+}
+
+fn wire_class(e: Error) -> &'static str {
+    match e {
         Error::Corrupt { detail } => corrupt_class(
             &detail,
             &[
@@ -1170,7 +1181,77 @@ fn next_wire_msg(mut r: &mut dyn Read) -> Result<WireMsg, &'static str> {
             ],
         ),
         _ => "err_io",
+    }
+}
+
+/// A message as the daemon's receiver lands it — a `Full` as
+/// `idx ‖ digest` — and, for a `Full`, whether its page bytes were the
+/// digest's filler.
+type Landed = (WireMsg, Option<bool>);
+
+/// [`WireMsg::read_from`]'s message, cut to its [`Landed`] form.
+fn next_landed_owned(mut r: &mut dyn Read) -> Result<Landed, &'static str> {
+    Ok(match WireMsg::read_from(&mut r).map_err(wire_class)? {
+        WireMsg::Full { idx, digest, page } => {
+            let filler = wiremsg::is_filler(&page, &digest);
+            let landed = WireMsg::Full {
+                idx,
+                digest,
+                page: Vec::new(),
+            };
+            (landed, Some(filler))
+        }
+        other => (other, None),
     })
+}
+
+/// The session path: [`WireMsg::read_landed`] into `page`, one buffer
+/// for the whole stream, as `receive_stream` reads.
+fn next_landed_in(
+    page: &mut [u8; PAGE_BYTES],
+    mut r: &mut dyn Read,
+) -> Result<Landed, &'static str> {
+    let msg = WireMsg::read_landed(&mut r, page).map_err(wire_class)?;
+    let filler = match &msg {
+        WireMsg::Full { digest, .. } => Some(wiremsg::is_filler(page, digest)),
+        _ => None,
+    };
+    Ok((msg, filler))
+}
+
+const PAGE_BYTES: usize = vecycle_types::PAGE_SIZE as usize;
+
+/// The daemon's receive: the session path, refusing the first full page
+/// that is not its digest's filler.
+fn run_wire_msg(input: &[u8]) -> &'static str {
+    let mut page = [0u8; PAGE_BYTES];
+    drain_slice(input, |r| match next_landed_in(&mut page, r)? {
+        (_, Some(false)) => Err("err_filler"),
+        landed => Ok(landed),
+    })
+    .class()
+}
+
+/// The `wire_msg` oracle: `read_from` decodes alike through every
+/// reader, and the session path — one page buffer reused over a
+/// [`SessionStream`] — yields the same landed messages and filler
+/// verdicts, and stops on the same error class after the same bytes.
+fn wire_decoders_agree(input: &[u8]) -> Result<(), String> {
+    readers_agree(input, next_wire_msg)?;
+    let owned = drain_slice(input, next_landed_owned);
+    let mut page = [0u8; PAGE_BYTES];
+    let session = drain(
+        &mut SessionStream::new(input),
+        |s| s.rx() as usize - s.buffered(),
+        |r| next_landed_in(&mut page, r),
+    );
+    if session != owned {
+        return Err(format!(
+            "session path decoded {:?}, ended {} after {} bytes; read_from {:?}, ended {} after {} bytes",
+            session.items, session.end, session.consumed, owned.items, owned.end, owned.consumed,
+        ));
+    }
+    Ok(())
 }
 
 /// The frame-size limit the `ctrl_frame` target reads under. The
@@ -1210,9 +1291,17 @@ mod tests {
         }
         let wire = wire_msg_seeds();
         for seed in &wire[..wire.len() - 1] {
-            assert_eq!(drain_slice(seed, next_wire_msg).class(), "eof_clean");
-            readers_agree(seed, next_wire_msg).expect("readers agree on a seed");
+            assert_eq!(run_wire_msg(seed), "eof_clean");
+            wire_decoders_agree(seed).expect("decoders agree on a seed");
         }
+        // A full page one byte off its filler: read_from takes it, the
+        // session path refuses it, and both decoders give it the same
+        // verdict.
+        let mut unfilled = wire[0].clone();
+        *unfilled.last_mut().expect("a full page") ^= 1;
+        assert_eq!(drain_slice(&unfilled, next_wire_msg).class(), "eof_clean");
+        assert_eq!(run_wire_msg(&unfilled), "err_filler");
+        wire_decoders_agree(&unfilled).expect("decoders agree on the verdict");
         let short_bulk = wire.last().expect("short-body seed");
         assert_eq!(
             drain_slice(short_bulk, next_wire_msg).class(),

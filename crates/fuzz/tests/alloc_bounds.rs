@@ -1,18 +1,23 @@
 //! Allocation bounds of the byte path, measured with the fuzzer's
 //! counting allocator: what the hash batcher, the streaming checkpoint
-//! reader, a whole ping-pong leg, a fleet run and the metrics registry
-//! ask the allocator for.
+//! reader, a whole ping-pong leg, a fleet run, the metrics registry and
+//! the daemon's data plane ask the allocator for.
 
-use vecycle_checkpoint::{Checkpoint, DiskStore};
+use vecycle_checkpoint::{Checkpoint, ChecksumIndex, DiskStore};
 use vecycle_core::{apply_transcript, MigrationEngine, Strategy};
+use vecycle_daemon::endpoint::{SessionStream, SESSION_BUF};
+use vecycle_daemon::session_state::SessionState;
+use vecycle_daemon::{receive_stream, scenario, SocketSink};
+use vecycle_faults::KillSwitch;
 use vecycle_fleet::{Fleet, FleetSpec, PlacementMode};
 use vecycle_fuzz::{alloc_budget, AllocMeter, AllocStats, CountingAlloc};
 use vecycle_hash::ChecksumAlgorithm;
 use vecycle_mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload};
 use vecycle_mem::{ByteMemory, DigestMemory, Guest};
-use vecycle_net::LinkSpec;
+use vecycle_net::{wire, LinkSpec};
 use vecycle_obs::{layouts, MetricsRegistry};
-use vecycle_types::{PageCount, SimDuration, SimTime, VmId, PAGE_SIZE};
+use vecycle_sim::ScenarioSpec;
+use vecycle_types::{PageCount, PageDigest, SimDuration, SimTime, VmId, PAGE_SIZE};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -209,4 +214,93 @@ fn spans_over_seen_strings_request_only_arena_growth() {
     // timeline this replaced requested 428 336 bytes here.)
     let growth = 2 * (2_048 * 32 + 1_024 * 8 + 2_048 * 16);
     assert!(stats.requested < growth, "{stats:?}");
+}
+
+/// One cold `full` job of `ram_mib` through the daemon's data plane, on
+/// this thread: the engine into a [`SocketSink`] over a `Vec` sized for
+/// the stream, then [`receive_stream`] from a [`SessionStream`] over
+/// those bytes. Returns what each side asked the allocator for.
+fn cold_full_job(ram_mib: u64) -> (AllocStats, AllocStats) {
+    let mut spec = ScenarioSpec::golden(0xa110c);
+    (spec.ram_mib, spec.warm) = (ram_mib, false);
+    spec.strategy = "full".into();
+    let initial = scenario::initial_memory(&spec).unwrap();
+    let engine = scenario::engine_for(&spec);
+    let kill = KillSwitch::inert();
+    let stream = |bytes: &mut Vec<u8>| {
+        let (mut guest, mut workload) = scenario::live_guest(&spec, &initial).unwrap();
+        let strategy = scenario::wire_strategy(&spec, None).unwrap();
+        metered(|| {
+            let mut sink = SocketSink::new(&mut *bytes, &kill, |_| {});
+            engine
+                .migrate_live_into(&mut guest, &mut workload, strategy, &mut sink)
+                .unwrap();
+            sink.finish().unwrap();
+        })
+        .1
+    };
+    // A first run learns the stream's length (and interns the engine's
+    // metric names), so the metered one writes into a buffer that never
+    // grows.
+    let mut sized = Vec::new();
+    stream(&mut sized);
+    let mut bytes = Vec::with_capacity(sized.len());
+    let source = stream(&mut bytes);
+    assert_eq!(bytes, sized, "the stream is a function of the spec");
+
+    let mut state = SessionState::fresh(&spec, &initial);
+    let ((), dest) = metered(|| {
+        let mut s = SessionStream::new(bytes.as_slice());
+        receive_stream(&mut s, None, &mut state, &kill, &mut ()).unwrap();
+    });
+    assert!(state.finished());
+    (source, dest)
+}
+
+/// A full page crosses the daemon without touching the allocator. The
+/// source encodes it straight into its one chunk and the destination
+/// checks it in one page buffer, so a cold `full` job's only page-sized
+/// requests are the session's fixed buffers — the sink chunk, sized once
+/// for 64 full pages, the read buffer and the page buffer — and doubling
+/// the guest adds at most a few table growth steps, not two allocations
+/// a page (each end's own copy of every page).
+#[test]
+fn a_cold_full_job_allocates_nothing_per_page() {
+    let chunk = 64 * wire::full_page_msg().as_u64();
+    let (source16, dest16) = cold_full_job(16);
+    let (source32, dest32) = cold_full_job(32);
+    for (source, dest) in [(source16, dest16), (source32, dest32)] {
+        assert_eq!(
+            (source.page_sized, source.largest),
+            (1, chunk),
+            "the sink chunk only: {source:?}"
+        );
+        assert_eq!(
+            (dest.page_sized, dest.calls, dest.largest),
+            (2, 2, SESSION_BUF as u64),
+            "the read and page buffers only: {dest:?}"
+        );
+        assert_eq!(dest.requested, (SESSION_BUF as u64) + PAGE_SIZE, "{dest:?}");
+    }
+    let (calls16, calls32) = (source16.calls + dest16.calls, source32.calls + dest32.calls);
+    assert!(
+        calls32 <= calls16 + 8,
+        "16 MiB: {calls16} calls, 32 MiB: {calls32}"
+    );
+}
+
+/// The source adopts the bulk exchange it validated as its index: a
+/// 32 768-digest exchange costs the probe map and no second digest list.
+#[test]
+fn the_source_index_adopts_the_exchange_list() {
+    let digests: Vec<PageDigest> = (1..=32_768).map(PageDigest::from_content_id).collect();
+    let mut sorted = digests.clone();
+    sorted.sort_unstable();
+    let (index, stats) = metered(|| ChecksumIndex::from_sorted(sorted).unwrap());
+    assert_eq!(index.digests().count(), digests.len());
+    assert_eq!(stats.calls, 1, "the map alone: {stats:?}");
+    assert!(
+        stats.requested >= 32_768 * 24,
+        "a slot per digest: {stats:?}"
+    );
 }

@@ -14,6 +14,12 @@
 //! expectations *before* any allocation, arithmetic is checked, and all
 //! malformed input surfaces as [`Error::Corrupt`] — never a panic or an
 //! unbounded read.
+//!
+//! A page crosses without a page-sized allocation at either end: a
+//! sender with no page bytes writes a `Full` through
+//! [`encode_full_filler`], and a receiver reads one through
+//! [`WireMsg::read_landed`] into a page buffer it reuses. Both move
+//! exactly the bytes of the owned forms.
 
 use vecycle_types::{Bytes, Error, PageDigest, PAGE_SIZE};
 
@@ -91,6 +97,22 @@ pub enum WireMsg {
     },
 }
 
+/// Payload bytes of a `Full`: the digest, then the page.
+const FULL_PAYLOAD: usize = PageDigest::LEN + PAGE_SIZE as usize;
+
+/// Whether `page` is `digest` repeated end to end — the digest-level
+/// stand-in for page bytes. An empty `page` passes: it is a `Full` in
+/// its landed `idx ‖ digest` form, whose bytes were checked where they
+/// were read. Two block compares (the head is the digest, and the page
+/// equals itself shifted by one digest) rather than one per 16 bytes.
+pub fn is_filler(page: &[u8], digest: &PageDigest) -> bool {
+    let d = digest.as_bytes();
+    page.is_empty()
+        || (page.len().is_multiple_of(d.len())
+            && page.starts_with(d)
+            && page[d.len()..] == page[..page.len() - d.len()])
+}
+
 impl WireMsg {
     /// Builds a `Full` message whose page bytes are the digest-level
     /// filler: the 16-byte digest repeated to fill the page. Digest
@@ -126,41 +148,28 @@ impl WireMsg {
     /// bugs, not runtime conditions (use [`WireMsg::full_filler`] and
     /// page-count validation upstream).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let (field, kind, payload_len) = match self {
-            WireMsg::Full { idx, page, .. } => {
-                assert_eq!(page.len() as u64, PAGE_SIZE, "full page must be PAGE_SIZE");
-                (*idx, kind::FULL, 16 + PAGE_SIZE as usize)
-            }
-            WireMsg::Checksum { idx, .. } => (*idx, kind::CHECKSUM, 16),
-            WireMsg::DedupRef { idx, .. } => (*idx, kind::DEDUP_REF, 8),
-            WireMsg::Zero { idx } => (*idx, kind::ZERO, 1),
-            WireMsg::RoundEnd { round } => (*round, kind::ROUND_END, 0),
-            WireMsg::StopEnd => (0, kind::STOP_END, 0),
-            WireMsg::BulkExchange { digests } => {
-                let len = digests.len() * 16;
-                assert!(len <= MAX_PAYLOAD, "bulk exchange exceeds length field");
-                (digests.len() as u64, kind::BULK_EXCHANGE, len)
-            }
-        };
-        out.reserve(HEADER + payload_len);
-        out.extend_from_slice(&field.to_be_bytes());
-        out.push(kind);
-        let len = payload_len as u32;
-        out.extend_from_slice(&len.to_be_bytes()[1..4]);
         match self {
-            WireMsg::Full { digest, page, .. } => {
+            WireMsg::Full { idx, digest, page } => {
+                assert_eq!(page.len() as u64, PAGE_SIZE, "full page must be PAGE_SIZE");
+                put_header(out, *idx, kind::FULL, FULL_PAYLOAD);
                 out.extend_from_slice(digest.as_bytes());
                 out.extend_from_slice(page);
             }
-            WireMsg::Checksum { digest, .. } => out.extend_from_slice(digest.as_bytes()),
-            WireMsg::DedupRef { source, .. } => out.extend_from_slice(&source.to_be_bytes()),
-            WireMsg::Zero { .. } => out.push(0),
-            WireMsg::RoundEnd { .. } | WireMsg::StopEnd => {}
-            WireMsg::BulkExchange { digests } => {
-                for d in digests {
-                    out.extend_from_slice(d.as_bytes());
-                }
+            WireMsg::Checksum { idx, digest } => {
+                put_header(out, *idx, kind::CHECKSUM, PageDigest::LEN);
+                out.extend_from_slice(digest.as_bytes());
             }
+            WireMsg::DedupRef { idx, source } => {
+                put_header(out, *idx, kind::DEDUP_REF, 8);
+                out.extend_from_slice(&source.to_be_bytes());
+            }
+            WireMsg::Zero { idx } => {
+                put_header(out, *idx, kind::ZERO, 1);
+                out.push(0);
+            }
+            WireMsg::RoundEnd { round } => put_header(out, *round, kind::ROUND_END, 0),
+            WireMsg::StopEnd => put_header(out, 0, kind::STOP_END, 0),
+            WireMsg::BulkExchange { digests } => encode_bulk_exchange(digests, out),
         }
     }
 
@@ -175,89 +184,168 @@ impl WireMsg {
     /// (validated) payload length, and for a bulk exchange no more than
     /// a small multiple of the payload bytes that actually arrived.
     pub fn read_from<R: std::io::Read>(r: &mut R) -> vecycle_types::Result<WireMsg> {
-        let mut header = [0u8; HEADER];
-        r.read_exact(&mut header)?;
-        let field = u64::from_be_bytes(header[0..8].try_into().expect("8 bytes"));
-        let kind = header[8];
-        let len = u32::from_be_bytes([0, header[9], header[10], header[11]]) as usize;
-        let expect = |want: usize, what: &str| -> vecycle_types::Result<()> {
-            if len != want {
+        read_msg(r, None)
+    }
+
+    /// Reads one message from `r` as a receiver that keeps no page does:
+    /// a `Full`'s page bytes are read into `page`, and the message comes
+    /// back in its landed `idx ‖ digest` form, with no page bytes of its
+    /// own. Every other kind, and every error, is exactly
+    /// [`WireMsg::read_from`]'s. Allocates nothing but a bulk exchange's
+    /// digests, so one `page` serves a whole stream.
+    ///
+    /// # Errors
+    ///
+    /// As [`WireMsg::read_from`].
+    pub fn read_landed<R: std::io::Read>(
+        r: &mut R,
+        page: &mut [u8; PAGE_SIZE as usize],
+    ) -> vecycle_types::Result<WireMsg> {
+        read_msg(r, Some(page))
+    }
+}
+
+/// Appends exactly what `WireMsg::full_filler(idx, digest).encode(out)`
+/// appends — header, digest, then the digest repeated over the page —
+/// without building the page first.
+pub fn encode_full_filler(idx: u64, digest: PageDigest, out: &mut Vec<u8>) {
+    put_header(out, idx, kind::FULL, FULL_PAYLOAD);
+    let start = out.len();
+    out.extend_from_slice(digest.as_bytes());
+    // The payload is one digest after another, so it doubles itself.
+    while out.len() - start < FULL_PAYLOAD {
+        let have = out.len() - start;
+        out.extend_from_within(start..start + have.min(FULL_PAYLOAD - have));
+    }
+}
+
+/// Appends a bulk exchange of `digests` — what
+/// `WireMsg::BulkExchange { digests }.encode(out)` appends, from a
+/// borrowed list.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds [`MAX_PAYLOAD`].
+pub fn encode_bulk_exchange(digests: &[PageDigest], out: &mut Vec<u8>) {
+    let len = digests.len() * PageDigest::LEN;
+    assert!(len <= MAX_PAYLOAD, "bulk exchange exceeds length field");
+    put_header(out, digests.len() as u64, kind::BULK_EXCHANGE, len);
+    for d in digests {
+        out.extend_from_slice(d.as_bytes());
+    }
+}
+
+/// Appends a header and reserves room for its `len`-byte payload.
+fn put_header(out: &mut Vec<u8>, field: u64, kind: u8, len: usize) {
+    out.reserve(HEADER + len);
+    out.extend_from_slice(&field.to_be_bytes());
+    out.push(kind);
+    out.extend_from_slice(&(len as u32).to_be_bytes()[1..]);
+}
+
+/// Reads one message — the decoder behind both [`WireMsg::read_from`]
+/// and [`WireMsg::read_landed`]: a `Full`'s page goes into `page` when
+/// given (and the message keeps none), into a fresh vector otherwise.
+/// The declared payload length is checked against the kind's before
+/// any payload byte is read.
+fn read_msg<R: std::io::Read>(
+    r: &mut R,
+    page: Option<&mut [u8; PAGE_SIZE as usize]>,
+) -> vecycle_types::Result<WireMsg> {
+    // One 12-byte read: split into an 8- and a 4-byte read, the header
+    // costs a second buffered-read call per message, which measured
+    // slower on a warm stream than the load it saves.
+    let mut header = [0u8; HEADER];
+    r.read_exact(&mut header)?;
+    let field = u64::from_be_bytes(header[0..8].try_into().expect("8 bytes"));
+    let kind = header[8];
+    let len = u32::from_be_bytes([0, header[9], header[10], header[11]]) as usize;
+    let expect = |want: usize, what: &str| -> vecycle_types::Result<()> {
+        if len != want {
+            return Err(Error::Corrupt {
+                detail: format!("{what} payload length {len}, expected {want}"),
+            });
+        }
+        Ok(())
+    };
+    match kind {
+        kind::FULL => {
+            expect(FULL_PAYLOAD, "full-page")?;
+            let mut digest = [0u8; PageDigest::LEN];
+            r.read_exact(&mut digest)?;
+            let page = match page {
+                Some(buf) => {
+                    r.read_exact(buf)?;
+                    Vec::new()
+                }
+                None => {
+                    let mut page = vec![0u8; PAGE_SIZE as usize];
+                    r.read_exact(&mut page)?;
+                    page
+                }
+            };
+            Ok(WireMsg::Full {
+                idx: field,
+                digest: PageDigest::new(digest),
+                page,
+            })
+        }
+        kind::CHECKSUM => {
+            expect(PageDigest::LEN, "checksum")?;
+            let mut digest = [0u8; PageDigest::LEN];
+            r.read_exact(&mut digest)?;
+            Ok(WireMsg::Checksum {
+                idx: field,
+                digest: PageDigest::new(digest),
+            })
+        }
+        kind::DEDUP_REF => {
+            expect(8, "dedup-ref")?;
+            let mut source = [0u8; 8];
+            r.read_exact(&mut source)?;
+            Ok(WireMsg::DedupRef {
+                idx: field,
+                source: u64::from_be_bytes(source),
+            })
+        }
+        kind::ZERO => {
+            expect(1, "zero-marker")?;
+            let mut pad = [0u8; 1];
+            r.read_exact(&mut pad)?;
+            if pad[0] != 0 {
                 return Err(Error::Corrupt {
-                    detail: format!("{what} payload length {len}, expected {want}"),
+                    detail: format!("zero-marker pad byte {}", pad[0]),
                 });
             }
-            Ok(())
-        };
-        match kind {
-            kind::FULL => {
-                expect(16 + PAGE_SIZE as usize, "full-page")?;
-                let mut digest = [0u8; 16];
-                r.read_exact(&mut digest)?;
-                let mut page = vec![0u8; PAGE_SIZE as usize];
-                r.read_exact(&mut page)?;
-                Ok(WireMsg::Full {
-                    idx: field,
-                    digest: PageDigest::new(digest),
-                    page,
-                })
-            }
-            kind::CHECKSUM => {
-                expect(16, "checksum")?;
-                let mut digest = [0u8; 16];
-                r.read_exact(&mut digest)?;
-                Ok(WireMsg::Checksum {
-                    idx: field,
-                    digest: PageDigest::new(digest),
-                })
-            }
-            kind::DEDUP_REF => {
-                expect(8, "dedup-ref")?;
-                let mut source = [0u8; 8];
-                r.read_exact(&mut source)?;
-                Ok(WireMsg::DedupRef {
-                    idx: field,
-                    source: u64::from_be_bytes(source),
-                })
-            }
-            kind::ZERO => {
-                expect(1, "zero-marker")?;
-                let mut pad = [0u8; 1];
-                r.read_exact(&mut pad)?;
-                if pad[0] != 0 {
-                    return Err(Error::Corrupt {
-                        detail: format!("zero-marker pad byte {}", pad[0]),
-                    });
-                }
-                Ok(WireMsg::Zero { idx: field })
-            }
-            kind::ROUND_END => {
-                expect(0, "round-end")?;
-                Ok(WireMsg::RoundEnd { round: field })
-            }
-            kind::STOP_END => {
-                expect(0, "stop-end")?;
-                Ok(WireMsg::StopEnd)
-            }
-            kind::BULK_EXCHANGE => {
-                // The declared count is peer-controlled: checked multiply,
-                // and the length-field equality bounds it by the 16 MiB
-                // payload cap before `read_digests` sizes anything.
-                let need = field.checked_mul(16).ok_or_else(|| Error::Corrupt {
-                    detail: format!("bulk-exchange count {field} overflows payload size"),
-                })?;
-                if need != len as u64 {
-                    return Err(Error::Corrupt {
-                        detail: format!("bulk-exchange payload length {len} != 16 x count {field}"),
-                    });
-                }
-                let mut digests = Vec::new();
-                read_digests(r, field as usize, &mut digests)?;
-                Ok(WireMsg::BulkExchange { digests })
-            }
-            other => Err(Error::Corrupt {
-                detail: format!("unknown wire message kind {other}"),
-            }),
+            Ok(WireMsg::Zero { idx: field })
         }
+        kind::ROUND_END => {
+            expect(0, "round-end")?;
+            Ok(WireMsg::RoundEnd { round: field })
+        }
+        kind::STOP_END => {
+            expect(0, "stop-end")?;
+            Ok(WireMsg::StopEnd)
+        }
+        kind::BULK_EXCHANGE => {
+            // The declared count is peer-controlled: checked multiply,
+            // and the length-field equality bounds it by the 16 MiB
+            // payload cap before `read_digests` sizes anything.
+            let need = field.checked_mul(16).ok_or_else(|| Error::Corrupt {
+                detail: format!("bulk-exchange count {field} overflows payload size"),
+            })?;
+            if need != len as u64 {
+                return Err(Error::Corrupt {
+                    detail: format!("bulk-exchange payload length {len} != 16 x count {field}"),
+                });
+            }
+            let mut digests = Vec::new();
+            read_digests(r, field as usize, &mut digests)?;
+            Ok(WireMsg::BulkExchange { digests })
+        }
+        other => Err(Error::Corrupt {
+            detail: format!("unknown wire message kind {other}"),
+        }),
     }
 }
 
@@ -524,8 +612,57 @@ mod tests {
         // Deterministic junk: an xorshift stream sliced at many offsets.
         let mut draw = vecycle_types::rng::Xorshift::new(0x9E37_79B9_7F4A_7C15);
         let junk: Vec<u8> = (0..4096).map(|_| draw.next() as u8).collect();
+        let mut page = [0u8; PAGE_SIZE as usize];
         for start in (0..junk.len()).step_by(61) {
-            let _ = WireMsg::read_from(&mut &junk[start..]);
+            let owned = WireMsg::read_from(&mut &junk[start..]).map(|msg| landed(&msg));
+            let kept = WireMsg::read_landed(&mut &junk[start..], &mut page);
+            assert_eq!(
+                format!("{owned:?}"),
+                format!("{kept:?}"),
+                "offset {start}: both decoders agree"
+            );
+        }
+    }
+
+    /// `msg` as [`WireMsg::read_landed`] returns it.
+    fn landed(msg: &WireMsg) -> WireMsg {
+        match msg {
+            WireMsg::Full { idx, digest, .. } => WireMsg::Full {
+                idx: *idx,
+                digest: *digest,
+                page: Vec::new(),
+            },
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn read_landed_decodes_every_variant_with_the_page_in_the_buffer() {
+        let mut buf = Vec::new();
+        let msgs = every_variant();
+        for msg in &msgs {
+            msg.encode(&mut buf);
+        }
+        let mut r = OneByte(&buf);
+        let mut page = [0u8; PAGE_SIZE as usize];
+        for msg in &msgs {
+            let got = WireMsg::read_landed(&mut r, &mut page).unwrap();
+            assert_eq!(got, landed(msg));
+            if let WireMsg::Full { page: sent, .. } = msg {
+                assert_eq!(&page[..], &sent[..], "the page bytes land in the buffer");
+            }
+        }
+        assert!(r.0.is_empty(), "decoder must consume exactly the stream");
+    }
+
+    #[test]
+    fn the_filler_encoder_writes_what_full_filler_encodes() {
+        for idx in [0, 7, u64::MAX] {
+            let d = digest(idx ^ 3);
+            let (mut built, mut direct) = (vec![1, 2], vec![1, 2]);
+            WireMsg::full_filler(idx, d).encode(&mut built);
+            encode_full_filler(idx, d, &mut direct);
+            assert_eq!(direct, built, "page {idx}");
         }
     }
 
@@ -538,6 +675,22 @@ mod tests {
         assert_eq!(page.len() as u64, PAGE_SIZE);
         for chunk in page.chunks(16) {
             assert_eq!(chunk, d.as_bytes());
+        }
+    }
+
+    #[test]
+    fn is_filler_accepts_the_filler_and_the_landed_form_only() {
+        let d = digest(42);
+        let WireMsg::Full { mut page, .. } = WireMsg::full_filler(0, d) else {
+            unreachable!("full_filler builds Full")
+        };
+        assert!(is_filler(&page, &d) && is_filler(&[], &d));
+        assert!(!is_filler(&page, &digest(43)));
+        assert!(!is_filler(&page[..100], &d), "a torn page");
+        for at in [0, 16, 4095] {
+            page[at] ^= 1;
+            assert!(!is_filler(&page, &d), "byte {at} flipped");
+            page[at] ^= 1;
         }
     }
 }

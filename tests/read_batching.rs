@@ -22,6 +22,7 @@ use vecycle_daemon::frame::{kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
 use vecycle_daemon::session_state::SessionState;
 use vecycle_daemon::{receive_stream, scenario, DaemonError, Endpoint, Persist, SocketSink};
 use vecycle_faults::KillSwitch;
+use vecycle_net::wiremsg::HEADER;
 use vecycle_net::{wire, WireMsg};
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{SimTime, VmId};
@@ -142,6 +143,7 @@ impl Persist for CountPersists {
 struct Received {
     outcome: Result<Frame, DaemonError>,
     state: SessionState,
+    landed: u64,
     persists: u64,
     rx: u64,
     buffered: usize,
@@ -184,6 +186,7 @@ impl Stream {
         Received {
             outcome,
             state,
+            landed: hook.landed,
             persists: hook.boundaries,
             rx: s.rx(),
             buffered: s.buffered(),
@@ -260,6 +263,32 @@ fn eof_mid_message_leaves_exactly_the_whole_messages_applied() {
     let err = got.outcome.expect_err("COMPLETE is cut");
     assert!(matches!(err, DaemonError::Io(_)), "{err}");
     assert!(got.state.finished());
+}
+
+/// A full page whose bytes are not its digest's filler never lands: one
+/// flipped payload byte — the first filler byte after the digest, or the
+/// page's last — fails the stream with a corrupt-payload error naming the
+/// page, and the state and the persistence hook hold exactly the pages
+/// before it.
+#[test]
+fn a_full_page_that_is_not_its_filler_is_refused_before_it_lands() {
+    let stream = Stream::full_pages();
+    for k in [0usize, 63, 4_095] {
+        let start = if k == 0 { 0 } else { stream.ends[k - 1] };
+        for at in [start + HEADER + 16, stream.ends[k] - 1] {
+            let mut bytes = stream.bytes.clone();
+            bytes[at] ^= 0x5a;
+            let got = stream.receive(bytes.as_slice());
+            let err = got.outcome.expect_err("a corrupt page cannot complete");
+            let named = format!("full page {k} bytes do not match the digest filler");
+            assert!(
+                matches!(&err, DaemonError::Corrupt(detail) if *detail == named),
+                "page {k}, byte {at}: {err}"
+            );
+            assert_eq!(got.state, stream.state_after(k), "page {k}, byte {at}");
+            assert_eq!(got.landed, k as u64, "page {k}, byte {at}");
+        }
+    }
 }
 
 /// Over real sockets a `read` returns what has arrived, so the count
