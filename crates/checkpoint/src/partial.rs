@@ -28,6 +28,25 @@ impl PartialCheckpoint {
         PartialCheckpoint { vm, landed }
     }
 
+    /// Nothing landed yet: `pages` empty slots.
+    pub fn empty(vm: VmId, pages: u64) -> Self {
+        PartialCheckpoint::new(vm, vec![None; pages as usize])
+    }
+
+    /// These pages with `later` — `(page, digest)` pairs a later attempt
+    /// landed, in the order it landed them — written over them, so the
+    /// latest write of a page wins.
+    ///
+    /// # Panics
+    ///
+    /// On a page index beyond the guest.
+    pub fn overlaid(mut self, later: impl IntoIterator<Item = (u64, PageDigest)>) -> Self {
+        for (idx, digest) in later {
+            self.landed[idx as usize] = Some(digest);
+        }
+        self
+    }
+
     /// The VM whose migration aborted.
     pub fn vm(&self) -> VmId {
         self.vm

@@ -10,11 +10,13 @@
 //! - **No job lost** — the submitted job reaches `done`.
 //! - **No double completion** — the WAL holds exactly one `done`
 //!   record and the admission (drain) order lists the job once.
-//! - **Resumed traffic < from-scratch** (mid-bulk kills) — the resume
-//!   handshake skips the landed prefix, so strictly fewer bytes cross
-//!   the wire than a clean run of the same scenario ships.
+//! - **Resumed traffic < from-scratch** (mid-bulk kills) — the retry
+//!   recycles the landed pages, at least one of which crossed in full
+//!   before the kill, so strictly fewer bytes cross the wire than a
+//!   clean run of the same scenario ships.
 //! - **Bit-identity** — the recovered job's report equals the
-//!   in-process engine reference, at `VECYCLE_THREADS` 1 and 4 and
+//!   in-process engine run over what the destination had landed
+//!   (`scenario::reference_run_over`), at `VECYCLE_THREADS` 1 and 4 and
 //!   across repeat runs.
 //!
 //! Per-process stdout/stderr and both journal directories land under
@@ -25,10 +27,11 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use vecycle_checkpoint::Checkpoint;
+use vecycle_checkpoint::{Checkpoint, PartialCheckpoint};
 use vecycle_daemon::control::JobView;
 use vecycle_daemon::journal::{decode_records, rec, WAL_FILE};
-use vecycle_daemon::{client, scenario, Endpoint, SocketSink};
+use vecycle_daemon::session_state::{partial_path, spec_fingerprint, SessionState};
+use vecycle_daemon::{client, partial_log, scenario, Endpoint, SocketSink};
 use vecycle_faults::KillSwitch;
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
@@ -187,14 +190,23 @@ impl std::io::Write for Writes {
     }
 }
 
-/// The source's mid-bulk kill spec: one message past its first socket
-/// write of `chaos_spec`'s stream (586 messages, ≈ 64 KiB). The
-/// source writes ≥ 64 KiB at a time, so a fixed count could die before
-/// anything left, and the destination would have nothing to announce.
-fn source_mid_bulk_kill() -> String {
+/// Nothing landed: what a retry over a destination that holds nothing
+/// of the job recycles.
+fn nothing() -> PartialCheckpoint {
+    let spec = chaos_spec();
+    PartialCheckpoint::empty(VmId::new(spec.vm), spec.pages())
+}
+
+/// The source's mid-bulk kill spec — one message past its first socket
+/// write of `chaos_spec`'s stream (586 messages, ≈ 64 KiB) — and the
+/// pages that write lands. The source writes ≥ 64 KiB at a time, so a
+/// fixed count could die before anything left, and the destination
+/// would have nothing to recycle.
+fn source_mid_bulk_kill() -> (String, PartialCheckpoint) {
     let spec = chaos_spec();
     let initial = scenario::initial_memory(&spec).expect("initial memory");
     let checkpoint = Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial);
+    let index = checkpoint.build_index();
     let strategy = scenario::local_strategy(&spec, &checkpoint).expect("strategy");
     let (mut guest, mut workload) = scenario::live_guest(&spec, &initial).expect("guest");
     let kill = KillSwitch::inert();
@@ -209,22 +221,54 @@ fn source_mid_bulk_kill() -> String {
         panic!("the kill needs a stream of more than one write");
     };
     let mut rest = first.as_slice();
-    let mut sent = 0u64;
+    let mut st = SessionState::fresh(&spec, &initial);
     while !rest.is_empty() {
-        WireMsg::read_from(&mut rest).expect("a write holds whole messages");
-        sent += 1;
+        let msg = WireMsg::read_from(&mut rest).expect("a write holds whole messages");
+        st.apply(&msg, Some(&index)).expect("the stream applies");
     }
-    format!("source:mid-bulk:{}", sent + 1)
+    let kill = format!("source:mid-bulk:{}", st.applied() + 1);
+    (kill, nothing().overlaid(st.landed()))
+}
+
+/// What the destination holds of the job when its completing epoch
+/// starts.
+enum Landed {
+    /// Pages the harness knows in advance.
+    Pages(PartialCheckpoint),
+    /// Whatever the killed destination's partial log holds, read before
+    /// it restarts (nothing, if it died before writing one).
+    DeadDestLog,
+}
+
+/// Asserts that `partial` holds at least one page that crossed in full —
+/// content the checkpoint lacks — so its recycle must undercut a clean
+/// run.
+fn assert_holds_a_full_page(partial: &PartialCheckpoint) {
+    let spec = chaos_spec();
+    let initial = scenario::initial_memory(&spec).expect("initial memory");
+    let held: std::collections::HashSet<_> = initial.as_slice().iter().collect();
+    let full = partial
+        .digests()
+        .iter()
+        .filter(|d| !held.contains(d))
+        .count();
+    assert!(full > 0, "the landed prefix holds no full page");
 }
 
 /// Runs one chaos case: submit, kill the doomed role at its point,
 /// restart it, and wait the job out. `kill: None` is the clean control
-/// run. Returns the terminal job view and the source's WAL.
+/// run. Returns the terminal job view, the source's WAL and what the
+/// destination had landed.
 fn run_case(
     name: &str,
     doomed: Option<(&'static str, &str)>,
     threads: u32,
-) -> (JobView, Vec<vecycle_daemon::journal::WalRecord>) {
+    landed: Landed,
+) -> (
+    JobView,
+    Vec<vecycle_daemon::journal::WalRecord>,
+    PartialCheckpoint,
+) {
     let case_dir = artifacts_root().join(format!("chaos-{name}"));
     let _ = std::fs::remove_dir_all(&case_dir);
     std::fs::create_dir_all(&case_dir).expect("case dir");
@@ -253,6 +297,20 @@ fn run_case(
     if let Some((role, _)) = doomed {
         let victim = if role == "source" { &mut src } else { &mut dst };
         victim.await_death();
+    }
+    let partial = match landed {
+        Landed::Pages(partial) => partial,
+        Landed::DeadDestLog => {
+            let fp = spec_fingerprint(&spec);
+            let bytes = std::fs::read(partial_path(&dst.journal_dir, job, fp)).unwrap_or_default();
+            let landed = partial_log::replay(&bytes, job, fp, spec.pages());
+            landed.map_or_else(nothing, |(l, _)| {
+                PartialCheckpoint::new(VmId::new(spec.vm), l)
+            })
+        }
+    };
+    if let Some((role, _)) = doomed {
+        let victim = if role == "source" { &mut src } else { &mut dst };
         victim.start(None);
     }
 
@@ -290,8 +348,11 @@ fn run_case(
     );
 
     // Bit-identity: the recovered run's report equals the in-process
-    // engine reference — every case, every thread count, every repeat.
-    let reference = scenario::reference_run(&spec).expect("reference").report;
+    // engine run over what the destination had landed — every case,
+    // every thread count, every repeat.
+    let reference = scenario::reference_run_over(&spec, &partial)
+        .expect("reference")
+        .report;
     assert_eq!(view.rounds, reference.rounds().len() as u64, "case {name}");
     assert_eq!(
         view.downtime_ns,
@@ -312,7 +373,7 @@ fn run_case(
     assert_eq!(view.measured_tx, view.expected_tx, "case {name}: ledger");
     assert_eq!(view.measured_rx, view.expected_rx, "case {name}: ledger");
 
-    (view, records)
+    (view, records, partial)
 }
 
 /// The clean run's measured forward bytes — the from-scratch baseline
@@ -320,9 +381,8 @@ fn run_case(
 fn clean_baseline_tx() -> u64 {
     static BASELINE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     *BASELINE.get_or_init(|| {
-        let (view, _) = run_case("clean-control", None, 1);
+        let (view, ..) = run_case("clean-control", None, 1, Landed::Pages(nothing()));
         assert_eq!(view.resumed, 0, "clean run never resumes");
-        assert_eq!(view.skipped_bytes, 0);
         view.measured_tx
     })
 }
@@ -336,7 +396,8 @@ fn clean_wal_backed_pair_matches_the_reference() {
 
 #[test]
 fn source_killed_pre_claim_requeues_and_completes() {
-    let (view, _) = run_case("src-pre-claim", Some(("source", "source:pre-claim")), 1);
+    let doomed = Some(("source", "source:pre-claim"));
+    let (view, ..) = run_case("src-pre-claim", doomed, 1, Landed::Pages(nothing()));
     // Death before the claim record: recovery re-queues fresh.
     assert_eq!(view.resumed, 0, "pre-claim kill restarts from scratch");
     assert!(view.recovered);
@@ -345,13 +406,11 @@ fn source_killed_pre_claim_requeues_and_completes() {
 #[test]
 fn source_killed_mid_bulk_resumes_with_strictly_less_traffic() {
     let baseline = clean_baseline_tx();
-    let kill = source_mid_bulk_kill();
-    let (view, records) = run_case("src-mid-bulk", Some(("source", &kill)), 1);
+    let (kill, first_write) = source_mid_bulk_kill();
+    assert_holds_a_full_page(&first_write);
+    let doomed = Some(("source", kill.as_str()));
+    let (view, records, _) = run_case("src-mid-bulk", doomed, 1, Landed::Pages(first_write));
     assert!(view.resumed >= 1, "mid-bulk kill must resume, not restart");
-    assert!(
-        view.skipped_bytes > 0,
-        "the destination's landed prefix must be skipped"
-    );
     assert!(
         view.measured_tx < baseline,
         "resumed tx {} must undercut the from-scratch tx {}",
@@ -372,14 +431,19 @@ fn source_killed_pre_commit_completes_exactly_once() {
     // The transfer finished on the wire but died before the done record
     // — the retried transfer is idempotent, and `done` still lands
     // exactly once (asserted inside run_case).
-    let (view, _) = run_case("src-pre-commit", Some(("source", "source:pre-commit")), 1);
+    // The destination finished the job and dropped its pages: the
+    // retry recycles nothing but the checkpoint.
+    let doomed = Some(("source", "source:pre-commit"));
+    let (view, ..) = run_case("src-pre-commit", doomed, 1, Landed::Pages(nothing()));
     assert!(view.resumed >= 1, "post-transfer kill recovers via resume");
     assert!(view.recovered);
 }
 
 #[test]
 fn dest_killed_pre_claim_is_ridden_out_by_source_retries() {
-    let (view, _) = run_case("dst-pre-claim", Some(("dest", "dest:pre-claim")), 1);
+    let doomed = Some(("dest", "dest:pre-claim"));
+    let (view, _, partial) = run_case("dst-pre-claim", doomed, 1, Landed::DeadDestLog);
+    assert_eq!(partial, nothing(), "death before the claim leaves no log");
     // The source survived; the job record is its own, not recovered.
     assert!(!view.recovered);
     assert!(view.resumed >= 1, "the source reconnected at a later epoch");
@@ -388,12 +452,10 @@ fn dest_killed_pre_claim_is_ridden_out_by_source_retries() {
 #[test]
 fn dest_killed_mid_bulk_resumes_from_its_partial_file() {
     let baseline = clean_baseline_tx();
-    let (view, _) = run_case("dst-mid-bulk", Some(("dest", "dest:mid-bulk:300")), 1);
+    let doomed = Some(("dest", "dest:mid-bulk:300"));
+    let (view, _, partial) = run_case("dst-mid-bulk", doomed, 1, Landed::DeadDestLog);
     assert!(view.resumed >= 1);
-    assert!(
-        view.skipped_bytes > 0,
-        "the restarted destination must announce its persisted partial"
-    );
+    assert_holds_a_full_page(&partial);
     assert!(
         view.measured_tx < baseline,
         "resumed tx {} must undercut the from-scratch tx {}",
@@ -404,15 +466,18 @@ fn dest_killed_mid_bulk_resumes_from_its_partial_file() {
 
 #[test]
 fn dest_killed_pre_commit_completes_exactly_once() {
-    let (view, _) = run_case("dst-pre-commit", Some(("dest", "dest:pre-commit")), 1);
+    // The log holds the whole stream: the retry recycles every page.
+    let doomed = Some(("dest", "dest:pre-commit"));
+    let (view, _, partial) = run_case("dst-pre-commit", doomed, 1, Landed::DeadDestLog);
+    assert_eq!(partial.landed_pages(), partial.page_count());
     assert!(view.resumed >= 1);
     assert!(!view.recovered);
 }
 
 /// The determinism matrix: the same mid-bulk kill at worker counts 1
 /// and 4 and across a repeat run must produce byte-identical reports
-/// and identical resume accounting (`run_case` already pins each
-/// report to the engine reference; this pins the runs to each other).
+/// and identical byte accounting (`run_case` already pins each report
+/// to the engine reference; this pins the runs to each other).
 #[test]
 fn mid_bulk_recovery_is_deterministic_across_threads_and_repeats() {
     let fingerprint = |view: &JobView| {
@@ -424,13 +489,16 @@ fn mid_bulk_recovery_is_deterministic_across_threads_and_repeats() {
             view.converged,
             view.measured_tx,
             view.measured_rx,
-            view.skipped_bytes,
         )
     };
-    let kill = source_mid_bulk_kill();
-    let (t1, _) = run_case("matrix-t1", Some(("source", &kill)), 1);
-    let (t4, _) = run_case("matrix-t4", Some(("source", &kill)), 4);
-    let (t1b, _) = run_case("matrix-t1-repeat", Some(("source", &kill)), 1);
+    let (kill, first_write) = source_mid_bulk_kill();
+    let doomed = Some(("source", kill.as_str()));
+    let run = |name, threads| run_case(name, doomed, threads, Landed::Pages(first_write.clone())).0;
+    let (t1, t4, t1b) = (
+        run("matrix-t1", 1),
+        run("matrix-t4", 4),
+        run("matrix-t1-repeat", 1),
+    );
     assert_eq!(
         fingerprint(&t1),
         fingerprint(&t4),

@@ -86,8 +86,6 @@ pub struct JobView {
     /// Resume epoch of the completing session (0 = fresh transfer,
     /// N ≥ 1 = Nth reconnect/restart attempt).
     pub resumed: u64,
-    /// Wire bytes the resume handshake let the source skip.
-    pub skipped_bytes: u64,
     /// Whether this record was rebuilt from the WAL on boot.
     pub recovered: bool,
 }
@@ -117,7 +115,6 @@ impl JobView {
             view.expected_tx = m.expected_tx;
             view.expected_rx = m.expected_rx;
             view.resumed = m.resume_epoch;
-            view.skipped_bytes = m.skipped_bytes;
         }
         view
     }

@@ -12,52 +12,61 @@
 //! together; a wrong magic, version or role is refused with ERR before
 //! the JOB is read. HELLO_ACK means "accepted": it goes out once the job
 //! validated, our state is built and the host is claimed, in one write
-//! with the bulk exchange (vecycle jobs only — no other stream carries
-//! checksum messages, so no other job builds an index) and RESUME_STATE
-//! (resume epochs). DONE is our content hash; a mismatch with COMPLETE's
+//! with the bulk exchange when we offer one ([`scenario::offer`]: a
+//! vecycle job's checkpoint, and at a retry epoch the pages earlier
+//! epochs landed). DONE is our content hash; a mismatch with COMPLETE's
 //! fails our session after DONE is sent, and the source's on receipt.
 //!
 //! Every byte of the session — HELLO to COMPLETE — is read through the
 //! connection's one [`SessionStream`], so [`receive_stream`] costs a
 //! `read` per 64 KiB of stream, not two per message, and no message
 //! allocates: a full page's bytes are read into one page buffer the
-//! stream reuses, checked against the digest filler there — at decode,
-//! before the page lands — and the message applied and logged is
-//! `idx ‖ digest`. Reading ahead is
-//! safe: this handler is the connection's only reader, and the source
-//! sends nothing past COMPLETE until it has our DONE. The destination
-//! hashes its state as soon as StopEnd is applied and only then reads
-//! COMPLETE, so its hash and the source's run at the same time.
+//! stream reuses and checked against the digest filler there — at
+//! decode, before the page lands. Reading ahead is safe: this handler is
+//! the connection's only reader, and the source sends nothing past
+//! COMPLETE until it has our DONE. The destination hashes its state as
+//! soon as StopEnd is applied and only then reads COMPLETE, so its hash
+//! and the source's run at the same time.
 //!
-//! Crash durability (DESIGN §17.3): against our own death, a
-//! journal-backed daemon logs the *applied* messages to the session's
-//! `partial-*.bin` ([`PartialLog`]) every [`crate::source::STREAM_CHUNK`]
-//! of them and at round boundaries — bytes still in the read buffer die
-//! with the process exactly as bytes in the kernel's socket buffer
-//! always did, so the landed prefix is what was applied. Against the
-//! peer's, the session applies what arrived whole, logs the unfinished
-//! chunk and keeps its exact state in the in-memory partials map, on
-//! that exit only. The log holds exactly the state's messages or does
-//! not exist: a failed append deletes it and is noted once. A later
-//! session announces the landed prefix in RESUME_STATE; a rejected one
-//! resets to the fresh base and the transfer self-heals into a full one.
+//! Crash durability (DESIGN §17.3): a retry is a recycle, so what must
+//! survive an attempt is only its *landed pages*. Against our own death,
+//! a journal-backed daemon logs each applied page as `idx ‖ digest` to
+//! the job's `partial-*.bin` ([`PartialLog`]) every
+//! [`crate::source::STREAM_CHUNK`] messages and at round boundaries —
+//! bytes still in the read buffer die with the process exactly as bytes
+//! in the kernel's socket buffer always did. Against the peer's, the
+//! session applies what arrived whole, logs the unfinished chunk and
+//! keeps the landed pages in the in-memory partials map (at most
+//! [`PARTIALS_CAP`] jobs), on that exit only. A later epoch recycles them:
+//! it starts a fresh state and offers the landed digests in its bulk
+//! exchange, and its own pages land over them.
 
 use std::io::{Read, Write};
 
-use vecycle_checkpoint::{ChecksumIndex, PageLookup};
+use vecycle_checkpoint::{ChecksumIndex, PageLookup, PartialCheckpoint};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
 use vecycle_net::{wire, wiremsg, WireMsg};
 use vecycle_obs::Counter;
-use vecycle_types::{HostId, PAGE_SIZE};
+use vecycle_sim::ScenarioSpec;
+use vecycle_types::{HostId, PageDigest, VmId, PAGE_SIZE};
 
 use crate::endpoint::{SessionStream, Stream};
 use crate::frame::{frame_cost, kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
 use crate::partial_log::PartialLog;
-use crate::proto::{self, expect_kind, JobMsg, ResumeState, ROLE_DEST, ROLE_SOURCE};
+use crate::proto::{self, expect_kind, JobMsg, ROLE_DEST, ROLE_SOURCE};
 use crate::scenario;
 use crate::server::DaemonState;
 use crate::session_state::{self, spec_fingerprint, SessionState};
 use crate::{sync, DaemonError};
+
+/// Most jobs whose landed pages the in-memory partials map keeps. Only
+/// the same job reconnecting takes its entry back; one cancelled
+/// mid-transfer or out of retries never does, so past this many the
+/// oldest entry goes.
+pub(crate) const PARTIALS_CAP: usize = 16;
+
+/// A job's partial state key: `(job id, spec fingerprint)`.
+type Key = (u64, u64);
 
 /// Runs one inbound migration session whose HELLO frame has already
 /// been read, returning the source's job id. On an error the caller owes
@@ -81,113 +90,57 @@ pub(crate) fn session(
     let job = JobMsg::decode(&job_frame.payload)?;
     job.spec.validate().map_err(DaemonError::from)?;
     let spec = job.spec;
-    let job_id = job.job;
-    let fingerprint = spec_fingerprint(&spec);
+    let key = (job.job, spec_fingerprint(&spec));
 
     // Deterministic destination state. The checkpoint is recaptured from
     // the spec — in a deployment it would come from the checkpoint store;
-    // the wire protocol is identical either way. Only a vecycle stream
-    // carries checksum messages, so only a vecycle job needs the index.
+    // the wire protocol is identical either way.
     let initial = scenario::initial_memory(&spec)?;
-    let index = (spec.strategy == "vecycle").then(|| ChecksumIndex::from_pages(initial.as_slice()));
 
     // Admission: this host participates in at most one migration at a
     // time, same invariant the source's queue enforces on its side.
     state.kill.hit(KillRole::Dest, KillPoint::PreClaim);
     let _claim = state.locks.claim(&[HostId::new(spec.dest_host)]);
 
-    // A resume epoch announces whatever landed state survived — the
-    // partial log (it outlives both deaths; when the in-memory map also
-    // holds a state, the two are equal), else the map alone (no journal,
-    // or a log that failed) — and lets the source verify it against its
-    // regenerated stream.
-    let journal_dir = state.config.journal_dir.as_deref();
-    let fresh_log = || {
-        let dir = journal_dir?;
-        PartialLog::create(dir, job_id, fingerprint)
-            .map_err(|e| log_failed(state, job_id, &e))
-            .ok()
-    };
-    let resumed = (job.resume > 0).then(|| {
-        let fresh = SessionState::fresh(&spec, &initial);
-        let remembered = sync::lock(&state.partials).remove(&(job_id, fingerprint));
-        let loaded = journal_dir
-            .and_then(|dir| PartialLog::load(dir, job_id, fingerprint, &fresh, index.as_ref()));
-        match (loaded, remembered) {
-            (Some((st, log)), _) => {
-                state
-                    .metrics
-                    .inc("daemon_resume_partials_total", &[("op", "load")], 1);
-                (st, Some(log))
-            }
-            (None, Some(st)) => (st, None),
-            (None, None) => (fresh, fresh_log()),
-        }
-    });
+    // A retry epoch recycles whatever earlier epochs landed; the index
+    // over it (and, for a vecycle job, the checkpoint) is the exchange.
+    let retry = (job.resume > 0).then(|| recover(state, &spec, key));
+    let index = scenario::offer(&spec, &initial, retry.as_ref().map(|(p, _)| p));
 
-    // One flight back: HELLO_ACK (the job is accepted), the bulk exchange
-    // for a vecycle job, encoded straight from the index, RESUME_STATE for
-    // a resume epoch — into a buffer sized for exactly that.
+    // One flight back: HELLO_ACK (the job is accepted) and the bulk
+    // exchange, encoded straight from the index, into a buffer sized for
+    // exactly that.
     let bulk = index
         .as_ref()
         .map_or(0, |ix| wire::bulk_exchange(ix.distinct() as u64).as_u64());
-    let announce = if resumed.is_some() {
-        frame_cost(proto::RESUME_STATE_LEN)
-    } else {
-        0
-    };
-    let mut reply = Vec::with_capacity((frame_cost(proto::HELLO_LEN) + bulk + announce) as usize);
+    let mut reply = Vec::with_capacity((frame_cost(proto::HELLO_LEN) + bulk) as usize);
     let ack = proto::hello_payload(proto::VERSION, ROLE_DEST);
     write_frame(&mut reply, kind::HELLO_ACK, &ack)?;
     if let Some(ix) = &index {
         wiremsg::encode_bulk_exchange(ix.sorted(), &mut reply);
     }
-    if let Some((st, _)) = &resumed {
-        let announce = ResumeState {
-            applied: st.applied(),
-            hash: st.state_hash(),
-        };
-        write_frame(&mut reply, kind::RESUME_STATE, &announce.encode())?;
-    }
     let sent = s.write_all(&reply).and_then(|()| s.flush());
 
-    let (mut session_state, log) = match resumed {
+    let (partial, log, sent) = match retry {
+        Some((partial, log)) => (Some(partial), log, sent),
         None => {
             sent?;
             // Fresh epoch: any stale partial for this (job, spec) is from
-            // a superseded attempt — never let it leak into a later resume.
-            drop_partial(state, job_id, fingerprint);
-            (SessionState::fresh(&spec, &initial), fresh_log())
+            // a superseded attempt — never let it leak into a later retry.
+            drop_partial(state, key);
+            (None, fresh_log(state, key), Ok(()))
         }
-        // Accepting means skipping exactly the announced messages; a
-        // source that skipped anything else fails the end-to-end content
-        // hash at COMPLETE/DONE.
-        Some((st, log)) => match sent.map_err(DaemonError::from).and_then(|()| {
-            let ok = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::RESUME_OK, "RESUME_OK")?;
-            proto::parse_flag(&ok.payload, "resume-ok")
-        }) {
-            Ok(true) => (st, log),
-            Ok(false) => {
-                // Rejected: drop the bad partial and start from the base.
-                drop(log);
-                drop_partial(state, job_id, fingerprint);
-                (SessionState::fresh(&spec, &initial), fresh_log())
-            }
-            Err(e) => {
-                // The handshake died, the landed state did not: keep it
-                // for the next epoch (its log, if any, is untouched).
-                sync::lock(&state.partials).insert((job_id, fingerprint), st);
-                return Err(e);
-            }
-        },
     };
 
     // An in-memory daemon takes the unit hook: no per-message work.
-    let mut logged = log.map(|log| SessionLog::new(state, job_id, fingerprint, log));
-    let received = match &mut logged {
-        Some(l) => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, l),
-        None => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, &mut ()),
-    };
+    let mut session_state = SessionState::fresh(&spec, &initial);
+    let mut logged = log.map(|log| SessionLog::new(state, key, log));
+    let received = sent
+        .map_err(DaemonError::from)
+        .and_then(|()| match &mut logged {
+            Some(l) => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, l),
+            None => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, &mut ()),
+        });
     // End-to-end verification: both sides hash the final digests. Ours
     // runs while the source hashes its guest, before COMPLETE arrives.
     let verified = received.and_then(|()| {
@@ -200,19 +153,20 @@ pub(crate) fn session(
     let (local, complete) = match verified {
         Ok(verified) => verified,
         Err(e @ DaemonError::Io(_)) => {
-            // Peer death before COMPLETE: the landed prefix is the whole
-            // point — log what landed since the last boundary and keep
-            // the state in memory for the resume attempt.
+            // Peer death before COMPLETE: log what landed since the last
+            // boundary and keep the landed pages for the next epoch.
             if let Some(l) = &mut logged {
                 l.boundary();
             }
-            sync::lock(&state.partials).insert((job_id, fingerprint), session_state);
+            let vm = VmId::new(spec.vm);
+            let partial = partial.unwrap_or_else(|| PartialCheckpoint::empty(vm, spec.pages()));
+            keep_partial(state, key, partial.overlaid(session_state.landed()));
             return Err(e);
         }
         Err(e) => {
             // Protocol violation or corrupt payload: the state machine
             // itself is suspect, so the partial is poison. Drop it.
-            drop_partial(state, job_id, fingerprint);
+            drop_partial(state, key);
             return Err(e);
         }
     };
@@ -220,34 +174,93 @@ pub(crate) fn session(
     state.kill.hit(KillRole::Dest, KillPoint::PreCommit);
     write_frame(s, kind::DONE, &local)?;
     s.flush()?;
-    drop_partial(state, job_id, fingerprint);
+    drop_partial(state, key);
     if complete != local {
         return Err(DaemonError::Corrupt(
             "reconstructed content hash differs from the source's".into(),
         ));
     }
-    Ok(job_id)
+    Ok(key.0)
 }
 
-/// What [`receive_stream`] tells whoever persists the landed prefix.
+/// What earlier epochs of job `key` landed here, and the log to keep
+/// appending to: the partial log (it outlives both deaths; when the
+/// in-memory map also holds the pages, the two are equal), else the map
+/// alone (no journal, or a log that failed), else nothing landed and a
+/// fresh log.
+fn recover(
+    state: &DaemonState,
+    spec: &ScenarioSpec,
+    key: Key,
+) -> (PartialCheckpoint, Option<PartialLog>) {
+    let remembered = take_partial(state, key);
+    let loaded = (state.config.journal_dir.as_deref())
+        .and_then(|dir| PartialLog::load(dir, key.0, key.1, spec.pages()));
+    let vm = VmId::new(spec.vm);
+    match (loaded, remembered) {
+        (Some((landed, log)), _) => {
+            state
+                .metrics
+                .inc("daemon_resume_partials_total", &[("op", "load")], 1);
+            (PartialCheckpoint::new(vm, landed), Some(log))
+        }
+        (None, Some(partial)) => (partial, None),
+        (None, None) => (
+            PartialCheckpoint::empty(vm, spec.pages()),
+            fresh_log(state, key),
+        ),
+    }
+}
+
+/// A fresh partial log for `key`, when the daemon is journal-backed and
+/// the file can be created.
+fn fresh_log(state: &DaemonState, (job_id, fingerprint): Key) -> Option<PartialLog> {
+    let dir = state.config.journal_dir.as_deref()?;
+    PartialLog::create(dir, job_id, fingerprint)
+        .map_err(|e| log_failed(state, job_id, &e))
+        .ok()
+}
+
+/// Takes job `key`'s landed pages out of the in-memory map.
+fn take_partial(state: &DaemonState, key: Key) -> Option<PartialCheckpoint> {
+    let mut partials = sync::lock(&state.partials);
+    let at = partials.iter().position(|(k, _)| *k == key)?;
+    partials.remove(at).map(|(_, partial)| partial)
+}
+
+/// Keeps job `key`'s landed pages in the in-memory map, the oldest
+/// entry dropped (and counted) past [`PARTIALS_CAP`].
+fn keep_partial(state: &DaemonState, key: Key, partial: PartialCheckpoint) {
+    let mut partials = sync::lock(&state.partials);
+    partials.push_back((key, partial));
+    if partials.len() > PARTIALS_CAP {
+        partials.pop_front();
+        state
+            .metrics
+            .inc("daemon_resume_partials_total", &[("op", "drop")], 1);
+    }
+}
+
+/// What [`receive_stream`] tells whoever persists the landed pages.
 /// `()` persists nothing.
 pub trait Persist {
-    /// `msg` was validated and applied; a `Full` comes in its landed
-    /// `idx ‖ digest` form.
-    fn landed(&mut self, msg: &WireMsg);
+    /// A validated, applied message wrote page `idx`, which now holds
+    /// `digest` (a dedup reference's resolved content, a zero marker's
+    /// zero page). Round delimiters write no page.
+    fn landed(&mut self, idx: u64, digest: PageDigest);
     /// A persistence boundary: `STREAM_CHUNK` (64) messages, or a round
     /// or stop delimiter, landed since the last one.
     fn boundary(&mut self);
 }
 
 impl Persist for () {
-    fn landed(&mut self, _msg: &WireMsg) {}
+    fn landed(&mut self, _idx: u64, _digest: PageDigest) {}
     fn boundary(&mut self) {}
 }
 
-/// Applies the data-plane stream through the shared state machine
-/// up to and including the stop-and-copy delimiter. `persist` is told
-/// each applied message, and of a boundary every `STREAM_CHUNK` (64)
+/// Applies the data-plane stream through the state machine up to and
+/// including the stop-and-copy delimiter. `persist` is told each page
+/// an applied message wrote, and of a boundary every `STREAM_CHUNK` (64)
 /// applied messages and at each round boundary; the kill switch is
 /// ticked once per message decoded, before it is applied.
 ///
@@ -255,8 +268,7 @@ impl Persist for () {
 /// whatever follows StopEnd in the same buffer (the COMPLETE frame) is
 /// still there for the caller's next frame read. A full page's bytes are
 /// read into one page buffer that serves the whole stream and checked
-/// against the digest filler there; what lands is `idx ‖ digest`. No
-/// message allocates.
+/// against the digest filler there. No message allocates.
 ///
 /// # Errors
 ///
@@ -282,12 +294,17 @@ pub fn receive_stream<R: Read, P: Persist>(
             session_state::check_filler(*idx, &page[..], digest)?;
         }
         session_state.apply(&msg, index)?;
-        persist.landed(&msg);
+        if let WireMsg::Full { idx, .. }
+        | WireMsg::Checksum { idx, .. }
+        | WireMsg::DedupRef { idx, .. }
+        | WireMsg::Zero { idx } = msg
+        {
+            persist.landed(idx, session_state.mem()[idx as usize]);
+        }
         since_checkpoint += 1;
         // Checkpoint every STREAM_CHUNK applied messages, whatever the
-        // source's write size: any prefix verifies (the source replays
-        // it before skipping), and whole chunks keep the persisted state
-        // close to what actually landed.
+        // source's write size: any landed prefix is a recycle base, and
+        // whole chunks keep the persisted pages close to what landed.
         if since_checkpoint >= crate::source::STREAM_CHUNK
             || matches!(msg, WireMsg::RoundEnd { .. } | WireMsg::StopEnd)
         {
@@ -302,21 +319,19 @@ pub fn receive_stream<R: Read, P: Persist>(
 /// append fails.
 struct SessionLog<'a> {
     state: &'a DaemonState,
-    job_id: u64,
-    fingerprint: u64,
+    key: Key,
     log: Option<PartialLog>,
     /// `daemon_resume_partials_total{op="save"}`, one per chunk record.
     saves: Counter,
 }
 
 impl<'a> SessionLog<'a> {
-    fn new(state: &'a DaemonState, job_id: u64, fingerprint: u64, log: PartialLog) -> Self {
+    fn new(state: &'a DaemonState, key: Key, log: PartialLog) -> Self {
         let saves =
             (state.metrics).resolve_counter("daemon_resume_partials_total", &[("op", "save")]);
         SessionLog {
             state,
-            job_id,
-            fingerprint,
+            key,
             log: Some(log),
             saves,
         }
@@ -324,9 +339,9 @@ impl<'a> SessionLog<'a> {
 }
 
 impl Persist for SessionLog<'_> {
-    fn landed(&mut self, msg: &WireMsg) {
+    fn landed(&mut self, idx: u64, digest: PageDigest) {
         if let Some(log) = &mut self.log {
-            log.push(msg);
+            log.push(idx, digest);
         }
     }
 
@@ -336,14 +351,14 @@ impl Persist for SessionLog<'_> {
             Ok(true) => self.saves.inc(1),
             Ok(false) => {}
             Err(e) => {
-                // The file now ends mid-record and will fall behind the
-                // state: a stale shorter prefix must not be announced
-                // later, so it goes, and the session receives on.
+                // The file now ends mid-record and falls behind the
+                // in-memory pages, which a later epoch should recycle
+                // instead: it goes, and the session receives on.
                 self.log = None;
                 if let Some(dir) = self.state.config.journal_dir.as_deref() {
-                    session_state::drop_partial(dir, self.job_id, self.fingerprint);
+                    session_state::drop_partial(dir, self.key.0, self.key.1);
                 }
-                log_failed(self.state, self.job_id, &e);
+                log_failed(self.state, self.key.0, &e);
             }
         }
     }
@@ -357,14 +372,12 @@ fn log_failed(state: &DaemonState, job_id: u64, e: &std::io::Error) {
     ));
 }
 
-/// Removes every trace of a partial state (job finished, or the state
-/// was rejected/poisoned).
-fn drop_partial(state: &DaemonState, job_id: u64, fingerprint: u64) {
-    let had = sync::lock(&state.partials)
-        .remove(&(job_id, fingerprint))
-        .is_some();
+/// Removes every trace of a job's landed pages (job finished, or the
+/// stream poisoned).
+fn drop_partial(state: &DaemonState, key: Key) {
+    let had = take_partial(state, key).is_some();
     if let Some(dir) = state.config.journal_dir.as_deref() {
-        session_state::drop_partial(dir, job_id, fingerprint);
+        session_state::drop_partial(dir, key.0, key.1);
     }
     if had {
         state
@@ -381,8 +394,9 @@ mod tests {
 
     /// A disk that fills mid-session (`/dev/full` behind the append
     /// handle): the first failed append stops the logging, removes the
-    /// file — it would otherwise be announced later as a shorter, stale
-    /// prefix — and leaves one line, however many chunks follow.
+    /// file — a later epoch would otherwise recycle its shorter prefix
+    /// instead of the in-memory pages — and leaves one line, however
+    /// many chunks follow.
     #[test]
     fn a_failed_append_ends_the_log_and_is_reported_once() {
         let dir = std::env::temp_dir().join(format!("vecycle-dest-full-{}", std::process::id()));
@@ -406,9 +420,9 @@ mod tests {
             .write(true)
             .open("/dev/full")
             .unwrap();
-        let mut hook = SessionLog::new(&state, job_id, fingerprint, PartialLog::at(full, 0));
+        let mut hook = SessionLog::new(&state, (job_id, fingerprint), PartialLog::at(full));
         for idx in 0..5 * 64 {
-            hook.landed(&WireMsg::Zero { idx });
+            hook.landed(idx, PageDigest::ZERO_PAGE);
             if idx % 64 == 63 {
                 hook.boundary();
             }

@@ -18,7 +18,8 @@ pub const HEADER: u64 = 5;
 pub const MAX_PAYLOAD: u64 = 1 << 20;
 
 /// Control frame kinds. 0x04 and 0x05 are unassigned (protocol
-/// version 2's OFFER and WANT).
+/// version 2's OFFER and WANT), and so are 0x08 and 0x09 (version 3's
+/// resume announcement and verdict).
 pub mod kind {
     /// Session opener, source → destination; JOB follows unasked.
     pub const HELLO: u8 = 0x01;
@@ -31,10 +32,6 @@ pub mod kind {
     pub const COMPLETE: u8 = 0x06;
     /// Destination content hash, destination → source.
     pub const DONE: u8 = 0x07;
-    /// Applied count + state hash for a resumed job, destination → source.
-    pub const RESUME_STATE: u8 = 0x08;
-    /// Resume verdict (one accept byte), source → destination.
-    pub const RESUME_OK: u8 = 0x09;
     /// Typed error message; sender closes after.
     pub const ERR: u8 = 0x0E;
     /// Operator request (JSON), client → daemon.

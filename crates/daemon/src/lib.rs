@@ -22,18 +22,18 @@
 //! Crash durability (journal-backed daemons): every job transition is
 //! write-ahead journaled ([`journal`]), boot replays the WAL into the
 //! same job table ([`queue::Queue::replay`]) so a killed daemon
-//! restarts with no job lost and none completed twice, and an
-//! interrupted transfer resumes from the destination's logged landed
-//! prefix ([`partial_log`]) via the RESUME_STATE/RESUME_OK handshake
-//! instead of restreaming from scratch.
+//! restarts with no job lost and none completed twice, and a retry
+//! epoch is a recycle: the destination offers the pages earlier epochs
+//! landed ([`partial_log`], or its in-memory map) in the ordinary bulk
+//! exchange, and the source streams against them from message 0.
 //!
 //! Module map: [`frame`] (control framing), [`proto`] (handshake and
 //! fixed control payloads), [`endpoint`] (TCP/Unix addressing),
 //! [`queue`] (the job lifecycle: table, admission, WAL writes, boot
 //! replay, event tail), [`journal`] (the WAL file), [`session_state`]
-//! (shared stream-apply state machine + its snapshot codec),
+//! (the destination's stream-apply state machine + its snapshot codec),
 //! [`partial_log`] (the destination's append-only log of landed
-//! messages), [`record`] (the checksummed record frame the journal and
+//! pages), [`record`] (the checksummed record frame the journal and
 //! the log share), [`server`] (listener + dispatch), `source`/`dest`
 //! (the two ends of a migration session), [`client`] (operator RPCs),
 //! [`scenario`] (deterministic guest construction shared by both

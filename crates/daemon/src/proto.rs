@@ -7,12 +7,13 @@
 //! tests in the same commit — drift fails loudly.
 //!
 //! A session says only what the [`ScenarioSpec`] in JOB and the content
-//! hashes do not already prove (protocol version 3). The source sends
+//! hashes do not already prove (protocol version 4). The source sends
 //! HELLO‖JOB in one flight; the destination answers HELLO_ACK — "job
 //! accepted" — then the bulk exchange when the spec's strategy is
-//! vecycle. COMPLETE and DONE each carry one side's 8-byte content hash.
-//! A resume adds RESUME_STATE, `applied u64 ‖ state hash [8]`, and
-//! RESUME_OK, one accept byte ([`parse_flag`]).
+//! vecycle or the session is a retry epoch. COMPLETE and DONE each carry
+//! one side's 8-byte content hash. A retry adds no frame: it is a fresh
+//! session against the pages earlier epochs landed, so every epoch
+//! reconciles against the same overheads.
 
 use serde::{Deserialize, Serialize};
 use vecycle_sim::ScenarioSpec;
@@ -24,7 +25,7 @@ use crate::DaemonError;
 pub const MAGIC: &[u8; 8] = b"VECYCLD1";
 /// Protocol version spoken by this build; a peer at any other version
 /// is refused at HELLO.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 /// Handshake role: the migration source (connects).
 pub const ROLE_SOURCE: u8 = 0;
 /// Handshake role: the migration destination (accepts).
@@ -36,10 +37,6 @@ pub const HELLO_LEN: u64 = 8 + 2 + 1;
 pub const COMPLETE_LEN: u64 = 8;
 /// DONE payload length: the destination's FNV-1a 64 content hash.
 pub const DONE_LEN: u64 = 8;
-/// RESUME_STATE payload length: applied count + state hash.
-pub const RESUME_STATE_LEN: u64 = 8 + 8;
-/// RESUME_OK payload length: one accept flag byte.
-pub const RESUME_OK_LEN: u64 = 1;
 
 /// The job announcement a source sends right behind its HELLO.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -47,8 +44,8 @@ pub struct JobMsg {
     /// Source-daemon job id — correlates logs, keys the destination's
     /// partial state, and anchors exactly-once completion.
     pub job: u64,
-    /// Resume epoch: 0 is a fresh transfer (no resume frames); N ≥ 1
-    /// adds the RESUME_STATE/RESUME_OK exchange.
+    /// Retry epoch: 0 is a fresh transfer; N ≥ 1 recycles the pages
+    /// earlier epochs landed at the destination.
     pub resume: u64,
     /// The scenario both sides rebuild deterministically.
     pub spec: ScenarioSpec,
@@ -101,56 +98,6 @@ pub fn parse_hello(payload: &[u8]) -> Result<(u16, u8), DaemonError> {
     Ok((version, payload[10]))
 }
 
-/// The destination's landed-state summary, sent (resume epochs only)
-/// right after HELLO_ACK and the bulk exchange: how many messages it
-/// applied and the hash of the state they built. The hash covers the
-/// applied count, the round cursor and the finished flag, so nothing
-/// else needs saying. `applied == 0` with the fresh-base hash means
-/// "nothing survived, stream from scratch".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResumeState {
-    /// Data-plane messages durably applied before the crash.
-    pub applied: u64,
-    /// [`SessionState::state_hash`](crate::session_state::SessionState::state_hash)
-    /// of the destination's current state.
-    pub hash: [u8; 8],
-}
-
-impl ResumeState {
-    /// Encodes the RESUME_STATE payload.
-    pub fn encode(&self) -> [u8; RESUME_STATE_LEN as usize] {
-        let mut p = [0u8; RESUME_STATE_LEN as usize];
-        p[0..8].copy_from_slice(&self.applied.to_be_bytes());
-        p[8..16].copy_from_slice(&self.hash);
-        p
-    }
-
-    /// Parses a RESUME_STATE payload.
-    ///
-    /// # Errors
-    ///
-    /// [`DaemonError::Corrupt`] on wrong length.
-    pub fn decode(payload: &[u8]) -> Result<ResumeState, DaemonError> {
-        let p: [u8; RESUME_STATE_LEN as usize] = fixed(payload, "resume-state")?;
-        Ok(ResumeState {
-            applied: u64::from_be_bytes(p[0..8].try_into().expect("8 bytes")),
-            hash: p[8..16].try_into().expect("8 bytes"),
-        })
-    }
-}
-
-/// Parses a one-flag payload: RESUME_OK (does the source accept the
-/// announced prefix?).
-///
-/// # Errors
-///
-/// [`DaemonError::Corrupt`] naming `what` on a wrong length or a flag
-/// byte other than 0 or 1.
-pub fn parse_flag(payload: &[u8], what: &str) -> Result<bool, DaemonError> {
-    let [byte] = fixed(payload, what)?;
-    flag(byte, what)
-}
-
 /// `payload` as exactly `N` bytes — COMPLETE's and DONE's 8-byte hash.
 ///
 /// # Errors
@@ -160,14 +107,6 @@ pub fn fixed<const N: usize>(payload: &[u8], what: &str) -> Result<[u8; N], Daem
     payload
         .try_into()
         .map_err(|_| DaemonError::Corrupt(format!("{what} payload length {}", payload.len())))
-}
-
-/// A flag byte: 0 or 1.
-pub(crate) fn flag(byte: u8, what: &str) -> Result<bool, DaemonError> {
-    match byte {
-        0 | 1 => Ok(byte == 1),
-        b => Err(DaemonError::Corrupt(format!("{what} flag {b}"))),
-    }
 }
 
 /// Requires `frame` to be of `want` kind, converting ERR frames into
@@ -206,16 +145,6 @@ pub fn reverse_overhead() -> u64 {
     frame_cost(HELLO_LEN) + frame_cost(DONE_LEN)
 }
 
-/// Extra source→destination framing a resume epoch adds: RESUME_OK.
-pub fn forward_resume_overhead() -> u64 {
-    frame_cost(RESUME_OK_LEN)
-}
-
-/// Extra destination→source framing a resume epoch adds: RESUME_STATE.
-pub fn reverse_resume_overhead() -> u64 {
-    frame_cost(RESUME_STATE_LEN)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,7 +156,7 @@ mod tests {
         let drift = parse_hello(&hello_payload(99, ROLE_SOURCE)).unwrap_err();
         assert_eq!(
             drift.to_string(),
-            "unsupported protocol version 99 (ours 3)"
+            "unsupported protocol version 99 (ours 4)"
         );
         let mut bad = p;
         bad[0] = b'X';
@@ -249,10 +178,6 @@ mod tests {
         // 3 frames forward, 2 reverse, 5 bytes of framing each.
         assert_eq!(forward_overhead(100), (11 + 5) + (100 + 5) + (8 + 5));
         assert_eq!(reverse_overhead(), (11 + 5) + (8 + 5));
-        // Resume adds one fixed frame each way: an accept byte and a
-        // count plus a hash.
-        assert_eq!(forward_resume_overhead(), 6);
-        assert_eq!(reverse_resume_overhead(), 21);
     }
 
     #[test]
@@ -266,23 +191,5 @@ mod tests {
         assert_eq!(back, msg);
         assert!(JobMsg::decode(b"\xff\xfe").is_err());
         assert!(JobMsg::decode(b"{\"nope\":1}").is_err());
-    }
-
-    #[test]
-    fn resume_payloads_are_a_count_and_a_hash_and_one_flag_byte() {
-        let rs = ResumeState {
-            applied: 300,
-            hash: *b"12345678",
-        };
-        assert_eq!(rs.encode(), *b"\0\0\0\0\0\0\x01\x2c12345678");
-        assert_eq!(ResumeState::decode(&rs.encode()).unwrap(), rs);
-        // Version 1's 33-byte announcement and 9-byte verdict are corrupt.
-        assert!(ResumeState::decode(&[0; 33]).is_err());
-        assert!(ResumeState::decode(&rs.encode()[..15]).is_err());
-        assert_eq!(RESUME_OK_LEN, 1);
-        assert!(parse_flag(&[1], "resume-ok").unwrap() && !parse_flag(&[0], "resume-ok").unwrap());
-        for bad in [&[2u8][..], &[], &[1, 0, 0, 0, 0, 0, 0, 1, 44]] {
-            assert!(parse_flag(bad, "resume-ok").is_err());
-        }
     }
 }

@@ -91,15 +91,10 @@ pub struct Measured {
     /// Length of the JOB frame's JSON payload (spec-dependent part of
     /// the forward overhead).
     pub job_json_len: u64,
-    /// Resume epoch of the session that completed the job (0 = fresh
-    /// transfer, N ≥ 1 = Nth reconnect/restart attempt).
+    /// Epoch of the session that completed the job (0 = fresh
+    /// transfer, N ≥ 1 = Nth reconnect/restart attempt, a recycle of
+    /// what earlier epochs landed).
     pub resume_epoch: u64,
-    /// Data-plane messages the resume handshake let the source skip.
-    pub skipped_msgs: u64,
-    /// Wire bytes of those skipped messages — the pre-crash traffic.
-    /// On a resumed job, `tx + skipped_bytes` equals the full
-    /// analytic ledger + overheads (+ the RESUME_OK frame).
-    pub skipped_bytes: u64,
 }
 
 /// One job's full record.
@@ -460,8 +455,8 @@ impl Queue {
         true
     }
 
-    /// Data-plane progress, `landed` messages applied or skipped at the
-    /// destination: a hint, written but not synced.
+    /// Data-plane progress, `landed` messages sent to the destination:
+    /// a hint, written but not synced.
     pub(crate) fn progress(&self, id: u64, landed: u64) {
         let mut record = WalRecord::bare(rec::TRANSFERRING, id);
         record.pages_landed = landed;

@@ -4,15 +4,17 @@
 //! Bit-identity across processes rests on this module: both daemons
 //! (and the test harness) derive the guest memory, the workload, the
 //! engine and the strategy from the [`ScenarioSpec`] alone, through
-//! these functions only. The destination's checksum index is rebuilt
-//! by the *source* from the bulk-exchanged digests; classification
-//! depends only on digest membership and setup pricing only on the
-//! distinct count, so the rebuilt index yields the same report as the
-//! destination's own ([`reference_run`] pins this in the e2e tests).
+//! these functions only. What the destination offers in the bulk
+//! exchange is decided in one place, [`offer`]; the *source* rebuilds
+//! that index from the exchanged digests, and classification depends
+//! only on digest membership and setup pricing only on the distinct
+//! count, so the rebuilt index yields the same report as the
+//! destination's own ([`reference_run`] and [`reference_run_over`] pin
+//! this in the e2e and recovery tests).
 
 use std::sync::Arc;
 
-use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
+use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PartialCheckpoint};
 use vecycle_core::{MigrationEngine, MigrationReport, Strategy};
 use vecycle_hash::{Fnv1a64, Hasher};
 use vecycle_mem::{
@@ -67,8 +69,28 @@ pub fn live_guest(
     Ok((guest, workload))
 }
 
-/// Builds the source strategy from an index rebuilt off the wire
-/// (vecycle) or none (full/dedup).
+/// The checksum index a destination offers in the bulk exchange. A
+/// fresh epoch offers its checkpoint's for a vecycle job and nothing
+/// otherwise (no other stream carries checksum messages). A retry epoch
+/// offers the pages earlier epochs landed, `partial` — unioned with the
+/// checkpoint for a vecycle job — whatever the job's strategy: a retry
+/// is a recycle, the two calls the in-process session's retry makes.
+pub fn offer(
+    spec: &ScenarioSpec,
+    initial: &DigestMemory,
+    partial: Option<&PartialCheckpoint>,
+) -> Option<ChecksumIndex> {
+    let vecycle = spec.strategy == "vecycle";
+    match partial {
+        None => vecycle.then(|| ChecksumIndex::from_pages(initial.as_slice())),
+        Some(p) if vecycle => Some(p.build_index_with(initial.as_slice())),
+        Some(p) => Some(p.build_index()),
+    }
+}
+
+/// Builds the source strategy from the index the destination offered:
+/// vecycle with dedup over it, or the spec's own full / dedup when the
+/// destination offered none.
 ///
 /// # Errors
 ///
@@ -78,16 +100,14 @@ pub fn wire_strategy(
     spec: &ScenarioSpec,
     index: Option<ChecksumIndex>,
 ) -> Result<Strategy, DaemonError> {
-    match spec.strategy.as_str() {
-        "full" => Ok(Strategy::full()),
-        "dedup" => Ok(Strategy::dedup()),
-        "vecycle" => {
-            let index = index.ok_or_else(|| {
-                DaemonError::Protocol("vecycle strategy needs the destination's index".into())
-            })?;
-            Ok(Strategy::vecycle_with_index(Arc::new(index)).with_dedup())
-        }
-        other => Err(DaemonError::BadSpec(format!("unknown strategy {other:?}"))),
+    match (index, spec.strategy.as_str()) {
+        (Some(index), _) => Ok(Strategy::vecycle_with_index(Arc::new(index)).with_dedup()),
+        (None, "full") => Ok(Strategy::full()),
+        (None, "dedup") => Ok(Strategy::dedup()),
+        (None, "vecycle") => Err(DaemonError::Protocol(
+            "vecycle strategy needs the destination's index".into(),
+        )),
+        (None, other) => Err(DaemonError::BadSpec(format!("unknown strategy {other:?}"))),
     }
 }
 
@@ -145,7 +165,32 @@ pub fn reference_run(spec: &ScenarioSpec) -> Result<ReferenceRun, DaemonError> {
     } else {
         wire_strategy(spec, None)?
     };
-    let (mut guest, mut workload) = live_guest(spec, &initial)?;
+    run(spec, &initial, strategy)
+}
+
+/// Runs a retry epoch of the scenario in-process: the session a source
+/// streams against a destination holding `partial`, the pages earlier
+/// epochs landed — what a resumed daemon job must reproduce.
+///
+/// # Errors
+///
+/// Propagates spec validation and engine errors.
+pub fn reference_run_over(
+    spec: &ScenarioSpec,
+    partial: &PartialCheckpoint,
+) -> Result<ReferenceRun, DaemonError> {
+    spec.validate().map_err(DaemonError::from)?;
+    let initial = initial_memory(spec)?;
+    let strategy = wire_strategy(spec, offer(spec, &initial, Some(partial)))?;
+    run(spec, &initial, strategy)
+}
+
+fn run(
+    spec: &ScenarioSpec,
+    initial: &DigestMemory,
+    strategy: Strategy,
+) -> Result<ReferenceRun, DaemonError> {
+    let (mut guest, mut workload) = live_guest(spec, initial)?;
     let report = engine_for(spec).migrate_live(&mut guest, &mut workload, strategy)?;
     let hash = content_hash(guest.memory().as_slice());
     Ok(ReferenceRun { report, hash })

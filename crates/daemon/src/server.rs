@@ -13,7 +13,7 @@
 //! any worker count; jobs with disjoint hosts still run in parallel.
 //! Every job transition goes through the [`Queue`].
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -21,6 +21,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use vecycle_checkpoint::PartialCheckpoint;
 use vecycle_faults::{KillSpec, KillSwitch};
 use vecycle_host::HostLocks;
 use vecycle_obs::MetricsRegistry;
@@ -31,7 +32,6 @@ use crate::control::{self, CtrlRequest, CtrlResponse};
 use crate::endpoint::{Listener, SessionStream, Stream};
 use crate::frame::{kind, read_frame, send_err, write_frame, MAX_PAYLOAD};
 use crate::queue::{JobRecord, Queue};
-use crate::session_state::SessionState;
 use crate::{dest, source, sync, DaemonError, Endpoint};
 
 /// Daemon configuration.
@@ -121,10 +121,11 @@ pub(crate) struct DaemonState {
     pub queue: Queue,
     pub locks: HostLocks,
     pub metrics: MetricsRegistry,
-    /// Destination-side partial states by `(job, spec fingerprint)` —
-    /// what survives a *peer* death (the file under `journal_dir` is
-    /// what survives our own).
-    pub partials: Mutex<HashMap<(u64, u64), SessionState>>,
+    /// Destination-side landed pages by `(job, spec fingerprint)`,
+    /// oldest first and at most `dest::PARTIALS_CAP` jobs — what
+    /// survives a *peer* death (the file under `journal_dir` is what
+    /// survives our own).
+    pub partials: Mutex<VecDeque<((u64, u64), PartialCheckpoint)>>,
     /// Deterministic crash injection, armed from `VECYCLE_KILL_AT`
     /// (inert in normal operation).
     pub kill: KillSwitch,
@@ -154,7 +155,7 @@ impl Daemon {
             metrics: queue.metrics.clone(),
             queue,
             locks: HostLocks::default(),
-            partials: Mutex::new(HashMap::new()),
+            partials: Mutex::default(),
             kill: KillSwitch::new(KillSpec::from_env()),
             config,
         });

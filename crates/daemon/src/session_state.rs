@@ -1,28 +1,24 @@
-//! The destination's reconstruction state, shared with the source's
-//! resume verifier, plus its snapshot (upgrade-format) codec.
+//! The destination's reconstruction state, plus its snapshot
+//! (upgrade-format) codec.
 //!
-//! The apply logic lives here, not in `dest.rs`, so that the *source*
-//! can run the exact same state machine over the prefix of its
-//! regenerated stream during the resume handshake. The two sides then
-//! compare [`SessionState::state_hash`] — equal hashes mean the
-//! destination's landed prefix is exactly the first `applied` messages
-//! of the deterministic stream, so the source can skip them.
+//! The apply logic lives here, not in `dest.rs`, so the tests, the fuzz
+//! targets and the benchmark run the exact state machine a session
+//! runs. Only the destination applies a stream; the source never
+//! builds one of these.
 //!
 //! Layout: two dense per-page vectors — the current digest and the
 //! *anchor*, the digest a page carried the first time it was written
 //! (what a `DedupRef` naming it means, even after a later round rewrote
 //! the page). A page has landed exactly when it has an anchor, so the
-//! landed flags and page count the snapshot and the hash carry are
-//! derived, not stored. Hashing and encoding walk the vectors in page
-//! order — the anchor section's ascending order on disk — over the
-//! same canonical bytes: the hash is FNV-1a 64 over what a snapshot
-//! stores between its identity and its trailer.
+//! landed flags and page count a snapshot carries are derived, not
+//! stored, and [`SessionState::landed`] is what a retry recycles.
 //!
 //! [`SessionState::encode`] / [`SessionState::decode`] are the
 //! *snapshot* form of a state (`VECYPAR1`: the whole state, FNV-1a
 //! trailer). The daemon only reads one, as the *base* of a partial log
-//! ([`crate::partial_log`]), so a snapshot file an older daemon (or
-//! [`save_partial`]) left behind still resumes.
+//! ([`crate::partial_log`]), where it stands for its landed pages, so a
+//! snapshot file an older daemon (or [`save_partial`]) left behind is
+//! still recycled.
 
 use std::path::{Path, PathBuf};
 
@@ -34,7 +30,7 @@ use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::PageDigest;
 
-use crate::{proto, DaemonError};
+use crate::DaemonError;
 
 /// Magic prefix of a state snapshot: vecycled partial, format 1.
 pub const PARTIAL_MAGIC: &[u8; 8] = b"VECYPAR1";
@@ -124,8 +120,7 @@ impl SessionState {
         Ok(())
     }
 
-    /// Applies one data-plane message. Identical on the destination
-    /// (live stream) and the source (resume-prefix simulation).
+    /// Applies one data-plane message.
     ///
     /// # Errors
     ///
@@ -204,44 +199,35 @@ impl SessionState {
             .filter_map(|(idx, a)| a.map(|digest| (idx as u64, digest)))
     }
 
-    /// Hands `out` the state's canonical bytes: the counters, the page
-    /// count, each page's digest and landed flag, then the dedup anchors
-    /// ascending by page.
-    fn canonical(&self, mut out: impl FnMut(&[u8])) {
-        out(&self.applied.to_be_bytes());
-        out(&self.expected_round.to_be_bytes());
-        out(&[u8::from(self.finished)]);
-        out(&(self.mem.len() as u64).to_be_bytes());
-        for (digest, anchor) in self.mem.iter().zip(&self.anchors) {
-            out(digest.as_bytes());
-            out(&[u8::from(anchor.is_some())]);
-        }
-        out(&(self.anchors().count() as u64).to_be_bytes());
-        for (idx, digest) in self.anchors() {
-            out(&idx.to_be_bytes());
-            out(digest.as_bytes());
-        }
-    }
-
-    /// FNV-1a 64 over everything that determines future behavior: the
-    /// canonical bytes — applied count, round cursor, finished flag,
-    /// memory image, landed map and (ascending) dedup anchors. Two
-    /// states with equal hashes apply any suffix identically.
-    pub fn state_hash(&self) -> [u8; 8] {
-        let mut fnv = Fnv1a64::new();
-        self.canonical(|bytes| fnv.update(bytes));
-        fnv.finalize()
+    /// The pages this stream wrote as `(page, digest it holds now)`,
+    /// ascending by page: what the destination keeps for a retry.
+    pub fn landed(&self) -> impl Iterator<Item = (u64, PageDigest)> + '_ {
+        let pages = self.mem.iter().zip(&self.anchors).enumerate();
+        pages.filter_map(|(idx, (digest, a))| a.map(|_| (idx as u64, *digest)))
     }
 
     /// Serializes the state (with its job/spec identity) into the
-    /// partial-file format: magic, job, fingerprint, the canonical
-    /// bytes, FNV-1a 64 trailer over everything before it.
+    /// partial-file format: magic, job, fingerprint, the counters, the
+    /// page count, each page's digest and landed flag, the dedup anchors
+    /// ascending by page, then an FNV-1a 64 trailer over everything
+    /// before it.
     pub fn encode(&self, job: u64, fingerprint: u64) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 + self.mem.len() * 17 + self.anchors.len() * 24);
         buf.extend_from_slice(PARTIAL_MAGIC);
-        buf.extend_from_slice(&job.to_be_bytes());
-        buf.extend_from_slice(&fingerprint.to_be_bytes());
-        self.canonical(|bytes| buf.extend_from_slice(bytes));
+        for field in [job, fingerprint, self.applied, self.expected_round] {
+            buf.extend_from_slice(&field.to_be_bytes());
+        }
+        buf.push(u8::from(self.finished));
+        buf.extend_from_slice(&(self.mem.len() as u64).to_be_bytes());
+        for (digest, anchor) in self.mem.iter().zip(&self.anchors) {
+            buf.extend_from_slice(digest.as_bytes());
+            buf.push(u8::from(anchor.is_some()));
+        }
+        buf.extend_from_slice(&(self.anchors().count() as u64).to_be_bytes());
+        for (idx, digest) in self.anchors() {
+            buf.extend_from_slice(&idx.to_be_bytes());
+            buf.extend_from_slice(digest.as_bytes());
+        }
         let mut fnv = Fnv1a64::new();
         fnv.update(&buf);
         let trailer = fnv.finalize();
@@ -316,14 +302,14 @@ impl SessionState {
             return Err(fail("trailer checksum mismatch"));
         }
 
-        let finished = proto::flag(body[40], "partial state: finished")?;
+        let finished = flag(body[40], "finished")?;
         let mut mem = Vec::with_capacity(pages as usize);
         for page in body[MEM_OFF..anchors_count_off].chunks_exact(per_page) {
             let digest: [u8; 16] = page[..16].try_into().expect("16");
             mem.push(PageDigest::new(digest));
             // Landed is derived from the anchors; the byte is still
             // checked, so the file accepts what it always did.
-            proto::flag(page[16], "partial state: landed")?;
+            flag(page[16], "landed")?;
         }
         let mut anchors = vec![None; pages as usize];
         for anchor in body[anchors_off..].chunks_exact(24) {
@@ -342,6 +328,16 @@ impl SessionState {
             finished,
         };
         Ok((job, fingerprint, state, body_len + 8))
+    }
+}
+
+/// A snapshot's flag byte: 0 or 1.
+fn flag(byte: u8, what: &str) -> Result<bool, DaemonError> {
+    match byte {
+        0 | 1 => Ok(byte == 1),
+        b => Err(DaemonError::Corrupt(format!(
+            "partial state: {what} flag {b}"
+        ))),
     }
 }
 
@@ -413,21 +409,36 @@ mod tests {
         (spec, st)
     }
 
-    /// The state hash and the snapshot bytes are a wire and disk
-    /// contract: pinned as literals so a layout change cannot move them.
+    /// The snapshot bytes are a disk contract: pinned as literals so a
+    /// layout change cannot move them.
     #[test]
-    fn state_hash_and_snapshot_bytes_are_pinned() {
-        for (warm, hash, file) in [
-            (false, 0xd925_fc5a_3b04_3665, 0x73cc_85ff_4f92_b143),
-            (true, 0x6495_2124_b4a6_47e2, 0x2c5c_1fc5_6854_a161),
+    fn snapshot_bytes_are_pinned() {
+        for (warm, file) in [
+            (false, 0x73cc_85ff_4f92_b143),
+            (true, 0x2c5c_1fc5_6854_a161),
         ] {
             let (spec, st) = rewritten(warm);
             assert_eq!(st.mem()[21], PageDigest::from_content_id(3), "first wins");
             let mut fnv = Fnv1a64::new();
             fnv.update(&st.encode(7, spec_fingerprint(&spec)));
-            let got = [st.state_hash(), fnv.finalize()].map(u64::from_be_bytes);
-            assert_eq!(got, [hash, file], "warm={warm}: {got:#018x?}");
+            let got = u64::from_be_bytes(fnv.finalize());
+            assert_eq!(got, file, "warm={warm}: {got:#018x}");
         }
+    }
+
+    /// A page lands once the stream writes it, with what it holds last;
+    /// the warm base's pages the stream never wrote do not land.
+    #[test]
+    fn landed_is_every_written_page_as_it_ends() {
+        let (_, st) = rewritten(true);
+        let d = PageDigest::from_content_id;
+        let landed: Vec<(u64, PageDigest)> = st.landed().collect();
+        let pages: Vec<u64> = landed.iter().map(|&(idx, _)| idx).collect();
+        assert_eq!(pages, [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 20, 21]);
+        assert_eq!(landed[3], (3, d(300)), "the rewrite wins");
+        assert_eq!(landed[5], (5, d(500)));
+        assert_eq!(landed[9], (10, PageDigest::ZERO_PAGE));
+        assert_eq!(landed[10..], [(20, d(3)), (21, d(3))]);
     }
 
     #[test]
@@ -438,7 +449,6 @@ mod tests {
         let (job, f, back) = SessionState::decode(&bytes).unwrap();
         assert_eq!((job, f), (9, fp));
         assert_eq!(back, st);
-        assert_eq!(back.state_hash(), st.state_hash());
     }
 
     #[test]
@@ -465,11 +475,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let (spec, st) = rewritten(false);
         let fp = spec_fingerprint(&spec);
-        let fresh = SessionState::fresh(&spec, &scenario::initial_memory(&spec).unwrap());
-        let load = |job, fp| PartialLog::load(&dir, job, fp, &fresh, None).map(|(st, _)| st);
+        let load = |job, fp| PartialLog::load(&dir, job, fp, spec.pages()).map(|(l, _)| l);
         assert!(load(5, fp).is_none());
         save_partial(&dir, 5, fp, &st).unwrap();
-        assert_eq!(load(5, fp).unwrap(), st);
+        let landed = load(5, fp).unwrap();
+        let pages = landed.iter().enumerate();
+        let pages: Vec<_> = pages
+            .filter_map(|(i, d)| d.map(|d| (i as u64, d)))
+            .collect();
+        assert_eq!(
+            pages,
+            st.landed().collect::<Vec<_>>(),
+            "a snapshot is its landed pages"
+        );
         // Wrong identity never matches.
         assert!(load(6, fp).is_none());
         assert!(load(5, fp ^ 1).is_none());
@@ -497,25 +515,6 @@ mod tests {
                 "count at {off}"
             );
         }
-    }
-
-    #[test]
-    fn hash_covers_anchors_not_just_memory() {
-        // Two states with identical memory but different first-wins
-        // anchors must hash differently — they would apply a future
-        // DedupRef differently.
-        let spec = ScenarioSpec::golden(1);
-        let initial = scenario::initial_memory(&spec).unwrap();
-        let a_digest = PageDigest::from_content_id(7);
-        let b_digest = PageDigest::from_content_id(8);
-        let mut a = SessionState::fresh(&spec, &initial);
-        a.apply(&WireMsg::full_filler(0, a_digest), None).unwrap();
-        a.apply(&WireMsg::full_filler(0, b_digest), None).unwrap();
-        let mut b = SessionState::fresh(&spec, &initial);
-        b.apply(&WireMsg::full_filler(0, b_digest), None).unwrap();
-        b.apply(&WireMsg::full_filler(0, b_digest), None).unwrap();
-        assert_eq!(a.mem(), b.mem());
-        assert_ne!(a.state_hash(), b.state_hash());
     }
 
     #[test]

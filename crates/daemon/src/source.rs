@@ -24,20 +24,18 @@
 //!
 //! The session opens in one flight each way: HELLO‖JOB out, then the
 //! guest is built while the destination builds its own state; back
-//! come HELLO_ACK, the bulk exchange for a vecycle job and RESUME_STATE
-//! for a resume epoch. The spec in JOB already says what the
-//! destination holds, so nothing is negotiated. DONE carries the
-//! destination's content hash, which the source compares with its own.
+//! come HELLO_ACK and the bulk exchange when the destination offers one
+//! — a vecycle job, or any retry epoch. The spec in JOB already says
+//! what the destination holds, so nothing is negotiated. DONE carries
+//! the destination's content hash, which the source compares with its
+//! own.
 //!
-//! Because the stream is a pure function of the spec, an interrupted
-//! transfer resumes by *regenerating* it: the sink holds back the
-//! prefix the destination announced while replaying it through the same
-//! [`SessionState`] machine, and the moment the prefix is complete the
-//! state hashes decide — equal, and the held messages are dropped
-//! (skipped); different, and they are sent after all. The resumed
-//! session's ledger then reconciles as
-//! `tx = source_traffic − skipped_bytes + overheads`, which is what the
-//! chaos harness pins.
+//! A retry is a recycle. An epoch ≥ 1 is a fresh session whose exchange
+//! holds the pages earlier epochs landed (beside the checkpoint's, for
+//! a vecycle job), and the source streams `vecycle+dedup` against it
+//! from message 0: a page that already landed crosses as a 28-byte
+//! checksum. Nothing is replayed or skipped, so every epoch reconciles
+//! as `tx = source_traffic + overheads`.
 
 use std::io::Write;
 
@@ -51,19 +49,16 @@ use vecycle_types::{Bytes, PageDigest};
 use crate::endpoint::{SessionStream, SESSION_BUF};
 use crate::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use crate::proto::{
-    self, expect_kind, forward_overhead, forward_resume_overhead, reverse_overhead,
-    reverse_resume_overhead, JobMsg, ResumeState, ROLE_DEST, ROLE_SOURCE,
+    self, expect_kind, forward_overhead, reverse_overhead, JobMsg, ROLE_DEST, ROLE_SOURCE,
 };
 use crate::queue::Measured;
 use crate::scenario;
 use crate::server::DaemonState;
-use crate::session_state::SessionState;
 use crate::{DaemonError, Endpoint};
 
 /// Applied messages per destination persistence boundary, and the
 /// fewest messages the source puts in one socket write. The two need not
-/// agree: any applied prefix resumes, because the source re-simulates
-/// it before skipping a byte.
+/// agree: any landed prefix is a recycle base.
 pub(crate) const STREAM_CHUNK: usize = 64;
 
 /// What a completed source-side session hands back to the queue.
@@ -72,8 +67,8 @@ pub(crate) type SessionOutcome = (vecycle_core::MigrationReport, Measured);
 /// Runs job `job_id` against `peer`, retrying I/O failures (peer died,
 /// connection refused while it restarts, socket timeout) up to
 /// `config.retries` times with `config.backoff` between attempts. Each
-/// retry bumps the resume epoch, so the next session opens with the
-/// reconnect/resume handshake instead of a fresh transfer. Non-I/O
+/// retry bumps the epoch, so the next session recycles whatever the
+/// destination landed instead of starting over. Non-I/O
 /// errors (protocol violations, ledger mismatches, corrupt payloads)
 /// are never retried — retrying cannot fix a model bug.
 pub(crate) fn run_job_with_recovery(
@@ -100,8 +95,9 @@ pub(crate) fn run_job_with_recovery(
 }
 
 /// Runs one session of job `job_id` against the peer daemon at `peer`.
-/// `epoch` 0 is the fresh wire flow; epoch ≥ 1 adds the RESUME_STATE /
-/// RESUME_OK exchange after the bulk exchange.
+/// `epoch` 0 is the fresh wire flow; at epoch ≥ 1 the destination
+/// always offers a bulk exchange, of at most twice the page count (its
+/// landed pages beside its checkpoint's).
 pub(crate) fn run_job(
     state: &DaemonState,
     job_id: u64,
@@ -147,16 +143,18 @@ pub(crate) fn run_job(
         )));
     }
 
-    // The bulk exchange follows for a vecycle job, and only for one.
-    let index = if spec.strategy == "vecycle" {
+    // The bulk exchange follows for a vecycle job and for every retry.
+    let index = if spec.strategy == "vecycle" || epoch > 0 {
         let WireMsg::BulkExchange { digests } = WireMsg::read_from(&mut s)? else {
             return Err(DaemonError::Protocol(
                 "expected the bulk checksum exchange".into(),
             ));
         };
         // The wire form is the sorted, distinct digest list: at most one
-        // digest per page, and it becomes the index as it is.
-        if digests.len() as u64 > spec.pages() {
+        // digest per page, or on a retry one per landed page besides,
+        // and it becomes the index as it is.
+        let bound = spec.pages() * if epoch > 0 { 2 } else { 1 };
+        if digests.len() as u64 > bound {
             return Err(DaemonError::Corrupt(format!(
                 "bulk exchange carried {} digests for {} pages",
                 digests.len(),
@@ -173,37 +171,17 @@ pub(crate) fn run_job(
     } else {
         None
     };
-
-    // Resume handshake, first half: the destination reports its landed
-    // prefix. The verdict falls out of the stream itself — the sink
-    // answers RESUME_OK the moment it has regenerated that prefix.
-    let resume = if epoch > 0 {
-        let announced = read_frame(&mut s, MAX_PAYLOAD)?;
-        let announced = expect_kind(announced, kind::RESUME_STATE, "RESUME_STATE")?;
-        state.metrics.inc("daemon_resume_attempts_total", &[], 1);
-        Some(HeldPrefix {
-            announced: ResumeState::decode(&announced.payload)?,
-            sim: SessionState::fresh(spec, &initial),
-            index: index.clone(),
-            held: Vec::new(),
-        })
-    } else {
-        None
-    };
-    // The guest and the resume simulator hold their own copies: the
-    // stream runs without a spare guest-sized table.
+    // The guest holds its own copy: the stream runs without a spare
+    // guest-sized table.
     drop(initial);
 
     // Run the migration into the socket. Message sizes are the analytic
     // prices, and each round's Control header is the RoundEnd/StopEnd
     // delimiter — the forward ledger total IS the data-plane byte count.
     let strategy = scenario::wire_strategy(spec, index)?;
-    let mut sink = SocketSink::start(
-        &mut s,
-        &state.kill,
-        |landed| state.queue.progress(job_id, landed),
-        resume,
-    );
+    let mut sink = SocketSink::new(&mut s, &state.kill, |landed| {
+        state.queue.progress(job_id, landed);
+    });
     let outcome = scenario::engine_for(spec).migrate_live_into(
         &mut guest,
         &mut workload,
@@ -213,23 +191,7 @@ pub(crate) fn run_job(
     let LiveOutcome::Completed(report) = outcome else {
         unreachable!("the socket sink parks i/o errors, it never reports the link dead")
     };
-    let flushed = sink.finish();
-    let (skip, skipped_bytes, total) = (sink.skipped_msgs, sink.skipped_bytes, sink.position);
-    if let Some(accept) = sink.verdict {
-        let result = if accept { "accepted" } else { "rejected" };
-        state
-            .metrics
-            .inc("daemon_resume_total", &[("result", result)], 1);
-        state.queue.note(format!(
-            "job {job_id} resume epoch {epoch}: {result} (skip {skip} of {total} messages)"
-        ));
-        if skipped_bytes > 0 {
-            state
-                .metrics
-                .inc("daemon_resume_skipped_bytes_total", &[], skipped_bytes);
-        }
-    }
-    flushed?;
+    sink.finish()?;
     if report.rounds().iter().any(|r| r.skipped_pages.as_u64() > 0) {
         // Only generation-table strategies skip pages; none of the
         // daemon strategies do. The skip bitmap is a priced control
@@ -253,24 +215,15 @@ pub(crate) fn run_job(
     }
 
     // The core oracle: measured socket bytes must equal the analytic
-    // ledgers plus the pinned framing overhead, both directions. On a
-    // resumed session the forward side subtracts exactly the skipped
-    // prefix and adds the one extra RESUME_OK frame; the reverse side
-    // adds the RESUME_STATE frame.
-    let resumed = u64::from(epoch > 0);
+    // ledgers plus the pinned framing overhead, both directions, at
+    // every epoch.
     let measured = Measured {
         tx: s.tx(),
         rx: s.rx(),
-        expected_tx: report.source_traffic().as_u64() - skipped_bytes
-            + forward_overhead(job_json.len() as u64)
-            + resumed * forward_resume_overhead(),
-        expected_rx: report.reverse_traffic().as_u64()
-            + reverse_overhead()
-            + resumed * reverse_resume_overhead(),
+        expected_tx: report.source_traffic().as_u64() + forward_overhead(job_json.len() as u64),
+        expected_rx: report.reverse_traffic().as_u64() + reverse_overhead(),
         job_json_len: job_json.len() as u64,
         resume_epoch: epoch,
-        skipped_msgs: skip,
-        skipped_bytes,
     };
     if measured.tx != measured.expected_tx {
         return Err(DaemonError::LedgerMismatch {
@@ -287,17 +240,6 @@ pub(crate) fn run_job(
         });
     }
     Ok((report, measured))
-}
-
-/// The prefix a resuming destination announced, while the source is
-/// still regenerating it: the messages held back and the state they
-/// replay into. A held full page is `idx ‖ digest`; its filler is
-/// written only if the prefix is rejected and the page sent after all.
-struct HeldPrefix {
-    announced: ResumeState,
-    sim: SessionState,
-    index: Option<ChecksumIndex>,
-    held: Vec<WireMsg>,
 }
 
 /// The daemon's [`MsgSink`]: encodes each engine message into its
@@ -318,26 +260,16 @@ pub struct SocketSink<'a, W: Write, P: FnMut(u64)> {
     progress: P,
     buf: Vec<u8>,
     in_buf: usize,
-    /// Stream messages disposed of so far: skipped or sent.
+    /// Stream messages sent so far.
     position: u64,
-    resume: Option<HeldPrefix>,
-    /// Whether the pending resume was accepted, once RESUME_OK is sent.
-    verdict: Option<bool>,
-    skipped_msgs: u64,
-    skipped_bytes: u64,
     error: Option<std::io::Error>,
 }
 
 impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
-    /// A sink streaming a fresh transfer from message 0.
-    pub fn new(w: W, kill: &'a KillSwitch, progress: P) -> Self {
-        Self::start(w, kill, progress, None)
-    }
-
-    /// With `resume`, messages are held back until the announced prefix
-    /// has been regenerated and the RESUME_OK verdict sent.
-    fn start(w: W, kill: &'a KillSwitch, progress: P, resume: Option<HeldPrefix>) -> Self {
-        let mut sink = SocketSink {
+    /// A sink streaming a transfer from message 0.
+    pub fn new(w: W, kill: &'a KillSwitch, mut progress: P) -> Self {
+        progress(0);
+        SocketSink {
             w,
             kill,
             progress,
@@ -348,70 +280,19 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
             buf: Vec::with_capacity(STREAM_CHUNK * wire::full_page_msg().as_u64() as usize),
             in_buf: 0,
             position: 0,
-            resume,
-            verdict: None,
-            skipped_msgs: 0,
-            skipped_bytes: 0,
             error: None,
-        };
-        match &sink.resume {
-            // An empty prefix is decided before the first message.
-            Some(r) if r.announced.applied == 0 => sink.settle(),
-            Some(_) => {}
-            None => (sink.progress)(0),
         }
-        sink
     }
 
-    /// Settles a pending resume, writes out the buffered tail and
-    /// returns the parked socket error, if any.
+    /// Writes out the buffered tail and returns the parked socket
+    /// error, if any.
     ///
     /// # Errors
     ///
     /// The first I/O error any write of this sink met.
     pub fn finish(&mut self) -> std::io::Result<()> {
-        // Still holding: the announced prefix is longer than the stream.
-        self.settle();
         self.flush_buf();
         self.error.take().map_or(Ok(()), Err)
-    }
-
-    fn push(&mut self, msg: WireMsg) {
-        let Some(r) = self.resume.as_mut() else {
-            return self.send(msg);
-        };
-        let applies = r.sim.apply(&msg, r.index.as_ref()).is_ok();
-        r.held.push(msg);
-        if !applies || r.sim.applied() == r.announced.applied {
-            self.settle();
-        }
-    }
-
-    /// Decides the pending resume: the regenerated prefix replayed into
-    /// the announced applied count and state hash (which covers the
-    /// round cursor and the finished flag) earns a skip; anything else
-    /// is a reject, and the held messages go out after all.
-    fn settle(&mut self) {
-        let Some(r) = self.resume.take() else { return };
-        let accept =
-            r.sim.applied() == r.announced.applied && r.sim.state_hash() == r.announced.hash;
-        self.error = write_frame(&mut self.w, kind::RESUME_OK, &[u8::from(accept)])
-            .and_then(|()| self.w.flush())
-            .err();
-        if self.error.is_some() {
-            return;
-        }
-        self.verdict = Some(accept);
-        let skip = if accept { r.announced.applied } else { 0 };
-        (self.progress)(skip);
-        if accept {
-            (self.position, self.skipped_msgs) = (skip, skip);
-            self.skipped_bytes = r.held.iter().map(|m| m.encoded_len().as_u64()).sum();
-        } else {
-            for msg in r.held {
-                self.send(msg);
-            }
-        }
     }
 
     fn send(&mut self, msg: WireMsg) {
@@ -450,9 +331,9 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
 
 impl<W: Write, P: FnMut(u64)> MsgSink for SocketSink<'_, W, P> {
     fn page(&mut self, msg: PageMsg, digest: PageDigest, _size: Bytes) -> bool {
-        // A full page is held as `idx ‖ digest`, the digest the scan
-        // already has in hand; its filler is written at encode.
-        self.push(match msg {
+        // A full page is `idx ‖ digest`, the digest the scan already has
+        // in hand, until its filler is written at encode.
+        self.send(match msg {
             PageMsg::Full { idx, .. } => WireMsg::Full {
                 idx: idx.as_u64(),
                 digest,
@@ -464,12 +345,12 @@ impl<W: Write, P: FnMut(u64)> MsgSink for SocketSink<'_, W, P> {
     }
 
     fn round_end(&mut self, round: u32) {
-        self.push(WireMsg::RoundEnd {
+        self.send(WireMsg::RoundEnd {
             round: u64::from(round),
         });
     }
 
     fn stop_end(&mut self) {
-        self.push(WireMsg::StopEnd);
+        self.send(WireMsg::StopEnd);
     }
 }

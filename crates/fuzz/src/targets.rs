@@ -18,7 +18,7 @@ use vecycle_cli::args::{parse_duration, parse_faults, parse_link, parse_size};
 use vecycle_daemon::control::CtrlRequest;
 use vecycle_daemon::endpoint::SessionStream;
 use vecycle_daemon::journal::{self, Replay, WalRecord};
-use vecycle_daemon::proto::{self, JobMsg, ResumeState};
+use vecycle_daemon::proto::{self, JobMsg};
 use vecycle_daemon::queue::{JobRecord, Queue};
 use vecycle_daemon::session_state::{spec_fingerprint, SessionState};
 use vecycle_daemon::{frame, partial_log, record, scenario, DaemonError, JobState};
@@ -372,10 +372,12 @@ fn ctrl_frame_seeds() -> Vec<Vec<u8>> {
     ]
 }
 
-/// The session the `partial_log` target loads files for: a warm 1 MiB
-/// guest, so a log may carry checksum messages as well as full pages.
+/// The job the `partial_log` target loads files for: a warm 1 MiB
+/// guest, whose snapshot base may carry checksum hits as well as full
+/// pages.
 struct LogFixture {
     fingerprint: u64,
+    pages: u64,
     fresh: SessionState,
     index: ChecksumIndex,
     /// A short stream every message of which applies, delimiters last.
@@ -408,6 +410,7 @@ fn log_fixture() -> &'static LogFixture {
         msgs.push(WireMsg::StopEnd);
         LogFixture {
             fingerprint: spec_fingerprint(&spec),
+            pages: spec.pages(),
             fresh: SessionState::fresh(&spec, &initial),
             index: Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial).build_index(),
             msgs,
@@ -415,20 +418,29 @@ fn log_fixture() -> &'static LogFixture {
     })
 }
 
-/// A fresh log, a log continued behind a snapshot, and the two ways a
-/// crash damages either: a torn tail and a flipped trailer byte.
+/// A fresh log, a log continued behind a snapshot, a log two epochs
+/// appended behind one another, and the two ways a crash damages one: a
+/// torn tail and a flipped trailer byte.
 fn partial_log_seeds() -> Vec<Vec<u8>> {
     let fx = log_fixture();
-    // Chunk records as the destination appends them, four messages each.
-    let chunks = |mut first: u64, msgs: &[WireMsg], out: &mut Vec<u8>| {
-        for chunk in msgs.chunks(4) {
+    // The state `msgs` leave and the pages they land, each as it ends.
+    let landed = |msgs: &[WireMsg]| {
+        let mut st = fx.fresh.clone();
+        for msg in msgs {
+            st.apply(msg, Some(&fx.index)).expect("fixture applies");
+        }
+        let pages: Vec<_> = st.landed().collect();
+        (st, pages)
+    };
+    // Chunk records as the destination appends them, four pages each.
+    let chunks = |entries: &[(u64, PageDigest)], out: &mut Vec<u8>| {
+        for chunk in entries.chunks(4) {
             let mark = record::begin(out);
-            out.extend_from_slice(&first.to_be_bytes());
-            chunk
-                .iter()
-                .for_each(|msg| partial_log::encode_landed(msg, out));
+            for (idx, digest) in chunk {
+                out.extend_from_slice(&idx.to_be_bytes());
+                out.extend_from_slice(digest.as_bytes());
+            }
             record::seal(out, mark);
-            first += chunk.len() as u64;
         }
     };
     let mut fresh = Vec::new();
@@ -436,19 +448,24 @@ fn partial_log_seeds() -> Vec<Vec<u8>> {
     header.extend_from_slice(&LOG_JOB.to_be_bytes());
     header.extend_from_slice(&fx.fingerprint.to_be_bytes());
     record::push(&mut fresh, &header);
-    chunks(0, &fx.msgs, &mut fresh);
+    let mut two_epochs = fresh.clone();
+    chunks(&landed(&fx.msgs).1, &mut fresh);
 
-    let mut base = fx.fresh.clone();
-    for msg in &fx.msgs[..5] {
-        base.apply(msg, Some(&fx.index)).expect("fixture applies");
-    }
+    let (base, _) = landed(&fx.msgs[..5]);
     let mut behind_snapshot = base.encode(LOG_JOB, fx.fingerprint);
-    chunks(5, &fx.msgs[5..], &mut behind_snapshot);
+    chunks(&landed(&fx.msgs).1[5..], &mut behind_snapshot);
+
+    // Epoch 1 lands seven pages; epoch 2 rewrites two of them and lands
+    // one more.
+    chunks(&landed(&fx.msgs[..7]).1, &mut two_epochs);
+    let digest = PageDigest::from_content_id;
+    let epoch_two = [(3, digest(33)), (6, digest(66)), (8, digest(8))];
+    chunks(&epoch_two, &mut two_epochs);
 
     let torn = fresh[..fresh.len() - 11].to_vec();
     let mut flipped = behind_snapshot.clone();
     *flipped.last_mut().expect("non-empty") ^= 0x10;
-    vec![fresh, behind_snapshot, torn, flipped]
+    vec![fresh, behind_snapshot, two_epochs, torn, flipped]
 }
 
 /// WAL files: a live daemon's (one job done, one cancelled, one failed,
@@ -491,10 +508,6 @@ fn wal_seeds() -> Vec<Vec<u8>> {
 /// One valid payload per handshake decoder, behind its selector byte.
 fn handshake_seeds() -> Vec<Vec<u8>> {
     let with = |selector: u8, payload: &[u8]| [&[selector][..], payload].concat();
-    let resume = ResumeState {
-        applied: 300,
-        hash: *b"\xcf\x8c\x8a\xbe\x35\x8a\x51\x75",
-    };
     let job = JobMsg {
         job: 1,
         resume: 1,
@@ -506,10 +519,8 @@ fn handshake_seeds() -> Vec<Vec<u8>> {
             1,
             &scenario::content_hash(&[PageDigest::from_content_id(1)]),
         ),
-        with(2, &resume.encode()),
-        with(3, &[1]),
-        with(4, job.encode().as_bytes()),
-        with(5, CtrlRequest::bare("status").encode().as_bytes()),
+        with(2, job.encode().as_bytes()),
+        with(3, CtrlRequest::bare("status").encode().as_bytes()),
     ]
 }
 
@@ -629,17 +640,19 @@ const FRAME_DICT: &[&[u8]] = &[
 ];
 
 const PARTIAL_LOG_DICT: &[&[u8]] = &[
+    b"VECYPLG2",
     b"VECYPLG1",
     b"VECYPAR1",
-    // a logged full page's kind + length, and the wire's
-    &[1, 0, 0, 16],
-    &[1, 0, 0x10, 0x10],
-    &[2, 0, 0, 16],
-    &[5, 0, 0, 0],
-    &[6, 0, 0, 0],
-    // record length prefixes: a header record, an empty chunk
+    // page indexes: the first, the last and one past a 1 MiB guest
+    &[0, 0, 0, 0, 0, 0, 0, 0],
+    &[0, 0, 0, 0, 0, 0, 0, 0xff],
+    &[0, 0, 0, 0, 0, 0, 1, 0],
+    // record length prefixes: a header record or one entry, two
+    // entries, an empty chunk, a ragged one
     &[0, 0, 0, 24],
-    &[0, 0, 0, 8],
+    &[0, 0, 0, 48],
+    &[0, 0, 0, 0],
+    &[0, 0, 0, 20],
     &[0, 0, 0, 0, 0, 0, 0, LOG_JOB as u8],
     &[0xff; 8],
 ];
@@ -839,28 +852,29 @@ fn reseal_records(input: &mut [u8]) {
     }
 }
 
-fn load_log(input: &[u8]) -> Option<(SessionState, usize)> {
+fn load_log(input: &[u8]) -> Option<(partial_log::Landed, usize)> {
     let fx = log_fixture();
-    partial_log::replay(input, LOG_JOB, fx.fingerprint, &fx.fresh, Some(&fx.index))
+    partial_log::replay(input, LOG_JOB, fx.fingerprint, fx.pages)
 }
 
 fn run_partial_log(input: &[u8]) -> &'static str {
     let fx = log_fixture();
     let snapshot = input.starts_with(b"VECYPAR1");
-    let Some((state, valid)) = load_log(input) else {
-        let based = partial_log::replay_base(input, LOG_JOB, fx.fingerprint, &fx.fresh);
+    let Some((landed, valid)) = load_log(input) else {
+        let based = partial_log::replay_base(input, LOG_JOB, fx.fingerprint, fx.pages);
         return match (based, snapshot) {
-            // The base was fine: an intact record did not continue it.
+            // The base was fine: an intact record was not this job's.
             (Some(_), _) => "rej_condemned",
             (None, true) => "rej_snapshot",
             (None, false) => "rej_log",
         };
     };
-    match (snapshot, state.finished(), valid == input.len()) {
-        (true, true, _) => "ok_snapshot_finished",
+    let nothing = landed.iter().all(Option::is_none);
+    match (snapshot, nothing, valid == input.len()) {
+        (true, true, _) => "ok_snapshot_empty",
         (true, false, true) => "ok_snapshot_whole",
         (true, false, false) => "ok_snapshot_torn",
-        (false, true, _) => "ok_log_finished",
+        (false, true, _) => "ok_log_empty",
         (false, false, true) => "ok_log_whole",
         (false, false, false) => "ok_log_torn",
     }
@@ -868,25 +882,25 @@ fn run_partial_log(input: &[u8]) -> &'static str {
 
 /// The growing-file oracle: a reader that is handed the file one more
 /// byte at a time — finding the base once enough of it has arrived,
-/// then applying each chunk record as it completes — must end where one
+/// then replaying each chunk record as it completes — must end where one
 /// load of the whole file ends, and whatever loaded must load again
 /// from exactly its intact prefix (what truncating a torn tail relies
 /// on).
 fn partial_log_grows_as_it_loads(input: &[u8]) -> Result<(), String> {
     let fx = log_fixture();
     let whole = load_log(input);
-    let base = |bytes| partial_log::replay_base(bytes, LOG_JOB, fx.fingerprint, &fx.fresh);
+    let base = |bytes| partial_log::replay_base(bytes, LOG_JOB, fx.fingerprint, fx.pages);
     let grown = match base(input) {
         // A base is self-delimiting: it appears when its last byte does.
         Some((_, len)) if base(&input[..len - 1]).is_some() => {
             return Err(format!("a {len}-byte base loads from {} bytes", len - 1));
         }
-        Some((mut state, base_len)) => {
+        Some((mut landed, base_len)) => {
             let mut valid = base_len;
             let mut condemned = false;
             for end in base_len..=input.len() {
                 let arrived = &input[valid..end];
-                match partial_log::replay_chunks(&mut state, arrived, Some(&fx.index)) {
+                match partial_log::replay_chunks(&mut landed, arrived) {
                     None => {
                         condemned = true;
                         break;
@@ -904,16 +918,16 @@ fn partial_log_grows_as_it_loads(input: &[u8]) -> Result<(), String> {
                     Some(used) => valid += used,
                 }
             }
-            (!condemned).then_some((state, valid))
+            (!condemned).then_some((landed, valid))
         }
         None => None,
     };
     if grown != whole {
-        let show = |r: &Option<(SessionState, usize)>| {
-            r.as_ref().map(|(st, valid)| (st.applied(), *valid))
+        let show = |r: &Option<(partial_log::Landed, usize)>| {
+            (r.as_ref()).map(|(landed, valid)| (landed.iter().flatten().count(), *valid))
         };
         return Err(format!(
-            "grown byte by byte: {:?} (applied, valid); loaded whole: {:?}",
+            "grown byte by byte: {:?} (pages landed, valid); loaded whole: {:?}",
             show(&grown),
             show(&whole)
         ));
@@ -986,9 +1000,9 @@ fn compaction_is_a_fixed_point(input: &[u8]) -> Result<(), String> {
 // ----------------------------------------------------- handshake payloads
 
 /// Decodes the payload behind the selector byte with the decoder the
-/// byte (mod 6) selects — HELLO (an empty input's too), the 8-byte
-/// content hash COMPLETE and DONE carry, RESUME_STATE, the RESUME_OK
-/// flag, JOB, or a CTRL request as the daemon reads it — and returns
+/// byte (mod 4) selects — HELLO (an empty input's too), the 8-byte
+/// content hash COMPLETE and DONE carry, JOB, or a CTRL request as the
+/// daemon reads it — and returns
 /// the verdict's class and the re-encoding oracle's: an accepted
 /// fixed-length payload re-encodes to its own bytes, an accepted JSON
 /// payload re-decodes equal.
@@ -998,9 +1012,8 @@ fn handshake(input: &[u8]) -> (&'static str, Result<(), String>) {
         true => Ok(()),
         false => Err(format!("{payload:02x?} re-encodes as {again:02x?}")),
     };
-    let length = |e: &DaemonError| matches!(e, DaemonError::Corrupt(d) if d.contains("length"));
     let rejected = |class| (class, Ok(()));
-    match selector % 6 {
+    match selector % 4 {
         0 => match proto::parse_hello(payload) {
             Ok((version, role)) => ("hello_ok", same(&proto::hello_payload(version, role))),
             Err(DaemonError::VersionMismatch { .. }) => rejected("hello_version"),
@@ -1010,16 +1023,7 @@ fn handshake(input: &[u8]) -> (&'static str, Result<(), String>) {
             Ok(hash) => ("hash_ok", same(&hash)),
             Err(_) => rejected("hash_len"),
         },
-        2 => match ResumeState::decode(payload) {
-            Ok(announced) => ("resume_state_ok", same(&announced.encode())),
-            Err(_) => rejected("resume_state_len"),
-        },
-        3 => match proto::parse_flag(payload, "flag") {
-            Ok(flag) => ("flag_ok", same(&[u8::from(flag)])),
-            Err(e) if length(&e) => rejected("flag_len"),
-            Err(_) => rejected("flag_value"),
-        },
-        4 => match JobMsg::decode(payload) {
+        2 => match JobMsg::decode(payload) {
             Ok(job) => (
                 "job_ok",
                 decodes_equal(&job, JobMsg::decode(job.encode().as_bytes())),
@@ -1311,7 +1315,7 @@ mod tests {
             assert_eq!(drain_slice(&seed, next_ctrl_frame).class(), "eof_clean");
             readers_agree(&seed, next_ctrl_frame).expect("readers agree on a seed");
         }
-        let decoders = ["hello", "hash", "resume_state", "flag", "job", "ctrl"];
+        let decoders = ["hello", "hash", "job", "ctrl"];
         for (seed, decoder) in handshake_seeds().iter().zip(decoders) {
             let (class, oracle) = handshake(seed);
             assert_eq!((class.strip_suffix("_ok"), oracle), (Some(decoder), Ok(())));
@@ -1325,22 +1329,37 @@ mod tests {
         assert_eq!(
             classes,
             [
-                "ok_log_finished",
-                "ok_snapshot_finished",
+                "ok_log_whole",
+                "ok_snapshot_whole",
+                "ok_log_whole",
                 "ok_log_torn",
                 "ok_snapshot_torn"
             ]
         );
         let whole = load_log(&seeds[0]).expect("fresh log loads");
-        assert_eq!(whole.0.applied(), log_fixture().msgs.len() as u64);
+        let pages = |landed: &partial_log::Landed| {
+            let landed = landed.iter().enumerate();
+            landed
+                .filter_map(|(idx, d)| d.map(|_| idx))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(pages(&whole.0), (0..12).collect::<Vec<_>>());
         assert_eq!(load_log(&seeds[1]).expect("snapshot log loads").0, whole.0);
+        // The later epoch wins per page.
+        let (two, _) = load_log(&seeds[2]).expect("two epochs load");
+        assert_eq!(pages(&two), [0, 1, 2, 3, 4, 5, 6, 8]);
+        let digest = PageDigest::from_content_id;
+        assert_eq!(
+            [two[3], two[6], two[8]],
+            [33, 66, 8].map(|id| Some(digest(id)))
+        );
         for seed in &seeds {
             partial_log_grows_as_it_loads(seed).expect("oracle holds on a seed");
         }
         assert_eq!(run_partial_log(b""), "rej_log");
         assert_eq!(run_partial_log(b"VECYPAR1"), "rej_snapshot");
-        // A record that is intact but out of position condemns the file,
-        // grown or whole.
+        // A record that is intact but not whole entries condemns the
+        // file, grown or whole.
         let mut gap = seeds[0].clone();
         let first_chunk = 24 + record::OVERHEAD;
         gap.truncate(first_chunk);
@@ -1349,8 +1368,12 @@ mod tests {
         partial_log_grows_as_it_loads(&gap).expect("both readers condemn it");
         // Resealing lets a mutated payload past its checksum.
         let mut mutant = seeds[0].clone();
-        mutant[first_chunk + 4 + 7] ^= 1; // the first chunk's position
-        assert_eq!(run_partial_log(&mutant), "ok_log_torn");
+        mutant[first_chunk + 4 + 6] ^= 1; // page 0 becomes page 256
+        assert_eq!(
+            run_partial_log(&mutant),
+            "ok_log_empty",
+            "a torn first chunk"
+        );
         reseal_records(&mut mutant);
         assert_eq!(run_partial_log(&mutant), "rej_condemned");
     }

@@ -28,10 +28,10 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44067
-PUB_CEILING=1112
+BUDGET=44052
+PUB_CEILING=1106
 DEPS_CEILING=113
-DESIGN_CEILING=1600
+DESIGN_CEILING=1599
 CAP=800
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"

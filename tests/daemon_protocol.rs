@@ -143,11 +143,12 @@ fn malformed_openings_get_typed_errors_and_never_kill_the_daemon() {
 fn run_table(daemon: &DaemonHandle) {
     // -- version mismatch: the exact typed refusal naming both versions,
     //    sent before the JOB behind the HELLO is read. A version-2 peer
-    //    is refused before it could wait for an OFFER. The unread JOB
+    //    is refused before it could wait for an OFFER, a version-3 peer
+    //    before it could wait for a resume announcement. The unread JOB
     //    bytes must not cost the refusal (on TCP, closing a socket with
     //    unread data sends a reset).
-    for theirs in [99, 2] {
-        let refusal = DaemonError::VersionMismatch { ours: 3, theirs };
+    for theirs in [99, 2, 3] {
+        let refusal = DaemonError::VersionMismatch { ours: 4, theirs };
         let got = poke(daemon, &hello_job(theirs, &ScenarioSpec::golden(1)), false);
         assert_eq!(got, Reaction::ErrContaining(leak(refusal.to_string())));
         assert_alive(daemon);
@@ -327,7 +328,7 @@ fn version_mismatch_surfaces_as_a_typed_client_error() {
     let ack = proto::hello_payload(7, proto::ROLE_DEST);
     write_frame(&mut reply, kind::HELLO_ACK, &ack).unwrap();
     let detail = job_against(reply);
-    let refusal = DaemonError::VersionMismatch { ours: 3, theirs: 7 };
+    let refusal = DaemonError::VersionMismatch { ours: 4, theirs: 7 };
     assert!(
         detail.contains(&refusal.to_string()),
         "failure detail must name the version mismatch: {detail}"

@@ -1,6 +1,6 @@
 //! Crash-durability tests for `vecycled`: WAL replay on boot, terminal
-//! exactly-once across reboots, resume-from-partial-state, and the
-//! client/lock robustness satellites.
+//! exactly-once across reboots, retries that recycle the destination's
+//! landed pages, and the client/lock robustness satellites.
 //!
 //! The kill/resume chaos harness (real processes, `VECYCLE_KILL_AT`)
 //! lives in `crates/cli/tests/daemon_chaos.rs`; this suite exercises
@@ -12,23 +12,22 @@ mod common;
 use std::time::Duration;
 
 use common::{journal_dir, unix_endpoint, Watchdog};
-use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
+use vecycle_checkpoint::{ChecksumIndex, PartialCheckpoint};
 use vecycle_daemon::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use vecycle_daemon::journal::{rec, Journal, WalRecord};
 use vecycle_daemon::partial_log::{self, PartialLog};
-use vecycle_daemon::proto::{
-    self, forward_overhead, forward_resume_overhead, reverse_overhead, reverse_resume_overhead,
-    JobMsg, ResumeState,
-};
+use vecycle_daemon::proto::{self, forward_overhead, reverse_overhead, JobMsg};
 use vecycle_daemon::queue::JobRecord;
 use vecycle_daemon::session_state::{partial_path, save_partial, spec_fingerprint, SessionState};
 use vecycle_daemon::{
-    client, scenario, Daemon, DaemonConfig, DaemonError, DaemonHandle, Endpoint, JobState,
+    client, receive_stream, scenario, Daemon, DaemonConfig, DaemonError, DaemonHandle, Endpoint,
+    JobState, Persist,
 };
+use vecycle_faults::KillSwitch;
 use vecycle_host::HostLocks;
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
-use vecycle_types::{HostId, SimTime, VmId};
+use vecycle_types::{HostId, PageDigest, VmId};
 
 const JOB_TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -311,9 +310,10 @@ fn host_claim_is_released_when_the_holder_panics() {
 }
 
 /// A job journaled `claimed` (in flight when the daemon died) restarts
-/// at resume epoch 1: the session runs the RESUME_STATE/RESUME_OK
-/// handshake, the ledger reconciles with the resume-frame overheads,
-/// and the report is still bit-identical to the in-process engine.
+/// at retry epoch 1: the destination offers an empty partial, whose
+/// index beside the checkpoint's is the fresh epoch's, so the ledger
+/// reconciles with the plain overheads and the report is still the
+/// in-process engine's.
 #[test]
 fn recovered_inflight_job_resumes_at_epoch_one() {
     let _wd = Watchdog::arm("recovered_inflight_job_resumes_at_epoch_one", JOB_TIMEOUT);
@@ -340,47 +340,40 @@ fn recovered_inflight_job_resumes_at_epoch_one() {
         m.resume_epoch, 1,
         "in-flight recovery resumes, not restarts"
     );
-    assert_eq!(
-        m.skipped_msgs, 0,
-        "nothing landed pre-crash, nothing skipped"
-    );
-    assert_eq!(m.skipped_bytes, 0);
-
-    // Resumed-path ledger oracle: epoch-0 totals plus exactly one
-    // RESUME_OK frame forward and one RESUME_STATE frame reverse.
-    assert_eq!(
-        m.tx,
-        report.source_traffic().as_u64()
-            + forward_overhead(m.job_json_len)
-            + forward_resume_overhead()
-    );
-    assert_eq!(
-        m.rx,
-        report.reverse_traffic().as_u64() + reverse_overhead() + reverse_resume_overhead()
-    );
+    assert_ledger_exact(report, m, "epoch 1");
     assert_eq!(
         report,
         &scenario::reference_run(&spec).expect("reference").report,
-        "resume must not perturb the report"
+        "a retry over nothing landed is the clean run"
     );
     src.shutdown();
     dst.shutdown();
 }
 
-/// The index a destination builds for `spec`: its warm checkpoint's,
-/// or none for a cold start.
-fn dest_index(spec: &ScenarioSpec) -> Option<ChecksumIndex> {
-    let initial = scenario::initial_memory(spec).expect("initial memory");
-    spec.warm
-        .then(|| Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial).build_index())
+/// The one ledger formula every epoch reconciles with: the analytic
+/// ledgers plus the fixed framing, both directions.
+fn assert_ledger_exact(
+    report: &vecycle_core::MigrationReport,
+    m: &vecycle_daemon::Measured,
+    tag: &str,
+) {
+    let tx = report.source_traffic().as_u64() + forward_overhead(m.job_json_len);
+    let rx = report.reverse_traffic().as_u64() + reverse_overhead();
+    assert_eq!((m.tx, m.rx), (tx, rx), "{tag}: ledger");
 }
 
-/// Flattens a live transcript into the daemon's wire-message sequence,
-/// rebuilt here from public APIs so the test pins the protocol, not the
-/// implementation.
-fn wire_sequence(spec: &ScenarioSpec) -> Vec<WireMsg> {
+/// The index a destination offers for `spec` at a fresh epoch.
+fn dest_index(spec: &ScenarioSpec) -> Option<ChecksumIndex> {
+    let initial = scenario::initial_memory(spec).expect("initial memory");
+    scenario::offer(spec, &initial, None)
+}
+
+/// Flattens a live transcript against the offered `index` into the
+/// daemon's wire-message sequence, rebuilt here from public APIs so the
+/// test pins the protocol, not the implementation.
+fn wire_sequence_over(spec: &ScenarioSpec, index: Option<ChecksumIndex>) -> Vec<WireMsg> {
     use vecycle_core::PageMsg;
-    let strategy = scenario::wire_strategy(spec, dest_index(spec)).expect("strategy");
+    let strategy = scenario::wire_strategy(spec, index).expect("strategy");
     let initial = scenario::initial_memory(spec).expect("initial memory");
     let (mut guest, mut workload) = scenario::live_guest(spec, &initial).expect("guest");
     let (_, transcript) = scenario::engine_for(spec)
@@ -398,42 +391,88 @@ fn wire_sequence(spec: &ScenarioSpec) -> Vec<WireMsg> {
     msgs
 }
 
-/// The stream positions after which the destination persists: every
-/// 64 messages since the last boundary, and each delimiter.
-fn boundaries(msgs: &[WireMsg]) -> Vec<usize> {
-    let mut ends = Vec::new();
-    let mut since = 0;
-    for (i, msg) in msgs.iter().enumerate() {
-        since += 1;
-        if since == 64 || matches!(msg, WireMsg::RoundEnd { .. } | WireMsg::StopEnd) {
-            ends.push(i + 1);
-            since = 0;
+/// The fresh epoch's sequence.
+fn wire_sequence(spec: &ScenarioSpec) -> Vec<WireMsg> {
+    wire_sequence_over(spec, dest_index(spec))
+}
+
+fn encode(msgs: &[WireMsg]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    msgs.iter().for_each(|m| m.encode(&mut bytes));
+    bytes
+}
+
+/// The pages `msgs` land over `st` when `receive_stream` applies them
+/// as a destination does, one `Vec` per persistence boundary — the
+/// chunk records a destination logs — the last one the unfinished chunk
+/// a cut stream leaves.
+fn landed_chunks(
+    st: &mut SessionState,
+    index: Option<&ChecksumIndex>,
+    msgs: &[WireMsg],
+) -> Vec<Vec<(u64, PageDigest)>> {
+    struct Chunks(Vec<Vec<(u64, PageDigest)>>);
+    impl Persist for Chunks {
+        fn landed(&mut self, idx: u64, digest: PageDigest) {
+            self.0
+                .last_mut()
+                .expect("an open chunk")
+                .push((idx, digest));
+        }
+        fn boundary(&mut self) {
+            self.0.push(Vec::new());
         }
     }
-    ends
-}
-
-/// Logs `msgs` behind whatever `log` already holds as the destination
-/// would: one chunk record per boundary, and the unfinished chunk a
-/// peer's death leaves.
-fn log_on_cadence(log: &mut PartialLog, msgs: &[WireMsg]) {
-    let mut start = 0;
-    for end in boundaries(msgs) {
-        msgs[start..end].iter().for_each(|m| log.push(m));
-        assert!(log.commit().expect("chunk appends"));
-        start = end;
+    let mut chunks = Chunks(vec![Vec::new()]);
+    let bytes = encode(msgs);
+    let kill = KillSwitch::inert();
+    match receive_stream(&mut bytes.as_slice(), index, st, &kill, &mut chunks) {
+        Ok(()) | Err(DaemonError::Io(_)) => chunks.0,
+        Err(e) => panic!("the stream applies: {e}"),
     }
-    msgs[start..].iter().for_each(|m| log.push(m));
-    log.commit().expect("tail appends");
 }
 
-/// The headline resume property: a destination restarting with a
-/// persisted partial state makes the source skip exactly that prefix —
-/// strictly fewer bytes cross the wire than a from-scratch run, and the
-/// extended ledger (tx = source_traffic − skipped + overheads) holds.
-/// The same prefix resumes alike from each form the partial file can
-/// have: the previous release's snapshot, the log a session writes
-/// today, and a log continued behind a snapshot.
+/// Logs `chunks` behind whatever `log` already holds: one record each.
+fn log_chunks(log: &mut PartialLog, chunks: &[Vec<(u64, PageDigest)>]) {
+    for chunk in chunks {
+        chunk
+            .iter()
+            .for_each(|&(idx, digest)| log.push(idx, digest));
+        log.commit().expect("chunk appends");
+    }
+}
+
+/// `spec`'s fresh destination state.
+fn fresh_state(spec: &ScenarioSpec) -> SessionState {
+    let initial = scenario::initial_memory(spec).expect("initial memory");
+    SessionState::fresh(spec, &initial)
+}
+
+/// The state after `msgs` applied over `st` against `index`.
+fn applied(mut st: SessionState, index: Option<&ChecksumIndex>, msgs: &[WireMsg]) -> SessionState {
+    for msg in msgs {
+        st.apply(msg, index).expect("stream applies");
+    }
+    st
+}
+
+/// Nothing landed yet.
+fn nothing(spec: &ScenarioSpec) -> PartialCheckpoint {
+    PartialCheckpoint::empty(VmId::new(spec.vm), spec.pages())
+}
+
+/// The pages `st`'s stream landed, over nothing.
+fn landed_by(spec: &ScenarioSpec, st: &SessionState) -> PartialCheckpoint {
+    nothing(spec).overlaid(st.landed())
+}
+
+/// The headline retry property: a destination restarting with persisted
+/// landed pages offers them, and the retry recycles them — its report is
+/// the in-process run over that partial, strictly fewer bytes cross the
+/// wire than from scratch, and the one ledger formula holds. The same
+/// pages recycle alike from each form the partial file can have: an
+/// older release's snapshot, the log a session writes today, and a log
+/// continued behind a snapshot.
 #[test]
 fn resume_skips_the_persisted_partial_prefix() {
     let _wd = Watchdog::arm("resume_skips_the_persisted_partial_prefix", 2 * JOB_TIMEOUT);
@@ -443,16 +482,10 @@ fn resume_skips_the_persisted_partial_prefix() {
     let prefix = msgs.len() / 2;
     assert!(prefix > 0, "scenario must stream enough to crash mid-way");
 
-    // What the destination would have durably applied before dying.
+    // What the destination would have durably landed before dying.
     let fp = spec_fingerprint(&spec);
-    let fresh = cold_state(&spec);
-    let state_after = |n: usize| {
-        let mut st = fresh.clone();
-        for msg in &msgs[..n] {
-            st.apply(msg, None).expect("prefix applies");
-        }
-        st
-    };
+    let state_after = |n: usize| applied(fresh_state(&spec), None, &msgs[..n]);
+    let expected = landed_by(&spec, &state_after(prefix));
     type Layout<'a> = Box<dyn Fn(&std::path::Path) + 'a>;
     let layouts: [(&str, Layout); 3] = [
         (
@@ -464,66 +497,36 @@ fn resume_skips_the_persisted_partial_prefix() {
             Box::new(|dir| {
                 std::fs::create_dir_all(dir).expect("journal dir");
                 let mut log = PartialLog::create(dir, 1, fp).expect("fresh log");
-                log_on_cadence(&mut log, &msgs[..prefix]);
+                let chunks = landed_chunks(&mut fresh_state(&spec), None, &msgs[..prefix]);
+                log_chunks(&mut log, &chunks);
             }),
         ),
         (
             "skip-both",
             Box::new(|dir| {
-                save_partial(dir, 1, fp, &state_after(prefix / 3)).expect("snapshot");
-                let (_, mut log) = PartialLog::load(dir, 1, fp, &fresh, None).expect("base loads");
-                log_on_cadence(&mut log, &msgs[prefix / 3..prefix]);
+                let mut st = state_after(prefix / 3);
+                save_partial(dir, 1, fp, &st).expect("snapshot");
+                let (_, mut log) = PartialLog::load(dir, 1, fp, spec.pages()).expect("base loads");
+                let chunks = landed_chunks(&mut st, None, &msgs[prefix / 3..prefix]);
+                log_chunks(&mut log, &chunks);
             }),
         ),
     ];
+    let from_scratch = scenario::reference_run(&spec).expect("reference").report;
     for (tag, persist) in layouts {
-        let resumed = resume_over_partial(tag, &spec, persist);
-        let (rec1, dst_dir) = (&resumed.record, &resumed.dst_dir);
-        let report = rec1.report.as_ref().expect("report");
-        let m = rec1.measured.as_ref().expect("measured");
-        assert_eq!(m.resume_epoch, 1, "{tag}");
-        assert_eq!(
-            m.skipped_msgs as usize, prefix,
-            "{tag}: source skipped the landed prefix"
-        );
-        let expected_skip: u64 = msgs[..prefix]
-            .iter()
-            .map(|m| m.encoded_len().as_u64())
-            .sum();
-        assert_eq!(m.skipped_bytes, expected_skip, "{tag}");
-        assert!(m.skipped_bytes > 0, "{tag}");
-
-        // Strictly less traffic than from scratch (the resume frames cost
-        // far less than the skipped prefix), and the extended ledger holds.
-        let from_scratch_tx = report.source_traffic().as_u64() + forward_overhead(m.job_json_len);
+        let m = resume_over_partial(tag, &spec, &expected, persist);
+        let from_scratch_tx =
+            from_scratch.source_traffic().as_u64() + forward_overhead(m.job_json_len);
         assert!(
             m.tx < from_scratch_tx,
-            "{tag}: resumed tx {} must undercut from-scratch tx {}",
+            "{tag}: resumed tx {} must undercut from-scratch tx {from_scratch_tx}",
             m.tx,
-            from_scratch_tx
-        );
-        assert_eq!(
-            m.tx,
-            from_scratch_tx - m.skipped_bytes + forward_resume_overhead(),
-            "{tag}"
-        );
-        assert_eq!(
-            report,
-            &scenario::reference_run(&spec).expect("reference").report,
-            "{tag}: a resumed transfer still reproduces the reference report"
-        );
-
-        // The partial is consumed: finishing the job dropped it.
-        assert!(
-            !partial_path(dst_dir, 1, fp).exists(),
-            "{tag}: partial file must be dropped after DONE"
         );
     }
 }
 
-/// The cold, full-copy scenario the resume tests share: no checksum
-/// index, so the stream can be regenerated here without rebuilding the
-/// destination checkpoint.
+/// The cold, full-copy scenario the retry tests share: no checkpoint
+/// index at the fresh epoch.
 fn cold_full_spec(seed: u64) -> ScenarioSpec {
     let mut spec = ScenarioSpec::golden(seed);
     spec.strategy = "full".to_string();
@@ -531,52 +534,62 @@ fn cold_full_spec(seed: u64) -> ScenarioSpec {
     spec
 }
 
-fn cold_state(spec: &ScenarioSpec) -> SessionState {
-    let initial = scenario::initial_memory(spec).expect("initial memory");
-    SessionState::fresh(spec, &initial)
-}
-
-/// What a job resumed over a hand-persisted destination partial left
-/// behind.
-struct Resumed {
-    record: JobRecord,
-    src_metrics: vecycle_obs::MetricsRegistry,
-    dst_dir: std::path::PathBuf,
-}
-
-/// Has `persist` leave job 1's partial file in a journal directory,
-/// restarts a journal-backed destination over it and a source with the
-/// job journaled in flight, and waits for the resumed job to finish
-/// `Done`.
+/// Has `persist` leave job 1's partial file in a journal directory —
+/// `partial` is what it holds — restarts a journal-backed destination
+/// over it, finishes the job in flight against it, and checks that the
+/// file is dropped after DONE.
 fn resume_over_partial(
     tag: &str,
     spec: &ScenarioSpec,
+    partial: &PartialCheckpoint,
     persist: impl FnOnce(&std::path::Path),
-) -> Resumed {
+) -> vecycle_daemon::Measured {
     let dst_dir = journal_dir(&format!("{tag}-dst"));
     persist(&dst_dir);
     let dst = spawn_with_journal(unix_endpoint(&format!("{tag}-dst")), &dst_dir);
-    let src_dir = journal_dir(&format!("{tag}-src"));
-    craft_claimed_wal(&src_dir, spec, dst.endpoint());
-    let src = spawn_with_journal(unix_endpoint(&format!("{tag}-src")), &src_dir);
-    let record = src.wait_job(1, JOB_TIMEOUT).expect("resumed job finishes");
-    assert_done(&record);
-    let src_metrics = src.metrics();
-    src.shutdown();
+    let measured = finish_in_flight_job(tag, spec, dst.endpoint(), partial);
     dst.shutdown();
-    Resumed {
-        record,
-        src_metrics,
-        dst_dir,
-    }
+    let path = partial_path(&dst_dir, 1, spec_fingerprint(spec));
+    assert!(!path.exists(), "{tag}: the partial is dropped after DONE");
+    measured
 }
 
-/// A resume the source must *reject* self-heals into a full transfer:
-/// the destination drops the bad partial, the whole stream crosses, and
-/// the only trace on the wire is the resume handshake itself. Two
-/// well-formed (trailer-valid) partials the regenerated stream cannot
-/// reproduce: one built from another seed's prefix, one claiming more
-/// applied messages than the stream has.
+/// Starts a source with job 1 of `spec` journaled in flight against
+/// `peer`, so it runs at epoch 1, and checks the job: done, the one
+/// ledger formula, and the report of the in-process run over `partial`,
+/// what the destination had landed.
+fn finish_in_flight_job(
+    tag: &str,
+    spec: &ScenarioSpec,
+    peer: &Endpoint,
+    partial: &PartialCheckpoint,
+) -> vecycle_daemon::Measured {
+    let src_dir = journal_dir(&format!("{tag}-src"));
+    craft_claimed_wal(&src_dir, spec, peer);
+    let src = spawn_with_journal(unix_endpoint(&format!("{tag}-src")), &src_dir);
+    let record = src.wait_job(1, JOB_TIMEOUT).expect("resumed job finishes");
+    src.shutdown();
+    assert_done(&record);
+    let (report, m) = (
+        record.report.expect("report"),
+        record.measured.expect("measured"),
+    );
+    assert_eq!(m.resume_epoch, 1, "{tag}");
+    assert_ledger_exact(&report, &m, tag);
+    let reference = scenario::reference_run_over(spec, partial).expect("reference");
+    assert_eq!(
+        report, reference.report,
+        "{tag}: the recycle over the landed pages"
+    );
+    m
+}
+
+/// A partial that is not the stream's own prefix just recycles less (or
+/// differently): the destination offers it, the job completes with equal
+/// content hashes, and the report is the in-process run over that
+/// partial. Two well-formed (trailer-valid) snapshots: one built from
+/// another seed's prefix, one that re-applied messages past the stream's
+/// end.
 #[test]
 fn rejected_resume_self_heals_into_a_full_transfer() {
     let _wd = Watchdog::arm(
@@ -586,51 +599,17 @@ fn rejected_resume_self_heals_into_a_full_transfer() {
     let spec = cold_full_spec(0x515);
     let msgs = wire_sequence(&spec);
 
-    let mut foreign = cold_state(&spec);
     let other = wire_sequence(&cold_full_spec(0x516));
-    for msg in &other[..other.len() / 2] {
-        foreign.apply(msg, None).expect("foreign prefix applies");
-    }
-
-    let mut overlong = cold_state(&spec);
+    let foreign = applied(fresh_state(&spec), None, &other[..other.len() / 2]);
     let body = &msgs[..msgs.len() - 1];
-    for msg in body.iter().chain(&body[..8]) {
-        overlong.apply(msg, None).expect("page messages re-apply");
-    }
+    let overlong = applied(fresh_state(&spec), None, body);
+    let overlong = applied(overlong, None, &body[..8]);
     assert!(overlong.applied() > msgs.len() as u64);
 
     for (tag, partial) in [("rj-foreign", &foreign), ("rj-long", &overlong)] {
-        let resumed = resume_over_partial(tag, &spec, |dir| {
+        resume_over_partial(tag, &spec, &landed_by(&spec, partial), |dir| {
             save_partial(dir, 1, spec_fingerprint(&spec), partial).expect("persist partial");
         });
-        let report = resumed.record.report.as_ref().expect("report");
-        let m = resumed.record.measured.as_ref().expect("measured");
-        assert_eq!(m.resume_epoch, 1, "{tag}");
-        assert_eq!(m.skipped_msgs, 0, "{tag}: a rejected resume skips nothing");
-        assert_eq!(m.skipped_bytes, 0, "{tag}");
-        assert_eq!(
-            m.tx,
-            report.source_traffic().as_u64()
-                + forward_overhead(m.job_json_len)
-                + forward_resume_overhead(),
-            "{tag}: the whole stream plus one RESUME_OK frame"
-        );
-        assert_eq!(
-            report,
-            &scenario::reference_run(&spec).expect("reference").report,
-            "{tag}: a rejected resume must not perturb the report"
-        );
-        let resume_total = |result| {
-            resumed
-                .src_metrics
-                .counter("daemon_resume_total", &[("result", result)])
-        };
-        assert_eq!(resume_total("rejected"), 1, "{tag}");
-        assert_eq!(resume_total("accepted"), 0, "{tag}");
-        assert!(
-            !partial_path(&resumed.dst_dir, 1, spec_fingerprint(&spec)).exists(),
-            "{tag}: the rejected partial must be gone"
-        );
     }
 }
 
@@ -680,7 +659,6 @@ fn clean_journal_backed_run_matches_the_in_memory_daemon() {
         "WAL must not perturb the wire"
     );
     assert_eq!(dm.resume_epoch, 0);
-    assert_eq!(dm.skipped_bytes, 0);
     assert_eq!(
         durable.report.as_ref(),
         Some(&scenario::reference_run(&spec).expect("reference").report)
@@ -716,25 +694,33 @@ fn clean_journal_backed_run_matches_the_in_memory_daemon() {
         "no record was lost or reordered around a hint"
     );
 
-    // One chunk record per persistence boundary went to the log, and
-    // finishing the job removed it.
+    // One chunk record per persistence boundary that landed a page went
+    // to the log, and finishing the job removed it.
+    let index = dest_index(&spec);
+    let chunks = landed_chunks(
+        &mut fresh_state(&spec),
+        index.as_ref(),
+        &wire_sequence(&spec),
+    );
     let saves = dst_metrics.counter("daemon_resume_partials_total", &[("op", "save")]);
-    assert_eq!(saves, boundaries(&wire_sequence(&spec)).len() as u64);
+    assert_eq!(
+        saves,
+        chunks.iter().filter(|c| !c.is_empty()).count() as u64
+    );
     assert!(!partial_path(&dst_dir, 1, spec_fingerprint(&spec)).exists());
 }
 
-/// The partial-file format outlives the in-memory anchor layout: a file
-/// written by the previous release's daemon (a committed fixture — its
+/// The partial-file format outlives the in-memory layout: a snapshot
+/// written by an older release's daemon (a committed fixture — its
 /// anchors were a hash map, sorted on encode) decodes, re-encodes byte
-/// for byte and announces the hash that release computed, so a
-/// destination upgraded between two epochs of one job still resumes.
-/// The traffic behind it is the anchor corner: page 3 is rewritten in
-/// round 2 and references to it, before and after, resolve through its
+/// for byte and loads as its landed pages' digests, so a destination
+/// upgraded between two epochs of one job still recycles them. The
+/// traffic behind it is the anchor corner: page 3 is rewritten in round
+/// 2 and references to it, before and after, resolve through its
 /// *first* content.
 #[test]
 fn previous_release_partial_file_round_trips_bit_for_bit() {
     const FIXTURE: &[u8] = include_bytes!("fixtures/partial-job7-pr13.bin");
-    const PR13_STATE_HASH: [u8; 8] = [0xcf, 0x8c, 0x8a, 0xbe, 0x35, 0x8a, 0x51, 0x75];
 
     let mut spec = ScenarioSpec::golden(0x14);
     spec.ram_mib = 1;
@@ -745,11 +731,10 @@ fn previous_release_partial_file_round_trips_bit_for_bit() {
     let (job, fingerprint, decoded) = SessionState::decode(FIXTURE).expect("fixture decodes");
     assert_eq!((job, fingerprint), (7, fp));
     assert_eq!(decoded.encode(7, fp), FIXTURE, "re-encode differs");
-    assert_eq!(decoded.state_hash(), PR13_STATE_HASH);
 
     // The same traffic applied today lands in the same bytes.
-    let d = vecycle_types::PageDigest::from_content_id;
-    let mut st = cold_state(&spec);
+    let d = PageDigest::from_content_id;
+    let mut st = fresh_state(&spec);
     let mut apply = |msg: WireMsg| st.apply(&msg, None).expect("fixture traffic applies");
     for i in (0..48u64).rev() {
         apply(WireMsg::full_filler(i, d(100 + i)));
@@ -775,53 +760,57 @@ fn previous_release_partial_file_round_trips_bit_for_bit() {
     );
     assert_eq!(st.mem()[3], d(9_003));
 
-    // And the decoded state keeps applying as the live one does.
-    let mut resumed = decoded;
-    for state in [&mut st, &mut resumed] {
-        state
-            .apply(&WireMsg::DedupRef { idx: 63, source: 3 }, None)
-            .expect("anchor survives the file");
-    }
-    assert_eq!(resumed.state_hash(), st.state_hash());
-    assert_eq!(resumed.mem()[63], d(103));
+    // As a partial file it is its landed pages, each as it ended.
+    let dir = journal_dir("pr13");
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    std::fs::write(partial_path(&dir, 7, fp), FIXTURE).expect("fixture copies");
+    let (landed, _) = PartialLog::load(&dir, 7, fp, spec.pages()).expect("fixture loads");
+    assert_eq!(landed, landed_by(&spec, &decoded).landed());
+    assert_eq!(landed.iter().flatten().count(), 48 + 5);
+    assert_eq!(
+        (landed[3], landed[61], landed[100]),
+        (Some(d(9_003)), Some(d(103)), None)
+    );
 }
 
 /// The partial log under every possible crash: a recorded stream logged
 /// on the destination's cadence, then the file cut at each byte offset.
-/// Every cut loads — to exactly the state after the last whole chunk
-/// record, which is a prefix of the stream and therefore a state the
-/// source's held-prefix simulation reproduces and accepts (it compares
-/// the applied count and the state hash, both of which `SessionState`
-/// equality covers). Only a cut inside the header record leaves nothing
-/// to load, which the daemon treats as no file.
+/// Every cut loads — to exactly the pages landed by the last whole chunk
+/// record, a prefix of the stream and so a recycle base. Only a cut
+/// inside the header record leaves nothing to load, which the daemon
+/// treats as no file.
 fn every_truncation_loads_the_whole_record_prefix(spec: &ScenarioSpec) {
     let fp = spec_fingerprint(spec);
     let index = dest_index(spec);
-    let initial = scenario::initial_memory(spec).expect("initial memory");
-    let fresh = SessionState::fresh(spec, &initial);
     let msgs = wire_sequence(spec);
+    let mut st = fresh_state(spec);
+    let chunks = landed_chunks(&mut st, index.as_ref(), &msgs);
+    assert!(st.finished(), "the recorded stream is complete");
 
     let dir = journal_dir("cuts");
     std::fs::create_dir_all(&dir).expect("journal dir");
     let path = partial_path(&dir, 1, fp);
     let mut log = PartialLog::create(&dir, 1, fp).expect("fresh log");
     let header_len = std::fs::metadata(&path).expect("log exists").len() as usize;
-    // (file length, state) after the header and after each chunk record.
-    let mut whole = vec![(header_len, fresh.clone())];
-    let mut state = fresh.clone();
-    let mut start = 0;
-    for end in boundaries(&msgs) {
-        for msg in &msgs[start..end] {
-            log.push(msg);
-            state.apply(msg, index.as_ref()).expect("stream applies");
+    // (file length, landed pages) after the header and each chunk record.
+    let mut landed = vec![None; spec.pages() as usize];
+    let mut whole = vec![(header_len, landed.clone())];
+    for chunk in &chunks {
+        for &(idx, digest) in chunk {
+            log.push(idx, digest);
+            landed[idx as usize] = Some(digest);
         }
-        assert!(log.commit().expect("chunk appends"));
-        let len = std::fs::metadata(&path).expect("log exists").len() as usize;
-        whole.push((len, state.clone()));
-        start = end;
+        if log.commit().expect("chunk appends") {
+            let len = std::fs::metadata(&path).expect("log exists").len() as usize;
+            whole.push((len, landed.clone()));
+        }
     }
-    assert!(state.finished(), "the recorded stream is complete");
     assert!(whole.len() > 4, "several records to cut between");
+    assert_eq!(
+        landed,
+        landed_by(spec, &st).landed(),
+        "the log's pages are the state's landed pages"
+    );
 
     let bytes = std::fs::read(&path).expect("log readable");
     assert_eq!(bytes.len(), whole.last().expect("records").0);
@@ -833,7 +822,7 @@ fn every_truncation_loads_the_whole_record_prefix(spec: &ScenarioSpec) {
     );
     let mut k = 0;
     for cut in 0..=bytes.len() {
-        let loaded = partial_log::replay(&bytes[..cut], 1, fp, &fresh, index.as_ref());
+        let loaded = partial_log::replay(&bytes[..cut], 1, fp, spec.pages());
         if cut < header_len {
             assert!(loaded.is_none(), "cut {cut}: no base yet");
             continue;
@@ -841,9 +830,9 @@ fn every_truncation_loads_the_whole_record_prefix(spec: &ScenarioSpec) {
         if whole.get(k + 1).is_some_and(|(len, _)| *len <= cut) {
             k += 1;
         }
-        let (state, valid) = loaded.unwrap_or_else(|| panic!("cut {cut} must load"));
+        let (pages, valid) = loaded.unwrap_or_else(|| panic!("cut {cut} must load"));
         assert_eq!(valid, whole[k].0, "cut {cut}: the intact prefix");
-        assert!(state == whole[k].1, "cut {cut}: state after record {k}");
+        assert!(pages == whole[k].1, "cut {cut}: pages after record {k}");
     }
     assert_eq!(k, whole.len() - 1, "the uncut file loads the whole stream");
 }
@@ -862,42 +851,59 @@ fn a_warm_partial_log_cut_at_every_byte_loads_its_whole_records() {
     every_truncation_loads_the_whole_record_prefix(&spec);
 }
 
-/// A hand-driven source: opens a session for job 9 of a cold `spec` at
-/// `epoch` against `dest` — HELLO‖JOB out, HELLO_ACK back — up to where
-/// the data plane (epoch 0) or the RESUME_STATE frame (later epochs)
-/// comes next.
+/// A hand-driven source: opens a session for `job` of `spec` at `epoch`
+/// against `dest` — HELLO‖JOB out, HELLO_ACK back — and reads the bulk
+/// exchange when one comes (a retry epoch; every spec here is cold).
 fn open_session(
     dest: &Endpoint,
     spec: &ScenarioSpec,
     epoch: u64,
-) -> vecycle_daemon::endpoint::Stream {
+    job: u64,
+) -> (vecycle_daemon::endpoint::Stream, Option<Vec<PageDigest>>) {
     let mut s = dest.connect().expect("connect");
     s.set_io_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
     let hello = proto::hello_payload(proto::VERSION, proto::ROLE_SOURCE);
     write_frame(&mut s, kind::HELLO, &hello).expect("hello");
     let job = JobMsg {
-        job: 9,
+        job,
         resume: epoch,
         spec: spec.clone(),
     };
     write_frame(&mut s, kind::JOB, job.encode().as_bytes()).expect("job");
     let ack = read_frame(&mut s, MAX_PAYLOAD).expect("hello ack");
     assert_eq!(ack.kind, kind::HELLO_ACK);
-    s
+    let exchange = (epoch > 0).then(|| {
+        let msg = WireMsg::read_from(&mut s).expect("the exchange decodes");
+        let WireMsg::BulkExchange { digests } = msg else {
+            panic!("a retry offers its landed pages, got {msg:?}")
+        };
+        digests
+    });
+    (s, exchange)
 }
 
-/// Satellite: a resume handshake that dies between RESUME_STATE and
-/// RESUME_OK must not cost the landed state. The destination is
-/// in-memory, so the partials map is all it has: the source dies
-/// mid-stream (state remembered), reconnects and dies again right after
-/// reading RESUME_STATE, then answers one in the version-1 shape (an
-/// accept flag plus a skip count), which the destination fails as
-/// corrupt — and the next session must still be offered the same
-/// prefix, not a fresh transfer.
+/// Sends the first `n` of `msgs` and a few bytes of the next, then dies.
+fn die_after(mut s: vecycle_daemon::endpoint::Stream, msgs: &[WireMsg], n: usize) {
+    use std::io::Write;
+    let bytes = encode(&msgs[..=n]);
+    let cut = bytes.len() - msgs[n].encoded_len().as_u64() as usize + 5;
+    s.write_all(&bytes[..cut]).expect("prefix sends");
+}
+
+/// What a destination holding `partial` offers a cold spec's retry.
+fn offered(partial: &PartialCheckpoint) -> Vec<PageDigest> {
+    partial.build_index().sorted().to_vec()
+}
+
+/// Satellite: a retry that dies right after reading the exchange must
+/// not cost the landed pages. The destination is in-memory, so the
+/// partials map is all it has: the source dies mid-stream (pages
+/// remembered), reconnects and dies again right after reading the
+/// exchange, then dies mid-message — and every later epoch is offered
+/// the same pages, not a fresh transfer's nothing.
 #[test]
 fn a_resume_handshake_that_dies_keeps_the_remembered_state() {
-    use std::io::Write;
     let _wd = Watchdog::arm(
         "a_resume_handshake_that_dies_keeps_the_remembered_state",
         JOB_TIMEOUT,
@@ -908,41 +914,106 @@ fn a_resume_handshake_that_dies_keeps_the_remembered_state() {
     let dst = Daemon::spawn(DaemonConfig::new(unix_endpoint("hs-dst"))).expect("dest binds");
 
     // Epoch 0: a prefix lands, then the source dies mid-message.
-    let mut s = open_session(dst.endpoint(), &spec, 0);
-    let mut stream = Vec::new();
-    for msg in &msgs[..=landed] {
-        msg.encode(&mut stream);
-    }
-    s.write_all(&stream[..stream.len() - 5])
-        .expect("prefix sends");
-    drop(s);
+    let (s, _) = open_session(dst.endpoint(), &spec, 0, 9);
+    die_after(s, &msgs, landed);
 
-    // Epochs 1 to 3: each reads the announcement; the first then dies.
-    // A session holds its host claim until it has put the state back,
-    // so the next one cannot overtake it.
-    let announced = |epoch| {
-        let mut s = open_session(dst.endpoint(), &spec, epoch);
-        let frame = read_frame(&mut s, MAX_PAYLOAD).expect("resume state");
-        assert_eq!(frame.kind, kind::RESUME_STATE);
-        (s, ResumeState::decode(&frame.payload).expect("decodes"))
-    };
-    let (_, first) = announced(1);
-    assert_eq!(first.applied, landed as u64, "whole messages landed");
-    let mut expect = cold_state(&spec);
-    for msg in &msgs[..landed] {
-        expect.apply(msg, None).expect("prefix applies");
+    // Epochs 1 to 3 each read the exchange; the first then dies, the
+    // second dies mid-message before anything lands. A session holds its
+    // host claim until it has put the pages back, so the next one cannot
+    // overtake it.
+    let expect = landed_by(&spec, &applied(fresh_state(&spec), None, &msgs[..landed]));
+    assert_eq!(
+        expect.landed_pages().as_u64(),
+        landed as u64,
+        "whole messages landed"
+    );
+    let (_, first) = open_session(dst.endpoint(), &spec, 1, 9);
+    assert_eq!(first.as_deref(), Some(&offered(&expect)[..]));
+    let (s, second) = open_session(dst.endpoint(), &spec, 2, 9);
+    assert_eq!(second, first, "offered the same pages");
+    let retry = wire_sequence_over(&spec, Some(expect.build_index()));
+    die_after(s, &retry, 0);
+    let (_, third) = open_session(dst.endpoint(), &spec, 3, 9);
+    assert_eq!(third, first, "and after a retry that landed nothing");
+    dst.shutdown();
+}
+
+/// A retry that dies is recycled in turn: epoch 1 lands half its stream
+/// and dies, epoch 2 — a recycle over that — lands part of its own and
+/// dies, and epoch 3 completes. The journal-backed destination appends
+/// each epoch's pages behind the last, a later epoch winning per page,
+/// and the completed job's report is the in-process run over that merge.
+#[test]
+fn a_retry_that_dies_again_is_recycled_in_turn() {
+    let _wd = Watchdog::arm(
+        "a_retry_that_dies_again_is_recycled_in_turn",
+        2 * JOB_TIMEOUT,
+    );
+    let spec = cold_full_spec(0x3e3);
+    let fp = spec_fingerprint(&spec);
+    let dst_dir = journal_dir("twice-dst");
+    let dst = spawn_with_journal(unix_endpoint("twice-dst"), &dst_dir);
+
+    let mut partial = nothing(&spec);
+    for (epoch, share) in [(1, 2), (2, 3)] {
+        let (s, exchange) = open_session(dst.endpoint(), &spec, epoch, 1);
+        assert_eq!(
+            exchange.as_deref(),
+            Some(&offered(&partial)[..]),
+            "epoch {epoch}"
+        );
+        let index = partial.build_index();
+        let msgs = wire_sequence_over(&spec, Some(index.clone()));
+        let n = msgs.len() / share;
+        die_after(s, &msgs, n);
+        let st = applied(fresh_state(&spec), Some(&index), &msgs[..n]);
+        partial = partial.overlaid(st.landed());
     }
-    assert_eq!(first.hash, expect.state_hash());
-    let (mut s, second) = announced(2);
-    assert_eq!(second, first, "offered the same prefix");
-    let v1_ok = [&[1][..], &(landed as u64).to_be_bytes()].concat();
-    write_frame(&mut s, kind::RESUME_OK, &v1_ok).expect("resume ok");
-    let refusal = read_frame(&mut s, MAX_PAYLOAD).expect("the session fails");
-    let text = String::from_utf8_lossy(&refusal.payload);
-    let corrupt = "corrupt payload: resume-ok payload length 9";
-    assert_eq!((refusal.kind, &*text), (kind::ERR, corrupt));
-    drop(s);
-    assert_eq!(announced(3).1, first, "and after a corrupt verdict");
+    let landed = partial.landed_pages().as_u64();
+    assert!(
+        landed > spec.pages() / 2 && landed < spec.pages(),
+        "{landed} pages landed"
+    );
+
+    // The log holds both epochs, behind one another: a probe that dies
+    // right after the exchange finds exactly the merge on disk and offered.
+    let (_, probe) = open_session(dst.endpoint(), &spec, 3, 1);
+    assert_eq!(probe.as_deref(), Some(&offered(&partial)[..]));
+    let bytes = std::fs::read(partial_path(&dst_dir, 1, fp)).expect("the log");
+    let (on_disk, _) = partial_log::replay(&bytes, 1, fp, spec.pages()).expect("it loads");
+    assert_eq!(on_disk, partial.landed());
+
+    finish_in_flight_job("twice", &spec, dst.endpoint(), &partial);
+    assert!(!partial_path(&dst_dir, 1, fp).exists());
+    dst.shutdown();
+}
+
+/// Satellite: the in-memory partials map is bounded. Seventeen jobs each
+/// die after a few pages; only the same job reconnecting would take its
+/// entry back, so the oldest is dropped (and counted), the newest kept.
+#[test]
+fn the_partials_map_keeps_only_the_newest_sixteen_jobs() {
+    let _wd = Watchdog::arm(
+        "the_partials_map_keeps_only_the_newest_sixteen_jobs",
+        JOB_TIMEOUT,
+    );
+    let mut spec = cold_full_spec(0xca9);
+    spec.ram_mib = 1;
+    let msgs = wire_sequence(&spec);
+    let dst = Daemon::spawn(DaemonConfig::new(unix_endpoint("cap-dst"))).expect("dest binds");
+    for job in 1..=17 {
+        let (s, _) = open_session(dst.endpoint(), &spec, 0, job);
+        die_after(s, &msgs, 3);
+    }
+    // Job 17's pages are there, and taking them waited for its session.
+    let (_, newest) = open_session(dst.endpoint(), &spec, 1, 17);
+    assert_eq!(newest.map(|d| d.len()), Some(3));
+    let drops = dst
+        .metrics()
+        .counter("daemon_resume_partials_total", &[("op", "drop")]);
+    assert_eq!(drops, 1, "one job past the cap");
+    let (_, oldest) = open_session(dst.endpoint(), &spec, 1, 1);
+    assert_eq!(oldest, Some(Vec::new()), "job 1's pages were dropped");
     dst.shutdown();
 }
 
@@ -968,7 +1039,8 @@ fn an_unwritable_partial_is_reported_once_and_the_job_completes() {
     assert_eq!(id, 1);
     let rec1 = src.wait_job(id, JOB_TIMEOUT).expect("job finishes");
     assert_done(&rec1);
-    assert!(boundaries(&wire_sequence(&spec)).len() > 10, "many chunks");
+    let chunks = landed_chunks(&mut fresh_state(&spec), None, &wire_sequence(&spec));
+    assert!(chunks.len() > 10, "many chunks");
     let lines = dst.journal();
     let failures: Vec<&String> = lines.iter().filter(|l| l.contains("partial")).collect();
     assert_eq!(failures.len(), 1, "one line per session: {failures:?}");

@@ -25,7 +25,7 @@ use vecycle_faults::KillSwitch;
 use vecycle_net::wiremsg::HEADER;
 use vecycle_net::{wire, WireMsg};
 use vecycle_sim::ScenarioSpec;
-use vecycle_types::{SimTime, VmId};
+use vecycle_types::{PageDigest, SimTime, VmId};
 
 /// Counts `read` calls on the way to the wrapped reader.
 struct CountReads<R> {
@@ -122,16 +122,18 @@ impl Stream {
     }
 }
 
-/// Counts what [`receive_stream`] reports to its persistence hook.
-#[derive(Default)]
+/// Counts what [`receive_stream`] reports to its persistence hook, and
+/// keeps the last digest it reported per page.
 struct CountPersists {
     landed: u64,
     boundaries: u64,
+    pages: Vec<Option<PageDigest>>,
 }
 
 impl Persist for CountPersists {
-    fn landed(&mut self, _msg: &WireMsg) {
+    fn landed(&mut self, idx: u64, digest: PageDigest) {
         self.landed += 1;
+        self.pages[idx as usize] = Some(digest);
     }
 
     fn boundary(&mut self) {
@@ -169,7 +171,11 @@ impl Stream {
     fn receive<R: Read>(&self, source: R) -> Received {
         let mut s = SessionStream::new(source);
         let mut state = self.fresh_state();
-        let mut hook = CountPersists::default();
+        let mut hook = CountPersists {
+            landed: 0,
+            boundaries: 0,
+            pages: vec![None; self.spec.pages() as usize],
+        };
         let outcome = receive_stream(
             &mut s,
             self.index.as_ref(),
@@ -178,10 +184,11 @@ impl Stream {
             &mut hook,
         )
         .and_then(|()| read_frame(&mut s, MAX_PAYLOAD));
-        assert_eq!(
-            hook.landed,
-            state.applied(),
-            "the hook sees each applied message, and only those"
+        let pages = hook.pages.iter().enumerate();
+        let pages = pages.filter_map(|(idx, d)| d.map(|d| (idx as u64, d)));
+        assert!(
+            pages.eq(state.landed()),
+            "the hook sees each page an applied message wrote, as it ends"
         );
         Received {
             outcome,
