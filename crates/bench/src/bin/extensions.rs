@@ -145,7 +145,7 @@ fn main() {
     // --- 4. Adaptive recycling --------------------------------------------
     println!("Extension 4 — adaptive strategy selection (sampled similarity)\n");
     let _engine = MigrationEngine::new(LinkSpec::lan_gigabit());
-    let index = ChecksumIndex::build(base.digests());
+    let index = ChecksumIndex::from_pages(&base.digests());
     let mut t = Table::new(vec!["true divergence", "estimated similarity", "decision"]);
     for frac in [0.05, 0.3, 0.6, 0.95] {
         let vm = diverged(&base, frac, 20 + (frac * 100.0) as u64);

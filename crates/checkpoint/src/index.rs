@@ -2,23 +2,6 @@
 
 use vecycle_types::{DigestMap, PageDigest, PageIndex};
 
-/// Common interface of the checkpoint indexes.
-///
-/// The destination builds one of these while sequentially reading the
-/// checkpoint file, then answers two queries per received message: *is
-/// this checksum present?* and *at which checkpoint offset?* (Listing 1's
-/// `lookup(checksum)`).
-pub trait PageLookup {
-    /// True if any page with this digest exists in the checkpoint.
-    fn contains(&self, digest: PageDigest) -> bool;
-
-    /// The checkpoint page holding this digest (first occurrence), if any.
-    fn lookup(&self, digest: PageDigest) -> Option<PageIndex>;
-
-    /// Number of distinct digests indexed.
-    fn distinct(&self) -> usize;
-}
-
 /// The paper's index: the checkpoint's distinct checksums as a sorted
 /// array, each with the offset of its first page.
 ///
@@ -29,18 +12,23 @@ pub trait PageLookup {
 /// per-message probe goes through a [`DigestMap`] instead of a binary
 /// search.
 ///
+/// The destination builds one while sequentially reading the checkpoint
+/// file, then answers two queries per received message: *is this
+/// checksum present?* and *at which checkpoint offset?* (Listing 1's
+/// `lookup(checksum)`).
+///
 /// # Examples
 ///
 /// ```
-/// use vecycle_checkpoint::{ChecksumIndex, PageLookup};
+/// use vecycle_checkpoint::ChecksumIndex;
 /// use vecycle_types::{PageDigest, PageIndex};
 ///
-/// let digests = vec![
+/// let digests = [
 ///     PageDigest::from_content_id(10),
 ///     PageDigest::from_content_id(20),
 ///     PageDigest::from_content_id(10), // duplicate content
 /// ];
-/// let index = ChecksumIndex::build(digests);
+/// let index = ChecksumIndex::from_pages(&digests);
 /// assert_eq!(index.distinct(), 2);
 /// // Duplicate digests resolve to their first offset.
 /// assert_eq!(
@@ -61,11 +49,6 @@ pub struct ChecksumIndex {
 }
 
 impl ChecksumIndex {
-    /// Builds the index from per-page digests in page order.
-    pub fn build(digests: Vec<PageDigest>) -> Self {
-        Self::from_pages(&digests)
-    }
-
     /// Builds the index from borrowed per-page digests in page order:
     /// one copy of the list (the sorted array) and the map.
     pub fn from_pages(pages: &[PageDigest]) -> Self {
@@ -86,7 +69,7 @@ impl ChecksumIndex {
     /// Builds the index from a list that must already be strictly
     /// ascending — a bulk exchange as its receiver got it. The list
     /// becomes the sorted array as it is, with no copy and no sort; the
-    /// result is what [`ChecksumIndex::build`] makes of the same list.
+    /// result is what [`ChecksumIndex::from_pages`] makes of the same list.
     ///
     /// # Errors
     ///
@@ -112,11 +95,6 @@ impl ChecksumIndex {
 
     /// All indexed digests in sorted order — what the destination sends
     /// to the source in the bulk checksum pre-exchange (§3.2).
-    pub fn digests(&self) -> impl Iterator<Item = PageDigest> + '_ {
-        self.sorted.iter().copied()
-    }
-
-    /// The same digests as one borrowed slice.
     pub fn sorted(&self) -> &[PageDigest] {
         &self.sorted
     }
@@ -127,19 +105,20 @@ impl ChecksumIndex {
     pub fn wire_size(&self) -> vecycle_types::Bytes {
         vecycle_types::Bytes::new(self.sorted.len() as u64 * 16)
     }
-}
 
-impl PageLookup for ChecksumIndex {
+    /// True if any page with this digest exists in the checkpoint.
     #[inline]
-    fn contains(&self, digest: PageDigest) -> bool {
+    pub fn contains(&self, digest: PageDigest) -> bool {
         self.first.contains_key(&digest)
     }
 
-    fn lookup(&self, digest: PageDigest) -> Option<PageIndex> {
+    /// The checkpoint page holding this digest (first occurrence), if any.
+    pub fn lookup(&self, digest: PageDigest) -> Option<PageIndex> {
         self.first.get(&digest).copied()
     }
 
-    fn distinct(&self) -> usize {
+    /// Number of distinct digests indexed.
+    pub fn distinct(&self) -> usize {
         self.sorted.len()
     }
 }
@@ -154,7 +133,7 @@ mod tests {
 
     #[test]
     fn build_and_lookup() {
-        let index = ChecksumIndex::build(vec![d(5), d(3), d(5), d(1)]);
+        let index = ChecksumIndex::from_pages(&[d(5), d(3), d(5), d(1)]);
         assert_eq!(index.total_pages(), 4);
         assert_eq!(index.distinct(), 3);
         assert_eq!(index.lookup(d(3)), Some(PageIndex::new(1)));
@@ -164,19 +143,18 @@ mod tests {
 
     #[test]
     fn digests_are_sorted() {
-        let index = ChecksumIndex::build(vec![d(9), d(2), d(7)]);
-        let v: Vec<_> = index.digests().collect();
-        assert!(v.windows(2).all(|w| w[0] < w[1]));
+        let index = ChecksumIndex::from_pages(&[d(9), d(2), d(7)]);
+        assert!(index.sorted().windows(2).all(|w| w[0] < w[1]));
     }
 
     /// Sorted input makes the same index either way: the same sorted
     /// array, offsets, distinct count and page total.
     #[test]
-    fn from_sorted_builds_what_build_builds() {
+    fn from_sorted_builds_what_from_pages_builds() {
         let mut digests: Vec<_> = (0..1_000).map(|i| d(i * 7 + 1)).collect();
         digests.sort_unstable();
         let (built, adopted) = (
-            ChecksumIndex::build(digests.clone()),
+            ChecksumIndex::from_pages(&digests),
             ChecksumIndex::from_sorted(digests.clone()).expect("sorted and distinct"),
         );
         assert_eq!(adopted.sorted(), built.sorted());
@@ -198,7 +176,7 @@ mod tests {
 
     #[test]
     fn wire_size_is_16_bytes_per_distinct() {
-        let index = ChecksumIndex::build(vec![d(1), d(1), d(2)]);
+        let index = ChecksumIndex::from_pages(&[d(1), d(1), d(2)]);
         assert_eq!(index.wire_size().as_u64(), 32);
     }
 
@@ -208,13 +186,13 @@ mod tests {
         // checksums" — with all-unique pages.
         let n = 1u64 << 20;
         let digests: Vec<_> = (0..n).map(|i| d(i + 1)).collect();
-        let index = ChecksumIndex::build(digests);
+        let index = ChecksumIndex::from_pages(&digests);
         assert_eq!(index.wire_size(), vecycle_types::Bytes::from_mib(16));
     }
 
     #[test]
     fn empty_index_is_empty() {
-        let index = ChecksumIndex::build(Vec::new());
+        let index = ChecksumIndex::from_pages(&[]);
         assert_eq!(index.distinct(), 0);
         assert!(!index.contains(d(1)));
     }
@@ -236,7 +214,7 @@ mod tests {
     #[test]
     fn lookup_is_the_first_occurrence_a_naive_scan_finds() {
         let pages = duplicate_heavy_workload();
-        let index = ChecksumIndex::build(pages.clone());
+        let index = ChecksumIndex::from_pages(&pages);
         assert_eq!(index.total_pages(), pages.len() as u64);
         for probe in (0..8_192u64).step_by(5) {
             let digest = d(probe);
@@ -251,6 +229,6 @@ mod tests {
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(index.distinct(), distinct.len());
-        assert_eq!(index.digests().collect::<Vec<_>>(), distinct);
+        assert_eq!(index.sorted(), distinct);
     }
 }

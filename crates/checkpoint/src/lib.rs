@@ -23,6 +23,8 @@
 #![warn(missing_docs)]
 
 mod checkpoint;
+#[doc(hidden)]
+pub mod compat;
 mod disk_store;
 mod index;
 mod lifecycle;
@@ -32,8 +34,10 @@ mod store;
 mod wire;
 
 pub use checkpoint::{Checkpoint, CheckpointData};
+#[allow(deprecated)]
+pub use compat::PageLookup;
 pub use disk_store::DiskStore;
-pub use index::{ChecksumIndex, PageLookup};
+pub use index::ChecksumIndex;
 pub use lifecycle::{
     CheckpointFetch, EvictionPolicy, EvictionReason, EvictionRecord, GoneReason, SaveOutcome,
     ScrubReport,

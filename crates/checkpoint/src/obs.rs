@@ -80,7 +80,7 @@ mod tests {
 
     #[test]
     fn index_export_sets_entries_gauge() {
-        let index = ChecksumIndex::build(vec![digest(1), digest(2), digest(3)]);
+        let index = ChecksumIndex::from_pages(&[digest(1), digest(2), digest(3)]);
         let m = MetricsRegistry::new();
         let series = IndexSeries::new(&m, "checkpoint");
         series.record(&index);

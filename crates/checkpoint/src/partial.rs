@@ -83,7 +83,7 @@ impl PartialCheckpoint {
     /// Builds a checksum index over the landed pages, ready to be handed
     /// to a vecycle strategy like any recycled checkpoint's index.
     pub fn build_index(&self) -> ChecksumIndex {
-        ChecksumIndex::build(self.digests())
+        ChecksumIndex::from_pages(&self.digests())
     }
 
     /// Builds an index over the landed pages *plus* extra digests (e.g.
@@ -92,14 +92,13 @@ impl PartialCheckpoint {
     pub fn build_index_with(&self, extra: &[PageDigest]) -> ChecksumIndex {
         let mut all = self.digests();
         all.extend_from_slice(extra);
-        ChecksumIndex::build(all)
+        ChecksumIndex::from_pages(&all)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PageLookup;
 
     fn digest(id: u64) -> PageDigest {
         PageDigest::from_content_id(id)

@@ -4,7 +4,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PageLookup};
+use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
 use vecycle_mem::DigestMemory;
 use vecycle_types::{PageDigest, SimTime, VmId};
 
@@ -39,7 +39,7 @@ proptest! {
     fn index_matches_membership(ids in vec(0u64..64, 1..128), probe in 0u64..128) {
         let digests: Vec<PageDigest> =
             ids.iter().map(|&i| PageDigest::from_content_id(i)).collect();
-        let index = ChecksumIndex::build(digests.clone());
+        let index = ChecksumIndex::from_pages(&digests);
         let d = PageDigest::from_content_id(probe);
         prop_assert_eq!(index.contains(d), digests.contains(&d));
         if let Some(offset) = index.lookup(d) {

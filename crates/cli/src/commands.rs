@@ -152,7 +152,6 @@ fn checkpoint_cmd(argv: &[String]) -> Result<(), String> {
             let cp =
                 Checkpoint::read_from(std::io::BufReader::new(file)).map_err(|e| e.to_string())?;
             let index = cp.build_index();
-            use vecycle_checkpoint::PageLookup;
             println!("{path}:");
             println!("  vm:            {}", cp.vm());
             println!("  taken at:      {}", cp.taken_at());

@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use vecycle_checkpoint::PageLookup;
 use vecycle_faults::AttemptFaults;
 use vecycle_host::{CpuSpec, DiskSpec};
 use vecycle_mem::{workload::GuestWorkload, Guest, MemoryImage, MutableMemory};
@@ -150,14 +149,6 @@ impl MigrationEngine {
     #[must_use]
     pub fn with_xbzrle(mut self, xbzrle: Xbzrle) -> Self {
         self.xbzrle = Some(xbzrle);
-        self
-    }
-
-    // Inert: the frozen `benchmark/` crate still calls it; goes with the
-    // next `benchmark` PR (ROADMAP item 1e).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 

@@ -51,6 +51,8 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
+#[doc(hidden)]
+pub mod compat;
 mod engine;
 pub mod estimate;
 mod pipeline;

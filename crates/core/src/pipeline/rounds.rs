@@ -23,7 +23,6 @@
 //! emission step, so no round is ever materialised before its first
 //! byte reaches the sink.
 
-use vecycle_checkpoint::PageLookup;
 use vecycle_faults::{AttemptFaults, FaultCause};
 use vecycle_mem::MemoryImage;
 use vecycle_net::{wire, LinkSpec, TrafficCategory, TrafficLedger};

@@ -13,7 +13,6 @@
 
 use std::collections::HashSet;
 
-use vecycle_checkpoint::PageLookup;
 use vecycle_faults::AttemptFaults;
 use vecycle_mem::MemoryImage;
 use vecycle_net::{wire, TrafficCategory, TrafficLedger};

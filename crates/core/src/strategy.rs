@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PageLookup};
+use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
 use vecycle_mem::{GenerationSnapshot, GenerationTable, MemoryImage};
 use vecycle_types::{DigestMap, PageDigest, PageIndex};
 
@@ -102,7 +102,7 @@ impl Strategy {
     /// VeCycle: content-based redundancy elimination against a checkpoint
     /// image held at the destination.
     pub fn vecycle<M: MemoryImage>(checkpoint: &M) -> Self {
-        Strategy::vecycle_with_index(Arc::new(ChecksumIndex::build(checkpoint.digests())))
+        Strategy::vecycle_with_index(Arc::new(ChecksumIndex::from_pages(&checkpoint.digests())))
     }
 
     /// VeCycle from a stored [`Checkpoint`].

@@ -1,6 +1,6 @@
 //! Migration transcripts and the destination merge (Listing 1).
 
-use vecycle_checkpoint::{Checkpoint, PageLookup};
+use vecycle_checkpoint::Checkpoint;
 use vecycle_mem::{ByteMemory, MemoryImage, MutableMemory, PageBuf, PageContent};
 use vecycle_net::WireMsg;
 use vecycle_types::{Error, PageDigest, PageIndex, PAGE_SIZE};
@@ -55,12 +55,15 @@ impl PageMsg {
     }
 
     /// The message in its on-the-wire form. The wire protocol is
-    /// digest-level: a full page ships the digest filler
-    /// ([`WireMsg::full_filler`]) — full wire size, and content the
-    /// receiver can verify — whether or not the source holds bytes.
+    /// digest-level: a full page crosses as its digest's filler (see
+    /// [`WireMsg::Full`]) — full wire size, and content the receiver
+    /// can verify — whether or not the source holds bytes.
     pub fn to_wire(&self) -> WireMsg {
         match self {
-            PageMsg::Full { idx, digest, .. } => WireMsg::full_filler(idx.as_u64(), *digest),
+            PageMsg::Full { idx, digest, .. } => WireMsg::Full {
+                idx: idx.as_u64(),
+                digest: *digest,
+            },
             PageMsg::Checksum { idx, digest } => WireMsg::Checksum {
                 idx: idx.as_u64(),
                 digest: *digest,

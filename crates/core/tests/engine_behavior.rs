@@ -193,7 +193,7 @@ fn similarity_estimator_tracks_truth() {
     for i in 0..n / 2 {
         vm.write_page(PageIndex::new(i * 2), PageContent::ContentId((1 << 59) | i));
     }
-    let index = vecycle_checkpoint::ChecksumIndex::build(base.digests());
+    let index = vecycle_checkpoint::ChecksumIndex::from_pages(&base.digests());
     let est = MigrationEngine::estimate_similarity(&vm, &index, 512).as_f64();
     assert!((est - 0.5).abs() < 0.1, "estimate = {est}");
     // Extremes.

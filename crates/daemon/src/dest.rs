@@ -20,13 +20,13 @@
 //! Every byte of the session — HELLO to COMPLETE — is read through the
 //! connection's one [`SessionStream`], so [`receive_stream`] costs a
 //! `read` per 64 KiB of stream, not two per message, and no message
-//! allocates: a full page's bytes are read into one page buffer the
-//! stream reuses and checked against the digest filler there — at
-//! decode, before the page lands. Reading ahead is safe: this handler is
-//! the connection's only reader, and the source sends nothing past
-//! COMPLETE until it has our DONE. The destination hashes its state as
-//! soon as StopEnd is applied and only then reads COMPLETE, so its hash
-//! and the source's run at the same time.
+//! allocates: the decoder checks a full page against its digest's
+//! filler and hands over `idx ‖ digest`, before the page lands. Reading
+//! ahead is safe: this handler is the connection's only reader, and the
+//! source sends nothing past COMPLETE until it has our DONE. The
+//! destination hashes its state as soon as StopEnd is applied and only
+//! then reads COMPLETE, so its hash and the source's run at the same
+//! time.
 //!
 //! Crash durability (DESIGN §17.3): a retry is a recycle, so what must
 //! survive an attempt is only its *landed pages*. Against our own death,
@@ -43,12 +43,12 @@
 
 use std::io::{Read, Write};
 
-use vecycle_checkpoint::{ChecksumIndex, PageLookup, PartialCheckpoint};
+use vecycle_checkpoint::{ChecksumIndex, PartialCheckpoint};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
 use vecycle_net::{wire, wiremsg, WireMsg};
 use vecycle_obs::Counter;
 use vecycle_sim::ScenarioSpec;
-use vecycle_types::{HostId, PageDigest, VmId, PAGE_SIZE};
+use vecycle_types::{HostId, PageDigest, VmId};
 
 use crate::endpoint::{SessionStream, Stream};
 use crate::frame::{frame_cost, kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
@@ -266,16 +266,15 @@ impl Persist for () {
 ///
 /// `r` is the session's reader: decoding costs a `read` per buffer, and
 /// whatever follows StopEnd in the same buffer (the COMPLETE frame) is
-/// still there for the caller's next frame read. A full page's bytes are
-/// read into one page buffer that serves the whole stream and checked
-/// against the digest filler there. No message allocates.
+/// still there for the caller's next frame read. No message allocates.
 ///
 /// # Errors
 ///
 /// [`DaemonError::Io`] when the stream ends or stalls mid-message — the
-/// state then holds exactly the messages that arrived whole — a
-/// [`DaemonError::Corrupt`] full page that is not its digest's filler,
-/// and the apply errors of [`SessionState::apply`].
+/// state then holds exactly the messages that arrived whole — the
+/// decoder's [`DaemonError::Corrupt`] (a full page that is not its
+/// digest's filler among them), and the apply errors of
+/// [`SessionState::apply`].
 pub fn receive_stream<R: Read, P: Persist>(
     r: &mut R,
     index: Option<&ChecksumIndex>,
@@ -283,16 +282,10 @@ pub fn receive_stream<R: Read, P: Persist>(
     kill: &KillSwitch,
     persist: &mut P,
 ) -> Result<(), DaemonError> {
-    // On the heap: a 4 KiB array in this frame slowed every message's
-    // decode and apply, full page or not.
-    let mut page = Box::new([0u8; PAGE_SIZE as usize]);
     let mut since_checkpoint = 0usize;
     while !session_state.finished() {
-        let msg = WireMsg::read_landed(r, &mut page).map_err(DaemonError::from)?;
+        let msg = WireMsg::read_from(r)?;
         kill.tick(KillRole::Dest, KillPoint::MidBulk);
-        if let WireMsg::Full { idx, digest, .. } = &msg {
-            session_state::check_filler(*idx, &page[..], digest)?;
-        }
         session_state.apply(&msg, index)?;
         if let WireMsg::Full { idx, .. }
         | WireMsg::Checksum { idx, .. }

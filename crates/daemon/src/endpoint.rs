@@ -189,6 +189,14 @@ impl Stream {
         self.set_read_timeout(t)?;
         self.set_write_timeout(t)
     }
+
+    /// A second handle on the same connection.
+    pub(crate) fn try_clone(&self) -> std::io::Result<Stream> {
+        Ok(match self {
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+        })
+    }
 }
 
 impl Read for Stream {

@@ -43,6 +43,8 @@
 #![warn(missing_docs)]
 
 pub mod client;
+#[doc(hidden)]
+pub mod compat;
 pub mod control;
 mod dest;
 pub mod endpoint;

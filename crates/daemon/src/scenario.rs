@@ -217,8 +217,9 @@ mod tests {
         let spec = ScenarioSpec::golden(0x7ec);
         let initial = initial_memory(&spec).unwrap();
         let cp = Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial);
-        let wire_digests: Vec<PageDigest> = cp.build_index().digests().collect();
-        let strategy = wire_strategy(&spec, Some(ChecksumIndex::build(wire_digests))).unwrap();
+        let wire_digests = cp.build_index().sorted().to_vec();
+        let strategy =
+            wire_strategy(&spec, Some(ChecksumIndex::from_pages(&wire_digests))).unwrap();
         let (mut guest, mut workload) = live_guest(&spec, &initial).unwrap();
         let report = engine_for(&spec)
             .migrate_live(&mut guest, &mut workload, strategy)

@@ -285,15 +285,24 @@ impl DaemonHandle {
     }
 }
 
+/// Most threads the daemon keeps live: connection handlers and job
+/// workers, which share one handle vector. A connection past it is
+/// refused with an ERR frame rather than handed a thread.
+pub(crate) const MAX_LIVE_THREADS: usize = 64;
+
 /// Blocks in `accept`, spawning one handler thread per connection and
 /// dropping the handles of threads that have finished, so the handle
-/// vector tracks live connections and not uptime.
+/// vector tracks live connections and not uptime. At
+/// [`MAX_LIVE_THREADS`], or when the OS refuses a thread, the connection
+/// gets an ERR frame and is counted under
+/// `daemon_connections_refused_total`; the accept thread lives on.
 fn accept_loop(
     state: &Arc<DaemonState>,
     listener: Listener,
     workers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     let mut noted_error = false;
+    let timeout = Some(state.config.io_timeout);
     loop {
         let accepted = listener.accept();
         if state.queue.lock().shutdown {
@@ -301,11 +310,19 @@ fn accept_loop(
         }
         match accepted {
             Ok(stream) => {
-                let conn_state = Arc::clone(state);
-                let handle = std::thread::spawn(move || handle_connection(&conn_state, stream));
-                let mut live = sync::lock(workers);
-                live.retain(|h| !h.is_finished());
-                live.push(handle);
+                let spawned = {
+                    let mut live = sync::lock(workers);
+                    live.retain(|h| !h.is_finished());
+                    spawn_handler(state, stream, &mut live)
+                };
+                if let Err((stream, why)) = spawned {
+                    state
+                        .metrics
+                        .inc("daemon_connections_refused_total", &[], 1);
+                    if let Some(mut s) = stream.filter(|s| s.set_io_timeout(timeout).is_ok()) {
+                        send_err(&mut s, &why);
+                    }
+                }
             }
             Err(e) => {
                 state.metrics.inc("daemon_accept_errors_total", &[], 1);
@@ -319,6 +336,28 @@ fn accept_loop(
             }
         }
     }
+}
+
+/// Hands `stream` a handler thread, pushed onto `live`; or gives the
+/// connection back (when it still has it) with the reason it was
+/// refused.
+fn spawn_handler(
+    state: &Arc<DaemonState>,
+    stream: Stream,
+    live: &mut Vec<JoinHandle<()>>,
+) -> Result<(), (Option<Stream>, String)> {
+    if live.len() >= MAX_LIVE_THREADS {
+        let why = format!("daemon busy: {MAX_LIVE_THREADS} live threads");
+        return Err((Some(stream), why));
+    }
+    // Spawning consumes the stream even when it fails.
+    let kept = stream.try_clone().ok();
+    let conn_state = Arc::clone(state);
+    let handle = std::thread::Builder::new()
+        .spawn(move || handle_connection(&conn_state, stream))
+        .map_err(|e| (kept, format!("daemon busy: no handler thread: {e}")))?;
+    live.push(handle);
+    Ok(())
 }
 
 /// Routes one connection by its first frame: HELLO → migration
@@ -477,6 +516,36 @@ mod tests {
         let listed: Vec<(u64, &str)> = jobs.iter().map(|j| (j.id, &*j.state)).collect();
         assert_eq!(listed, [(1, "queued")], "no refused job is listed");
         daemon.shutdown();
+    }
+
+    /// Past [`MAX_LIVE_THREADS`] live handlers a connection reads ERR
+    /// and is counted, the accept thread survives, and once the held
+    /// connections close a `ping` is served again.
+    #[test]
+    fn connections_past_the_thread_cap_are_refused_with_err() {
+        for listen in both_transports("cap") {
+            let transport = listen.transport();
+            let daemon = Daemon::spawn(DaemonConfig::new(listen)).expect("binds");
+            let ep = daemon.endpoint().clone();
+            let held: Vec<Stream> = (0..MAX_LIVE_THREADS)
+                .map(|_| ep.connect().expect("connect"))
+                .collect();
+            let mut extra = SessionStream::new(ep.connect().expect("connect"));
+            let refused = read_frame(&mut extra, MAX_PAYLOAD).expect("an ERR frame");
+            assert_eq!(refused.kind, kind::ERR, "{transport}");
+            let refusals = daemon
+                .metrics()
+                .counter_total("daemon_connections_refused_total");
+            assert_eq!(refusals, 1, "{transport}");
+
+            drop(held);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !client::ping(&ep) {
+                assert!(Instant::now() < deadline, "{transport}: never served again");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            daemon.shutdown();
+        }
     }
 
     #[test]

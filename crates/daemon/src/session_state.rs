@@ -1,10 +1,11 @@
 //! The destination's reconstruction state, plus its snapshot
-//! (upgrade-format) codec.
+//! (upgrade-format) reader.
 //!
 //! The apply logic lives here, not in `dest.rs`, so the tests, the fuzz
 //! targets and the benchmark run the exact state machine a session
 //! runs. Only the destination applies a stream; the source never
-//! builds one of these.
+//! builds one of these. A `Full` reaches it already checked: the
+//! decoder refuses a page that is not its digest's filler.
 //!
 //! Layout: two dense per-page vectors — the current digest and the
 //! *anchor*, the digest a page carried the first time it was written
@@ -13,23 +14,23 @@
 //! landed flags and page count a snapshot carries are derived, not
 //! stored, and [`SessionState::landed`] is what a retry recycles.
 //!
-//! [`SessionState::encode`] / [`SessionState::decode`] are the
-//! *snapshot* form of a state (`VECYPAR1`: the whole state, FNV-1a
-//! trailer). The daemon only reads one, as the *base* of a partial log
-//! ([`crate::partial_log`]), where it stands for its landed pages, so a
-//! snapshot file an older daemon (or [`save_partial`]) left behind is
-//! still recycled.
+//! A *snapshot* is the whole state in one file (`VECYPAR1`, FNV-1a
+//! trailer), which older daemons wrote. The daemon only reads one, with
+//! [`SessionState::decode_prefix`], as the *base* of a partial log
+//! ([`crate::partial_log`]), where it stands for its landed pages. The
+//! writer is benchmark-only ([`crate::compat`]).
 
 use std::path::{Path, PathBuf};
 
-use vecycle_checkpoint::{ChecksumIndex, PageLookup};
+use vecycle_checkpoint::ChecksumIndex;
 use vecycle_hash::{Fnv1a64, Hasher};
 use vecycle_mem::DigestMemory;
-use vecycle_net::wiremsg::is_filler;
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::PageDigest;
 
+#[allow(deprecated)]
+pub use crate::compat::save_partial;
 use crate::DaemonError;
 
 /// Magic prefix of a state snapshot: vecycled partial, format 1.
@@ -42,18 +43,6 @@ pub fn spec_fingerprint(spec: &ScenarioSpec) -> u64 {
     let mut fnv = Fnv1a64::new();
     fnv.update(spec.to_kv().as_bytes());
     u64::from_be_bytes(fnv.finalize())
-}
-
-/// Refuses a `Full` whose page bytes are not its digest's filler
-/// ([`is_filler`]): the check every full page gets before it lands,
-/// whether its bytes sit in the message or in the receiver's page buffer.
-pub(crate) fn check_filler(idx: u64, page: &[u8], digest: &PageDigest) -> Result<(), DaemonError> {
-    if is_filler(page, digest) {
-        return Ok(());
-    }
-    Err(DaemonError::Corrupt(format!(
-        "full page {idx} bytes do not match the digest filler"
-    )))
 }
 
 /// The deterministic apply-state of one migration stream.
@@ -137,10 +126,7 @@ impl SessionState {
             ));
         }
         match msg {
-            WireMsg::Full { idx, digest, page } => {
-                check_filler(*idx, page, digest)?;
-                self.write(*idx, *digest)?;
-            }
+            WireMsg::Full { idx, digest } => self.write(*idx, *digest)?,
             WireMsg::Checksum { idx, digest } => {
                 let ix = index.ok_or_else(|| {
                     DaemonError::Protocol("checksum message without a checkpoint".into())
@@ -191,14 +177,6 @@ impl SessionState {
         Ok(())
     }
 
-    /// The dedup anchors as `(page, first digest)`, ascending by page.
-    fn anchors(&self) -> impl Iterator<Item = (u64, PageDigest)> + '_ {
-        self.anchors
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, a)| a.map(|digest| (idx as u64, digest)))
-    }
-
     /// The pages this stream wrote as `(page, digest it holds now)`,
     /// ascending by page: what the destination keeps for a retry.
     pub fn landed(&self) -> impl Iterator<Item = (u64, PageDigest)> + '_ {
@@ -206,25 +184,31 @@ impl SessionState {
         pages.filter_map(|(idx, (digest, a))| a.map(|_| (idx as u64, *digest)))
     }
 
-    /// Serializes the state (with its job/spec identity) into the
-    /// partial-file format: magic, job, fingerprint, the counters, the
-    /// page count, each page's digest and landed flag, the dedup anchors
-    /// ascending by page, then an FNV-1a 64 trailer over everything
-    /// before it.
-    pub fn encode(&self, job: u64, fingerprint: u64) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.mem.len() * 17 + self.anchors.len() * 24);
+    /// The state (with its job/spec identity) as a snapshot: magic, job,
+    /// fingerprint, the counters, the page count, each page's digest and
+    /// landed flag, the dedup anchors ascending by page, then an FNV-1a
+    /// 64 trailer over everything before it. Only the benchmark-only
+    /// [`crate::compat`] writers call it.
+    pub(crate) fn snapshot(&self, job: u64, fingerprint: u64) -> Vec<u8> {
+        let (mem, anchors) = (&self.mem, &self.anchors);
+        let mut buf = Vec::with_capacity(64 + mem.len() * 17 + anchors.len() * 24);
         buf.extend_from_slice(PARTIAL_MAGIC);
         for field in [job, fingerprint, self.applied, self.expected_round] {
             buf.extend_from_slice(&field.to_be_bytes());
         }
         buf.push(u8::from(self.finished));
-        buf.extend_from_slice(&(self.mem.len() as u64).to_be_bytes());
-        for (digest, anchor) in self.mem.iter().zip(&self.anchors) {
+        buf.extend_from_slice(&(mem.len() as u64).to_be_bytes());
+        for (digest, anchor) in mem.iter().zip(anchors) {
             buf.extend_from_slice(digest.as_bytes());
             buf.push(u8::from(anchor.is_some()));
         }
-        buf.extend_from_slice(&(self.anchors().count() as u64).to_be_bytes());
-        for (idx, digest) in self.anchors() {
+        // The dedup anchors as `(page, first digest)`, ascending by page.
+        let anchored = || {
+            let pages = anchors.iter().enumerate();
+            pages.filter_map(|(idx, a)| a.map(|digest| (idx as u64, digest)))
+        };
+        buf.extend_from_slice(&(anchored().count() as u64).to_be_bytes());
+        for (idx, digest) in anchored() {
             buf.extend_from_slice(&idx.to_be_bytes());
             buf.extend_from_slice(digest.as_bytes());
         }
@@ -235,35 +219,16 @@ impl SessionState {
         buf
     }
 
-    /// Decodes a snapshot, returning `(job, fingerprint, state)`.
-    /// Every length is validated before use, and the trailer checksum
-    /// must match — a torn or tampered file is a typed error, never a
-    /// panic or over-allocation.
+    /// Decodes the snapshot `bytes` *starts with* into `(job,
+    /// fingerprint, state, length)` — the snapshot declares its own size
+    /// (page and anchor counts), which is what lets a partial log
+    /// continue behind it. Every length is validated before use and the
+    /// trailer verified before anything is allocated: a torn or tampered
+    /// snapshot is a typed error, never a panic or over-allocation.
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Corrupt`] on any structural or checksum failure,
-    /// bytes after the trailer included.
-    pub fn decode(bytes: &[u8]) -> Result<(u64, u64, SessionState), DaemonError> {
-        let (job, fingerprint, state, used) = SessionState::decode_prefix(bytes)?;
-        if used != bytes.len() {
-            return Err(DaemonError::Corrupt(
-                "partial state: bytes after the trailer".into(),
-            ));
-        }
-        Ok((job, fingerprint, state))
-    }
-
-    /// Decodes the snapshot `bytes` *starts with*, returning its length
-    /// as well — the snapshot declares its own size (page and anchor
-    /// counts), which is what lets a partial log continue behind it.
-    /// The declared size is checked against `bytes` and the trailer
-    /// verified before anything is allocated.
-    ///
-    /// # Errors
-    ///
-    /// As [`SessionState::decode`], except that trailing bytes are the
-    /// caller's.
+    /// [`DaemonError::Corrupt`] on any structural or checksum failure.
     pub fn decode_prefix(bytes: &[u8]) -> Result<(u64, u64, SessionState, usize), DaemonError> {
         let fail = |what: &str| DaemonError::Corrupt(format!("partial state: {what}"));
         const MEM_OFF: usize = 8 + 8 + 8 + 8 + 8 + 1 + 8;
@@ -346,33 +311,13 @@ pub fn partial_path(dir: &Path, job: u64, fingerprint: u64) -> PathBuf {
     dir.join(format!("partial-job{job}-{fingerprint:016x}.bin"))
 }
 
-/// Writes `state` as a snapshot file via write-tmp→rename; the running
-/// daemon appends to a [`crate::partial_log`] instead. No fsync: a torn
-/// file fails its trailer on load and the transfer starts fresh.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_partial(
-    dir: &Path,
-    job: u64,
-    fingerprint: u64,
-    state: &SessionState,
-) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let path = partial_path(dir, job, fingerprint);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, state.encode(job, fingerprint))?;
-    std::fs::rename(&tmp, &path)
-}
-
 /// Removes a partial file (job finished or state invalidated).
 pub fn drop_partial(dir: &Path, job: u64, fingerprint: u64) {
     let _ = std::fs::remove_file(partial_path(dir, job, fingerprint));
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::scenario;
     use vecycle_checkpoint::Checkpoint;
@@ -381,13 +326,14 @@ mod tests {
     /// A 1 MiB stream that rewrites page 3 in round 2, with references
     /// to it before and after the rewrite, over a cold or a warm base
     /// (the warm one also lands a checksum hit).
-    fn rewritten(warm: bool) -> (ScenarioSpec, SessionState) {
+    pub(crate) fn rewritten(warm: bool) -> (ScenarioSpec, SessionState) {
         let mut spec = ScenarioSpec::golden(0x5e56);
         (spec.ram_mib, spec.warm) = (1, warm);
         let initial = scenario::initial_memory(&spec).unwrap();
         let index = Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial).build_index();
         let d = PageDigest::from_content_id;
-        let mut msgs: Vec<WireMsg> = (0..8).map(|i| WireMsg::full_filler(i, d(i))).collect();
+        let full = |idx, digest| WireMsg::Full { idx, digest };
+        let mut msgs: Vec<WireMsg> = (0..8).map(|i| full(i, d(i))).collect();
         msgs.push(WireMsg::DedupRef { idx: 20, source: 3 });
         if warm {
             let digest = initial.snapshot().into_digests()[40];
@@ -396,10 +342,10 @@ mod tests {
         msgs.extend([
             WireMsg::Zero { idx: 10 },
             WireMsg::RoundEnd { round: 1 },
-            WireMsg::full_filler(3, d(300)),
+            full(3, d(300)),
             WireMsg::DedupRef { idx: 21, source: 3 },
             WireMsg::RoundEnd { round: 2 },
-            WireMsg::full_filler(5, d(500)),
+            full(5, d(500)),
             WireMsg::StopEnd,
         ]);
         let mut st = SessionState::fresh(&spec, &initial);
@@ -407,23 +353,6 @@ mod tests {
             st.apply(msg, Some(&index)).unwrap();
         }
         (spec, st)
-    }
-
-    /// The snapshot bytes are a disk contract: pinned as literals so a
-    /// layout change cannot move them.
-    #[test]
-    fn snapshot_bytes_are_pinned() {
-        for (warm, file) in [
-            (false, 0x73cc_85ff_4f92_b143),
-            (true, 0x2c5c_1fc5_6854_a161),
-        ] {
-            let (spec, st) = rewritten(warm);
-            assert_eq!(st.mem()[21], PageDigest::from_content_id(3), "first wins");
-            let mut fnv = Fnv1a64::new();
-            fnv.update(&st.encode(7, spec_fingerprint(&spec)));
-            let got = u64::from_be_bytes(fnv.finalize());
-            assert_eq!(got, file, "warm={warm}: {got:#018x}");
-        }
     }
 
     /// A page lands once the stream writes it, with what it holds last;
@@ -439,82 +368,6 @@ mod tests {
         assert_eq!(landed[5], (5, d(500)));
         assert_eq!(landed[9], (10, PageDigest::ZERO_PAGE));
         assert_eq!(landed[10..], [(20, d(3)), (21, d(3))]);
-    }
-
-    #[test]
-    fn encode_decode_round_trips_exactly() {
-        let (spec, st) = rewritten(true);
-        let fp = spec_fingerprint(&spec);
-        let bytes = st.encode(9, fp);
-        let (job, f, back) = SessionState::decode(&bytes).unwrap();
-        assert_eq!((job, f), (9, fp));
-        assert_eq!(back, st);
-    }
-
-    #[test]
-    fn any_single_byte_flip_is_rejected() {
-        let (spec, st) = rewritten(false);
-        let bytes = st.encode(1, spec_fingerprint(&spec));
-        for pos in [0, 8, 24, 40, 49, bytes.len() - 1] {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x5A;
-            assert!(
-                SessionState::decode(&bad).is_err(),
-                "flip at {pos} must fail decode"
-            );
-        }
-        for cut in [0, 10, bytes.len() - 1] {
-            assert!(SessionState::decode(&bytes[..cut]).is_err());
-        }
-    }
-
-    #[test]
-    fn save_load_drop_partial_lifecycle() {
-        use crate::partial_log::PartialLog;
-        let dir = std::env::temp_dir().join(format!("vecycle-partial-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (spec, st) = rewritten(false);
-        let fp = spec_fingerprint(&spec);
-        let load = |job, fp| PartialLog::load(&dir, job, fp, spec.pages()).map(|(l, _)| l);
-        assert!(load(5, fp).is_none());
-        save_partial(&dir, 5, fp, &st).unwrap();
-        let landed = load(5, fp).unwrap();
-        let pages = landed.iter().enumerate();
-        let pages: Vec<_> = pages
-            .filter_map(|(i, d)| d.map(|d| (i as u64, d)))
-            .collect();
-        assert_eq!(
-            pages,
-            st.landed().collect::<Vec<_>>(),
-            "a snapshot is its landed pages"
-        );
-        // Wrong identity never matches.
-        assert!(load(6, fp).is_none());
-        assert!(load(5, fp ^ 1).is_none());
-        drop_partial(&dir, 5, fp);
-        assert!(load(5, fp).is_none());
-    }
-
-    #[test]
-    fn decode_prefix_reports_the_snapshot_length_and_ignores_what_follows() {
-        let (spec, st) = rewritten(false);
-        let mut bytes = st.encode(3, spec_fingerprint(&spec));
-        let len = bytes.len();
-        bytes.extend_from_slice(b"a log continues here");
-        let (job, _, back, used) = SessionState::decode_prefix(&bytes).unwrap();
-        assert_eq!((job, used), (3, len));
-        assert_eq!(back, st);
-        assert!(SessionState::decode(&bytes).is_err(), "decode wants it all");
-        // A forged count is checked against the bytes, not trusted: the
-        // page count, and the count of the 11 anchors.
-        for off in [41, len - 8 - 11 * 24 - 8] {
-            let mut forged = bytes.clone();
-            forged[off..off + 8].copy_from_slice(&(u64::MAX / 2).to_be_bytes());
-            assert!(
-                SessionState::decode_prefix(&forged).is_err(),
-                "count at {off}"
-            );
-        }
     }
 
     #[test]

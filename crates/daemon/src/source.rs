@@ -42,7 +42,7 @@ use std::io::Write;
 use vecycle_checkpoint::ChecksumIndex;
 use vecycle_core::{LiveOutcome, MsgSink, PageMsg};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
-use vecycle_net::{wire, wiremsg, WireMsg};
+use vecycle_net::{wire, WireMsg};
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{Bytes, PageDigest};
 
@@ -300,12 +300,7 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
             return;
         }
         self.kill.tick(KillRole::Source, KillPoint::MidBulk);
-        match msg {
-            WireMsg::Full { idx, digest, .. } => {
-                wiremsg::encode_full_filler(idx, digest, &mut self.buf);
-            }
-            ref other => other.encode(&mut self.buf),
-        }
+        msg.encode(&mut self.buf);
         self.in_buf += 1;
         self.position += 1;
         if self.in_buf >= STREAM_CHUNK && self.buf.len() >= SESSION_BUF {
@@ -330,17 +325,8 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
 }
 
 impl<W: Write, P: FnMut(u64)> MsgSink for SocketSink<'_, W, P> {
-    fn page(&mut self, msg: PageMsg, digest: PageDigest, _size: Bytes) -> bool {
-        // A full page is `idx ‖ digest`, the digest the scan already has
-        // in hand, until its filler is written at encode.
-        self.send(match msg {
-            PageMsg::Full { idx, .. } => WireMsg::Full {
-                idx: idx.as_u64(),
-                digest,
-                page: Vec::new(),
-            },
-            other => other.to_wire(),
-        });
+    fn page(&mut self, msg: PageMsg, _digest: PageDigest, _size: Bytes) -> bool {
+        self.send(msg.to_wire());
         true
     }
 

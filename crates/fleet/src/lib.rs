@@ -39,6 +39,8 @@
 #![warn(missing_docs)]
 
 mod admission;
+#[doc(hidden)]
+pub mod compat;
 mod fleet;
 mod journal;
 mod placement;

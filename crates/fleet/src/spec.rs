@@ -98,14 +98,6 @@ impl FleetSpec {
         self
     }
 
-    // Inert: the frozen `benchmark/` crate still calls it; goes with the
-    // next `benchmark` PR (ROADMAP item 1e).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_threads(self, _threads: usize) -> Self {
-        self
-    }
-
     /// Validates the spec.
     ///
     /// # Errors

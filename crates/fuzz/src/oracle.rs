@@ -49,7 +49,6 @@ pub enum OracleOutcome {
 /// Exact page-class counts for the estimator, derived by replaying the
 /// strategy's own classification rule over the image.
 fn exact_fractions(vm: &DigestMemory, index: &ChecksumIndex) -> (Ratio, Ratio) {
-    use vecycle_checkpoint::PageLookup;
     let digests = vm.as_slice();
     let n = digests.len() as f64;
     let zeros = digests.iter().filter(|d| d.is_zero_page()).count();
@@ -138,7 +137,7 @@ pub fn checkpoint_oracle(cp: &Checkpoint) -> Result<OracleOutcome, String> {
     if digests.len() > MAX_ORACLE_PAGES {
         return Ok(OracleOutcome::Skipped);
     }
-    let index = Arc::new(ChecksumIndex::build(digests.clone()));
+    let index = Arc::new(ChecksumIndex::from_pages(&digests));
     for (i, d) in digests.iter_mut().enumerate() {
         if i % 3 == 0 {
             *d = PageDigest::from_content_id(0x5eed_0000_0000_u64 | (i as u64 + 1));
@@ -156,7 +155,7 @@ pub fn trace_oracle(trace: &Trace) -> Result<OracleOutcome, String> {
         (Some(f), Some(l)) => (f, l),
         _ => return Ok(OracleOutcome::Skipped),
     };
-    let index = Arc::new(ChecksumIndex::build(first.pages().to_vec()));
+    let index = Arc::new(ChecksumIndex::from_pages(first.pages()));
     replay(&DigestMemory::from_digests(last.pages().to_vec()), index)
 }
 

@@ -163,8 +163,8 @@ pub fn all_targets() -> Vec<Target> {
             seeds: wire_msg_seeds,
             dict: WIRE_DICT,
             post: None,
-            run: run_wire_msg,
-            differential: Some(wire_decoders_agree),
+            run: |input| drain_slice(input, next_wire_msg).class(),
+            differential: Some(|input| readers_agree(input, next_wire_msg)),
             max_len: 8192,
         },
         Target {
@@ -317,7 +317,10 @@ fn trace_seeds() -> Vec<Vec<u8>> {
 fn wire_msg_seeds() -> Vec<Vec<u8>> {
     let digest = PageDigest::from_content_id;
     let msgs = [
-        WireMsg::full_filler(7, digest(1)),
+        WireMsg::Full {
+            idx: 7,
+            digest: digest(1),
+        },
         WireMsg::Checksum {
             idx: 8,
             digest: digest(2),
@@ -402,11 +405,12 @@ fn log_fixture() -> &'static LogFixture {
                 digest: held[idx as usize + 10],
             })
             .collect();
-        msgs.extend((6..10).map(|idx| WireMsg::full_filler(idx, digest(idx))));
+        let full = |idx, digest| WireMsg::Full { idx, digest };
+        msgs.extend((6..10).map(|idx| full(idx, digest(idx))));
         msgs.push(WireMsg::DedupRef { idx: 10, source: 7 });
         msgs.push(WireMsg::Zero { idx: 11 });
         msgs.push(WireMsg::RoundEnd { round: 1 });
-        msgs.push(WireMsg::full_filler(7, digest(70)));
+        msgs.push(full(7, digest(70)));
         msgs.push(WireMsg::StopEnd);
         LogFixture {
             fingerprint: spec_fingerprint(&spec),
@@ -452,6 +456,9 @@ fn partial_log_seeds() -> Vec<Vec<u8>> {
     chunks(&landed(&fx.msgs).1, &mut fresh);
 
     let (base, _) = landed(&fx.msgs[..5]);
+    // The snapshot older daemons wrote: only the benchmark-only writer
+    // makes one now.
+    #[allow(deprecated)]
     let mut behind_snapshot = base.encode(LOG_JOB, fx.fingerprint);
     chunks(&landed(&fx.msgs).1[5..], &mut behind_snapshot);
 
@@ -1182,80 +1189,11 @@ fn wire_class(e: Error) -> &'static str {
                 ("!= 16 x count", "err_bulk_len"),
                 ("pad byte", "err_zero_pad"),
                 ("payload length", "err_payload_len"),
+                ("digest filler", "err_filler"),
             ],
         ),
         _ => "err_io",
     }
-}
-
-/// A message as the daemon's receiver lands it — a `Full` as
-/// `idx ‖ digest` — and, for a `Full`, whether its page bytes were the
-/// digest's filler.
-type Landed = (WireMsg, Option<bool>);
-
-/// [`WireMsg::read_from`]'s message, cut to its [`Landed`] form.
-fn next_landed_owned(mut r: &mut dyn Read) -> Result<Landed, &'static str> {
-    Ok(match WireMsg::read_from(&mut r).map_err(wire_class)? {
-        WireMsg::Full { idx, digest, page } => {
-            let filler = wiremsg::is_filler(&page, &digest);
-            let landed = WireMsg::Full {
-                idx,
-                digest,
-                page: Vec::new(),
-            };
-            (landed, Some(filler))
-        }
-        other => (other, None),
-    })
-}
-
-/// The session path: [`WireMsg::read_landed`] into `page`, one buffer
-/// for the whole stream, as `receive_stream` reads.
-fn next_landed_in(
-    page: &mut [u8; PAGE_BYTES],
-    mut r: &mut dyn Read,
-) -> Result<Landed, &'static str> {
-    let msg = WireMsg::read_landed(&mut r, page).map_err(wire_class)?;
-    let filler = match &msg {
-        WireMsg::Full { digest, .. } => Some(wiremsg::is_filler(page, digest)),
-        _ => None,
-    };
-    Ok((msg, filler))
-}
-
-const PAGE_BYTES: usize = vecycle_types::PAGE_SIZE as usize;
-
-/// The daemon's receive: the session path, refusing the first full page
-/// that is not its digest's filler.
-fn run_wire_msg(input: &[u8]) -> &'static str {
-    let mut page = [0u8; PAGE_BYTES];
-    drain_slice(input, |r| match next_landed_in(&mut page, r)? {
-        (_, Some(false)) => Err("err_filler"),
-        landed => Ok(landed),
-    })
-    .class()
-}
-
-/// The `wire_msg` oracle: `read_from` decodes alike through every
-/// reader, and the session path — one page buffer reused over a
-/// [`SessionStream`] — yields the same landed messages and filler
-/// verdicts, and stops on the same error class after the same bytes.
-fn wire_decoders_agree(input: &[u8]) -> Result<(), String> {
-    readers_agree(input, next_wire_msg)?;
-    let owned = drain_slice(input, next_landed_owned);
-    let mut page = [0u8; PAGE_BYTES];
-    let session = drain(
-        &mut SessionStream::new(input),
-        |s| s.rx() as usize - s.buffered(),
-        |r| next_landed_in(&mut page, r),
-    );
-    if session != owned {
-        return Err(format!(
-            "session path decoded {:?}, ended {} after {} bytes; read_from {:?}, ended {} after {} bytes",
-            session.items, session.end, session.consumed, owned.items, owned.end, owned.consumed,
-        ));
-    }
-    Ok(())
 }
 
 /// The frame-size limit the `ctrl_frame` target reads under. The
@@ -1295,17 +1233,15 @@ mod tests {
         }
         let wire = wire_msg_seeds();
         for seed in &wire[..wire.len() - 1] {
-            assert_eq!(run_wire_msg(seed), "eof_clean");
-            wire_decoders_agree(seed).expect("decoders agree on a seed");
+            assert_eq!(drain_slice(seed, next_wire_msg).class(), "eof_clean");
+            readers_agree(seed, next_wire_msg).expect("readers agree on a seed");
         }
-        // A full page one byte off its filler: read_from takes it, the
-        // session path refuses it, and both decoders give it the same
-        // verdict.
+        // A full page one byte off its filler: the decoder refuses it
+        // through every reader, after the same bytes.
         let mut unfilled = wire[0].clone();
         *unfilled.last_mut().expect("a full page") ^= 1;
-        assert_eq!(drain_slice(&unfilled, next_wire_msg).class(), "eof_clean");
-        assert_eq!(run_wire_msg(&unfilled), "err_filler");
-        wire_decoders_agree(&unfilled).expect("decoders agree on the verdict");
+        assert_eq!(drain_slice(&unfilled, next_wire_msg).class(), "err_filler");
+        readers_agree(&unfilled, next_wire_msg).expect("readers agree on the verdict");
         let short_bulk = wire.last().expect("short-body seed");
         assert_eq!(
             drain_slice(short_bulk, next_wire_msg).class(),

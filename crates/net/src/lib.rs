@@ -11,6 +11,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub mod compat;
 mod ledger;
 mod link;
 mod netem;

@@ -15,11 +15,12 @@
 //! malformed input surfaces as [`Error::Corrupt`] — never a panic or an
 //! unbounded read.
 //!
-//! A page crosses without a page-sized allocation at either end: a
-//! sender with no page bytes writes a `Full` through
-//! [`encode_full_filler`], and a receiver reads one through
-//! [`WireMsg::read_landed`] into a page buffer it reuses. Both move
-//! exactly the bytes of the owned forms.
+//! A full page has one form, `idx ‖ digest`. On the wire its page bytes
+//! are the digest's *filler*, the digest repeated over the page
+//! ("sending the checksum along with the full page", §3.2):
+//! [`WireMsg::encode`] writes them and [`WireMsg::read_from`] refuses a
+//! page that is not them. A decoded `Full` is therefore already checked,
+//! and no message holds page bytes at either end.
 
 use vecycle_types::{Bytes, Error, PageDigest, PAGE_SIZE};
 
@@ -55,14 +56,12 @@ pub mod kind {
 /// One migration message in its on-the-wire form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMsg {
-    /// A full page: digest plus `PAGE_SIZE` bytes of content.
+    /// A full page: the digest, then `PAGE_SIZE` bytes of its filler.
     Full {
         /// Guest page number.
         idx: u64,
         /// Content checksum, sent alongside the page.
         digest: PageDigest,
-        /// Exactly `PAGE_SIZE` bytes.
-        page: Vec<u8>,
     },
     /// Only the checksum: the destination resolves it locally.
     Checksum {
@@ -100,32 +99,7 @@ pub enum WireMsg {
 /// Payload bytes of a `Full`: the digest, then the page.
 const FULL_PAYLOAD: usize = PageDigest::LEN + PAGE_SIZE as usize;
 
-/// Whether `page` is `digest` repeated end to end — the digest-level
-/// stand-in for page bytes. An empty `page` passes: it is a `Full` in
-/// its landed `idx ‖ digest` form, whose bytes were checked where they
-/// were read. Two block compares (the head is the digest, and the page
-/// equals itself shifted by one digest) rather than one per 16 bytes.
-pub fn is_filler(page: &[u8], digest: &PageDigest) -> bool {
-    let d = digest.as_bytes();
-    page.is_empty()
-        || (page.len().is_multiple_of(d.len())
-            && page.starts_with(d)
-            && page[d.len()..] == page[..page.len() - d.len()])
-}
-
 impl WireMsg {
-    /// Builds a `Full` message whose page bytes are the digest-level
-    /// filler: the 16-byte digest repeated to fill the page. Digest
-    /// sources carry no real bytes; the filler keeps the message at
-    /// full wire size and lets the receiver verify content integrity.
-    pub fn full_filler(idx: u64, digest: PageDigest) -> WireMsg {
-        let mut page = Vec::with_capacity(PAGE_SIZE as usize);
-        while page.len() < PAGE_SIZE as usize {
-            page.extend_from_slice(digest.as_bytes());
-        }
-        WireMsg::Full { idx, digest, page }
-    }
-
     /// The encoded size, always equal to the analytic price of the
     /// corresponding [`wire`] function (pinned by tests).
     pub fn encoded_len(&self) -> Bytes {
@@ -139,21 +113,26 @@ impl WireMsg {
         }
     }
 
-    /// Appends the encoded message to `out`.
+    /// Appends the encoded message to `out`; a `Full`'s page is its
+    /// digest's filler.
     ///
     /// # Panics
     ///
-    /// Panics if a `Full` page is not exactly `PAGE_SIZE` bytes or a
-    /// `BulkExchange` exceeds [`MAX_PAYLOAD`] — both are construction
-    /// bugs, not runtime conditions (use [`WireMsg::full_filler`] and
-    /// page-count validation upstream).
+    /// Panics if a `BulkExchange` exceeds [`MAX_PAYLOAD`] — a
+    /// construction bug, not a runtime condition (validate page counts
+    /// upstream).
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            WireMsg::Full { idx, digest, page } => {
-                assert_eq!(page.len() as u64, PAGE_SIZE, "full page must be PAGE_SIZE");
+            WireMsg::Full { idx, digest } => {
                 put_header(out, *idx, kind::FULL, FULL_PAYLOAD);
+                let start = out.len();
                 out.extend_from_slice(digest.as_bytes());
-                out.extend_from_slice(page);
+                // The payload is one digest after another, so it doubles
+                // itself.
+                while out.len() - start < FULL_PAYLOAD {
+                    let have = out.len() - start;
+                    out.extend_from_within(start..start + have.min(FULL_PAYLOAD - have));
+                }
             }
             WireMsg::Checksum { idx, digest } => {
                 put_header(out, *idx, kind::CHECKSUM, PageDigest::LEN);
@@ -173,49 +152,98 @@ impl WireMsg {
         }
     }
 
-    /// Reads one message from `r`.
+    /// Reads one message from `r`. The declared payload length is
+    /// checked against the kind's before any payload byte is read.
     ///
     /// # Errors
     ///
     /// [`Error::Io`] on short reads (including EOF mid-message) and
     /// [`Error::Corrupt`] on unknown kinds, wrong per-kind payload
     /// lengths, payloads beyond [`MAX_PAYLOAD`], or invalid payload
-    /// content. Never panics, never allocates more than the declared
-    /// (validated) payload length, and for a bulk exchange no more than
-    /// a small multiple of the payload bytes that actually arrived.
+    /// content — a full page that is not its digest's filler included.
+    /// Never panics, allocates nothing but a bulk exchange's digests,
+    /// and for those no more than a small multiple of the payload bytes
+    /// that actually arrived.
     pub fn read_from<R: std::io::Read>(r: &mut R) -> vecycle_types::Result<WireMsg> {
-        read_msg(r, None)
-    }
-
-    /// Reads one message from `r` as a receiver that keeps no page does:
-    /// a `Full`'s page bytes are read into `page`, and the message comes
-    /// back in its landed `idx ‖ digest` form, with no page bytes of its
-    /// own. Every other kind, and every error, is exactly
-    /// [`WireMsg::read_from`]'s. Allocates nothing but a bulk exchange's
-    /// digests, so one `page` serves a whole stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`WireMsg::read_from`].
-    pub fn read_landed<R: std::io::Read>(
-        r: &mut R,
-        page: &mut [u8; PAGE_SIZE as usize],
-    ) -> vecycle_types::Result<WireMsg> {
-        read_msg(r, Some(page))
-    }
-}
-
-/// Appends exactly what `WireMsg::full_filler(idx, digest).encode(out)`
-/// appends — header, digest, then the digest repeated over the page —
-/// without building the page first.
-pub fn encode_full_filler(idx: u64, digest: PageDigest, out: &mut Vec<u8>) {
-    put_header(out, idx, kind::FULL, FULL_PAYLOAD);
-    let start = out.len();
-    out.extend_from_slice(digest.as_bytes());
-    // The payload is one digest after another, so it doubles itself.
-    while out.len() - start < FULL_PAYLOAD {
-        let have = out.len() - start;
-        out.extend_from_within(start..start + have.min(FULL_PAYLOAD - have));
+        // One 12-byte read: split into an 8- and a 4-byte read, the
+        // header costs a second buffered-read call per message, which
+        // measured slower on a warm stream than the load it saves.
+        let mut header = [0u8; HEADER];
+        r.read_exact(&mut header)?;
+        let field = u64::from_be_bytes(header[0..8].try_into().expect("8 bytes"));
+        let kind = header[8];
+        let len = u32::from_be_bytes([0, header[9], header[10], header[11]]) as usize;
+        let expect = |want: usize, what: &str| -> vecycle_types::Result<()> {
+            if len != want {
+                return Err(Error::Corrupt {
+                    detail: format!("{what} payload length {len}, expected {want}"),
+                });
+            }
+            Ok(())
+        };
+        match kind {
+            kind::FULL => {
+                expect(FULL_PAYLOAD, "full-page")?;
+                read_full(r, field)
+            }
+            kind::CHECKSUM => {
+                expect(PageDigest::LEN, "checksum")?;
+                let mut digest = [0u8; PageDigest::LEN];
+                r.read_exact(&mut digest)?;
+                Ok(WireMsg::Checksum {
+                    idx: field,
+                    digest: PageDigest::new(digest),
+                })
+            }
+            kind::DEDUP_REF => {
+                expect(8, "dedup-ref")?;
+                let mut source = [0u8; 8];
+                r.read_exact(&mut source)?;
+                Ok(WireMsg::DedupRef {
+                    idx: field,
+                    source: u64::from_be_bytes(source),
+                })
+            }
+            kind::ZERO => {
+                expect(1, "zero-marker")?;
+                let mut pad = [0u8; 1];
+                r.read_exact(&mut pad)?;
+                if pad[0] != 0 {
+                    return Err(Error::Corrupt {
+                        detail: format!("zero-marker pad byte {}", pad[0]),
+                    });
+                }
+                Ok(WireMsg::Zero { idx: field })
+            }
+            kind::ROUND_END => {
+                expect(0, "round-end")?;
+                Ok(WireMsg::RoundEnd { round: field })
+            }
+            kind::STOP_END => {
+                expect(0, "stop-end")?;
+                Ok(WireMsg::StopEnd)
+            }
+            kind::BULK_EXCHANGE => {
+                // The declared count is peer-controlled: checked
+                // multiply, and the length-field equality bounds it by
+                // the 16 MiB payload cap before `read_digests` sizes
+                // anything.
+                let need = field.checked_mul(16).ok_or_else(|| Error::Corrupt {
+                    detail: format!("bulk-exchange count {field} overflows payload size"),
+                })?;
+                if need != len as u64 {
+                    return Err(Error::Corrupt {
+                        detail: format!("bulk-exchange payload length {len} != 16 x count {field}"),
+                    });
+                }
+                let mut digests = Vec::new();
+                read_digests(r, field as usize, &mut digests)?;
+                Ok(WireMsg::BulkExchange { digests })
+            }
+            other => Err(Error::Corrupt {
+                detail: format!("unknown wire message kind {other}"),
+            }),
+        }
     }
 }
 
@@ -243,110 +271,28 @@ fn put_header(out: &mut Vec<u8>, field: u64, kind: u8, len: usize) {
     out.extend_from_slice(&(len as u32).to_be_bytes()[1..]);
 }
 
-/// Reads one message — the decoder behind both [`WireMsg::read_from`]
-/// and [`WireMsg::read_landed`]: a `Full`'s page goes into `page` when
-/// given (and the message keeps none), into a fresh vector otherwise.
-/// The declared payload length is checked against the kind's before
-/// any payload byte is read.
-fn read_msg<R: std::io::Read>(
-    r: &mut R,
-    page: Option<&mut [u8; PAGE_SIZE as usize]>,
-) -> vecycle_types::Result<WireMsg> {
-    // One 12-byte read: split into an 8- and a 4-byte read, the header
-    // costs a second buffered-read call per message, which measured
-    // slower on a warm stream than the load it saves.
-    let mut header = [0u8; HEADER];
-    r.read_exact(&mut header)?;
-    let field = u64::from_be_bytes(header[0..8].try_into().expect("8 bytes"));
-    let kind = header[8];
-    let len = u32::from_be_bytes([0, header[9], header[10], header[11]]) as usize;
-    let expect = |want: usize, what: &str| -> vecycle_types::Result<()> {
-        if len != want {
-            return Err(Error::Corrupt {
-                detail: format!("{what} payload length {len}, expected {want}"),
-            });
-        }
-        Ok(())
-    };
-    match kind {
-        kind::FULL => {
-            expect(FULL_PAYLOAD, "full-page")?;
-            let mut digest = [0u8; PageDigest::LEN];
-            r.read_exact(&mut digest)?;
-            let page = match page {
-                Some(buf) => {
-                    r.read_exact(buf)?;
-                    Vec::new()
-                }
-                None => {
-                    let mut page = vec![0u8; PAGE_SIZE as usize];
-                    r.read_exact(&mut page)?;
-                    page
-                }
-            };
-            Ok(WireMsg::Full {
-                idx: field,
-                digest: PageDigest::new(digest),
-                page,
-            })
-        }
-        kind::CHECKSUM => {
-            expect(PageDigest::LEN, "checksum")?;
-            let mut digest = [0u8; PageDigest::LEN];
-            r.read_exact(&mut digest)?;
-            Ok(WireMsg::Checksum {
-                idx: field,
-                digest: PageDigest::new(digest),
-            })
-        }
-        kind::DEDUP_REF => {
-            expect(8, "dedup-ref")?;
-            let mut source = [0u8; 8];
-            r.read_exact(&mut source)?;
-            Ok(WireMsg::DedupRef {
-                idx: field,
-                source: u64::from_be_bytes(source),
-            })
-        }
-        kind::ZERO => {
-            expect(1, "zero-marker")?;
-            let mut pad = [0u8; 1];
-            r.read_exact(&mut pad)?;
-            if pad[0] != 0 {
-                return Err(Error::Corrupt {
-                    detail: format!("zero-marker pad byte {}", pad[0]),
-                });
-            }
-            Ok(WireMsg::Zero { idx: field })
-        }
-        kind::ROUND_END => {
-            expect(0, "round-end")?;
-            Ok(WireMsg::RoundEnd { round: field })
-        }
-        kind::STOP_END => {
-            expect(0, "stop-end")?;
-            Ok(WireMsg::StopEnd)
-        }
-        kind::BULK_EXCHANGE => {
-            // The declared count is peer-controlled: checked multiply,
-            // and the length-field equality bounds it by the 16 MiB
-            // payload cap before `read_digests` sizes anything.
-            let need = field.checked_mul(16).ok_or_else(|| Error::Corrupt {
-                detail: format!("bulk-exchange count {field} overflows payload size"),
-            })?;
-            if need != len as u64 {
-                return Err(Error::Corrupt {
-                    detail: format!("bulk-exchange payload length {len} != 16 x count {field}"),
-                });
-            }
-            let mut digests = Vec::new();
-            read_digests(r, field as usize, &mut digests)?;
-            Ok(WireMsg::BulkExchange { digests })
-        }
-        other => Err(Error::Corrupt {
-            detail: format!("unknown wire message kind {other}"),
-        }),
+/// Reads the payload of page `idx`'s `Full` and refuses it unless the
+/// page is its digest's filler. Out of line, so the payload sits in this
+/// frame only: a page-sized array in the frame of an inlined decoder
+/// slowed every message, full page or not.
+#[inline(never)]
+fn read_full<R: std::io::Read>(r: &mut R, idx: u64) -> vecycle_types::Result<WireMsg> {
+    let mut payload = [0u8; FULL_PAYLOAD];
+    r.read_exact(&mut payload)?;
+    if !is_filler(&payload) {
+        return Err(Error::Corrupt {
+            detail: format!("full page {idx} bytes do not match the digest filler"),
+        });
     }
+    let digest = PageDigest::new(payload[..PageDigest::LEN].try_into().expect("16 bytes"));
+    Ok(WireMsg::Full { idx, digest })
+}
+
+/// Whether a `Full` payload — the digest, then the page — is the digest
+/// repeated end to end: it equals itself shifted by one digest. One block
+/// compare rather than one per 16 bytes.
+fn is_filler(payload: &[u8; FULL_PAYLOAD]) -> bool {
+    payload[PageDigest::LEN..] == payload[..FULL_PAYLOAD - PageDigest::LEN]
 }
 
 /// Digests per bounded read of a bulk-exchange payload (16 KiB).
@@ -389,6 +335,14 @@ mod tests {
         PageDigest::from_content_id(n)
     }
 
+    /// Page `idx` in full, with content `n`.
+    fn full(idx: u64, n: u64) -> WireMsg {
+        WireMsg::Full {
+            idx,
+            digest: digest(n),
+        }
+    }
+
     fn round_trip(msg: &WireMsg) -> WireMsg {
         let mut buf = Vec::new();
         msg.encode(&mut buf);
@@ -405,7 +359,7 @@ mod tests {
 
     fn every_variant() -> [WireMsg; 7] {
         [
-            WireMsg::full_filler(7, digest(1)),
+            full(7, 1),
             WireMsg::Checksum {
                 idx: 8,
                 digest: digest(2),
@@ -429,10 +383,7 @@ mod tests {
 
     #[test]
     fn prices_are_pinned_per_variant() {
-        assert_eq!(
-            WireMsg::full_filler(0, digest(0)).encoded_len(),
-            wire::full_page_msg()
-        );
+        assert_eq!(full(0, 0).encoded_len(), wire::full_page_msg());
         assert_eq!(
             WireMsg::Checksum {
                 idx: 0,
@@ -464,7 +415,7 @@ mod tests {
     #[test]
     fn truncated_input_is_io_error_not_panic() {
         let mut buf = Vec::new();
-        WireMsg::full_filler(1, digest(5)).encode(&mut buf);
+        full(1, 5).encode(&mut buf);
         for cut in [0, 5, HEADER, HEADER + 10, buf.len() - 1] {
             let err = WireMsg::read_from(&mut &buf[..cut]).unwrap_err();
             assert!(matches!(err, Error::Io { .. }), "cut at {cut}: {err}");
@@ -612,85 +563,44 @@ mod tests {
         // Deterministic junk: an xorshift stream sliced at many offsets.
         let mut draw = vecycle_types::rng::Xorshift::new(0x9E37_79B9_7F4A_7C15);
         let junk: Vec<u8> = (0..4096).map(|_| draw.next() as u8).collect();
-        let mut page = [0u8; PAGE_SIZE as usize];
         for start in (0..junk.len()).step_by(61) {
-            let owned = WireMsg::read_from(&mut &junk[start..]).map(|msg| landed(&msg));
-            let kept = WireMsg::read_landed(&mut &junk[start..], &mut page);
-            assert_eq!(
-                format!("{owned:?}"),
-                format!("{kept:?}"),
-                "offset {start}: both decoders agree"
-            );
+            let _ = WireMsg::read_from(&mut &junk[start..]);
         }
     }
 
-    /// `msg` as [`WireMsg::read_landed`] returns it.
-    fn landed(msg: &WireMsg) -> WireMsg {
-        match msg {
-            WireMsg::Full { idx, digest, .. } => WireMsg::Full {
-                idx: *idx,
-                digest: *digest,
-                page: Vec::new(),
-            },
-            other => other.clone(),
-        }
-    }
-
+    /// A `Full` encodes its digest, then the digest over the page.
     #[test]
-    fn read_landed_decodes_every_variant_with_the_page_in_the_buffer() {
-        let mut buf = Vec::new();
-        let msgs = every_variant();
-        for msg in &msgs {
-            msg.encode(&mut buf);
-        }
-        let mut r = OneByte(&buf);
-        let mut page = [0u8; PAGE_SIZE as usize];
-        for msg in &msgs {
-            let got = WireMsg::read_landed(&mut r, &mut page).unwrap();
-            assert_eq!(got, landed(msg));
-            if let WireMsg::Full { page: sent, .. } = msg {
-                assert_eq!(&page[..], &sent[..], "the page bytes land in the buffer");
-            }
-        }
-        assert!(r.0.is_empty(), "decoder must consume exactly the stream");
-    }
-
-    #[test]
-    fn the_filler_encoder_writes_what_full_filler_encodes() {
-        for idx in [0, 7, u64::MAX] {
-            let d = digest(idx ^ 3);
-            let (mut built, mut direct) = (vec![1, 2], vec![1, 2]);
-            WireMsg::full_filler(idx, d).encode(&mut built);
-            encode_full_filler(idx, d, &mut direct);
-            assert_eq!(direct, built, "page {idx}");
-        }
-    }
-
-    #[test]
-    fn filler_page_is_digest_repeated() {
+    fn a_full_page_encodes_as_its_digest_repeated() {
         let d = digest(42);
-        let WireMsg::Full { page, .. } = WireMsg::full_filler(0, d) else {
-            panic!("full_filler must build Full");
-        };
-        assert_eq!(page.len() as u64, PAGE_SIZE);
-        for chunk in page.chunks(16) {
+        let mut buf = vec![1, 2];
+        WireMsg::Full { idx: 3, digest: d }.encode(&mut buf);
+        let payload = &buf[2 + HEADER..];
+        assert_eq!(payload.len(), FULL_PAYLOAD);
+        for chunk in payload.chunks(16) {
             assert_eq!(chunk, d.as_bytes());
         }
     }
 
+    /// Any payload byte off the filler — in the digest or the page — is
+    /// refused with the page's number, after the whole message is read.
     #[test]
-    fn is_filler_accepts_the_filler_and_the_landed_form_only() {
-        let d = digest(42);
-        let WireMsg::Full { mut page, .. } = WireMsg::full_filler(0, d) else {
-            unreachable!("full_filler builds Full")
-        };
-        assert!(is_filler(&page, &d) && is_filler(&[], &d));
-        assert!(!is_filler(&page, &digest(43)));
-        assert!(!is_filler(&page[..100], &d), "a torn page");
-        for at in [0, 16, 4095] {
-            page[at] ^= 1;
-            assert!(!is_filler(&page, &d), "byte {at} flipped");
-            page[at] ^= 1;
+    fn a_full_page_off_its_filler_is_refused() {
+        let mut buf = Vec::new();
+        full(9, 42).encode(&mut buf);
+        for at in [HEADER, HEADER + 16, HEADER + 17, buf.len() - 1] {
+            let mut bad = buf.clone();
+            bad[at] ^= 1;
+            let mut r = &bad[..];
+            let err = WireMsg::read_from(&mut r).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                Error::Corrupt {
+                    detail: "full page 9 bytes do not match the digest filler".into()
+                }
+                .to_string(),
+                "byte {at} flipped"
+            );
+            assert!(r.is_empty(), "byte {at}: the message is read whole");
         }
     }
 }

@@ -87,7 +87,7 @@ impl Stream {
                 digest,
             })
             .collect();
-        Stream::new(spec, Some(ChecksumIndex::build(digests)), msgs)
+        Stream::new(spec, Some(ChecksumIndex::from_pages(&digests)), msgs)
     }
 
     /// A cold 16 MiB shape: every page crosses in full.
@@ -102,7 +102,10 @@ impl Stream {
             .into_digests()
             .into_iter()
             .enumerate()
-            .map(|(idx, digest)| WireMsg::full_filler(idx as u64, digest))
+            .map(|(idx, digest)| WireMsg::Full {
+                idx: idx as u64,
+                digest,
+            })
             .collect();
         Stream::new(spec, None, msgs)
     }
