@@ -13,10 +13,12 @@ impl ChecksumIndex {
         Self::from_pages(&digests)
     }
 
-    /// [`ChecksumIndex::sorted`] as an iterator.
+    /// The distinct digests in the bulk exchange's wire order.
     #[deprecated(note = "benchmark-only; ROADMAP item 2b deletes it")]
     pub fn digests(&self) -> impl Iterator<Item = PageDigest> + '_ {
-        self.sorted().iter().copied()
+        let mut sorted: Vec<PageDigest> = self.first.keys().copied().collect();
+        sorted.sort_unstable();
+        sorted.into_iter()
     }
 }
 
@@ -57,8 +59,8 @@ mod tests {
             ChecksumIndex::build(pages.clone()),
             ChecksumIndex::from_pages(&pages),
         );
-        assert_eq!(built.sorted(), live.sorted());
-        assert_eq!(built.digests().collect::<Vec<_>>(), live.sorted());
+        let wire = ChecksumIndex::with_wire_order(&pages).1;
+        assert_eq!(built.digests().collect::<Vec<_>>(), wire);
         for digest in [0, 1, 3, 5].map(PageDigest::from_content_id) {
             let lookup: &dyn PageLookup = &built;
             assert_eq!(lookup.contains(digest), live.contains(digest));

@@ -2,20 +2,19 @@
 
 use vecycle_types::{DigestMap, PageDigest, PageIndex};
 
-/// The paper's index: the checkpoint's distinct checksums as a sorted
-/// array, each with the offset of its first page.
+/// The paper's index, as the map its queries probe: each distinct
+/// checksum of a checkpoint with the offset of its first page.
 ///
 /// §3.3: "We currently keep the checksums and their offsets in a sorted
 /// list, such that we can use binary search to quickly find the offset
 /// for a given checksum … more efficient data structures may be
-/// used." The sorted array is what the bulk pre-exchange sends; the
-/// per-message probe goes through a [`DigestMap`] instead of a binary
-/// search.
+/// used." Probes go through a [`DigestMap`] instead; the sorted list is
+/// only the bulk exchange's wire order ([`ChecksumIndex::with_wire_order`]).
 ///
 /// The destination builds one while sequentially reading the checkpoint
 /// file, then answers two queries per received message: *is this
 /// checksum present?* and *at which checkpoint offset?* (Listing 1's
-/// `lookup(checksum)`).
+/// `lookup(checksum)`). The source fills its own from the exchange.
 ///
 /// # Examples
 ///
@@ -39,53 +38,47 @@ use vecycle_types::{DigestMap, PageDigest, PageIndex};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChecksumIndex {
-    // Distinct digests, sorted: the serialized order of the bulk
-    // checksum pre-exchange.
-    sorted: Vec<PageDigest>,
     // Digest → first (smallest) offset carrying it; any copy of the
     // content serves a restore equally well.
-    first: DigestMap<PageIndex>,
+    pub(crate) first: DigestMap<PageIndex>,
     total_pages: u64,
 }
 
 impl ChecksumIndex {
-    /// Builds the index from borrowed per-page digests in page order:
-    /// one copy of the list (the sorted array) and the map.
+    /// Builds the index from borrowed per-page digests in page order.
     pub fn from_pages(pages: &[PageDigest]) -> Self {
+        Self::with_wire_order(pages).0
+    }
+
+    /// [`ChecksumIndex::from_pages`], with its distinct digests sorted:
+    /// the bulk exchange's wire order, and what sizes the map exactly.
+    pub fn with_wire_order(pages: &[PageDigest]) -> (Self, Vec<PageDigest>) {
         let mut sorted = pages.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut first = DigestMap::with_capacity_and_hasher(sorted.len(), Default::default());
-        for (i, &d) in pages.iter().enumerate() {
-            first.entry(d).or_insert(PageIndex::new(i as u64));
+        let mut index = Self::with_capacity(sorted.len());
+        for &d in pages {
+            index.push(d);
         }
+        (index, sorted)
+    }
+
+    /// An empty index with room for `distinct` digests.
+    pub fn with_capacity(distinct: usize) -> Self {
         ChecksumIndex {
-            sorted,
-            first,
-            total_pages: pages.len() as u64,
+            first: DigestMap::with_capacity_and_hasher(distinct, Default::default()),
+            total_pages: 0,
         }
     }
 
-    /// Builds the index from a list that must already be strictly
-    /// ascending — a bulk exchange as its receiver got it. The list
-    /// becomes the sorted array as it is, with no copy and no sort; the
-    /// result is what [`ChecksumIndex::from_pages`] makes of the same list.
-    ///
-    /// # Errors
-    ///
-    /// `Err(at)` when digests `at` and `at + 1` are not strictly
-    /// ascending.
-    pub fn from_sorted(sorted: Vec<PageDigest>) -> Result<Self, usize> {
-        if let Some(at) = sorted.windows(2).position(|w| w[0] >= w[1]) {
-            return Err(at);
-        }
-        let mut first = DigestMap::with_capacity_and_hasher(sorted.len(), Default::default());
-        first.extend((sorted.iter().enumerate()).map(|(i, &d)| (d, PageIndex::new(i as u64))));
-        Ok(ChecksumIndex {
-            total_pages: sorted.len() as u64,
-            sorted,
-            first,
-        })
+    /// Appends the next page: `digest` at the next offset, unless an
+    /// earlier page already carries it.
+    #[inline]
+    pub fn push(&mut self, digest: PageDigest) {
+        self.first
+            .entry(digest)
+            .or_insert(PageIndex::new(self.total_pages));
+        self.total_pages += 1;
     }
 
     /// Number of pages the underlying checkpoint holds (with duplicates).
@@ -93,17 +86,11 @@ impl ChecksumIndex {
         self.total_pages
     }
 
-    /// All indexed digests in sorted order — what the destination sends
-    /// to the source in the bulk checksum pre-exchange (§3.2).
-    pub fn sorted(&self) -> &[PageDigest] {
-        &self.sorted
-    }
-
     /// Wire size of the bulk checksum exchange: 16 bytes per distinct
     /// digest (the paper estimates 16 MiB for a 4 GiB VM with unique
     /// pages).
     pub fn wire_size(&self) -> vecycle_types::Bytes {
-        vecycle_types::Bytes::new(self.sorted.len() as u64 * 16)
+        vecycle_types::Bytes::new(self.first.len() as u64 * 16)
     }
 
     /// True if any page with this digest exists in the checkpoint.
@@ -119,7 +106,7 @@ impl ChecksumIndex {
 
     /// Number of distinct digests indexed.
     pub fn distinct(&self) -> usize {
-        self.sorted.len()
+        self.first.len()
     }
 }
 
@@ -139,39 +126,6 @@ mod tests {
         assert_eq!(index.lookup(d(3)), Some(PageIndex::new(1)));
         assert_eq!(index.lookup(d(5)), Some(PageIndex::new(0)));
         assert!(!index.contains(d(42)));
-    }
-
-    #[test]
-    fn digests_are_sorted() {
-        let index = ChecksumIndex::from_pages(&[d(9), d(2), d(7)]);
-        assert!(index.sorted().windows(2).all(|w| w[0] < w[1]));
-    }
-
-    /// Sorted input makes the same index either way: the same sorted
-    /// array, offsets, distinct count and page total.
-    #[test]
-    fn from_sorted_builds_what_from_pages_builds() {
-        let mut digests: Vec<_> = (0..1_000).map(|i| d(i * 7 + 1)).collect();
-        digests.sort_unstable();
-        let (built, adopted) = (
-            ChecksumIndex::from_pages(&digests),
-            ChecksumIndex::from_sorted(digests.clone()).expect("sorted and distinct"),
-        );
-        assert_eq!(adopted.sorted(), built.sorted());
-        assert_eq!(adopted.total_pages(), built.total_pages());
-        for &digest in &digests {
-            assert_eq!(adopted.lookup(digest), built.lookup(digest));
-        }
-        assert!(!adopted.contains(d(0)));
-        digests.swap(3, 4);
-        assert_eq!(ChecksumIndex::from_sorted(digests.clone()).err(), Some(3));
-        digests.swap(3, 4);
-        digests[5] = digests[4];
-        assert_eq!(
-            ChecksumIndex::from_sorted(digests).err(),
-            Some(4),
-            "a duplicate"
-        );
     }
 
     #[test]
@@ -225,10 +179,10 @@ mod tests {
             assert_eq!(index.lookup(digest), by_scan, "probe {probe}");
             assert_eq!(index.contains(digest), by_scan.is_some(), "probe {probe}");
         }
-        let mut distinct = pages;
+        let mut distinct = pages.clone();
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(index.distinct(), distinct.len());
-        assert_eq!(index.sorted(), distinct);
+        assert_eq!(ChecksumIndex::with_wire_order(&pages).1, distinct);
     }
 }

@@ -11,11 +11,11 @@
 //! The session opens in one flight each way. HELLO‖JOB arrive
 //! together; a wrong magic, version or role is refused with ERR before
 //! the JOB is read. HELLO_ACK means "accepted": it goes out once the job
-//! validated, our state is built and the host is claimed, in one write
-//! with the bulk exchange when we offer one ([`scenario::offer`]: a
-//! vecycle job's checkpoint, and at a retry epoch the pages earlier
-//! epochs landed). DONE is our content hash; a mismatch with COMPLETE's
-//! fails our session after DONE is sent, and the source's on receipt.
+//! validated, our state is built and the host is claimed, through one
+//! 64 KiB chunk with any bulk exchange ([`accept`]; [`scenario::offer`]:
+//! a vecycle job's checkpoint, at a retry epoch the landed pages). DONE
+//! is our content hash; a mismatch with COMPLETE's fails our session
+//! after DONE is sent, and the source's on receipt.
 //!
 //! Every byte of the session — HELLO to COMPLETE — is read through the
 //! connection's one [`SessionStream`], so [`receive_stream`] costs a
@@ -50,7 +50,7 @@ use vecycle_obs::Counter;
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{HostId, PageDigest, VmId};
 
-use crate::endpoint::{SessionStream, Stream};
+use crate::endpoint::{SessionStream, Stream, SESSION_BUF};
 use crate::frame::{frame_cost, kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
 use crate::partial_log::PartialLog;
 use crate::proto::{self, expect_kind, JobMsg, ROLE_DEST, ROLE_SOURCE};
@@ -105,21 +105,11 @@ pub(crate) fn session(
     // A retry epoch recycles whatever earlier epochs landed; the index
     // over it (and, for a vecycle job, the checkpoint) is the exchange.
     let retry = (job.resume > 0).then(|| recover(state, &spec, key));
-    let index = scenario::offer(&spec, &initial, retry.as_ref().map(|(p, _)| p));
-
-    // One flight back: HELLO_ACK (the job is accepted) and the bulk
-    // exchange, encoded straight from the index, into a buffer sized for
-    // exactly that.
-    let bulk = index
-        .as_ref()
-        .map_or(0, |ix| wire::bulk_exchange(ix.distinct() as u64).as_u64());
-    let mut reply = Vec::with_capacity((frame_cost(proto::HELLO_LEN) + bulk) as usize);
-    let ack = proto::hello_payload(proto::VERSION, ROLE_DEST);
-    write_frame(&mut reply, kind::HELLO_ACK, &ack)?;
-    if let Some(ix) = &index {
-        wiremsg::encode_bulk_exchange(ix.sorted(), &mut reply);
-    }
-    let sent = s.write_all(&reply).and_then(|()| s.flush());
+    let landed = retry.as_ref().map(|(p, _)| p);
+    let (index, wire_order) = scenario::offer(&spec, &initial, landed).unzip();
+    let sent = accept(s, wire_order.as_deref());
+    // The sorted list is the reply's alone; the stream probes the map.
+    drop(wire_order);
 
     let (partial, log, sent) = match retry {
         Some((partial, log)) => (Some(partial), log, sent),
@@ -181,6 +171,26 @@ pub(crate) fn session(
         ));
     }
     Ok(key.0)
+}
+
+/// Accepts the job: writes HELLO_ACK and the bulk exchange of
+/// `wire_order`, if we offer one, through one chunk of at most
+/// [`SESSION_BUF`] (64 KiB), and flushes.
+///
+/// # Errors
+///
+/// The first error writing to `w`.
+pub fn accept<W: Write>(w: &mut W, wire_order: Option<&[PageDigest]>) -> std::io::Result<()> {
+    let bulk = wire_order.map_or(0, |d| wire::bulk_exchange(d.len() as u64).as_u64());
+    let reply = (frame_cost(proto::HELLO_LEN) + bulk) as usize;
+    let mut chunk = Vec::with_capacity(reply.min(SESSION_BUF));
+    let ack = proto::hello_payload(proto::VERSION, ROLE_DEST);
+    write_frame(&mut chunk, kind::HELLO_ACK, &ack)?;
+    if let Some(digests) = wire_order {
+        wiremsg::write_bulk_exchange(digests, &mut chunk, w)?;
+    }
+    w.write_all(&chunk)?;
+    w.flush()
 }
 
 /// What earlier epochs of job `key` landed here, and the log to keep

@@ -173,7 +173,7 @@ impl Stream {
     /// # Errors
     ///
     /// Propagates the underlying setter's error.
-    pub fn set_write_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
+    pub(crate) fn set_write_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_write_timeout(t),
             Stream::Unix(s) => s.set_write_timeout(t),

@@ -50,7 +50,7 @@ pub struct Frame {
 }
 
 /// The wire cost of a frame with a `payload_len`-byte payload.
-pub fn frame_cost(payload_len: u64) -> u64 {
+pub(crate) fn frame_cost(payload_len: u64) -> u64 {
     HEADER + payload_len
 }
 
@@ -100,7 +100,7 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: u64) -> Result<Frame, DaemonE
 
 /// Sends an [`kind::ERR`] frame carrying `msg`; best-effort (a peer
 /// that already vanished is not an additional error).
-pub fn send_err<W: Write>(w: &mut W, msg: &str) {
+pub(crate) fn send_err<W: Write>(w: &mut W, msg: &str) {
     let _ = write_frame(w, kind::ERR, msg.as_bytes());
     let _ = w.flush();
 }

@@ -61,9 +61,9 @@ pub mod session_state;
 mod source;
 mod sync;
 
-pub use dest::{receive_stream, Persist};
+pub use dest::{accept, receive_stream, Persist};
 pub use endpoint::Endpoint;
 pub use error::DaemonError;
 pub use queue::{JobState, Measured};
 pub use server::{Daemon, DaemonConfig, DaemonHandle};
-pub use source::SocketSink;
+pub use source::{receive_exchange, SocketSink};

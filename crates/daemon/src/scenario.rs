@@ -37,7 +37,7 @@ pub fn initial_memory(spec: &ScenarioSpec) -> vecycle_types::Result<DigestMemory
 }
 
 /// The link model a scenario runs over.
-pub fn link_for(spec: &ScenarioSpec) -> LinkSpec {
+fn link_for(spec: &ScenarioSpec) -> LinkSpec {
     match spec.link.as_str() {
         "wan" => LinkSpec::wan_cloudnet(),
         _ => LinkSpec::lan_gigabit(),
@@ -69,23 +69,26 @@ pub fn live_guest(
     Ok((guest, workload))
 }
 
-/// The checksum index a destination offers in the bulk exchange. A
-/// fresh epoch offers its checkpoint's for a vecycle job and nothing
-/// otherwise (no other stream carries checksum messages). A retry epoch
-/// offers the pages earlier epochs landed, `partial` — unioned with the
-/// checkpoint for a vecycle job — whatever the job's strategy: a retry
-/// is a recycle, the two calls the in-process session's retry makes.
+/// The checksum index a destination offers in the bulk exchange, and its
+/// wire order. A fresh epoch offers its checkpoint's for a vecycle job
+/// and nothing otherwise (no other stream carries checksum messages). A
+/// retry epoch offers the pages earlier epochs landed, `partial` —
+/// unioned with the checkpoint for a vecycle job — whatever the job's
+/// strategy: a retry is a recycle, the index the in-process retry builds.
 pub fn offer(
     spec: &ScenarioSpec,
     initial: &DigestMemory,
     partial: Option<&PartialCheckpoint>,
-) -> Option<ChecksumIndex> {
+) -> Option<(ChecksumIndex, Vec<PageDigest>)> {
     let vecycle = spec.strategy == "vecycle";
-    match partial {
-        None => vecycle.then(|| ChecksumIndex::from_pages(initial.as_slice())),
-        Some(p) if vecycle => Some(p.build_index_with(initial.as_slice())),
-        Some(p) => Some(p.build_index()),
+    let Some(partial) = partial else {
+        return vecycle.then(|| ChecksumIndex::with_wire_order(initial.as_slice()));
+    };
+    let mut pages = partial.digests();
+    if vecycle {
+        pages.extend_from_slice(initial.as_slice());
     }
+    Some(ChecksumIndex::with_wire_order(&pages))
 }
 
 /// Builds the source strategy from the index the destination offered:
@@ -181,7 +184,7 @@ pub fn reference_run_over(
 ) -> Result<ReferenceRun, DaemonError> {
     spec.validate().map_err(DaemonError::from)?;
     let initial = initial_memory(spec)?;
-    let strategy = wire_strategy(spec, offer(spec, &initial, Some(partial)))?;
+    let strategy = wire_strategy(spec, offer(spec, &initial, Some(partial)).map(|o| o.0))?;
     run(spec, &initial, strategy)
 }
 
@@ -217,9 +220,8 @@ mod tests {
         let spec = ScenarioSpec::golden(0x7ec);
         let initial = initial_memory(&spec).unwrap();
         let cp = Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial);
-        let wire_digests = cp.build_index().sorted().to_vec();
-        let strategy =
-            wire_strategy(&spec, Some(ChecksumIndex::from_pages(&wire_digests))).unwrap();
+        let wire_order = ChecksumIndex::with_wire_order(cp.digest_table()).1;
+        let strategy = wire_strategy(&spec, Some(ChecksumIndex::from_pages(&wire_order))).unwrap();
         let (mut guest, mut workload) = live_guest(&spec, &initial).unwrap();
         let report = engine_for(&spec)
             .migrate_live(&mut guest, &mut workload, strategy)

@@ -19,8 +19,8 @@
 //! frames are small buffers of their own.) Inbound, the session's one
 //! [`SessionStream`], through which every reply frame and the bulk
 //! checksum exchange are read (the exchange in 16 KiB steps, not one
-//! `read` per digest). The validated exchange becomes the index as it
-//! is: no copy, no sort.
+//! `read` per digest), straight into the probe map, with no list of the
+//! digests held ([`receive_exchange`]).
 //!
 //! The session opens in one flight each way: HELLO‖JOB out, then the
 //! guest is built while the destination builds its own state; back
@@ -37,12 +37,12 @@
 //! checksum. Nothing is replayed or skipped, so every epoch reconciles
 //! as `tx = source_traffic + overheads`.
 
-use std::io::Write;
+use std::io::{Read, Write};
 
 use vecycle_checkpoint::ChecksumIndex;
 use vecycle_core::{LiveOutcome, MsgSink, PageMsg};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
-use vecycle_net::{wire, WireMsg};
+use vecycle_net::{wire, wiremsg, WireMsg};
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{Bytes, PageDigest};
 
@@ -144,33 +144,9 @@ pub(crate) fn run_job(
     }
 
     // The bulk exchange follows for a vecycle job and for every retry.
-    let index = if spec.strategy == "vecycle" || epoch > 0 {
-        let WireMsg::BulkExchange { digests } = WireMsg::read_from(&mut s)? else {
-            return Err(DaemonError::Protocol(
-                "expected the bulk checksum exchange".into(),
-            ));
-        };
-        // The wire form is the sorted, distinct digest list: at most one
-        // digest per page, or on a retry one per landed page besides,
-        // and it becomes the index as it is.
-        let bound = spec.pages() * if epoch > 0 { 2 } else { 1 };
-        if digests.len() as u64 > bound {
-            return Err(DaemonError::Corrupt(format!(
-                "bulk exchange carried {} digests for {} pages",
-                digests.len(),
-                spec.pages()
-            )));
-        }
-        let index = ChecksumIndex::from_sorted(digests).map_err(|at| {
-            DaemonError::Corrupt(format!(
-                "bulk exchange digests {at} and {} are not strictly ascending",
-                at + 1
-            ))
-        })?;
-        Some(index)
-    } else {
-        None
-    };
+    let index = (spec.strategy == "vecycle" || epoch > 0)
+        .then(|| receive_exchange(&mut s, spec, epoch))
+        .transpose()?;
     // The guest holds its own copy: the stream runs without a spare
     // guest-sized table.
     drop(initial);
@@ -240,6 +216,45 @@ pub(crate) fn run_job(
         });
     }
     Ok((report, measured))
+}
+
+/// Reads the bulk exchange into the source's probe map as it arrives:
+/// its count is bounded (a digest a page, two on a retry) before the map
+/// is sized, and it must be the sorted, distinct list.
+///
+/// # Errors
+///
+/// [`DaemonError::Io`] on a short read; [`DaemonError::Corrupt`] on
+/// another message, a count past the bound or a digest out of order.
+pub fn receive_exchange<R: Read>(
+    r: &mut R,
+    spec: &ScenarioSpec,
+    epoch: u64,
+) -> Result<ChecksumIndex, DaemonError> {
+    let pages = spec.pages();
+    let bound = pages * if epoch > 0 { 2 } else { 1 };
+    let corrupt = |detail| vecycle_types::Error::Corrupt { detail };
+    let mut last = None;
+    let admit = |count: usize| {
+        if count as u64 > bound {
+            return Err(corrupt(format!(
+                "bulk exchange carried {count} digests for {pages} pages"
+            )));
+        }
+        Ok(ChecksumIndex::with_capacity(count))
+    };
+    Ok(wiremsg::read_bulk_exchange(r, admit, |index, digest| {
+        if last.is_some_and(|last| last >= digest) {
+            let at = index.total_pages() - 1;
+            return Err(corrupt(format!(
+                "bulk exchange digests {at} and {} are not strictly ascending",
+                at + 1
+            )));
+        }
+        last = Some(digest);
+        index.push(digest);
+        Ok(())
+    })?)
 }
 
 /// The daemon's [`MsgSink`]: encodes each engine message into its

@@ -164,7 +164,9 @@ pub fn all_targets() -> Vec<Target> {
             dict: WIRE_DICT,
             post: None,
             run: |input| drain_slice(input, next_wire_msg).class(),
-            differential: Some(|input| readers_agree(input, next_wire_msg)),
+            differential: Some(|input| {
+                readers_agree(input, next_wire_msg).and_then(|()| streamed_agrees(input))
+            }),
             max_len: 8192,
         },
         Target {
@@ -1175,6 +1177,48 @@ fn readers_agree<T: PartialEq + std::fmt::Debug>(
     Ok(())
 }
 
+/// The streamed exchange reader against the whole-message one: at every
+/// message start `read_from` reaches where a bulk exchange begins, or
+/// the input ends inside a header, [`wiremsg::read_bulk_exchange`] reads
+/// the same digests, or fails with the same detail after the same bytes.
+fn streamed_agrees(input: &[u8]) -> Result<(), String> {
+    let mut rest = input;
+    loop {
+        let (mut whole, mut streamed) = (rest, rest);
+        let decoded = WireMsg::read_from(&mut whole);
+        if rest.len() < wiremsg::HEADER || rest[8] == wiremsg::kind::BULK_EXCHANGE {
+            let want = match &decoded {
+                Ok(WireMsg::BulkExchange { digests }) => Ok(digests.clone()),
+                Ok(other) => return Err(format!("a bulk-exchange header decoded as {other:?}")),
+                Err(e) => Err(e.to_string()),
+            };
+            let got = wiremsg::read_bulk_exchange(
+                &mut streamed,
+                |_| Ok(Vec::new()),
+                |digests, d| {
+                    digests.push(d);
+                    Ok(())
+                },
+            )
+            .map_err(|e| e.to_string());
+            if (&got, streamed.len()) != (&want, whole.len()) {
+                return Err(format!(
+                    "at byte {}: streamed {:?} with {} bytes left, read_from {:?} with {}",
+                    input.len() - rest.len(),
+                    got.as_ref().map(Vec::len),
+                    streamed.len(),
+                    want.as_ref().map(Vec::len),
+                    whole.len(),
+                ));
+            }
+        }
+        match decoded {
+            Ok(_) => rest = whole,
+            Err(_) => return Ok(()),
+        }
+    }
+}
+
 fn next_wire_msg(mut r: &mut dyn Read) -> Result<WireMsg, &'static str> {
     WireMsg::read_from(&mut r).map_err(wire_class)
 }
@@ -1242,6 +1286,9 @@ mod tests {
         *unfilled.last_mut().expect("a full page") ^= 1;
         assert_eq!(drain_slice(&unfilled, next_wire_msg).class(), "err_filler");
         readers_agree(&unfilled, next_wire_msg).expect("readers agree on the verdict");
+        for seed in &wire {
+            streamed_agrees(seed).expect("the streamed reader agrees on a seed");
+        }
         let short_bulk = wire.last().expect("short-body seed");
         assert_eq!(
             drain_slice(short_bulk, next_wire_msg).class(),

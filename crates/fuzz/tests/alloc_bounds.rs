@@ -3,18 +3,19 @@
 //! reader, a whole ping-pong leg, a fleet run, the metrics registry and
 //! the daemon's data plane ask the allocator for.
 
-use vecycle_checkpoint::{Checkpoint, ChecksumIndex, DiskStore};
+use vecycle_checkpoint::{Checkpoint, DiskStore};
 use vecycle_core::{apply_transcript, MigrationEngine, Strategy};
 use vecycle_daemon::endpoint::{SessionStream, SESSION_BUF};
+use vecycle_daemon::frame::{kind, write_frame};
 use vecycle_daemon::session_state::SessionState;
-use vecycle_daemon::{receive_stream, scenario, SocketSink};
+use vecycle_daemon::{accept, proto, receive_exchange, receive_stream, scenario, SocketSink};
 use vecycle_faults::KillSwitch;
 use vecycle_fleet::{Fleet, FleetSpec, PlacementMode};
 use vecycle_fuzz::{alloc_budget, AllocMeter, AllocStats, CountingAlloc};
 use vecycle_hash::ChecksumAlgorithm;
 use vecycle_mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload};
 use vecycle_mem::{ByteMemory, DigestMemory, Guest};
-use vecycle_net::{wire, LinkSpec};
+use vecycle_net::{wire, LinkSpec, WireMsg};
 use vecycle_obs::{layouts, MetricsRegistry};
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{PageCount, PageDigest, SimDuration, SimTime, VmId, PAGE_SIZE};
@@ -289,18 +290,58 @@ fn a_cold_full_job_allocates_nothing_per_page() {
     );
 }
 
-/// The source adopts the bulk exchange it validated as its index: a
-/// 32 768-digest exchange costs the probe map and no second digest list.
+/// The source reads the bulk exchange straight into its probe map: a
+/// streamed 32 768-digest exchange costs the map alone, one request of a
+/// slot per digest, and no list of the digests.
 #[test]
-fn the_source_index_adopts_the_exchange_list() {
-    let digests: Vec<PageDigest> = (1..=32_768).map(PageDigest::from_content_id).collect();
-    let mut sorted = digests.clone();
-    sorted.sort_unstable();
-    let (index, stats) = metered(|| ChecksumIndex::from_sorted(sorted).unwrap());
-    assert_eq!(index.sorted().len(), digests.len());
+fn a_streamed_exchange_costs_the_source_its_probe_map_alone() {
+    let mut wire_order: Vec<PageDigest> = (1..=32_768).map(PageDigest::from_content_id).collect();
+    wire_order.sort_unstable();
+    let mut exchange = Vec::new();
+    WireMsg::BulkExchange {
+        digests: wire_order.clone(),
+    }
+    .encode(&mut exchange);
+    let mut spec = ScenarioSpec::golden(1);
+    spec.ram_mib = 128;
+    let (index, stats) = metered(|| receive_exchange(&mut exchange.as_slice(), &spec, 0).unwrap());
+    assert_eq!(index.distinct(), wire_order.len());
+    assert!(wire_order.iter().all(|&d| index.contains(d)));
     assert_eq!(stats.calls, 1, "the map alone: {stats:?}");
     assert!(
         stats.requested >= 32_768 * 24,
         "a slot per digest: {stats:?}"
     );
+}
+
+/// The destination accepts a warm job through one chunk: HELLO_ACK and
+/// an exchange of several hundred KiB go out through one buffer of at
+/// most 64 KiB, byte for byte what a whole-message encode makes; a job
+/// with no exchange allocates a HELLO_ACK-sized one.
+#[test]
+fn a_warm_acceptance_goes_through_one_chunk() {
+    let mut spec = ScenarioSpec::golden(1);
+    spec.ram_mib = 128;
+    let initial = scenario::initial_memory(&spec).unwrap();
+    let (_, wire_order) = scenario::offer(&spec, &initial, None).unwrap();
+    let ack = proto::hello_payload(proto::VERSION, proto::ROLE_DEST);
+    let mut whole = Vec::new();
+    write_frame(&mut whole, kind::HELLO_ACK, &ack).unwrap();
+    let hello_ack = whole.len() as u64;
+    WireMsg::BulkExchange {
+        digests: wire_order.clone(),
+    }
+    .encode(&mut whole);
+    assert!(whole.len() > 8 * SESSION_BUF, "{} bytes", whole.len());
+
+    let mut sent = Vec::with_capacity(whole.len());
+    let ((), stats) = metered(|| accept(&mut sent, Some(&wire_order)).unwrap());
+    assert_eq!(sent, whole);
+    assert_eq!(stats.largest, SESSION_BUF as u64, "{stats:?}");
+    assert_eq!(stats.requested, SESSION_BUF as u64 + hello_ack, "{stats:?}");
+
+    sent.clear();
+    let ((), stats) = metered(|| accept(&mut sent, None).unwrap());
+    assert_eq!(sent, whole[..hello_ack as usize]);
+    assert_eq!(stats.requested, 2 * hello_ack, "{stats:?}");
 }

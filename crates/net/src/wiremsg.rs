@@ -20,7 +20,8 @@
 //! ("sending the checksum along with the full page", §3.2):
 //! [`WireMsg::encode`] writes them and [`WireMsg::read_from`] refuses a
 //! page that is not them. A decoded `Full` is therefore already checked,
-//! and no message holds page bytes at either end.
+//! and no message holds page bytes at either end. A bulk exchange can
+//! stream through one chunk ([`write_bulk_exchange`], [`read_bulk_exchange`]).
 
 use vecycle_types::{Bytes, Error, PageDigest, PAGE_SIZE};
 
@@ -122,6 +123,7 @@ impl WireMsg {
     /// construction bug, not a runtime condition (validate page counts
     /// upstream).
     pub fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len().as_u64() as usize);
         match self {
             WireMsg::Full { idx, digest } => {
                 put_header(out, *idx, kind::FULL, FULL_PAYLOAD);
@@ -148,7 +150,9 @@ impl WireMsg {
             }
             WireMsg::RoundEnd { round } => put_header(out, *round, kind::ROUND_END, 0),
             WireMsg::StopEnd => put_header(out, 0, kind::STOP_END, 0),
-            WireMsg::BulkExchange { digests } => encode_bulk_exchange(digests, out),
+            WireMsg::BulkExchange { digests } => {
+                write_bulk_exchange(digests, out, &mut std::io::sink()).expect("reserved");
+            }
         }
     }
 
@@ -165,14 +169,7 @@ impl WireMsg {
     /// and for those no more than a small multiple of the payload bytes
     /// that actually arrived.
     pub fn read_from<R: std::io::Read>(r: &mut R) -> vecycle_types::Result<WireMsg> {
-        // One 12-byte read: split into an 8- and a 4-byte read, the
-        // header costs a second buffered-read call per message, which
-        // measured slower on a warm stream than the load it saves.
-        let mut header = [0u8; HEADER];
-        r.read_exact(&mut header)?;
-        let field = u64::from_be_bytes(header[0..8].try_into().expect("8 bytes"));
-        let kind = header[8];
-        let len = u32::from_be_bytes([0, header[9], header[10], header[11]]) as usize;
+        let (field, kind, len) = read_header(r)?;
         let expect = |want: usize, what: &str| -> vecycle_types::Result<()> {
             if len != want {
                 return Err(Error::Corrupt {
@@ -224,20 +221,11 @@ impl WireMsg {
                 Ok(WireMsg::StopEnd)
             }
             kind::BULK_EXCHANGE => {
-                // The declared count is peer-controlled: checked
-                // multiply, and the length-field equality bounds it by
-                // the 16 MiB payload cap before `read_digests` sizes
-                // anything.
-                let need = field.checked_mul(16).ok_or_else(|| Error::Corrupt {
-                    detail: format!("bulk-exchange count {field} overflows payload size"),
+                let first = |count: usize| Ok(Vec::with_capacity(count.min(BULK_CHUNK)));
+                let digests = read_bulk_payload(r, field, len, first, |digests, d| {
+                    push_arrived(digests, field as usize, d);
+                    Ok(())
                 })?;
-                if need != len as u64 {
-                    return Err(Error::Corrupt {
-                        detail: format!("bulk-exchange payload length {len} != 16 x count {field}"),
-                    });
-                }
-                let mut digests = Vec::new();
-                read_digests(r, field as usize, &mut digests)?;
                 Ok(WireMsg::BulkExchange { digests })
             }
             other => Err(Error::Corrupt {
@@ -247,28 +235,51 @@ impl WireMsg {
     }
 }
 
-/// Appends a bulk exchange of `digests` — what
-/// `WireMsg::BulkExchange { digests }.encode(out)` appends, from a
-/// borrowed list.
+/// Appends a bulk exchange of `digests` to `chunk`, writing `chunk` out
+/// to `w` whenever the next digest would pass its capacity; the tail
+/// left in `chunk` is the caller's to write.
+///
+/// # Errors
+///
+/// The first error writing to `w`.
 ///
 /// # Panics
 ///
 /// Panics if the payload exceeds [`MAX_PAYLOAD`].
-pub fn encode_bulk_exchange(digests: &[PageDigest], out: &mut Vec<u8>) {
+pub fn write_bulk_exchange<W: std::io::Write>(
+    digests: &[PageDigest],
+    chunk: &mut Vec<u8>,
+    w: &mut W,
+) -> std::io::Result<()> {
     let len = digests.len() * PageDigest::LEN;
     assert!(len <= MAX_PAYLOAD, "bulk exchange exceeds length field");
-    put_header(out, digests.len() as u64, kind::BULK_EXCHANGE, len);
+    put_header(chunk, digests.len() as u64, kind::BULK_EXCHANGE, len);
     for d in digests {
-        out.extend_from_slice(d.as_bytes());
+        if chunk.len() + PageDigest::LEN > chunk.capacity() {
+            w.write_all(chunk)?;
+            chunk.clear();
+        }
+        chunk.extend_from_slice(d.as_bytes());
     }
+    Ok(())
 }
 
-/// Appends a header and reserves room for its `len`-byte payload.
+/// Appends a message header.
 fn put_header(out: &mut Vec<u8>, field: u64, kind: u8, len: usize) {
-    out.reserve(HEADER + len);
     out.extend_from_slice(&field.to_be_bytes());
     out.push(kind);
     out.extend_from_slice(&(len as u32).to_be_bytes()[1..]);
+}
+
+/// Reads a message header — field, kind, payload length — in one read:
+/// two cost a second buffered-read call, slower on a warm stream.
+#[inline]
+fn read_header<R: std::io::Read>(r: &mut R) -> std::io::Result<(u64, u8, usize)> {
+    let mut h = [0u8; HEADER];
+    r.read_exact(&mut h)?;
+    let field = u64::from_be_bytes(h[..8].try_into().expect("8 bytes"));
+    let len = u32::from_be_bytes([0, h[9], h[10], h[11]]) as usize;
+    Ok((field, h[8], len))
 }
 
 /// Reads the payload of page `idx`'s `Full` and refuses it unless the
@@ -298,33 +309,68 @@ fn is_filler(payload: &[u8; FULL_PAYLOAD]) -> bool {
 /// Digests per bounded read of a bulk-exchange payload (16 KiB).
 const BULK_CHUNK: usize = 1024;
 
-/// Appends `count` digests to the empty `digests`, one bounded read per
-/// [`BULK_CHUNK`]. The vector is sized by what has *arrived*, not by
-/// what the header declared: it starts at one chunk and grows to at
-/// most four times the digests already read, capped at `count`, so a
-/// header declaring 16 MiB over a short body costs one chunk and an
-/// honest payload is never held twice.
-fn read_digests<R: std::io::Read>(
+/// Reads a bulk exchange as it arrives: `admit` makes the sink from the
+/// header's checked count (or refuses it) before any payload byte is
+/// read, and `push` hands the sink each digest in wire order.
+///
+/// # Errors
+///
+/// [`WireMsg::read_from`]'s for the message, a message of another kind,
+/// and the first error of `admit` or `push`.
+pub fn read_bulk_exchange<R: std::io::Read, T>(
     r: &mut R,
-    count: usize,
-    digests: &mut Vec<PageDigest>,
-) -> std::io::Result<()> {
-    digests.reserve_exact(count.min(BULK_CHUNK));
-    let mut chunk = [0u8; BULK_CHUNK * PageDigest::LEN];
-    while digests.len() < count {
-        let n = (count - digests.len()).min(BULK_CHUNK);
-        let bytes = &mut chunk[..n * PageDigest::LEN];
-        r.read_exact(bytes)?;
-        if digests.len() == digests.capacity() {
-            digests.reserve_exact((digests.len() * 3).min(count - digests.len()));
-        }
-        digests.extend(
-            bytes
-                .chunks_exact(PageDigest::LEN)
-                .map(|d| PageDigest::new(d.try_into().expect("16-byte chunk"))),
-        );
+    admit: impl FnOnce(usize) -> vecycle_types::Result<T>,
+    push: impl FnMut(&mut T, PageDigest) -> vecycle_types::Result<()>,
+) -> vecycle_types::Result<T> {
+    let (field, kind, len) = read_header(r)?;
+    if kind != kind::BULK_EXCHANGE {
+        return Err(Error::Corrupt {
+            detail: format!("expected the bulk checksum exchange, got wire message kind {kind}"),
+        });
     }
-    Ok(())
+    read_bulk_payload(r, field, len, admit, push)
+}
+
+/// Appends `d` to a list of `count` digests begun at one chunk, growing
+/// it by what has *arrived*: once full, to at most four times the
+/// digests read, capped at `count`. A header declaring 16 MiB over a
+/// short body costs one chunk; an honest payload is never held twice.
+fn push_arrived(digests: &mut Vec<PageDigest>, count: usize, d: PageDigest) {
+    if digests.len() == digests.capacity() {
+        digests.reserve_exact((digests.len() * 3).min(count - digests.len()));
+    }
+    digests.push(d);
+}
+
+/// The one bulk-payload loop. The header's count `field` is checked
+/// against its payload length `len`, which caps it at 16 MiB, before
+/// `admit` sizes anything; then one stack chunk per [`BULK_CHUNK`].
+fn read_bulk_payload<R: std::io::Read, T>(
+    r: &mut R,
+    field: u64,
+    len: usize,
+    admit: impl FnOnce(usize) -> vecycle_types::Result<T>,
+    mut push: impl FnMut(&mut T, PageDigest) -> vecycle_types::Result<()>,
+) -> vecycle_types::Result<T> {
+    let need = field.checked_mul(16).ok_or_else(|| Error::Corrupt {
+        detail: format!("bulk-exchange count {field} overflows payload size"),
+    })?;
+    if need != len as u64 {
+        return Err(Error::Corrupt {
+            detail: format!("bulk-exchange payload length {len} != 16 x count {field}"),
+        });
+    }
+    let count = field as usize;
+    let mut into = admit(count)?;
+    let mut chunk = [0u8; BULK_CHUNK * PageDigest::LEN];
+    for at in (0..count).step_by(BULK_CHUNK) {
+        let bytes = &mut chunk[..(count - at).min(BULK_CHUNK) * PageDigest::LEN];
+        r.read_exact(bytes)?;
+        for d in bytes.chunks_exact(PageDigest::LEN) {
+            push(&mut into, PageDigest::new(d.try_into().expect("16 bytes")))?;
+        }
+    }
+    Ok(into)
 }
 
 #[cfg(test)]
@@ -463,6 +509,10 @@ mod tests {
             WireMsg::read_from(&mut &buf[..]),
             Err(Error::Corrupt { .. })
         ));
+        // The streamed reader refuses another kind of message.
+        buf[8] = kind::STOP_END;
+        let err = read_bulk_exchange(&mut &buf[..], |_| Ok(()), |_, _| Ok(())).unwrap_err();
+        assert!(err.to_string().contains("got wire message kind 6"), "{err}");
     }
 
     /// A reader that hands out one byte per `read` call — the worst
@@ -535,9 +585,16 @@ mod tests {
 
             // The growth rule: capacity stays within one chunk or 4x
             // the digests already read, whatever the header says.
-            let mut digests = Vec::new();
+            let mut digests = Vec::with_capacity(BULK_CHUNK);
             let body = &buf[HEADER..];
-            assert!(read_digests(&mut &body[..], count as usize, &mut digests).is_err());
+            let all = count as usize;
+            let push = |v: &mut &mut Vec<PageDigest>, d| {
+                push_arrived(v, all, d);
+                Ok(())
+            };
+            let read =
+                read_bulk_payload(&mut &body[..], count, all * 16, |_| Ok(&mut digests), push);
+            assert!(read.is_err());
             assert_eq!(digests.len(), body.len() / 16 / BULK_CHUNK * BULK_CHUNK);
             assert!(
                 digests.capacity() <= (4 * digests.len()).max(BULK_CHUNK),

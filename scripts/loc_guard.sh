@@ -28,7 +28,7 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44106
+BUDGET=44223
 PUB_CEILING=1112
 DEPS_CEILING=113
 DESIGN_CEILING=1598

@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 mod common;
 
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{tcp_endpoint, unix_endpoint, Watchdog};
 use vecycle_daemon::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
@@ -23,6 +23,8 @@ use vecycle_sim::ScenarioSpec;
 use vecycle_types::PageDigest;
 
 const TEST_LIMIT: Duration = Duration::from_secs(60);
+/// The daemons' socket timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 fn spawn_daemon(unix: bool) -> DaemonHandle {
     let ep = if unix {
@@ -30,8 +32,7 @@ fn spawn_daemon(unix: bool) -> DaemonHandle {
     } else {
         tcp_endpoint()
     };
-    Daemon::spawn(DaemonConfig::new(ep).with_io_timeout(Duration::from_secs(5)))
-        .expect("daemon binds")
+    Daemon::spawn(DaemonConfig::new(ep).with_io_timeout(IO_TIMEOUT)).expect("daemon binds")
 }
 
 /// What the daemon did with one scripted opening.
@@ -365,6 +366,35 @@ fn oversized_wire_message_inside_a_session_is_rejected() {
         pages + 1
     );
     assert!(detail.contains(&bound), "failure detail: {detail}");
+}
+
+/// The source refuses an over-bound exchange from its header: a
+/// destination that declares one digest more than the guest has pages,
+/// sends only the 12-byte header and holds the socket open fails the job
+/// at once with the bound, instead of leaving the source blocked on a
+/// body that never comes until its I/O timeout.
+#[test]
+fn an_over_bound_exchange_is_refused_from_its_header() {
+    let _wd = Watchdog::arm(
+        "an_over_bound_exchange_is_refused_from_its_header",
+        TEST_LIMIT,
+    );
+    let pages = ScenarioSpec::golden(1).pages();
+    let mut header = (pages + 1).to_be_bytes().to_vec();
+    header.push(7); // BULK_EXCHANGE wire kind
+    header.extend_from_slice(&((pages + 1) as u32 * 16).to_be_bytes()[1..]);
+    let started = Instant::now();
+    let detail = job_against_exchange(header);
+    let bound = format!(
+        "corrupt payload: bulk exchange carried {} digests for {pages} pages",
+        pages + 1
+    );
+    assert!(detail.contains(&bound), "failure detail: {detail}");
+    assert!(
+        started.elapsed() < IO_TIMEOUT,
+        "refused after {:?}, not at once",
+        started.elapsed()
+    );
 }
 
 /// The bulk exchange is the sorted, distinct digest list: a duplicate or

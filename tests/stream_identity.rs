@@ -46,7 +46,7 @@ fn wire_index(spec: &ScenarioSpec) -> Option<ChecksumIndex> {
     (spec.strategy == "vecycle").then(|| {
         let initial = scenario::initial_memory(spec).expect("initial memory");
         let cp = Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial);
-        ChecksumIndex::from_pages(cp.build_index().sorted())
+        ChecksumIndex::from_pages(&ChecksumIndex::with_wire_order(cp.digest_table()).1)
     })
 }
 
