@@ -13,10 +13,10 @@ impl ChecksumIndex {
         Self::from_pages(&digests)
     }
 
-    /// The distinct digests in the bulk exchange's wire order.
+    /// The distinct digests, sorted.
     #[deprecated(note = "benchmark-only; ROADMAP item 2b deletes it")]
     pub fn digests(&self) -> impl Iterator<Item = PageDigest> + '_ {
-        let mut sorted: Vec<PageDigest> = self.first.keys().copied().collect();
+        let mut sorted: Vec<PageDigest> = self.distinct_digests().collect();
         sorted.sort_unstable();
         sorted.into_iter()
     }
@@ -59,8 +59,9 @@ mod tests {
             ChecksumIndex::build(pages.clone()),
             ChecksumIndex::from_pages(&pages),
         );
-        let wire = ChecksumIndex::with_wire_order(&pages).1;
-        assert_eq!(built.digests().collect::<Vec<_>>(), wire);
+        let mut sorted: Vec<PageDigest> = [1, 3, 5].map(PageDigest::from_content_id).into();
+        sorted.sort_unstable();
+        assert_eq!(built.digests().collect::<Vec<_>>(), sorted);
         for digest in [0, 1, 3, 5].map(PageDigest::from_content_id) {
             let lookup: &dyn PageLookup = &built;
             assert_eq!(lookup.contains(digest), live.contains(digest));

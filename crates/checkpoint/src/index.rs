@@ -1,4 +1,5 @@
-//! Checksum → page-offset indexes over a checkpoint (§3.3).
+//! Checksum → page-offset indexes over a checkpoint (§3.3), each built
+//! one way: sized for its pages, then [`ChecksumIndex::push`] per page.
 
 use vecycle_types::{DigestMap, PageDigest, PageIndex};
 
@@ -8,8 +9,8 @@ use vecycle_types::{DigestMap, PageDigest, PageIndex};
 /// §3.3: "We currently keep the checksums and their offsets in a sorted
 /// list, such that we can use binary search to quickly find the offset
 /// for a given checksum … more efficient data structures may be
-/// used." Probes go through a [`DigestMap`] instead; the sorted list is
-/// only the bulk exchange's wire order ([`ChecksumIndex::with_wire_order`]).
+/// used." The index is a [`DigestMap`] alone; the bulk exchange is its
+/// keys in map order ([`ChecksumIndex::distinct_digests`]).
 ///
 /// The destination builds one while sequentially reading the checkpoint
 /// file, then answers two queries per received message: *is this
@@ -40,33 +41,24 @@ use vecycle_types::{DigestMap, PageDigest, PageIndex};
 pub struct ChecksumIndex {
     // Digest → first (smallest) offset carrying it; any copy of the
     // content serves a restore equally well.
-    pub(crate) first: DigestMap<PageIndex>,
+    first: DigestMap<PageIndex>,
     total_pages: u64,
 }
 
 impl ChecksumIndex {
     /// Builds the index from borrowed per-page digests in page order.
     pub fn from_pages(pages: &[PageDigest]) -> Self {
-        Self::with_wire_order(pages).0
-    }
-
-    /// [`ChecksumIndex::from_pages`], with its distinct digests sorted:
-    /// the bulk exchange's wire order, and what sizes the map exactly.
-    pub fn with_wire_order(pages: &[PageDigest]) -> (Self, Vec<PageDigest>) {
-        let mut sorted = pages.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut index = Self::with_capacity(sorted.len());
+        let mut index = Self::with_capacity(pages.len());
         for &d in pages {
             index.push(d);
         }
-        (index, sorted)
+        index
     }
 
-    /// An empty index with room for `distinct` digests.
-    pub fn with_capacity(distinct: usize) -> Self {
+    /// An empty index with room for `pages` pages' digests.
+    pub fn with_capacity(pages: usize) -> Self {
         ChecksumIndex {
-            first: DigestMap::with_capacity_and_hasher(distinct, Default::default()),
+            first: DigestMap::with_capacity_and_hasher(pages, Default::default()),
             total_pages: 0,
         }
     }
@@ -108,10 +100,17 @@ impl ChecksumIndex {
     pub fn distinct(&self) -> usize {
         self.first.len()
     }
+
+    /// The distinct digests, in map order: what the bulk exchange sends.
+    pub fn distinct_digests(&self) -> impl ExactSizeIterator<Item = PageDigest> + '_ {
+        self.first.keys().copied()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn d(id: u64) -> PageDigest {
@@ -179,10 +178,8 @@ mod tests {
             assert_eq!(index.lookup(digest), by_scan, "probe {probe}");
             assert_eq!(index.contains(digest), by_scan.is_some(), "probe {probe}");
         }
-        let mut distinct = pages.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
+        let distinct: BTreeSet<PageDigest> = pages.iter().copied().collect();
         assert_eq!(index.distinct(), distinct.len());
-        assert_eq!(ChecksumIndex::with_wire_order(&pages).1, distinct);
+        assert_eq!(index.distinct_digests().collect::<BTreeSet<_>>(), distinct);
     }
 }

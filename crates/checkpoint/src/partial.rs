@@ -70,11 +70,6 @@ impl PartialCheckpoint {
         Ratio::new(self.landed_pages().as_u64() as f64 / self.landed.len() as f64)
     }
 
-    /// The landed digests, in page order, gaps skipped.
-    pub fn digests(&self) -> Vec<PageDigest> {
-        self.landed.iter().flatten().copied().collect()
-    }
-
     /// Per-page landed map (page order).
     pub fn landed(&self) -> &[Option<PageDigest>] {
         &self.landed
@@ -83,16 +78,19 @@ impl PartialCheckpoint {
     /// Builds a checksum index over the landed pages, ready to be handed
     /// to a vecycle strategy like any recycled checkpoint's index.
     pub fn build_index(&self) -> ChecksumIndex {
-        ChecksumIndex::from_pages(&self.digests())
+        self.build_index_with(&[])
     }
 
     /// Builds an index over the landed pages *plus* extra digests (e.g.
     /// an older full checkpoint of the same VM), so a retry can draw on
     /// both sources of destination-resident content.
     pub fn build_index_with(&self, extra: &[PageDigest]) -> ChecksumIndex {
-        let mut all = self.digests();
-        all.extend_from_slice(extra);
-        ChecksumIndex::from_pages(&all)
+        let pages = self.landed_pages().as_u64() as usize + extra.len();
+        let mut index = ChecksumIndex::with_capacity(pages);
+        for &d in self.landed.iter().flatten().chain(extra) {
+            index.push(d);
+        }
+        index
     }
 }
 

@@ -1,6 +1,6 @@
 //! The `vecycled` operator surface: `serve` runs a daemon in the
-//! foreground; `submit`, `status`, `pause`, `resume` and `cancel`
-//! speak to a running daemon over its control socket.
+//! foreground; `submit`, `status`, `pause`, `resume`, `cancel` and
+//! `metrics` speak to a running daemon over its control socket.
 //!
 //! Addresses are `host:port` (TCP) or `unix:<path>` (Unix socket) —
 //! the same syntax on both the `--listen` and `--addr`/`--peer`
@@ -26,6 +26,7 @@ USAGE:
   vecycled pause  --addr <addr> [--timeout-secs N]
   vecycled resume --addr <addr> [--timeout-secs N]
   vecycled cancel --addr <addr> --job <id> [--timeout-secs N]
+  vecycled metrics --addr <addr> [--timeout-secs N]
 
 Addresses are host:port (TCP) or unix:<path> (Unix socket). A spec is
 comma-separated key=value pairs over the golden-scenario defaults:
@@ -49,10 +50,9 @@ client subcommands bounds each control round trip (read and write).";
 pub fn run(argv: &[String]) -> Result<(), String> {
     let (sub, rest) = match argv.split_first() {
         None => {
-            return Err(
-                "daemon needs a subcommand: serve | submit | status | pause | resume | cancel"
-                    .into(),
-            )
+            return Err("daemon needs a subcommand: \
+                 serve | submit | status | pause | resume | cancel | metrics"
+                .into())
         }
         Some((c, r)) => (c.as_str(), r),
     };
@@ -84,6 +84,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             req.job = job;
             ctrl(&args, req)?;
             println!("cancelled job {job}");
+            Ok(())
+        }
+        "metrics" => {
+            print!("{}", ctrl(&args, CtrlRequest::bare("metrics"))?.metrics);
             Ok(())
         }
         other => Err(format!("unknown daemon subcommand {other:?}")),

@@ -248,8 +248,9 @@ fn assert_holds_a_full_page(partial: &PartialCheckpoint) {
     let initial = scenario::initial_memory(&spec).expect("initial memory");
     let held: std::collections::HashSet<_> = initial.as_slice().iter().collect();
     let full = partial
-        .digests()
+        .landed()
         .iter()
+        .flatten()
         .filter(|d| !held.contains(d))
         .count();
     assert!(full > 0, "the landed prefix holds no full page");

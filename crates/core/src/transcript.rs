@@ -156,9 +156,9 @@ fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
 ///
 /// Returns [`Error::Corrupt`] if a full page does not match its attached
 /// checksum, if a checksum message references content that neither the
-/// resident page nor the checkpoint can supply, or if a dedup reference
-/// points outside the guest — all indicate a protocol violation or
-/// corruption.
+/// resident page nor the checkpoint can supply, or if a message's page or
+/// a dedup reference points outside the guest — all indicate a protocol
+/// violation or corruption.
 pub fn apply_transcript(
     checkpoint: &Checkpoint,
     transcript: &Transcript,
@@ -171,7 +171,14 @@ pub fn apply_transcript(
             reason: "destination merge needs a full-byte checkpoint".into(),
         })?;
 
+    let pages = mem.page_count().as_u64();
     for msg in transcript {
+        let page = msg.idx().as_u64();
+        if page >= pages {
+            return Err(Error::Corrupt {
+                detail: format!("page index {page} beyond guest size {pages}"),
+            });
+        }
         match msg {
             PageMsg::Full { idx, digest, bytes } => {
                 let bytes = bytes.clone().expect("verified above");
@@ -351,6 +358,48 @@ mod tests {
             idx,
             digest: mem.page_digest(idx),
             bytes: Some(mem.read_page(idx).clone()),
+        }
+    }
+
+    /// A message for a page past the checkpoint's guest is corrupt, for
+    /// every kind, and refused before it writes.
+    #[test]
+    fn a_page_past_the_guest_is_corrupt() {
+        let mem = byte_mem(1);
+        let cp = cp_of(&mem);
+        let beyond = PageIndex::new(9);
+        let page0 = mem.page_digest(PageIndex::new(0));
+        for (kind, msg) in [
+            (
+                "full",
+                PageMsg::Full {
+                    idx: beyond,
+                    digest: page0,
+                    bytes: Some(mem.read_page(PageIndex::new(0)).clone()),
+                },
+            ),
+            (
+                "checksum",
+                PageMsg::Checksum {
+                    idx: beyond,
+                    digest: page0,
+                },
+            ),
+            ("zero", PageMsg::Zero { idx: beyond }),
+            (
+                "dedup-ref target",
+                PageMsg::DedupRef {
+                    idx: beyond,
+                    source: PageIndex::new(0),
+                },
+            ),
+        ] {
+            match apply_transcript(&cp, &vec![msg]) {
+                Err(Error::Corrupt { detail }) => {
+                    assert_eq!(detail, "page index 9 beyond guest size 8", "{kind}")
+                }
+                other => panic!("{kind}: expected Corrupt, got {other:?}"),
+            }
         }
     }
 

@@ -17,7 +17,8 @@ use crate::{DaemonError, Endpoint};
 /// are that action's arguments (empty/zero when unused).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CtrlRequest {
-    /// `submit`, `status`, `pause`, `resume`, `cancel` or `ping`.
+    /// `submit`, `status`, `pause`, `resume`, `cancel`, `metrics` or
+    /// `ping`.
     pub cmd: String,
     /// Scenario key-value string ([`ScenarioSpec::parse`]) for `submit`.
     pub spec: String,
@@ -135,6 +136,9 @@ pub struct CtrlResponse {
     pub jobs: Vec<JobView>,
     /// Job ids in admission order (for `status`).
     pub drained: Vec<u64>,
+    /// The daemon's metrics in the Prometheus text format (for
+    /// `metrics`).
+    pub metrics: String,
 }
 
 impl CtrlResponse {
@@ -176,6 +180,7 @@ pub(crate) fn dispatch(
         }
         "pause" | "resume" => state.queue.set_paused(req.cmd == "pause"),
         "cancel" => state.queue.cancel(req.job)?,
+        "metrics" => resp.metrics = state.metrics.snapshot().to_prometheus(),
         other => {
             let unknown = format!("unknown control command {other:?}");
             return Err(DaemonError::Protocol(unknown));

@@ -12,8 +12,9 @@
 //! together; a wrong magic, version or role is refused with ERR before
 //! the JOB is read. HELLO_ACK means "accepted": it goes out once the job
 //! validated, our state is built and the host is claimed, through one
-//! 64 KiB chunk with any bulk exchange ([`accept`]; [`scenario::offer`]:
-//! a vecycle job's checkpoint, at a retry epoch the landed pages). DONE
+//! 64 KiB chunk with any bulk exchange ([`accept`]: the keys, in map
+//! order, of the index the stream probes — [`scenario::offer`]'s: a
+//! vecycle job's checkpoint, at a retry epoch the landed pages). DONE
 //! is our content hash; a mismatch with COMPLETE's fails our session
 //! after DONE is sent, and the source's on receipt.
 //!
@@ -106,10 +107,8 @@ pub(crate) fn session(
     // over it (and, for a vecycle job, the checkpoint) is the exchange.
     let retry = (job.resume > 0).then(|| recover(state, &spec, key));
     let landed = retry.as_ref().map(|(p, _)| p);
-    let (index, wire_order) = scenario::offer(&spec, &initial, landed).unzip();
-    let sent = accept(s, wire_order.as_deref());
-    // The sorted list is the reply's alone; the stream probes the map.
-    drop(wire_order);
+    let index = scenario::offer(&spec, &initial, landed);
+    let sent = accept(s, index.as_ref());
 
     let (partial, log, sent) = match retry {
         Some((partial, log)) => (Some(partial), log, sent),
@@ -173,21 +172,21 @@ pub(crate) fn session(
     Ok(key.0)
 }
 
-/// Accepts the job: writes HELLO_ACK and the bulk exchange of
-/// `wire_order`, if we offer one, through one chunk of at most
+/// Accepts the job: writes HELLO_ACK and, if we offer an index, the
+/// bulk exchange of its distinct digests through one chunk of at most
 /// [`SESSION_BUF`] (64 KiB), and flushes.
 ///
 /// # Errors
 ///
 /// The first error writing to `w`.
-pub fn accept<W: Write>(w: &mut W, wire_order: Option<&[PageDigest]>) -> std::io::Result<()> {
-    let bulk = wire_order.map_or(0, |d| wire::bulk_exchange(d.len() as u64).as_u64());
+pub fn accept<W: Write>(w: &mut W, index: Option<&ChecksumIndex>) -> std::io::Result<()> {
+    let bulk = index.map_or(0, |i| wire::bulk_exchange(i.distinct() as u64).as_u64());
     let reply = (frame_cost(proto::HELLO_LEN) + bulk) as usize;
     let mut chunk = Vec::with_capacity(reply.min(SESSION_BUF));
     let ack = proto::hello_payload(proto::VERSION, ROLE_DEST);
     write_frame(&mut chunk, kind::HELLO_ACK, &ack)?;
-    if let Some(digests) = wire_order {
-        wiremsg::write_bulk_exchange(digests, &mut chunk, w)?;
+    if let Some(index) = index {
+        wiremsg::write_bulk_exchange(index.distinct_digests(), &mut chunk, w)?;
     }
     w.write_all(&chunk)?;
     w.flush()

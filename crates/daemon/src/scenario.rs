@@ -6,7 +6,7 @@
 //! engine and the strategy from the [`ScenarioSpec`] alone, through
 //! these functions only. What the destination offers in the bulk
 //! exchange is decided in one place, [`offer`]; the *source* rebuilds
-//! that index from the exchanged digests, and classification depends
+//! that index from its keys, sent in map order, and classification depends
 //! only on digest membership and setup pricing only on the distinct
 //! count, so the rebuilt index yields the same report as the
 //! destination's own ([`reference_run`] and [`reference_run_over`] pin
@@ -69,26 +69,23 @@ pub fn live_guest(
     Ok((guest, workload))
 }
 
-/// The checksum index a destination offers in the bulk exchange, and its
-/// wire order. A fresh epoch offers its checkpoint's for a vecycle job
-/// and nothing otherwise (no other stream carries checksum messages). A
-/// retry epoch offers the pages earlier epochs landed, `partial` —
-/// unioned with the checkpoint for a vecycle job — whatever the job's
-/// strategy: a retry is a recycle, the index the in-process retry builds.
+/// The checksum index a destination offers in the bulk exchange. A fresh
+/// epoch offers its checkpoint's for a vecycle job and nothing otherwise
+/// (no other stream carries checksum messages). A retry epoch offers the
+/// pages earlier epochs landed, `partial` — unioned with the checkpoint
+/// for a vecycle job — whatever the job's strategy: a retry is a recycle,
+/// the index the in-process retry builds.
 pub fn offer(
     spec: &ScenarioSpec,
     initial: &DigestMemory,
     partial: Option<&PartialCheckpoint>,
-) -> Option<(ChecksumIndex, Vec<PageDigest>)> {
+) -> Option<ChecksumIndex> {
     let vecycle = spec.strategy == "vecycle";
-    let Some(partial) = partial else {
-        return vecycle.then(|| ChecksumIndex::with_wire_order(initial.as_slice()));
-    };
-    let mut pages = partial.digests();
-    if vecycle {
-        pages.extend_from_slice(initial.as_slice());
+    match partial {
+        None => vecycle.then(|| ChecksumIndex::from_pages(initial.as_slice())),
+        Some(partial) if vecycle => Some(partial.build_index_with(initial.as_slice())),
+        Some(partial) => Some(partial.build_index()),
     }
-    Some(ChecksumIndex::with_wire_order(&pages))
 }
 
 /// Builds the source strategy from the index the destination offered:
@@ -184,7 +181,7 @@ pub fn reference_run_over(
 ) -> Result<ReferenceRun, DaemonError> {
     spec.validate().map_err(DaemonError::from)?;
     let initial = initial_memory(spec)?;
-    let strategy = wire_strategy(spec, offer(spec, &initial, Some(partial)).map(|o| o.0))?;
+    let strategy = wire_strategy(spec, offer(spec, &initial, Some(partial)))?;
     run(spec, &initial, strategy)
 }
 
@@ -215,13 +212,13 @@ mod tests {
     #[test]
     fn wire_index_reproduces_the_local_report() {
         // The crux of cross-process bit-identity: an index rebuilt from
-        // the bulk-exchanged (sorted, distinct) digests must produce
-        // the same report as the checkpoint's own index.
+        // the bulk-exchanged (distinct, map-ordered) digests must
+        // produce the same report as the checkpoint's own index.
         let spec = ScenarioSpec::golden(0x7ec);
         let initial = initial_memory(&spec).unwrap();
-        let cp = Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial);
-        let wire_order = ChecksumIndex::with_wire_order(cp.digest_table()).1;
-        let strategy = wire_strategy(&spec, Some(ChecksumIndex::from_pages(&wire_order))).unwrap();
+        let offered = offer(&spec, &initial, None).unwrap();
+        let wire: Vec<PageDigest> = offered.distinct_digests().collect();
+        let strategy = wire_strategy(&spec, Some(ChecksumIndex::from_pages(&wire))).unwrap();
         let (mut guest, mut workload) = live_guest(&spec, &initial).unwrap();
         let report = engine_for(&spec)
             .migrate_live(&mut guest, &mut workload, strategy)

@@ -449,7 +449,7 @@ fn scheduler_loop(state: &Arc<DaemonState>, workers: &Arc<Mutex<Vec<JoinHandle<(
             continue;
         }
         let job_state = Arc::clone(state);
-        let handle = std::thread::spawn(move || {
+        let spawned = std::thread::Builder::new().spawn(move || {
             let _hosts = hosts;
             let state = &job_state;
             // A panicking session fails its job, which frees its slot.
@@ -459,7 +459,12 @@ fn scheduler_loop(state: &Arc<DaemonState>, workers: &Arc<Mutex<Vec<JoinHandle<(
             .unwrap_or_else(|_| Err(DaemonError::Protocol("the session panicked".into())));
             state.queue.finish(id, outcome, &state.kill);
         });
-        sync::lock(workers).push(handle);
+        match spawned {
+            Ok(handle) => sync::lock(workers).push(handle),
+            // A refused thread fails its job, which frees its slot; the
+            // dropped closure has already released its host claim.
+            Err(e) => state.queue.finish(id, Err(DaemonError::Io(e)), &state.kill),
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 //! [`SessionStream`], through which every reply frame and the bulk
 //! checksum exchange are read (the exchange in 16 KiB steps, not one
 //! `read` per digest), straight into the probe map, with no list of the
-//! digests held ([`receive_exchange`]).
+//! digests held ([`receive_exchange`]): any order, but no repeat.
 //!
 //! The session opens in one flight each way: HELLO‖JOB out, then the
 //! guest is built while the destination builds its own state; back
@@ -220,12 +220,12 @@ pub(crate) fn run_job(
 
 /// Reads the bulk exchange into the source's probe map as it arrives:
 /// its count is bounded (a digest a page, two on a retry) before the map
-/// is sized, and it must be the sorted, distinct list.
+/// is sized, and no digest may arrive twice.
 ///
 /// # Errors
 ///
 /// [`DaemonError::Io`] on a short read; [`DaemonError::Corrupt`] on
-/// another message, a count past the bound or a digest out of order.
+/// another message, a count past the bound or a repeated digest.
 pub fn receive_exchange<R: Read>(
     r: &mut R,
     spec: &ScenarioSpec,
@@ -234,7 +234,6 @@ pub fn receive_exchange<R: Read>(
     let pages = spec.pages();
     let bound = pages * if epoch > 0 { 2 } else { 1 };
     let corrupt = |detail| vecycle_types::Error::Corrupt { detail };
-    let mut last = None;
     let admit = |count: usize| {
         if count as u64 > bound {
             return Err(corrupt(format!(
@@ -244,15 +243,14 @@ pub fn receive_exchange<R: Read>(
         Ok(ChecksumIndex::with_capacity(count))
     };
     Ok(wiremsg::read_bulk_exchange(r, admit, |index, digest| {
-        if last.is_some_and(|last| last >= digest) {
+        index.push(digest);
+        // Every digest so far distinct: one map entry per digest read.
+        if index.distinct() as u64 != index.total_pages() {
             let at = index.total_pages() - 1;
             return Err(corrupt(format!(
-                "bulk exchange digests {at} and {} are not strictly ascending",
-                at + 1
+                "bulk exchange digest {at} repeats an earlier one"
             )));
         }
-        last = Some(digest);
-        index.push(digest);
         Ok(())
     })?)
 }

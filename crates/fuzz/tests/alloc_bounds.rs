@@ -295,18 +295,17 @@ fn a_cold_full_job_allocates_nothing_per_page() {
 /// slot per digest, and no list of the digests.
 #[test]
 fn a_streamed_exchange_costs_the_source_its_probe_map_alone() {
-    let mut wire_order: Vec<PageDigest> = (1..=32_768).map(PageDigest::from_content_id).collect();
-    wire_order.sort_unstable();
+    let digests: Vec<PageDigest> = (1..=32_768).map(PageDigest::from_content_id).collect();
     let mut exchange = Vec::new();
     WireMsg::BulkExchange {
-        digests: wire_order.clone(),
+        digests: digests.clone(),
     }
     .encode(&mut exchange);
     let mut spec = ScenarioSpec::golden(1);
     spec.ram_mib = 128;
     let (index, stats) = metered(|| receive_exchange(&mut exchange.as_slice(), &spec, 0).unwrap());
-    assert_eq!(index.distinct(), wire_order.len());
-    assert!(wire_order.iter().all(|&d| index.contains(d)));
+    assert_eq!(index.distinct(), digests.len());
+    assert!(digests.iter().all(|&d| index.contains(d)));
     assert_eq!(stats.calls, 1, "the map alone: {stats:?}");
     assert!(
         stats.requested >= 32_768 * 24,
@@ -323,19 +322,19 @@ fn a_warm_acceptance_goes_through_one_chunk() {
     let mut spec = ScenarioSpec::golden(1);
     spec.ram_mib = 128;
     let initial = scenario::initial_memory(&spec).unwrap();
-    let (_, wire_order) = scenario::offer(&spec, &initial, None).unwrap();
+    let index = scenario::offer(&spec, &initial, None).unwrap();
     let ack = proto::hello_payload(proto::VERSION, proto::ROLE_DEST);
     let mut whole = Vec::new();
     write_frame(&mut whole, kind::HELLO_ACK, &ack).unwrap();
     let hello_ack = whole.len() as u64;
     WireMsg::BulkExchange {
-        digests: wire_order.clone(),
+        digests: index.distinct_digests().collect(),
     }
     .encode(&mut whole);
     assert!(whole.len() > 8 * SESSION_BUF, "{} bytes", whole.len());
 
     let mut sent = Vec::with_capacity(whole.len());
-    let ((), stats) = metered(|| accept(&mut sent, Some(&wire_order)).unwrap());
+    let ((), stats) = metered(|| accept(&mut sent, Some(&index)).unwrap());
     assert_eq!(sent, whole);
     assert_eq!(stats.largest, SESSION_BUF as u64, "{stats:?}");
     assert_eq!(stats.requested, SESSION_BUF as u64 + hello_ack, "{stats:?}");

@@ -92,7 +92,7 @@ pub enum WireMsg {
     StopEnd,
     /// The destination's bulk checksum pre-exchange.
     BulkExchange {
-        /// Distinct digests, in the destination index's sorted order.
+        /// Distinct digests, in the destination index's map order.
         digests: Vec<PageDigest>,
     },
 }
@@ -151,7 +151,8 @@ impl WireMsg {
             WireMsg::RoundEnd { round } => put_header(out, *round, kind::ROUND_END, 0),
             WireMsg::StopEnd => put_header(out, 0, kind::STOP_END, 0),
             WireMsg::BulkExchange { digests } => {
-                write_bulk_exchange(digests, out, &mut std::io::sink()).expect("reserved");
+                write_bulk_exchange(digests.iter().copied(), out, &mut std::io::sink())
+                    .expect("reserved");
             }
         }
     }
@@ -247,7 +248,7 @@ impl WireMsg {
 ///
 /// Panics if the payload exceeds [`MAX_PAYLOAD`].
 pub fn write_bulk_exchange<W: std::io::Write>(
-    digests: &[PageDigest],
+    digests: impl ExactSizeIterator<Item = PageDigest>,
     chunk: &mut Vec<u8>,
     w: &mut W,
 ) -> std::io::Result<()> {

@@ -19,6 +19,7 @@ mod common;
 use std::time::Duration;
 
 use common::{tcp_endpoint, unix_endpoint, Watchdog};
+use vecycle_daemon::control::CtrlRequest;
 use vecycle_daemon::proto::{forward_overhead, reverse_overhead};
 use vecycle_daemon::{client, scenario, Daemon, DaemonConfig, DaemonHandle, Endpoint, JobState};
 use vecycle_sim::ScenarioSpec;
@@ -198,6 +199,44 @@ fn control_socket_drives_a_migration_end_to_end() {
         dst.journal()
     );
     dump_artifacts("control_socket", &src, &dst);
+    src.shutdown();
+    dst.shutdown();
+}
+
+/// The `metrics` control command scrapes each daemon's registry: after
+/// one warm job, the destination counts one good session and the source
+/// one done job, as `status` lists.
+#[test]
+fn metrics_scrapes_agree_with_status() {
+    let _wd = Watchdog::arm("metrics_scrapes_agree_with_status", JOB_TIMEOUT);
+    let (src, dst) = spawn_pair(tcp_endpoint(), tcp_endpoint());
+    let spec = ScenarioSpec::golden(0x7ec);
+    let id =
+        client::submit(src.endpoint(), &spec.to_kv(), &dst.endpoint().to_string()).expect("submit");
+    let view = client::wait_job(src.endpoint(), id, JOB_TIMEOUT).expect("job finishes");
+    assert_eq!(view.state, "done", "job failed: {}", view.detail);
+    let status = client::status(src.endpoint()).expect("status");
+    let done = status.jobs.iter().filter(|j| j.state == "done").count();
+    assert_eq!(done, 1, "{:?}", status.jobs);
+
+    let scrape = |ep: &Endpoint| {
+        let resp = client::request(ep, &CtrlRequest::bare("metrics")).expect("metrics");
+        assert!(resp.ok, "{}", resp.error);
+        resp.metrics
+    };
+    let jobs_done = format!("daemon_jobs_total{{state=\"done\"}} {done}\n");
+    let source = scrape(src.endpoint());
+    assert!(source.contains(&jobs_done), "source:\n{source}");
+    // The destination counts its session once DONE is out, so it may
+    // trail the source's job by a moment.
+    let sessions_ok = format!("daemon_sessions_total{{result=\"ok\"}} {done}\n");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let mut dest = scrape(dst.endpoint());
+    while !dest.contains(&sessions_ok) && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        dest = scrape(dst.endpoint());
+    }
+    assert!(dest.contains(&sessions_ok), "destination:\n{dest}");
     src.shutdown();
     dst.shutdown();
 }

@@ -15,9 +15,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use common::{tcp_endpoint, unix_endpoint, Watchdog};
+use vecycle_daemon::endpoint::SessionStream;
 use vecycle_daemon::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use vecycle_daemon::proto::{self, JobMsg, ROLE_SOURCE};
-use vecycle_daemon::{client, Daemon, DaemonConfig, DaemonError, DaemonHandle, Endpoint};
+use vecycle_daemon::session_state::SessionState;
+use vecycle_daemon::{
+    client, receive_stream, scenario, Daemon, DaemonConfig, DaemonError, DaemonHandle, Endpoint,
+};
+use vecycle_faults::KillSwitch;
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::PageDigest;
@@ -145,11 +150,12 @@ fn run_table(daemon: &DaemonHandle) {
     // -- version mismatch: the exact typed refusal naming both versions,
     //    sent before the JOB behind the HELLO is read. A version-2 peer
     //    is refused before it could wait for an OFFER, a version-3 peer
-    //    before it could wait for a resume announcement. The unread JOB
-    //    bytes must not cost the refusal (on TCP, closing a socket with
-    //    unread data sends a reset).
-    for theirs in [99, 2, 3] {
-        let refusal = DaemonError::VersionMismatch { ours: 4, theirs };
+    //    before it could wait for a resume announcement, a version-4
+    //    peer before it could refuse an exchange that is not sorted. The
+    //    unread JOB bytes must not cost the refusal (on TCP, closing a
+    //    socket with unread data sends a reset).
+    for theirs in [99, 2, 3, 4] {
+        let refusal = DaemonError::VersionMismatch { ours: 5, theirs };
         let got = poke(daemon, &hello_job(theirs, &ScenarioSpec::golden(1)), false);
         assert_eq!(got, Reaction::ErrContaining(leak(refusal.to_string())));
         assert_alive(daemon);
@@ -325,15 +331,17 @@ fn version_mismatch_surfaces_as_a_typed_client_error() {
     // The same property from the client's side: a source daemon whose
     // peer answers with a different version gets a VersionMismatch, not
     // a hang — and it sent its JOB before any answer arrived.
-    let mut reply = Vec::new();
-    let ack = proto::hello_payload(7, proto::ROLE_DEST);
-    write_frame(&mut reply, kind::HELLO_ACK, &ack).unwrap();
-    let detail = job_against(reply);
-    let refusal = DaemonError::VersionMismatch { ours: 4, theirs: 7 };
-    assert!(
-        detail.contains(&refusal.to_string()),
-        "failure detail must name the version mismatch: {detail}"
-    );
+    for theirs in [7, 4] {
+        let mut reply = Vec::new();
+        let ack = proto::hello_payload(theirs, proto::ROLE_DEST);
+        write_frame(&mut reply, kind::HELLO_ACK, &ack).unwrap();
+        let detail = job_against(reply);
+        let refusal = DaemonError::VersionMismatch { ours: 5, theirs };
+        assert!(
+            detail.contains(&refusal.to_string()),
+            "failure detail must name the version mismatch: {detail}"
+        );
+    }
 }
 
 #[test]
@@ -397,30 +405,88 @@ fn an_over_bound_exchange_is_refused_from_its_header() {
     );
 }
 
-/// The bulk exchange is the sorted, distinct digest list: a duplicate or
-/// an out-of-order pair is corrupt, and is refused before any index is
-/// built from it.
+/// The bulk exchange is a set of distinct digests in any order: a
+/// repeated digest is corrupt, named by its position and refused before
+/// any page streams, while a descending exchange is as good as any.
 #[test]
-fn a_bulk_exchange_that_is_not_strictly_ascending_is_corrupt() {
+fn a_bulk_exchange_that_repeats_a_digest_is_corrupt() {
     let _wd = Watchdog::arm(
-        "a_bulk_exchange_that_is_not_strictly_ascending_is_corrupt",
+        "a_bulk_exchange_that_repeats_a_digest_is_corrupt",
         TEST_LIMIT,
     );
-    let mut d: Vec<PageDigest> = (1..=3).map(PageDigest::from_content_id).collect();
-    d.sort();
-    for (case, digests) in [
-        ("duplicate", vec![d[0], d[1], d[1]]),
-        ("descending pair", vec![d[0], d[2], d[1]]),
-    ] {
-        let mut exchange = Vec::new();
-        WireMsg::BulkExchange { digests }.encode(&mut exchange);
-        let detail = job_against_exchange(exchange);
-        assert!(
-            detail.contains("corrupt")
-                && detail.contains("digests 1 and 2 are not strictly ascending"),
-            "{case}: {detail}"
-        );
+    let d: Vec<PageDigest> = (1..=3).map(PageDigest::from_content_id).collect();
+    let mut exchange = Vec::new();
+    WireMsg::BulkExchange {
+        digests: vec![d[0], d[1], d[1]],
     }
+    .encode(&mut exchange);
+    let detail = job_against_exchange(exchange);
+    assert!(
+        detail.contains("corrupt")
+            && detail.contains("bulk exchange digest 2 repeats an earlier one"),
+        "duplicate: {detail}"
+    );
+
+    // The golden job against a destination that sends its offered
+    // index's digests in descending order completes with the
+    // in-process report, its ledger reconciled.
+    let spec = ScenarioSpec::golden(1);
+    let (peer, server) = descending_destination(spec.clone());
+    let daemon = spawn_daemon(false);
+    let id = daemon.submit(spec.clone(), peer).expect("submit");
+    let rec = daemon
+        .wait_job(id, Duration::from_secs(30))
+        .expect("job terminates");
+    assert_eq!(rec.state, vecycle_daemon::JobState::Done, "{}", rec.detail);
+    let reference = scenario::reference_run(&spec).expect("reference run");
+    assert_eq!(rec.report, Some(reference.report), "descending");
+    server.join().unwrap();
+    daemon.shutdown();
+}
+
+/// A hand-driven destination for `spec` on a fresh TCP port whose bulk
+/// exchange is its offered index's digests, sorted descending. The rest
+/// of the session is the daemon's own: [`receive_stream`], then DONE
+/// with the content hash.
+fn descending_destination(spec: ScenarioSpec) -> (Endpoint, JoinHandle<()>) {
+    let listener = tcp_endpoint().bind().unwrap();
+    let peer = listener.local_endpoint().unwrap();
+    let server = std::thread::spawn(move || {
+        let stream = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut s = SessionStream::new(stream);
+        for want in [kind::HELLO, kind::JOB] {
+            assert_eq!(read_frame(&mut s, MAX_PAYLOAD).unwrap().kind, want);
+        }
+        let initial = scenario::initial_memory(&spec).unwrap();
+        let index = scenario::offer(&spec, &initial, None).expect("a vecycle job offers");
+        let mut digests: Vec<PageDigest> = index.distinct_digests().collect();
+        digests.sort_unstable_by(|a, b| b.cmp(a));
+        let mut reply = Vec::new();
+        let ack = proto::hello_payload(proto::VERSION, proto::ROLE_DEST);
+        write_frame(&mut reply, kind::HELLO_ACK, &ack).unwrap();
+        WireMsg::BulkExchange { digests }.encode(&mut reply);
+        s.write_all(&reply).unwrap();
+        s.flush().unwrap();
+        let mut state = SessionState::fresh(&spec, &initial);
+        receive_stream(
+            &mut s,
+            Some(&index),
+            &mut state,
+            &KillSwitch::inert(),
+            &mut (),
+        )
+        .unwrap();
+        let complete = read_frame(&mut s, MAX_PAYLOAD).unwrap();
+        assert_eq!(complete.kind, kind::COMPLETE);
+        write_frame(&mut s, kind::DONE, &scenario::content_hash(state.mem())).unwrap();
+        s.flush().unwrap();
+        let mut rest = Vec::new();
+        let _ = s.read_to_end(&mut rest);
+    });
+    (peer, server)
 }
 
 #[test]

@@ -365,7 +365,7 @@ fn assert_ledger_exact(
 /// The index a destination offers for `spec` at a fresh epoch.
 fn dest_index(spec: &ScenarioSpec) -> Option<ChecksumIndex> {
     let initial = scenario::initial_memory(spec).expect("initial memory");
-    scenario::offer(spec, &initial, None).map(|(index, _)| index)
+    scenario::offer(spec, &initial, None)
 }
 
 /// Flattens a live transcript against the offered `index` into the
@@ -903,7 +903,7 @@ fn die_after(mut s: vecycle_daemon::endpoint::Stream, msgs: &[WireMsg], n: usize
 
 /// What a destination holding `partial` offers a cold spec's retry.
 fn offered(partial: &PartialCheckpoint) -> Vec<PageDigest> {
-    ChecksumIndex::with_wire_order(&partial.digests()).1
+    partial.build_index().distinct_digests().collect()
 }
 
 /// Satellite: a retry that dies right after reading the exchange must

@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -59,14 +59,16 @@ proptest! {
         for (i, &d) in ds.iter().enumerate() {
             model.entry(d).or_insert(PageIndex::new(i as u64));
         }
-        let (index, wire_order) = ChecksumIndex::with_wire_order(&ds);
+        let index = ChecksumIndex::from_pages(&ds);
         prop_assert_eq!(index.distinct(), model.len());
         for p in probes {
             let d = PageDigest::from_content_id(p);
             prop_assert_eq!(index.contains(d), model.contains_key(&d));
             prop_assert_eq!(index.lookup(d), model.get(&d).copied());
         }
-        prop_assert_eq!(wire_order, model.keys().copied().collect::<Vec<_>>());
+        prop_assert_eq!(index.distinct_digests().len(), model.len());
+        let listed: BTreeSet<PageDigest> = index.distinct_digests().collect();
+        prop_assert_eq!(listed, model.keys().copied().collect::<BTreeSet<_>>());
     }
 
     /// A checkpoint survives serialization byte-for-byte.

@@ -11,14 +11,13 @@
 
 mod common;
 
-use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
+use vecycle_checkpoint::ChecksumIndex;
 use vecycle_core::{LiveOutcome, LiveTranscript};
 use vecycle_daemon::session_state::SessionState;
 use vecycle_daemon::{scenario, SocketSink};
 use vecycle_faults::KillSwitch;
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
-use vecycle_types::{SimTime, VmId};
 
 /// The recorded stream in wire form: per-round messages + RoundEnd,
 /// then the stop-and-copy flush + StopEnd.
@@ -45,8 +44,8 @@ fn encode_transcript(t: &LiveTranscript) -> Vec<u8> {
 fn wire_index(spec: &ScenarioSpec) -> Option<ChecksumIndex> {
     (spec.strategy == "vecycle").then(|| {
         let initial = scenario::initial_memory(spec).expect("initial memory");
-        let cp = Checkpoint::capture(VmId::new(spec.vm), SimTime::EPOCH, &initial);
-        ChecksumIndex::from_pages(&ChecksumIndex::with_wire_order(cp.digest_table()).1)
+        let offered = scenario::offer(spec, &initial, None).expect("a vecycle job offers");
+        ChecksumIndex::from_pages(&offered.distinct_digests().collect::<Vec<_>>())
     })
 }
 
