@@ -5,6 +5,13 @@
 //! [`CheckpointStore`](crate::CheckpointStore) this store mirrors. Loads
 //! that fail validation report [`Error::Corrupt`] so callers can fall
 //! back to a full migration instead of restoring garbage.
+//!
+//! Beside each `vm-<id>.ckpt` sits at most one hidden `.vm-<id>.tmp`:
+//! the file the VM's last save displaced, which the next save overwrites
+//! in place instead of allocating a fresh file
+//! ([`vecycle_types::atomic_replace`]). So the directory holds at most
+//! twice the bytes of its checkpoints, and removing a VM's checkpoint
+//! removes its spare too.
 
 use std::path::{Path, PathBuf};
 
@@ -14,8 +21,9 @@ use crate::{wire, Checkpoint};
 
 /// A directory of checkpoint files, one per VM.
 ///
-/// Layout: `<root>/vm-<id>.ckpt`, atomically replaced on save (write to
-/// a temp file, then rename) so a crash mid-save never leaves a torn
+/// Layout: `<root>/vm-<id>.ckpt`, atomically replaced on save (write
+/// into the spare `.vm-<id>.tmp`, then rename it over the checkpoint,
+/// which becomes the next spare) so a crash mid-save never leaves a torn
 /// checkpoint where a good one stood.
 ///
 /// # Examples
@@ -43,8 +51,9 @@ pub struct DiskStore {
 
 impl DiskStore {
     /// Opens (creating if needed) a checkpoint directory, deleting the
-    /// `.vm-<id>.tmp` files a crash mid-[`DiskStore::save`] left behind:
-    /// a temp file is never a checkpoint, and nothing else reclaims it.
+    /// `.vm-<id>.tmp` spares and the `.vm-<id>.held` names a save (or a
+    /// crash mid-[`DiskStore::save`]) left behind: neither is ever a
+    /// checkpoint, and a spare is only worth keeping while the store runs.
     ///
     /// # Errors
     ///
@@ -57,7 +66,7 @@ impl DiskStore {
             let stale = entry.file_name().to_str().is_some_and(|name| {
                 let id = name
                     .strip_prefix(".vm-")
-                    .and_then(|s| s.strip_suffix(".tmp"));
+                    .and_then(|s| s.strip_suffix(".tmp").or_else(|| s.strip_suffix(".held")));
                 id.is_some_and(|id| id.parse::<u32>().is_ok())
             });
             if stale {
@@ -76,15 +85,23 @@ impl DiskStore {
         self.root.join(format!("vm-{}.ckpt", vm.as_u32()))
     }
 
+    fn spare_for(&self, vm: VmId) -> PathBuf {
+        self.root.join(format!(".vm-{}.tmp", vm.as_u32()))
+    }
+
     /// Saves (atomically replaces) the checkpoint for its VM.
     ///
     /// Crash-durability invariant: at every instant there is either the
     /// old complete checkpoint or the new complete checkpoint at the
     /// final path, never a torn one and never neither
-    /// ([`vecycle_types::atomic_replace`] through `.vm-<id>.tmp`). A
-    /// crash that loses the directory `fsync` rolls the entry back to
-    /// the temp name: the new checkpoint is lost and a stray `.tmp`
-    /// stays (swept by [`DiskStore::open`]), but the old one is intact.
+    /// ([`vecycle_types::atomic_replace`] through `.vm-<id>.tmp`, which
+    /// then holds the displaced checkpoint for the next save to
+    /// overwrite). A crash that loses the directory `fsync` rolls the
+    /// entries back: the new checkpoint may be lost and a stray `.tmp` or
+    /// `.held` stay (swept by [`DiskStore::open`]), but the old one is
+    /// intact. A reader that holds the file open across two later saves
+    /// of the VM reads the second one's bytes over it, which its trailer
+    /// check reports as [`Error::Corrupt`].
     /// The page bytes reach the file through `write_to`'s vectored
     /// writes, which a `BufWriter` passes through unbuffered.
     ///
@@ -94,10 +111,8 @@ impl DiskStore {
     /// checkpoint intact and no temp file behind.
     pub fn save(&self, checkpoint: &Checkpoint) -> vecycle_types::Result<()> {
         use std::io::Write;
-        let tmp = self
-            .root
-            .join(format!(".vm-{}.tmp", checkpoint.vm().as_u32()));
-        vecycle_types::atomic_replace(&self.path_for(checkpoint.vm()), &tmp, |file| {
+        let vm = checkpoint.vm();
+        vecycle_types::atomic_replace(&self.path_for(vm), &self.spare_for(vm), |file| {
             let mut writer = std::io::BufWriter::new(file);
             checkpoint.write_to(&mut writer)?;
             writer.flush().map_err(Error::from)
@@ -127,18 +142,21 @@ impl DiskStore {
         Ok(Some(cp))
     }
 
-    /// Removes the checkpoint for `vm`, returning whether there was a
-    /// file to remove. Removing a missing checkpoint is not an error.
+    /// Removes the checkpoint for `vm` and its spare, returning whether
+    /// there was a checkpoint to remove. Removing a missing checkpoint is
+    /// not an error.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors other than "not found".
     pub fn remove(&self, vm: VmId) -> vecycle_types::Result<bool> {
-        match std::fs::remove_file(self.path_for(vm)) {
+        let gone = |path: PathBuf| match std::fs::remove_file(path) {
             Ok(()) => Ok(true),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e.into()),
-        }
+            Err(e) => Err(e),
+        };
+        gone(self.spare_for(vm))?;
+        Ok(gone(self.path_for(vm))?)
     }
 
     /// Estimates the pages of a file that failed validation from its
@@ -224,13 +242,18 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
-    fn temp_files(dir: &Path) -> Vec<String> {
+    fn names(dir: &Path) -> Vec<String> {
         let mut names: Vec<String> = std::fs::read_dir(dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|name| name.ends_with(".tmp"))
             .collect();
         names.sort();
+        names
+    }
+
+    fn temp_files(dir: &Path) -> Vec<String> {
+        let mut names = names(dir);
+        names.retain(|name| name.ends_with(".tmp"));
         names
     }
 
@@ -254,6 +277,99 @@ mod tests {
         let reopened = DiskStore::open(&dir).unwrap();
         assert_eq!(temp_files(&dir), [".vm-x.tmp"]);
         assert_eq!(reopened.load(VmId::new(2)).unwrap().unwrap(), cp(2, 10));
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// From a VM's third save on, a save writes into the file the one
+    /// before displaced: the checkpoint's inode alternates between two,
+    /// and removing the checkpoint removes its spare.
+    #[cfg(unix)]
+    #[test]
+    fn saves_alternate_between_two_files() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmpdir("inodes");
+        let store = DiskStore::open(&dir).unwrap();
+        let inodes: Vec<u64> = (0..6)
+            .map(|seed| {
+                store.save(&cp(6, seed)).unwrap();
+                std::fs::metadata(dir.join("vm-6.ckpt")).unwrap().ino()
+            })
+            .collect();
+        assert_ne!(inodes[0], inodes[1]);
+        for i in 2..inodes.len() {
+            assert_eq!(inodes[i], inodes[i - 2], "save {i} created a file");
+        }
+        assert_eq!(store.load(VmId::new(6)).unwrap().unwrap(), cp(6, 5));
+        assert_eq!(names(&dir), [".vm-6.tmp", "vm-6.ckpt"]);
+        assert!(store.remove(VmId::new(6)).unwrap());
+        assert_eq!(names(&dir), Vec::<String>::new());
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Each directory state a crash inside a save can leave loads the
+    /// old or the new complete checkpoint, lets the next save land, and
+    /// reopens to the checkpoint alone.
+    #[test]
+    fn every_crash_state_of_a_save_loads_whole_and_reopens_clean() {
+        type Crash = fn(&Path);
+        let states: [(&str, Crash, Checkpoint); 4] = [
+            (
+                "torn-spare",
+                |d| std::fs::write(d.join(".vm-2.tmp"), b"torn").unwrap(),
+                cp(2, 11),
+            ),
+            (
+                "stale-held",
+                |d| std::fs::hard_link(d.join("vm-2.ckpt"), d.join(".vm-2.held")).unwrap(),
+                cp(2, 11),
+            ),
+            (
+                "held-after-rename",
+                |d| {
+                    std::fs::hard_link(d.join("vm-2.ckpt"), d.join(".vm-2.held")).unwrap();
+                    let mut bytes = Vec::new();
+                    cp(2, 12).write_to(&mut bytes).unwrap();
+                    std::fs::write(d.join(".vm-2.tmp"), bytes).unwrap();
+                    std::fs::rename(d.join(".vm-2.tmp"), d.join("vm-2.ckpt")).unwrap();
+                },
+                cp(2, 12),
+            ),
+            ("older-spare", |_| {}, cp(2, 11)),
+        ];
+        for (tag, crash, whole) in states {
+            let dir = tmpdir(tag);
+            let store = DiskStore::open(&dir).unwrap();
+            store.save(&cp(2, 10)).unwrap();
+            store.save(&cp(2, 11)).unwrap();
+            crash(&dir);
+            assert_eq!(store.load(VmId::new(2)).unwrap().unwrap(), whole, "{tag}");
+            store.save(&cp(2, 13)).unwrap();
+            assert_eq!(
+                store.load(VmId::new(2)).unwrap().unwrap(),
+                cp(2, 13),
+                "{tag}"
+            );
+            crash(&dir);
+            let reopened = DiskStore::open(&dir).unwrap();
+            assert_eq!(names(&dir), ["vm-2.ckpt"], "{tag}");
+            assert!(reopened.load(VmId::new(2)).unwrap().is_some(), "{tag}");
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    /// A `.held` name squatted by a directory costs the recycling, not
+    /// the save.
+    #[test]
+    fn a_squatted_held_name_still_saves() {
+        let dir = tmpdir("held-squat");
+        let store = DiskStore::open(&dir).unwrap();
+        store.save(&cp(4, 10)).unwrap();
+        std::fs::create_dir(dir.join(".vm-4.held")).unwrap();
+        store.save(&cp(4, 11)).unwrap();
+        store.save(&cp(4, 12)).unwrap();
+        assert_eq!(store.load(VmId::new(4)).unwrap().unwrap(), cp(4, 12));
+        assert_eq!(names(&dir), [".vm-4.held", "vm-4.ckpt"]);
+        assert_eq!(store.list().unwrap(), [VmId::new(4)]);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

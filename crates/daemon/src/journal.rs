@@ -15,7 +15,9 @@
 //! WAL stays a sequence of whole records and the caller may refuse what
 //! it was recording; if even the cut fails, every later append fails.
 //! [`Journal::compact`] rewrites the whole file through
-//! [`vecycle_types::atomic_replace`], as boot replay's snapshot.
+//! [`vecycle_types::atomic_replace`], as boot replay's snapshot; the
+//! WAL it displaces stays as `vecycled.wal.tmp`, the next compaction's
+//! spare.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -380,6 +382,28 @@ mod tests {
         assert!(j.compact(&[submitted(1)]).is_err());
         assert!(j.path().is_dir());
         assert!(!d.join(format!("{WAL_FILE}.tmp")).exists());
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    /// Compaction writes into the file the previous one displaced: two
+    /// leave the WAL and its one spare, and the WAL is the second's.
+    #[test]
+    fn compactions_keep_one_spare_beside_the_wal() {
+        let d = dir("compact-spare");
+        let (j, _) = Journal::open(&d).unwrap();
+        j.append(&submitted(1)).unwrap();
+        j.compact(&[submitted(1), submitted(2)]).unwrap();
+        j.compact(&[submitted(3)]).unwrap();
+        drop(j);
+        let mut names: Vec<String> = std::fs::read_dir(&d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, [WAL_FILE, &format!("{WAL_FILE}.tmp")]);
+        let (_, replay) = Journal::open(&d).unwrap();
+        let jobs: Vec<u64> = replay.records.iter().map(|r| r.job).collect();
+        assert_eq!(jobs, [3]);
         std::fs::remove_dir_all(d).unwrap();
     }
 

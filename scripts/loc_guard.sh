@@ -28,7 +28,7 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44383
+BUDGET=44692
 PUB_CEILING=1111
 DEPS_CEILING=113
 DESIGN_CEILING=1598

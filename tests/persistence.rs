@@ -330,6 +330,21 @@ fn eviction_churn_keeps_disk_directory_equal_to_catalog() {
                 on_disk, expected,
                 "step {step}: durable directory diverged from the catalog"
             );
+            // Hidden names too: eviction and quarantine free a VM's
+            // spare with its checkpoint.
+            for entry in std::fs::read_dir(files.root()).unwrap() {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                let owner = name
+                    .strip_prefix(".vm-")
+                    .and_then(|s| s.strip_suffix(".tmp"))
+                    .or_else(|| name.strip_prefix("vm-")?.strip_suffix(".ckpt"))
+                    .and_then(|id| id.parse().ok())
+                    .map(VmId::new);
+                assert!(
+                    owner.is_some_and(|vm| expected.contains(&vm)),
+                    "step {step}: {name} belongs to no catalogued VM"
+                );
+            }
             assert!(
                 host.store().used().as_u64() <= QUOTA,
                 "step {step}: quota overrun"
