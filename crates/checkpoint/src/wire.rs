@@ -2,13 +2,16 @@
 //!
 //! Every file is a 32-byte header (magic, version, kind, reserved, VM
 //! id, timestamp, page count), a payload, and an 8-byte FNV-1a 64
-//! trailer. Three layouts exist:
+//! trailer. Two layouts exist:
 //!
 //! | kind | version | payload | trailer covers |
 //! |---|---|---|---|
 //! | digests | 1 | 16-byte digest per page | header + payload |
 //! | pages | 2 | digest table (16 bytes per page) ‖ page bytes | header + table |
-//! | pages | 1 (read only) | page bytes | header + payload |
+//!
+//! A page file of any other version (the table-less version 1 of older
+//! releases) is refused by its version: an unreadable checkpoint is a
+//! miss, and the migration runs without it.
 //!
 //! In a version-2 page file the digest table *is* the page check: the
 //! trailer guards header and table, and the load pass — which has to
@@ -36,7 +39,7 @@ const MAGIC: &[u8; 8] = b"VECYCHK1";
 const HEADER: usize = 32;
 const TRAILER: usize = 8;
 const DIGEST: usize = 16;
-/// Digest files, and the page files written before the digest table.
+/// Digest files.
 const VERSION: u16 = 1;
 /// Page files carrying a digest table.
 const VERSION_TABLED: u16 = 2;
@@ -49,8 +52,6 @@ const IO_BATCH: usize = 256;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Layout {
     Digests,
-    /// Version-1 page file: page bytes only. Read, never written.
-    Pages,
     TabledPages,
 }
 
@@ -58,9 +59,8 @@ impl Layout {
     fn of(version: u16, kind: u8) -> vecycle_types::Result<Layout> {
         match (version, kind) {
             (VERSION, KIND_DIGESTS) => Ok(Layout::Digests),
-            (VERSION, KIND_PAGES) => Ok(Layout::Pages),
             (VERSION_TABLED, KIND_PAGES) => Ok(Layout::TabledPages),
-            (VERSION | VERSION_TABLED, kind) if kind != KIND_DIGESTS => Err(Error::Corrupt {
+            (VERSION | VERSION_TABLED, kind) if kind > KIND_PAGES => Err(Error::Corrupt {
                 detail: format!("unknown checkpoint kind {kind}"),
             }),
             _ => Err(Error::Corrupt {
@@ -73,7 +73,6 @@ impl Layout {
     fn bytes_per_page(self) -> u64 {
         match self {
             Layout::Digests => DIGEST as u64,
-            Layout::Pages => PAGE_SIZE,
             Layout::TabledPages => DIGEST as u64 + PAGE_SIZE,
         }
     }
@@ -125,10 +124,7 @@ impl Header {
 
     /// Bytes of digest table (or digest payload) after the header.
     fn table_len(&self) -> u64 {
-        match self.layout {
-            Layout::Pages => 0,
-            Layout::Digests | Layout::TabledPages => self.pages * DIGEST as u64,
-        }
+        self.pages * DIGEST as u64
     }
 
     /// The declared count must account for exactly the payload bytes
@@ -147,14 +143,14 @@ impl Header {
 }
 
 /// Estimates how many pages a file of `file_len` bytes held, from the
-/// layout its first bytes (`head`) declare — for files that failed
-/// validation, whose payload is untrustworthy. An unreadable header
+/// kind its first bytes (`head`) declare — for files that failed
+/// validation, whose payload is untrustworthy. A page file of any
+/// version counts as table entry and page bytes per page; anything else
 /// falls back to the densest layout (one 16-byte digest per page).
 pub(crate) fn estimated_pages(head: &[u8], file_len: u64) -> u64 {
     let per_page = match head.get(..LAYOUT_PREFIX) {
-        Some([magic @ .., v0, v1, kind]) if magic == MAGIC => {
-            Layout::of(u16::from_be_bytes([*v0, *v1]), *kind)
-                .map_or(DIGEST as u64, Layout::bytes_per_page)
+        Some([magic @ .., _, _, KIND_PAGES]) if magic == MAGIC => {
+            Layout::TabledPages.bytes_per_page()
         }
         _ => DIGEST as u64,
     };
@@ -280,13 +276,13 @@ impl Checkpoint {
     }
 
     /// Deserializes a checkpoint previously written by
-    /// [`Checkpoint::write_to`], or a version-1 page file.
+    /// [`Checkpoint::write_to`].
     ///
     /// Reads the input once, front to back: the header, the digest table
     /// as far as the input supplies it, then each page into the buffer
     /// it will live in. A page payload is digested in one multi-lane
-    /// pass; the resulting table is checked against the stored one
-    /// (version 2) and kept by the returned checkpoint.
+    /// pass; the resulting table is checked against the stored one and
+    /// kept by the returned checkpoint.
     ///
     /// # Errors
     ///
@@ -328,9 +324,6 @@ impl Checkpoint {
         }
         // At least the eight peeked bytes were counted.
         header.check_payload(got - TRAILER as u64)?;
-        if header.layout == Layout::Pages {
-            pages.iter().for_each(|page| covered.update(page));
-        }
         if covered.finalize() != trailer {
             return Err(Error::Corrupt {
                 detail: "checkpoint trailer checksum mismatch".into(),
@@ -350,8 +343,6 @@ impl Checkpoint {
         }
         let views: Vec<&[u8]> = pages.iter().map(|page| &page[..]).collect();
         let digests = vecycle_hash::digest_pages(&views);
-        // `stored` is empty for a version-1 file, which has no table to
-        // disagree with.
         if let Some(page) = digests
             .iter()
             .zip(stored)
@@ -512,18 +503,9 @@ mod tests {
         ));
     }
 
-    /// The page-kind file a previous release wrote (8 pages; page 3 zero,
-    /// page 1 a copy of page 6).
+    /// The table-less page file (version 1) an older release wrote: 8
+    /// pages.
     const V1_PAGES: &[u8] = include_bytes!("../../../tests/fixtures/vm-pages-v1.ckpt");
-
-    fn v1_original() -> Checkpoint {
-        use vecycle_mem::{MutableMemory, PageContent};
-        let mut mem = ByteMemory::with_distinct_content(PageCount::new(8), 0x17);
-        mem.write_page(PageIndex::new(3), PageContent::Zero);
-        mem.relocate_page(PageIndex::new(6), PageIndex::new(1));
-        let at = SimTime::EPOCH + SimDuration::from_hours(3);
-        Checkpoint::capture_bytes(VmId::new(7), at, &mem)
-    }
 
     fn page_sample(pages: u64) -> (Checkpoint, Vec<u8>) {
         let mem = ByteMemory::with_distinct_content(PageCount::new(pages), 11);
@@ -697,11 +679,7 @@ mod tests {
         let (_, file) = page_sample(1);
         let mut digests = Vec::new();
         sample().write_to(&mut digests).unwrap();
-        let mut v1 = V1_PAGES.to_vec();
-        for (layout, input) in [&file[..], &digests[..], &v1.clone()[..]]
-            .iter()
-            .enumerate()
-        {
+        for (layout, input) in [&file[..], &digests[..]].iter().enumerate() {
             let mut forged = input[..100].to_vec();
             forged[24..32].copy_from_slice(&(1u64 << 40).to_be_bytes());
             let before = PageBuf::allocated();
@@ -712,11 +690,12 @@ mod tests {
             );
             assert!(PageBuf::allocated() - before <= 1, "layout {layout}");
         }
-        // An honest count on an input cut short: same error, and the
-        // buffers stay within twice the pages that arrived, plus one.
-        v1.truncate(HEADER + 5 * PAGE_SIZE as usize + 77);
+        // An honest count on an input cut inside page 5: same error, and
+        // the buffers stay within twice the pages that arrived, plus one.
+        let (_, mut cut) = page_sample(8);
+        cut.truncate(HEADER + 8 * DIGEST + 5 * PAGE_SIZE as usize + 77);
         let before = PageBuf::allocated();
-        assert!(corrupt_detail(&v1).contains("payload length"));
+        assert!(corrupt_detail(&cut).contains("payload length"));
         assert!(PageBuf::allocated() - before <= 2 * 5 + 1);
     }
 
@@ -764,25 +743,12 @@ mod tests {
     }
 
     #[test]
-    fn version_1_page_file_still_loads_and_resaves_tabled() {
-        let original = v1_original();
+    fn version_1_page_file_is_refused_by_its_version() {
         assert_eq!(V1_PAGES[8..11], [0, 1, KIND_PAGES]);
         assert_eq!(
-            Checkpoint::trailer_coverage(V1_PAGES),
-            V1_PAGES.len() - TRAILER
+            corrupt_detail(V1_PAGES),
+            "unsupported checkpoint version 1 (kind 1)"
         );
-        let back = Checkpoint::read_from(V1_PAGES).unwrap();
-        assert_eq!(back, original);
-        assert_eq!(back.digests(), original.digests());
-        let mut resaved = Vec::new();
-        back.write_to(&mut resaved).unwrap();
-        assert_eq!(resaved[8..11], [0, 2, KIND_PAGES]);
-        assert_eq!(resaved.len(), V1_PAGES.len() + 8 * DIGEST);
-        assert_eq!(Checkpoint::read_from(&resaved[..]).unwrap(), original);
-        // Its whole-file trailer still guards every byte.
-        let mut rotten = V1_PAGES.to_vec();
-        rotten[HEADER + 5 * PAGE_SIZE as usize] ^= 0x20;
-        assert!(corrupt_detail(&rotten).contains("trailer"));
     }
 
     #[test]
@@ -790,7 +756,9 @@ mod tests {
         let (_, tabled) = page_sample(3);
         let mut digests = Vec::new();
         sample().write_to(&mut digests).unwrap();
-        for (file, pages) in [(&tabled[..], 3), (V1_PAGES, 8), (&digests[..], 32)] {
+        // A refused page file still counts as pages: 8 table-less pages
+        // hold 7 tabled ones.
+        for (file, pages) in [(&tabled[..], 3), (V1_PAGES, 7), (&digests[..], 32)] {
             let head = &file[..LAYOUT_PREFIX];
             assert_eq!(estimated_pages(head, file.len() as u64), pages);
         }

@@ -2,12 +2,11 @@
 //! the page each applied message wrote.
 //!
 //! A journal-backed destination keeps one
-//! `partial-job<id>-<fingerprint>.bin` per job. It is a *base* followed
-//! by chunk records in the crate's [`record`] frame:
+//! `partial-job<id>-<fingerprint>.bin` per job. It is a header record
+//! followed by chunk records, all in the crate's [`record`] frame:
 //!
 //! ```text
-//! base   := header record: "VECYPLG2" ‖ job u64 ‖ fingerprint u64   (a log begun fresh)
-//!         | a VECYPAR1 state snapshot                                (older release)
+//! header := record: "VECYPLG2" ‖ job u64 ‖ fingerprint u64
 //! chunk  := record: (idx u64 ‖ digest [16])*
 //! ```
 //!
@@ -19,8 +18,7 @@
 //! index is needed. The result is a recycle base — a retry epoch offers
 //! these digests, beside the checkpoint's, in its bulk exchange
 //! (`scenario::offer`). A retry's session appends behind the earlier
-//! epochs' chunks, so a later epoch wins per page; a snapshot base
-//! stands for its landed pages.
+//! epochs' chunks, so a later epoch wins per page.
 //!
 //! The destination appends one chunk per persistence boundary — what
 //! landed since the last one, never the whole map again — with a single
@@ -32,8 +30,10 @@
 //! hash proves whatever a retry builds on it. A record that is intact
 //! but is not a whole number of entries, or names a page beyond the
 //! guest, was not written by this code for this job: the whole file is
-//! ignored, as is a `VECYPLG1` log of the previous release (its header
-//! is not ours), and the retry recycles from the checkpoint alone.
+//! ignored, and the retry recycles from the checkpoint alone. So is any
+//! file an older release left — a `VECYPLG1` log or a `VECYPAR1` state
+//! snapshot — because its first record is not this header: a lost
+//! partial costs bytes, never correctness.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -42,7 +42,7 @@ use std::path::Path;
 use vecycle_types::PageDigest;
 
 use crate::record;
-use crate::session_state::{partial_path, SessionState, PARTIAL_MAGIC};
+use crate::session_state::partial_path;
 
 /// Magic of the header record that begins a fresh log.
 pub const LOG_MAGIC: &[u8; 8] = b"VECYPLG2";
@@ -144,40 +144,25 @@ impl PartialLog {
 }
 
 /// Reads the landed pages a partial file's bytes hold for `(job,
-/// fingerprint)` of a `pages`-page guest: its base ([`replay_base`]),
+/// fingerprint)` of a `pages`-page guest: its header ([`replay_base`]),
 /// then every intact chunk in order ([`replay_chunks`]). Returns them
-/// and the length of the prefix they came from, or `None` when the base
-/// is missing, damaged or someone else's, or an intact record is not
-/// this job's (module docs). Allocation is bounded by the guest: one
+/// and the length of the prefix they came from, or `None` when the
+/// header is missing, damaged or someone else's, or an intact record is
+/// not this job's (module docs). Allocation is bounded by the guest: one
 /// slot per page.
 pub fn replay(bytes: &[u8], job: u64, fingerprint: u64, pages: u64) -> Option<(Landed, usize)> {
-    let (mut landed, base_len) = replay_base(bytes, job, fingerprint, pages)?;
+    let base_len = replay_base(bytes, job, fingerprint)?;
+    let mut landed = vec![None; usize::try_from(pages).ok()?];
     let used = replay_chunks(&mut landed, &bytes[base_len..])?;
     Some((landed, base_len + used))
 }
 
-/// The pages a partial file starts from and the length of the base that
-/// says so: none behind this `(job, fingerprint)`'s header record, or
-/// the landed pages of the snapshot an older release left for it.
-pub fn replay_base(
-    bytes: &[u8],
-    job: u64,
-    fingerprint: u64,
-    pages: u64,
-) -> Option<(Landed, usize)> {
-    let mut landed = vec![None; usize::try_from(pages).ok()?];
-    if bytes.starts_with(PARTIAL_MAGIC) {
-        let (j, f, base, used) = SessionState::decode_prefix(bytes).ok()?;
-        if (j, f) != (job, fingerprint) || base.mem().len() != landed.len() {
-            return None;
-        }
-        base.landed()
-            .for_each(|(idx, digest)| landed[idx as usize] = Some(digest));
-        return Some((landed, used));
-    }
+/// The length of the header record `bytes` begin with, if it is this
+/// `(job, fingerprint)`'s: a file's base, which lands no page.
+pub fn replay_base(bytes: &[u8], job: u64, fingerprint: u64) -> Option<usize> {
     let mut scan = record::scan(bytes, MAX_CHUNK);
     let ours = scan.next()? == header_payload(job, fingerprint);
-    ours.then(|| (landed, scan.offset()))
+    ours.then(|| scan.offset())
 }
 
 /// Overwrites `landed` with the entries of the intact chunk records

@@ -1,5 +1,4 @@
-//! The destination's reconstruction state, plus its snapshot
-//! (upgrade-format) reader.
+//! The destination's reconstruction state.
 //!
 //! The apply logic lives here, not in `dest.rs`, so the tests, the fuzz
 //! targets and the benchmark run the exact state machine a session
@@ -15,10 +14,9 @@
 //! stored, and [`SessionState::landed`] is what a retry recycles.
 //!
 //! A *snapshot* is the whole state in one file (`VECYPAR1`, FNV-1a
-//! trailer), which older daemons wrote. The daemon only reads one, with
-//! [`SessionState::decode_prefix`], as the *base* of a partial log
-//! ([`crate::partial_log`]), where it stands for its landed pages. The
-//! writer is benchmark-only ([`crate::compat`]).
+//! trailer), which older daemons wrote. Only the benchmark still writes
+//! one ([`crate::compat`]), and nothing reads one: at a job's partial
+//! path it is no file ([`crate::partial_log`]).
 
 use std::path::{Path, PathBuf};
 
@@ -34,7 +32,7 @@ pub use crate::compat::save_partial;
 use crate::DaemonError;
 
 /// Magic prefix of a state snapshot: vecycled partial, format 1.
-pub const PARTIAL_MAGIC: &[u8; 8] = b"VECYPAR1";
+const PARTIAL_MAGIC: &[u8; 8] = b"VECYPAR1";
 
 /// A stable fingerprint of a scenario (FNV-1a 64 over its key-value
 /// form) — partial files are keyed by `(job, fingerprint)` so a resume
@@ -217,92 +215,6 @@ impl SessionState {
         let trailer = fnv.finalize();
         buf.extend_from_slice(&trailer);
         buf
-    }
-
-    /// Decodes the snapshot `bytes` *starts with* into `(job,
-    /// fingerprint, state, length)` — the snapshot declares its own size
-    /// (page and anchor counts), which is what lets a partial log
-    /// continue behind it. Every length is validated before use and the
-    /// trailer verified before anything is allocated: a torn or tampered
-    /// snapshot is a typed error, never a panic or over-allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`DaemonError::Corrupt`] on any structural or checksum failure.
-    pub fn decode_prefix(bytes: &[u8]) -> Result<(u64, u64, SessionState, usize), DaemonError> {
-        let fail = |what: &str| DaemonError::Corrupt(format!("partial state: {what}"));
-        const MEM_OFF: usize = 8 + 8 + 8 + 8 + 8 + 1 + 8;
-        if bytes.len() < MEM_OFF + 8 + 8 {
-            return Err(fail("file too short"));
-        }
-        if &bytes[0..8] != PARTIAL_MAGIC {
-            return Err(fail("bad magic"));
-        }
-        let u64_at = |off: usize| {
-            let field = bytes.get(off..).and_then(|rest| rest.first_chunk::<8>());
-            field.map(|field| u64::from_be_bytes(*field))
-        };
-        // Where `count` records of `each` bytes from `start` end.
-        let end = |start: usize, count: u64, each: usize| {
-            usize::try_from(count)
-                .ok()?
-                .checked_mul(each)?
-                .checked_add(start)
-        };
-        let [job, fingerprint, applied, expected_round, pages] =
-            [8, 16, 24, 32, 41].map(|off| u64_at(off).expect("within the checked length"));
-        let per_page = PageDigest::LEN + 1;
-        let anchors_count_off =
-            end(MEM_OFF, pages, per_page).ok_or_else(|| fail("page count overflows"))?;
-        let anchor_count =
-            u64_at(anchors_count_off).ok_or_else(|| fail("memory section truncated"))?;
-        let anchors_off = anchors_count_off + 8;
-        let body_len =
-            end(anchors_off, anchor_count, 24).ok_or_else(|| fail("anchor count overflows"))?;
-        let trailer = u64_at(body_len).ok_or_else(|| fail("anchor section truncated"))?;
-        let body = &bytes[..body_len];
-        let mut fnv = Fnv1a64::new();
-        fnv.update(body);
-        if u64::from_be_bytes(fnv.finalize()) != trailer {
-            return Err(fail("trailer checksum mismatch"));
-        }
-
-        let finished = flag(body[40], "finished")?;
-        let mut mem = Vec::with_capacity(pages as usize);
-        for page in body[MEM_OFF..anchors_count_off].chunks_exact(per_page) {
-            let digest: [u8; 16] = page[..16].try_into().expect("16");
-            mem.push(PageDigest::new(digest));
-            // Landed is derived from the anchors; the byte is still
-            // checked, so the file accepts what it always did.
-            flag(page[16], "landed")?;
-        }
-        let mut anchors = vec![None; pages as usize];
-        for anchor in body[anchors_off..].chunks_exact(24) {
-            let idx = u64::from_be_bytes(anchor[..8].try_into().expect("8"));
-            if idx >= pages {
-                return Err(fail(&format!("anchor index {idx} beyond {pages} pages")));
-            }
-            let digest: [u8; 16] = anchor[8..].try_into().expect("16");
-            anchors[idx as usize] = Some(PageDigest::new(digest));
-        }
-        let state = SessionState {
-            mem,
-            anchors,
-            applied,
-            expected_round,
-            finished,
-        };
-        Ok((job, fingerprint, state, body_len + 8))
-    }
-}
-
-/// A snapshot's flag byte: 0 or 1.
-fn flag(byte: u8, what: &str) -> Result<bool, DaemonError> {
-    match byte {
-        0 | 1 => Ok(byte == 1),
-        b => Err(DaemonError::Corrupt(format!(
-            "partial state: {what} flag {b}"
-        ))),
     }
 }
 

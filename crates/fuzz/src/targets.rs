@@ -271,7 +271,7 @@ fn checkpoint_seeds() -> Vec<Vec<u8>> {
     pages.write_to(&mut tabled).expect("vec write cannot fail");
 
     // The same checkpoint as the release before the table wrote it:
-    // version 1, no table, whole-file trailer.
+    // version 1, no table, whole-file trailer. Refused by its version.
     let mut v1 = tabled.clone();
     v1[9] = 1;
     v1.drain(32..32 + 16);
@@ -378,8 +378,8 @@ fn ctrl_frame_seeds() -> Vec<Vec<u8>> {
 }
 
 /// The job the `partial_log` target loads files for: a warm 1 MiB
-/// guest, whose snapshot base may carry checksum hits as well as full
-/// pages.
+/// guest, whose logged pages may come from checksum hits as well as
+/// full pages.
 struct LogFixture {
     fingerprint: u64,
     pages: u64,
@@ -424,9 +424,9 @@ fn log_fixture() -> &'static LogFixture {
     })
 }
 
-/// A fresh log, a log continued behind a snapshot, a log two epochs
-/// appended behind one another, and the two ways a crash damages one: a
-/// torn tail and a flipped trailer byte.
+/// A fresh log, the chunks of one behind an older release's snapshot
+/// (no file), a log two epochs appended behind one another, and the two
+/// ways a crash damages one: a torn tail and a flipped trailer byte.
 fn partial_log_seeds() -> Vec<Vec<u8>> {
     let fx = log_fixture();
     // The state `msgs` leave and the pages they land, each as it ends.
@@ -458,8 +458,8 @@ fn partial_log_seeds() -> Vec<Vec<u8>> {
     chunks(&landed(&fx.msgs).1, &mut fresh);
 
     let (base, _) = landed(&fx.msgs[..5]);
-    // The snapshot older daemons wrote: only the benchmark-only writer
-    // makes one now.
+    // The snapshot older daemons wrote, which only the benchmark-only
+    // writer makes now: not a header record, so the file is no file.
     #[allow(deprecated)]
     let mut behind_snapshot = base.encode(LOG_JOB, fx.fingerprint);
     chunks(&landed(&fx.msgs).1[5..], &mut behind_snapshot);
@@ -472,7 +472,7 @@ fn partial_log_seeds() -> Vec<Vec<u8>> {
     chunks(&epoch_two, &mut two_epochs);
 
     let torn = fresh[..fresh.len() - 11].to_vec();
-    let mut flipped = behind_snapshot.clone();
+    let mut flipped = fresh.clone();
     *flipped.last_mut().expect("non-empty") ^= 0x10;
     vec![fresh, behind_snapshot, two_epochs, torn, flipped]
 }
@@ -840,16 +840,11 @@ fn run_cli_faults(input: &[u8]) -> &'static str {
 }
 
 /// The record-level [`mutate::fix_trailer`]: recomputes the checksum of
-/// every record frame a mutant still delimits (behind its snapshot
-/// base, when that survived), so mutated chunk payloads reach the
-/// message decoder and the state machine instead of dying as torn
+/// every record frame a mutant still delimits, so mutated chunk
+/// payloads reach the decoder behind them instead of dying as torn
 /// tails.
 fn reseal_records(input: &mut [u8]) {
-    let mut off = match SessionState::decode_prefix(input) {
-        Ok((.., used)) => used,
-        Err(_) if input.starts_with(b"VECYPAR1") => return,
-        Err(_) => 0,
-    };
+    let mut off = 0;
     while let Some(len) = input.get(off..).and_then(|rest| rest.first_chunk::<4>()) {
         let payload_end = off + 4 + u32::from_be_bytes(*len) as usize;
         if input.len() < payload_end + 8 {
@@ -868,24 +863,16 @@ fn load_log(input: &[u8]) -> Option<(partial_log::Landed, usize)> {
 
 fn run_partial_log(input: &[u8]) -> &'static str {
     let fx = log_fixture();
-    let snapshot = input.starts_with(b"VECYPAR1");
     let Some((landed, valid)) = load_log(input) else {
-        let based = partial_log::replay_base(input, LOG_JOB, fx.fingerprint, fx.pages);
-        return match (based, snapshot) {
-            // The base was fine: an intact record was not this job's.
-            (Some(_), _) => "rej_condemned",
-            (None, true) => "rej_snapshot",
-            (None, false) => "rej_log",
-        };
+        // The header was ours: an intact record behind it was not.
+        let ours = partial_log::replay_base(input, LOG_JOB, fx.fingerprint).is_some();
+        return if ours { "rej_condemned" } else { "rej_log" };
     };
     let nothing = landed.iter().all(Option::is_none);
-    match (snapshot, nothing, valid == input.len()) {
-        (true, true, _) => "ok_snapshot_empty",
-        (true, false, true) => "ok_snapshot_whole",
-        (true, false, false) => "ok_snapshot_torn",
-        (false, true, _) => "ok_log_empty",
-        (false, false, true) => "ok_log_whole",
-        (false, false, false) => "ok_log_torn",
+    match (nothing, valid == input.len()) {
+        (true, _) => "ok_log_empty",
+        (false, true) => "ok_log_whole",
+        (false, false) => "ok_log_torn",
     }
 }
 
@@ -898,13 +885,14 @@ fn run_partial_log(input: &[u8]) -> &'static str {
 fn partial_log_grows_as_it_loads(input: &[u8]) -> Result<(), String> {
     let fx = log_fixture();
     let whole = load_log(input);
-    let base = |bytes| partial_log::replay_base(bytes, LOG_JOB, fx.fingerprint, fx.pages);
+    let base = |bytes| partial_log::replay_base(bytes, LOG_JOB, fx.fingerprint);
     let grown = match base(input) {
         // A base is self-delimiting: it appears when its last byte does.
-        Some((_, len)) if base(&input[..len - 1]).is_some() => {
+        Some(len) if base(&input[..len - 1]).is_some() => {
             return Err(format!("a {len}-byte base loads from {} bytes", len - 1));
         }
-        Some((mut landed, base_len)) => {
+        Some(base_len) => {
+            let mut landed = vec![None; fx.pages as usize];
             let mut valid = base_len;
             let mut condemned = false;
             for end in base_len..=input.len() {
@@ -1260,12 +1248,15 @@ mod tests {
 
     #[test]
     fn seeds_hit_their_ok_classes() {
-        for seed in checkpoint_seeds() {
+        let checkpoints = checkpoint_seeds();
+        let (v1, live) = checkpoints.split_last().expect("seeds");
+        for seed in live {
             assert!(
-                run_checkpoint(&seed).starts_with("ok_"),
+                run_checkpoint(seed).starts_with("ok_"),
                 "checkpoint seed rejected"
             );
         }
+        assert_eq!(run_checkpoint(v1), "err_version");
         for seed in trace_seeds() {
             assert_eq!(run_trace(&seed), "ok");
         }
@@ -1313,10 +1304,10 @@ mod tests {
             classes,
             [
                 "ok_log_whole",
-                "ok_snapshot_whole",
+                "rej_log",
                 "ok_log_whole",
                 "ok_log_torn",
-                "ok_snapshot_torn"
+                "ok_log_torn"
             ]
         );
         let whole = load_log(&seeds[0]).expect("fresh log loads");
@@ -1327,7 +1318,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(pages(&whole.0), (0..12).collect::<Vec<_>>());
-        assert_eq!(load_log(&seeds[1]).expect("snapshot log loads").0, whole.0);
         // The later epoch wins per page.
         let (two, _) = load_log(&seeds[2]).expect("two epochs load");
         assert_eq!(pages(&two), [0, 1, 2, 3, 4, 5, 6, 8]);
@@ -1340,7 +1330,6 @@ mod tests {
             partial_log_grows_as_it_loads(seed).expect("oracle holds on a seed");
         }
         assert_eq!(run_partial_log(b""), "rej_log");
-        assert_eq!(run_partial_log(b"VECYPAR1"), "rej_snapshot");
         // A record that is intact but not whole entries condemns the
         // file, grown or whole.
         let mut gap = seeds[0].clone();

@@ -11,18 +11,25 @@
 # tree. Then, for every seed and workload, runs N pairs of the pipeline
 # form (`--workload W --seed S --seconds 15 --trace 0`), alternating which
 # side runs first, and reads the share of CPU time stolen from the VM
-# (`/proc/stat`) over each run.
+# (`/proc/stat`) over each run. Each pair then runs both sides once more,
+# in the same order, under MALLOC_MMAP_THRESHOLD_=131072: a *layout
+# probe*. With the threshold fixed, glibc places a big allocation the same
+# way whatever was allocated before it, so a peak-RSS move that the probes
+# do not show is allocator layout, not growth. Probes are never in the
+# medians and never waive a bound.
 #
 # Writes, at the repo root:
 #   BENCH_<pr>.samples.jsonl  appends one line per run: invocation, side,
-#                             pair, order, steal share and every metric
-#                             the run reported;
+#                             pair, order, whether it is a layout probe,
+#                             steal share and every metric the run
+#                             reported;
 #   BENCH_<pr>.json           one record per (workload, seed, end-to-end
 #                             metric) in that file: the medians of both
 #                             sides, in the schema tests/bench_trajectory.rs
 #                             pins;
 # and prints per metric the medians, the change's wins out of its pairs
-# and the parent's interquartile range. So a second invocation (another
+# and the parent's interquartile range, then the probes' peak-RSS
+# medians. So a second invocation (another
 # seed, more workloads) adds to the same records; delete the sample file
 # to start over. <pr> is one past the highest BENCH_<n>.json at the
 # parent revision. Never run builds or tests while it measures.
@@ -82,23 +89,26 @@ cpu_jiffies() {
     awk '$1 == "cpu" { t = 0; for (i = 2; i <= NF; i++) t += $i; print $9, t; exit }' /proc/stat
 }
 
-# One run: appends its sample line to $SAMPLES.
+# One run: appends its sample line to $SAMPLES. A probe (<probe> = 1) runs
+# under the fixed mmap threshold.
 RUN=$(date +%s)
-run_side() { # <side> <workload> <seed> <pair> <order>
+run_side() { # <side> <workload> <seed> <pair> <order> <probe>
     local before after result
+    local -a alloc=()
+    if (($6)); then alloc=(MALLOC_MMAP_THRESHOLD_=131072); fi
     before=$(cpu_jiffies)
-    result=$(cd "${CHECKOUT[$1]}" && "${BIN[$1]}" --workload "$2" --seed "$3" \
-        --seconds 15 --trace 0 2>/dev/null | tail -1)
+    result=$(cd "${CHECKOUT[$1]}" && env "${alloc[@]}" "${BIN[$1]}" --workload "$2" \
+        --seed "$3" --seconds 15 --trace 0 2>/dev/null | tail -1)
     after=$(cpu_jiffies)
     python3 -c '
 import json, sys
-run, side, workload, seed, pair, order, before, after, result = sys.argv[1:]
+run, side, workload, seed, pair, order, probe, before, after, result = sys.argv[1:]
 (s0, t0), (s1, t1) = (map(int, x.split()) for x in (before, after))
 print(json.dumps({"run": int(run), "side": side, "workload": workload, "seed": int(seed),
-                  "pair": int(pair), "order": int(order),
+                  "pair": int(pair), "order": int(order), "layout_probe": probe == "1",
                   "steal_share": round((s1 - s0) / max(t1 - t0, 1), 4),
                   "result": json.loads(result)}))
-' "$RUN" "$1" "$2" "$3" "$4" "$5" "$before" "$after" "$result" >>"$SAMPLES"
+' "$RUN" "$1" "$2" "$3" "$4" "$5" "$6" "$before" "$after" "$result" >>"$SAMPLES"
 }
 
 for seed in $SEEDS; do
@@ -106,8 +116,10 @@ for seed in $SEEDS; do
         for ((pair = 0; pair < PAIRS; pair++)); do
             echo "seed $seed $workload pair $((pair + 1))/$PAIRS" >&2
             if ((pair % 2 == 0)); then order=(parent change); else order=(change parent); fi
-            run_side "${order[0]}" "$workload" "$seed" "$pair" 0
-            run_side "${order[1]}" "$workload" "$seed" "$pair" 1
+            run_side "${order[0]}" "$workload" "$seed" "$pair" 0 0
+            run_side "${order[1]}" "$workload" "$seed" "$pair" 1 0
+            run_side "${order[0]}" "$workload" "$seed" "$pair" 2 1
+            run_side "${order[1]}" "$workload" "$seed" "$pair" 3 1
         done
     done
 done
@@ -122,11 +134,12 @@ metrics = [(m["name"], m["better"]) for m in manifest["end_to_end"]]
 EXACT = {"alloc_kib_per_guest_mib", "wire_kib_per_guest_mib",
          "sim_migration_ms_mean", "verified_ops_share"}
 
-runs = {}
+runs, probes = {}, {}
 for line in open(samples_path):
     s = json.loads(line)
     key = (s["run"], s["pair"])
-    runs.setdefault((s["workload"], s["seed"]), {}).setdefault(key, {})[s["side"]] = s
+    into = probes if s.get("layout_probe") else runs
+    into.setdefault((s["workload"], s["seed"]), {}).setdefault(key, {})[s["side"]] = s
 
 def number(x, exact):
     # As Rust prints an f64: no exponent, no trailing zeros, no `.0`.
@@ -159,5 +172,13 @@ for (workload, seed), pairs in runs.items():
             f'"exact":{"true" if exact else "false"}}}')
 with open(out_path, "w") as out:
     out.write("[\n" + ",\n".join(records) + "\n]\n")
+print(f"layout probes (MALLOC_MMAP_THRESHOLD_=131072), not in {out_path}:")
+for (workload, seed), pairs in probes.items():
+    pairs = [p for p in pairs.values() if "parent" in p and "change" in p]
+    if pairs:
+        pm, cm = (statistics.median(value(p[side], "peak_rss_mib") for p in pairs)
+                  for side in ("parent", "change"))
+        print(f"{workload:<22} {seed:>4} {'peak_rss_mib':<24} {pm:>10.4f} {cm:>10.4f} "
+              f"{len(pairs):>6} pairs")
 print(f"wrote {out_path} ({len(records)} records)", file=sys.stderr)
 EOF

@@ -28,10 +28,10 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44692
-PUB_CEILING=1111
+BUDGET=44492
+PUB_CEILING=1109
 DEPS_CEILING=113
-DESIGN_CEILING=1598
+DESIGN_CEILING=1597
 CAP=800
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"

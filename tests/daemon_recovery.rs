@@ -470,9 +470,8 @@ fn landed_by(spec: &ScenarioSpec, st: &SessionState) -> PartialCheckpoint {
 /// landed pages offers them, and the retry recycles them — its report is
 /// the in-process run over that partial, strictly fewer bytes cross the
 /// wire than from scratch, and the one ledger formula holds. The same
-/// pages recycle alike from each form the partial file can have: an
-/// older release's snapshot, the log a session writes today, and a log
-/// continued behind a snapshot.
+/// pages recycle alike from a log one session wrote and from a log a
+/// second session continued behind the first.
 #[test]
 fn resume_skips_the_persisted_partial_prefix() {
     let _wd = Watchdog::arm("resume_skips_the_persisted_partial_prefix", 2 * JOB_TIMEOUT);
@@ -487,11 +486,7 @@ fn resume_skips_the_persisted_partial_prefix() {
     let state_after = |n: usize| applied(fresh_state(&spec), None, &msgs[..n]);
     let expected = landed_by(&spec, &state_after(prefix));
     type Layout<'a> = Box<dyn Fn(&std::path::Path) + 'a>;
-    let layouts: [(&str, Layout); 3] = [
-        (
-            "skip-snap",
-            Box::new(|dir| save_snapshot(dir, fp, &state_after(prefix))),
-        ),
+    let layouts: [(&str, Layout); 2] = [
         (
             "skip-log",
             Box::new(|dir| {
@@ -502,11 +497,14 @@ fn resume_skips_the_persisted_partial_prefix() {
             }),
         ),
         (
-            "skip-both",
+            "skip-twice",
             Box::new(|dir| {
-                let mut st = state_after(prefix / 3);
-                save_snapshot(dir, fp, &st);
-                let (_, mut log) = PartialLog::load(dir, 1, fp, spec.pages()).expect("base loads");
+                std::fs::create_dir_all(dir).expect("journal dir");
+                let mut st = fresh_state(&spec);
+                let mut log = PartialLog::create(dir, 1, fp).expect("fresh log");
+                log_chunks(&mut log, &landed_chunks(&mut st, None, &msgs[..prefix / 3]));
+                drop(log);
+                let (_, mut log) = PartialLog::load(dir, 1, fp, spec.pages()).expect("log loads");
                 let chunks = landed_chunks(&mut st, None, &msgs[prefix / 3..prefix]);
                 log_chunks(&mut log, &chunks);
             }),
@@ -525,11 +523,12 @@ fn resume_skips_the_persisted_partial_prefix() {
     }
 }
 
-/// Writes `state` as job 1's partial file in the snapshot form an older
-/// daemon left behind; only the benchmark-only writer makes one now.
-#[allow(deprecated)]
-fn save_snapshot(dir: &std::path::Path, fingerprint: u64, state: &SessionState) {
-    vecycle_daemon::session_state::save_partial(dir, 1, fingerprint, state).expect("snapshot");
+/// Writes the pages `state`'s stream landed as job 1's partial log, one
+/// chunk record.
+fn save_log(dir: &std::path::Path, fingerprint: u64, state: &SessionState) {
+    std::fs::create_dir_all(dir).expect("journal dir");
+    let mut log = PartialLog::create(dir, 1, fingerprint).expect("fresh log");
+    log_chunks(&mut log, &[state.landed().collect()]);
 }
 
 /// The cold, full-copy scenario the retry tests share: no checkpoint
@@ -594,9 +593,8 @@ fn finish_in_flight_job(
 /// A partial that is not the stream's own prefix just recycles less (or
 /// differently): the destination offers it, the job completes with equal
 /// content hashes, and the report is the in-process run over that
-/// partial. Two well-formed (trailer-valid) snapshots: one built from
-/// another seed's prefix, one that re-applied messages past the stream's
-/// end.
+/// partial. Two well-formed logs: one of another seed's prefix, one of
+/// a stream that re-applied messages past its end.
 #[test]
 fn rejected_resume_self_heals_into_a_full_transfer() {
     let _wd = Watchdog::arm(
@@ -615,7 +613,7 @@ fn rejected_resume_self_heals_into_a_full_transfer() {
 
     for (tag, partial) in [("rj-foreign", &foreign), ("rj-long", &overlong)] {
         resume_over_partial(tag, &spec, &landed_by(&spec, partial), |dir| {
-            save_snapshot(dir, spec_fingerprint(&spec), partial);
+            save_log(dir, spec_fingerprint(&spec), partial);
         });
     }
 }
@@ -717,17 +715,19 @@ fn clean_journal_backed_run_matches_the_in_memory_daemon() {
     assert!(!partial_path(&dst_dir, 1, spec_fingerprint(&spec)).exists());
 }
 
-/// The partial-file format outlives the in-memory layout: a snapshot
-/// written by an older release's daemon (a committed fixture — its
-/// anchors were a hash map, sorted on encode) decodes, re-encodes byte
-/// for byte and loads as its landed pages' digests, so a destination
-/// upgraded between two epochs of one job still recycles them. The
-/// traffic behind it is the anchor corner: page 3 is rewritten in round
-/// 2 and references to it, before and after, resolve through its
-/// *first* content.
+/// A partial file an older release left — a state snapshot, here a
+/// committed fixture — is no file: the destination starts its log over
+/// and the job runs unrecycled. The snapshot writer the benchmark still
+/// calls is pinned to that fixture's bytes. The traffic behind it is the
+/// anchor corner: page 3 is rewritten in round 2 and references to it,
+/// before and after, resolve through its *first* content.
 #[test]
 #[allow(deprecated)]
-fn previous_release_partial_file_round_trips_bit_for_bit() {
+fn previous_release_partial_file_is_no_file_and_the_job_runs_unrecycled() {
+    let _wd = Watchdog::arm(
+        "previous_release_partial_file_is_no_file_and_the_job_runs_unrecycled",
+        2 * JOB_TIMEOUT,
+    );
     const FIXTURE: &[u8] = include_bytes!("fixtures/partial-job7-pr13.bin");
 
     let mut spec = ScenarioSpec::golden(0x14);
@@ -736,12 +736,7 @@ fn previous_release_partial_file_round_trips_bit_for_bit() {
     spec.warm = false;
     let fp = spec_fingerprint(&spec);
 
-    let (job, fingerprint, decoded, used) =
-        SessionState::decode_prefix(FIXTURE).expect("fixture decodes");
-    assert_eq!((job, fingerprint, used), (7, fp, FIXTURE.len()));
-    assert_eq!(decoded.encode(7, fp), FIXTURE, "re-encode differs");
-
-    // The same traffic applied today lands in the same bytes.
+    // The fixture's traffic applied today encodes to its bytes.
     let d = PageDigest::from_content_id;
     let full = |idx, digest| WireMsg::Full { idx, digest };
     let mut st = fresh_state(&spec);
@@ -761,7 +756,6 @@ fn previous_release_partial_file_round_trips_bit_for_bit() {
     });
     apply(WireMsg::RoundEnd { round: 2 });
     apply(full(7, d(9_007)));
-    assert_eq!(st, decoded);
     assert_eq!(st.encode(7, fp), FIXTURE);
     assert_eq!(
         st.mem()[61],
@@ -770,17 +764,24 @@ fn previous_release_partial_file_round_trips_bit_for_bit() {
     );
     assert_eq!(st.mem()[3], d(9_003));
 
-    // As a partial file it is its landed pages, each as it ended.
+    // At its own job's path it loads as nothing.
     let dir = journal_dir("pr13");
     std::fs::create_dir_all(&dir).expect("journal dir");
     std::fs::write(partial_path(&dir, 7, fp), FIXTURE).expect("fixture copies");
-    let (landed, _) = PartialLog::load(&dir, 7, fp, spec.pages()).expect("fixture loads");
-    assert_eq!(landed, landed_by(&spec, &decoded).landed());
-    assert_eq!(landed.iter().flatten().count(), 48 + 5);
-    assert_eq!(
-        (landed[3], landed[61], landed[100]),
-        (Some(d(9_003)), Some(d(103)), None)
-    );
+    assert!(PartialLog::load(&dir, 7, fp, spec.pages()).is_none());
+
+    // A snapshot of a cold prefix at a job in flight: the job completes
+    // as the run over nothing, with the from-scratch ledger.
+    let spec = cold_full_spec(0x515);
+    let msgs = wire_sequence(&spec);
+    let prefix = applied(fresh_state(&spec), None, &msgs[..msgs.len() / 2]);
+    let m = resume_over_partial("snap", &spec, &nothing(&spec), |dir| {
+        vecycle_daemon::session_state::save_partial(dir, 1, spec_fingerprint(&spec), &prefix)
+            .expect("snapshot");
+    });
+    let from_scratch = scenario::reference_run(&spec).expect("reference").report;
+    let from_scratch_tx = from_scratch.source_traffic().as_u64() + forward_overhead(m.job_json_len);
+    assert_eq!(m.tx, from_scratch_tx);
 }
 
 /// The partial log under every possible crash: a recorded stream logged

@@ -14,8 +14,8 @@ const CORPORA: [(&str, u64); 7] = [
     ("wire_msg", 13),
     ("handshake", 12),
     ("ctrl_frame", 4),
-    ("partial_log", 7),
-    ("partial_log_fix", 8),
+    ("partial_log", 8),
+    ("partial_log_fix", 10),
     ("wal", 11),
     ("wal_fix", 12),
 ];

@@ -73,8 +73,12 @@ fn fixture_guest() -> (ByteMemory, SimTime) {
     (mem, SimTime::EPOCH + SimDuration::from_hours(3))
 }
 
+/// A page file without a digest table (version 1, no longer read) is a
+/// miss: the load names its version, the migration runs as dedup and
+/// recycles nothing, and the file is cleared. The guest saved today is
+/// the version-2 file of the same pages, byte for byte.
 #[test]
-fn previous_release_page_file_loads_recycles_and_resaves_with_a_table() {
+fn previous_release_page_file_is_refused_and_the_migration_runs_unrecycled() {
     let dir = tmpdir("v1-pages");
     let store = DiskStore::open(&dir).unwrap();
     let vm_id = VmId::new(7);
@@ -82,41 +86,28 @@ fn previous_release_page_file_loads_recycles_and_resaves_with_a_table() {
     let v1 = include_bytes!("fixtures/vm-pages-v1.ckpt");
     std::fs::write(&path, v1).unwrap();
 
+    let err = store.load(vm_id).unwrap_err().to_string();
+    assert!(err.contains("version 1"), "{err}");
     let (mut mem, at) = fixture_guest();
-    let original = Checkpoint::capture_bytes(vm_id, at, &mem);
-    let loaded = store.load(vm_id).unwrap().expect("v1 page file loads");
-    assert_eq!(loaded, original);
-    assert_eq!(loaded.digests(), original.digests());
-
-    // It recycles like any other checkpoint.
     mem.write_page(PageIndex::new(0), PageContent::Bytes(b"moved on"));
     let (strategy, cp) = choose_strategy(&store, vm_id);
-    let (report, transcript) = MigrationEngine::new(LinkSpec::lan_gigabit())
-        .migrate_with_transcript(&mem, strategy)
+    assert!(cp.is_none());
+    assert_eq!(strategy.name().to_string(), "dedup");
+    let report = MigrationEngine::new(LinkSpec::lan_gigabit())
+        .migrate(&mem, strategy)
         .unwrap();
-    assert_eq!(report.pages_reused(), PageCount::new(6));
-    let rebuilt = apply_transcript(&cp.unwrap(), &transcript).unwrap();
-    assert!(rebuilt.content_equals(&mem));
+    assert_eq!(report.pages_reused(), PageCount::new(0));
+    assert!(!path.exists(), "the refused file is cleared");
 
-    // Saving it again writes the tabled layout: version 2, 16 bytes a
-    // page larger, and equal on read-back.
-    store.save(&loaded).unwrap();
-    let v2 = std::fs::read(&path).unwrap();
-    assert_eq!((v1[9], v2[9]), (1, 2));
-    assert_eq!(v2.len(), v1.len() + 8 * 16);
-    assert_eq!(store.load(vm_id).unwrap().unwrap(), original);
     // Byte for byte the file the release that introduced version 2
-    // wrote for this guest: header ‖ table ‖ the v1 file's pages ‖ FNV
-    // of header and table (its FNV-1a taken at commit 40814c7).
-    let mut expect = v1[..32].to_vec();
-    expect[9] = 2;
-    for digest in original.digests() {
-        expect.extend_from_slice(digest.as_bytes());
-    }
-    let trailer = Fnv1a64::digest(&expect);
-    expect.extend_from_slice(&v1[32..v1.len() - 8]);
-    expect.extend_from_slice(&trailer);
-    assert!(v2 == expect, "version-2 layout moved");
+    // wrote for this guest (its FNV-1a taken at commit 40814c7): the
+    // v1 file's pages behind a digest table.
+    let (mem, _) = fixture_guest();
+    store
+        .save(&Checkpoint::capture_bytes(vm_id, at, &mem))
+        .unwrap();
+    let v2 = std::fs::read(&path).unwrap();
+    assert_eq!(v2[32 + 8 * 16..v2.len() - 8], v1[32..v1.len() - 8]);
     assert_eq!(
         u64::from_be_bytes(Fnv1a64::digest(&v2)),
         0x8b80_a87c_18bd_1056
