@@ -49,6 +49,34 @@ fn digest_pages_allocates_only_its_output() {
     }
 }
 
+/// A batch big enough to split across cores still asks for its output
+/// vector as its largest request; what else the calling thread asks
+/// for is the scope's and each spawned thread's bookkeeping, a few
+/// small requests a thread. The meter counts the calling thread only,
+/// and that is all there is to count: the workers allocate nothing,
+/// because each writes its digests straight into its slice of the
+/// caller's output vector.
+#[test]
+fn a_split_batch_allocates_its_output_and_per_thread_bookkeeping() {
+    const N: usize = 1024;
+    let pages: Vec<Vec<u8>> = (0..N).map(|i| vec![(i % 251) as u8; 4096]).collect();
+    let views: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
+    // The first split batch reads the core count once; keep it out of
+    // the metered calls.
+    let _ = ChecksumAlgorithm::Md5.digest_pages(&views);
+    let threads = std::thread::available_parallelism().map_or(1, usize::from) as u64;
+    for algo in ChecksumAlgorithm::ALL {
+        let (digests, stats) = metered(|| algo.digest_pages(&views));
+        assert_eq!(digests.len(), N);
+        assert_eq!(stats.largest, 16 * N as u64, "{algo}: {stats:?}");
+        assert!(stats.calls <= 1 + 6 * threads, "{algo}: {stats:?}");
+        assert!(
+            stats.requested <= 16 * N as u64 + 512 * threads,
+            "{algo}: {stats:?}"
+        );
+    }
+}
+
 /// The streaming reader under the fuzz targets' own budget: a header
 /// claiming 2⁴⁰ pages on a 100-byte input asks for no more memory than
 /// an honest 100-byte input may.

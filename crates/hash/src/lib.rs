@@ -176,8 +176,11 @@ impl ChecksumAlgorithm {
     /// Bit-equal to calling [`ChecksumAlgorithm::page_digest`] on each
     /// page, but processes runs of equal-length pages through the
     /// multi-lane kernels in [`multilane`] (sixteen at a time for MD5,
-    /// four for SHA-1 and FNV-1a) and allocates only the vector it
-    /// returns — the fast path wherever page bytes are hashed in bulk.
+    /// four for SHA-1 and FNV-1a), spreads a batch of a few hundred
+    /// pages or more over the machine's cores on scoped threads, and
+    /// allocates nothing but the vector it returns (and, when it
+    /// spreads, each thread's spawn) — the fast path wherever page bytes
+    /// are hashed in bulk.
     ///
     /// # Examples
     ///
@@ -252,7 +255,9 @@ pub fn page_digest(page: &[u8]) -> PageDigest {
 /// Digests a batch of pages with MD5, sixteen lanes per dispatch.
 ///
 /// The batched counterpart of [`page_digest`]: bit-equal results, but
-/// equal-length runs of non-zero pages go through [`md5_lanes`].
+/// equal-length runs of non-zero pages go through [`md5_lanes`], and a
+/// batch of a few hundred pages or more is split across the cores
+/// ([`ChecksumAlgorithm::digest_pages`]).
 pub fn digest_pages(pages: &[&[u8]]) -> Vec<PageDigest> {
     multilane::digest_pages(ChecksumAlgorithm::Md5, pages)
 }

@@ -167,6 +167,39 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A batch big enough to split across cores (on a one-core machine it
+    /// takes the one-thread path, which is what `taskset -c 0` in CI
+    /// runs): the public MD5 batch equals `page_digest` per page, with
+    /// zero pages wherever the draw puts them and one odd-length
+    /// straggler anywhere in the batch.
+    #[test]
+    fn a_split_sized_batch_matches_page_digest(
+        len in 1024usize..1200,
+        zero_share in 0u8..64,
+        straggler_at in any::<usize>(),
+        salt in any::<u8>(),
+    ) {
+        let straggler_at = straggler_at % len;
+        let pages: Vec<Vec<u8>> = (0..len)
+            .map(|i| {
+                let size = if i == straggler_at { 333 } else { 512 };
+                let fill = (i as u8).wrapping_mul(salt | 1);
+                if i != straggler_at && fill % 64 < zero_share {
+                    vec![0; size]
+                } else {
+                    (0..size).map(|j| fill ^ (j as u8) | 1).collect()
+                }
+            })
+            .collect();
+        let views: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
+        let per_page: Vec<_> = views.iter().map(|p| vecycle_hash::page_digest(p)).collect();
+        prop_assert_eq!(vecycle_hash::digest_pages(&views), per_page);
+    }
+}
+
 /// The RFC 1321 §A.5 test suite through each of the sixteen lane
 /// positions, the other fifteen lanes hashing same-length filler.
 #[test]
