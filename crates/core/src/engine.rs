@@ -15,10 +15,10 @@ use vecycle_host::{CpuSpec, DiskSpec};
 use vecycle_mem::{workload::GuestWorkload, Guest, MemoryImage, MutableMemory};
 use vecycle_net::LinkSpec;
 use vecycle_obs::MetricsRegistry;
-use vecycle_types::{DigestMap, PageCount, PageIndex, SimDuration};
+use vecycle_types::{PageCount, PageIndex, SimDuration};
 
 use crate::pipeline::obs::EngineSeries;
-use crate::pipeline::rounds::{LiveOutcome, TransferLoop};
+use crate::pipeline::rounds::{DedupCache, LiveOutcome, TransferLoop};
 use crate::pipeline::sink::{CountOnly, CutSink, MsgSink};
 use crate::pipeline::wire_costs::{DeltaCompression, Xbzrle};
 use crate::{LiveTranscript, MigrationReport, Strategy, Transcript};
@@ -214,7 +214,7 @@ impl MigrationEngine {
         vm: &M,
         strategy: Strategy,
     ) -> vecycle_types::Result<MigrationReport> {
-        let mut sent = dedup_cache(&strategy, vm.page_count());
+        let mut sent = DedupCache::single_vm(&strategy, vm.page_count());
         self.static_round("static", vm, &strategy, sent.as_mut(), &mut CountOnly)
     }
 
@@ -231,7 +231,7 @@ impl MigrationEngine {
         strategy: Strategy,
     ) -> vecycle_types::Result<(MigrationReport, Transcript)> {
         let mut transcript = Transcript::new();
-        let mut sent = dedup_cache(&strategy, vm.page_count());
+        let mut sent = DedupCache::single_vm(&strategy, vm.page_count());
         let report = self.static_round("static", vm, &strategy, sent.as_mut(), &mut transcript)?;
         Ok((report, transcript))
     }
@@ -243,7 +243,7 @@ impl MigrationEngine {
         mode: &'static str,
         vm: &M,
         strategy: &Strategy,
-        sent: Option<&mut DigestMap<PageIndex>>,
+        sent: Option<&mut DedupCache>,
         sink: &mut S,
     ) -> vecycle_types::Result<MigrationReport> {
         if vm.page_count() == PageCount::ZERO {
@@ -287,9 +287,9 @@ impl MigrationEngine {
                 ),
             });
         }
-        // Shared and maintained by every member, dedup or not: a later
-        // member that dedups references what any earlier one sent.
-        let mut sent = new_sent();
+        // Shared by every member: a later member that dedups references
+        // what any earlier one sent, checksum sends included.
+        let mut sent = DedupCache::gang();
         vms.iter()
             .zip(strategies)
             .map(|(vm, strategy)| {
@@ -444,7 +444,7 @@ impl MigrationEngine {
         let mut tl = TransferLoop::start(self, "live", &strategy, guest.ram_size(), faults, sink);
 
         guest.dirty_mut().clear();
-        let mut sent = dedup_cache(&strategy, guest.page_count());
+        let mut sent = DedupCache::single_vm(&strategy, guest.page_count());
         if let Err(wreck) = tl.first_round(&*guest, &strategy, sent.as_mut()) {
             return Ok(LiveOutcome::Aborted(wreck));
         }
@@ -504,19 +504,4 @@ fn completed(outcome: LiveOutcome) -> MigrationReport {
         LiveOutcome::Completed(report) => report,
         LiveOutcome::Aborted(_) => unreachable!("a fault-free attempt cannot abort"),
     }
-}
-
-/// A gang's shared dedup cache: digest → first page that carried the
-/// content. Capacity 14 is `std`'s 16-bucket table (DESIGN §13.2).
-fn new_sent() -> DigestMap<PageIndex> {
-    DigestMap::with_capacity_and_hasher(14, Default::default())
-}
-
-/// A single-VM migration's dedup cache: none unless the strategy reads
-/// one, else sized once to hold every page of the guest, so the scan
-/// never rehashes it (DESIGN §13.2).
-fn dedup_cache(strategy: &Strategy, pages: PageCount) -> Option<DigestMap<PageIndex>> {
-    strategy
-        .dedups()
-        .then(|| DigestMap::with_capacity_and_hasher(pages.as_usize(), Default::default()))
 }

@@ -115,6 +115,47 @@ struct Scan {
     alive: bool,
 }
 
+/// The sender-side dedup cache: digest → the first page that carried
+/// the content (DESIGN §13.2). Which sends it records is fixed where it
+/// is built, not by the rounds that fill it:
+///
+/// * a single-VM migration's cache ([`DedupCache::single_vm`]) records
+///   full sends only. Its one strategy answers every digest in its
+///   immutable index before it reads the cache, so an entry for a
+///   checksum send could never be read;
+/// * a gang's cache ([`DedupCache::gang`]) records checksum sends too:
+///   a later member whose index lacks the content must still reference
+///   an earlier member's checksum send of it.
+pub(crate) struct DedupCache {
+    first: DigestMap<PageIndex>,
+    records_checksums: bool,
+}
+
+impl DedupCache {
+    /// A single-VM migration's cache: none unless the strategy reads
+    /// one. Without an index every page may be a full send, so the map
+    /// is sized once to the page count and never rehashes; with one,
+    /// only the pages the index misses can land in it, so it starts
+    /// at `std`'s empty table and grows.
+    pub(crate) fn single_vm(strategy: &Strategy, pages: PageCount) -> Option<Self> {
+        let capacity = strategy.index().map_or(pages.as_usize(), |_| 0);
+        strategy.dedups().then(|| DedupCache {
+            first: DigestMap::with_capacity_and_hasher(capacity, Default::default()),
+            records_checksums: false,
+        })
+    }
+
+    /// A gang's shared cache, maintained by every member, dedup or not,
+    /// because a later member may dedup. Capacity 14 is `std`'s
+    /// 16-bucket table.
+    pub(crate) fn gang() -> Self {
+        DedupCache {
+            first: DigestMap::with_capacity_and_hasher(14, Default::default()),
+            records_checksums: true,
+        }
+    }
+}
+
 /// One in-flight transfer: ledgers, span, rounds, elapsed pre-copy time
 /// and the sink its messages go to, advanced by the driver one round at
 /// a time.
@@ -209,7 +250,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         &mut self,
         vm: &M,
         strategy: &Strategy,
-        mut sent: Option<&mut DigestMap<PageIndex>>,
+        mut sent: Option<&mut DedupCache>,
         full_cost: Bytes,
     ) -> Scan {
         debug_assert!(sent.is_some() || !strategy.dedups());
@@ -227,7 +268,8 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         };
         for idx in (0..n).map(PageIndex::new) {
             let digest = vm.page_digest(idx);
-            let msg = match strategy.classify(idx, digest, sent.as_deref().unwrap_or(&no_cache)) {
+            let cache = sent.as_deref().map_or(&no_cache, |c| &c.first);
+            let msg = match strategy.classify(idx, digest, cache) {
                 PageAction::Skip => {
                     scan.skipped += 1;
                     continue;
@@ -237,7 +279,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                 // the 28-byte checksum message, and announces nothing.
                 _ if zero_suppression && digest.is_zero_page() => PageMsg::Zero { idx },
                 PageAction::SendFull => {
-                    remember(&mut sent, digest, idx);
+                    remember(&mut sent, digest, idx, false);
                     // The message shares the guest's buffer; only a sink
                     // that reads the message is worth even the handle.
                     let bytes = if S::PER_MESSAGE && scan.alive {
@@ -248,7 +290,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                     PageMsg::Full { idx, digest, bytes }
                 }
                 PageAction::SendChecksum => {
-                    remember(&mut sent, digest, idx);
+                    remember(&mut sent, digest, idx, true);
                     PageMsg::Checksum { idx, digest }
                 }
                 PageAction::SendDedupRef(source) => PageMsg::DedupRef { idx, source },
@@ -363,7 +405,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         &mut self,
         vm: &M,
         strategy: &Strategy,
-        sent: Option<&mut DigestMap<PageIndex>>,
+        sent: Option<&mut DedupCache>,
     ) -> Result<(), AbortedTransfer> {
         let engine = self.engine;
         let link = engine.link_for_round(1, self.faults);
@@ -466,7 +508,7 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         vm: &M,
         dirty: &[PageIndex],
         strategy: &Strategy,
-        mut sent: Option<&mut DigestMap<PageIndex>>,
+        mut sent: Option<&mut DedupCache>,
     ) -> Result<SimDuration, AbortedTransfer> {
         let engine = self.engine;
         let round_no = self.rounds.len() as u32 + 1;
@@ -474,9 +516,11 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
         let page_msg = engine.wire_costs().resend_page();
         let no_cache = DigestMap::default();
         let (landed, alive) = self.emit_dirty(vm, dirty, page_msg, |idx, digest| {
-            let action = strategy.classify_resend(digest, sent.as_deref().unwrap_or(&no_cache));
+            let cache = sent.as_deref().map_or(&no_cache, |c| &c.first);
+            let action = strategy.classify_resend(digest, cache);
             if matches!(action, PageAction::SendFull | PageAction::SendChecksum) {
-                remember(&mut sent, digest, idx);
+                let checksum = matches!(action, PageAction::SendChecksum);
+                remember(&mut sent, digest, idx, checksum);
             }
             action
         });
@@ -613,8 +657,10 @@ impl MigrationEngine {
             .dest_disk
             .sequential_time(ram)
             .max(self.cpu.checksum_time(self.algorithm, ram));
-        // Sorting ~n log n digest comparisons; ~20 ns per element-move is
-        // generous for 16-byte keys.
+        // The paper's sort-based index build: ~n log n digest comparisons
+        // at ~20 ns per element-move. The real index is a hash map filled
+        // in one pass, but the simulated price stays the paper's model,
+        // so simulated times and goldens do not depend on the map.
         let entries = index.distinct() as u64;
         let index_build = SimDuration::from_nanos(
             entries.max(1) * (64 - entries.max(2).leading_zeros() as u64) * 20,
@@ -653,11 +699,21 @@ impl MigrationEngine {
     }
 }
 
-/// Records `idx` as the first sender of `digest`, if there is a cache.
+/// Records `idx` as the first sender of `digest`, if there is a cache
+/// and it keeps this kind of send: every cache keeps full sends, only a
+/// gang's keeps checksum sends.
 #[inline]
-fn remember(sent: &mut Option<&mut DigestMap<PageIndex>>, digest: PageDigest, idx: PageIndex) {
-    if let Some(sent) = sent {
-        sent.entry(digest).or_insert(idx);
+fn remember(
+    sent: &mut Option<&mut DedupCache>,
+    digest: PageDigest,
+    idx: PageIndex,
+    checksum: bool,
+) {
+    if let Some(cache) = sent
+        .as_deref_mut()
+        .filter(|c| !checksum || c.records_checksums)
+    {
+        cache.first.entry(digest).or_insert(idx);
     }
 }
 

@@ -2,6 +2,7 @@
 //! keep it a single streaming pass.
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use proptest::collection::vec;
@@ -10,9 +11,9 @@ use proptest::prelude::*;
 use vecycle_faults::AttemptFaults;
 use vecycle_mem::{DigestMemory, GenerationTable, MemoryImage, MutableMemory, PageContent};
 use vecycle_net::LinkSpec;
-use vecycle_types::{Bytes, DigestMap, PageCount, PageDigest, PageIndex};
+use vecycle_types::{Bytes, PageCount, PageDigest, PageIndex};
 
-use super::{AbortedTransfer, TransferLoop};
+use super::{AbortedTransfer, DedupCache, TransferLoop};
 use crate::pipeline::sink::{CutSink, MsgSink};
 use crate::{MigrationEngine, PageMsg, RoundReport, Strategy, Transcript};
 
@@ -33,7 +34,7 @@ fn first_round<M: MemoryImage, S: MsgSink>(
     engine: &MigrationEngine,
     vm: &M,
     strategy: &Strategy,
-    sent: Option<&mut DigestMap<PageIndex>>,
+    sent: Option<&mut DedupCache>,
     sink: &mut S,
 ) -> Result<RoundReport, AbortedTransfer> {
     let faults = AttemptFaults::none();
@@ -45,13 +46,18 @@ fn first_round<M: MemoryImage, S: MsgSink>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The scan's transcript, per-class counts and resulting `sent`
-    /// equal a naive `HashMap::entry().or_insert()` walk in page order —
-    /// for every strategy family, zero suppression on and off, and a
-    /// `sent` pre-seeded by an earlier gang VM (whose pages share this
-    /// image's index range, so a prior sender can sit at the *same*
-    /// page index and must still yield a back-reference). A strategy
-    /// that does not dedup scans the same without any cache.
+    /// The scan's transcript and per-class counts equal a naive
+    /// `HashMap::entry().or_insert()` walk in page order that records
+    /// every full and checksum send — for every strategy family, zero
+    /// suppression on and off, and both kinds of cache. A gang's cache,
+    /// pre-seeded by an earlier member (whose pages share this image's
+    /// index range, so a prior sender can sit at the *same* page index
+    /// and must still yield a back-reference), ends equal to the
+    /// model's. A single-VM cache starts empty and ends equal to the
+    /// model's minus the entries only a checksum send made: the index
+    /// answers those digests before any lookup can reach them, so the
+    /// two rules send the same messages. A strategy that does not dedup
+    /// scans the same without any cache.
     #[test]
     fn scan_matches_a_naive_walk_in_page_order(
         vm_ids in vec(0u64..24, 1..200),
@@ -62,6 +68,7 @@ proptest! {
         use_tracking in any::<bool>(),
         use_dedup in any::<bool>(),
         suppress_zeros in any::<bool>(),
+        gang in any::<bool>(),
     ) {
         let vm = image(&vm_ids);
         let n = vm_ids.len();
@@ -88,13 +95,21 @@ proptest! {
         };
         let strategy = if use_dedup { base.with_dedup() } else { base };
 
-        // What an earlier gang VM left behind.
-        let mut sent = DigestMap::default();
+        // The cache under test and, for a gang, what an earlier member
+        // left behind in it.
+        let mut sent = if gang {
+            DedupCache::gang()
+        } else {
+            // A single VM's cache, whatever the strategy under test.
+            DedupCache::single_vm(&Strategy::dedup(), vm.page_count()).expect("dedup keeps a cache")
+        };
         let mut model_sent: HashMap<PageDigest, PageIndex> = HashMap::new();
-        for (i, &id) in prior_ids.iter().enumerate() {
-            sent.entry(digest(id)).or_insert(PageIndex::new(i as u64));
+        for (i, &id) in prior_ids.iter().enumerate().filter(|_| gang) {
+            sent.first.entry(digest(id)).or_insert(PageIndex::new(i as u64));
             model_sent.entry(digest(id)).or_insert(PageIndex::new(i as u64));
         }
+        // The model's entries that only a checksum send made.
+        let mut checksum_only: HashSet<PageDigest> = HashSet::new();
 
         // The model: one page at a time, lowest index first.
         let mut model = Transcript::new();
@@ -106,7 +121,10 @@ proptest! {
             } else if suppress_zeros && digest.is_zero_page() {
                 model.push(PageMsg::Zero { idx });
             } else if checkpoint.contains(&digest) {
-                model_sent.entry(digest).or_insert(idx);
+                if let Entry::Vacant(slot) = model_sent.entry(digest) {
+                    slot.insert(idx);
+                    checksum_only.insert(digest);
+                }
                 model.push(PageMsg::Checksum { idx, digest });
             } else if let Some(&source) = model_sent.get(&digest).filter(|_| use_dedup) {
                 model.push(PageMsg::DedupRef { idx, source });
@@ -139,8 +157,11 @@ proptest! {
         prop_assert_eq!(round.dedup_refs.as_u64(), count(|m| matches!(m, PageMsg::DedupRef { .. })));
         prop_assert_eq!(round.zero_pages.as_u64(), count(|m| matches!(m, PageMsg::Zero { .. })));
         prop_assert_eq!(round.skipped_pages.as_u64(), skipped);
-        prop_assert_eq!(sent.len(), model_sent.len());
-        for (digest, first) in &sent {
+        if !gang {
+            model_sent.retain(|digest, _| !checksum_only.contains(digest));
+        }
+        prop_assert_eq!(sent.first.len(), model_sent.len());
+        for (digest, first) in &sent.first {
             prop_assert_eq!(model_sent.get(digest), Some(first));
         }
     }
@@ -152,8 +173,9 @@ proptest! {
 #[test]
 fn a_prior_sender_at_the_same_page_index_yields_a_dedup_ref() {
     let vm = image(&[7, 8]);
-    let mut sent = DigestMap::default();
-    sent.insert(PageDigest::from_content_id(7), PageIndex::new(0));
+    let mut sent = DedupCache::gang();
+    sent.first
+        .insert(PageDigest::from_content_id(7), PageIndex::new(0));
     let mut transcript = Transcript::new();
     first_round(
         &MigrationEngine::new(LinkSpec::lan_gigabit()),
@@ -239,7 +261,7 @@ fn round_one_streams_and_reads_each_digest_once() {
         &engine,
         &vm,
         &Strategy::dedup(),
-        Some(&mut DigestMap::default()),
+        Some(&mut DedupCache::gang()),
         &mut probe,
     )
     .expect("the probe lands everything");
@@ -260,7 +282,7 @@ fn a_link_cut_stops_the_offering_but_not_the_classification() {
         &engine,
         &vm,
         &Strategy::full(),
-        Some(&mut DigestMap::default()),
+        Some(&mut DedupCache::gang()),
         &mut cut,
     )
     .expect_err("the cut must abort round 1");

@@ -180,8 +180,10 @@ impl Strategy {
     /// Decides the first-round action for one page.
     ///
     /// `sent` is the per-migration dedup cache: digest → first page index
-    /// that carried this content. The caller inserts into it when this
-    /// returns [`PageAction::SendFull`] or [`PageAction::SendChecksum`].
+    /// that carried this content. The caller records a
+    /// [`PageAction::SendFull`] in it, and a [`PageAction::SendChecksum`]
+    /// only when a gang shares it: an index hit is answered before the
+    /// cache is read.
     // Inlined into every sink's scan, with the index probe (DESIGN §13.2).
     #[inline]
     pub fn classify(

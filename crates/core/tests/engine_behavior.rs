@@ -274,6 +274,32 @@ fn gang_combines_per_vm_checkpoints_with_shared_dedup() {
 }
 
 #[test]
+fn gang_dedups_against_an_earlier_members_checksum_send() {
+    // Member A's checkpoint holds content X, so A sends its X page as a
+    // checksum. Member B's checkpoint lacks X; B dedups, so its X page
+    // must reference A's page rather than cross in full. This is why a
+    // gang's cache records checksum sends while a single VM's does not.
+    let x = PageContent::ContentId(1 << 52);
+    let mut a = mem(4, 35);
+    a.write_page(PageIndex::new(3), x);
+    let b0 = mem(4, 36);
+    let mut b1 = b0.snapshot();
+    b1.write_page(PageIndex::new(5), x);
+    let engine = MigrationEngine::new(LinkSpec::lan_gigabit());
+    let strategies = [
+        Strategy::vecycle(&a.snapshot()),
+        Strategy::vecycle(&b0).with_dedup(),
+    ];
+    let gang = engine.migrate_gang(&[&a, &b1], &strategies).unwrap();
+    assert_eq!(gang[0].pages_sent_full(), PageCount::ZERO);
+    assert_eq!(gang[1].pages_sent_full(), PageCount::ZERO);
+    assert_eq!(gang[1].rounds()[0].dedup_refs, PageCount::new(1));
+    // Alone, B has no earlier sender of X and pays the full page.
+    let solo_b = engine.migrate(&b1, strategies[1].clone()).unwrap();
+    assert_eq!(solo_b.pages_sent_full(), PageCount::new(1));
+}
+
+#[test]
 fn gang_validates_inputs() {
     let a = mem(4, 32);
     let engine = MigrationEngine::new(LinkSpec::lan_gigabit());

@@ -105,9 +105,9 @@ pub(crate) fn choose(
     stored: &mut DigestSet,
 ) -> Choice {
     let from = vm.instance.location();
-    let candidates: Vec<HostId> = vm.affinity.iter().copied().filter(|&h| h != from).collect();
+    let count = candidates(vm, from).count();
     assert!(
-        !candidates.is_empty(),
+        count > 0,
         "affinity set of {} collapsed to its current host",
         vm.instance.id()
     );
@@ -115,7 +115,7 @@ pub(crate) fn choose(
         PlacementMode::CheckpointAware => {
             let guest = vm.instance.guest().memory();
             let mut best: Option<(u64, SimTime, HostId)> = None;
-            for &cand in &candidates {
+            for cand in candidates(vm, from) {
                 let host = cluster.host(cand).expect("affinity host in cluster");
                 let Some(cp) = host.store().latest(vm.instance.id()) else {
                     continue;
@@ -146,24 +146,35 @@ pub(crate) fn choose(
                     kind: ChoiceKind::Warm { overlap, taken_at },
                 },
                 None => Choice {
-                    to: round_robin(vm, &candidates),
+                    to: round_robin(vm, from, count),
                     kind: ChoiceKind::Cold,
                 },
             }
         }
         PlacementMode::CheckpointBlind => Choice {
-            to: round_robin(vm, &candidates),
+            to: round_robin(vm, from, count),
             kind: ChoiceKind::Blind,
         },
         PlacementMode::Random => Choice {
-            to: candidates[rng.below(candidates.len() as u64) as usize],
+            to: candidates(vm, from)
+                .nth(rng.below(count as u64) as usize)
+                .expect("the draw is below the count"),
             kind: ChoiceKind::Random,
         },
     }
 }
 
-fn round_robin(vm: &mut FleetVm, candidates: &[HostId]) -> HostId {
-    let to = candidates[vm.rr_cursor as usize % candidates.len()];
+/// The next of the `count` candidates, in turn.
+fn round_robin(vm: &mut FleetVm, from: HostId, count: usize) -> HostId {
+    let to = candidates(vm, from)
+        .nth(vm.rr_cursor as usize % count)
+        .expect("the cursor is reduced below the count");
     vm.rr_cursor = vm.rr_cursor.wrapping_add(1);
     to
+}
+
+/// The hosts `vm` may move to from `from`: its affinity set minus
+/// `from`, in affinity order.
+fn candidates(vm: &FleetVm, from: HostId) -> impl Iterator<Item = HostId> + '_ {
+    vm.affinity.iter().copied().filter(move |&h| h != from)
 }

@@ -14,11 +14,11 @@ use vecycle_fleet::{Fleet, FleetSpec, PlacementMode};
 use vecycle_fuzz::{alloc_budget, AllocMeter, AllocStats, CountingAlloc};
 use vecycle_hash::ChecksumAlgorithm;
 use vecycle_mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload};
-use vecycle_mem::{ByteMemory, DigestMemory, Guest};
+use vecycle_mem::{ByteMemory, DigestMemory, Guest, PageContent};
 use vecycle_net::{wire, LinkSpec, WireMsg};
 use vecycle_obs::{layouts, MetricsRegistry};
 use vecycle_sim::ScenarioSpec;
-use vecycle_types::{PageCount, PageDigest, SimDuration, SimTime, VmId, PAGE_SIZE};
+use vecycle_types::{PageCount, PageDigest, PageIndex, SimDuration, SimTime, VmId, PAGE_SIZE};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -148,18 +148,20 @@ fn a_ping_pong_leg_allocates_nothing_guest_sized() {
 }
 
 /// A `fleet_aware` benchmark op — `Fleet::new` + `run` of 128 hosts ×
-/// 1 280 VMs, checkpoint-aware placement, seed 7 — makes at most 16
-/// allocations a placement. Every per-migration metric records through a
-/// resolved handle; one series put back on the string-keyed path (an
-/// owned key a call) costs about two more a placement and fails this.
+/// 1 280 VMs, checkpoint-aware placement, seed 7 — makes at most 13.45
+/// allocations a placement: 12.45 measured plus a margin of one. Every
+/// per-migration metric records through a resolved handle and placement
+/// walks the affinity set without collecting it; one series put back on
+/// the string-keyed path (an owned key a call) costs about two more a
+/// placement and fails this.
 #[test]
-fn a_fleet_aware_op_stays_within_16_allocations_a_placement() {
+fn a_fleet_aware_op_stays_within_13_45_allocations_a_placement() {
     let spec = FleetSpec::new(128, 1280)
         .with_placement(PlacementMode::CheckpointAware)
         .with_seed(7);
     let (report, stats) = metered(|| Fleet::new(spec).unwrap().run().unwrap());
     assert_eq!(report.migrations, 3_840);
-    assert!(stats.calls <= 16 * report.migrations, "{stats:?}");
+    assert!(stats.calls * 100 <= 1_345 * report.migrations, "{stats:?}");
 }
 
 /// A single-VM migration keeps a dedup cache only if its strategy reads
@@ -200,6 +202,43 @@ fn a_dedup_live_migration_allocates_its_cache_once() {
         dedup.largest >= PAGES * 24 && dedup.largest > full.largest,
         "dedup {dedup:?}, full {full:?}"
     );
+}
+
+/// A warm vecycle+dedup migration sizes no cache to the guest: the index
+/// answers every page its checkpoint holds before the dedup cache is
+/// read, so a single VM's cache records full sends only and grows from
+/// empty with them. A 32 768-page guest whose checkpoint lacks 2 % of
+/// its pages, with the index built outside the meter, makes no request
+/// as large as a slot per page.
+#[test]
+fn a_warm_dedup_live_migration_sizes_no_cache_to_the_guest() {
+    const PAGES: u64 = 32_768;
+    let mut guest = Guest::new(DigestMemory::with_distinct_content(
+        PageCount::new(PAGES),
+        5,
+    ));
+    let checkpoint = guest.memory().snapshot();
+    for i in (0..PAGES).step_by(50) {
+        guest.write_page(PageIndex::new(i), PageContent::ContentId((1 << 54) | i));
+    }
+    let strategy = Strategy::vecycle(&checkpoint).with_dedup();
+    let mut workload = IdleWorkload::new(3, 2.0);
+    let engine = MigrationEngine::new(LinkSpec::lan_gigabit());
+    let (report, stats) = metered(|| {
+        engine
+            .migrate_live(&mut guest, &mut workload, strategy)
+            .unwrap()
+    });
+    assert!(
+        report.pages_reused().as_u64() > PAGES * 9 / 10,
+        "{report:?}"
+    );
+    assert!(
+        report.pages_sent_full().as_u64() >= PAGES / 50,
+        "{report:?}"
+    );
+    // 24 bytes a page is a `(PageDigest, PageIndex)` slot.
+    assert!(stats.largest < PAGES * 24, "{stats:?}");
 }
 
 /// Recording through resolved handles asks the allocator for nothing:

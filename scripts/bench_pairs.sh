@@ -27,9 +27,13 @@
 #                             metric) in that file: the medians of both
 #                             sides, in the schema tests/bench_trajectory.rs
 #                             pins;
-# and prints per metric the medians, the change's wins out of its pairs
-# and the parent's interquartile range, then the probes' peak-RSS
-# medians. So a second invocation (another
+# and prints per metric the medians, the change's wins out of its pairs,
+# both sides' interquartile ranges and a claim column, then the probes'
+# peak-RSS medians. The claim column reads `yes` when the change wins at
+# least 9 in 10 of its pairs (a tie counts for neither side) and its
+# median moves by more than the parent's IQR, else `no`; an exact metric
+# reads `exact` when the two sides differ and `-` when they are equal.
+# So a second invocation (another
 # seed, more workloads) adds to the same records; delete the sample file
 # to start over. <pr> is one past the highest BENCH_<n>.json at the
 # parent revision. Never run builds or tests while it measures.
@@ -150,8 +154,14 @@ def value(sample, metric):
     return sample["result"]["metrics"][metric]["value"]
 
 records = []
+def iqr(xs):
+    if len(xs) < 2:
+        return 0.0
+    q = statistics.quantiles(xs, n=4)
+    return q[2] - q[0]
+
 print(f"{'workload':<22} {'seed':>4} {'metric':<24} {'parent':>10} {'change':>10} "
-      f"{'delta':>8} {'wins':>6} {'parent IQR':>10}")
+      f"{'delta':>8} {'wins':>6} {'parent IQR':>10} {'change IQR':>10} {'claim':>5}")
 for (workload, seed), pairs in runs.items():
     pairs = [p for _, p in sorted(pairs.items()) if "parent" in p and "change" in p]
     for metric, better in metrics:
@@ -161,10 +171,15 @@ for (workload, seed), pairs in runs.items():
         pm, cm = statistics.median(parent), statistics.median(change)
         sign = -1 if better == "lower" else 1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        q = statistics.quantiles(parent, n=4) if len(parent) > 1 else [pm, pm, pm]
+        parent_iqr = iqr(parent)
+        if exact:
+            claim = "exact" if pm != cm else "-"
+        else:
+            claim = "yes" if 10 * wins >= 9 * len(pairs) and abs(cm - pm) > parent_iqr else "no"
         delta = (cm - pm) / pm * 100 if pm else 0.0
         print(f"{workload:<22} {seed:>4} {metric:<24} {pm:>10.4f} {cm:>10.4f} "
-              f"{delta:>+7.2f}% {wins:>3}/{len(pairs):<2} {q[2] - q[0]:>10.4f}")
+              f"{delta:>+7.2f}% {wins:>3}/{len(pairs):<2} {parent_iqr:>10.4f} "
+              f"{iqr(change):>10.4f} {claim:>5}")
         records.append(
             f'  {{"pr":{pr},"commit":"{commit}","workload":"{workload}",'
             f'"metric":"{metric}","seed":{seed},"pairs":{len(pairs)},'

@@ -28,7 +28,7 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44624
+BUDGET=44700
 PUB_CEILING=1109
 DEPS_CEILING=113
 DESIGN_CEILING=1625
