@@ -61,16 +61,6 @@ impl ExperimentLog {
         &self.records
     }
 
-    /// Records for one experiment.
-    pub fn for_experiment<'a>(
-        &'a self,
-        experiment: &'a str,
-    ) -> impl Iterator<Item = &'a ExperimentRecord> + 'a {
-        self.records
-            .iter()
-            .filter(move |r| r.experiment == experiment)
-    }
-
     /// Serializes to pretty JSON.
     ///
     /// # Errors
@@ -141,17 +131,6 @@ mod tests {
         let json = log.to_json().unwrap();
         let back = ExperimentLog::from_json(&json).unwrap();
         assert_eq!(back, log);
-    }
-
-    #[test]
-    fn filter_by_experiment() {
-        let mut log = ExperimentLog::new();
-        log.record("a", "x", "m", 1.0);
-        log.record("b", "y", "m", 2.0);
-        log.record("a", "z", "m", 3.0);
-        let a: Vec<_> = log.for_experiment("a").collect();
-        assert_eq!(a.len(), 2);
-        assert_eq!(a[1].value, 3.0);
     }
 
     #[test]

@@ -144,7 +144,6 @@ fn main() {
 
     // --- 4. Adaptive recycling --------------------------------------------
     println!("Extension 4 — adaptive strategy selection (sampled similarity)\n");
-    let _engine = MigrationEngine::new(LinkSpec::lan_gigabit());
     let index = ChecksumIndex::from_pages(&base.digests());
     let mut t = Table::new(vec!["true divergence", "estimated similarity", "decision"]);
     for frac in [0.05, 0.3, 0.6, 0.95] {

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use vecycle_mem::{ByteMemory, DigestMemory, MemoryImage, PageBuf};
+use vecycle_mem::{ByteMemory, MemoryImage, PageBuf};
 use vecycle_types::{Bytes, PageCount, PageDigest, PageIndex, SimTime, VmId, PAGE_SIZE};
 
 use crate::ChecksumIndex;
@@ -199,13 +199,6 @@ impl Checkpoint {
         ChecksumIndex::from_pages(&self.digests())
     }
 
-    /// Restores the checkpoint into a fresh [`DigestMemory`] — the
-    /// destination's "initialize main memory from the checkpoint file"
-    /// step (§3.3).
-    pub fn restore_digest_memory(&self) -> DigestMemory {
-        DigestMemory::from_digests(self.digests())
-    }
-
     /// Restores a full-byte checkpoint into a [`ByteMemory`] that shares
     /// every page buffer with it — a guest write replaces only the page
     /// it touches — handing over the digest table so no page is hashed
@@ -227,6 +220,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vecycle_mem::DigestMemory;
 
     fn digest_cp() -> Checkpoint {
         let mem = DigestMemory::with_distinct_content(PageCount::new(16), 5);
@@ -280,13 +274,6 @@ mod tests {
         let cp = digest_cp();
         assert!(cp.read_page(PageIndex::new(0)).is_none());
         assert!(cp.restore_byte_memory().is_none());
-    }
-
-    #[test]
-    fn restore_digest_memory_matches() {
-        let cp = digest_cp();
-        let mem = cp.restore_digest_memory();
-        assert_eq!(mem.digests(), cp.digests());
     }
 
     #[test]

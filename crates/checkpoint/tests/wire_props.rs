@@ -12,11 +12,9 @@
 //! 3. the decoder's error is equally clean when whole bytes are
 //!    corrupted at random positions.
 
-use proptest::collection::vec;
-use proptest::prelude::*;
-
 use vecycle_checkpoint::{Checkpoint, CheckpointData};
 use vecycle_hash::ChecksumAlgorithm;
+use vecycle_types::rng::{split, Xorshift};
 use vecycle_types::{Error, PageDigest, SimDuration, SimTime, VmId};
 
 fn encode(cp: &Checkpoint) -> Vec<u8> {
@@ -110,36 +108,47 @@ fn single_bit_flips_are_always_corrupt_exhaustively() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// Digest checkpoints of arbitrary content and metadata round-trip.
-    #[test]
-    fn digest_round_trip(ids in vec(any::<u64>(), 0..96), vm in any::<u32>(), hours in 0u64..100_000) {
-        let cp = digest_checkpoint(&ids, vm, hours);
+/// Digest checkpoints of arbitrary content and metadata round-trip.
+#[test]
+fn digest_round_trip() {
+    for case in 0..192 {
+        let mut rng = Xorshift::new(split(1, case));
+        let len = rng.below(96);
+        let ids: Vec<u64> = (0..len).map(|_| rng.next()).collect();
+        let cp = digest_checkpoint(&ids, rng.next() as u32, rng.below(100_000));
         let buf = encode(&cp);
-        prop_assert_eq!(Checkpoint::read_from(&buf[..]).unwrap(), cp);
+        assert_eq!(Checkpoint::read_from(&buf[..]).unwrap(), cp);
     }
+}
 
-    /// Full-byte checkpoints round-trip.
-    #[test]
-    fn pages_round_trip(fills in vec(any::<u8>(), 0..8), vm in any::<u32>()) {
-        let cp = page_checkpoint(&fills, vm);
+/// Full-byte checkpoints round-trip.
+#[test]
+fn pages_round_trip() {
+    for case in 0..192 {
+        let mut rng = Xorshift::new(split(2, case));
+        let len = rng.below(8);
+        let fills: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        let cp = page_checkpoint(&fills, rng.next() as u32);
         let buf = encode(&cp);
-        prop_assert_eq!(Checkpoint::read_from(&buf[..]).unwrap(), cp);
+        assert_eq!(Checkpoint::read_from(&buf[..]).unwrap(), cp);
     }
+}
 
-    /// A single bit flip anywhere in a generated file is Corrupt.
-    #[test]
-    fn random_bit_flip_is_corrupt(ids in vec(any::<u64>(), 0..64), pos in any::<usize>(), bit in 0u8..8) {
+/// A single bit flip anywhere in a generated file is Corrupt.
+#[test]
+fn random_bit_flip_is_corrupt() {
+    for case in 0..192 {
+        let mut rng = Xorshift::new(split(3, case));
+        let len = rng.below(64);
+        let ids: Vec<u64> = (0..len).map(|_| rng.next()).collect();
         let buf = encode(&digest_checkpoint(&ids, 1, 0));
         let mut flipped = buf.clone();
-        let i = pos % flipped.len();
-        flipped[i] ^= 1 << bit;
+        let i = rng.next() as usize % flipped.len();
+        flipped[i] ^= 1 << rng.below(8);
         match Checkpoint::read_from(&flipped[..]) {
             Err(Error::Corrupt { .. }) => {}
-            Err(other) => prop_assert!(false, "non-Corrupt error {}", other),
-            Ok(_) => prop_assert!(false, "flipped file decoded"),
+            Err(other) => panic!("non-Corrupt error {other}"),
+            Ok(_) => panic!("flipped file decoded"),
         }
     }
 }

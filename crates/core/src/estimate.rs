@@ -24,13 +24,6 @@ pub struct MigrationEstimate {
     pub time: SimDuration,
 }
 
-impl MigrationEstimate {
-    /// Predicted traffic as a fraction of RAM.
-    pub fn traffic_fraction(&self, ram: Bytes) -> Ratio {
-        self.traffic.fraction_of(ram)
-    }
-}
-
 /// Predicts a full (QEMU-baseline) migration of an idle guest.
 ///
 /// `zero_fraction` is the share of all-zero pages (suppressed to
@@ -222,8 +215,8 @@ mod tests {
     fn estimate_fraction_helper() {
         let ram = Bytes::from_gib(1);
         let e = estimate_full(ram, Ratio::ZERO, LinkSpec::lan_gigabit());
-        assert!(e.traffic_fraction(ram).as_f64() > 1.0); // framing overhead
-        assert!(e.traffic_fraction(ram).as_f64() < 1.01);
+        assert!(e.traffic.fraction_of(ram).as_f64() > 1.0); // framing overhead
+        assert!(e.traffic.fraction_of(ram).as_f64() < 1.01);
     }
 
     #[test]

@@ -5,12 +5,10 @@ use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
-use proptest::collection::vec;
-use proptest::prelude::*;
-
 use vecycle_faults::AttemptFaults;
 use vecycle_mem::{DigestMemory, GenerationTable, MemoryImage, MutableMemory, PageContent};
 use vecycle_net::LinkSpec;
+use vecycle_types::rng::{split, Xorshift};
 use vecycle_types::{Bytes, PageCount, PageDigest, PageIndex};
 
 use super::{AbortedTransfer, DedupCache, TransferLoop};
@@ -43,33 +41,31 @@ fn first_round<M: MemoryImage, S: MsgSink>(
     Ok(tl.rounds.remove(0))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The scan's transcript and per-class counts equal a naive
-    /// `HashMap::entry().or_insert()` walk in page order that records
-    /// every full and checksum send — for every strategy family, zero
-    /// suppression on and off, and both kinds of cache. A gang's cache,
-    /// pre-seeded by an earlier member (whose pages share this image's
-    /// index range, so a prior sender can sit at the *same* page index
-    /// and must still yield a back-reference), ends equal to the
-    /// model's. A single-VM cache starts empty and ends equal to the
-    /// model's minus the entries only a checksum send made: the index
-    /// answers those digests before any lookup can reach them, so the
-    /// two rules send the same messages. A strategy that does not dedup
-    /// scans the same without any cache.
-    #[test]
-    fn scan_matches_a_naive_walk_in_page_order(
-        vm_ids in vec(0u64..24, 1..200),
-        cp_ids in vec(0u64..24, 1..200),
-        prior_ids in vec(0u64..24, 0..200),
-        written in vec(any::<bool>(), 200),
-        use_index in any::<bool>(),
-        use_tracking in any::<bool>(),
-        use_dedup in any::<bool>(),
-        suppress_zeros in any::<bool>(),
-        gang in any::<bool>(),
-    ) {
+/// The scan's transcript and per-class counts equal a naive
+/// `HashMap::entry().or_insert()` walk in page order that records
+/// every full and checksum send — for every strategy family, zero
+/// suppression on and off, and both kinds of cache. A gang's cache,
+/// pre-seeded by an earlier member (whose pages share this image's
+/// index range, so a prior sender can sit at the *same* page index
+/// and must still yield a back-reference), ends equal to the
+/// model's. A single-VM cache starts empty and ends equal to the
+/// model's minus the entries only a checksum send made: the index
+/// answers those digests before any lookup can reach them, so the
+/// two rules send the same messages. A strategy that does not dedup
+/// scans the same without any cache.
+#[test]
+fn scan_matches_a_naive_walk_in_page_order() {
+    for case in 0..96 {
+        let mut rng = Xorshift::new(split(1, case));
+        let mut ids = |min_len: u64| -> Vec<u64> {
+            let len = min_len + rng.below(200 - min_len);
+            (0..len).map(|_| rng.below(24)).collect()
+        };
+        let (vm_ids, cp_ids, prior_ids) = (ids(1), ids(1), ids(0));
+        let written: Vec<bool> = (0..200).map(|_| rng.next() & 1 == 1).collect();
+        let mut coin = || rng.next() & 1 == 1;
+        let (use_index, use_tracking, use_dedup) = (coin(), coin(), coin());
+        let (suppress_zeros, gang) = (coin(), coin());
         let vm = image(&vm_ids);
         let n = vm_ids.len();
         let digest = |id: u64| PageDigest::from_content_id(id);
@@ -105,8 +101,12 @@ proptest! {
         };
         let mut model_sent: HashMap<PageDigest, PageIndex> = HashMap::new();
         for (i, &id) in prior_ids.iter().enumerate().filter(|_| gang) {
-            sent.first.entry(digest(id)).or_insert(PageIndex::new(i as u64));
-            model_sent.entry(digest(id)).or_insert(PageIndex::new(i as u64));
+            sent.first
+                .entry(digest(id))
+                .or_insert(PageIndex::new(i as u64));
+            model_sent
+                .entry(digest(id))
+                .or_insert(PageIndex::new(i as u64));
         }
         // The model's entries that only a checksum send made.
         let mut checksum_only: HashSet<PageDigest> = HashSet::new();
@@ -130,7 +130,11 @@ proptest! {
                 model.push(PageMsg::DedupRef { idx, source });
             } else {
                 model_sent.entry(digest).or_insert(idx);
-                model.push(PageMsg::Full { idx, digest, bytes: None });
+                model.push(PageMsg::Full {
+                    idx,
+                    digest,
+                    bytes: None,
+                });
             }
         }
 
@@ -143,26 +147,35 @@ proptest! {
             let mut uncached = Transcript::new();
             let uncached_round = first_round(&engine, &vm, &strategy, None, &mut uncached)
                 .expect("a recording sink lands everything");
-            prop_assert_eq!(&uncached, &transcript);
-            prop_assert_eq!(&uncached_round, &round);
+            assert_eq!(&uncached, &transcript);
+            assert_eq!(&uncached_round, &round);
         }
 
-        prop_assert_eq!(&transcript, &model);
+        assert_eq!(&transcript, &model);
         let count = |class: fn(&PageMsg) -> bool| model.iter().filter(|m| class(m)).count() as u64;
-        prop_assert_eq!(round.full_pages.as_u64(), count(|m| matches!(m, PageMsg::Full { .. })));
-        prop_assert_eq!(
+        assert_eq!(
+            round.full_pages.as_u64(),
+            count(|m| matches!(m, PageMsg::Full { .. }))
+        );
+        assert_eq!(
             round.checksum_pages.as_u64(),
             count(|m| matches!(m, PageMsg::Checksum { .. }))
         );
-        prop_assert_eq!(round.dedup_refs.as_u64(), count(|m| matches!(m, PageMsg::DedupRef { .. })));
-        prop_assert_eq!(round.zero_pages.as_u64(), count(|m| matches!(m, PageMsg::Zero { .. })));
-        prop_assert_eq!(round.skipped_pages.as_u64(), skipped);
+        assert_eq!(
+            round.dedup_refs.as_u64(),
+            count(|m| matches!(m, PageMsg::DedupRef { .. }))
+        );
+        assert_eq!(
+            round.zero_pages.as_u64(),
+            count(|m| matches!(m, PageMsg::Zero { .. }))
+        );
+        assert_eq!(round.skipped_pages.as_u64(), skipped);
         if !gang {
             model_sent.retain(|digest, _| !checksum_only.contains(digest));
         }
-        prop_assert_eq!(sent.first.len(), model_sent.len());
+        assert_eq!(sent.first.len(), model_sent.len());
         for (digest, first) in &sent.first {
-            prop_assert_eq!(model_sent.get(digest), Some(first));
+            assert_eq!(model_sent.get(digest), Some(first));
         }
     }
 }

@@ -271,7 +271,7 @@ impl Persist for () {
 /// including the stop-and-copy delimiter. `persist` is told each page
 /// an applied message wrote, and of a boundary every `STREAM_CHUNK` (64)
 /// applied messages and at each round boundary; the kill switch is
-/// ticked once per message decoded, before it is applied.
+/// hit once per message decoded, before it is applied.
 ///
 /// `r` is the session's reader: decoding costs a `read` per buffer, and
 /// whatever follows StopEnd in the same buffer (the COMPLETE frame) is
@@ -294,7 +294,7 @@ pub fn receive_stream<R: Read, P: Persist>(
     let mut since_checkpoint = 0usize;
     while !session_state.finished() {
         let msg = WireMsg::read_from(r)?;
-        kill.tick(KillRole::Dest, KillPoint::MidBulk);
+        kill.hit(KillRole::Dest, KillPoint::MidBulk);
         session_state.apply(&msg, index)?;
         if let WireMsg::Full { idx, .. }
         | WireMsg::Checksum { idx, .. }

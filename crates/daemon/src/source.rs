@@ -260,7 +260,7 @@ pub fn receive_exchange<R: Read>(
 /// bytes and 64 (`STREAM_CHUNK`) messages (a checksum stream writes
 /// ≈ 2 341 messages at a time, a full-page stream 64 pages). `progress` is told the cumulative stream
 /// position when streaming starts and after every round delimiter sent
-/// (the source journals it); the kill switch is ticked once per message
+/// (the source journals it); the kill switch is hit once per message
 /// *sent* — the hook the chaos harness arms to die mid-bulk.
 ///
 /// A pure observer: it lands every message, so the engine's report is
@@ -312,7 +312,7 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
         if self.error.is_some() {
             return;
         }
-        self.kill.tick(KillRole::Source, KillPoint::MidBulk);
+        self.kill.hit(KillRole::Source, KillPoint::MidBulk);
         msg.encode(&mut self.buf);
         self.in_buf += 1;
         self.position += 1;

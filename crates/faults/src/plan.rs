@@ -294,11 +294,6 @@ impl AttemptFaults {
         AttemptFaults::default()
     }
 
-    /// True if this attempt runs with a completely clean engine path.
-    pub fn is_clean(&self) -> bool {
-        self.cut_after.is_none() && self.degrade.is_none() && self.dirty_spike.is_none()
-    }
-
     /// The cause to report when the armed cut fires.
     pub fn abort_cause(&self) -> crate::FaultCause {
         self.cut_cause.unwrap_or(crate::FaultCause::LinkFailure)
@@ -315,7 +310,7 @@ mod tests {
         assert!(plan.is_empty());
         assert_eq!(plan.faulted_legs(), 0);
         assert!(plan.faults(17).is_empty());
-        assert!(plan.for_attempt(17, 1).is_clean());
+        assert_eq!(plan.for_attempt(17, 1), AttemptFaults::none());
     }
 
     #[test]

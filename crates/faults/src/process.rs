@@ -160,15 +160,10 @@ impl KillSwitch {
         self.spec
     }
 
-    /// Probes a point-style site: aborts the process if the switch is
-    /// armed for exactly this role and point.
+    /// Probes a kill site: counts a role+point match and aborts once the
+    /// count reaches the spec's `after` — 1 for a point kill, so its
+    /// first hit.
     pub fn hit(&self, role: KillRole, point: KillPoint) {
-        self.tick(role, point);
-    }
-
-    /// Probes a counted site: increments the counter on a role+point
-    /// match and aborts once it reaches the spec's `after`.
-    pub fn tick(&self, role: KillRole, point: KillPoint) {
         let Some(spec) = self.spec else { return };
         if spec.role != role || spec.point != point {
             return;
@@ -217,7 +212,7 @@ mod tests {
     fn inert_switch_never_counts() {
         let sw = KillSwitch::inert();
         for _ in 0..1000 {
-            sw.tick(KillRole::Source, KillPoint::MidBulk);
+            sw.hit(KillRole::Source, KillPoint::MidBulk);
         }
         assert_eq!(sw.count.load(Ordering::SeqCst), 0);
     }
@@ -227,13 +222,13 @@ mod tests {
         let sw = KillSwitch::new(Some(KillSpec::parse("dest:mid-bulk:5").unwrap()));
         // Same point, wrong role; same role, wrong point: both inert.
         for _ in 0..100 {
-            sw.tick(KillRole::Source, KillPoint::MidBulk);
-            sw.tick(KillRole::Dest, KillPoint::PreCommit);
+            sw.hit(KillRole::Source, KillPoint::MidBulk);
+            sw.hit(KillRole::Dest, KillPoint::PreCommit);
         }
         assert_eq!(sw.count.load(Ordering::SeqCst), 0);
         // Matching probes below the threshold count but do not abort.
         for _ in 0..4 {
-            sw.tick(KillRole::Dest, KillPoint::MidBulk);
+            sw.hit(KillRole::Dest, KillPoint::MidBulk);
         }
         assert_eq!(sw.count.load(Ordering::SeqCst), 4);
     }

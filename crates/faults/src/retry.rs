@@ -31,14 +31,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Give up after the first failure.
-    pub fn no_retry() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Default policy but restarting every retry from scratch — the
     /// baseline the failure-sweep experiment compares resume against.
     pub fn from_scratch() -> Self {
@@ -95,7 +87,6 @@ mod tests {
 
     #[test]
     fn no_retry_is_single_attempt() {
-        assert_eq!(RetryPolicy::no_retry().max_attempts, 1);
         assert!(!RetryPolicy::from_scratch().resume_from_partial);
     }
 

@@ -1,10 +1,8 @@
 //! Property tests: streaming semantics of every hash, and the
 //! multi-lane kernels pinned byte-equal to the scalar path.
 
-use proptest::collection::vec;
-use proptest::prelude::*;
-
 use vecycle_hash::{ChecksumAlgorithm, Fnv1a64, Hasher, Md5, Sha1, Sha256};
+use vecycle_types::rng::{split, Xorshift};
 
 fn chunked_digest<H: Hasher + Default>(data: &[u8], cuts: &[usize]) -> H::Output {
     let mut h = H::default();
@@ -21,79 +19,131 @@ fn chunked_digest<H: Hasher + Default>(data: &[u8], cuts: &[usize]) -> H::Output
     h.finalize()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// `len` uniform bytes.
+fn bytes(rng: &mut Xorshift, len: u64) -> Vec<u8> {
+    (0..len).map(|_| rng.next() as u8).collect()
+}
 
-    #[test]
-    fn md5_chunking_is_transparent(data in vec(any::<u8>(), 0..2048), cuts in vec(any::<usize>(), 0..8)) {
-        prop_assert_eq!(chunked_digest::<Md5>(&data, &cuts), Md5::digest(&data));
+/// A message of 0..2048 bytes and 0..8 arbitrary cut points in it.
+fn message_and_cuts(rng: &mut Xorshift) -> (Vec<u8>, Vec<usize>) {
+    let len = rng.below(2048);
+    let data = bytes(rng, len);
+    let cuts = rng.below(8);
+    (data, (0..cuts).map(|_| rng.next() as usize).collect())
+}
+
+#[test]
+fn md5_chunking_is_transparent() {
+    for case in 0..128 {
+        let (data, cuts) = message_and_cuts(&mut Xorshift::new(split(1, case)));
+        assert_eq!(chunked_digest::<Md5>(&data, &cuts), Md5::digest(&data));
     }
+}
 
-    #[test]
-    fn sha1_chunking_is_transparent(data in vec(any::<u8>(), 0..2048), cuts in vec(any::<usize>(), 0..8)) {
-        prop_assert_eq!(chunked_digest::<Sha1>(&data, &cuts), Sha1::digest(&data));
+#[test]
+fn sha1_chunking_is_transparent() {
+    for case in 0..128 {
+        let (data, cuts) = message_and_cuts(&mut Xorshift::new(split(2, case)));
+        assert_eq!(chunked_digest::<Sha1>(&data, &cuts), Sha1::digest(&data));
     }
+}
 
-    #[test]
-    fn sha256_chunking_is_transparent(data in vec(any::<u8>(), 0..2048), cuts in vec(any::<usize>(), 0..8)) {
-        prop_assert_eq!(chunked_digest::<Sha256>(&data, &cuts), Sha256::digest(&data));
+#[test]
+fn sha256_chunking_is_transparent() {
+    for case in 0..128 {
+        let (data, cuts) = message_and_cuts(&mut Xorshift::new(split(3, case)));
+        assert_eq!(
+            chunked_digest::<Sha256>(&data, &cuts),
+            Sha256::digest(&data)
+        );
     }
+}
 
-    #[test]
-    fn fnv_matches_reference_fold(data in vec(any::<u8>(), 0..512)) {
+#[test]
+fn fnv_matches_reference_fold() {
+    for case in 0..128 {
+        let mut rng = Xorshift::new(split(4, case));
+        let len = rng.below(512);
+        let data = bytes(&mut rng, len);
         let expected = data.iter().fold(0xcbf2_9ce4_8422_2325u64, |acc, &b| {
             (acc ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
         });
-        prop_assert_eq!(u64::from_be_bytes(Fnv1a64::digest(&data)), expected);
+        assert_eq!(u64::from_be_bytes(Fnv1a64::digest(&data)), expected);
     }
+}
 
-    /// Single-byte perturbations always change the digest (for inputs
-    /// short enough that accidental collisions are unthinkable).
-    #[test]
-    fn md5_detects_single_byte_change(data in vec(any::<u8>(), 1..256), pos_seed in any::<usize>(), delta in 1u8..=255) {
+/// Single-byte perturbations always change the digest (for inputs
+/// short enough that accidental collisions are unthinkable).
+#[test]
+fn md5_detects_single_byte_change() {
+    for case in 0..128 {
+        let mut rng = Xorshift::new(split(5, case));
+        let len = 1 + rng.below(255);
+        let data = bytes(&mut rng, len);
+        let pos = rng.next() as usize % data.len();
+        let delta = 1 + rng.below(255) as u8;
         let mut mutated = data.clone();
-        let pos = pos_seed % data.len();
         mutated[pos] = mutated[pos].wrapping_add(delta);
-        prop_assert_ne!(Md5::digest(&data), Md5::digest(&mutated));
+        assert_ne!(Md5::digest(&data), Md5::digest(&mutated));
     }
+}
 
-    /// The page-digest helper maps exactly the all-zero page to the
-    /// sentinel.
-    #[test]
-    fn zero_page_sentinel_is_exact(data in vec(any::<u8>(), 4096..=4096)) {
+/// The page-digest helper maps exactly the all-zero page to the
+/// sentinel.
+#[test]
+fn zero_page_sentinel_is_exact() {
+    for case in 0..128 {
+        let data = bytes(&mut Xorshift::new(split(6, case)), 4096);
         let digest = vecycle_hash::page_digest(&data);
         let all_zero = data.iter().all(|&b| b == 0);
-        prop_assert_eq!(digest.is_zero_page(), all_zero);
+        assert_eq!(digest.is_zero_page(), all_zero);
     }
+}
 
-    /// Same exactness for every configured algorithm, not just the MD5
-    /// free function (the zero-page divergence regression).
-    #[test]
-    fn algorithm_zero_sentinel_is_exact(data in vec(any::<u8>(), 0..4096)) {
+/// Same exactness for every configured algorithm, not just the MD5
+/// free function (the zero-page divergence regression).
+#[test]
+fn algorithm_zero_sentinel_is_exact() {
+    for case in 0..128 {
+        let mut rng = Xorshift::new(split(7, case));
+        let len = rng.below(4096);
+        let data = bytes(&mut rng, len);
         let all_zero = data.iter().all(|&b| b == 0);
         for algo in ChecksumAlgorithm::ALL {
-            prop_assert_eq!(algo.page_digest(&data).is_zero_page(), all_zero);
+            assert_eq!(algo.page_digest(&data).is_zero_page(), all_zero);
         }
     }
+}
 
-    /// The SWAR prefilter agrees with the per-byte walk at every length.
-    #[test]
-    fn swar_zero_check_matches_bytewise(raw in vec(any::<u8>(), 0..200)) {
+/// The SWAR prefilter agrees with the per-byte walk at every length.
+#[test]
+fn swar_zero_check_matches_bytewise() {
+    for case in 0..128 {
+        let mut rng = Xorshift::new(split(8, case));
+        let len = rng.below(200);
+        let raw = bytes(&mut rng, len);
         // Bias toward zeros so both branches of the check are exercised.
         let data: Vec<u8> = raw.iter().map(|&b| if b < 240 { 0 } else { b }).collect();
-        prop_assert_eq!(vecycle_hash::is_all_zero(&data), data.iter().all(|&b| b == 0));
+        assert_eq!(
+            vecycle_hash::is_all_zero(&data),
+            data.iter().all(|&b| b == 0)
+        );
     }
+}
 
-    /// Differential pin: `digest_pages` (multi-lane front-end) is
-    /// byte-equal to the scalar per-page path for every algorithm, for
-    /// batch shapes covering zero/partial/full/multi-quad dispatch and
-    /// random page lengths (equal-length runs exercise the lane kernels;
-    /// ragged runs exercise the straggler fallback).
-    #[test]
-    fn multilane_batches_match_scalar(
-        raw_lens in vec(0usize..5000, 0..9),
-        fill in vec(any::<u8>(), 0..16),
-    ) {
+/// Differential pin: `digest_pages` (multi-lane front-end) is
+/// byte-equal to the scalar per-page path for every algorithm, for
+/// batch shapes covering zero/partial/full/multi-quad dispatch and
+/// random page lengths (equal-length runs exercise the lane kernels;
+/// ragged runs exercise the straggler fallback).
+#[test]
+fn multilane_batches_match_scalar() {
+    for case in 0..128 {
+        let mut rng = Xorshift::new(split(9, case));
+        let count = rng.below(9);
+        let raw_lens: Vec<u64> = (0..count).map(|_| rng.below(5000)).collect();
+        let fill_len = rng.below(16);
+        let fill = bytes(&mut rng, fill_len);
         let pages: Vec<Vec<u8>> = raw_lens
             .iter()
             .enumerate()
@@ -103,47 +153,72 @@ proptest! {
                 let len = if raw % 5 < 4 { 4096 } else { raw % 700 };
                 let seed = fill.get(i).copied().unwrap_or(0);
                 // Mix of zero pages (seed 0) and patterned pages.
-                (0..len).map(|j| seed.wrapping_mul((j % 251) as u8)).collect()
+                (0..len)
+                    .map(|j| seed.wrapping_mul((j % 251) as u8))
+                    .collect()
             })
             .collect();
         let views: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
         for algo in ChecksumAlgorithm::ALL {
             let batch = algo.digest_pages(&views);
             let scalar: Vec<_> = views.iter().map(|p| algo.page_digest(p)).collect();
-            prop_assert_eq!(&batch, &scalar, "{}", algo);
+            assert_eq!(&batch, &scalar, "{}", algo);
         }
     }
+}
 
-    /// Every batch length from nothing to two-and-a-half wide groups,
-    /// with zero pages and odd-length pages wherever the masks put them:
-    /// runs of every length form, so the 16-lane dispatch, the 4-lane
-    /// tail and the scalar tail are all reached, for every algorithm.
-    #[test]
-    fn every_batch_shape_matches_scalar(zeros in any::<u64>(), ragged in any::<u64>(), salt in any::<u8>()) {
+/// Every batch length from nothing to two-and-a-half wide groups,
+/// with zero pages and odd-length pages wherever the masks put them:
+/// runs of every length form, so the 16-lane dispatch, the 4-lane
+/// tail and the scalar tail are all reached, for every algorithm.
+#[test]
+fn every_batch_shape_matches_scalar() {
+    for case in 0..128 {
+        let mut rng = Xorshift::new(split(10, case));
+        let (zeros, ragged, salt) = (rng.next(), rng.next(), rng.next() as u8);
         // Three-block pages keep the sweep cheap; the kernels are
         // length-generic and 4 KiB is covered above.
         let page = |i: usize| -> Vec<u8> {
             let len = if ragged >> i & 1 == 1 { 100 + i } else { 192 };
             let fill = if zeros >> i & 1 == 1 { 0 } else { salt | 1 };
-            (0..len).map(|j| fill.wrapping_mul((i + j % 251 + 1) as u8)).collect()
+            (0..len)
+                .map(|j| fill.wrapping_mul((i + j % 251 + 1) as u8))
+                .collect()
         };
         let pages: Vec<Vec<u8>> = (0..40).map(page).collect();
         let views: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
         for algo in ChecksumAlgorithm::ALL {
             let scalar: Vec<_> = views.iter().map(|p| algo.page_digest(p)).collect();
             for n in 0..=views.len() {
-                prop_assert_eq!(&algo.digest_pages(&views[..n])[..], &scalar[..n], "{} x{}", algo, n);
+                assert_eq!(
+                    &algo.digest_pages(&views[..n])[..],
+                    &scalar[..n],
+                    "{} x{}",
+                    algo,
+                    n
+                );
                 // ... and with the run starting anywhere.
-                prop_assert_eq!(&algo.digest_pages(&views[40 - n..])[..], &scalar[40 - n..], "{} tail x{}", algo, n);
+                assert_eq!(
+                    &algo.digest_pages(&views[40 - n..])[..],
+                    &scalar[40 - n..],
+                    "{} tail x{}",
+                    algo,
+                    n
+                );
             }
         }
     }
+}
 
-    /// The raw lane kernels match the streaming `Hasher` outputs for
-    /// arbitrary equal-length messages (including padding boundaries),
-    /// at both dispatch widths.
-    #[test]
-    fn lane_kernels_match_streaming_hashers(len in 0usize..200, seeds in vec(any::<u8>(), 16..=16)) {
+/// The raw lane kernels match the streaming `Hasher` outputs for
+/// arbitrary equal-length messages (including padding boundaries),
+/// at both dispatch widths.
+#[test]
+fn lane_kernels_match_streaming_hashers() {
+    for case in 0..128 {
+        let mut rng = Xorshift::new(split(11, case));
+        let len = rng.below(200);
+        let seeds = bytes(&mut rng, 16);
         let msgs: Vec<Vec<u8>> = seeds
             .iter()
             .map(|&s| (0..len).map(|j| s.wrapping_add(j as u8)).collect())
@@ -152,7 +227,7 @@ proptest! {
         let quad: [&[u8]; 4] = std::array::from_fn(|lane| wide[lane]);
         let md5 = vecycle_hash::md5_lanes(wide);
         for lane in 0..16 {
-            prop_assert_eq!(md5[lane], Md5::digest(&msgs[lane]));
+            assert_eq!(md5[lane], Md5::digest(&msgs[lane]));
         }
         let (md5, sha1, fnv) = (
             vecycle_hash::md5_lanes(quad),
@@ -160,29 +235,26 @@ proptest! {
             vecycle_hash::fnv1a64_lanes(quad),
         );
         for lane in 0..4 {
-            prop_assert_eq!(md5[lane], Md5::digest(&msgs[lane]));
-            prop_assert_eq!(sha1[lane], Sha1::digest(&msgs[lane]));
-            prop_assert_eq!(fnv[lane], Fnv1a64::digest(&msgs[lane]));
+            assert_eq!(md5[lane], Md5::digest(&msgs[lane]));
+            assert_eq!(sha1[lane], Sha1::digest(&msgs[lane]));
+            assert_eq!(fnv[lane], Fnv1a64::digest(&msgs[lane]));
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// A batch big enough to split across cores (on a one-core machine it
-    /// takes the one-thread path, which is what `taskset -c 0` in CI
-    /// runs): the public MD5 batch equals `page_digest` per page, with
-    /// zero pages wherever the draw puts them and one odd-length
-    /// straggler anywhere in the batch.
-    #[test]
-    fn a_split_sized_batch_matches_page_digest(
-        len in 1024usize..1200,
-        zero_share in 0u8..64,
-        straggler_at in any::<usize>(),
-        salt in any::<u8>(),
-    ) {
-        let straggler_at = straggler_at % len;
+/// A batch big enough to split across cores (on a one-core machine it
+/// takes the one-thread path, which is what `taskset -c 0` in CI
+/// runs): the public MD5 batch equals `page_digest` per page, with
+/// zero pages wherever the draw puts them and one odd-length
+/// straggler anywhere in the batch.
+#[test]
+fn a_split_sized_batch_matches_page_digest() {
+    for case in 0..8 {
+        let mut rng = Xorshift::new(split(12, case));
+        let len = 1024 + rng.below(176) as usize;
+        let zero_share = rng.below(64) as u8;
+        let straggler_at = rng.next() as usize % len;
+        let salt = rng.next() as u8;
         let pages: Vec<Vec<u8>> = (0..len)
             .map(|i| {
                 let size = if i == straggler_at { 333 } else { 512 };
@@ -196,7 +268,7 @@ proptest! {
             .collect();
         let views: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
         let per_page: Vec<_> = views.iter().map(|p| vecycle_hash::page_digest(p)).collect();
-        prop_assert_eq!(vecycle_hash::digest_pages(&views), per_page);
+        assert_eq!(vecycle_hash::digest_pages(&views), per_page);
     }
 }
 

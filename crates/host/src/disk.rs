@@ -92,14 +92,6 @@ impl DiskSpec {
         self.seek
             .saturating_add(self.sequential.time_to_transfer(bytes))
     }
-
-    /// Time for `count` random accesses of `access_size` each — the cost
-    /// profile of Listing 1's fallback `lseek` + `read` per non-matching
-    /// page if reads were *not* batched.
-    pub fn random_access_time(&self, count: u64, access_size: Bytes) -> SimDuration {
-        let stream = self.sequential.time_to_transfer(access_size * count);
-        (self.seek * count).saturating_add(stream)
-    }
 }
 
 #[cfg(test)]
@@ -123,19 +115,6 @@ mod tests {
         let ssd = DiskSpec::ssd_intel_330();
         let gib = Bytes::from_gib(1);
         assert!(ssd.sequential_time(gib) < hdd.sequential_time(gib));
-    }
-
-    #[test]
-    fn random_access_punishes_hdd() {
-        let hdd = DiskSpec::hdd_samsung_hd204ui();
-        let ssd = DiskSpec::ssd_intel_330();
-        // 10k random 4 KiB reads: seek-bound on HDD (~2 min), trivial on
-        // SSD — why the destination reads the checkpoint sequentially.
-        let page = Bytes::from_kib(4);
-        let t_hdd = hdd.random_access_time(10_000, page).as_secs_f64();
-        let t_ssd = ssd.random_access_time(10_000, page).as_secs_f64();
-        assert!(t_hdd > 100.0, "t_hdd = {t_hdd}");
-        assert!(t_ssd < 5.0, "t_ssd = {t_ssd}");
     }
 
     #[test]

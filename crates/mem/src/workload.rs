@@ -238,53 +238,6 @@ impl<M: MutableMemory> GuestWorkload<M> for ScanWorkload {
     }
 }
 
-/// Runs several workloads side by side — e.g. a scanner plus background
-/// daemons, the §2.3 crawler VMs' behaviour.
-#[derive(Default)]
-pub struct CompositeWorkload<M> {
-    parts: Vec<Box<dyn GuestWorkload<M> + Send>>,
-}
-
-impl<M> std::fmt::Debug for CompositeWorkload<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompositeWorkload")
-            .field("parts", &self.parts.len())
-            .finish()
-    }
-}
-
-impl<M: MutableMemory> CompositeWorkload<M> {
-    /// Creates an empty composite.
-    pub fn new() -> Self {
-        CompositeWorkload { parts: Vec::new() }
-    }
-
-    /// Adds a component workload.
-    #[must_use]
-    pub fn with(mut self, workload: impl GuestWorkload<M> + Send + 'static) -> Self {
-        self.parts.push(Box::new(workload));
-        self
-    }
-
-    /// Number of component workloads.
-    pub fn len(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// True if no components were added.
-    pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
-    }
-}
-
-impl<M: MutableMemory> GuestWorkload<M> for CompositeWorkload<M> {
-    fn advance(&mut self, guest: &mut Guest<M>, dur: SimDuration) {
-        for part in &mut self.parts {
-            part.advance(guest, dur);
-        }
-    }
-}
-
 /// A workload that *relocates* existing content between frames without
 /// creating new content — the adversarial case for dirty tracking.
 #[derive(Debug, Clone)]
@@ -424,28 +377,6 @@ mod tests {
         let mut wl = ScanWorkload::new(2, 10.0);
         wl.advance(&mut g, SimDuration::from_secs(3)); // 3 full cycles
         assert_eq!(g.memory().pages_differing_from(&snap), PageCount::new(10));
-    }
-
-    #[test]
-    fn composite_runs_all_parts() {
-        let mut g = guest(1000);
-        let mut wl = CompositeWorkload::new()
-            .with(IdleWorkload::new(3, 2.0))
-            .with(ScanWorkload::new(4, 3.0));
-        assert_eq!(wl.len(), 2);
-        wl.advance(&mut g, SimDuration::from_secs(10));
-        // 20 random + 30 sequential writes (some may collide).
-        let dirty = g.dirty().dirty_count().as_u64();
-        assert!(dirty > 40 && dirty <= 50, "dirty = {dirty}");
-    }
-
-    #[test]
-    fn empty_composite_is_silent() {
-        let mut g = guest(10);
-        let mut wl: CompositeWorkload<DigestMemory> = CompositeWorkload::new();
-        assert!(wl.is_empty());
-        wl.advance(&mut g, SimDuration::from_hours(1));
-        assert_eq!(g.dirty().dirty_count(), PageCount::ZERO);
     }
 
     #[test]

@@ -1,60 +1,72 @@
 //! Property tests: the simulator is a stable priority queue.
 
-use proptest::collection::vec;
-use proptest::prelude::*;
-
 use vecycle_sim::Simulator;
+use vecycle_types::rng::{split, Xorshift};
 use vecycle_types::{SimDuration, SimTime};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// `len` draws from `0..bound`.
+fn draws(rng: &mut Xorshift, len: u64, bound: u64) -> Vec<u64> {
+    (0..len).map(|_| rng.below(bound)).collect()
+}
 
-    /// Events pop in timestamp order; ties pop in insertion order.
-    #[test]
-    fn pop_order_is_stable_sort(times in vec(0u64..500, 1..200)) {
+/// Events pop in timestamp order; ties pop in insertion order.
+#[test]
+fn pop_order_is_stable_sort() {
+    for case in 0..128 {
+        let mut rng = Xorshift::new(split(1, case));
+        let len = 1 + rng.below(199);
+        let times = draws(&mut rng, len, 500);
         let mut sim = Simulator::new();
         for (i, &t) in times.iter().enumerate() {
             sim.schedule_at(SimTime::EPOCH + SimDuration::from_secs(t), i);
         }
-        let mut expected: Vec<(u64, usize)> =
-            times.iter().copied().zip(0..).collect();
+        let mut expected: Vec<(u64, usize)> = times.iter().copied().zip(0..).collect();
         expected.sort_by_key(|&(t, i)| (t, i));
         let mut popped = Vec::new();
         while let Some(ev) = sim.pop() {
             popped.push((ev.time.since_epoch().as_nanos() / 1_000_000_000, ev.payload));
         }
-        prop_assert_eq!(popped, expected);
+        assert_eq!(popped, expected);
     }
+}
 
-    /// The clock is monotone under any interleaving of schedule/pop.
-    #[test]
-    fn clock_is_monotone(ops in vec((any::<bool>(), 0u64..100), 1..100)) {
+/// The clock is monotone under any interleaving of schedule/pop.
+#[test]
+fn clock_is_monotone() {
+    for case in 0..128 {
+        let mut rng = Xorshift::new(split(2, case));
         let mut sim = Simulator::new();
         let mut last = SimTime::EPOCH;
-        for (do_pop, delay) in ops {
+        for _ in 0..1 + rng.below(99) {
+            let (do_pop, delay) = (rng.next() & 1 == 1, rng.below(100));
             if do_pop {
                 if let Some(ev) = sim.pop() {
-                    prop_assert!(ev.time >= last);
+                    assert!(ev.time >= last);
                     last = ev.time;
                 }
             } else {
                 sim.schedule_after(SimDuration::from_secs(delay), ());
             }
-            prop_assert!(sim.now() >= last);
+            assert!(sim.now() >= last);
             last = sim.now();
         }
     }
+}
 
-    /// **The fleet determinism contract, pinned.** Same-timestamp events
-    /// pop strictly in insertion (FIFO) order, for any multiset of
-    /// timestamps and any amount of duplication. The fleet's placement
-    /// engine admits migrations in pop order, so a tie-break regression
-    /// here would silently reshuffle placement decisions at scale —
-    /// this property is the regression fence.
-    #[test]
-    fn same_timestamp_events_pop_fifo(times in vec(0u64..8, 1..300)) {
+/// **The fleet determinism contract, pinned.** Same-timestamp events
+/// pop strictly in insertion (FIFO) order, for any multiset of
+/// timestamps and any amount of duplication. The fleet's placement
+/// engine admits migrations in pop order, so a tie-break regression
+/// here would silently reshuffle placement decisions at scale —
+/// this property is the regression fence.
+#[test]
+fn same_timestamp_events_pop_fifo() {
+    for case in 0..128 {
+        let mut rng = Xorshift::new(split(3, case));
         // A tiny timestamp range forces heavy collision: with up to 300
         // events over 8 instants, every instant hosts a long FIFO run.
+        let len = 1 + rng.below(299);
+        let times = draws(&mut rng, len, 8);
         let mut sim = Simulator::new();
         for (i, &t) in times.iter().enumerate() {
             sim.schedule_at(SimTime::EPOCH + SimDuration::from_secs(t), i);
@@ -62,32 +74,36 @@ proptest! {
         let mut last: Option<(SimTime, usize)> = None;
         while let Some(ev) = sim.pop() {
             if let Some((t, i)) = last {
-                prop_assert!(ev.time >= t);
+                assert!(ev.time >= t);
                 if ev.time == t {
-                    prop_assert!(
+                    assert!(
                         ev.payload > i,
                         "FIFO violated at {}: {} popped after {}",
-                        ev.time, ev.payload, i
+                        ev.time,
+                        ev.payload,
+                        i
                     );
                 }
             }
             last = Some((ev.time, ev.payload));
         }
     }
+}
 
-    /// FIFO also holds for events scheduled *from inside a handler* at
-    /// the current instant: a cascade landing on `now` runs after every
-    /// already-queued event at `now`, in the order the handlers pushed
-    /// it. The fleet leans on this when a completion handler re-admits
-    /// queued migrations at the completion instant.
-    #[test]
-    fn cascades_at_now_append_in_fifo_order(seeds in vec(0u64..4, 1..40)) {
+/// FIFO also holds for events scheduled *from inside a handler* at
+/// the current instant: a cascade landing on `now` runs after every
+/// already-queued event at `now`, in the order the handlers pushed
+/// it. The fleet leans on this when a completion handler re-admits
+/// queued migrations at the completion instant.
+#[test]
+fn cascades_at_now_append_in_fifo_order() {
+    for case in 0..128 {
+        let n = 1 + Xorshift::new(split(4, case)).below(39);
         let mut sim = Simulator::new();
         let t = SimTime::EPOCH + SimDuration::from_secs(5);
-        for (i, _) in seeds.iter().enumerate() {
-            sim.schedule_at(t, i as u64);
+        for i in 0..n {
+            sim.schedule_at(t, i);
         }
-        let n = seeds.len() as u64;
         let mut order = Vec::new();
         sim.run(|sim, ev| {
             order.push(ev.payload);
@@ -100,12 +116,18 @@ proptest! {
         // All originals first (they were queued first), then all
         // children in the order their parents ran.
         let expected: Vec<u64> = (0..n).chain(n..2 * n).collect();
-        prop_assert_eq!(order, expected);
+        assert_eq!(order, expected);
     }
+}
 
-    /// run_until processes exactly the events at or before the deadline.
-    #[test]
-    fn run_until_partitions_events(times in vec(0u64..200, 0..100), deadline in 0u64..200) {
+/// run_until processes exactly the events at or before the deadline.
+#[test]
+fn run_until_partitions_events() {
+    for case in 0..128 {
+        let mut rng = Xorshift::new(split(5, case));
+        let len = rng.below(100);
+        let times = draws(&mut rng, len, 200);
+        let deadline = rng.below(200);
         let mut sim = Simulator::new();
         for &t in &times {
             sim.schedule_at(SimTime::EPOCH + SimDuration::from_secs(t), t);
@@ -114,7 +136,7 @@ proptest! {
         let mut seen = Vec::new();
         sim.run_until(cutoff, |_, ev| seen.push(ev.payload));
         let expected = times.iter().filter(|&&t| t <= deadline).count();
-        prop_assert_eq!(seen.len(), expected);
-        prop_assert_eq!(sim.pending(), times.len() - expected);
+        assert_eq!(seen.len(), expected);
+        assert_eq!(sim.pending(), times.len() - expected);
     }
 }

@@ -137,49 +137,12 @@ impl PageDigest {
         s
     }
 
-    /// Parses a 32-character hexadecimal string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::InvalidDigest`] if the string is not exactly
-    /// 32 hex characters.
-    pub fn from_hex(s: &str) -> crate::Result<Self> {
-        let bytes = s.as_bytes();
-        if bytes.len() != 32 {
-            return Err(crate::Error::InvalidDigest {
-                reason: format!("expected 32 hex chars, got {}", bytes.len()),
-            });
-        }
-        let mut out = [0u8; 16];
-        for (i, chunk) in bytes.chunks_exact(2).enumerate() {
-            let hi = hex_val(chunk[0]).ok_or_else(|| bad_char(chunk[0]))?;
-            let lo = hex_val(chunk[1]).ok_or_else(|| bad_char(chunk[1]))?;
-            out[i] = (hi << 4) | lo;
-        }
-        Ok(PageDigest(out))
-    }
-
     /// A stable 64-bit key derived from the digest, for hash-map indexes.
     // Inlined, like the whole per-page probe path: a scan compiled in
     // another crate must not spill the digest for a call (DESIGN §13.2).
     #[inline]
     pub fn short_key(self) -> u64 {
         u64::from_le_bytes(self.0[..8].try_into().expect("slice is 8 bytes"))
-    }
-}
-
-fn hex_val(c: u8) -> Option<u8> {
-    match c {
-        b'0'..=b'9' => Some(c - b'0'),
-        b'a'..=b'f' => Some(c - b'a' + 10),
-        b'A'..=b'F' => Some(c - b'A' + 10),
-        _ => None,
-    }
-}
-
-fn bad_char(c: u8) -> crate::Error {
-    crate::Error::InvalidDigest {
-        reason: format!("invalid hex character {:?}", c as char),
     }
 }
 
@@ -217,14 +180,6 @@ mod tests {
         ]);
         let hex = d.to_hex();
         assert_eq!(hex, "00112233445566778899aabbccddeeff");
-        assert_eq!(PageDigest::from_hex(&hex).unwrap(), d);
-        assert_eq!(PageDigest::from_hex(&hex.to_uppercase()).unwrap(), d);
-    }
-
-    #[test]
-    fn from_hex_rejects_bad_input() {
-        assert!(PageDigest::from_hex("abc").is_err());
-        assert!(PageDigest::from_hex(&"g".repeat(32)).is_err());
     }
 
     #[test]

@@ -13,11 +13,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Error {
-    /// A digest string or buffer was malformed.
-    InvalidDigest {
-        /// Why the digest was rejected.
-        reason: String,
-    },
     /// A configuration value was out of its valid range.
     InvalidConfig {
         /// Which parameter was invalid and why.
@@ -40,7 +35,6 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::InvalidDigest { reason } => write!(f, "invalid digest: {reason}"),
             Error::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             Error::NotFound { what } => write!(f, "not found: {what}"),
             Error::Io(e) => write!(f, "i/o error: {e}"),

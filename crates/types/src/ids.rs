@@ -70,7 +70,7 @@ id_type!(
 /// use vecycle_types::PageIndex;
 ///
 /// let p = PageIndex::new(42);
-/// assert_eq!(p.byte_offset(), 42 * 4096);
+/// assert_eq!(p.as_u64(), 42);
 /// ```
 #[derive(
     Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
@@ -91,11 +91,6 @@ impl PageIndex {
     /// The raw index as `usize`.
     pub const fn as_usize(self) -> usize {
         self.0 as usize
-    }
-
-    /// Byte offset of this page within guest physical memory.
-    pub const fn byte_offset(self) -> u64 {
-        self.0 * crate::units::PAGE_SIZE
     }
 }
 
@@ -128,12 +123,6 @@ mod tests {
         assert_eq!(HostId::from(7).as_u32(), 7);
         assert_eq!(VmId::new(8).as_usize(), 8);
         assert_eq!(PageIndex::from(11u64).as_u64(), 11);
-    }
-
-    #[test]
-    fn page_index_byte_offset() {
-        assert_eq!(PageIndex::new(0).byte_offset(), 0);
-        assert_eq!(PageIndex::new(2).byte_offset(), 8192);
     }
 
     #[test]

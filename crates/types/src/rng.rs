@@ -1,7 +1,8 @@
 //! The workspace's one seeded generator: splitmix64 to derive a stream
 //! seed, xorshift64 to draw from it. Dependency-free and deterministic;
-//! every schedule, fault plan, chaos plan and fleet in the workspace
-//! draws through here, so goldens pin these exact bit streams.
+//! every schedule, fault plan, chaos plan, fleet and property test in
+//! the workspace draws through here, so goldens pin these exact bit
+//! streams.
 
 /// splitmix64 finalizer: derives an independent stream seed from a
 /// parent seed and a lane index. Decorrelates adjacent seeds, so
@@ -120,5 +121,19 @@ mod tests {
             seen[r.below(7) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn below_and_unit_f64_stay_in_range() {
+        let mut r = Xorshift::new(split(7, 2));
+        for bound in [1, 2, 7, 1 << 32, (1 << 63) + 1, u64::MAX] {
+            for _ in 0..1000 {
+                assert!(r.below(bound) < bound, "below({bound})");
+            }
+        }
+        for _ in 0..100_000 {
+            let u = r.unit_f64();
+            assert!((0.0..1.0).contains(&u), "{u}");
+        }
     }
 }

@@ -82,11 +82,6 @@ impl SimDuration {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// Fractional minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.as_secs_f64() / 60.0
-    }
-
     /// Fractional hours.
     pub fn as_hours_f64(self) -> f64 {
         self.as_secs_f64() / 3600.0
@@ -260,7 +255,6 @@ mod tests {
     fn duration_unit_views() {
         let d = SimDuration::from_mins(90);
         assert_eq!(d.as_hours_f64(), 1.5);
-        assert_eq!(d.as_mins_f64(), 90.0);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44700
-PUB_CEILING=1109
+BUDGET=43994
+PUB_CEILING=1093
 DEPS_CEILING=113
 DESIGN_CEILING=1625
 CAP=800

@@ -11,15 +11,13 @@
 //! (the first-round scan is one walk in page order); its doc comment
 //! says what it checks now.
 
-use proptest::collection::vec;
-use proptest::prelude::*;
-
 use vecycle::core::{LiveOutcome, MigrationEngine, Strategy};
 use vecycle::faults::{AttemptFaults, DropPoint};
 use vecycle::mem::workload::{IdleWorkload, SilentWorkload};
 use vecycle::mem::{DigestMemory, Guest, MemoryImage, MutableMemory, PageContent};
 use vecycle::net::LinkSpec;
 use vecycle::obs::{MetricsRegistry, MetricsSnapshot};
+use vecycle::types::rng::{split, Xorshift};
 use vecycle::types::{PageCount, PageIndex};
 
 /// Builds a digest-level image holding the given content ids (id 0 is
@@ -32,21 +30,23 @@ fn image(ids: &[u64]) -> DigestMemory {
     m
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// 1..`max_len` content ids below `bound`.
+fn ids(rng: &mut Xorshift, max_len: u64, bound: u64) -> Vec<u64> {
+    let len = 1 + rng.below(max_len - 1);
+    (0..len).map(|_| rng.below(bound)).collect()
+}
 
-    /// Reports and transcripts are bit-identical across repeat runs for
-    /// every strategy family. Content ids are drawn from a small range so
-    /// the images are dense with duplicates and zero pages — the cases
-    /// where dedup resolution could depend on anything but page order.
-    #[test]
-    fn scan_is_deterministic_across_repeat_runs(
-        vm_ids in vec(0u64..24, 1..200),
-        cp_ids in vec(0u64..24, 1..200),
-        use_index in any::<bool>(),
-        use_dedup in any::<bool>(),
-        suppress_zeros in any::<bool>(),
-    ) {
+/// Reports and transcripts are bit-identical across repeat runs for
+/// every strategy family. Content ids are drawn from a small range so
+/// the images are dense with duplicates and zero pages — the cases
+/// where dedup resolution could depend on anything but page order.
+#[test]
+fn scan_is_deterministic_across_repeat_runs() {
+    for case in 0..48 {
+        let mut rng = Xorshift::new(split(1, case));
+        let (vm_ids, cp_ids) = (ids(&mut rng, 200, 24), ids(&mut rng, 200, 24));
+        let mut coin = || rng.next() & 1 == 1;
+        let (use_index, use_dedup, suppress_zeros) = (coin(), coin(), coin());
         let vm = image(&vm_ids);
         let cp = image(&cp_ids);
         let base = if use_index {
@@ -61,18 +61,19 @@ proptest! {
                 .migrate_with_transcript(&vm, strategy.clone())
                 .unwrap()
         };
-        prop_assert_eq!(run(), run());
+        assert_eq!(run(), run());
     }
+}
 
-    /// Gang migrations share one dedup cache across VMs; the scan must
-    /// produce the same cross-VM back-references on every run. (Which
-    /// references those are is pinned against a reference model in
-    /// `vecycle-core`'s `scan_tests`.)
-    #[test]
-    fn gang_scan_is_deterministic_across_repeat_runs(
-        a_ids in vec(0u64..16, 1..120),
-        b_ids in vec(0u64..16, 1..120),
-    ) {
+/// Gang migrations share one dedup cache across VMs; the scan must
+/// produce the same cross-VM back-references on every run. (Which
+/// references those are is pinned against a reference model in
+/// `vecycle-core`'s `scan_tests`.)
+#[test]
+fn gang_scan_is_deterministic_across_repeat_runs() {
+    for case in 0..48 {
+        let mut rng = Xorshift::new(split(2, case));
+        let (a_ids, b_ids) = (ids(&mut rng, 120, 16), ids(&mut rng, 120, 16));
         let a = image(&a_ids);
         let b = image(&b_ids);
         let strategies = [Strategy::dedup(), Strategy::dedup()];
@@ -81,22 +82,22 @@ proptest! {
                 .migrate_gang(&[&a, &b], &strategies)
                 .unwrap()
         };
-        prop_assert_eq!(run(), run());
+        assert_eq!(run(), run());
     }
+}
 
-    /// A migration attempt running under an injected link cut is just as
-    /// deterministic as a clean one: completed reports, abort causes,
-    /// wasted traffic/time and the per-page landed digests are all
-    /// bit-identical across repeat runs. Additionally, every landed
-    /// digest must equal the guest's actual page content — the resumed
-    /// retry recycles exactly what a fault-free transfer would have sent.
-    #[test]
-    fn faulted_migration_is_deterministic_across_repeat_runs(
-        vm_ids in vec(0u64..24, 1..200),
-        cp_ids in vec(0u64..24, 1..200),
-        cut_frac in 0.0f64..0.9,
-        use_index in any::<bool>(),
-    ) {
+/// A migration attempt running under an injected link cut is just as
+/// deterministic as a clean one: completed reports, abort causes,
+/// wasted traffic/time and the per-page landed digests are all
+/// bit-identical across repeat runs. Additionally, every landed
+/// digest must equal the guest's actual page content — the resumed
+/// retry recycles exactly what a fault-free transfer would have sent.
+#[test]
+fn faulted_migration_is_deterministic_across_repeat_runs() {
+    for case in 0..48 {
+        let mut rng = Xorshift::new(split(3, case));
+        let (vm_ids, cp_ids) = (ids(&mut rng, 200, 24), ids(&mut rng, 200, 24));
+        let (cut_frac, use_index) = (rng.unit_f64() * 0.9, rng.next() & 1 == 1);
         let cp = image(&cp_ids);
         let strategy = if use_index {
             Strategy::vecycle(&cp).with_dedup()
@@ -110,12 +111,7 @@ proptest! {
         let run = || {
             let mut guest = Guest::new(image(&vm_ids));
             MigrationEngine::new(LinkSpec::lan_gigabit())
-                .migrate_live_faulted(
-                    &mut guest,
-                    &mut SilentWorkload,
-                    strategy.clone(),
-                    &faults,
-                )
+                .migrate_live_faulted(&mut guest, &mut SilentWorkload, strategy.clone(), &faults)
                 .unwrap()
         };
         let first = run();
@@ -123,42 +119,42 @@ proptest! {
             let vm = image(&vm_ids);
             for (i, landed) in a.landed.iter().enumerate() {
                 if let Some(d) = landed {
-                    prop_assert_eq!(
+                    assert_eq!(
                         *d,
                         vm.page_digest(PageIndex::new(i as u64)),
-                        "landed digest {} diverges from guest content", i
+                        "landed digest {} diverges from guest content",
+                        i
                     );
                 }
             }
         }
         match (&first, &run()) {
-            (LiveOutcome::Completed(a), LiveOutcome::Completed(b)) => prop_assert_eq!(a, b),
+            (LiveOutcome::Completed(a), LiveOutcome::Completed(b)) => assert_eq!(a, b),
             (LiveOutcome::Aborted(a), LiveOutcome::Aborted(b)) => {
-                prop_assert_eq!(a.cause, b.cause);
-                prop_assert_eq!(&a.landed, &b.landed);
-                prop_assert_eq!(a.traffic, b.traffic);
-                prop_assert_eq!(a.elapsed, b.elapsed);
+                assert_eq!(a.cause, b.cause);
+                assert_eq!(&a.landed, &b.landed);
+                assert_eq!(a.traffic, b.traffic);
+                assert_eq!(a.elapsed, b.elapsed);
             }
-            _ => prop_assert!(false, "outcome kind diverged on the rerun"),
+            _ => panic!("outcome kind diverged on the rerun"),
         }
     }
+}
 
-    /// The *clean-is-faulted* pipeline invariant: [`MigrationEngine::
-    /// migrate_live`] is exactly `migrate_live_faulted` with an empty
-    /// fault plan. Both entry points must produce an identical report
-    /// *and* an identical canonical metrics snapshot — same counters,
-    /// same spans, same outcome tags — across strategies and workload
-    /// seeds. Any fork between the two paths
-    /// (a clean-only shortcut, a faulted-only counter) fails here.
-    #[test]
-    fn clean_path_equals_faulted_path_with_empty_plan(
-        vm_ids in vec(0u64..24, 1..200),
-        cp_ids in vec(0u64..24, 1..200),
-        seed in any::<u64>(),
-        rate in 1.0f64..4000.0,
-        use_index in any::<bool>(),
-        use_dedup in any::<bool>(),
-    ) {
+/// The *clean-is-faulted* pipeline invariant: [`MigrationEngine::
+/// migrate_live`] is exactly `migrate_live_faulted` with an empty
+/// fault plan. Both entry points must produce an identical report
+/// *and* an identical canonical metrics snapshot — same counters,
+/// same spans, same outcome tags — across strategies and workload
+/// seeds. Any fork between the two paths
+/// (a clean-only shortcut, a faulted-only counter) fails here.
+#[test]
+fn clean_path_equals_faulted_path_with_empty_plan() {
+    for case in 0..48 {
+        let mut rng = Xorshift::new(split(4, case));
+        let (vm_ids, cp_ids) = (ids(&mut rng, 200, 24), ids(&mut rng, 200, 24));
+        let (seed, rate) = (rng.next(), 1.0 + rng.unit_f64() * (4000.0 - 1.0));
+        let (use_index, use_dedup) = (rng.next() & 1 == 1, rng.next() & 1 == 1);
         let cp = image(&cp_ids);
         let base = if use_index {
             Strategy::vecycle(&cp)
@@ -170,7 +166,8 @@ proptest! {
             let metrics = MetricsRegistry::new();
             let mut guest = Guest::new(image(&vm_ids));
             let mut workload = IdleWorkload::new(seed, rate);
-            let engine = MigrationEngine::new(LinkSpec::lan_gigabit()).with_metrics(metrics.clone());
+            let engine =
+                MigrationEngine::new(LinkSpec::lan_gigabit()).with_metrics(metrics.clone());
             let report = if faulted {
                 match engine
                     .migrate_live_faulted(
@@ -191,19 +188,19 @@ proptest! {
             };
             (report, metrics.snapshot().to_canonical_json())
         };
-        prop_assert_eq!(run(false), run(true));
+        assert_eq!(run(false), run(true));
     }
+}
 
-    /// With a metrics registry attached, the snapshot — counters,
-    /// histograms and the span timeline, serialized canonically — is
-    /// byte-identical across repeat runs.
-    #[test]
-    fn metrics_snapshot_is_identical_across_repeat_runs(
-        vm_ids in vec(0u64..24, 1..200),
-        cp_ids in vec(0u64..24, 1..200),
-        use_index in any::<bool>(),
-        use_dedup in any::<bool>(),
-    ) {
+/// With a metrics registry attached, the snapshot — counters,
+/// histograms and the span timeline, serialized canonically — is
+/// byte-identical across repeat runs.
+#[test]
+fn metrics_snapshot_is_identical_across_repeat_runs() {
+    for case in 0..48 {
+        let mut rng = Xorshift::new(split(5, case));
+        let (vm_ids, cp_ids) = (ids(&mut rng, 200, 24), ids(&mut rng, 200, 24));
+        let (use_index, use_dedup) = (rng.next() & 1 == 1, rng.next() & 1 == 1);
         let vm = image(&vm_ids);
         let cp = image(&cp_ids);
         let base = if use_index {
@@ -220,18 +217,19 @@ proptest! {
                 .unwrap();
             metrics.snapshot().to_canonical_json()
         };
-        prop_assert_eq!(snap(), snap());
+        assert_eq!(snap(), snap());
     }
+}
 
-    /// Same property under an injected link cut: the abort path ends
-    /// spans early and records the wreck, and all of it must still be
-    /// the same on every run.
-    #[test]
-    fn faulted_metrics_snapshot_is_identical_across_repeat_runs(
-        vm_ids in vec(0u64..24, 1..200),
-        cp_ids in vec(0u64..24, 1..200),
-        cut_frac in 0.0f64..0.9,
-    ) {
+/// Same property under an injected link cut: the abort path ends
+/// spans early and records the wreck, and all of it must still be
+/// the same on every run.
+#[test]
+fn faulted_metrics_snapshot_is_identical_across_repeat_runs() {
+    for case in 0..48 {
+        let mut rng = Xorshift::new(split(6, case));
+        let (vm_ids, cp_ids) = (ids(&mut rng, 200, 24), ids(&mut rng, 200, 24));
+        let cut_frac = rng.unit_f64() * 0.9;
         let cp = image(&cp_ids);
         let strategy = Strategy::vecycle(&cp).with_dedup();
         let faults = AttemptFaults {
@@ -243,16 +241,11 @@ proptest! {
             let mut guest = Guest::new(image(&vm_ids));
             MigrationEngine::new(LinkSpec::lan_gigabit())
                 .with_metrics(metrics.clone())
-                .migrate_live_faulted(
-                    &mut guest,
-                    &mut SilentWorkload,
-                    strategy.clone(),
-                    &faults,
-                )
+                .migrate_live_faulted(&mut guest, &mut SilentWorkload, strategy.clone(), &faults)
                 .unwrap();
             metrics.snapshot().to_canonical_json()
         };
-        prop_assert_eq!(snap(), snap());
+        assert_eq!(snap(), snap());
     }
 }
 

@@ -12,6 +12,7 @@ use vecycle::hash::{Fnv1a64, Hasher};
 use vecycle::host::Host;
 use vecycle::mem::{ByteMemory, DigestMemory, MemoryImage, MutableMemory, PageBuf, PageContent};
 use vecycle::net::LinkSpec;
+use vecycle::types::rng::{split, Xorshift};
 use vecycle::types::{Bytes, HostId, PageCount, PageIndex, SimDuration, SimTime, VmId};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -536,31 +537,34 @@ fn check_digests(image: &impl MemoryImage, model: &Model) -> Result<(), String> 
     }
 }
 
-proptest::proptest! {
-    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-    /// Memories, snapshots, checkpoints and merged destinations share
-    /// page buffers freely; against a model in which every image owns
-    /// its bytes, no interleaving of writes, relocations, hand-overs,
-    /// snapshots, captures, restores and transcript merges lets a write
-    /// leak from one image into another or leaves a digest behind its
-    /// bytes.
-    #[test]
-    fn shared_pages_behave_like_private_copies(
-        ops in proptest::collection::vec(
-            ((0u8..9, 0usize..4, 0usize..4), (0..MODEL_PAGES, 0..MODEL_PAGES, 0u64..5)),
-            1..60,
-        ),
-    ) {
+/// Memories, snapshots, checkpoints and merged destinations share
+/// page buffers freely; against a model in which every image owns
+/// its bytes, no interleaving of writes, relocations, hand-overs,
+/// snapshots, captures, restores and transcript merges lets a write
+/// leak from one image into another or leaves a digest behind its
+/// bytes.
+#[test]
+fn shared_pages_behave_like_private_copies() {
+    for case in 0..48 {
+        let mut rng = Xorshift::new(split(1, case));
         let first = ByteMemory::with_distinct_content(PageCount::new(MODEL_PAGES), 21);
         let engine = MigrationEngine::new(LinkSpec::lan_gigabit());
         let mut mems = vec![(first.snapshot(), model_of(&first))];
-        let mut cps = vec![(Checkpoint::capture_bytes(VmId::new(0), SimTime::EPOCH, &first), model_of(&first))];
+        let mut cps = vec![(
+            Checkpoint::capture_bytes(VmId::new(0), SimTime::EPOCH, &first),
+            model_of(&first),
+        )];
         // A new image takes slot `at` if four already exist.
         fn put<T>(slots: &mut Vec<T>, at: usize, item: T) {
-            if slots.len() < 4 { slots.push(item) } else { slots[at] = item }
+            if slots.len() < 4 {
+                slots.push(item)
+            } else {
+                slots[at] = item
+            }
         }
-        for ((op, i, j), (a, b, id)) in ops {
+        for _ in 0..1 + rng.below(59) {
+            let (op, i, j) = (rng.below(9), rng.below(4) as usize, rng.below(4) as usize);
+            let (a, b, id) = (rng.below(MODEL_PAGES), rng.below(MODEL_PAGES), rng.below(5));
             let (m, c) = (i % mems.len(), j % cps.len());
             let (pa, pb) = (PageIndex::new(a), PageIndex::new(b));
             match op {
@@ -581,7 +585,9 @@ proptest::proptest! {
                 3 => {
                     // Hand a checkpoint's buffer over, digest and all.
                     let page: PageBuf = cps[c].0.read_page(pb).expect("page checkpoint").clone();
-                    mems[m].0.write_page_with_digest(pa, page, cps[c].0.digest(pb));
+                    mems[m]
+                        .0
+                        .write_page_with_digest(pa, page, cps[c].0.digest(pb));
                     mems[m].1[a as usize] = cps[c].1[b as usize].clone();
                 }
                 4 => {
@@ -601,7 +607,9 @@ proptest::proptest! {
                 _ => {
                     // Migrate memory `m` onto checkpoint `c`'s host.
                     let strategy = Strategy::vecycle_from_checkpoint(&cps[c].0);
-                    let (_, transcript) = engine.migrate_with_transcript(&mems[m].0, strategy).unwrap();
+                    let (_, transcript) = engine
+                        .migrate_with_transcript(&mems[m].0, strategy)
+                        .unwrap();
                     let rebuilt = apply_transcript(&cps[c].0, &transcript).unwrap();
                     let model = mems[m].1.clone();
                     put(&mut mems, a as usize % 4, (rebuilt, model));
@@ -609,17 +617,16 @@ proptest::proptest! {
             }
             // Bytes of every image after every step, digests of the
             // memory the step addressed; every image's once more below.
-            let checked = check_bytes(&mems, &cps).and_then(|()| check_digests(&mems[m].0, &mems[m].1));
-            if let Err(why) = checked {
-                proptest::prop_assert!(false, "after op {}: {}", op, why);
-            }
+            let checked =
+                check_bytes(&mems, &cps).and_then(|()| check_digests(&mems[m].0, &mems[m].1));
+            assert_eq!(checked, Ok(()), "after op {op}");
         }
         for (mem, model) in &mems {
-            proptest::prop_assert_eq!(check_digests(mem, model), Ok(()));
+            assert_eq!(check_digests(mem, model), Ok(()));
         }
         for (cp, model) in &cps {
             let restored = cp.restore_byte_memory().expect("page checkpoint");
-            proptest::prop_assert_eq!(check_digests(&restored, model), Ok(()));
+            assert_eq!(check_digests(&restored, model), Ok(()));
         }
     }
 }
