@@ -1,5 +1,6 @@
-//! Checksum → page-offset indexes over a checkpoint (§3.3), each built
-//! one way: sized for its pages, then [`ChecksumIndex::push`] per page.
+//! Checksum → page-offset indexes over a checkpoint (§3.3), each filled
+//! one way: emptied and sized for its pages by [`ChecksumIndex::refill`],
+//! then [`ChecksumIndex::push`] per page.
 
 use vecycle_types::{DigestMap, PageDigest, PageIndex};
 
@@ -37,7 +38,7 @@ use vecycle_types::{DigestMap, PageDigest, PageIndex};
 /// );
 /// assert!(index.lookup(PageDigest::from_content_id(99)).is_none());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChecksumIndex {
     // Digest → first (smallest) offset carrying it; any copy of the
     // content serves a restore equally well.
@@ -48,18 +49,21 @@ pub struct ChecksumIndex {
 impl ChecksumIndex {
     /// Builds the index from borrowed per-page digests in page order.
     pub fn from_pages(pages: &[PageDigest]) -> Self {
-        let mut index = Self::with_capacity(pages.len());
-        for &d in pages {
-            index.push(d);
-        }
+        let mut index = Self::default();
+        index.refill(pages.len(), pages.iter().copied());
         index
     }
 
-    /// An empty index with room for `pages` pages' digests.
-    pub fn with_capacity(pages: usize) -> Self {
-        ChecksumIndex {
-            first: DigestMap::with_capacity_and_hasher(pages, Default::default()),
-            total_pages: 0,
+    /// Empties the index and fills it with `digests` in page order,
+    /// sized for `pages` of them first. The map keeps its table, so an
+    /// index refilled for no more pages than it once held allocates
+    /// nothing.
+    pub fn refill(&mut self, pages: usize, digests: impl IntoIterator<Item = PageDigest>) {
+        self.first.clear();
+        self.first.reserve(pages);
+        self.total_pages = 0;
+        for d in digests {
+            self.push(d);
         }
     }
 

@@ -36,7 +36,7 @@ impl IndexSeries {
         }
     }
 
-    /// Records a freshly built [`ChecksumIndex`]: bumps
+    /// Records a built or refilled [`ChecksumIndex`]: bumps
     /// `checkpoint_index_builds_total{source}` and sets
     /// `checkpoint_index_entries{source}` to the number of indexed pages.
     pub fn record(&self, index: &ChecksumIndex) {

@@ -78,19 +78,17 @@ impl PartialCheckpoint {
     /// Builds a checksum index over the landed pages, ready to be handed
     /// to a vecycle strategy like any recycled checkpoint's index.
     pub fn build_index(&self) -> ChecksumIndex {
-        self.build_index_with(&[])
+        let mut index = ChecksumIndex::default();
+        self.refill_index(&mut index, &[]);
+        index
     }
 
-    /// Builds an index over the landed pages *plus* extra digests (e.g.
+    /// Refills `index` with the landed pages *plus* extra digests (e.g.
     /// an older full checkpoint of the same VM), so a retry can draw on
     /// both sources of destination-resident content.
-    pub fn build_index_with(&self, extra: &[PageDigest]) -> ChecksumIndex {
+    pub fn refill_index(&self, index: &mut ChecksumIndex, extra: &[PageDigest]) {
         let pages = self.landed_pages().as_u64() as usize + extra.len();
-        let mut index = ChecksumIndex::with_capacity(pages);
-        for &d in self.landed.iter().flatten().chain(extra) {
-            index.push(d);
-        }
-        index
+        index.refill(pages, self.landed.iter().flatten().chain(extra).copied());
     }
 }
 
@@ -133,9 +131,12 @@ mod tests {
     #[test]
     fn combined_index_unions_both_sources() {
         let pc = PartialCheckpoint::new(VmId::new(1), vec![Some(digest(10)), None]);
-        let idx = pc.build_index_with(&[digest(99)]);
+        // What the refilled index held before is gone.
+        let mut idx = ChecksumIndex::from_pages(&[digest(50)]);
+        pc.refill_index(&mut idx, &[digest(99)]);
         assert!(idx.contains(digest(10)));
         assert!(idx.contains(digest(99)));
         assert!(!idx.contains(digest(50)));
+        assert_eq!(idx.total_pages(), 2);
     }
 }

@@ -15,12 +15,13 @@ use vecycle_host::{CpuSpec, DiskSpec};
 use vecycle_mem::{workload::GuestWorkload, Guest, MemoryImage, MutableMemory};
 use vecycle_net::LinkSpec;
 use vecycle_obs::MetricsRegistry;
-use vecycle_types::{PageCount, PageIndex, SimDuration};
+use vecycle_types::{DigestMap, PageCount, PageIndex, SimDuration};
 
 use crate::pipeline::obs::EngineSeries;
 use crate::pipeline::rounds::{DedupCache, LiveOutcome, TransferLoop};
 use crate::pipeline::sink::{CountOnly, CutSink, MsgSink};
 use crate::pipeline::wire_costs::{DeltaCompression, Xbzrle};
+use crate::spare::Spare;
 use crate::{LiveTranscript, MigrationReport, Strategy, Transcript};
 
 /// How source and destination agree on which checksums the destination
@@ -43,7 +44,9 @@ pub enum ExchangeProtocol {
 /// The migration engine: link, CPU and policy knobs.
 ///
 /// Construct with [`MigrationEngine::new`] and adjust with the `with_*`
-/// methods. The engine is stateless across migrations and can be reused.
+/// methods. No migration's result depends on an earlier one, so the
+/// engine can be reused; it keeps only its last dedup table, for the
+/// next migration to refill.
 #[derive(Debug, Clone)]
 pub struct MigrationEngine {
     pub(crate) link: LinkSpec,
@@ -58,6 +61,8 @@ pub struct MigrationEngine {
     pub(crate) xbzrle: Option<Xbzrle>,
     pub(crate) metrics: MetricsRegistry,
     pub(crate) series: Arc<EngineSeries>,
+    /// The last single-VM migration's dedup table, for the next to refill.
+    pub(crate) dedup_table: Spare<DigestMap<PageIndex>>,
 }
 
 impl MigrationEngine {
@@ -81,6 +86,7 @@ impl MigrationEngine {
             xbzrle: None,
             series: Arc::new(EngineSeries::new(&metrics)),
             metrics,
+            dedup_table: Spare::default(),
         }
     }
 
@@ -214,7 +220,7 @@ impl MigrationEngine {
         vm: &M,
         strategy: Strategy,
     ) -> vecycle_types::Result<MigrationReport> {
-        let mut sent = DedupCache::single_vm(&strategy, vm.page_count());
+        let mut sent = DedupCache::single_vm(&self.dedup_table, &strategy, vm.page_count());
         self.static_round("static", vm, &strategy, sent.as_mut(), &mut CountOnly)
     }
 
@@ -231,7 +237,7 @@ impl MigrationEngine {
         strategy: Strategy,
     ) -> vecycle_types::Result<(MigrationReport, Transcript)> {
         let mut transcript = Transcript::new();
-        let mut sent = DedupCache::single_vm(&strategy, vm.page_count());
+        let mut sent = DedupCache::single_vm(&self.dedup_table, &strategy, vm.page_count());
         let report = self.static_round("static", vm, &strategy, sent.as_mut(), &mut transcript)?;
         Ok((report, transcript))
     }
@@ -444,7 +450,7 @@ impl MigrationEngine {
         let mut tl = TransferLoop::start(self, "live", &strategy, guest.ram_size(), faults, sink);
 
         guest.dirty_mut().clear();
-        let mut sent = DedupCache::single_vm(&strategy, guest.page_count());
+        let mut sent = DedupCache::single_vm(&self.dedup_table, &strategy, guest.page_count());
         if let Err(wreck) = tl.first_round(&*guest, &strategy, sent.as_mut()) {
             return Ok(LiveOutcome::Aborted(wreck));
         }

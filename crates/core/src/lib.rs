@@ -59,6 +59,7 @@ mod pipeline;
 mod postcopy;
 mod report;
 pub mod session;
+mod spare;
 mod strategy;
 mod transcript;
 

@@ -31,6 +31,7 @@ use vecycle_types::{Bytes, BytesPerSec, DigestMap, PageCount, PageDigest, PageIn
 
 use super::obs::{obs_pages, Direction};
 use super::sink::MsgSink;
+use crate::spare::Spare;
 use crate::strategy::PageAction;
 use crate::{
     ExchangeProtocol, MigrationEngine, MigrationReport, PageMsg, RoundReport, SetupReport, Strategy,
@@ -126,22 +127,36 @@ struct Scan {
 /// * a gang's cache ([`DedupCache::gang`]) records checksum sends too:
 ///   a later member whose index lacks the content must still reference
 ///   an earlier member's checksum send of it.
-pub(crate) struct DedupCache {
+pub(crate) struct DedupCache<'e> {
     first: DigestMap<PageIndex>,
     records_checksums: bool,
+    /// Where a single-VM cache's table goes when its migration ends,
+    /// aborted or not: the engine's spare, for the next one to refill.
+    spare: Option<&'e Spare<DigestMap<PageIndex>>>,
 }
 
-impl DedupCache {
+impl<'e> DedupCache<'e> {
     /// A single-VM migration's cache: none unless the strategy reads
-    /// one. Without an index every page may be a full send, so the map
-    /// is sized once to the page count and never rehashes; with one,
-    /// only the pages the index misses can land in it, so it starts
-    /// at `std`'s empty table and grows.
-    pub(crate) fn single_vm(strategy: &Strategy, pages: PageCount) -> Option<Self> {
+    /// one. It refills the engine's `spare` table, emptied, when there
+    /// is one. Without an index every page may be a full send, so the
+    /// table is sized to the page count and never rehashes; with one,
+    /// only the pages the index misses can land in it, so it reserves
+    /// nothing and grows from whatever room it kept.
+    pub(crate) fn single_vm(
+        spare: &'e Spare<DigestMap<PageIndex>>,
+        strategy: &Strategy,
+        pages: PageCount,
+    ) -> Option<Self> {
         let capacity = strategy.index().map_or(pages.as_usize(), |_| 0);
-        strategy.dedups().then(|| DedupCache {
-            first: DigestMap::with_capacity_and_hasher(capacity, Default::default()),
-            records_checksums: false,
+        strategy.dedups().then(|| {
+            let mut first = spare.take().unwrap_or_default();
+            first.clear();
+            first.reserve(capacity);
+            DedupCache {
+                first,
+                records_checksums: false,
+                spare: Some(spare),
+            }
         })
     }
 
@@ -152,6 +167,15 @@ impl DedupCache {
         DedupCache {
             first: DigestMap::with_capacity_and_hasher(14, Default::default()),
             records_checksums: true,
+            spare: None,
+        }
+    }
+}
+
+impl Drop for DedupCache<'_> {
+    fn drop(&mut self) {
+        if let Some(spare) = self.spare {
+            spare.put(std::mem::take(&mut self.first));
         }
     }
 }

@@ -13,6 +13,7 @@ use vecycle_types::{Bytes, PageCount, PageDigest, PageIndex};
 
 use super::{AbortedTransfer, DedupCache, TransferLoop};
 use crate::pipeline::sink::{CutSink, MsgSink};
+use crate::spare::Spare;
 use crate::{MigrationEngine, PageMsg, RoundReport, Strategy, Transcript};
 
 /// A digest-level image holding the given content ids (id 0 is the zero
@@ -93,11 +94,13 @@ fn scan_matches_a_naive_walk_in_page_order() {
 
         // The cache under test and, for a gang, what an earlier member
         // left behind in it.
+        let spare = Spare::default();
         let mut sent = if gang {
             DedupCache::gang()
         } else {
             // A single VM's cache, whatever the strategy under test.
-            DedupCache::single_vm(&Strategy::dedup(), vm.page_count()).expect("dedup keeps a cache")
+            DedupCache::single_vm(&spare, &Strategy::dedup(), vm.page_count())
+                .expect("dedup keeps a cache")
         };
         let mut model_sent: HashMap<PageDigest, PageIndex> = HashMap::new();
         for (i, &id) in prior_ids.iter().enumerate().filter(|_| gang) {

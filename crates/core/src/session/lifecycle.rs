@@ -36,6 +36,12 @@ fn fallback_cause(fetch: &CheckpointFetch) -> Option<FaultCause> {
     }
 }
 
+/// Refills `index` from a stored checkpoint's digest table, borrowed.
+fn refill_from(index: &mut ChecksumIndex, checkpoint: &Checkpoint) {
+    let table = checkpoint.digest_table();
+    index.refill(table.len(), table.iter().copied());
+}
+
 impl VeCycleSession {
     /// Finds a recyclable checkpoint of `vm` at `dest`, narrates what the
     /// store did to answer and counts the answer in
@@ -79,17 +85,28 @@ impl VeCycleSession {
         Ok(fetch)
     }
 
-    /// Observes a freshly built recycling index, passing it through.
-    fn observed(&self, series: &IndexSeries, index: ChecksumIndex) -> Arc<ChecksumIndex> {
-        let index = Arc::new(index);
+    /// Refills the session's index through `fill`, recording the build.
+    /// The refill is in place unless a strategy still holds the index
+    /// (the adaptive probe's, for a resumed leg); then this leg's index
+    /// is a fresh one, kept for the next leg.
+    fn refilled(
+        &self,
+        series: &IndexSeries,
+        fill: impl FnOnce(&mut ChecksumIndex),
+    ) -> Arc<ChecksumIndex> {
+        let unshared = |index: &Arc<_>| Arc::strong_count(index) == 1;
+        let mut index = self.index.take().filter(unshared).unwrap_or_default();
+        fill(Arc::get_mut(&mut index).expect("no strategy holds the index"));
         series.record(&index);
+        self.index.put(Arc::clone(&index));
         index
     }
 
     /// The index a first round can recycle from: a full checkpoint, a
     /// [`PartialCheckpoint`] from an aborted attempt, or both (their
-    /// digests union into one index). `None` when the destination holds
-    /// neither, which leaves sender-side dedup.
+    /// digests union into one index), refilled from the borrowed digest
+    /// tables. `None` when the destination holds neither, which leaves
+    /// sender-side dedup.
     fn recycle_index(
         &self,
         checkpoint: Option<&Checkpoint>,
@@ -97,9 +114,11 @@ impl VeCycleSession {
     ) -> Option<Arc<ChecksumIndex>> {
         let [checkpoint_index, partial_index, merged_index] = &self.series.index;
         Some(match (checkpoint, partial) {
-            (Some(cp), Some(p)) => self.observed(merged_index, p.build_index_with(&cp.digests())),
-            (Some(cp), None) => self.observed(checkpoint_index, cp.build_index()),
-            (None, Some(p)) => self.observed(partial_index, p.build_index()),
+            (Some(cp), Some(p)) => {
+                self.refilled(merged_index, |i| p.refill_index(i, cp.digest_table()))
+            }
+            (Some(cp), None) => self.refilled(checkpoint_index, |i| refill_from(i, cp)),
+            (None, Some(p)) => self.refilled(partial_index, |i| p.refill_index(i, &[])),
             (None, None) => return None,
         })
     }
@@ -134,7 +153,7 @@ impl VeCycleSession {
             }
             (RecyclePolicy::Adaptive { min_similarity }, Some(cp)) => {
                 let [checkpoint_index, ..] = &self.series.index;
-                let probe = self.observed(checkpoint_index, cp.build_index());
+                let probe = self.refilled(checkpoint_index, |i| refill_from(i, cp));
                 let estimate =
                     MigrationEngine::estimate_similarity(vm.guest().memory(), &probe, 256);
                 let recycle = estimate.as_f64() >= min_similarity;

@@ -7,7 +7,9 @@
 //! bootstrap the VM."* This module owns that cycle so callers only say
 //! "move this VM there now".
 
-use vecycle_checkpoint::{IndexSeries, PartialCheckpoint};
+use std::sync::Arc;
+
+use vecycle_checkpoint::{ChecksumIndex, IndexSeries, PartialCheckpoint};
 use vecycle_faults::{FaultCause, FaultKind, FaultPlan, RetryPolicy};
 use vecycle_host::{Cluster, MigrationRequest, StoreSeries};
 use vecycle_mem::{workload::GuestWorkload, Guest, MutableMemory};
@@ -15,6 +17,7 @@ use vecycle_net::TrafficLedger;
 use vecycle_obs::{layouts, Counter, CounterFamily, MetricsRegistry};
 use vecycle_types::{Bytes, Error, HostId, SimDuration, SimTime, VmId};
 
+use crate::spare::Spare;
 use crate::{LiveOutcome, MigrationEngine, MigrationOutcome, MigrationReport, SetupReport};
 
 /// What first-round technique the session applies when a checkpoint is
@@ -92,6 +95,9 @@ pub struct VeCycleSession {
     policy: RecyclePolicy,
     retry: RetryPolicy,
     series: SessionSeries,
+    /// The recycling index, refilled in place each leg while no
+    /// strategy still holds it.
+    index: Spare<Arc<ChecksumIndex>>,
 }
 
 /// The series every migration records into, resolved once per session
@@ -150,6 +156,7 @@ impl VeCycleSession {
             engine,
             policy: RecyclePolicy::VeCycle,
             retry: RetryPolicy::default(),
+            index: Spare::default(),
         }
     }
 

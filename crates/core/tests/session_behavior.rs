@@ -610,3 +610,65 @@ fn session_events_display_as_prose() {
     assert!(text.contains("attempt 1"), "{text}");
     assert!(text.contains("link failure"), "{text}");
 }
+
+/// A session refills one recycling index and one dedup table leg after
+/// leg, and the reuse is invisible: the same legs give the same reports
+/// on one session as on a fresh session per leg over the same cluster.
+/// Two guests of different sizes take turns, aging between legs, and two
+/// link drops make retries recycle their landed pages — alone on a first
+/// visit, merged with a checkpoint later — under every recycling policy.
+#[test]
+fn one_session_reports_what_a_fresh_session_per_leg_does() {
+    use vecycle_mem::workload::{GuestWorkload, IdleWorkload};
+
+    let drop_at = |after| FaultKind::LinkDrop { after, attempts: 1 };
+    let plan = FaultPlan::none()
+        .inject(1, drop_at(DropPoint::RamFraction(0.5)))
+        .inject(6, drop_at(DropPoint::Bytes(Bytes::from_kib(8))));
+    let policies = [
+        RecyclePolicy::VeCycle,
+        RecyclePolicy::DedupOnly,
+        RecyclePolicy::Adaptive {
+            min_similarity: 0.5,
+        },
+    ];
+    for policy in policies {
+        let run = |fresh_per_leg: bool| {
+            let cluster = Cluster::homogeneous(2, LinkSpec::lan_gigabit());
+            let one = VeCycleSession::new(cluster.clone()).with_policy(policy);
+            let mut vms = [(0, 4), (1, 1)].map(|(id, mib)| {
+                let mem = DigestMemory::with_uniform_content(Bytes::from_mib(mib), id + 1).unwrap();
+                VmInstance::new(VmId::new(id as u32), Guest::new(mem), HostId::new(0))
+            });
+            let mut workload = IdleWorkload::new(3, 0.05);
+            let mut reports = Vec::new();
+            for leg in 0..10 {
+                let fresh;
+                let session = if fresh_per_leg {
+                    fresh = VeCycleSession::new(cluster.clone()).with_policy(policy);
+                    &fresh
+                } else {
+                    &one
+                };
+                let vm = &mut vms[leg % 2];
+                let at = SimTime::EPOCH + SimDuration::from_hours(leg as u64 + 1);
+                workload.advance(vm.guest_mut(), SimDuration::from_hours(1));
+                let to = HostId::new(1 - vm.location().as_u32());
+                reports.push(
+                    session
+                        .migrate_with_faults(vm, to, at, &mut workload, &plan, leg, &mut Vec::new())
+                        .unwrap(),
+                );
+            }
+            reports
+        };
+        let reports = run(false);
+        assert!(
+            reports
+                .iter()
+                .any(|r| matches!(r.outcome(), MigrationOutcome::CompletedAfterRetries { .. })),
+            "{policy:?}: a retry must resume"
+        );
+        assert_eq!(reports, run(true), "{policy:?}");
+    }
+}

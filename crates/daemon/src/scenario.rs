@@ -81,10 +81,14 @@ pub fn offer(
     partial: Option<&PartialCheckpoint>,
 ) -> Option<ChecksumIndex> {
     let vecycle = spec.strategy == "vecycle";
+    let checkpoint = if vecycle { initial.as_slice() } else { &[] };
     match partial {
-        None => vecycle.then(|| ChecksumIndex::from_pages(initial.as_slice())),
-        Some(partial) if vecycle => Some(partial.build_index_with(initial.as_slice())),
-        Some(partial) => Some(partial.build_index()),
+        None => vecycle.then(|| ChecksumIndex::from_pages(checkpoint)),
+        Some(partial) => {
+            let mut index = ChecksumIndex::default();
+            partial.refill_index(&mut index, checkpoint);
+            Some(index)
+        }
     }
 }
 

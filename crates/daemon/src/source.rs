@@ -240,7 +240,9 @@ pub fn receive_exchange<R: Read>(
                 "bulk exchange carried {count} digests for {pages} pages"
             )));
         }
-        Ok(ChecksumIndex::with_capacity(count))
+        let mut index = ChecksumIndex::default();
+        index.refill(count, []);
+        Ok(index)
     };
     Ok(wiremsg::read_bulk_exchange(r, admit, |index, digest| {
         index.push(digest);
