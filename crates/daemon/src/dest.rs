@@ -4,9 +4,10 @@
 //! The destination is deliberately dumb: it derives its initial state
 //! from the [`ScenarioSpec`](vecycle_sim::ScenarioSpec) alone (same
 //! deterministic construction as the source), applies each wire message
-//! through [`SessionState`], and proves the result with an end-to-end FNV-1a
-//! 64 hash. It never runs the engine, so agreement with the source is
-//! evidence about the *protocol*, not a shared code path.
+//! through [`SessionState`], and proves the result with an end-to-end
+//! content hash ([`scenario::content_hash`]). It never runs the engine,
+//! so agreement with the source is evidence about the *protocol*, not a
+//! shared code path.
 //!
 //! The session opens in one flight each way. HELLO‖JOB arrive
 //! together; a wrong magic, version or role is refused with ERR before

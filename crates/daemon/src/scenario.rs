@@ -16,7 +16,6 @@ use std::sync::Arc;
 
 use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PartialCheckpoint};
 use vecycle_core::{MigrationEngine, MigrationReport, Strategy};
-use vecycle_hash::{Fnv1a64, Hasher};
 use vecycle_mem::{
     workload::{GuestWorkload, IdleWorkload},
     DigestMemory, Guest,
@@ -133,14 +132,53 @@ pub fn local_strategy(
     }
 }
 
-/// FNV-1a 64 over a digest sequence — the end-to-end content hash both
-/// sides exchange after the stream.
+/// Multipliers: `LANE_K[l]` mixes a low word into lane `l`; `MIX`
+/// mixes each high word and finalizes. Fixed odd constants.
+const LANE_K: [u64; 4] = [
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+    0x5899_65cc_7537_4cc3,
+];
+const MIX: u64 = 0x1d8e_4e27_c47d_124f;
+/// The lanes' starting states and the count's.
+const LANE_SEED: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+const COUNT_SEED: u64 = 0x4528_21e6_38d0_1377;
+
+/// The low half XOR the high half of the 128-bit product.
+fn fold(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// The end-to-end content hash both sides exchange after the stream
+/// (COMPLETE and DONE). Digest `i` goes to lane `i mod 4` as two
+/// little-endian words, so the four lanes' multiply chains overlap;
+/// the count and the lanes finalize through the same fold, big-endian.
+/// An integrity check against divergence, not a MAC.
 pub fn content_hash(digests: &[PageDigest]) -> [u8; 8] {
-    let mut fnv = Fnv1a64::new();
-    for d in digests {
-        fnv.update(d.as_bytes());
+    let absorb = |lanes: &mut [u64; 4], group: &[PageDigest]| {
+        for ((lane, digest), k) in lanes.iter_mut().zip(group).zip(LANE_K) {
+            let w = u128::from_le_bytes(*digest.as_bytes());
+            *lane = fold(fold(*lane ^ w as u64, k) ^ (w >> 64) as u64, MIX);
+        }
+    };
+    let mut lanes = LANE_SEED;
+    let (quads, tail) = digests.as_chunks::<4>();
+    for quad in quads {
+        absorb(&mut lanes, quad);
     }
-    fnv.finalize()
+    absorb(&mut lanes, tail);
+    let count = fold(digests.len() as u64 ^ COUNT_SEED, MIX);
+    lanes
+        .iter()
+        .fold(count, |h, &lane| fold(h ^ lane, MIX))
+        .to_be_bytes()
 }
 
 /// What an in-process run of a scenario produces: the report the
@@ -235,5 +273,83 @@ mod tests {
         let a = content_hash(&[PageDigest::from_content_id(1)]);
         let b = content_hash(&[PageDigest::from_content_id(2)]);
         assert_ne!(a, b);
+    }
+
+    fn ids(n: u64) -> Vec<PageDigest> {
+        (1..=n).map(PageDigest::from_content_id).collect()
+    }
+
+    #[test]
+    fn content_hash_known_answers() {
+        let hash = |digests: &[PageDigest]| u64::from_be_bytes(content_hash(digests));
+        assert_eq!(hash(&[]), 0x8c7d_9838_e1db_8d7f);
+        assert_eq!(hash(&ids(1)), 0x6b7d_682a_f774_effa);
+        // 3, 4 and 5 digests: a lane tail, no tail, a tail of one.
+        assert_eq!(hash(&ids(3)), 0x7938_87c2_c911_51ba);
+        assert_eq!(hash(&ids(4)), 0xf343_1b9f_29a0_9b67);
+        assert_eq!(hash(&ids(5)), 0xb081_3876_cc33_4e4c);
+        let mut spec = ScenarioSpec::golden(1);
+        spec.ram_mib = 128;
+        let initial = initial_memory(&spec).unwrap();
+        assert_eq!(initial.as_slice().len(), 32_768);
+        assert_eq!(hash(initial.as_slice()), 0xf80c_c027_0512_e2f8);
+    }
+
+    #[test]
+    fn content_hash_equals_a_digest_at_a_time_reference() {
+        let reference = |digests: &[PageDigest]| {
+            let mut lanes = LANE_SEED;
+            for (i, digest) in digests.iter().enumerate() {
+                let (lo, hi) = digest.as_bytes().split_at(8);
+                let lo = u64::from_le_bytes(lo.try_into().unwrap());
+                let hi = u64::from_le_bytes(hi.try_into().unwrap());
+                let l = i % 4;
+                lanes[l] = fold(fold(lanes[l] ^ lo, LANE_K[l]) ^ hi, MIX);
+            }
+            let mut h = fold(digests.len() as u64 ^ COUNT_SEED, MIX);
+            for lane in lanes {
+                h = fold(h ^ lane, MIX);
+            }
+            h.to_be_bytes()
+        };
+        let all = ids(64);
+        for n in 0..=all.len() {
+            assert_eq!(content_hash(&all[..n]), reference(&all[..n]), "{n} digests");
+        }
+    }
+
+    #[test]
+    fn a_flipped_bit_a_swap_or_an_appended_zero_page_moves_the_hash() {
+        let mut rng = vecycle_types::rng::Xorshift::new(vecycle_types::rng::split(48, 0));
+        for _ in 0..512 {
+            let n = 1 + rng.below(40) as usize;
+            let list: Vec<PageDigest> = (0..n)
+                .map(|_| PageDigest::from_content_id(rng.next()))
+                .collect();
+            let hash = content_hash(&list);
+
+            let (i, bit) = (rng.below(n as u64) as usize, rng.below(128) as usize);
+            let mut flipped = list.clone();
+            let mut bytes = *list[i].as_bytes();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            flipped[i] = PageDigest::new(bytes);
+            assert_ne!(
+                content_hash(&flipped),
+                hash,
+                "bit {bit} of digest {i} of {n}"
+            );
+
+            if n > 1 {
+                let j = (i + 1 + rng.below(n as u64 - 1) as usize) % n;
+                assert_ne!(list[i], list[j]);
+                let mut swapped = list.clone();
+                swapped.swap(i, j);
+                assert_ne!(content_hash(&swapped), hash, "digests {i} and {j} of {n}");
+            }
+
+            let mut longer = list;
+            longer.push(PageDigest::ZERO_PAGE);
+            assert_ne!(content_hash(&longer), hash, "a zero page after {n}");
+        }
     }
 }

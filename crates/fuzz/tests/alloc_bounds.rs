@@ -466,3 +466,13 @@ fn a_warm_acceptance_goes_through_one_chunk() {
     assert_eq!(sent, whole[..hello_ack as usize]);
     assert_eq!(stats.requested, 2 * hello_ack, "{stats:?}");
 }
+
+/// Both ends hash their final digest list in place: the content hash
+/// over a 128 MiB guest's 32 768 digests makes no allocator call.
+#[test]
+fn the_content_hash_allocates_nothing() {
+    let digests: Vec<PageDigest> = (1..=32_768).map(PageDigest::from_content_id).collect();
+    let (hash, stats) = metered(|| scenario::content_hash(&digests));
+    assert_eq!(hash, scenario::content_hash(&digests));
+    assert_eq!((stats.calls, stats.requested), (0, 0), "{stats:?}");
+}

@@ -151,11 +151,12 @@ fn run_table(daemon: &DaemonHandle) {
     //    sent before the JOB behind the HELLO is read. A version-2 peer
     //    is refused before it could wait for an OFFER, a version-3 peer
     //    before it could wait for a resume announcement, a version-4
-    //    peer before it could refuse an exchange that is not sorted. The
-    //    unread JOB bytes must not cost the refusal (on TCP, closing a
-    //    socket with unread data sends a reset).
-    for theirs in [99, 2, 3, 4] {
-        let refusal = DaemonError::VersionMismatch { ours: 5, theirs };
+    //    peer before it could refuse an exchange that is not sorted, a
+    //    version-5 peer before its FNV-1a COMPLETE / DONE hash could
+    //    mismatch ours. The unread JOB bytes must not cost the refusal
+    //    (on TCP, closing a socket with unread data sends a reset).
+    for theirs in [99, 2, 3, 4, 5] {
+        let refusal = DaemonError::VersionMismatch { ours: 6, theirs };
         let got = poke(daemon, &hello_job(theirs, &ScenarioSpec::golden(1)), false);
         assert_eq!(got, Reaction::ErrContaining(leak(refusal.to_string())));
         assert_alive(daemon);
@@ -336,7 +337,7 @@ fn version_mismatch_surfaces_as_a_typed_client_error() {
         let ack = proto::hello_payload(theirs, proto::ROLE_DEST);
         write_frame(&mut reply, kind::HELLO_ACK, &ack).unwrap();
         let detail = job_against(reply);
-        let refusal = DaemonError::VersionMismatch { ours: 5, theirs };
+        let refusal = DaemonError::VersionMismatch { ours: 6, theirs };
         assert!(
             detail.contains(&refusal.to_string()),
             "failure detail must name the version mismatch: {detail}"
