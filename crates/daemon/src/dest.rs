@@ -47,6 +47,7 @@ use std::io::{Read, Write};
 
 use vecycle_checkpoint::{ChecksumIndex, PartialCheckpoint};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
+use vecycle_mem::DigestMemory;
 use vecycle_net::{wire, wiremsg, WireMsg};
 use vecycle_obs::Counter;
 use vecycle_sim::ScenarioSpec;
@@ -96,8 +97,11 @@ pub(crate) fn session(
 
     // Deterministic destination state. The checkpoint is recaptured from
     // the spec — in a deployment it would come from the checkpoint store;
-    // the wire protocol is identical either way.
-    let initial = scenario::initial_memory(&spec)?;
+    // the wire protocol is identical either way — and only when something
+    // reads it: a warm state starts from it, a vecycle job offers it.
+    let initial = (spec.warm || spec.strategy == "vecycle")
+        .then(|| scenario::initial_memory(&spec))
+        .transpose()?;
 
     // Admission: this host participates in at most one migration at a
     // time, same invariant the source's queue enforces on its side.
@@ -108,7 +112,8 @@ pub(crate) fn session(
     // over it (and, for a vecycle job, the checkpoint) is the exchange.
     let retry = (job.resume > 0).then(|| recover(state, &spec, key));
     let landed = retry.as_ref().map(|(p, _)| p);
-    let index = scenario::offer(&spec, &initial, landed);
+    let checkpoint = initial.as_ref().map_or(&[][..], DigestMemory::as_slice);
+    let index = scenario::offer(&spec, checkpoint, landed);
     let sent = accept(s, index.as_ref());
 
     let (partial, log, sent) = match retry {
@@ -122,8 +127,10 @@ pub(crate) fn session(
         }
     };
 
-    // An in-memory daemon takes the unit hook: no per-message work.
-    let mut session_state = SessionState::fresh(&spec, &initial);
+    // A warm state takes the checkpoint image over as its pages, so the
+    // job holds it once. An in-memory daemon takes the unit hook: no
+    // per-message work.
+    let mut session_state = SessionState::new(&spec, initial);
     let mut logged = log.map(|log| SessionLog::new(state, key, log));
     let received = sent
         .map_err(DaemonError::from)

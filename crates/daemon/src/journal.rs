@@ -8,7 +8,7 @@
 //! checksum-failing record, the valid prefix is kept, and the file is
 //! truncated back to it.
 //!
-//! [`Journal::append`] syncs (`fdatasync`); [`Journal::append_hint`]
+//! [`Journal::append`] syncs (`fdatasync`); `Journal::append_hint`
 //! only writes, and the next synced append carries the hint to disk —
 //! which transition gets which is [`crate::queue::Queue`]'s call
 //! (DESIGN §17.1). An append that fails is cut back off the file, so the
@@ -213,7 +213,7 @@ impl Journal {
     /// # Errors
     ///
     /// Propagates write errors.
-    pub fn append_hint(&self, record: &WalRecord) -> std::io::Result<u64> {
+    pub(crate) fn append_hint(&self, record: &WalRecord) -> std::io::Result<u64> {
         self.write(record, false)
     }
 

@@ -117,7 +117,11 @@ pub fn fixed<const N: usize>(payload: &[u8], what: &str) -> Result<[u8; N], Daem
 /// # Errors
 ///
 /// As described above.
-pub fn expect_kind(frame: Frame, want: u8, what: &'static str) -> Result<Frame, DaemonError> {
+pub(crate) fn expect_kind(
+    frame: Frame,
+    want: u8,
+    what: &'static str,
+) -> Result<Frame, DaemonError> {
     if frame.kind == kind::ERR {
         return Err(DaemonError::Remote(
             String::from_utf8_lossy(&frame.payload).into_owned(),

@@ -59,28 +59,45 @@ pub fn live_guest(
     spec: &ScenarioSpec,
     initial: &DigestMemory,
 ) -> vecycle_types::Result<(Guest<DigestMemory>, IdleWorkload)> {
-    let mut guest = Guest::new(initial.snapshot());
+    Ok(guest_over(spec, initial.snapshot()))
+}
+
+/// [`live_guest`] built in place over its own [`initial_memory`]: the
+/// source's guest, one digest table and no copy of it.
+///
+/// # Errors
+///
+/// Propagates invalid RAM sizes.
+pub fn source_guest(
+    spec: &ScenarioSpec,
+) -> vecycle_types::Result<(Guest<DigestMemory>, IdleWorkload)> {
+    Ok(guest_over(spec, initial_memory(spec)?))
+}
+
+fn guest_over(spec: &ScenarioSpec, initial: DigestMemory) -> (Guest<DigestMemory>, IdleWorkload) {
+    let mut guest = Guest::new(initial);
     let mut workload = IdleWorkload::new(spec.workload_seed(), spec.rate_pages_per_sec());
     workload.advance(
         &mut guest,
         SimDuration::from_secs_f64(spec.pre_migrate_secs),
     );
-    Ok((guest, workload))
+    (guest, workload)
 }
 
-/// The checksum index a destination offers in the bulk exchange. A fresh
-/// epoch offers its checkpoint's for a vecycle job and nothing otherwise
-/// (no other stream carries checksum messages). A retry epoch offers the
-/// pages earlier epochs landed, `partial` — unioned with the checkpoint
-/// for a vecycle job — whatever the job's strategy: a retry is a recycle,
-/// the index the in-process retry builds.
+/// The checksum index a destination offers in the bulk exchange, given
+/// its `checkpoint` digests (read only for a vecycle job; `&[]` when it
+/// built none). A fresh epoch offers the checkpoint's for a vecycle job
+/// and nothing otherwise (no other stream carries checksum messages). A
+/// retry epoch offers the pages earlier epochs landed, `partial` —
+/// unioned with the checkpoint for a vecycle job — whatever the job's
+/// strategy: a retry is a recycle, the index the in-process retry builds.
 pub fn offer(
     spec: &ScenarioSpec,
-    initial: &DigestMemory,
+    checkpoint: &[PageDigest],
     partial: Option<&PartialCheckpoint>,
 ) -> Option<ChecksumIndex> {
     let vecycle = spec.strategy == "vecycle";
-    let checkpoint = if vecycle { initial.as_slice() } else { &[] };
+    let checkpoint = if vecycle { checkpoint } else { &[] };
     match partial {
         None => vecycle.then(|| ChecksumIndex::from_pages(checkpoint)),
         Some(partial) => {
@@ -223,7 +240,7 @@ pub fn reference_run_over(
 ) -> Result<ReferenceRun, DaemonError> {
     spec.validate().map_err(DaemonError::from)?;
     let initial = initial_memory(spec)?;
-    let strategy = wire_strategy(spec, offer(spec, &initial, Some(partial)))?;
+    let strategy = wire_strategy(spec, offer(spec, initial.as_slice(), Some(partial)))?;
     run(spec, &initial, strategy)
 }
 
@@ -258,7 +275,7 @@ mod tests {
         // produce the same report as the checkpoint's own index.
         let spec = ScenarioSpec::golden(0x7ec);
         let initial = initial_memory(&spec).unwrap();
-        let offered = offer(&spec, &initial, None).unwrap();
+        let offered = offer(&spec, initial.as_slice(), None).unwrap();
         let wire: Vec<PageDigest> = offered.distinct_digests().collect();
         let strategy = wire_strategy(&spec, Some(ChecksumIndex::from_pages(&wire))).unwrap();
         let (mut guest, mut workload) = live_guest(&spec, &initial).unwrap();

@@ -6,12 +6,11 @@
 //! builds one of these. A `Full` reaches it already checked: the
 //! decoder refuses a page that is not its digest's filler.
 //!
-//! Layout: two dense per-page vectors — the current digest and the
-//! *anchor*, the digest a page carried the first time it was written
-//! (what a `DedupRef` naming it means, even after a later round rewrote
-//! the page). A page has landed exactly when it has an anchor, so the
-//! landed flags and page count a snapshot carries are derived, not
-//! stored, and [`SessionState::landed`] is what a retry recycles.
+//! Layout: each page's current digest, one *landed* bit a page, and,
+//! from the first rewrite on, each page's *anchor*: the digest it
+//! carried when first written (what a `DedupRef` naming it means, even
+//! after a later round rewrote it). Until a page is rewritten its anchor
+//! is its digest. [`SessionState::landed`] is what a retry recycles.
 //!
 //! A *snapshot* is the whole state in one file (`VECYPAR1`, FNV-1a
 //! trailer), which older daemons wrote. Only the benchmark still writes
@@ -44,14 +43,14 @@ pub fn spec_fingerprint(spec: &ScenarioSpec) -> u64 {
 }
 
 /// The deterministic apply-state of one migration stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SessionState {
     mem: Vec<PageDigest>,
-    /// Per page, the digest it carried the *first* time it was written
-    /// — what a `DedupRef` naming it resolves to. Dense, so applying a
-    /// message is an indexed store and the persisted (ascending) anchor
-    /// section is a plain walk.
-    anchors: Vec<Option<PageDigest>>,
+    /// One bit a page, set once the stream has written it.
+    landed_bits: Vec<u64>,
+    /// Each page's first digest, kept from the first rewrite on (a copy
+    /// of `mem` then); a stream that rewrites nothing never allocates it.
+    firsts: Option<Vec<PageDigest>>,
     applied: u64,
     expected_round: u64,
     finished: bool,
@@ -61,13 +60,19 @@ impl SessionState {
     /// The pre-stream state: the warm checkpoint image, or all-zero
     /// pages for a cold start.
     pub fn fresh(spec: &ScenarioSpec, initial: &DigestMemory) -> SessionState {
-        let mem = if spec.warm {
-            initial.snapshot().into_digests()
-        } else {
-            vec![PageDigest::ZERO_PAGE; spec.pages() as usize]
+        SessionState::new(spec, spec.warm.then(|| initial.snapshot()))
+    }
+
+    /// The pre-stream state: a warm spec's checkpoint `image` moved in
+    /// as the pages, or all-zero pages for a cold one, which drops it.
+    pub fn new(spec: &ScenarioSpec, image: Option<DigestMemory>) -> SessionState {
+        let mem = match image.filter(|_| spec.warm) {
+            Some(image) => image.into_digests(),
+            None => vec![PageDigest::ZERO_PAGE; spec.pages() as usize],
         };
         SessionState {
-            anchors: vec![None; mem.len()],
+            landed_bits: vec![0; mem.len().div_ceil(64)],
+            firsts: None,
             mem,
             applied: 0,
             expected_round: 1,
@@ -98,13 +103,40 @@ impl SessionState {
                 "page index {idx} beyond guest size {pages}"
             )));
         }
-        self.mem[idx as usize] = digest;
+        let at = idx as usize;
+        let (word, bit) = (at / 64, 1 << (at % 64));
         // First-wins per page index — mirrors the engine's
         // `sent.entry(digest).or_insert(idx)`: a back-reference means
         // "the content page `source` carried when it was first sent",
         // even if a later round rewrote that page.
-        self.anchors[idx as usize].get_or_insert(digest);
+        if self.landed_bits[word] & bit == 0 {
+            self.landed_bits[word] |= bit;
+            if let Some(firsts) = &mut self.firsts {
+                firsts[at] = digest;
+            }
+        } else if self.firsts.is_none() && self.mem[at] != digest {
+            // The first rewrite: every page still holds its first digest.
+            self.firsts = Some(self.mem.clone());
+        }
+        self.mem[at] = digest;
         Ok(())
+    }
+
+    /// Each page's first digest: `mem` itself until a page is rewritten.
+    fn firsts(&self) -> &[PageDigest] {
+        self.firsts.as_deref().unwrap_or(&self.mem)
+    }
+
+    fn is_landed(&self, idx: usize) -> bool {
+        self.landed_bits[idx / 64] >> (idx % 64) & 1 == 1
+    }
+
+    /// The digest page `idx` carried when first written, if it landed.
+    fn anchor(&self, idx: u64) -> Option<PageDigest> {
+        let at = usize::try_from(idx)
+            .ok()
+            .filter(|&at| at < self.mem.len())?;
+        self.is_landed(at).then(|| self.firsts()[at])
     }
 
     /// Applies one data-plane message.
@@ -137,10 +169,7 @@ impl SessionState {
                 self.write(*idx, *digest)?;
             }
             WireMsg::DedupRef { idx, source } => {
-                let anchor = usize::try_from(*source)
-                    .ok()
-                    .and_then(|s| self.anchors.get(s).copied().flatten());
-                let digest = anchor.ok_or_else(|| {
+                let digest = self.anchor(*source).ok_or_else(|| {
                     DaemonError::Corrupt(format!(
                         "dedup ref for page {idx} names unsent page {source}"
                     ))
@@ -178,8 +207,8 @@ impl SessionState {
     /// The pages this stream wrote as `(page, digest it holds now)`,
     /// ascending by page: what the destination keeps for a retry.
     pub fn landed(&self) -> impl Iterator<Item = (u64, PageDigest)> + '_ {
-        let pages = self.mem.iter().zip(&self.anchors).enumerate();
-        pages.filter_map(|(idx, (digest, a))| a.map(|_| (idx as u64, *digest)))
+        let pages = self.mem.iter().enumerate();
+        pages.filter_map(|(idx, digest)| self.is_landed(idx).then_some((idx as u64, *digest)))
     }
 
     /// The state (with its job/spec identity) as a snapshot: magic, job,
@@ -188,22 +217,22 @@ impl SessionState {
     /// 64 trailer over everything before it. Only the benchmark-only
     /// [`crate::compat`] writers call it.
     pub(crate) fn snapshot(&self, job: u64, fingerprint: u64) -> Vec<u8> {
-        let (mem, anchors) = (&self.mem, &self.anchors);
-        let mut buf = Vec::with_capacity(64 + mem.len() * 17 + anchors.len() * 24);
+        let mem = &self.mem;
+        let mut buf = Vec::with_capacity(64 + mem.len() * (17 + 24));
         buf.extend_from_slice(PARTIAL_MAGIC);
         for field in [job, fingerprint, self.applied, self.expected_round] {
             buf.extend_from_slice(&field.to_be_bytes());
         }
         buf.push(u8::from(self.finished));
         buf.extend_from_slice(&(mem.len() as u64).to_be_bytes());
-        for (digest, anchor) in mem.iter().zip(anchors) {
+        for (idx, digest) in mem.iter().enumerate() {
             buf.extend_from_slice(digest.as_bytes());
-            buf.push(u8::from(anchor.is_some()));
+            buf.push(u8::from(self.is_landed(idx)));
         }
         // The dedup anchors as `(page, first digest)`, ascending by page.
         let anchored = || {
-            let pages = anchors.iter().enumerate();
-            pages.filter_map(|(idx, a)| a.map(|digest| (idx as u64, digest)))
+            let pages = 0..mem.len() as u64;
+            pages.filter_map(|idx| self.anchor(idx).map(|digest| (idx, digest)))
         };
         buf.extend_from_slice(&(anchored().count() as u64).to_be_bytes());
         for (idx, digest) in anchored() {
@@ -217,6 +246,18 @@ impl SessionState {
         buf
     }
 }
+
+/// Equal states hold the same pages, landed bits, anchors and counters,
+/// whether or not a stream has allocated its table of first digests.
+impl PartialEq for SessionState {
+    fn eq(&self, other: &SessionState) -> bool {
+        let counters = |st: &SessionState| (st.applied, st.expected_round, st.finished);
+        (self.mem == other.mem && self.landed_bits == other.landed_bits)
+            && (self.firsts() == other.firsts() && counters(self) == counters(other))
+    }
+}
+
+impl Eq for SessionState {}
 
 /// The partial file path for `(job, fingerprint)` under `dir`.
 pub fn partial_path(dir: &Path, job: u64, fingerprint: u64) -> PathBuf {
@@ -280,6 +321,160 @@ pub(crate) mod tests {
         assert_eq!(landed[5], (5, d(500)));
         assert_eq!(landed[9], (10, PageDigest::ZERO_PAGE));
         assert_eq!(landed[10..], [(20, d(3)), (21, d(3))]);
+    }
+
+    /// An apply outcome as the property compares it: ok, or the variant.
+    fn outcome(result: Result<(), DaemonError>) -> Result<(), &'static str> {
+        result.map_err(|e| match e {
+            DaemonError::Corrupt(_) => "corrupt",
+            DaemonError::Protocol(_) => "protocol",
+            _ => "other",
+        })
+    }
+
+    /// The dense layout the state replaced, as the reference: every
+    /// page's digest and first digest, and the counters.
+    #[derive(Clone, PartialEq)]
+    struct Model {
+        mem: Vec<PageDigest>,
+        anchors: Vec<Option<PageDigest>>,
+        applied: u64,
+        expected_round: u64,
+        finished: bool,
+    }
+
+    impl Model {
+        fn apply(&mut self, msg: &WireMsg, ix: Option<&ChecksumIndex>) -> Result<(), &'static str> {
+            if self.finished {
+                return Err("protocol");
+            }
+            let write = match *msg {
+                WireMsg::Full { idx, digest } => Some((idx, digest)),
+                WireMsg::Checksum { idx, digest } => match ix {
+                    None => return Err("protocol"),
+                    Some(ix) if !ix.contains(digest) => return Err("corrupt"),
+                    Some(_) => Some((idx, digest)),
+                },
+                WireMsg::DedupRef { idx, source } => {
+                    let at = usize::try_from(source).ok();
+                    let anchor = at.and_then(|at| self.anchors.get(at).copied().flatten());
+                    Some((idx, anchor.ok_or("corrupt")?))
+                }
+                WireMsg::Zero { idx } => Some((idx, PageDigest::ZERO_PAGE)),
+                WireMsg::RoundEnd { round } if round == self.expected_round => None,
+                WireMsg::StopEnd if self.expected_round >= 2 => None,
+                _ => return Err("protocol"),
+            };
+            match (write, msg) {
+                (Some((idx, digest)), _) => {
+                    let at = usize::try_from(idx).ok().filter(|&at| at < self.mem.len());
+                    let at = at.ok_or("corrupt")?;
+                    self.mem[at] = digest;
+                    self.anchors[at].get_or_insert(digest);
+                }
+                (None, WireMsg::StopEnd) => self.finished = true,
+                (None, _) => self.expected_round += 1,
+            }
+            self.applied += 1;
+            Ok(())
+        }
+    }
+
+    /// Against the dense model, after every message of seeded 1–3 round
+    /// streams — full pages, checksums (a warm index), zero markers and
+    /// refs to rewritten, unlanded and out-of-range pages over a few hot
+    /// pages, so rewrites and rewrites back to the first digest recur —
+    /// the state gives the same outcome, `mem()`, `landed()` and anchors,
+    /// and eight streams over one base compare `==` exactly when their
+    /// models do.
+    #[test]
+    fn the_state_matches_a_dense_model_message_by_message() {
+        use vecycle_types::rng::{split, Xorshift};
+        let d = PageDigest::from_content_id;
+        let alphabet = [d(1), d(2), d(3), PageDigest::ZERO_PAGE];
+        let spec = ScenarioSpec::golden(0x5e56);
+        for case in 0..256 {
+            let mut rng = Xorshift::new(split(1, case));
+            let pages = [2, 3, 5, 70, 130][rng.below(5) as usize];
+            let warm = rng.below(2) == 1;
+            let base: Vec<PageDigest> = (0..pages)
+                .map(|_| {
+                    if warm {
+                        alphabet[rng.below(4) as usize]
+                    } else {
+                        alphabet[3]
+                    }
+                })
+                .collect();
+            let index = (rng.below(4) > 0)
+                .then(|| ChecksumIndex::from_pages(&alphabet[..rng.below(4) as usize]));
+            let hot: Vec<u64> = (0..2 + rng.below(3)).map(|_| rng.below(pages)).collect();
+            // `None` is a page message; every stream shares the rest.
+            let mut slots = Vec::new();
+            for round in 1..=1 + rng.below(3) {
+                slots.extend((0..rng.below(7)).map(|_| None));
+                match rng.below(8) {
+                    0 => slots.push(Some(WireMsg::RoundEnd { round: round + 1 })),
+                    1 => slots.push(Some(WireMsg::StopEnd)),
+                    2 => slots.push(Some(WireMsg::BulkExchange { digests: vec![] })),
+                    _ => {}
+                }
+                slots.push(Some(WireMsg::RoundEnd { round }));
+            }
+            slots.extend([Some(WireMsg::StopEnd), None]);
+
+            let model = Model {
+                mem: base.clone(),
+                anchors: vec![None; pages as usize],
+                applied: 0,
+                expected_round: 1,
+                finished: false,
+            };
+            let image = DigestMemory::from_digests(base);
+            let mut runs = vec![(SessionState::new(&spec, Some(image)), model); 8];
+            for slot in &slots {
+                for (st, model) in &mut runs {
+                    let page = |rng: &mut Xorshift| match rng.below(8) {
+                        0 => pages + rng.below(2),
+                        1 => rng.below(pages),
+                        _ => hot[rng.below(hot.len() as u64) as usize],
+                    };
+                    let idx = page(&mut rng);
+                    let digest = alphabet[rng.below(4) as usize];
+                    let msg = slot.clone().unwrap_or(match rng.below(4) {
+                        0 => WireMsg::Full { idx, digest },
+                        1 => WireMsg::Checksum { idx, digest },
+                        2 if rng.below(8) == 0 => WireMsg::DedupRef {
+                            idx,
+                            source: u64::MAX,
+                        },
+                        2 => WireMsg::DedupRef {
+                            idx,
+                            source: page(&mut rng),
+                        },
+                        _ => WireMsg::Zero { idx },
+                    });
+                    let want = model.apply(&msg, index.as_ref());
+                    assert_eq!(outcome(st.apply(&msg, index.as_ref())), want, "{msg:?}");
+                    assert_eq!(st.mem(), model.mem, "case {case}: {msg:?}");
+                    let landed = (model.mem.iter().zip(&model.anchors).enumerate())
+                        .filter_map(|(idx, (digest, a))| a.map(|_| (idx as u64, *digest)));
+                    assert!(st.landed().eq(landed), "case {case}: {msg:?}");
+                    let anchors = (0..pages + 2).map(|idx| st.anchor(idx));
+                    let model_anchors = model.anchors.iter().copied().chain([None, None]);
+                    assert!(anchors.eq(model_anchors), "case {case}: {msg:?}");
+                    assert_eq!(
+                        (st.applied(), st.finished()),
+                        (model.applied, model.finished)
+                    );
+                }
+                for (i, (a, model_a)) in runs.iter().enumerate() {
+                    for (b, model_b) in &runs[..i] {
+                        assert_eq!(a == b, model_a == model_b, "case {case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -115,6 +115,7 @@ pub(crate) fn run_job(
     // One flight: HELLO‖JOB in one write. The destination answers only
     // once it has validated the job, built its state and claimed its
     // host, so build the guest meanwhile — the two constructions overlap.
+    // It is built in place: the session's one guest-sized table.
     let job_json = JobMsg {
         job: job_id,
         resume: epoch,
@@ -127,8 +128,7 @@ pub(crate) fn run_job(
     write_frame(&mut opening, kind::JOB, job_json.as_bytes())?;
     s.write_all(&opening)?;
     s.flush()?;
-    let initial = scenario::initial_memory(spec)?;
-    let (mut guest, mut workload) = scenario::live_guest(spec, &initial)?;
+    let (mut guest, mut workload) = scenario::source_guest(spec)?;
 
     // HELLO_ACK: the job is accepted.
     let ack = expect_kind(
@@ -147,9 +147,6 @@ pub(crate) fn run_job(
     let index = (spec.strategy == "vecycle" || epoch > 0)
         .then(|| receive_exchange(&mut s, spec, epoch))
         .transpose()?;
-    // The guest holds its own copy: the stream runs without a spare
-    // guest-sized table.
-    drop(initial);
 
     // Run the migration into the socket. Message sizes are the analytic
     // prices, and each round's Control header is the RoundEnd/StopEnd

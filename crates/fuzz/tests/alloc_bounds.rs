@@ -16,7 +16,7 @@ use vecycle_fuzz::{alloc_budget, AllocMeter, AllocStats, CountingAlloc};
 use vecycle_hash::ChecksumAlgorithm;
 use vecycle_host::Cluster;
 use vecycle_mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload, SilentWorkload};
-use vecycle_mem::{ByteMemory, DigestMemory, Guest, PageContent};
+use vecycle_mem::{ByteMemory, DigestMemory, DirtyTracker, GenerationTable, Guest, PageContent};
 use vecycle_net::{wire, LinkSpec, WireMsg};
 use vecycle_obs::{layouts, MetricsRegistry};
 use vecycle_sim::ScenarioSpec;
@@ -412,6 +412,84 @@ fn a_cold_full_job_allocates_nothing_per_page() {
     );
 }
 
+/// The source builds its guest in place: one digest table of 16 B a
+/// page, then only the guest's dirty bitmap and generation table, and
+/// no copy of the initial image beside it.
+#[test]
+fn the_source_guest_is_one_digest_table_and_its_trackers() {
+    let mut spec = ScenarioSpec::golden(0xa110c);
+    spec.ram_mib = 16;
+    let pages = PageCount::new(spec.pages());
+    let (_, trackers) = metered(|| (DirtyTracker::new(pages), GenerationTable::new(pages)));
+    let ((guest, _), stats) = metered(|| scenario::source_guest(&spec).unwrap());
+    assert_eq!(guest.memory().as_slice().len(), pages.as_usize());
+    let table = 16 * pages.as_u64();
+    assert_eq!(stats.largest, table.max(trackers.largest), "{stats:?}");
+    assert_eq!(
+        (stats.calls, stats.requested),
+        (1 + trackers.calls, table + trackers.requested),
+        "{stats:?}"
+    );
+}
+
+/// A destination state holds each guest-sized table once: a warm state
+/// takes the moved checkpoint image as its pages and adds one landed bit
+/// a page; a cold state is one zero table and that bitset, whether
+/// built from no image, from one it drops, or through `fresh`.
+#[test]
+fn a_session_state_adds_one_bit_a_page_to_its_pages() {
+    let mut spec = ScenarioSpec::golden(0xa110c);
+    spec.ram_mib = 128;
+    let pages = spec.pages();
+    let initial = scenario::initial_memory(&spec).unwrap();
+    let image = initial.snapshot();
+    let (state, warm) = metered(|| SessionState::new(&spec, Some(image)));
+    assert_eq!(state.mem(), initial.as_slice());
+    assert!(
+        warm.calls <= 1 && warm.requested <= pages / 8 + 64,
+        "{warm:?}"
+    );
+
+    spec.warm = false;
+    let bitset = pages.div_ceil(64) * 8;
+    for way in 0..3 {
+        let image = (way == 1).then(|| initial.snapshot());
+        let (state, cold) = metered(|| match way {
+            2 => SessionState::fresh(&spec, &initial),
+            _ => SessionState::new(&spec, image),
+        });
+        assert!(state.mem().iter().all(|&d| d == PageDigest::ZERO_PAGE));
+        assert_eq!(
+            (cold.calls, cold.requested),
+            (2, 16 * pages + bitset),
+            "{cold:?}"
+        );
+    }
+}
+
+/// However much a stream rewrites, a state's anchors cost one more
+/// digest table at most, requested at the first rewrite: three rounds
+/// that each rewrite every page of a 16 MiB cold state request 16 B a
+/// page in one call.
+#[test]
+fn a_rewriting_stream_requests_one_table_of_first_digests() {
+    let mut spec = ScenarioSpec::golden(0xa110c);
+    (spec.ram_mib, spec.warm) = (16, false);
+    let pages = spec.pages();
+    let mut state = SessionState::new(&spec, None);
+    let (_, rewrites) = metered(|| {
+        for (round, idx) in (1..=3).flat_map(|round| (0..pages).map(move |idx| (round, idx))) {
+            let digest = PageDigest::from_content_id(idx * 4 + round);
+            state.apply(&WireMsg::Full { idx, digest }, None).unwrap();
+        }
+    });
+    assert_eq!(
+        (rewrites.calls, rewrites.requested),
+        (1, 16 * pages),
+        "{rewrites:?}"
+    );
+}
+
 /// The source reads the bulk exchange straight into its probe map: a
 /// streamed 32 768-digest exchange costs the map alone, one request of a
 /// slot per digest, and no list of the digests.
@@ -444,7 +522,7 @@ fn a_warm_acceptance_goes_through_one_chunk() {
     let mut spec = ScenarioSpec::golden(1);
     spec.ram_mib = 128;
     let initial = scenario::initial_memory(&spec).unwrap();
-    let index = scenario::offer(&spec, &initial, None).unwrap();
+    let index = scenario::offer(&spec, initial.as_slice(), None).unwrap();
     let ack = proto::hello_payload(proto::VERSION, proto::ROLE_DEST);
     let mut whole = Vec::new();
     write_frame(&mut whole, kind::HELLO_ACK, &ack).unwrap();

@@ -2,8 +2,8 @@
 # Measures this checkout against a parent revision with the benchmark and
 # writes the trajectory record of the comparison.
 #
-#   scripts/bench_pairs.sh <parent-rev> [--pairs N] [--workloads "W ..."]
-#                          [--seeds "S ..."]
+#   scripts/bench_pairs.sh <parent-rev> --pr N [--pairs N]
+#                          [--workloads "W ..."] [--seeds "S ..."]
 #
 # Builds the unchanged `benchmark/` twice, offline, into separate target
 # directories under one temporary directory (`$TMPDIR`, else /tmp): the
@@ -35,8 +35,10 @@
 # reads `exact` when the two sides differ and `-` when they are equal.
 # So a second invocation (another
 # seed, more workloads) adds to the same records; delete the sample file
-# to start over. <pr> is one past the highest BENCH_<n>.json at the
-# parent revision. Never run builds or tests while it measures.
+# to start over. <pr> is the N of `--pr N`, which is required: the number
+# of the change being measured, not derived from the files at the parent
+# (a number that was never used would shift it). Never run builds or
+# tests while it measures.
 set -euo pipefail
 
 usage() {
@@ -50,12 +52,14 @@ shift
 PAIRS=10
 WORKLOADS="pair_cold_full pair_warm_recycle pair_durable_pingpong local_bytes_pingpong fleet_aware"
 SEEDS=7
+PR=
 while (($#)); do
     (($# >= 2)) || usage
     case $1 in
     --pairs) PAIRS=$2 ;;
     --workloads) WORKLOADS=$2 ;;
     --seeds) SEEDS=$2 ;;
+    --pr) PR=$2 ;;
     *) usage ;;
     esac
     shift 2
@@ -64,8 +68,7 @@ done
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 COMMIT=$(git rev-parse --short=7 "$PARENT_REV^{commit}")
-LAST=$(git ls-tree --name-only "$COMMIT" | sed -n 's/^BENCH_\([0-9]*\)\.json$/\1/p' | sort -n | tail -1)
-PR=$((${LAST:-0} + 1))
+[[ $PR =~ ^[0-9]+$ ]] || usage
 OUT="BENCH_$PR.json"
 SAMPLES="BENCH_$PR.samples.jsonl"
 

@@ -28,7 +28,7 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44241
+BUDGET=44462
 PUB_CEILING=1093
 DEPS_CEILING=113
 DESIGN_CEILING=1625

@@ -462,7 +462,7 @@ fn descending_destination(spec: ScenarioSpec) -> (Endpoint, JoinHandle<()>) {
             assert_eq!(read_frame(&mut s, MAX_PAYLOAD).unwrap().kind, want);
         }
         let initial = scenario::initial_memory(&spec).unwrap();
-        let index = scenario::offer(&spec, &initial, None).expect("a vecycle job offers");
+        let index = scenario::offer(&spec, initial.as_slice(), None).expect("a vecycle job offers");
         let mut digests: Vec<PageDigest> = index.distinct_digests().collect();
         digests.sort_unstable_by(|a, b| b.cmp(a));
         let mut reply = Vec::new();

@@ -365,7 +365,7 @@ fn assert_ledger_exact(
 /// The index a destination offers for `spec` at a fresh epoch.
 fn dest_index(spec: &ScenarioSpec) -> Option<ChecksumIndex> {
     let initial = scenario::initial_memory(spec).expect("initial memory");
-    scenario::offer(spec, &initial, None)
+    scenario::offer(spec, initial.as_slice(), None)
 }
 
 /// Flattens a live transcript against the offered `index` into the
