@@ -2,11 +2,9 @@
 //! place that keeps their files and their catalog in step.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
-use parking_lot::RwLock;
-
-use vecycle_types::{Bytes, Error, SimTime, VmId};
+use vecycle_types::{sync, Bytes, Error, SimTime, VmId};
 
 use crate::lifecycle::{
     CheckpointFetch, EvictionPolicy, EvictionReason, EvictionRecord, GoneReason, SaveOutcome,
@@ -236,7 +234,7 @@ impl CheckpointStore {
     #[must_use]
     pub fn with_quota(self, quota: Bytes, policy: EvictionPolicy) -> Self {
         {
-            let mut inner = self.inner.write();
+            let mut inner = sync::write(&self.inner);
             inner.quota = Some(quota);
             inner.policy = policy;
         }
@@ -253,12 +251,12 @@ impl CheckpointStore {
 
     /// The configured byte quota, if any.
     pub fn quota(&self) -> Option<Bytes> {
-        self.inner.read().quota
+        sync::read(&self.inner).quota
     }
 
     /// The eviction policy applied under quota pressure.
     pub fn policy(&self) -> EvictionPolicy {
-        self.inner.read().policy
+        sync::read(&self.inner).policy
     }
 
     /// The mirror, if one is attached.
@@ -299,7 +297,7 @@ impl CheckpointStore {
             if let Some(disk) = &self.disk {
                 disk.remove(vm)?;
             }
-            self.inner.write().bury(vm, GoneReason::Evicted);
+            sync::write(&self.inner).bury(vm, GoneReason::Evicted);
             return Ok(SaveOutcome {
                 stored: false,
                 evicted: vec![record(&checkpoint, EvictionReason::Quota)],
@@ -308,7 +306,7 @@ impl CheckpointStore {
         if let (Some(disk), false) = (&self.disk, on_disk) {
             disk.save(&checkpoint)?;
         }
-        let evicted = self.inner.write().insert(checkpoint);
+        let evicted = sync::write(&self.inner).insert(checkpoint);
         if let Some(disk) = &self.disk {
             for gone in evicted.iter().filter(|r| r.reason == EvictionReason::Quota) {
                 disk.remove(gone.vm)?;
@@ -337,7 +335,7 @@ impl CheckpointStore {
     /// Propagates filesystem errors from the mirror other than
     /// validation failures.
     pub fn fetch(&self, vm: VmId) -> vecycle_types::Result<(CheckpointFetch, Option<SaveOutcome>)> {
-        if let Some(cp) = self.inner.write().recycle(vm) {
+        if let Some(cp) = sync::write(&self.inner).recycle(vm) {
             return Ok((CheckpointFetch::Usable(cp), None));
         }
         if let Some(why) = self.gone(vm) {
@@ -349,7 +347,7 @@ impl CheckpointStore {
         match disk.load(vm) {
             Ok(Some(cp)) => {
                 let warmed = self.admit(cp, true)?;
-                let fetch = match self.inner.write().recycle(vm) {
+                let fetch = match sync::write(&self.inner).recycle(vm) {
                     Some(cp) => CheckpointFetch::Usable(cp),
                     None => CheckpointFetch::Gone(GoneReason::Evicted),
                 };
@@ -409,7 +407,7 @@ impl CheckpointStore {
                 Err(Error::Corrupt { .. }) => {
                     report.corrupt_pages += disk.estimated_pages(vm);
                     disk.remove(vm)?;
-                    self.inner.write().bury(vm, GoneReason::Quarantined);
+                    sync::write(&self.inner).bury(vm, GoneReason::Quarantined);
                     report.quarantined.push(vm);
                 }
                 Err(e) => return Err(e),
@@ -420,7 +418,7 @@ impl CheckpointStore {
 
     /// The checkpoint stored for `vm`, if any.
     pub fn latest(&self, vm: VmId) -> Option<Arc<Checkpoint>> {
-        let inner = self.inner.read();
+        let inner = sync::read(&self.inner);
         Some(Arc::clone(&inner.by_vm.get(&vm)?.checkpoint))
     }
 
@@ -428,14 +426,14 @@ impl CheckpointStore {
     /// no tombstone and does not touch the mirror — see
     /// [`CheckpointStore::discard`] for that.
     pub fn remove(&self, vm: VmId) -> bool {
-        self.inner.write().take(vm).is_some()
+        sync::write(&self.inner).take(vm).is_some()
     }
 
     /// Drops the entire in-memory catalog — what a host crash does to
     /// RAM-resident state. Tombstones and return-period estimates die
     /// with it; only the mirror survives.
     pub fn clear(&self) {
-        let mut inner = self.inner.write();
+        let mut inner = sync::write(&self.inner);
         inner.by_vm.clear();
         inner.gone.clear();
         inner.periods.clear();
@@ -445,23 +443,23 @@ impl CheckpointStore {
     /// The tombstone for `vm`, if its checkpoint was evicted or
     /// quarantined since the last successful save.
     pub fn gone(&self, vm: VmId) -> Option<GoneReason> {
-        self.inner.read().gone.get(&vm).copied()
+        sync::read(&self.inner).gone.get(&vm).copied()
     }
 
     /// Total bytes of checkpoint data currently stored.
     pub fn used(&self) -> Bytes {
-        self.inner.read().used
+        sync::read(&self.inner).used
     }
 
     /// Number of VMs with a checkpoint.
     pub fn vm_count(&self) -> usize {
-        self.inner.read().by_vm.len()
+        sync::read(&self.inner).by_vm.len()
     }
 
     /// The VMs with a checkpoint, in id order — the catalog, for
     /// comparison against [`DiskStore::list`].
     pub fn vm_ids(&self) -> Vec<VmId> {
-        self.inner.read().by_vm.keys().copied().collect()
+        sync::read(&self.inner).by_vm.keys().copied().collect()
     }
 }
 

@@ -1,8 +1,8 @@
 //! On-disk serialization of checkpoints, with corruption detection.
 //!
-//! Every file is a 32-byte header (magic, version, kind, reserved, VM
-//! id, timestamp, page count), a payload, and an 8-byte FNV-1a 64
-//! trailer. Two layouts exist:
+//! Every file is a 32-byte big-endian header (magic, version, kind,
+//! reserved, VM id, timestamp, page count), a payload, and an 8-byte
+//! FNV-1a 64 trailer. Two layouts exist:
 //!
 //! | kind | version | payload | trailer covers |
 //! |---|---|---|---|
@@ -26,8 +26,6 @@
 //! megabyte of slices at a time. Neither stages a guest-sized copy.
 
 use std::io::{self, IoSlice, IoSliceMut, Read};
-
-use bytes::{Buf, BufMut};
 
 use vecycle_hash::{Fnv1a64, Hasher};
 use vecycle_mem::PageBuf;
@@ -93,21 +91,19 @@ struct Header {
 
 impl Header {
     fn parse(head: &[u8]) -> vecycle_types::Result<Header> {
-        let mut buf = &head[..HEADER];
-        let mut magic = [0u8; 8];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        // Magic 0..8, version 8..10, kind 10, reserved 11, VM id 12..16,
+        // timestamp 16..24, page count 24..32.
+        let head = &head[..HEADER];
+        if &head[..8] != MAGIC {
             return Err(Error::Corrupt {
                 detail: "bad checkpoint magic".into(),
             });
         }
-        let version = buf.get_u16();
-        let kind = buf.get_u8();
-        let layout = Layout::of(version, kind)?;
-        let _reserved = buf.get_u8();
-        let vm = VmId::new(buf.get_u32());
-        let taken_at = SimTime::from_epoch(vecycle_types::SimDuration::from_nanos(buf.get_u64()));
-        let pages = buf.get_u64();
+        let u64_at = |at: usize| u64::from_be_bytes(head[at..at + 8].try_into().expect("8 bytes"));
+        let layout = Layout::of(u16::from_be_bytes([head[8], head[9]]), head[10])?;
+        let vm = VmId::new(u32::from_be_bytes([head[12], head[13], head[14], head[15]]));
+        let taken_at = SimTime::from_epoch(vecycle_types::SimDuration::from_nanos(u64_at(16)));
+        let pages = u64_at(24);
         let payload = pages
             .checked_mul(layout.bytes_per_page())
             .ok_or_else(|| Error::Corrupt {
@@ -242,15 +238,14 @@ impl Checkpoint {
         };
         let table = self.digest_table();
         let mut head = Vec::with_capacity(HEADER + table.len() * DIGEST);
-        head.put_slice(MAGIC);
-        head.put_u16(version);
-        head.put_u8(kind);
-        head.put_u8(0); // reserved
-        head.put_u32(self.vm().as_u32());
-        head.put_u64(self.taken_at().since_epoch().as_nanos());
-        head.put_u64(self.page_count().as_u64());
+        head.extend_from_slice(MAGIC);
+        head.extend_from_slice(&version.to_be_bytes());
+        head.extend_from_slice(&[kind, 0]); // kind, reserved
+        head.extend_from_slice(&self.vm().as_u32().to_be_bytes());
+        head.extend_from_slice(&self.taken_at().since_epoch().as_nanos().to_be_bytes());
+        head.extend_from_slice(&self.page_count().as_u64().to_be_bytes());
         for digest in table {
-            head.put_slice(digest.as_bytes());
+            head.extend_from_slice(digest.as_bytes());
         }
         w.write_all(&head)?;
         write_pages(&mut w, pages)?;

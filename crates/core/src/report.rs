@@ -258,12 +258,12 @@ impl MigrationReport {
     }
 
     /// The forward (source→destination) ledger.
-    pub fn forward_ledger(&self) -> &TrafficLedger {
+    pub(crate) fn forward_ledger(&self) -> &TrafficLedger {
         &self.forward
     }
 
     /// The reverse (destination→source) ledger.
-    pub fn reverse_ledger(&self) -> &TrafficLedger {
+    pub(crate) fn reverse_ledger(&self) -> &TrafficLedger {
         &self.reverse
     }
 

@@ -158,12 +158,12 @@ impl Strategy {
 
     /// True if this strategy needs per-page checksums at the source
     /// (drives the checksum-rate term of migration time, §3.4).
-    pub fn computes_checksums(&self) -> bool {
+    pub(crate) fn computes_checksums(&self) -> bool {
         self.index.is_some()
     }
 
     /// True if this strategy requires a checksum pre-exchange.
-    pub fn needs_exchange(&self) -> bool {
+    pub(crate) fn needs_exchange(&self) -> bool {
         self.index.is_some()
     }
 

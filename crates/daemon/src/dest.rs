@@ -51,7 +51,7 @@ use vecycle_mem::DigestMemory;
 use vecycle_net::{wire, wiremsg, WireMsg};
 use vecycle_obs::Counter;
 use vecycle_sim::ScenarioSpec;
-use vecycle_types::{HostId, PageDigest, VmId};
+use vecycle_types::{sync, HostId, PageDigest, VmId};
 
 use crate::endpoint::{SessionStream, Stream, SESSION_BUF};
 use crate::frame::{frame_cost, kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
@@ -60,7 +60,7 @@ use crate::proto::{self, expect_kind, JobMsg, ROLE_DEST, ROLE_SOURCE};
 use crate::scenario;
 use crate::server::DaemonState;
 use crate::session_state::{self, spec_fingerprint, SessionState};
-use crate::{sync, DaemonError};
+use crate::DaemonError;
 
 /// Most jobs whose landed pages the in-memory partials map keeps. Only
 /// the same job reconnecting takes its entry back; one cancelled

@@ -25,8 +25,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
+use vecycle_types::sync;
 
-use crate::{record, sync};
+use crate::record;
 
 /// The WAL file name under the journal directory.
 pub const WAL_FILE: &str = "vecycled.wal";

@@ -59,7 +59,6 @@ pub mod scenario;
 pub mod server;
 pub mod session_state;
 mod source;
-mod sync;
 
 pub use dest::{accept, receive_stream, Persist};
 pub use endpoint::Endpoint;

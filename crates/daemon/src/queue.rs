@@ -19,10 +19,11 @@ use vecycle_core::MigrationReport;
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
 use vecycle_obs::MetricsRegistry;
 use vecycle_sim::ScenarioSpec;
+use vecycle_types::sync;
 
 use crate::journal::{rec, Journal, Replay, WalRecord};
 use crate::source::SessionOutcome;
-use crate::{sync, DaemonError, Endpoint};
+use crate::{DaemonError, Endpoint};
 
 /// Records the tail keeps; older ones fall off, so a long-lived
 /// daemon's log does not grow with its job count.

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -26,13 +26,13 @@ use vecycle_faults::{KillSpec, KillSwitch};
 use vecycle_host::HostLocks;
 use vecycle_obs::MetricsRegistry;
 use vecycle_sim::ScenarioSpec;
-use vecycle_types::HostId;
+use vecycle_types::{sync, HostId};
 
 use crate::control::{self, CtrlRequest, CtrlResponse};
 use crate::endpoint::{Listener, SessionStream, Stream};
 use crate::frame::{kind, read_frame, send_err, write_frame, MAX_PAYLOAD};
 use crate::queue::{JobRecord, Queue};
-use crate::{dest, source, sync, DaemonError, Endpoint};
+use crate::{dest, source, DaemonError, Endpoint};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -241,8 +241,7 @@ impl DaemonHandle {
                 _ => {}
             }
             let left = deadline.checked_duration_since(Instant::now())?;
-            let woken = self.state.queue.changed.wait_timeout(inner, left);
-            inner = woken.unwrap_or_else(PoisonError::into_inner).0;
+            inner = sync::wait_timeout(&self.state.queue.changed, inner, left);
         }
     }
 

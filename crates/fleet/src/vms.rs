@@ -53,7 +53,7 @@ impl DirtyCycle {
     }
 
     /// True while `t` is inside a low-rate window.
-    pub fn in_low(&self, t: SimTime) -> bool {
+    pub(crate) fn in_low(&self, t: SimTime) -> bool {
         let p = self.phase_nanos(t);
         let lo = self.low_offset.as_nanos();
         p >= lo && p < lo + self.low_len.as_nanos()
@@ -61,7 +61,7 @@ impl DirtyCycle {
 
     /// The start of the next low window at or after `t` (`t` itself if
     /// already inside one).
-    pub fn next_low_start(&self, t: SimTime) -> SimTime {
+    pub(crate) fn next_low_start(&self, t: SimTime) -> SimTime {
         if self.in_low(t) {
             return t;
         }

@@ -1,14 +1,15 @@
 //! Deterministic fuzzing harness and differential oracles for every
 //! VeCycle grammar that parses untrusted bytes.
 //!
-//! The container vendors all dependencies offline, so there is no
-//! cargo-fuzz and no libFuzzer here; instead the crate hand-rolls a
-//! mutation fuzzer on the workspace's deterministic ChaCha8 PRNG. That
-//! buys a property coverage-guided fuzzers give up: the whole run is a
-//! pure function of `(seed, iters)`. The same seed produces the same
-//! mutant stream, the same outcome-class discoveries, the same corpus
-//! files and the same stats block, on any machine. A finding is
-//! reproducible from two integers.
+//! The workspace builds offline, so there is no cargo-fuzz and no
+//! libFuzzer here; instead the crate hand-rolls a mutation fuzzer on
+//! the workspace's deterministic ChaCha8 PRNG
+//! ([`vecycle_types::rng::ChaCha8`]). That buys a property
+//! coverage-guided fuzzers give up: the whole run is a pure function
+//! of `(seed, iters)`. The same seed produces the same mutant stream,
+//! the same outcome-class discoveries, the same corpus files and the
+//! same stats block, on any machine. A finding is reproducible from two
+//! integers.
 //!
 //! The moving parts:
 //!

@@ -1,18 +1,16 @@
-//! Deterministic input mutation over the vendored ChaCha8 stream.
+//! Deterministic input mutation over the workspace's ChaCha8 stream
+//! ([`vecycle_types::rng::ChaCha8`]).
 //!
-//! No cargo-fuzz, no libFuzzer: the container vendors every external
-//! dependency as an offline shim, so the mutation engine is hand
-//! rolled on the workspace's own deterministic PRNG. That constraint
-//! is a feature — the same `(seed, iteration)` pair always produces
-//! the same byte stream, so any finding is reproducible from two
-//! integers and the corpus never depends on scheduling, ASLR or
-//! wall-clock time.
-
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+//! No cargo-fuzz, no libFuzzer: the workspace builds offline, so the
+//! mutation engine is hand rolled on the workspace's own deterministic
+//! PRNG. That constraint is a feature — the same `(seed, iteration)`
+//! pair always produces the same byte stream, so any finding is
+//! reproducible from two integers and the corpus never depends on
+//! scheduling, ASLR or wall-clock time.
 
 use vecycle_checkpoint::Checkpoint;
 use vecycle_hash::{Fnv1a64, Hasher};
+use vecycle_types::rng::ChaCha8;
 
 /// Values worth splicing into length/count fields: powers of two around
 /// container limits, all-ones patterns, and off-by-one neighbours.
@@ -44,14 +42,14 @@ const INTERESTING: &[u64] = &[
 /// The deterministic mutator: one per target, seeded from the run seed
 /// and the target name.
 pub struct Mutator {
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
 }
 
 impl Mutator {
     /// Creates a mutator whose stream depends only on `seed`.
     pub fn new(seed: u64) -> Self {
         Mutator {
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: ChaCha8::seed_from_u64(seed),
         }
     }
 
@@ -63,7 +61,7 @@ impl Mutator {
     /// result never exceeds `max_len` bytes.
     pub fn mutate(&mut self, base: &[u8], dict: &[&[u8]], max_len: usize) -> Vec<u8> {
         let mut out = base.to_vec();
-        let rounds = self.rng.gen_range(1..=4u32);
+        let rounds = 1 + self.rng.below(4);
         for _ in 0..rounds {
             self.mutate_once(&mut out, dict);
         }
@@ -72,57 +70,57 @@ impl Mutator {
     }
 
     fn mutate_once(&mut self, buf: &mut Vec<u8>, dict: &[&[u8]]) {
-        let op = self.rng.gen_range(0..9u32);
+        let op = self.rng.below(9);
         if buf.is_empty() && op != 3 && op != 7 {
             // Everything except insert/splice needs existing bytes.
-            buf.extend((0..self.rng.gen_range(1..16usize)).map(|_| self.rng.gen::<u8>()));
+            buf.extend((0..1 + self.pick(15)).map(|_| self.rng.byte()));
             return;
         }
         match op {
             // Bit flip.
             0 => {
-                let i = self.rng.gen_range(0..buf.len());
-                let bit = self.rng.gen_range(0..8u32);
+                let i = self.pick(buf.len());
+                let bit = self.rng.below(8);
                 buf[i] ^= 1 << bit;
             }
             // Random byte overwrite.
             1 => {
-                let i = self.rng.gen_range(0..buf.len());
-                buf[i] = self.rng.gen::<u8>();
+                let i = self.pick(buf.len());
+                buf[i] = self.rng.byte();
             }
             // Delete a short range.
             2 => {
-                let start = self.rng.gen_range(0..buf.len());
-                let len = self.rng.gen_range(1..=16usize).min(buf.len() - start);
+                let start = self.pick(buf.len());
+                let len = (1 + self.pick(16)).min(buf.len() - start);
                 buf.drain(start..start + len);
             }
             // Insert random bytes.
             3 => {
-                let at = self.rng.gen_range(0..=buf.len());
-                let n = self.rng.gen_range(1..=16usize);
-                let bytes: Vec<u8> = (0..n).map(|_| self.rng.gen::<u8>()).collect();
+                let at = self.pick(buf.len() + 1);
+                let n = 1 + self.pick(16);
+                let bytes: Vec<u8> = (0..n).map(|_| self.rng.byte()).collect();
                 buf.splice(at..at, bytes);
             }
             // Duplicate an existing range elsewhere (structure-preserving
             // splice: repeats records, keys, digests).
             4 => {
-                let start = self.rng.gen_range(0..buf.len());
-                let len = self.rng.gen_range(1..=32usize).min(buf.len() - start);
+                let start = self.pick(buf.len());
+                let len = (1 + self.pick(32)).min(buf.len() - start);
                 let chunk: Vec<u8> = buf[start..start + len].to_vec();
-                let at = self.rng.gen_range(0..=buf.len());
+                let at = self.pick(buf.len() + 1);
                 buf.splice(at..at, chunk);
             }
             // Overwrite 8 bytes with an interesting integer, both
             // endiannesses: the checkpoint header is big-endian, the
             // trace format little-endian.
             5 => {
-                let v = INTERESTING[self.rng.gen_range(0..INTERESTING.len())];
-                let bytes = if self.rng.gen::<bool>() {
+                let v = INTERESTING[self.pick(INTERESTING.len())];
+                let bytes = if self.rng.coin() {
                     v.to_be_bytes()
                 } else {
                     v.to_le_bytes()
                 };
-                let i = self.rng.gen_range(0..buf.len());
+                let i = self.pick(buf.len());
                 for (k, b) in bytes.iter().enumerate() {
                     if i + k < buf.len() {
                         buf[i + k] = *b;
@@ -131,20 +129,18 @@ impl Mutator {
             }
             // Truncate.
             6 => {
-                let keep = self.rng.gen_range(0..buf.len());
+                let keep = self.pick(buf.len());
                 buf.truncate(keep);
             }
             // Dictionary token insert (or ASCII noise when no dict).
             7 => {
                 let token: Vec<u8> = if dict.is_empty() {
-                    let n = self.rng.gen_range(1..=8usize);
-                    (0..n)
-                        .map(|_| self.rng.gen_range(0x20..0x7fu32) as u8)
-                        .collect()
+                    let n = 1 + self.pick(8);
+                    (0..n).map(|_| 0x20 + self.rng.below(0x5f) as u8).collect()
                 } else {
-                    dict[self.rng.gen_range(0..dict.len())].to_vec()
+                    dict[self.pick(dict.len())].to_vec()
                 };
-                let at = self.rng.gen_range(0..=buf.len());
+                let at = self.pick(buf.len() + 1);
                 buf.splice(at..at, token);
             }
             // Dictionary token overwrite.
@@ -152,9 +148,9 @@ impl Mutator {
                 let token = if dict.is_empty() {
                     &[b'0'][..]
                 } else {
-                    dict[self.rng.gen_range(0..dict.len())]
+                    dict[self.pick(dict.len())]
                 };
-                let i = self.rng.gen_range(0..buf.len());
+                let i = self.pick(buf.len());
                 for (k, b) in token.iter().enumerate() {
                     if i + k < buf.len() {
                         buf[i + k] = *b;
@@ -167,7 +163,7 @@ impl Mutator {
     /// Uniform pick of a pool index (exposed so the driver's pool
     /// selection rides the same deterministic stream).
     pub fn pick(&mut self, len: usize) -> usize {
-        self.rng.gen_range(0..len)
+        self.rng.below(len as u64) as usize
     }
 }
 

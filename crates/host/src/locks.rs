@@ -12,9 +12,9 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 
-use vecycle_types::HostId;
+use vecycle_types::{sync, HostId};
 
 /// A table of per-host binary locks. Cheap to clone; clones share the
 /// table.
@@ -45,17 +45,9 @@ impl HostLocks {
         // panicking holder of the *table mutex* cannot leave it
         // half-updated in a way release would not fix. Recovering keeps
         // the whole daemon's admission alive after one worker panic.
-        let mut held = self
-            .inner
-            .held
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut held = sync::lock(&self.inner.held);
         while !held.is_disjoint(&ids) {
-            held = self
-                .inner
-                .freed
-                .wait(held)
-                .unwrap_or_else(PoisonError::into_inner);
+            held = sync::wait(&self.inner.freed, held);
         }
         held.extend(ids.iter().copied());
         HostClaim {
@@ -67,11 +59,7 @@ impl HostLocks {
     /// Claims the hosts if all are free right now; `None` otherwise.
     pub fn try_claim(&self, hosts: &[HostId]) -> Option<HostClaim> {
         let ids: HashSet<u32> = hosts.iter().map(|h| h.as_u32()).collect();
-        let mut held = self
-            .inner
-            .held
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut held = sync::lock(&self.inner.held);
         if !held.is_disjoint(&ids) {
             return None;
         }
@@ -84,24 +72,13 @@ impl HostLocks {
 
     /// Whether `host` is currently claimed.
     pub fn is_held(&self, host: HostId) -> bool {
-        self.inner
-            .held
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains(&host.as_u32())
+        sync::lock(&self.inner.held).contains(&host.as_u32())
     }
 }
 
 impl fmt::Debug for HostLocks {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut held: Vec<u32> = self
-            .inner
-            .held
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .copied()
-            .collect();
+        let mut held: Vec<u32> = sync::lock(&self.inner.held).iter().copied().collect();
         held.sort_unstable();
         f.debug_struct("HostLocks").field("held", &held).finish()
     }
@@ -126,11 +103,7 @@ impl Drop for HostClaim {
     fn drop(&mut self) {
         // Runs during unwinds too (a panicking worker must release its
         // hosts, and must not double-panic on a poisoned table).
-        let mut held = self
-            .table
-            .held
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut held = sync::lock(&self.table.held);
         for id in &self.ids {
             held.remove(id);
         }

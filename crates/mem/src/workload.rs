@@ -7,10 +7,7 @@
 //! by the migration engine between pre-copy rounds and by scenario
 //! harnesses between migrations.
 
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
+use vecycle_types::rng::ChaCha8;
 use vecycle_types::{PageIndex, Ratio, SimDuration};
 
 use crate::{Guest, MutableMemory, PageContent};
@@ -36,7 +33,7 @@ impl<M: MutableMemory> GuestWorkload<M> for SilentWorkload {
 /// memory updates are rare but not zero.
 #[derive(Debug, Clone)]
 pub struct IdleWorkload {
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
     pages_per_sec: f64,
     next_content: u64,
     carry: f64,
@@ -55,7 +52,7 @@ impl IdleWorkload {
             "invalid rate: {pages_per_sec}"
         );
         IdleWorkload {
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: ChaCha8::seed_from_u64(seed),
             pages_per_sec,
             // High bit set: idle-daemon content never collides with the
             // image-seed namespace used by DigestMemory constructors.
@@ -75,7 +72,7 @@ impl<M: MutableMemory> GuestWorkload<M> for IdleWorkload {
         let whole = want.floor();
         self.carry = want - whole;
         for _ in 0..whole as u64 {
-            let idx = PageIndex::new(self.rng.gen_range(0..pages));
+            let idx = PageIndex::new(self.rng.below(pages));
             let id = self.next_content;
             self.next_content += 1;
             guest.write_page(idx, PageContent::ContentId(id));
@@ -106,7 +103,7 @@ impl<M: MutableMemory> GuestWorkload<M> for IdleWorkload {
 pub struct RamdiskWorkload {
     first_page: u64,
     page_span: u64,
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
     next_content: u64,
 }
 
@@ -125,7 +122,7 @@ impl RamdiskWorkload {
         let mut wl = RamdiskWorkload {
             first_page: 0,
             page_span: span,
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: ChaCha8::seed_from_u64(seed),
             next_content: (seed | 1) << 32 | (1 << 63),
         };
         for i in 0..span {
@@ -158,7 +155,7 @@ impl RamdiskWorkload {
         let mut order: Vec<u64> = (0..blocks).collect();
         // Fisher-Yates over the block order.
         for i in (1..order.len()).rev() {
-            let j = self.rng.gen_range(0..=i);
+            let j = self.rng.below(i as u64 + 1) as usize;
             order.swap(i, j);
         }
         let mut written = 0u64;
@@ -242,7 +239,7 @@ impl<M: MutableMemory> GuestWorkload<M> for ScanWorkload {
 /// creating new content — the adversarial case for dirty tracking.
 #[derive(Debug, Clone)]
 pub struct RelocationWorkload {
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
     moves_per_sec: f64,
     carry: f64,
 }
@@ -260,7 +257,7 @@ impl RelocationWorkload {
             "invalid rate: {moves_per_sec}"
         );
         RelocationWorkload {
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: ChaCha8::seed_from_u64(seed),
             moves_per_sec,
             carry: 0.0,
         }
@@ -277,8 +274,8 @@ impl<M: MutableMemory> GuestWorkload<M> for RelocationWorkload {
         let whole = want.floor();
         self.carry = want - whole;
         for _ in 0..whole as u64 {
-            let src = PageIndex::new(self.rng.gen_range(0..pages));
-            let dst = PageIndex::new(self.rng.gen_range(0..pages));
+            let src = PageIndex::new(self.rng.below(pages));
+            let dst = PageIndex::new(self.rng.below(pages));
             if src != dst {
                 guest.relocate_page(src, dst);
             }

@@ -105,7 +105,7 @@ impl LinkSpec {
 
     /// A copy of this link with a different TCP window.
     #[must_use]
-    pub fn with_tcp_window(mut self, window: Option<Bytes>) -> Self {
+    pub(crate) fn with_tcp_window(mut self, window: Option<Bytes>) -> Self {
         self.tcp_window = window;
         self
     }
@@ -119,13 +119,13 @@ impl LinkSpec {
 
     /// A copy of this link with a different one-way latency.
     #[must_use]
-    pub fn with_latency(mut self, latency: SimDuration) -> Self {
+    pub(crate) fn with_latency(mut self, latency: SimDuration) -> Self {
         self.latency = latency;
         self
     }
 
     /// The configured TCP window cap, if any.
-    pub fn tcp_window(&self) -> Option<Bytes> {
+    pub(crate) fn tcp_window(&self) -> Option<Bytes> {
         self.tcp_window
     }
 }

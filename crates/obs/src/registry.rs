@@ -12,10 +12,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU64;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
-use parking_lot::Mutex;
+use vecycle_types::sync;
 
 use crate::handle::{Counter, CounterCell, Gauge, GaugeCell, Histogram, HistogramCell};
 use crate::snapshot::{
@@ -348,7 +348,7 @@ impl MetricsRegistry {
         f: impl FnOnce(&Arc<C>) -> R,
     ) -> R {
         let key = SeriesKey::new(name, labels);
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         f(C::map(&mut inner)
             .entry(key)
             .or_insert_with(|| Arc::new(init())))
@@ -412,7 +412,7 @@ impl MetricsRegistry {
     /// id to pass to [`MetricsRegistry::span_end`].
     pub fn span_start(&self, name: &str, labels: &[(&str, &str)]) -> SpanId {
         with_sorted(labels, |labels| {
-            let mut inner = self.inner.lock();
+            let mut inner = sync::lock(&self.inner);
             inner.next_span += 1;
             let id = SpanId(inner.next_span);
             let stack = inner.stack();
@@ -427,7 +427,7 @@ impl MetricsRegistry {
     /// durations, byte counts — never wall-clock readings). Spans must
     /// close innermost-first on their own thread.
     pub fn span_end(&self, id: SpanId, attrs: &[(&str, u64)]) {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         let top = inner.stack().pop();
         debug_assert_eq!(top, Some(id), "span_end out of order");
         inner.timeline.end(id, attrs);
@@ -436,7 +436,7 @@ impl MetricsRegistry {
     /// Records a point event inside the innermost open span of the
     /// calling thread.
     pub fn event(&self, name: &str, fields: &[(&str, FieldValue)]) {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         let span = inner.stack().last().copied();
         inner
             .timeline
@@ -454,14 +454,13 @@ impl MetricsRegistry {
     /// Reads one counter series (0 if never incremented).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         let key = SeriesKey::new(name, labels);
-        let inner = self.inner.lock();
+        let inner = sync::lock(&self.inner);
         inner.counters.get(&key).map_or(0, |c| c.value())
     }
 
     /// Sums a counter across all label sets of `name`.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
+        sync::lock(&self.inner)
             .counters
             .iter()
             .filter(|(k, c)| k.name == name && c.touched())
@@ -471,7 +470,7 @@ impl MetricsRegistry {
 
     /// Takes a deterministic point-in-time snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.inner.lock().snapshot()
+        sync::lock(&self.inner).snapshot()
     }
 }
 

@@ -12,9 +12,9 @@ use serde::{Deserialize, Serialize};
 use vecycle_types::{Bytes, Error, PAGE_SIZE};
 
 /// Strategy names a spec may carry.
-pub const STRATEGIES: &[&str] = &["vecycle", "full", "dedup"];
+pub(crate) const STRATEGIES: &[&str] = &["vecycle", "full", "dedup"];
 /// Link names a spec may carry.
-pub const LINKS: &[&str] = &["lan", "wan"];
+pub(crate) const LINKS: &[&str] = &["lan", "wan"];
 
 /// A deterministic cross-process migration scenario.
 ///

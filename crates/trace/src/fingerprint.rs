@@ -93,7 +93,7 @@ impl Fingerprint {
     /// report (§4.3: "we say a page is dirty if its content changed
     /// between the two fingerprints"). Pages beyond the shorter image
     /// count as dirty.
-    pub fn dirty_pages_to(&self, other: &Fingerprint) -> PageCount {
+    pub(crate) fn dirty_pages_to(&self, other: &Fingerprint) -> PageCount {
         let common = self.pages.len().min(other.pages.len());
         let changed = self.pages[..common]
             .iter()
@@ -106,7 +106,7 @@ impl Fingerprint {
 
     /// The set of digests present in `other` but absent from `self` —
     /// what a checkpoint of `self` cannot supply.
-    pub fn novel_unique_in(&self, other: &Fingerprint) -> PageCount {
+    pub(crate) fn novel_unique_in(&self, other: &Fingerprint) -> PageCount {
         let ub = other.unique();
         let novel = ub.len() - sorted_intersection_len(self.unique(), ub);
         PageCount::new(novel as u64)
@@ -114,7 +114,7 @@ impl Fingerprint {
 
     /// Pages of `other` (with multiplicity) whose digest is absent from
     /// `self`'s unique set — what VeCycle without dedup transfers.
-    pub fn novel_pages_in(&self, other: &Fingerprint) -> PageCount {
+    pub(crate) fn novel_pages_in(&self, other: &Fingerprint) -> PageCount {
         let ua = self.unique();
         let novel = other
             .pages

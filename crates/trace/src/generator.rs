@@ -1,9 +1,6 @@
 //! [`TraceGenerator`]: the synthetic memory-evolution engine.
 
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
+use vecycle_types::rng::ChaCha8;
 use vecycle_types::{Bytes, PageDigest, SimTime};
 
 use crate::{Fingerprint, MachineProfile};
@@ -92,7 +89,7 @@ impl TraceGenerator {
                 reason: "scaled page count must be positive".into(),
             });
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x7ec7_ec7e);
+        let mut rng = ChaCha8::seed_from_u64(self.seed ^ 0x7ec7_ec7e);
 
         // Content namespaces, disjoint by construction:
         //   0                    -> the zero page
@@ -110,11 +107,11 @@ impl TraceGenerator {
         // Initial page contents.
         let mut contents: Vec<u64> = Vec::with_capacity(n);
         for _ in 0..n {
-            let roll: f64 = rng.gen();
+            let roll = rng.unit_f64();
             if roll < p.initial_zero.as_f64() {
                 contents.push(0);
             } else if roll < p.initial_zero.as_f64() + p.initial_pool.as_f64() {
-                contents.push(pool_id(rng.gen_range(0..p.pool_contents)));
+                contents.push(pool_id(rng.below(u64::from(p.pool_contents)) as u32));
             } else {
                 contents.push(fresh());
             }
@@ -129,7 +126,7 @@ impl TraceGenerator {
         }
         classes.resize(n, (p.classes.len() - 1) as u8);
         for i in (1..n).rev() {
-            let j = rng.gen_range(0..=i);
+            let j = rng.below(i as u64 + 1) as usize;
             classes.swap(i, j);
         }
 
@@ -200,7 +197,7 @@ impl TraceGenerator {
                 break;
             }
 
-            if reboot_prob > 0.0 && rng.gen::<f64>() < reboot_prob {
+            if reboot_prob > 0.0 && rng.unit_f64() < reboot_prob {
                 // Reboot: part of the hot class — anonymous memory and
                 // not-yet-refilled page cache — comes back as zeros;
                 // cold/warm pages (resident services, re-read file data)
@@ -209,7 +206,7 @@ impl TraceGenerator {
                 // the cache refills over subsequent epochs, producing the
                 // transient spikes of Figure 4.
                 for i in 0..n {
-                    if classes[i] == hottest && rng.gen::<f64>() < 0.35 {
+                    if classes[i] == hottest && rng.unit_f64() < 0.35 {
                         contents[i] = 0;
                     }
                 }
@@ -226,16 +223,16 @@ impl TraceGenerator {
 
             for i in 0..n {
                 let prob = probs[classes[i] as usize];
-                if prob <= 0.0 || rng.gen::<f64>() >= prob {
+                if prob <= 0.0 || rng.unit_f64() >= prob {
                     continue;
                 }
                 let old = contents[i];
-                let roll: f64 = rng.gen();
+                let roll = rng.unit_f64();
                 let m = &p.update_mix;
                 contents[i] = if roll < m.pool {
-                    pool_id(rng.gen_range(0..p.pool_contents))
+                    pool_id(rng.below(u64::from(p.pool_contents)) as u32)
                 } else if roll < m.pool + m.recycle && !recycle_ring.is_empty() {
-                    recycle_ring[rng.gen_range(0..recycle_ring.len())]
+                    recycle_ring[rng.below(recycle_ring.len() as u64) as usize]
                 } else if roll < m.pool + m.recycle + m.zero {
                     0
                 } else {
@@ -254,8 +251,8 @@ impl TraceGenerator {
                 if hot_pages.is_empty() {
                     break;
                 }
-                let src = rng.gen_range(0..n);
-                let dst = hot_pages[rng.gen_range(0..hot_pages.len())] as usize;
+                let src = rng.below(n as u64) as usize;
+                let dst = hot_pages[rng.below(hot_pages.len() as u64) as usize] as usize;
                 if src != dst {
                     let old = contents[dst];
                     contents[dst] = contents[src];

@@ -3,7 +3,9 @@
 //! This crate holds the vocabulary every other crate speaks: byte and page
 //! quantities, simulated time, rates, identifiers for hosts/VMs/machines,
 //! and the [`PageDigest`] content fingerprint type — plus
-//! [`atomic_replace`], the one crash-safe file replace every store uses.
+//! [`atomic_replace`], the one crash-safe file replace every store uses,
+//! the seeded generators of [`rng`] and the poison-recovering lock
+//! helpers of [`sync`].
 //!
 //! Everything here is a small, cheap value type. The newtypes exist so the
 //! compiler keeps bytes, pages, seconds and rates from being mixed up — a
@@ -28,6 +30,7 @@ mod digest;
 mod error;
 mod ids;
 pub mod rng;
+pub mod sync;
 mod time;
 mod units;
 

@@ -28,10 +28,10 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44462
-PUB_CEILING=1093
-DEPS_CEILING=113
-DESIGN_CEILING=1625
+BUDGET=43859
+PUB_CEILING=1091
+DEPS_CEILING=111
+DESIGN_CEILING=1624
 CAP=800
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"

@@ -142,23 +142,34 @@ fn golden_unix_migration_matches_the_in_process_engine() {
 
 #[test]
 fn ledger_reconciles_for_every_strategy() {
-    let _wd = Watchdog::arm("ledger_reconciles_for_every_strategy", 3 * JOB_TIMEOUT);
-    for strategy in ["vecycle", "full", "dedup"] {
+    let _wd = Watchdog::arm("ledger_reconciles_for_every_strategy", 4 * JOB_TIMEOUT);
+    let specs = ["vecycle", "full", "dedup"].map(|strategy| {
         let mut spec = ScenarioSpec::golden(0x7ec ^ strategy.len() as u64);
         spec.strategy = strategy.to_string();
-        let rec = run_one(
-            &format!("ledger_{strategy}"),
-            tcp_endpoint(),
-            tcp_endpoint(),
-            &spec,
-        );
+        spec
+    });
+    // A busy warm guest over the WAN link: its resend rounds rewrite
+    // pages that already landed, so the destination keeps their first
+    // digests beside the live ones.
+    let mut busy = ScenarioSpec::golden(0xb057);
+    busy.ram_mib = 32;
+    busy.link = "wan".to_string();
+    busy.dirty_frac_per_hour = 50.0;
+    for spec in specs.iter().chain([&busy]) {
+        let name = format!("ledger_{}_{}", spec.strategy, spec.link);
+        let rec = run_one(&name, tcp_endpoint(), tcp_endpoint(), spec);
+        // Done also means the destination's content hash of its final
+        // digests equalled the one the source sent in COMPLETE.
         assert_reconciled(&rec);
-        let reference = scenario::reference_run(&spec).expect("reference run");
+        let reference = scenario::reference_run(spec).expect("reference run");
         assert_eq!(
             rec.report.as_ref(),
             Some(&reference.report),
-            "strategy {strategy}: report must match the in-process engine"
+            "{name}: report must match the in-process engine"
         );
+        if spec.link == "wan" {
+            assert!(reference.report.rounds().len() > 1, "want resend rounds");
+        }
     }
 }
 
