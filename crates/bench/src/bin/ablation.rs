@@ -213,14 +213,14 @@ fn main() {
     println!("Ablation 4 — page relocation (64 MiB guest, 2000 moves)\n");
     let mem = DigestMemory::with_uniform_content(Bytes::from_mib(64), opts.seed ^ 9)
         .expect("page-aligned");
-    let mut guest = Guest::new(mem);
-    let gen_snapshot = guest.generations().snapshot();
+    let mut guest = Guest::with_generations(mem);
+    let gen_snapshot = guest.generations().expect("tracked").snapshot();
     let cp_small = guest.memory().snapshot();
     let mut reloc = RelocationWorkload::new(opts.seed ^ 10, 2000.0);
     reloc.advance(&mut guest, SimDuration::from_secs(1));
 
     let engine = MigrationEngine::new(LinkSpec::lan_gigabit());
-    let dirty_strategy = Strategy::miyakodori(guest.generations(), &gen_snapshot);
+    let dirty_strategy = Strategy::miyakodori(guest.generations().expect("tracked"), &gen_snapshot);
     let r_dirty = engine
         .migrate(guest.memory(), dirty_strategy)
         .expect("non-empty");

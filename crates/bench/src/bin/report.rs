@@ -5,7 +5,8 @@
 //! for b in fig1 fig2 fig4 fig5 fig6 fig7 fig8 ablation extensions; do
 //!   cargo run --release -p vecycle-bench --bin $b -- --json results/$b.json
 //! done
-//! cargo run --release -p vecycle-bench --bin report -- results/*.json > REPORT.md
+//! cargo run --release -p vecycle-bench --bin report -- results/*.json > REPORT.md.tmp
+//! mv REPORT.md.tmp REPORT.md
 //! ```
 
 use vecycle_analysis::ExperimentLog;
@@ -17,11 +18,16 @@ fn main() {
         std::process::exit(1);
     }
     let mut merged = ExperimentLog::new();
+    let mut logs = 0;
     for path in &paths {
         let json =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let log =
-            ExperimentLog::from_json(&json).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"));
+        // `results/*.json` also matches metric dumps: skip them.
+        let parsed = ExperimentLog::from_json(&json);
+        let Ok(log) = parsed.inspect_err(|e| eprintln!("report: skipping {path}: {e}")) else {
+            continue;
+        };
+        logs += 1;
         for r in log.records() {
             merged.record(
                 r.experiment.clone(),
@@ -33,8 +39,7 @@ fn main() {
     }
     println!("# VeCycle experiment report\n");
     println!(
-        "Merged from {} log file(s), {} records.\n",
-        paths.len(),
+        "Merged from {logs} log file(s), {} records.\n",
         merged.records().len()
     );
     print!("{}", merged.render_markdown());

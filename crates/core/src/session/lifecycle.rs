@@ -39,7 +39,7 @@ fn fallback_cause(fetch: &CheckpointFetch) -> Option<FaultCause> {
 /// Refills `index` from a stored checkpoint's digest table, borrowed.
 fn refill_from(index: &mut ChecksumIndex, checkpoint: &Checkpoint) {
     let table = checkpoint.digest_table();
-    index.refill(table.len(), table.iter().copied());
+    index.refill(table.iter().copied());
 }
 
 impl VeCycleSession {

@@ -13,8 +13,8 @@
 //! together; a wrong magic, version or role is refused with ERR before
 //! the JOB is read. HELLO_ACK means "accepted": it goes out once the job
 //! validated, our state is built and the host is claimed, through one
-//! 64 KiB chunk with any bulk exchange ([`accept`]: the keys, in map
-//! order, of the index the stream probes — [`scenario::offer`]'s: a
+//! 64 KiB chunk with any bulk exchange ([`accept`]: the digests,
+//! ascending (protocol 7), of the index the stream probes — [`scenario::offer`]'s: a
 //! vecycle job's checkpoint, at a retry epoch the landed pages). DONE
 //! is our content hash; a mismatch with COMPLETE's fails our session
 //! after DONE is sent, and the source's on receipt.

@@ -7,7 +7,7 @@
 //! tests in the same commit — drift fails loudly.
 //!
 //! A session says only what the [`ScenarioSpec`] in JOB and the content
-//! hashes do not already prove (protocol version 6). The source sends
+//! hashes do not already prove (protocol version 7). The source sends
 //! HELLO‖JOB in one flight; the destination answers HELLO_ACK — "job
 //! accepted" — then the bulk exchange when the spec's strategy is
 //! vecycle or the session is a retry epoch. COMPLETE and DONE each carry
@@ -25,7 +25,7 @@ use crate::DaemonError;
 pub const MAGIC: &[u8; 8] = b"VECYCLD1";
 /// Protocol version spoken by this build; a peer at any other version
 /// is refused at HELLO.
-pub const VERSION: u16 = 6;
+pub const VERSION: u16 = 7;
 /// Handshake role: the migration source (connects).
 pub const ROLE_SOURCE: u8 = 0;
 /// Handshake role: the migration destination (accepts).
@@ -161,7 +161,7 @@ mod tests {
         let drift = parse_hello(&hello_payload(99, ROLE_SOURCE)).unwrap_err();
         assert_eq!(
             drift.to_string(),
-            "unsupported protocol version 99 (ours 6)"
+            "unsupported protocol version 99 (ours 7)"
         );
         let mut bad = p;
         bad[0] = b'X';

@@ -6,7 +6,7 @@
 //! engine and the strategy from the [`ScenarioSpec`] alone, through
 //! these functions only. What the destination offers in the bulk
 //! exchange is decided in one place, [`offer`]; the *source* rebuilds
-//! that index from its keys, sent in map order, and classification depends
+//! that index from its digests, sent ascending (protocol 7), and classification depends
 //! only on digest membership and setup pricing only on the distinct
 //! count, so the rebuilt index yields the same report as the
 //! destination's own ([`reference_run`] and [`reference_run_over`] pin
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn wire_index_reproduces_the_local_report() {
         // The crux of cross-process bit-identity: an index rebuilt from
-        // the bulk-exchanged (distinct, map-ordered) digests must
+        // the bulk-exchanged (distinct, ascending) digests must
         // produce the same report as the checkpoint's own index.
         let spec = ScenarioSpec::golden(0x7ec);
         let initial = initial_memory(&spec).unwrap();

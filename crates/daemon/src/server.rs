@@ -159,7 +159,9 @@ impl Daemon {
             kill: KillSwitch::new(KillSpec::from_env()),
             config,
         });
-        let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        // Room for every thread kept live: a spawn never grows it.
+        let live: Vec<JoinHandle<()>> = Vec::with_capacity(MAX_LIVE_THREADS + state.config.workers);
+        let workers = Arc::new(Mutex::new(live));
 
         let accept_state = Arc::clone(&state);
         let accept_workers = Arc::clone(&workers);
@@ -459,7 +461,11 @@ fn scheduler_loop(state: &Arc<DaemonState>, workers: &Arc<Mutex<Vec<JoinHandle<(
             state.queue.finish(id, outcome, &state.kill);
         });
         match spawned {
-            Ok(handle) => sync::lock(workers).push(handle),
+            Ok(handle) => {
+                let mut live = sync::lock(workers);
+                live.retain(|h| !h.is_finished());
+                live.push(handle);
+            }
             // A refused thread fails its job, which frees its slot; the
             // dropped closure has already released its host claim.
             Err(e) => state.queue.finish(id, Err(DaemonError::Io(e)), &state.kill),

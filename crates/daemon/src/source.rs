@@ -19,8 +19,8 @@
 //! frames are small buffers of their own.) Inbound, the session's one
 //! [`SessionStream`], through which every reply frame and the bulk
 //! checksum exchange are read (the exchange in 16 KiB steps, not one
-//! `read` per digest), straight into the probe map, with no list of the
-//! digests held ([`receive_exchange`]): any order, but no repeat.
+//! `read` per digest), straight into the source's index, with no other
+//! list of the digests held ([`receive_exchange`]): ascending, protocol 7.
 //!
 //! The session opens in one flight each way: HELLO‖JOB out, then the
 //! guest is built while the destination builds its own state; back
@@ -186,6 +186,10 @@ pub(crate) fn run_job(
             "destination content hash mismatch".into(),
         ));
     }
+    // The destination closes once its session has ended (host released,
+    // bookkeeping done); the job ends after that. A byte past DONE fails
+    // the ledger, so how the wait ends changes nothing else.
+    let _ = s.read(&mut [0; 1]);
 
     // The core oracle: measured socket bytes must equal the analytic
     // ledgers plus the pinned framing overhead, both directions, at
@@ -215,14 +219,14 @@ pub(crate) fn run_job(
     Ok((report, measured))
 }
 
-/// Reads the bulk exchange into the source's probe map as it arrives:
-/// its count is bounded (a digest a page, two on a retry) before the map
-/// is sized, and no digest may arrive twice.
+/// Reads the bulk exchange into the source's index as it arrives: its
+/// count is bounded (a digest a page, two on a retry) before the index
+/// is sized, and each digest must be above the one before it.
 ///
 /// # Errors
 ///
 /// [`DaemonError::Io`] on a short read; [`DaemonError::Corrupt`] on
-/// another message, a count past the bound or a repeated digest.
+/// another message, a count past the bound or a digest out of order.
 pub fn receive_exchange<R: Read>(
     r: &mut R,
     spec: &ScenarioSpec,
@@ -238,19 +242,17 @@ pub fn receive_exchange<R: Read>(
             )));
         }
         let mut index = ChecksumIndex::default();
-        index.refill(count, []);
+        index.refill_ascending(count);
         Ok(index)
     };
     Ok(wiremsg::read_bulk_exchange(r, admit, |index, digest| {
-        index.push(digest);
-        // Every digest so far distinct: one map entry per digest read.
-        if index.distinct() as u64 != index.total_pages() {
-            let at = index.total_pages() - 1;
-            return Err(corrupt(format!(
-                "bulk exchange digest {at} repeats an earlier one"
-            )));
+        if index.push_ascending(digest) {
+            return Ok(());
         }
-        Ok(())
+        let at = index.total_pages();
+        Err(corrupt(format!(
+            "bulk exchange digest {at} is not above the one before it"
+        )))
     })?)
 }
 

@@ -3,20 +3,28 @@
 //! reader, a whole ping-pong leg, a fleet run, the metrics registry and
 //! the daemon's data plane ask the allocator for.
 
-use vecycle_checkpoint::{Checkpoint, DiskStore};
+use std::alloc::{GlobalAlloc, Layout};
+use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
+
+use vecycle_checkpoint::{Checkpoint, ChecksumIndex, DiskStore};
 use vecycle_core::session::{VeCycleSession, VmInstance};
 use vecycle_core::{apply_transcript, MigrationEngine, Strategy};
 use vecycle_daemon::endpoint::{SessionStream, SESSION_BUF};
 use vecycle_daemon::frame::{kind, write_frame};
 use vecycle_daemon::session_state::SessionState;
-use vecycle_daemon::{accept, proto, receive_exchange, receive_stream, scenario, SocketSink};
+use vecycle_daemon::{
+    accept, proto, receive_exchange, receive_stream, scenario, Daemon, DaemonConfig, Endpoint,
+    JobState, SocketSink,
+};
 use vecycle_faults::KillSwitch;
 use vecycle_fleet::{Fleet, FleetSpec, PlacementMode};
 use vecycle_fuzz::{alloc_budget, AllocMeter, AllocStats, CountingAlloc};
 use vecycle_hash::ChecksumAlgorithm;
 use vecycle_host::Cluster;
 use vecycle_mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload, SilentWorkload};
-use vecycle_mem::{ByteMemory, DigestMemory, DirtyTracker, GenerationTable, Guest, PageContent};
+use vecycle_mem::{ByteMemory, DigestMemory, DirtyTracker, Guest, PageContent};
 use vecycle_net::{wire, LinkSpec, WireMsg};
 use vecycle_obs::{layouts, MetricsRegistry};
 use vecycle_sim::ScenarioSpec;
@@ -24,8 +32,52 @@ use vecycle_types::{
     DigestMap, HostId, PageCount, PageDigest, PageIndex, SimDuration, SimTime, VmId, PAGE_SIZE,
 };
 
+/// The fuzzer's per-thread meter, plus two process-wide counts of every
+/// thread's requests: a daemon job allocates on threads no meter is
+/// armed on.
+struct Everywhere(CountingAlloc);
+
+static EVERY_BYTES: AtomicU64 = AtomicU64::new(0);
+static EVERY_CALLS: AtomicU64 = AtomicU64::new(0);
+
+impl Everywhere {
+    fn record(size: usize) {
+        EVERY_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+        EVERY_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(bytes, calls)` requested so far by every thread.
+    fn counts() -> (u64, u64) {
+        let bytes = EVERY_BYTES.load(Ordering::Relaxed);
+        (bytes, EVERY_CALLS.load(Ordering::Relaxed))
+    }
+}
+
+// SAFETY: every operation is forwarded unchanged to `CountingAlloc`,
+// which defers to `System`; the two counters never allocate.
+unsafe impl GlobalAlloc for Everywhere {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Everywhere::record(layout.size());
+        self.0.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Everywhere::record(layout.size());
+        self.0.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.0.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Everywhere::record(new_size);
+        self.0.realloc(ptr, layout, new_size)
+    }
+}
+
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
+static ALLOC: Everywhere = Everywhere(CountingAlloc::new());
 
 fn metered<T>(f: impl FnOnce() -> T) -> (T, AllocStats) {
     AllocMeter::start();
@@ -413,16 +465,17 @@ fn a_cold_full_job_allocates_nothing_per_page() {
 }
 
 /// The source builds its guest in place: one digest table of 16 B a
-/// page, then only the guest's dirty bitmap and generation table, and
-/// no copy of the initial image beside it.
+/// page, then only the guest's dirty bitmap — no generation table, which
+/// only Miyakodori reads — and no copy of the initial image beside it.
 #[test]
 fn the_source_guest_is_one_digest_table_and_its_trackers() {
     let mut spec = ScenarioSpec::golden(0xa110c);
     spec.ram_mib = 16;
     let pages = PageCount::new(spec.pages());
-    let (_, trackers) = metered(|| (DirtyTracker::new(pages), GenerationTable::new(pages)));
+    let (_, trackers) = metered(|| DirtyTracker::new(pages));
     let ((guest, _), stats) = metered(|| scenario::source_guest(&spec).unwrap());
     assert_eq!(guest.memory().as_slice().len(), pages.as_usize());
+    assert!(guest.generations().is_none());
     let table = 16 * pages.as_u64();
     assert_eq!(stats.largest, table.max(trackers.largest), "{stats:?}");
     assert_eq!(
@@ -490,12 +543,13 @@ fn a_rewriting_stream_requests_one_table_of_first_digests() {
     );
 }
 
-/// The source reads the bulk exchange straight into its probe map: a
-/// streamed 32 768-digest exchange costs the map alone, one request of a
-/// slot per digest, and no list of the digests.
+/// The source reads the bulk exchange straight into its index: a
+/// streamed, ascending 32 768-digest exchange costs the index alone —
+/// its sorted list and its directory — and no other list of the digests.
 #[test]
 fn a_streamed_exchange_costs_the_source_its_probe_map_alone() {
-    let digests: Vec<PageDigest> = (1..=32_768).map(PageDigest::from_content_id).collect();
+    let mut digests: Vec<PageDigest> = (1..=32_768).map(PageDigest::from_content_id).collect();
+    digests.sort_unstable();
     let mut exchange = Vec::new();
     WireMsg::BulkExchange {
         digests: digests.clone(),
@@ -506,11 +560,28 @@ fn a_streamed_exchange_costs_the_source_its_probe_map_alone() {
     let (index, stats) = metered(|| receive_exchange(&mut exchange.as_slice(), &spec, 0).unwrap());
     assert_eq!(index.distinct(), digests.len());
     assert!(digests.iter().all(|&d| index.contains(d)));
-    assert_eq!(stats.calls, 1, "the map alone: {stats:?}");
-    assert!(
-        stats.requested >= 32_768 * 24,
-        "a slot per digest: {stats:?}"
-    );
+    let (_, built) = metered(|| ChecksumIndex::from_pages(&digests));
+    assert_eq!(stats, built, "the index alone");
+}
+
+/// An index is a sorted list of 20-byte entries and a directory of
+/// about one 4-byte bucket start per two entries: built over 32 768
+/// digests it asks for at most 24 bytes a digest in two requests, and
+/// refilled in place for as many digests or fewer it asks for nothing.
+#[test]
+fn an_index_costs_at_most_24_bytes_a_digest_and_refills_in_place() {
+    let digests: Vec<PageDigest> = (1..=32_768).map(PageDigest::from_content_id).collect();
+    let (mut index, stats) = metered(|| ChecksumIndex::from_pages(&digests));
+    assert_eq!(index.distinct(), digests.len());
+    assert!(stats.calls <= 2, "{stats:?}");
+    assert!(stats.requested <= 24 * 32_768, "{stats:?}");
+    for len in [32_768, 20_000, 3] {
+        let ((), refill) = metered(|| index.refill(digests[..len].iter().copied()));
+        assert_eq!(refill.calls, 0, "{len}: {refill:?}");
+        assert_eq!(index.distinct(), len);
+        let ((), ascending) = metered(|| index.refill_ascending(len));
+        assert_eq!(ascending.calls, 0, "{len}: {ascending:?}");
+    }
 }
 
 /// The destination accepts a warm job through one chunk: HELLO_ACK and
@@ -553,4 +624,57 @@ fn the_content_hash_allocates_nothing() {
     let (hash, stats) = metered(|| scenario::content_hash(&digests));
     assert_eq!(hash, scenario::content_hash(&digests));
     assert_eq!((stats.calls, stats.requested), (0, 0), "{stats:?}");
+}
+
+/// A daemon pair's jobs allocate the same every time: a fresh pair of
+/// in-memory daemons runs a warm and a cold job, twice, and each job asks
+/// every thread's allocator for the same bytes in the same number of
+/// requests as the same job of the next fresh pair, counted from submit
+/// until the source's record is terminal — the window a benchmark op
+/// times. The first pair pays the process's one-time setup, so five
+/// pairs are compared after it. The pairs run in a child process of this
+/// test binary, alone, so no other test's requests land in the counts.
+#[test]
+fn a_pair_job_allocates_the_same_every_time() {
+    const NAME: &str = "a_pair_job_allocates_the_same_every_time";
+    if std::env::var_os("VECYCLE_ALLOC_EXACT_CHILD").is_none() {
+        let exe = std::env::current_exe().expect("the test binary");
+        let child = Command::new(exe)
+            .args(["--exact", NAME, "--test-threads=1"])
+            .env("VECYCLE_ALLOC_EXACT_CHILD", "1")
+            .output()
+            .expect("the child runs");
+        let out = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success() && out.contains("1 passed"), "{out}");
+        return;
+    }
+    let warm = ScenarioSpec {
+        ram_mib: 16,
+        ..ScenarioSpec::golden(3)
+    };
+    let cold = ScenarioSpec {
+        ram_mib: 8,
+        strategy: "full".into(),
+        warm: false,
+        ..ScenarioSpec::golden(4)
+    };
+    let spawn = || Daemon::spawn(DaemonConfig::new(Endpoint::parse("127.0.0.1:0")).with_workers(1));
+    let pairs: Vec<[(u64, u64); 4]> = (0..6)
+        .map(|_| {
+            let (a, b) = (spawn().unwrap(), spawn().unwrap());
+            let counts = [&warm, &cold, &warm, &cold].map(|spec| {
+                let (bytes, calls) = Everywhere::counts();
+                let id = a.submit(spec.clone(), b.endpoint().clone()).unwrap();
+                let rec = a.wait_job(id, Duration::from_secs(60));
+                let (bytes1, calls1) = Everywhere::counts();
+                let rec = rec.expect("terminal");
+                assert_eq!(rec.state, JobState::Done, "{}", rec.detail);
+                (bytes1 - bytes, calls1 - calls)
+            });
+            a.shutdown();
+            b.shutdown();
+            counts
+        })
+        .collect();
+    assert!(pairs[2..].iter().all(|p| *p == pairs[1]), "{pairs:#?}");
 }

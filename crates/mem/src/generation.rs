@@ -115,13 +115,6 @@ pub struct GenerationSnapshot {
     generations: Vec<Generation>,
 }
 
-impl GenerationSnapshot {
-    /// Number of pages covered.
-    pub fn page_count(&self) -> PageCount {
-        PageCount::new(self.generations.len() as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,7 @@ use crate::{DirtyTracker, GenerationTable, MemoryImage, MutableMemory, PageBuf, 
 /// A running guest: memory plus the trackers a hypervisor maintains.
 ///
 /// Every write through [`Guest::write_page`] is seen by the dirty bitmap
-/// (KVM dirty logging) *and* the generation table (Miyakodori), exactly as
+/// (KVM dirty logging) *and* any generation table (Miyakodori), exactly as
 /// both mechanisms would observe the same write in a real hypervisor. The
 /// memory representation `M` is either [`crate::DigestMemory`] or
 /// [`crate::ByteMemory`].
@@ -19,26 +19,36 @@ use crate::{DirtyTracker, GenerationTable, MemoryImage, MutableMemory, PageBuf, 
 /// use vecycle_types::{PageCount, PageIndex};
 ///
 /// let mem = DigestMemory::with_distinct_content(PageCount::new(8), 1);
-/// let mut guest = Guest::new(mem);
+/// let mut guest = Guest::with_generations(mem);
 /// guest.write_page(PageIndex::new(3), PageContent::ContentId(77));
 /// assert_eq!(guest.dirty().dirty_count(), PageCount::new(1));
-/// assert_eq!(guest.generations().generation(PageIndex::new(3)).as_u64(), 1);
+/// let generations = guest.generations().expect("tracked");
+/// assert_eq!(generations.generation(PageIndex::new(3)).as_u64(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Guest<M> {
     memory: M,
     dirty: DirtyTracker,
-    generations: GenerationTable,
+    generations: Option<GenerationTable>,
 }
 
 impl<M: MutableMemory> Guest<M> {
-    /// Wraps a memory image with fresh (clean) trackers.
+    /// Wraps a memory image with a fresh (clean) dirty bitmap.
     pub fn new(memory: M) -> Self {
         let pages = memory.page_count();
         Guest {
             memory,
             dirty: DirtyTracker::new(pages),
-            generations: GenerationTable::new(pages),
+            generations: None,
+        }
+    }
+
+    /// [`Guest::new`] plus a generation table, which only Miyakodori reads.
+    pub fn with_generations(memory: M) -> Self {
+        let generations = Some(GenerationTable::new(memory.page_count()));
+        Guest {
+            generations,
+            ..Guest::new(memory)
         }
     }
 
@@ -58,9 +68,9 @@ impl<M: MutableMemory> Guest<M> {
         &mut self.dirty
     }
 
-    /// The generation table.
-    pub fn generations(&self) -> &GenerationTable {
-        &self.generations
+    /// The generation table, if made [`Guest::with_generations`].
+    pub fn generations(&self) -> Option<&GenerationTable> {
+        self.generations.as_ref()
     }
 
     /// Total RAM of the guest.
@@ -81,7 +91,7 @@ impl<M: MutableMemory> Guest<M> {
     pub fn write_page(&mut self, idx: PageIndex, content: PageContent<'_>) {
         self.memory.write_page(idx, content);
         self.dirty.mark(idx);
-        self.generations.bump(idx);
+        self.generations.iter_mut().for_each(|t| t.bump(idx));
     }
 
     /// Copies page `src` onto page `dst`, updating trackers for `dst`.
@@ -97,7 +107,7 @@ impl<M: MutableMemory> Guest<M> {
     pub fn relocate_page(&mut self, src: PageIndex, dst: PageIndex) {
         self.memory.relocate_page(src, dst);
         self.dirty.mark(dst);
-        self.generations.bump(dst);
+        self.generations.iter_mut().for_each(|t| t.bump(dst));
     }
 }
 
@@ -125,7 +135,7 @@ mod tests {
     use crate::DigestMemory;
 
     fn guest(pages: u64) -> Guest<DigestMemory> {
-        Guest::new(DigestMemory::with_distinct_content(
+        Guest::with_generations(DigestMemory::with_distinct_content(
             PageCount::new(pages),
             1,
         ))
@@ -136,7 +146,8 @@ mod tests {
         let mut g = guest(8);
         g.write_page(PageIndex::new(5), PageContent::Zero);
         assert!(g.dirty().is_dirty(PageIndex::new(5)));
-        assert_eq!(g.generations().generation(PageIndex::new(5)).as_u64(), 1);
+        let table = g.generations().expect("tracked");
+        assert_eq!(table.generation(PageIndex::new(5)).as_u64(), 1);
         assert!(!g.dirty().is_dirty(PageIndex::new(4)));
     }
 
@@ -158,7 +169,8 @@ mod tests {
         g.write_page(PageIndex::new(2), PageContent::ContentId(50));
         let drained = g.dirty_mut().drain();
         assert_eq!(drained, vec![PageIndex::new(2)]);
-        assert_eq!(g.generations().generation(PageIndex::new(2)).as_u64(), 1);
+        let table = g.generations().expect("tracked");
+        assert_eq!(table.generation(PageIndex::new(2)).as_u64(), 1);
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub enum WireMsg {
     StopEnd,
     /// The destination's bulk checksum pre-exchange.
     BulkExchange {
-        /// Distinct digests, in the destination index's map order.
+        /// Distinct digests, ascending (protocol 7).
         digests: Vec<PageDigest>,
     },
 }

@@ -80,8 +80,8 @@ fn miyakodori_engine_matches_dirty_analytics() {
     // the fingerprint diff describe the same history.
     let mem = DigestMemory::with_distinct_content(PageCount::new(512), 9);
     let fp_a = Fingerprint::new(SimTime::EPOCH, mem.digests());
-    let mut guest = Guest::new(mem);
-    let snapshot = guest.generations().snapshot();
+    let mut guest = Guest::with_generations(mem);
+    let snapshot = guest.generations().expect("tracked").snapshot();
     for i in 0..100u64 {
         guest.write_page(PageIndex::new(i * 5), PageContent::ContentId((1 << 57) | i));
     }
@@ -89,7 +89,7 @@ fn miyakodori_engine_matches_dirty_analytics() {
     let stats = PairStats::compute(&fp_a, &fp_b);
 
     let engine = engine_no_zero_suppression();
-    let strategy = Strategy::miyakodori(guest.generations(), &snapshot);
+    let strategy = Strategy::miyakodori(guest.generations().expect("tracked"), &snapshot);
     let r = engine.migrate(guest.memory(), strategy).unwrap();
     // Every write created fresh content, so generation-dirty equals
     // content-dirty equals the engine's full-page count.

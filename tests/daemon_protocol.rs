@@ -15,14 +15,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use common::{tcp_endpoint, unix_endpoint, Watchdog};
-use vecycle_daemon::endpoint::SessionStream;
 use vecycle_daemon::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use vecycle_daemon::proto::{self, JobMsg, ROLE_SOURCE};
-use vecycle_daemon::session_state::SessionState;
-use vecycle_daemon::{
-    client, receive_stream, scenario, Daemon, DaemonConfig, DaemonError, DaemonHandle, Endpoint,
-};
-use vecycle_faults::KillSwitch;
+use vecycle_daemon::{client, scenario, Daemon, DaemonConfig, DaemonError, DaemonHandle, Endpoint};
 use vecycle_net::WireMsg;
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::PageDigest;
@@ -153,10 +148,11 @@ fn run_table(daemon: &DaemonHandle) {
     //    before it could wait for a resume announcement, a version-4
     //    peer before it could refuse an exchange that is not sorted, a
     //    version-5 peer before its FNV-1a COMPLETE / DONE hash could
-    //    mismatch ours. The unread JOB bytes must not cost the refusal
-    //    (on TCP, closing a socket with unread data sends a reset).
-    for theirs in [99, 2, 3, 4, 5] {
-        let refusal = DaemonError::VersionMismatch { ours: 6, theirs };
+    //    mismatch ours, a version-6 peer before it could send an exchange
+    //    that is not ascending. The unread JOB bytes must not cost the
+    //    refusal (on TCP, closing a socket with unread data sends a reset).
+    for theirs in [99, 2, 3, 4, 5, 6] {
+        let refusal = DaemonError::VersionMismatch { ours: 7, theirs };
         let got = poke(daemon, &hello_job(theirs, &ScenarioSpec::golden(1)), false);
         assert_eq!(got, Reaction::ErrContaining(leak(refusal.to_string())));
         assert_alive(daemon);
@@ -277,7 +273,7 @@ fn poke_past_session_close(daemon: &DaemonHandle, bytes: &[u8]) -> Reaction {
 /// hanging it — then writes `reply` and holds the socket open until the
 /// source hangs up, so the source's error is driven by the reply, not a
 /// race with close.
-fn fake_destination(reply: Vec<u8>) -> (Endpoint, JoinHandle<()>) {
+fn fake_destination(reply: Vec<u8>) -> (Endpoint, JoinHandle<Vec<u8>>) {
     let listener = tcp_endpoint().bind().unwrap();
     let peer = listener.local_endpoint().unwrap();
     let server = std::thread::spawn(move || {
@@ -291,14 +287,15 @@ fn fake_destination(reply: Vec<u8>) -> (Endpoint, JoinHandle<()>) {
         let _ = s.flush();
         let mut rest = Vec::new();
         let _ = s.read_to_end(&mut rest);
+        rest
     });
     (peer, server)
 }
 
 /// Submits the golden (warm vecycle) job against a fake destination
 /// answering with `reply`. The job must fail; returns its failure
-/// detail.
-fn job_against(reply: Vec<u8>) -> String {
+/// detail and every byte the source sent after HELLO‖JOB.
+fn job_against(reply: Vec<u8>) -> (String, Vec<u8>) {
     let (peer, server) = fake_destination(reply);
     let daemon = spawn_daemon(false);
     let id = daemon
@@ -308,14 +305,14 @@ fn job_against(reply: Vec<u8>) -> String {
         .wait_job(id, Duration::from_secs(30))
         .expect("job terminates");
     assert_eq!(rec.state, vecycle_daemon::JobState::Failed);
-    server.join().unwrap();
+    let after = server.join().unwrap();
     daemon.shutdown();
-    rec.detail
+    (rec.detail, after)
 }
 
 /// [`job_against`] a destination that accepts the job and sends
 /// `exchange` where the bulk checksum exchange belongs.
-fn job_against_exchange(exchange: Vec<u8>) -> String {
+fn job_against_exchange(exchange: Vec<u8>) -> (String, Vec<u8>) {
     let mut reply = Vec::new();
     let ack = proto::hello_payload(proto::VERSION, proto::ROLE_DEST);
     write_frame(&mut reply, kind::HELLO_ACK, &ack).unwrap();
@@ -332,12 +329,12 @@ fn version_mismatch_surfaces_as_a_typed_client_error() {
     // The same property from the client's side: a source daemon whose
     // peer answers with a different version gets a VersionMismatch, not
     // a hang — and it sent its JOB before any answer arrived.
-    for theirs in [7, 4] {
+    for theirs in [8, 6] {
         let mut reply = Vec::new();
         let ack = proto::hello_payload(theirs, proto::ROLE_DEST);
         write_frame(&mut reply, kind::HELLO_ACK, &ack).unwrap();
-        let detail = job_against(reply);
-        let refusal = DaemonError::VersionMismatch { ours: 6, theirs };
+        let (detail, _) = job_against(reply);
+        let refusal = DaemonError::VersionMismatch { ours: 7, theirs };
         assert!(
             detail.contains(&refusal.to_string()),
             "failure detail must name the version mismatch: {detail}"
@@ -358,7 +355,7 @@ fn oversized_wire_message_inside_a_session_is_rejected() {
     let mut forged = u64::MAX.to_be_bytes().to_vec();
     forged.push(7); // BULK_EXCHANGE wire kind
     forged.extend_from_slice(&[0xFF, 0xFF, 0xFF]); // max 24-bit length
-    let detail = job_against_exchange(forged);
+    let (detail, _) = job_against_exchange(forged);
     assert!(
         detail.contains("bulk-exchange") || detail.contains("corrupt"),
         "failure detail: {detail}"
@@ -369,7 +366,7 @@ fn oversized_wire_message_inside_a_session_is_rejected() {
     digests.sort();
     let mut exchange = Vec::new();
     WireMsg::BulkExchange { digests }.encode(&mut exchange);
-    let detail = job_against_exchange(exchange);
+    let (detail, _) = job_against_exchange(exchange);
     let bound = format!(
         "corrupt payload: bulk exchange carried {} digests for {pages} pages",
         pages + 1
@@ -393,7 +390,7 @@ fn an_over_bound_exchange_is_refused_from_its_header() {
     header.push(7); // BULK_EXCHANGE wire kind
     header.extend_from_slice(&((pages + 1) as u32 * 16).to_be_bytes()[1..]);
     let started = Instant::now();
-    let detail = job_against_exchange(header);
+    let (detail, _) = job_against_exchange(header);
     let bound = format!(
         "corrupt payload: bulk exchange carried {} digests for {pages} pages",
         pages + 1
@@ -406,88 +403,38 @@ fn an_over_bound_exchange_is_refused_from_its_header() {
     );
 }
 
-/// The bulk exchange is a set of distinct digests in any order: a
-/// repeated digest is corrupt, named by its position and refused before
-/// any page streams, while a descending exchange is as good as any.
+/// The bulk exchange is strictly ascending (protocol 7): a digest not
+/// above the one before it — repeated next to it, repeated after
+/// others, or a whole exchange sent descending — is corrupt, named by
+/// its position, and refused before any page streams.
 #[test]
 fn a_bulk_exchange_that_repeats_a_digest_is_corrupt() {
     let _wd = Watchdog::arm(
         "a_bulk_exchange_that_repeats_a_digest_is_corrupt",
         TEST_LIMIT,
     );
-    let d: Vec<PageDigest> = (1..=3).map(PageDigest::from_content_id).collect();
-    let mut exchange = Vec::new();
-    WireMsg::BulkExchange {
-        digests: vec![d[0], d[1], d[1]],
-    }
-    .encode(&mut exchange);
-    let detail = job_against_exchange(exchange);
-    assert!(
-        detail.contains("corrupt")
-            && detail.contains("bulk exchange digest 2 repeats an earlier one"),
-        "duplicate: {detail}"
-    );
-
-    // The golden job against a destination that sends its offered
-    // index's digests in descending order completes with the
-    // in-process report, its ledger reconciled.
+    let mut d: Vec<PageDigest> = (1..=3).map(PageDigest::from_content_id).collect();
+    d.sort_unstable();
     let spec = ScenarioSpec::golden(1);
-    let (peer, server) = descending_destination(spec.clone());
-    let daemon = spawn_daemon(false);
-    let id = daemon.submit(spec.clone(), peer).expect("submit");
-    let rec = daemon
-        .wait_job(id, Duration::from_secs(30))
-        .expect("job terminates");
-    assert_eq!(rec.state, vecycle_daemon::JobState::Done, "{}", rec.detail);
-    let reference = scenario::reference_run(&spec).expect("reference run");
-    assert_eq!(rec.report, Some(reference.report), "descending");
-    server.join().unwrap();
-    daemon.shutdown();
-}
-
-/// A hand-driven destination for `spec` on a fresh TCP port whose bulk
-/// exchange is its offered index's digests, sorted descending. The rest
-/// of the session is the daemon's own: [`receive_stream`], then DONE
-/// with the content hash.
-fn descending_destination(spec: ScenarioSpec) -> (Endpoint, JoinHandle<()>) {
-    let listener = tcp_endpoint().bind().unwrap();
-    let peer = listener.local_endpoint().unwrap();
-    let server = std::thread::spawn(move || {
-        let stream = listener.accept().unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut s = SessionStream::new(stream);
-        for want in [kind::HELLO, kind::JOB] {
-            assert_eq!(read_frame(&mut s, MAX_PAYLOAD).unwrap().kind, want);
-        }
-        let initial = scenario::initial_memory(&spec).unwrap();
-        let index = scenario::offer(&spec, initial.as_slice(), None).expect("a vecycle job offers");
-        let mut digests: Vec<PageDigest> = index.distinct_digests().collect();
-        digests.sort_unstable_by(|a, b| b.cmp(a));
-        let mut reply = Vec::new();
-        let ack = proto::hello_payload(proto::VERSION, proto::ROLE_DEST);
-        write_frame(&mut reply, kind::HELLO_ACK, &ack).unwrap();
-        WireMsg::BulkExchange { digests }.encode(&mut reply);
-        s.write_all(&reply).unwrap();
-        s.flush().unwrap();
-        let mut state = SessionState::fresh(&spec, &initial);
-        receive_stream(
-            &mut s,
-            Some(&index),
-            &mut state,
-            &KillSwitch::inert(),
-            &mut (),
-        )
-        .unwrap();
-        let complete = read_frame(&mut s, MAX_PAYLOAD).unwrap();
-        assert_eq!(complete.kind, kind::COMPLETE);
-        write_frame(&mut s, kind::DONE, &scenario::content_hash(state.mem())).unwrap();
-        s.flush().unwrap();
-        let mut rest = Vec::new();
-        let _ = s.read_to_end(&mut rest);
-    });
-    (peer, server)
+    let initial = scenario::initial_memory(&spec).unwrap();
+    let index = scenario::offer(&spec, initial.as_slice(), None).expect("a vecycle job offers");
+    let mut descending: Vec<PageDigest> = index.distinct_digests().collect();
+    descending.reverse();
+    for (row, digests, at) in [
+        ("adjacent repeat", vec![d[0], d[1], d[1]], 2),
+        ("later repeat", vec![d[0], d[1], d[2], d[1]], 3),
+        ("descending", descending, 1),
+    ] {
+        let mut exchange = Vec::new();
+        WireMsg::BulkExchange { digests }.encode(&mut exchange);
+        let (detail, after) = job_against_exchange(exchange);
+        let named = format!("bulk exchange digest {at} is not above the one before it");
+        assert!(
+            detail.contains("corrupt") && detail.contains(&named),
+            "{row}: {detail}"
+        );
+        assert!(after.is_empty(), "{row}: {} bytes streamed", after.len());
+    }
 }
 
 #[test]

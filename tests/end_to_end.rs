@@ -131,8 +131,9 @@ fn traffic_accounting_is_conserved() {
 
 #[test]
 fn relocation_heavy_guest_still_rebuilds_and_beats_dirty_tracking() {
-    let mut guest = Guest::new(ByteMemory::with_distinct_content(PageCount::new(256), 16));
-    let gen_snapshot = guest.generations().snapshot();
+    let mut guest =
+        Guest::with_generations(ByteMemory::with_distinct_content(PageCount::new(256), 16));
+    let gen_snapshot = guest.generations().expect("tracked").snapshot();
     let cp = Checkpoint::capture_bytes(VmId::new(0), SimTime::EPOCH, guest.memory());
     let mut reloc = RelocationWorkload::new(17, 50.0);
     reloc.advance(&mut guest, SimDuration::from_secs(2));
@@ -141,7 +142,7 @@ fn relocation_heavy_guest_still_rebuilds_and_beats_dirty_tracking() {
     let dirty = eng
         .migrate(
             guest.memory(),
-            Strategy::miyakodori(guest.generations(), &gen_snapshot),
+            Strategy::miyakodori(guest.generations().expect("tracked"), &gen_snapshot),
         )
         .unwrap();
     let (hashes, transcript) = eng

@@ -12,7 +12,7 @@ use vecycle_fuzz::targets::find_target;
 /// Each replayed target and the entries its corpus holds.
 const CORPORA: [(&str, u64); 7] = [
     ("wire_msg", 13),
-    ("handshake", 16),
+    ("handshake", 18),
     ("ctrl_frame", 4),
     ("partial_log", 8),
     ("partial_log_fix", 10),

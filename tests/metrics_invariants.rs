@@ -41,7 +41,7 @@ fn direction_total(snap: &MetricsSnapshot, name: &str, direction: &str) -> u64 {
 
 /// An aged guest plus the checkpoint its destination still holds.
 fn aged_guest(pages: u64, seed: u64) -> (Guest<ByteMemory>, Checkpoint) {
-    let mut guest = Guest::new(ByteMemory::with_distinct_content(
+    let mut guest = Guest::with_generations(ByteMemory::with_distinct_content(
         PageCount::new(pages),
         seed,
     ));
@@ -57,15 +57,16 @@ fn wire_counters_reconcile_for_every_strategy() {
     let gen_snapshot = {
         // A snapshot taken before the daemon writes, so dirty tracking
         // has both reusable and changed pages.
-        let fresh = Guest::new(ByteMemory::with_distinct_content(PageCount::new(384), 41));
-        fresh.generations().snapshot()
+        let fresh =
+            Guest::with_generations(ByteMemory::with_distinct_content(PageCount::new(384), 41));
+        fresh.generations().expect("tracked").snapshot()
     };
     let strategies: Vec<(&str, Strategy)> = vec![
         ("full", Strategy::full()),
         ("dedup", Strategy::dedup()),
         (
             "dirty",
-            Strategy::miyakodori(guest.generations(), &gen_snapshot),
+            Strategy::miyakodori(guest.generations().expect("tracked"), &gen_snapshot),
         ),
         ("vecycle", Strategy::vecycle_from_checkpoint(&cp)),
         (
@@ -227,13 +228,14 @@ fn scan_page_counters_equal_round_one() {
         guest.write_page(PageIndex::new(300 + i), PageContent::ContentId(77));
     }
     let gen_snapshot = {
-        let fresh = Guest::new(ByteMemory::with_distinct_content(PageCount::new(384), 43));
-        fresh.generations().snapshot()
+        let fresh =
+            Guest::with_generations(ByteMemory::with_distinct_content(PageCount::new(384), 43));
+        fresh.generations().expect("tracked").snapshot()
     };
     let strategy = |name: &str| match name {
         "full" => Strategy::full(),
         "dedup" => Strategy::dedup(),
-        "dirty" => Strategy::miyakodori(guest.generations(), &gen_snapshot),
+        "dirty" => Strategy::miyakodori(guest.generations().expect("tracked"), &gen_snapshot),
         _ => Strategy::vecycle_from_checkpoint(&cp).with_dedup(),
     };
 
