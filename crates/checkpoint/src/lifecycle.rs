@@ -39,15 +39,14 @@ pub enum EvictionPolicy {
     /// Evict the checkpoint with the worst age-to-return-period ratio:
     /// a checkpoint two return periods stale is deader than one half a
     /// period stale, even if the latter is older in absolute terms.
-    /// VMs with no observed period yet assume
-    /// [`EvictionPolicy::DEFAULT_RETURN_PERIOD`].
+    /// VMs with no observed period yet assume one day.
     StalenessScore,
 }
 
 impl EvictionPolicy {
     /// Assumed return period for a VM the store has only seen once —
     /// the paper's headline experiment revisits hosts on a daily cycle.
-    pub const DEFAULT_RETURN_PERIOD: SimDuration = SimDuration::from_hours(24);
+    pub(crate) const DEFAULT_RETURN_PERIOD: SimDuration = SimDuration::from_hours(24);
 
     /// Stable snake_case label for metrics
     /// (`ckpt_evictions_total{policy=…}`) and CLI flags.

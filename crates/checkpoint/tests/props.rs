@@ -122,7 +122,7 @@ fn draw(rng: &mut Xorshift, contents: u64, hostile: bool) -> PageDigest {
 fn assert_matches_model(index: &ChecksumIndex, table: &[PageDigest], probes: &[PageDigest]) {
     let mut model = BTreeMap::new();
     for (at, &d) in table.iter().enumerate() {
-        model.entry(d).or_insert(PageIndex::new(at as u64));
+        model.entry(d).or_insert_with(|| PageIndex::new(at as u64));
     }
     assert_eq!(index.total_pages(), table.len() as u64);
     assert_eq!(index.distinct(), model.len());

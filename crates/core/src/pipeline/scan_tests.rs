@@ -106,10 +106,10 @@ fn scan_matches_a_naive_walk_in_page_order() {
         for (i, &id) in prior_ids.iter().enumerate().filter(|_| gang) {
             sent.first
                 .entry(digest(id))
-                .or_insert(PageIndex::new(i as u64));
+                .or_insert_with(|| PageIndex::new(i as u64));
             model_sent
                 .entry(digest(id))
-                .or_insert(PageIndex::new(i as u64));
+                .or_insert_with(|| PageIndex::new(i as u64));
         }
         // The model's entries that only a checksum send made.
         let mut checksum_only: HashSet<PageDigest> = HashSet::new();

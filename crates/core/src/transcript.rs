@@ -110,7 +110,7 @@ fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
     let mut payloads: Vec<&[u8]> = Vec::new();
     for msg in transcript {
         if let PageMsg::Full { idx, digest, bytes } = msg {
-            let bytes = bytes.as_deref().ok_or(Error::Corrupt {
+            let bytes = bytes.as_deref().ok_or_else(|| Error::Corrupt {
                 detail: format!("full-page message for {idx} carries no bytes"),
             })?;
             if bytes.len() as u64 != PAGE_SIZE {
@@ -167,7 +167,7 @@ pub fn apply_transcript(
     let index = checkpoint.build_index();
     let mut mem = checkpoint
         .restore_byte_memory()
-        .ok_or(Error::InvalidConfig {
+        .ok_or_else(|| Error::InvalidConfig {
             reason: "destination merge needs a full-byte checkpoint".into(),
         })?;
 
@@ -191,10 +191,10 @@ pub fn apply_transcript(
                 if mem.page_digest(*idx) == *digest {
                     continue;
                 }
-                let offset = index.lookup(*digest).ok_or(Error::Corrupt {
+                let offset = index.lookup(*digest).ok_or_else(|| Error::Corrupt {
                     detail: format!("checksum for {idx} not found in checkpoint index"),
                 })?;
-                let page = checkpoint.read_page(offset).ok_or(Error::Corrupt {
+                let page = checkpoint.read_page(offset).ok_or_else(|| Error::Corrupt {
                     detail: format!("checkpoint page {offset} unreadable"),
                 })?;
                 mem.write_page_with_digest(*idx, page.clone(), *digest);

@@ -412,15 +412,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vecycle-dest-full-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let state = DaemonState {
-            queue: Queue::open(None, Default::default()).unwrap(),
-            locks: Default::default(),
-            metrics: Default::default(),
-            partials: Default::default(),
-            kill: KillSwitch::inert(),
-            config: DaemonConfig::new(crate::Endpoint::parse("127.0.0.1:0"))
-                .with_journal_dir(dir.clone()),
-        };
+        let state = DaemonState::new(
+            Queue::open(None, Default::default()).unwrap(),
+            KillSwitch::inert(),
+            DaemonConfig::new(crate::Endpoint::parse("127.0.0.1:0")).with_journal_dir(dir.clone()),
+        );
         let (job_id, fingerprint) = (3, 0xf00d);
         drop(PartialLog::create(&dir, job_id, fingerprint).unwrap());
         let path = session_state::partial_path(&dir, job_id, fingerprint);

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use vecycle_checkpoint::PartialCheckpoint;
 use vecycle_faults::{KillSpec, KillSwitch};
 use vecycle_host::HostLocks;
-use vecycle_obs::MetricsRegistry;
+use vecycle_obs::{Counter, CounterFamily, MetricsRegistry};
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{sync, HostId};
 
@@ -130,6 +130,34 @@ pub(crate) struct DaemonState {
     /// (inert in normal operation).
     pub kill: KillSwitch,
     pub config: DaemonConfig,
+    /// `daemon_connections_total{transport}`, one per connection.
+    connections: Counter,
+    /// `daemon_sessions_total{result}` over `ok` / `err`.
+    sessions: CounterFamily,
+}
+
+impl DaemonState {
+    /// The state serving `config` over `queue`, with its per-connection
+    /// counters resolved against the queue's registry.
+    pub(crate) fn new(queue: Queue, kill: KillSwitch, config: DaemonConfig) -> Self {
+        let metrics = queue.metrics.clone();
+        let transport = [("transport", config.listen.transport())];
+        DaemonState {
+            connections: metrics.resolve_counter("daemon_connections_total", &transport),
+            sessions: CounterFamily::new(
+                &metrics,
+                "daemon_sessions_total",
+                "result",
+                &["ok", "err"],
+            ),
+            metrics,
+            queue,
+            locks: HostLocks::default(),
+            partials: Mutex::default(),
+            kill,
+            config,
+        }
+    }
 }
 
 /// The daemon entry point.
@@ -151,14 +179,11 @@ impl Daemon {
     pub(crate) fn start(config: DaemonConfig, queue: Queue) -> std::io::Result<DaemonHandle> {
         let listener = config.listen.bind()?;
         let endpoint = listener.local_endpoint()?;
-        let state = Arc::new(DaemonState {
-            metrics: queue.metrics.clone(),
+        let state = Arc::new(DaemonState::new(
             queue,
-            locks: HostLocks::default(),
-            partials: Mutex::default(),
-            kill: KillSwitch::new(KillSpec::from_env()),
+            KillSwitch::new(KillSpec::from_env()),
             config,
-        });
+        ));
         // Room for every thread kept live: a spawn never grows it.
         let live: Vec<JoinHandle<()>> = Vec::with_capacity(MAX_LIVE_THREADS + state.config.workers);
         let workers = Arc::new(Mutex::new(live));
@@ -364,11 +389,7 @@ fn spawn_handler(
 /// Routes one connection by its first frame: HELLO → migration
 /// session, CTRL → operator RPC loop, anything else → ERR.
 fn handle_connection(state: &Arc<DaemonState>, stream: Stream) {
-    state.metrics.inc(
-        "daemon_connections_total",
-        &[("transport", state.config.listen.transport())],
-        1,
-    );
+    state.connections.inc(1);
     if stream
         .set_io_timeout(Some(state.config.io_timeout))
         .is_err()
@@ -389,7 +410,7 @@ fn handle_connection(state: &Arc<DaemonState>, stream: Stream) {
         kind::HELLO => {
             let session = dest::session(state, &mut s, first);
             let result = if session.is_ok() { "ok" } else { "err" };
-            (state.metrics).inc("daemon_sessions_total", &[("result", result)], 1);
+            state.sessions.of(result).inc(1);
             let line = match session {
                 Ok(job) => format!("session job={job} ok rx={} tx={}", s.rx(), s.tx()),
                 Err(e) => {

@@ -441,6 +441,10 @@ pub(crate) mod tests {
                     };
                     let idx = page(&mut rng);
                     let digest = alphabet[rng.below(4) as usize];
+                    #[allow(
+                        clippy::or_fun_call,
+                        reason = "the draw advances `rng` whether or not `slot` holds a message"
+                    )]
                     let msg = slot.clone().unwrap_or(match rng.below(4) {
                         0 => WireMsg::Full { idx, digest },
                         1 => WireMsg::Checksum { idx, digest },

@@ -24,7 +24,7 @@ use vecycle_fuzz::{alloc_budget, AllocMeter, AllocStats, CountingAlloc};
 use vecycle_hash::ChecksumAlgorithm;
 use vecycle_host::Cluster;
 use vecycle_mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload, SilentWorkload};
-use vecycle_mem::{ByteMemory, DigestMemory, DirtyTracker, Guest, PageContent};
+use vecycle_mem::{ByteMemory, DigestMemory, DirtyTracker, Guest, PageBuf, PageContent};
 use vecycle_net::{wire, LinkSpec, WireMsg};
 use vecycle_obs::{layouts, MetricsRegistry};
 use vecycle_sim::ScenarioSpec;
@@ -201,6 +201,61 @@ fn a_ping_pong_leg_allocates_nothing_guest_sized() {
     // staging copies this replaced made it nearly four).
     assert!(stats.requested < 2 * guest_bytes, "{stats:?}");
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A steady-state ping-pong leg recycles its page buffers: after one
+/// warm-up leg, the load and the copy-on-write guest pages of the next
+/// come off the free list that the previous leg's checkpoint, merge and
+/// read-back filled when they dropped. The leg makes no fresh page
+/// buffer, and what it does request (tables, sized to the guest at a few
+/// bytes a page) stays under a quarter of the guest's bytes.
+#[test]
+fn a_steady_state_ping_pong_leg_makes_no_fresh_page_buffer() {
+    const PAGES: u64 = 512;
+    let dirs = [0, 1].map(|k| {
+        let dir = format!("vecycle-alloc-steady-{k}-{}", std::process::id());
+        std::env::temp_dir().join(dir)
+    });
+    let stores = dirs.each_ref().map(|dir| {
+        let _ = std::fs::remove_dir_all(dir);
+        DiskStore::open(dir).unwrap()
+    });
+    let vm = VmId::new(0);
+    // The guest runs on host 0; host 1 keeps what it left on a visit.
+    let mut guest = Guest::new(ByteMemory::with_distinct_content(PageCount::new(PAGES), 9));
+    let left_on_host_1 = Checkpoint::capture_bytes(vm, SimTime::EPOCH, guest.memory());
+    stores[1].save(&left_on_host_1).unwrap();
+    drop(left_on_host_1);
+    // `local_bytes_pingpong`'s write rates, scaled to this guest.
+    let scale = PAGES as f64 / 4096.0;
+    let (mut idle, mut reloc) = (
+        IdleWorkload::new(1, scale),
+        RelocationWorkload::new(2, scale / 2.0),
+    );
+    let engine = MigrationEngine::new(LinkSpec::lan_gigabit());
+    let mut leg = |to: usize| {
+        idle.advance(&mut guest, SimDuration::from_hours(1));
+        reloc.advance(&mut guest, SimDuration::from_hours(1));
+        let checkpoint = stores[to].load(vm).unwrap().expect("left on a visit");
+        let strategy = Strategy::vecycle_from_checkpoint(&checkpoint);
+        let (report, transcript) = engine
+            .migrate_with_transcript(guest.memory(), strategy)
+            .unwrap();
+        assert!(report.pages_sent_full().as_u64() > 0 && report.pages_reused().as_u64() > 0);
+        let rebuilt = apply_transcript(&checkpoint, &transcript).unwrap();
+        assert!(rebuilt.content_equals(guest.memory()));
+        let left_behind = Checkpoint::capture_bytes(vm, SimTime::EPOCH, guest.memory());
+        stores[1 - to].save(&left_behind).unwrap();
+        assert_eq!(stores[1 - to].load(vm).unwrap(), Some(left_behind));
+    };
+    leg(1);
+    let fresh = PageBuf::allocated_fresh();
+    let ((), stats) = metered(|| leg(0));
+    assert_eq!(PageBuf::allocated_fresh() - fresh, 0, "{stats:?}");
+    assert!(stats.requested < PAGES * PAGE_SIZE / 4, "{stats:?}");
+    for dir in dirs {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 /// A `fleet_aware` benchmark op — `Fleet::new` + `run` of 128 hosts ×

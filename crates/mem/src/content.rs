@@ -45,7 +45,7 @@ impl PageContent<'_> {
     ///
     /// Panics if `dst` is not exactly one page, or if a `Bytes` payload
     /// is longer than one page.
-    pub fn write_into(&self, dst: &mut [u8]) {
+    pub(crate) fn write_into(&self, dst: &mut [u8]) {
         let page = PAGE_SIZE as usize;
         assert_eq!(dst.len(), page, "write_into needs a page-sized buffer");
         match *self {

@@ -87,7 +87,7 @@ impl DirtyTracker {
     }
 
     /// Returns all dirty pages in index order without clearing.
-    pub fn dirty_pages(&self) -> Vec<PageIndex> {
+    pub(crate) fn dirty_pages(&self) -> Vec<PageIndex> {
         let mut out = Vec::with_capacity(self.dirty as usize);
         for (w, &word) in self.bits.iter().enumerate() {
             let mut word = word;

@@ -14,7 +14,7 @@ pub struct Generation(u64);
 
 impl Generation {
     /// The initial generation of an untouched page.
-    pub const INITIAL: Generation = Generation(0);
+    pub(crate) const INITIAL: Generation = Generation(0);
 
     /// The raw counter value.
     pub const fn as_u64(self) -> u64 {

@@ -133,11 +133,6 @@ impl RamdiskWorkload {
         wl
     }
 
-    /// Number of pages the ramdisk occupies.
-    pub fn page_span(&self) -> u64 {
-        self.page_span
-    }
-
     /// Rewrites `fraction` of the ramdisk with fresh content.
     ///
     /// Block selection is random without replacement (a permutation of
@@ -324,7 +319,7 @@ mod tests {
     fn ramdisk_fill_covers_requested_fraction() {
         let mut g = guest(1000);
         let wl = RamdiskWorkload::fill(&mut g, Ratio::new(0.9), 7);
-        assert_eq!(wl.page_span(), 900);
+        assert_eq!(wl.page_span, 900);
         assert_eq!(g.dirty().dirty_count(), PageCount::new(900));
     }
 

@@ -604,15 +604,18 @@ mod tests {
 
         fn observe(&mut self, key: SeriesKey, layout: BucketLayout, value: u64) {
             let SeriesKey { name, labels } = key.clone();
-            let h = self.histograms.entry(key).or_insert(HistogramSample {
-                name,
-                labels,
-                unit: layout.unit.to_string(),
-                bounds: layout.bounds.to_vec(),
-                counts: vec![0; layout.bounds.len() + 1],
-                sum: 0,
-                count: 0,
-            });
+            let h = self
+                .histograms
+                .entry(key)
+                .or_insert_with(|| HistogramSample {
+                    name,
+                    labels,
+                    unit: layout.unit.to_string(),
+                    bounds: layout.bounds.to_vec(),
+                    counts: vec![0; layout.bounds.len() + 1],
+                    sum: 0,
+                    count: 0,
+                });
             let slot = layout.bounds.iter().take_while(|&&b| value > b).count();
             h.counts[slot] += 1;
             h.sum += value;

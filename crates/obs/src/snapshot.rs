@@ -224,7 +224,7 @@ impl MetricsSnapshot {
                 let le = h
                     .bounds
                     .get(slot)
-                    .map_or("+Inf".to_string(), |b| b.to_string());
+                    .map_or_else(|| "+Inf".to_string(), |b| b.to_string());
                 push_prom_series(
                     &mut out,
                     &format!("{}_bucket", h.name),

@@ -68,10 +68,10 @@ impl Trace {
 
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> vecycle_types::Result<&[u8]> {
-            let end = pos.checked_add(n).ok_or(Error::Corrupt {
+            let end = pos.checked_add(n).ok_or_else(|| Error::Corrupt {
                 detail: "trace length overflow".into(),
             })?;
-            let slice = body.get(*pos..end).ok_or(Error::Corrupt {
+            let slice = body.get(*pos..end).ok_or_else(|| Error::Corrupt {
                 detail: "trace truncated mid-record".into(),
             })?;
             *pos = end;

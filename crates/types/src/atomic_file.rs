@@ -77,7 +77,7 @@ fn promote(path: &Path, tmp: &Path, mut file: File) -> std::io::Result<()> {
         let _ = std::fs::remove_file(&held);
     }
     #[cfg(unix)]
-    File::open(path.parent().unwrap_or(Path::new(".")))?.sync_all()?;
+    File::open(path.parent().unwrap_or_else(|| Path::new(".")))?.sync_all()?;
     Ok(())
 }
 

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let full = engine.migrate(guest.memory(), Strategy::full())?;
         let vecycle = engine.migrate(guest.memory(), Strategy::vecycle(&checkpoint))?;
-        baseline_time.get_or_insert(full.total_time().as_secs_f64());
+        baseline_time.get_or_insert_with(|| full.total_time().as_secs_f64());
 
         println!(
             "{:<12} {:>10.1}s {:>12} {:>9.0}%",

@@ -28,8 +28,8 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=43859
-PUB_CEILING=1091
+BUDGET=44037
+PUB_CEILING=1086
 DEPS_CEILING=111
 DESIGN_CEILING=1624
 CAP=800

@@ -538,11 +538,12 @@ fn check_digests(image: &impl MemoryImage, model: &Model) -> Result<(), String> 
 }
 
 /// Memories, snapshots, checkpoints and merged destinations share
-/// page buffers freely; against a model in which every image owns
-/// its bytes, no interleaving of writes, relocations, hand-overs,
-/// snapshots, captures, restores and transcript merges lets a write
-/// leak from one image into another or leaves a digest behind its
-/// bytes.
+/// page buffers freely, and a buffer whose last handle drops is handed
+/// out again; against a model in which every image owns its bytes, no
+/// interleaving of writes, relocations, hand-overs, snapshots,
+/// captures, restores, transcript merges, drops and new pages lets a
+/// write leak from one image into another, lets a recycled buffer keep
+/// old bytes, or leaves a digest behind its bytes.
 #[test]
 fn shared_pages_behave_like_private_copies() {
     for case in 0..48 {
@@ -563,7 +564,7 @@ fn shared_pages_behave_like_private_copies() {
             }
         }
         for _ in 0..1 + rng.below(59) {
-            let (op, i, j) = (rng.below(9), rng.below(4) as usize, rng.below(4) as usize);
+            let (op, i, j) = (rng.below(11), rng.below(4) as usize, rng.below(4) as usize);
             let (a, b, id) = (rng.below(MODEL_PAGES), rng.below(MODEL_PAGES), rng.below(5));
             let (m, c) = (i % mems.len(), j % cps.len());
             let (pa, pb) = (PageIndex::new(a), PageIndex::new(b));
@@ -604,6 +605,24 @@ fn shared_pages_behave_like_private_copies() {
                     let model = cps[c].1.clone();
                     put(&mut mems, i, (restored, model));
                 }
+                7 => {
+                    // Drop an image; its sole-held buffers go up for reuse.
+                    if mems.len() > 1 {
+                        mems.swap_remove(m);
+                    } else if cps.len() > 1 {
+                        cps.swap_remove(c);
+                    }
+                }
+                8 => {
+                    // A new page: a buffer written in full by hand.
+                    let mut page = PageBuf::new_page();
+                    let text = [id as u8 + 1; 5];
+                    page.get_mut().expect("a new page is unshared")[..5].copy_from_slice(&text);
+                    let model = PageContent::Bytes(&text).materialize();
+                    let digest = vecycle::hash::page_digest(&model);
+                    mems[m].0.write_page_with_digest(pa, page, digest);
+                    mems[m].1[a as usize] = model;
+                }
                 _ => {
                     // Migrate memory `m` onto checkpoint `c`'s host.
                     let strategy = Strategy::vecycle_from_checkpoint(&cps[c].0);
@@ -617,6 +636,7 @@ fn shared_pages_behave_like_private_copies() {
             }
             // Bytes of every image after every step, digests of the
             // memory the step addressed; every image's once more below.
+            let m = m.min(mems.len() - 1);
             let checked =
                 check_bytes(&mems, &cps).and_then(|()| check_digests(&mems[m].0, &mems[m].1));
             assert_eq!(checked, Ok(()), "after op {op}");

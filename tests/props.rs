@@ -63,7 +63,7 @@ fn indexes_agree() {
         let ds = digests(&mut rng, 64, 127);
         let mut model: BTreeMap<PageDigest, PageIndex> = BTreeMap::new();
         for (i, &d) in ds.iter().enumerate() {
-            model.entry(d).or_insert(PageIndex::new(i as u64));
+            model.entry(d).or_insert_with(|| PageIndex::new(i as u64));
         }
         let index = ChecksumIndex::from_pages(&ds);
         assert_eq!(index.distinct(), model.len());
