@@ -211,7 +211,8 @@ fn source_mid_bulk_kill() -> (String, PartialCheckpoint) {
     let (mut guest, mut workload) = scenario::live_guest(&spec, &initial).expect("guest");
     let kill = KillSwitch::inert();
     let mut writes = Writes::default();
-    let mut sink = SocketSink::new(&mut writes, &kill, |_| {});
+    let mut chunk = Vec::new();
+    let mut sink = SocketSink::new(&mut writes, &mut chunk, &kill, |_| {});
     scenario::engine_for(&spec)
         .migrate_live_into(&mut guest, &mut workload, strategy, &mut sink)
         .expect("streamed run");

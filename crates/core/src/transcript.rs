@@ -104,10 +104,15 @@ impl LiveTranscript {
 
 /// Checks every `Full` payload of `transcript` against its attached
 /// checksum, all pages in one multi-lane batch — the one time the
-/// destination digests a received page.
+/// destination digests a received page. Both lists are sized once, to
+/// the `Full` messages counted first.
 fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
-    let mut attached = Vec::new();
-    let mut payloads: Vec<&[u8]> = Vec::new();
+    let fulls = transcript
+        .iter()
+        .filter(|msg| matches!(msg, PageMsg::Full { .. }))
+        .count();
+    let mut attached = Vec::with_capacity(fulls);
+    let mut payloads: Vec<&[u8]> = Vec::with_capacity(fulls);
     for msg in transcript {
         if let PageMsg::Full { idx, digest, bytes } = msg {
             let bytes = bytes.as_deref().ok_or_else(|| Error::Corrupt {

@@ -12,15 +12,17 @@
 //! The session opens in one flight each way. HELLO‖JOB arrive
 //! together; a wrong magic, version or role is refused with ERR before
 //! the JOB is read. HELLO_ACK means "accepted": it goes out once the job
-//! validated, our state is built and the host is claimed, through one
-//! 64 KiB chunk with any bulk exchange ([`accept`]: the digests,
+//! validated, our state is built and the host is claimed, through the
+//! connection's lent write chunk, 64 KiB a write, with any bulk
+//! exchange ([`accept`]: the digests,
 //! ascending (protocol 7), of the index the stream probes — [`scenario::offer`]'s: a
 //! vecycle job's checkpoint, at a retry epoch the landed pages). DONE
 //! is our content hash; a mismatch with COMPLETE's fails our session
 //! after DONE is sent, and the source's on receipt.
 //!
 //! Every byte of the session — HELLO to COMPLETE — is read through the
-//! connection's one [`SessionStream`], so [`receive_stream`] costs a
+//! connection's one [`SessionStream`], over the read buffer of the set
+//! it borrowed from the daemon's pool, so [`receive_stream`] costs a
 //! `read` per 64 KiB of stream, not two per message, and no message
 //! allocates: the decoder checks a full page against its digest's
 //! filler and hands over `idx ‖ digest`, before the page lands. Reading
@@ -72,11 +74,14 @@ pub(crate) const PARTIALS_CAP: usize = 16;
 type Key = (u64, u64);
 
 /// Runs one inbound migration session whose HELLO frame has already
-/// been read, returning the source's job id. On an error the caller owes
-/// the peer a best-effort ERR frame before the connection drops.
+/// been read, returning the source's job id; `chunk` is the
+/// connection's write chunk, which [`accept`] writes through. On an
+/// error the caller owes the peer a best-effort ERR frame before the
+/// connection drops.
 pub(crate) fn session(
     state: &DaemonState,
-    s: &mut SessionStream<Stream>,
+    s: &mut SessionStream<&mut Stream>,
+    chunk: &mut Vec<u8>,
     hello: Frame,
 ) -> Result<u64, DaemonError> {
     // A wrong magic, version or role is refused before the JOB is read,
@@ -114,7 +119,7 @@ pub(crate) fn session(
     let landed = retry.as_ref().map(|(p, _)| p);
     let checkpoint = initial.as_ref().map_or(&[][..], DigestMemory::as_slice);
     let index = scenario::offer(&spec, checkpoint, landed);
-    let sent = accept(s, index.as_ref());
+    let sent = accept(s, index.as_ref(), chunk);
 
     let (partial, log, sent) = match retry {
         Some((partial, log)) => (Some(partial), log, sent),
@@ -181,22 +186,28 @@ pub(crate) fn session(
 }
 
 /// Accepts the job: writes HELLO_ACK and, if we offer an index, the
-/// bulk exchange of its distinct digests through one chunk of at most
-/// [`SESSION_BUF`] (64 KiB), and flushes.
+/// bulk exchange of its distinct digests through `chunk`, at most
+/// [`SESSION_BUF`] (64 KiB) a write, and flushes. `chunk` is emptied
+/// first; one with less room than the reply's first write grows once.
 ///
 /// # Errors
 ///
 /// The first error writing to `w`.
-pub fn accept<W: Write>(w: &mut W, index: Option<&ChecksumIndex>) -> std::io::Result<()> {
+pub fn accept<W: Write>(
+    w: &mut W,
+    index: Option<&ChecksumIndex>,
+    chunk: &mut Vec<u8>,
+) -> std::io::Result<()> {
     let bulk = index.map_or(0, |i| wire::bulk_exchange(i.distinct() as u64).as_u64());
     let reply = (frame_cost(proto::HELLO_LEN) + bulk) as usize;
-    let mut chunk = Vec::with_capacity(reply.min(SESSION_BUF));
+    chunk.clear();
+    chunk.reserve(reply.min(SESSION_BUF));
     let ack = proto::hello_payload(proto::VERSION, ROLE_DEST);
-    write_frame(&mut chunk, kind::HELLO_ACK, &ack)?;
+    write_frame(chunk, kind::HELLO_ACK, &ack)?;
     if let Some(index) = index {
-        wiremsg::write_bulk_exchange(index.distinct_digests(), &mut chunk, w)?;
+        wiremsg::write_bulk_exchange(index.distinct_digests(), chunk, SESSION_BUF, w)?;
     }
-    w.write_all(&chunk)?;
+    w.write_all(chunk)?;
     w.flush()
 }
 

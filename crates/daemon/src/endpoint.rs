@@ -1,12 +1,17 @@
-//! TCP / Unix-socket addressing, the byte-counting stream wrapper and
-//! the session-long buffered reader over it.
+//! TCP / Unix-socket addressing, the byte-counting stream wrapper, the
+//! session-long buffered reader over it and the pool of buffers
+//! sessions borrow.
 
 use std::fmt;
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::Duration;
+
+use vecycle_obs::{CounterFamily, MetricsRegistry};
+use vecycle_types::sync;
 
 /// Where a daemon listens or a client connects: loopback/LAN TCP or a
 /// filesystem Unix socket. Parsed from `unix:<path>` or `host:port`.
@@ -258,9 +263,16 @@ pub const SESSION_BUF: usize = 64 * 1024;
 
 /// One side's view of a connection for the whole session: every frame
 /// and every wire message, first HELLO to DONE, is read through one
-/// [`SESSION_BUF`] buffer, so the data plane costs a `read` per buffer
-/// and not two per message. Writes bypass it and go straight to the
-/// counted stream.
+/// borrowed [`SESSION_BUF`] buffer, so the data plane costs a `read` per
+/// buffer and not two per message. Writes bypass it and go straight to
+/// the counted stream.
+///
+/// The buffer is lent, not owned: a daemon takes it from its pool of
+/// session buffer sets and puts it back when the connection ends, so a
+/// steady-state session allocates none. Whatever the buffer held before
+/// is never read — a new stream starts empty — and a read at least as
+/// large as the buffer, with nothing buffered, goes straight to the
+/// socket, as `std::io::BufReader`'s does.
 ///
 /// Reading ahead cannot swallow bytes meant for someone else: the
 /// connection has one reader per side for its whole life, and each
@@ -268,60 +280,168 @@ pub const SESSION_BUF: usize = 64 * 1024;
 /// peer answers. The counters sit *under* the buffer, so `rx` is socket
 /// bytes, and at session end — buffer drained — what the ledger oracle
 /// reconciles.
-pub struct SessionStream<S> {
-    r: BufReader<CountingStream<S>>,
+pub struct SessionStream<'b, S> {
+    inner: CountingStream<S>,
+    buf: &'b mut [u8],
+    /// Next unread byte of `buf`.
+    pos: usize,
+    /// End of the bytes the last socket read put in `buf`.
+    filled: usize,
 }
 
-impl<S: Read> SessionStream<S> {
-    /// Wraps `inner` with zeroed counters and an empty read buffer.
-    pub fn new(inner: S) -> Self {
+impl<'b, S: Read> SessionStream<'b, S> {
+    /// Wraps `inner` with zeroed counters, reading through `buf`, which
+    /// starts empty whatever it holds.
+    pub fn new(inner: S, buf: &'b mut [u8]) -> Self {
         SessionStream {
-            r: BufReader::with_capacity(
-                SESSION_BUF,
-                CountingStream {
-                    inner,
-                    tx: 0,
-                    rx: 0,
-                },
-            ),
+            inner: CountingStream {
+                inner,
+                tx: 0,
+                rx: 0,
+            },
+            buf,
+            pos: 0,
+            filled: 0,
         }
     }
 }
 
-impl<S> SessionStream<S> {
+impl<S> SessionStream<'_, S> {
     /// Bytes written to the stream so far.
     pub fn tx(&self) -> u64 {
-        self.r.get_ref().tx
+        self.inner.tx
     }
 
     /// Bytes read from the stream so far (read-ahead included).
     pub fn rx(&self) -> u64 {
-        self.r.get_ref().rx
+        self.inner.rx
     }
 
     /// Bytes read from the stream but not yet consumed by a decoder.
     pub fn buffered(&self) -> usize {
-        self.r.buffer().len()
+        self.filled - self.pos
     }
 }
 
-impl<S: Read> Read for SessionStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.r.read(buf)
+impl<S: Read> Read for SessionStream<'_, S> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        if self.pos == self.filled {
+            if out.len() >= self.buf.len() {
+                return self.inner.read(out);
+            }
+            self.filled = self.inner.read(self.buf)?;
+            self.pos = 0;
+        }
+        let n = out.len().min(self.filled - self.pos);
+        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
     }
 
-    fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
-        self.r.read_exact(buf)
+    #[inline]
+    fn read_exact(&mut self, mut out: &mut [u8]) -> std::io::Result<()> {
+        if out.len() <= self.filled - self.pos {
+            out.copy_from_slice(&self.buf[self.pos..self.pos + out.len()]);
+            self.pos += out.len();
+            return Ok(());
+        }
+        while !out.is_empty() {
+            match self.read(out) {
+                Ok(0) => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "failed to fill whole buffer",
+                    ))
+                }
+                Ok(n) => out = &mut out[n..],
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
-impl<S: Write> Write for SessionStream<S> {
+impl<S: Write> Write for SessionStream<'_, S> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.r.get_mut().write(buf)
+        self.inner.write(buf)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.r.get_mut().flush()
+        self.inner.flush()
+    }
+}
+
+/// The buffers one connection reads and writes through: a
+/// [`SESSION_BUF`] read buffer for its [`SessionStream`] and a write
+/// chunk with room for 64 full-page messages — a source's sink chunk,
+/// a destination's HELLO_ACK and exchange.
+#[derive(Default)]
+pub(crate) struct BufferSet {
+    pub read: Box<[u8]>,
+    pub chunk: Vec<u8>,
+}
+
+/// A daemon's free list of [`BufferSet`]s, so a steady-state session
+/// allocates no I/O buffer. Every session and control connection takes
+/// a set when it starts ([`BufferPool::lend`]), and the guard puts it
+/// back on every way out. The list keeps at most `cap` sets; one
+/// returned past that is freed.
+pub(crate) struct BufferPool {
+    free: Mutex<Vec<BufferSet>>,
+    cap: usize,
+    /// `daemon_session_buffers_total{op}` over `reused` / `allocated`.
+    taken: CounterFamily,
+}
+
+impl BufferPool {
+    /// An empty list of at most `cap` sets, counting into `metrics`.
+    pub(crate) fn new(cap: usize, metrics: &MetricsRegistry) -> Self {
+        let taken = CounterFamily::new(
+            metrics,
+            "daemon_session_buffers_total",
+            "op",
+            &["reused", "allocated"],
+        );
+        // Resolved now, so no take pays for a series key.
+        taken.at(0);
+        taken.at(1);
+        BufferPool {
+            free: Mutex::new(Vec::with_capacity(cap)),
+            cap,
+            taken,
+        }
+    }
+
+    /// A set off the list, or a new one; it goes back when the guard
+    /// drops.
+    pub(crate) fn lend(&self) -> Lent<'_> {
+        let set = sync::lock(&self.free).pop();
+        self.taken.at(usize::from(set.is_none())).inc(1);
+        let set = set.unwrap_or_else(|| BufferSet {
+            read: vec![0; SESSION_BUF].into_boxed_slice(),
+            chunk: Vec::with_capacity(crate::source::chunk_capacity()),
+        });
+        Lent { pool: self, set }
+    }
+}
+
+/// A [`BufferSet`] on loan from a [`BufferPool`]. Dropping it empties
+/// the chunk and returns the set, whether the connection ended well,
+/// failed or unwound.
+pub(crate) struct Lent<'a> {
+    pool: &'a BufferPool,
+    pub set: BufferSet,
+}
+
+impl Drop for Lent<'_> {
+    fn drop(&mut self) {
+        let mut set = std::mem::take(&mut self.set);
+        set.chunk.clear();
+        let mut free = sync::lock(&self.pool.free);
+        if free.len() < self.pool.cap {
+            free.push(set);
+        }
     }
 }
 
@@ -372,6 +492,106 @@ mod tests {
         let again = ep.bind().unwrap();
         drop(again);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Hands out `data` at most `steps[n % steps.len()]` bytes at the
+    /// `n`-th read, counting reads.
+    struct Chunky<'a> {
+        data: &'a [u8],
+        steps: &'a [usize],
+        reads: usize,
+    }
+
+    impl Read for Chunky<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let step = self.steps[self.reads % self.steps.len()];
+            let n = step.min(out.len()).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            self.reads += 1;
+            Ok(n)
+        }
+    }
+
+    /// A read of up to `n` bytes, or a `read_exact` of `n`.
+    #[derive(Clone, Copy)]
+    enum Op {
+        Read(usize),
+        Exact(usize),
+    }
+
+    /// What each op returned, or the kind of error it failed with.
+    fn drive(r: &mut impl Read, ops: &[Op]) -> Vec<Result<Vec<u8>, std::io::ErrorKind>> {
+        ops.iter()
+            .map(|&op| match op {
+                Op::Read(n) => {
+                    let mut out = vec![0; n];
+                    let got = r.read(&mut out).map_err(|e| e.kind())?;
+                    out.truncate(got);
+                    Ok(out)
+                }
+                Op::Exact(n) => {
+                    let mut out = vec![0; n];
+                    r.read_exact(&mut out).map_err(|e| e.kind())?;
+                    Ok(out)
+                }
+            })
+            .collect()
+    }
+
+    /// The session reader behaves as `std::io::BufReader` of the same
+    /// capacity over the same source: the same bytes and errors from
+    /// every op, the same reads on the source, the same bytes left
+    /// buffered — over short reads, reads at least as large as the
+    /// buffer, `read_exact` across refills and past EOF. Its counter is
+    /// what the source handed out, and a buffer's old bytes never show.
+    #[test]
+    fn the_session_reader_matches_bufreader() {
+        use Op::{Exact, Read as R};
+        let data: Vec<u8> = (0..300u16).map(|i| (i * 7 + 3) as u8).collect();
+        let ops = [
+            Exact(5),
+            R(4),
+            Exact(20),
+            R(32),
+            Exact(16),
+            R(1),
+            Exact(40),
+            R(100),
+            Exact(3),
+            R(17),
+            Exact(500),
+            R(8),
+            Exact(1),
+        ];
+        for steps in [&[300][..], &[1], &[3], &[7, 1, 40], &[16, 5], &[64, 0, 2]] {
+            let mut std_reader = std::io::BufReader::with_capacity(
+                16,
+                Chunky {
+                    data: &data,
+                    steps,
+                    reads: 0,
+                },
+            );
+            let want = drive(&mut std_reader, &ops);
+            let mut buf = [0xAA; 16];
+            let source = Chunky {
+                data: &data,
+                steps,
+                reads: 0,
+            };
+            let mut s = SessionStream::new(source, &mut buf);
+            assert_eq!(drive(&mut s, &ops), want, "steps {steps:?}");
+            let left = s.inner.inner.data.len();
+            assert_eq!(s.rx(), (data.len() - left) as u64, "steps {steps:?}");
+            assert_eq!(s.buffered(), std_reader.buffer().len(), "steps {steps:?}");
+            assert_eq!(
+                s.inner.inner.reads,
+                std_reader.get_ref().reads,
+                "steps {steps:?}"
+            );
+            assert!(want.iter().any(Result::is_err), "some op reads past EOF");
+        }
     }
 
     #[test]

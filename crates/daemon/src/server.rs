@@ -29,7 +29,7 @@ use vecycle_sim::ScenarioSpec;
 use vecycle_types::{sync, HostId};
 
 use crate::control::{self, CtrlRequest, CtrlResponse};
-use crate::endpoint::{Listener, SessionStream, Stream};
+use crate::endpoint::{BufferPool, BufferSet, Listener, SessionStream, Stream};
 use crate::frame::{kind, read_frame, send_err, write_frame, MAX_PAYLOAD};
 use crate::queue::{JobRecord, Queue};
 use crate::{dest, source, DaemonError, Endpoint};
@@ -130,6 +130,9 @@ pub(crate) struct DaemonState {
     /// (inert in normal operation).
     pub kill: KillSwitch,
     pub config: DaemonConfig,
+    /// The session buffer sets connections borrow; it keeps at most
+    /// two a worker.
+    pub buffers: BufferPool,
     /// `daemon_connections_total{transport}`, one per connection.
     connections: Counter,
     /// `daemon_sessions_total{result}` over `ok` / `err`.
@@ -138,7 +141,7 @@ pub(crate) struct DaemonState {
 
 impl DaemonState {
     /// The state serving `config` over `queue`, with its per-connection
-    /// counters resolved against the queue's registry.
+    /// and buffer-pool counters resolved against the queue's registry.
     pub(crate) fn new(queue: Queue, kill: KillSwitch, config: DaemonConfig) -> Self {
         let metrics = queue.metrics.clone();
         let transport = [("transport", config.listen.transport())];
@@ -150,6 +153,7 @@ impl DaemonState {
                 "result",
                 &["ok", "err"],
             ),
+            buffers: BufferPool::new(2 * config.workers, &metrics),
             metrics,
             queue,
             locks: HostLocks::default(),
@@ -388,7 +392,12 @@ fn spawn_handler(
 
 /// Routes one connection by its first frame: HELLO → migration
 /// session, CTRL → operator RPC loop, anything else → ERR.
-fn handle_connection(state: &Arc<DaemonState>, stream: Stream) {
+///
+/// The connection borrows a buffer set for its whole life and returns
+/// it before the socket closes and before the session is counted, so a
+/// peer that has seen the close, or a reader of the counters, finds the
+/// set back on the list.
+fn handle_connection(state: &Arc<DaemonState>, mut stream: Stream) {
     state.connections.inc(1);
     if stream
         .set_io_timeout(Some(state.config.io_timeout))
@@ -396,31 +405,45 @@ fn handle_connection(state: &Arc<DaemonState>, stream: Stream) {
     {
         return;
     }
-    // The connection's one reader, from this first frame to the last.
-    let mut s = SessionStream::new(stream);
-    let first = match read_frame(&mut s, MAX_PAYLOAD) {
+    let session = {
+        let mut lent = state.buffers.lend();
+        let BufferSet { read, chunk } = &mut lent.set;
+        // The connection's one reader, from this first frame to the last.
+        serve(state, &mut SessionStream::new(&mut stream, read), chunk)
+    };
+    if let Some((result, line)) = session {
+        state.sessions.of(result).inc(1);
+        state.queue.note(line);
+    }
+}
+
+/// Serves one connection through `s` and `chunk`, returning a migration
+/// session's result label and log line.
+fn serve(
+    state: &DaemonState,
+    s: &mut SessionStream<&mut Stream>,
+    chunk: &mut Vec<u8>,
+) -> Option<(&'static str, String)> {
+    let first = match read_frame(s, MAX_PAYLOAD) {
         Ok(f) => f,
         Err(e) => {
             state.metrics.inc("daemon_protocol_errors_total", &[], 1);
-            send_err(&mut s, &e.to_string());
-            return;
+            send_err(s, &e.to_string());
+            return None;
         }
     };
     match first.kind {
-        kind::HELLO => {
-            let session = dest::session(state, &mut s, first);
-            let result = if session.is_ok() { "ok" } else { "err" };
-            state.sessions.of(result).inc(1);
-            let line = match session {
-                Ok(job) => format!("session job={job} ok rx={} tx={}", s.rx(), s.tx()),
-                Err(e) => {
-                    send_err(&mut s, &e.to_string());
-                    state.metrics.inc("daemon_protocol_errors_total", &[], 1);
-                    format!("session err: {e}")
-                }
-            };
-            state.queue.note(line);
-        }
+        kind::HELLO => Some(match dest::session(state, s, chunk, first) {
+            Ok(job) => (
+                "ok",
+                format!("session job={job} ok rx={} tx={}", s.rx(), s.tx()),
+            ),
+            Err(e) => {
+                send_err(s, &e.to_string());
+                state.metrics.inc("daemon_protocol_errors_total", &[], 1);
+                ("err", format!("session err: {e}"))
+            }
+        }),
         kind::CTRL => {
             let mut frame = first;
             loop {
@@ -429,27 +452,25 @@ fn handle_connection(state: &Arc<DaemonState>, stream: Stream) {
                         control::dispatch(state, &req).unwrap_or_else(|e| CtrlResponse::err(&e))
                     }
                     Err(e) => {
-                        send_err(&mut s, &format!("control request JSON: {e}"));
-                        return;
+                        send_err(s, &format!("control request JSON: {e}"));
+                        return None;
                     }
                 };
                 let json = serde_json::to_string(&resp).expect("control response serializes");
-                if write_frame(&mut s, kind::CTRL_OK, json.as_bytes()).is_err() {
-                    return;
+                if write_frame(s, kind::CTRL_OK, json.as_bytes()).is_err() {
+                    return None;
                 }
                 let _ = s.flush();
-                frame = match read_frame(&mut s, MAX_PAYLOAD) {
+                frame = match read_frame(s, MAX_PAYLOAD) {
                     Ok(f) if f.kind == kind::CTRL => f,
-                    _ => return,
+                    _ => return None,
                 };
             }
         }
         other => {
             state.metrics.inc("daemon_protocol_errors_total", &[], 1);
-            send_err(
-                &mut s,
-                &format!("unexpected opening frame kind {other:#04x}"),
-            );
+            send_err(s, &format!("unexpected opening frame kind {other:#04x}"));
+            None
         }
     }
 }
@@ -561,7 +582,8 @@ mod tests {
             let held: Vec<Stream> = (0..MAX_LIVE_THREADS)
                 .map(|_| ep.connect().expect("connect"))
                 .collect();
-            let mut extra = SessionStream::new(ep.connect().expect("connect"));
+            let mut buf = [0; 64];
+            let mut extra = SessionStream::new(ep.connect().expect("connect"), &mut buf);
             let refused = read_frame(&mut extra, MAX_PAYLOAD).expect("an ERR frame");
             assert_eq!(refused.kind, kind::ERR, "{transport}");
             let refusals = daemon

@@ -12,12 +12,14 @@
 //! structural, and the interesting cross-process property is the
 //! byte/ledger reconciliation.
 //!
-//! Buffers: outbound, one chunk per session, allocated at the most a
-//! chunk can hold (64 full pages) and reused for every write; a message
-//! is encoded straight into it — a full page's filler from its digest —
-//! so no page message allocates. (The opening flight and the control
-//! frames are small buffers of their own.) Inbound, the session's one
-//! [`SessionStream`], through which every reply frame and the bulk
+//! Buffers: the session borrows one set from the daemon's pool and
+//! gives it back however it ends (`endpoint::BufferPool`). Outbound, its
+//! chunk, sized once at the most a chunk can hold (64 full pages) and
+//! reused for every write; a message is encoded straight into it — a
+//! full page's filler from its digest — so no page message allocates.
+//! (The opening flight and the control frames are small buffers of
+//! their own.) Inbound, the session's one [`SessionStream`] over the
+//! set's read buffer, through which every reply frame and the bulk
 //! checksum exchange are read (the exchange in 16 KiB steps, not one
 //! `read` per digest), straight into the source's index, with no other
 //! list of the digests held ([`receive_exchange`]): ascending, protocol 7.
@@ -46,7 +48,7 @@ use vecycle_net::{wire, wiremsg, WireMsg};
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{Bytes, PageDigest};
 
-use crate::endpoint::{SessionStream, SESSION_BUF};
+use crate::endpoint::{BufferSet, SessionStream, SESSION_BUF};
 use crate::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use crate::proto::{
     self, expect_kind, forward_overhead, reverse_overhead, JobMsg, ROLE_DEST, ROLE_SOURCE,
@@ -108,9 +110,12 @@ pub(crate) fn run_job(
     let config = &state.config;
     let stream = peer.connect()?;
     stream.set_io_timeout(Some(config.io_timeout))?;
+    // The session's buffers, back on the daemon's list however it ends.
+    let mut lent = state.buffers.lend();
+    let BufferSet { read, chunk } = &mut lent.set;
     // The session's one reader: every frame and the bulk exchange come
     // through its buffer; writes go straight to the counted socket.
-    let mut s = SessionStream::new(stream);
+    let mut s = SessionStream::new(stream, read);
 
     // One flight: HELLO‖JOB in one write. The destination answers only
     // once it has validated the job, built its state and claimed its
@@ -152,7 +157,7 @@ pub(crate) fn run_job(
     // prices, and each round's Control header is the RoundEnd/StopEnd
     // delimiter — the forward ledger total IS the data-plane byte count.
     let strategy = scenario::wire_strategy(spec, index)?;
-    let mut sink = SocketSink::new(&mut s, &state.kill, |landed| {
+    let mut sink = SocketSink::new(&mut s, chunk, &state.kill, |landed| {
         state.queue.progress(job_id, landed);
     });
     let outcome = scenario::engine_for(spec).migrate_live_into(
@@ -256,6 +261,14 @@ pub fn receive_exchange<R: Read>(
     })?)
 }
 
+/// The most a [`SocketSink`] chunk holds: it is written once it has
+/// `STREAM_CHUNK` messages and [`SESSION_BUF`] bytes, so at most
+/// `STREAM_CHUNK` full pages — or, past that many messages, under one
+/// full page more than `SESSION_BUF`, which is less.
+pub(crate) fn chunk_capacity() -> usize {
+    STREAM_CHUNK * wire::full_page_msg().as_u64() as usize
+}
+
 /// The daemon's [`MsgSink`]: encodes each engine message into its
 /// chunk and writes the chunk once it holds at least [`SESSION_BUF`]
 /// bytes and 64 (`STREAM_CHUNK`) messages (a checksum stream writes
@@ -272,7 +285,7 @@ pub struct SocketSink<'a, W: Write, P: FnMut(u64)> {
     w: W,
     kill: &'a KillSwitch,
     progress: P,
-    buf: Vec<u8>,
+    buf: &'a mut Vec<u8>,
     in_buf: usize,
     /// Stream messages sent so far.
     position: u64,
@@ -280,18 +293,18 @@ pub struct SocketSink<'a, W: Write, P: FnMut(u64)> {
 }
 
 impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
-    /// A sink streaming a transfer from message 0.
-    pub fn new(w: W, kill: &'a KillSwitch, mut progress: P) -> Self {
+    /// A sink streaming a transfer from message 0 through `chunk`,
+    /// which it empties and, if it has less room, grows once to the most
+    /// a chunk holds (64 full pages).
+    pub fn new(w: W, chunk: &'a mut Vec<u8>, kill: &'a KillSwitch, mut progress: P) -> Self {
         progress(0);
+        chunk.clear();
+        chunk.reserve(chunk_capacity());
         SocketSink {
             w,
             kill,
             progress,
-            // The most a chunk holds: it is written once it has
-            // STREAM_CHUNK messages and SESSION_BUF bytes, so at most
-            // STREAM_CHUNK full pages — or, past that many messages,
-            // under one full page more than SESSION_BUF, which is less.
-            buf: Vec::with_capacity(STREAM_CHUNK * wire::full_page_msg().as_u64() as usize),
+            buf: chunk,
             in_buf: 0,
             position: 0,
             error: None,
@@ -314,7 +327,7 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
             return;
         }
         self.kill.hit(KillRole::Source, KillPoint::MidBulk);
-        msg.encode(&mut self.buf);
+        msg.encode(self.buf);
         self.in_buf += 1;
         self.position += 1;
         if self.in_buf >= STREAM_CHUNK && self.buf.len() >= SESSION_BUF {
@@ -329,7 +342,7 @@ impl<'a, W: Write, P: FnMut(u64)> SocketSink<'a, W, P> {
         if self.in_buf > 0 && self.error.is_none() {
             self.error = self
                 .w
-                .write_all(&self.buf)
+                .write_all(self.buf)
                 .and_then(|()| self.w.flush())
                 .err();
         }

@@ -16,7 +16,7 @@ use vecycle_checkpoint::{Checkpoint, CheckpointData, ChecksumIndex, EvictionPoli
 
 use vecycle_cli::args::{parse_duration, parse_faults, parse_link, parse_size};
 use vecycle_daemon::control::CtrlRequest;
-use vecycle_daemon::endpoint::SessionStream;
+use vecycle_daemon::endpoint::{SessionStream, SESSION_BUF};
 use vecycle_daemon::journal::{self, Replay, WalRecord};
 use vecycle_daemon::proto::{self, JobMsg};
 use vecycle_daemon::queue::{JobRecord, Queue};
@@ -1141,8 +1141,9 @@ fn readers_agree<T: PartialEq + std::fmt::Debug>(
         |r| r.pos,
         next,
     );
+    let mut buf = vec![0; SESSION_BUF];
     let session = drain(
-        &mut SessionStream::new(input),
+        &mut SessionStream::new(input, &mut buf),
         |s| s.rx() as usize - s.buffered(),
         next,
     );

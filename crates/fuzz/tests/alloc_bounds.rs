@@ -32,18 +32,25 @@ use vecycle_types::{
     DigestMap, HostId, PageCount, PageDigest, PageIndex, SimDuration, SimTime, VmId, PAGE_SIZE,
 };
 
-/// The fuzzer's per-thread meter, plus two process-wide counts of every
+/// The fuzzer's per-thread meter, plus process-wide counts of every
 /// thread's requests: a daemon job allocates on threads no meter is
 /// armed on.
 struct Everywhere(CountingAlloc);
 
 static EVERY_BYTES: AtomicU64 = AtomicU64::new(0);
 static EVERY_CALLS: AtomicU64 = AtomicU64::new(0);
+static SET_SHAPED: AtomicU64 = AtomicU64::new(0);
+
+/// A session buffer set's write chunk: room for 64 full-page messages.
+const SET_CHUNK: usize = 64 * 4124;
 
 impl Everywhere {
-    fn record(size: usize) {
+    fn record(size: usize, zeroed: bool) {
         EVERY_BYTES.fetch_add(size as u64, Ordering::Relaxed);
         EVERY_CALLS.fetch_add(1, Ordering::Relaxed);
+        if size == SET_CHUNK || (zeroed && size == SESSION_BUF) {
+            SET_SHAPED.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// `(bytes, calls)` requested so far by every thread.
@@ -51,18 +58,24 @@ impl Everywhere {
         let bytes = EVERY_BYTES.load(Ordering::Relaxed);
         (bytes, EVERY_CALLS.load(Ordering::Relaxed))
     }
+
+    /// Requests so far, by every thread, shaped like a session buffer
+    /// set's: a write chunk, or a zeroed [`SESSION_BUF`] read buffer.
+    fn set_shaped() -> u64 {
+        SET_SHAPED.load(Ordering::Relaxed)
+    }
 }
 
 // SAFETY: every operation is forwarded unchanged to `CountingAlloc`,
 // which defers to `System`; the two counters never allocate.
 unsafe impl GlobalAlloc for Everywhere {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Everywhere::record(layout.size());
+        Everywhere::record(layout.size(), false);
         self.0.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Everywhere::record(layout.size());
+        Everywhere::record(layout.size(), true);
         self.0.alloc_zeroed(layout)
     }
 
@@ -71,7 +84,7 @@ unsafe impl GlobalAlloc for Everywhere {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Everywhere::record(new_size);
+        Everywhere::record(new_size, false);
         self.0.realloc(ptr, layout, new_size)
     }
 }
@@ -449,7 +462,9 @@ fn spans_over_seen_strings_request_only_arena_growth() {
 /// One cold `full` job of `ram_mib` through the daemon's data plane, on
 /// this thread: the engine into a [`SocketSink`] over a `Vec` sized for
 /// the stream, then [`receive_stream`] from a [`SessionStream`] over
-/// those bytes. Returns what each side asked the allocator for.
+/// those bytes, each end through buffers lent to it as a daemon's pool
+/// lends them — allocated before the meter runs. Returns what each side
+/// asked the allocator for.
 fn cold_full_job(ram_mib: u64) -> (AllocStats, AllocStats) {
     let mut spec = ScenarioSpec::golden(0xa110c);
     (spec.ram_mib, spec.warm) = (ram_mib, false);
@@ -457,11 +472,12 @@ fn cold_full_job(ram_mib: u64) -> (AllocStats, AllocStats) {
     let initial = scenario::initial_memory(&spec).unwrap();
     let engine = scenario::engine_for(&spec);
     let kill = KillSwitch::inert();
-    let stream = |bytes: &mut Vec<u8>| {
+    let mut chunk = Vec::new();
+    let mut stream = |bytes: &mut Vec<u8>| {
         let (mut guest, mut workload) = scenario::live_guest(&spec, &initial).unwrap();
         let strategy = scenario::wire_strategy(&spec, None).unwrap();
         metered(|| {
-            let mut sink = SocketSink::new(&mut *bytes, &kill, |_| {});
+            let mut sink = SocketSink::new(&mut *bytes, &mut chunk, &kill, |_| {});
             engine
                 .migrate_live_into(&mut guest, &mut workload, strategy, &mut sink)
                 .unwrap();
@@ -469,9 +485,9 @@ fn cold_full_job(ram_mib: u64) -> (AllocStats, AllocStats) {
         })
         .1
     };
-    // A first run learns the stream's length (and interns the engine's
-    // metric names), so the metered one writes into a buffer that never
-    // grows.
+    // A first run learns the stream's length (interns the engine's
+    // metric names and sizes the chunk), so the metered one writes into
+    // buffers that never grow.
     let mut sized = Vec::new();
     stream(&mut sized);
     let mut bytes = Vec::with_capacity(sized.len());
@@ -479,8 +495,9 @@ fn cold_full_job(ram_mib: u64) -> (AllocStats, AllocStats) {
     assert_eq!(bytes, sized, "the stream is a function of the spec");
 
     let mut state = SessionState::fresh(&spec, &initial);
+    let mut read = vec![0; SESSION_BUF];
     let ((), dest) = metered(|| {
-        let mut s = SessionStream::new(bytes.as_slice());
+        let mut s = SessionStream::new(bytes.as_slice(), &mut read);
         receive_stream(&mut s, None, &mut state, &kill, &mut ()).unwrap();
     });
     assert!(state.finished());
@@ -488,29 +505,19 @@ fn cold_full_job(ram_mib: u64) -> (AllocStats, AllocStats) {
 }
 
 /// A full page crosses the daemon without touching the allocator. The
-/// source encodes it straight into its one chunk and the destination's
-/// decoder checks it on the stack, so a cold `full` job's only
-/// page-sized requests are the session's fixed buffers — the sink chunk,
-/// sized once for 64 full pages, and the read buffer — and doubling the
-/// guest adds at most a few table growth steps, not two allocations a
-/// page (each end's own copy of every page).
+/// source encodes it straight into its lent chunk and the destination's
+/// decoder checks it on the stack, so a cold `full` job through lent
+/// buffers makes no page-sized request at either end — the destination
+/// none at all — and doubling the guest adds at most a few table growth
+/// steps, not two allocations a page (each end's own copy of every
+/// page).
 #[test]
 fn a_cold_full_job_allocates_nothing_per_page() {
-    let chunk = 64 * wire::full_page_msg().as_u64();
     let (source16, dest16) = cold_full_job(16);
     let (source32, dest32) = cold_full_job(32);
     for (source, dest) in [(source16, dest16), (source32, dest32)] {
-        assert_eq!(
-            (source.page_sized, source.largest),
-            (1, chunk),
-            "the sink chunk only: {source:?}"
-        );
-        assert_eq!(
-            (dest.page_sized, dest.calls, dest.largest),
-            (1, 1, SESSION_BUF as u64),
-            "the read buffer only: {dest:?}"
-        );
-        assert_eq!(dest.requested, SESSION_BUF as u64, "{dest:?}");
+        assert_eq!(source.page_sized, 0, "{source:?}");
+        assert_eq!((dest.calls, dest.requested), (0, 0), "{dest:?}");
     }
     let (calls16, calls32) = (source16.calls + dest16.calls, source32.calls + dest32.calls);
     assert!(
@@ -639,10 +646,27 @@ fn an_index_costs_at_most_24_bytes_a_digest_and_refills_in_place() {
     }
 }
 
+/// Every write a [`Write`](std::io::Write) saw, by length.
+#[derive(Default)]
+struct Writes(Vec<u8>, Vec<usize>);
+
+impl std::io::Write for Writes {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.extend_from_slice(buf);
+        self.1.push(buf.len());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// The destination accepts a warm job through one chunk: HELLO_ACK and
-/// an exchange of several hundred KiB go out through one buffer of at
-/// most 64 KiB, byte for byte what a whole-message encode makes; a job
-/// with no exchange allocates a HELLO_ACK-sized one.
+/// an exchange of several hundred KiB go out through the connection's
+/// lent chunk, at most 64 KiB a write, byte for byte what a
+/// whole-message encode makes, and ask the allocator for HELLO_ACK's
+/// frame alone; so does a job with no exchange, through the same chunk.
 #[test]
 fn a_warm_acceptance_goes_through_one_chunk() {
     let mut spec = ScenarioSpec::golden(1);
@@ -652,23 +676,29 @@ fn a_warm_acceptance_goes_through_one_chunk() {
     let ack = proto::hello_payload(proto::VERSION, proto::ROLE_DEST);
     let mut whole = Vec::new();
     write_frame(&mut whole, kind::HELLO_ACK, &ack).unwrap();
-    let hello_ack = whole.len() as u64;
+    let hello_ack = whole.len();
     WireMsg::BulkExchange {
         digests: index.distinct_digests().collect(),
     }
     .encode(&mut whole);
     assert!(whole.len() > 8 * SESSION_BUF, "{} bytes", whole.len());
 
-    let mut sent = Vec::with_capacity(whole.len());
-    let ((), stats) = metered(|| accept(&mut sent, Some(&index)).unwrap());
-    assert_eq!(sent, whole);
-    assert_eq!(stats.largest, SESSION_BUF as u64, "{stats:?}");
-    assert_eq!(stats.requested, SESSION_BUF as u64 + hello_ack, "{stats:?}");
+    let mut chunk = Vec::with_capacity(64 * wire::full_page_msg().as_u64() as usize);
+    let mut sent = Writes(Vec::with_capacity(whole.len()), Vec::with_capacity(64));
+    let ((), stats) = metered(|| accept(&mut sent, Some(&index), &mut chunk).unwrap());
+    assert_eq!(sent.0, whole);
+    assert_eq!(
+        stats.requested, hello_ack as u64,
+        "the frame alone: {stats:?}"
+    );
+    assert!(sent.1.len() <= whole.len().div_ceil(SESSION_BUF) + 1);
+    assert!(sent.1.iter().all(|&n| n <= SESSION_BUF), "{:?}", sent.1);
 
-    sent.clear();
-    let ((), stats) = metered(|| accept(&mut sent, None).unwrap());
-    assert_eq!(sent, whole[..hello_ack as usize]);
-    assert_eq!(stats.requested, 2 * hello_ack, "{stats:?}");
+    let mut sent = Writes(Vec::with_capacity(hello_ack), Vec::with_capacity(1));
+    let ((), stats) = metered(|| accept(&mut sent, None, &mut chunk).unwrap());
+    assert_eq!(sent.0, whole[..hello_ack]);
+    assert_eq!(sent.1, [hello_ack]);
+    assert_eq!(stats.requested, hello_ack as u64, "{stats:?}");
 }
 
 /// Both ends hash their final digest list in place: the content hash
@@ -732,4 +762,59 @@ fn a_pair_job_allocates_the_same_every_time() {
         })
         .collect();
     assert!(pairs[2..].iter().all(|p| *p == pairs[1]), "{pairs:#?}");
+}
+
+/// A daemon's sessions reuse their I/O buffers. On one in-memory pair,
+/// once a warm-up job has lent each daemon a set, a cold 16 MiB job and
+/// a warm one make no request, on any thread, shaped like a set's
+/// buffers — no sink chunk, no read buffer, no accept chunk — and the
+/// pools count the reuse. A set dropped instead of returned fails this.
+/// The jobs run in a child process of this test binary, alone, so no
+/// other test's requests land in the count.
+#[test]
+fn steady_state_jobs_allocate_no_session_buffer() {
+    const NAME: &str = "steady_state_jobs_allocate_no_session_buffer";
+    if std::env::var_os("VECYCLE_ALLOC_EXACT_CHILD").is_none() {
+        let exe = std::env::current_exe().expect("the test binary");
+        let child = Command::new(exe)
+            .args(["--exact", NAME, "--test-threads=1"])
+            .env("VECYCLE_ALLOC_EXACT_CHILD", "1")
+            .output()
+            .expect("the child runs");
+        let out = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success() && out.contains("1 passed"), "{out}");
+        return;
+    }
+    assert_eq!(SET_CHUNK as u64, 64 * wire::full_page_msg().as_u64());
+    let cold = ScenarioSpec {
+        ram_mib: 16,
+        strategy: "full".into(),
+        warm: false,
+        ..ScenarioSpec::golden(4)
+    };
+    let warm = ScenarioSpec {
+        ram_mib: 16,
+        ..ScenarioSpec::golden(3)
+    };
+    let spawn = || Daemon::spawn(DaemonConfig::new(Endpoint::parse("127.0.0.1:0")).with_workers(1));
+    let (a, b) = (spawn().unwrap(), spawn().unwrap());
+    let run = |spec: &ScenarioSpec| {
+        let id = a.submit(spec.clone(), b.endpoint().clone()).unwrap();
+        let rec = a.wait_job(id, Duration::from_secs(60)).expect("terminal");
+        assert_eq!(rec.state, JobState::Done, "{}", rec.detail);
+    };
+    run(&warm);
+    let before = Everywhere::set_shaped();
+    run(&cold);
+    run(&warm);
+    let shaped = Everywhere::set_shaped() - before;
+    let taken = |d: &vecycle_daemon::DaemonHandle, op| {
+        d.metrics()
+            .counter("daemon_session_buffers_total", &[("op", op)])
+    };
+    let counts = [&a, &b].map(|d| (taken(d, "allocated"), taken(d, "reused")));
+    a.shutdown();
+    b.shutdown();
+    assert_eq!(shaped, 0, "set-shaped requests after the warm-up");
+    assert_eq!(counts, [(1, 2), (1, 2)], "(allocated, reused) at each end");
 }

@@ -80,7 +80,7 @@ impl TrafficLedger {
     }
 
     /// Messages recorded in one category.
-    pub fn messages_in(&self, category: TrafficCategory) -> u64 {
+    pub(crate) fn messages_in(&self, category: TrafficCategory) -> u64 {
         self.messages[Self::slot(category)]
     }
 

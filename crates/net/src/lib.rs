@@ -23,5 +23,5 @@ pub mod wiremsg;
 pub use ledger::{TrafficCategory, TrafficLedger};
 pub use link::LinkSpec;
 pub use netem::Netem;
-pub use obs::{observe_netem, LedgerSeries};
+pub use obs::LedgerSeries;
 pub use wiremsg::WireMsg;

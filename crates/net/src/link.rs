@@ -117,13 +117,6 @@ impl LinkSpec {
         self
     }
 
-    /// A copy of this link with a different one-way latency.
-    #[must_use]
-    pub(crate) fn with_latency(mut self, latency: SimDuration) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// The configured TCP window cap, if any.
     pub(crate) fn tcp_window(&self) -> Option<Bytes> {
         self.tcp_window

@@ -1,9 +1,10 @@
 //! [`Netem`]: emulated network impairments, as the paper's testbed used.
 //!
 //! §4.4: "We used netem to emulate the wide area network in our Linux
-//! benchmark environment." This module models what netem does to a TCP
-//! stream analytically: added delay, rate limiting, and random loss.
-//! Under loss, sustained TCP throughput follows the Mathis model,
+//! benchmark environment." The WAN's delay and rate are the link's own
+//! ([`LinkSpec::wan_cloudnet`]); this module models what netem's random
+//! loss does to a TCP stream, analytically: sustained TCP throughput
+//! follows the Mathis model,
 //! `BW ≈ (MSS / RTT) · (C / √p)` with `C ≈ 1.22` — the reason a few
 //! tenths of a percent of loss can hurt a WAN migration more than the
 //! advertised bandwidth suggests.
@@ -39,9 +40,7 @@ const MATHIS_C: f64 = 1.22;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Netem {
-    extra_delay: SimDuration,
     loss: f64,
-    rate_limit: Option<BytesPerSec>,
 }
 
 impl Netem {
@@ -50,19 +49,11 @@ impl Netem {
         Netem::default()
     }
 
-    /// Adds one-way delay (netem `delay`).
-    #[must_use]
-    pub fn delay(mut self, delay: SimDuration) -> Self {
-        self.extra_delay = delay;
-        self
-    }
-
     /// Sets the random loss probability (netem `loss`), `0 ≤ p < 1`.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is out of range (including NaN). Use
-    /// [`Netem::try_loss`] for a non-panicking variant.
+    /// Panics if `p` is out of range (including NaN).
     #[must_use]
     pub fn loss(self, p: f64) -> Self {
         match self.try_loss(p) {
@@ -80,7 +71,7 @@ impl Netem {
     ///
     /// Returns [`Error::InvalidConfig`] when `p` is NaN or outside
     /// `[0.0, 1.0)`.
-    pub fn try_loss(mut self, p: f64) -> Result<Self, Error> {
+    pub(crate) fn try_loss(mut self, p: f64) -> Result<Self, Error> {
         if !(0.0..1.0).contains(&p) {
             return Err(Error::InvalidConfig {
                 reason: format!("loss probability {p} out of [0,1)"),
@@ -90,31 +81,9 @@ impl Netem {
         Ok(self)
     }
 
-    /// Caps the link rate (netem `rate`).
-    #[must_use]
-    pub fn rate(mut self, rate: BytesPerSec) -> Self {
-        self.rate_limit = Some(rate);
-        self
-    }
-
-    /// The configured loss probability.
-    pub fn loss_probability(&self) -> f64 {
-        self.loss
-    }
-
-    /// The configured extra one-way delay.
-    pub fn extra_delay(&self) -> SimDuration {
-        self.extra_delay
-    }
-
-    /// The configured rate cap, if any.
-    pub fn rate_limit(&self) -> Option<BytesPerSec> {
-        self.rate_limit
-    }
-
     /// The sustained TCP throughput under this impairment for a flow
     /// with round-trip time `rtt` (Mathis et al., CCR 1997).
-    pub fn tcp_throughput(&self, rtt: SimDuration) -> Option<BytesPerSec> {
+    pub(crate) fn tcp_throughput(&self, rtt: SimDuration) -> Option<BytesPerSec> {
         if self.loss <= 0.0 {
             return None; // loss-free: the window/bandwidth cap governs
         }
@@ -125,23 +94,17 @@ impl Netem {
     /// Applies the impairment to a base link, producing the effective
     /// [`LinkSpec`] a migration experiences.
     pub fn apply(&self, base: LinkSpec) -> LinkSpec {
-        let latency = base.latency().saturating_add(self.extra_delay);
-        let mut bandwidth = base.bandwidth();
-        if let Some(cap) = self.rate_limit {
-            bandwidth = bandwidth.min(cap);
-        }
-        let mut link = base.with_bandwidth(bandwidth).with_latency(latency);
-        if let Some(tcp) = self.tcp_throughput(latency * 2) {
-            // Encode the Mathis ceiling as an equivalent TCP window so the
-            // LinkSpec arithmetic stays uniform.
-            let window = Bytes::new((tcp.as_f64() * latency.as_secs_f64() * 2.0) as u64);
-            let capped = match link.tcp_window() {
-                Some(existing) => existing.min(window),
-                None => window,
-            };
-            link = link.with_tcp_window(Some(capped));
-        }
-        link
+        let Some(tcp) = self.tcp_throughput(base.latency() * 2) else {
+            return base;
+        };
+        // Encode the Mathis ceiling as an equivalent TCP window so the
+        // LinkSpec arithmetic stays uniform.
+        let window = Bytes::new((tcp.as_f64() * base.latency().as_secs_f64() * 2.0) as u64);
+        let capped = match base.tcp_window() {
+            Some(existing) => existing.min(window),
+            None => window,
+        };
+        base.with_tcp_window(Some(capped))
     }
 }
 
@@ -153,16 +116,6 @@ mod tests {
     fn no_impairment_is_identity() {
         let base = LinkSpec::lan_gigabit();
         assert_eq!(Netem::new().apply(base), base);
-    }
-
-    #[test]
-    fn delay_adds_to_latency() {
-        let base = LinkSpec::lan_gigabit();
-        let slowed = Netem::new().delay(SimDuration::from_millis(27)).apply(base);
-        assert_eq!(
-            slowed.latency(),
-            base.latency() + SimDuration::from_millis(27)
-        );
     }
 
     #[test]
@@ -197,15 +150,6 @@ mod tests {
                 / base.effective_bandwidth().as_f64()
                 < 0.05
         );
-    }
-
-    #[test]
-    fn rate_limit_caps_bandwidth() {
-        let base = LinkSpec::lan_gigabit();
-        let limited = Netem::new()
-            .rate(BytesPerSec::from_mib_per_sec(10))
-            .apply(base);
-        assert!(limited.effective_bandwidth().as_mib_per_sec() <= 10.0 + 1e-9);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use vecycle_obs::{CounterFamily, MetricsRegistry};
 
-use crate::{Netem, TrafficCategory, TrafficLedger};
+use crate::{TrafficCategory, TrafficLedger};
 
 impl TrafficCategory {
     /// Every category's metric label, in [`TrafficCategory::ALL`] order.
@@ -69,30 +69,6 @@ impl LedgerSeries {
     }
 }
 
-/// Records a netem configuration as gauges: packet-loss probability,
-/// added one-way delay (simulated milliseconds) and the rate cap in
-/// bytes/s (0 when uncapped). Loss in this simulator shapes TCP
-/// throughput via the Mathis model rather than dropping discrete
-/// packets, so the *observable* is the configured probability itself.
-pub fn observe_netem(metrics: &MetricsRegistry, scope: &str, netem: &Netem) {
-    let labels = [("scope", scope)];
-    metrics.set_gauge(
-        "net_netem_loss_probability",
-        &labels,
-        netem.loss_probability(),
-    );
-    metrics.set_gauge(
-        "net_netem_extra_delay_ms",
-        &labels,
-        netem.extra_delay().as_nanos() as f64 / 1e6,
-    );
-    metrics.set_gauge(
-        "net_netem_rate_limit_bytes_per_sec",
-        &labels,
-        netem.rate_limit().map_or(0.0, |r| r.as_f64()),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,21 +104,5 @@ mod tests {
             m.snapshot().counters_named("net_wire_bytes_total").count(),
             2
         );
-    }
-
-    #[test]
-    fn netem_gauges() {
-        let netem = Netem::new()
-            .delay(vecycle_types::SimDuration::from_millis(40))
-            .loss(0.01);
-        let m = MetricsRegistry::new();
-        observe_netem(&m, "wan", &netem);
-        let snap = m.snapshot();
-        let loss = snap
-            .gauges
-            .iter()
-            .find(|g| g.name == "net_netem_loss_probability")
-            .unwrap();
-        assert!((loss.value - 0.01).abs() < 1e-12);
     }
 }

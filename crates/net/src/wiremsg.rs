@@ -39,17 +39,17 @@ pub const MAX_PAYLOAD: usize = 0xFF_FFFF;
 /// Message kind tags on the wire.
 pub mod kind {
     /// Full page: digest + page bytes.
-    pub const FULL: u8 = 1;
+    pub(crate) const FULL: u8 = 1;
     /// Checksum only — the destination already holds the content.
-    pub const CHECKSUM: u8 = 2;
+    pub(crate) const CHECKSUM: u8 = 2;
     /// Back-reference to a page sent earlier in this migration.
-    pub const DEDUP_REF: u8 = 3;
+    pub(crate) const DEDUP_REF: u8 = 3;
     /// All-zero page marker.
-    pub const ZERO: u8 = 4;
+    pub(crate) const ZERO: u8 = 4;
     /// End of one pre-copy round (the per-round control message).
-    pub const ROUND_END: u8 = 5;
+    pub(crate) const ROUND_END: u8 = 5;
     /// End of the stop-and-copy flush (the final control message).
-    pub const STOP_END: u8 = 6;
+    pub(crate) const STOP_END: u8 = 6;
     /// Bulk checksum pre-exchange: `count` digests, destination→source.
     pub const BULK_EXCHANGE: u8 = 7;
 }
@@ -151,8 +151,13 @@ impl WireMsg {
             WireMsg::RoundEnd { round } => put_header(out, *round, kind::ROUND_END, 0),
             WireMsg::StopEnd => put_header(out, 0, kind::STOP_END, 0),
             WireMsg::BulkExchange { digests } => {
-                write_bulk_exchange(digests.iter().copied(), out, &mut std::io::sink())
-                    .expect("reserved");
+                write_bulk_exchange(
+                    digests.iter().copied(),
+                    out,
+                    usize::MAX,
+                    &mut std::io::sink(),
+                )
+                .expect("a sink never fails");
             }
         }
     }
@@ -237,8 +242,8 @@ impl WireMsg {
 }
 
 /// Appends a bulk exchange of `digests` to `chunk`, writing `chunk` out
-/// to `w` whenever the next digest would pass its capacity; the tail
-/// left in `chunk` is the caller's to write.
+/// to `w` whenever the next digest would take it past `limit` bytes; the
+/// tail left in `chunk` is the caller's to write.
 ///
 /// # Errors
 ///
@@ -250,13 +255,14 @@ impl WireMsg {
 pub fn write_bulk_exchange<W: std::io::Write>(
     digests: impl ExactSizeIterator<Item = PageDigest>,
     chunk: &mut Vec<u8>,
+    limit: usize,
     w: &mut W,
 ) -> std::io::Result<()> {
     let len = digests.len() * PageDigest::LEN;
     assert!(len <= MAX_PAYLOAD, "bulk exchange exceeds length field");
     put_header(chunk, digests.len() as u64, kind::BULK_EXCHANGE, len);
     for d in digests {
-        if chunk.len() + PageDigest::LEN > chunk.capacity() {
+        if chunk.len() + PageDigest::LEN > limit {
             w.write_all(chunk)?;
             chunk.clear();
         }

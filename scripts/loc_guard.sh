@@ -28,8 +28,8 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44037
-PUB_CEILING=1086
+BUDGET=44328
+PUB_CEILING=1071
 DEPS_CEILING=111
 DESIGN_CEILING=1624
 CAP=800

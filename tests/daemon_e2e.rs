@@ -252,6 +252,34 @@ fn metrics_scrapes_agree_with_status() {
     dst.shutdown();
 }
 
+/// Sessions borrow their I/O buffers from their daemon's pool: after
+/// two sequential jobs, `vecycled metrics` shows each end reusing a set
+/// it allocated for the first.
+#[test]
+fn sequential_jobs_reuse_session_buffers() {
+    let _wd = Watchdog::arm("sequential_jobs_reuse_session_buffers", JOB_TIMEOUT);
+    let (src, dst) = spawn_pair(tcp_endpoint(), tcp_endpoint());
+    for seed in [0x7ec, 0x7ed] {
+        let id = src
+            .submit(ScenarioSpec::golden(seed), dst.endpoint().clone())
+            .expect("submit");
+        let rec = src.wait_job(id, JOB_TIMEOUT).expect("job finishes");
+        assert_reconciled(&rec);
+    }
+    for (end, daemon) in [("source", &src), ("destination", &dst)] {
+        let resp =
+            client::request(daemon.endpoint(), &CtrlRequest::bare("metrics")).expect("metrics");
+        let reused = resp
+            .metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("daemon_session_buffers_total{op=\"reused\"} "))
+            .and_then(|n| n.parse::<u64>().ok());
+        assert!(reused >= Some(1), "{end}:\n{}", resp.metrics);
+    }
+    src.shutdown();
+    dst.shutdown();
+}
+
 #[test]
 fn cold_full_migration_over_unix_socket_reconciles() {
     let _wd = Watchdog::arm(

@@ -1065,3 +1065,88 @@ fn an_unwritable_partial_is_reported_once_and_the_job_completes() {
     src.shutdown();
     dst.shutdown();
 }
+
+/// A session that fails mid-stream gives its buffer set back with bytes
+/// still in it, and none of them reach the next session. The in-memory
+/// destination serves a hand-driven retry that dies mid-message: its
+/// chunk held HELLO_ACK and the exchange, its read buffer holds the cut
+/// message. The source daemon's first job goes to a peer that answers
+/// HELLO_ACK with bytes the source never reads, takes the start of the
+/// stream and hangs up. Then one job between the two daemons, each on
+/// its returned set: done (the content hashes agreed), the ledger exact
+/// both ways and the in-process report, and each daemon counts one set
+/// allocated and one reused.
+#[test]
+fn a_failed_session_returns_its_buffers_and_they_carry_no_bytes() {
+    let _wd = Watchdog::arm(
+        "a_failed_session_returns_its_buffers_and_they_carry_no_bytes",
+        JOB_TIMEOUT,
+    );
+    let spec = cold_full_spec(0x5e7);
+    let dst = Daemon::spawn(DaemonConfig::new(unix_endpoint("stale-dst"))).expect("dest binds");
+    let (s, exchange) = open_session(dst.endpoint(), &spec, 1, 77);
+    assert_eq!(exchange, Some(Vec::new()), "nothing landed yet");
+    let msgs = wire_sequence_over(&spec, Some(ChecksumIndex::default()));
+    die_after(s, &msgs, 100);
+    // The set is back before the session is counted.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let failed = || {
+        dst.metrics()
+            .counter("daemon_sessions_total", &[("result", "err")])
+    };
+    while failed() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the cut is never seen"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let listener = unix_endpoint("stale-peer").bind().expect("peer binds");
+    let peer = listener.local_endpoint().expect("peer endpoint");
+    let hangs_up = std::thread::spawn(move || {
+        use std::io::{Read, Write};
+        let mut s = listener.accept().expect("the source connects");
+        s.set_io_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        for want in [kind::HELLO, kind::JOB] {
+            let f = read_frame(&mut s, MAX_PAYLOAD).expect("the opening flight");
+            assert_eq!(f.kind, want);
+        }
+        let mut reply = Vec::new();
+        let ack = proto::hello_payload(proto::VERSION, proto::ROLE_DEST);
+        write_frame(&mut reply, kind::HELLO_ACK, &ack).expect("ack");
+        reply.extend_from_slice(&[0xee; 100]);
+        s.write_all(&reply).expect("reply");
+        s.read_exact(&mut [0; 16 * 1024])
+            .expect("the stream starts");
+    });
+    let src = Daemon::spawn(DaemonConfig::new(unix_endpoint("stale-src"))).expect("src binds");
+    let cut = src.submit(spec.clone(), peer).expect("submit");
+    let cut = src.wait_job(cut, JOB_TIMEOUT).expect("the cut job ends");
+    assert_eq!(cut.state, JobState::Failed, "{}", cut.detail);
+    hangs_up.join().expect("the peer hung up");
+
+    let id = src
+        .submit(spec.clone(), dst.endpoint().clone())
+        .expect("submit");
+    let record = src.wait_job(id, JOB_TIMEOUT).expect("the job ends");
+    assert_done(&record);
+    let (report, m) = (
+        record.report.expect("report"),
+        record.measured.expect("measured"),
+    );
+    assert_ledger_exact(&report, &m, "after a cut");
+    let reference = scenario::reference_run(&spec).expect("reference run");
+    assert_eq!(report, reference.report);
+    for (end, daemon) in [("source", &src), ("destination", &dst)] {
+        let taken = |op| {
+            daemon
+                .metrics()
+                .counter("daemon_session_buffers_total", &[("op", op)])
+        };
+        assert_eq!((taken("allocated"), taken("reused")), (1, 1), "{end}");
+    }
+    src.shutdown();
+    dst.shutdown();
+}

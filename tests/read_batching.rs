@@ -172,7 +172,8 @@ impl Received {
 
 impl Stream {
     fn receive<R: Read>(&self, source: R) -> Received {
-        let mut s = SessionStream::new(source);
+        let mut buf = vec![0; SESSION_BUF];
+        let mut s = SessionStream::new(source, &mut buf);
         let mut state = self.fresh_state();
         let mut hook = CountPersists {
             landed: 0,
@@ -362,7 +363,8 @@ fn streamed_writes(spec: &ScenarioSpec) -> Vec<(usize, usize)> {
     let (mut guest, mut workload) = scenario::live_guest(spec, &initial).expect("guest");
     let kill = KillSwitch::inert();
     let mut writes = CountWrites::default();
-    let mut sink = SocketSink::new(&mut writes, &kill, |_| {});
+    let mut chunk = Vec::new();
+    let mut sink = SocketSink::new(&mut writes, &mut chunk, &kill, |_| {});
     scenario::engine_for(spec)
         .migrate_live_into(&mut guest, &mut workload, strategy, &mut sink)
         .expect("streamed run");

@@ -69,7 +69,8 @@ fn assert_streamed_equals_recorded(spec: &ScenarioSpec) -> LiveTranscript {
     let kill = KillSwitch::inert();
     let mut streamed = Vec::new();
     let mut journaled = Vec::new();
-    let mut sink = SocketSink::new(&mut streamed, &kill, |at| journaled.push(at));
+    let mut chunk = Vec::new();
+    let mut sink = SocketSink::new(&mut streamed, &mut chunk, &kill, |at| journaled.push(at));
     let outcome = engine
         .migrate_live_into(&mut guest, &mut workload, strategy, &mut sink)
         .expect("streamed run");
