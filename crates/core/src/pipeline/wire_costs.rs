@@ -80,7 +80,7 @@ impl Xbzrle {
     }
 
     /// Mean wire bytes for one re-sent page of `raw` bytes.
-    pub fn resend_bytes(&self, raw: Bytes) -> Bytes {
+    fn resend_bytes(&self, raw: Bytes) -> Bytes {
         let mean = self.hit_rate * self.delta_ratio + (1.0 - self.hit_rate);
         Bytes::new((raw.as_f64() * mean).ceil() as u64)
     }
@@ -134,7 +134,7 @@ impl WireCosts {
     /// Wire size of one *re-sent* full page (rounds ≥ 2 and the final
     /// flush): XBZRLE delta-encodes against the cached previous version
     /// when enabled, otherwise the (possibly compressed) full-page size.
-    pub fn resend_page(&self) -> Bytes {
+    pub(crate) fn resend_page(&self) -> Bytes {
         self.resend_page
     }
 
@@ -149,19 +149,19 @@ impl WireCosts {
     }
 
     /// Wire size of a suppressed-zero-page marker.
-    pub fn zero_marker(&self) -> Bytes {
+    pub(crate) fn zero_marker(&self) -> Bytes {
         wire::zero_page_msg()
     }
 
     /// Wire size of one end-of-round control trailer.
-    pub fn control_trailer(&self) -> Bytes {
+    pub(crate) fn control_trailer(&self) -> Bytes {
         Bytes::new(wire::MSG_HEADER)
     }
 }
 
 impl crate::MigrationEngine {
     /// The wire-cost table this engine's configuration implies.
-    pub fn wire_costs(&self) -> WireCosts {
+    pub(crate) fn wire_costs(&self) -> WireCosts {
         WireCosts::new(self.compression, self.xbzrle)
     }
 }

@@ -209,7 +209,11 @@ impl Strategy {
     /// have rewritten the page with content the destination's checkpoint
     /// already holds.
     #[inline]
-    pub fn classify_resend(&self, digest: PageDigest, sent: &DigestMap<PageIndex>) -> PageAction {
+    pub(crate) fn classify_resend(
+        &self,
+        digest: PageDigest,
+        sent: &DigestMap<PageIndex>,
+    ) -> PageAction {
         if let Some(index) = &self.index {
             if index.contains(digest) {
                 return PageAction::SendChecksum;

@@ -74,16 +74,15 @@ pub(crate) const PARTIALS_CAP: usize = 16;
 type Key = (u64, u64);
 
 /// Runs one inbound migration session whose HELLO frame has already
-/// been read, returning the source's job id; `chunk` is the
-/// connection's write chunk, which [`accept`] writes through. On an
-/// error the caller owes the peer a best-effort ERR frame before the
-/// connection drops.
+/// been read; `chunk` is the connection's write chunk, which [`accept`]
+/// writes through. On an error the caller owes the peer a best-effort
+/// ERR frame before the connection drops.
 pub(crate) fn session(
     state: &DaemonState,
     s: &mut SessionStream<&mut Stream>,
     chunk: &mut Vec<u8>,
     hello: Frame,
-) -> Result<u64, DaemonError> {
+) -> Result<(), DaemonError> {
     // A wrong magic, version or role is refused before the JOB is read,
     // so an old peer sees a typed refusal, not a hangup.
     let (_, role) = proto::parse_hello(&hello.payload)?;
@@ -182,7 +181,7 @@ pub(crate) fn session(
             "reconstructed content hash differs from the source's".into(),
         ));
     }
-    Ok(key.0)
+    Ok(())
 }
 
 /// Accepts the job: writes HELLO_ACK and, if we offer an index, the
@@ -244,9 +243,11 @@ fn recover(
 /// the file can be created.
 fn fresh_log(state: &DaemonState, (job_id, fingerprint): Key) -> Option<PartialLog> {
     let dir = state.config.journal_dir.as_deref()?;
-    PartialLog::create(dir, job_id, fingerprint)
-        .map_err(|e| log_failed(state, job_id, &e))
-        .ok()
+    let log = PartialLog::create(dir, job_id, fingerprint);
+    if log.is_err() {
+        state.partial_failures.inc(1);
+    }
+    log.ok()
 }
 
 /// Takes job `key`'s landed pages out of the in-memory map.
@@ -371,7 +372,7 @@ impl Persist for SessionLog<'_> {
         match log.commit() {
             Ok(true) => self.saves.inc(1),
             Ok(false) => {}
-            Err(e) => {
+            Err(_) => {
                 // The file now ends mid-record and falls behind the
                 // in-memory pages, which a later epoch should recycle
                 // instead: it goes, and the session receives on.
@@ -379,18 +380,10 @@ impl Persist for SessionLog<'_> {
                 if let Some(dir) = self.state.config.journal_dir.as_deref() {
                     session_state::drop_partial(dir, self.key.0, self.key.1);
                 }
-                log_failed(self.state, self.key.0, &e);
+                self.state.partial_failures.inc(1);
             }
         }
     }
-}
-
-/// The one line a session's partial log failing leaves in the daemon
-/// log — once per session, however many chunks follow.
-fn log_failed(state: &DaemonState, job_id: u64, e: &std::io::Error) {
-    state.queue.note(format!(
-        "partial log failed for job {job_id}, receiving unlogged: {e}"
-    ));
 }
 
 /// Removes every trace of a job's landed pages (job finished, or the
@@ -416,7 +409,7 @@ mod tests {
     /// A disk that fills mid-session (`/dev/full` behind the append
     /// handle): the first failed append stops the logging, removes the
     /// file — a later epoch would otherwise recycle its shorter prefix
-    /// instead of the in-memory pages — and leaves one line, however
+    /// instead of the in-memory pages — and is counted once, however
     /// many chunks follow.
     #[test]
     fn a_failed_append_ends_the_log_and_is_reported_once() {
@@ -446,9 +439,10 @@ mod tests {
         }
         assert!(hook.log.is_none());
         assert!(!path.exists(), "the stale prefix is gone");
-        let lines = state.queue.journal();
-        assert_eq!(lines.len(), 1, "{lines:?}");
-        assert!(lines[0].contains("job 3") && lines[0].contains("unlogged"));
+        let failures = state
+            .metrics
+            .counter("daemon_log_failures_total", &[("log", "partial")]);
+        assert_eq!(failures, 1);
         let saves = state
             .metrics
             .counter("daemon_resume_partials_total", &[("op", "save")]);

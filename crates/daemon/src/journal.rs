@@ -32,14 +32,16 @@ use crate::record;
 /// The WAL file name under the journal directory.
 pub const WAL_FILE: &str = "vecycled.wal";
 
-/// Record kinds, in lifecycle order. `admitted` and `note` records
-/// live only in the daemon's in-memory tail; replay ignores notes.
+/// Record kinds, in lifecycle order. `admitted` is never written: it
+/// only flips a job to `Running` in the table. Replay ignores a kind
+/// that is not listed here.
 pub mod rec {
     /// Job accepted into the queue (spec + peer recorded).
     pub const SUBMITTED: &str = "submitted";
     /// Scheduler picked the job; the host claim comes next.
     pub const CLAIMED: &str = "claimed";
-    /// Hosts and a worker slot taken; the session starts (tail only).
+    /// Hosts and a worker slot taken; the session starts (never in the
+    /// WAL).
     pub const ADMITTED: &str = "admitted";
     /// Data-plane progress: `pages_landed` messages durably applied or
     /// skipped at the destination so far.
@@ -50,8 +52,6 @@ pub mod rec {
     pub const FAILED: &str = "failed";
     /// Terminal: cancelled while queued.
     pub const CANCELLED: &str = "cancelled";
-    /// Free-form session log line; not a job transition.
-    pub const NOTE: &str = "note";
 }
 
 /// One journal record. Flat struct (the vendored serde derive has no
@@ -60,7 +60,7 @@ pub mod rec {
 pub struct WalRecord {
     /// Monotonic sequence number, assigned at append time.
     pub seq: u64,
-    /// The job this record belongs to (0 for `note` records).
+    /// The job this record belongs to.
     pub job: u64,
     /// One of the [`rec`] kinds.
     pub kind: String,
@@ -70,7 +70,8 @@ pub struct WalRecord {
     pub peer: String,
     /// Messages landed at the destination (`transferring` records).
     pub pages_landed: u64,
-    /// Error message (`failed`), or the free-form `note` text.
+    /// Error message (`failed`), or a resume detail (`transferring`,
+    /// a compacted `submitted`).
     pub detail: String,
 }
 
@@ -308,7 +309,7 @@ mod tests {
             [1, 2, 3]
         );
         // Sequence numbers continue where the file left off.
-        assert_eq!(j2.append(&WalRecord::bare(rec::NOTE, 0)).unwrap(), 4);
+        assert_eq!(j2.append(&submitted(2)).unwrap(), 4);
     }
 
     #[test]

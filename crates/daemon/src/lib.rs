@@ -30,14 +30,14 @@
 //! Module map: [`frame`] (control framing), [`proto`] (handshake and
 //! fixed control payloads), [`endpoint`] (TCP/Unix addressing),
 //! [`queue`] (the job lifecycle: table, admission, WAL writes, boot
-//! replay, event tail), [`journal`] (the WAL file), [`session_state`]
-//! (the destination's stream-apply state machine + its snapshot codec),
-//! [`partial_log`] (the destination's append-only log of landed
-//! pages), [`record`] (the checksummed record frame the journal and
-//! the log share), [`server`] (listener + dispatch), `source`/`dest`
-//! (the two ends of a migration session), [`client`] (operator RPCs),
-//! [`scenario`] (deterministic guest construction shared by both
-//! processes).
+//! replay), [`journal`] (the WAL file, the daemon's one job record),
+//! [`session_state`] (the destination's stream-apply state machine +
+//! its snapshot codec), [`partial_log`] (the destination's append-only
+//! log of landed pages), [`record`] (the checksummed record frame the
+//! journal and the log share), [`server`] (listener + dispatch),
+//! `source`/`dest` (the two ends of a migration session), [`client`]
+//! (operator RPCs), [`scenario`] (deterministic guest construction
+//! shared by both processes).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,33 +1,27 @@
-//! The job lifecycle (DESIGN §15.3, §17): one type owns the job table,
-//! the write-ahead journal and the daemon's event tail.
+//! The job lifecycle (DESIGN §15.3, §17): one type owns the job table
+//! and the write-ahead journal.
 //!
 //! Each transition — `submit`, `cancel`, `claim`, `admit`, `progress`,
 //! `retry`, `finish` — writes its WAL record when the daemon is
-//! journal-backed, applies it to the table and appends it to the tail
-//! of the newest 1 024 records; `note` appends a line that is not a
-//! transition to the tail alone. A failed append refuses a submission
-//! or a cancellation; any other transition notes it and carries on,
-//! since a crash then only re-runs the job. Boot replay
-//! ([`Queue::replay`]) shares the transitions' mapping from record kind
-//! to [`JobState`].
+//! journal-backed and applies it to the table. A failed append refuses a
+//! submission or a cancellation; any other transition counts it under
+//! `daemon_log_failures_total{log="wal"}` and carries on, since a crash
+//! then only re-runs the job. Boot replay ([`Queue::replay`]) shares the
+//! transitions' mapping from record kind to [`JobState`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use vecycle_core::MigrationReport;
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
-use vecycle_obs::MetricsRegistry;
+use vecycle_obs::{Counter, MetricsRegistry};
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::sync;
 
 use crate::journal::{rec, Journal, Replay, WalRecord};
 use crate::source::SessionOutcome;
 use crate::{DaemonError, Endpoint};
-
-/// Records the tail keeps; older ones fall off, so a long-lived
-/// daemon's log does not grow with its job count.
-const TAIL: usize = 1024;
 
 /// Lifecycle of one queued migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,45 +161,29 @@ pub(crate) struct QueueInner {
     pub shutdown: bool,
     /// Jobs in the table that are `Running`: the worker slots in use.
     running: usize,
-    /// The newest [`TAIL`] transitions and notes, each `seq` its place
-    /// in the daemon's stream (a WAL numbers only what it holds).
-    tail: VecDeque<WalRecord>,
 }
 
 impl QueueInner {
-    /// Applies a transition to its job and appends it to the tail.
-    fn apply(&mut self, record: WalRecord) {
+    /// Applies a transition to its job.
+    fn apply(&mut self, record: &WalRecord) {
         if let Some(job) = self.jobs.get_mut(&record.job) {
             let was = job.state;
-            job.apply(&record);
+            job.apply(record);
             let running = |s: JobState| usize::from(s == JobState::Running);
             self.running = self.running + running(job.state) - running(was);
         }
-        self.push(record);
-    }
-
-    /// Appends a line that is not a job transition to the tail.
-    fn note(&mut self, line: String) {
-        let mut record = WalRecord::bare(rec::NOTE, 0);
-        record.detail = line;
-        self.push(record);
-    }
-
-    fn push(&mut self, mut record: WalRecord) {
-        record.seq = self.tail.back().map_or(1, |r| r.seq + 1);
-        if self.tail.len() == TAIL {
-            self.tail.pop_front();
-        }
-        self.tail.push_back(record);
     }
 }
 
-/// The job lifecycle of one daemon: table, condvar, optional WAL, tail.
+/// The job lifecycle of one daemon: table, condvar, optional WAL.
 pub struct Queue {
     inner: Mutex<QueueInner>,
     pub(crate) changed: Condvar,
     pub(crate) wal: Option<Journal>,
     pub(crate) metrics: MetricsRegistry,
+    /// `daemon_log_failures_total{log="wal"}`, one per failed append a
+    /// transition carried on past.
+    wal_failures: Counter,
 }
 
 impl Queue {
@@ -224,6 +202,7 @@ impl Queue {
             }),
             changed: Condvar::new(),
             wal: None,
+            wal_failures: metrics.resolve_counter("daemon_log_failures_total", &[("log", "wal")]),
             metrics,
         };
         if let Some(dir) = dir {
@@ -238,11 +217,11 @@ impl Queue {
     }
 
     /// Boot replay: rebuilds the table from a WAL's transitions, counts
-    /// the outcome into `daemon_recovery_*`, leaves one summary note and
-    /// returns the compacted records — per job its `submitted` record
-    /// when the spec is intact (an interrupted transfer's landed count
-    /// and resume detail folded in) and its terminal record. Replaying
-    /// them rebuilds the same table.
+    /// the outcome into `daemon_recovery_*` and returns the compacted
+    /// records — per job its `submitted` record when the spec is intact
+    /// (an interrupted transfer's landed count and resume detail folded
+    /// in) and its terminal record. Replaying them rebuilds the same
+    /// table.
     pub fn replay(&self, replay: &Replay) -> Vec<WalRecord> {
         let mut guard = self.lock();
         let inner = &mut *guard;
@@ -328,12 +307,6 @@ impl Queue {
         ] {
             self.metrics.inc(name, &[], n);
         }
-        if replayed > 0 || torn > 0 {
-            inner.note(format!(
-                "recovery: replayed {replayed} records ({requeued} requeued, {resumed} resumed, \
-                 {terminal} terminal, {unrecoverable} unrecoverable, {torn} torn bytes)"
-            ));
-        }
         compacted
     }
 
@@ -355,16 +328,12 @@ impl Queue {
     }
 
     /// A transition a failed append does not refuse: the failure is
-    /// noted and the job carries on.
-    fn transition(&self, record: WalRecord, sync: bool) {
-        let written = self.append(&record, sync);
-        let mut inner = self.lock();
-        if let Err(e) = written {
-            let (kind, job) = (&record.kind, record.job);
-            inner.note(format!("wal append failed ({kind} job {job}): {e}"));
+    /// counted and the job carries on.
+    fn transition(&self, record: &WalRecord, sync: bool) {
+        if self.append(record, sync).is_err() {
+            self.wal_failures.inc(1);
         }
-        inner.apply(record);
-        drop(inner);
+        self.lock().apply(record);
         self.changed.notify_all();
     }
 
@@ -382,11 +351,10 @@ impl Queue {
         self.append(&record, true)?;
         inner.next_id = next_id;
         inner.jobs.insert(record.job, job);
-        let id = record.job;
-        inner.apply(record);
+        inner.apply(&record);
         drop(inner);
         self.changed.notify_all();
-        Ok(id)
+        Ok(record.job)
     }
 
     /// Cancels a job that has not started yet, write-ahead under the
@@ -405,7 +373,7 @@ impl Queue {
         }
         let record = WalRecord::bare(rec::CANCELLED, id);
         self.append(&record, true)?;
-        inner.apply(record);
+        inner.apply(&record);
         drop(inner);
         self.changed.notify_all();
         Ok(())
@@ -434,7 +402,7 @@ impl Queue {
         };
         drop(inner);
         kill.hit(KillRole::Source, KillPoint::PreClaim);
-        self.transition(WalRecord::bare(rec::CLAIMED, id), true);
+        self.transition(&WalRecord::bare(rec::CLAIMED, id), true);
         Some((id, job))
     }
 
@@ -450,7 +418,7 @@ impl Queue {
             return false;
         }
         inner.drained.push(id);
-        inner.apply(WalRecord::bare(rec::ADMITTED, id));
+        inner.apply(&WalRecord::bare(rec::ADMITTED, id));
         drop(inner);
         self.changed.notify_all();
         true
@@ -461,7 +429,7 @@ impl Queue {
     pub(crate) fn progress(&self, id: u64, landed: u64) {
         let mut record = WalRecord::bare(rec::TRANSFERRING, id);
         record.pages_landed = landed;
-        self.transition(record, false);
+        self.transition(&record, false);
     }
 
     /// The source retries a session that died of `e`, at resume `epoch`.
@@ -469,7 +437,7 @@ impl Queue {
         self.metrics.inc("daemon_job_retries_total", &[], 1);
         let mut record = WalRecord::bare(rec::TRANSFERRING, id);
         record.detail = format!("retrying at epoch {epoch} after i/o error: {e}");
-        self.transition(record, true);
+        self.transition(&record, true);
     }
 
     /// Records a session's outcome. A success stores the report and byte
@@ -500,24 +468,7 @@ impl Queue {
             }
         };
         m.inc("daemon_jobs_total", &[("state", &record.kind)], 1);
-        self.transition(record, true);
-    }
-
-    /// Appends a line that is not a job transition to the tail; it never
-    /// reaches the WAL.
-    pub(crate) fn note(&self, line: String) {
-        self.lock().note(line);
-    }
-
-    /// The tail, oldest first: notes verbatim, transitions as
-    /// `job <id> <kind>[: <detail>]`.
-    pub(crate) fn journal(&self) -> Vec<String> {
-        let line = |r: &WalRecord| match (r.kind.as_str(), r.detail.as_str()) {
-            (rec::NOTE, detail) => detail.to_string(),
-            (kind, "") => format!("job {} {kind}", r.job),
-            (kind, detail) => format!("job {} {kind}: {detail}", r.job),
-        };
-        self.lock().tail.iter().map(line).collect()
+        self.transition(&record, true);
     }
 }
 
@@ -600,18 +551,34 @@ mod tests {
         assert_eq!(q.lock().drained, [1, 2]);
     }
 
+    /// A WAL on a full disk (`/dev/full` behind the append handle) past
+    /// submission: `claimed`, the progress hint and `done` each fail to
+    /// append, each failure is counted, and the job still completes.
+    #[cfg(target_os = "linux")]
     #[test]
-    fn the_journal_keeps_only_its_newest_lines_in_order() {
-        let q = queue_of(0);
-        for i in 0..2 * TAIL {
-            q.note(format!("line {i}"));
-        }
-        let newest: Vec<String> = (TAIL..2 * TAIL).map(|i| format!("line {i}")).collect();
-        assert_eq!(q.journal(), newest);
-        let q = queue_of(1);
-        q.finish(1, boom(), &KillSwitch::inert());
-        let transitions = ["job 1 submitted", "job 1 failed: protocol violation: boom"];
-        assert_eq!(q.journal(), transitions);
+    fn failed_wal_appends_are_counted_and_the_job_carries_on() {
+        let mut q = queue_of(1);
+        let full = std::fs::File::create("/dev/full").unwrap();
+        q.wal = Some(Journal::at(full, &std::env::temp_dir(), 1, 0));
+        let kill = KillSwitch::inert();
+        let (id, job) = q.claim(&kill).unwrap();
+        assert!(q.admit(id, 1));
+        q.progress(id, 7);
+        let report = crate::scenario::reference_run(&job.spec).unwrap().report;
+        let measured = Measured {
+            tx: 0,
+            rx: 0,
+            expected_tx: 0,
+            expected_rx: 0,
+            job_json_len: 0,
+            resume_epoch: 0,
+        };
+        q.finish(id, Ok((report, measured)), &kill);
+        assert_eq!(q.jobs()[&id].state, JobState::Done);
+        let failures = q
+            .metrics
+            .counter("daemon_log_failures_total", &[("log", "wal")]);
+        assert_eq!(failures, 3, "claimed, transferring and done");
     }
 
     #[test]
@@ -686,8 +653,8 @@ mod tests {
     }
 
     #[test]
-    fn notes_are_ignored_by_replay() {
-        let (jobs, _, q) = recover(vec![WalRecord::bare(rec::NOTE, 0)]);
+    fn replay_ignores_a_kind_it_does_not_know() {
+        let (jobs, _, q) = recover(vec![WalRecord::bare("rebooted", 0)]);
         assert!(jobs.is_empty());
         assert_eq!(recovered(&q, "replayed"), 0);
         assert_eq!(q.lock().next_id, 1);

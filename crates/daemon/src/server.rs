@@ -137,11 +137,18 @@ pub(crate) struct DaemonState {
     connections: Counter,
     /// `daemon_sessions_total{result}` over `ok` / `err`.
     sessions: CounterFamily,
+    /// `daemon_dest_bytes_total{dir}` over `rx` / `tx`: the socket bytes
+    /// of each inbound session that ended ok.
+    dest_bytes: CounterFamily,
+    /// `daemon_log_failures_total{log="partial"}`, one per session whose
+    /// partial log could not be created or appended to.
+    pub partial_failures: Counter,
 }
 
 impl DaemonState {
-    /// The state serving `config` over `queue`, with its per-connection
-    /// and buffer-pool counters resolved against the queue's registry.
+    /// The state serving `config` over `queue`, with its per-connection,
+    /// per-session and buffer-pool counters resolved against the queue's
+    /// registry.
     pub(crate) fn new(queue: Queue, kill: KillSwitch, config: DaemonConfig) -> Self {
         let metrics = queue.metrics.clone();
         let transport = [("transport", config.listen.transport())];
@@ -153,6 +160,14 @@ impl DaemonState {
                 "result",
                 &["ok", "err"],
             ),
+            dest_bytes: CounterFamily::new(
+                &metrics,
+                "daemon_dest_bytes_total",
+                "dir",
+                &["rx", "tx"],
+            ),
+            partial_failures: metrics
+                .resolve_counter("daemon_log_failures_total", &[("log", "partial")]),
             buffers: BufferPool::new(2 * config.workers, &metrics),
             metrics,
             queue,
@@ -276,12 +291,6 @@ impl DaemonHandle {
         }
     }
 
-    /// The daemon's log: its newest 1 024 job transitions and notes,
-    /// oldest first, one line each.
-    pub fn journal(&self) -> Vec<String> {
-        self.state.queue.journal()
-    }
-
     /// The on-disk WAL path, when the daemon is journal-backed.
     pub fn wal_path(&self) -> Option<PathBuf> {
         self.state
@@ -331,7 +340,6 @@ fn accept_loop(
     listener: Listener,
     workers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    let mut noted_error = false;
     let timeout = Some(state.config.io_timeout);
     loop {
         let accepted = listener.accept();
@@ -354,12 +362,8 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) => {
+            Err(_) => {
                 state.metrics.inc("daemon_accept_errors_total", &[], 1);
-                if !noted_error {
-                    noted_error = true;
-                    state.queue.note(format!("accept failed: {e}"));
-                }
                 // A persistent failure (fd exhaustion) returns at once:
                 // back off instead of spinning on it.
                 std::thread::sleep(Duration::from_millis(5));
@@ -411,19 +415,19 @@ fn handle_connection(state: &Arc<DaemonState>, mut stream: Stream) {
         // The connection's one reader, from this first frame to the last.
         serve(state, &mut SessionStream::new(&mut stream, read), chunk)
     };
-    if let Some((result, line)) = session {
+    if let Some(result) = session {
         state.sessions.of(result).inc(1);
-        state.queue.note(line);
     }
 }
 
 /// Serves one connection through `s` and `chunk`, returning a migration
-/// session's result label and log line.
+/// session's result label; an ok session's socket bytes are counted
+/// first.
 fn serve(
     state: &DaemonState,
     s: &mut SessionStream<&mut Stream>,
     chunk: &mut Vec<u8>,
-) -> Option<(&'static str, String)> {
+) -> Option<&'static str> {
     let first = match read_frame(s, MAX_PAYLOAD) {
         Ok(f) => f,
         Err(e) => {
@@ -434,14 +438,15 @@ fn serve(
     };
     match first.kind {
         kind::HELLO => Some(match dest::session(state, s, chunk, first) {
-            Ok(job) => (
-                "ok",
-                format!("session job={job} ok rx={} tx={}", s.rx(), s.tx()),
-            ),
+            Ok(()) => {
+                state.dest_bytes.of("rx").inc(s.rx());
+                state.dest_bytes.of("tx").inc(s.tx());
+                "ok"
+            }
             Err(e) => {
                 send_err(s, &e.to_string());
                 state.metrics.inc("daemon_protocol_errors_total", &[], 1);
-                ("err", format!("session err: {e}"))
+                "err"
             }
         }),
         kind::CTRL => {

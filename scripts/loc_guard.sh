@@ -28,10 +28,10 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44328
-PUB_CEILING=1071
+BUDGET=44285
+PUB_CEILING=1063
 DEPS_CEILING=111
-DESIGN_CEILING=1624
+DESIGN_CEILING=1622
 CAP=800
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"

@@ -11,8 +11,8 @@
 //!    socket equal the analytic `TrafficLedger` totals plus the pinned
 //!    framing/handshake overhead, per strategy and in both directions.
 //!
-//! Each test writes its daemons' journals to `target/daemon-artifacts/`
-//! so CI can attach them on failure.
+//! Each test writes its daemons' metrics text and job views to
+//! `target/daemon-artifacts/` so CI can attach them on failure.
 
 mod common;
 
@@ -39,15 +39,16 @@ fn dump_artifacts(name: &str, src: &DaemonHandle, dst: &DaemonHandle) {
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let mut text = String::from("== source daemon ==\n");
-    for line in src.journal() {
-        text.push_str(&line);
-        text.push('\n');
-    }
-    text.push_str("== dest daemon ==\n");
-    for line in dst.journal() {
-        text.push_str(&line);
-        text.push('\n');
+    let mut text = String::new();
+    for (side, daemon) in [("source", src), ("dest", dst)] {
+        text.push_str(&format!("== {side} daemon: metrics ==\n"));
+        text.push_str(&daemon.metrics().snapshot().to_prometheus());
+        text.push_str(&format!("== {side} daemon: jobs ==\n"));
+        if let Ok(status) = client::status(daemon.endpoint()) {
+            for job in status.jobs {
+                text.push_str(&format!("{job:?}\n"));
+            }
+        }
     }
     let _ = std::fs::write(dir.join(format!("{name}.log")), text);
 }
@@ -201,14 +202,11 @@ fn control_socket_drives_a_migration_end_to_end() {
     assert!(!status.paused);
 
     // Destination-side evidence that the session really crossed a
-    // socket: its journal logged the inbound session for this job.
-    assert!(
-        dst.journal()
-            .iter()
-            .any(|l| l.contains("session job=") && l.contains("ok")),
-        "dest journal: {:?}",
-        dst.journal()
-    );
+    // socket: it counted one good inbound session.
+    let sessions = dst
+        .metrics()
+        .counter("daemon_sessions_total", &[("result", "ok")]);
+    assert_eq!(sessions, 1, "dest sessions");
     dump_artifacts("control_socket", &src, &dst);
     src.shutdown();
     dst.shutdown();

@@ -174,25 +174,13 @@ fn destination_socket_totals_mirror_the_sources_on_both_transports() {
         assert_eq!(rec.state, JobState::Done, "{transport}: {}", rec.detail);
         let m = rec.measured.expect("done job has byte accounting");
 
-        // The destination journals its totals once its handler returns,
-        // which may trail the source seeing DONE.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let line = loop {
-            let found = dst
-                .journal()
-                .into_iter()
-                .find(|l| l.starts_with(&format!("session job={id} ok")));
-            match found {
-                Some(line) => break line,
-                None if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                None => panic!("{transport}: destination never journaled the session"),
-            }
-        };
+        // The destination counts its totals before it closes the socket,
+        // and the source's job ends on reading that close.
+        let metrics = dst.metrics();
+        let dest_bytes = |dir| metrics.counter("daemon_dest_bytes_total", &[("dir", dir)]);
         assert_eq!(
-            line,
-            format!("session job={id} ok rx={} tx={}", m.tx, m.rx),
+            [dest_bytes("rx"), dest_bytes("tx")],
+            [m.tx, m.rx],
             "{transport}: destination totals"
         );
         src.shutdown();
