@@ -10,10 +10,13 @@
 use vecycle_analysis::{ExperimentLog, Table};
 use vecycle_bench::Options;
 use vecycle_checkpoint::ChecksumIndex;
+use vecycle_core::estimate::break_even_similarity;
 use vecycle_core::{DeltaCompression, MigrationEngine, Strategy, Xbzrle};
+use vecycle_hash::ChecksumAlgorithm::{Md5, Sha256};
+use vecycle_host::CpuSpec;
 use vecycle_mem::{DigestMemory, MemoryImage, MutableMemory, PageContent};
 use vecycle_net::LinkSpec;
-use vecycle_types::{Bytes, BytesPerSec, PageIndex};
+use vecycle_types::{Bytes, BytesPerSec, PageIndex, Ratio};
 
 fn diverged(base: &DigestMemory, frac: f64, salt: u64) -> DigestMemory {
     let mut now = base.snapshot();
@@ -145,26 +148,37 @@ fn main() {
     // --- 4. Adaptive recycling --------------------------------------------
     println!("Extension 4 — adaptive strategy selection (sampled similarity)\n");
     let index = ChecksumIndex::from_pages(&base.digests());
-    let mut t = Table::new(vec!["true divergence", "estimated similarity", "decision"]);
+    // The session's rule: recycle at or past the link's break-even.
+    let ram = base.page_count().bytes();
+    let fat = LinkSpec::lan_gigabit().with_bandwidth(BytesPerSec::from_mib_per_sec(4800));
+    let [gbe, hash_bound] = [(LinkSpec::lan_gigabit(), Md5), (fat, Sha256)]
+        .map(|(link, alg)| break_even_similarity(ram, link, &CpuSpec::phenom_ii(), alg));
+    let mut t = Table::new(vec![
+        "true divergence",
+        "estimated similarity",
+        "GbE, MD5",
+        "4800 MiB/s, SHA-256",
+    ]);
     for frac in [0.05, 0.3, 0.6, 0.95] {
         let vm = diverged(&base, frac, 20 + (frac * 100.0) as u64);
         let est = MigrationEngine::estimate_similarity(&vm, &index, 256);
-        let decision = if est.as_f64() >= 0.5 {
-            "vecycle"
-        } else {
-            "dedup"
+        let decision = |gate: Option<Ratio>| match gate.is_some_and(|g| est >= g) {
+            true => "vecycle".into(),
+            false => "dedup".into(),
         };
         t.row(vec![
             format!("{:.0}%", frac * 100.0),
             format!("{est}"),
-            decision.into(),
+            decision(gbe),
+            decision(hash_bound),
         ]);
         log.record("ext4", format!("div-{frac}"), "estimate", est.as_f64());
     }
     print!("{}", t.render());
     println!(
-        "256 page probes decide whether checksumming the whole image is\n\
-         worth it — busy VMs skip VeCycle's checksum pass (§2.3).\n"
+        "Each decision recycles when the probe reaches its link's break-even\n\
+         similarity: one reused page on GbE, where the link is the\n\
+         bottleneck; none at 4800 MiB/s, where SHA-256 is (§2.3, §3.4).\n"
     );
 
     // --- 5. XBZRLE on re-send rounds ---------------------------------------

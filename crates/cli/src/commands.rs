@@ -333,9 +333,7 @@ fn simulate_cmd(argv: &[String]) -> Result<(), String> {
                 "vecycle" => RecyclePolicy::VeCycle,
                 "dedup" => RecyclePolicy::DedupOnly,
                 "baseline" => RecyclePolicy::Baseline,
-                "adaptive" => RecyclePolicy::Adaptive {
-                    min_similarity: 0.3,
-                },
+                "adaptive" => RecyclePolicy::Adaptive,
                 other => return Err(format!("unknown policy {other:?}")),
             };
             if ram.as_u64() % vecycle_types::PAGE_SIZE != 0 || ram.is_zero() {

@@ -18,7 +18,7 @@ use vecycle_host::Host;
 use vecycle_mem::MutableMemory;
 use vecycle_types::{SimTime, VmId};
 
-use crate::{MigrationEngine, MigrationReport, Strategy};
+use crate::{estimate, MigrationEngine, MigrationReport, Strategy};
 
 use super::{RecyclePolicy, SessionEvent, VeCycleSession, VmInstance};
 
@@ -148,26 +148,33 @@ impl VeCycleSession {
         match (self.policy, cp) {
             (RecyclePolicy::Baseline, _) => (Strategy::full(), None),
             (RecyclePolicy::DedupOnly, _) => (recycling(self.recycle_index(None, partial)), None),
-            (RecyclePolicy::VeCycle, _) | (RecyclePolicy::Adaptive { .. }, None) => {
+            (RecyclePolicy::VeCycle, _) | (RecyclePolicy::Adaptive, None) => {
                 (recycling(self.recycle_index(cp, partial)), cause)
             }
-            (RecyclePolicy::Adaptive { min_similarity }, Some(cp)) => {
-                let [checkpoint_index, ..] = &self.series.index;
-                let probe = self.refilled(checkpoint_index, |i| refill_from(i, cp));
-                let estimate =
-                    MigrationEngine::estimate_similarity(vm.guest().memory(), &probe, 256);
-                let recycle = estimate.as_f64() >= min_similarity;
-                self.metrics()
-                    .set_gauge("session_similarity_estimate", &[], estimate.as_f64());
-                self.metrics().inc(
-                    "session_similarity_probe_total",
-                    &[("verdict", if recycle { "recycle" } else { "fallback" })],
-                    1,
-                );
-                match (recycle, partial) {
-                    (true, None) => (recycling(Some(probe)), None),
-                    (true, Some(_)) => (recycling(self.recycle_index(Some(cp), partial)), None),
-                    (false, _) => (
+            (RecyclePolicy::Adaptive, Some(cp)) => {
+                // A hash-bound engine gains from no similarity: no probe.
+                let e = &self.engine;
+                let ram = vm.guest().page_count().bytes();
+                let threshold = estimate::break_even_similarity(ram, e.link, &e.cpu, e.algorithm);
+                let recycled = threshold.and_then(|threshold| {
+                    let [checkpoint_index, ..] = &self.series.index;
+                    let probe = self.refilled(checkpoint_index, |i| refill_from(i, cp));
+                    let estimate =
+                        MigrationEngine::estimate_similarity(vm.guest().memory(), &probe, 256);
+                    let recycle = estimate >= threshold;
+                    self.metrics()
+                        .set_gauge("session_similarity_estimate", &[], estimate.as_f64());
+                    self.metrics().inc(
+                        "session_similarity_probe_total",
+                        &[("verdict", if recycle { "recycle" } else { "fallback" })],
+                        1,
+                    );
+                    recycle.then_some(probe)
+                });
+                match (recycled, partial) {
+                    (Some(probe), None) => (recycling(Some(probe)), None),
+                    (Some(_), Some(_)) => (recycling(self.recycle_index(Some(cp), partial)), None),
+                    (None, _) => (
                         recycling(self.recycle_index(None, partial)),
                         Some(FaultCause::LowSimilarity),
                     ),

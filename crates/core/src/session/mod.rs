@@ -33,14 +33,13 @@ pub enum RecyclePolicy {
     /// uses deduplication").
     VeCycle,
     /// Adaptive: probe a page sample against the destination checkpoint
-    /// and only recycle when the estimated similarity clears
-    /// `min_similarity` — busy VMs skip the checksum pass entirely
+    /// and only recycle when the estimated similarity reaches the
+    /// engine's [`break_even_similarity`](crate::estimate::break_even_similarity)
+    /// for the guest's RAM — busy VMs skip the checksum pass entirely
     /// (§2.3: "an active VM with no idle intervals will only gain a
-    /// small benefit from a local checkpoint").
-    Adaptive {
-        /// Minimum estimated similarity to engage VeCycle.
-        min_similarity: f64,
-    },
+    /// small benefit from a local checkpoint"). On a hash-bound engine,
+    /// where no similarity pays, it never probes and never recycles.
+    Adaptive,
 }
 
 mod events;

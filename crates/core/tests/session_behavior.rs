@@ -4,12 +4,13 @@
 use vecycle_core::session::{
     RecyclePolicy, ScheduleSummary, SessionEvent, VeCycleSession, VmInstance,
 };
-use vecycle_core::MigrationOutcome;
+use vecycle_core::{MigrationEngine, MigrationOutcome};
 use vecycle_faults::{DropPoint, FaultKind, FaultPlan, FaultRates, RetryPolicy};
+use vecycle_hash::ChecksumAlgorithm;
 use vecycle_host::{Cluster, MigrationRequest};
 use vecycle_mem::{workload::SilentWorkload, DigestMemory, Guest};
 use vecycle_net::LinkSpec;
-use vecycle_types::{Bytes, Error, HostId, PageCount, SimDuration, SimTime, VmId};
+use vecycle_types::{Bytes, BytesPerSec, Error, HostId, PageCount, SimDuration, SimTime, VmId};
 
 fn session() -> VeCycleSession {
     VeCycleSession::new(Cluster::homogeneous(2, LinkSpec::lan_gigabit()))
@@ -183,9 +184,7 @@ fn adaptive_policy_recycles_only_similar_guests() {
     use vecycle_mem::PageContent;
     use vecycle_types::PageIndex;
 
-    let s = session().with_policy(RecyclePolicy::Adaptive {
-        min_similarity: 0.5,
-    });
+    let s = session().with_policy(RecyclePolicy::Adaptive);
     // Warm up: leave a checkpoint at host 0.
     let mut vm = instance();
     s.migrate(&mut vm, HostId::new(1), SimTime::EPOCH, &mut SilentWorkload)
@@ -224,6 +223,31 @@ fn adaptive_policy_recycles_only_similar_guests() {
         )
         .unwrap();
     assert_eq!(r.strategy().to_string(), "dedup");
+
+    // Hash-bound engine: SHA-256 on a 4 800 MiB/s link is slower than
+    // sending, so even an unchanged guest does not recycle.
+    let fat = LinkSpec::lan_gigabit().with_bandwidth(BytesPerSec::from_mib_per_sec(4800));
+    let s = session()
+        .with_policy(RecyclePolicy::Adaptive)
+        .with_engine(MigrationEngine::new(fat).with_algorithm(ChecksumAlgorithm::Sha256));
+    let mut vm = instance();
+    s.migrate(&mut vm, HostId::new(1), SimTime::EPOCH, &mut SilentWorkload)
+        .unwrap();
+    let r = s
+        .migrate(
+            &mut vm,
+            HostId::new(0),
+            SimTime::EPOCH + SimDuration::from_hours(1),
+            &mut SilentWorkload,
+        )
+        .unwrap();
+    assert_eq!(r.strategy().to_string(), "dedup");
+    assert_eq!(
+        r.outcome(),
+        MigrationOutcome::FellBackToFull {
+            cause: vecycle_faults::FaultCause::LowSimilarity
+        }
+    );
 }
 
 #[test]
@@ -628,9 +652,7 @@ fn one_session_reports_what_a_fresh_session_per_leg_does() {
     let policies = [
         RecyclePolicy::VeCycle,
         RecyclePolicy::DedupOnly,
-        RecyclePolicy::Adaptive {
-            min_similarity: 0.5,
-        },
+        RecyclePolicy::Adaptive,
     ];
     for policy in policies {
         let run = |fresh_per_leg: bool| {

@@ -1,6 +1,5 @@
-//! TCP / Unix-socket addressing, the byte-counting stream wrapper, the
-//! session-long buffered reader over it and the pool of buffers
-//! sessions borrow.
+//! TCP / Unix-socket addressing, the session-long buffered and
+//! byte-counting reader, and the pool of buffers sessions borrow.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -157,42 +156,19 @@ pub enum Stream {
 }
 
 impl Stream {
-    /// Applies a read timeout so a hung peer surfaces as an I/O error
-    /// instead of a stuck thread (`None` disables).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying setter's error.
-    pub fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_read_timeout(t),
-            Stream::Unix(s) => s.set_read_timeout(t),
-        }
-    }
-
-    /// Applies a write timeout so a peer that stalls on its read side
-    /// (full socket buffer, wedged process) surfaces as an I/O error
-    /// on our writes instead of hanging them forever (`None`
-    /// disables). Set everywhere `set_read_timeout` is set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying setter's error.
-    pub(crate) fn set_write_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_write_timeout(t),
-            Stream::Unix(s) => s.set_write_timeout(t),
-        }
-    }
-
-    /// Applies the same timeout to both directions.
+    /// Applies `t` to reads and writes alike (`None` disables), so a
+    /// hung peer, or one that stalls on its read side (full socket
+    /// buffer, wedged process), surfaces as an I/O error instead of a
+    /// stuck thread.
     ///
     /// # Errors
     ///
     /// Propagates the underlying setters' errors.
     pub fn set_io_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(t)?;
-        self.set_write_timeout(t)
+        match self {
+            Stream::Tcp(s) => s.set_read_timeout(t).and_then(|()| s.set_write_timeout(t)),
+            Stream::Unix(s) => s.set_read_timeout(t).and_then(|()| s.set_write_timeout(t)),
+        }
     }
 
     /// A second handle on the same connection.
@@ -229,34 +205,6 @@ impl Write for Stream {
     }
 }
 
-/// Counts every byte that crosses the wrapped stream — the "measured"
-/// side of the ledger-reconciliation oracle.
-struct CountingStream<S> {
-    inner: S,
-    tx: u64,
-    rx: u64,
-}
-
-impl<S: Read> Read for CountingStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.rx += n as u64;
-        Ok(n)
-    }
-}
-
-impl<S: Write> Write for CountingStream<S> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.tx += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// Read-buffer size of a [`SessionStream`]: 2 340 checksum messages, or
 /// 15 full pages, per `read` on the socket.
 pub const SESSION_BUF: usize = 64 * 1024;
@@ -265,7 +213,8 @@ pub const SESSION_BUF: usize = 64 * 1024;
 /// and every wire message, first HELLO to DONE, is read through one
 /// borrowed [`SESSION_BUF`] buffer, so the data plane costs a `read` per
 /// buffer and not two per message. Writes bypass it and go straight to
-/// the counted stream.
+/// the socket. Both directions are counted — the "measured" side of the
+/// ledger-reconciliation oracle.
 ///
 /// The buffer is lent, not owned: a daemon takes it from its pool of
 /// session buffer sets and puts it back when the connection ends, so a
@@ -281,7 +230,9 @@ pub const SESSION_BUF: usize = 64 * 1024;
 /// bytes, and at session end — buffer drained — what the ledger oracle
 /// reconciles.
 pub struct SessionStream<'b, S> {
-    inner: CountingStream<S>,
+    inner: S,
+    tx: u64,
+    rx: u64,
     buf: &'b mut [u8],
     /// Next unread byte of `buf`.
     pos: usize,
@@ -294,11 +245,9 @@ impl<'b, S: Read> SessionStream<'b, S> {
     /// starts empty whatever it holds.
     pub fn new(inner: S, buf: &'b mut [u8]) -> Self {
         SessionStream {
-            inner: CountingStream {
-                inner,
-                tx: 0,
-                rx: 0,
-            },
+            inner,
+            tx: 0,
+            rx: 0,
             buf,
             pos: 0,
             filled: 0,
@@ -309,12 +258,12 @@ impl<'b, S: Read> SessionStream<'b, S> {
 impl<S> SessionStream<'_, S> {
     /// Bytes written to the stream so far.
     pub fn tx(&self) -> u64 {
-        self.inner.tx
+        self.tx
     }
 
     /// Bytes read from the stream so far (read-ahead included).
     pub fn rx(&self) -> u64 {
-        self.inner.rx
+        self.rx
     }
 
     /// Bytes read from the stream but not yet consumed by a decoder.
@@ -327,9 +276,12 @@ impl<S: Read> Read for SessionStream<'_, S> {
     fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
         if self.pos == self.filled {
             if out.len() >= self.buf.len() {
-                return self.inner.read(out);
+                let n = self.inner.read(out)?;
+                self.rx += n as u64;
+                return Ok(n);
             }
             self.filled = self.inner.read(self.buf)?;
+            self.rx += self.filled as u64;
             self.pos = 0;
         }
         let n = out.len().min(self.filled - self.pos);
@@ -364,7 +316,9 @@ impl<S: Read> Read for SessionStream<'_, S> {
 
 impl<S: Write> Write for SessionStream<'_, S> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.inner.write(buf)
+        let n = self.inner.write(buf)?;
+        self.tx += n as u64;
+        Ok(n)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
@@ -582,29 +536,22 @@ mod tests {
             };
             let mut s = SessionStream::new(source, &mut buf);
             assert_eq!(drive(&mut s, &ops), want, "steps {steps:?}");
-            let left = s.inner.inner.data.len();
+            let left = s.inner.data.len();
             assert_eq!(s.rx(), (data.len() - left) as u64, "steps {steps:?}");
             assert_eq!(s.buffered(), std_reader.buffer().len(), "steps {steps:?}");
-            assert_eq!(
-                s.inner.inner.reads,
-                std_reader.get_ref().reads,
-                "steps {steps:?}"
-            );
+            assert_eq!(s.inner.reads, std_reader.get_ref().reads, "steps {steps:?}");
             assert!(want.iter().any(Result::is_err), "some op reads past EOF");
         }
     }
 
     #[test]
     fn counting_stream_counts_both_directions() {
-        let mut cs = CountingStream {
-            inner: std::io::Cursor::new(vec![0u8; 16]),
-            tx: 0,
-            rx: 0,
-        };
         let mut buf = [0u8; 10];
-        cs.read_exact(&mut buf).unwrap();
-        assert_eq!(cs.rx, 10);
+        let mut cs = SessionStream::new(std::io::Cursor::new(vec![0u8; 16]), &mut buf);
+        let mut out = [0u8; 10];
+        cs.read_exact(&mut out).unwrap();
+        assert_eq!(cs.rx(), 10);
         cs.write_all(&[1, 2, 3]).unwrap();
-        assert_eq!(cs.tx, 3);
+        assert_eq!(cs.tx(), 3);
     }
 }

@@ -32,17 +32,13 @@ use crate::record;
 /// The WAL file name under the journal directory.
 pub const WAL_FILE: &str = "vecycled.wal";
 
-/// Record kinds, in lifecycle order. `admitted` is never written: it
-/// only flips a job to `Running` in the table. Replay ignores a kind
-/// that is not listed here.
+/// Record kinds, in lifecycle order. Replay ignores a kind that is not
+/// listed here.
 pub mod rec {
     /// Job accepted into the queue (spec + peer recorded).
     pub const SUBMITTED: &str = "submitted";
     /// Scheduler picked the job; the host claim comes next.
     pub const CLAIMED: &str = "claimed";
-    /// Hosts and a worker slot taken; the session starts (never in the
-    /// WAL).
-    pub const ADMITTED: &str = "admitted";
     /// Data-plane progress: `pages_landed` messages durably applied or
     /// skipped at the destination so far.
     pub const TRANSFERRING: &str = "transferring";

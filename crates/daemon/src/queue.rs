@@ -61,7 +61,7 @@ impl JobState {
     fn after(kind: &str) -> Option<JobState> {
         Some(match kind {
             rec::SUBMITTED | rec::CLAIMED => JobState::Queued,
-            rec::ADMITTED | rec::TRANSFERRING => JobState::Running,
+            rec::TRANSFERRING => JobState::Running,
             rec::DONE => JobState::Done,
             rec::FAILED => JobState::Failed,
             rec::CANCELLED => JobState::Cancelled,
@@ -166,9 +166,14 @@ pub(crate) struct QueueInner {
 impl QueueInner {
     /// Applies a transition to its job.
     fn apply(&mut self, record: &WalRecord) {
-        if let Some(job) = self.jobs.get_mut(&record.job) {
+        self.update(record.job, |job| job.apply(record));
+    }
+
+    /// Changes job `id` through `change`, keeping the running count.
+    fn update(&mut self, id: u64, change: impl FnOnce(&mut JobRecord)) {
+        if let Some(job) = self.jobs.get_mut(&id) {
             let was = job.state;
-            job.apply(record);
+            change(job);
             let running = |s: JobState| usize::from(s == JobState::Running);
             self.running = self.running + running(job.state) - running(was);
         }
@@ -418,7 +423,7 @@ impl Queue {
             return false;
         }
         inner.drained.push(id);
-        inner.apply(&WalRecord::bare(rec::ADMITTED, id));
+        inner.update(id, |job| job.state = JobState::Running);
         drop(inner);
         self.changed.notify_all();
         true

@@ -462,6 +462,13 @@ fn serve(
                     }
                 };
                 let json = serde_json::to_string(&resp).expect("control response serializes");
+                // An unpruned job table can outgrow a frame: refuse it.
+                let len = json.len();
+                if len as u64 > MAX_PAYLOAD {
+                    let msg = format!("{len}-byte response exceeds limit {MAX_PAYLOAD}");
+                    send_err(s, &msg);
+                    return None;
+                }
                 if write_frame(s, kind::CTRL_OK, json.as_bytes()).is_err() {
                     return None;
                 }

@@ -64,7 +64,8 @@ pub enum FaultCause {
     LinkFailure,
     /// The destination checkpoint failed validation on load.
     CorruptCheckpoint,
-    /// The similarity probe found the checkpoint too stale to recycle.
+    /// The adaptive policy declined to recycle: the probe fell below the
+    /// break-even similarity, or the engine is hash-bound and none pays.
     LowSimilarity,
     /// Pre-copy hit its round limit without converging.
     NonConvergence,

@@ -48,7 +48,7 @@ enum Reaction {
 /// classifies the daemon's response.
 fn poke(daemon: &DaemonHandle, bytes: &[u8], shutdown_write: bool) -> Reaction {
     let mut s = daemon.endpoint().connect().expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.set_io_timeout(Some(Duration::from_secs(10))).unwrap();
     // The daemon may close mid-write on abusive input; a broken pipe
     // here is just an early Hangup.
     if s.write_all(bytes).is_err() {
@@ -250,7 +250,7 @@ fn run_table(daemon: &DaemonHandle) {
 /// sends (HELLO_ACK, then ERR or EOF once it notices).
 fn poke_past_session_close(daemon: &DaemonHandle, bytes: &[u8]) -> Reaction {
     let mut s = daemon.endpoint().connect().expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.set_io_timeout(Some(Duration::from_secs(10))).unwrap();
     if s.write_all(bytes).is_err() {
         return Reaction::Hangup;
     }
@@ -278,7 +278,7 @@ fn fake_destination(reply: Vec<u8>) -> (Endpoint, JoinHandle<Vec<u8>>) {
     let peer = listener.local_endpoint().unwrap();
     let server = std::thread::spawn(move || {
         let mut s = listener.accept().unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.set_io_timeout(Some(Duration::from_secs(10))).unwrap();
         for want in [kind::HELLO, kind::JOB] {
             let f = read_frame(&mut s, MAX_PAYLOAD).expect("HELLO and JOB arrive unanswered");
             assert_eq!(f.kind, want);

@@ -14,7 +14,8 @@ mod common;
 use std::time::Duration;
 
 use common::{tcp_endpoint, Watchdog};
-use vecycle_daemon::{scenario, Daemon, DaemonConfig, DaemonHandle, JobState};
+use vecycle_daemon::frame::MAX_PAYLOAD;
+use vecycle_daemon::{client, scenario, Daemon, DaemonConfig, DaemonError, DaemonHandle, JobState};
 use vecycle_sim::ScenarioSpec;
 
 const SUITE_LIMIT: Duration = Duration::from_secs(120);
@@ -186,6 +187,32 @@ fn cancel_removes_a_queued_job_from_the_drain_order() {
     );
     src.shutdown();
     dst.shutdown();
+}
+
+#[test]
+fn a_status_past_the_frame_limit_is_refused_by_name() {
+    let _wd = Watchdog::arm("status_past_the_frame_limit", SUITE_LIMIT);
+    let cfg = DaemonConfig::new(tcp_endpoint()).with_workers(1);
+    let daemon = Daemon::spawn(cfg).expect("daemon binds");
+    daemon.set_paused(true);
+    let ep = daemon.endpoint().clone();
+    let spec = ScenarioSpec::golden(1);
+    let submit = || daemon.submit(spec.clone(), ep.clone()).expect("submit");
+    submit();
+    let view = serde_json::to_string(&client::status(&ep).expect("status").jobs[0]).unwrap();
+    // Later views are no shorter (longer ids): these alone pass 1 MiB.
+    let more = MAX_PAYLOAD / view.len() as u64;
+    for _ in 0..more {
+        submit();
+    }
+    match client::status(&ep) {
+        Err(DaemonError::Remote(msg)) => assert!(msg.contains(&MAX_PAYLOAD.to_string()), "{msg}"),
+        other => panic!("status past the limit: {:?}", other.map(|r| r.jobs.len())),
+    }
+    assert!(client::ping(&ep), "the daemon answers after the refusal");
+    let id = client::submit(&ep, &spec.to_kv(), &ep.to_string()).expect("a CTRL submit");
+    assert_eq!(id, more + 2);
+    daemon.shutdown();
 }
 
 #[test]

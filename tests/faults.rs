@@ -190,9 +190,7 @@ fn heavily_faulted_schedule_finishes_with_outcomes_not_errors() {
         RecyclePolicy::VeCycle,
         RecyclePolicy::DedupOnly,
         RecyclePolicy::Baseline,
-        RecyclePolicy::Adaptive {
-            min_similarity: 0.3,
-        },
+        RecyclePolicy::Adaptive,
     ] {
         let s = VeCycleSession::new(Cluster::homogeneous(2, LinkSpec::lan_gigabit()))
             .with_policy(policy)
