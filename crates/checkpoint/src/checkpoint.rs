@@ -3,11 +3,12 @@
 use std::sync::OnceLock;
 
 use vecycle_mem::{ByteMemory, MemoryImage, PageBuf};
-use vecycle_types::{Bytes, PageCount, PageDigest, PageIndex, SimTime, VmId, PAGE_SIZE};
+use vecycle_types::{Bytes, Error, PageCount, PageDigest, PageIndex, SimTime, VmId, PAGE_SIZE};
 
+use crate::wire::PageFile;
 use crate::ChecksumIndex;
 
-/// The payload of a checkpoint.
+/// The payload of a checkpoint held in memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointData {
     /// One digest per page — sufficient for every traffic computation.
@@ -18,13 +19,30 @@ pub enum CheckpointData {
     Pages(Vec<PageBuf>),
 }
 
+/// Where a checkpoint's payload is.
+#[derive(Debug, Clone)]
+enum Payload {
+    Resident(CheckpointData),
+    /// Page bytes still in the file [`crate::DiskStore::load`] opened,
+    /// behind the digest table it checked.
+    File(PageFile),
+}
+
+/// Pages one equality check reads and compares at a time.
+const COMPARE_BATCH: u64 = 256;
+
 /// An immutable capture of a VM's memory, stored at a host.
 ///
-/// A full-byte checkpoint also knows the digest of each of its pages:
-/// the table is adopted from whoever already derived it (the captured
-/// memory, the verifying load pass) or computed once, in a multi-lane
-/// batch, the first time a digest is asked for. It is a cache of the
-/// bytes — equality and [`Checkpoint::storage_size`] ignore it.
+/// A full-byte checkpoint also knows the digest of each of its pages.
+/// One held in memory adopts the table from whoever already derived it
+/// (the captured memory, the verifying [`Checkpoint::read_from`]) or
+/// computes it once, in a multi-lane batch, the first time a digest is
+/// asked for: a cache of the bytes, which equality and
+/// [`Checkpoint::storage_size`] ignore. One that
+/// [`crate::DiskStore::load`] returned keeps its pages in the file and
+/// its checked table in memory; a page is read and verified against its
+/// table entry when it is used ([`Checkpoint::read_pages`]), so a page
+/// that rotted on disk is an error there, never a wrong byte.
 ///
 /// # Examples
 ///
@@ -43,14 +61,39 @@ pub enum CheckpointData {
 pub struct Checkpoint {
     vm: VmId,
     taken_at: SimTime,
-    data: CheckpointData,
-    /// Per-page digests of a `Pages` payload; never set for `Digests`.
+    payload: Payload,
+    /// Per-page digests of a page payload: computed on first use for
+    /// one in memory, the checked table for one in its file; never set
+    /// for a digest payload.
     page_digests: OnceLock<Vec<PageDigest>>,
 }
 
+/// Equal when the VM, the time and every page's content agree, wherever
+/// the pages are: a checkpoint whose pages are in its file reads (and
+/// verifies) them to compare, and a page that fails to read or verify
+/// makes the two unequal.
 impl PartialEq for Checkpoint {
     fn eq(&self, other: &Self) -> bool {
-        self.vm == other.vm && self.taken_at == other.taken_at && self.data == other.data
+        if self.vm != other.vm || self.taken_at != other.taken_at {
+            return false;
+        }
+        match (&self.payload, &other.payload) {
+            (Payload::Resident(a), Payload::Resident(b)) => a == b,
+            _ if !(self.holds_pages() && other.holds_pages()) => false,
+            _ if self.page_count() != other.page_count() => false,
+            _ => {
+                let pages = self.page_count().as_u64();
+                (0..pages.div_ceil(COMPARE_BATCH)).all(|batch| {
+                    let end = pages.min((batch + 1) * COMPARE_BATCH);
+                    let batch: Vec<PageIndex> =
+                        (batch * COMPARE_BATCH..end).map(PageIndex::new).collect();
+                    matches!(
+                        (self.read_pages(&batch), other.read_pages(&batch)),
+                        (Ok(a), Ok(b)) if a == b
+                    )
+                })
+            }
+        }
     }
 }
 
@@ -59,18 +102,22 @@ impl Eq for Checkpoint {}
 impl Checkpoint {
     /// Captures a digest-level checkpoint of any memory image.
     pub fn capture<M: MemoryImage>(vm: VmId, taken_at: SimTime, memory: &M) -> Self {
-        Checkpoint {
-            vm,
-            taken_at,
-            data: CheckpointData::Digests(memory.digests()),
-            page_digests: OnceLock::new(),
-        }
+        Self::resident(vm, taken_at, CheckpointData::Digests(memory.digests()))
     }
 
     /// Captures a full-byte checkpoint of a [`ByteMemory`], sharing the
     /// memory's page buffers and adopting its page digests.
     pub fn capture_bytes(vm: VmId, taken_at: SimTime, memory: &ByteMemory) -> Self {
         Self::from_pages_with_digests(vm, taken_at, memory.pages().to_vec(), memory.digests())
+    }
+
+    fn resident(vm: VmId, taken_at: SimTime, data: CheckpointData) -> Self {
+        Checkpoint {
+            vm,
+            taken_at,
+            payload: Payload::Resident(data),
+            page_digests: OnceLock::new(),
+        }
     }
 
     /// A full-byte checkpoint whose digest table the caller has already
@@ -82,11 +129,24 @@ impl Checkpoint {
         digests: Vec<PageDigest>,
     ) -> Self {
         debug_assert_eq!(pages.len(), digests.len());
+        let cp = Self::resident(vm, taken_at, CheckpointData::Pages(pages));
+        cp.page_digests.get_or_init(|| digests);
+        cp
+    }
+
+    /// A checkpoint whose pages stay in `file`, behind their checked
+    /// digest `table`.
+    pub(crate) fn in_file(
+        vm: VmId,
+        taken_at: SimTime,
+        file: PageFile,
+        table: Vec<PageDigest>,
+    ) -> Self {
         Checkpoint {
             vm,
             taken_at,
-            data: CheckpointData::Pages(pages),
-            page_digests: OnceLock::from(digests),
+            payload: Payload::File(file),
+            page_digests: OnceLock::from(table),
         }
     }
 
@@ -103,17 +163,12 @@ impl Checkpoint {
     ) -> vecycle_types::Result<Self> {
         if let CheckpointData::Pages(pages) = &data {
             if let Some(ragged) = pages.iter().find(|p| p.len() as u64 != PAGE_SIZE) {
-                return Err(vecycle_types::Error::Corrupt {
+                return Err(Error::Corrupt {
                     detail: format!("page buffer of {} bytes is not page-aligned", ragged.len()),
                 });
             }
         }
-        Ok(Checkpoint {
-            vm,
-            taken_at,
-            data,
-            page_digests: OnceLock::new(),
-        })
+        Ok(Self::resident(vm, taken_at, data))
     }
 
     /// The VM this checkpoint belongs to.
@@ -126,17 +181,28 @@ impl Checkpoint {
         self.taken_at
     }
 
-    /// The payload.
-    pub fn data(&self) -> &CheckpointData {
-        &self.data
+    /// The payload, or `None` while the pages are in the checkpoint's
+    /// file ([`Checkpoint::into_resident`] reads them in).
+    pub fn data(&self) -> Option<&CheckpointData> {
+        match &self.payload {
+            Payload::Resident(data) => Some(data),
+            Payload::File(_) => None,
+        }
+    }
+
+    /// Whether this checkpoint holds page bytes, not just digests.
+    fn holds_pages(&self) -> bool {
+        !matches!(self.payload, Payload::Resident(CheckpointData::Digests(_)))
     }
 
     /// Number of pages captured.
     pub fn page_count(&self) -> PageCount {
-        match &self.data {
-            CheckpointData::Digests(d) => PageCount::new(d.len() as u64),
-            CheckpointData::Pages(pages) => PageCount::new(pages.len() as u64),
-        }
+        let pages = match &self.payload {
+            Payload::Resident(CheckpointData::Digests(d)) => d.len(),
+            Payload::Resident(CheckpointData::Pages(pages)) => pages.len(),
+            Payload::File(_) => self.digest_table().len(),
+        };
+        PageCount::new(pages as u64)
     }
 
     /// RAM size captured.
@@ -149,21 +215,25 @@ impl Checkpoint {
     /// accounts for it). The digest table a page-checkpoint file also
     /// carries (16 bytes per 4 KiB page) is not counted.
     pub fn storage_size(&self) -> Bytes {
-        match &self.data {
-            CheckpointData::Digests(d) => Bytes::new(d.len() as u64 * 16),
-            CheckpointData::Pages(pages) => Bytes::from_pages(pages.len() as u64),
+        match self.holds_pages() {
+            true => Bytes::from_pages(self.page_count().as_u64()),
+            false => Bytes::new(self.page_count().as_u64() * 16),
         }
     }
 
     /// The per-page digests, borrowed: the payload itself for a digest
-    /// checkpoint, the (lazily filled) table for a full-byte one.
+    /// checkpoint, the checked table for one whose pages are in its
+    /// file, the (lazily filled) table for a full-byte one in memory.
     pub fn digest_table(&self) -> &[PageDigest] {
-        match &self.data {
-            CheckpointData::Digests(d) => d,
-            CheckpointData::Pages(pages) => self.page_digests.get_or_init(|| {
-                let views: Vec<&[u8]> = pages.iter().map(|p| &p[..]).collect();
-                vecycle_hash::digest_pages(&views)
-            }),
+        match &self.payload {
+            Payload::Resident(CheckpointData::Digests(d)) => d,
+            Payload::Resident(CheckpointData::Pages(pages)) => {
+                self.page_digests.get_or_init(|| {
+                    let views: Vec<&[u8]> = pages.iter().map(|p| &p[..]).collect();
+                    vecycle_hash::digest_pages(&views)
+                })
+            }
+            Payload::File(_) => self.page_digests.get().expect("opened with its table"),
         }
     }
 
@@ -181,12 +251,44 @@ impl Checkpoint {
         self.digest_table().to_vec()
     }
 
-    /// One page's buffer, if this is a full-byte checkpoint.
-    pub fn read_page(&self, idx: PageIndex) -> Option<&PageBuf> {
-        match &self.data {
-            CheckpointData::Digests(_) => None,
-            CheckpointData::Pages(pages) => pages.get(idx.as_usize()),
+    /// The buffers of `pages`, in the order given: shared handles for a
+    /// checkpoint in memory; for one whose pages are in its file, each
+    /// read into a fresh buffer at its fixed offset and — all in one
+    /// multi-lane batch — checked against its table entry.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] for a digest checkpoint, which holds no
+    /// page bytes; [`Error::Corrupt`] naming the first page whose bytes
+    /// do not match its table entry, or that the file no longer holds;
+    /// [`Error::Io`] if a read fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page is out of bounds.
+    pub fn read_pages(&self, pages: &[PageIndex]) -> vecycle_types::Result<Vec<PageBuf>> {
+        match &self.payload {
+            Payload::Resident(CheckpointData::Digests(_)) => Err(Error::InvalidConfig {
+                reason: "a digest checkpoint holds no page bytes".into(),
+            }),
+            Payload::Resident(CheckpointData::Pages(held)) => {
+                Ok(pages.iter().map(|&i| held[i.as_usize()].clone()).collect())
+            }
+            Payload::File(file) => file.read_verified(pages, self.digest_table()),
         }
+    }
+
+    /// One page's buffer ([`Checkpoint::read_pages`] of one page).
+    ///
+    /// # Errors
+    ///
+    /// As [`Checkpoint::read_pages`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of bounds.
+    pub fn read_page(&self, idx: PageIndex) -> vecycle_types::Result<PageBuf> {
+        Ok(self.read_pages(&[idx])?.remove(0))
     }
 
     /// Builds the §3.3 checksum index over this checkpoint.
@@ -199,21 +301,52 @@ impl Checkpoint {
         ChecksumIndex::from_pages(&self.digests())
     }
 
+    /// Every page read and verified ([`Checkpoint::read_pages`]), as a
+    /// checkpoint held in memory; one already in memory comes back as
+    /// it is.
+    ///
+    /// # Errors
+    ///
+    /// As [`Checkpoint::read_pages`].
+    pub fn into_resident(self) -> vecycle_types::Result<Checkpoint> {
+        if !matches!(self.payload, Payload::File(_)) {
+            return Ok(self);
+        }
+        let pages = self.read_pages(&self.all_pages())?;
+        let table = self
+            .page_digests
+            .into_inner()
+            .expect("opened with its table");
+        Ok(Self::from_pages_with_digests(
+            self.vm,
+            self.taken_at,
+            pages,
+            table,
+        ))
+    }
+
+    pub(crate) fn all_pages(&self) -> Vec<PageIndex> {
+        (0..self.page_count().as_u64())
+            .map(PageIndex::new)
+            .collect()
+    }
+
     /// Restores a full-byte checkpoint into a [`ByteMemory`] that shares
     /// every page buffer with it — a guest write replaces only the page
     /// it touches — handing over the digest table so no page is hashed
-    /// again.
+    /// again. Pages still in the checkpoint's file are read and verified
+    /// first.
     ///
-    /// Returns `None` for digest-only checkpoints, which cannot supply
+    /// # Errors
+    ///
+    /// As [`Checkpoint::read_pages`]: a digest checkpoint cannot supply
     /// page bytes.
-    pub fn restore_byte_memory(&self) -> Option<ByteMemory> {
-        match &self.data {
-            CheckpointData::Digests(_) => None,
-            CheckpointData::Pages(pages) => Some(ByteMemory::from_pages_with_digests(
-                pages.clone(),
-                self.digests(),
-            )),
-        }
+    pub fn restore_byte_memory(&self) -> vecycle_types::Result<ByteMemory> {
+        let pages = match &self.payload {
+            Payload::Resident(CheckpointData::Pages(pages)) => pages.clone(),
+            _ => self.read_pages(&self.all_pages())?,
+        };
+        Ok(ByteMemory::from_pages_with_digests(pages, self.digests()))
     }
 }
 
@@ -260,8 +393,12 @@ mod tests {
     fn equality_and_storage_size_ignore_the_digest_table() {
         let mem = ByteMemory::with_distinct_content(PageCount::new(6), 2);
         let tabled = Checkpoint::capture_bytes(VmId::new(3), SimTime::EPOCH, &mem);
-        let lazy =
-            Checkpoint::from_parts(tabled.vm(), tabled.taken_at(), tabled.data().clone()).unwrap();
+        let lazy = Checkpoint::from_parts(
+            tabled.vm(),
+            tabled.taken_at(),
+            tabled.data().unwrap().clone(),
+        )
+        .unwrap();
         assert!(tabled.page_digests.get().is_some() && lazy.page_digests.get().is_none());
         assert_eq!(tabled, lazy);
         assert_eq!(tabled.storage_size(), lazy.storage_size());
@@ -272,8 +409,8 @@ mod tests {
     #[test]
     fn digest_checkpoint_has_no_bytes() {
         let cp = digest_cp();
-        assert!(cp.read_page(PageIndex::new(0)).is_none());
-        assert!(cp.restore_byte_memory().is_none());
+        assert!(cp.read_page(PageIndex::new(0)).is_err());
+        assert!(cp.restore_byte_memory().is_err());
     }
 
     #[test]

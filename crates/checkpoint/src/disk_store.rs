@@ -119,13 +119,19 @@ impl DiskStore {
         })
     }
 
-    /// Loads the checkpoint for `vm`, if one exists.
+    /// Loads the checkpoint for `vm`, if one exists. A page checkpoint
+    /// keeps its pages in the open file: the load reads and checks the
+    /// header, the length and the digest table, and each page is read
+    /// and verified against its table entry when it is used
+    /// ([`Checkpoint::read_pages`]; [`Checkpoint::into_resident`] reads
+    /// them all).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corrupt`] if the file exists but fails
     /// validation — callers should treat that as "no usable checkpoint"
-    /// and may call [`DiskStore::remove`] to clear it.
+    /// and may call [`DiskStore::remove`] to clear it. A page that fails
+    /// its check is reported by the read that uses it.
     pub fn load(&self, vm: VmId) -> vecycle_types::Result<Option<Checkpoint>> {
         let path = self.path_for(vm);
         let file = match std::fs::File::open(&path) {
@@ -133,7 +139,7 @@ impl DiskStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let cp = Checkpoint::read_from(file)?;
+        let cp = Checkpoint::open_file(file)?;
         if cp.vm() != vm {
             return Err(Error::Corrupt {
                 detail: format!("checkpoint file for {vm} contains {}", cp.vm()),

@@ -215,6 +215,13 @@ impl Inner {
     }
 }
 
+/// `vm`'s file in the mirror, every page read and verified: the catalog
+/// holds no checkpoint that has not passed the whole check, and no open
+/// file.
+fn load_verified(disk: &DiskStore, vm: VmId) -> vecycle_types::Result<Option<Checkpoint>> {
+    disk.load(vm)?.map(Checkpoint::into_resident).transpose()
+}
+
 fn record(checkpoint: &Checkpoint, reason: EvictionReason) -> EvictionRecord {
     EvictionRecord {
         vm: checkpoint.vm(),
@@ -344,7 +351,7 @@ impl CheckpointStore {
         let Some(disk) = &self.disk else {
             return Ok((CheckpointFetch::Missing, None));
         };
-        match disk.load(vm) {
+        match load_verified(disk, vm) {
             Ok(Some(cp)) => {
                 let warmed = self.admit(cp, true)?;
                 let fetch = match sync::write(&self.inner).recycle(vm) {
@@ -397,7 +404,7 @@ impl CheckpointStore {
             return Ok(report);
         };
         for vm in disk.list()? {
-            match disk.load(vm) {
+            match load_verified(disk, vm) {
                 Ok(Some(cp)) => {
                     report.verified += 1;
                     report.clean_pages += cp.page_count().as_u64();

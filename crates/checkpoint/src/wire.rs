@@ -14,22 +14,30 @@
 //! miss, and the migration runs without it.
 //!
 //! In a version-2 page file the digest table *is* the page check: the
-//! trailer guards header and table, and the load pass — which has to
-//! derive every page's MD5 anyway, because that is what a checkpoint is
-//! recycled by — rejects any page whose digest differs from its table
-//! entry. Digests are never trusted from disk; the table a loaded
-//! checkpoint carries is the one computed from the bytes read.
+//! trailer guards header and table, and page *i* sits at a fixed offset
+//! behind them. A page is verified against its table entry before it is
+//! used, so the check costs one MD5 of each page that is used — the
+//! same MD5 a checkpoint is recycled by. Two readers:
 //!
-//! Both directions stream. [`Checkpoint::read_from`] reads header, table
-//! and then every page straight into the buffer that page will live in;
+//! * [`Checkpoint::read_from`] reads header, table and then every page
+//!   straight into the buffer that page will live in, and verifies every
+//!   page in one multi-lane pass before it returns;
+//! * [`Checkpoint::open_file`] (behind [`crate::DiskStore::load`]) reads
+//!   header, table and trailer only, with the length taken from the
+//!   file's metadata; [`PageFile`] then reads a page by its offset when
+//!   it is used and checks it against the table.
+//!
 //! [`Checkpoint::write_to`] hands the pages' buffers to the writer a
-//! megabyte of slices at a time. Neither stages a guest-sized copy.
+//! megabyte of slices at a time. No path stages a guest-sized copy.
 
+use std::fs::File;
 use std::io::{self, IoSlice, IoSliceMut, Read};
+use std::os::unix::fs::FileExt;
+use std::sync::Arc;
 
 use vecycle_hash::{Fnv1a64, Hasher};
 use vecycle_mem::PageBuf;
-use vecycle_types::{Error, PageDigest, SimTime, VmId, PAGE_SIZE};
+use vecycle_types::{Error, PageDigest, PageIndex, SimTime, VmId, PAGE_SIZE};
 
 use crate::{Checkpoint, CheckpointData};
 
@@ -45,6 +53,8 @@ const KIND_DIGESTS: u8 = 0;
 const KIND_PAGES: u8 = 1;
 /// Page buffers handed to one vectored read or write: 1 MiB.
 const IO_BATCH: usize = 256;
+/// Table bytes [`Checkpoint::open_file`] reads at a time.
+const TABLE_CHUNK: usize = 512 * DIGEST;
 
 /// How the bytes between header and trailer are laid out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,9 +242,14 @@ impl Checkpoint {
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_to<W: io::Write>(&self, mut w: W) -> vecycle_types::Result<()> {
+        let read;
         let (version, kind, pages): (u16, u8, &[PageBuf]) = match self.data() {
-            CheckpointData::Digests(_) => (VERSION, KIND_DIGESTS, &[]),
-            CheckpointData::Pages(pages) => (VERSION_TABLED, KIND_PAGES, pages),
+            Some(CheckpointData::Digests(_)) => (VERSION, KIND_DIGESTS, &[]),
+            Some(CheckpointData::Pages(pages)) => (VERSION_TABLED, KIND_PAGES, pages),
+            None => {
+                read = self.read_pages(&self.all_pages())?;
+                (VERSION_TABLED, KIND_PAGES, &read)
+            }
         };
         let table = self.digest_table();
         let mut head = Vec::with_capacity(HEADER + table.len() * DIGEST);
@@ -326,33 +341,140 @@ impl Checkpoint {
         }
 
         let stored = table.chunks_exact(DIGEST);
+        let stored = stored.map(|d| PageDigest::new(d.try_into().expect("16-byte chunks")));
+        let (vm, taken_at) = (header.vm, header.taken_at);
         if header.layout == Layout::Digests {
-            let digests = stored
-                .map(|d| PageDigest::new(d.try_into().expect("16-byte chunks")))
-                .collect();
-            return Checkpoint::from_parts(
-                header.vm,
-                header.taken_at,
-                CheckpointData::Digests(digests),
-            );
+            return Checkpoint::from_parts(vm, taken_at, CheckpointData::Digests(stored.collect()));
         }
-        let views: Vec<&[u8]> = pages.iter().map(|page| &page[..]).collect();
-        let digests = vecycle_hash::digest_pages(&views);
-        if let Some(page) = digests
-            .iter()
-            .zip(stored)
-            .position(|(computed, stored)| computed.as_bytes()[..] != *stored)
-        {
+        let digests = verified(&pages, 0.., stored)?;
+        Ok(Checkpoint::from_pages_with_digests(
+            vm, taken_at, pages, digests,
+        ))
+    }
+
+    /// Opens a checkpoint file written by [`Checkpoint::write_to`] for
+    /// pages read on use: checks the header, the length — the file's,
+    /// from its metadata, against the header's page count — and the
+    /// trailer over header and table, exactly the checks
+    /// [`Checkpoint::read_from`] makes before it reads a page, and keeps
+    /// `file` for the pages. Reads header, table and trailer and nothing
+    /// else; the table is sized from the checked length.
+    ///
+    /// # Errors
+    ///
+    /// As [`Checkpoint::read_from`], except that a page's bytes are
+    /// checked when it is read ([`Checkpoint::read_pages`]).
+    pub(crate) fn open_file(file: File) -> vecycle_types::Result<Checkpoint> {
+        let len = file.metadata()?.len();
+        if len < (HEADER + TRAILER) as u64 {
             return Err(Error::Corrupt {
-                detail: format!("checkpoint page {page} does not match its stored digest"),
+                detail: format!("checkpoint file too short: {len} bytes"),
             });
         }
-        Ok(Checkpoint::from_pages_with_digests(
-            header.vm,
-            header.taken_at,
-            pages,
-            digests,
-        ))
+        let mut head = [0u8; HEADER];
+        read_exact_at(&file, &mut head, 0)?;
+        let header = Header::parse(&head)?;
+        header.check_payload(len - (HEADER + TRAILER) as u64)?;
+        let mut covered = Fnv1a64::new();
+        covered.update(&head);
+        let mut table = Vec::with_capacity(header.pages as usize);
+        let mut chunk = [0u8; TABLE_CHUNK];
+        let (mut at, table_end) = (HEADER as u64, HEADER as u64 + header.table_len());
+        while at < table_end {
+            let chunk = &mut chunk[..TABLE_CHUNK.min((table_end - at) as usize)];
+            read_exact_at(&file, chunk, at)?;
+            covered.update(chunk);
+            let digests = chunk.chunks_exact(DIGEST);
+            table.extend(digests.map(|d| PageDigest::new(d.try_into().expect("16-byte chunks"))));
+            at += chunk.len() as u64;
+        }
+        let mut trailer = [0u8; TRAILER];
+        read_exact_at(&file, &mut trailer, len - TRAILER as u64)?;
+        if covered.finalize() != trailer {
+            return Err(Error::Corrupt {
+                detail: "checkpoint trailer checksum mismatch".into(),
+            });
+        }
+        let (vm, taken_at) = (header.vm, header.taken_at);
+        match header.layout {
+            Layout::Digests => Checkpoint::from_parts(vm, taken_at, CheckpointData::Digests(table)),
+            Layout::TabledPages => {
+                let pages_at = table_end;
+                let file = Arc::new(file);
+                Ok(Checkpoint::in_file(
+                    vm,
+                    taken_at,
+                    PageFile { file, pages_at },
+                    table,
+                ))
+            }
+        }
+    }
+}
+
+/// Fills `buf` from `file` at `at`; a file that ends first is corrupt
+/// (it was cut after its length was checked).
+fn read_exact_at(file: &File, buf: &mut [u8], at: u64) -> vecycle_types::Result<()> {
+    file.read_exact_at(buf, at).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => Error::Corrupt {
+            detail: format!("checkpoint file ends before byte {}", at + buf.len() as u64),
+        },
+        _ => e.into(),
+    })
+}
+
+/// The pages of a version-2 page file, read on use: the open file and
+/// where its pages start. A reader that keeps one across two later saves
+/// of the VM reads the second save's bytes (the store overwrites its
+/// spare in place), which fail their table entries.
+#[derive(Debug, Clone)]
+pub(crate) struct PageFile {
+    file: Arc<File>,
+    pages_at: u64,
+}
+
+impl PageFile {
+    /// Reads `pages` into fresh buffers, in the order given, and checks
+    /// them against their entries in the file's checked `table` in one
+    /// multi-lane batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page is out of bounds.
+    pub(crate) fn read_verified(
+        &self,
+        pages: &[PageIndex],
+        table: &[PageDigest],
+    ) -> vecycle_types::Result<Vec<PageBuf>> {
+        let mut bufs = Vec::with_capacity(pages.len());
+        for &idx in pages {
+            assert!(idx.as_usize() < table.len(), "{idx} is out of bounds");
+            let mut buf = PageBuf::new_page();
+            let bytes = buf.get_mut().expect("fresh buffers are unshared");
+            read_exact_at(&self.file, bytes, self.pages_at + idx.as_u64() * PAGE_SIZE)?;
+            bufs.push(buf);
+        }
+        let at = pages.iter().map(|idx| idx.as_u64());
+        verified(&bufs, at, pages.iter().map(|idx| table[idx.as_usize()]))?;
+        Ok(bufs)
+    }
+}
+
+/// Digests `pages` (page numbers `at`, in order) in one multi-lane batch
+/// and checks each against its `stored` table entry; the error names the
+/// first that differs.
+fn verified(
+    pages: &[PageBuf],
+    at: impl Iterator<Item = u64>,
+    stored: impl Iterator<Item = PageDigest>,
+) -> vecycle_types::Result<Vec<PageDigest>> {
+    let views: Vec<&[u8]> = pages.iter().map(|page| &page[..]).collect();
+    let digests = vecycle_hash::digest_pages(&views);
+    match at.zip(stored.zip(&digests)).find(|(_, (s, c))| s != *c) {
+        Some((page, _)) => Err(Error::Corrupt {
+            detail: format!("checkpoint page {page} does not match its stored digest"),
+        }),
+        None => Ok(digests),
     }
 }
 
@@ -525,7 +647,7 @@ mod tests {
         assert_eq!(file[8..11], [0, 2, KIND_PAGES]);
         let table: Vec<u8> = cp.digests().iter().flat_map(|d| *d.as_bytes()).collect();
         assert_eq!(file[HEADER..HEADER + 3 * DIGEST], table[..]);
-        let CheckpointData::Pages(pages) = cp.data() else {
+        let Some(CheckpointData::Pages(pages)) = cp.data() else {
             panic!("page checkpoint")
         };
         let bytes: Vec<u8> = pages.iter().flat_map(|p| p.iter().copied()).collect();
@@ -541,7 +663,8 @@ mod tests {
     #[test]
     fn lazily_and_eagerly_tabled_checkpoints_write_the_same_file() {
         let (cp, file) = page_sample(3);
-        let lazy = Checkpoint::from_parts(cp.vm(), cp.taken_at(), cp.data().clone()).unwrap();
+        let data = cp.data().unwrap().clone();
+        let lazy = Checkpoint::from_parts(cp.vm(), cp.taken_at(), data).unwrap();
         let mut again = Vec::new();
         lazy.write_to(&mut again).unwrap();
         assert_eq!(again, file);
@@ -556,7 +679,7 @@ mod tests {
             let idx = PageIndex::new(i);
             assert_eq!(
                 back.digest(idx),
-                vecycle_hash::page_digest(back.read_page(idx).unwrap())
+                vecycle_hash::page_digest(&back.read_page(idx).unwrap())
             );
         }
     }
@@ -603,6 +726,62 @@ mod tests {
         file[HEADER + DIGEST] ^= 0xff; // entry of page 1
         refix_trailer(&mut file);
         assert!(corrupt_detail(&file).contains("page 1 "));
+    }
+
+    /// The lazy open agrees with the eager decoder. Over every truncation
+    /// and every single-bit flip of a one-page file, and every flip of
+    /// header, table and trailer with the trailer re-sealed, `read_from`
+    /// succeeds exactly when `open_file` and a read of every page do, and
+    /// then the three checkpoints are equal; an opened file equals the
+    /// checkpoint written exactly when the decoded one does.
+    #[test]
+    fn the_lazy_open_agrees_with_the_eager_decoder() {
+        let (cp, file) = page_sample(1);
+        let path = std::env::temp_dir().join(format!("vecycle-lazy-{}", std::process::id()));
+        let disk = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .unwrap();
+        disk.write_all_at(&file, 0).unwrap();
+        // `bytes` is what `disk` holds.
+        let agree = |bytes: &[u8], case: &str| {
+            let eager = Checkpoint::read_from(bytes).ok();
+            let lazy = Checkpoint::open_file(disk.try_clone().unwrap()).ok();
+            let verified = lazy.clone().and_then(|cp| cp.into_resident().ok());
+            assert_eq!(eager.is_some(), verified.is_some(), "{case}");
+            let same = |other: &Option<Checkpoint>| other.as_ref() == Some(&cp);
+            assert_eq!(same(&lazy), same(&eager), "{case}");
+            if let (Some(eager), Some(lazy), Some(verified)) = (eager, lazy, verified) {
+                assert!(eager == verified && lazy == eager, "{case}");
+            }
+        };
+        agree(&file, "intact");
+        for cut in 0..file.len() {
+            disk.set_len(cut as u64).unwrap();
+            agree(&file[..cut], &format!("cut at {cut}"));
+            disk.write_all_at(&file[cut..], cut as u64).unwrap();
+        }
+        let (covered, trailer) = (Checkpoint::trailer_coverage(&file), file.len() - TRAILER);
+        for at in 0..file.len() {
+            for bit in 0..8 {
+                let mut bytes = file.clone();
+                bytes[at] ^= 1 << bit;
+                disk.write_all_at(&bytes[at..=at], at as u64).unwrap();
+                agree(&bytes, &format!("bit {bit} of byte {at}"));
+                if at < covered || at >= trailer {
+                    refix_trailer(&mut bytes);
+                    disk.write_all_at(&bytes[trailer..], trailer as u64)
+                        .unwrap();
+                    agree(&bytes, &format!("bit {bit} of byte {at}, re-sealed"));
+                    disk.write_all_at(&file[trailer..], trailer as u64).unwrap();
+                }
+                disk.write_all_at(&file[at..=at], at as u64).unwrap();
+            }
+        }
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

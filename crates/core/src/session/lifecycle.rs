@@ -20,7 +20,7 @@ use vecycle_types::{SimTime, VmId};
 
 use crate::{estimate, MigrationEngine, MigrationReport, Strategy};
 
-use super::{RecyclePolicy, SessionEvent, VeCycleSession, VmInstance};
+use super::{ProbeSeries, RecyclePolicy, SessionEvent, VeCycleSession, VmInstance};
 
 /// The fault-shaped reason recycling is impossible, if any — what a
 /// completed migration reports as its `FellBackToFull` cause.
@@ -162,13 +162,11 @@ impl VeCycleSession {
                     let estimate =
                         MigrationEngine::estimate_similarity(vm.guest().memory(), &probe, 256);
                     let recycle = estimate >= threshold;
-                    self.metrics()
-                        .set_gauge("session_similarity_estimate", &[], estimate.as_f64());
-                    self.metrics().inc(
-                        "session_similarity_probe_total",
-                        &[("verdict", if recycle { "recycle" } else { "fallback" })],
-                        1,
-                    );
+                    let series =
+                        (self.series.probe).get_or_init(|| ProbeSeries::new(self.metrics()));
+                    series.estimate.set(estimate.as_f64());
+                    let verdict = if recycle { "recycle" } else { "fallback" };
+                    series.verdicts.of(verdict).inc(1);
                     recycle.then_some(probe)
                 });
                 match (recycled, partial) {

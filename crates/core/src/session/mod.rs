@@ -7,14 +7,14 @@
 //! bootstrap the VM."* This module owns that cycle so callers only say
 //! "move this VM there now".
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use vecycle_checkpoint::{ChecksumIndex, IndexSeries, PartialCheckpoint};
 use vecycle_faults::{FaultCause, FaultKind, FaultPlan, RetryPolicy};
 use vecycle_host::{Cluster, MigrationRequest, StoreSeries};
 use vecycle_mem::{workload::GuestWorkload, Guest, MutableMemory};
 use vecycle_net::TrafficLedger;
-use vecycle_obs::{layouts, Counter, CounterFamily, MetricsRegistry};
+use vecycle_obs::{layouts, Counter, CounterFamily, Gauge, MetricsRegistry};
 use vecycle_types::{Bytes, Error, HostId, SimDuration, SimTime, VmId};
 
 use crate::spare::Spare;
@@ -113,6 +113,30 @@ struct SessionSeries {
     /// `checkpoint_index_*{source}` for a checkpoint, a partial, both.
     index: [IndexSeries; 3],
     store: StoreSeries,
+    /// Resolved by the first leg the Adaptive policy probes.
+    probe: OnceLock<ProbeSeries>,
+}
+
+/// `session_similarity_estimate` and
+/// `session_similarity_probe_total{verdict}`.
+#[derive(Debug)]
+struct ProbeSeries {
+    estimate: Gauge,
+    verdicts: CounterFamily,
+}
+
+impl ProbeSeries {
+    fn new(metrics: &MetricsRegistry) -> Self {
+        ProbeSeries {
+            estimate: metrics.resolve_gauge("session_similarity_estimate", &[]),
+            verdicts: CounterFamily::new(
+                metrics,
+                "session_similarity_probe_total",
+                "verdict",
+                &["recycle", "fallback"],
+            ),
+        }
+    }
 }
 
 impl SessionSeries {
@@ -139,6 +163,7 @@ impl SessionSeries {
             ),
             index: ["checkpoint", "partial", "merged"].map(|s| IndexSeries::new(metrics, s)),
             store: StoreSeries::new(metrics, cluster),
+            probe: OnceLock::new(),
         }
     }
 }

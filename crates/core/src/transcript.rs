@@ -1,7 +1,7 @@
 //! Migration transcripts and the destination merge (Listing 1).
 
-use vecycle_checkpoint::Checkpoint;
-use vecycle_mem::{ByteMemory, MemoryImage, MutableMemory, PageBuf, PageContent};
+use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
+use vecycle_mem::{ByteMemory, PageBuf};
 use vecycle_net::WireMsg;
 use vecycle_types::{Error, PageDigest, PageIndex, PAGE_SIZE};
 
@@ -104,39 +104,45 @@ impl LiveTranscript {
 
 /// Checks every `Full` payload of `transcript` against its attached
 /// checksum, all pages in one multi-lane batch — the one time the
-/// destination digests a received page. Both lists are sized once, to
-/// the `Full` messages counted first.
+/// destination digests a received page. The payload list is sized once,
+/// to the `Full` messages counted first.
 fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
-    let fulls = transcript
-        .iter()
-        .filter(|msg| matches!(msg, PageMsg::Full { .. }))
-        .count();
-    let mut attached = Vec::with_capacity(fulls);
-    let mut payloads: Vec<&[u8]> = Vec::with_capacity(fulls);
-    for msg in transcript {
-        if let PageMsg::Full { idx, digest, bytes } = msg {
-            let bytes = bytes.as_deref().ok_or_else(|| Error::Corrupt {
-                detail: format!("full-page message for {idx} carries no bytes"),
-            })?;
-            if bytes.len() as u64 != PAGE_SIZE {
-                return Err(Error::Corrupt {
-                    detail: format!(
-                        "full-page message for {idx} carries {} bytes, not one page",
-                        bytes.len()
-                    ),
-                });
-            }
-            attached.push((idx, digest));
-            payloads.push(bytes);
+    let fulls = || {
+        transcript.iter().filter_map(|msg| match msg {
+            PageMsg::Full { idx, digest, bytes } => Some((idx, digest, bytes)),
+            _ => None,
+        })
+    };
+    let mut payloads: Vec<&[u8]> = Vec::with_capacity(fulls().count());
+    for (idx, _, bytes) in fulls() {
+        let bytes = bytes.as_deref().ok_or_else(|| Error::Corrupt {
+            detail: format!("full-page message for {idx} carries no bytes"),
+        })?;
+        if bytes.len() as u64 != PAGE_SIZE {
+            return Err(Error::Corrupt {
+                detail: format!(
+                    "full-page message for {idx} carries {} bytes, not one page",
+                    bytes.len()
+                ),
+            });
         }
+        payloads.push(bytes);
     }
     let computed = vecycle_hash::digest_pages(&payloads);
-    match attached.iter().zip(&computed).find(|((_, d), c)| d != c) {
-        Some(((idx, _), _)) => Err(Error::Corrupt {
+    match fulls().zip(&computed).find(|((_, d, _), c)| d != c) {
+        Some(((idx, _, _), _)) => Err(Error::Corrupt {
             detail: format!("{idx} bytes do not match attached checksum"),
         }),
         None => Ok(()),
     }
+}
+
+/// Where a page of the rebuilt memory gets its content: a checkpoint
+/// page, or the `Full` or `Zero` message at a transcript position.
+#[derive(Debug, Clone, Copy)]
+enum Origin {
+    Checkpoint(u32),
+    Message(u32),
 }
 
 /// Applies a transcript at the destination, reconstructing guest memory.
@@ -146,83 +152,113 @@ fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
 /// already-resident page and, on mismatch, resolved through the
 /// checkpoint's checksum index (`lookup` + read at the found offset).
 ///
-/// Every byte is digested once and no page is copied. The checkpoint
-/// hands its digest table to the index and, with its page buffers, to
-/// the restored memory; each `Full` payload is verified against its
+/// The merge runs twice. First over digests alone: the index is built
+/// over the checkpoint's borrowed table, and a dry run of the transcript
+/// records where each page of the result comes from — a checkpoint page
+/// (hit in place, relocated, or never touched) or a message. Then it
+/// reads exactly those checkpoint pages, ascending, in one batch, each
+/// checked against its table entry before it is merged
+/// ([`Checkpoint::read_pages`]): for a checkpoint
+/// [`vecycle_checkpoint::DiskStore::load`] returned, the pages the
+/// source replaced are never read or hashed.
+///
+/// No page is copied. Each `Full` payload is verified against its
 /// attached checksum ("sending the checksum along with the full page
 /// saves the receiver from re-computing" it later, §3.2) before memory
-/// is touched, and its buffer adopted under that digest; a checksum hit
-/// adopts the buffer of the checkpoint page the index found, under the
-/// digest that found it — the index was built from digests derived from
-/// those very bytes. The returned memory shares pages with `checkpoint`
-/// and `transcript`; a later write to it replaces only the page written.
+/// is touched, and its buffer adopted under that digest; a checkpoint
+/// page is adopted under its table entry, which its bytes were just
+/// checked against (or, for a checkpoint in memory, derived from). The
+/// returned memory shares pages with `checkpoint` and `transcript`; a
+/// later write to it replaces only the page written.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Corrupt`] if a full page does not match its attached
 /// checksum, if a checksum message references content that neither the
-/// resident page nor the checkpoint can supply, or if a message's page or
+/// resident page nor the checkpoint can supply, if a message's page or
 /// a dedup reference points outside the guest — all indicate a protocol
-/// violation or corruption.
+/// violation or corruption — or if a checkpoint page the result needs
+/// does not match its table entry (naming that page). Returns
+/// [`Error::InvalidConfig`] for a digest-only checkpoint.
 pub fn apply_transcript(
     checkpoint: &Checkpoint,
     transcript: &Transcript,
 ) -> vecycle_types::Result<ByteMemory> {
     verify_full_payloads(transcript)?;
-    let index = checkpoint.build_index();
-    let mut mem = checkpoint
-        .restore_byte_memory()
-        .ok_or_else(|| Error::InvalidConfig {
-            reason: "destination merge needs a full-byte checkpoint".into(),
-        })?;
+    let table = checkpoint.digest_table();
+    let index = ChecksumIndex::from_pages(table);
+    let message = |k: u32| &transcript[k as usize];
+    let digest_of = |origin| match origin {
+        Origin::Checkpoint(at) => table[at as usize],
+        Origin::Message(k) => match message(k) {
+            PageMsg::Full { digest, .. } => *digest,
+            _ => PageDigest::ZERO_PAGE,
+        },
+    };
 
-    let pages = mem.page_count().as_u64();
-    for msg in transcript {
+    let pages = table.len() as u64;
+    let mut origins: Vec<Origin> = (0..pages as u32).map(Origin::Checkpoint).collect();
+    for (k, msg) in (0..).zip(transcript) {
         let page = msg.idx().as_u64();
         if page >= pages {
             return Err(Error::Corrupt {
                 detail: format!("page index {page} beyond guest size {pages}"),
             });
         }
+        let at = page as usize;
         match msg {
-            PageMsg::Full { idx, digest, bytes } => {
-                let bytes = bytes.clone().expect("verified above");
-                mem.write_page_with_digest(*idx, bytes, *digest);
-            }
+            PageMsg::Full { .. } | PageMsg::Zero { .. } => origins[at] = Origin::Message(k),
             PageMsg::Checksum { idx, digest } => {
                 // Listing 1: if the resident page (from the checkpoint
                 // restore) already matches, nothing to do; otherwise look
                 // the checksum up and copy from the checkpoint offset.
-                if mem.page_digest(*idx) == *digest {
+                if digest_of(origins[at]) == *digest {
                     continue;
                 }
                 let offset = index.lookup(*digest).ok_or_else(|| Error::Corrupt {
                     detail: format!("checksum for {idx} not found in checkpoint index"),
                 })?;
-                let page = checkpoint.read_page(offset).ok_or_else(|| Error::Corrupt {
-                    detail: format!("checkpoint page {offset} unreadable"),
-                })?;
-                mem.write_page_with_digest(*idx, page.clone(), *digest);
+                origins[at] = Origin::Checkpoint(offset.as_u64() as u32);
             }
-            PageMsg::DedupRef { idx, source } => {
-                if source.as_u64() >= mem.page_count().as_u64() {
+            PageMsg::DedupRef { source, .. } => {
+                if source.as_u64() >= pages {
                     return Err(Error::Corrupt {
                         detail: format!("dedup reference {source} out of range"),
                     });
                 }
-                mem.relocate_page(*source, *idx);
-            }
-            PageMsg::Zero { idx } => {
-                mem.write_page(*idx, PageContent::Zero);
+                origins[at] = origins[source.as_usize()];
             }
         }
     }
-    Ok(mem)
+
+    let from_checkpoint = |origin: &Origin| match origin {
+        Origin::Checkpoint(at) => Some(PageIndex::new(u64::from(*at))),
+        Origin::Message(_) => None,
+    };
+    let mut needed = Vec::with_capacity(origins.iter().filter_map(from_checkpoint).count());
+    needed.extend(origins.iter().filter_map(from_checkpoint));
+    needed.sort_unstable();
+    needed.dedup();
+    let read = checkpoint.read_pages(&needed)?;
+    let buffer = |origin| match origin {
+        Origin::Checkpoint(at) => {
+            let at = needed.binary_search(&PageIndex::new(u64::from(at)));
+            read[at.expect("every checkpoint origin was read")].clone()
+        }
+        Origin::Message(k) => match message(k) {
+            PageMsg::Full { bytes, .. } => bytes.clone().expect("verified above"),
+            _ => PageBuf::zero_page(),
+        },
+    };
+    let bufs = origins.iter().map(|&origin| buffer(origin)).collect();
+    let digests = origins.iter().map(|&origin| digest_of(origin)).collect();
+    Ok(ByteMemory::from_pages_with_digests(bufs, digests))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vecycle_mem::{MemoryImage, MutableMemory, PageContent};
     use vecycle_types::{PageCount, SimTime, VmId};
 
     fn byte_mem(seed: u64) -> ByteMemory {
@@ -491,8 +527,8 @@ mod tests {
         }
         let shared = |i, with: &PageBuf| rebuilt.read_page(PageIndex::new(i)).shares_with(with);
         assert!(shared(3, now.read_page(PageIndex::new(3))));
-        assert!(shared(5, cp.read_page(PageIndex::new(2)).unwrap()));
-        assert!(shared(0, cp.read_page(PageIndex::new(0)).unwrap()));
+        assert!(shared(5, &cp.read_page(PageIndex::new(2)).unwrap()));
+        assert!(shared(0, &cp.read_page(PageIndex::new(0)).unwrap()));
         assert_eq!(
             rebuilt.page_digest(PageIndex::new(5)),
             cp.digest(PageIndex::new(2))

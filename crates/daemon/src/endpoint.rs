@@ -2,7 +2,7 @@
 //! byte-counting reader, and the pool of buffers sessions borrow.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -197,6 +197,13 @@ impl Write for Stream {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            Stream::Unix(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.flush(),
@@ -317,6 +324,12 @@ impl<S: Read> Read for SessionStream<'_, S> {
 impl<S: Write> Write for SessionStream<'_, S> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         let n = self.inner.write(buf)?;
+        self.tx += n as u64;
+        Ok(n)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        let n = self.inner.write_vectored(bufs)?;
         self.tx += n as u64;
         Ok(n)
     }

@@ -6,7 +6,7 @@
 //! sizes are the analytic prices). Readers validate the declared
 //! length against a per-connection limit *before* allocating.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use crate::DaemonError;
 
@@ -54,7 +54,8 @@ pub(crate) fn frame_cost(payload_len: u64) -> u64 {
     HEADER + payload_len
 }
 
-/// Writes one frame.
+/// Writes one frame: header and payload in one vectored write where
+/// `w` takes it, with no buffer of its own.
 ///
 /// # Errors
 ///
@@ -69,11 +70,19 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> std::io::Re
         payload.len() as u64 <= MAX_PAYLOAD,
         "control payload exceeds frame limit"
     );
-    let mut buf = Vec::with_capacity(HEADER as usize + payload.len());
-    buf.push(kind);
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(payload);
-    w.write_all(&buf)
+    let [a, b, c, d] = (payload.len() as u32).to_be_bytes();
+    let header = [kind, a, b, c, d];
+    let mut parts = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut left = &mut parts[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reads one frame, enforcing the payload limit before allocating.

@@ -19,14 +19,14 @@
 //!   duration grammars), each
 //!   with seed inputs, a mutation
 //!   dictionary and an outcome classifier;
-//! * [`mutate`] — the seeded mutator and the trailer-fixing fixup that
+//! * `mutate` — the seeded mutator and the trailer-fixing fixup that
 //!   lets mutants of checksummed formats reach the inner field parsers;
-//! * [`guard`] — the no-panic + bounded-allocation harness: a counting
+//! * `guard` — the no-panic + bounded-allocation harness: a counting
 //!   global allocator that fails a target when parsing an N-byte input
 //!   requests far more than N bytes;
 //! * [`corpus`] — the permanent, content-addressed corpus under
 //!   `fuzz/corpus/`, replayed by tests and CI;
-//! * [`oracle`] — differential replay of clean-parsing corpus entries:
+//! * `oracle` — differential replay of clean-parsing corpus entries:
 //!   closed-form estimates vs the real transfer pipeline. The daemon's
 //!   decoders carry their own per-input oracles (reader equivalence,
 //!   growing-file loads, compaction as a fixed point) as
@@ -35,9 +35,9 @@
 #![warn(missing_docs)]
 
 pub mod corpus;
-pub mod guard;
-pub mod mutate;
-pub mod oracle;
+mod guard;
+mod mutate;
+mod oracle;
 pub mod targets;
 
 pub use guard::{alloc_budget, AllocMeter, AllocStats, CountingAlloc};

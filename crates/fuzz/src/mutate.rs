@@ -41,13 +41,13 @@ const INTERESTING: &[u64] = &[
 
 /// The deterministic mutator: one per target, seeded from the run seed
 /// and the target name.
-pub struct Mutator {
+pub(crate) struct Mutator {
     rng: ChaCha8,
 }
 
 impl Mutator {
     /// Creates a mutator whose stream depends only on `seed`.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Mutator {
             rng: ChaCha8::seed_from_u64(seed),
         }
@@ -59,7 +59,7 @@ impl Mutator {
     /// get spliced in whole — byte-level flips alone rarely stumble
     /// from `crash=0.1` to `hosts=`, but a token splice does. The
     /// result never exceeds `max_len` bytes.
-    pub fn mutate(&mut self, base: &[u8], dict: &[&[u8]], max_len: usize) -> Vec<u8> {
+    pub(crate) fn mutate(&mut self, base: &[u8], dict: &[&[u8]], max_len: usize) -> Vec<u8> {
         let mut out = base.to_vec();
         let rounds = 1 + self.rng.below(4);
         for _ in 0..rounds {
@@ -162,7 +162,7 @@ impl Mutator {
 
     /// Uniform pick of a pool index (exposed so the driver's pool
     /// selection rides the same deterministic stream).
-    pub fn pick(&mut self, len: usize) -> usize {
+    pub(crate) fn pick(&mut self, len: usize) -> usize {
         self.rng.below(len as u64) as usize
     }
 }
@@ -176,7 +176,7 @@ impl Mutator {
 /// actual attack surface once a forged file carries a valid trailer:
 /// field parsers, the table-vs-pages comparison) never see hostile
 /// values.
-pub fn fix_trailer(buf: &mut [u8]) {
+pub(crate) fn fix_trailer(buf: &mut [u8]) {
     if buf.len() < 8 {
         return;
     }
@@ -189,7 +189,7 @@ pub fn fix_trailer(buf: &mut [u8]) {
 
 /// FNV-1a 64 over a byte slice, as a plain u64 — used for corpus
 /// content addressing and the run's stream digest.
-pub fn fnv64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a64::new();
     h.update(bytes);
     u64::from_be_bytes(h.finalize())
@@ -197,7 +197,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 
 /// Extends a rolling FNV digest with a length-framed record, so the
 /// stream digest distinguishes `["ab","c"]` from `["a","bc"]`.
-pub fn fnv64_chain(acc: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv64_chain(acc: u64, bytes: &[u8]) -> u64 {
     let mut h = Fnv1a64::new();
     h.update(&acc.to_be_bytes());
     h.update(&(bytes.len() as u64).to_be_bytes());

@@ -39,7 +39,7 @@ const TIME_ATOL_SECS: f64 = 0.005;
 
 /// What a replay did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OracleOutcome {
+pub(crate) enum OracleOutcome {
     /// The oracle ran and agreed.
     Checked,
     /// Input was empty or over the size cap; nothing to migrate.
@@ -132,7 +132,7 @@ fn replay(vm: &DigestMemory, index: Arc<ChecksumIndex>) -> Result<OracleOutcome,
 /// its index, so the migration mixes checksum hits, novel sends and
 /// (for zero pages) suppression — a fixed, reproducible workload shape
 /// whatever bytes the fuzzer found.
-pub fn checkpoint_oracle(cp: &Checkpoint) -> Result<OracleOutcome, String> {
+pub(crate) fn checkpoint_oracle(cp: &Checkpoint) -> Result<OracleOutcome, String> {
     let mut digests = cp.digests();
     if digests.len() > MAX_ORACLE_PAGES {
         return Ok(OracleOutcome::Skipped);
@@ -149,7 +149,7 @@ pub fn checkpoint_oracle(cp: &Checkpoint) -> Result<OracleOutcome, String> {
 /// Differential replay of a parsed trace: the oldest fingerprint plays
 /// the destination's checkpoint, the newest plays the live guest — the
 /// paper's recycling shape, driven by fuzz-found digest patterns.
-pub fn trace_oracle(trace: &Trace) -> Result<OracleOutcome, String> {
+pub(crate) fn trace_oracle(trace: &Trace) -> Result<OracleOutcome, String> {
     let fps = trace.fingerprints();
     let (first, last) = match (fps.first(), fps.last()) {
         (Some(f), Some(l)) => (f, l),

@@ -700,8 +700,8 @@ fn corrupt_class(detail: &str, table: &[(&str, &'static str)]) -> &'static str {
 fn run_checkpoint(input: &[u8]) -> &'static str {
     match Checkpoint::read_from(input) {
         Ok(cp) => match cp.data() {
-            CheckpointData::Digests(_) => "ok_digests",
-            CheckpointData::Pages(_) => "ok_pages",
+            Some(CheckpointData::Digests(_)) => "ok_digests",
+            _ => "ok_pages",
         },
         Err(Error::Corrupt { detail }) => corrupt_class(
             &detail,

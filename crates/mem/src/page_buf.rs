@@ -78,7 +78,7 @@ impl PageBuf {
 
     /// The all-zero page: every call returns a handle to one static
     /// buffer, so zero pages cost no memory however many a guest has.
-    pub(crate) fn zero_page() -> Self {
+    pub fn zero_page() -> Self {
         static ZERO: OnceLock<PageBuf> = OnceLock::new();
         ZERO.get_or_init(PageBuf::new_page).clone()
     }

@@ -28,8 +28,8 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44284
-PUB_CEILING=1061
+BUDGET=44792
+PUB_CEILING=1051
 DEPS_CEILING=111
 DESIGN_CEILING=1622
 CAP=800

@@ -13,7 +13,7 @@ use vecycle::host::Host;
 use vecycle::mem::{ByteMemory, DigestMemory, MemoryImage, MutableMemory, PageBuf, PageContent};
 use vecycle::net::LinkSpec;
 use vecycle::types::rng::{split, Xorshift};
-use vecycle::types::{Bytes, HostId, PageCount, PageIndex, SimDuration, SimTime, VmId};
+use vecycle::types::{Bytes, Error, HostId, PageCount, PageIndex, SimDuration, SimTime, VmId};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("vecycle-persist-{tag}-{}", std::process::id()));
@@ -34,6 +34,11 @@ fn choose_strategy(store: &DiskStore, vm: VmId) -> (Strategy, Option<Checkpoint>
     }
 }
 
+/// Bit rot strikes the stored file: once in the digest table, which the
+/// load checks, and once in the bytes of page 42, which the guest still
+/// holds, so the merge reads it — and refuses it. Either way the host
+/// clears the file and rebuilds the guest byte for byte from a dedup
+/// migration.
 #[test]
 fn corrupt_checkpoint_falls_back_to_dedup() {
     let dir = tmpdir("fallback");
@@ -41,26 +46,115 @@ fn corrupt_checkpoint_falls_back_to_dedup() {
     let vm_id = VmId::new(0);
     let mem = ByteMemory::with_distinct_content(PageCount::new(128), 4);
     let path = dir.join("vm-0.ckpt");
+    let engine = MigrationEngine::new(LinkSpec::lan_gigabit());
 
-    // Bit rot strikes the stored file: once in the digest table, once
-    // in the bytes of page 42 (32-byte header, 128 16-byte digests).
+    // 32-byte header, 128 16-byte digests, then the pages.
     let page_42 = 32 + 128 * 16 + 42 * 4096 + 7;
-    for (at, names) in [(32 + 5, "trailer"), (page_42, "page 42 ")] {
+    for (at, names, at_load) in [(32 + 5, "trailer", true), (page_42, "page 42 ", false)] {
         store
             .save(&Checkpoint::capture_bytes(vm_id, SimTime::EPOCH, &mem))
             .unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[at] ^= 0x01;
         std::fs::write(&path, bytes).unwrap();
-        let err = store.load(vm_id).unwrap_err().to_string();
-        assert!(err.contains(names), "byte {at}: {err}");
+        let err = match store.load(vm_id) {
+            Err(err) => err,
+            Ok(cp) => {
+                assert!(!at_load, "byte {at}: the load must refuse it");
+                let cp = cp.expect("saved above");
+                let strategy = Strategy::vecycle_from_checkpoint(&cp);
+                let (_, transcript) = engine.migrate_with_transcript(&mem, strategy).unwrap();
+                let err = apply_transcript(&cp, &transcript).unwrap_err();
+                store.remove(vm_id).unwrap();
+                err
+            }
+        };
+        assert!(matches!(err, Error::Corrupt { .. }), "byte {at}: {err}");
+        assert!(err.to_string().contains(names), "byte {at}: {err}");
 
         let (strategy, cp) = choose_strategy(&store, vm_id);
         assert!(cp.is_none(), "corrupt checkpoint must not be used");
         assert_eq!(strategy.name().to_string(), "dedup");
+        let (_, transcript) = engine.migrate_with_transcript(&mem, strategy).unwrap();
+        let blank = Checkpoint::capture_bytes(
+            vm_id,
+            SimTime::EPOCH,
+            &ByteMemory::zeroed(PageCount::new(128)),
+        );
+        let rebuilt = apply_transcript(&blank, &transcript).unwrap();
+        assert!(rebuilt.content_equals(&mem), "byte {at}");
         // The corrupt file was cleared; the next save starts fresh.
         assert!(store.load(vm_id).unwrap().is_none());
     }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// The distinct buffers of `rebuilt` that neither `guest` nor the zero
+/// page is: the checkpoint pages the merge read (a full page or a dedup
+/// reference shares the source guest's buffer).
+fn read_by_merge(rebuilt: &ByteMemory, guest: &ByteMemory) -> u64 {
+    let mut held: Vec<*const u8> = guest.pages().iter().map(|p| p.as_ptr()).collect();
+    held.push(PageBuf::zero_page().as_ptr());
+    held.sort_unstable();
+    let mut read: Vec<*const u8> = (rebuilt.pages().iter().map(|p| p.as_ptr()))
+        .filter(|p| held.binary_search(p).is_err())
+        .collect();
+    read.sort_unstable();
+    read.dedup();
+    read.len() as u64
+}
+
+/// This thread's `rchar` (bytes returned by its `read`-family calls), and
+/// the length of the read that asked: the next call counts it.
+#[cfg(target_os = "linux")]
+fn thread_rchar() -> (u64, u64) {
+    let io = std::fs::read_to_string("/proc/thread-self/io").unwrap();
+    let rchar = io.lines().find_map(|l| l.strip_prefix("rchar: ")).unwrap();
+    (rchar.parse().unwrap(), io.len() as u64)
+}
+
+/// A leg reads the checkpoint's header, table and trailer, then exactly
+/// the pages the guest still holds, and nothing else: the page the guest
+/// overwrote is corrupt on disk, and the leg neither reads it nor
+/// notices.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_leg_reads_only_the_checkpoint_pages_it_recycles() {
+    const PAGES: u64 = 256;
+    let dir = tmpdir("read-on-use");
+    let store = DiskStore::open(&dir).unwrap();
+    let vm_id = VmId::new(3);
+    let mut guest = ByteMemory::with_distinct_content(PageCount::new(PAGES), 8);
+    store
+        .save(&Checkpoint::capture_bytes(vm_id, SimTime::EPOCH, &guest))
+        .unwrap();
+    // The guest rewrites every third page; page 9 rots on disk.
+    let rewritten = (0..PAGES).step_by(3).collect::<Vec<_>>();
+    for &i in &rewritten {
+        guest.write_page(PageIndex::new(i), PageContent::Bytes(&i.to_be_bytes()));
+    }
+    let path = dir.join("vm-3.ckpt");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[32 + PAGES as usize * 16 + 9 * 4096 + 100] ^= 0x20;
+    std::fs::write(&path, bytes).unwrap();
+
+    let (before, asked) = thread_rchar();
+    let checkpoint = store.load(vm_id).unwrap().expect("saved above");
+    let (_, transcript) = MigrationEngine::new(LinkSpec::lan_gigabit())
+        .migrate_with_transcript(&guest, Strategy::vecycle_from_checkpoint(&checkpoint))
+        .unwrap();
+    let allocated = PageBuf::allocated();
+    let rebuilt = apply_transcript(&checkpoint, &transcript).unwrap();
+    let fetched = PageBuf::allocated() - allocated;
+    let (after, _) = thread_rchar();
+    assert!(rebuilt.content_equals(&guest));
+    assert_eq!(fetched, read_by_merge(&rebuilt, &guest));
+    assert_eq!(fetched, PAGES - rewritten.len() as u64);
+    assert_eq!(
+        after - before - asked,
+        32 + PAGES * 16 + 8 + 4096 * fetched,
+        "header, table, trailer and the {fetched} pages the merge fetched"
+    );
     std::fs::remove_dir_all(dir).unwrap();
 }
 
@@ -441,10 +535,11 @@ fn store_handles_many_vms() {
 }
 
 /// One leg of `examples/ping_pong.rs` over a disk store, counted at the
-/// page-buffer constructor: the load allocates one buffer per page it
-/// reads, a guest write at most one per page it changes, and the scan,
-/// the merge, the capture and the save none — nothing on the leg holds
-/// a second copy of the guest.
+/// page-buffer constructor: a guest write allocates at most one buffer
+/// per page it changes, the load none, the merge one per checkpoint page
+/// it fetches — fewer than the checkpoint holds — and the scan, the
+/// capture and the save none: nothing on the leg holds a second copy of
+/// the guest.
 #[test]
 fn a_ping_pong_leg_allocates_page_buffers_only_to_read_and_to_write() {
     use vecycle::mem::workload::{GuestWorkload, IdleWorkload, RelocationWorkload};
@@ -468,7 +563,7 @@ fn a_ping_pong_leg_allocates_page_buffers_only_to_read_and_to_write() {
             !guest
                 .memory()
                 .read_page(i)
-                .shares_with(left_here.read_page(i).unwrap())
+                .shares_with(&left_here.read_page(i).unwrap())
         })
         .count() as u64;
     let written = PageBuf::allocated() - at_start;
@@ -478,7 +573,7 @@ fn a_ping_pong_leg_allocates_page_buffers_only_to_read_and_to_write() {
     );
 
     let checkpoint = store.load(vm_id).unwrap().expect("saved above");
-    assert_eq!(PageBuf::allocated() - at_start, written + PAGES);
+    assert_eq!(PageBuf::allocated() - at_start, written);
     let (report, transcript) = MigrationEngine::new(LinkSpec::lan_gigabit())
         .migrate_with_transcript(
             guest.memory(),
@@ -488,6 +583,9 @@ fn a_ping_pong_leg_allocates_page_buffers_only_to_read_and_to_write() {
     assert!(report.pages_sent_full().as_u64() > 0);
     let rebuilt = apply_transcript(&checkpoint, &transcript).unwrap();
     assert!(rebuilt.content_equals(guest.memory()));
+    let fetched = PageBuf::allocated() - at_start - written;
+    assert_eq!(fetched, read_by_merge(&rebuilt, guest.memory()));
+    assert!(0 < fetched && fetched < PAGES, "{fetched}");
     store
         .save(&Checkpoint::capture_bytes(
             vm_id,
@@ -495,7 +593,7 @@ fn a_ping_pong_leg_allocates_page_buffers_only_to_read_and_to_write() {
             guest.memory(),
         ))
         .unwrap();
-    assert_eq!(PageBuf::allocated() - at_start, written + PAGES);
+    assert_eq!(PageBuf::allocated() - at_start, written + fetched);
     std::fs::remove_dir_all(dir).unwrap();
 }
 
