@@ -2,6 +2,7 @@
 
 use std::sync::OnceLock;
 
+use vecycle_hash::ChecksumAlgorithm;
 use vecycle_mem::{ByteMemory, MemoryImage, PageBuf};
 use vecycle_types::{Bytes, Error, PageCount, PageDigest, PageIndex, SimTime, VmId, PAGE_SIZE};
 
@@ -230,7 +231,7 @@ impl Checkpoint {
             Payload::Resident(CheckpointData::Pages(pages)) => {
                 self.page_digests.get_or_init(|| {
                     let views: Vec<&[u8]> = pages.iter().map(|p| &p[..]).collect();
-                    vecycle_hash::digest_pages(&views)
+                    ChecksumAlgorithm::Md5.digest_pages(&views)
                 })
             }
             Payload::File(_) => self.page_digests.get().expect("opened with its table"),
@@ -346,7 +347,10 @@ impl Checkpoint {
             Payload::Resident(CheckpointData::Pages(pages)) => pages.clone(),
             _ => self.read_pages(&self.all_pages())?,
         };
-        Ok(ByteMemory::from_pages_with_digests(pages, self.digests()))
+        Ok(ByteMemory::from_pages_with_digests(
+            pages,
+            self.digest_table().iter().copied(),
+        ))
     }
 }
 

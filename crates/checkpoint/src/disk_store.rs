@@ -102,20 +102,17 @@ impl DiskStore {
     /// intact. A reader that holds the file open across two later saves
     /// of the VM reads the second one's bytes over it, which its trailer
     /// check reports as [`Error::Corrupt`].
-    /// The page bytes reach the file through `write_to`'s vectored
-    /// writes, which a `BufWriter` passes through unbuffered.
+    /// `write_to` writes straight to the file, unbuffered: header and
+    /// table in 8 KiB chunks, the pages in vectored writes.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; a failed save leaves any previous
     /// checkpoint intact and no temp file behind.
     pub fn save(&self, checkpoint: &Checkpoint) -> vecycle_types::Result<()> {
-        use std::io::Write;
         let vm = checkpoint.vm();
         vecycle_types::atomic_replace(&self.path_for(vm), &self.spare_for(vm), |file| {
-            let mut writer = std::io::BufWriter::new(file);
-            checkpoint.write_to(&mut writer)?;
-            writer.flush().map_err(Error::from)
+            checkpoint.write_to(file)
         })
     }
 

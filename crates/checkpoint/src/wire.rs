@@ -27,7 +27,8 @@
 //!   file's metadata; [`PageFile`] then reads a page by its offset when
 //!   it is used and checks it against the table.
 //!
-//! [`Checkpoint::write_to`] hands the pages' buffers to the writer a
+//! [`Checkpoint::write_to`] streams header and table through one 8 KiB
+//! chunk on the stack and hands the pages' buffers to the writer a
 //! megabyte of slices at a time. No path stages a guest-sized copy.
 
 use std::fs::File;
@@ -35,7 +36,7 @@ use std::io::{self, IoSlice, IoSliceMut, Read};
 use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
-use vecycle_hash::{Fnv1a64, Hasher};
+use vecycle_hash::{ChecksumAlgorithm, Fnv1a64, Hasher};
 use vecycle_mem::PageBuf;
 use vecycle_types::{Error, PageDigest, PageIndex, SimTime, VmId, PAGE_SIZE};
 
@@ -53,7 +54,8 @@ const KIND_DIGESTS: u8 = 0;
 const KIND_PAGES: u8 = 1;
 /// Page buffers handed to one vectored read or write: 1 MiB.
 const IO_BATCH: usize = 256;
-/// Table bytes [`Checkpoint::open_file`] reads at a time.
+/// Table bytes [`Checkpoint::open_file`] reads, and header and table
+/// bytes [`Checkpoint::write_to`] writes, at a time.
 const TABLE_CHUNK: usize = 512 * DIGEST;
 
 /// How the bytes between header and trailer are laid out.
@@ -211,11 +213,15 @@ fn read_pages<R: Read>(r: &mut R, count: u64, pages: &mut Vec<PageBuf>) -> io::R
     Ok(got)
 }
 
-/// Writes every page, [`IO_BATCH`] buffers per vectored call.
+/// Writes every page, [`IO_BATCH`] buffers per vectored call, through
+/// one list of slices on the stack.
 fn write_pages<W: io::Write>(w: &mut W, pages: &[PageBuf]) -> io::Result<()> {
+    let mut slices = [IoSlice::new(&[]); IO_BATCH];
     for batch in pages.chunks(IO_BATCH) {
-        let mut slices: Vec<IoSlice<'_>> = batch.iter().map(|page| IoSlice::new(page)).collect();
-        let mut left = &mut slices[..];
+        for (slice, page) in slices.iter_mut().zip(batch) {
+            *slice = IoSlice::new(page);
+        }
+        let mut left = &mut slices[..batch.len()];
         while !left.is_empty() {
             match w.write_vectored(left) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -236,7 +242,9 @@ impl Checkpoint {
     /// trailer covering header and table: the page bytes are written
     /// straight from the pages' own buffers and guarded by their table
     /// entries, so saving hashes nothing the checkpoint does not already
-    /// know and copies nothing on its way to `w`.
+    /// know and copies nothing on its way to `w`. Header and table pass
+    /// through one 8 KiB chunk on the stack, hashed for the trailer as
+    /// each chunk is written.
     ///
     /// # Errors
     ///
@@ -251,20 +259,29 @@ impl Checkpoint {
                 (VERSION_TABLED, KIND_PAGES, &read)
             }
         };
-        let table = self.digest_table();
-        let mut head = Vec::with_capacity(HEADER + table.len() * DIGEST);
-        head.extend_from_slice(MAGIC);
-        head.extend_from_slice(&version.to_be_bytes());
-        head.extend_from_slice(&[kind, 0]); // kind, reserved
-        head.extend_from_slice(&self.vm().as_u32().to_be_bytes());
-        head.extend_from_slice(&self.taken_at().since_epoch().as_nanos().to_be_bytes());
-        head.extend_from_slice(&self.page_count().as_u64().to_be_bytes());
-        for digest in table {
-            head.extend_from_slice(digest.as_bytes());
+        // Header (offsets as `Header::parse` reads them), then the table
+        // behind it in the same chunk; both are multiples of a digest.
+        let mut chunk = [0u8; TABLE_CHUNK];
+        chunk[..8].copy_from_slice(MAGIC);
+        chunk[8..10].copy_from_slice(&version.to_be_bytes());
+        chunk[10] = kind; // reserved byte 11 stays zero
+        chunk[12..16].copy_from_slice(&self.vm().as_u32().to_be_bytes());
+        chunk[16..24].copy_from_slice(&self.taken_at().since_epoch().as_nanos().to_be_bytes());
+        chunk[24..32].copy_from_slice(&self.page_count().as_u64().to_be_bytes());
+        let (mut at, mut covered) = (HEADER, Fnv1a64::new());
+        for digest in self.digest_table() {
+            if at == TABLE_CHUNK {
+                covered.update(&chunk);
+                w.write_all(&chunk)?;
+                at = 0;
+            }
+            chunk[at..at + DIGEST].copy_from_slice(digest.as_bytes());
+            at += DIGEST;
         }
-        w.write_all(&head)?;
+        covered.update(&chunk[..at]);
+        w.write_all(&chunk[..at])?;
         write_pages(&mut w, pages)?;
-        w.write_all(&Fnv1a64::digest(&head))?;
+        w.write_all(&covered.finalize())?;
         Ok(())
     }
 
@@ -290,9 +307,9 @@ impl Checkpoint {
     ///
     /// Reads the input once, front to back: the header, the digest table
     /// as far as the input supplies it, then each page into the buffer
-    /// it will live in. A page payload is digested in one multi-lane
-    /// pass; the resulting table is checked against the stored one and
-    /// kept by the returned checkpoint.
+    /// it will live in. A page payload is checked against the stored
+    /// table in one multi-lane pass, and the returned checkpoint keeps
+    /// that table.
     ///
     /// # Errors
     ///
@@ -342,13 +359,14 @@ impl Checkpoint {
 
         let stored = table.chunks_exact(DIGEST);
         let stored = stored.map(|d| PageDigest::new(d.try_into().expect("16-byte chunks")));
+        let stored: Vec<PageDigest> = stored.collect();
         let (vm, taken_at) = (header.vm, header.taken_at);
         if header.layout == Layout::Digests {
-            return Checkpoint::from_parts(vm, taken_at, CheckpointData::Digests(stored.collect()));
+            return Checkpoint::from_parts(vm, taken_at, CheckpointData::Digests(stored));
         }
-        let digests = verified(&pages, 0.., stored)?;
+        check_pages(&pages, |k| k as u64, |k| stored[k])?;
         Ok(Checkpoint::from_pages_with_digests(
-            vm, taken_at, pages, digests,
+            vm, taken_at, pages, stored,
         ))
     }
 
@@ -454,27 +472,24 @@ impl PageFile {
             read_exact_at(&self.file, bytes, self.pages_at + idx.as_u64() * PAGE_SIZE)?;
             bufs.push(buf);
         }
-        let at = pages.iter().map(|idx| idx.as_u64());
-        verified(&bufs, at, pages.iter().map(|idx| table[idx.as_usize()]))?;
+        check_pages(&bufs, |k| pages[k].as_u64(), |k| table[pages[k].as_usize()])?;
         Ok(bufs)
     }
 }
 
-/// Digests `pages` (page numbers `at`, in order) in one multi-lane batch
-/// and checks each against its `stored` table entry; the error names the
-/// first that differs.
-fn verified(
+/// Checks `pages` against their `stored` table entries in one
+/// multi-lane batch; the error names the first that differs by its page
+/// number (`at` of its position).
+fn check_pages(
     pages: &[PageBuf],
-    at: impl Iterator<Item = u64>,
-    stored: impl Iterator<Item = PageDigest>,
-) -> vecycle_types::Result<Vec<PageDigest>> {
-    let views: Vec<&[u8]> = pages.iter().map(|page| &page[..]).collect();
-    let digests = vecycle_hash::digest_pages(&views);
-    match at.zip(stored.zip(&digests)).find(|(_, (s, c))| s != *c) {
-        Some((page, _)) => Err(Error::Corrupt {
-            detail: format!("checkpoint page {page} does not match its stored digest"),
+    at: impl Fn(usize) -> u64,
+    stored: impl Fn(usize) -> PageDigest + Sync,
+) -> vecycle_types::Result<()> {
+    match ChecksumAlgorithm::Md5.first_mismatch(pages, stored) {
+        Some(k) => Err(Error::Corrupt {
+            detail: format!("checkpoint page {} does not match its stored digest", at(k)),
         }),
-        None => Ok(digests),
+        None => Ok(()),
     }
 }
 
@@ -658,6 +673,32 @@ mod tests {
             Fnv1a64::digest(&file[..HEADER + 3 * DIGEST])
         );
         assert_eq!(Checkpoint::trailer_coverage(&file), HEADER + 3 * DIGEST);
+    }
+
+    /// The bytes `write_to` writes, pinned by length and FNV-1a 64 of the
+    /// whole file as the encoder that staged header and table in one
+    /// buffer wrote them: small files of both kinds, and files whose
+    /// header and table fill more than one chunk.
+    #[test]
+    fn write_to_writes_the_pinned_bytes() {
+        let digests = |pages| {
+            let mem = DigestMemory::with_distinct_content(PageCount::new(pages), 3);
+            let at = SimTime::EPOCH + SimDuration::from_hours(5);
+            let mut file = Vec::new();
+            Checkpoint::capture(VmId::new(7), at, &mem)
+                .write_to(&mut file)
+                .unwrap();
+            file
+        };
+        for (file, len, fnv) in [
+            (page_sample(3).1, 12_376, 0x26df_f4ad_f33a_9495),
+            (page_sample(513).1, 2_109_496, 0x0e7d_9b70_ff89_7a46),
+            (digests(32), 552, 0x7cdb_9482_8fb9_795c),
+            (digests(1100), 17_640, 0x444f_2468_76cb_c10a),
+        ] {
+            let got = u64::from_be_bytes(Fnv1a64::digest(&file));
+            assert_eq!((file.len(), got), (len, fnv), "{len}-byte file");
+        }
     }
 
     #[test]

@@ -102,10 +102,19 @@ impl LiveTranscript {
     }
 }
 
+/// A `Full` message's page and the checksum attached to it.
+struct Payload<'a>(&'a PageBuf, &'a PageDigest);
+
+impl AsRef<[u8]> for Payload<'_> {
+    fn as_ref(&self) -> &[u8] {
+        self.0
+    }
+}
+
 /// Checks every `Full` payload of `transcript` against its attached
 /// checksum, all pages in one multi-lane batch — the one time the
 /// destination digests a received page. The payload list is sized once,
-/// to the `Full` messages counted first.
+/// to the `Full` messages counted first, and no digest is kept.
 fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
     let fulls = || {
         transcript.iter().filter_map(|msg| match msg {
@@ -113,9 +122,9 @@ fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
             _ => None,
         })
     };
-    let mut payloads: Vec<&[u8]> = Vec::with_capacity(fulls().count());
-    for (idx, _, bytes) in fulls() {
-        let bytes = bytes.as_deref().ok_or_else(|| Error::Corrupt {
+    let mut payloads = Vec::with_capacity(fulls().count());
+    for (idx, digest, bytes) in fulls() {
+        let bytes = bytes.as_ref().ok_or_else(|| Error::Corrupt {
             detail: format!("full-page message for {idx} carries no bytes"),
         })?;
         if bytes.len() as u64 != PAGE_SIZE {
@@ -126,13 +135,19 @@ fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
                 ),
             });
         }
-        payloads.push(bytes);
+        payloads.push(Payload(bytes, digest));
     }
-    let computed = vecycle_hash::digest_pages(&payloads);
-    match fulls().zip(&computed).find(|((_, d, _), c)| d != c) {
-        Some(((idx, _, _), _)) => Err(Error::Corrupt {
-            detail: format!("{idx} bytes do not match attached checksum"),
-        }),
+    let md5 = vecycle_hash::ChecksumAlgorithm::Md5;
+    match md5.first_mismatch(&payloads, |k| *payloads[k].1) {
+        Some(k) => {
+            let idx = fulls()
+                .nth(k)
+                .map(|(idx, _, _)| idx)
+                .expect("k counts a full");
+            Err(Error::Corrupt {
+                detail: format!("{idx} bytes do not match attached checksum"),
+            })
+        }
         None => Ok(()),
     }
 }
@@ -251,7 +266,7 @@ pub fn apply_transcript(
         },
     };
     let bufs = origins.iter().map(|&origin| buffer(origin)).collect();
-    let digests = origins.iter().map(|&origin| digest_of(origin)).collect();
+    let digests = origins.iter().map(|&origin| digest_of(origin));
     Ok(ByteMemory::from_pages_with_digests(bufs, digests))
 }
 

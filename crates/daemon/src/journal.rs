@@ -95,9 +95,29 @@ pub struct Replay {
     pub torn_bytes: u64,
 }
 
-/// Appends one record's on-disk frame to `buf`.
-fn encode_record(entry: &WalRecord, buf: &mut Vec<u8>) {
-    let payload = serde_json::to_string(entry).expect("wal record serializes");
+/// A record as the WAL holds it: `record` under sequence number `seq`.
+struct Stamped<'a> {
+    seq: u64,
+    record: &'a WalRecord,
+}
+
+impl Serialize for Stamped<'_> {
+    fn serialize(&self) -> serde::Value {
+        let mut value = self.record.serialize();
+        if let serde::Value::Object(fields) = &mut value {
+            for (key, field) in fields {
+                if key == "seq" {
+                    *field = serde::Value::U64(self.seq);
+                }
+            }
+        }
+        value
+    }
+}
+
+/// Appends the on-disk frame of `record`, stamped `seq`, to `buf`.
+fn encode_record(record: &WalRecord, seq: u64, buf: &mut Vec<u8>) {
+    let payload = serde_json::to_string(&Stamped { seq, record }).expect("wal record serializes");
     record::push(buf, payload.as_bytes());
 }
 
@@ -133,6 +153,8 @@ pub struct Journal {
 struct JournalInner {
     file: File,
     next_seq: u64,
+    /// The frame being appended, kept across appends for its capacity.
+    frame: Vec<u8>,
     /// The file's length, every record whole; `None` once a failed
     /// append could not be cut back off.
     len: Option<u64>,
@@ -184,6 +206,7 @@ impl Journal {
             inner: Mutex::new(JournalInner {
                 file,
                 next_seq,
+                frame: Vec::new(),
                 len: Some(len),
             }),
         }
@@ -218,24 +241,24 @@ impl Journal {
     /// Appends one record; on any error, what reached the file is cut
     /// back off (module docs).
     fn write(&self, record: &WalRecord, sync: bool) -> std::io::Result<u64> {
-        let mut inner = sync::lock(&self.inner);
+        let mut guard = sync::lock(&self.inner);
+        let inner = &mut *guard;
         let broken = || std::io::Error::other("a failed append could not be cut off the wal");
         let len = inner.len.ok_or_else(broken)?;
-        let mut stamped = record.clone();
-        stamped.seq = inner.next_seq;
-        let mut frame = Vec::new();
-        encode_record(&stamped, &mut frame);
-        let file = &mut inner.file;
+        let seq = inner.next_seq;
+        inner.frame.clear();
+        encode_record(record, seq, &mut inner.frame);
+        let (file, frame) = (&mut inner.file, &inner.frame);
         let written = file
-            .write_all(&frame)
+            .write_all(frame)
             .and_then(|()| if sync { file.sync_data() } else { Ok(()) });
         if let Err(e) = written {
             inner.len = inner.file.set_len(len).ok().map(|()| len);
             return Err(e);
         }
-        inner.len = Some(len + frame.len() as u64);
+        inner.len = Some(len + inner.frame.len() as u64);
         inner.next_seq += 1;
-        Ok(stamped.seq)
+        Ok(seq)
     }
 
     /// Rewrites the WAL to exactly `records` (re-sequenced from 1)
@@ -250,10 +273,8 @@ impl Journal {
     pub fn compact(&self, records: &[WalRecord]) -> std::io::Result<()> {
         let mut inner = sync::lock(&self.inner);
         let mut buf = Vec::new();
-        for (i, record) in records.iter().enumerate() {
-            let mut stamped = record.clone();
-            stamped.seq = i as u64 + 1;
-            encode_record(&stamped, &mut buf);
+        for (seq, record) in (1..).zip(records) {
+            encode_record(record, seq, &mut buf);
         }
         let tmp = self.dir.join(format!("{WAL_FILE}.tmp"));
         vecycle_types::atomic_replace(&self.path, &tmp, |f| f.write_all(&buf))?;

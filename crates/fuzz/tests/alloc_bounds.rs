@@ -99,7 +99,8 @@ fn metered<T>(f: impl FnOnce() -> T) -> (T, AllocStats) {
 }
 
 /// `digest_pages` gathers lane groups into a fixed array: whatever the
-/// batch shape, the one thing it allocates is the vector it returns.
+/// batch shape, the one thing it allocates is the vector it returns,
+/// and `first_mismatch`, which keeps no digest, allocates nothing.
 #[test]
 fn digest_pages_allocates_only_its_output() {
     let pages: Vec<Vec<u8>> = (0..41usize)
@@ -114,6 +115,8 @@ fn digest_pages_allocates_only_its_output() {
                 (stats.requested, stats.largest),
                 (16 * n as u64, 16 * n as u64)
             );
+            let (first, stats) = metered(|| algo.first_mismatch(&pages[..n], |i| digests[i]));
+            assert_eq!((first, stats.calls), (None, 0), "{algo} x{n}: {stats:?}");
         }
     }
 }
@@ -124,7 +127,8 @@ fn digest_pages_allocates_only_its_output() {
 /// small requests a thread. The meter counts the calling thread only,
 /// and that is all there is to count: the workers allocate nothing,
 /// because each writes its digests straight into its slice of the
-/// caller's output vector.
+/// caller's output vector. `first_mismatch` over the same batch asks
+/// for the bookkeeping alone.
 #[test]
 fn a_split_batch_allocates_its_output_and_per_thread_bookkeeping() {
     const N: usize = 1024;
@@ -143,6 +147,10 @@ fn a_split_batch_allocates_its_output_and_per_thread_bookkeeping() {
             stats.requested <= 16 * N as u64 + 512 * threads,
             "{algo}: {stats:?}"
         );
+        let (first, stats) = metered(|| algo.first_mismatch(&pages, |i| digests[i]));
+        assert_eq!(first, None);
+        assert!(stats.calls <= 6 * threads, "{algo}: {stats:?}");
+        assert!(stats.requested <= 512 * threads, "{algo}: {stats:?}");
     }
 }
 
@@ -220,8 +228,12 @@ fn a_ping_pong_leg_allocates_nothing_guest_sized() {
 /// warm-up leg, the load and the copy-on-write guest pages of the next
 /// come off the free list that the previous leg's checkpoint, merge and
 /// read-back filled when they dropped. The leg makes no fresh page
-/// buffer, and what it does request (tables, sized to the guest at a few
-/// bytes a page) stays under a quarter of the guest's bytes.
+/// buffer, and what it does request is tables, each built once at its
+/// final size: 301 bytes a guest page measured on two cores (299 on
+/// one; x86-64), held to 309. A second guest-sized digest table, such as
+/// collecting the merge's digests before they go into the memory's
+/// cells or staging header and table before a save, adds 16 bytes a
+/// page and fails this.
 #[test]
 fn a_steady_state_ping_pong_leg_makes_no_fresh_page_buffer() {
     const PAGES: u64 = 512;
@@ -265,7 +277,7 @@ fn a_steady_state_ping_pong_leg_makes_no_fresh_page_buffer() {
     let fresh = PageBuf::allocated_fresh();
     let ((), stats) = metered(|| leg(0));
     assert_eq!(PageBuf::allocated_fresh() - fresh, 0, "{stats:?}");
-    assert!(stats.requested < PAGES * PAGE_SIZE / 4, "{stats:?}");
+    assert!(stats.requested <= 309 * PAGES, "{stats:?}");
     for dir in dirs {
         std::fs::remove_dir_all(dir).unwrap();
     }

@@ -194,7 +194,21 @@ impl ChecksumAlgorithm {
     /// assert_eq!(batch[3], ChecksumAlgorithm::Md5.page_digest(&pages[3]));
     /// ```
     pub fn digest_pages(self, pages: &[&[u8]]) -> Vec<PageDigest> {
-        multilane::digest_pages(self, pages)
+        multilane::digest_pages(self, pages, multilane::parts_for(pages.len()))
+    }
+
+    /// Checks a batch of pages against the digests they should have:
+    /// the position of the first page whose digest differs from
+    /// `expected(position)`, or `None` when all agree. Hashes as
+    /// [`ChecksumAlgorithm::digest_pages`] does (same kernels, same split
+    /// over the cores) but takes the page buffers themselves and keeps no
+    /// digest, so it allocates nothing but a split batch's threads.
+    pub fn first_mismatch<P: AsRef<[u8]> + Sync>(
+        self,
+        pages: &[P],
+        expected: impl Fn(usize) -> PageDigest + Sync,
+    ) -> Option<usize> {
+        multilane::first_mismatch(self, pages, expected, multilane::parts_for(pages.len()))
     }
 }
 
@@ -250,16 +264,6 @@ pub fn page_digest(page: &[u8]) -> PageDigest {
         return PageDigest::ZERO_PAGE;
     }
     PageDigest::new(Md5::digest(page))
-}
-
-/// Digests a batch of pages with MD5, sixteen lanes per dispatch.
-///
-/// The batched counterpart of [`page_digest`]: bit-equal results, but
-/// equal-length runs of non-zero pages go through [`md5_lanes`], and a
-/// batch of a few hundred pages or more is split across the cores
-/// ([`ChecksumAlgorithm::digest_pages`]).
-pub fn digest_pages(pages: &[&[u8]]) -> Vec<PageDigest> {
-    multilane::digest_pages(ChecksumAlgorithm::Md5, pages)
 }
 
 /// Nibble-to-ASCII table for [`to_hex`].

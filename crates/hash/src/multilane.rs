@@ -10,22 +10,24 @@
 //! structure; its lanes are interleaved per byte-column to hide the
 //! multiply latency.
 //!
-//! There is one portable implementation, generic over the lane count
-//! and instantiated at the widths [`crate::digest_pages`] dispatches:
-//! MD5 runs [`WIDE`] lanes with [`QUAD`]-lane and scalar tails; SHA-1
-//! and FNV-1a run [`QUAD`] lanes (DESIGN.md §13.1 has the measurements).
+//! There is one portable implementation, generic over the lane count and
+//! instantiated at the widths [`ChecksumAlgorithm::digest_pages`] and
+//! [`ChecksumAlgorithm::first_mismatch`] dispatch: MD5 runs [`WIDE`]
+//! lanes with [`QUAD`]-lane and scalar tails; SHA-1 and FNV-1a run
+//! [`QUAD`] lanes (DESIGN.md §13.1 has the measurements).
 //!
 //! The kernels require equal-length messages within one dispatch (pages
-//! are uniformly 4 KiB on the hot path); [`crate::digest_pages`] batches
+//! are uniformly 4 KiB on the hot path); the two batch entry points take
 //! arbitrary inputs, routing zero pages through the SWAR prefilter and
 //! odd-sized stragglers through the scalar [`crate::Hasher`] path. A
 //! batch of a few hundred pages or more is also cut into contiguous
 //! [`WIDE`]-aligned slices, one per core, hashed on scoped threads that
-//! each write only their own output slots. Every lane is bit-equal to
+//! each touch only their own output slots or compare in place. Every lane is bit-equal to
 //! the scalar implementation, at every slice count — this module's tests
 //! and `tests/props.rs` pin it differentially for all algorithms and
 //! batch shapes.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 
@@ -297,35 +299,36 @@ pub fn fnv1a64_lanes<const N: usize>(msgs: [&[u8]; N]) -> [[u8; 8]; N] {
 }
 
 /// Hashes one group of `N` equal-length pages through `algo`'s lane
-/// kernel, writing each lane's [`PageDigest`] to its page's output slot.
-fn dispatch<const N: usize>(
+/// kernel, handing each lane's [`PageDigest`] to `emit` with its page's
+/// position.
+fn dispatch<P: AsRef<[u8]>, const N: usize>(
     algo: ChecksumAlgorithm,
-    pages: &[&[u8]],
+    pages: &[P],
     group: &[usize; N],
-    out: &mut [PageDigest],
+    emit: &mut impl FnMut(usize, PageDigest),
 ) {
-    let lanes = group.map(|i| pages[i]);
+    let lanes = group.map(|i| pages[i].as_ref());
     match algo {
         ChecksumAlgorithm::Md5 => {
             for (&i, d) in group.iter().zip(md5_lanes(lanes)) {
-                out[i] = PageDigest::new(d);
+                emit(i, PageDigest::new(d));
             }
         }
         ChecksumAlgorithm::Sha1 => {
             for (&i, d) in group.iter().zip(sha1_lanes(lanes)) {
-                out[i] = crate::truncate_to_digest(&d);
+                emit(i, crate::truncate_to_digest(&d));
             }
         }
         // No SHA-256 lane kernel: without wider vectors than the SSE2
         // baseline it measured slower than the scalar loop (0.87×).
         ChecksumAlgorithm::Sha256 => {
-            for &i in group {
-                out[i] = algo.page_digest(pages[i]);
+            for (&i, page) in group.iter().zip(lanes) {
+                emit(i, algo.page_digest(page));
             }
         }
         ChecksumAlgorithm::Fnv1a => {
             for ((&i, d), page) in group.iter().zip(fnv1a64_lanes(lanes)).zip(lanes) {
-                out[i] = crate::fnv_widen(d, page);
+                emit(i, crate::fnv_widen(d, page));
             }
         }
     }
@@ -334,19 +337,24 @@ fn dispatch<const N: usize>(
 /// Hashes a gathered run of equal-length non-zero pages: one [`WIDE`]
 /// group if it is MD5 and the run fills it, then [`QUAD`]s, then the
 /// scalar path for what is left.
-fn flush(algo: ChecksumAlgorithm, pages: &[&[u8]], mut run: &[usize], out: &mut [PageDigest]) {
+fn flush<P: AsRef<[u8]>>(
+    algo: ChecksumAlgorithm,
+    pages: &[P],
+    mut run: &[usize],
+    emit: &mut impl FnMut(usize, PageDigest),
+) {
     if algo == ChecksumAlgorithm::Md5 {
         if let Some((wide, rest)) = run.split_first_chunk::<WIDE>() {
-            dispatch(algo, pages, wide, out);
+            dispatch(algo, pages, wide, emit);
             run = rest;
         }
     }
     while let Some((quad, rest)) = run.split_first_chunk::<QUAD>() {
-        dispatch(algo, pages, quad, out);
+        dispatch(algo, pages, quad, emit);
         run = rest;
     }
     for &straggler in run {
-        out[straggler] = algo.page_digest(pages[straggler]);
+        emit(straggler, algo.page_digest(pages[straggler].as_ref()));
     }
 }
 
@@ -365,81 +373,127 @@ fn cores() -> usize {
     *CORES.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
 }
 
-/// Digests a batch of pages with `algo`.
-///
-/// Bit-equal to calling [`ChecksumAlgorithm::page_digest`] per page. A
-/// batch of at least two [`MIN_PAGES_PER_THREAD`] slices is split over
-/// up to one thread a core (the calling thread hashes the first slice);
-/// a smaller one runs on the calling thread and allocates nothing but
-/// the vector it returns.
-pub(crate) fn digest_pages(algo: ChecksumAlgorithm, pages: &[&[u8]]) -> Vec<PageDigest> {
-    let parts = match pages.len() / MIN_PAGES_PER_THREAD {
+/// The slices a batch of `len` pages is hashed in: one, unless it holds
+/// at least two [`MIN_PAGES_PER_THREAD`] slices, then up to one a core.
+pub(crate) fn parts_for(len: usize) -> usize {
+    match len / MIN_PAGES_PER_THREAD {
         0 | 1 => 1,
         fit => fit.min(cores()),
-    };
-    digest_pages_split(algo, pages, parts)
+    }
 }
 
-/// [`digest_pages`] over `parts` contiguous slices, cut to whole
-/// [`WIDE`] groups: each slice is hashed by [`digest_into`] on a thread
-/// of its own and writes only its own output slots, so the result is
-/// the one-thread result whatever `parts` is.
-fn digest_pages_split(algo: ChecksumAlgorithm, pages: &[&[u8]], parts: usize) -> Vec<PageDigest> {
+/// Digests a batch of pages with `algo` over `parts` slices ([`split`]),
+/// each writing only its own output slots: bit-equal to
+/// [`ChecksumAlgorithm::page_digest`] per page whatever `parts` is. One
+/// slice allocates nothing but the vector returned.
+pub(crate) fn digest_pages(
+    algo: ChecksumAlgorithm,
+    pages: &[&[u8]],
+    parts: usize,
+) -> Vec<PageDigest> {
     let mut out = vec![PageDigest::ZERO_PAGE; pages.len()];
+    split(pages, &mut out, parts, |_, pages, out| {
+        digest_each(algo, pages, |i, digest| out[i] = digest);
+    });
+    out
+}
+
+/// Hashes `pages` with `algo` as [`digest_pages`] does and compares each
+/// digest with `expected(i)`, `i` its position: the first that differs,
+/// or `None`. No digest is kept: each slice compares as its lanes finish
+/// and keeps its lowest mismatch, so nothing is allocated but the
+/// threads' spawns.
+pub(crate) fn first_mismatch<P: AsRef<[u8]> + Sync>(
+    algo: ChecksumAlgorithm,
+    pages: &[P],
+    expected: impl Fn(usize) -> PageDigest + Sync,
+    parts: usize,
+) -> Option<usize> {
+    // `Relaxed` suffices: the scope joins every thread before the load.
+    let first = AtomicUsize::new(usize::MAX);
+    // Zero-sized output slots: the split's slicing, no allocation.
+    let mut slots = vec![(); pages.len()];
+    split(pages, &mut slots, parts, |start, pages, _| {
+        let mut lowest = usize::MAX;
+        digest_each(algo, pages, |i, digest| {
+            if digest != expected(start + i) {
+                lowest = lowest.min(start + i);
+            }
+        });
+        first.fetch_min(lowest, Ordering::Relaxed);
+    });
+    Some(first.into_inner()).filter(|&at| at != usize::MAX)
+}
+
+/// Runs `work(start, pages, out)` over `parts` contiguous slices of
+/// `pages`, cut to whole [`WIDE`] groups, each with the matching slice
+/// of `out` and its offset in the batch: the first slice on the calling
+/// thread, each other on a scoped thread of its own. A slice no thread
+/// could be spawned for, and every slice after it, runs on the calling
+/// thread once the scope has returned their `out` slices.
+fn split<P: Sync, O: Send>(
+    pages: &[P],
+    out: &mut [O],
+    parts: usize,
+    work: impl Fn(usize, &[P], &mut [O]) + Sync,
+) {
     if parts <= 1 {
-        digest_into(algo, pages, &mut out);
-        return out;
+        return work(0, pages, out);
     }
     let slice = pages.len().div_ceil(parts).next_multiple_of(WIDE).max(WIDE);
+    let work = &work;
     let mut unspawned = None;
     thread::scope(|scope| {
         let mut slices = pages.chunks(slice).zip(out.chunks_mut(slice)).enumerate();
         let first = slices.next();
         for (k, (pages, out)) in slices {
             let worker =
-                thread::Builder::new().spawn_scoped(scope, move || digest_into(algo, pages, out));
+                thread::Builder::new().spawn_scoped(scope, move || work(k * slice, pages, out));
             if worker.is_err() {
-                // A refused thread: this slice and the rest are hashed
-                // here once the scope has returned their output slots.
                 unspawned = Some(k * slice);
                 break;
             }
         }
         if let Some((_, (pages, out))) = first {
-            digest_into(algo, pages, out);
+            work(0, pages, out);
         }
     });
     if let Some(start) = unspawned {
-        digest_into(algo, &pages[start..], &mut out[start..]);
+        work(start, &pages[start..], &mut out[start..]);
     }
-    out
 }
 
-/// Digests `pages` into `out` (one slot each, pre-filled with
-/// [`PageDigest::ZERO_PAGE`]): all-zero pages keep the sentinel via the
-/// SWAR prefilter; the others are gathered, up to [`WIDE`] at a time
-/// and for as long as their lengths agree, into a fixed array of
-/// indices, and each run goes through the lane kernels, its last few
-/// pages through the scalar path. Allocates nothing.
-fn digest_into(algo: ChecksumAlgorithm, pages: &[&[u8]], out: &mut [PageDigest]) {
+/// Hands every page's digest to `emit` with the page's position, in no
+/// particular order: an all-zero page (the SWAR prefilter) at once as
+/// [`PageDigest::ZERO_PAGE`]; the others gathered, up to [`WIDE`] at a
+/// time and for as long as their lengths agree, into a fixed array of
+/// positions, each run through the lane kernels and its last few pages
+/// through the scalar path. Allocates nothing.
+fn digest_each<P: AsRef<[u8]>>(
+    algo: ChecksumAlgorithm,
+    pages: &[P],
+    mut emit: impl FnMut(usize, PageDigest),
+) {
     let mut run = [0usize; WIDE];
     let mut gathered = 0usize;
     for (i, page) in pages.iter().enumerate() {
+        let page = page.as_ref();
         if crate::is_all_zero(page) {
-            continue; // slot already holds the sentinel
+            emit(i, PageDigest::ZERO_PAGE);
+            continue;
         }
-        if gathered > 0 && pages[run[0]].len() != page.len() {
-            flush(algo, pages, &run[..gathered], out);
+        if gathered > 0 && pages[run[0]].as_ref().len() != page.len() {
+            flush(algo, pages, &run[..gathered], &mut emit);
             gathered = 0;
         }
         run[gathered] = i;
         gathered += 1;
         if gathered == WIDE {
-            flush(algo, pages, &run, out);
+            flush(algo, pages, &run, &mut emit);
             gathered = 0;
         }
     }
-    flush(algo, pages, &run[..gathered], out);
+    flush(algo, pages, &run[..gathered], &mut emit);
 }
 
 #[cfg(test)]
@@ -505,11 +559,26 @@ mod tests {
                 let pages = edge_marked_batch(len);
                 let views: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
                 for algo in ChecksumAlgorithm::ALL {
+                    let truth = scalar(algo, &views);
                     assert_eq!(
-                        digest_pages_split(algo, &views, parts),
-                        scalar(algo, &views),
+                        digest_pages(algo, &views, parts),
+                        truth,
                         "{algo} len {len} parts {parts}"
                     );
+                    // A wrong digest on each group's edge is the first
+                    // mismatch, whichever slice it falls in.
+                    let edges = (0..len).filter(|i| i % WIDE == 0 || i % WIDE == WIDE - 1);
+                    for bad in edges {
+                        let expected = |i: usize| match i == bad {
+                            true => PageDigest::new([0xa5; 16]),
+                            false => truth[i],
+                        };
+                        assert_eq!(
+                            first_mismatch(algo, &pages, expected, parts),
+                            Some(bad),
+                            "{algo} len {len} parts {parts} bad {bad}"
+                        );
+                    }
                 }
             }
         }
@@ -527,10 +596,10 @@ mod tests {
             let reference = scalar(algo, &views);
             for &len in &lens {
                 let batch = &views[..len];
-                assert_eq!(digest_pages(algo, batch), reference[..len], "{algo} x{len}");
+                assert_eq!(algo.digest_pages(batch), reference[..len], "{algo} x{len}");
                 for parts in 2..=4 {
                     assert_eq!(
-                        digest_pages_split(algo, batch, parts),
+                        digest_pages(algo, batch, parts),
                         reference[..len],
                         "{algo} x{len} parts {parts}"
                     );
@@ -547,7 +616,7 @@ mod tests {
         let short = vec![3u8; 100];
         let pages: Vec<&[u8]> = vec![&a, &zero, &b, &short, &a, &b, &a];
         for algo in ChecksumAlgorithm::ALL {
-            assert_eq!(digest_pages(algo, &pages), scalar(algo, &pages), "{algo}");
+            assert_eq!(algo.digest_pages(&pages), scalar(algo, &pages), "{algo}");
         }
     }
 }

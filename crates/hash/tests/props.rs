@@ -3,6 +3,7 @@
 
 use vecycle_hash::{ChecksumAlgorithm, Fnv1a64, Hasher, Md5, Sha1, Sha256};
 use vecycle_types::rng::{split, Xorshift};
+use vecycle_types::PageDigest;
 
 fn chunked_digest<H: Hasher + Default>(data: &[u8], cuts: &[usize]) -> H::Output {
     let mut h = H::default();
@@ -268,7 +269,54 @@ fn a_split_sized_batch_matches_page_digest() {
             .collect();
         let views: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
         let per_page: Vec<_> = views.iter().map(|p| vecycle_hash::page_digest(p)).collect();
-        assert_eq!(vecycle_hash::digest_pages(&views), per_page);
+        assert_eq!(ChecksumAlgorithm::Md5.digest_pages(&views), per_page);
+    }
+}
+
+/// `first_mismatch` reports the page a per-page walk finds first, for
+/// batch lengths on both sides of the split threshold and its
+/// multiples, with one wrong digest at every position — every thread
+/// slice's first and last page among them, whatever the core count —
+/// and a later second one that must not hide it, over zero pages and
+/// ragged lengths; an agreeing batch reports nothing. The pages are
+/// handed over as owned buffers, no view list.
+#[test]
+fn first_mismatch_matches_a_per_page_walk() {
+    let pages: Vec<Vec<u8>> = (0..3 * 128 + 1usize)
+        .map(|i| match i % 7 {
+            0 => vec![0; 192],
+            3 => vec![i as u8 | 1; 100 + i % 50],
+            _ => (0..192).map(|j| (i * 7 + j) as u8 | 1).collect(),
+        })
+        .collect();
+    let wrong = |d: PageDigest| {
+        let mut bytes = *d.as_bytes();
+        bytes[15] ^= 1;
+        PageDigest::new(bytes)
+    };
+    for algo in ChecksumAlgorithm::ALL {
+        let truth: Vec<PageDigest> = pages.iter().map(|p| algo.page_digest(p)).collect();
+        for len in [0, 1, 127, 128, 255, 256, 257, 3 * 128 + 1] {
+            let batch = &pages[..len];
+            assert_eq!(
+                algo.first_mismatch(batch, |i| truth[i]),
+                None,
+                "{algo} x{len}"
+            );
+            for bad in 0..len {
+                let expected = |i: usize| match i == bad || (i > bad && i % 100 == 99) {
+                    true => wrong(truth[i]),
+                    false => truth[i],
+                };
+                let walk = (0..len).find(|&i| algo.page_digest(&batch[i]) != expected(i));
+                assert_eq!(walk, Some(bad));
+                assert_eq!(
+                    algo.first_mismatch(batch, expected),
+                    walk,
+                    "{algo} x{len} bad {bad}"
+                );
+            }
+        }
     }
 }
 

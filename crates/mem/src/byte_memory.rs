@@ -2,6 +2,7 @@
 
 use std::sync::{Mutex, OnceLock};
 
+use vecycle_hash::ChecksumAlgorithm;
 use vecycle_types::{PageCount, PageDigest, PageIndex, PAGE_SIZE};
 
 use crate::{MemoryImage, MutableMemory, PageBuf, PageContent};
@@ -21,9 +22,10 @@ use crate::{MemoryImage, MutableMemory, PageBuf, PageContent};
 /// read*: [`MutableMemory::write_page`] only writes bytes and queues the
 /// page; the first [`MemoryImage::page_digest`] or
 /// [`MemoryImage::digests`] after a burst of writes hashes every queued
-/// page in one multi-lane batch ([`vecycle_hash::digest_pages`]) and
-/// caches the results, so a page overwritten before anyone asks for its
-/// digest is never hashed. Strictly interleaved write/read degenerates
+/// page in one multi-lane batch
+/// ([`vecycle_hash::ChecksumAlgorithm::digest_pages`]) and caches the
+/// results, so a page overwritten before anyone asks for its digest is
+/// never hashed. Strictly interleaved write/read degenerates
 /// to one MD5 per write — the eager cost, never more. Concurrent readers
 /// settle behind one mutex, so an unsettled guest is hashed once, not
 /// once per reader.
@@ -78,7 +80,7 @@ impl ByteMemory {
         let n = pages.as_usize();
         Self::from_pages_with_digests(
             vec![PageBuf::zero_page(); n],
-            vec![PageDigest::ZERO_PAGE; n],
+            std::iter::repeat_n(PageDigest::ZERO_PAGE, n),
         )
     }
 
@@ -97,12 +99,18 @@ impl ByteMemory {
 
     /// Creates a memory sharing `pages`, with the digests the caller
     /// has already derived from exactly those bytes (one per page, in
-    /// page order); nothing is hashed or copied.
+    /// page order); nothing is hashed or copied. The digests go straight
+    /// into the memory's own table, which an iterator that knows its
+    /// length sizes once.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ or a buffer is not one whole page.
-    pub fn from_pages_with_digests(pages: Vec<PageBuf>, digests: Vec<PageDigest>) -> Self {
+    pub fn from_pages_with_digests(
+        pages: Vec<PageBuf>,
+        digests: impl IntoIterator<Item = PageDigest>,
+    ) -> Self {
+        let digests: Vec<OnceLock<PageDigest>> = digests.into_iter().map(OnceLock::from).collect();
         let n = digests.len();
         assert_eq!(pages.len(), n, "{n} digests need {n} pages");
         assert!(
@@ -111,7 +119,7 @@ impl ByteMemory {
         );
         ByteMemory {
             pages,
-            digests: digests.into_iter().map(OnceLock::from).collect(),
+            digests,
             pending: Mutex::new(Pending {
                 list: Vec::new(),
                 queued: vec![false; n],
@@ -182,15 +190,15 @@ impl ByteMemory {
         let mut guard = self.lock_pending();
         let pending = &mut *guard;
         // A queued page may have been given a digest since (a zero or
-        // digest-carrying write): those cells are set, skip them.
-        let todo: Vec<usize> = pending
-            .list
-            .iter()
-            .copied()
-            .filter(|&i| self.digests[i].get().is_none())
-            .collect();
-        let views: Vec<&[u8]> = todo.iter().map(|&i| &self.pages[i][..]).collect();
-        for (&i, digest) in todo.iter().zip(vecycle_hash::digest_pages(&views)) {
+        // digest-carrying write): those cells are set, skip them. The
+        // list holds each page once, so filling one cell leaves the
+        // second walk's filter over the others as the first walk saw it.
+        let unset = |i: &&usize| self.digests[**i].get().is_none();
+        let todo = || pending.list.iter().filter(unset);
+        let mut views = Vec::with_capacity(pending.list.len());
+        views.extend(todo().map(|&i| &self.pages[i][..]));
+        let digests = ChecksumAlgorithm::Md5.digest_pages(&views);
+        for (&i, digest) in todo().zip(digests) {
             self.digests[i]
                 .set(digest)
                 .expect("only settle fills an empty cell, and it holds the lock");

@@ -28,7 +28,7 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44792
+BUDGET=44951
 PUB_CEILING=1051
 DEPS_CEILING=111
 DESIGN_CEILING=1622
