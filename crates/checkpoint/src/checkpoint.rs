@@ -292,14 +292,9 @@ impl Checkpoint {
         Ok(self.read_pages(&[idx])?.remove(0))
     }
 
-    /// Builds the §3.3 checksum index over this checkpoint.
+    /// Builds the §3.3 checksum index over this checkpoint's table.
     pub fn build_index(&self) -> ChecksumIndex {
-        // Over a copy of the table: borrowing it moved the warm daemon
-        // pair benchmark's peak RSS from 16 to 20 MiB (2-vCPU x86-64,
-        // glibc). That is allocation layout under glibc's sliding mmap
-        // threshold, not live memory: with the threshold fixed, both
-        // read 13 MiB.
-        ChecksumIndex::from_pages(&self.digests())
+        ChecksumIndex::from_pages(self.digest_table())
     }
 
     /// Every page read and verified ([`Checkpoint::read_pages`]), as a

@@ -2,7 +2,7 @@
 //! needs, each a wrapper over the live path. ROADMAP item 2b deletes
 //! this module with the benchmark's next re-base.
 
-use vecycle_types::{PageDigest, PageIndex};
+use vecycle_types::PageDigest;
 
 use crate::ChecksumIndex;
 
@@ -26,8 +26,6 @@ impl ChecksumIndex {
 pub trait PageLookup {
     /// [`ChecksumIndex::contains`].
     fn contains(&self, digest: PageDigest) -> bool;
-    /// [`ChecksumIndex::lookup`].
-    fn lookup(&self, digest: PageDigest) -> Option<PageIndex>;
     /// [`ChecksumIndex::distinct`].
     fn distinct(&self) -> usize;
 }
@@ -36,9 +34,6 @@ pub trait PageLookup {
 impl PageLookup for ChecksumIndex {
     fn contains(&self, digest: PageDigest) -> bool {
         ChecksumIndex::contains(self, digest)
-    }
-    fn lookup(&self, digest: PageDigest) -> Option<PageIndex> {
-        ChecksumIndex::lookup(self, digest)
     }
     fn distinct(&self) -> usize {
         ChecksumIndex::distinct(self)
@@ -63,7 +58,6 @@ mod tests {
         for digest in [0, 1, 3, 5].map(PageDigest::from_content_id) {
             let lookup: &dyn PageLookup = &built;
             assert_eq!(lookup.contains(digest), live.contains(digest));
-            assert_eq!(lookup.lookup(digest), live.lookup(digest));
         }
         assert_eq!(PageLookup::distinct(&built), live.distinct());
     }

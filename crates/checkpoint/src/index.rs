@@ -1,27 +1,30 @@
-//! Checksum → page-offset indexes over a checkpoint (§3.3), filled from
-//! a table in page order ([`ChecksumIndex::refill`]) or from a list
-//! already ascending ([`ChecksumIndex::push_ascending`]).
+//! Checksum indexes over a checkpoint (§3.3), filled from a table in
+//! page order ([`ChecksumIndex::refill`]) or from a list already
+//! ascending ([`ChecksumIndex::push_ascending`]).
 
-use vecycle_types::{PageDigest, PageIndex};
+use vecycle_types::PageDigest;
 
-/// The paper's index: each distinct checksum of a checkpoint with the
-/// offset of its first page, in one list ascending by the digest's bytes.
+/// The paper's index: each distinct checksum of a checkpoint, in one
+/// list ascending by the digest's bytes.
 ///
 /// §3.3: "We currently keep the checksums and their offsets in a sorted
 /// list, such that we can use binary search". A directory of bucket
 /// starts on the digest's leading bits, one per two entries, takes a
 /// probe to its bucket, scanned up to 8 entries and binary-searched past.
 ///
-/// The destination builds one while sequentially reading the checkpoint
-/// file, then answers two queries per received message: *is this
-/// checksum present?* and *at which checkpoint offset?* (Listing 1's
-/// `lookup(checksum)`). The source fills its own from the exchange.
+/// The list keeps no offsets. Every query but one asks only *is this
+/// checksum present?*: the source's classification, the destination's
+/// check of each received checksum, fleet overlap scoring, the bulk
+/// exchange. The one that needs Listing 1's offset, the byte merge
+/// (`apply_transcript` in `vecycle-core`), indexes the few checksums
+/// that miss their page in place and finds their first pages in one
+/// walk of the checkpoint's table ([`ChecksumIndex::rank`]).
 ///
 /// # Examples
 ///
 /// ```
 /// use vecycle_checkpoint::ChecksumIndex;
-/// use vecycle_types::{PageDigest, PageIndex};
+/// use vecycle_types::PageDigest;
 ///
 /// let digests = [
 ///     PageDigest::from_content_id(10),
@@ -29,19 +32,17 @@ use vecycle_types::{PageDigest, PageIndex};
 ///     PageDigest::from_content_id(10), // duplicate content
 /// ];
 /// let index = ChecksumIndex::from_pages(&digests);
-/// assert_eq!(index.distinct(), 2);
-/// // Duplicate digests resolve to their first offset.
-/// assert_eq!(
-///     index.lookup(PageDigest::from_content_id(10)),
-///     Some(PageIndex::new(0))
-/// );
-/// assert!(index.lookup(PageDigest::from_content_id(99)).is_none());
+/// assert_eq!((index.distinct(), index.total_pages()), (2, 3));
+/// assert!(index.contains(PageDigest::from_content_id(10)));
+/// assert!(!index.contains(PageDigest::from_content_id(99)));
+/// // A digest's rank is its position in the ascending list.
+/// let first = index.distinct_digests().next().unwrap();
+/// assert_eq!(index.rank(first), Some(0));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ChecksumIndex {
-    // Distinct digests ascending, each with the first (smallest) offset
-    // carrying it; any copy of the content serves a restore equally well.
-    entries: Vec<(PageDigest, u32)>,
+    // Distinct digests ascending.
+    entries: Vec<PageDigest>,
     // Digests whose leading `bits` bits are `b`: `entries[dir[b]..dir[b + 1]]`.
     dir: Vec<u32>,
     bits: u32,
@@ -82,27 +83,27 @@ impl ChecksumIndex {
         let n = digests.clone().count();
         self.total_pages = n as u64;
         self.size_for(n);
-        // Counting sort by bucket: each entry, in page order, takes its
-        // bucket's next slot, so `dir[b]` ends as the end of bucket `b`.
+        // Counting sort by bucket: each digest takes its bucket's next
+        // slot, so `dir[b]` ends as the end of bucket `b`.
         starts(&mut self.dir, self.bits, digests.clone());
         self.entries.clear();
-        self.entries.resize(n, (PageDigest::ZERO_PAGE, 0));
-        for (at, d) in (0..).zip(digests) {
+        self.entries.resize(n, PageDigest::ZERO_PAGE);
+        for d in digests {
             let slot = &mut self.dir[bucket(d, self.bits)];
-            self.entries[*slot as usize] = (d, at);
+            self.entries[*slot as usize] = d;
             *slot += 1;
         }
-        // Sort each bucket, then keep each digest's first offset.
+        // Sort each bucket, then keep each digest once.
         let mut start = 0;
         for &end in &self.dir[..self.dir.len() - 1] {
             let bucket = &mut self.entries[start..end as usize];
             if bucket.len() > 1 {
-                bucket.sort_unstable_by_key(|&(d, at)| (u128::from_be_bytes(*d.as_bytes()), at));
+                bucket.sort_unstable_by_key(|d| u128::from_be_bytes(*d.as_bytes()));
             }
             start = end as usize;
         }
-        self.entries.dedup_by_key(|e| e.0);
-        starts(&mut self.dir, self.bits, self.entries.iter().map(|e| e.0));
+        self.entries.dedup();
+        starts(&mut self.dir, self.bits, self.entries.iter().copied());
     }
 
     /// Empties the index, keeping its room, for the `count` digests
@@ -115,18 +116,18 @@ impl ChecksumIndex {
         self.total_pages = 0;
     }
 
-    /// Appends `digest` at the next offset if it is above every digest held
-    /// and fewer than `refill_ascending`'s count are, else returns false.
-    /// The last builds the directory: the index answers once it is whole.
+    /// Appends `digest` if it is above every digest held and fewer than
+    /// `refill_ascending`'s count are, else returns false. The last
+    /// builds the directory: the index answers once it is whole.
     pub fn push_ascending(&mut self, digest: PageDigest) -> bool {
-        let (at, count) = (self.entries.len(), self.dir.last().copied().unwrap_or(0));
-        if at >= count as usize || self.entries.last().is_some_and(|e| digest <= e.0) {
+        let (held, count) = (self.entries.len(), self.dir.last().copied().unwrap_or(0));
+        if held >= count as usize || self.entries.last().is_some_and(|&e| digest <= e) {
             return false;
         }
-        self.entries.push((digest, at as u32));
+        self.entries.push(digest);
         self.total_pages += 1;
-        if at + 1 == count as usize {
-            starts(&mut self.dir, self.bits, self.entries.iter().map(|e| e.0));
+        if held + 1 == count as usize {
+            starts(&mut self.dir, self.bits, self.entries.iter().copied());
         }
         true
     }
@@ -153,21 +154,23 @@ impl ChecksumIndex {
     /// True if any page with this digest exists in the checkpoint.
     #[inline]
     pub fn contains(&self, digest: PageDigest) -> bool {
-        self.lookup(digest).is_some()
+        self.rank(digest).is_some()
     }
 
-    /// The checkpoint page holding this digest (first occurrence), if any.
+    /// The digest's position in the ascending list of
+    /// [`ChecksumIndex::distinct_digests`], if it is held: a dense key
+    /// in `0..distinct()` for a table beside the index.
     #[inline]
-    pub fn lookup(&self, digest: PageDigest) -> Option<PageIndex> {
+    pub fn rank(&self, digest: PageDigest) -> Option<usize> {
         let b = bucket(digest, self.bits);
         let (start, end) = (*self.dir.get(b)? as usize, *self.dir.get(b + 1)? as usize);
         let bucket = self.entries.get(start..end)?;
         let at = if bucket.len() <= 8 {
-            bucket.iter().position(|e| e.0 == digest)?
+            bucket.iter().position(|&e| e == digest)?
         } else {
-            bucket.binary_search_by(|e| e.0.cmp(&digest)).ok()?
+            bucket.binary_search(&digest).ok()?
         };
-        Some(PageIndex::new(u64::from(bucket[at].1)))
+        Some(start + at)
     }
 
     /// Number of distinct digests indexed.
@@ -177,7 +180,7 @@ impl ChecksumIndex {
 
     /// The distinct digests, ascending: what the bulk exchange sends.
     pub fn distinct_digests(&self) -> impl ExactSizeIterator<Item = PageDigest> + '_ {
-        self.entries.iter().map(|&(d, _)| d)
+        self.entries.iter().copied()
     }
 }
 
@@ -194,9 +197,14 @@ mod tests {
         let index = ChecksumIndex::from_pages(&[d(5), d(3), d(5), d(1)]);
         assert_eq!(index.total_pages(), 4);
         assert_eq!(index.distinct(), 3);
-        assert_eq!(index.lookup(d(3)), Some(PageIndex::new(1)));
-        assert_eq!(index.lookup(d(5)), Some(PageIndex::new(0)));
+        assert!(index.contains(d(3)) && index.contains(d(5)));
         assert!(!index.contains(d(42)));
+        // Ranks number the ascending list.
+        let listed: Vec<PageDigest> = index.distinct_digests().collect();
+        for (at, &digest) in listed.iter().enumerate() {
+            assert_eq!(index.rank(digest), Some(at));
+        }
+        assert_eq!(index.rank(d(42)), None);
     }
 
     #[test]

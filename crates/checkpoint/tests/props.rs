@@ -1,12 +1,12 @@
 //! Property tests: the wire decoder is total — arbitrary bytes never
 //! panic, they fail cleanly — and an index answers as its table says.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use vecycle_checkpoint::{Checkpoint, ChecksumIndex, PartialCheckpoint};
 use vecycle_mem::DigestMemory;
 use vecycle_types::rng::{split, Xorshift};
-use vecycle_types::{PageDigest, PageIndex, SimTime, VmId};
+use vecycle_types::{PageDigest, SimTime, VmId};
 
 /// Feeding garbage to the checkpoint decoder returns an error (never
 /// panics, never fabricates a checkpoint).
@@ -42,7 +42,8 @@ fn decoder_never_misreads() {
     }
 }
 
-/// Index lookups agree with membership in the original digest list.
+/// Index membership agrees with the original digest list, and a held
+/// digest's rank is its place in the ascending list.
 #[test]
 fn index_matches_membership() {
     for case in 0..256 {
@@ -54,10 +55,8 @@ fn index_matches_membership() {
         let index = ChecksumIndex::from_pages(&digests);
         let d = PageDigest::from_content_id(rng.below(128));
         assert_eq!(index.contains(d), digests.contains(&d));
-        if let Some(offset) = index.lookup(d) {
-            assert_eq!(digests[offset.as_usize()], d);
-            // First occurrence.
-            assert!(digests[..offset.as_usize()].iter().all(|x| *x != d));
+        if let Some(rank) = index.rank(d) {
+            assert_eq!(index.distinct_digests().nth(rank), Some(d));
         }
     }
 }
@@ -94,7 +93,7 @@ fn a_refilled_index_equals_one_built_fresh() {
             // Every content this case can draw, and some it cannot.
             for id in 0..contents + 4 {
                 let d = PageDigest::from_content_id(id);
-                assert_eq!(index.lookup(d), fresh.lookup(d), "case {case}, id {id}");
+                assert_eq!(index.rank(d), fresh.rank(d), "case {case}, id {id}");
                 assert_eq!(index.contains(d), fresh.contains(d), "case {case}, id {id}");
             }
         }
@@ -116,34 +115,32 @@ fn draw(rng: &mut Xorshift, contents: u64, hostile: bool) -> PageDigest {
     }
 }
 
-/// `index` answers as the first-offset model of `table` (each distinct
-/// digest mapped to the first page carrying it) for every digest of the
-/// table and every probe, and lists the model's keys in their order.
+/// `index` answers as the distinct-set model of `table` for every
+/// digest of the table and every probe — held or not, and ranked by its
+/// place among the model's digests in order — and lists them in order.
 fn assert_matches_model(index: &ChecksumIndex, table: &[PageDigest], probes: &[PageDigest]) {
-    let mut model = BTreeMap::new();
-    for (at, &d) in table.iter().enumerate() {
-        model.entry(d).or_insert_with(|| PageIndex::new(at as u64));
-    }
+    let model: BTreeSet<PageDigest> = table.iter().copied().collect();
     assert_eq!(index.total_pages(), table.len() as u64);
     assert_eq!(index.distinct(), model.len());
     assert_eq!(index.wire_size().as_u64(), 16 * model.len() as u64);
     assert!(
-        index.distinct_digests().eq(model.keys().copied()),
+        index.distinct_digests().eq(model.iter().copied()),
         "ascending"
     );
     for d in table.iter().chain(probes) {
-        assert_eq!(index.lookup(*d), model.get(d).copied(), "{d}");
-        assert_eq!(index.contains(*d), model.contains_key(d), "{d}");
+        let rank = model.contains(d).then(|| model.range(..d).count());
+        assert_eq!(index.rank(*d), rank, "{d}");
+        assert_eq!(index.contains(*d), model.contains(d), "{d}");
     }
 }
 
 /// Every way to fill an index — built from a table, refilled in place
 /// (growing and shrinking), refilled from a partial checkpoint plus an
 /// older checkpoint, and pushed ascending as the exchange arrives —
-/// agrees with the first-offset model, on tables with duplicates, the
+/// agrees with the distinct-set model, on tables with duplicates, the
 /// zero page and digests that all share their leading 8 bytes.
 #[test]
-fn every_fill_matches_the_first_offset_model() {
+fn every_fill_matches_the_distinct_set_model() {
     let mut index = ChecksumIndex::default();
     let mut pushed = ChecksumIndex::default();
     for case in 0..96 {

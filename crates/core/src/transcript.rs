@@ -153,25 +153,30 @@ fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
 }
 
 /// Where a page of the rebuilt memory gets its content: a checkpoint
-/// page, or the `Full` or `Zero` message at a transcript position.
+/// page, the `Full` or `Zero` message at a transcript position, or the
+/// `Checksum` message there that missed the page in place.
 #[derive(Debug, Clone, Copy)]
 enum Origin {
     Checkpoint(u32),
     Message(u32),
+    Missed(u32),
 }
 
 /// Applies a transcript at the destination, reconstructing guest memory.
 ///
 /// This is Listing 1 of the paper: memory starts initialized from the
 /// local `checkpoint`; each checksum message is compared with the
-/// already-resident page and, on mismatch, resolved through the
-/// checkpoint's checksum index (`lookup` + read at the found offset).
+/// already-resident page and, on mismatch, resolved to the first
+/// checkpoint page carrying that checksum.
 ///
-/// The merge runs twice. First over digests alone: the index is built
-/// over the checkpoint's borrowed table, and a dry run of the transcript
-/// records where each page of the result comes from — a checkpoint page
-/// (hit in place, relocated, or never touched) or a message. Then it
-/// reads exactly those checkpoint pages, ascending, in one batch, each
+/// The merge runs twice. First over digests alone: a dry run of the
+/// transcript records where each page of the result comes from — a
+/// checkpoint page (hit in place or never touched), a message, or a
+/// checksum that missed the page in place. Only those misses need an
+/// offset: one [`ChecksumIndex`] over their digests, and one walk of
+/// the checkpoint's borrowed table in page order, which stops once each
+/// has its first page, resolve them. Then it reads exactly the
+/// checkpoint pages the result holds, ascending, in one batch, each
 /// checked against its table entry before it is merged
 /// ([`Checkpoint::read_pages`]): for a checkpoint
 /// [`vecycle_checkpoint::DiskStore::load`] returned, the pages the
@@ -192,63 +197,94 @@ enum Origin {
 /// checksum, if a checksum message references content that neither the
 /// resident page nor the checkpoint can supply, if a message's page or
 /// a dedup reference points outside the guest — all indicate a protocol
-/// violation or corruption — or if a checkpoint page the result needs
-/// does not match its table entry (naming that page). Returns
-/// [`Error::InvalidConfig`] for a digest-only checkpoint.
+/// violation or corruption, and the first in transcript order is
+/// reported — or if a checkpoint page the result needs does not match
+/// its table entry (naming that page). Returns [`Error::InvalidConfig`]
+/// for a digest-only checkpoint.
 pub fn apply_transcript(
     checkpoint: &Checkpoint,
     transcript: &Transcript,
 ) -> vecycle_types::Result<ByteMemory> {
     verify_full_payloads(transcript)?;
     let table = checkpoint.digest_table();
-    let index = ChecksumIndex::from_pages(table);
     let message = |k: u32| &transcript[k as usize];
     let digest_of = |origin| match origin {
         Origin::Checkpoint(at) => table[at as usize],
-        Origin::Message(k) => match message(k) {
-            PageMsg::Full { digest, .. } => *digest,
+        Origin::Message(k) | Origin::Missed(k) => match message(k) {
+            PageMsg::Full { digest, .. } | PageMsg::Checksum { digest, .. } => *digest,
             _ => PageDigest::ZERO_PAGE,
         },
     };
 
     let pages = table.len() as u64;
     let mut origins: Vec<Origin> = (0..pages as u32).map(Origin::Checkpoint).collect();
+    // The checksums that missed their page in place, in transcript
+    // order, and the first structural fault, which a miss before it
+    // that proves unresolvable outranks.
+    let (mut misses, mut fault) = (Vec::new(), None);
     for (k, msg) in (0..).zip(transcript) {
         let page = msg.idx().as_u64();
         if page >= pages {
-            return Err(Error::Corrupt {
-                detail: format!("page index {page} beyond guest size {pages}"),
-            });
+            fault = Some(format!("page index {page} beyond guest size {pages}"));
+            break;
         }
         let at = page as usize;
         match msg {
             PageMsg::Full { .. } | PageMsg::Zero { .. } => origins[at] = Origin::Message(k),
-            PageMsg::Checksum { idx, digest } => {
+            PageMsg::Checksum { digest, .. } => {
                 // Listing 1: if the resident page (from the checkpoint
-                // restore) already matches, nothing to do; otherwise look
-                // the checksum up and copy from the checkpoint offset.
-                if digest_of(origins[at]) == *digest {
-                    continue;
+                // restore) already matches, nothing to do; otherwise the
+                // checksum names a checkpoint page, found below.
+                if digest_of(origins[at]) != *digest {
+                    misses.push(k);
+                    origins[at] = Origin::Missed(k);
                 }
-                let offset = index.lookup(*digest).ok_or_else(|| Error::Corrupt {
-                    detail: format!("checksum for {idx} not found in checkpoint index"),
-                })?;
-                origins[at] = Origin::Checkpoint(offset.as_u64() as u32);
             }
             PageMsg::DedupRef { source, .. } => {
                 if source.as_u64() >= pages {
-                    return Err(Error::Corrupt {
-                        detail: format!("dedup reference {source} out of range"),
-                    });
+                    fault = Some(format!("dedup reference {source} out of range"));
+                    break;
                 }
                 origins[at] = origins[source.as_usize()];
             }
         }
     }
 
+    // Each missed digest's first checkpoint page, by rank: one walk of
+    // the table in page order, until every one is found.
+    let mut missed = ChecksumIndex::default();
+    missed.refill(misses.iter().map(|&k| digest_of(Origin::Missed(k))));
+    let mut first = vec![u32::MAX; missed.distinct()];
+    let mut unfound = first.len();
+    for (at, &digest) in (0..).zip(table) {
+        if unfound == 0 {
+            break;
+        }
+        if let Some(rank) = missed.rank(digest).filter(|&r| first[r] == u32::MAX) {
+            first[rank] = at;
+            unfound -= 1;
+        }
+    }
+    let resolve = |k| first[missed.rank(digest_of(Origin::Missed(k))).expect("indexed")];
+    if unfound > 0 {
+        let k = misses.iter().find(|&&k| resolve(k) == u32::MAX);
+        let idx = message(*k.expect("a miss is unfound")).idx();
+        return Err(Error::Corrupt {
+            detail: format!("checksum for {idx} not found in checkpoint index"),
+        });
+    }
+    if let Some(detail) = fault {
+        return Err(Error::Corrupt { detail });
+    }
+    for origin in &mut origins {
+        if let Origin::Missed(k) = *origin {
+            *origin = Origin::Checkpoint(resolve(k));
+        }
+    }
+
     let from_checkpoint = |origin: &Origin| match origin {
         Origin::Checkpoint(at) => Some(PageIndex::new(u64::from(*at))),
-        Origin::Message(_) => None,
+        Origin::Message(_) | Origin::Missed(_) => None,
     };
     let mut needed = Vec::with_capacity(origins.iter().filter_map(from_checkpoint).count());
     needed.extend(origins.iter().filter_map(from_checkpoint));
@@ -264,6 +300,7 @@ pub fn apply_transcript(
             PageMsg::Full { bytes, .. } => bytes.clone().expect("verified above"),
             _ => PageBuf::zero_page(),
         },
+        Origin::Missed(_) => unreachable!("every miss resolved to a checkpoint page"),
     };
     let bufs = origins.iter().map(|&origin| buffer(origin)).collect();
     let digests = origins.iter().map(|&origin| digest_of(origin));

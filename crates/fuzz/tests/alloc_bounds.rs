@@ -100,7 +100,8 @@ fn metered<T>(f: impl FnOnce() -> T) -> (T, AllocStats) {
 
 /// `digest_pages` gathers lane groups into a fixed array: whatever the
 /// batch shape, the one thing it allocates is the vector it returns,
-/// and `first_mismatch`, which keeps no digest, allocates nothing.
+/// and `first_mismatch` and `for_each_digest`, which keep no digest,
+/// allocate nothing.
 #[test]
 fn digest_pages_allocates_only_its_output() {
     let pages: Vec<Vec<u8>> = (0..41usize)
@@ -117,6 +118,10 @@ fn digest_pages_allocates_only_its_output() {
             );
             let (first, stats) = metered(|| algo.first_mismatch(&pages[..n], |i| digests[i]));
             assert_eq!((first, stats.calls), (None, 0), "{algo} x{n}: {stats:?}");
+            let ((), stats) = metered(|| {
+                algo.for_each_digest(&pages[..n], |i, d| assert_eq!(d, digests[i]));
+            });
+            assert_eq!(stats.calls, 0, "{algo} x{n}: {stats:?}");
         }
     }
 }
@@ -127,8 +132,8 @@ fn digest_pages_allocates_only_its_output() {
 /// small requests a thread. The meter counts the calling thread only,
 /// and that is all there is to count: the workers allocate nothing,
 /// because each writes its digests straight into its slice of the
-/// caller's output vector. `first_mismatch` over the same batch asks
-/// for the bookkeeping alone.
+/// caller's output vector. `first_mismatch` and `for_each_digest` over
+/// the same batch ask for the bookkeeping alone.
 #[test]
 fn a_split_batch_allocates_its_output_and_per_thread_bookkeeping() {
     const N: usize = 1024;
@@ -149,6 +154,11 @@ fn a_split_batch_allocates_its_output_and_per_thread_bookkeeping() {
         );
         let (first, stats) = metered(|| algo.first_mismatch(&pages, |i| digests[i]));
         assert_eq!(first, None);
+        assert!(stats.calls <= 6 * threads, "{algo}: {stats:?}");
+        assert!(stats.requested <= 512 * threads, "{algo}: {stats:?}");
+        let ((), stats) = metered(|| {
+            algo.for_each_digest(&pages, |i, d| assert_eq!(d, digests[i]));
+        });
         assert!(stats.calls <= 6 * threads, "{algo}: {stats:?}");
         assert!(stats.requested <= 512 * threads, "{algo}: {stats:?}");
     }
@@ -229,16 +239,20 @@ fn a_ping_pong_leg_allocates_nothing_guest_sized() {
 /// come off the free list that the previous leg's checkpoint, merge and
 /// read-back filled when they dropped. The leg makes no fresh page
 /// buffer, and what it does request is tables, each built once at its
-/// final size: 301 bytes a guest page measured on two cores (299 on
-/// one; x86-64), held to 309. A second guest-sized digest table, such as
-/// collecting the merge's digests before they go into the memory's
-/// cells or staging header and table before a save, adds 16 bytes a
-/// page and fails this.
+/// final size: 248 bytes a guest page measured on two cores (246 on
+/// one; x86-64, under `/tmp`), held to 252 — a margin of 2 KiB, about
+/// 150 more characters of temporary directory in the leg's paths. A
+/// second guest-sized digest table, such as collecting the merge's
+/// digests before they go into the memory's cells, staging header and
+/// table before a save, or an index over the whole checkpoint table in
+/// the merge, adds 16 bytes a page or more and fails this.
 #[test]
 fn a_steady_state_ping_pong_leg_makes_no_fresh_page_buffer() {
     const PAGES: u64 = 512;
     let dirs = [0, 1].map(|k| {
-        let dir = format!("vecycle-alloc-steady-{k}-{}", std::process::id());
+        // The pid at a fixed width: the leg's path strings, and so its
+        // byte count, do not move with the pid's digits.
+        let dir = format!("vecycle-alloc-steady-{k}-{:010}", std::process::id());
         std::env::temp_dir().join(dir)
     });
     let stores = dirs.each_ref().map(|dir| {
@@ -277,7 +291,7 @@ fn a_steady_state_ping_pong_leg_makes_no_fresh_page_buffer() {
     let fresh = PageBuf::allocated_fresh();
     let ((), stats) = metered(|| leg(0));
     assert_eq!(PageBuf::allocated_fresh() - fresh, 0, "{stats:?}");
-    assert!(stats.requested <= 309 * PAGES, "{stats:?}");
+    assert!(stats.requested <= 252 * PAGES, "{stats:?}");
     for dir in dirs {
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -638,17 +652,19 @@ fn a_streamed_exchange_costs_the_source_its_probe_map_alone() {
     assert_eq!(stats, built, "the index alone");
 }
 
-/// An index is a sorted list of 20-byte entries and a directory of
-/// about one 4-byte bucket start per two entries: built over 32 768
-/// digests it asks for at most 24 bytes a digest in two requests, and
-/// refilled in place for as many digests or fewer it asks for nothing.
+/// An index is a sorted list of 16-byte digests and a directory of one
+/// 4-byte bucket start per two digests (and one end): built over 32 768
+/// digests it asks for at most 18 bytes a digest, and the directory's
+/// end, in two requests, and refilled in place for as many digests or
+/// fewer it asks for nothing.
 #[test]
-fn an_index_costs_at_most_24_bytes_a_digest_and_refills_in_place() {
-    let digests: Vec<PageDigest> = (1..=32_768).map(PageDigest::from_content_id).collect();
+fn an_index_costs_at_most_18_bytes_a_digest_and_refills_in_place() {
+    const N: u64 = 32_768;
+    let digests: Vec<PageDigest> = (1..=N).map(PageDigest::from_content_id).collect();
     let (mut index, stats) = metered(|| ChecksumIndex::from_pages(&digests));
     assert_eq!(index.distinct(), digests.len());
     assert!(stats.calls <= 2, "{stats:?}");
-    assert!(stats.requested <= 24 * 32_768, "{stats:?}");
+    assert!(stats.requested <= 18 * N + 4, "{stats:?}");
     for len in [32_768, 20_000, 3] {
         let ((), refill) = metered(|| index.refill(digests[..len].iter().copied()));
         assert_eq!(refill.calls, 0, "{len}: {refill:?}");

@@ -210,6 +210,20 @@ impl ChecksumAlgorithm {
     ) -> Option<usize> {
         multilane::first_mismatch(self, pages, expected, multilane::parts_for(pages.len()))
     }
+
+    /// Hashes a batch of pages as [`ChecksumAlgorithm::digest_pages`]
+    /// does (same kernels, same split over the cores) and hands each
+    /// page's digest to `emit` with the page's position — once each, in
+    /// no particular order, on whichever thread hashed it. The caller
+    /// keeps the digests where it wants them, so this allocates nothing
+    /// but a split batch's threads.
+    pub fn for_each_digest<P: AsRef<[u8]> + Sync>(
+        self,
+        pages: &[P],
+        emit: impl Fn(usize, PageDigest) + Sync,
+    ) {
+        multilane::for_each_digest(self, pages, emit, multilane::parts_for(pages.len()))
+    }
 }
 
 /// Truncates a wider SHA digest into the 128-bit page-digest slot.

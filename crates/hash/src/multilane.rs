@@ -398,11 +398,26 @@ pub(crate) fn digest_pages(
     out
 }
 
-/// Hashes `pages` with `algo` as [`digest_pages`] does and compares each
-/// digest with `expected(i)`, `i` its position: the first that differs,
-/// or `None`. No digest is kept: each slice compares as its lanes finish
-/// and keeps its lowest mismatch, so nothing is allocated but the
+/// Hashes `pages` with `algo` as [`digest_pages`] does and hands each
+/// digest to `emit` with its page's position, from whichever slice's
+/// thread hashed it. No digest is kept, so nothing is allocated but the
 /// threads' spawns.
+pub(crate) fn for_each_digest<P: AsRef<[u8]> + Sync>(
+    algo: ChecksumAlgorithm,
+    pages: &[P],
+    emit: impl Fn(usize, PageDigest) + Sync,
+    parts: usize,
+) {
+    // Zero-sized output slots: the split's slicing, no allocation.
+    let mut slots = vec![(); pages.len()];
+    split(pages, &mut slots, parts, |start, pages, _| {
+        digest_each(algo, pages, |i, digest| emit(start + i, digest));
+    });
+}
+
+/// Hashes `pages` with `algo` as [`for_each_digest`] does and compares
+/// each digest with `expected(i)`, `i` its position: the first that
+/// differs, or `None`.
 pub(crate) fn first_mismatch<P: AsRef<[u8]> + Sync>(
     algo: ChecksumAlgorithm,
     pages: &[P],
@@ -411,17 +426,12 @@ pub(crate) fn first_mismatch<P: AsRef<[u8]> + Sync>(
 ) -> Option<usize> {
     // `Relaxed` suffices: the scope joins every thread before the load.
     let first = AtomicUsize::new(usize::MAX);
-    // Zero-sized output slots: the split's slicing, no allocation.
-    let mut slots = vec![(); pages.len()];
-    split(pages, &mut slots, parts, |start, pages, _| {
-        let mut lowest = usize::MAX;
-        digest_each(algo, pages, |i, digest| {
-            if digest != expected(start + i) {
-                lowest = lowest.min(start + i);
-            }
-        });
-        first.fetch_min(lowest, Ordering::Relaxed);
-    });
+    let compare = |i, digest| {
+        if digest != expected(i) {
+            first.fetch_min(i, Ordering::Relaxed);
+        }
+    };
+    for_each_digest(algo, pages, compare, parts);
     Some(first.into_inner()).filter(|&at| at != usize::MAX)
 }
 

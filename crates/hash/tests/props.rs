@@ -320,6 +320,37 @@ fn first_mismatch_matches_a_per_page_walk() {
     }
 }
 
+/// `for_each_digest` hands every page's digest over exactly once, equal
+/// to a per-page walk's, for batch lengths on both sides of the split
+/// threshold and its multiples, over zero pages and ragged lengths.
+#[test]
+fn for_each_digest_matches_a_per_page_walk() {
+    let pages: Vec<Vec<u8>> = (0..3 * 128 + 1usize)
+        .map(|i| match i % 7 {
+            0 => vec![0; 192],
+            3 => vec![i as u8 | 1; 100 + i % 50],
+            _ => (0..192).map(|j| (i * 7 + j) as u8 | 1).collect(),
+        })
+        .collect();
+    for algo in ChecksumAlgorithm::ALL {
+        for len in [0, 1, 127, 128, 255, 256, 257, 3 * 128 + 1] {
+            let batch = &pages[..len];
+            let cells: Vec<std::sync::OnceLock<PageDigest>> =
+                (0..len).map(|_| std::sync::OnceLock::new()).collect();
+            algo.for_each_digest(batch, |i, digest| {
+                assert!(
+                    cells[i].set(digest).is_ok(),
+                    "{algo} x{len}: page {i} twice"
+                );
+            });
+            for (i, cell) in cells.iter().enumerate() {
+                let walk = algo.page_digest(&batch[i]);
+                assert_eq!(cell.get(), Some(&walk), "{algo} x{len} page {i}");
+            }
+        }
+    }
+}
+
 /// The RFC 1321 §A.5 test suite through each of the sixteen lane
 /// positions, the other fifteen lanes hashing same-length filler.
 #[test]

@@ -23,8 +23,8 @@ use crate::{MemoryImage, MutableMemory, PageBuf, PageContent};
 /// page; the first [`MemoryImage::page_digest`] or
 /// [`MemoryImage::digests`] after a burst of writes hashes every queued
 /// page in one multi-lane batch
-/// ([`vecycle_hash::ChecksumAlgorithm::digest_pages`]) and caches the
-/// results, so a page overwritten before anyone asks for its digest is
+/// ([`vecycle_hash::ChecksumAlgorithm::for_each_digest`]) into its
+/// cache, so a page overwritten before anyone asks for its digest is
 /// never hashed. Strictly interleaved write/read degenerates
 /// to one MD5 per write — the eager cost, never more. Concurrent readers
 /// settle behind one mutex, so an unsettled guest is hashed once, not
@@ -183,29 +183,26 @@ impl ByteMemory {
         }
     }
 
-    /// Hashes every queued page that still lacks a digest, in one batch.
-    /// Readers racing here serialize on the mutex; the losers find the
-    /// list empty and their cells set.
+    /// Hashes every queued page that still lacks a digest, in one batch,
+    /// each digest going straight into its page's cell. Readers racing
+    /// here serialize on the mutex; the losers find the list empty and
+    /// their cells set.
     fn settle(&self) {
         let mut guard = self.lock_pending();
-        let pending = &mut *guard;
+        let Pending { list, queued } = &mut *guard;
+        for &i in list.iter() {
+            queued[i] = false;
+        }
         // A queued page may have been given a digest since (a zero or
-        // digest-carrying write): those cells are set, skip them. The
-        // list holds each page once, so filling one cell leaves the
-        // second walk's filter over the others as the first walk saw it.
-        let unset = |i: &&usize| self.digests[**i].get().is_none();
-        let todo = || pending.list.iter().filter(unset);
-        let mut views = Vec::with_capacity(pending.list.len());
-        views.extend(todo().map(|&i| &self.pages[i][..]));
-        let digests = ChecksumAlgorithm::Md5.digest_pages(&views);
-        for (&i, digest) in todo().zip(digests) {
-            self.digests[i]
+        // digest-carrying write): its cell is set, leave it out.
+        list.retain(|&i| self.digests[i].get().is_none());
+        let views: Vec<&PageBuf> = list.iter().map(|&i| &self.pages[i]).collect();
+        ChecksumAlgorithm::Md5.for_each_digest(&views, |k, digest| {
+            self.digests[list[k]]
                 .set(digest)
                 .expect("only settle fills an empty cell, and it holds the lock");
-        }
-        for i in pending.list.drain(..) {
-            pending.queued[i] = false;
-        }
+        });
+        list.clear();
     }
 }
 

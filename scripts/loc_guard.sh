@@ -28,8 +28,8 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=44951
-PUB_CEILING=1051
+BUDGET=45123
+PUB_CEILING=1052
 DEPS_CEILING=111
 DESIGN_CEILING=1622
 CAP=800

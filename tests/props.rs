@@ -4,7 +4,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use vecycle::checkpoint::{Checkpoint, ChecksumIndex};
 use vecycle::core::{apply_transcript, MigrationEngine, Strategy as MigStrategy};
-use vecycle::mem::{ByteMemory, DigestMemory, MemoryImage, MutableMemory, PageContent};
+use vecycle::core::{PageMsg, Transcript};
+use vecycle::mem::{ByteMemory, DigestMemory, MemoryImage, MutableMemory, PageBuf, PageContent};
 use vecycle::net::LinkSpec;
 use vecycle::trace::{Fingerprint, PairStats};
 use vecycle::types::rng::{split, Xorshift};
@@ -54,27 +55,23 @@ fn pair_stats_hierarchy() {
     }
 }
 
-/// The checkpoint index agrees with a first-occurrence `BTreeMap`
-/// model built here, sharing no code with the index's own table.
+/// The checkpoint index agrees with a `BTreeSet` model built here,
+/// sharing no code with the index's own table.
 #[test]
 fn indexes_agree() {
     for case in 0..64 {
         let mut rng = Xorshift::new(split(3, case));
         let ds = digests(&mut rng, 64, 127);
-        let mut model: BTreeMap<PageDigest, PageIndex> = BTreeMap::new();
-        for (i, &d) in ds.iter().enumerate() {
-            model.entry(d).or_insert_with(|| PageIndex::new(i as u64));
-        }
+        let model: BTreeSet<PageDigest> = ds.iter().copied().collect();
         let index = ChecksumIndex::from_pages(&ds);
         assert_eq!(index.distinct(), model.len());
         for _ in 0..rng.below(64) {
             let d = PageDigest::from_content_id(rng.below(96));
-            assert_eq!(index.contains(d), model.contains_key(&d));
-            assert_eq!(index.lookup(d), model.get(&d).copied());
+            assert_eq!(index.contains(d), model.contains(&d));
         }
         assert_eq!(index.distinct_digests().len(), model.len());
         let listed: BTreeSet<PageDigest> = index.distinct_digests().collect();
-        assert_eq!(listed, model.keys().copied().collect::<BTreeSet<_>>());
+        assert_eq!(listed, model);
     }
 }
 
@@ -160,6 +157,126 @@ fn merge_reconstructs_arbitrary_divergence() {
         let rebuilt = apply_transcript(&cp, &transcript).unwrap();
         assert!(rebuilt.content_equals(&mem));
     }
+}
+
+/// Listing 1 run naively, message by message, counting relocations:
+/// each page starts as the checkpoint's, and a checksum that misses the
+/// page in place takes the first checkpoint page carrying it, found by
+/// a linear search of the table.
+fn naive_listing_1(
+    cp: &Checkpoint,
+    transcript: &Transcript,
+    relocated: &mut usize,
+) -> Result<Vec<(PageBuf, PageDigest)>, String> {
+    let table = cp.digest_table();
+    let page = |at: usize| cp.read_page(PageIndex::new(at as u64)).unwrap();
+    let mut mem: Vec<_> = (0..table.len()).map(|at| (page(at), table[at])).collect();
+    for msg in transcript {
+        let (PageMsg::Full { idx, .. }
+        | PageMsg::Checksum { idx, .. }
+        | PageMsg::DedupRef { idx, .. }
+        | PageMsg::Zero { idx }) = *msg;
+        let (at, pages) = (idx.as_usize(), table.len());
+        if at >= pages {
+            return Err(format!("page index {at} beyond guest size {pages}"));
+        }
+        mem[at] = match msg {
+            PageMsg::Full { digest, bytes, .. } => (bytes.clone().unwrap(), *digest),
+            PageMsg::Zero { .. } => (PageBuf::zero_page(), PageDigest::ZERO_PAGE),
+            PageMsg::Checksum { digest, .. } if mem[at].1 == *digest => continue,
+            PageMsg::Checksum { digest, .. } => match table.iter().position(|d| d == digest) {
+                Some(first) => (page(first), *digest),
+                None => return Err(format!("checksum for {idx} not found in checkpoint index")),
+            },
+            PageMsg::DedupRef { source, .. } => match mem.get(source.as_usize()) {
+                Some(held) => held.clone(),
+                None => return Err(format!("dedup reference {source} out of range")),
+            },
+        };
+        *relocated += usize::from(matches!(msg, PageMsg::Checksum { .. }));
+    }
+    Ok(mem)
+}
+
+/// The merge agrees with the naive Listing 1 on random transcripts —
+/// full pages, checksums present and absent, dedup references and zero
+/// markers, some past the guest — over small checkpoints whose
+/// duplicate contents sit in distinct buffers: on success every page
+/// holds the very buffer the naive merge put there (for a relocated
+/// page, the first checkpoint page carrying its digest) under the same
+/// digest; on failure the message is the same.
+#[test]
+fn the_merge_matches_a_naive_listing_1() {
+    let (mut merged, mut relocated, mut failed) = (0, 0, BTreeMap::new());
+    for case in 0..512 {
+        let mut rng = Xorshift::new(split(10, case));
+        let (pages, contents) = (1 + rng.below(24), 1 + rng.below(6));
+        let mut resident = ByteMemory::zeroed(PageCount::new(pages));
+        for i in 0..pages {
+            let content = PageContent::ContentId(rng.below(contents + 1));
+            resident.write_page(PageIndex::new(i), content);
+        }
+        let cp = Checkpoint::capture_bytes(VmId::new(0), SimTime::EPOCH, &resident);
+        // Contents the checkpoint lacks. One case in four may send a
+        // checksum of one, or point past the guest.
+        let pool = ByteMemory::with_distinct_content(PageCount::new(4), case);
+        let faulty = rng.below(4) == 0;
+        let page = |rng: &mut Xorshift| match faulty && rng.below(16) == 0 {
+            true => PageIndex::new(pages + rng.below(2)),
+            false => PageIndex::new(rng.below(pages)),
+        };
+        let transcript: Transcript = (0..rng.below(3 * pages + 2))
+            .map(|_| {
+                let (idx, from) = (page(&mut rng), PageIndex::new(rng.below(4)));
+                match rng.below(8) {
+                    0 | 1 => PageMsg::Full {
+                        idx,
+                        digest: pool.page_digest(from),
+                        bytes: Some(pool.read_page(from).clone()),
+                    },
+                    2 => PageMsg::DedupRef {
+                        idx,
+                        source: page(&mut rng),
+                    },
+                    3 => PageMsg::Zero { idx },
+                    _ if faulty && rng.below(8) == 0 => PageMsg::Checksum {
+                        idx,
+                        digest: pool.page_digest(from),
+                    },
+                    _ => PageMsg::Checksum {
+                        idx,
+                        digest: cp.digest(PageIndex::new(rng.below(pages))),
+                    },
+                }
+            })
+            .collect();
+        let naive = naive_listing_1(&cp, &transcript, &mut relocated);
+        match (apply_transcript(&cp, &transcript), naive) {
+            (Ok(rebuilt), Ok(naive)) => {
+                merged += 1;
+                for (i, (buf, digest)) in (0..).zip(&naive) {
+                    let idx = PageIndex::new(i);
+                    assert!(
+                        rebuilt.read_page(idx).shares_with(buf),
+                        "case {case}, page {i}"
+                    );
+                    assert_eq!(rebuilt.page_digest(idx), *digest, "case {case}, page {i}");
+                }
+            }
+            (Err(vecycle::types::Error::Corrupt { detail }), Err(want)) => {
+                assert_eq!(detail, want, "case {case}");
+                *failed
+                    .entry(want.split(' ').next().unwrap().to_owned())
+                    .or_insert(0) += 1;
+            }
+            (got, want) => panic!("case {case}: merge {got:?}, naive {want:?}"),
+        }
+    }
+    assert!(
+        merged > 256 && relocated > 512,
+        "{merged} merged, {relocated} relocated"
+    );
+    assert_eq!(failed.len(), 3, "every failure kind: {failed:?}");
 }
 
 /// DigestMemory and ByteMemory classify identical write sequences
