@@ -228,12 +228,9 @@ impl Checkpoint {
     pub fn digest_table(&self) -> &[PageDigest] {
         match &self.payload {
             Payload::Resident(CheckpointData::Digests(d)) => d,
-            Payload::Resident(CheckpointData::Pages(pages)) => {
-                self.page_digests.get_or_init(|| {
-                    let views: Vec<&[u8]> = pages.iter().map(|p| &p[..]).collect();
-                    ChecksumAlgorithm::Md5.digest_pages(&views)
-                })
-            }
+            Payload::Resident(CheckpointData::Pages(pages)) => self
+                .page_digests
+                .get_or_init(|| ChecksumAlgorithm::Md5.digest_pages(pages)),
             Payload::File(_) => self.page_digests.get().expect("opened with its table"),
         }
     }

@@ -149,8 +149,9 @@ fn checkpoint_cmd(argv: &[String]) -> Result<(), String> {
                 .first()
                 .ok_or("checkpoint inspect needs a file argument")?;
             let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
-            let cp =
-                Checkpoint::read_from(std::io::BufReader::new(file)).map_err(|e| e.to_string())?;
+            let cp = Checkpoint::open_file(file)
+                .and_then(Checkpoint::into_resident)
+                .map_err(|e| e.to_string())?;
             let index = cp.build_index();
             println!("{path}:");
             println!("  vm:            {}", cp.vm());
@@ -691,6 +692,26 @@ mod tests {
         cp.write_to(std::fs::File::create(&path).unwrap()).unwrap();
         run(&argv(&["checkpoint", "inspect", path.to_str().unwrap()])).unwrap();
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_inspect_refuses_a_flipped_page_byte_and_names_it() {
+        use vecycle_mem::ByteMemory;
+        use vecycle_types::{PageCount, SimTime, PAGE_SIZE};
+        let dir = std::env::temp_dir().join(format!("vecycle-cli-rot-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("vm.ckpt");
+        let mem = ByteMemory::with_distinct_content(PageCount::new(4), 2);
+        let mut file = Vec::new();
+        Checkpoint::capture_bytes(VmId::new(3), SimTime::EPOCH, &mem)
+            .write_to(&mut file)
+            .unwrap();
+        // A 32-byte header and a 16-byte digest a page, then the pages.
+        file[32 + 4 * 16 + 2 * PAGE_SIZE as usize + 100] ^= 0x01;
+        std::fs::write(&path, &file).unwrap();
+        let err = run(&argv(&["checkpoint", "inspect", path.to_str().unwrap()])).unwrap_err();
+        std::fs::remove_dir_all(dir).unwrap();
+        assert!(err.contains("checkpoint page 2 "), "{err}");
     }
 
     #[test]

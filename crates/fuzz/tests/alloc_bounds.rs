@@ -164,9 +164,9 @@ fn a_split_batch_allocates_its_output_and_per_thread_bookkeeping() {
     }
 }
 
-/// The streaming reader under the fuzz targets' own budget: a header
-/// claiming 2⁴⁰ pages on a 100-byte input asks for no more memory than
-/// an honest 100-byte input may.
+/// The decoder under the fuzz targets' own budget: a header claiming
+/// 2⁴⁰ pages on a 100-byte input asks for no more memory than an honest
+/// 100-byte input may.
 #[test]
 fn a_forged_page_count_stays_inside_the_input_budget() {
     let mem = ByteMemory::with_distinct_content(PageCount::new(1), 3);

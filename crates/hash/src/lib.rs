@@ -188,12 +188,11 @@ impl ChecksumAlgorithm {
     /// use vecycle_hash::ChecksumAlgorithm;
     ///
     /// let pages: Vec<Vec<u8>> = (0u8..8).map(|k| vec![k; 4096]).collect();
-    /// let views: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
-    /// let batch = ChecksumAlgorithm::Md5.digest_pages(&views);
+    /// let batch = ChecksumAlgorithm::Md5.digest_pages(&pages);
     /// assert_eq!(batch[0], vecycle_types::PageDigest::ZERO_PAGE);
     /// assert_eq!(batch[3], ChecksumAlgorithm::Md5.page_digest(&pages[3]));
     /// ```
-    pub fn digest_pages(self, pages: &[&[u8]]) -> Vec<PageDigest> {
+    pub fn digest_pages<P: AsRef<[u8]> + Sync>(self, pages: &[P]) -> Vec<PageDigest> {
         multilane::digest_pages(self, pages, multilane::parts_for(pages.len()))
     }
 
@@ -201,8 +200,8 @@ impl ChecksumAlgorithm {
     /// the position of the first page whose digest differs from
     /// `expected(position)`, or `None` when all agree. Hashes as
     /// [`ChecksumAlgorithm::digest_pages`] does (same kernels, same split
-    /// over the cores) but takes the page buffers themselves and keeps no
-    /// digest, so it allocates nothing but a split batch's threads.
+    /// over the cores) but keeps no digest, so it allocates nothing but a
+    /// split batch's threads.
     pub fn first_mismatch<P: AsRef<[u8]> + Sync>(
         self,
         pages: &[P],

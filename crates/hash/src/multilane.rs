@@ -386,9 +386,9 @@ pub(crate) fn parts_for(len: usize) -> usize {
 /// each writing only its own output slots: bit-equal to
 /// [`ChecksumAlgorithm::page_digest`] per page whatever `parts` is. One
 /// slice allocates nothing but the vector returned.
-pub(crate) fn digest_pages(
+pub(crate) fn digest_pages<P: AsRef<[u8]> + Sync>(
     algo: ChecksumAlgorithm,
-    pages: &[&[u8]],
+    pages: &[P],
     parts: usize,
 ) -> Vec<PageDigest> {
     let mut out = vec![PageDigest::ZERO_PAGE; pages.len()];

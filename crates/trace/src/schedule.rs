@@ -69,7 +69,7 @@ impl ActivitySchedule {
     }
 
     /// True if `hours` since the Monday-00:00 epoch falls on a weekend.
-    pub fn is_weekend(hours: f64) -> bool {
+    fn is_weekend(hours: f64) -> bool {
         let day = (hours.rem_euclid(7.0 * 24.0) / 24.0) as u32;
         day >= 5
     }

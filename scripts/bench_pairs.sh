@@ -7,12 +7,16 @@
 #
 # Builds the unchanged `benchmark/` twice, offline, into separate target
 # directories under one temporary directory (`$TMPDIR`, else /tmp): the
-# parent from `git archive <parent-rev>`, the change from this working
-# tree. Then, for every seed and workload, runs N pairs of the pipeline
-# form (`--workload W --seed S --seconds 15 --trace 0`), alternating which
-# side runs first, and reads the share of CPU time stolen from the VM
-# (`/proc/stat`) over each run. Each pair then runs both sides once more,
-# in the same order, under MALLOC_MMAP_THRESHOLD_=131072: a *layout
+# parent from `git archive <parent-rev>`, then the change from a copy of
+# this working tree's tracked and unignored files, both at one path in
+# that directory. So the two binaries differ only in source: identical
+# sources build identical binaries, and both sides' runs keep their
+# scratch files in one place. Then, for every seed and workload, runs N
+# pairs of the pipeline form (`--workload W --seed S --seconds 15
+# --trace 0`), alternating which side runs first, and reads the share of
+# CPU time stolen from the VM (`/proc/stat`) over each run. Each pair
+# then runs both sides once more, in the same order, under
+# MALLOC_MMAP_THRESHOLD_=131072: a *layout
 # probe*. With the threshold fixed, glibc places a big allocation the same
 # way whatever was allocated before it, so a peak-RSS move that the probes
 # do not show is allocator layout, not growth. Probes are never in the
@@ -76,18 +80,26 @@ WORK=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 
 echo "building the benchmark at $COMMIT and at the working tree" >&2
-mkdir "$WORK/parent"
-git archive "$COMMIT" | tar -x -C "$WORK/parent"
-build() { # <checkout> <target dir>
-    cargo build --release --offline --manifest-path "$1/benchmark/Cargo.toml" \
-        --target-dir "$2" >"$WORK/build.log" 2>&1 || {
+build() { # <target dir>
+    cargo build --release --offline --manifest-path "$SRC/benchmark/Cargo.toml" \
+        --target-dir "$1" >"$WORK/build.log" 2>&1 || {
         cat "$WORK/build.log" >&2
         exit 1
     }
 }
-build "$WORK/parent" "$WORK/parent-target"
-build "$ROOT" "$WORK/change-target"
-declare -A CHECKOUT=([parent]="$WORK/parent" [change]="$ROOT")
+# Both sides build from one path in turn: the path is part of every
+# crate's symbol hash, so the same source built at two paths links into
+# two differently laid-out binaries.
+SRC="$WORK/src"
+mkdir "$SRC"
+git archive "$COMMIT" | tar -x -C "$SRC"
+build "$WORK/parent-target"
+rm -rf "$SRC"
+mkdir "$SRC"
+git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' f; do if [[ -e $f ]]; then printf '%s\0' "$f"; fi; done |
+    tar --null -T - -c | tar -x -C "$SRC"
+build "$WORK/change-target"
 declare -A BIN=([parent]="$WORK/parent-target/release/vecycle-benchmark"
     [change]="$WORK/change-target/release/vecycle-benchmark")
 
@@ -104,7 +116,7 @@ run_side() { # <side> <workload> <seed> <pair> <order> <probe>
     local -a alloc=()
     if (($6)); then alloc=(MALLOC_MMAP_THRESHOLD_=131072); fi
     before=$(cpu_jiffies)
-    result=$(cd "${CHECKOUT[$1]}" && env "${alloc[@]}" "${BIN[$1]}" --workload "$2" \
+    result=$(cd "$SRC" && env "${alloc[@]}" "${BIN[$1]}" --workload "$2" \
         --seed "$3" --seconds 15 --trace 0 2>/dev/null | tail -1)
     after=$(cpu_jiffies)
     python3 -c '

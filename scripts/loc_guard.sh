@@ -28,10 +28,10 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=45123
+BUDGET=45076
 PUB_CEILING=1052
 DEPS_CEILING=111
-DESIGN_CEILING=1622
+DESIGN_CEILING=1617
 CAP=800
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"

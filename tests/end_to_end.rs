@@ -82,7 +82,7 @@ fn checkpoint_survives_disk_round_trip_and_still_serves_migration() {
     let path = dir.join("vm0.ckpt");
     let file = std::fs::File::create(&path).unwrap();
     cp.write_to(std::io::BufWriter::new(file)).unwrap();
-    let loaded = Checkpoint::read_from(std::fs::File::open(&path).unwrap()).unwrap();
+    let loaded = Checkpoint::read_from(&std::fs::read(&path).unwrap()).unwrap();
     assert_eq!(loaded, cp);
 
     let (_, transcript) = engine()
