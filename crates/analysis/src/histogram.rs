@@ -66,11 +66,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Samples at or above the range's upper bound.
     pub fn overflow(&self) -> u64 {
         self.overflow
@@ -86,7 +81,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
+    pub(crate) fn bin_bounds(&self, i: usize) -> (f64, f64) {
         assert!(i < self.counts.len(), "bin {i} out of range");
         let width = (self.hi - self.lo) / self.counts.len() as f64;
         (self.lo + width * i as f64, self.lo + width * (i + 1) as f64)
@@ -116,7 +111,7 @@ mod tests {
             h.add(v as f64);
         }
         assert_eq!(h.counts(), &[2, 2, 2, 2, 2]);
-        assert_eq!(h.underflow(), 0);
+        assert_eq!(h.underflow, 0);
         assert_eq!(h.overflow(), 0);
     }
 
@@ -126,7 +121,7 @@ mod tests {
         h.add(-0.5);
         h.add(1.0); // hi is exclusive
         h.add(f64::NAN);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.total(), 2);
     }

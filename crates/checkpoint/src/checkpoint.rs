@@ -1,5 +1,6 @@
 //! The [`Checkpoint`] capture type.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use vecycle_hash::ChecksumAlgorithm;
@@ -85,11 +86,9 @@ impl PartialEq for Checkpoint {
             _ => {
                 let pages = self.page_count().as_u64();
                 (0..pages.div_ceil(COMPARE_BATCH)).all(|batch| {
-                    let end = pages.min((batch + 1) * COMPARE_BATCH);
-                    let batch: Vec<PageIndex> =
-                        (batch * COMPARE_BATCH..end).map(PageIndex::new).collect();
+                    let batch = batch * COMPARE_BATCH..pages.min((batch + 1) * COMPARE_BATCH);
                     matches!(
-                        (self.read_pages(&batch), other.read_pages(&batch)),
+                        (self.read_range(batch.clone()), other.read_range(batch)),
                         (Ok(a), Ok(b)) if a == b
                     )
                 })
@@ -265,14 +264,30 @@ impl Checkpoint {
     ///
     /// Panics if a page is out of bounds.
     pub fn read_pages(&self, pages: &[PageIndex]) -> vecycle_types::Result<Vec<PageBuf>> {
+        self.read_each(pages.len(), |k| pages[k])
+    }
+
+    /// The buffers of the pages in `range`, in page order: what
+    /// [`Checkpoint::read_pages`] returns for them, with no index list.
+    pub(crate) fn read_range(&self, range: Range<u64>) -> vecycle_types::Result<Vec<PageBuf>> {
+        let count = (range.end - range.start) as usize;
+        self.read_each(count, |k| PageIndex::new(range.start + k as u64))
+    }
+
+    /// [`Checkpoint::read_pages`] of the `count` pages `page(0..count)`.
+    fn read_each(
+        &self,
+        count: usize,
+        page: impl Fn(usize) -> PageIndex + Sync,
+    ) -> vecycle_types::Result<Vec<PageBuf>> {
         match &self.payload {
             Payload::Resident(CheckpointData::Digests(_)) => Err(Error::InvalidConfig {
                 reason: "a digest checkpoint holds no page bytes".into(),
             }),
-            Payload::Resident(CheckpointData::Pages(held)) => {
-                Ok(pages.iter().map(|&i| held[i.as_usize()].clone()).collect())
-            }
-            Payload::File(file) => file.read_verified(pages, self.digest_table()),
+            Payload::Resident(CheckpointData::Pages(held)) => Ok((0..count)
+                .map(|k| held[page(k).as_usize()].clone())
+                .collect()),
+            Payload::File(file) => file.read_verified(count, page, self.digest_table()),
         }
     }
 
@@ -305,7 +320,7 @@ impl Checkpoint {
         if !matches!(self.payload, Payload::File(_)) {
             return Ok(self);
         }
-        let pages = self.read_pages(&self.all_pages())?;
+        let pages = self.read_range(0..self.page_count().as_u64())?;
         let table = self
             .page_digests
             .into_inner()
@@ -316,12 +331,6 @@ impl Checkpoint {
             pages,
             table,
         ))
-    }
-
-    pub(crate) fn all_pages(&self) -> Vec<PageIndex> {
-        (0..self.page_count().as_u64())
-            .map(PageIndex::new)
-            .collect()
     }
 
     /// Restores a full-byte checkpoint into a [`ByteMemory`] that shares
@@ -337,7 +346,7 @@ impl Checkpoint {
     pub fn restore_byte_memory(&self) -> vecycle_types::Result<ByteMemory> {
         let pages = match &self.payload {
             Payload::Resident(CheckpointData::Pages(pages)) => pages.clone(),
-            _ => self.read_pages(&self.all_pages())?,
+            _ => self.read_range(0..self.page_count().as_u64())?,
         };
         Ok(ByteMemory::from_pages_with_digests(
             pages,

@@ -217,7 +217,7 @@ impl Checkpoint {
             Some(CheckpointData::Digests(_)) => (VERSION, KIND_DIGESTS, &[]),
             Some(CheckpointData::Pages(pages)) => (VERSION_TABLED, KIND_PAGES, pages),
             None => {
-                read = self.read_pages(&self.all_pages())?;
+                read = self.read_range(0..self.page_count().as_u64())?;
                 (VERSION_TABLED, KIND_PAGES, &read)
             }
         };
@@ -284,8 +284,10 @@ impl Checkpoint {
         if header.layout == Layout::Digests {
             return Checkpoint::from_parts(vm, taken_at, CheckpointData::Digests(table));
         }
-        let all: Vec<PageIndex> = (0..header.pages).map(PageIndex::new).collect();
-        let pages = header.pages_in(file).read_verified(&all, &table)?;
+        let page = |k: usize| PageIndex::new(k as u64);
+        let pages = header
+            .pages_in(file)
+            .read_verified(table.len(), page, &table)?;
         Ok(Checkpoint::from_pages_with_digests(
             vm, taken_at, pages, table,
         ))
@@ -416,32 +418,33 @@ pub(crate) struct PageFile<F = Arc<File>> {
 }
 
 impl<F: Deref<Target: ReadAt>> PageFile<F> {
-    /// Reads `pages` into fresh buffers, in the order given, and checks
-    /// them against their entries in the file's checked `table` in one
-    /// multi-lane batch; the error names the first that differs.
+    /// Reads pages `page(0..count)` into fresh buffers, in that order, and
+    /// checks them against their entries in the file's checked `table` in
+    /// one multi-lane batch; the error names the first that differs.
     ///
     /// # Panics
     ///
     /// Panics if a page is out of bounds.
     pub(crate) fn read_verified(
         &self,
-        pages: &[PageIndex],
+        count: usize,
+        page: impl Fn(usize) -> PageIndex + Sync,
         table: &[PageDigest],
     ) -> vecycle_types::Result<Vec<PageBuf>> {
-        let mut bufs = Vec::with_capacity(pages.len());
-        for &idx in pages {
+        let mut bufs = Vec::with_capacity(count);
+        for idx in (0..count).map(&page) {
             assert!(idx.as_usize() < table.len(), "{idx} is out of bounds");
             let mut buf = PageBuf::new_page();
             let bytes = buf.get_mut().expect("fresh buffers are unshared");
             read_exact_at(&*self.file, bytes, self.pages_at + idx.as_u64() * PAGE_SIZE)?;
             bufs.push(buf);
         }
-        let stored = |k: usize| table[pages[k].as_usize()];
+        let stored = |k: usize| table[page(k).as_usize()];
         match ChecksumAlgorithm::Md5.first_mismatch(&bufs, stored) {
             Some(k) => Err(Error::Corrupt {
                 detail: format!(
                     "checkpoint page {} does not match its stored digest",
-                    pages[k].as_u64()
+                    page(k).as_u64()
                 ),
             }),
             None => Ok(bufs),

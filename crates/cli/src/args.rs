@@ -1,6 +1,7 @@
 //! Minimal argument parsing: `--flag value` pairs plus positionals.
 
 use std::collections::HashMap;
+use std::str::FromStr;
 
 use vecycle_faults::FaultRates;
 use vecycle_net::{LinkSpec, Netem};
@@ -8,7 +9,7 @@ use vecycle_types::{Bytes, SimDuration};
 
 /// Parsed arguments: named `--key value` options and positional args.
 #[derive(Debug, Default)]
-pub struct Args {
+pub(crate) struct Args {
     named: HashMap<String, String>,
     positional: Vec<String>,
 }
@@ -52,7 +53,7 @@ impl Args {
     }
 
     /// Positional arguments.
-    pub fn positional(&self) -> &[String] {
+    pub(crate) fn positional(&self) -> &[String] {
         &self.positional
     }
 
@@ -61,7 +62,7 @@ impl Args {
     /// # Errors
     ///
     /// Fails when the value does not parse.
-    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub(crate) fn get_parsed<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v

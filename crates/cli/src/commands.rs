@@ -288,6 +288,62 @@ where
     Ok((reports, events))
 }
 
+/// A column of `simulate`'s per-migration table: header and cell.
+type Column = (&'static str, fn(&MigrationReport) -> String);
+
+const STRATEGY: Column = ("strategy", |r| r.strategy().to_string());
+const OUTCOME: Column = ("outcome", |r| r.outcome().to_string());
+const TRAFFIC: Column = ("traffic", |r| r.source_traffic().to_string());
+const RAM_SHARE: Column = ("% of ram", |r| {
+    format!("{:.0}%", r.traffic_fraction_of_ram().as_percent())
+});
+const TIME: Column = ("time", |r| r.total_time().to_string());
+
+/// Runs one VM of `ram` (seeded by `--seed`, default `default_seed`)
+/// through `schedule` on a two-host gigabit LAN, starting on the host
+/// its first move leaves, while an idle workload writes `rate` pages a
+/// second; prints one table row of `columns` a migration, the schedule
+/// summary and any lifecycle incidents.
+fn simulate_schedule(
+    args: &Args,
+    ram: Bytes,
+    default_seed: u64,
+    policy: RecyclePolicy,
+    schedule: &[MigrationRequest],
+    rate: f64,
+    columns: &[Column],
+) -> Result<(), String> {
+    if !ram.as_u64().is_multiple_of(vecycle_types::PAGE_SIZE) || ram.is_zero() {
+        return Err("--ram must be a positive multiple of 4KiB".into());
+    }
+    let seed: u64 = args.get_parsed("seed", default_seed)?;
+
+    let mut cluster = Cluster::homogeneous(2, LinkSpec::lan_gigabit());
+    if let Some((quota, evict)) = lifecycle_flags(args)? {
+        cluster = cluster.with_checkpoint_quotas(quota, evict);
+    }
+    let session = VeCycleSession::new(cluster).with_policy(policy);
+    let mem = DigestMemory::with_uniform_content(ram, seed).map_err(|e| e.to_string())?;
+    let start = HostId::new(u32::from(schedule[0].pinned_to == Some(HostId::new(0))));
+    let mut vm = VmInstance::new(VmId::new(0), Guest::new(mem), start);
+    let mut workload = IdleWorkload::new(seed ^ 1, rate);
+    let (reports, events) =
+        run_with_optional_faults(args, session, &mut vm, schedule, &mut workload)?;
+
+    let headers = std::iter::once("#").chain(columns.iter().map(|c| c.0));
+    let mut t = Table::new(headers.collect());
+    for (i, r) in reports.iter().enumerate() {
+        let cells = columns.iter().map(|c| (c.1)(r));
+        t.row(std::iter::once((i + 1).to_string()).chain(cells).collect());
+    }
+    print!("{}", t.render());
+    println!("{}", ScheduleSummary::of(&reports));
+    if let Some(line) = lifecycle_summary(&events) {
+        println!("{line}");
+    }
+    Ok(())
+}
+
 fn simulate_cmd(argv: &[String]) -> Result<(), String> {
     let (sub, rest) = argv
         .split_first()
@@ -337,44 +393,11 @@ fn simulate_cmd(argv: &[String]) -> Result<(), String> {
                 "adaptive" => RecyclePolicy::Adaptive,
                 other => return Err(format!("unknown policy {other:?}")),
             };
-            if ram.as_u64() % vecycle_types::PAGE_SIZE != 0 || ram.is_zero() {
-                return Err("--ram must be a positive multiple of 4KiB".into());
-            }
-            let seed: u64 = args.get_parsed("seed", 3)?;
-
-            let mut cluster = Cluster::homogeneous(2, LinkSpec::lan_gigabit());
-            if let Some((quota, evict)) = lifecycle_flags(&args)? {
-                cluster = cluster.with_checkpoint_quotas(quota, evict);
-            }
-            let session = VeCycleSession::new(cluster).with_policy(policy);
-            let mem = DigestMemory::with_uniform_content(ram, seed).map_err(|e| e.to_string())?;
-            let mut vm = VmInstance::new(VmId::new(0), Guest::new(mem), HostId::new(1));
             let schedule = MigrationRequest::vdi(VmId::new(0), HostId::new(0), HostId::new(1), 19);
             // ~20% of pages touched per 8h working stretch.
             let rate = ram.pages_ceil().as_u64() as f64 * 0.2 / (8.0 * 3600.0);
-            let mut workload = IdleWorkload::new(seed ^ 1, rate);
-            let (reports, events) =
-                run_with_optional_faults(&args, session, &mut vm, &schedule, &mut workload)?;
-
-            let mut t = Table::new(vec![
-                "#", "strategy", "outcome", "traffic", "% of ram", "time",
-            ]);
-            for (i, r) in reports.iter().enumerate() {
-                t.row(vec![
-                    format!("{}", i + 1),
-                    r.strategy().to_string(),
-                    r.outcome().to_string(),
-                    format!("{}", r.source_traffic()),
-                    format!("{:.0}%", r.traffic_fraction_of_ram().as_percent()),
-                    format!("{}", r.total_time()),
-                ]);
-            }
-            print!("{}", t.render());
-            println!("{}", ScheduleSummary::of(&reports));
-            if let Some(line) = lifecycle_summary(&events) {
-                println!("{line}");
-            }
-            Ok(())
+            let columns = [STRATEGY, OUTCOME, TRAFFIC, RAM_SHARE, TIME];
+            simulate_schedule(&args, ram, 3, policy, &schedule, rate, &columns)
         }
         "pingpong" => {
             let ram = parse_size(args.get("ram").unwrap_or("128MiB"))?;
@@ -383,18 +406,6 @@ fn simulate_cmd(argv: &[String]) -> Result<(), String> {
             if count == 0 {
                 return Err("--count must be positive".into());
             }
-            if ram.as_u64() % vecycle_types::PAGE_SIZE != 0 || ram.is_zero() {
-                return Err("--ram must be a positive multiple of 4KiB".into());
-            }
-            let seed: u64 = args.get_parsed("seed", 5)?;
-
-            let mut cluster = Cluster::homogeneous(2, LinkSpec::lan_gigabit());
-            if let Some((quota, evict)) = lifecycle_flags(&args)? {
-                cluster = cluster.with_checkpoint_quotas(quota, evict);
-            }
-            let session = VeCycleSession::new(cluster);
-            let mem = DigestMemory::with_uniform_content(ram, seed).map_err(|e| e.to_string())?;
-            let mut vm = VmInstance::new(VmId::new(0), Guest::new(mem), HostId::new(0));
             let schedule = MigrationRequest::ping_pong(
                 VmId::new(0),
                 HostId::new(0),
@@ -404,25 +415,9 @@ fn simulate_cmd(argv: &[String]) -> Result<(), String> {
                 count,
             );
             let rate = ram.pages_ceil().as_u64() as f64 * 0.05 / gap.as_secs_f64();
-            let mut workload = IdleWorkload::new(seed ^ 1, rate);
-            let (reports, events) =
-                run_with_optional_faults(&args, session, &mut vm, &schedule, &mut workload)?;
-            let mut t = Table::new(vec!["#", "strategy", "outcome", "traffic", "time"]);
-            for (i, r) in reports.iter().enumerate() {
-                t.row(vec![
-                    format!("{}", i + 1),
-                    r.strategy().to_string(),
-                    r.outcome().to_string(),
-                    format!("{}", r.source_traffic()),
-                    format!("{}", r.total_time()),
-                ]);
-            }
-            print!("{}", t.render());
-            println!("{}", ScheduleSummary::of(&reports));
-            if let Some(line) = lifecycle_summary(&events) {
-                println!("{line}");
-            }
-            Ok(())
+            let columns = [STRATEGY, OUTCOME, TRAFFIC, TIME];
+            let policy = RecyclePolicy::VeCycle;
+            simulate_schedule(&args, ram, 5, policy, &schedule, rate, &columns)
         }
         other => Err(format!("unknown simulate subcommand {other:?}")),
     }

@@ -16,8 +16,8 @@ USAGE:
                     [--preseed true] [--journal <file.jsonl>]
 
 Runs an event-driven fleet: each VM issues --legs migration requests at
-a jittered --interval; the placement engine scores destinations in the
-VM's affinity set by recycled-checkpoint coverage (--placement aware),
+a jittered --interval; the placement engine sends the VM to the host in
+its affinity set holding its freshest checkpoint (--placement aware),
 round-robins blindly (blind), or draws at random (random). Admission
 control caps concurrent migrations per host pair, per rack link and
 fleet-wide. With --timing window, starts defer into the guest's next

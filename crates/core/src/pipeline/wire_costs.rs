@@ -121,7 +121,7 @@ impl WireCosts {
 
     /// The cost table with no compression and no XBZRLE — what the
     /// closed-form estimators assume.
-    pub fn uncompressed() -> Self {
+    pub(crate) fn uncompressed() -> Self {
         WireCosts::new(None, None)
     }
 

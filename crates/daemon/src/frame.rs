@@ -37,7 +37,7 @@ pub mod kind {
     /// Operator request (JSON), client → daemon.
     pub const CTRL: u8 = 0x10;
     /// Operator response (JSON), daemon → client.
-    pub const CTRL_OK: u8 = 0x11;
+    pub(crate) const CTRL_OK: u8 = 0x11;
 }
 
 /// One decoded control frame.

@@ -34,7 +34,7 @@
 //! [`session_state`] (the destination's stream-apply state machine +
 //! its snapshot codec), [`partial_log`] (the destination's append-only
 //! log of landed pages), [`record`] (the checksummed record frame the
-//! journal and the log share), [`server`] (listener + dispatch),
+//! journal and the log share), `server` (listener + dispatch),
 //! `source`/`dest` (the two ends of a migration session), [`client`]
 //! (operator RPCs), [`scenario`] (deterministic guest construction
 //! shared by both processes).
@@ -56,7 +56,7 @@ pub mod proto;
 pub mod queue;
 pub mod record;
 pub mod scenario;
-pub mod server;
+mod server;
 pub mod session_state;
 mod source;
 

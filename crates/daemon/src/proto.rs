@@ -32,10 +32,10 @@ pub const ROLE_SOURCE: u8 = 0;
 pub const ROLE_DEST: u8 = 1;
 
 /// HELLO / HELLO_ACK payload length: magic + version + role.
-pub const HELLO_LEN: u64 = 8 + 2 + 1;
+pub(crate) const HELLO_LEN: u64 = 8 + 2 + 1;
 /// COMPLETE payload length: the source's content hash
 /// ([`crate::scenario::content_hash`]).
-pub const COMPLETE_LEN: u64 = 8;
+pub(crate) const COMPLETE_LEN: u64 = 8;
 /// DONE payload length: the destination's content hash.
 pub const DONE_LEN: u64 = 8;
 

@@ -43,7 +43,7 @@
 
 mod obs;
 mod plan;
-pub mod process;
+mod process;
 mod retry;
 
 pub use obs::observe_plan;

@@ -84,7 +84,7 @@ impl FaultRates {
     /// A uniform rate `p` for every fault type [`FaultPlan::seeded`]'s
     /// original draw stream covers. [`FaultRates::host_crash`] stays
     /// zero — it rides a second, independent stream (see
-    /// [`FaultPlan::with_host_crashes`]) so historic seeded plans stay
+    /// `FaultPlan::with_host_crashes`) so historic seeded plans stay
     /// byte-identical.
     pub fn uniform(p: f64) -> Self {
         FaultRates {
@@ -210,7 +210,7 @@ impl FaultPlan {
     /// same `(seed, rate, legs)` → same crash set, and the faults
     /// already in the plan are untouched.
     #[must_use]
-    pub fn with_host_crashes(mut self, seed: u64, rate: f64, legs: usize) -> Self {
+    pub(crate) fn with_host_crashes(mut self, seed: u64, rate: f64, legs: usize) -> Self {
         let mut rng = Xorshift::new(split(seed ^ 0x48c5_0000_c3a5_0001, 0));
         for leg in 0..legs {
             // Fixed two draws per leg, fired or not.

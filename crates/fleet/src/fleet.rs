@@ -29,7 +29,7 @@ use vecycle_mem::workload::GuestWorkload;
 use vecycle_mem::{DigestMemory, Guest};
 use vecycle_obs::{layouts, Counter, CounterFamily, Gauge, Histogram, MetricsRegistry};
 use vecycle_sim::Simulator;
-use vecycle_types::{Bytes, DigestSet, HostId, PageCount, SimDuration, SimTime, VmId};
+use vecycle_types::{Bytes, HostId, PageCount, SimDuration, SimTime, VmId};
 
 use crate::admission::Admission;
 use crate::journal::PlacementDecision;
@@ -117,7 +117,6 @@ struct FleetSeries {
     traffic: Counter,
     wasted: Counter,
     deadline_misses: Counter,
-    overlap: Histogram,
     queue_wait: Histogram,
     duration: Histogram,
     inflight: Gauge,
@@ -150,7 +149,6 @@ impl FleetSeries {
             traffic: m.resolve_counter("fleet_traffic_bytes_total", &[]),
             wasted: m.resolve_counter("fleet_wasted_bytes_total", &[]),
             deadline_misses: m.resolve_counter("fleet_deadline_misses_total", &[]),
-            overlap: m.resolve_histogram("fleet_recycled_overlap_pages", &[], layouts::PAGES),
             queue_wait: m.resolve_histogram(
                 "fleet_queue_wait_sim_millis",
                 &[],
@@ -181,8 +179,6 @@ pub struct Fleet {
     vms: Vec<FleetVm>,
     requests: Vec<MigrationRequest>,
     rng: Xorshift,
-    /// Placement scoring's reusable digest set.
-    scratch: DigestSet,
 }
 
 impl Fleet {
@@ -280,7 +276,6 @@ impl Fleet {
             vms,
             requests,
             rng,
-            scratch: DigestSet::default(),
         })
     }
 
@@ -411,7 +406,6 @@ impl Fleet {
                 &mut self.vms[idx],
                 &self.cluster,
                 &mut self.rng,
-                &mut self.scratch,
             ),
         };
         st.req[i as usize].started = Some(now);
@@ -470,10 +464,7 @@ impl Fleet {
         let duration = report.total_time_with_retries();
         let completion = now + duration;
         let deadline_missed = r.deadline.is_some_and(|d| completion > d);
-        let (reason, overlap) = match choice.kind {
-            ChoiceKind::Warm { overlap, .. } => ("warm", overlap),
-            k => (k.label(), 0),
-        };
+        let reason = choice.kind.label();
         let queued_nanos = queued_at
             .map(|q| now.duration_since(q).as_nanos())
             .unwrap_or(0);
@@ -485,7 +476,6 @@ impl Fleet {
             from: from.as_u32(),
             to: choice.to.as_u32(),
             reason: reason.to_string(),
-            overlap_pages: overlap,
             deferred_nanos: started.duration_since(r.at).as_nanos(),
             queued_nanos,
             traffic_bytes: report.source_traffic().as_u64(),
@@ -508,7 +498,6 @@ impl Fleet {
         if deadline_missed {
             series.deadline_misses.inc(1);
         }
-        series.overlap.observe(overlap);
         series.queue_wait.observe(queued_nanos / 1_000_000);
         series.duration.observe(duration.as_nanos() / 1_000_000);
         series.admission(&st.admission);

@@ -23,8 +23,6 @@ pub struct PlacementDecision {
     /// Why this destination: `warm` / `cold` / `blind` / `random` /
     /// `pinned`.
     pub reason: String,
-    /// Predicted recycled-page overlap at decision time (warm only).
-    pub overlap_pages: u64,
     /// Nanoseconds the timing policy deferred the start past arrival.
     pub deferred_nanos: u64,
     /// Nanoseconds spent queued behind admission control.
@@ -66,7 +64,6 @@ mod tests {
             from: 0,
             to: 2,
             reason: "warm".into(),
-            overlap_pages: 28,
             deferred_nanos: 0,
             queued_nanos: 500,
             traffic_bytes: 131_072,

@@ -10,8 +10,8 @@
 //!
 //! * [`FleetSpec`] — topology (hosts, VMs, affinity sets) and the two
 //!   policy axes;
-//! * [`PlacementMode`] — *where*: checkpoint-aware scoring against
-//!   each candidate host's store, vs. blind round-robin, vs. random;
+//! * [`PlacementMode`] — *where*: the candidate host holding the VM's
+//!   freshest checkpoint, vs. blind round-robin, vs. random;
 //! * [`TimingPolicy`] — *when*: immediately, or deferred into the
 //!   guest's next low-dirty window (bounded by the request deadline);
 //! * [`Fleet`] — the event-driven driver: requests arrive on a

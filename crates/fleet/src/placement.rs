@@ -1,17 +1,15 @@
-//! Destination choice: checkpoint-aware scoring and the two baselines.
+//! Destination choice: checkpoint-aware placement and the two baselines.
 //!
 //! The paper's speedups come from *finding* a warm checkpoint at the
 //! destination. A static schedule only hits one by luck; the aware
-//! placer makes its own luck by scoring each candidate host's
-//! [`CheckpointStore`](vecycle_checkpoint::CheckpointStore) for digest
-//! overlap with the guest's *current* memory — an exact prediction of
-//! the pages the engine will ship as 16-byte checksums instead of
-//! 4 KiB payloads ("Simple Destination-Swap Strategies" in PAPERS.md
-//! is the where-to-migrate axis this implements).
+//! placer sends the VM to the candidate host whose
+//! [`CheckpointStore`](vecycle_checkpoint::CheckpointStore) holds its
+//! freshest checkpoint, since similarity falls as a checkpoint ages (the
+//! paper's Figure 1). "Simple Destination-Swap Strategies" in PAPERS.md
+//! is the where-to-migrate axis this implements.
 
 use vecycle_host::Cluster;
-use vecycle_mem::MemoryImage;
-use vecycle_types::{DigestSet, HostId, SimTime};
+use vecycle_types::HostId;
 
 use crate::vms::FleetVm;
 use vecycle_types::rng::Xorshift;
@@ -19,8 +17,8 @@ use vecycle_types::rng::Xorshift;
 /// How the fleet picks destinations for unpinned requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementMode {
-    /// Score candidates by recycled-checkpoint coverage; fall back to
-    /// round-robin when no candidate holds a usable checkpoint.
+    /// Go to the candidate holding the VM's newest checkpoint; fall back
+    /// to round-robin when no candidate holds a usable one.
     #[default]
     CheckpointAware,
     /// Round-robin over the affinity set, ignoring checkpoints — the
@@ -60,9 +58,8 @@ pub(crate) struct Choice {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChoiceKind {
-    /// Aware placement found a warm checkpoint: `overlap` guest pages
-    /// are already present in the destination's stored digests.
-    Warm { overlap: u64, taken_at: SimTime },
+    /// Aware placement found a warm checkpoint at the destination.
+    Warm,
     /// Aware placement found nothing warm; fell back to round-robin.
     Cold,
     /// Blind round-robin.
@@ -76,7 +73,7 @@ pub(crate) enum ChoiceKind {
 impl ChoiceKind {
     pub(crate) fn label(self) -> &'static str {
         match self {
-            ChoiceKind::Warm { .. } => "warm",
+            ChoiceKind::Warm => "warm",
             ChoiceKind::Cold => "cold",
             ChoiceKind::Blind => "blind",
             ChoiceKind::Random => "random",
@@ -88,21 +85,16 @@ impl ChoiceKind {
 /// Picks a destination for `vm` among its affinity set, excluding its
 /// current location.
 ///
-/// Aware scoring, per candidate holding a checkpoint of this VM with a
-/// matching page count: `overlap` = number of guest pages whose digest
-/// appears in the checkpoint (the engine transfers exactly those as
-/// checksums). Best candidate = max by `(overlap, taken_at)`, ties to
-/// the lowest `HostId` — total order, no map-iteration nondeterminism.
-/// Zero overlap everywhere degrades to the blind round-robin so cold
-/// starts still spread load. `stored` is scratch space the fleet
-/// reuses across calls, so scoring allocates once per fleet, not once
-/// per candidate.
+/// Aware placement considers each candidate holding a checkpoint of this
+/// VM with a matching page count and takes the one whose checkpoint was
+/// taken last; on a tie the first in affinity order wins, so the choice
+/// is a total order over the walk. When no candidate holds one, it falls
+/// back to the blind round-robin so cold starts still spread load.
 pub(crate) fn choose(
     mode: PlacementMode,
     vm: &mut FleetVm,
     cluster: &Cluster,
     rng: &mut Xorshift,
-    stored: &mut DigestSet,
 ) -> Choice {
     let from = vm.instance.location();
     let count = candidates(vm, from).count();
@@ -113,37 +105,17 @@ pub(crate) fn choose(
     );
     match mode {
         PlacementMode::CheckpointAware => {
-            let guest = vm.instance.guest().memory();
-            let mut best: Option<(u64, SimTime, HostId)> = None;
-            for cand in candidates(vm, from) {
+            let (id, pages) = (vm.instance.id(), vm.instance.guest().page_count());
+            let holders = candidates(vm, from).filter_map(|cand| {
                 let host = cluster.host(cand).expect("affinity host in cluster");
-                let Some(cp) = host.store().latest(vm.instance.id()) else {
-                    continue;
-                };
-                if cp.page_count() != guest.page_count() {
-                    continue;
-                }
-                stored.clear();
-                stored.extend(cp.digest_table().iter().copied());
-                let overlap = guest
-                    .as_slice()
-                    .iter()
-                    .filter(|d| stored.contains(d))
-                    .count() as u64;
-                if overlap == 0 {
-                    continue;
-                }
-                let key = (overlap, cp.taken_at(), cand);
-                // Strict > on (overlap, freshness) keeps the lowest
-                // HostId on full ties because candidates scan ascending.
-                if best.is_none_or(|b| (key.0, key.1) > (b.0, b.1)) {
-                    best = Some(key);
-                }
-            }
-            match best {
-                Some((overlap, taken_at, to)) => Choice {
+                let cp = host.store().latest(id)?;
+                (cp.page_count() == pages).then(|| (cp.taken_at(), cand))
+            });
+            // Strict > keeps the first of equally fresh holders.
+            match holders.reduce(|best, next| if next.0 > best.0 { next } else { best }) {
+                Some((_, to)) => Choice {
                     to,
-                    kind: ChoiceKind::Warm { overlap, taken_at },
+                    kind: ChoiceKind::Warm,
                 },
                 None => Choice {
                     to: round_robin(vm, from, count),
@@ -177,4 +149,52 @@ fn round_robin(vm: &mut FleetVm, from: HostId, count: usize) -> HostId {
 /// `from`, in affinity order.
 fn candidates(vm: &FleetVm, from: HostId) -> impl Iterator<Item = HostId> + '_ {
     vm.affinity.iter().copied().filter(move |&h| h != from)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::vms::{CyclicWorkload, DirtyCycle};
+    use vecycle_checkpoint::Checkpoint;
+    use vecycle_core::session::VmInstance;
+    use vecycle_mem::{DigestMemory, Guest, MutableMemory, PageContent};
+    use vecycle_net::LinkSpec;
+    use vecycle_types::{PageCount, PageIndex, SimDuration, SimTime, VmId};
+
+    /// Host 1 holds an older checkpoint equal to the guest on every
+    /// page, host 2 a newer one equal on half: the newer one wins, and
+    /// of two equally fresh holders the first in affinity order does.
+    #[test]
+    fn aware_placement_takes_the_freshest_checkpoint_over_the_closest() {
+        let cluster = Cluster::homogeneous(3, LinkSpec::lan_gigabit());
+        let id = VmId::new(0);
+        let memory = DigestMemory::with_distinct_content(PageCount::new(64), 1);
+        let mut half = memory.snapshot();
+        for i in 0..32 {
+            half.write_page(PageIndex::new(i), PageContent::ContentId((1 << 62) | i));
+        }
+        let hour = SimDuration::from_hours(1);
+        let save = |host, hours, memory: &DigestMemory| {
+            let cp = Checkpoint::capture(id, SimTime::EPOCH + hour * hours, memory);
+            let host = cluster.host(HostId::new(host)).unwrap();
+            host.save_checkpoint(cp).unwrap();
+        };
+        save(1, 1, &memory);
+        save(2, 2, &half);
+        let cycle = DirtyCycle::new(hour * 2, SimDuration::ZERO, hour);
+        let mut vm = FleetVm {
+            instance: VmInstance::new(id, Guest::new(memory.snapshot()), HostId::new(0)),
+            workload: CyclicWorkload::new(1, cycle, 0.0, 0.0),
+            affinity: (0..3).map(HostId::new).collect(),
+            rr_cursor: 0,
+            advanced_to: SimTime::EPOCH,
+            busy: false,
+        };
+        let mut rng = Xorshift::new(1);
+        let mut aware = || choose(PlacementMode::CheckpointAware, &mut vm, &cluster, &mut rng);
+        let first = aware();
+        assert_eq!((first.to, first.kind), (HostId::new(2), ChoiceKind::Warm));
+        save(1, 2, &memory);
+        assert_eq!(aware().to, HostId::new(1));
+    }
 }

@@ -98,10 +98,7 @@ fn preseeded_fleet_hits_warm_checkpoints_from_the_first_leg() {
         report.placement_hits,
         report.placement_misses
     );
-    assert!(report
-        .decisions
-        .iter()
-        .any(|d| d.reason == "warm" && d.overlap_pages > 0));
+    assert!(report.decisions.iter().any(|d| d.reason == "warm"));
 }
 
 #[test]

@@ -31,7 +31,7 @@
 
 mod fnv;
 mod md5;
-pub mod multilane;
+mod multilane;
 mod sha1;
 mod sha256;
 
@@ -175,7 +175,7 @@ impl ChecksumAlgorithm {
     ///
     /// Bit-equal to calling [`ChecksumAlgorithm::page_digest`] on each
     /// page, but processes runs of equal-length pages through the
-    /// multi-lane kernels in [`multilane`] (sixteen at a time for MD5,
+    /// multi-lane kernels in `multilane` (sixteen at a time for MD5,
     /// four for SHA-1 and FNV-1a), spreads a batch of a few hundred
     /// pages or more over the machine's cores on scoped threads, and
     /// allocates nothing but the vector it returns (and, when it

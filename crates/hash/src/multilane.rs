@@ -35,10 +35,10 @@ use crate::{fnv, md5, sha1, ChecksumAlgorithm};
 use vecycle_types::PageDigest;
 
 /// Messages per wide dispatch: what an MD5 batch is gathered into.
-pub const WIDE: usize = 16;
+pub(crate) const WIDE: usize = 16;
 /// Messages per narrow dispatch: the tail of an MD5 batch, and every
 /// SHA-1 and FNV-1a dispatch.
-pub const QUAD: usize = 4;
+pub(crate) const QUAD: usize = 4;
 
 /// `N` 32-bit lanes advancing in lockstep.
 ///

@@ -47,7 +47,7 @@ impl CpuSpec {
     }
 
     /// The effective checksum rate for `algorithm`, across all threads.
-    pub fn checksum_rate(&self, algorithm: vecycle_hash::ChecksumAlgorithm) -> BytesPerSec {
+    pub(crate) fn checksum_rate(&self, algorithm: vecycle_hash::ChecksumAlgorithm) -> BytesPerSec {
         use vecycle_hash::ChecksumAlgorithm as A;
         let single = match algorithm {
             A::Md5 => self.md5,

@@ -60,6 +60,7 @@ pub mod layouts {
     };
 
     /// Page counts: single page .. million-page working sets.
+    #[cfg(test)]
     pub const PAGES: BucketLayout = BucketLayout {
         unit: "pages",
         bounds: &[16, 256, 4_096, 65_536, 1_048_576],

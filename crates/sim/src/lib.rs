@@ -114,11 +114,6 @@ impl<T> Simulator<T> {
         self.queue.len()
     }
 
-    /// Number of events popped so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
     /// Schedules `payload` at an absolute instant.
     ///
     /// # Panics
@@ -256,7 +251,7 @@ mod tests {
         });
         assert_eq!(seen, vec![3, 2, 1, 0]);
         assert_eq!(sim.now(), at(4));
-        assert_eq!(sim.processed(), 4);
+        assert_eq!(sim.processed, 4);
     }
 
     #[test]

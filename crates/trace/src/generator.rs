@@ -411,7 +411,7 @@ mod tests {
             .scale_pages(2048)
             .generate()
             .unwrap();
-        let max = p.max_fingerprints() as usize;
+        let max = (p.trace_duration.as_nanos() / p.fingerprint_interval.as_nanos() + 1) as usize;
         assert!(
             trace.fingerprints().len() < max,
             "reboots must drop fingerprints ({} of {max})",

@@ -141,11 +141,6 @@ impl MachineProfile {
         }
         Ok(())
     }
-
-    /// Expected number of fingerprints if none are skipped.
-    pub fn max_fingerprints(&self) -> u64 {
-        self.trace_duration.as_nanos() / self.fingerprint_interval.as_nanos() + 1
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +187,8 @@ mod tests {
         // 7 days at 30-min intervals: the paper's "ideally 336"
         // (inclusive counting gives 337 instants; the first is t = 0).
         let p = base();
-        assert_eq!(p.max_fingerprints(), 337);
+        let instants = p.trace_duration.as_nanos() / p.fingerprint_interval.as_nanos() + 1;
+        assert_eq!(instants, 337);
     }
 
     #[test]

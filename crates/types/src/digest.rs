@@ -1,6 +1,6 @@
 //! The [`PageDigest`] content fingerprint type.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -26,17 +26,15 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PageDigest([u8; 16]);
 
-/// A digest is already a hash: it feeds a hasher its [`short_key`] as
+/// A digest is already a hash: it feeds a hasher its first 8 bytes as
 /// one `u64` and nothing else. Equality stays the full 16 bytes.
-///
-/// [`short_key`]: PageDigest::short_key
 impl Hash for PageDigest {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.short_key());
     }
 }
 
-/// The pass-through hasher behind [`DigestMap`] and [`DigestSet`]: the
+/// The pass-through hasher behind [`DigestMap`]: the
 /// `u64` a [`PageDigest`] writes *is* the hash. It has no per-process
 /// seed, so a map's iteration order is a function of its contents.
 #[derive(Debug, Clone, Copy, Default)]
@@ -77,9 +75,6 @@ impl Hasher for DigestHasher {
 /// assert_eq!(*sent.entry(d).or_insert(PageIndex::new(9)), PageIndex::new(3));
 /// ```
 pub type DigestMap<V> = HashMap<PageDigest, V, BuildHasherDefault<DigestHasher>>;
-
-/// The set form of [`DigestMap`].
-pub type DigestSet = HashSet<PageDigest, BuildHasherDefault<DigestHasher>>;
 
 impl PageDigest {
     /// Number of bytes in a digest (MD5-sized).
@@ -141,7 +136,7 @@ impl PageDigest {
     // Inlined, like the whole per-page probe path: a scan compiled in
     // another crate must not spill the digest for a call (DESIGN §13.2).
     #[inline]
-    pub fn short_key(self) -> u64 {
+    pub(crate) fn short_key(self) -> u64 {
         u64::from_le_bytes(self.0[..8].try_into().expect("slice is 8 bytes"))
     }
 }
@@ -306,12 +301,10 @@ mod tests {
             .collect();
         assert!(keys.iter().all(|k| k.short_key() == keys[0].short_key()));
         let mut map: DigestMap<usize> = DigestMap::default();
-        let mut set = DigestSet::default();
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(map.insert(k, i), None);
-            assert!(set.insert(k));
         }
-        assert_eq!((map.len(), set.len()), (keys.len(), keys.len()));
+        assert_eq!(map.len(), keys.len());
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(map.get(k), Some(&i), "collider {i}");
         }

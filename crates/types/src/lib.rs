@@ -35,7 +35,7 @@ mod time;
 mod units;
 
 pub use atomic_file::atomic_replace;
-pub use digest::{DigestHasher, DigestMap, DigestSet, PageDigest};
+pub use digest::{DigestHasher, DigestMap, PageDigest};
 pub use error::{Error, Result};
 pub use ids::{HostId, MachineId, PageIndex, VmId};
 pub use time::{SimDuration, SimTime};

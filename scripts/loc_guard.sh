@@ -28,10 +28,10 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=45076
-PUB_CEILING=1052
+BUDGET=45070
+PUB_CEILING=1032
 DEPS_CEILING=111
-DESIGN_CEILING=1617
+DESIGN_CEILING=1615
 CAP=800
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"

@@ -359,7 +359,7 @@ fn small_aware_fleet_matches_pinned_totals() {
     assert_eq!(report.total_traffic.as_u64(), 27_880_704);
     assert_eq!(
         fnv(&report.journal_jsonl()),
-        0x02e7_9d1f_0775_ff1d,
+        0x3bb5_4817_91e9_d047,
         "placement journal diverged"
     );
     // The metrics exports, byte for byte: series order, label order,
@@ -368,7 +368,7 @@ fn small_aware_fleet_matches_pinned_totals() {
     assert_eq!(snap.timeline.len(), 3_520);
     assert_eq!(
         fnv(&snap.to_canonical_json()),
-        0xabcd_74b1_ca29_5270,
+        0xc838_615b_5561_3174,
         "canonical metrics JSON diverged"
     );
     assert_eq!(
