@@ -15,8 +15,8 @@ use vecycle_types::PageDigest;
 /// The list keeps no offsets. Every query but one asks only *is this
 /// checksum present?*: the source's classification, the destination's
 /// check of each received checksum, fleet overlap scoring, the bulk
-/// exchange. The one that needs Listing 1's offset, the byte merge
-/// (`apply_transcript` in `vecycle-core`), indexes the few checksums
+/// exchange. The one that needs Listing 1's offset, the byte cells of
+/// `vecycle-core`'s one destination merge, indexes the few checksums
 /// that miss their page in place and finds their first pages in one
 /// walk of the checkpoint's table ([`ChecksumIndex::rank`]).
 ///

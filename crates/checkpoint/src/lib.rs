@@ -24,7 +24,7 @@
 
 mod checkpoint;
 #[doc(hidden)]
-pub mod compat;
+mod compat;
 mod disk_store;
 mod index;
 mod lifecycle;

@@ -10,4 +10,4 @@
 pub mod args;
 pub mod commands;
 pub mod daemon_cmd;
-pub mod fleet_cmd;
+mod fleet_cmd;

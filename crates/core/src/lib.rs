@@ -52,9 +52,10 @@
 
 pub mod analytic;
 #[doc(hidden)]
-pub mod compat;
+mod compat;
 mod engine;
 pub mod estimate;
+mod merge;
 mod pipeline;
 mod postcopy;
 mod report;
@@ -64,6 +65,7 @@ mod strategy;
 mod transcript;
 
 pub use engine::{ExchangeProtocol, MigrationEngine};
+pub use merge::{Bytes, Merge, Origin, Resolver};
 pub use pipeline::rounds::{AbortedTransfer, LiveOutcome};
 pub use pipeline::sink::MsgSink;
 pub use pipeline::wire_costs::{DeltaCompression, WireCosts, Xbzrle};

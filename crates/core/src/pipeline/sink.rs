@@ -27,7 +27,7 @@ pub trait MsgSink {
     /// Whether the sink reads the messages it is handed. A sink that
     /// only needs totals sets this to `false`; every message still goes
     /// through [`MsgSink::page`], which costs such a sink nothing, but
-    /// round 1 then copies no page bytes into its full-page messages.
+    /// no round then puts page bytes into its full-page messages.
     const PER_MESSAGE: bool = true;
 
     /// Hint: up to `n` page messages follow before the next delimiter.

@@ -1,25 +1,24 @@
-//! Migration transcripts and the destination merge (Listing 1).
+//! Migration transcripts and their merge at the destination (Listing 1).
 
-use vecycle_checkpoint::{Checkpoint, ChecksumIndex};
+use vecycle_checkpoint::Checkpoint;
 use vecycle_mem::{ByteMemory, PageBuf};
 use vecycle_net::WireMsg;
-use vecycle_types::{Error, PageDigest, PageIndex, PAGE_SIZE};
+use vecycle_types::{PageDigest, PageIndex};
+
+use crate::merge::Bytes;
 
 /// One message of the migration stream, as the destination receives it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PageMsg {
-    /// A full page: number, checksum, and (for byte-level sources) the
-    /// page bytes. "Sending the checksum along with the full page saves
-    /// the receiver from re-computing the checksum" (§3.2).
+    /// A full page and its checksum: "sending the checksum along with
+    /// the full page saves the receiver from re-computing" it (§3.2).
     Full {
         /// Guest page number.
         idx: PageIndex,
         /// Content checksum.
         digest: PageDigest,
-        /// Page bytes; `None` when the source is digest-level. The
-        /// buffer is the source guest's own (until the guest next writes
-        /// that page), so neither sending nor cloning a message copies
-        /// page bytes.
+        /// Page bytes, the source guest's own buffer, which no message
+        /// copies; `None` when the source is digest-level.
         bytes: Option<PageBuf>,
     },
     /// Only the checksum: the destination already holds this content.
@@ -54,6 +53,15 @@ impl PageMsg {
         }
     }
 
+    /// The digest the message's page holds once it lands: a full page's
+    /// or a checksum's own, else the zero page's.
+    pub(crate) fn digest(&self) -> PageDigest {
+        match self {
+            PageMsg::Full { digest, .. } | PageMsg::Checksum { digest, .. } => *digest,
+            _ => PageDigest::ZERO_PAGE,
+        }
+    }
+
     /// The message in its on-the-wire form. The wire protocol is
     /// digest-level: a full page crosses as its digest's filler (see
     /// [`WireMsg::Full`]) — full wire size, and content the receiver
@@ -77,16 +85,23 @@ impl PageMsg {
     }
 }
 
+/// A `Full` message's payload; any other message carries none.
+impl AsRef<[u8]> for PageMsg {
+    fn as_ref(&self) -> &[u8] {
+        match self {
+            PageMsg::Full { bytes, .. } => bytes.as_deref().unwrap_or(&[]),
+            _ => &[],
+        }
+    }
+}
+
 /// The ordered message stream of one migration.
 pub type Transcript = Vec<PageMsg>;
 
-/// The complete message stream of a *live* migration: one transcript per
-/// pre-copy round plus the final stop-and-copy flush, in send order.
-///
-/// Produced by [`crate::MigrationEngine::migrate_live_with_transcript`]
-/// — it is the recording [`crate::MsgSink`]; a destination replays it
-/// message by message. Recording is a pure observer — the report of a
-/// recorded run is bit-identical to the unrecorded one.
+/// The message stream of a *live* migration, in send order: one
+/// transcript per pre-copy round and the stop-and-copy flush, recorded
+/// by [`crate::MigrationEngine::migrate_live_with_transcript`] (a pure
+/// observer: the report is bit-identical to the unrecorded one).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LiveTranscript {
     /// Round 1..n message streams (round 1 is the full scan).
@@ -102,216 +117,29 @@ impl LiveTranscript {
     }
 }
 
-/// A `Full` message's page and the checksum attached to it.
-struct Payload<'a>(&'a PageBuf, &'a PageDigest);
-
-impl AsRef<[u8]> for Payload<'_> {
-    fn as_ref(&self) -> &[u8] {
-        self.0
-    }
-}
-
-/// Checks every `Full` payload of `transcript` against its attached
-/// checksum, all pages in one multi-lane batch — the one time the
-/// destination digests a received page. The payload list is sized once,
-/// to the `Full` messages counted first, and no digest is kept.
-fn verify_full_payloads(transcript: &Transcript) -> vecycle_types::Result<()> {
-    let fulls = || {
-        transcript.iter().filter_map(|msg| match msg {
-            PageMsg::Full { idx, digest, bytes } => Some((idx, digest, bytes)),
-            _ => None,
-        })
-    };
-    let mut payloads = Vec::with_capacity(fulls().count());
-    for (idx, digest, bytes) in fulls() {
-        let bytes = bytes.as_ref().ok_or_else(|| Error::Corrupt {
-            detail: format!("full-page message for {idx} carries no bytes"),
-        })?;
-        if bytes.len() as u64 != PAGE_SIZE {
-            return Err(Error::Corrupt {
-                detail: format!(
-                    "full-page message for {idx} carries {} bytes, not one page",
-                    bytes.len()
-                ),
-            });
-        }
-        payloads.push(Payload(bytes, digest));
-    }
-    let md5 = vecycle_hash::ChecksumAlgorithm::Md5;
-    match md5.first_mismatch(&payloads, |k| *payloads[k].1) {
-        Some(k) => {
-            let idx = fulls()
-                .nth(k)
-                .map(|(idx, _, _)| idx)
-                .expect("k counts a full");
-            Err(Error::Corrupt {
-                detail: format!("{idx} bytes do not match attached checksum"),
-            })
-        }
-        None => Ok(()),
-    }
-}
-
-/// Where a page of the rebuilt memory gets its content: a checkpoint
-/// page, the `Full` or `Zero` message at a transcript position, or the
-/// `Checksum` message there that missed the page in place.
-#[derive(Debug, Clone, Copy)]
-enum Origin {
-    Checkpoint(u32),
-    Message(u32),
-    Missed(u32),
-}
-
-/// Applies a transcript at the destination, reconstructing guest memory.
-///
-/// This is Listing 1 of the paper: memory starts initialized from the
-/// local `checkpoint`; each checksum message is compared with the
-/// already-resident page and, on mismatch, resolved to the first
-/// checkpoint page carrying that checksum.
-///
-/// The merge runs twice. First over digests alone: a dry run of the
-/// transcript records where each page of the result comes from — a
-/// checkpoint page (hit in place or never touched), a message, or a
-/// checksum that missed the page in place. Only those misses need an
-/// offset: one [`ChecksumIndex`] over their digests, and one walk of
-/// the checkpoint's borrowed table in page order, which stops once each
-/// has its first page, resolve them. Then it reads exactly the
-/// checkpoint pages the result holds, ascending, in one batch, each
-/// checked against its table entry before it is merged
-/// ([`Checkpoint::read_pages`]): for a checkpoint
-/// [`vecycle_checkpoint::DiskStore::load`] returned, the pages the
-/// source replaced are never read or hashed.
-///
-/// No page is copied. Each `Full` payload is verified against its
-/// attached checksum ("sending the checksum along with the full page
-/// saves the receiver from re-computing" it later, §3.2) before memory
-/// is touched, and its buffer adopted under that digest; a checkpoint
-/// page is adopted under its table entry, which its bytes were just
-/// checked against (or, for a checkpoint in memory, derived from). The
-/// returned memory shares pages with `checkpoint` and `transcript`; a
-/// later write to it replaces only the page written.
+/// Applies a transcript at the destination, reconstructing guest memory:
+/// Listing 1 through a byte [`Merge`](crate::Merge) ([`Bytes`]), which
+/// reads only the checkpoint pages the result keeps and copies no page.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Corrupt`] if a full page does not match its attached
-/// checksum, if a checksum message references content that neither the
-/// resident page nor the checkpoint can supply, if a message's page or
-/// a dedup reference points outside the guest — all indicate a protocol
-/// violation or corruption, and the first in transcript order is
-/// reported — or if a checkpoint page the result needs does not match
-/// its table entry (naming that page). Returns [`Error::InvalidConfig`]
-/// for a digest-only checkpoint.
+/// As [`Merge::push`](crate::Merge::push) and [`Bytes::finish`].
 pub fn apply_transcript(
     checkpoint: &Checkpoint,
     transcript: &Transcript,
 ) -> vecycle_types::Result<ByteMemory> {
-    verify_full_payloads(transcript)?;
-    let table = checkpoint.digest_table();
-    let message = |k: u32| &transcript[k as usize];
-    let digest_of = |origin| match origin {
-        Origin::Checkpoint(at) => table[at as usize],
-        Origin::Message(k) | Origin::Missed(k) => match message(k) {
-            PageMsg::Full { digest, .. } | PageMsg::Checksum { digest, .. } => *digest,
-            _ => PageDigest::ZERO_PAGE,
-        },
-    };
-
-    let pages = table.len() as u64;
-    let mut origins: Vec<Origin> = (0..pages as u32).map(Origin::Checkpoint).collect();
-    // The checksums that missed their page in place, in transcript
-    // order, and the first structural fault, which a miss before it
-    // that proves unresolvable outranks.
-    let (mut misses, mut fault) = (Vec::new(), None);
-    for (k, msg) in (0..).zip(transcript) {
-        let page = msg.idx().as_u64();
-        if page >= pages {
-            fault = Some(format!("page index {page} beyond guest size {pages}"));
-            break;
-        }
-        let at = page as usize;
-        match msg {
-            PageMsg::Full { .. } | PageMsg::Zero { .. } => origins[at] = Origin::Message(k),
-            PageMsg::Checksum { digest, .. } => {
-                // Listing 1: if the resident page (from the checkpoint
-                // restore) already matches, nothing to do; otherwise the
-                // checksum names a checkpoint page, found below.
-                if digest_of(origins[at]) != *digest {
-                    misses.push(k);
-                    origins[at] = Origin::Missed(k);
-                }
-            }
-            PageMsg::DedupRef { source, .. } => {
-                if source.as_u64() >= pages {
-                    fault = Some(format!("dedup reference {source} out of range"));
-                    break;
-                }
-                origins[at] = origins[source.as_usize()];
-            }
-        }
+    let (mut bytes, mut merge) = Bytes::new(checkpoint, transcript);
+    for msg in transcript {
+        merge.push(&msg.to_wire(), &mut bytes)?;
     }
-
-    // Each missed digest's first checkpoint page, by rank: one walk of
-    // the table in page order, until every one is found.
-    let mut missed = ChecksumIndex::default();
-    missed.refill(misses.iter().map(|&k| digest_of(Origin::Missed(k))));
-    let mut first = vec![u32::MAX; missed.distinct()];
-    let mut unfound = first.len();
-    for (at, &digest) in (0..).zip(table) {
-        if unfound == 0 {
-            break;
-        }
-        if let Some(rank) = missed.rank(digest).filter(|&r| first[r] == u32::MAX) {
-            first[rank] = at;
-            unfound -= 1;
-        }
-    }
-    let resolve = |k| first[missed.rank(digest_of(Origin::Missed(k))).expect("indexed")];
-    if unfound > 0 {
-        let k = misses.iter().find(|&&k| resolve(k) == u32::MAX);
-        let idx = message(*k.expect("a miss is unfound")).idx();
-        return Err(Error::Corrupt {
-            detail: format!("checksum for {idx} not found in checkpoint index"),
-        });
-    }
-    if let Some(detail) = fault {
-        return Err(Error::Corrupt { detail });
-    }
-    for origin in &mut origins {
-        if let Origin::Missed(k) = *origin {
-            *origin = Origin::Checkpoint(resolve(k));
-        }
-    }
-
-    let from_checkpoint = |origin: &Origin| match origin {
-        Origin::Checkpoint(at) => Some(PageIndex::new(u64::from(*at))),
-        Origin::Message(_) | Origin::Missed(_) => None,
-    };
-    let mut needed = Vec::with_capacity(origins.iter().filter_map(from_checkpoint).count());
-    needed.extend(origins.iter().filter_map(from_checkpoint));
-    needed.sort_unstable();
-    needed.dedup();
-    let read = checkpoint.read_pages(&needed)?;
-    let buffer = |origin| match origin {
-        Origin::Checkpoint(at) => {
-            let at = needed.binary_search(&PageIndex::new(u64::from(at)));
-            read[at.expect("every checkpoint origin was read")].clone()
-        }
-        Origin::Message(k) => match message(k) {
-            PageMsg::Full { bytes, .. } => bytes.clone().expect("verified above"),
-            _ => PageBuf::zero_page(),
-        },
-        Origin::Missed(_) => unreachable!("every miss resolved to a checkpoint page"),
-    };
-    let bufs = origins.iter().map(|&origin| buffer(origin)).collect();
-    let digests = origins.iter().map(|&origin| digest_of(origin));
-    Ok(ByteMemory::from_pages_with_digests(bufs, digests))
+    bytes.finish(merge)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vecycle_mem::{MemoryImage, MutableMemory, PageContent};
-    use vecycle_types::{PageCount, SimTime, VmId};
+    use vecycle_types::{Error, PageCount, SimTime, VmId};
 
     fn byte_mem(seed: u64) -> ByteMemory {
         ByteMemory::with_distinct_content(PageCount::new(8), seed)

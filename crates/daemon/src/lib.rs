@@ -44,7 +44,7 @@
 
 pub mod client;
 #[doc(hidden)]
-pub mod compat;
+mod compat;
 pub mod control;
 mod dest;
 pub mod endpoint;

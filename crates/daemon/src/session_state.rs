@@ -1,25 +1,16 @@
-//! The destination's reconstruction state.
-//!
-//! The apply logic lives here, not in `dest.rs`, so the tests, the fuzz
-//! targets and the benchmark run the exact state machine a session
-//! runs. Only the destination applies a stream; the source never
-//! builds one of these. A `Full` reaches it already checked: the
-//! decoder refuses a page that is not its digest's filler.
-//!
-//! Layout: each page's current digest, one *landed* bit a page, and,
-//! from the first rewrite on, each page's *anchor*: the digest it
-//! carried when first written (what a `DedupRef` naming it means, even
-//! after a later round rewrote it). Until a page is rewritten its anchor
-//! is its digest. [`SessionState::landed`] is what a retry recycles.
-//!
-//! A *snapshot* is the whole state in one file (`VECYPAR1`, FNV-1a
-//! trailer), which older daemons wrote. Only the benchmark still writes
-//! one ([`crate::compat`]), and nothing reads one: at a job's partial
-//! path it is no file ([`crate::partial_log`]).
+//! The destination's reconstruction state: the exact state machine a
+//! session, the tests, the fuzz targets and the benchmark run. It checks
+//! the stream's framing — round order, the stop-and-copy delimiter, no
+//! bulk exchange inward, no checksum without an offered index — counts,
+//! and hands each page message to a digest [`Merge`] (a `Full` arrives
+//! checked: the decoder refuses a page that is not its digest's filler).
+//! [`SessionState::landed`] is what a retry recycles; only the benchmark
+//! still writes the state's `VECYPAR1` snapshot (its `compat` module).
 
 use std::path::{Path, PathBuf};
 
 use vecycle_checkpoint::ChecksumIndex;
+use vecycle_core::Merge;
 use vecycle_hash::{Fnv1a64, Hasher};
 use vecycle_mem::DigestMemory;
 use vecycle_net::WireMsg;
@@ -29,9 +20,6 @@ use vecycle_types::PageDigest;
 #[allow(deprecated)]
 pub use crate::compat::save_partial;
 use crate::DaemonError;
-
-/// Magic prefix of a state snapshot: vecycled partial, format 1.
-const PARTIAL_MAGIC: &[u8; 8] = b"VECYPAR1";
 
 /// A stable fingerprint of a scenario (FNV-1a 64 over its key-value
 /// form) — partial files are keyed by `(job, fingerprint)` so a resume
@@ -43,17 +31,12 @@ pub fn spec_fingerprint(spec: &ScenarioSpec) -> u64 {
 }
 
 /// The deterministic apply-state of one migration stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionState {
-    mem: Vec<PageDigest>,
-    /// One bit a page, set once the stream has written it.
-    landed_bits: Vec<u64>,
-    /// Each page's first digest, kept from the first rewrite on (a copy
-    /// of `mem` then); a stream that rewrites nothing never allocates it.
-    firsts: Option<Vec<PageDigest>>,
-    applied: u64,
-    expected_round: u64,
-    finished: bool,
+    pub(crate) merge: Merge<PageDigest>,
+    pub(crate) applied: u64,
+    pub(crate) expected_round: u64,
+    pub(crate) finished: bool,
 }
 
 impl SessionState {
@@ -71,9 +54,7 @@ impl SessionState {
             None => vec![PageDigest::ZERO_PAGE; spec.pages() as usize],
         };
         SessionState {
-            landed_bits: vec![0; mem.len().div_ceil(64)],
-            firsts: None,
-            mem,
+            merge: Merge::new(mem),
             applied: 0,
             expected_round: 1,
             finished: false,
@@ -93,50 +74,7 @@ impl SessionState {
 
     /// The reconstructed digests (content-hash input).
     pub fn mem(&self) -> &[PageDigest] {
-        &self.mem
-    }
-
-    fn write(&mut self, idx: u64, digest: PageDigest) -> Result<(), DaemonError> {
-        let pages = self.mem.len() as u64;
-        if idx >= pages {
-            return Err(DaemonError::Corrupt(format!(
-                "page index {idx} beyond guest size {pages}"
-            )));
-        }
-        let at = idx as usize;
-        let (word, bit) = (at / 64, 1 << (at % 64));
-        // First-wins per page index — mirrors the engine's
-        // `sent.entry(digest).or_insert(idx)`: a back-reference means
-        // "the content page `source` carried when it was first sent",
-        // even if a later round rewrote that page.
-        if self.landed_bits[word] & bit == 0 {
-            self.landed_bits[word] |= bit;
-            if let Some(firsts) = &mut self.firsts {
-                firsts[at] = digest;
-            }
-        } else if self.firsts.is_none() && self.mem[at] != digest {
-            // The first rewrite: every page still holds its first digest.
-            self.firsts = Some(self.mem.clone());
-        }
-        self.mem[at] = digest;
-        Ok(())
-    }
-
-    /// Each page's first digest: `mem` itself until a page is rewritten.
-    fn firsts(&self) -> &[PageDigest] {
-        self.firsts.as_deref().unwrap_or(&self.mem)
-    }
-
-    fn is_landed(&self, idx: usize) -> bool {
-        self.landed_bits[idx / 64] >> (idx % 64) & 1 == 1
-    }
-
-    /// The digest page `idx` carried when first written, if it landed.
-    fn anchor(&self, idx: u64) -> Option<PageDigest> {
-        let at = usize::try_from(idx)
-            .ok()
-            .filter(|&at| at < self.mem.len())?;
-        self.is_landed(at).then(|| self.firsts()[at])
+        self.merge.cells()
     }
 
     /// Applies one data-plane message.
@@ -150,55 +88,25 @@ impl SessionState {
         msg: &WireMsg,
         index: Option<&ChecksumIndex>,
     ) -> Result<(), DaemonError> {
-        if self.finished {
-            return Err(DaemonError::Protocol(
-                "data message after the stop-and-copy delimiter".into(),
-            ));
-        }
-        match msg {
-            WireMsg::Full { idx, digest } => self.write(*idx, *digest)?,
-            WireMsg::Checksum { idx, digest } => {
-                let ix = index.ok_or_else(|| {
-                    DaemonError::Protocol("checksum message without a checkpoint".into())
-                })?;
-                if !ix.contains(*digest) {
-                    return Err(DaemonError::Corrupt(format!(
-                        "checksum for page {idx} references content this side lacks"
-                    )));
-                }
-                self.write(*idx, *digest)?;
+        let refuse = |what: &str| Err::<(), _>(DaemonError::Protocol(what.into()));
+        match *msg {
+            _ if self.finished => refuse("data message after the stop-and-copy delimiter")?,
+            WireMsg::Checksum { .. } if index.is_none() => {
+                refuse("checksum message without a checkpoint")?
             }
-            WireMsg::DedupRef { idx, source } => {
-                let digest = self.anchor(*source).ok_or_else(|| {
-                    DaemonError::Corrupt(format!(
-                        "dedup ref for page {idx} names unsent page {source}"
-                    ))
-                })?;
-                self.write(*idx, digest)?;
+            WireMsg::RoundEnd { round } if round != self.expected_round => {
+                let expected = self.expected_round;
+                refuse(&format!(
+                    "round delimiter {round} out of order, expected {expected}"
+                ))?
             }
-            WireMsg::Zero { idx } => self.write(*idx, PageDigest::ZERO_PAGE)?,
-            WireMsg::RoundEnd { round } => {
-                if *round != self.expected_round {
-                    return Err(DaemonError::Protocol(format!(
-                        "round delimiter {round} out of order, expected {}",
-                        self.expected_round
-                    )));
-                }
-                self.expected_round += 1;
+            WireMsg::RoundEnd { .. } => self.expected_round += 1,
+            WireMsg::StopEnd if self.expected_round < 2 => {
+                refuse("stop-and-copy delimiter before any pre-copy round")?
             }
-            WireMsg::StopEnd => {
-                if self.expected_round < 2 {
-                    return Err(DaemonError::Protocol(
-                        "stop-and-copy delimiter before any pre-copy round".into(),
-                    ));
-                }
-                self.finished = true;
-            }
-            WireMsg::BulkExchange { .. } => {
-                return Err(DaemonError::Protocol(
-                    "bulk exchange is destination-to-source only".into(),
-                ));
-            }
+            WireMsg::StopEnd => self.finished = true,
+            WireMsg::BulkExchange { .. } => refuse("bulk exchange is destination-to-source only")?,
+            _ => self.merge.push(msg, &mut { index })?,
         }
         self.applied += 1;
         Ok(())
@@ -207,53 +115,8 @@ impl SessionState {
     /// The pages this stream wrote as `(page, digest it holds now)`,
     /// ascending by page: what the destination keeps for a retry.
     pub fn landed(&self) -> impl Iterator<Item = (u64, PageDigest)> + '_ {
-        let pages = self.mem.iter().enumerate();
-        pages.filter_map(|(idx, digest)| self.is_landed(idx).then_some((idx as u64, *digest)))
-    }
-
-    /// The state (with its job/spec identity) as a snapshot: magic, job,
-    /// fingerprint, the counters, the page count, each page's digest and
-    /// landed flag, the dedup anchors ascending by page, then an FNV-1a
-    /// 64 trailer over everything before it. Only the benchmark-only
-    /// [`crate::compat`] writers call it.
-    pub(crate) fn snapshot(&self, job: u64, fingerprint: u64) -> Vec<u8> {
-        let mem = &self.mem;
-        let mut buf = Vec::with_capacity(64 + mem.len() * (17 + 24));
-        buf.extend_from_slice(PARTIAL_MAGIC);
-        for field in [job, fingerprint, self.applied, self.expected_round] {
-            buf.extend_from_slice(&field.to_be_bytes());
-        }
-        buf.push(u8::from(self.finished));
-        buf.extend_from_slice(&(mem.len() as u64).to_be_bytes());
-        for (idx, digest) in mem.iter().enumerate() {
-            buf.extend_from_slice(digest.as_bytes());
-            buf.push(u8::from(self.is_landed(idx)));
-        }
-        // The dedup anchors as `(page, first digest)`, ascending by page.
-        let anchored = || {
-            let pages = 0..mem.len() as u64;
-            pages.filter_map(|idx| self.anchor(idx).map(|digest| (idx, digest)))
-        };
-        buf.extend_from_slice(&(anchored().count() as u64).to_be_bytes());
-        for (idx, digest) in anchored() {
-            buf.extend_from_slice(&idx.to_be_bytes());
-            buf.extend_from_slice(digest.as_bytes());
-        }
-        let mut fnv = Fnv1a64::new();
-        fnv.update(&buf);
-        let trailer = fnv.finalize();
-        buf.extend_from_slice(&trailer);
-        buf
-    }
-}
-
-/// Equal states hold the same pages, landed bits, anchors and counters,
-/// whether or not a stream has allocated its table of first digests.
-impl PartialEq for SessionState {
-    fn eq(&self, other: &SessionState) -> bool {
-        let counters = |st: &SessionState| (st.applied, st.expected_round, st.finished);
-        (self.mem == other.mem && self.landed_bits == other.landed_bits)
-            && (self.firsts() == other.firsts() && counters(self) == counters(other))
+        let pages = self.mem().iter().enumerate();
+        pages.filter_map(|(at, digest)| self.merge.is_landed(at).then_some((at as u64, *digest)))
     }
 }
 
@@ -337,7 +200,7 @@ pub(crate) mod tests {
     #[derive(Clone, PartialEq)]
     struct Model {
         mem: Vec<PageDigest>,
-        anchors: Vec<Option<PageDigest>>,
+        first: Vec<Option<PageDigest>>,
         applied: u64,
         expected_round: u64,
         finished: bool,
@@ -348,17 +211,19 @@ pub(crate) mod tests {
             if self.finished {
                 return Err("protocol");
             }
+            let hit = |idx: u64, digest| self.mem.get(idx as usize) == Some(&digest);
             let write = match *msg {
                 WireMsg::Full { idx, digest } => Some((idx, digest)),
+                // Listing 1: a hit in place, or else the checkpoint.
                 WireMsg::Checksum { idx, digest } => match ix {
                     None => return Err("protocol"),
-                    Some(ix) if !ix.contains(digest) => return Err("corrupt"),
+                    Some(ix) if !ix.contains(digest) && !hit(idx, digest) => return Err("corrupt"),
                     Some(_) => Some((idx, digest)),
                 },
                 WireMsg::DedupRef { idx, source } => {
                     let at = usize::try_from(source).ok();
-                    let anchor = at.and_then(|at| self.anchors.get(at).copied().flatten());
-                    Some((idx, anchor.ok_or("corrupt")?))
+                    let first = at.and_then(|at| self.first.get(at).copied().flatten());
+                    Some((idx, first.ok_or("corrupt")?))
                 }
                 WireMsg::Zero { idx } => Some((idx, PageDigest::ZERO_PAGE)),
                 WireMsg::RoundEnd { round } if round == self.expected_round => None,
@@ -370,7 +235,7 @@ pub(crate) mod tests {
                     let at = usize::try_from(idx).ok().filter(|&at| at < self.mem.len());
                     let at = at.ok_or("corrupt")?;
                     self.mem[at] = digest;
-                    self.anchors[at].get_or_insert(digest);
+                    self.first[at].get_or_insert(digest);
                 }
                 (None, WireMsg::StopEnd) => self.finished = true,
                 (None, _) => self.expected_round += 1,
@@ -384,7 +249,7 @@ pub(crate) mod tests {
     /// streams — full pages, checksums (a warm index), zero markers and
     /// refs to rewritten, unlanded and out-of-range pages over a few hot
     /// pages, so rewrites and rewrites back to the first digest recur —
-    /// the state gives the same outcome, `mem()`, `landed()` and anchors,
+    /// the state gives the same outcome, `mem()`, `landed()` and first digests,
     /// and eight streams over one base compare `==` exactly when their
     /// models do.
     #[test]
@@ -425,7 +290,7 @@ pub(crate) mod tests {
 
             let model = Model {
                 mem: base.clone(),
-                anchors: vec![None; pages as usize],
+                first: vec![None; pages as usize],
                 applied: 0,
                 expected_round: 1,
                 finished: false,
@@ -461,12 +326,12 @@ pub(crate) mod tests {
                     let want = model.apply(&msg, index.as_ref());
                     assert_eq!(outcome(st.apply(&msg, index.as_ref())), want, "{msg:?}");
                     assert_eq!(st.mem(), model.mem, "case {case}: {msg:?}");
-                    let landed = (model.mem.iter().zip(&model.anchors).enumerate())
+                    let landed = (model.mem.iter().zip(&model.first).enumerate())
                         .filter_map(|(idx, (digest, a))| a.map(|_| (idx as u64, *digest)));
                     assert!(st.landed().eq(landed), "case {case}: {msg:?}");
-                    let anchors = (0..pages + 2).map(|idx| st.anchor(idx));
-                    let model_anchors = model.anchors.iter().copied().chain([None, None]);
-                    assert!(anchors.eq(model_anchors), "case {case}: {msg:?}");
+                    let first = (0..pages + 2).map(|idx| st.merge.first_written(idx));
+                    let model_first = model.first.iter().copied().chain([None, None]);
+                    assert!(first.eq(model_first), "case {case}: {msg:?}");
                     assert_eq!(
                         (st.applied(), st.finished()),
                         (model.applied, model.finished)

@@ -43,7 +43,7 @@ pub struct PlacementDecision {
 
 /// Renders decisions as JSON Lines (one canonical object per line) —
 /// the CI artifact format.
-pub fn to_jsonl(decisions: &[PlacementDecision]) -> String {
+pub(crate) fn to_jsonl(decisions: &[PlacementDecision]) -> String {
     let mut out = String::new();
     for d in decisions {
         out.push_str(&serde_json::to_string(d).expect("decision serializes"));

@@ -40,7 +40,7 @@
 
 mod admission;
 #[doc(hidden)]
-pub mod compat;
+mod compat;
 mod fleet;
 mod journal;
 mod placement;
@@ -50,9 +50,8 @@ mod timing;
 mod vms;
 
 pub use fleet::Fleet;
-pub use journal::{to_jsonl, PlacementDecision};
+pub use journal::PlacementDecision;
 pub use placement::PlacementMode;
 pub use report::FleetReport;
 pub use spec::FleetSpec;
 pub use timing::TimingPolicy;
-pub use vms::{CyclicWorkload, DirtyCycle};

@@ -21,7 +21,7 @@ use vecycle_types::rng::Xorshift;
 /// All arithmetic is in whole nanoseconds on the simulated clock, so
 /// every boundary query is exact and replayable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DirtyCycle {
+pub(crate) struct DirtyCycle {
     /// Full cycle length.
     pub period: SimDuration,
     /// Offset of the low-rate window within each period.
@@ -36,7 +36,7 @@ impl DirtyCycle {
     /// # Panics
     ///
     /// Panics unless `0 < low_len` and `low_offset + low_len <= period`.
-    pub fn new(period: SimDuration, low_offset: SimDuration, low_len: SimDuration) -> Self {
+    pub(crate) fn new(period: SimDuration, low_offset: SimDuration, low_len: SimDuration) -> Self {
         assert!(
             low_len > SimDuration::ZERO && low_offset + low_len <= period,
             "low window [{low_offset} + {low_len}] must fit inside the period {period}"
@@ -100,7 +100,7 @@ impl DirtyCycle {
 /// ids, so every write genuinely dirties a page (no accidental
 /// write-same elision) and never collides with image-seed content.
 #[derive(Debug, Clone)]
-pub struct CyclicWorkload {
+pub(crate) struct CyclicWorkload {
     rng: Xorshift,
     cycle: DirtyCycle,
     low_rate: f64,
@@ -117,7 +117,7 @@ impl CyclicWorkload {
     /// # Panics
     ///
     /// Panics if a rate is negative or not finite.
-    pub fn new(seed: u64, cycle: DirtyCycle, low_rate: f64, high_rate: f64) -> Self {
+    pub(crate) fn new(seed: u64, cycle: DirtyCycle, low_rate: f64, high_rate: f64) -> Self {
         assert!(
             low_rate.is_finite() && low_rate >= 0.0 && high_rate.is_finite() && high_rate >= 0.0,
             "invalid rates: {low_rate}/{high_rate}"
@@ -137,7 +137,7 @@ impl CyclicWorkload {
     }
 
     /// The cycle this workload runs on (read by the timing policy).
-    pub fn cycle(&self) -> DirtyCycle {
+    pub(crate) fn cycle(&self) -> DirtyCycle {
         self.cycle
     }
 }

@@ -12,7 +12,7 @@
 #![warn(missing_docs)]
 
 #[doc(hidden)]
-pub mod compat;
+mod compat;
 mod ledger;
 mod link;
 mod netem;

@@ -31,7 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod scenario;
+mod scenario;
 
 pub use scenario::ScenarioSpec;
 

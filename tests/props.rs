@@ -160,9 +160,10 @@ fn merge_reconstructs_arbitrary_divergence() {
 }
 
 /// Listing 1 run naively, message by message, counting relocations:
-/// each page starts as the checkpoint's, and a checksum that misses the
+/// each page starts as the checkpoint's, a checksum that misses the
 /// page in place takes the first checkpoint page carrying it, found by
-/// a linear search of the table.
+/// a linear search of the table, and a dedup reference copies the first
+/// content the transcript wrote to its source.
 fn naive_listing_1(
     cp: &Checkpoint,
     transcript: &Transcript,
@@ -171,6 +172,7 @@ fn naive_listing_1(
     let table = cp.digest_table();
     let page = |at: usize| cp.read_page(PageIndex::new(at as u64)).unwrap();
     let mut mem: Vec<_> = (0..table.len()).map(|at| (page(at), table[at])).collect();
+    let mut first = vec![None; table.len()];
     for msg in transcript {
         let (PageMsg::Full { idx, .. }
         | PageMsg::Checksum { idx, .. }
@@ -183,24 +185,29 @@ fn naive_listing_1(
         mem[at] = match msg {
             PageMsg::Full { digest, bytes, .. } => (bytes.clone().unwrap(), *digest),
             PageMsg::Zero { .. } => (PageBuf::zero_page(), PageDigest::ZERO_PAGE),
-            PageMsg::Checksum { digest, .. } if mem[at].1 == *digest => continue,
+            PageMsg::Checksum { digest, .. } if mem[at].1 == *digest => mem[at].clone(),
             PageMsg::Checksum { digest, .. } => match table.iter().position(|d| d == digest) {
-                Some(first) => (page(first), *digest),
+                Some(first) => {
+                    *relocated += 1;
+                    (page(first), *digest)
+                }
                 None => return Err(format!("checksum for {idx} not found in checkpoint index")),
             },
-            PageMsg::DedupRef { source, .. } => match mem.get(source.as_usize()) {
-                Some(held) => held.clone(),
+            PageMsg::DedupRef { source, .. } => match first.get(source.as_usize()) {
+                Some(Some(held)) => Clone::clone(held),
+                Some(None) => return Err(format!("unwritten dedup source {source}")),
                 None => return Err(format!("dedup reference {source} out of range")),
             },
         };
-        *relocated += usize::from(matches!(msg, PageMsg::Checksum { .. }));
+        first[at].get_or_insert_with(|| mem[at].clone());
     }
     Ok(mem)
 }
 
 /// The merge agrees with the naive Listing 1 on random transcripts —
-/// full pages, checksums present and absent, dedup references and zero
-/// markers, some past the guest — over small checkpoints whose
+/// full pages, checksums present and absent, dedup references (in a
+/// faulty case to unwritten pages) and zero markers, some past the
+/// guest — over small checkpoints whose
 /// duplicate contents sit in distinct buffers: on success every page
 /// holds the very buffer the naive merge put there (for a relocated
 /// page, the first checkpoint page carrying its digest) under the same
@@ -225,18 +232,25 @@ fn the_merge_matches_a_naive_listing_1() {
             true => PageIndex::new(pages + rng.below(2)),
             false => PageIndex::new(rng.below(pages)),
         };
+        // A dedup source is a page already written, but in a faulty case.
+        let mut written = Vec::new();
         let transcript: Transcript = (0..rng.below(3 * pages + 2))
             .map(|_| {
                 let (idx, from) = (page(&mut rng), PageIndex::new(rng.below(4)));
+                written.push(idx);
                 match rng.below(8) {
                     0 | 1 => PageMsg::Full {
                         idx,
                         digest: pool.page_digest(from),
                         bytes: Some(pool.read_page(from).clone()),
                     },
-                    2 => PageMsg::DedupRef {
+                    2 if faulty => PageMsg::DedupRef {
                         idx,
                         source: page(&mut rng),
+                    },
+                    2 if written.len() > 1 => PageMsg::DedupRef {
+                        idx,
+                        source: written[rng.below(written.len() as u64 - 1) as usize],
                     },
                     3 => PageMsg::Zero { idx },
                     _ if faulty && rng.below(8) == 0 => PageMsg::Checksum {
@@ -276,7 +290,7 @@ fn the_merge_matches_a_naive_listing_1() {
         merged > 256 && relocated > 512,
         "{merged} merged, {relocated} relocated"
     );
-    assert_eq!(failed.len(), 3, "every failure kind: {failed:?}");
+    assert_eq!(failed.len(), 4, "every failure kind: {failed:?}");
 }
 
 /// DigestMemory and ByteMemory classify identical write sequences
