@@ -14,11 +14,11 @@ use vecycle_types::PageDigest;
 ///
 /// The list keeps no offsets. Every query but one asks only *is this
 /// checksum present?*: the source's classification, the destination's
-/// check of each received checksum, fleet overlap scoring, the bulk
-/// exchange. The one that needs Listing 1's offset, the byte cells of
-/// `vecycle-core`'s one destination merge, indexes the few checksums
-/// that miss their page in place and finds their first pages in one
-/// walk of the checkpoint's table ([`ChecksumIndex::rank`]).
+/// check of each received checksum, the bulk exchange. The one that
+/// needs Listing 1's offset, the byte cells of `vecycle-core`'s one
+/// destination merge, indexes the few checksums that miss their page in
+/// place and finds their first pages in one walk of the checkpoint's
+/// table ([`ChecksumIndex::rank`]).
 ///
 /// # Examples
 ///

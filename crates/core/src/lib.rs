@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
-#[doc(hidden)]
 mod compat;
 mod engine;
 pub mod estimate;

@@ -12,22 +12,15 @@ use vecycle_types::{Error, PageDigest, PageIndex, PAGE_SIZE};
 
 use crate::transcript::PageMsg;
 
-/// A faulty message's position and what is wrong with it.
-type Fault = (u64, String);
-
 /// What gives a [`Merge`]'s cells their content: for digest cells the
 /// offered index, for byte cells [`Bytes`].
 pub trait Resolver {
     /// One page.
-    type Cell: Copy + PartialEq + std::fmt::Debug;
+    type Cell: Copy + PartialEq;
     /// The digest `cell` holds.
     fn digest(&self, cell: Self::Cell) -> PageDigest;
     /// The cell message `seq` writes: a `Full`, a `Zero` or a missed checksum.
     fn write(&mut self, seq: u64, msg: &WireMsg) -> Result<Self::Cell, String>;
-    /// The earliest fault among checks still waiting on messages before `seq`.
-    fn settle(&self, _seq: u64) -> Result<(), Fault> {
-        Ok(())
-    }
 }
 
 /// The merge: each page's cell, one landed bit a page and, from the
@@ -62,11 +55,15 @@ impl<T: Copy + PartialEq> Merge<T> {
         self.landed[at / 64] >> (at % 64) & 1 == 1
     }
 
+    /// Each page's first cell: the cells themselves until a rewrite.
+    fn firsts(&self) -> &[T] {
+        self.firsts.as_deref().unwrap_or(&self.cells)
+    }
+
     /// What `page` held when the stream first wrote it, if it has.
     pub fn first_written(&self, page: u64) -> Option<T> {
         let at = usize::try_from(page).ok()?;
-        let firsts = self.firsts.as_ref().unwrap_or(&self.cells);
-        (at < firsts.len() && self.is_landed(at)).then(|| firsts[at])
+        (at < self.cells.len() && self.is_landed(at)).then(|| self.firsts()[at])
     }
 
     /// Applies the next page message (`Full`, `Checksum`, `DedupRef` or
@@ -74,10 +71,9 @@ impl<T: Copy + PartialEq> Merge<T> {
     ///
     /// # Errors
     ///
-    /// [`Error::Corrupt`] naming the earliest faulty message so far; the
-    /// failing message changes no page.
+    /// What is wrong with the message, which then changes no page.
     #[inline]
-    pub fn push<R>(&mut self, msg: &WireMsg, with: &mut R) -> vecycle_types::Result<()>
+    pub fn push<R>(&mut self, msg: &WireMsg, with: &mut R) -> Result<(), String>
     where
         R: Resolver<Cell = T>,
     {
@@ -102,8 +98,7 @@ impl<T: Copy + PartialEq> Merge<T> {
                 Ok(self.cells[at])
             }
             _ => with.write(seq, msg),
-        };
-        let cell = cell.map_err(|detail| fail(with, (seq, detail)))?;
+        }?;
         if !self.is_landed(at) {
             self.landed[at / 64] |= 1 << (at % 64);
             if let Some(firsts) = &mut self.firsts {
@@ -117,19 +112,11 @@ impl<T: Copy + PartialEq> Merge<T> {
     }
 }
 
-/// The error for `fault`, or for an earlier message whose check waits.
-#[cold]
-fn fail<R: Resolver>(with: &R, fault: Fault) -> Error {
-    let (_, detail) = with.settle(fault.0).err().unwrap_or(fault);
-    Error::Corrupt { detail }
-}
-
 /// Equal merges hold the same cells, landed bits and first cells.
 impl<T: Copy + PartialEq> PartialEq for Merge<T> {
     fn eq(&self, other: &Merge<T>) -> bool {
-        let same_first = |page| self.first_written(page) == other.first_written(page);
         (self.cells == other.cells && self.landed == other.landed)
-            && (0..self.cells.len() as u64).all(same_first)
+            && self.firsts() == other.firsts()
     }
 }
 
@@ -168,8 +155,8 @@ pub enum Origin {
 }
 
 /// Byte cells' resolver: each page's [`Origin`] is in the checkpoint or
-/// in the transcript, whose messages are pushed in order. The `Full`
-/// payloads and the checksums that missed their page wait for the end.
+/// in the transcript. The checksums that missed their page wait for the
+/// end.
 #[derive(Debug)]
 pub struct Bytes<'t> {
     checkpoint: &'t Checkpoint,
@@ -179,36 +166,51 @@ pub struct Bytes<'t> {
 }
 
 impl<'t> Bytes<'t> {
-    /// The resolver of `transcript` over `checkpoint`, and the merge to
-    /// push the transcript through, in order, as [`PageMsg::to_wire`].
-    pub fn new(checkpoint: &'t Checkpoint, transcript: &'t [PageMsg]) -> (Self, Merge<Origin>) {
-        let pages = (0..checkpoint.digest_table().len() as u32).map(Origin::Checkpoint);
+    /// The merge of `transcript` over `checkpoint` and the resolver that
+    /// finishes it. The `Full` payloads are checked first, in one
+    /// multi-lane batch over the transcript (any other message carries
+    /// none, which hashes as the zero page unread), and the messages are
+    /// pushed in order up to the first that fails.
+    ///
+    /// # Errors
+    ///
+    /// As [`Merge::push`].
+    pub fn merge(
+        checkpoint: &'t Checkpoint,
+        transcript: &'t [PageMsg],
+    ) -> vecycle_types::Result<(Self, Merge<Origin>)> {
+        let md5 = vecycle_hash::ChecksumAlgorithm::Md5;
+        let bad = md5.first_mismatch(transcript, |k| match transcript[k] {
+            PageMsg::Full { digest, .. } => digest,
+            _ => PageDigest::ZERO_PAGE,
+        });
+        let pages = checkpoint.digest_table().len() as u32;
+        let mut merge = Merge::new((0..pages).map(Origin::Checkpoint).collect());
         let misses = Vec::new();
-        let bytes = Bytes {
+        let mut bytes = Bytes {
             checkpoint,
             transcript,
             misses,
         };
-        (bytes, Merge::new(pages.collect()))
+        let pushed = (transcript[..bad.unwrap_or(transcript.len())].iter())
+            .try_for_each(|msg| merge.push(&msg.to_wire(), &mut bytes));
+        let own = match (pushed, bad) {
+            (Err(own), _) => own,
+            (Ok(()), Some(k)) => format!(
+                "{} bytes do not match attached checksum",
+                transcript[k].idx()
+            ),
+            (Ok(()), None) => return Ok((bytes, merge)),
+        };
+        // A miss before the fault that no checkpoint page carries came first.
+        let detail = bytes.resolve().err().unwrap_or(own);
+        Err(Error::Corrupt { detail })
     }
 
-    /// Checks the `Full` payloads before `seq` in one multi-lane batch and
-    /// finds each missed digest's first checkpoint page, by rank, in one
-    /// walk of the table; or the earliest fault.
-    fn resolve(&self, seq: u64) -> Result<(ChecksumIndex, Vec<u32>), Fault> {
-        let fulls = || {
-            let msgs = (0..).zip(&self.transcript[..seq as usize]);
-            msgs.filter(|(_, msg)| matches!(msg, PageMsg::Full { .. }))
-        };
-        let mut payloads = Vec::with_capacity(fulls().count());
-        payloads.extend(fulls().map(|(_, msg)| msg));
-        let md5 = vecycle_hash::ChecksumAlgorithm::Md5;
-        let bad = md5.first_mismatch(&payloads, |k| payloads[k].digest());
-        let bad = bad
-            .and_then(|k| fulls().nth(k))
-            .map(|(k, msg)| (k, msg.idx()));
-        let bad = bad.map(|(k, idx)| (k, format!("{idx} bytes do not match attached checksum")));
-        let digest = |&k: &u32| self.transcript[k as usize].digest();
+    /// Finds each missed digest's first checkpoint page, by rank, in one
+    /// walk of the table; or the first miss no page carries.
+    fn resolve(&self) -> Result<(ChecksumIndex, Vec<u32>), String> {
+        let digest = |&k: &u32| self.digest(Origin::Message(k));
         let mut index = ChecksumIndex::default();
         index.refill(self.misses.iter().map(digest));
         let mut first = vec![u32::MAX; index.distinct()];
@@ -221,12 +223,9 @@ impl<'t> Bytes<'t> {
                 (first[rank], unfound) = (at, unfound - 1);
             }
         }
-        let lost =
-            |k: &&u32| unfound > 0 && first[index.rank(digest(k)).expect("indexed")] == u32::MAX;
-        let lost = self.misses.iter().find(lost);
-        let lost = lost.map(|&k| (k.into(), unresolved(self.transcript[k as usize].idx())));
-        match bad.into_iter().chain(lost).min_by_key(|&(k, _)| k) {
-            Some(fault) => Err(fault),
+        let lost = |k: &&u32| first[index.rank(digest(k)).expect("indexed")] == u32::MAX;
+        match self.misses.iter().filter(|_| unfound > 0).find(lost) {
+            Some(&k) => Err(unresolved(self.transcript[k as usize].idx())),
             None => Ok((index, first)),
         }
     }
@@ -238,39 +237,33 @@ impl<'t> Bytes<'t> {
     ///
     /// As [`Merge::push`], and as [`Checkpoint::read_pages`].
     pub fn finish(&self, merge: Merge<Origin>) -> vecycle_types::Result<ByteMemory> {
-        let corrupt = |(_, detail)| Error::Corrupt { detail };
-        let (index, first) = self.resolve(merge.seq).map_err(corrupt)?;
-        let mut origins = merge.cells;
-        // A missed checksum reads the first checkpoint page carrying it.
-        for origin in &mut origins {
-            if let Origin::Message(k) = *origin {
-                if let PageMsg::Checksum { digest, .. } = self.transcript[k as usize] {
-                    *origin = Origin::Checkpoint(first[index.rank(digest).expect("indexed")]);
-                }
-            }
-        }
-        let page = |origin: &Origin| match *origin {
-            Origin::Checkpoint(at) => Some(PageIndex::new(at.into())),
-            Origin::Message(_) => None,
+        let corrupt = |detail| Error::Corrupt { detail };
+        let (index, first) = self.resolve().map_err(corrupt)?;
+        // A checkpoint page, for a missed checksum the first carrying it,
+        // or else the message.
+        let source = |&origin: &Origin| match origin {
+            Origin::Checkpoint(at) => Ok(PageIndex::new(at.into())),
+            Origin::Message(k) => match &self.transcript[k as usize] {
+                PageMsg::Checksum { digest, .. } => Ok(PageIndex::new(
+                    first[index.rank(*digest).expect("indexed")].into(),
+                )),
+                msg => Err(msg),
+            },
         };
-        let mut needed = Vec::with_capacity(origins.iter().filter_map(page).count());
-        needed.extend(origins.iter().filter_map(page));
+        let origins = merge.cells;
+        let mut needed = Vec::with_capacity(origins.iter().filter(|o| source(o).is_ok()).count());
+        needed.extend(origins.iter().filter_map(|origin| source(origin).ok()));
         needed.sort_unstable();
         needed.dedup();
         let read = self.checkpoint.read_pages(&needed)?;
-        let buffer = |origin: &Origin| match (*origin, page(origin)) {
-            (_, Some(page)) => read[needed.binary_search(&page).expect("read")].clone(),
-            (Origin::Message(k), None) => match &self.transcript[k as usize] {
-                PageMsg::Full { bytes, .. } => bytes.clone().expect("checked on push"),
-                _ => PageBuf::zero_page(),
-            },
-            (Origin::Checkpoint(_), None) => unreachable!("a checkpoint origin has its page"),
+        let buffer = |origin: &Origin| match source(origin) {
+            Ok(page) => read[needed.binary_search(&page).expect("read")].clone(),
+            Err(PageMsg::Full { bytes, .. }) => bytes.clone().expect("checked on push"),
+            Err(_) => PageBuf::zero_page(),
         };
         let digests = origins.iter().map(|&origin| self.digest(origin));
-        Ok(ByteMemory::from_pages_with_digests(
-            origins.iter().map(buffer).collect(),
-            digests,
-        ))
+        let pages = origins.iter().map(buffer).collect();
+        Ok(ByteMemory::from_pages_with_digests(pages, digests))
     }
 }
 
@@ -280,27 +273,24 @@ impl Resolver for Bytes<'_> {
     fn digest(&self, cell: Origin) -> PageDigest {
         match cell {
             Origin::Checkpoint(at) => self.checkpoint.digest_table()[at as usize],
-            Origin::Message(k) => self.transcript[k as usize].digest(),
+            Origin::Message(k) => match self.transcript[k as usize] {
+                PageMsg::Full { digest, .. } | PageMsg::Checksum { digest, .. } => digest,
+                _ => PageDigest::ZERO_PAGE,
+            },
         }
     }
 
     fn write(&mut self, seq: u64, msg: &WireMsg) -> Result<Origin, String> {
         let k = u32::try_from(seq).expect("a transcript of fewer than 2^32 messages");
+        let len = self.transcript[k as usize].as_ref().len();
         match *msg {
-            WireMsg::Full { idx, .. } => {
-                let len = self.transcript[seq as usize].as_ref().len();
-                if len as u64 != PAGE_SIZE {
-                    let detail = format!("carries {len} bytes, not one page");
-                    return Err(format!("full-page message for page-{idx} {detail}"));
-                }
+            WireMsg::Full { idx, .. } if len as u64 != PAGE_SIZE => {
+                let detail = format!("carries {len} bytes, not one page");
+                return Err(format!("full-page message for page-{idx} {detail}"));
             }
             WireMsg::Checksum { .. } => self.misses.push(k),
             _ => {}
         }
         Ok(Origin::Message(k))
-    }
-
-    fn settle(&self, seq: u64) -> Result<(), Fault> {
-        self.resolve(seq).map(drop)
     }
 }

@@ -306,8 +306,11 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                     remember(&mut sent, digest, idx, false);
                     // The message shares the guest's buffer; only a sink
                     // that reads the message is worth even the handle.
-                    let bytes = (S::PER_MESSAGE && scan.alive).then(|| vm.page_bytes(idx));
-                    let bytes = bytes.flatten().cloned();
+                    let bytes = if S::PER_MESSAGE && scan.alive {
+                        vm.page_bytes(idx).cloned()
+                    } else {
+                        None
+                    };
                     PageMsg::Full { idx, digest, bytes }
                 }
                 PageAction::SendChecksum => {
@@ -355,12 +358,11 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
                 PageMsg::Zero { idx }
             } else {
                 match classify(idx, digest) {
-                    // As in round 1, the guest's buffer for a sink that reads it.
-                    PageAction::SendFull => {
-                        let bytes = S::PER_MESSAGE.then(|| vm.page_bytes(idx)).flatten();
-                        let bytes = bytes.cloned();
-                        PageMsg::Full { idx, digest, bytes }
-                    }
+                    PageAction::SendFull => PageMsg::Full {
+                        idx,
+                        digest,
+                        bytes: vm.page_bytes(idx).filter(|_| S::PER_MESSAGE).cloned(),
+                    },
                     PageAction::SendChecksum => PageMsg::Checksum { idx, digest },
                     PageAction::SendDedupRef(source) => PageMsg::DedupRef { idx, source },
                     PageAction::Skip => unreachable!("a dirty page is never skipped"),

@@ -1,4 +1,4 @@
-//! Migration transcripts and their merge at the destination (Listing 1).
+//! Migration transcripts and the destination merge (Listing 1).
 
 use vecycle_checkpoint::Checkpoint;
 use vecycle_mem::{ByteMemory, PageBuf};
@@ -10,15 +10,18 @@ use crate::merge::Bytes;
 /// One message of the migration stream, as the destination receives it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PageMsg {
-    /// A full page and its checksum: "sending the checksum along with
-    /// the full page saves the receiver from re-computing" it (§3.2).
+    /// A full page: number, checksum, and (for byte-level sources) the
+    /// page bytes. "Sending the checksum along with the full page saves
+    /// the receiver from re-computing the checksum" (§3.2).
     Full {
         /// Guest page number.
         idx: PageIndex,
         /// Content checksum.
         digest: PageDigest,
-        /// Page bytes, the source guest's own buffer, which no message
-        /// copies; `None` when the source is digest-level.
+        /// Page bytes; `None` when the source is digest-level. The
+        /// buffer is the source guest's own (until the guest next writes
+        /// that page), so neither sending nor cloning a message copies
+        /// page bytes.
         bytes: Option<PageBuf>,
     },
     /// Only the checksum: the destination already holds this content.
@@ -53,34 +56,20 @@ impl PageMsg {
         }
     }
 
-    /// The digest the message's page holds once it lands: a full page's
-    /// or a checksum's own, else the zero page's.
-    pub(crate) fn digest(&self) -> PageDigest {
-        match self {
-            PageMsg::Full { digest, .. } | PageMsg::Checksum { digest, .. } => *digest,
-            _ => PageDigest::ZERO_PAGE,
-        }
-    }
-
     /// The message in its on-the-wire form. The wire protocol is
     /// digest-level: a full page crosses as its digest's filler (see
     /// [`WireMsg::Full`]) — full wire size, and content the receiver
     /// can verify — whether or not the source holds bytes.
     pub fn to_wire(&self) -> WireMsg {
-        match self {
-            PageMsg::Full { idx, digest, .. } => WireMsg::Full {
-                idx: idx.as_u64(),
-                digest: *digest,
-            },
-            PageMsg::Checksum { idx, digest } => WireMsg::Checksum {
-                idx: idx.as_u64(),
-                digest: *digest,
-            },
-            PageMsg::DedupRef { idx, source } => WireMsg::DedupRef {
-                idx: idx.as_u64(),
+        let idx = self.idx().as_u64();
+        match *self {
+            PageMsg::Full { digest, .. } => WireMsg::Full { idx, digest },
+            PageMsg::Checksum { digest, .. } => WireMsg::Checksum { idx, digest },
+            PageMsg::DedupRef { source, .. } => WireMsg::DedupRef {
+                idx,
                 source: source.as_u64(),
             },
-            PageMsg::Zero { idx } => WireMsg::Zero { idx: idx.as_u64() },
+            PageMsg::Zero { .. } => WireMsg::Zero { idx },
         }
     }
 }
@@ -98,10 +87,13 @@ impl AsRef<[u8]> for PageMsg {
 /// The ordered message stream of one migration.
 pub type Transcript = Vec<PageMsg>;
 
-/// The message stream of a *live* migration, in send order: one
-/// transcript per pre-copy round and the stop-and-copy flush, recorded
-/// by [`crate::MigrationEngine::migrate_live_with_transcript`] (a pure
-/// observer: the report is bit-identical to the unrecorded one).
+/// The complete message stream of a *live* migration: one transcript per
+/// pre-copy round plus the final stop-and-copy flush, in send order.
+///
+/// Produced by [`crate::MigrationEngine::migrate_live_with_transcript`]
+/// — it is the recording [`crate::MsgSink`]; a destination replays it
+/// message by message. Recording is a pure observer — the report of a
+/// recorded run is bit-identical to the unrecorded one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LiveTranscript {
     /// Round 1..n message streams (round 1 is the full scan).
@@ -128,10 +120,7 @@ pub fn apply_transcript(
     checkpoint: &Checkpoint,
     transcript: &Transcript,
 ) -> vecycle_types::Result<ByteMemory> {
-    let (mut bytes, mut merge) = Bytes::new(checkpoint, transcript);
-    for msg in transcript {
-        merge.push(&msg.to_wire(), &mut bytes)?;
-    }
+    let (bytes, merge) = Bytes::merge(checkpoint, transcript)?;
     bytes.finish(merge)
 }
 

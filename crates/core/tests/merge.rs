@@ -145,15 +145,13 @@ fn digest_cells_and_byte_cells_agree() {
         let mut offer = Some(&index);
         let by_digest =
             (stream.iter()).try_for_each(|msg| digest_merge.push(&msg.to_wire(), &mut offer));
-        let (mut resolver, mut byte_merge) = ByteCells::new(&cp, &stream);
-        let by_bytes =
-            (stream.iter()).try_for_each(|msg| byte_merge.push(&msg.to_wire(), &mut resolver));
-        let landed = |at| byte_merge.is_landed(at as usize) == digest_merge.is_landed(at as usize);
-        let same_landed = (0..pages).all(landed);
-        match (
-            by_digest,
-            by_bytes.and_then(|()| resolver.finish(byte_merge)),
-        ) {
+        let mut same_landed = true;
+        let by_bytes = ByteCells::merge(&cp, &stream).and_then(|(resolver, byte_merge)| {
+            let landed = |at| byte_merge.is_landed(at) == digest_merge.is_landed(at);
+            same_landed = (0..pages as usize).all(landed);
+            resolver.finish(byte_merge)
+        });
+        match (by_digest, by_bytes) {
             (Ok(()), Ok(rebuilt)) => {
                 merged += 1;
                 assert!(same_landed, "case {case}");
@@ -162,7 +160,7 @@ fn digest_cells_and_byte_cells_agree() {
                     assert_eq!(rebuilt.page_digest(idx), *digest, "case {case}, page {i}");
                 }
             }
-            (Err(Error::Corrupt { detail: a }), Err(Error::Corrupt { detail: b })) => {
+            (Err(a), Err(Error::Corrupt { detail: b })) => {
                 assert_eq!(a, b, "case {case}");
                 failed.insert(a.split(' ').next().unwrap().to_owned());
             }

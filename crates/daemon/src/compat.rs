@@ -8,47 +8,13 @@
 
 use std::path::Path;
 
-use vecycle_hash::{Fnv1a64, Hasher};
-
 use crate::session_state::{partial_path, SessionState};
 
-/// Magic prefix of a state snapshot: vecycled partial, format 1.
-const PARTIAL_MAGIC: &[u8; 8] = b"VECYPAR1";
-
 impl SessionState {
-    /// The state (with its job/spec identity) as a snapshot: magic, job,
-    /// fingerprint, the counters, the page count, each page's digest and
-    /// landed flag, each landed page's first digest ascending by page,
-    /// then an FNV-1a 64 trailer over everything before it.
+    /// The state (with its job/spec identity) as a snapshot.
     #[deprecated(note = "benchmark-only; ROADMAP item 2b deletes it")]
     pub fn encode(&self, job: u64, fingerprint: u64) -> Vec<u8> {
-        let mem = self.mem();
-        let mut buf = Vec::with_capacity(64 + mem.len() * (17 + 24));
-        buf.extend_from_slice(PARTIAL_MAGIC);
-        for field in [job, fingerprint, self.applied, self.expected_round] {
-            buf.extend_from_slice(&field.to_be_bytes());
-        }
-        buf.push(u8::from(self.finished));
-        buf.extend_from_slice(&(mem.len() as u64).to_be_bytes());
-        for (at, digest) in mem.iter().enumerate() {
-            buf.extend_from_slice(digest.as_bytes());
-            buf.push(u8::from(self.merge.is_landed(at)));
-        }
-        // Each landed page's first digest as `(page, digest)`.
-        let written = || {
-            let pages = 0..mem.len() as u64;
-            pages.filter_map(|idx| self.merge.first_written(idx).map(|digest| (idx, digest)))
-        };
-        buf.extend_from_slice(&(written().count() as u64).to_be_bytes());
-        for (idx, digest) in written() {
-            buf.extend_from_slice(&idx.to_be_bytes());
-            buf.extend_from_slice(digest.as_bytes());
-        }
-        let mut fnv = Fnv1a64::new();
-        fnv.update(&buf);
-        let trailer = fnv.finalize();
-        buf.extend_from_slice(&trailer);
-        buf
+        self.snapshot(job, fingerprint)
     }
 }
 
@@ -68,8 +34,7 @@ pub fn save_partial(
     std::fs::create_dir_all(dir)?;
     let path = partial_path(dir, job, fingerprint);
     let tmp = path.with_extension("tmp");
-    #[allow(deprecated)]
-    std::fs::write(&tmp, state.encode(job, fingerprint))?;
+    std::fs::write(&tmp, state.snapshot(job, fingerprint))?;
     std::fs::rename(&tmp, &path)
 }
 

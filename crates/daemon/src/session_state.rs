@@ -1,11 +1,11 @@
-//! The destination's reconstruction state: the exact state machine a
-//! session, the tests, the fuzz targets and the benchmark run. It checks
-//! the stream's framing — round order, the stop-and-copy delimiter, no
-//! bulk exchange inward, no checksum without an offered index — counts,
-//! and hands each page message to a digest [`Merge`] (a `Full` arrives
-//! checked: the decoder refuses a page that is not its digest's filler).
-//! [`SessionState::landed`] is what a retry recycles; only the benchmark
-//! still writes the state's `VECYPAR1` snapshot (its `compat` module).
+//! The destination's reconstruction state, the exact state machine a
+//! session, the tests, the fuzz targets and the benchmark run: it checks
+//! the stream's framing (round order, the stop-and-copy delimiter, no
+//! bulk exchange inward, no checksum without an offered index), counts,
+//! and hands each page message to a digest [`Merge`]. What a retry
+//! recycles is [`SessionState::landed`]. Only the benchmark still writes
+//! the state's `VECYPAR1` snapshot (its `compat` module), which older
+//! daemons wrote; nothing reads one.
 
 use std::path::{Path, PathBuf};
 
@@ -21,6 +21,9 @@ use vecycle_types::PageDigest;
 pub use crate::compat::save_partial;
 use crate::DaemonError;
 
+/// Magic prefix of a state snapshot: vecycled partial, format 1.
+const PARTIAL_MAGIC: &[u8; 8] = b"VECYPAR1";
+
 /// A stable fingerprint of a scenario (FNV-1a 64 over its key-value
 /// form) — partial files are keyed by `(job, fingerprint)` so a resume
 /// for a different spec can never pick up the wrong state.
@@ -33,10 +36,10 @@ pub fn spec_fingerprint(spec: &ScenarioSpec) -> u64 {
 /// The deterministic apply-state of one migration stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionState {
-    pub(crate) merge: Merge<PageDigest>,
-    pub(crate) applied: u64,
-    pub(crate) expected_round: u64,
-    pub(crate) finished: bool,
+    merge: Merge<PageDigest>,
+    applied: u64,
+    expected_round: u64,
+    finished: bool,
 }
 
 impl SessionState {
@@ -106,7 +109,7 @@ impl SessionState {
             }
             WireMsg::StopEnd => self.finished = true,
             WireMsg::BulkExchange { .. } => refuse("bulk exchange is destination-to-source only")?,
-            _ => self.merge.push(msg, &mut { index })?,
+            _ => (self.merge.push(msg, &mut { index })).map_err(DaemonError::Corrupt)?,
         }
         self.applied += 1;
         Ok(())
@@ -117,6 +120,41 @@ impl SessionState {
     pub fn landed(&self) -> impl Iterator<Item = (u64, PageDigest)> + '_ {
         let pages = self.mem().iter().enumerate();
         pages.filter_map(|(at, digest)| self.merge.is_landed(at).then_some((at as u64, *digest)))
+    }
+
+    /// The state (with its job/spec identity) as a snapshot: magic, job,
+    /// fingerprint, the counters, the page count, each page's digest and
+    /// landed flag, each landed page's first digest ascending by page,
+    /// then an FNV-1a 64 trailer over everything before it. Only the
+    /// benchmark-only [`crate::compat`] writers call it.
+    pub(crate) fn snapshot(&self, job: u64, fingerprint: u64) -> Vec<u8> {
+        let mem = self.mem();
+        let mut buf = Vec::with_capacity(64 + mem.len() * (17 + 24));
+        buf.extend_from_slice(PARTIAL_MAGIC);
+        for field in [job, fingerprint, self.applied, self.expected_round] {
+            buf.extend_from_slice(&field.to_be_bytes());
+        }
+        buf.push(u8::from(self.finished));
+        buf.extend_from_slice(&(mem.len() as u64).to_be_bytes());
+        for (at, digest) in mem.iter().enumerate() {
+            buf.extend_from_slice(digest.as_bytes());
+            buf.push(u8::from(self.merge.is_landed(at)));
+        }
+        // Each landed page's first digest as `(page, digest)`.
+        let written = || {
+            let pages = 0..mem.len() as u64;
+            pages.filter_map(|idx| self.merge.first_written(idx).map(|digest| (idx, digest)))
+        };
+        buf.extend_from_slice(&(written().count() as u64).to_be_bytes());
+        for (idx, digest) in written() {
+            buf.extend_from_slice(&idx.to_be_bytes());
+            buf.extend_from_slice(digest.as_bytes());
+        }
+        let mut fnv = Fnv1a64::new();
+        fnv.update(&buf);
+        let trailer = fnv.finalize();
+        buf.extend_from_slice(&trailer);
+        buf
     }
 }
 

@@ -28,7 +28,7 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=45117
+BUDGET=45070
 PUB_CEILING=1030
 DEPS_CEILING=111
 DESIGN_CEILING=1614
