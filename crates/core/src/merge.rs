@@ -174,7 +174,9 @@ impl<'t> Bytes<'t> {
     ///
     /// # Errors
     ///
-    /// As [`Merge::push`].
+    /// [`Error::Corrupt`] naming the earliest faulty message: as
+    /// [`Merge::push`], a payload that is not its digest's page, or a
+    /// checksum before the fault that no checkpoint page carries.
     pub fn merge(
         checkpoint: &'t Checkpoint,
         transcript: &'t [PageMsg],
@@ -235,7 +237,8 @@ impl<'t> Bytes<'t> {
     ///
     /// # Errors
     ///
-    /// As [`Merge::push`], and as [`Checkpoint::read_pages`].
+    /// [`Error::Corrupt`] for a checksum no checkpoint page carries, and
+    /// as [`Checkpoint::read_pages`].
     pub fn finish(&self, merge: Merge<Origin>) -> vecycle_types::Result<ByteMemory> {
         let corrupt = |detail| Error::Corrupt { detail };
         let (index, first) = self.resolve().map_err(corrupt)?;

@@ -115,7 +115,7 @@ impl LiveTranscript {
 ///
 /// # Errors
 ///
-/// As [`Merge::push`](crate::Merge::push) and [`Bytes::finish`].
+/// As [`Bytes::merge`] and [`Bytes::finish`].
 pub fn apply_transcript(
     checkpoint: &Checkpoint,
     transcript: &Transcript,
