@@ -144,7 +144,14 @@ pub struct SaveOutcome {
     /// `Default`); a refused *re-admission* from the mirror evicts the
     /// file it came from.
     pub stored: bool,
-    /// Checkpoints evicted by this save, in eviction order.
+    /// The VM's previous checkpoint, which this save replaced (a
+    /// [`Version`](EvictionReason::Version) record). It comes before
+    /// `evicted` in eviction order, and is kept apart so that the
+    /// common save, a replacement under no quota pressure, allocates
+    /// no list.
+    pub replaced: Option<EvictionRecord>,
+    /// Checkpoints evicted under the quota by this save, in eviction
+    /// order.
     pub evicted: Vec<EvictionRecord>,
 }
 

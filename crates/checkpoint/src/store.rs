@@ -164,14 +164,12 @@ impl Inner {
     /// ([`EvictionReason::Version`]), then evicts victims under the
     /// policy until the catalog fits its quota
     /// ([`EvictionReason::Quota`]) — never the checkpoint just inserted.
-    fn insert(&mut self, checkpoint: Checkpoint) -> Vec<EvictionRecord> {
+    fn insert(&mut self, checkpoint: Checkpoint) -> SaveOutcome {
         let (vm, now) = (checkpoint.vm(), checkpoint.taken_at());
         self.note_save_time(vm, now);
         self.gone.remove(&vm);
+        let replaced = (self.take(vm)).map(|old| record(&old.checkpoint, EvictionReason::Version));
         let mut evicted = Vec::new();
-        if let Some(old) = self.take(vm) {
-            evicted.push(record(&old.checkpoint, EvictionReason::Version));
-        }
         self.used += checkpoint.storage_size();
         let entry = Entry {
             checkpoint: Arc::new(checkpoint),
@@ -188,7 +186,11 @@ impl Inner {
             self.gone.insert(victim, GoneReason::Evicted);
             evicted.push(record(&gone.checkpoint, EvictionReason::Quota));
         }
-        evicted
+        SaveOutcome {
+            stored: true,
+            replaced,
+            evicted,
+        }
     }
 
     fn note_save_time(&mut self, vm: VmId, at: SimTime) {
@@ -306,23 +308,20 @@ impl CheckpointStore {
             }
             sync::write(&self.inner).bury(vm, GoneReason::Evicted);
             return Ok(SaveOutcome {
-                stored: false,
                 evicted: vec![record(&checkpoint, EvictionReason::Quota)],
+                ..SaveOutcome::default()
             });
         }
         if let (Some(disk), false) = (&self.disk, on_disk) {
             disk.save(&checkpoint)?;
         }
-        let evicted = sync::write(&self.inner).insert(checkpoint);
+        let outcome = sync::write(&self.inner).insert(checkpoint);
         if let Some(disk) = &self.disk {
-            for gone in evicted.iter().filter(|r| r.reason == EvictionReason::Quota) {
+            for gone in &outcome.evicted {
                 disk.remove(gone.vm)?;
             }
         }
-        Ok(SaveOutcome {
-            stored: true,
-            evicted,
-        })
+        Ok(outcome)
     }
 
     /// Finds a recyclable checkpoint of `vm` for an incoming migration.
@@ -408,7 +407,10 @@ impl CheckpointStore {
                 Ok(Some(cp)) => {
                     report.verified += 1;
                     report.clean_pages += cp.page_count().as_u64();
-                    report.evicted.extend(self.admit(cp, true)?.evicted);
+                    let outcome = self.admit(cp, true)?;
+                    report
+                        .evicted
+                        .extend(outcome.replaced.into_iter().chain(outcome.evicted));
                 }
                 Ok(None) => {} // raced away; nothing to verify
                 Err(Error::Corrupt { .. }) => {
@@ -497,9 +499,10 @@ mod tests {
         let outcome = store.save(cp(1, 5, 11)).unwrap();
         assert_eq!(store.used(), used_one); // replaced, not accumulated
         assert!(outcome.stored);
-        assert_eq!(outcome.evicted.len(), 1);
-        assert_eq!(outcome.evicted[0].reason, EvictionReason::Version);
-        assert_eq!(outcome.evicted[0].taken_at, SimTime::EPOCH);
+        assert!(outcome.evicted.is_empty());
+        let replaced = outcome.replaced.unwrap();
+        assert_eq!(replaced.reason, EvictionReason::Version);
+        assert_eq!(replaced.taken_at, SimTime::EPOCH);
         assert_eq!(store.gone(VmId::new(1)), None);
         let latest = store.latest(VmId::new(1)).unwrap();
         assert_eq!(

@@ -517,6 +517,10 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
     fn push_round(&mut self, round: RoundReport) {
         self.engine.obs_round(&round);
         self.elapsed = self.elapsed.saturating_add(round.duration);
+        // Most transfers run one round: room for it alone, not the
+        // four a first push would reserve.
+        self.rounds
+            .reserve_exact(usize::from(self.rounds.is_empty()));
         self.rounds.push(round);
     }
 

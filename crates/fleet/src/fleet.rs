@@ -18,7 +18,7 @@
 //! from splitmix lanes of the spec seed — so the journal, the report
 //! and the metrics snapshot are byte-identical across repeat runs.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use vecycle_checkpoint::Checkpoint;
 use vecycle_core::session::{SessionEvent, VeCycleSession, VmInstance};
@@ -94,7 +94,7 @@ impl RunState {
             pending: VecDeque::new(),
             req: vec![ReqState::default(); requests],
             exec_seq: 0,
-            journal: Vec::new(),
+            journal: Vec::with_capacity(requests),
             events: Vec::new(),
             skipped: 0,
             deferred: 0,
@@ -142,7 +142,7 @@ impl FleetSeries {
                 m,
                 "fleet_placement_total",
                 "result",
-                &["warm", "cold", "blind", "random", "pinned"],
+                &ChoiceKind::LABELS,
             ),
             queued: m.resolve_counter("fleet_admission_queued_total", &[]),
             queue_depth: m.resolve_gauge("fleet_admission_queue_depth", &[]),
@@ -207,11 +207,13 @@ impl Fleet {
 
             // The paper's small host set: `affinity` distinct hosts,
             // kept sorted so candidate scans are a total order.
-            let mut set = BTreeSet::new();
-            while set.len() < spec.affinity as usize {
-                set.insert(HostId::new(draw.below(u64::from(spec.hosts)) as u32));
+            let mut affinity = Vec::with_capacity(spec.affinity as usize);
+            while affinity.len() < spec.affinity as usize {
+                let host = HostId::new(draw.below(u64::from(spec.hosts)) as u32);
+                if let Err(at) = affinity.binary_search(&host) {
+                    affinity.insert(at, host);
+                }
             }
-            let affinity: Vec<HostId> = set.into_iter().collect();
             let start = affinity[draw.below(affinity.len() as u64) as usize];
 
             let guest = Guest::new(DigestMemory::with_distinct_content(
@@ -331,7 +333,8 @@ impl Fleet {
     ///
     /// See [`Fleet::run`].
     pub fn run_with_faults(&mut self, plan: &FaultPlan) -> vecycle_types::Result<FleetReport> {
-        let mut sim = Simulator::new();
+        // A request has at most one event queued at a time.
+        let mut sim = Simulator::with_capacity(self.requests.len());
         for (i, r) in self.requests.iter().enumerate() {
             sim.schedule_at(r.at, Ev::Arrive(i as u32));
         }
@@ -475,14 +478,14 @@ impl Fleet {
             vm: r.vm.as_u32(),
             from: from.as_u32(),
             to: choice.to.as_u32(),
-            reason: reason.to_string(),
+            reason,
             deferred_nanos: started.duration_since(r.at).as_nanos(),
             queued_nanos,
             traffic_bytes: report.source_traffic().as_u64(),
             wasted_bytes: report.wasted_traffic().as_u64(),
             downtime_nanos: report.downtime().as_nanos(),
             duration_nanos: duration.as_nanos(),
-            outcome: outcome.to_string(),
+            outcome,
             deadline_missed,
         };
 
@@ -553,12 +556,7 @@ impl Fleet {
         let makespan = journal.iter().map(|d| d.at_nanos + d.duration_nanos);
         let mut outcomes = BTreeMap::new();
         for d in journal {
-            match outcomes.get_mut(&d.outcome) {
-                Some(n) => *n += 1,
-                None => {
-                    outcomes.insert(d.outcome.clone(), 1);
-                }
-            }
+            *outcomes.entry(d.outcome).or_insert(0) += 1;
         }
         FleetReport {
             migrations: journal.len() as u64,

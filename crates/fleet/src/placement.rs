@@ -71,14 +71,11 @@ pub(crate) enum ChoiceKind {
 }
 
 impl ChoiceKind {
+    /// Every kind's label, in variant order.
+    pub(crate) const LABELS: [&'static str; 5] = ["warm", "cold", "blind", "random", "pinned"];
+
     pub(crate) fn label(self) -> &'static str {
-        match self {
-            ChoiceKind::Warm => "warm",
-            ChoiceKind::Cold => "cold",
-            ChoiceKind::Blind => "blind",
-            ChoiceKind::Random => "random",
-            ChoiceKind::Pinned => "pinned",
-        }
+        Self::LABELS[self as usize]
     }
 }
 

@@ -43,7 +43,7 @@ pub struct FleetReport {
     /// Last completion instant, as a duration since epoch.
     pub makespan: SimDuration,
     /// Executed-migration count per outcome label.
-    pub outcomes: BTreeMap<String, u64>,
+    pub outcomes: BTreeMap<&'static str, u64>,
     /// Session incident transcript (aborts, fallbacks, ...), rendered.
     pub incidents: Vec<String>,
 }

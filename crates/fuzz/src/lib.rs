@@ -425,15 +425,7 @@ mod tests {
             }
             "ok"
         }
-        let t = Target {
-            name: "synthetic_panic",
-            seeds: || vec![vec![0xff, 1, 2]],
-            dict: &[],
-            post: None,
-            run: boom,
-            differential: None,
-            max_len: 64,
-        };
+        let t = Target::new("synthetic_panic", || vec![vec![0xff, 1, 2]], &[], boom, 64);
         let report = fuzz_target(&t, 3, 50);
         assert!(
             report

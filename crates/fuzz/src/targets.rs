@@ -35,6 +35,7 @@ use crate::mutate;
 pub type Differential = fn(&[u8]) -> Result<(), String>;
 
 /// One fuzzable parser surface.
+#[derive(Clone, Copy)]
 pub struct Target {
     /// Stable name: corpus subdirectory, stats label, `--target` filter.
     pub name: &'static str,
@@ -54,175 +55,80 @@ pub struct Target {
     pub max_len: usize,
 }
 
+impl Target {
+    /// A target with no fixup and no differential oracle.
+    pub(crate) fn new(
+        name: &'static str,
+        seeds: fn() -> Vec<Vec<u8>>,
+        dict: &'static [&'static [u8]],
+        run: fn(&[u8]) -> &'static str,
+        max_len: usize,
+    ) -> Target {
+        Target {
+            name,
+            seeds,
+            dict,
+            post: None,
+            run,
+            differential: None,
+            max_len,
+        }
+    }
+
+    /// This target under `name`, each mutant fixed up by `post`.
+    fn fixed(self, name: &'static str, post: fn(&mut [u8])) -> Target {
+        Target {
+            name,
+            post: Some(post),
+            ..self
+        }
+    }
+
+    /// This target with a differential oracle.
+    fn checked(self, differential: Differential) -> Target {
+        Target {
+            differential: Some(differential),
+            ..self
+        }
+    }
+}
+
 /// All registered targets, in fixed order (the order is part of the
 /// deterministic run: stats print in it, and each target's mutator is
-/// seeded from its name, not its position).
+/// seeded from its name, not its position). One row a target: name,
+/// seeds, dictionary, parser and mutant length cap.
+#[rustfmt::skip]
 pub fn all_targets() -> Vec<Target> {
+    let t = Target::new;
+    let ckpt = t("ckpt_raw", checkpoint_seeds, BINARY_DICT, run_checkpoint, 8192);
+    let trace = t("trace_raw", trace_seeds, BINARY_DICT, run_trace, 8192);
+    let log = t("partial_log", partial_log_seeds, PARTIAL_LOG_DICT, run_partial_log, 8192)
+        .checked(partial_log_grows_as_it_loads);
+    let wal = t("wal", wal_seeds, WAL_DICT, run_wal, 8192).checked(compaction_is_a_fixed_point);
+    let wire = |input: &[u8]| drain_slice(input, next_wire_msg).class();
+    let ctrl = |input: &[u8]| drain_slice(input, next_ctrl_frame).class();
     vec![
-        Target {
-            name: "ckpt_raw",
-            seeds: checkpoint_seeds,
-            dict: BINARY_DICT,
-            post: None,
-            run: run_checkpoint,
-            differential: None,
-            max_len: 8192,
-        },
-        Target {
-            name: "ckpt_fix",
-            seeds: checkpoint_seeds,
-            dict: BINARY_DICT,
-            post: Some(mutate::fix_trailer),
-            run: run_checkpoint,
-            differential: None,
-            max_len: 8192,
-        },
-        Target {
-            name: "trace_raw",
-            seeds: trace_seeds,
-            dict: BINARY_DICT,
-            post: None,
-            run: run_trace,
-            differential: None,
-            max_len: 8192,
-        },
-        Target {
-            name: "trace_fix",
-            seeds: trace_seeds,
-            dict: BINARY_DICT,
-            post: Some(mutate::fix_trailer),
-            run: run_trace,
-            differential: None,
-            max_len: 8192,
-        },
-        Target {
-            name: "chaos_cfg",
-            seeds: || text_seeds(CHAOS_SEEDS),
-            dict: CHAOS_DICT,
-            post: None,
-            run: run_chaos,
-            differential: None,
-            max_len: 512,
-        },
-        Target {
-            name: "evict_policy",
-            seeds: || text_seeds(&["oldest", "lru", "largest_first", "staleness_score", ""]),
-            dict: EVICT_DICT,
-            post: None,
-            run: run_evict,
-            differential: None,
-            max_len: 128,
-        },
-        Target {
-            name: "bytes_size",
-            seeds: || text_seeds(&["4GiB", "512MiB", "64KiB", "100B", "4096", "0"]),
-            dict: SIZE_DICT,
-            post: None,
-            run: run_bytes,
-            differential: None,
-            max_len: 128,
-        },
-        Target {
-            name: "cli_size",
-            seeds: || text_seeds(&["4GiB", "512MiB", "18446744073709551615", "1B"]),
-            dict: SIZE_DICT,
-            post: None,
-            run: run_cli_size,
-            differential: None,
-            max_len: 128,
-        },
-        Target {
-            name: "cli_link",
-            seeds: || text_seeds(&["lan", "wan", "wan:0.5%", "wan:10"]),
-            dict: LINK_DICT,
-            post: None,
-            run: run_cli_link,
-            differential: None,
-            max_len: 128,
-        },
-        Target {
-            name: "cli_duration",
-            seeds: || text_seeds(&["16h", "2d", "0h", "100000d"]),
-            dict: DURATION_DICT,
-            post: None,
-            run: run_cli_duration,
-            differential: None,
-            max_len: 128,
-        },
-        Target {
-            name: "cli_faults",
-            seeds: || text_seeds(FAULT_SEEDS),
-            dict: FAULT_DICT,
-            post: None,
-            run: run_cli_faults,
-            differential: None,
-            max_len: 512,
-        },
-        Target {
-            name: "wire_msg",
-            seeds: wire_msg_seeds,
-            dict: WIRE_DICT,
-            post: None,
-            run: |input| drain_slice(input, next_wire_msg).class(),
-            differential: Some(|input| {
-                readers_agree(input, next_wire_msg).and_then(|()| streamed_agrees(input))
-            }),
-            max_len: 8192,
-        },
-        Target {
-            name: "ctrl_frame",
-            seeds: ctrl_frame_seeds,
-            dict: FRAME_DICT,
-            post: None,
-            run: |input| drain_slice(input, next_ctrl_frame).class(),
-            differential: Some(|input| readers_agree(input, next_ctrl_frame)),
-            max_len: 8192,
-        },
-        Target {
-            name: "partial_log",
-            seeds: partial_log_seeds,
-            dict: PARTIAL_LOG_DICT,
-            post: None,
-            run: run_partial_log,
-            differential: Some(partial_log_grows_as_it_loads),
-            max_len: 8192,
-        },
-        Target {
-            name: "partial_log_fix",
-            seeds: partial_log_seeds,
-            dict: PARTIAL_LOG_DICT,
-            post: Some(reseal_records),
-            run: run_partial_log,
-            differential: Some(partial_log_grows_as_it_loads),
-            max_len: 8192,
-        },
-        Target {
-            name: "wal",
-            seeds: wal_seeds,
-            dict: WAL_DICT,
-            post: None,
-            run: run_wal,
-            differential: Some(compaction_is_a_fixed_point),
-            max_len: 8192,
-        },
-        Target {
-            name: "wal_fix",
-            seeds: wal_seeds,
-            dict: WAL_DICT,
-            post: Some(reseal_records),
-            run: run_wal,
-            differential: Some(compaction_is_a_fixed_point),
-            max_len: 8192,
-        },
-        Target {
-            name: "handshake",
-            seeds: handshake_seeds,
-            dict: HANDSHAKE_DICT,
-            post: None,
-            run: |input| handshake(input).0,
-            differential: Some(|input| handshake(input).1),
-            max_len: 1024,
-        },
+        ckpt,
+        ckpt.fixed("ckpt_fix", mutate::fix_trailer),
+        trace,
+        trace.fixed("trace_fix", mutate::fix_trailer),
+        t("chaos_cfg", || text_seeds(CHAOS_SEEDS), CHAOS_DICT, run_chaos, 512),
+        t("evict_policy", || text_seeds(EVICT_SEEDS), EVICT_DICT, run_evict, 128),
+        t("bytes_size", || text_seeds(SIZE_SEEDS), SIZE_DICT, run_bytes, 128),
+        t("cli_size", || text_seeds(CLI_SIZE_SEEDS), SIZE_DICT, run_cli_size, 128),
+        t("cli_link", || text_seeds(LINK_SEEDS), LINK_DICT, run_cli_link, 128),
+        t("cli_duration", || text_seeds(DURATION_SEEDS), DURATION_DICT, run_cli_duration, 128),
+        t("cli_faults", || text_seeds(FAULT_SEEDS), FAULT_DICT, run_cli_faults, 512),
+        t("wire_msg", wire_msg_seeds, WIRE_DICT, wire, 8192)
+            .checked(|input| readers_agree(input, next_wire_msg).and_then(|()| streamed_agrees(input))),
+        t("ctrl_frame", ctrl_frame_seeds, FRAME_DICT, ctrl, 8192)
+            .checked(|input| readers_agree(input, next_ctrl_frame)),
+        log,
+        log.fixed("partial_log_fix", reseal_records),
+        wal,
+        wal.fixed("wal_fix", reseal_records),
+        t("handshake", handshake_seeds, HANDSHAKE_DICT, |input| handshake(input).0, 1024)
+            .checked(|input| handshake(input).1),
     ]
 }
 
@@ -543,6 +449,12 @@ const CHAOS_SEEDS: &[&str] = &[
     "",
 ];
 
+const EVICT_SEEDS: &[&str] = &["oldest", "lru", "largest_first", "staleness_score", ""];
+const SIZE_SEEDS: &[&str] = &["4GiB", "512MiB", "64KiB", "100B", "4096", "0"];
+const CLI_SIZE_SEEDS: &[&str] = &["4GiB", "512MiB", "18446744073709551615", "1B"];
+const LINK_SEEDS: &[&str] = &["lan", "wan", "wan:0.5%", "wan:10"];
+const DURATION_SEEDS: &[&str] = &["16h", "2d", "0h", "100000d"];
+
 const FAULT_SEEDS: &[&str] = &[
     "seed=7,drop=0.3,corrupt=0.1",
     "crash=1,spike=0.5,degrade=0.25,hostcrash=0.2",
@@ -689,12 +601,8 @@ const WAL_DICT: &[&[u8]] = &[
 // ------------------------------------------------------------ classifiers
 
 fn corrupt_class(detail: &str, table: &[(&str, &'static str)]) -> &'static str {
-    for (needle, class) in table {
-        if detail.contains(needle) {
-            return class;
-        }
-    }
-    "err_other"
+    let hit = table.iter().find(|(needle, _)| detail.contains(needle));
+    hit.map_or("err_other", |&(_, class)| class)
 }
 
 fn run_checkpoint(input: &[u8]) -> &'static str {

@@ -4,11 +4,12 @@
 //! daemon's work queue must never run two migrations that share a host
 //! (mirroring [`Cluster`](crate::Cluster)'s admission rule that a host
 //! participates in one migration at a time). [`HostLocks::claim`]
-//! acquires *all* requested hosts atomically under one table mutex —
-//! either every host is free and the whole set is taken, or the caller
-//! blocks. All-or-nothing acquisition makes lock-ordering deadlocks
-//! structurally impossible: no thread ever holds one host of a set
-//! while waiting for another.
+//! acquires a pair of hosts (or one) atomically under one table mutex —
+//! either both are free and both are taken, or the caller blocks.
+//! All-or-nothing acquisition makes lock-ordering deadlocks
+//! structurally impossible: no thread ever holds one host of a pair
+//! while waiting for the other. A claim holds its ids inline, so taking
+//! and dropping one allocates nothing once the table has room.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -36,34 +37,46 @@ impl HostLocks {
     }
 
     /// Blocks until every host in `hosts` is free, then claims them all
-    /// atomically. Duplicate ids in the slice are allowed (a set is
-    /// claimed). Dropping the returned [`HostClaim`] releases the hosts
-    /// and wakes all waiters.
+    /// atomically. The two ids of a pair may be equal. Dropping the
+    /// returned [`HostClaim`] releases the hosts and wakes all waiters.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `hosts` names one host or a pair: a migration's
+    /// destination, or its source and destination.
     pub fn claim(&self, hosts: &[HostId]) -> HostClaim {
-        let ids: HashSet<u32> = hosts.iter().map(|h| h.as_u32()).collect();
+        self.take(hosts, true)
+            .expect("a waiting take returns a claim")
+    }
+
+    /// Claims the hosts if all are free right now; `None` otherwise.
+    /// Panics as [`HostLocks::claim`] does.
+    pub fn try_claim(&self, hosts: &[HostId]) -> Option<HostClaim> {
+        self.take(hosts, false)
+    }
+
+    /// The one claim routine: takes both ids once neither is held, or
+    /// returns `None` at once if one is and `wait` is false.
+    fn take(&self, hosts: &[HostId], wait: bool) -> Option<HostClaim> {
+        let [a, b] = match *hosts {
+            [a] => [a; 2],
+            [a, b] => [a, b],
+            _ => panic!("a host claim names one or two hosts, not {}", hosts.len()),
+        }
+        .map(HostId::as_u32);
+        let ids = [a.min(b), a.max(b)];
         // Poison-recovering locks: the held-set is a plain id set, so a
         // panicking holder of the *table mutex* cannot leave it
         // half-updated in a way release would not fix. Recovering keeps
         // the whole daemon's admission alive after one worker panic.
         let mut held = sync::lock(&self.inner.held);
-        while !held.is_disjoint(&ids) {
+        while ids.iter().any(|id| held.contains(id)) {
+            if !wait {
+                return None;
+            }
             held = sync::wait(&self.inner.freed, held);
         }
-        held.extend(ids.iter().copied());
-        HostClaim {
-            table: Arc::clone(&self.inner),
-            ids,
-        }
-    }
-
-    /// Claims the hosts if all are free right now; `None` otherwise.
-    pub fn try_claim(&self, hosts: &[HostId]) -> Option<HostClaim> {
-        let ids: HashSet<u32> = hosts.iter().map(|h| h.as_u32()).collect();
-        let mut held = sync::lock(&self.inner.held);
-        if !held.is_disjoint(&ids) {
-            return None;
-        }
-        held.extend(ids.iter().copied());
+        held.extend(ids);
         Some(HostClaim {
             table: Arc::clone(&self.inner),
             ids,
@@ -84,17 +97,22 @@ impl fmt::Debug for HostLocks {
     }
 }
 
-/// RAII claim over a set of hosts; releases on drop.
+/// RAII claim over one host or a pair; releases on drop.
 #[must_use = "dropping the claim releases the hosts"]
 pub struct HostClaim {
     table: Arc<Table>,
-    ids: HashSet<u32>,
+    /// The claimed ids, ascending; a one-host claim holds its id twice.
+    ids: [u32; 2],
 }
 
 impl fmt::Debug for HostClaim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut ids: Vec<u32> = self.ids.iter().copied().collect();
-        ids.sort_unstable();
+        let [a, b] = self.ids;
+        let ids = if a == b {
+            &self.ids[..1]
+        } else {
+            &self.ids[..]
+        };
         f.debug_struct("HostClaim").field("ids", &ids).finish()
     }
 }

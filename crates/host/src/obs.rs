@@ -62,7 +62,7 @@ impl StoreSeries {
     /// `store_bytes` gauge. A save that evicted nothing only moves the
     /// gauge.
     pub fn record_save(&self, host: &Host, outcome: &SaveOutcome) {
-        self.record_evictions(host, &outcome.evicted);
+        self.record_evictions(host, outcome.replaced.iter().chain(&outcome.evicted));
     }
 
     /// Records a host restart and its scrub findings:
@@ -84,7 +84,11 @@ impl StoreSeries {
 
     /// Counts `evicted` into `ckpt_evictions_total{policy,reason}` and
     /// refreshes the host's `store_bytes` gauge.
-    fn record_evictions(&self, host: &Host, evicted: &[EvictionRecord]) {
+    fn record_evictions<'a>(
+        &self,
+        host: &Host,
+        evicted: impl IntoIterator<Item = &'a EvictionRecord>,
+    ) {
         let policy = host.store().policy();
         let family = || {
             CounterFamily::new(

@@ -109,7 +109,9 @@ impl MigrationRequest {
     pub fn merge(
         streams: impl IntoIterator<Item = Vec<MigrationRequest>>,
     ) -> Vec<MigrationRequest> {
-        let mut all: Vec<MigrationRequest> = streams.into_iter().flatten().collect();
+        let streams: Vec<Vec<MigrationRequest>> = streams.into_iter().collect();
+        let mut all = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+        streams.into_iter().for_each(|s| all.extend(s));
         all.sort_by_key(|r| (r.at, r.vm));
         all
     }

@@ -279,9 +279,12 @@ impl Cell for HistogramCell {
 
 impl Inner {
     fn stack(&mut self) -> &mut Vec<SpanId> {
-        self.open_spans
-            .entry(std::thread::current().id())
-            .or_default()
+        thread_local! {
+            /// This thread's id, read once: `thread::current()` costs a
+            /// reference-count round trip on every call.
+            static ID: ThreadId = std::thread::current().id();
+        }
+        self.open_spans.entry(ID.with(|id| *id)).or_default()
     }
 
     fn snapshot(&self) -> MetricsSnapshot {

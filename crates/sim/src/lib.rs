@@ -96,8 +96,14 @@ pub struct Simulator<T> {
 impl<T> Simulator<T> {
     /// Creates an empty simulator at the epoch.
     pub fn new() -> Self {
+        Simulator::with_capacity(0)
+    }
+
+    /// Creates an empty simulator at the epoch with room for `events`
+    /// queued events.
+    pub fn with_capacity(events: usize) -> Self {
         Simulator {
-            queue: BinaryHeap::new(),
+            queue: BinaryHeap::with_capacity(events),
             now: SimTime::EPOCH,
             next_seq: 0,
             processed: 0,
@@ -107,11 +113,6 @@ impl<T> Simulator<T> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events waiting in the queue.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Schedules `payload` at an absolute instant.
@@ -159,28 +160,6 @@ impl<T> Simulator<T> {
         let before = self.processed;
         while let Some(ev) = self.pop() {
             handler(self, ev);
-        }
-        self.processed - before
-    }
-
-    /// Runs until the clock passes `deadline`, leaving later events queued.
-    ///
-    /// Events stamped exactly at `deadline` are processed. Returns the
-    /// number of events processed by this call.
-    pub fn run_until<F>(&mut self, deadline: SimTime, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Simulator<T>, Event<T>),
-    {
-        let before = self.processed;
-        while let Some(entry) = self.queue.peek() {
-            if entry.time > deadline {
-                break;
-            }
-            let ev = self.pop().expect("peeked entry exists");
-            handler(self, ev);
-        }
-        if self.now < deadline {
-            self.now = deadline;
         }
         self.processed - before
     }
@@ -252,28 +231,6 @@ mod tests {
         assert_eq!(seen, vec![3, 2, 1, 0]);
         assert_eq!(sim.now(), at(4));
         assert_eq!(sim.processed, 4);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim = Simulator::new();
-        for h in 1..=10 {
-            sim.schedule_at(at(h), h);
-        }
-        let mut seen = Vec::new();
-        let n = sim.run_until(at(5), |_, ev| seen.push(ev.payload));
-        assert_eq!(n, 5);
-        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-        assert_eq!(sim.pending(), 5);
-        assert_eq!(sim.now(), at(5));
-    }
-
-    #[test]
-    fn run_until_advances_clock_even_when_idle() {
-        let mut sim: Simulator<()> = Simulator::new();
-        sim.run_until(at(7), |_, _| {});
-        assert_eq!(sim.now(), at(7));
-        assert_eq!(sim.pending(), 0);
     }
 
     #[test]

@@ -119,24 +119,3 @@ fn cascades_at_now_append_in_fifo_order() {
         assert_eq!(order, expected);
     }
 }
-
-/// run_until processes exactly the events at or before the deadline.
-#[test]
-fn run_until_partitions_events() {
-    for case in 0..128 {
-        let mut rng = Xorshift::new(split(5, case));
-        let len = rng.below(100);
-        let times = draws(&mut rng, len, 200);
-        let deadline = rng.below(200);
-        let mut sim = Simulator::new();
-        for &t in &times {
-            sim.schedule_at(SimTime::EPOCH + SimDuration::from_secs(t), t);
-        }
-        let cutoff = SimTime::EPOCH + SimDuration::from_secs(deadline);
-        let mut seen = Vec::new();
-        sim.run_until(cutoff, |_, ev| seen.push(ev.payload));
-        let expected = times.iter().filter(|&&t| t <= deadline).count();
-        assert_eq!(seen.len(), expected);
-        assert_eq!(sim.pending(), times.len() - expected);
-    }
-}
