@@ -10,13 +10,13 @@
 //! [`rec`]: MigrationEngine::rec
 //! [`rec_many`]: MigrationEngine::rec_many
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use vecycle_net::{LedgerSeries, TrafficCategory, TrafficLedger};
 use vecycle_obs::{
-    layouts, BucketLayout, Counter, CounterFamily, FieldValue, Histogram, MetricsRegistry, SpanId,
+    layouts, BucketLayout, Counter, CounterFamily, Histogram, MetricsRegistry, SpanId, StrId,
 };
-use vecycle_types::{Bytes, PageCount, PageIndex};
+use vecycle_types::{sync, Bytes, PageCount, PageIndex};
 
 use super::rounds::AbortedTransfer;
 use crate::{MigrationEngine, MigrationReport, RoundReport, Strategy, StrategyName};
@@ -35,8 +35,65 @@ const DIRECTIONS: [&str; 2] = ["forward", "reverse"];
 /// The `mode` label of `engine_migrations_total`, one per driver.
 const MODES: [&str; 4] = ["static", "gang", "live", "postcopy"];
 
+/// The `class` label of a round's `page_class` spans, in `obs_round`'s
+/// order.
+const CLASSES: [&str; 5] = ["full", "checksum", "dedup_ref", "skipped", "zero"];
+
+/// Every string the engine's spans carry, as ids interned in one
+/// registry; a round number is interned on its first use.
+#[derive(Debug)]
+pub(crate) struct SpanWords {
+    /// Span names: `migration`, `round`, `page_class`.
+    names: [StrId; 3],
+    /// Label keys: `mode`, `strategy`, `class` (a round's is its name).
+    keys: [StrId; 3],
+    modes: [StrId; MODES.len()],
+    strategies: [StrId; StrategyName::LABELS.len()],
+    classes: [StrId; CLASSES.len()],
+    /// A migration span's attrs (`aborted` alone when a fault killed it).
+    migration_end: [StrId; 4],
+    /// A post-copy migration span's attrs.
+    pub(crate) postcopy_end: [StrId; 3],
+    /// A round span's two attrs, then a page class span's one.
+    round_end: [StrId; 3],
+    /// Round `n`'s label at `n - 1`, once a round `n` has been recorded.
+    numbers: Mutex<Vec<StrId>>,
+}
+
+impl SpanWords {
+    fn new(metrics: &MetricsRegistry) -> Self {
+        let id = |s| metrics.intern(s);
+        SpanWords {
+            names: ["migration", "round", "page_class"].map(id),
+            keys: ["mode", "strategy", "class"].map(id),
+            modes: MODES.map(id),
+            strategies: StrategyName::LABELS.map(id),
+            classes: CLASSES.map(id),
+            migration_end: ["rounds", "forward_bytes", "downtime_ns", "aborted"].map(id),
+            postcopy_end: [
+                "pages_from_checkpoint",
+                "pages_from_network",
+                "demand_faults",
+            ]
+            .map(id),
+            round_end: ["bytes", "sim_ns", "pages"].map(id),
+            numbers: Mutex::default(),
+        }
+    }
+
+    /// The label of round `n` (rounds count up from 1).
+    fn number(&self, metrics: &MetricsRegistry, n: u32) -> StrId {
+        let mut numbers = sync::lock(&self.numbers);
+        for next in numbers.len() + 1..=n as usize {
+            numbers.push(metrics.intern(next.to_string()));
+        }
+        numbers[n as usize - 1]
+    }
+}
+
 /// The series a migration records into, each resolved on its first
-/// record, so an engine that never migrates resolves nothing.
+/// record, and its span strings, so an engine that never migrates
+/// resolves nothing.
 /// [`MigrationEngine::with_metrics`] builds a fresh table for the new
 /// registry; clones of an engine share one.
 #[derive(Debug)]
@@ -55,6 +112,7 @@ pub(crate) struct EngineSeries {
     round_sim_millis: OnceLock<Histogram>,
     /// The net layer's `net_wire_*` series, by direction.
     ledgers: [LedgerSeries; 2],
+    words: OnceLock<SpanWords>,
 }
 
 impl EngineSeries {
@@ -93,6 +151,7 @@ impl EngineSeries {
             round_bytes: OnceLock::new(),
             round_sim_millis: OnceLock::new(),
             ledgers: DIRECTIONS.map(|d| LedgerSeries::new(metrics, d)),
+            words: OnceLock::new(),
         }
     }
 }
@@ -166,14 +225,19 @@ impl MigrationEngine {
         slot.get_or_init(|| self.metrics.resolve_histogram(name, &[], layout))
     }
 
+    /// The engine's span strings in its registry.
+    pub(crate) fn words(&self) -> &SpanWords {
+        (self.series.words).get_or_init(|| SpanWords::new(&self.metrics))
+    }
+
     /// Opens the `migration` root span and counts the attempt.
     pub(crate) fn obs_migration_start(&self, mode: &'static str, strategy: &Strategy) -> SpanId {
         let m = MODES.iter().position(|&m| m == mode).expect("a known mode");
-        self.series.migrations[m]
-            .at(strategy.name() as usize)
-            .inc(1);
-        let labels = [("mode", mode), ("strategy", strategy.name().label())];
-        self.metrics.span_start("migration", &labels)
+        let s = strategy.name() as usize;
+        self.series.migrations[m].at(s).inc(1);
+        let w = self.words();
+        let labels = [(w.keys[0], w.modes[m]), (w.keys[1], w.strategies[s])];
+        self.metrics.span_start(w.names[0], &labels)
     }
 
     /// Closes the migration span with summary attributes, feeds the
@@ -191,12 +255,13 @@ impl MigrationEngine {
             layouts::SIM_MILLIS,
         )
         .observe(report.downtime().as_nanos() / 1_000_000);
+        let [rounds, forward, downtime, _] = self.words().migration_end;
         self.metrics.span_end(
             span,
             &[
-                ("rounds", report.rounds().len() as u64),
-                ("forward_bytes", report.source_traffic().as_u64()),
-                ("downtime_ns", report.downtime().as_nanos()),
+                (rounds, report.rounds().len() as u64),
+                (forward, report.source_traffic().as_u64()),
+                (downtime, report.downtime().as_nanos()),
             ],
         );
     }
@@ -219,15 +284,13 @@ impl MigrationEngine {
         self.metrics.event(
             "engine_abort",
             &[
-                ("round", FieldValue::from(u64::from(round))),
-                (
-                    "landed_pages",
-                    FieldValue::from(wreck.landed_pages().as_u64()),
-                ),
-                ("traffic_bytes", FieldValue::from(wreck.traffic.as_u64())),
+                ("round", u64::from(round)),
+                ("landed_pages", wreck.landed_pages().as_u64()),
+                ("traffic_bytes", wreck.traffic.as_u64()),
             ],
         );
-        self.metrics.span_end(span, &[("aborted", 1)]);
+        self.metrics
+            .span_end(span, &[(self.words().migration_end[3], 1)]);
     }
 
     /// Counts a freshly drained dirty set.
@@ -243,64 +306,34 @@ impl MigrationEngine {
     /// Emits one completed round: a `round` span with one `page_class`
     /// child span per nonzero class, plus the per-round histograms.
     pub(crate) fn obs_round(&self, report: &RoundReport) {
-        let mut digits = [0; 10];
-        let round = decimal(report.round, &mut digits);
-        let span = self.metrics.span_start("round", &[("round", round)]);
-        for (class, pages) in [
-            ("full", report.full_pages),
-            ("checksum", report.checksum_pages),
-            ("dedup_ref", report.dedup_refs),
-            ("skipped", report.skipped_pages),
-            ("zero", report.zero_pages),
-        ] {
+        let (m, w) = (&self.metrics, self.words());
+        let [_, round, page_class] = w.names;
+        let span = m.span_start(round, &[(round, w.number(m, report.round))]);
+        let pages = [
+            report.full_pages,
+            report.checksum_pages,
+            report.dedup_refs,
+            report.skipped_pages,
+            report.zero_pages,
+        ];
+        for (&class, pages) in w.classes.iter().zip(pages) {
             if pages == PageCount::ZERO {
                 continue;
             }
-            let child = self.metrics.span_start("page_class", &[("class", class)]);
-            self.metrics.span_end(child, &[("pages", pages.as_u64())]);
+            let child = m.span_start(page_class, &[(w.keys[2], class)]);
+            m.span_end(child, &[(w.round_end[2], pages.as_u64())]);
         }
-        self.metrics.span_end(
-            span,
-            &[
-                ("bytes", report.bytes_sent.as_u64()),
-                ("sim_ns", report.duration.as_nanos()),
-            ],
-        );
+        let [bytes, sim_ns, _] = w.round_end;
+        let (sent, took) = (report.bytes_sent.as_u64(), report.duration.as_nanos());
+        m.span_end(span, &[(bytes, sent), (sim_ns, took)]);
         let s = &self.series;
         self.histogram(&s.round_bytes, "engine_round_bytes", layouts::BYTES)
-            .observe(report.bytes_sent.as_u64());
+            .observe(sent);
         self.histogram(
             &s.round_sim_millis,
             "engine_round_sim_millis",
             layouts::SIM_MILLIS,
         )
-        .observe(report.duration.as_nanos() / 1_000_000);
-    }
-}
-
-/// `n` in decimal, written into the end of `buf`: a span label without
-/// a `String`.
-fn decimal(mut n: u32, buf: &mut [u8; 10]) -> &str {
-    let mut start = buf.len();
-    loop {
-        start -= 1;
-        buf[start] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    std::str::from_utf8(&buf[start..]).expect("ASCII digits")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::decimal;
-
-    #[test]
-    fn decimal_matches_to_string() {
-        for n in [0, 1, 9, 10, 99, 100, 4_096, 1_000_000_007, u32::MAX] {
-            assert_eq!(decimal(n, &mut [0; 10]), n.to_string());
-        }
+        .observe(took / 1_000_000);
     }
 }

@@ -658,11 +658,15 @@ impl<'e, S: MsgSink> TransferLoop<'e, S> {
     }
 
     /// Seals a round-less transfer (post-copy): exports both ledgers to
-    /// `net_wire_*`, closes the migration span with `attrs`, and hands
+    /// `net_wire_*`, closes the migration span with `attrs` (pages from
+    /// the checkpoint, pages from the network, demand faults), and hands
     /// the forward ledger back for the caller's report.
-    pub(crate) fn finish_observed(self, attrs: &[(&str, u64)]) -> TrafficLedger {
-        self.engine.obs_ledgers(&self.forward, &self.reverse);
-        self.engine.metrics.span_end(self.span, attrs);
+    pub(crate) fn finish_observed(self, attrs: [u64; 3]) -> TrafficLedger {
+        let engine = self.engine;
+        engine.obs_ledgers(&self.forward, &self.reverse);
+        let keys = engine.words().postcopy_end;
+        let attrs = [0, 1, 2].map(|i| (keys[i], attrs[i]));
+        engine.metrics.span_end(self.span, &attrs);
         self.forward
     }
 }

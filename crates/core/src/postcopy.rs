@@ -146,11 +146,7 @@ impl MigrationEngine {
             .saturating_add(self.link().transfer_time(wire::full_page_msg()));
         let stall_time = SimDuration::from_secs_f64(per_fault.as_secs_f64() * demand_faults as f64);
 
-        let forward = tl.finish_observed(&[
-            ("pages_from_checkpoint", from_checkpoint),
-            ("pages_from_network", from_network),
-            ("demand_faults", demand_faults),
-        ]);
+        let forward = tl.finish_observed([from_checkpoint, from_network, demand_faults]);
         Ok(PostCopyReport {
             downtime,
             completion_time,

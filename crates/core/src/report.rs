@@ -38,11 +38,6 @@ impl MigrationOutcome {
         "failed",
     ];
 
-    /// True if the VM ended up running at the destination.
-    pub fn is_success(&self) -> bool {
-        !matches!(self, MigrationOutcome::Failed { .. })
-    }
-
     /// Stable snake_case label for metrics (`…{outcome=…}`).
     pub fn label(&self) -> &'static str {
         match self {
@@ -192,11 +187,6 @@ impl MigrationReport {
     /// in [`MigrationReport::total_time`].
     pub fn wasted_time(&self) -> SimDuration {
         self.wasted_time
-    }
-
-    /// End-to-end source traffic including failed attempts.
-    pub fn total_traffic_with_retries(&self) -> Bytes {
-        self.source_traffic() + self.wasted_traffic
     }
 
     /// End-to-end duration including failed attempts and backoff.

@@ -386,7 +386,6 @@ fn link_drop_retries_and_resumes_from_landed_pages() {
     assert_eq!(vm.location(), HostId::new(0));
     assert!(r.wasted_traffic() > Bytes::ZERO);
     assert!(r.wasted_time() > SimDuration::ZERO);
-    assert!(r.total_traffic_with_retries() > r.source_traffic());
     assert_eq!(events.len(), 3, "{events:?}");
     assert!(matches!(events[0], SessionEvent::AttemptAborted { .. }));
     assert!(matches!(events[1], SessionEvent::RetryScheduled { .. }));
@@ -458,7 +457,6 @@ fn exhausted_retries_leave_the_vm_at_the_source() {
         )
         .unwrap();
     assert!(matches!(r.outcome(), MigrationOutcome::Failed { .. }));
-    assert!(!r.outcome().is_success());
     assert_eq!(vm.location(), HostId::new(0), "VM must stay at the source");
     assert_eq!(r.source_traffic(), Bytes::ZERO);
     assert!(r.wasted_traffic() > Bytes::ZERO);

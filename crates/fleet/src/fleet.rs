@@ -199,7 +199,7 @@ impl Fleet {
         let session = VeCycleSession::new(cluster.clone());
         let series = FleetSeries::new(session.metrics());
         let mut vms = Vec::with_capacity(spec.vms as usize);
-        let mut streams = Vec::with_capacity(spec.vms as usize);
+        let mut requests = Vec::with_capacity(spec.vms as usize * spec.requests_per_vm as usize);
         for i in 0..spec.vms {
             let vm_id = VmId::new(i);
             let vm_seed = split(spec.seed, u64::from(i));
@@ -252,7 +252,7 @@ impl Fleet {
                 }
             }
 
-            streams.push(MigrationRequest::small_host_set_stream(
+            requests.extend(MigrationRequest::small_host_set_stream(
                 vm_id,
                 spec.mean_interval,
                 spec.requests_per_vm,
@@ -268,7 +268,7 @@ impl Fleet {
                 busy: false,
             });
         }
-        let requests = MigrationRequest::merge(streams);
+        MigrationRequest::merge(&mut requests);
         let rng = Xorshift::new(split(spec.seed, u64::from(u32::MAX)));
         Ok(Fleet {
             spec,
@@ -295,7 +295,8 @@ impl Fleet {
             requests.iter().all(|r| r.vm.as_usize() < self.vms.len()),
             "request stream names a VM outside the fleet"
         );
-        self.requests = MigrationRequest::merge([requests]);
+        self.requests = requests;
+        MigrationRequest::merge(&mut self.requests);
         self
     }
 

@@ -298,25 +298,29 @@ fn a_steady_state_ping_pong_leg_makes_no_fresh_page_buffer() {
 }
 
 /// A `fleet_aware` benchmark op — `Fleet::new` + `run` of 128 hosts ×
-/// 1 280 VMs, checkpoint-aware placement, seed 7 — makes at most 5.39
-/// allocations a placement: 4.89 measured plus a margin of half a
+/// 1 280 VMs, checkpoint-aware placement, seed 7 — makes at most 5.06
+/// allocations a placement: 4.56 measured plus a margin of half a
 /// request, so that one allocation a placement put back fails it. A
 /// placement keeps its checkpoint (the `Arc` and its digest table) and
 /// its one round report; the rest are the fleet's guests and tables,
-/// the catalogs' growth and the timeline's. Every per-migration metric
-/// records through a resolved handle, the journal's labels are
-/// `&'static str`, a host claim holds its ids inline, and a warm leg
-/// refills the session's one index and the engine's one dedup table.
-/// An owned label `String` a placement fails this, and so does a series
-/// put back on the string-keyed path or a fresh index a warm leg.
+/// its one request stream, the catalogs' growth and the timeline's
+/// segments. Every per-migration metric and span records through
+/// resolved handles and ids, the journal's labels are `&'static str`, a
+/// host claim holds its ids inline, and a warm leg refills the session's
+/// one index and the engine's one dedup table. An owned label `String`
+/// a placement fails this, and so does a series put back on the
+/// string-keyed path or a fresh index a warm leg. The op requests at
+/// most 1 850 bytes a placement (1 772 measured): timeline arenas that
+/// copy as they double, as a `Vec` does, request ≈ 2 250.
 #[test]
-fn a_fleet_aware_op_stays_within_5_39_allocations_a_placement() {
+fn a_fleet_aware_op_stays_within_5_06_allocations_a_placement() {
     let spec = FleetSpec::new(128, 1280)
         .with_placement(PlacementMode::CheckpointAware)
         .with_seed(7);
     let (report, stats) = metered(|| Fleet::new(spec).unwrap().run().unwrap());
     assert_eq!(report.migrations, 3_840);
-    assert!(stats.calls * 100 <= 539 * report.migrations, "{stats:?}");
+    assert!(stats.calls * 100 <= 506 * report.migrations, "{stats:?}");
+    assert!(stats.requested <= 1_850 * report.migrations, "{stats:?}");
 }
 
 /// Taking and dropping a host claim asks the allocator for nothing once
@@ -483,26 +487,27 @@ fn records_through_resolved_handles_allocate_nothing() {
     assert_eq!(m.counter("engine_wire_bytes_total", &wire), 10_000 * 4096);
 }
 
-/// Spans over strings the registry has already seen store interned ids,
-/// so 1 000 start/end pairs request only the amortised growth of the
-/// timeline's arenas — never a string or a per-span label list.
+/// Spans over interned strings store their ids, so 1 000 start/end
+/// pairs request only the timeline's arenas — never a string or a
+/// per-span label list — and the arenas grow without copying.
 #[test]
 fn spans_over_seen_strings_request_only_arena_growth() {
     let m = MetricsRegistry::new();
+    let [round, one, bytes, sim_ns] = ["round", "1", "bytes", "sim_ns"].map(|s| m.intern(s));
     let pair = || {
-        let span = m.span_start("round", &[("round", "1")]);
-        m.span_end(span, &[("bytes", 131_072), ("sim_ns", 1_000)]);
+        let span = m.span_start(round, &[(round, one)]);
+        m.span_end(span, &[(bytes, 131_072), (sim_ns, 1_000)]);
     };
     pair();
     let ((), stats) = metered(|| (0..1_000).for_each(|_| pair()));
-    // The bound is arena growth and nothing else. A pair appends two
-    // 32-byte timeline entries, one 8-byte label pair and two 16-byte
-    // attrs. A `Vec` that has doubled its way to capacity C has requested
-    // under 2·C elements in all, and after 1 001 pairs the three arenas
-    // sit at capacities 2 048, 1 024 and 2 048. (The owned-string
-    // timeline this replaced requested 428 336 bytes here.)
-    let growth = 2 * (2_048 * 32 + 1_024 * 8 + 2_048 * 16);
-    assert!(stats.requested < growth, "{stats:?}");
+    // A pair appends two 32-byte timeline entries, one 8-byte label pair
+    // and two 16-byte attrs: after 1 001 pairs the arenas hold 104 104
+    // bytes. Grown in segments, they request at most that plus one
+    // segment, the largest: 1 024 entries. (Arenas that double as a `Vec`
+    // does request 212 544 bytes here; the owned-string timeline before
+    // them requested 428 336.)
+    let held = 2_002 * 32 + 1_001 * 8 + 2_002 * 16;
+    assert!(stats.requested <= held + 1_024 * 32, "{stats:?}");
 }
 
 /// One cold `full` job of `ram_mib` through the daemon's data plane, on

@@ -8,9 +8,9 @@
 //! what [`MigrationRequest::vdi`] and [`MigrationRequest::ping_pong`]
 //! return, and what `VeCycleSession::run_schedule` and
 //! `Fleet::with_request_stream` both consume. Unpinned requests leave
-//! the destination to a placement engine. Many per-VM streams compose
-//! through a deterministic merge whose tie-break is documented on
-//! [`MigrationRequest::merge`].
+//! the destination to a placement engine. Many per-VM streams compose,
+//! appended into one `Vec`, through a deterministic sort whose
+//! tie-break is documented on [`MigrationRequest::merge`].
 
 use vecycle_types::rng::Xorshift;
 use vecycle_types::{HostId, SimDuration, SimTime, VmId};
@@ -100,24 +100,20 @@ impl MigrationRequest {
             .collect()
     }
 
-    /// Merges many per-VM request streams into one, sorted by the
-    /// documented fleet tie-break **`(at, VmId)`**: earlier requests
-    /// first, and among requests stamped at the same instant the lower
-    /// `VmId` goes first. Requests of the *same* VM at the same instant
-    /// keep their input order (the sort is stable), so a generator that
-    /// emits duplicates stays deterministic too.
-    pub fn merge(
-        streams: impl IntoIterator<Item = Vec<MigrationRequest>>,
-    ) -> Vec<MigrationRequest> {
-        let streams: Vec<Vec<MigrationRequest>> = streams.into_iter().collect();
-        let mut all = Vec::with_capacity(streams.iter().map(Vec::len).sum());
-        streams.into_iter().for_each(|s| all.extend(s));
-        all.sort_by_key(|r| (r.at, r.vm));
-        all
+    /// Merges per-VM request streams, appended one after another into
+    /// `requests`, in place, into the documented fleet tie-break
+    /// **`(at, VmId)`**: earlier requests first, and among requests
+    /// stamped at the same instant the lower `VmId` goes first. Requests
+    /// of the *same* VM at the same instant keep their input order (the
+    /// sort is stable), so a generator that emits duplicates stays
+    /// deterministic too.
+    pub fn merge(requests: &mut [MigrationRequest]) {
+        requests.sort_by_key(|r| (r.at, r.vm));
     }
 
     /// The IBM-study request generator: `count` requests at jittered
-    /// intervals around `mean_interval`, starting after the epoch. The
+    /// intervals around `mean_interval`, starting after the epoch, for
+    /// the caller to append to its stream. The
     /// destination is left open for the placement engine; each request's
     /// deadline is `at + deadline_slack` when given.
     ///
@@ -133,20 +129,18 @@ impl MigrationRequest {
         count: u64,
         seed: u64,
         deadline_slack: Option<SimDuration>,
-    ) -> Vec<MigrationRequest> {
+    ) -> impl Iterator<Item = MigrationRequest> {
         assert!(count > 0, "need at least one request");
         let mut draw = Xorshift::new(seed);
         let mut at = SimTime::EPOCH;
-        (0..count)
-            .map(|_| {
-                let jitter = 0.5 + draw.unit_f64();
-                at += SimDuration::from_secs_f64(mean_interval.as_secs_f64() * jitter);
-                MigrationRequest {
-                    deadline: deadline_slack.map(|s| at + s),
-                    ..MigrationRequest::open(at, vm)
-                }
-            })
-            .collect()
+        (0..count).map(move |_| {
+            let jitter = 0.5 + draw.unit_f64();
+            at += SimDuration::from_secs_f64(mean_interval.as_secs_f64() * jitter);
+            MigrationRequest {
+                deadline: deadline_slack.map(|s| at + s),
+                ..MigrationRequest::open(at, vm)
+            }
+        })
     }
 }
 
@@ -210,11 +204,13 @@ mod tests {
                 seed,
                 Some(SimDuration::from_mins(30)),
             )
+            .collect::<Vec<_>>()
         };
         let (a, b) = (mk(7, 1), mk(3, 1));
         // Identical seeds give identical instants: every pair ties on
         // `at`, so VmId 3 must always precede VmId 7.
-        let merged = MigrationRequest::merge([a.clone(), b]);
+        let mut merged = [a.clone(), b].concat();
+        MigrationRequest::merge(&mut merged);
         assert_eq!(merged.len(), 16);
         for pair in merged.chunks(2) {
             assert_eq!(pair[0].at, pair[1].at);

@@ -34,42 +34,27 @@ impl Touched {
     }
 }
 
+/// A counter's value, or a gauge's `f64` bits.
 #[derive(Debug, Default)]
-pub(crate) struct CounterCell {
+pub(crate) struct ScalarCell {
     value: AtomicU64,
     touched: Touched,
 }
 
-impl CounterCell {
+impl ScalarCell {
     pub(crate) fn add(&self, by: u64) {
         self.value.fetch_add(by, Relaxed);
         self.touched.mark();
     }
 
-    pub(crate) fn value(&self) -> u64 {
-        self.value.load(Relaxed)
-    }
-
-    pub(crate) fn touched(&self) -> bool {
-        self.touched.get()
-    }
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct GaugeCell {
-    /// The `f64`'s bits.
-    bits: AtomicU64,
-    touched: Touched,
-}
-
-impl GaugeCell {
+    /// Stores a gauge's value.
     pub(crate) fn set(&self, value: f64) {
-        self.bits.store(value.to_bits(), Relaxed);
+        self.value.store(value.to_bits(), Relaxed);
         self.touched.mark();
     }
 
-    pub(crate) fn value(&self) -> f64 {
-        f64::from_bits(self.bits.load(Relaxed))
+    pub(crate) fn value(&self) -> u64 {
+        self.value.load(Relaxed)
     }
 
     pub(crate) fn touched(&self) -> bool {
@@ -124,7 +109,7 @@ impl HistogramCell {
 
 /// A resolved counter series. Clones share the series.
 #[derive(Debug, Clone)]
-pub struct Counter(pub(crate) Arc<CounterCell>);
+pub struct Counter(pub(crate) Arc<ScalarCell>);
 
 impl Counter {
     /// Adds `by` to the counter (0 still makes the series visible).
@@ -141,7 +126,7 @@ impl Counter {
 /// A resolved gauge series. Clones share the series; the last `set`
 /// wins.
 #[derive(Debug, Clone)]
-pub struct Gauge(pub(crate) Arc<GaugeCell>);
+pub struct Gauge(pub(crate) Arc<ScalarCell>);
 
 impl Gauge {
     /// Sets the gauge to `value` (must be finite).

@@ -35,18 +35,23 @@ pub(crate) fn push_f64(out: &mut String, value: f64) {
     let _ = write!(out, "{value}");
 }
 
-/// Appends a `{"k": "v", ...}` object from already-sorted label pairs.
-pub(crate) fn push_label_object(out: &mut String, labels: &[(String, String)]) {
+/// Appends a `{"k": v, ...}` object, each value written by `value`.
+pub(crate) fn push_object<V>(out: &mut String, pairs: &[(String, V)], value: fn(&mut String, &V)) {
     out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
+    for (i, (k, v)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
         push_str_literal(out, k);
         out.push_str(": ");
-        push_str_literal(out, v);
+        value(out, v);
     }
     out.push('}');
+}
+
+/// Appends a `{"k": "v", ...}` object from already-sorted label pairs.
+pub(crate) fn push_label_object(out: &mut String, labels: &[(String, String)]) {
+    push_object(out, labels, |out, v| push_str_literal(out, v));
 }
 
 #[cfg(test)]

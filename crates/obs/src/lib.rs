@@ -21,7 +21,8 @@
 //! [`Gauge`], [`Histogram`], or a [`CounterFamily`] over a label's
 //! known values) and records without the registry's lock; one-off sites
 //! use the string-keyed [`MetricsRegistry::inc`] and friends (a lookup
-//! by an owned key on every call). Both feed the same series.
+//! by an owned key on every call). Both feed the same series. Spans
+//! take [`StrId`]s a caller interned once ([`MetricsRegistry::intern`]).
 //!
 //! Three export surfaces hang off [`MetricsSnapshot`]:
 //! [`MetricsSnapshot::to_canonical_json`] (byte-stable, golden-test
@@ -38,7 +39,7 @@ mod registry;
 mod snapshot;
 
 pub use handle::{Counter, CounterFamily, Gauge, Histogram};
-pub use registry::{BucketLayout, FieldValue, MetricsRegistry, SpanId};
+pub use registry::{BucketLayout, MetricsRegistry, SpanId, StrId};
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, TimelineEntry};
 
 /// Fixed bucket layouts, shared by every instrumented crate so series

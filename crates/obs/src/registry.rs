@@ -3,13 +3,14 @@
 //! Each series is a cell (see [`crate::handle`]) in a map keyed by
 //! `(name, sorted labels)`. A hot call site resolves a handle to its
 //! cell once and records without the lock, allocating nothing; a
-//! string-keyed call is a plain lookup: it builds an owned
-//! [`SeriesKey`], finds the cell under the lock and records into it as
-//! a handle would. The timeline stores interned string ids instead of
-//! owned strings; [`TimelineEntry`] values are built only in
+//! string-keyed call builds an owned [`SeriesKey`], resolves the cell
+//! under the lock and records into it as a handle would. Spans take
+//! interned [`StrId`]s, which the timeline stores in arenas that grow
+//! without copying; [`TimelineEntry`] values are built only in
 //! [`MetricsRegistry::snapshot`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::num::NonZeroU64;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -17,7 +18,7 @@ use std::thread::ThreadId;
 
 use vecycle_types::sync;
 
-use crate::handle::{Counter, CounterCell, Gauge, GaugeCell, Histogram, HistogramCell};
+use crate::handle::{Counter, Gauge, Histogram, HistogramCell, ScalarCell};
 use crate::snapshot::{
     CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, TimelineEntry,
 };
@@ -41,73 +42,11 @@ pub struct BucketLayout {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
-impl std::fmt::Display for SpanId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// A typed field value attached to a timeline event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue {
-    /// Unsigned integer (counts, bytes, rounds).
-    U64(u64),
-    /// Finite float (ratios, simulated seconds).
-    F64(f64),
-    /// Free-form string (strategy names, outcomes).
-    Str(String),
-    /// Boolean flag.
-    Bool(bool),
-}
-
-impl From<u64> for FieldValue {
-    fn from(v: u64) -> Self {
-        FieldValue::U64(v)
-    }
-}
-
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::F64(v)
-    }
-}
-
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_string())
-    }
-}
-
-impl From<String> for FieldValue {
-    fn from(v: String) -> Self {
-        FieldValue::Str(v)
-    }
-}
-
-impl From<bool> for FieldValue {
-    fn from(v: bool) -> Self {
-        FieldValue::Bool(v)
-    }
-}
-
-/// Label pairs a caller passes, sorted — as given when they already
-/// are, else in a stack buffer (the heap only past four pairs) — the
-/// order a span's label list is stored in, as a series key's is.
-fn with_sorted<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
-    if labels.is_sorted() {
-        f(labels)
-    } else if labels.len() <= 4 {
-        let mut buf = [("", ""); 4];
-        let buf = &mut buf[..labels.len()];
-        buf.copy_from_slice(labels);
-        buf.sort_unstable();
-        f(buf)
-    } else {
-        let mut buf = labels.to_vec();
-        buf.sort_unstable();
-        f(&buf)
-    }
-}
+/// A span name, label key, label value or attr key, interned in one
+/// registry's timeline by [`MetricsRegistry::intern`]. It means nothing
+/// to any other registry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StrId(u32);
 
 /// `(metric name, sorted label pairs)` — the series key.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -117,7 +56,7 @@ pub(crate) struct SeriesKey {
 }
 
 impl SeriesKey {
-    fn new(name: &str, labels: &[(&str, &str)]) -> Self {
+    pub(crate) fn new(name: &str, labels: &[(&str, &str)]) -> Self {
         let mut labels: Vec<_> = (labels.iter())
             .map(|&(k, v)| (k.to_string(), v.to_string()))
             .collect();
@@ -134,7 +73,7 @@ enum Entry {
     Start {
         id: SpanId,
         parent: Option<NonZeroU64>,
-        name: u32,
+        name: StrId,
         labels: Range<u32>,
     },
     End {
@@ -145,92 +84,129 @@ enum Entry {
     Event(Box<TimelineEntry>),
 }
 
-/// The span/event timeline in interned form: every span name, label
-/// key, label value and attr key is stored once per registry.
-#[derive(Debug, Default)]
-struct Timeline {
-    /// Each distinct string and its id (ids count up from 0).
-    strings: HashMap<Box<str>, u32>,
-    /// Sorted `(key, value)` label ids of every span start.
-    labels: Vec<(u32, u32)>,
-    /// `(key id, value)` attrs of every span end.
-    attrs: Vec<(u32, u64)>,
-    entries: Vec<Entry>,
+/// Elements in an [`Arena`]'s first segment: a small `Vec`'s first room.
+const FIRST: usize = 4;
+
+/// An append-only list grown by segments it never copies: segment 0
+/// holds [`FIRST`] elements and each later one as many as all before it,
+/// so it requests what it holds plus at most its last segment.
+#[derive(Debug)]
+struct Arena<T> {
+    head: Vec<T>,
+    /// Segments 1.., in a list made (with one slot) once `head` is full.
+    tail: Vec<Vec<T>>,
 }
 
-/// `from..to` as stored in an [`Entry`].
-fn arena_range(from: usize, to: usize) -> Range<u32> {
-    let narrow = |i| u32::try_from(i).expect("under 2^32 arena slots");
-    narrow(from)..narrow(to)
+impl<T> Default for Arena<T> {
+    fn default() -> Self {
+        Arena {
+            head: Vec::new(),
+            tail: Vec::new(),
+        }
+    }
+}
+
+/// The segment element `i` lives in, and its offset there.
+fn locate(i: usize) -> (usize, usize) {
+    match (i / FIRST).checked_ilog2() {
+        None => (0, i),
+        Some(k) => (k as usize + 1, i - (FIRST << k)),
+    }
+}
+
+impl<T> Arena<T> {
+    fn len(&self) -> usize {
+        // Every segment but the last is full: segments 0..k hold
+        // `FIRST << (k - 1)` elements.
+        let full = |last: &Vec<T>| (FIRST << (self.tail.len() - 1)) + last.len();
+        self.tail.last().map_or(self.head.len(), full)
+    }
+
+    fn push(&mut self, x: T) {
+        let (seg, _) = locate(self.len());
+        if seg > self.tail.len() {
+            if self.tail.len() == self.tail.capacity() {
+                self.tail.reserve_exact(self.tail.len().max(1));
+            }
+            self.tail.push(Vec::with_capacity(FIRST << (seg - 1)));
+        }
+        match seg {
+            0 => self.head.push(x),
+            _ => self.tail[seg - 1].push(x),
+        }
+    }
+
+    fn get(&self, i: usize) -> &T {
+        match locate(i) {
+            (0, at) => &self.head[at],
+            (seg, at) => &self.tail[seg - 1][at],
+        }
+    }
+
+    /// Appends `xs`; returns where they landed, as an [`Entry`] holds it.
+    fn extend(&mut self, xs: &[T]) -> Range<u32>
+    where
+        T: Copy,
+    {
+        let from = self.len();
+        xs.iter().for_each(|&x| self.push(x));
+        let narrow = |i| u32::try_from(i).expect("under 2^32 arena slots");
+        narrow(from)..narrow(self.len())
+    }
+
+    fn range(&self, r: &Range<u32>) -> impl Iterator<Item = &T> {
+        (r.start as usize..r.end as usize).map(|i| self.get(i))
+    }
+}
+
+/// The span/event timeline: interned strings, and arenas of their ids.
+#[derive(Debug, Default)]
+struct Timeline {
+    /// Each distinct string, at its id: a `&'static str` is kept as
+    /// given. Searched only when a caller interns, never when it records.
+    strings: Vec<Cow<'static, str>>,
+    /// `(key, value)` label ids of every span start, as given.
+    labels: Arena<(StrId, StrId)>,
+    /// `(key id, value)` attrs of every span end.
+    attrs: Arena<(StrId, u64)>,
+    entries: Arena<Entry>,
 }
 
 impl Timeline {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.strings.get(s) {
-            return id;
-        }
-        let id = u32::try_from(self.strings.len()).expect("under 2^32 distinct span strings");
-        self.strings.insert(s.into(), id);
-        id
-    }
-
-    fn start(&mut self, id: SpanId, parent: Option<SpanId>, name: &str, labels: &[(&str, &str)]) {
-        let name = self.intern(name);
-        let from = self.labels.len();
-        for &(k, v) in labels {
-            let pair = (self.intern(k), self.intern(v));
-            self.labels.push(pair);
-        }
-        let labels = arena_range(from, self.labels.len());
-        let parent = parent.map(|p| NonZeroU64::new(p.0).expect("span ids start at 1"));
-        self.entries.push(Entry::Start {
-            id,
-            parent,
-            name,
-            labels,
+    fn intern(&mut self, s: Cow<'static, str>) -> StrId {
+        let found = self.strings.iter().position(|t| *t == s);
+        let at = found.unwrap_or_else(|| {
+            self.strings.push(s);
+            self.strings.len() - 1
         });
+        StrId(u32::try_from(at).expect("under 2^32 distinct span strings"))
     }
 
-    fn end(&mut self, id: SpanId, attrs: &[(&str, u64)]) {
-        let from = self.attrs.len();
-        for &(k, v) in attrs {
-            let k = self.intern(k);
-            self.attrs.push((k, v));
-        }
-        let attrs = arena_range(from, self.attrs.len());
-        self.entries.push(Entry::End { id, attrs });
-    }
-
-    /// The timeline as it exports: owned strings, record order.
+    /// The timeline as it exports: owned strings, labels sorted.
     fn materialise(&self) -> Vec<TimelineEntry> {
-        let mut by_id = vec![""; self.strings.len()];
-        for (s, &id) in &self.strings {
-            by_id[id as usize] = s;
-        }
-        let s = |id: u32| by_id[id as usize].to_string();
-        self.entries
-            .iter()
-            .map(|e| match e {
+        let s = |id: StrId| self.strings[id.0 as usize].to_string();
+        (0..self.entries.len())
+            .map(|i| match self.entries.get(i) {
                 Entry::Start {
                     id,
                     parent,
                     name,
                     labels,
-                } => TimelineEntry::SpanStart {
-                    id: *id,
-                    parent: parent.map(|p| SpanId(p.get())),
-                    name: s(*name),
-                    labels: self.labels[labels.start as usize..labels.end as usize]
-                        .iter()
+                } => {
+                    let mut labels: Vec<_> = (self.labels.range(labels))
                         .map(|&(k, v)| (s(k), s(v)))
-                        .collect(),
-                },
+                        .collect();
+                    labels.sort_unstable();
+                    TimelineEntry::SpanStart {
+                        id: *id,
+                        parent: parent.map(|p| SpanId(p.get())),
+                        name: s(*name),
+                        labels,
+                    }
+                }
                 Entry::End { id, attrs } => TimelineEntry::SpanEnd {
                     id: *id,
-                    attrs: self.attrs[attrs.start as usize..attrs.end as usize]
-                        .iter()
-                        .map(|&(k, v)| (s(k), v))
-                        .collect(),
+                    attrs: self.attrs.range(attrs).map(|&(k, v)| (s(k), v)).collect(),
                 },
                 Entry::Event(event) => (**event).clone(),
             })
@@ -238,53 +214,52 @@ impl Timeline {
     }
 }
 
+/// The calling thread's id, read once: `thread::current()` costs a
+/// reference-count round trip on every call.
+fn this_thread() -> ThreadId {
+    thread_local! {
+        static ID: ThreadId = std::thread::current().id();
+    }
+    ID.with(|id| *id)
+}
+
 /// Series maps hold the cells handles share; a cell nothing has
 /// recorded into yet (only resolved) is skipped by every reader.
 #[derive(Debug, Default)]
 struct Inner {
-    counters: BTreeMap<SeriesKey, Arc<CounterCell>>,
-    gauges: BTreeMap<SeriesKey, Arc<GaugeCell>>,
-    histograms: BTreeMap<SeriesKey, Arc<HistogramCell>>,
+    counters: Map<ScalarCell>,
+    gauges: Map<ScalarCell>,
+    histograms: Map<HistogramCell>,
     timeline: Timeline,
-    /// Open-span stacks, one per driving thread. Span nesting is a
-    /// property of a single control flow; concurrent sessions sharing
-    /// one registry must not see each other's stacks (their counters
-    /// commute, but their spans interleave).
-    open_spans: HashMap<ThreadId, Vec<SpanId>>,
+    /// Every thread's open spans in opening order: a thread's stack is its
+    /// entries, found by comparing ids, so concurrent sessions sharing one
+    /// registry keep apart stacks. A thread whose spans closed has none.
+    open_spans: Vec<(ThreadId, SpanId)>,
     next_span: u64,
 }
 
-/// A series cell, and the map of [`Inner`] that holds its kind.
-trait Cell: Sized {
-    fn map(inner: &mut Inner) -> &mut BTreeMap<SeriesKey, Arc<Self>>;
+/// One kind's series cells.
+type Map<C> = BTreeMap<SeriesKey, Arc<C>>;
+
+/// The counter or gauge cell of series `key`, made if it has none yet.
+fn scalar(map: &mut Map<ScalarCell>, key: SeriesKey) -> &Arc<ScalarCell> {
+    map.entry(key).or_default()
 }
 
-impl Cell for CounterCell {
-    fn map(inner: &mut Inner) -> &mut BTreeMap<SeriesKey, Arc<Self>> {
-        &mut inner.counters
-    }
-}
-
-impl Cell for GaugeCell {
-    fn map(inner: &mut Inner) -> &mut BTreeMap<SeriesKey, Arc<Self>> {
-        &mut inner.gauges
-    }
-}
-
-impl Cell for HistogramCell {
-    fn map(inner: &mut Inner) -> &mut BTreeMap<SeriesKey, Arc<Self>> {
-        &mut inner.histograms
-    }
+/// The histogram cell of series `key`, made with `layout` if new.
+fn histogram(inner: &mut Inner, key: SeriesKey, layout: BucketLayout) -> &Arc<HistogramCell> {
+    let map = inner.histograms.entry(key);
+    let h = map.or_insert_with(|| Arc::new(HistogramCell::new(layout)));
+    debug_assert_eq!(h.layout, layout, "a histogram with two layouts");
+    h
 }
 
 impl Inner {
-    fn stack(&mut self) -> &mut Vec<SpanId> {
-        thread_local! {
-            /// This thread's id, read once: `thread::current()` costs a
-            /// reference-count round trip on every call.
-            static ID: ThreadId = std::thread::current().id();
-        }
-        self.open_spans.entry(ID.with(|id| *id)).or_default()
+    /// Where the calling thread's innermost open span sits in
+    /// `open_spans`.
+    fn innermost(&self) -> Option<usize> {
+        let me = this_thread();
+        self.open_spans.iter().rposition(|&(t, _)| t == me)
     }
 
     fn snapshot(&self) -> MetricsSnapshot {
@@ -302,7 +277,7 @@ impl Inner {
                 .map(|(k, g)| GaugeSample {
                     name: k.name.clone(),
                     labels: k.labels.clone(),
-                    value: g.value(),
+                    value: f64::from_bits(g.value()),
                 })
                 .collect(),
             histograms: (self.histograms.iter())
@@ -341,45 +316,20 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Applies `f` to the cell of the series `name{labels}`, creating
-    /// the cell with `init` if the series has none yet.
-    fn with_cell<C: Cell, R>(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        init: impl FnOnce() -> C,
-        f: impl FnOnce(&Arc<C>) -> R,
-    ) -> R {
-        let key = SeriesKey::new(name, labels);
-        let mut inner = sync::lock(&self.inner);
-        f(C::map(&mut inner)
-            .entry(key)
-            .or_insert_with(|| Arc::new(init())))
-    }
-
-    fn with_histogram<R>(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        layout: BucketLayout,
-        f: impl FnOnce(&Arc<HistogramCell>) -> R,
-    ) -> R {
-        let init = || HistogramCell::new(layout);
-        self.with_cell(name, labels, init, |h| {
-            debug_assert_eq!(h.layout, layout, "histogram {name} with two layouts");
-            f(h)
-        })
-    }
-
     /// The counter `name{labels}` as a handle. The series becomes
     /// visible on the first record, through the handle or [`Self::inc`].
     pub fn resolve_counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        Counter(self.with_cell(name, labels, CounterCell::default, Arc::clone))
+        let key = SeriesKey::new(name, labels);
+        Counter(Arc::clone(scalar(
+            &mut sync::lock(&self.inner).counters,
+            key,
+        )))
     }
 
     /// The gauge `name{labels}` as a handle; visible once set.
     pub fn resolve_gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        Gauge(self.with_cell(name, labels, GaugeCell::default, Arc::clone))
+        let key = SeriesKey::new(name, labels);
+        Gauge(Arc::clone(scalar(&mut sync::lock(&self.inner).gauges, key)))
     }
 
     /// The histogram `name{labels}` with bucket `layout` as a handle;
@@ -390,67 +340,85 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         layout: BucketLayout,
     ) -> Histogram {
-        Histogram(self.with_histogram(name, labels, layout, Arc::clone))
+        let key = SeriesKey::new(name, labels);
+        Histogram(Arc::clone(histogram(
+            &mut sync::lock(&self.inner),
+            key,
+            layout,
+        )))
     }
 
     /// Adds `by` to the counter `name{labels}`.
     pub fn inc(&self, name: &str, labels: &[(&str, &str)], by: u64) {
-        self.with_cell(name, labels, CounterCell::default, |c| c.add(by));
+        let key = SeriesKey::new(name, labels);
+        scalar(&mut sync::lock(&self.inner).counters, key).add(by);
     }
 
     /// Sets the gauge `name{labels}` to `value` (must be finite).
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         debug_assert!(value.is_finite(), "gauge {name} set to non-finite {value}");
-        self.with_cell(name, labels, GaugeCell::default, |g| g.set(value));
+        let key = SeriesKey::new(name, labels);
+        scalar(&mut sync::lock(&self.inner).gauges, key).set(value);
     }
 
     /// Records `value` into the histogram `name{labels}` with the given
     /// fixed bucket `layout`. Every observation of a series must use
     /// the same layout.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], layout: BucketLayout, value: u64) {
-        self.with_histogram(name, labels, layout, |h| h.observe(value));
+        let key = SeriesKey::new(name, labels);
+        histogram(&mut sync::lock(&self.inner), key, layout).observe(value);
     }
 
-    /// Opens a span as a child of the innermost open span. Returns the
-    /// id to pass to [`MetricsRegistry::span_end`].
-    pub fn span_start(&self, name: &str, labels: &[(&str, &str)]) -> SpanId {
-        with_sorted(labels, |labels| {
-            let mut inner = sync::lock(&self.inner);
-            inner.next_span += 1;
-            let id = SpanId(inner.next_span);
-            let stack = inner.stack();
-            let parent = stack.last().copied();
-            stack.push(id);
-            inner.timeline.start(id, parent, name, labels);
-            id
-        })
+    /// `s`'s id in this registry's timeline, the same for every call
+    /// with the same text. Resolve span names, label keys and values and
+    /// attr keys once, as series handles are, and record through the ids.
+    pub fn intern(&self, s: impl Into<Cow<'static, str>>) -> StrId {
+        sync::lock(&self.inner).timeline.intern(s.into())
+    }
+
+    /// Opens a span as a child of the calling thread's innermost open
+    /// span; its labels export sorted. Returns the id to pass to
+    /// [`MetricsRegistry::span_end`].
+    pub fn span_start(&self, name: StrId, labels: &[(StrId, StrId)]) -> SpanId {
+        let mut inner = sync::lock(&self.inner);
+        inner.next_span += 1;
+        let id = SpanId(inner.next_span);
+        let parent = inner.innermost().map(|at| inner.open_spans[at].1);
+        inner.open_spans.push((this_thread(), id));
+        let labels = inner.timeline.labels.extend(labels);
+        let parent = parent.map(|p| NonZeroU64::new(p.0).expect("span ids start at 1"));
+        inner.timeline.entries.push(Entry::Start {
+            id,
+            parent,
+            name,
+            labels,
+        });
+        id
     }
 
     /// Closes span `id`, attaching final attributes (simulated
     /// durations, byte counts — never wall-clock readings). Spans must
     /// close innermost-first on their own thread.
-    pub fn span_end(&self, id: SpanId, attrs: &[(&str, u64)]) {
+    pub fn span_end(&self, id: SpanId, attrs: &[(StrId, u64)]) {
         let mut inner = sync::lock(&self.inner);
-        let top = inner.stack().pop();
+        let top = inner.innermost().map(|at| inner.open_spans.remove(at).1);
         debug_assert_eq!(top, Some(id), "span_end out of order");
-        inner.timeline.end(id, attrs);
+        let attrs = inner.timeline.attrs.extend(attrs);
+        inner.timeline.entries.push(Entry::End { id, attrs });
     }
 
     /// Records a point event inside the innermost open span of the
     /// calling thread.
-    pub fn event(&self, name: &str, fields: &[(&str, FieldValue)]) {
+    pub fn event(&self, name: &str, fields: &[(&str, u64)]) {
         let mut inner = sync::lock(&self.inner);
-        let span = inner.stack().last().copied();
+        let span = inner.innermost().map(|at| inner.open_spans[at].1);
         inner
             .timeline
             .entries
             .push(Entry::Event(Box::new(TimelineEntry::Event {
                 span,
                 name: name.to_string(),
-                fields: fields
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
+                fields: fields.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
             })));
     }
 
@@ -481,6 +449,7 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
     use crate::layouts;
+    use std::sync::mpsc;
     use vecycle_types::rng::{split, Xorshift};
 
     #[test]
@@ -516,66 +485,60 @@ mod tests {
     }
 
     #[test]
-    fn spans_nest_and_close_in_order() {
-        let m = MetricsRegistry::new();
-        let mig = m.span_start("migration", &[("vm", "7")]);
-        let round = m.span_start("round", &[("n", "1")]);
-        m.event("page_class", &[("full", FieldValue::U64(10))]);
-        m.span_end(round, &[("bytes", 4096)]);
-        m.span_end(mig, &[]);
-        let snap = m.snapshot();
-        assert_eq!(snap.timeline.len(), 5);
-        match &snap.timeline[1] {
-            TimelineEntry::SpanStart { parent, .. } => assert_eq!(*parent, Some(mig)),
-            other => panic!("unexpected entry {other:?}"),
-        }
-    }
-
-    #[test]
     fn concurrent_drivers_keep_independent_span_stacks() {
-        // Two threads sharing one registry interleave freely; each
+        // Four threads sharing one registry interleave freely; each
         // thread's spans must still nest under its own parents, and
         // every span must close cleanly (the LIFO assertion is
         // per-thread).
         let m = MetricsRegistry::new();
+        let script = [
+            SpanOp::Start("migration", vec![("vm", "7")]),
+            SpanOp::Start("round", vec![("n", "1")]),
+            SpanOp::Event("t", 1),
+            SpanOp::End(vec![]),
+            SpanOp::End(vec![("bytes", 4096)]),
+        ];
         std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let m = m.clone();
+            for _ in 0..4 {
+                let (m, script, mut stack) = (&m, &script, Vec::new());
                 scope.spawn(move || {
-                    for round in 0..8u64 {
-                        let mig = m.span_start("migration", &[("vm", &t.to_string())]);
-                        let r = m.span_start("round", &[("n", &round.to_string())]);
-                        m.event("tick", &[("t", FieldValue::U64(t))]);
-                        m.span_end(r, &[]);
-                        m.span_end(mig, &[]);
+                    for op in (0..8).flat_map(|_| script) {
+                        replay(m, &mut stack, op);
                     }
                 });
             }
         });
-        let snap = m.snapshot();
-        // 4 threads × 8 iterations × (2 starts + 1 event + 2 ends).
-        assert_eq!(snap.timeline.len(), 4 * 8 * 5);
-        // Every round span's parent is a migration span, never a span
-        // from another thread's stack (migrations have no parent).
-        let mut parents = std::collections::HashMap::new();
-        for e in &snap.timeline {
+        let timeline = m.snapshot().timeline;
+        assert_eq!(timeline.len(), 4 * 8 * script.len());
+        assert!(sync::lock(&m.inner).open_spans.is_empty());
+        // A migration has no parent; a round's is a migration, never a
+        // span from another thread's stack.
+        let mut names = std::collections::HashMap::new();
+        for e in &timeline {
             if let TimelineEntry::SpanStart {
                 id, parent, name, ..
             } = e
             {
-                parents.insert(*id, (*parent, name.clone()));
+                let parent = parent.map(|p| names[&p]);
+                assert_eq!(parent, (name == "round").then_some("migration"));
+                names.insert(*id, name.as_str());
             }
         }
-        for (parent, name) in parents.values() {
-            match name.as_str() {
-                "migration" => assert_eq!(*parent, None),
-                "round" => {
-                    let p = parent.expect("round must have a parent");
-                    assert_eq!(parents[&p].1, "migration");
-                }
-                other => panic!("unexpected span {other}"),
-            }
+    }
+
+    #[test]
+    fn a_thread_whose_spans_all_closed_leaves_no_entry() {
+        let m = MetricsRegistry::new();
+        let (name, key, value) = (m.intern("migration"), m.intern("vm"), m.intern("1"));
+        for _ in 0..64 {
+            // One thread at a time: each is joined before the next starts.
+            std::thread::scope(|scope| {
+                scope.spawn(|| m.span_end(m.span_start(name, &[(key, value)]), &[]));
+            });
         }
+        let inner = sync::lock(&m.inner);
+        assert!(inner.open_spans.is_empty());
+        assert_eq!(inner.timeline.entries.len(), 128);
     }
 
     /// The registry as it was before borrowed keys, interning and
@@ -587,7 +550,8 @@ mod tests {
         gauges: BTreeMap<SeriesKey, f64>,
         histograms: BTreeMap<SeriesKey, HistogramSample>,
         timeline: Vec<TimelineEntry>,
-        stack: Vec<SpanId>,
+        /// Each driver's open spans: this thread's, then two scoped threads'.
+        stacks: [Vec<SpanId>; 3],
         next_span: u64,
     }
 
@@ -625,24 +589,33 @@ mod tests {
             h.count += 1;
         }
 
-        fn span_start(&mut self, name: &str, labels: &[(&str, &str)]) {
-            self.next_span += 1;
-            let (id, parent) = (SpanId(self.next_span), self.stack.last().copied());
-            let SeriesKey { name, labels } = key(name, labels);
-            let start = TimelineEntry::SpanStart {
-                id,
-                parent,
-                name,
-                labels,
+        /// Records `op` as driver `d` did.
+        fn replay(&mut self, d: usize, op: &SpanOp) {
+            let stack = &mut self.stacks[d];
+            let entry = match op {
+                SpanOp::Start(name, labels) => {
+                    self.next_span += 1;
+                    let (id, parent) = (SpanId(self.next_span), stack.last().copied());
+                    stack.push(id);
+                    let SeriesKey { name, labels } = key(name, labels);
+                    TimelineEntry::SpanStart {
+                        id,
+                        parent,
+                        name,
+                        labels,
+                    }
+                }
+                SpanOp::End(attrs) => TimelineEntry::SpanEnd {
+                    id: stack.pop().expect("drivers end open spans only"),
+                    attrs: attrs.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+                },
+                SpanOp::Event(field, v) => TimelineEntry::Event {
+                    span: stack.last().copied(),
+                    name: "engine_abort".into(),
+                    fields: vec![(field.to_string(), *v)],
+                },
             };
-            self.timeline.push(start);
-            self.stack.push(id);
-        }
-
-        fn span_end(&mut self, attrs: &[(&str, u64)]) {
-            let id = self.stack.pop().expect("driver ends open spans only");
-            let attrs = attrs.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-            self.timeline.push(TimelineEntry::SpanEnd { id, attrs });
+            self.timeline.push(entry);
         }
 
         fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
@@ -676,6 +649,31 @@ mod tests {
         }
     }
 
+    /// A timeline record, as a driver replays it.
+    enum SpanOp {
+        Start(&'static str, Vec<(&'static str, &'static str)>),
+        End(Vec<(&'static str, u64)>),
+        Event(&'static str, u64),
+    }
+
+    /// Records `op` through interned ids on the calling thread, whose
+    /// open spans are `stack`.
+    fn replay(m: &MetricsRegistry, stack: &mut Vec<SpanId>, op: &SpanOp) {
+        match op {
+            SpanOp::Start(name, labels) => {
+                let labels: Vec<_> = (labels.iter())
+                    .map(|&(k, v)| (m.intern(k), m.intern(v)))
+                    .collect();
+                stack.push(m.span_start(m.intern(*name), &labels));
+            }
+            SpanOp::End(attrs) => {
+                let attrs: Vec<_> = attrs.iter().map(|&(k, v)| (m.intern(k), v)).collect();
+                m.span_end(stack.pop().expect("drivers end open spans only"), &attrs);
+            }
+            SpanOp::Event(field, v) => m.event("engine_abort", &[(field, *v)]),
+        }
+    }
+
     fn pick(rng: &mut Xorshift, pool: &[&'static str]) -> &'static str {
         pool[rng.below(pool.len() as u64) as usize]
     }
@@ -700,89 +698,108 @@ mod tests {
             let base: Vec<(&str, &str)> = (0..6)
                 .map(|_| (pick(&mut rng, &STRS), pick(&mut rng, &STRS)))
                 .collect();
-            for _ in 0..400 {
-                let name = pick(&mut rng, &NAMES);
-                // 0 to 6 pairs: the stack path and the heap path past 4.
-                let n = rng.below(7) as usize;
-                let labels: Vec<(&str, &str)> = if rng.below(2) == 0 {
-                    base[..n].to_vec()
-                } else {
-                    (0..n)
-                        .map(|_| (pick(&mut rng, &STRS), pick(&mut rng, &STRS)))
-                        .collect()
-                };
-                let value = rng.below(1 << 21);
-                let layout = [layouts::PAGES, layouts::BYTES][name.len() % 2];
-                match rng.below(11) {
-                    0 | 1 => {
-                        m.inc(name, &labels, value);
-                        model.inc(key(name, &labels), value);
-                    }
-                    2 => {
-                        let g = rng.unit_f64();
-                        m.set_gauge(name, &labels, g);
-                        model.gauges.insert(key(name, &labels), g);
-                    }
-                    3 => {
-                        m.observe(name, &labels, layout, value);
-                        model.observe(key(name, &labels), layout, value);
-                    }
-                    4 => {
-                        m.span_start(name, &labels);
-                        model.span_start(name, &labels);
-                    }
-                    5 if !model.stack.is_empty() => {
-                        let attrs = [("rounds", value), ("", value / 3), (name, 1)];
-                        let attrs = &attrs[..rng.below(4) as usize];
-                        m.span_end(*model.stack.last().unwrap(), attrs);
-                        model.span_end(attrs);
-                    }
-                    6 => {
-                        let fields = [(name, FieldValue::U64(value))];
-                        m.event("engine_abort", &fields);
-                        let (span, name) = (model.stack.last().copied(), "engine_abort".into());
-                        let fields = vec![(fields[0].0.to_string(), fields[0].1.clone())];
-                        model
-                            .timeline
-                            .push(TimelineEntry::Event { span, name, fields });
-                    }
-                    // Resolving records nothing: the model does not move.
-                    7 => {
-                        let handle = match rng.below(3) {
-                            0 => Resolved::Counter(m.resolve_counter(name, &labels)),
-                            1 => Resolved::Gauge(m.resolve_gauge(name, &labels)),
-                            _ => Resolved::Histogram(
-                                m.resolve_histogram(name, &labels, layout),
-                                layout,
-                            ),
-                        };
-                        handles.push((handle, key(name, &labels)));
-                    }
-                    8 | 9 if !handles.is_empty() => {
-                        let (handle, key) = &handles[rng.below(handles.len() as u64) as usize];
-                        match handle {
-                            Resolved::Counter(c) => {
-                                c.inc(value);
-                                model.inc(key.clone(), value);
-                                assert_eq!(c.get(), model.counters[key]);
+            // Driver 0 is this thread; drivers 1 and 2 are scoped
+            // threads, each replaying what it is sent, one record at a time.
+            std::thread::scope(|scope| {
+                let (done_tx, done) = mpsc::channel();
+                let threads: Vec<mpsc::Sender<SpanOp>> = (0..2)
+                    .map(|_| {
+                        let (tx, rx) = mpsc::channel();
+                        let (m, done_tx, mut stack) = (&m, done_tx.clone(), Vec::new());
+                        scope.spawn(move || {
+                            for op in rx {
+                                replay(m, &mut stack, &op);
+                                done_tx.send(()).unwrap();
                             }
-                            Resolved::Gauge(g) => {
-                                let x = rng.unit_f64();
-                                g.set(x);
-                                model.gauges.insert(key.clone(), x);
-                            }
-                            Resolved::Histogram(h, layout) => {
-                                h.observe(value);
-                                model.observe(key.clone(), *layout, value);
-                            }
+                        });
+                        tx
+                    })
+                    .collect();
+                let mut own = Vec::new();
+                let mut run = |model: &mut Model, d: usize, op: SpanOp| {
+                    model.replay(d, &op);
+                    match d {
+                        0 => replay(&m, &mut own, &op),
+                        _ => {
+                            threads[d - 1].send(op).unwrap();
+                            done.recv().unwrap();
                         }
                     }
-                    _ => {
-                        assert_eq!(m.counter(name, &labels), model.counter(name, &labels));
-                        assert_eq!(m.counter_total(name), model.counter_total(name));
+                };
+                for _ in 0..400 {
+                    let name = pick(&mut rng, &NAMES);
+                    // 0 to 6 pairs: the stack path and the heap path past 4.
+                    let n = rng.below(7) as usize;
+                    let labels: Vec<(&str, &str)> = if rng.below(2) == 0 {
+                        base[..n].to_vec()
+                    } else {
+                        (0..n)
+                            .map(|_| (pick(&mut rng, &STRS), pick(&mut rng, &STRS)))
+                            .collect()
+                    };
+                    let value = rng.below(1 << 21);
+                    let layout = [layouts::PAGES, layouts::BYTES][name.len() % 2];
+                    let d = rng.below(3) as usize;
+                    match rng.below(11) {
+                        0 | 1 => {
+                            m.inc(name, &labels, value);
+                            model.inc(key(name, &labels), value);
+                        }
+                        2 => {
+                            let g = rng.unit_f64();
+                            m.set_gauge(name, &labels, g);
+                            model.gauges.insert(key(name, &labels), g);
+                        }
+                        3 => {
+                            m.observe(name, &labels, layout, value);
+                            model.observe(key(name, &labels), layout, value);
+                        }
+                        // Span records go to one of the three drivers.
+                        4 => run(&mut model, d, SpanOp::Start(name, labels.clone())),
+                        5 if !model.stacks[d].is_empty() => {
+                            let attrs = [("rounds", value), ("", value / 3), (name, 1)];
+                            let attrs = attrs[..rng.below(4) as usize].to_vec();
+                            run(&mut model, d, SpanOp::End(attrs));
+                        }
+                        6 => run(&mut model, d, SpanOp::Event(name, value)),
+                        // Resolving records nothing: the model does not move.
+                        7 => {
+                            let handle = match rng.below(3) {
+                                0 => Resolved::Counter(m.resolve_counter(name, &labels)),
+                                1 => Resolved::Gauge(m.resolve_gauge(name, &labels)),
+                                _ => Resolved::Histogram(
+                                    m.resolve_histogram(name, &labels, layout),
+                                    layout,
+                                ),
+                            };
+                            handles.push((handle, key(name, &labels)));
+                        }
+                        8 | 9 if !handles.is_empty() => {
+                            let (handle, key) = &handles[rng.below(handles.len() as u64) as usize];
+                            match handle {
+                                Resolved::Counter(c) => {
+                                    c.inc(value);
+                                    model.inc(key.clone(), value);
+                                    assert_eq!(c.get(), model.counters[key]);
+                                }
+                                Resolved::Gauge(g) => {
+                                    let x = rng.unit_f64();
+                                    g.set(x);
+                                    model.gauges.insert(key.clone(), x);
+                                }
+                                Resolved::Histogram(h, layout) => {
+                                    h.observe(value);
+                                    model.observe(key.clone(), *layout, value);
+                                }
+                            }
+                        }
+                        _ => {
+                            assert_eq!(m.counter(name, &labels), model.counter(name, &labels));
+                            assert_eq!(m.counter_total(name), model.counter_total(name));
+                        }
                     }
                 }
-            }
+            });
             let (got, want) = (m.snapshot(), model.snapshot());
             assert_eq!(
                 got.to_canonical_json(),
@@ -808,6 +825,28 @@ mod tests {
     #[test]
     fn a_timeline_entry_is_32_bytes() {
         assert_eq!(std::mem::size_of::<Entry>(), 32);
+    }
+
+    /// Timelines of 2^k − 1, 2^k and 2^k + 1 entries; their label and
+    /// attr arenas cross segment boundaries at other points.
+    #[test]
+    fn timelines_read_back_across_segment_boundaries() {
+        const PAIRS: [(&str, &str); 4] = [("mode", "live"), ("b", ""), ("a", "z"), ("", "")];
+        for n in (1..9).flat_map(|k| [(1 << k) - 1, 1 << k, (1 << k) + 1]) {
+            let (m, mut model, mut stack) = (MetricsRegistry::new(), Model::default(), vec![]);
+            for i in 0..n {
+                let op = match i % 3 {
+                    2 if !stack.is_empty() => {
+                        SpanOp::End(PAIRS[..i % 5].iter().map(|&(k, _)| (k, i as u64)).collect())
+                    }
+                    _ => SpanOp::Start(PAIRS[i % 4].0, PAIRS[..i % 5].to_vec()),
+                };
+                replay(&m, &mut stack, &op);
+                model.replay(0, &op);
+            }
+            assert_eq!(sync::lock(&m.inner).timeline.entries.len(), n);
+            assert_eq!(m.snapshot().timeline, model.timeline, "{n} entries");
+        }
     }
 
     #[test]

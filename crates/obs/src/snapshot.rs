@@ -2,8 +2,8 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{push_f64, push_label_object, push_str_literal};
-use crate::registry::{FieldValue, SpanId};
+use crate::json::{push_f64, push_label_object, push_object, push_str_literal};
+use crate::registry::{SeriesKey, SpanId};
 
 /// One counter series at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,7 +75,7 @@ pub enum TimelineEntry {
         /// Event name.
         name: String,
         /// Typed fields.
-        fields: Vec<(String, FieldValue)>,
+        fields: Vec<(String, u64)>,
     },
 }
 
@@ -100,15 +100,9 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Reads one counter series from the snapshot (0 if absent).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let mut sorted: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        sorted.sort();
-        self.counters
-            .iter()
-            .find(|c| c.name == name && c.labels == sorted)
-            .map_or(0, |c| c.value)
+        let key = SeriesKey::new(name, labels);
+        let found = (self.counters.iter()).find(|c| c.name == name && c.labels == key.labels);
+        found.map_or(0, |c| c.value)
     }
 
     /// Sums a counter across all label sets of `name`.
@@ -129,67 +123,29 @@ impl MetricsSnapshot {
     /// `BTreeMap` order, timeline in record order, floats via Rust's
     /// shortest round-trip `Display`. Byte-stable across runs.
     pub fn to_canonical_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"counters\": [");
-        for (i, c) in self.counters.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"name\": ");
-            push_str_literal(&mut out, &c.name);
-            out.push_str(", \"labels\": ");
-            push_label_object(&mut out, &c.labels);
+        let mut out = String::from("{\n");
+        push_array(&mut out, "counters", &self.counters, |out, c| {
+            push_series(out, &c.name, &c.labels);
             let _ = write!(out, ", \"value\": {}}}", c.value);
-        }
-        out.push_str(if self.counters.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
         });
-        out.push_str("  \"gauges\": [");
-        for (i, g) in self.gauges.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"name\": ");
-            push_str_literal(&mut out, &g.name);
-            out.push_str(", \"labels\": ");
-            push_label_object(&mut out, &g.labels);
+        push_array(&mut out, "gauges", &self.gauges, |out, g| {
+            push_series(out, &g.name, &g.labels);
             out.push_str(", \"value\": ");
-            push_f64(&mut out, g.value);
+            push_f64(out, g.value);
             out.push('}');
-        }
-        out.push_str(if self.gauges.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
         });
-        out.push_str("  \"histograms\": [");
-        for (i, h) in self.histograms.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"name\": ");
-            push_str_literal(&mut out, &h.name);
-            out.push_str(", \"labels\": ");
-            push_label_object(&mut out, &h.labels);
+        push_array(&mut out, "histograms", &self.histograms, |out, h| {
+            push_series(out, &h.name, &h.labels);
             out.push_str(", \"unit\": ");
-            push_str_literal(&mut out, &h.unit);
+            push_str_literal(out, &h.unit);
             let _ = write!(out, ", \"bounds\": {:?}", h.bounds);
             let _ = write!(out, ", \"counts\": {:?}", h.counts);
             let _ = write!(out, ", \"sum\": {}, \"count\": {}}}", h.sum, h.count);
-        }
-        out.push_str(if self.histograms.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
         });
-        out.push_str("  \"timeline\": [");
-        for (i, entry) in self.timeline.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            push_timeline_entry(&mut out, entry);
-        }
-        out.push_str(if self.timeline.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
+        push_array(&mut out, "timeline", &self.timeline, push_timeline_entry);
+        // The last array takes no comma.
+        out.truncate(out.len() - 2);
+        out.push_str("\n}\n");
         out
     }
 
@@ -254,10 +210,41 @@ impl MetricsSnapshot {
     }
 }
 
+/// `"key": [...],` as the canonical form lays an array out: one item a
+/// line, or `[]` when empty.
+fn push_array<T>(out: &mut String, key: &str, items: &[T], item: impl Fn(&mut String, &T)) {
+    let _ = write!(out, "  \"{key}\": [");
+    for (i, x) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        item(out, x);
+    }
+    out.push_str(if items.is_empty() { "],\n" } else { "\n  ],\n" });
+}
+
+/// A series object's opening: `{"name": …, "labels": {…}`.
+fn push_series(out: &mut String, name: &str, labels: &[(String, String)]) {
+    out.push_str("{\"name\": ");
+    push_str_literal(out, name);
+    out.push_str(", \"labels\": ");
+    push_label_object(out, labels);
+}
+
+fn push_u64(out: &mut String, v: &u64) {
+    let _ = write!(out, "{v}");
+}
+
+/// A span id as JSON: its number, or `null`.
+fn push_span(out: &mut String, span: Option<SpanId>) {
+    let _ = match span {
+        Some(SpanId(id)) => write!(out, "{id}"),
+        None => write!(out, "null"),
+    };
+}
+
 fn push_timeline_entry(out: &mut String, entry: &TimelineEntry) {
     match entry {
         TimelineEntry::SpanStart {
-            id,
+            id: SpanId(id),
             parent,
             name,
             labels,
@@ -266,58 +253,29 @@ fn push_timeline_entry(out: &mut String, entry: &TimelineEntry) {
                 out,
                 "{{\"type\": \"span_start\", \"id\": {id}, \"parent\": "
             );
-            match parent {
-                Some(p) => {
-                    let _ = write!(out, "{p}");
-                }
-                None => out.push_str("null"),
-            }
+            push_span(out, *parent);
             out.push_str(", \"name\": ");
             push_str_literal(out, name);
             out.push_str(", \"labels\": ");
             push_label_object(out, labels);
-            out.push('}');
         }
-        TimelineEntry::SpanEnd { id, attrs } => {
-            let _ = write!(out, "{{\"type\": \"span_end\", \"id\": {id}, \"attrs\": {{");
-            for (i, (k, v)) in attrs.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                push_str_literal(out, k);
-                let _ = write!(out, ": {v}");
-            }
-            out.push_str("}}");
+        TimelineEntry::SpanEnd {
+            id: SpanId(id),
+            attrs,
+        } => {
+            let _ = write!(out, "{{\"type\": \"span_end\", \"id\": {id}, \"attrs\": ");
+            push_object(out, attrs, push_u64);
         }
         TimelineEntry::Event { span, name, fields } => {
             out.push_str("{\"type\": \"event\", \"span\": ");
-            match span {
-                Some(s) => {
-                    let _ = write!(out, "{s}");
-                }
-                None => out.push_str("null"),
-            }
+            push_span(out, *span);
             out.push_str(", \"name\": ");
             push_str_literal(out, name);
-            out.push_str(", \"fields\": {");
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                push_str_literal(out, k);
-                out.push_str(": ");
-                match v {
-                    FieldValue::U64(n) => {
-                        let _ = write!(out, "{n}");
-                    }
-                    FieldValue::F64(x) => push_f64(out, *x),
-                    FieldValue::Str(s) => push_str_literal(out, s),
-                    FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                }
-            }
-            out.push_str("}}");
+            out.push_str(", \"fields\": ");
+            push_object(out, fields, push_u64);
         }
     }
+    out.push('}');
 }
 
 fn push_prom_series(
@@ -327,27 +285,17 @@ fn push_prom_series(
     extra: Option<(&str, &str)>,
 ) {
     out.push_str(name);
-    if labels.is_empty() && extra.is_none() {
-        return;
-    }
-    out.push('{');
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+    let labels = labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    let mut sep = '{';
+    for (k, v) in labels.chain(extra) {
+        out.push(sep);
+        sep = ',';
         let _ = write!(out, "{k}=");
         push_str_literal(out, v);
     }
-    if let Some((k, v)) = extra {
-        if !first {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=");
-        push_str_literal(out, v);
+    if sep == ',' {
+        out.push('}');
     }
-    out.push('}');
 }
 
 #[cfg(test)]
@@ -360,9 +308,9 @@ mod tests {
         m.inc("wire_bytes_total", &[("kind", "full")], 8192);
         m.set_gauge("similarity", &[("vm", "1")], 0.75);
         m.observe("round_bytes", &[], layouts::BYTES, 8192);
-        let s = m.span_start("migration", &[("vm", "1")]);
-        m.event("probe", &[("hit", FieldValue::Bool(true))]);
-        m.span_end(s, &[("bytes", 8192)]);
+        let s = m.span_start(m.intern("migration"), &[(m.intern("vm"), m.intern("1"))]);
+        m.event("probe", &[("hit", 1)]);
+        m.span_end(s, &[(m.intern("bytes"), 8192)]);
         m.snapshot()
     }
 
@@ -402,7 +350,7 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("{\"type\": \"span_start\""));
-        assert!(lines[1].contains("\"hit\": true"));
+        assert!(lines[1].contains("\"hit\": 1"));
         assert!(lines[2].contains("\"bytes\": 8192"));
     }
 

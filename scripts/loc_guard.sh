@@ -28,8 +28,8 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=45065
-PUB_CEILING=1029
+BUDGET=45063
+PUB_CEILING=1028
 DEPS_CEILING=111
 DESIGN_CEILING=1614
 CAP=800
