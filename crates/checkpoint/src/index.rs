@@ -173,6 +173,12 @@ impl ChecksumIndex {
         Some(start + at)
     }
 
+    /// Bytes the list and the directory have room for: what the index
+    /// keeps across refills.
+    pub fn capacity_bytes(&self) -> usize {
+        self.entries.capacity() * size_of::<PageDigest>() + self.dir.capacity() * size_of::<u32>()
+    }
+
     /// Number of distinct digests indexed.
     pub fn distinct(&self) -> usize {
         self.entries.len()

@@ -50,6 +50,11 @@ impl<T: Copy + PartialEq> Merge<T> {
         &self.cells
     }
 
+    /// Consumes the merge, returning every page's cell.
+    pub fn into_cells(self) -> Vec<T> {
+        self.cells
+    }
+
     /// Whether the stream has written page `at`.
     pub fn is_landed(&self, at: usize) -> bool {
         self.landed[at / 64] >> (at % 64) & 1 == 1

@@ -49,13 +49,12 @@ use std::io::{Read, Write};
 
 use vecycle_checkpoint::{ChecksumIndex, PartialCheckpoint};
 use vecycle_faults::{KillPoint, KillRole, KillSwitch};
-use vecycle_mem::DigestMemory;
 use vecycle_net::{wire, wiremsg, WireMsg};
 use vecycle_obs::Counter;
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{sync, HostId, PageDigest, VmId};
 
-use crate::endpoint::{SessionStream, Stream, SESSION_BUF};
+use crate::endpoint::{Room, SessionStream, Stream, SESSION_BUF};
 use crate::frame::{frame_cost, kind, read_frame, write_frame, Frame, MAX_PAYLOAD};
 use crate::partial_log::PartialLog;
 use crate::proto::{self, expect_kind, JobMsg, ROLE_DEST, ROLE_SOURCE};
@@ -75,12 +74,15 @@ type Key = (u64, u64);
 
 /// Runs one inbound migration session whose HELLO frame has already
 /// been read; `chunk` is the connection's write chunk, which [`accept`]
-/// writes through. On an error the caller owes the peer a best-effort
+/// writes through, and `room` its tables: the state is built in the
+/// table and the offer in the index, and the table goes back however
+/// the stream ends. On an error the caller owes the peer a best-effort
 /// ERR frame before the connection drops.
 pub(crate) fn session(
     state: &DaemonState,
     s: &mut SessionStream<&mut Stream>,
     chunk: &mut Vec<u8>,
+    room: &mut Room,
     hello: Frame,
 ) -> Result<(), DaemonError> {
     // A wrong magic, version or role is refused before the JOB is read,
@@ -96,30 +98,57 @@ pub(crate) fn session(
     let job_frame = expect_kind(read_frame(s, MAX_PAYLOAD)?, kind::JOB, "JOB")?;
     let job = JobMsg::decode(&job_frame.payload)?;
     job.spec.validate().map_err(DaemonError::from)?;
-    let spec = job.spec;
-    let key = (job.job, spec_fingerprint(&spec));
 
-    // Deterministic destination state. The checkpoint is recaptured from
-    // the spec — in a deployment it would come from the checkpoint store;
-    // the wire protocol is identical either way — and only when something
-    // reads it: a warm state starts from it, a vecycle job offers it.
-    let initial = (spec.warm || spec.strategy == "vecycle")
-        .then(|| scenario::initial_memory(&spec))
-        .transpose()?;
+    // Deterministic destination state, over the set's table: a warm
+    // state starts from the checkpoint image, so the job holds it once,
+    // and a cold one from zero pages. The checkpoint is recaptured from
+    // the spec — in a deployment it would come from the checkpoint
+    // store; the wire protocol is identical either way.
+    let mut table = std::mem::take(&mut room.table);
+    if job.spec.warm {
+        table = scenario::initial_over(&job.spec, table)?.into_digests();
+    }
+    let mut session_state = SessionState::new(&job.spec, table);
 
     // Admission: this host participates in at most one migration at a
     // time, same invariant the source's queue enforces on its side.
     state.kill.hit(KillRole::Dest, KillPoint::PreClaim);
-    let _claim = state.locks.claim(&[HostId::new(spec.dest_host)]);
+    let _claim = state.locks.claim(&[HostId::new(job.spec.dest_host)]);
 
+    let key = (job.job, spec_fingerprint(&job.spec));
+    let result = stream(
+        state,
+        s,
+        chunk,
+        &job,
+        key,
+        &mut room.index,
+        &mut session_state,
+    );
+    room.table = session_state.into_table();
+    result
+}
+
+/// The claimed session of `job` (`key`) from its offer on: HELLO_ACK and
+/// the exchange of the index refilled in `index`, the stream applied
+/// through `session_state`, then COMPLETE checked and DONE sent.
+fn stream(
+    state: &DaemonState,
+    s: &mut SessionStream<&mut Stream>,
+    chunk: &mut Vec<u8>,
+    job: &JobMsg,
+    key: Key,
+    index: &mut ChecksumIndex,
+    session_state: &mut SessionState,
+) -> Result<(), DaemonError> {
     // A retry epoch recycles whatever earlier epochs landed; the index
-    // over it (and, for a vecycle job, the checkpoint) is the exchange.
-    let retry = (job.resume > 0).then(|| recover(state, &spec, key));
+    // over it (and, for a vecycle job, the checkpoint: the state as yet
+    // unwritten) is the exchange.
+    let spec = &job.spec;
+    let retry = (job.resume > 0).then(|| recover(state, spec, key));
     let landed = retry.as_ref().map(|(p, _)| p);
-    let checkpoint = initial.as_ref().map_or(&[][..], DigestMemory::as_slice);
-    let index = scenario::offer(&spec, checkpoint, landed);
-    let sent = accept(s, index.as_ref(), chunk);
-
+    let index = scenario::offer(spec, session_state.mem(), landed, index);
+    let sent = accept(s, index, chunk);
     let (partial, log, sent) = match retry {
         Some((partial, log)) => (Some(partial), log, sent),
         None => {
@@ -131,16 +160,13 @@ pub(crate) fn session(
         }
     };
 
-    // A warm state takes the checkpoint image over as its pages, so the
-    // job holds it once. An in-memory daemon takes the unit hook: no
-    // per-message work.
-    let mut session_state = SessionState::new(&spec, initial);
+    // An in-memory daemon takes the unit hook: no per-message work.
     let mut logged = log.map(|log| SessionLog::new(state, key, log));
     let received = sent
         .map_err(DaemonError::from)
         .and_then(|()| match &mut logged {
-            Some(l) => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, l),
-            None => receive_stream(s, index.as_ref(), &mut session_state, &state.kill, &mut ()),
+            Some(l) => receive_stream(s, index, session_state, &state.kill, l),
+            None => receive_stream(s, index, session_state, &state.kill, &mut ()),
         });
     // End-to-end verification: both sides hash the final digests. Ours
     // runs while the source hashes its guest, before COMPLETE arrives.

@@ -9,8 +9,9 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use vecycle_obs::{CounterFamily, MetricsRegistry};
-use vecycle_types::sync;
+use vecycle_checkpoint::ChecksumIndex;
+use vecycle_obs::{CounterFamily, Gauge, MetricsRegistry};
+use vecycle_types::{sync, PageDigest};
 
 /// Where a daemon listens or a client connects: loopback/LAN TCP or a
 /// filesystem Unix socket. Parsed from `unix:<path>` or `host:port`.
@@ -340,25 +341,56 @@ impl<S: Write> Write for SessionStream<'_, S> {
 }
 
 /// The buffers one connection reads and writes through: a
-/// [`SESSION_BUF`] read buffer for its [`SessionStream`] and a write
+/// [`SESSION_BUF`] read buffer for its [`SessionStream`], a write
 /// chunk with room for 64 full-page messages — a source's sink chunk,
-/// a destination's HELLO_ACK and exchange.
+/// a destination's HELLO_ACK and exchange — and the [`Room`] a session
+/// builds its guest-sized tables in.
 #[derive(Default)]
 pub(crate) struct BufferSet {
     pub read: Box<[u8]>,
     pub chunk: Vec<u8>,
+    pub room: Room,
+}
+
+/// A session's guest-sized tables, kept for the next session's: the
+/// source's guest or the destination's state builds its digest table in
+/// `table`, and the source's received exchange or the destination's
+/// offer fills `index`. Room, never content: each is refilled whole
+/// before it is read. A session that ends early may drop either; the
+/// next one then grows it again.
+#[derive(Default)]
+pub(crate) struct Room {
+    pub table: Vec<PageDigest>,
+    pub index: ChecksumIndex,
+}
+
+impl BufferSet {
+    /// Bytes the set's buffers and tables have room for.
+    fn bytes(&self) -> usize {
+        let table = self.room.table.capacity() * size_of::<PageDigest>();
+        self.read.len() + self.chunk.capacity() + table + self.room.index.capacity_bytes()
+    }
 }
 
 /// A daemon's free list of [`BufferSet`]s, so a steady-state session
-/// allocates no I/O buffer. Every session and control connection takes
-/// a set when it starts ([`BufferPool::lend`]), and the guard puts it
-/// back on every way out. The list keeps at most `cap` sets; one
-/// returned past that is freed.
+/// allocates no I/O buffer and no guest-sized table. Every session and
+/// control connection takes a set when it starts ([`BufferPool::lend`]),
+/// and the guard puts it back on every way out. The list keeps at most
+/// `cap` sets; one returned past that is freed.
 pub(crate) struct BufferPool {
-    free: Mutex<Vec<BufferSet>>,
+    free: Mutex<Kept>,
     cap: usize,
     /// `daemon_session_buffers_total{op}` over `reused` / `allocated`.
     taken: CounterFamily,
+    /// `daemon_session_buffer_bytes`: [`Kept::bytes`].
+    kept_bytes: Gauge,
+}
+
+/// The listed sets, and the bytes every set the pool keeps, listed or
+/// lent, had room for when it was last listed.
+struct Kept {
+    sets: Vec<BufferSet>,
+    bytes: usize,
 }
 
 impl BufferPool {
@@ -373,23 +405,40 @@ impl BufferPool {
         // Resolved now, so no take pays for a series key.
         taken.at(0);
         taken.at(1);
+        let kept_bytes = metrics.resolve_gauge("daemon_session_buffer_bytes", &[]);
+        kept_bytes.set(0.0);
         BufferPool {
-            free: Mutex::new(Vec::with_capacity(cap)),
+            free: Mutex::new(Kept {
+                sets: Vec::with_capacity(cap),
+                bytes: 0,
+            }),
             cap,
             taken,
+            kept_bytes,
         }
     }
 
     /// A set off the list, or a new one; it goes back when the guard
     /// drops.
     pub(crate) fn lend(&self) -> Lent<'_> {
-        let set = sync::lock(&self.free).pop();
+        let set = sync::lock(&self.free).sets.pop();
         self.taken.at(usize::from(set.is_none())).inc(1);
-        let set = set.unwrap_or_else(|| BufferSet {
-            read: vec![0; SESSION_BUF].into_boxed_slice(),
-            chunk: Vec::with_capacity(crate::source::chunk_capacity()),
-        });
-        Lent { pool: self, set }
+        let (listed, set) = match set {
+            Some(set) => (set.bytes(), set),
+            None => (
+                0,
+                BufferSet {
+                    read: vec![0; SESSION_BUF].into_boxed_slice(),
+                    chunk: Vec::with_capacity(crate::source::chunk_capacity()),
+                    room: Room::default(),
+                },
+            ),
+        };
+        Lent {
+            pool: self,
+            set,
+            listed,
+        }
     }
 }
 
@@ -399,6 +448,8 @@ impl BufferPool {
 pub(crate) struct Lent<'a> {
     pool: &'a BufferPool,
     pub set: BufferSet,
+    /// The set's bytes when it was last listed; 0 for a new set.
+    listed: usize,
 }
 
 impl Drop for Lent<'_> {
@@ -406,9 +457,12 @@ impl Drop for Lent<'_> {
         let mut set = std::mem::take(&mut self.set);
         set.chunk.clear();
         let mut free = sync::lock(&self.pool.free);
-        if free.len() < self.pool.cap {
-            free.push(set);
+        free.bytes -= self.listed;
+        if free.sets.len() < self.pool.cap {
+            free.bytes += set.bytes();
+            free.sets.push(set);
         }
+        self.pool.kept_bytes.set(free.bytes as f64);
     }
 }
 

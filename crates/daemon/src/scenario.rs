@@ -32,7 +32,18 @@ use crate::DaemonError;
 ///
 /// Propagates invalid RAM sizes.
 pub fn initial_memory(spec: &ScenarioSpec) -> vecycle_types::Result<DigestMemory> {
-    DigestMemory::with_uniform_content(spec.ram(), spec.seed)
+    initial_over(spec, Vec::new())
+}
+
+/// [`initial_memory`] built over `table`, refilled whole: a table kept
+/// from an earlier job lends its room, never its content.
+pub(crate) fn initial_over(
+    spec: &ScenarioSpec,
+    table: Vec<PageDigest>,
+) -> vecycle_types::Result<DigestMemory> {
+    let mut image = DigestMemory::from_digests(table);
+    image.refill_uniform(spec.ram(), spec.seed)?;
+    Ok(image)
 }
 
 /// The link model a scenario runs over.
@@ -62,16 +73,20 @@ pub fn live_guest(
     Ok(guest_over(spec, initial.snapshot()))
 }
 
-/// [`live_guest`] built in place over its own [`initial_memory`]: the
-/// source's guest, one digest table and no copy of it.
+/// [`live_guest`] built in place over its own [`initial_memory`], which
+/// refills `table` whole: the source's guest, one digest table and no
+/// copy of it. A daemon passes the table its buffer set kept
+/// ([`Guest::into_memory`] gives it back), so a steady-state job
+/// allocates none.
 ///
 /// # Errors
 ///
 /// Propagates invalid RAM sizes.
 pub fn source_guest(
     spec: &ScenarioSpec,
+    table: Vec<PageDigest>,
 ) -> vecycle_types::Result<(Guest<DigestMemory>, IdleWorkload)> {
-    Ok(guest_over(spec, initial_memory(spec)?))
+    Ok(guest_over(spec, initial_over(spec, table)?))
 }
 
 fn guest_over(spec: &ScenarioSpec, initial: DigestMemory) -> (Guest<DigestMemory>, IdleWorkload) {
@@ -85,27 +100,27 @@ fn guest_over(spec: &ScenarioSpec, initial: DigestMemory) -> (Guest<DigestMemory
 }
 
 /// The checksum index a destination offers in the bulk exchange, given
-/// its `checkpoint` digests (read only for a vecycle job; `&[]` when it
-/// built none). A fresh epoch offers the checkpoint's for a vecycle job
-/// and nothing otherwise (no other stream carries checksum messages). A
-/// retry epoch offers the pages earlier epochs landed, `partial` —
-/// unioned with the checkpoint for a vecycle job — whatever the job's
-/// strategy: a retry is a recycle, the index the in-process retry builds.
-pub fn offer(
+/// its `checkpoint` digests (read only for a vecycle job), refilled in
+/// `room`, which it returns. A fresh epoch offers the checkpoint's for a
+/// vecycle job and nothing otherwise (no other stream carries checksum
+/// messages), leaving `room` as it was. A retry epoch offers the pages
+/// earlier epochs landed, `partial` — unioned with the checkpoint for a
+/// vecycle job — whatever the job's strategy: a retry is a recycle, the
+/// index the in-process retry builds.
+pub fn offer<'r>(
     spec: &ScenarioSpec,
     checkpoint: &[PageDigest],
     partial: Option<&PartialCheckpoint>,
-) -> Option<ChecksumIndex> {
+    room: &'r mut ChecksumIndex,
+) -> Option<&'r ChecksumIndex> {
     let vecycle = spec.strategy == "vecycle";
     let checkpoint = if vecycle { checkpoint } else { &[] };
     match partial {
-        None => vecycle.then(|| ChecksumIndex::from_pages(checkpoint)),
-        Some(partial) => {
-            let mut index = ChecksumIndex::default();
-            partial.refill_index(&mut index, checkpoint);
-            Some(index)
-        }
+        None if !vecycle => return None,
+        None => room.refill(checkpoint.iter().copied()),
+        Some(partial) => partial.refill_index(room, checkpoint),
     }
+    Some(room)
 }
 
 /// Builds the source strategy from the index the destination offered:
@@ -120,8 +135,17 @@ pub fn wire_strategy(
     spec: &ScenarioSpec,
     index: Option<ChecksumIndex>,
 ) -> Result<Strategy, DaemonError> {
+    strategy_over(spec, index.map(Arc::new))
+}
+
+/// [`wire_strategy`] over an index the caller shares, and may take back
+/// once the engine has dropped the strategy.
+pub(crate) fn strategy_over(
+    spec: &ScenarioSpec,
+    index: Option<Arc<ChecksumIndex>>,
+) -> Result<Strategy, DaemonError> {
     match (index, spec.strategy.as_str()) {
-        (Some(index), _) => Ok(Strategy::vecycle_with_index(Arc::new(index)).with_dedup()),
+        (Some(index), _) => Ok(Strategy::vecycle_with_index(index).with_dedup()),
         (None, "full") => Ok(Strategy::full()),
         (None, "dedup") => Ok(Strategy::dedup()),
         (None, "vecycle") => Err(DaemonError::Protocol(
@@ -240,7 +264,9 @@ pub fn reference_run_over(
 ) -> Result<ReferenceRun, DaemonError> {
     spec.validate().map_err(DaemonError::from)?;
     let initial = initial_memory(spec)?;
-    let strategy = wire_strategy(spec, offer(spec, initial.as_slice(), Some(partial)))?;
+    let mut index = ChecksumIndex::default();
+    let offered = offer(spec, initial.as_slice(), Some(partial), &mut index).is_some();
+    let strategy = wire_strategy(spec, offered.then_some(index))?;
     run(spec, &initial, strategy)
 }
 
@@ -275,7 +301,8 @@ mod tests {
         // produce the same report as the checkpoint's own index.
         let spec = ScenarioSpec::golden(0x7ec);
         let initial = initial_memory(&spec).unwrap();
-        let offered = offer(&spec, initial.as_slice(), None).unwrap();
+        let mut room = ChecksumIndex::default();
+        let offered = offer(&spec, initial.as_slice(), None, &mut room).unwrap();
         let wire: Vec<PageDigest> = offered.distinct_digests().collect();
         let strategy = wire_strategy(&spec, Some(ChecksumIndex::from_pages(&wire))).unwrap();
         let (mut guest, mut workload) = live_guest(&spec, &initial).unwrap();

@@ -29,7 +29,7 @@ use vecycle_sim::ScenarioSpec;
 use vecycle_types::{sync, HostId};
 
 use crate::control::{self, CtrlRequest, CtrlResponse};
-use crate::endpoint::{BufferPool, BufferSet, Listener, SessionStream, Stream};
+use crate::endpoint::{BufferPool, BufferSet, Listener, Room, SessionStream, Stream};
 use crate::frame::{kind, read_frame, send_err, write_frame, MAX_PAYLOAD};
 use crate::queue::{JobRecord, Queue};
 use crate::{dest, source, DaemonError, Endpoint};
@@ -411,22 +411,28 @@ fn handle_connection(state: &Arc<DaemonState>, mut stream: Stream) {
     }
     let session = {
         let mut lent = state.buffers.lend();
-        let BufferSet { read, chunk } = &mut lent.set;
+        let BufferSet { read, chunk, room } = &mut lent.set;
         // The connection's one reader, from this first frame to the last.
-        serve(state, &mut SessionStream::new(&mut stream, read), chunk)
+        serve(
+            state,
+            &mut SessionStream::new(&mut stream, read),
+            chunk,
+            room,
+        )
     };
     if let Some(result) = session {
         state.sessions.of(result).inc(1);
     }
 }
 
-/// Serves one connection through `s` and `chunk`, returning a migration
-/// session's result label; an ok session's socket bytes are counted
-/// first.
+/// Serves one connection through `s`, `chunk` and `room`, returning a
+/// migration session's result label; an ok session's socket bytes are
+/// counted first.
 fn serve(
     state: &DaemonState,
     s: &mut SessionStream<&mut Stream>,
     chunk: &mut Vec<u8>,
+    room: &mut Room,
 ) -> Option<&'static str> {
     let first = match read_frame(s, MAX_PAYLOAD) {
         Ok(f) => f,
@@ -437,7 +443,7 @@ fn serve(
         }
     };
     match first.kind {
-        kind::HELLO => Some(match dest::session(state, s, chunk, first) {
+        kind::HELLO => Some(match dest::session(state, s, chunk, room, first) {
             Ok(()) => {
                 state.dest_bytes.of("rx").inc(s.rx());
                 state.dest_bytes.of("tx").inc(s.tx());

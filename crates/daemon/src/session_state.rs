@@ -46,18 +46,23 @@ impl SessionState {
     /// The pre-stream state: the warm checkpoint image, or all-zero
     /// pages for a cold start.
     pub fn fresh(spec: &ScenarioSpec, initial: &DigestMemory) -> SessionState {
-        SessionState::new(spec, spec.warm.then(|| initial.snapshot()))
+        let image = if spec.warm { initial.as_slice() } else { &[] };
+        SessionState::new(spec, image.to_vec())
     }
 
-    /// The pre-stream state: a warm spec's checkpoint `image` moved in
-    /// as the pages, or all-zero pages for a cold one, which drops it.
-    pub fn new(spec: &ScenarioSpec, image: Option<DigestMemory>) -> SessionState {
-        let mem = match image.filter(|_| spec.warm) {
-            Some(image) => image.into_digests(),
-            None => vec![PageDigest::ZERO_PAGE; spec.pages() as usize],
-        };
+    /// The pre-stream state over `table`: a warm spec's table is its
+    /// checkpoint image, moved in as the pages; a cold spec's is room,
+    /// refilled whole with zero pages. A daemon's session gives the table
+    /// back to its buffer set when it ends.
+    pub fn new(spec: &ScenarioSpec, mut table: Vec<PageDigest>) -> SessionState {
+        if !spec.warm {
+            let pages = spec.pages() as usize;
+            table.clear();
+            table.reserve_exact(pages);
+            table.resize(pages, PageDigest::ZERO_PAGE);
+        }
         SessionState {
-            merge: Merge::new(mem),
+            merge: Merge::new(table),
             applied: 0,
             expected_round: 1,
             finished: false,
@@ -78,6 +83,12 @@ impl SessionState {
     /// The reconstructed digests (content-hash input).
     pub fn mem(&self) -> &[PageDigest] {
         self.merge.cells()
+    }
+
+    /// Consumes the state, returning its table of reconstructed digests
+    /// as room for the next.
+    pub(crate) fn into_table(self) -> Vec<PageDigest> {
+        self.merge.into_cells()
     }
 
     /// Applies one data-plane message.
@@ -333,8 +344,7 @@ pub(crate) mod tests {
                 expected_round: 1,
                 finished: false,
             };
-            let image = DigestMemory::from_digests(base);
-            let mut runs = vec![(SessionState::new(&spec, Some(image)), model); 8];
+            let mut runs = vec![(SessionState::new(&spec, base), model); 8];
             for slot in &slots {
                 for (st, model) in &mut runs {
                     let page = |rng: &mut Xorshift| match rng.below(8) {

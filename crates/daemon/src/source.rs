@@ -23,6 +23,8 @@
 //! checksum exchange are read (the exchange in 16 KiB steps, not one
 //! `read` per digest), straight into the source's index, with no other
 //! list of the digests held ([`receive_exchange`]): ascending, protocol 7.
+//! The guest's digest table and that index are the set's room, refilled
+//! whole and given back, so a steady-state session builds neither.
 //!
 //! The session opens in one flight each way: HELLO‖JOB out, then the
 //! guest is built while the destination builds its own state; back
@@ -40,6 +42,7 @@
 //! as `tx = source_traffic + overheads`.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use vecycle_checkpoint::ChecksumIndex;
 use vecycle_core::{LiveOutcome, MsgSink, PageMsg};
@@ -48,7 +51,7 @@ use vecycle_net::{wire, wiremsg, WireMsg};
 use vecycle_sim::ScenarioSpec;
 use vecycle_types::{Bytes, PageDigest};
 
-use crate::endpoint::{BufferSet, SessionStream, SESSION_BUF};
+use crate::endpoint::{BufferSet, Room, SessionStream, SESSION_BUF};
 use crate::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use crate::proto::{
     self, expect_kind, forward_overhead, reverse_overhead, JobMsg, ROLE_DEST, ROLE_SOURCE,
@@ -112,7 +115,8 @@ pub(crate) fn run_job(
     stream.set_io_timeout(Some(config.io_timeout))?;
     // The session's buffers, back on the daemon's list however it ends.
     let mut lent = state.buffers.lend();
-    let BufferSet { read, chunk } = &mut lent.set;
+    let BufferSet { read, chunk, room } = &mut lent.set;
+    let Room { table, index } = room;
     // The session's one reader: every frame and the bulk exchange come
     // through its buffer; writes go straight to the counted socket.
     let mut s = SessionStream::new(stream, read);
@@ -120,7 +124,8 @@ pub(crate) fn run_job(
     // One flight: HELLO‖JOB in one write. The destination answers only
     // once it has validated the job, built its state and claimed its
     // host, so build the guest meanwhile — the two constructions overlap.
-    // It is built in place: the session's one guest-sized table.
+    // It is built in place, over the set's table: the session's one
+    // guest-sized table.
     let job_json = JobMsg {
         job: job_id,
         resume: epoch,
@@ -133,7 +138,7 @@ pub(crate) fn run_job(
     write_frame(&mut opening, kind::JOB, job_json.as_bytes())?;
     s.write_all(&opening)?;
     s.flush()?;
-    let (mut guest, mut workload) = scenario::source_guest(spec)?;
+    let (mut guest, mut workload) = scenario::source_guest(spec, std::mem::take(table))?;
 
     // HELLO_ACK: the job is accepted.
     let ack = expect_kind(
@@ -148,15 +153,17 @@ pub(crate) fn run_job(
         )));
     }
 
-    // The bulk exchange follows for a vecycle job and for every retry.
-    let index = (spec.strategy == "vecycle" || epoch > 0)
-        .then(|| receive_exchange(&mut s, spec, epoch))
-        .transpose()?;
+    // The bulk exchange follows for a vecycle job and for every retry,
+    // into the set's index; a job without one leaves the index's room.
+    let offered = (spec.strategy == "vecycle" || epoch > 0)
+        .then(|| receive_exchange(&mut s, spec, epoch, std::mem::take(index)))
+        .transpose()?
+        .map(Arc::new);
 
     // Run the migration into the socket. Message sizes are the analytic
     // prices, and each round's Control header is the RoundEnd/StopEnd
     // delimiter — the forward ledger total IS the data-plane byte count.
-    let strategy = scenario::wire_strategy(spec, index)?;
+    let strategy = scenario::strategy_over(spec, offered.clone())?;
     let mut sink = SocketSink::new(&mut s, chunk, &state.kill, |landed| {
         state.queue.progress(job_id, landed);
     });
@@ -169,6 +176,10 @@ pub(crate) fn run_job(
     let LiveOutcome::Completed(report) = outcome else {
         unreachable!("the socket sink parks i/o errors, it never reports the link dead")
     };
+    // The engine has dropped its strategy: the index goes back to the set.
+    if let Some(kept) = offered.and_then(|shared| Arc::try_unwrap(shared).ok()) {
+        *index = kept;
+    }
     sink.finish()?;
     if report.rounds().iter().any(|r| r.skipped_pages.as_u64() > 0) {
         // Only generation-table strategies skip pages; none of the
@@ -180,8 +191,9 @@ pub(crate) fn run_job(
         ));
     }
 
-    // End-to-end verification.
+    // End-to-end verification. The guest's table then goes back to the set.
     let hash = scenario::content_hash(guest.memory().as_slice());
+    *table = guest.into_memory().into_digests();
     write_frame(&mut s, kind::COMPLETE, &hash)?;
     s.flush()?;
     let done = expect_kind(read_frame(&mut s, MAX_PAYLOAD)?, kind::DONE, "DONE")?;
@@ -224,9 +236,10 @@ pub(crate) fn run_job(
     Ok((report, measured))
 }
 
-/// Reads the bulk exchange into the source's index as it arrives: its
-/// count is bounded (a digest a page, two on a retry) before the index
-/// is sized, and each digest must be above the one before it.
+/// Reads the bulk exchange into the source's index as it arrives,
+/// refilling `room` whole: its count is bounded (a digest a page, two
+/// on a retry) before the index is sized, and each digest must be above
+/// the one before it.
 ///
 /// # Errors
 ///
@@ -236,6 +249,7 @@ pub fn receive_exchange<R: Read>(
     r: &mut R,
     spec: &ScenarioSpec,
     epoch: u64,
+    room: ChecksumIndex,
 ) -> Result<ChecksumIndex, DaemonError> {
     let pages = spec.pages();
     let bound = pages * if epoch > 0 { 2 } else { 1 };
@@ -246,7 +260,7 @@ pub fn receive_exchange<R: Read>(
                 "bulk exchange carried {count} digests for {pages} pages"
             )));
         }
-        let mut index = ChecksumIndex::default();
+        let mut index = room;
         index.refill_ascending(count);
         Ok(index)
     };

@@ -40,6 +40,7 @@ struct Everywhere(CountingAlloc);
 static EVERY_BYTES: AtomicU64 = AtomicU64::new(0);
 static EVERY_CALLS: AtomicU64 = AtomicU64::new(0);
 static SET_SHAPED: AtomicU64 = AtomicU64::new(0);
+static EVERY_LARGEST: AtomicU64 = AtomicU64::new(0);
 
 /// A session buffer set's write chunk: room for 64 full-page messages.
 const SET_CHUNK: usize = 64 * 4124;
@@ -48,6 +49,7 @@ impl Everywhere {
     fn record(size: usize, zeroed: bool) {
         EVERY_BYTES.fetch_add(size as u64, Ordering::Relaxed);
         EVERY_CALLS.fetch_add(1, Ordering::Relaxed);
+        EVERY_LARGEST.fetch_max(size as u64, Ordering::Relaxed);
         if size == SET_CHUNK || (zeroed && size == SESSION_BUF) {
             SET_SHAPED.fetch_add(1, Ordering::Relaxed);
         }
@@ -57,6 +59,11 @@ impl Everywhere {
     fn counts() -> (u64, u64) {
         let bytes = EVERY_BYTES.load(Ordering::Relaxed);
         (bytes, EVERY_CALLS.load(Ordering::Relaxed))
+    }
+
+    /// The largest request any thread made since the last call.
+    fn take_largest() -> u64 {
+        EVERY_LARGEST.swap(0, Ordering::Relaxed)
     }
 
     /// Requests so far, by every thread, shaped like a session buffer
@@ -580,13 +587,15 @@ fn a_cold_full_job_allocates_nothing_per_page() {
 /// The source builds its guest in place: one digest table of 16 B a
 /// page, then only the guest's dirty bitmap — no generation table, which
 /// only Miyakodori reads — and no copy of the initial image beside it.
+/// Built again over the table the first gave back, room already that
+/// size, it asks for the trackers alone and holds the same guest.
 #[test]
 fn the_source_guest_is_one_digest_table_and_its_trackers() {
     let mut spec = ScenarioSpec::golden(0xa110c);
     spec.ram_mib = 16;
     let pages = PageCount::new(spec.pages());
     let (_, trackers) = metered(|| DirtyTracker::new(pages));
-    let ((guest, _), stats) = metered(|| scenario::source_guest(&spec).unwrap());
+    let ((guest, _), stats) = metered(|| scenario::source_guest(&spec, Vec::new()).unwrap());
     assert_eq!(guest.memory().as_slice().len(), pages.as_usize());
     assert!(guest.generations().is_none());
     let table = 16 * pages.as_u64();
@@ -596,20 +605,28 @@ fn the_source_guest_is_one_digest_table_and_its_trackers() {
         (1 + trackers.calls, table + trackers.requested),
         "{stats:?}"
     );
+
+    let fresh = guest.memory().clone();
+    let room = guest.into_memory().into_digests();
+    let ((again, _), refill) = metered(|| scenario::source_guest(&spec, room).unwrap());
+    assert_eq!(again.memory(), &fresh);
+    assert_eq!(refill, trackers, "the trackers alone");
 }
 
 /// A destination state holds each guest-sized table once: a warm state
 /// takes the moved checkpoint image as its pages and adds one landed bit
 /// a page; a cold state is one zero table and that bitset, whether
-/// built from no image, from one it drops, or through `fresh`.
+/// built over an empty table or through `fresh`. Over a table with room
+/// for every page — a checkpoint image, which it zeroes whole — a cold
+/// state asks for the bitset alone.
 #[test]
 fn a_session_state_adds_one_bit_a_page_to_its_pages() {
     let mut spec = ScenarioSpec::golden(0xa110c);
     spec.ram_mib = 128;
     let pages = spec.pages();
     let initial = scenario::initial_memory(&spec).unwrap();
-    let image = initial.snapshot();
-    let (state, warm) = metered(|| SessionState::new(&spec, Some(image)));
+    let image = initial.snapshot().into_digests();
+    let (state, warm) = metered(|| SessionState::new(&spec, image));
     assert_eq!(state.mem(), initial.as_slice());
     assert!(
         warm.calls <= 1 && warm.requested <= pages / 8 + 64,
@@ -618,11 +635,10 @@ fn a_session_state_adds_one_bit_a_page_to_its_pages() {
 
     spec.warm = false;
     let bitset = pages.div_ceil(64) * 8;
-    for way in 0..3 {
-        let image = (way == 1).then(|| initial.snapshot());
+    for way in 0..2 {
         let (state, cold) = metered(|| match way {
-            2 => SessionState::fresh(&spec, &initial),
-            _ => SessionState::new(&spec, image),
+            1 => SessionState::fresh(&spec, &initial),
+            _ => SessionState::new(&spec, Vec::new()),
         });
         assert!(state.mem().iter().all(|&d| d == PageDigest::ZERO_PAGE));
         assert_eq!(
@@ -631,6 +647,10 @@ fn a_session_state_adds_one_bit_a_page_to_its_pages() {
             "{cold:?}"
         );
     }
+    let room = initial.snapshot().into_digests();
+    let (state, cold) = metered(|| SessionState::new(&spec, room));
+    assert_eq!(state.mem(), vec![PageDigest::ZERO_PAGE; pages as usize]);
+    assert_eq!((cold.calls, cold.requested), (1, bitset), "{cold:?}");
 }
 
 /// However much a stream rewrites, a state's anchors cost one more
@@ -642,7 +662,7 @@ fn a_rewriting_stream_requests_one_table_of_first_digests() {
     let mut spec = ScenarioSpec::golden(0xa110c);
     (spec.ram_mib, spec.warm) = (16, false);
     let pages = spec.pages();
-    let mut state = SessionState::new(&spec, None);
+    let mut state = SessionState::new(&spec, Vec::new());
     let (_, rewrites) = metered(|| {
         for (round, idx) in (1..=3).flat_map(|round| (0..pages).map(move |idx| (round, idx))) {
             let digest = PageDigest::from_content_id(idx * 4 + round);
@@ -659,6 +679,8 @@ fn a_rewriting_stream_requests_one_table_of_first_digests() {
 /// The source reads the bulk exchange straight into its index: a
 /// streamed, ascending 32 768-digest exchange costs the index alone —
 /// its sorted list and its directory — and no other list of the digests.
+/// Read again into the index the first gave back, room already that
+/// size, it asks for nothing and answers the same.
 #[test]
 fn a_streamed_exchange_costs_the_source_its_probe_map_alone() {
     let mut digests: Vec<PageDigest> = (1..=32_768).map(PageDigest::from_content_id).collect();
@@ -670,11 +692,17 @@ fn a_streamed_exchange_costs_the_source_its_probe_map_alone() {
     .encode(&mut exchange);
     let mut spec = ScenarioSpec::golden(1);
     spec.ram_mib = 128;
-    let (index, stats) = metered(|| receive_exchange(&mut exchange.as_slice(), &spec, 0).unwrap());
+    let receive = |room| receive_exchange(&mut exchange.as_slice(), &spec, 0, room).unwrap();
+    let (index, stats) = metered(|| receive(ChecksumIndex::default()));
     assert_eq!(index.distinct(), digests.len());
     assert!(digests.iter().all(|&d| index.contains(d)));
     let (_, built) = metered(|| ChecksumIndex::from_pages(&digests));
     assert_eq!(stats, built, "the index alone");
+
+    let (again, refill) = metered(|| receive(index));
+    assert_eq!(again.distinct(), digests.len());
+    assert!(digests.iter().all(|&d| again.contains(d)));
+    assert_eq!((refill.calls, refill.requested), (0, 0), "{refill:?}");
 }
 
 /// An index is a sorted list of 16-byte digests and a directory of one
@@ -719,13 +747,21 @@ impl std::io::Write for Writes {
 /// an exchange of several hundred KiB go out through the connection's
 /// lent chunk, at most 64 KiB a write, byte for byte what a
 /// whole-message encode makes, and ask the allocator for nothing; so
-/// does a job with no exchange, through the same chunk.
+/// does a job with no exchange, through the same chunk. The offer,
+/// refilled into an index with room already that size, asks for nothing
+/// either.
 #[test]
 fn a_warm_acceptance_goes_through_one_chunk() {
     let mut spec = ScenarioSpec::golden(1);
     spec.ram_mib = 128;
     let initial = scenario::initial_memory(&spec).unwrap();
-    let index = scenario::offer(&spec, initial.as_slice(), None).unwrap();
+    let mut room = ChecksumIndex::default();
+    scenario::offer(&spec, initial.as_slice(), None, &mut room).unwrap();
+    let (offered, stats) =
+        metered(|| scenario::offer(&spec, initial.as_slice(), None, &mut room).is_some());
+    assert!(offered);
+    assert_eq!((stats.calls, stats.requested), (0, 0), "{stats:?}");
+    let index = &room;
     let ack = proto::hello_payload(proto::VERSION, proto::ROLE_DEST);
     let mut whole = Vec::new();
     write_frame(&mut whole, kind::HELLO_ACK, &ack).unwrap();
@@ -738,7 +774,7 @@ fn a_warm_acceptance_goes_through_one_chunk() {
 
     let mut chunk = Vec::with_capacity(64 * wire::full_page_msg().as_u64() as usize);
     let mut sent = Writes(Vec::with_capacity(whole.len()), Vec::with_capacity(64));
-    let ((), stats) = metered(|| accept(&mut sent, Some(&index), &mut chunk).unwrap());
+    let ((), stats) = metered(|| accept(&mut sent, Some(index), &mut chunk).unwrap());
     assert_eq!(sent.0, whole);
     assert_eq!((stats.calls, stats.requested), (0, 0), "{stats:?}");
     assert!(sent.1.len() <= whole.len().div_ceil(SESSION_BUF) + 1);
@@ -867,4 +903,74 @@ fn steady_state_jobs_allocate_no_session_buffer() {
     b.shutdown();
     assert_eq!(shaped, 0, "set-shaped requests after the warm-up");
     assert_eq!(counts, [(1, 2), (1, 2)], "(allocated, reused) at each end");
+}
+
+/// A steady-state pair job allocates nothing guest-sized. On one
+/// in-memory pair, warm-up jobs size each end's kept room (a warm 64 MiB
+/// job, then a 16 MiB one); then a warm 16 MiB job and a warm 64 MiB job
+/// make no request, on any thread, as large as their guest's digest
+/// table, and the larger asks for at most 4 B a page more than the
+/// smaller: the dirty and landed bitsets and the source's map of sent
+/// digests, not a table or an index (16–18 B a page each) built again.
+/// A cold job between the two offers no index and leaves the index room
+/// the warm 64 MiB job refills.
+/// The jobs run in a child process of this test binary, alone, so no
+/// other test's requests land in the counts.
+#[test]
+fn a_warm_pair_job_grows_by_at_most_4_bytes_a_page() {
+    const NAME: &str = "a_warm_pair_job_grows_by_at_most_4_bytes_a_page";
+    if std::env::var_os("VECYCLE_ALLOC_EXACT_CHILD").is_none() {
+        let exe = std::env::current_exe().expect("the test binary");
+        let child = Command::new(exe)
+            .args(["--exact", NAME, "--test-threads=1", "--nocapture"])
+            .env("VECYCLE_ALLOC_EXACT_CHILD", "1")
+            .output()
+            .expect("the child runs");
+        let out = String::from_utf8_lossy(&child.stdout);
+        let err = String::from_utf8_lossy(&child.stderr);
+        assert!(
+            child.status.success() && out.contains("1 passed"),
+            "{out}{err}"
+        );
+        return;
+    }
+    let warm = |ram_mib| ScenarioSpec {
+        ram_mib,
+        ..ScenarioSpec::golden(3)
+    };
+    let spawn = || Daemon::spawn(DaemonConfig::new(Endpoint::parse("127.0.0.1:0")).with_workers(1));
+    let (a, b) = (spawn().unwrap(), spawn().unwrap());
+    let run = |spec: &ScenarioSpec| {
+        let (bytes, _) = Everywhere::counts();
+        Everywhere::take_largest();
+        let id = a.submit(spec.clone(), b.endpoint().clone()).unwrap();
+        let rec = a.wait_job(id, Duration::from_secs(60)).expect("terminal");
+        assert_eq!(rec.state, JobState::Done, "{}", rec.detail);
+        (Everywhere::counts().0 - bytes, Everywhere::take_largest())
+    };
+    run(&warm(64));
+    run(&warm(16));
+    let (small, large) = (warm(16), warm(64));
+    let (bytes16, largest16) = run(&small);
+    run(&ScenarioSpec {
+        strategy: "full".into(),
+        warm: false,
+        ..warm(64)
+    });
+    let (bytes64, largest64) = run(&large);
+    a.shutdown();
+    b.shutdown();
+    for (spec, largest) in [(&small, largest16), (&large, largest64)] {
+        assert!(
+            largest < 16 * spec.pages(),
+            "{} MiB: a {largest} B request",
+            spec.ram_mib
+        );
+    }
+    let grown = bytes64.saturating_sub(bytes16);
+    eprintln!("16 MiB: {bytes16} B, 64 MiB: {bytes64} B, largest {largest16} / {largest64} B");
+    assert!(
+        grown <= 4 * (large.pages() - small.pages()),
+        "16 MiB: {bytes16} B, 64 MiB: {bytes64} B"
+    );
 }

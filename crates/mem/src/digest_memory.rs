@@ -50,22 +50,45 @@ impl DigestMemory {
     /// Returns [`vecycle_types::Error::InvalidConfig`] if `ram` is not a
     /// whole number of pages or is zero.
     pub fn with_uniform_content(ram: Bytes, seed: u64) -> vecycle_types::Result<Self> {
+        let mut image = DigestMemory { pages: Vec::new() };
+        image.refill_uniform(ram, seed)?;
+        Ok(image)
+    }
+
+    /// Refills the image whole as [`DigestMemory::with_uniform_content`]
+    /// makes it. The table keeps its room, so a refill for no more pages
+    /// than it once held allocates nothing; what it held before is never
+    /// read.
+    ///
+    /// # Errors
+    ///
+    /// As [`DigestMemory::with_uniform_content`], leaving the image as
+    /// it was.
+    pub fn refill_uniform(&mut self, ram: Bytes, seed: u64) -> vecycle_types::Result<()> {
         if ram.is_zero() || !ram.as_u64().is_multiple_of(vecycle_types::PAGE_SIZE) {
             return Err(vecycle_types::Error::InvalidConfig {
                 reason: format!("ram size {ram} must be a positive multiple of the page size"),
             });
         }
-        let n = ram.pages_ceil();
-        Ok(DigestMemory::with_distinct_content(n, seed))
+        self.fill_distinct(ram.pages_ceil(), seed);
+        Ok(())
     }
 
     /// Creates an image of `pages` pages, each with distinct content
     /// derived from `seed`.
     pub fn with_distinct_content(pages: PageCount, seed: u64) -> Self {
-        let pages = (0..pages.as_u64())
-            .map(|i| PageDigest::from_content_id(content_id(seed, i)))
-            .collect();
-        DigestMemory { pages }
+        let mut image = DigestMemory { pages: Vec::new() };
+        image.fill_distinct(pages, seed);
+        image
+    }
+
+    /// Empties the table, grown to exactly `pages` if it has less room,
+    /// and fills it with distinct content derived from `seed`.
+    fn fill_distinct(&mut self, pages: PageCount, seed: u64) {
+        self.pages.clear();
+        self.pages.reserve_exact(pages.as_usize());
+        let digests = (0..pages.as_u64()).map(|i| PageDigest::from_content_id(content_id(seed, i)));
+        self.pages.extend(digests);
     }
 
     /// Creates an image directly from a digest list.

@@ -57,6 +57,11 @@ impl<M: MutableMemory> Guest<M> {
         &self.memory
     }
 
+    /// Consumes the guest, returning its memory image.
+    pub fn into_memory(self) -> M {
+        self.memory
+    }
+
     /// The dirty bitmap.
     pub fn dirty(&self) -> &DirtyTracker {
         &self.dirty

@@ -28,8 +28,8 @@
 #     document describes the system instead of accumulating history.
 set -euo pipefail
 
-BUDGET=45063
-PUB_CEILING=1028
+BUDGET=45403
+PUB_CEILING=1032
 DEPS_CEILING=111
 DESIGN_CEILING=1614
 CAP=800

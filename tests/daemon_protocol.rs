@@ -15,6 +15,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use common::{tcp_endpoint, unix_endpoint, Watchdog};
+use vecycle_checkpoint::ChecksumIndex;
 use vecycle_daemon::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use vecycle_daemon::proto::{self, JobMsg, ROLE_SOURCE};
 use vecycle_daemon::{client, scenario, Daemon, DaemonConfig, DaemonError, DaemonHandle, Endpoint};
@@ -417,7 +418,9 @@ fn a_bulk_exchange_that_repeats_a_digest_is_corrupt() {
     d.sort_unstable();
     let spec = ScenarioSpec::golden(1);
     let initial = scenario::initial_memory(&spec).unwrap();
-    let index = scenario::offer(&spec, initial.as_slice(), None).expect("a vecycle job offers");
+    let mut room = ChecksumIndex::default();
+    let index =
+        scenario::offer(&spec, initial.as_slice(), None, &mut room).expect("a vecycle job offers");
     let mut descending: Vec<PageDigest> = index.distinct_digests().collect();
     descending.reverse();
     for (row, digests, at) in [

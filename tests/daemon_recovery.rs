@@ -13,6 +13,8 @@ use std::time::Duration;
 
 use common::{journal_dir, unix_endpoint, Watchdog};
 use vecycle_checkpoint::{ChecksumIndex, PartialCheckpoint};
+use vecycle_daemon::control::CtrlRequest;
+use vecycle_daemon::endpoint::SESSION_BUF;
 use vecycle_daemon::frame::{kind, read_frame, write_frame, MAX_PAYLOAD};
 use vecycle_daemon::journal::{rec, Journal, WalRecord};
 use vecycle_daemon::partial_log::{self, PartialLog};
@@ -365,7 +367,8 @@ fn assert_ledger_exact(
 /// The index a destination offers for `spec` at a fresh epoch.
 fn dest_index(spec: &ScenarioSpec) -> Option<ChecksumIndex> {
     let initial = scenario::initial_memory(spec).expect("initial memory");
-    scenario::offer(spec, initial.as_slice(), None)
+    let mut room = ChecksumIndex::default();
+    scenario::offer(spec, initial.as_slice(), None, &mut room).cloned()
 }
 
 /// Flattens a live transcript against the offered `index` into the
@@ -1149,4 +1152,161 @@ fn a_failed_session_returns_its_buffers_and_they_carry_no_bytes() {
     }
     src.shutdown();
     dst.shutdown();
+}
+
+/// A loopback forwarder to the TCP endpoint `to` for two connections:
+/// the first carries its first `cut` bytes toward `to`, then both its
+/// sockets close — a source that dies mid-stream — and the second
+/// passes whole. Returns the forwarder's endpoint and, once both have
+/// ended, the bytes the cut connection carried.
+fn cut_once(to: &Endpoint, cut: usize) -> (Endpoint, std::thread::JoinHandle<Vec<u8>>) {
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    let Endpoint::Tcp(addr) = to.clone() else {
+        panic!("a TCP destination")
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("forwarder binds");
+    let at = Endpoint::Tcp(listener.local_addr().expect("bound").to_string());
+    let forwarder = std::thread::spawn(move || {
+        // Each connection's replies flow back whole, in a thread of their own.
+        let open = || {
+            let (from, _) = listener.accept().expect("a source connects");
+            let onward = TcpStream::connect(&addr).expect("the destination answers");
+            let (mut back, mut reply) = (onward.try_clone().unwrap(), from.try_clone().unwrap());
+            let replies = std::thread::spawn(move || {
+                let _ = std::io::copy(&mut back, &mut reply);
+                let _ = reply.shutdown(Shutdown::Write);
+            });
+            (from, onward, replies)
+        };
+        let (from, mut onward, replies) = open();
+        let mut carried = Vec::with_capacity(cut);
+        let mut prefix = from.take(cut as u64);
+        let mut step = [0; 4096];
+        while carried.len() < cut {
+            let n = prefix.read(&mut step).expect("the source sends");
+            assert!(n > 0, "the source stopped before the cut");
+            onward.write_all(&step[..n]).expect("the prefix forwards");
+            carried.extend_from_slice(&step[..n]);
+        }
+        let from = prefix.into_inner();
+        for end in [&onward, &from] {
+            let _ = end.shutdown(Shutdown::Both);
+        }
+        replies.join().unwrap();
+        let (mut from, mut onward, replies) = open();
+        let _ = std::io::copy(&mut from, &mut onward);
+        let _ = onward.shutdown(Shutdown::Write);
+        replies.join().unwrap();
+        carried
+    });
+    (at, forwarder)
+}
+
+/// What a destination lands from the forward bytes of a source that died
+/// `carried` into a fresh epoch of `spec`: every message that arrived whole.
+fn landed_from(spec: &ScenarioSpec, carried: &[u8]) -> PartialCheckpoint {
+    let mut r = carried;
+    for want in [kind::HELLO, kind::JOB] {
+        assert_eq!(read_frame(&mut r, MAX_PAYLOAD).expect("opening").kind, want);
+    }
+    let initial = scenario::initial_memory(spec).expect("initial memory");
+    let mut room = ChecksumIndex::default();
+    let index = scenario::offer(spec, initial.as_slice(), None, &mut room);
+    let mut st = SessionState::fresh(spec, &initial);
+    while let Ok(msg) = WireMsg::read_from(&mut r) {
+        st.apply(&msg, index).expect("the prefix applies");
+    }
+    nothing(spec).overlaid(st.landed())
+}
+
+/// A buffer set carries room between sessions, never content. One
+/// in-memory pair runs jobs both ways whose guests shrink and grow
+/// (8 → 2 → 16 → 4 MiB) — warm vecycle, cold full, dedup, a WAN vecycle
+/// job whose rounds rewrite pages, and a vecycle job that dies
+/// mid-stream and resumes, its retry offering an index refilled over the
+/// landed pages — so each end's table and index are refilled over an
+/// earlier job's, larger and smaller. Every job ends done, reconciles
+/// its socket bytes and reports what the in-process run does. After the
+/// first warm job, `vecycled metrics` shows each end keeping one set's
+/// room: its buffers, its 16 B-a-page table and its index.
+#[test]
+fn kept_room_never_carries_content() {
+    let _wd = Watchdog::arm("kept_room_never_carries_content", JOB_TIMEOUT);
+    let spawn = || {
+        let config = DaemonConfig::new(Endpoint::parse("127.0.0.1:0")).with_workers(1);
+        Daemon::spawn(
+            config
+                .with_retries(1)
+                .with_backoff(Duration::from_millis(20)),
+        )
+        .expect("daemon binds")
+    };
+    let (a, b) = (spawn(), spawn());
+    let spec = |seed, ram_mib, strategy: &str, warm| ScenarioSpec {
+        ram_mib,
+        strategy: strategy.into(),
+        warm,
+        ..ScenarioSpec::golden(seed)
+    };
+    let wan = ScenarioSpec {
+        link: "wan".into(),
+        dirty_frac_per_hour: 50.0,
+        ..spec(0x64d, 4, "vecycle", true)
+    };
+    let killed = spec(0x64e, 4, "vecycle", true);
+    let schedule = [
+        (&a, &b, spec(0x64a, 8, "vecycle", true)),
+        (&b, &a, spec(0x64b, 2, "full", false)),
+        (&a, &b, spec(0x64c, 16, "dedup", false)),
+        (&b, &a, wan),
+        (&a, &b, killed.clone()),
+    ];
+    let set = (SESSION_BUF + 64 * 4_124) as u64;
+    for (at, (src, dst, spec)) in schedule.iter().enumerate() {
+        let tag = format!("job {at}: {}", spec.to_kv());
+        let last = at == schedule.len() - 1;
+        let reference = scenario::reference_run(spec).expect("reference");
+        let (peer, forwarder) = match last {
+            true => {
+                let cut = reference.report.source_traffic().as_u64() / 2;
+                let (peer, forwarder) = cut_once(dst.endpoint(), cut as usize);
+                (peer, Some(forwarder))
+            }
+            false => (dst.endpoint().clone(), None),
+        };
+        let id = src.submit(spec.clone(), peer).expect("submit");
+        let record = src.wait_job(id, JOB_TIMEOUT).expect("terminal");
+        assert_done(&record);
+        let (report, m) = (record.report.unwrap(), record.measured.unwrap());
+        assert_ledger_exact(&report, &m, &tag);
+        let reference = match forwarder {
+            Some(forwarder) => {
+                let partial = landed_from(spec, &forwarder.join().unwrap());
+                assert!(partial.landed_pages().as_u64() > 0, "{tag}");
+                assert_eq!(m.resume_epoch, 1, "{tag}");
+                scenario::reference_run_over(spec, &partial).expect("reference")
+            }
+            None => reference,
+        };
+        assert_eq!(report, reference.report, "{tag}");
+
+        if at == 0 {
+            let table = 16 * spec.pages();
+            for end in [src, dst] {
+                let resp = client::request(end.endpoint(), &CtrlRequest::bare("metrics"))
+                    .expect("metrics");
+                let kept = resp
+                    .metrics
+                    .lines()
+                    .find_map(|l| l.strip_prefix("daemon_session_buffer_bytes "))
+                    .and_then(|n| n.parse::<u64>().ok())
+                    .expect("the gauge");
+                let most = set + table + 18 * spec.pages() + 4;
+                assert!((set + table..=most).contains(&kept), "{kept} B kept");
+            }
+        }
+    }
+    a.shutdown();
+    b.shutdown();
 }

@@ -44,8 +44,9 @@ fn encode_transcript(t: &LiveTranscript) -> Vec<u8> {
 fn wire_index(spec: &ScenarioSpec) -> Option<ChecksumIndex> {
     (spec.strategy == "vecycle").then(|| {
         let initial = scenario::initial_memory(spec).expect("initial memory");
-        let offered =
-            scenario::offer(spec, initial.as_slice(), None).expect("a vecycle job offers");
+        let mut room = ChecksumIndex::default();
+        let offered = scenario::offer(spec, initial.as_slice(), None, &mut room)
+            .expect("a vecycle job offers");
         ChecksumIndex::from_pages(&offered.distinct_digests().collect::<Vec<_>>())
     })
 }
